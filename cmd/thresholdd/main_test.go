@@ -209,6 +209,7 @@ func TestThresholdDebugEndpoint(t *testing.T) {
 	for _, want := range []string{
 		`player_share_requests_total{player="1"} 1`,
 		`player_share_seconds_count{player="1"} 1`,
+		`curve_hash_to_point_total `,
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("player metrics missing %q:\n%s", want, out)

@@ -198,8 +198,8 @@ func classify(all []*analysis.Package) *classification {
 					continue
 				}
 				i, isParam := params[obj]
-				if !isParam || has(fn, i) {
-					continue
+				if !isParam || i < 0 || has(fn, i) {
+					continue // i < 0: the receiver, which no call site passes positionally
 				}
 				if deadlineBefore(fb.info, fb.decl.Body, obj, ev.pos) {
 					continue
@@ -246,8 +246,9 @@ func paramObjs(info *types.Info, fd *ast.FuncDecl) map[types.Object]bool {
 }
 
 // paramIndex maps fd's parameter objects to their positional index.
-// The receiver, if any, is index -1 (callers cannot pass it positionally
-// through ioParams, but it still counts as caller-owned).
+// The receiver, if any, is index -1: it counts as caller-owned (paramObjs)
+// but has no slot in a call's argument list, so classify never records it
+// in ioParams.
 func paramIndex(info *types.Info, fd *ast.FuncDecl) map[types.Object]int {
 	idx := make(map[types.Object]int)
 	if fd.Recv != nil {

@@ -73,9 +73,10 @@ func benchScalar(label string, q *big.Int) *big.Int {
 
 // Baseline times the primitive operations behind every scheme: the pairing
 // (optimized and full-Miller oracle), the three scalar-multiplication
-// strategies, fixed-base vs generic GT exponentiation, and one BF FullIdent
-// encrypt/decrypt pair. Each body runs for at least minIters iterations and
-// minDuration wall time, whichever is larger.
+// strategies, fixed-base vs generic GT exponentiation, one BF FullIdent
+// encrypt/decrypt pair, hash-to-G1 and one threshold-IBE share with its
+// proof and that proof's verification. Each body runs for at least minIters
+// iterations and minDuration wall time, whichever is larger.
 func Baseline(pp *pairing.Params, minIters int, minDuration time.Duration) (*BaselineReport, error) {
 	P := pp.Generator()
 	Q, err := pp.Curve().HashToPoint("baseline", []byte("x"))
@@ -109,6 +110,30 @@ func Baseline(pp *pairing.Params, minIters int, minDuration time.Duration) (*Bas
 	}
 	msg := make([]byte, 32)
 	ct, err := pub.Encrypt(rand.Reader, id, msg)
+	if err != nil {
+		return nil, err
+	}
+
+	// Threshold-IBE fixtures: one installed (3, 5) key share, a share with
+	// its robustness proof, and the identity's Q_ID as a recombiner holds it
+	// across the n verifications of one decryption.
+	tpkg, err := core.SetupThreshold(rand.Reader, pp, 32, 3, 5)
+	if err != nil {
+		return nil, err
+	}
+	tparams := tpkg.Params()
+	tshare, err := tpkg.ExtractShare(id, 1)
+	if err != nil {
+		return nil, err
+	}
+	if err := tparams.VerifyKeyShare(tshare); err != nil {
+		return nil, err
+	}
+	tproof, err := tparams.ComputeShareWithProof(rand.Reader, tshare, ct.U)
+	if err != nil {
+		return nil, err
+	}
+	qid, err := bf.HashIdentity(pp, id)
 	if err != nil {
 		return nil, err
 	}
@@ -290,6 +315,12 @@ func Baseline(pp *pairing.Params, minIters int, minDuration time.Duration) (*Bas
 		{"gtexp.fixed-base", func() error { gtTab.Exp(k); return nil }},
 		{"bf.encrypt", func() error { _, err := pub.Encrypt(rand.Reader, id, msg); return err }},
 		{"bf.decrypt", func() error { _, err := pub.Decrypt(key, ct); return err }},
+		{"hash.to-g1", func() error { _, err := bf.HashIdentity(pp, id); return err }},
+		{"thibe.share-with-proof", func() error {
+			_, err := tparams.ComputeShareWithProof(rand.Reader, tshare, ct.U)
+			return err
+		}},
+		{"thibe.verify-proof", func() error { return tparams.VerifyShareProofFor(qid, ct.U, tproof) }},
 		{"msm.64", func() error {
 			_, err := cv.MSM(msmKs[:64], msmPts[:64])
 			return err

@@ -77,6 +77,12 @@ func thresholdCell(cfg ThresholdConfig, t, n int) (*ThresholdCell, error) {
 		if err != nil {
 			return nil, err
 		}
+		// The paper's Keygen check, as an installing player runs it; it
+		// also leaves the share's per-identity constant computed, so the
+		// timings below are those of a serving player.
+		if err := p.VerifyKeyShare(ks); err != nil {
+			return nil, err
+		}
 		keyShares[i-1] = ks
 	}
 	msg := make([]byte, cfg.MsgLen)

@@ -89,6 +89,11 @@ func (r *Recombiner) DecryptBatch(id string, cs []*bf.BasicCiphertext) (msgs [][
 	for i, c := range cs {
 		us[i] = c.U.Marshal()
 	}
+	// Q_ID is the same for all n·k verifications: hash the identity once.
+	qid, err := bf.HashIdentity(r.params.Public.Pairing, id)
+	if err != nil {
+		return nil, nil, err
+	}
 
 	type outcome struct {
 		index  int
@@ -111,7 +116,7 @@ func (r *Recombiner) DecryptBatch(id string, cs []*bf.BasicCiphertext) (msgs [][
 			shares, err := r.fetchShares(addr, id, us)
 			if err == nil {
 				for j, share := range shares {
-					if err = r.params.VerifyShareProof(id, cs[j].U, share); err != nil {
+					if err = r.params.VerifyShareProofFor(qid, cs[j].U, share); err != nil {
 						r.met.verifyFailed()
 						break
 					}

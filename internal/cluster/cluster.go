@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/bf"
 	"repro/internal/core"
+	"repro/internal/curve"
 	"repro/internal/obs"
 	"repro/internal/wire"
 )
@@ -88,14 +89,19 @@ type PlayerServer struct {
 }
 
 // Instrument registers the player's serving metrics with reg: share
-// request/error counters and the share service-time histogram (the
-// pairing-with-proof computation thresholdd spends its CPU on). Call
-// before Serve.
+// request/error counters, the share service-time histogram (the
+// pairing-with-proof computation thresholdd spends its CPU on) and the curve
+// kernel counters — curve_hash_to_point_total staying flat while share
+// requests climb is the visible form of "per-identity constants are computed
+// at Install". Call before Serve.
 func (p *PlayerServer) Instrument(reg *obs.Registry) {
 	l := obs.Label{Key: "player", Value: strconv.Itoa(p.index)}
 	p.shareRequests = reg.Counter("player_share_requests_total", "decryption-share requests received", l)
 	p.shareErrors = reg.Counter("player_share_errors_total", "share requests answered with an error", l)
 	p.shareTime = reg.Histogram("player_share_seconds", "share computation time (incl. proof)", l)
+	if reg != nil { // a nil registry would unhook the shared MSM latency histogram
+		curve.RegisterMSMMetrics(reg)
+	}
 }
 
 // defaultIOTimeout is the per-frame read/write deadline a player server
@@ -551,6 +557,11 @@ func (r *Recombiner) Decrypt(id string, c *bf.BasicCiphertext) (msg []byte, reje
 		err   error
 	}
 	r.met.decryptStarted()
+	// Q_ID is the same for all n verifications: hash the identity once.
+	qid, err := bf.HashIdentity(r.params.Public.Pairing, id)
+	if err != nil {
+		return nil, nil, err
+	}
 	start := time.Now()
 	results := make(chan outcome, r.params.N)
 	var wg sync.WaitGroup
@@ -566,7 +577,7 @@ func (r *Recombiner) Decrypt(id string, c *bf.BasicCiphertext) (msg []byte, reje
 			fetchStart := time.Now()
 			share, err := r.fetchShare(addr, id, c)
 			if err == nil {
-				if err = r.params.VerifyShareProof(id, c.U, share); err != nil {
+				if err = r.params.VerifyShareProofFor(qid, c.U, share); err != nil {
 					r.met.verifyFailed()
 				}
 			}

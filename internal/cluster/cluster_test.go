@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/rand"
 	"errors"
+	"math/big"
 	"net"
 	"strings"
 	"testing"
@@ -11,6 +12,7 @@ import (
 
 	"repro/internal/bf"
 	"repro/internal/core"
+	"repro/internal/curve"
 	"repro/internal/obs"
 	"repro/internal/pairing"
 )
@@ -98,24 +100,54 @@ func TestClusterDecryption(t *testing.T) {
 	}
 }
 
-func TestClusterToleratesByzantinePlayer(t *testing.T) {
-	d := deploy(t)
-	// Player 2 returns corrupted shares (proof left stale).
-	d.players[1].SetMisbehaviour(func(ds *core.DecryptionShare) *core.DecryptionShare {
+// corruptions tampers with each component of a share-with-proof in turn,
+// keeping every element inside its group (so it survives wire validation
+// and reaches the NIZK check) and leaving the rest of the tuple stale.
+var corruptions = []struct {
+	part  string
+	apply func(ds *core.DecryptionShare) *core.DecryptionShare
+}{
+	{"G", func(ds *core.DecryptionShare) *core.DecryptionShare {
 		return &core.DecryptionShare{Index: ds.Index, G: ds.G.Mul(ds.G), Proof: ds.Proof}
-	})
-	r := d.recombiner(t)
-	msg := bytes.Repeat([]byte{0x11}, msgLen)
-	c, _ := d.params.Public.EncryptBasic(rand.Reader, ident, msg)
-	got, rejected, err := r.Decrypt(ident, c)
-	if err != nil {
-		t.Fatal(err)
+	}},
+	{"W1", corruptProof(func(pr *core.ShareProof) { pr.W1 = pr.W1.Mul(pr.W1) })},
+	{"W2", corruptProof(func(pr *core.ShareProof) { pr.W2 = pr.W2.Mul(pr.W2) })},
+	{"E", corruptProof(func(pr *core.ShareProof) {
+		e := new(big.Int).Add(pr.E, big.NewInt(1))
+		pr.E = e.Mod(e, pr.V.Curve().Q())
+	})},
+	{"V", corruptProof(func(pr *core.ShareProof) { pr.V = pr.V.Double() })},
+}
+
+// corruptProof returns a misbehaviour that edits a copy of the proof and
+// leaves the share value alone.
+func corruptProof(edit func(pr *core.ShareProof)) func(*core.DecryptionShare) *core.DecryptionShare {
+	return func(ds *core.DecryptionShare) *core.DecryptionShare {
+		pr := *ds.Proof
+		edit(&pr)
+		return &core.DecryptionShare{Index: ds.Index, G: ds.G, Proof: &pr}
 	}
-	if len(rejected) != 1 || rejected[0] != 2 {
-		t.Fatalf("rejected = %v, want [2]", rejected)
-	}
-	if !bytes.Equal(got, msg) {
-		t.Fatal("byzantine-tolerant decryption failed")
+}
+
+func TestClusterToleratesByzantinePlayer(t *testing.T) {
+	for _, corrupt := range corruptions {
+		t.Run(corrupt.part, func(t *testing.T) {
+			d := deploy(t)
+			d.players[1].SetMisbehaviour(corrupt.apply) // player 2 lies
+			r := d.recombiner(t)
+			msg := bytes.Repeat([]byte{0x11}, msgLen)
+			c, _ := d.params.Public.EncryptBasic(rand.Reader, ident, msg)
+			got, rejected, err := r.Decrypt(ident, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rejected) != 1 || rejected[0] != 2 {
+				t.Fatalf("rejected = %v, want [2]", rejected)
+			}
+			if !bytes.Equal(got, msg) {
+				t.Fatal("byzantine-tolerant decryption failed")
+			}
+		})
 	}
 }
 
@@ -324,24 +356,25 @@ func TestClusterBatchDecryption(t *testing.T) {
 }
 
 func TestClusterBatchToleratesByzantinePlayer(t *testing.T) {
-	d := deploy(t)
-	// Player 3 corrupts every share in the batch.
-	d.players[2].SetMisbehaviour(func(ds *core.DecryptionShare) *core.DecryptionShare {
-		return &core.DecryptionShare{Index: ds.Index, G: ds.G.Mul(ds.G), Proof: ds.Proof}
-	})
-	r := d.recombiner(t)
-	msgs, cs := encryptBatch(t, d, 3)
-	got, rejected, err := r.DecryptBatch(ident, cs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rejected) != 1 || rejected[0] != 3 {
-		t.Fatalf("rejected = %v, want [3]", rejected)
-	}
-	for i := range msgs {
-		if !bytes.Equal(got[i], msgs[i]) {
-			t.Fatalf("byzantine-tolerant batch decryption failed at %d", i)
-		}
+	for _, corrupt := range corruptions {
+		t.Run(corrupt.part, func(t *testing.T) {
+			d := deploy(t)
+			d.players[2].SetMisbehaviour(corrupt.apply) // player 3 corrupts every share in the batch
+			r := d.recombiner(t)
+			msgs, cs := encryptBatch(t, d, 3)
+			got, rejected, err := r.DecryptBatch(ident, cs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rejected) != 1 || rejected[0] != 3 {
+				t.Fatalf("rejected = %v, want [3]", rejected)
+			}
+			for i := range msgs {
+				if !bytes.Equal(got[i], msgs[i]) {
+					t.Fatalf("byzantine-tolerant batch decryption failed at %d", i)
+				}
+			}
+		})
 	}
 }
 
@@ -459,5 +492,33 @@ func TestRecombinerConnPool(t *testing.T) {
 	}
 	if _, _, err := r.Decrypt(ident, c); err != nil {
 		t.Fatalf("decrypt after Close: %v", err)
+	}
+}
+
+// TestDecryptHashesIdentityOnce counts hash-to-G1 evaluations (players and
+// recombiner share the process, so the counter sees both sides): Q_ID and
+// ê(P_pub^(i), Q_ID) are per-identity constants, so a decryption costs the
+// recombiner exactly one identity hash — not one per share verified — and
+// players whose key shares were verified at Install none at all.
+func TestDecryptHashesIdentityOnce(t *testing.T) {
+	d := deploy(t)
+	r := d.recombiner(t)
+	msgs, cs := encryptBatch(t, d, 3) // BF encryption hashes too: encrypt before counting
+
+	before := curve.HashToPointCalls()
+	got, rejected, err := r.Decrypt(ident, cs[0])
+	if err != nil || len(rejected) != 0 || !bytes.Equal(got, msgs[0]) {
+		t.Fatalf("Decrypt = %x, rejected %v, err %v", got, rejected, err)
+	}
+	if n := curve.HashToPointCalls() - before; n != 1 {
+		t.Fatalf("one Decrypt over %d installed players hashed to G1 %d times, want 1", nn, n)
+	}
+
+	before = curve.HashToPointCalls()
+	if _, rejected, err := r.DecryptBatch(ident, cs); err != nil || len(rejected) != 0 {
+		t.Fatalf("DecryptBatch rejected %v, err %v", rejected, err)
+	}
+	if n := curve.HashToPointCalls() - before; n != 1 {
+		t.Fatalf("one DecryptBatch of %d ciphertexts hashed to G1 %d times, want 1", len(cs), n)
 	}
 }

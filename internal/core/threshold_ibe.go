@@ -48,42 +48,66 @@ var (
 // Boneh-Franklin publics plus the verification vector.
 //
 // Every share-verification equation pairs against the same n verification
-// keys, so the params lazily cache one fixed-argument Miller program per
-// key. Use by pointer (the caches make values non-copyable).
+// keys, and every proof commits to a power of ê(P, P), so the params lazily
+// cache one fixed-argument Miller program per key and one fixed-base table
+// for ê(P, P). Use by pointer (the caches make values non-copyable).
 type ThresholdParams struct {
 	Public *bf.PublicParams
 	T, N   int
 	// VerificationKeys[i-1] = P_pub^(i) = f(i)·P.
 	VerificationKeys []*curve.Point
 
-	vkMu      sync.Mutex
-	vkPairers map[int]*pairing.FixedPair
+	vkOnce    sync.Once
+	vkPairers []vkPairer // vkPairers[i-1] serves VerificationKeys[i-1]
+
+	genGTOnce sync.Once
+	genGT     *pairing.GTTable // fixed-base table for ê(P, P)
+	genGTErr  error
+}
+
+// vkPairer is the lazily built fixed-argument program of one verification
+// key. Each key has its own Once, so the n concurrent verifications of a
+// first decryption build their n programs in parallel instead of queueing
+// behind one lock.
+type vkPairer struct {
+	once sync.Once
+	fp   *pairing.FixedPair // nil for a degenerate key (nothing this package constructs)
 }
 
 // vkPair computes ê(P_pub^(i), q1) through a per-index cached
 // fixed-argument program (i is 1-based and already range-checked by
 // callers).
 func (p *ThresholdParams) vkPair(i int, q1 *curve.Point) (*pairing.GT, error) {
+	p.vkOnce.Do(func() { p.vkPairers = make([]vkPairer, len(p.VerificationKeys)) })
 	vk := p.VerificationKeys[i-1]
-	p.vkMu.Lock()
-	fp, ok := p.vkPairers[i]
-	if !ok {
-		built, err := p.Public.Pairing.NewFixedPair(vk)
-		if err == nil {
-			if p.vkPairers == nil {
-				p.vkPairers = make(map[int]*pairing.FixedPair, p.N)
-			}
-			p.vkPairers[i] = built
-			fp = built
-		}
-		// A degenerate verification key (nothing this package constructs)
-		// leaves fp nil and falls through to the generic pairing.
-	}
-	p.vkMu.Unlock()
-	if fp != nil {
-		return fp.Pair(q1)
+	e := &p.vkPairers[i-1]
+	e.once.Do(func() {
+		// A degenerate key leaves fp nil and the generic pairing below
+		// serves it.
+		e.fp, _ = p.Public.Pairing.NewFixedPair(vk)
+	})
+	if e.fp != nil {
+		return e.fp.Pair(q1)
 	}
 	return p.Public.Pairing.Pair(vk, q1)
+}
+
+// genPairExp returns ê(P, P)^r = ê(P, r·P) from a fixed-base table built on
+// first use.
+func (p *ThresholdParams) genPairExp(r *big.Int) (*pairing.GT, error) {
+	p.genGTOnce.Do(func() {
+		pp := p.Public.Pairing
+		g, err := pp.PairWithGenerator(pp.Generator())
+		if err != nil {
+			p.genGTErr = err
+			return
+		}
+		p.genGT, p.genGTErr = pairing.NewGTTable(g)
+	})
+	if p.genGTErr != nil {
+		return nil, p.genGTErr
+	}
+	return p.genGT.Exp(r), nil
 }
 
 // ThresholdPKG is the trusted dealer: it holds the sharing polynomial and
@@ -95,11 +119,40 @@ type ThresholdPKG struct {
 
 // KeyShare is player i's share d_IDi = f(i)·Q_ID of an identity key.
 //
+// A share lazily carries ê(P_pub^(i), Q_ID), the public constant both its
+// acceptance check and every proof it later emits are bound to, so a player
+// hashes the identity and pairs for it once — at VerifyKeyShare, i.e. at
+// installation — and never per request. The constant is fixed by (ID,
+// Index): leave those alone once the share is in use, and use shares by
+// pointer.
+//
 //cryptolint:secret
 type KeyShare struct {
 	ID    string
 	Index int
 	D     *curve.Point
+
+	pubOnce sync.Once
+	pubPair *pairing.GT //cryptolint:public (ê(P_pub^(i), Q_ID): computed from public values only)
+	pubErr  error
+}
+
+// sharePubPair returns ê(P_pub^(i), Q_ID) for the share's identity and
+// player index, computing it on first use.
+func (p *ThresholdParams) sharePubPair(share *KeyShare) (*pairing.GT, error) {
+	share.pubOnce.Do(func() {
+		if share.Index < 1 || share.Index > p.N {
+			share.pubErr = fmt.Errorf("core: player index %d out of range 1..%d", share.Index, p.N)
+			return
+		}
+		qid, err := bf.HashIdentity(p.Public.Pairing, share.ID)
+		if err != nil {
+			share.pubErr = err
+			return
+		}
+		share.pubPair, share.pubErr = p.vkPair(share.Index, qid)
+	})
+	return share.pubPair, share.pubErr
 }
 
 // DecryptionShare is player i's contribution ê(U, d_IDi) for one ciphertext,
@@ -215,14 +268,7 @@ func KeyShareFromScalar(pp *pairing.Params, id string, j int, x *big.Int) (*KeyS
 // ê(P_pub^(i), Q_ID) = ê(P, d_IDi). A failing share triggers a complaint to
 // the PKG.
 func (p *ThresholdParams) VerifyKeyShare(share *KeyShare) error {
-	if share.Index < 1 || share.Index > p.N {
-		return fmt.Errorf("core: player index %d out of range 1..%d", share.Index, p.N)
-	}
-	qid, err := bf.HashIdentity(p.Public.Pairing, share.ID)
-	if err != nil {
-		return err
-	}
-	lhs, err := p.vkPair(share.Index, qid)
+	lhs, err := p.sharePubPair(share)
 	if err != nil {
 		return err
 	}
@@ -251,7 +297,7 @@ func (p *ThresholdParams) ComputeShare(share *KeyShare, u *curve.Point) (*Decryp
 // maps ê(P, ·) and ê(U, ·): the player proves knowledge of d_IDi such that
 // ê(P, d_IDi) = ê(P_pub^(i), Q_ID) and ê(U, d_IDi) = share.
 type ShareProof struct {
-	W1 *pairing.GT  // ê(P, R) for the random commitment R
+	W1 *pairing.GT  // ê(P, R) for the random commitment R = r·P
 	W2 *pairing.GT  // ê(U, R)
 	E  *big.Int     // Fiat-Shamir challenge
 	V  *curve.Point // R + e·d_IDi
@@ -259,8 +305,18 @@ type ShareProof struct {
 
 // ComputeShareWithProof produces the decryption share together with its
 // robustness proof.
+//
+// Because the commitment is R = r·P for the fixed generator, both commitment
+// pairings are powers of generator-fixed values — W1 = ê(P, R) = ê(P, P)^r
+// and W2 = ê(U, R) = ê(P, U)^r — so they come from the cached ê(P, P) table
+// and the cached generator Miller program instead of two fresh pairings
+// against R: the same GT elements, hence the same bytes.
 func (p *ThresholdParams) ComputeShareWithProof(rng io.Reader, share *KeyShare, u *curve.Point) (*DecryptionShare, error) {
 	pp := p.Public.Pairing
+	pubPair, err := p.sharePubPair(share)
+	if err != nil {
+		return nil, err
+	}
 	r, err := mathx.RandomFieldElement(orRand(rng), pp.Q())
 	if err != nil {
 		return nil, fmt.Errorf("sample proof nonce: %w", err)
@@ -270,20 +326,15 @@ func (p *ThresholdParams) ComputeShareWithProof(rng io.Reader, share *KeyShare, 
 	if err != nil {
 		return nil, err
 	}
-	w1, err := pp.PairWithGenerator(bigR)
+	w1, err := p.genPairExp(r)
 	if err != nil {
 		return nil, err
 	}
-	w2, err := pp.Pair(u, bigR)
+	pu, err := pp.PairWithGenerator(u)
 	if err != nil {
 		return nil, err
 	}
-
-	qid, err := bf.HashIdentity(pp, share.ID)
-	if err != nil {
-		return nil, err
-	}
-	pubPair, err := p.vkPair(share.Index, qid)
+	w2, err := pu.Exp(r)
 	if err != nil {
 		return nil, err
 	}
@@ -314,6 +365,17 @@ func (p *ThresholdParams) ComputeShareWithProof(rng io.Reader, share *KeyShare, 
 // cheating prover survives with probability ≤ 1/(q−1), far below the 2⁻ᵏ
 // soundness of the Fiat-Shamir challenge itself.
 func (p *ThresholdParams) VerifyShareProof(id string, u *curve.Point, ds *DecryptionShare) error {
+	qid, err := bf.HashIdentity(p.Public.Pairing, id)
+	if err != nil {
+		return err
+	}
+	return p.VerifyShareProofFor(qid, u, ds)
+}
+
+// VerifyShareProofFor is VerifyShareProof for a verifier that has already
+// hashed the identity: qid must be Q_ID = H1(ID). A recombiner checking n
+// shares of one decryption hashes once and calls this n times.
+func (p *ThresholdParams) VerifyShareProofFor(qid, u *curve.Point, ds *DecryptionShare) error {
 	if ds.Proof == nil {
 		return fmt.Errorf("%w: missing proof", ErrProofInvalid)
 	}
@@ -321,10 +383,6 @@ func (p *ThresholdParams) VerifyShareProof(id string, u *curve.Point, ds *Decryp
 		return fmt.Errorf("%w: index %d out of range", ErrProofInvalid, ds.Index)
 	}
 	pp := p.Public.Pairing
-	qid, err := bf.HashIdentity(pp, id)
-	if err != nil {
-		return err
-	}
 	pubPair, err := p.vkPair(ds.Index, qid)
 	if err != nil {
 		return err
@@ -462,9 +520,13 @@ func (p *ThresholdParams) RecoverShare(shares []*DecryptionShare, j int) (*Decry
 // opens the ciphertext. It returns the indices of rejected players alongside
 // the plaintext.
 func (p *ThresholdParams) RobustDecrypt(id string, shares []*DecryptionShare, c *bf.BasicCiphertext) (msg []byte, rejected []int, err error) {
+	qid, err := bf.HashIdentity(p.Public.Pairing, id)
+	if err != nil {
+		return nil, nil, err
+	}
 	valid := make([]*DecryptionShare, 0, len(shares))
 	for _, s := range shares {
-		if err := p.VerifyShareProof(id, c.U, s); err != nil {
+		if err := p.VerifyShareProofFor(qid, c.U, s); err != nil {
 			rejected = append(rejected, s.Index)
 			continue
 		}

@@ -1,0 +1,234 @@
+package core
+
+import (
+	"bytes"
+	"crypto/rand"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"flag"
+	mrand "math/rand"
+	"os"
+	"sync"
+	"testing"
+
+	"repro/internal/bf"
+	"repro/internal/curve"
+	"repro/internal/mathx"
+	"repro/internal/pairing"
+)
+
+// update rewrites testdata/share_proof.json from the code under test. The
+// committed file was written by running TestShareProofGolden with -update
+// inside a checkout of PR 12 (19e7411), whose ComputeShareWithProof paired
+// against the commitment R directly; leave it alone unless proofs are meant
+// to change.
+var update = flag.Bool("update", false, "rewrite testdata/share_proof.json")
+
+// proofFixture is a deterministic (3, 5) system, identity, ciphertext point
+// and player-2 key share over the named parameter set, plus the seed the
+// proof nonce is drawn from.
+type proofFixture struct {
+	pp        *pairing.Params
+	params    *ThresholdParams
+	id        string
+	share     *KeyShare
+	u         *curve.Point
+	nonceSeed int64
+}
+
+func newProofFixture(t *testing.T, name string) *proofFixture {
+	t.Helper()
+	pp, err := pairing.ByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := mrand.New(mrand.NewSource(20030713))
+	pkg, err := SetupThreshold(rng, pp, msgLen, 3, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := &proofFixture{pp: pp, params: pkg.Params(), id: "proof@example.com", nonceSeed: 42}
+	if f.share, err = pkg.ExtractShare(f.id, 2); err != nil {
+		t.Fatal(err)
+	}
+	c, err := f.params.Public.EncryptBasic(rng, f.id, bytes.Repeat([]byte{0x5a}, msgLen))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.u = c.U
+	return f
+}
+
+// prove runs the implementation under test with the fixture's nonce stream.
+func (f *proofFixture) prove(t *testing.T) *DecryptionShare {
+	t.Helper()
+	ds, err := f.params.ComputeShareWithProof(mrand.New(mrand.NewSource(f.nonceSeed)), f.share, f.u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ds
+}
+
+// proofBytes flattens (G, W1, W2, E, V) for comparison.
+func proofBytes(ds *DecryptionShare) map[string]string {
+	return map[string]string{
+		"G":  hex.EncodeToString(ds.G.Bytes()),
+		"W1": hex.EncodeToString(ds.Proof.W1.Bytes()),
+		"W2": hex.EncodeToString(ds.Proof.W2.Bytes()),
+		"E":  hex.EncodeToString(ds.Proof.E.Bytes()),
+		"V":  hex.EncodeToString(ds.Proof.V.Marshal()),
+	}
+}
+
+// referenceProof is Section 3.2 as the paper states it, on the slow generic
+// primitives only: five plain pairings, the affine double-and-add ladder and
+// the affine group law.
+//
+//	R ← r·P,  g = ê(U, d_IDi),  W1 = ê(P, R),  W2 = ê(U, R),
+//	e = H(g, ê(P_pub^(i), Q_ID), W1, W2),  V = R + e·d_IDi
+func referenceProof(t *testing.T, f *proofFixture) *DecryptionShare {
+	t.Helper()
+	pp := f.pp
+	pair := func(a, b *curve.Point) *pairing.GT {
+		g, err := pp.Pair(a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	r, err := mathx.RandomFieldElement(mrand.New(mrand.NewSource(f.nonceSeed)), pp.Q())
+	if err != nil {
+		t.Fatal(err)
+	}
+	P := pp.Generator()
+	R := P.ScalarMulBinary(r)
+	qid, err := bf.HashIdentity(pp, f.id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := pair(f.u, f.share.D)
+	w1 := pair(P, R)
+	w2 := pair(f.u, R)
+	pub := pair(f.params.VerificationKeys[f.share.Index-1], qid)
+
+	h := sha256.New()
+	h.Write([]byte("THIBE-PROOF"))
+	for _, x := range []*pairing.GT{g, pub, w1, w2} {
+		h.Write(x.Bytes())
+	}
+	e := mathx.BytesToIntMod(h.Sum(nil), pp.Q())
+	v := R.Add(f.share.D.ScalarMulBinary(e))
+	return &DecryptionShare{Index: f.share.Index, G: g, Proof: &ShareProof{W1: w1, W2: w2, E: e, V: v}}
+}
+
+// TestShareProofMatchesReference: for a fixed nonce, ComputeShareWithProof
+// emits exactly the tuple Section 3.2 defines — the cached per-share
+// constant, the ê(P, P) table and the generator Miller program are
+// shortcuts to the same group elements, not a different proof.
+func TestShareProofMatchesReference(t *testing.T) {
+	for _, name := range []string{"toy", "fast", "paper"} {
+		f := newProofFixture(t, name)
+		want := proofBytes(referenceProof(t, f))
+		// Cold share first, then warmed by VerifyKeyShare as an installing
+		// player would have it: both must produce the reference tuple.
+		for _, state := range []string{"cold", "installed"} {
+			if state == "installed" {
+				if err := f.params.VerifyKeyShare(f.share); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ds := f.prove(t)
+			got := proofBytes(ds)
+			for part, w := range want {
+				if got[part] != w {
+					t.Errorf("%s/%s: %s = %s, reference %s", name, state, part, got[part], w)
+				}
+			}
+			if err := f.params.VerifyShareProof(f.id, f.u, ds); err != nil {
+				t.Errorf("%s/%s: reference-equal proof rejected: %v", name, state, err)
+			}
+		}
+	}
+}
+
+// TestShareProofGolden pins the same tuples to the bytes the parent
+// implementation produced.
+func TestShareProofGolden(t *testing.T) {
+	const path = "testdata/share_proof.json"
+	got := make(map[string]map[string]string)
+	for _, name := range []string{"toy", "fast", "paper"} {
+		got[name] = proofBytes(newProofFixture(t, name).prove(t))
+	}
+	if *update {
+		data, err := json.MarshalIndent(got, "", "\t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want map[string]map[string]string
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatal(err)
+	}
+	for name, tuple := range want {
+		for part, w := range tuple {
+			if g := got[name][part]; g != w {
+				t.Errorf("%s: %s = %s, golden %s", name, part, g, w)
+			}
+		}
+	}
+}
+
+// TestVerifyShareProofConcurrentFreshParams verifies all n shares of one
+// decryption at once against parameters whose caches are cold — the first
+// decryption of a recombiner's life. Each verification key's Miller program
+// is built under its own Once, so this is the -race witness that the n
+// builds neither race nor corrupt one another.
+func TestVerifyShareProofConcurrentFreshParams(t *testing.T) {
+	pkg := thresholdFixture(t, 3, 5)
+	p := pkg.Params()
+	id := "fresh@example.com"
+	c, err := p.Public.EncryptBasic(rand.Reader, id, bytes.Repeat([]byte{0x33}, msgLen))
+	if err != nil {
+		t.Fatal(err)
+	}
+	shares := make([]*DecryptionShare, p.N)
+	for i, ks := range issueShares(t, pkg, id) {
+		if shares[i], err = p.ComputeShareWithProof(nil, ks, c.U); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	for round := 0; round < 4; round++ {
+		fresh, err := NewThresholdParams(p.Public.Pairing, msgLen, p.T, p.N, p.Public.PPub, p.VerificationKeys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		errs := make([]error, 2*len(shares))
+		for i := range errs {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				errs[i] = fresh.VerifyShareProof(id, c.U, shares[i%len(shares)])
+			}(i)
+		}
+		wg.Wait()
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("round %d: honest share %d rejected on fresh params: %v", round, i%len(shares)+1, err)
+			}
+		}
+	}
+}

@@ -11,15 +11,15 @@
 // divisor of p + 1 chosen at parameter-generation time (see package pairing).
 //
 // The public Point API is affine and immutable (auditable, and the
-// denominator-tracking Miller oracle needs affine line slopes), but the hot
-// paths run on a Jacobian-coordinate layer underneath: ScalarMul uses
-// width-w NAF recoding over Jacobian doublings and mixed additions with a
-// single final normalization, and long-lived bases (the G1 generator,
-// public keys) get radix-2^w fixed-base tables via Precomputed. The affine
-// double-and-add ladder survives as ScalarMulBinary, the differential-test
-// oracle and ablation baseline.
+// denominator-tracking Miller oracle needs affine line slopes), but every
+// multi-step operation — ScalarMul, the fixed-base tables of Precomputed,
+// hash-to-point cofactor clearing, the subgroup check, MSM — runs on one
+// Jacobian-coordinate layer over internal/fp Montgomery limbs (limb.go) and
+// converts back to affine exactly once. The affine big.Int Add, Double and
+// the double-and-add ladder ScalarMulBinary stay as the single-operation API
+// and as the differential-test oracle for that layer.
 //
-//cryptolint:vartime (big.Int affine/Jacobian backend; constant-time execution is the fp limb backend's contract)
+//cryptolint:vartime (scalar recoding, table lookups and the affine big.Int API branch on their operands; constant-time execution is the fp limb field's contract, not this package's)
 package curve
 
 import (
@@ -29,7 +29,6 @@ import (
 	"fmt"
 	"io"
 	"math/big"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/fp"
@@ -54,25 +53,24 @@ type Curve struct {
 	q *big.Int //cryptolint:public (curve parameters)
 	c *big.Int //cryptolint:public (curve parameters)
 
-	// limb caches the lazily built internal/fp backend and the constants
-	// the limb kernels derive from the (immutable) parameters; see limb.go.
-	//
-	//cryptolint:public (derived from public curve parameters)
-	limb struct {
-		once    sync.Once
-		F       *fp.Field
-		sqrtExp *big.Int // (p+1)/4, the p ≡ 3 (mod 4) square-root exponent
-		qW      uint     // w-NAF width used for the subgroup ladder
-		qNAF    []int8   // w-NAF digits of q, least significant first
-		err     error    // fp.New failure: all limb paths fall back to big.Int
-	}
+	// The limb backend and the constants the Jacobian kernels derive from
+	// the parameters, all built by New (see limb.go and scalarmul.go).
+	fld     *fp.Field //cryptolint:public (curve parameters)
+	sqrtExp *big.Int  //cryptolint:public ((p+1)/4, the p ≡ 3 (mod 4) square-root exponent)
+	qNAF    naf       //cryptolint:public (recoding of the subgroup order, shared by every subgroup check)
+	cNAF    naf       //cryptolint:public (recoding of the cofactor, shared by every hash-to-point)
 }
 
-// New constructs the curve. It validates that p ≡ 3 (mod 4) and that
-// q·c = p + 1 with q prime (probabilistically).
+// New constructs the curve. It validates that p ≡ 3 (mod 4), that p fits the
+// limb backend (fp.MaxLimbs, the same bound gf.NewField puts on the pairing's
+// extension field) and that q·c = p + 1 with q prime (probabilistically).
 func New(p, q *big.Int) (*Curve, error) {
 	if p.Bit(0) != 1 || p.Bit(1) != 1 {
 		return nil, fmt.Errorf("curve: p must be ≡ 3 (mod 4)")
+	}
+	fld, err := fp.New(p)
+	if err != nil {
+		return nil, fmt.Errorf("curve: %w", err)
 	}
 	pPlus1 := new(big.Int).Add(p, big.NewInt(1))
 	c, rem := new(big.Int).DivMod(pPlus1, q, new(big.Int))
@@ -83,9 +81,13 @@ func New(p, q *big.Int) (*Curve, error) {
 		return nil, fmt.Errorf("curve: subgroup order q is not prime")
 	}
 	return &Curve{
-		p: new(big.Int).Set(p),
-		q: new(big.Int).Set(q),
-		c: c,
+		p:       new(big.Int).Set(p),
+		q:       new(big.Int).Set(q),
+		c:       c,
+		fld:     fld,
+		sqrtExp: new(big.Int).Rsh(pPlus1, 2),
+		qNAF:    recode(q),
+		cNAF:    recode(c),
 	}, nil
 }
 
@@ -246,9 +248,14 @@ func (c *Curve) chord(p1, p2 *Point, lambda *big.Int) *Point {
 }
 
 // InSubgroup reports whether the point lies in the prime-order subgroup G1,
-// i.e. q·P = O. The verdict is computed with the limb-backend ladder of
-// subgroup.go (no final inversion, shared q recoding) and memoized on the
-// point, so re-validating a long-lived element is a single atomic load.
+// i.e. q·P = O. Every network-facing decode funnels through this check, so
+// it is cheaper than a generic ScalarMul twice over: the recoding of the
+// fixed public order q is computed once per curve, and only the
+// identity-or-not verdict is needed, so the ladder ends at a Z = 0 test
+// without the Jacobian-to-affine inversion. The verdict is memoized on the
+// (immutable) point, so re-validating a long-lived element — a cached public
+// key, a batch re-verified under a new random combination — is a single
+// atomic load.
 func (pt *Point) InSubgroup() bool {
 	if pt.inf {
 		return true // O is in every subgroup
@@ -256,10 +263,11 @@ func (pt *Point) InSubgroup() bool {
 	if s := pt.g1.Load(); s != 0 {
 		return s == 1
 	}
-	in, ok := pt.curve.inSubgroupLimb(pt)
-	if !ok {
-		in = pt.ScalarMul(pt.curve.q).IsInfinity()
-	}
+	c := pt.curve
+	acc, err := c.ladder(pt, c.qNAF, newLjScratch(c.fld))
+	// err is unreachable for prime p (see ljBatchNormalize); an unverifiable
+	// point is not admitted.
+	in := err == nil && c.fld.IsZero(acc.z)
 	if in {
 		pt.g1.Store(1)
 	} else {
@@ -322,9 +330,7 @@ func (c *Curve) RandomG1(rng io.Reader) (*Point, error) {
 		if err != nil {
 			return nil, err
 		}
-		g := pt.ScalarMul(c.c)
-		if !g.IsInfinity() {
-			g.g1.Store(1) // cofactor-cleared by construction
+		if g := c.clearCofactor(pt); !g.inf {
 			return g, nil
 		}
 	}
@@ -340,11 +346,17 @@ func (c *Curve) HashToPoint(domain string, msg []byte) (*Point, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := pt.ScalarMul(c.c)
+	return c.clearCofactor(pt), nil
+}
+
+// clearCofactor returns c·pt for the cofactor c = (p+1)/q — a point of G1,
+// marked as such — through the cofactor recoding New cached.
+func (c *Curve) clearCofactor(pt *Point) *Point {
+	out := pt.mulRecoded(c.c, c.cNAF)
 	if !out.inf {
 		out.g1.Store(1) // cofactor-cleared by construction
 	}
-	return out, nil
+	return out
 }
 
 // HashToPointUncleared is HashToPoint without the final cofactor
@@ -360,6 +372,7 @@ func (c *Curve) HashToPoint(domain string, msg []byte) (*Point, error) {
 // skip. HashToPoint inherits the same behaviour: its output is the identity
 // with that probability, which no caller can observe.
 func (c *Curve) HashToPointUncleared(domain string, msg []byte) (*Point, error) {
+	hashToPointCalls.Add(1)
 	size := c.CoordinateSize()
 	for ctr := 0; ctr < 256; ctr++ {
 		digest := expandDigest(domain, uint8(ctr), msg, size+16)

@@ -1,21 +1,33 @@
-// Limb-domain Jacobian arithmetic: the internal/fp-backed layer under the
-// batch kernels (MSM, the cached subgroup check, square roots for decoding
-// and hashing).
+// Jacobian-coordinate arithmetic over internal/fp Montgomery limbs: the one
+// performance layer under the public affine Point API. Scalar multiplication
+// (variable and fixed base), cofactor clearing, the subgroup check and MSM
+// all run here; so do the square roots of decoding and hashing.
 //
-// The big.Int Jacobian layer in jacobian.go pays a modular reduction
-// allocation on every multiplication; at the paper's 512-bit prime one
-// big.Int field multiplication costs ~1µs against ~180ns for the Montgomery
-// limb multiplication in internal/fp. Kernels that perform thousands of
-// field operations per call (Pippenger bucket accumulation, the q·P
-// subgroup ladder) therefore run here, on the same formulas as jacobian.go
-// — identical group elements in, identical affine coordinates out, so the
-// two layers are interchangeable and differential-testable against each
-// other.
+// A Jacobian triple (X, Y, Z) with Z ≠ 0 denotes the affine point
+// (X/Z², Y/Z³); Z = 0 denotes the point at infinity. Doubling and (mixed)
+// addition in this representation cost a handful of field multiplications
+// and no modular inversion, whereas every affine chord-and-tangent step pays
+// one big.Int.ModInverse — by far the most expensive field operation — and
+// one limb multiplication costs ~180 ns at the paper's 512-bit prime against
+// ~1 µs for a big.Int multiply-and-reduce. A kernel therefore converts its
+// inputs once (Point coordinates are big.Int), runs entirely in Jacobian
+// form, and converts back to affine exactly once; when several points need
+// conversion at the same time (precomputation tables, Pippenger buckets),
+// Montgomery's simultaneous-inversion trick shares a single inversion among
+// all of them. Equal group elements have equal affine coordinates, so every
+// kernel is bit-identical to the affine big.Int oracle (Add, Double,
+// ScalarMulBinary) it is differential-tested against.
 //
-// The fp.Field for the curve prime is constructed lazily on first use and
-// cached on the Curve (curves are immutable and shared); if construction
-// fails (p beyond fp.MaxLimbs) every caller falls back to the big.Int path,
-// so the limb layer is a pure accelerator, never a requirement.
+// The formulas are the standard ones for short Weierstrass curves with a
+// generic a-coefficient (here a = 1, so M = 3X² + Z⁴):
+//
+//	doubling:   S = 4XY², M = 3X² + Z⁴,
+//	            X' = M² − 2S, Y' = M(S − X') − 8Y⁴, Z' = 2YZ
+//	mixed add:  U2 = x·Z², S2 = y·Z³, H = U2 − X, R = S2 − Y,
+//	            X' = R² − H³ − 2XH², Y' = R(XH² − X') − YH³, Z' = ZH
+//
+// The same formulas, interleaved with line-coefficient extraction, drive
+// the inversion-free Miller loop in internal/pairing.
 package curve
 
 import (
@@ -25,57 +37,52 @@ import (
 	"repro/internal/mathx"
 )
 
-// limbField returns the cached fp.Field for the curve prime, constructing
-// it (plus the derived constants the limb kernels share) on first use.
-// The second result reports availability; callers must fall back to the
-// big.Int layer when it is false.
-func (c *Curve) limbField() (*fp.Field, bool) {
-	c.limb.once.Do(func() {
-		F, err := fp.New(c.p)
-		if err != nil {
-			c.limb.err = err
-			return
-		}
-		c.limb.F = F
-		// (p+1)/4: the square-root exponent for p ≡ 3 (mod 4), guaranteed
-		// by New's validation.
-		e := new(big.Int).Add(c.p, big.NewInt(1))
-		c.limb.sqrtExp = e.Rsh(e, 2)
-		// w-NAF digits of the fixed subgroup order q, shared by every
-		// subgroup check on this curve.
-		c.limb.qW = wnafWidth(c.q.BitLen())
-		c.limb.qNAF = wnaf(c.q, c.limb.qW)
-	})
-	return c.limb.F, c.limb.err == nil
-}
-
 // sqrtMod computes a square root of the canonical residue a (0 ≤ a < p)
 // modulo the curve prime, returning the principal root a^((p+1)/4) exactly
-// as mathx.SqrtModP does for p ≡ 3 (mod 4) — decoders and hash-to-point
-// depend on the two paths being bit-identical. Non-residues yield
-// mathx.ErrNoSquareRoot.
+// as mathx.SqrtModP does for p ≡ 3 (mod 4) — enrolled keys depend on the two
+// being bit-identical. Non-residues yield mathx.ErrNoSquareRoot.
 func (c *Curve) sqrtMod(a *big.Int) (*big.Int, error) {
-	F, ok := c.limbField()
-	if !ok {
-		return mathx.SqrtModP(a, c.p)
-	}
+	F := c.fld
 	if a.Sign() == 0 {
 		return new(big.Int), nil
 	}
 	m := F.NewElt()
 	if err := F.FromBig(m, a); err != nil {
-		return mathx.SqrtModP(a, c.p) // unreduced input: defensive fallback
+		return nil, err
 	}
 	r := F.NewElt()
-	F.Exp(r, m, c.limb.sqrtExp)
+	F.Exp(r, m, c.sqrtExp)
 	// For p ≡ 3 (mod 4), a is a residue iff (a^((p+1)/4))² = a; this check
-	// replaces the Jacobi-symbol pretest of the big.Int path.
+	// replaces the Jacobi-symbol pretest of mathx.SqrtModP.
 	chk := F.NewElt()
 	F.Square(chk, r)
 	if !F.Equal(chk, m) {
 		return nil, mathx.ErrNoSquareRoot
 	}
 	return F.ToBig(r), nil
+}
+
+// montXY loads pt's affine coordinates (pt ≠ O) into fresh Montgomery limb
+// vectors.
+func (c *Curve) montXY(pt *Point) (x, y []uint64) {
+	x, y = c.fld.NewElt(), c.fld.NewElt()
+	// Point coordinates are canonical residues by construction (NewPoint
+	// and every group operation reduce, Unmarshal range-checks), so
+	// FromBig's only error — an input outside [0, p) — cannot occur.
+	_ = c.fld.FromBig(x, pt.x)
+	_ = c.fld.FromBig(y, pt.y)
+	return x, y
+}
+
+// newElts allocates k zero field elements carved from one slab.
+func newElts(F *fp.Field, k int) [][]uint64 {
+	n := F.Limbs()
+	slab := make([]uint64, k*n)
+	out := make([][]uint64, k)
+	for i := range out {
+		out[i] = slab[i*n : (i+1)*n : (i+1)*n]
+	}
+	return out
 }
 
 // limbJac is a mutable Jacobian point over fp limb vectors in Montgomery
@@ -85,7 +92,26 @@ type limbJac struct {
 }
 
 func newLimbJac(F *fp.Field) limbJac {
-	return limbJac{x: F.NewElt(), y: F.NewElt(), z: F.NewElt()} // Z = 0: identity
+	return newLimbJacs(F, 1)[0]
+}
+
+// newLimbJacs allocates k identity points (Z = 0) sharing one slab.
+func newLimbJacs(F *fp.Field, k int) []limbJac {
+	e := newElts(F, 3*k)
+	out := make([]limbJac, k)
+	for i := range out {
+		out[i] = limbJac{x: e[3*i], y: e[3*i+1], z: e[3*i+2]}
+	}
+	return out
+}
+
+// set copies u into v.
+//
+//cryptolint:hotpath
+func (v *limbJac) set(F *fp.Field, u *limbJac) {
+	F.Set(v.x, u.x)
+	F.Set(v.y, u.y)
+	F.Set(v.z, u.z)
 }
 
 // setAffine loads the Montgomery-form affine point (ax, ay) with Z = 1.
@@ -104,14 +130,12 @@ type ljScratch struct {
 }
 
 func newLjScratch(F *fp.Field) *ljScratch {
-	return &ljScratch{
-		t1: F.NewElt(), t2: F.NewElt(), t3: F.NewElt(), t4: F.NewElt(),
-		t5: F.NewElt(), t6: F.NewElt(), t7: F.NewElt(), t8: F.NewElt(),
-	}
+	e := newElts(F, 8)
+	return &ljScratch{t1: e[0], t2: e[1], t3: e[2], t4: e[3], t5: e[4], t6: e[5], t7: e[6], t8: e[7]}
 }
 
-// ljDouble sets v = 2v in place — the limb transcription of jacDouble
-// (a = 1: M = 3X² + Z⁴). The 2-torsion case degenerates to Z' = 2YZ = 0.
+// ljDouble sets v = 2v in place (a = 1: M = 3X² + Z⁴). The identity stays
+// put and the 2-torsion case degenerates gracefully to Z' = 2YZ = 0.
 //
 //cryptolint:hotpath
 func ljDouble(F *fp.Field, v *limbJac, s *ljScratch) {
@@ -159,8 +183,8 @@ func ljDouble(F *fp.Field, v *limbJac, s *ljScratch) {
 }
 
 // ljAddMixed sets v = v + (ax, ay) in place for a Montgomery-form affine
-// non-identity point, with the same degenerate handling as jacAddMixed:
-// v = O loads the point, v = A doubles, v = −A yields O.
+// non-identity point A, handling the degenerate cases: v = O loads the
+// point, v = A doubles, v = −A yields O.
 //
 //cryptolint:hotpath
 func ljAddMixed(F *fp.Field, v *limbJac, ax, ay []uint64, s *ljScratch) {
@@ -224,9 +248,7 @@ func ljAdd(F *fp.Field, v, u *limbJac, s *ljScratch) {
 		return
 	}
 	if F.IsZero(v.z) {
-		F.Set(v.x, u.x)
-		F.Set(v.y, u.y)
-		F.Set(v.z, u.z)
+		v.set(F, u)
 		return
 	}
 	z1z1 := s.t1
@@ -326,10 +348,10 @@ func ljBatchNormalize(F *fp.Field, pts []limbJac, prefix [][]uint64, s *ljScratc
 	return nil
 }
 
-// ljToPoint normalizes v back to the immutable affine representation
-// (one inversion), producing the same canonical coordinates as the big.Int
-// jacToAffine for the same group element.
-func (c *Curve) ljToPoint(F *fp.Field, v *limbJac, s *ljScratch) *Point {
+// ljToPoint normalizes v back to the immutable affine representation (one
+// inversion): the canonical coordinates of the group element.
+func (c *Curve) ljToPoint(v *limbJac, s *ljScratch) *Point {
+	F := c.fld
 	if F.IsZero(v.z) {
 		return c.Infinity()
 	}

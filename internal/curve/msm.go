@@ -12,8 +12,7 @@
 // additions, no multiplications), and merges the window sums with b
 // doublings per window. Total cost ≈ windows·(n + 2^b) additions versus
 // n·(bits + bits/w) for the per-point loop — asymptotically bits/b times
-// fewer group operations, and every one of them runs on internal/fp limbs
-// instead of big.Int.
+// fewer group operations.
 //
 // Determinism: windows are distributed across workers but each window sum
 // is written to its own slot and the merge walks the slots in index order
@@ -106,16 +105,12 @@ func windowDigit(words []uint64, bit, b int) uint64 {
 // the group order (they are not reduced — the sum matches the sequential
 // ScalarMul semantics for arbitrary curve points, including cofactor-order
 // ones); identity points and zero scalars contribute nothing. The result is
-// bit-identical to MSMSequential. Falls back to the sequential path when
-// the limb backend cannot host the curve prime.
+// bit-identical to MSMSequential.
 func (c *Curve) MSM(scalars []*big.Int, points []*Point) (*Point, error) {
 	if err := msmCheckArgs(scalars, points); err != nil {
 		return nil, err
 	}
-	F, ok := c.limbField()
-	if !ok {
-		return c.MSMSequential(scalars, points)
-	}
+	F := c.fld
 	start := time.Now()
 
 	// Collect the contributing terms: |kᵢ| as words, the Montgomery affine
@@ -190,12 +185,8 @@ func (c *Curve) MSM(scalars []*big.Int, points []*Point) (*Point, error) {
 	windowErrs := make([]error, windows)
 	parallel.FanChunks(windows, func(lo, hi int) {
 		s := newLjScratch(F)
-		buckets := make([]limbJac, K)
-		prefix := make([][]uint64, K)
-		for d := 0; d < K; d++ {
-			buckets[d] = newLimbJac(F)
-			prefix[d] = F.NewElt()
-		}
+		buckets := newLimbJacs(F, K)
+		prefix := newElts(F, K)
 		sum := newLimbJac(F)
 		for j := lo; j < hi; j++ {
 			for d := 0; d < K; d++ {
@@ -256,15 +247,14 @@ func (c *Curve) MSM(scalars []*big.Int, points []*Point) (*Point, error) {
 		}
 		ljAdd(F, &acc, &windowSums[j], s)
 	}
-	out := c.ljToPoint(F, &acc, s)
+	out := c.ljToPoint(&acc, s)
 	recordMSM(n, windows, b, time.Since(start))
 	return out, nil
 }
 
 // MSMSequential is the point-by-point oracle for MSM: Σ scalars[i]·points[i]
 // evaluated with one w-NAF ScalarMul per term and affine additions. It is
-// the differential-test baseline (FuzzMSM) and the fallback when the limb
-// backend is unavailable.
+// the differential-test baseline (FuzzMSM).
 func (c *Curve) MSMSequential(scalars []*big.Int, points []*Point) (*Point, error) {
 	if err := msmCheckArgs(scalars, points); err != nil {
 		return nil, err

@@ -20,6 +20,16 @@ var msmCounters struct {
 	latency    atomic.Pointer[obs.Histogram] // kernel latency, set by RegisterMSMMetrics
 }
 
+// hashToPointCalls counts try-and-increment hashes onto the curve
+// (HashToPoint and HashToPointUncleared alike). At paper size one hash with
+// its cofactor clearing costs about as much as a pairing, so the count per
+// served operation says whether a caller is re-deriving a per-identity
+// constant it could have kept.
+var hashToPointCalls atomic.Uint64
+
+// HashToPointCalls returns the number of hash-to-curve evaluations so far.
+func HashToPointCalls() uint64 { return hashToPointCalls.Load() }
+
 // recordMSM logs one kernel invocation.
 func recordMSM(points, windows, windowBits int, d time.Duration) {
 	msmCounters.calls.Add(1)
@@ -55,9 +65,10 @@ func KernelStats() MSMStats {
 	}
 }
 
-// RegisterMSMMetrics exports the MSM counters and the kernel latency
-// histogram through reg. Idempotent — the registry deduplicates series —
-// so every instrumented component may call it without coordination.
+// RegisterMSMMetrics exports the MSM counters, the kernel latency histogram
+// and the hash-to-curve counter through reg. Idempotent — the registry
+// deduplicates series — so every instrumented component may call it without
+// coordination.
 func RegisterMSMMetrics(reg *obs.Registry) {
 	reg.CounterFunc("curve_msm_calls_total", "Pippenger MSM kernel invocations",
 		func() uint64 { return msmCounters.calls.Load() })
@@ -68,4 +79,6 @@ func RegisterMSMMetrics(reg *obs.Registry) {
 	reg.GaugeFunc("curve_msm_window_bits", "window width selected by the most recent MSM call",
 		func() int64 { return msmCounters.windowBits.Load() })
 	msmCounters.latency.Store(reg.Histogram("curve_msm_seconds", "MSM kernel latency"))
+	reg.CounterFunc("curve_hash_to_point_total", "hash-to-curve evaluations (HashToPoint and HashToPointUncleared)",
+		hashToPointCalls.Load)
 }

@@ -1,10 +1,11 @@
 // Scalar multiplication strategies.
 //
-// Variable base: width-w NAF over Jacobian coordinates. The scalar is
+// Variable base: width-w NAF over the limb Jacobian layer. The scalar is
 // recoded into signed odd digits so that on average only 1/(w+1) of the
 // loop iterations perform an addition (vs 1/2 for double-and-add), and the
 // odd multiples ±P, ±3P, …, ±(2^(w−1)−1)P are precomputed once and
-// batch-normalized to affine so the loop uses cheap mixed additions.
+// batch-normalized to affine so the loop uses cheap mixed additions. One
+// ladder serves ScalarMul, cofactor clearing and the subgroup check.
 //
 // Fixed base: a Precomputed radix-2^w table (single-table comb) holding
 // d·2^(wj)·P for every window j and digit d. A fixed-base multiply is then
@@ -59,39 +60,97 @@ func wnaf(k *big.Int, w uint) []int8 {
 	return digits
 }
 
-// oddMultiples returns the affine points {1, 3, 5, …, 2m−1}·P, computed in
-// Jacobian coordinates and normalized with a single batch inversion.
-func (c *Curve) oddMultiples(pt *Point, m int) []*Point {
-	s := newJacScratch()
-	twoP := c.toJac(pt)
-	c.jacDouble(twoP, s)
-	twoPAff := c.jacToAffine(twoP)
+// naf is a positive scalar in width-w non-adjacent form.
+type naf struct {
+	w      uint
+	digits []int8 // least significant first
+}
 
-	jacs := make([]*jacPoint, m)
-	jacs[0] = c.toJac(pt)
-	for i := 1; i < m; i++ {
-		next := newJac().set(jacs[i-1])
-		if twoPAff.inf {
-			// 2P = O (order-2 base): every odd multiple equals P.
-			jacs[i] = next
+// recode returns the w-NAF of the positive scalar k at the width its size
+// calls for.
+func recode(k *big.Int) naf {
+	w := wnafWidth(k.BitLen())
+	return naf{w: w, digits: wnaf(k, w)}
+}
+
+// ladder is the package's one w-NAF scalar-multiplication loop: it returns
+// k·pt (pt ≠ O) in Jacobian form for the recoded scalar k, leaving the
+// caller to normalize the result or — the subgroup check — only test it for
+// the identity.
+func (c *Curve) ladder(pt *Point, k naf, s *ljScratch) (limbJac, error) {
+	F := c.fld
+	bx, by := c.montXY(pt)
+
+	// Odd digits reach 2^(w−1)−1, so the table holds the 2^(w−2) odd
+	// multiples {1, 3, …, 2^(w−1)−1}·P, batch-normalized with one inversion
+	// so the loop below uses only mixed additions. An order-2 base has
+	// 2P = O, which ljAdd ignores: every odd multiple then equals P.
+	table := newLimbJacs(F, 1<<(k.w-2))
+	table[0].setAffine(F, bx, by)
+	if len(table) > 1 {
+		twoP := newLimbJac(F)
+		twoP.setAffine(F, bx, by)
+		ljDouble(F, &twoP, s)
+		for i := 1; i < len(table); i++ {
+			table[i].set(F, &table[i-1])
+			ljAdd(F, &table[i], &twoP, s)
+		}
+		if err := ljBatchNormalize(F, table, newElts(F, len(table)), s); err != nil {
+			return limbJac{}, err
+		}
+	}
+
+	ny := F.NewElt()
+	acc := newLimbJac(F)
+	for i := len(k.digits) - 1; i >= 0; i-- {
+		ljDouble(F, &acc, s)
+		d := k.digits[i]
+		if d == 0 {
 			continue
 		}
-		c.jacAddMixed(next, twoPAff.x, twoPAff.y, s)
-		jacs[i] = next
+		neg := d < 0
+		if neg {
+			d = -d
+		}
+		e := &table[(d-1)/2]
+		if F.IsZero(e.z) {
+			continue // odd multiple collapsed to O (tiny-order base): adds nothing
+		}
+		if neg {
+			F.Neg(ny, e.y)
+			ljAddMixed(F, &acc, e.x, ny, s)
+		} else {
+			ljAddMixed(F, &acc, e.x, e.y, s)
+		}
 	}
-	return c.batchToAffine(jacs)
+	return acc, nil
+}
+
+// mulRecoded returns k·pt for a positive scalar k and its recoding.
+func (pt *Point) mulRecoded(k *big.Int, rec naf) *Point {
+	if pt.inf {
+		return pt
+	}
+	c := pt.curve
+	s := newLjScratch(c.fld)
+	acc, err := c.ladder(pt, rec, s)
+	if err != nil {
+		// Unreachable for prime p (see ljBatchNormalize); the affine oracle
+		// keeps the operation total.
+		return pt.ScalarMulBinary(k)
+	}
+	return c.ljToPoint(&acc, s)
 }
 
 // ScalarMul returns k·P. Negative scalars are handled as (−k)·(−P).
 //
-// The multiplication runs in Jacobian coordinates with a width-w NAF
+// The multiplication runs on the limb Jacobian layer with a width-w NAF
 // recoding of the scalar; the final result is normalized back to affine
 // form, so outputs are bit-identical to the affine double-and-add ladder
 // (retained as ScalarMulBinary, the differential-test oracle).
 func (pt *Point) ScalarMul(k *big.Int) *Point {
-	c := pt.curve
 	if pt.inf || k.Sign() == 0 {
-		return c.Infinity()
+		return pt.curve.Infinity()
 	}
 	base := pt
 	scalar := k
@@ -99,37 +158,12 @@ func (pt *Point) ScalarMul(k *big.Int) *Point {
 		base = pt.Neg()
 		scalar = new(big.Int).Neg(k)
 	}
-	w := wnafWidth(scalar.BitLen())
-	digits := wnaf(scalar, w)
-	// Odd digits reach 2^(w−1)−1, so the table holds the 2^(w−2) odd
-	// multiples {1, 3, …, 2^(w−1)−1}·P.
-	table := c.oddMultiples(base, 1<<(w-2))
-
-	s := newJacScratch()
-	acc := newJac().setInfinity()
-	negY := new(big.Int)
-	for i := len(digits) - 1; i >= 0; i-- {
-		c.jacDouble(acc, s)
-		d := digits[i]
-		if d == 0 {
-			continue
-		}
-		if d > 0 {
-			e := table[(d-1)/2]
-			c.jacAddMixed(acc, e.x, e.y, s)
-		} else {
-			e := table[(-d-1)/2]
-			negY.Neg(e.y)
-			negY.Mod(negY, c.p)
-			c.jacAddMixed(acc, e.x, negY, s)
-		}
-	}
-	return c.jacToAffine(acc)
+	return base.mulRecoded(scalar, recode(scalar))
 }
 
-// ScalarMulBinary is the original affine left-to-right double-and-add
-// ladder. It is retained as the correctness oracle for the Jacobian/w-NAF
-// path (differential tests) and for the coordinates ablation benchmark.
+// ScalarMulBinary is the affine left-to-right double-and-add ladder over
+// big.Int coordinates: the correctness oracle for the Jacobian/w-NAF path
+// (differential tests, FuzzScalarMul) and the coordinates ablation baseline.
 func (pt *Point) ScalarMulBinary(k *big.Int) *Point {
 	c := pt.curve
 	if pt.inf || k.Sign() == 0 {
@@ -159,9 +193,10 @@ type Precomputed struct {
 	curve   *Curve //cryptolint:public (curve parameters)
 	base    *Point
 	order   *big.Int //cryptolint:public (the point's public order)
-	w       uint
 	windows int
-	table   [][]*Point // table[j][d-1] = d·2^(wj)·base
+	// table[j·(2^w−1) + d−1] = d·2^(wj)·base as a Montgomery-form affine
+	// point (Z = 1), or Z = 0 where that multiple is the identity.
+	table []limbJac
 }
 
 // precompWindow is the fixed-base radix; 4 keeps the table at
@@ -169,9 +204,12 @@ type Precomputed struct {
 // multiply to ⌈|q|/4⌉ mixed additions.
 const precompWindow = 4
 
+// precompPerWindow is the number of stored multiples per window.
+const precompPerWindow = 1<<precompWindow - 1
+
 // NewPrecomputed builds the fixed-base table for base, whose order must be
 // the given positive integer (q for G1 points). Building costs one pass of
-// Jacobian arithmetic plus one batch normalization; afterwards every
+// Jacobian arithmetic plus two batch normalizations; afterwards every
 // ScalarMul is ~⌈bits(order)/w⌉ mixed additions and a single inversion.
 func NewPrecomputed(base *Point, order *big.Int) (*Precomputed, error) {
 	if base == nil || base.IsInfinity() {
@@ -181,38 +219,45 @@ func NewPrecomputed(base *Point, order *big.Int) (*Precomputed, error) {
 		return nil, fmt.Errorf("curve: precomputation needs a positive point order")
 	}
 	c := base.curve
-	w := uint(precompWindow)
+	F := c.fld
 	windows := (order.BitLen() + precompWindow - 1) / precompWindow
-	perWindow := 1<<w - 1
+	s := newLjScratch(F)
 
-	s := newJacScratch()
-	flat := make([]*jacPoint, 0, windows*perWindow)
-	running := base // affine 2^(wj)·base for the current window
-	for j := 0; j < windows; j++ {
-		entry := newJac().setInfinity()
-		for d := 1; d <= perWindow; d++ {
-			if !running.inf {
-				c.jacAddMixed(entry, running.x, running.y, s)
-			}
-			flat = append(flat, newJac().set(entry))
-		}
-		// next window base: 2^w · running
-		nextJ := c.toJac(running)
+	// Window bases 2^(wj)·base by repeated doubling, normalized together.
+	bases := newLimbJacs(F, windows)
+	bx, by := c.montXY(base)
+	bases[0].setAffine(F, bx, by)
+	for j := 1; j < windows; j++ {
+		bases[j].set(F, &bases[j-1])
 		for b := 0; b < precompWindow; b++ {
-			c.jacDouble(nextJ, s)
+			ljDouble(F, &bases[j], s)
 		}
-		running = c.jacToAffine(nextJ)
 	}
-	aff := c.batchToAffine(flat)
-	table := make([][]*Point, windows)
-	for j := 0; j < windows; j++ {
-		table[j] = aff[j*perWindow : (j+1)*perWindow]
+	if err := ljBatchNormalize(F, bases, newElts(F, windows), s); err != nil {
+		return nil, err
+	}
+
+	// Each window's multiples 1·B, 2·B, …, (2^w−1)·B by repeated mixed
+	// addition of its base B; a window whose base is O stays all-identity.
+	table := newLimbJacs(F, windows*precompPerWindow)
+	for j := range bases {
+		if F.IsZero(bases[j].z) {
+			continue
+		}
+		row := table[j*precompPerWindow:]
+		row[0].set(F, &bases[j])
+		for d := 1; d < precompPerWindow; d++ {
+			row[d].set(F, &row[d-1])
+			ljAddMixed(F, &row[d], bases[j].x, bases[j].y, s)
+		}
+	}
+	if err := ljBatchNormalize(F, table, newElts(F, len(table)), s); err != nil {
+		return nil, err
 	}
 	return &Precomputed{
 		curve:   c,
 		base:    base,
 		order:   new(big.Int).Set(order),
-		w:       w,
 		windows: windows,
 		table:   table,
 	}, nil
@@ -222,41 +267,31 @@ func NewPrecomputed(base *Point, order *big.Int) (*Precomputed, error) {
 func (pc *Precomputed) Base() *Point { return pc.base }
 
 // TableSize returns the number of stored points (memory diagnostics).
-func (pc *Precomputed) TableSize() int { return pc.windows * (1<<pc.w - 1) }
+func (pc *Precomputed) TableSize() int { return len(pc.table) }
 
 // ScalarMul returns (k mod order)·base using only table lookups and mixed
 // additions — no doublings. The result is the same group element (and the
 // same affine encoding) that base.ScalarMul(k) produces.
 func (pc *Precomputed) ScalarMul(k *big.Int) *Point {
 	c := pc.curve
+	F := c.fld
 	kr := new(big.Int).Mod(k, pc.order)
 	if kr.Sign() == 0 {
 		return c.Infinity()
 	}
-	s := newJacScratch()
-	acc := newJac().setInfinity()
-	mask := big.Word(1)<<pc.w - 1
-	words := kr.Bits()
-	const wordBits = 32 << (^big.Word(0) >> 63) // 32 or 64
+	words := scalarWords(kr)
+	s := newLjScratch(F)
+	acc := newLimbJac(F)
 	for j := 0; j < pc.windows; j++ {
-		bit := uint(j) * pc.w
-		wi := bit / wordBits
-		if wi >= uint(len(words)) {
-			break
-		}
-		d := words[wi] >> (bit % wordBits)
-		if rem := wordBits - bit%wordBits; rem < pc.w && wi+1 < uint(len(words)) {
-			d |= words[wi+1] << rem
-		}
-		d &= mask
+		d := windowDigit(words, j*precompWindow, precompWindow)
 		if d == 0 {
 			continue
 		}
-		e := pc.table[j][d-1]
-		if e.inf {
+		e := &pc.table[j*precompPerWindow+int(d)-1]
+		if F.IsZero(e.z) {
 			continue
 		}
-		c.jacAddMixed(acc, e.x, e.y, s)
+		ljAddMixed(F, &acc, e.x, e.y, s)
 	}
-	return c.jacToAffine(acc)
+	return c.ljToPoint(&acc, s)
 }

@@ -1,6 +1,7 @@
 package curve
 
 import (
+	"bytes"
 	"crypto/rand"
 	"errors"
 	"math/big"
@@ -21,7 +22,7 @@ func randScalarBits(t *testing.T, bits int, i int) *big.Int {
 	return k
 }
 
-// TestScalarMulDifferential asserts that the Jacobian/w-NAF ScalarMul and
+// TestScalarMulDifferential asserts that the limb Jacobian/w-NAF ScalarMul and
 // the affine double-and-add oracle produce bit-identical points on ~1000
 // random (point, scalar) pairs, including scalars wider than q.
 func TestScalarMulDifferential(t *testing.T) {
@@ -125,16 +126,16 @@ func TestPrecomputedRejectsBadInput(t *testing.T) {
 }
 
 // TestBatchToAffine checks the simultaneous-inversion normalization against
-// one-at-a-time conversion, including interleaved points at infinity.
+// the affine big.Int group law, including interleaved points at infinity.
 func TestBatchToAffine(t *testing.T) {
 	c := toyCurve(t)
-	s := newJacScratch()
-	var jacs []*jacPoint
+	F := c.fld
+	s := newLjScratch(F)
+	jacs := newLimbJacs(F, 40)
 	var want []*Point
-	for i := 0; i < 40; i++ {
+	for i := range jacs {
 		if i%5 == 3 {
-			jacs = append(jacs, newJac().setInfinity())
-			want = append(want, c.Infinity())
+			want = append(want, c.Infinity()) // jacs[i] stays at Z = 0
 			continue
 		}
 		P, err := c.RandomPoint(rand.Reader)
@@ -143,19 +144,21 @@ func TestBatchToAffine(t *testing.T) {
 		}
 		// Give the point a non-trivial Z by running it through a doubling
 		// and a mixed addition.
-		v := c.toJac(P)
-		c.jacDouble(v, s)
-		c.jacAddMixed(v, P.x, P.y, s)
-		jacs = append(jacs, v)
+		x, y := c.montXY(P)
+		jacs[i].setAffine(F, x, y)
+		ljDouble(F, &jacs[i], s)
+		ljAddMixed(F, &jacs[i], x, y, s)
 		want = append(want, P.Double().Add(P))
 	}
-	got := c.batchToAffine(jacs)
-	if len(got) != len(want) {
-		t.Fatalf("length mismatch %d vs %d", len(got), len(want))
+	if err := ljBatchNormalize(F, jacs, newElts(F, len(jacs)), s); err != nil {
+		t.Fatal(err)
 	}
-	for i := range got {
-		if !got[i].Equal(want[i]) {
-			t.Fatalf("batch normalization differs at %d: %v vs %v", i, got[i], want[i])
+	for i := range jacs {
+		if !F.IsZero(jacs[i].z) && !F.IsOne(jacs[i].z) {
+			t.Fatalf("point %d left with Z ∉ {0, 1}", i)
+		}
+		if got := c.ljToPoint(&jacs[i], s); !got.Equal(want[i]) {
+			t.Fatalf("batch normalization differs at %d: %v vs %v", i, got, want[i])
 		}
 	}
 }
@@ -230,4 +233,77 @@ func BenchmarkScalarMulStrategies(b *testing.B) {
 			P.ScalarMulBinary(k)
 		}
 	})
+}
+
+// FuzzScalarMul is the differential fuzzer for the limb w-NAF ladder:
+// arbitrary scalars (any width, either sign) times points of every shape the
+// curve has — full-group, G1, cofactor-order, the 2-torsion point — must
+// stay bit-identical to the affine double-and-add oracle, and the fixed-base
+// comb must agree wherever it applies (a base of known order q).
+func FuzzScalarMul(f *testing.F) {
+	f.Add([]byte("seed"), []byte{0x01}, false, uint8(0))
+	f.Add([]byte("seed"), []byte{0xfd, 0x51, 0xd4, 0x91}, false, uint8(1)) // k = q
+	f.Add([]byte("x"), []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, true, uint8(2))
+	f.Add([]byte(""), []byte{0x07}, true, uint8(3))
+	p, _ := new(big.Int).SetString(toyPHex, 16)
+	q, _ := new(big.Int).SetString(toyQHex, 16)
+	c, err := New(p, q)
+	if err != nil {
+		f.Fatal(err)
+	}
+	two, err := c.NewPoint(big.NewInt(0), big.NewInt(0))
+	if err != nil {
+		f.Fatal(err)
+	}
+
+	f.Fuzz(func(t *testing.T, seed, scalar []byte, negative bool, kind uint8) {
+		if len(scalar) > 64 {
+			scalar = scalar[:64]
+		}
+		k := new(big.Int).SetBytes(scalar)
+		if negative {
+			k.Neg(k)
+		}
+		base, err := c.HashToPointUncleared("fuzz", seed)
+		if err != nil {
+			t.Skip()
+		}
+		switch kind % 4 {
+		case 1:
+			base = base.ScalarMulBinary(c.Cofactor()) // G1
+		case 2:
+			base = base.ScalarMulBinary(q) // cofactor order
+		case 3:
+			base = two
+		}
+		got, want := base.ScalarMul(k), base.ScalarMulBinary(k)
+		if !bytes.Equal(got.Marshal(), want.Marshal()) {
+			t.Fatalf("kind=%d k=%v base=%v: w-NAF %v ≠ oracle %v", kind%4, k, base, got, want)
+		}
+		if kind%4 == 1 && !base.IsInfinity() {
+			pc, err := NewPrecomputed(base, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if comb := pc.ScalarMul(k); !bytes.Equal(comb.Marshal(), want.Marshal()) {
+				t.Fatalf("k=%v base=%v: comb %v ≠ oracle %v", k, base, comb, want)
+			}
+		}
+	})
+}
+
+// TestScalarMulAllocs pins the paper-size ScalarMul to the limb layer: the
+// big.Int Jacobian ladder it replaced allocated ~2 300 times per call (one
+// or more per field operation), the limb ladder a few dozen (table, scratch,
+// recoding, result). The bound fails the day a big.Int path comes back.
+func TestScalarMulAllocs(t *testing.T) {
+	c := paperCurve(t)
+	P, err := c.RandomG1(rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := new(big.Int).Sub(c.Q(), big.NewInt(12345))
+	if allocs := testing.AllocsPerRun(20, func() { P.ScalarMul(k) }); allocs >= 150 {
+		t.Fatalf("paper-size ScalarMul allocates %.0f times per call, want < 150", allocs)
+	}
 }

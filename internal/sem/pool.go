@@ -277,7 +277,7 @@ type poolResult struct {
 // poolItem is one response item with pool-owned backing memory.
 type poolItem struct {
 	status byte
-	data   []byte
+	data   []byte //cryptolint:public (received wire bytes, known to the peer: the stance of wire's frame buffers)
 }
 
 // muxConn is one multiplexed v2 connection: a writer goroutine that

@@ -34,7 +34,7 @@ type ShardedClient struct {
 	pp    *pairing.Params
 	ring  *shard.Ring
 	pools map[string]*Pool
-	addrs []string
+	addrs []string //cryptolint:public (shard addresses; deployment metadata)
 	reps  int
 	met   *shardedMetrics
 
@@ -108,7 +108,7 @@ func NewShardedClient(addrs []string, pp *pairing.Params, cfg ShardedConfig) (*S
 		met:   newShardedMetrics(cfg.Metrics),
 	}
 	for _, addr := range sc.addrs {
-		sc.pools[addr] = NewPool(addr, pp, poolCfg) //cryptolint:public (shard addresses are deployment metadata, not key material)
+		sc.pools[addr] = NewPool(addr, pp, poolCfg)
 	}
 	return sc, nil
 }
@@ -310,11 +310,11 @@ func (sc *ShardedClient) broadcast(op Op, id string, payload []byte) error {
 	sc.met.broadcasts.Inc()
 	errsByShard := make([]error, len(sc.addrs))
 	parallel.Fan(len(sc.addrs), func(i int) {
-		_, errsByShard[i] = sc.pools[sc.addrs[i]].single(op, id, payload) //cryptolint:public (broadcast over the shard-address list; deployment metadata)
+		_, errsByShard[i] = sc.pools[sc.addrs[i]].single(op, id, payload)
 	})
 	for i, err := range errsByShard {
 		if err != nil {
-			return fmt.Errorf("sem: shard %s: %w", sc.addrs[i], err) //cryptolint:public (shard address in an operator-facing error; deployment metadata)
+			return fmt.Errorf("sem: shard %s: %w", sc.addrs[i], err)
 		}
 	}
 	return nil
@@ -327,11 +327,11 @@ func (sc *ShardedClient) Ping() error {
 	}
 	errsByShard := make([]error, len(sc.addrs))
 	parallel.Fan(len(sc.addrs), func(i int) {
-		errsByShard[i] = sc.pools[sc.addrs[i]].Ping() //cryptolint:public (liveness sweep over the shard-address list; deployment metadata)
+		errsByShard[i] = sc.pools[sc.addrs[i]].Ping()
 	})
 	for i, err := range errsByShard {
 		if err != nil {
-			return fmt.Errorf("sem: shard %s: %w", sc.addrs[i], err) //cryptolint:public (shard address in an operator-facing error; deployment metadata)
+			return fmt.Errorf("sem: shard %s: %w", sc.addrs[i], err)
 		}
 	}
 	return nil
@@ -468,7 +468,7 @@ func (sc *ShardedClient) probeLeader(skip string) string {
 			continue
 		}
 		sc.met.leaderProbes.Inc()
-		raw, err := sc.pools[addr].single(OpReplStatus, "", nil) //cryptolint:public (leader probe over shard addresses; deployment metadata)
+		raw, err := sc.pools[addr].single(OpReplStatus, "", nil)
 		if err != nil {
 			continue // down or replication-less shards simply aren't the leader
 		}
@@ -497,7 +497,7 @@ func (sc *ShardedClient) leaderMutate(op Op, id string, payload []byte) error {
 	_, err := sc.pools[leader].single(op, id, payload) //cryptolint:public (leader routing on shard addresses; deployment metadata)
 	if err != nil && errors.Is(err, repl.ErrNotLeader) {
 		if actual := sc.probeLeader(leader); actual != "" {
-			if _, perr := sc.pools[actual].single(op, id, payload); perr == nil { //cryptolint:public (probed-leader routing on shard addresses; deployment metadata)
+			if _, perr := sc.pools[actual].single(op, id, payload); perr == nil {
 				leader, err = actual, nil
 			} else {
 				err = perr
@@ -513,7 +513,7 @@ func (sc *ShardedClient) leaderMutate(op Op, id string, payload []byte) error {
 		if addr == leader { //cryptolint:public (skip-the-leader comparison on shard addresses; deployment metadata)
 			return
 		}
-		if _, err := sc.pools[addr].single(op, id, payload); err != nil { //cryptolint:public (hint fan-out over shard addresses; deployment metadata)
+		if _, err := sc.pools[addr].single(op, id, payload); err != nil {
 			// A replicated follower refuses direct mutations by design
 			// (repl.ErrNotLeader) — the leader's stream is already carrying
 			// this record there, so that refusal is not a lost hint.
@@ -532,7 +532,7 @@ func (sc *ShardedClient) Status(id string) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	return len(raw) == 1 && raw[0] == 1, nil //cryptolint:public (one-byte revocation status straight off the wire)
+	return len(raw) == 1 && raw[0] == 1, nil
 }
 
 // RegisterIBE enrolls an SEM IBE key half on every replica serving id.
