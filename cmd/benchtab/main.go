@@ -7,7 +7,7 @@
 //	benchtab -exp t3 -quick      # one experiment, reduced iterations
 //	benchtab -exp f1             # revocation sweep (simulated clock)
 //	benchtab -baseline B.json    # snapshot primitive-op timings
-//	benchtab -check B.json       # re-measure and fail on >15% regression
+//	benchtab -check B.json       # re-measure and fail on >15% regression or a broken ratio gate
 package main
 
 import (
@@ -17,6 +17,7 @@ import (
 	"io"
 	"os"
 	"regexp"
+	"slices"
 	"strings"
 	"time"
 
@@ -103,18 +104,14 @@ func servingWindow(quick bool) time.Duration {
 	return 1 * time.Second
 }
 
-// filterEntries drops report entries not matching re (nil keeps all).
+// filterEntries drops report entries and ratios not matching re (nil keeps
+// all).
 func filterEntries(report *bench.BaselineReport, re *regexp.Regexp) {
 	if re == nil {
 		return
 	}
-	kept := report.Entries[:0]
-	for _, e := range report.Entries {
-		if re.MatchString(e.Name) {
-			kept = append(kept, e)
-		}
-	}
-	report.Entries = kept
+	report.Entries = slices.DeleteFunc(report.Entries, func(e bench.BaselineEntry) bool { return !re.MatchString(e.Name) })
+	report.Ratios = slices.DeleteFunc(report.Ratios, func(r bench.BaselineRatio) bool { return !re.MatchString(r.Name) })
 }
 
 // servingPrefixed reports whether any entry belongs to the serving-layer
@@ -140,7 +137,10 @@ func servingPrefixed(entries []bench.BaselineEntry) bool {
 // restricts the comparison to matching snapshot entries, letting one
 // snapshot file gate microbenches and serving-layer entries separately;
 // serving-layer entries in the (filtered) snapshot are re-measured
-// automatically.
+// automatically. The same-run ratios of the fresh measurement (the 8-limb
+// kernel gates: fp.mul ÷ fp.mul.generic ≤ 0.70, fp.square ÷ fp.mul ≤ 0.92)
+// are held to their bounds whatever the tolerance and whatever the snapshot
+// records; -filter selects them by gate name.
 func runCheck(pp *pairing.Params, path string, tolerance float64, quick, serving bool, filterRe *regexp.Regexp, out io.Writer) error {
 	body, err := os.ReadFile(path)
 	if err != nil {
@@ -169,18 +169,23 @@ func runCheck(pp *pairing.Params, path string, tolerance float64, quick, serving
 		}
 		fresh.Entries = append(fresh.Entries, extra...)
 	}
+	filterEntries(fresh, filterRe)
 	regs, err := bench.CompareBaselines(&ref, fresh, tolerance)
 	if err != nil {
 		return fmt.Errorf("check: %w", err)
 	}
 	if len(regs) == 0 {
-		fmt.Fprintf(out, "benchtab check: all entries within %.0f%% of %s\n", tolerance, path)
+		fmt.Fprintf(out, "benchtab check: all entries within %.0f%% of %s", tolerance, path)
+		if len(fresh.Ratios) > 0 {
+			fmt.Fprintf(out, ", %d ratio gates hold", len(fresh.Ratios))
+		}
+		fmt.Fprintln(out)
 		return nil
 	}
 	for _, r := range regs {
 		fmt.Fprintln(out, "REGRESSION", r)
 	}
-	return fmt.Errorf("check: %d entries regressed more than %.0f%% vs %s", len(regs), tolerance, path)
+	return fmt.Errorf("check: %d entries regressed more than %.0f%% vs %s or broke a ratio gate", len(regs), tolerance, path)
 }
 
 func runExperiments(pp *pairing.Params, params, exp string, quick bool, out io.Writer) error {

@@ -218,3 +218,38 @@ func TestBenchtabServingBaseline(t *testing.T) {
 		t.Fatalf("serving self-check failed: %v\n%s", err, out.String())
 	}
 }
+
+// TestBenchtabPaperRatios covers the part of a baseline only an 8-limb
+// modulus has: the interleaved kernel ratios behind -check's ratio gates,
+// and -filter applying to them. Values are asserted for sanity only —
+// whether they meet the gates is -check's business, not a unit test's.
+func TestBenchtabPaperRatios(t *testing.T) {
+	if testing.Short() {
+		t.Skip("paper-size baseline")
+	}
+	var buf bytes.Buffer
+	if err := run([]string{"-baseline", "-", "-params", "paper", "-quick", "-filter", `^fp\.(mul|square)`}, &buf); err != nil {
+		t.Fatal(err)
+	}
+	var report bench.BaselineReport
+	if err := json.Unmarshal(buf.Bytes(), &report); err != nil {
+		t.Fatal(err)
+	}
+	if len(report.Entries) != 3 {
+		t.Fatalf("entries = %+v, want fp.mul, fp.mul.generic, fp.square", report.Entries)
+	}
+	want := []string{"fp.mul ÷ fp.mul.generic", "fp.square ÷ fp.mul"}
+	if len(report.Ratios) != len(want) {
+		t.Fatalf("ratios = %+v, want %v", report.Ratios, want)
+	}
+	for i, r := range report.Ratios {
+		if r.Name != want[i] || r.Value <= 0 || r.Value > 2 {
+			t.Errorf("ratio %d = %+v, want %s in (0, 2]", i, r, want[i])
+		}
+	}
+
+	filterEntries(&report, regexp.MustCompile(`^fp\.square`))
+	if len(report.Entries) != 1 || len(report.Ratios) != 1 || report.Ratios[0].Name != want[1] {
+		t.Fatalf("filter ^fp\\.square kept %+v / %+v", report.Entries, report.Ratios)
+	}
+}

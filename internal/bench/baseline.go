@@ -49,6 +49,39 @@ type BaselineReport struct {
 	GoVersion string          `json:"go_version"`
 	GOARCH    string          `json:"goarch"`
 	Entries   []BaselineEntry `json:"entries"`
+	Ratios    []BaselineRatio `json:"ratios,omitempty"`
+}
+
+// BaselineRatio is the quotient of two primitives' costs, named
+// "num ÷ den" after the entries it relates. It is not the quotient of their
+// Entries rows: those are timed one after the other, tens of milliseconds
+// apart, and on a shared host the speed moves by more than the gates'
+// margins in that time. The two sides are timed in short alternating
+// bursts instead and the fastest burst of each is taken (measureRatio), so
+// a slow spell hits both sides or neither.
+type BaselineRatio struct {
+	Name  string  `json:"name"`
+	Value float64 `json:"value"`
+}
+
+// measureRatio returns cost(num) ÷ cost(den) from alternating bursts.
+func measureRatio(num, den func() error) (float64, error) {
+	const rounds, burst = 64, 2048
+	best := [2]time.Duration{math.MaxInt64, math.MaxInt64}
+	for r := 0; r < rounds; r++ {
+		for side, body := range [2]func() error{num, den} {
+			t0 := time.Now()
+			for i := 0; i < burst; i++ {
+				if err := body(); err != nil {
+					return 0, err
+				}
+			}
+			if d := time.Since(t0); d < best[side] {
+				best[side] = d
+			}
+		}
+	}
+	return float64(best[0]) / float64(best[1]), nil
 }
 
 // benchScalar derives a fixed sub-q scalar from a label. Bench inputs must
@@ -297,6 +330,7 @@ func Baseline(pp *pairing.Params, minIters int, minDuration time.Duration) (*Bas
 		{"fp.add", func() error { F.Add(fz, fx, fy); return nil }},
 		{"fp.sub", func() error { F.Sub(fz, fx, fy); return nil }},
 		{"fp.mul", func() error { F.Mul(fz, fx, fy); return nil }},
+		{"fp.mul.generic", func() error { F.MulGeneric(fz, fx, fy); return nil }},
 		{"fp.square", func() error { F.Square(fz, fx); return nil }},
 		{"gf.mul", func() error { eOut.Mul(e1, e2); return nil }},
 		{"gf.square", func() error { eOut.Square(e1); return nil }},
@@ -468,6 +502,19 @@ func Baseline(pp *pairing.Params, minIters int, minDuration time.Duration) (*Bas
 			Iters:       iters,
 			AllocsPerOp: &allocs,
 		})
+	}
+	if F.Limbs() == 8 {
+		run := make(map[string]func() error, len(bodies))
+		for _, body := range bodies {
+			run[body.name] = body.run
+		}
+		for _, g := range kernelRatioGates {
+			v, err := measureRatio(run[g.Num], run[g.Den])
+			if err != nil {
+				return nil, fmt.Errorf("baseline %s: %w", g.name(), err)
+			}
+			report.Ratios = append(report.Ratios, BaselineRatio{Name: g.name(), Value: math.Round(v*1e3) / 1e3})
+		}
 	}
 	return report, nil
 }

@@ -7,11 +7,12 @@ import (
 
 // Regression describes one baseline entry that exceeded the allowed
 // tolerance over its committed reference — in time (Metric "ns/op") or in
-// heap allocations (Metric "allocs/op").
+// heap allocations (Metric "allocs/op") — or one ratio gate (Metric
+// "ratio") whose same-run quotient exceeded its bound.
 type Regression struct {
-	Name    string  // entry name
-	Metric  string  // "ns/op" or "allocs/op"
-	RefNs   float64 // committed reference value
+	Name    string  // entry name, or "num ÷ den" for a ratio gate
+	Metric  string  // "ns/op", "allocs/op" or "ratio"
+	RefNs   float64 // committed reference value (the bound, for a ratio)
 	FreshNs float64 // measured value
 	Percent float64 // growth, percent over the reference
 }
@@ -21,8 +22,32 @@ func (r Regression) String() string {
 	if metric == "" {
 		metric = "ns/op"
 	}
+	if metric == "ratio" {
+		return fmt.Sprintf("%s: ratio %.3f exceeds the bound %.2f (+%.1f%%)", r.Name, r.FreshNs, r.RefNs, r.Percent)
+	}
 	return fmt.Sprintf("%s: %.1f %s vs %.1f %s reference (+%.1f%%)",
 		r.Name, r.FreshNs, metric, r.RefNs, metric, r.Percent)
+}
+
+// ratioGate bounds the quotient of two primitives timed in ONE run on one
+// machine (BaselineReport.Ratios). Unlike the absolute ns/op comparison the
+// bound holds on any host and needs no tolerance: it is how a loose
+// absolute gate (CI runs at 400 %) can still see an optimized path fall
+// back to the code it replaced.
+type ratioGate struct {
+	Num, Den string
+	Max      float64
+}
+
+func (g ratioGate) name() string { return g.Num + " ÷ " + g.Den }
+
+// kernelRatioGates guard the straight-line 8-limb field kernels of
+// internal/fp (measured when they landed: 0.40 and 0.81). Baseline measures
+// them when the modulus has 8 limbs — the only width with kernels; at any
+// other width Mul is the generic loop and Square is Mul.
+var kernelRatioGates = []ratioGate{
+	{Num: "fp.mul", Den: "fp.mul.generic", Max: 0.70},
+	{Num: "fp.square", Den: "fp.mul", Max: 0.92},
 }
 
 // CompareBaselines checks a freshly measured report against a committed
@@ -31,7 +56,10 @@ func (r Regression) String() string {
 // compared, so a reference from before a new primitive existed still guards
 // the old ones. The parameter sets must match — cross-parameter ratios are
 // meaningless — but Go version and GOARCH may differ (that is the point of
-// re-measuring).
+// re-measuring). The ratio gates are judged on the fresh report alone: every
+// ratio it carries is held to its bound, whatever the tolerance and whatever
+// the reference records (the ratios in a committed snapshot are a record of
+// that run, nothing reads them back).
 func CompareBaselines(ref, fresh *BaselineReport, tolerancePct float64) ([]Regression, error) {
 	if ref.Params != fresh.Params {
 		return nil, fmt.Errorf("bench: parameter sets differ (reference %q, fresh %q)", ref.Params, fresh.Params)
@@ -77,6 +105,13 @@ func CompareBaselines(ref, fresh *BaselineReport, tolerancePct float64) ([]Regre
 	}
 	if common == 0 {
 		return nil, fmt.Errorf("bench: no common entries between reference and fresh report")
+	}
+	for _, g := range kernelRatioGates {
+		for _, r := range fresh.Ratios {
+			if r.Name == g.name() && r.Value > g.Max {
+				regs = append(regs, Regression{Name: r.Name, Metric: "ratio", RefNs: g.Max, FreshNs: r.Value, Percent: (r.Value/g.Max - 1) * 100})
+			}
+		}
 	}
 	sort.Slice(regs, func(i, j int) bool {
 		if regs[i].Name != regs[j].Name {

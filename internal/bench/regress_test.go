@@ -99,3 +99,40 @@ func TestCompareBaselinesGuards(t *testing.T) {
 		t.Error("negative tolerance accepted")
 	}
 }
+
+// TestCompareBaselinesRatioGates: the kernel ratios are judged on the fresh
+// report alone, at any tolerance, whatever the reference records.
+func TestCompareBaselinesRatioGates(t *testing.T) {
+	with := func(mulGeneric, squareMul float64) *BaselineReport {
+		r := report("paper", BaselineEntry{Name: "fp.mul", NsPerOp: 100})
+		r.Ratios = []BaselineRatio{
+			{Name: "fp.mul ÷ fp.mul.generic", Value: mulGeneric},
+			{Name: "fp.square ÷ fp.mul", Value: squareMul},
+		}
+		return r
+	}
+	ref := with(0.40, 0.81)
+	if regs, err := CompareBaselines(ref, with(0.45, 0.85), 400); err != nil || len(regs) != 0 {
+		t.Fatalf("healthy ratios flagged: %+v, %v", regs, err)
+	}
+
+	// The kernel fell back to the generic loop and Square to Mul: fp.mul is
+	// inside any absolute tolerance, both ratios are not.
+	regs, err := CompareBaselines(ref, with(1.0, 1.0), 400)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(regs) != 2 || regs[0].Metric != "ratio" || regs[1].Metric != "ratio" {
+		t.Fatalf("regressions = %+v, want the two ratio gates", regs)
+	}
+	if s := regs[0].String(); !strings.Contains(s, "fp.mul ÷ fp.mul.generic") || !strings.Contains(s, "0.70") {
+		t.Fatalf("String() = %q", s)
+	}
+
+	// A reference without ratios (older snapshot, hand-edited, recorded
+	// with a -filter) does not switch the gates off.
+	ref.Ratios = nil
+	if regs, _ := CompareBaselines(ref, with(1.0, 1.0), 400); len(regs) != 2 {
+		t.Fatalf("reference without ratios: regressions = %+v, want the two ratio gates", regs)
+	}
+}

@@ -438,7 +438,8 @@ func (pt *Point) Marshal() []byte {
 }
 
 // Unmarshal parses a compressed point produced by Marshal, recomputing y
-// from the curve equation and the parity bit.
+// from the curve equation and the parity bit. It accepts exactly the
+// encodings Marshal writes: an accepted input re-marshals to the same bytes.
 func (c *Curve) Unmarshal(data []byte) (*Point, error) {
 	size := c.CoordinateSize()
 	if len(data) != 1+size {
@@ -466,8 +467,12 @@ func (c *Curve) Unmarshal(data []byte) (*Point, error) {
 			return nil, ErrNotOnCurve
 		}
 		if y.Bit(0) != uint(data[0]-2) {
-			y.Neg(y)
-			y.Mod(y, c.p)
+			// p − y has the other parity for every root but y = 0 (the
+			// 2-torsion point (0, 0)), which Marshal writes with tag 2 only.
+			if y.Sign() == 0 {
+				return nil, fmt.Errorf("curve: non-canonical sign tag for y = 0")
+			}
+			y.Sub(c.p, y)
 		}
 		return c.NewPoint(x, y)
 	default:

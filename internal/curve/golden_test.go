@@ -1,6 +1,7 @@
 package curve_test
 
 import (
+	"bytes"
 	"encoding/hex"
 	"encoding/json"
 	"flag"
@@ -148,6 +149,48 @@ func TestGoldenVectors(t *testing.T) {
 			t.Errorf("%s: in the golden file but no longer computed", key)
 		} else if g != w {
 			t.Errorf("%s:\n got %s\nwant %s", key, g, w)
+		}
+	}
+}
+
+// TestUnmarshalCanonical checks that Unmarshal accepts only what Marshal
+// writes: every accepted encoding re-marshals to the same bytes. The case
+// that used to break it is x = 0, whose only root is y = 0: the 2-torsion
+// point (0, 0) is written with tag 2, and tag 3 — a parity the root cannot
+// have — must be refused, not folded onto the same point.
+func TestUnmarshalCanonical(t *testing.T) {
+	for _, name := range []string{"toy", "fast", "paper"} {
+		pp, err := pairing.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := pp.Curve()
+		enc := make([]byte, 1+c.CoordinateSize())
+		for x := 0; x < 64; x++ {
+			enc[len(enc)-1] = byte(x)
+			for _, tag := range []byte{2, 3} {
+				enc[0] = tag
+				pt, err := c.Unmarshal(enc)
+				if err != nil {
+					continue
+				}
+				if got := pt.Marshal(); !bytes.Equal(got, enc) {
+					t.Errorf("%s: Unmarshal accepted %x, which re-marshals to %x", name, enc, got)
+				}
+			}
+		}
+		enc[len(enc)-1] = 0
+		enc[0] = 2
+		pt, err := c.Unmarshal(enc)
+		if err != nil {
+			t.Fatalf("%s: canonical encoding of (0, 0) refused: %v", name, err)
+		}
+		if pt.X().Sign() != 0 || pt.Y().Sign() != 0 {
+			t.Errorf("%s: 02‖0…0 decoded to %v", name, pt)
+		}
+		enc[0] = 3
+		if _, err := c.Unmarshal(enc); err == nil {
+			t.Errorf("%s: 03‖0…0 accepted", name)
 		}
 	}
 }

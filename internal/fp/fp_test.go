@@ -2,15 +2,18 @@ package fp
 
 import (
 	"math/big"
+	"math/rand"
 	"testing"
 )
 
 // testModuli spans the dispatch space: single-limb, the toy/fast/paper
-// pairing primes (2, 4 and 8 limbs — the 8-limb one exercises montMul8 and,
-// being exactly 512 bits, the non-lazy F_p² path), a 505-bit prime whose 8
-// limbs leave spare bits (lazy path on the specialized width), and a
-// 9-limb prime on the generic fallback. Entries without a hex literal are
-// derived deterministically: the smallest prime ≥ 2^(bits−1)+1.
+// pairing primes (2, 4 and 8 limbs — the 8-limb one exercises the fp8.go
+// kernels and, being exactly 512 bits, the non-lazy F_p² path), a 505-bit
+// prime whose 8 limbs leave spare bits (lazy path on the specialized
+// width), 2⁵¹² − 569 (the largest 512-bit prime: top limb all ones, so the
+// kernels' extra carry word is as live as it can be), and a 9-limb prime
+// on the generic fallback. Entries without a hex literal are derived
+// deterministically: the smallest prime ≥ 2^(bits−1)+1.
 var testModuli = []struct {
 	name string
 	hex  string // known-prime literal, or ""
@@ -21,6 +24,7 @@ var testModuli = []struct {
 	{name: "fast-4limb", hex: "db19579dd2a906bb3f2f4f74c236e52c70115d99c09f7c474e96cdbe63e4da07"},
 	{name: "paper-8limb", hex: "b282da5c02935d5836473139df6751ee8e1fb07c917309c04088843b36435876d65dd173ce4ac63f883c05a59ad3a134e30ef32607e2a49c71e515d4dcc47eef"},
 	{name: "lazy-8limb", bits: 505},
+	{name: "max-8limb", hex: "fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffdc7"},
 	{name: "9limb", bits: 513},
 }
 
@@ -199,6 +203,107 @@ func TestAliasing(t *testing.T) {
 	}
 }
 
+// TestKernels8 checks the straight-line 8-limb kernels of fp8.go against
+// the any-width loops (limb for limb — both produce the canonical reduced
+// Montgomery form) and against math/big, at the three 8-limb moduli: the
+// paper prime (all 512 bits), a 505-bit prime (spare top bits) and
+// 2⁵¹² − 569 (top limb all ones). Operands are all pairs of the boundary
+// values plus seeded random ones, in every aliasing form. Elements are put
+// into Montgomery form through math/big, not FromBig, so the kernel under
+// test has no part in building its own inputs or expectations.
+func TestKernels8(t *testing.T) {
+	for _, name := range []string{"paper-8limb", "lazy-8limb", "max-8limb"} {
+		t.Run(name, func(t *testing.T) {
+			f, p := mustField(t, name)
+			if f.Limbs() != 8 {
+				t.Fatalf("%s has %d limbs", name, f.Limbs())
+			}
+			mont := func(v *big.Int) []uint64 {
+				m := new(big.Int).Lsh(v, 512)
+				z := f.NewElt()
+				limbsFromBig(z, m.Mod(m, p))
+				return z
+			}
+			clone := func(x []uint64) []uint64 { return append([]uint64(nil), x...) }
+			mod := func(v *big.Int) *big.Int { return v.Mod(v, p) }
+
+			var pairs [][2]*big.Int
+			vals := boundaryValues(p)
+			for _, a := range vals {
+				for _, b := range vals {
+					pairs = append(pairs, [2]*big.Int{a, b})
+				}
+			}
+			rng := rand.New(rand.NewSource(8))
+			for i := 0; i < 3000; i++ {
+				pairs = append(pairs, [2]*big.Int{new(big.Int).Rand(rng, p), new(big.Int).Rand(rng, p)})
+			}
+
+			binary := []struct {
+				name            string
+				kernel, generic func(z, x, y []uint64)
+				want            func(a, b *big.Int) *big.Int
+			}{
+				{"Mul", f.Mul, f.montMulGeneric, func(a, b *big.Int) *big.Int { return mod(new(big.Int).Mul(a, b)) }},
+				{"Add", f.Add, f.addGeneric, func(a, b *big.Int) *big.Int { return mod(new(big.Int).Add(a, b)) }},
+				{"Sub", f.Sub, f.subGeneric, func(a, b *big.Int) *big.Int { return mod(new(big.Int).Sub(a, b)) }},
+			}
+			for _, pr := range pairs {
+				a, b := pr[0], pr[1]
+				x, y := mont(a), mont(b)
+				same := func(what string, got, want []uint64) {
+					t.Helper()
+					if !f.Equal(got, want) {
+						t.Fatalf("%s(%v, %v) = %x, want %x", what, a, b, got, want)
+					}
+				}
+				for _, op := range binary {
+					ref, z := f.NewElt(), f.NewElt()
+					op.generic(ref, x, y)
+					same(op.name+" generic vs big", ref, mont(op.want(a, b)))
+					op.kernel(z, x, y)
+					same(op.name, z, ref)
+					zx := clone(x)
+					op.kernel(zx, zx, y)
+					same(op.name+" z=x", zx, ref)
+					zy := clone(y)
+					op.kernel(zy, x, zy)
+					same(op.name+" z=y", zy, ref)
+
+					op.generic(ref, x, x)
+					same(op.name+" x=y generic vs big", ref, mont(op.want(a, a)))
+					op.kernel(z, x, x)
+					same(op.name+" x=y", z, ref)
+					zx = clone(x)
+					op.kernel(zx, zx, zx)
+					same(op.name+" z=x=y", zx, ref)
+				}
+
+				z, zx := f.NewElt(), clone(x)
+				sq := mont(mod(new(big.Int).Mul(a, a)))
+				f.Square(z, x)
+				same("Square", z, sq)
+				f.Square(zx, zx)
+				same("Square in place", zx, sq)
+
+				dbl := mont(mod(new(big.Int).Lsh(a, 1)))
+				zx = clone(x)
+				f.Double(z, x)
+				same("Double", z, dbl)
+				f.Double(zx, zx)
+				same("Double in place", zx, dbl)
+
+				neg := mont(mod(new(big.Int).Neg(a)))
+				zx = clone(x)
+				f.Neg(z, x)
+				same("Neg", z, neg)
+				f.Neg(zx, zx)
+				same("Neg in place", zx, neg)
+			}
+		})
+	}
+}
+
 func TestInvAndExp(t *testing.T) {
 	for _, tm := range testModuli {
 		t.Run(tm.name, func(t *testing.T) {
@@ -308,6 +413,7 @@ func TestLazyFlagPerModulus(t *testing.T) {
 		"fast-4limb":  false, // exactly 256 bits
 		"paper-8limb": false, // exactly 512 bits
 		"lazy-8limb":  true,  // 505 bits in 512
+		"max-8limb":   false, // exactly 512 bits
 		"9limb":       true,  // 513 bits in 576
 	}
 	for _, tm := range testModuli {
@@ -346,9 +452,9 @@ func TestSelectAndEqual(t *testing.T) {
 }
 
 // TestZeroAllocs pins the headline property: no heap allocation per
-// operation, on both the specialized 8-limb path and the generic fallback.
+// operation, on both the 8-limb kernels and the generic fallback.
 func TestZeroAllocs(t *testing.T) {
-	for _, name := range []string{"paper-8limb", "9limb", "lazy-8limb"} {
+	for _, name := range []string{"paper-8limb", "9limb", "lazy-8limb", "max-8limb"} {
 		t.Run(name, func(t *testing.T) {
 			f, p := mustField(t, name)
 			x, y, z, zi := f.NewElt(), f.NewElt(), f.NewElt(), f.NewElt()
@@ -362,6 +468,7 @@ func TestZeroAllocs(t *testing.T) {
 				"Add":       func() { f.Add(z, x, y) },
 				"Sub":       func() { f.Sub(z, x, y) },
 				"Neg":       func() { f.Neg(z, x) },
+				"Double":    func() { f.Double(z, x) },
 				"Mul":       func() { f.Mul(z, x, y) },
 				"Square":    func() { f.Square(z, x) },
 				"MulFp2":    func() { f.MulFp2(z, zi, x, y, y, x) },
@@ -377,7 +484,10 @@ func TestZeroAllocs(t *testing.T) {
 	}
 }
 
-func BenchmarkMul(b *testing.B) {
+// BenchmarkOps times the four operations that have 8-limb kernels, and the
+// generic multiplication they replaced, at the paper prime; the 9-limb
+// rows are the any-width loops at the nearest other width.
+func BenchmarkOps(b *testing.B) {
 	for _, tm := range []string{"paper-8limb", "9limb"} {
 		f, p := mustField(b, tm)
 		x, y, z := f.NewElt(), f.NewElt(), f.NewElt()
@@ -387,11 +497,22 @@ func BenchmarkMul(b *testing.B) {
 		if err := f.FromBig(y, new(big.Int).Div(p, big.NewInt(7))); err != nil {
 			b.Fatal(err)
 		}
-		b.Run(tm, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				f.Mul(z, x, y)
-			}
-		})
+		for _, op := range []struct {
+			name string
+			fn   func()
+		}{
+			{"Mul", func() { f.Mul(z, x, y) }},
+			{"MulGeneric", func() { f.MulGeneric(z, x, y) }},
+			{"Square", func() { f.Square(z, x) }},
+			{"Add", func() { f.Add(z, x, y) }},
+			{"Sub", func() { f.Sub(z, x, y) }},
+		} {
+			b.Run(tm+"/"+op.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					op.fn()
+				}
+			})
+		}
 	}
 }

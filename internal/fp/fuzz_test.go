@@ -6,12 +6,13 @@ import (
 	"testing"
 )
 
-// fuzzFields are constructed once: the paper-shaped 8-limb prime drives the
-// specialized montMul8 path and the 9-limb prime drives the generic
-// fallback, so every fuzz input is replayed through both code paths.
+// fuzzFields are constructed once: the three 8-limb primes (paper: all 512
+// bits; lazy: spare top bits; max: top limb all ones) drive the fp8.go
+// kernels and the 9-limb and toy primes the any-width loops, so every fuzz
+// input is replayed through both code paths.
 var fuzzFields = func() []*fuzzField {
 	var out []*fuzzField
-	for _, name := range []string{"paper-8limb", "9limb", "toy-2limb"} {
+	for _, name := range []string{"paper-8limb", "9limb", "toy-2limb", "lazy-8limb", "max-8limb"} {
 		var p *big.Int
 		for _, tm := range testModuli {
 			if tm.name != name {
@@ -105,6 +106,28 @@ func checkFieldOps(t *testing.T, ff *fuzzField, a, b *big.Int) {
 	check("Neg", mod(new(big.Int).Neg(a)))
 	f.Double(z, x)
 	check("Double", mod(new(big.Int).Lsh(a, 1)))
+
+	// The any-width loops are the 8-limb kernels' reference: limb for limb.
+	ref := f.NewElt()
+	for _, op := range []struct {
+		name            string
+		kernel, generic func(z, x, y []uint64)
+	}{
+		{"Mul", f.Mul, f.montMulGeneric},
+		{"Add", f.Add, f.addGeneric},
+		{"Sub", f.Sub, f.subGeneric},
+	} {
+		op.kernel(z, x, y)
+		op.generic(ref, x, y)
+		if !f.Equal(z, ref) {
+			t.Fatalf("[%s] %s(%v, %v) differs from the generic loop", ff.name, op.name, a, b)
+		}
+	}
+	f.Square(z, x)
+	f.montMulGeneric(ref, x, x)
+	if !f.Equal(z, ref) {
+		t.Fatalf("[%s] Square(%v) differs from the generic loop", ff.name, a)
+	}
 
 	// Predicates and constant-time equality.
 	if f.IsZero(x) != (a.Sign() == 0) {

@@ -12,6 +12,9 @@ import (
 // It must never panic, and every accepted point must round-trip through the
 // canonical compressed encoding — so an attacker cannot smuggle in a second
 // encoding of the same point past equality checks keyed on the wire bytes.
+// The same property is checked on curve.Unmarshal alone, which also decodes
+// points outside G1 that the subgroup check of wire.UnmarshalG1 would hide
+// (03‖0…0, a second spelling of the 2-torsion point, was accepted there).
 func FuzzUnmarshalG1(f *testing.F) {
 	pp, err := pairing.Toy()
 	if err != nil {
@@ -26,8 +29,16 @@ func FuzzUnmarshalG1(f *testing.F) {
 	bad[0] ^= 1 // flip the parity tag
 	f.Add(bad)
 	f.Add(bytes.Repeat([]byte{0xff}, 1+c.CoordinateSize()))
+	torsion := make([]byte, 1+c.CoordinateSize())
+	torsion[0] = 3 // x = 0 has the single root y = 0: tag 3 is non-canonical
+	f.Add(torsion)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if raw, err := c.Unmarshal(data); err == nil {
+			if enc := raw.Marshal(); !bytes.Equal(enc, data) {
+				t.Fatalf("curve.Unmarshal accepted non-canonical encoding %x (canonical %x)", data, enc)
+			}
+		}
 		pt, err := wire.UnmarshalG1(c, data)
 		if err != nil {
 			return
