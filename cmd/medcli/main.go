@@ -57,7 +57,7 @@ type cli struct {
 	shards []string
 }
 
-// mediator is the SEM-side surface medcli needs; *sem.Client (one daemon)
+// mediator is the SEM-side surface medcli needs; *sem.Pool (one daemon)
 // and *sem.ShardedClient (a fleet behind -shards) both satisfy it.
 type mediator interface {
 	DecryptIBE(pub *bf.PublicParams, key *core.UserKeyHalf, ct *bf.Ciphertext) ([]byte, error)

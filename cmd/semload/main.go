@@ -238,7 +238,7 @@ func run(args []string, out io.Writer) error {
 // the end-to-end convergence check: a revoke that raced a dead follower
 // must still appear there once catch-up replication delivers it.
 func assertConverged(addrs []string, pp *pairing.Params, window time.Duration) error {
-	clients := make([]*sem.Client, len(addrs))
+	clients := make([]*sem.Pool, len(addrs))
 	for i, a := range addrs {
 		c, err := sem.Dial(a, pp, 3*time.Second)
 		if err != nil {

@@ -222,21 +222,10 @@ func Baseline(pp *pairing.Params, minIters int, minDuration time.Duration) (*Bas
 	}
 	codecReader := bytes.NewReader(codecFrame)
 
-	// v1 comparator: the JSON-per-op frame the v2 codec replaces. One
-	// request per frame, measured per op so wire.v1.* ÷ (wire.v2.*/64) is
-	// the committed wire-path speedup.
-	v1Req := &sem.Request{Op: sem.OpIBEToken, ID: id, Payload: codecPayload}
-	var v1Buf bytes.Buffer
-	if _, err := wire.WriteFrame(&v1Buf, v1Req); err != nil {
-		return nil, err
-	}
-	v1Frame := append([]byte(nil), v1Buf.Bytes()...)
-	v1Reader := bytes.NewReader(v1Frame)
-
 	// SEM protocol fixtures: a live loopback daemon serving the IBE token
-	// op, measured one request per round trip (v1-era cost model) and 64
-	// requests per v2 batch frame. The committed pair documents the
-	// batching speedup and gates it against regression.
+	// op, measured one request per round trip and 64 requests per batch
+	// frame. The committed pair documents the batching speedup and gates
+	// it against regression.
 	semWorld, err := newBaselineSEM(pp, id)
 	if err != nil {
 		return nil, err
@@ -375,17 +364,6 @@ func Baseline(pp *pairing.Params, minIters int, minDuration time.Duration) (*Bas
 			_, err := pp.MultiPair(mpPs, mpQs)
 			return err
 		}},
-		{"wire.v1.encode", func() error {
-			v1Buf.Reset()
-			_, err := wire.WriteFrame(&v1Buf, v1Req)
-			return err
-		}},
-		{"wire.v1.decode", func() error {
-			v1Reader.Reset(v1Frame)
-			var req sem.Request
-			_, err := wire.ReadFrame(v1Reader, &req)
-			return err
-		}},
 		{"wire.v2.encode.64", func() error {
 			_, err := codecEnc.EncodeRequest(1, codecItems, 0)
 			return err
@@ -521,10 +499,10 @@ func Baseline(pp *pairing.Params, minIters int, minDuration time.Duration) (*Bas
 
 // baselineSEM is the minimal live SEM deployment behind the sem.token.*
 // baseline entries: one loopback daemon serving the mediated-IBE token op
-// for a single enrolled identity, and one connected (v2-negotiated) client.
+// for a single enrolled identity, and one connected client.
 type baselineSEM struct {
 	server *sem.Server
-	client *sem.Client
+	client *sem.Pool
 }
 
 func newBaselineSEM(pp *pairing.Params, id string) (*baselineSEM, error) {

@@ -136,7 +136,7 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 func (w *World) Addr() string { return w.addr }
 
 // Dial opens a client to the World's SEM daemon.
-func (w *World) Dial() (*sem.Client, error) {
+func (w *World) Dial() (*sem.Pool, error) {
 	if w.addr == "" {
 		return nil, fmt.Errorf("bench: world has no running SEM server")
 	}

@@ -14,10 +14,10 @@ import (
 )
 
 // Serving-layer baseline entries: the token-op hot path measured through
-// the three client transports against a local semd-style fleet —
+// the client transports against a local semd-style fleet —
 //
-//	sem.token.conn.c32     32 callers sharing one mutex-serialized Client
-//	sem.token.pooled.c32   32 callers sharing one sem.Pool (coalesced frames)
+//	sem.token.conn.c32     32 callers sharing a one-connection sem.Pool (what sem.Dial returns)
+//	sem.token.pooled.c32   32 callers sharing a default-size sem.Pool (coalesced frames)
 //	cluster.token.shard1.c32  sharded client over a 1-shard fleet
 //	cluster.token.shard4.c32  sharded client over a 4-shard fleet
 //
@@ -165,17 +165,14 @@ func ServingEntries(window time.Duration) ([]BaselineEntry, error) {
 		return nil
 	}
 
-	// Single mutex-serialized connection shared by every caller — the
-	// pre-pool hot path, kept as the comparison point.
-	client, err := sem.Dial(fleet.addrs[0], fleet.pp, 5*time.Second)
-	if err != nil {
-		return nil, err
-	}
+	// One multiplexed connection shared by every caller: what sem.Dial
+	// hands out, and the comparison point for the default-size pool.
+	conn := sem.NewPool(fleet.addrs[0], fleet.pp, sem.PoolConfig{Size: 1})
 	err = add("sem.token.conn.c32", func(id string) error {
-		_, err := client.IBEToken(id, u)
+		_, err := conn.IBEToken(id, u)
 		return err
 	})
-	_ = client.Close()
+	_ = conn.Close()
 	if err != nil {
 		return nil, err
 	}

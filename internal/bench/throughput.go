@@ -80,35 +80,35 @@ func Throughput(w *World, cfg ThroughputConfig) (*Table, error) {
 	workloads := []struct {
 		name string
 		ops  int // requests served per body call
-		body func(c *sem.Client) error
+		body func(c *sem.Pool) error
 	}{
-		{"ibe-token", 1, func(c *sem.Client) error {
+		{"ibe-token", 1, func(c *sem.Pool) error {
 			_, err := c.IBEToken(w.ID, ct.U)
 			return err
 		}},
-		{"gdh-half-sign", 1, func(c *sem.Client) error {
+		{"gdh-half-sign", 1, func(c *sem.Pool) error {
 			_, err := c.GDHHalfSign(w.ID, h)
 			return err
 		}},
-		{"rsa-half-sign", 1, func(c *sem.Client) error {
+		{"rsa-half-sign", 1, func(c *sem.Pool) error {
 			_, err := c.RSAHalfSign(w.RSAPub, w.ID, msg)
 			return err
 		}},
-		{"ibe-token-batch64", batchK, func(c *sem.Client) error {
+		{"ibe-token-batch64", batchK, func(c *sem.Pool) error {
 			_, errs, err := c.TokenBatch(ids, us)
 			if err != nil {
 				return err
 			}
 			return firstBatchErr(errs)
 		}},
-		{"gdh-half-sign-batch64", batchK, func(c *sem.Client) error {
+		{"gdh-half-sign-batch64", batchK, func(c *sem.Pool) error {
 			_, errs, err := c.GDHHalfSignBatch(ids, hs)
 			if err != nil {
 				return err
 			}
 			return firstBatchErr(errs)
 		}},
-		{"rsa-half-dec-batch64", batchK, func(c *sem.Client) error {
+		{"rsa-half-dec-batch64", batchK, func(c *sem.Pool) error {
 			_, errs, err := c.RSAHalfDecryptBatch(w.RSAPub, ids, cts)
 			if err != nil {
 				return err
@@ -146,7 +146,7 @@ func Throughput(w *World, cfg ThroughputConfig) (*Table, error) {
 // measure hammers the SEM with nClients concurrent connections for the
 // window and returns the aggregate request rate; opsPerCall is the number
 // of requests one body call serves (1 for single ops, k for k-batches).
-func (w *World) measure(body func(*sem.Client) error, opsPerCall, nClients int, d time.Duration) (float64, error) {
+func (w *World) measure(body func(*sem.Pool) error, opsPerCall, nClients int, d time.Duration) (float64, error) {
 	var ops atomic.Int64
 	var firstErr atomic.Value
 	stop := make(chan struct{})

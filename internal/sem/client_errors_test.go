@@ -7,9 +7,9 @@ import (
 	"repro/internal/core"
 )
 
-// TestClientCloseIdempotent covers the pool-facing close contract: Close is
-// idempotent, and every op after Close reports ErrClientClosed instead of a
-// raw net error.
+// TestClientCloseIdempotent covers the close contract of a dialed client:
+// Close is idempotent, and every op after Close reports ErrClientClosed
+// instead of a raw net error.
 func TestClientCloseIdempotent(t *testing.T) {
 	f := newFixture(t)
 	c := f.client
@@ -28,8 +28,8 @@ func TestClientCloseIdempotent(t *testing.T) {
 	if _, err := c.IBEToken(testID, f.pp.Generator()); !errors.Is(err, ErrClientClosed) {
 		t.Fatalf("IBEToken after Close = %v, want ErrClientClosed", err)
 	}
-	if _, _, err := c.batchCall(OpIBEToken, []string{testID}, [][]byte{f.pp.Generator().Marshal()}); !errors.Is(err, ErrClientClosed) {
-		t.Fatalf("batchCall after Close = %v, want ErrClientClosed", err)
+	if _, _, err := c.many(opIBEToken, []string{testID}, [][]byte{f.pp.Generator().Marshal()}); !errors.Is(err, ErrClientClosed) {
+		t.Fatalf("many after Close = %v, want ErrClientClosed", err)
 	}
 }
 
@@ -62,7 +62,7 @@ func TestRemoteErrorClassification(t *testing.T) {
 
 	// A malformed payload draws a bad-request refusal: remote, but no typed
 	// sentinel.
-	_, err = c.roundTrip(&Request{Op: OpIBEToken, ID: testID, Payload: []byte("not a point")})
+	_, err = c.one(opIBEToken, testID, []byte("not a point"))
 	if !errors.Is(err, ErrRemote) {
 		t.Fatalf("bad-request error %v does not match ErrRemote", err)
 	}

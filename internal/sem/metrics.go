@@ -10,44 +10,25 @@ import (
 )
 
 // Metric naming (see DESIGN.md §8): the server exports under the sem_
-// prefix, the client under semclient_, and every per-op series carries an
-// op="..." label whose value is the wire op name. Label values are always
-// protocol constants — never identities, reasons or payloads — so no
-// request-controlled (or secret-tainted) data can reach the metric
+// prefix, the client pool under semclient_ and sempool_, and every per-op
+// series carries an op="..." label whose value is the Op name. Label values
+// are always protocol constants — never identities, reasons or payloads —
+// so no request-controlled (or secret-tainted) data can reach the metric
 // namespace.
 
-// knownOps enumerates every protocol operation, for per-op series
-// registration. Requests with an op outside this set (rejected as
-// CodeBadRequest) account under op="other".
-var knownOps = []Op{
-	OpIBEToken, OpGDHSign, OpRSADecrypt, OpRSASign, OpGMDecrypt,
-	OpRevoke, OpUnrevoke, OpStatus, OpList, OpPing,
-	OpRegisterIBE, OpRegisterGDH,
-	OpReplAppend, OpReplSnapshot, OpReplStatus,
-}
-
-// knownCodes enumerates the protocol error codes for the error-mix
-// counters.
-var knownCodes = []ErrorCode{
-	CodeRevoked, CodeUnknownIdentity, CodeBadRequest, CodeUnsupported, CodeInternal,
-	CodeStaleEpoch, CodeSeqGap, CodeNotLeader,
-}
-
 // serverMetrics is the SEM daemon's instrumentation. All series are
-// registered at server construction; the per-request record path is two
-// map lookups and a handful of atomic adds — no locks, no allocation
-// (asserted by TestServerRecordPathZeroAlloc).
+// registered at server construction, one per opTable / statusTable row; the
+// per-request record path is two array lookups and a handful of atomic
+// adds — no locks, no allocation (asserted by TestServerRecordPathZeroAlloc).
+// Op bytes outside opTable (refused as bad requests) account under
+// op="other", which is row 0 — the byte no op uses.
 type serverMetrics struct {
-	requests map[Op]*obs.Counter        // sem_requests_total{op=...}
-	latency  map[Op]*obs.Histogram      // sem_service_seconds{op=...}
-	errors   map[ErrorCode]*obs.Counter // sem_errors_total{code=...}
-	otherReq *obs.Counter
-	otherLat *obs.Histogram
-	otherErr *obs.Counter
-	inflight *obs.Gauge // sem_inflight_requests
+	requests [numOps]*obs.Counter      // sem_requests_total{op=...}
+	latency  [numOps]*obs.Histogram    // sem_service_seconds{op=...}
+	errors   [numStatuses]*obs.Counter // sem_errors_total{code=...}
+	inflight *obs.Gauge                // sem_inflight_requests
 
-	connV1    *obs.Counter        // sem_connections_total{version="1"}
-	connV2    *obs.Counter        // sem_connections_total{version="2"}
+	connects  *obs.Counter        // sem_connections_total{version="2"}
 	batchSize *obs.ValueHistogram // sem_batch_size
 	rxBytes   *obs.ValueHistogram // sem_frame_bytes{dir="rx"}
 	txBytes   *obs.ValueHistogram // sem_frame_bytes{dir="tx"}
@@ -58,32 +39,28 @@ type serverMetrics struct {
 // cache gauges are function-backed: they sample the server at scrape time
 // instead of adding bookkeeping to the serving path.
 func newServerMetrics(reg *obs.Registry, s *Server) *serverMetrics {
-	m := &serverMetrics{
-		requests: make(map[Op]*obs.Counter, len(knownOps)),
-		latency:  make(map[Op]*obs.Histogram, len(knownOps)),
-		errors:   make(map[ErrorCode]*obs.Counter, len(knownCodes)),
-	}
-	for _, op := range knownOps {
-		l := obs.Label{Key: "op", Value: string(op)}
+	m := &serverMetrics{}
+	for op := range opTable {
+		name := opTable[op].name
+		if name == "" {
+			name = "other"
+		}
+		l := obs.Label{Key: "op", Value: string(name)}
 		m.requests[op] = reg.Counter("sem_requests_total", "requests dispatched, by protocol op", l)
 		m.latency[op] = reg.Histogram("sem_service_seconds", "request service time (dispatch, excluding queue wait)", l)
 	}
-	other := obs.Label{Key: "op", Value: "other"}
-	m.otherReq = reg.Counter("sem_requests_total", "requests dispatched, by protocol op", other)
-	m.otherLat = reg.Histogram("sem_service_seconds", "request service time (dispatch, excluding queue wait)", other)
-	for _, code := range knownCodes {
-		m.errors[code] = reg.Counter("sem_errors_total", "failed requests, by protocol error code",
-			obs.Label{Key: "code", Value: string(code)})
+	for st := range statusTable {
+		if st == int(statusOK) {
+			continue
+		}
+		m.errors[st] = reg.Counter("sem_errors_total", "failed requests, by protocol error code",
+			obs.Label{Key: "code", Value: statusTable[st].code})
 	}
-	m.otherErr = reg.Counter("sem_errors_total", "failed requests, by protocol error code",
-		obs.Label{Key: "code", Value: "other"})
 	m.inflight = reg.Gauge("sem_inflight_requests", "requests currently executing in the worker pool")
 
-	m.connV1 = reg.Counter("sem_connections_total", "accepted client connections, by protocol version",
-		obs.Label{Key: "version", Value: "1"})
-	m.connV2 = reg.Counter("sem_connections_total", "accepted client connections, by protocol version",
+	m.connects = reg.Counter("sem_connections_total", "accepted client connections, by protocol version",
 		obs.Label{Key: "version", Value: "2"})
-	m.batchSize = reg.ValueHistogram("sem_batch_size", "ops per received v2 frame")
+	m.batchSize = reg.ValueHistogram("sem_batch_size", "ops per received frame")
 	m.rxBytes = reg.ValueHistogram("sem_frame_bytes", "protocol frame sizes in bytes, by direction",
 		obs.Label{Key: "dir", Value: "rx"})
 	m.txBytes = reg.ValueHistogram("sem_frame_bytes", "protocol frame sizes in bytes, by direction",
@@ -108,60 +85,30 @@ func newServerMetrics(reg *obs.Registry, s *Server) *serverMetrics {
 	return m
 }
 
-// connects counts one accepted connection of the given protocol version.
-func (m *serverMetrics) connects(version int) {
-	if m == nil {
-		return
-	}
-	if version == 2 {
-		m.connV2.Inc()
-		return
-	}
-	m.connV1.Inc()
-}
-
-// batch records the item count of one received v2 frame.
-func (m *serverMetrics) batch(n int) {
-	if m == nil {
-		return
-	}
-	m.batchSize.Observe(n)
-}
-
 // frameRx records the wire size of one received frame (0, from a failed
 // read, records nothing).
 func (m *serverMetrics) frameRx(n int) {
-	if m == nil || n <= 0 {
-		return
+	if n > 0 {
+		m.rxBytes.Observe(n)
 	}
-	m.rxBytes.Observe(n)
 }
 
 // frameTx records the wire size of one sent frame.
 func (m *serverMetrics) frameTx(n int) {
-	if m == nil || n <= 0 {
-		return
+	if n > 0 {
+		m.txBytes.Observe(n)
 	}
-	m.txBytes.Observe(n)
 }
 
-// observe records one dispatched request. Safe on a nil receiver (servers
-// are always instrumented, but the guard keeps the method total).
-func (m *serverMetrics) observe(op Op, resp *Response, d time.Duration) {
-	if m == nil {
-		return
+// observe records one dispatched (or refused) item: its op byte, the status
+// it was answered with, and the service time.
+func (m *serverMetrics) observe(op, status byte, d time.Duration) {
+	if opName(op) == "" {
+		op = 0
 	}
-	req, lat := m.requests[op], m.latency[op]
-	if req == nil {
-		req, lat = m.otherReq, m.otherLat
-	}
-	req.Inc()
-	lat.Observe(d)
-	if resp != nil && !resp.OK {
-		errc := m.errors[resp.Code]
-		if errc == nil {
-			errc = m.otherErr
-		}
-		errc.Inc()
+	m.requests[op].Inc()
+	m.latency[op].Observe(d)
+	if status != statusOK {
+		m.errors[status].Inc()
 	}
 }

@@ -2,8 +2,8 @@ package sem
 
 import (
 	"errors"
+	"io"
 	"net"
-	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -11,12 +11,13 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/wire"
 )
 
 // metricsFixture is a minimal SEM (registry-only backends) with an obs
 // registry wired in: enough to exercise the dispatch path and the
 // exported series without the full crypto enrollment.
-func metricsFixture(t *testing.T, cfg Config) (*Server, *Client, *obs.Registry) {
+func metricsFixture(t *testing.T, cfg Config) (*Server, *Pool, *obs.Registry) {
 	t.Helper()
 	reg := obs.NewRegistry()
 	if cfg.Registry == nil {
@@ -47,9 +48,10 @@ func metricsFixture(t *testing.T, cfg Config) (*Server, *Client, *obs.Registry) 
 }
 
 func TestServerMetricsExported(t *testing.T) {
-	_, client, reg := metricsFixture(t, Config{})
+	srv, _, reg := metricsFixture(t, Config{})
 	clientReg := obs.NewRegistry()
-	client.Instrument(clientReg)
+	client := NewPool(srv.Addr().String(), nil, PoolConfig{Size: 1, Metrics: clientReg})
+	defer func() { _ = client.Close() }()
 
 	for i := 0; i < 3; i++ {
 		if err := client.Ping(); err != nil {
@@ -60,7 +62,7 @@ func TestServerMetricsExported(t *testing.T) {
 		t.Fatal(err)
 	}
 	// An unsupported op becomes an error-code metric.
-	if _, err := client.roundTrip(&Request{Op: OpIBEToken, ID: "x"}); err == nil {
+	if _, err := client.one(opIBEToken, "x", nil); err == nil {
 		t.Fatal("IBE op on IBE-less server succeeded")
 	}
 
@@ -76,6 +78,7 @@ func TestServerMetricsExported(t *testing.T) {
 		`sem_service_seconds_count{op="ping"} 3`,
 		"sem_queue_depth 0",
 		"sem_workers",
+		`sem_connections_total{version="2"} 2`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("server metrics missing %q:\n%s", want, out)
@@ -111,42 +114,27 @@ func TestServerRecordPathZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	okResp := &Response{OK: true}
-	errResp := &Response{OK: false, Code: CodeRevoked}
 	if n := testing.AllocsPerRun(1000, func() {
-		srv.met.observe(OpPing, okResp, 42*time.Microsecond)
-		srv.met.observe(OpIBEToken, errResp, 1300*time.Microsecond)
-		srv.met.observe(Op("bogus"), errResp, time.Microsecond)
+		srv.met.observe(opPing, statusOK, 42*time.Microsecond)
+		srv.met.observe(opIBEToken, statusRevoked, 1300*time.Microsecond)
+		srv.met.observe(200, statusBadRequest, time.Microsecond) // no such op: the "other" row
 	}); n != 0 {
 		t.Fatalf("server metric record path allocates %v bytes/op", n)
 	}
 }
 
-// TestClientOpTimeout proves the deadline satellite: a SEM that accepts
-// and then hangs fails the call within the operation timeout instead of
-// stalling the caller forever.
+// TestClientOpTimeout proves the deadline satellite: a SEM that negotiates
+// and then hangs fails the call within the operation timeout (once on the
+// connection, once on the pool's replay) instead of stalling the caller
+// forever.
 func TestClientOpTimeout(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = ln.Close() }()
-	hung := make(chan net.Conn, 1)
-	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		hung <- conn // accept, read nothing, answer nothing
-	}()
-	client, err := Dial(ln.Addr().String(), nil, time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
+	addr := fakeSEM(t, DefaultMaxBatch, func(conn net.Conn) {
+		_, _ = io.Copy(io.Discard, conn) // read everything, answer nothing
+	})
+	client := NewPool(addr, nil, PoolConfig{Size: 1, OpTimeout: 100 * time.Millisecond, HealthInterval: -1})
 	defer func() { _ = client.Close() }()
-	client.SetOpTimeout(100 * time.Millisecond)
 	start := time.Now()
-	err = client.Ping()
+	err := client.Ping()
 	if err == nil {
 		t.Fatal("ping against a hung SEM succeeded")
 	}
@@ -157,29 +145,28 @@ func TestClientOpTimeout(t *testing.T) {
 	if waited := time.Since(start); waited > 2*time.Second {
 		t.Fatalf("timeout took %v", waited)
 	}
-	select {
-	case conn := <-hung:
-		_ = conn.Close()
-	default:
-	}
 }
 
 // TestServerIdleTimeout proves the server side: a peer that goes silent
 // past the IO timeout has its connection released.
 func TestServerIdleTimeout(t *testing.T) {
-	_, client, _ := metricsFixture(t, Config{IOTimeout: 100 * time.Millisecond})
+	srv, client, reg := metricsFixture(t, Config{IOTimeout: 100 * time.Millisecond})
+	conn, _, _ := rawConn(t, srv.Addr().String(), wire.V2Version)
+	// Go idle past the server's limit; the server must hang up on us.
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if n, err := conn.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("idle connection: read %d bytes, err %v; want EOF from the server's reaper", n, err)
+	}
+	// The pooled client's connection was reaped too; its next op re-dials
+	// instead of surfacing the dead socket.
 	if err := client.Ping(); err != nil {
+		t.Fatalf("ping after the idle reap: %v", err)
+	}
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
-	// Go idle past the server's limit; the server must drop the
-	// connection, so the next op fails.
-	time.Sleep(300 * time.Millisecond)
-	err := client.Ping()
-	if err == nil {
-		t.Fatal("ping on an idle-reaped connection succeeded")
-	}
-	if !errors.Is(err, os.ErrDeadlineExceeded) && !strings.Contains(err.Error(), "EOF") &&
-		!strings.Contains(err.Error(), "reset") && !strings.Contains(err.Error(), "closed") {
-		t.Logf("connection failed as expected: %v", err)
+	if !strings.Contains(sb.String(), `sem_connections_total{version="2"} 3`) {
+		t.Fatalf("want three accepted connections (client, raw, client re-dial):\n%s", sb.String())
 	}
 }

@@ -4,35 +4,37 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"math/big"
 	"net"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/curve"
-	"repro/internal/mrsa"
 	"repro/internal/obs"
 	"repro/internal/pairing"
 	"repro/internal/wire"
 )
 
-// Pool is the high-throughput replacement for the mutex-serialized Client:
-// up to Size multiplexed v2 connections to one SEM address, each pipelining
-// many in-flight frames. Concurrent callers never serialize behind one
+// Pool is the SEM client: up to Size multiplexed connections to one SEM
+// address, each pipelining many in-flight frames, with every typed
+// operation of ops on top. Concurrent callers never serialize behind one
 // round trip — each connection runs a dispatcher that coalesces whatever
 // calls are waiting into one batch frame per op (amortizing framing and
 // syscalls exactly like an explicit TokenBatch), a FIFO of in-flight frames,
 // and a reader that distributes response items back to the callers.
 //
-// Connections dial lazily, are health-checked by a background ping, and are
-// evicted and re-dialed automatically when the peer dies. All methods are
-// safe for concurrent use.
+// Connections dial lazily (NewPool) or eagerly (Dial), are health-checked
+// by a background ping, and are evicted and re-dialed automatically when
+// the peer dies; a call whose connection died is replayed once on a fresh
+// one. All methods are safe for concurrent use.
+//
+// The pool tracks wire bytes per operation class, which is how the T2
+// communication experiment measures the paper's "160 bits vs 1024 bits"
+// claim on the actual protocol rather than on back-of-envelope sizes: see
+// Stats, and the semclient_* series under PoolConfig.Metrics.
 type Pool struct {
+	ops
 	addr string
-	pp   *pairing.Params
 	cfg  PoolConfig
 	met  *poolMetrics
 
@@ -48,20 +50,22 @@ type Pool struct {
 }
 
 // PoolConfig tunes a Pool. The zero value is usable: 4 connections, 5s
-// dial timeout, the Client's default 30s op timeout, 15s health pings.
+// dial timeout, 30s op timeout, 15s health pings.
 type PoolConfig struct {
 	// Size is the connection cap; ≤ 0 selects DefaultPoolSize.
 	Size int
 	// DialTimeout covers TCP connect plus the v2 preamble exchange.
 	DialTimeout time.Duration
 	// OpTimeout bounds the read of each response frame (and each frame
-	// write). 0 selects the Client default (30s); negative disables.
+	// write), so a hung or glacial SEM fails the call instead of stalling
+	// the caller forever. 0 selects 30s; negative disables.
 	OpTimeout time.Duration
 	// HealthInterval is the background ping cadence keeping idle
 	// connections alive (SEM servers close idle peers after IOTimeout) and
 	// detecting dead ones early. 0 selects 15s; negative disables.
 	HealthInterval time.Duration
-	// Metrics, when set, registers the sempool_* series.
+	// Metrics, when set, registers the sempool_* series and the per-op
+	// semclient_* wire accounting.
 	Metrics *obs.Registry
 }
 
@@ -69,6 +73,7 @@ type PoolConfig struct {
 const (
 	DefaultPoolSize       = 4
 	defaultDialTimeout    = 5 * time.Second
+	defaultOpTimeout      = 30 * time.Second
 	defaultHealthInterval = 15 * time.Second
 )
 
@@ -83,13 +88,23 @@ type poolMetrics struct {
 	frameItems *obs.Counter
 	conns      *obs.Gauge
 	inflight   *obs.Gauge
+
+	// Per-op wire accounting (the WireStats view), indexed by op byte and
+	// recorded per response frame — a frame is single-op by construction.
+	ops       [numOps]opStats
+	roundTrip *obs.Histogram
+}
+
+// opStats is the counter set behind one op's WireStats.
+type opStats struct {
+	calls, sent, recv, payload *obs.Counter
 }
 
 func newPoolMetrics(reg *obs.Registry) *poolMetrics {
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	return &poolMetrics{
+	m := &poolMetrics{
 		dials:      reg.Counter("sempool_dials_total", "pool connection dials"),
 		dialErrors: reg.Counter("sempool_dial_errors_total", "pool dial failures"),
 		evictions:  reg.Counter("sempool_evictions_total", "pool connections evicted after a transport failure"),
@@ -98,7 +113,39 @@ func newPoolMetrics(reg *obs.Registry) *poolMetrics {
 		frameItems: reg.Counter("sempool_frame_items_total", "items carried in pool request frames (÷ frames = coalescing factor)"),
 		conns:      reg.Gauge("sempool_conns", "live pool connections"),
 		inflight:   reg.Gauge("sempool_inflight_frames", "frames awaiting a response across all pool connections"),
+		roundTrip:  reg.Histogram("semclient_roundtrip_seconds", "request frame written to response frame read"),
 	}
+	for op := range opTable {
+		if opTable[op].name == "" {
+			continue
+		}
+		l := obs.Label{Key: "op", Value: string(opTable[op].name)}
+		m.ops[op] = opStats{
+			calls:   reg.Counter("semclient_requests_total", "client requests, by protocol op", l),
+			sent:    reg.Counter("semclient_bytes_sent_total", "wire bytes sent, by protocol op", l),
+			recv:    reg.Counter("semclient_bytes_received_total", "wire bytes received, by protocol op", l),
+			payload: reg.Counter("semclient_payload_bytes_total", "SEM→user payload bytes (excluding framing), by protocol op", l),
+		}
+	}
+	return m
+}
+
+// Stats returns a snapshot of the wire statistics of every operation the
+// pool has completed at least once.
+func (p *Pool) Stats() map[Op]WireStats {
+	out := make(map[Op]WireStats)
+	for op, st := range p.met.ops {
+		if st.calls.Value() == 0 {
+			continue
+		}
+		out[opTable[op].name] = WireStats{ //cryptolint:public (the operation name is metadata, not key material)
+			Calls:           int(st.calls.Value()),
+			BytesSent:       int(st.sent.Value()),
+			BytesReceived:   int(st.recv.Value()),
+			PayloadReceived: int(st.payload.Value()),
+		}
+	}
+	return out
 }
 
 // NewPool creates a pool for addr. No connection is dialed until the first
@@ -118,17 +165,30 @@ func NewPool(addr string, pp *pairing.Params, cfg PoolConfig) *Pool {
 	}
 	p := &Pool{
 		addr:       addr,
-		pp:         pp,
 		cfg:        cfg,
 		met:        newPoolMetrics(cfg.Metrics),
 		healthStop: make(chan struct{}),
 	}
+	p.ops = ops{t: p, pp: pp}
 	p.cond = sync.NewCond(&p.mu)
 	if cfg.HealthInterval > 0 {
 		p.healthWG.Add(1)
 		go p.healthLoop()
 	}
 	return p
+}
+
+// Dial connects to a SEM daemon over one connection, established (and the
+// protocol negotiated) before Dial returns. pp may be nil when only
+// RSA/admin operations will be used. timeout covers the connection
+// attempt; the per-operation deadline is PoolConfig's default 30s.
+func Dial(addr string, pp *pairing.Params, timeout time.Duration) (*Pool, error) {
+	p := NewPool(addr, pp, PoolConfig{Size: 1, DialTimeout: timeout})
+	if _, err := p.get(); err != nil {
+		_ = p.Close()
+		return nil, err
+	}
+	return p, nil
 }
 
 // Addr reports the pool's target address.
@@ -174,7 +234,7 @@ func (p *Pool) healthLoop() {
 		for _, mc := range conns {
 			// The error path needs no handling here: a transport failure
 			// already evicted the connection.
-			_, _ = mc.roundTrip(v2OpPing, []wire.ReqItem{{}})
+			_, _ = mc.roundTrip(opPing, []wire.ReqItem{{}})
 		}
 	}
 }
@@ -259,16 +319,17 @@ func (p *Pool) evict(mc *muxConn) {
 }
 
 // poolCall is one caller's submission to a connection dispatcher: an op
-// and its items, answered exactly once on done.
+// and its items (size is their encoded frame-body length), answered
+// exactly once on done.
 type poolCall struct {
 	op    byte
 	items []wire.ReqItem
+	size  int
 	done  chan poolResult
 }
 
 // poolResult carries either the call's response items (data copied out of
-// the decoder buffer, safe to retain) or the transport error that voided
-// the call.
+// the decoder buffer, safe to retain) or the error that voided the call.
 type poolResult struct {
 	items []poolItem
 	err   error
@@ -280,10 +341,25 @@ type poolItem struct {
 	data   []byte //cryptolint:public (received wire bytes, known to the peer: the stance of wire's frame buffers)
 }
 
-// muxConn is one multiplexed v2 connection: a writer goroutine that
-// coalesces submitted calls into batch frames, a FIFO of in-flight frames,
-// and a reader goroutine that matches response frames back to their calls
-// in order (the server answers frames strictly in request order).
+// sentFrame is one request frame awaiting its response: the calls merged
+// into it, plus what the wire accounting needs when the response lands.
+type sentFrame struct {
+	calls []*poolCall
+	bytes int
+	at    time.Time
+}
+
+// answer completes every call of the frame with err.
+func (f sentFrame) answer(err error) {
+	for _, c := range f.calls {
+		c.done <- poolResult{err: err}
+	}
+}
+
+// muxConn is one multiplexed connection: a writer goroutine that coalesces
+// submitted calls into batch frames, a FIFO of in-flight frames, and a
+// reader goroutine that matches response frames back to their calls in
+// order (the server answers frames strictly in request order).
 type muxConn struct {
 	pool     *Pool
 	conn     net.Conn
@@ -291,14 +367,14 @@ type muxConn struct {
 	maxFrame int
 
 	submitCh   chan *poolCall
-	inflight   chan []*poolCall
-	done       chan struct{} // closed by fail; stops both loops
+	inflight   chan sentFrame // FIFO as deep as the server's own pipeline
+	done       chan struct{}  // closed by fail; stops both loops
 	writerDone chan struct{}
 	failOnce   sync.Once
 	err        atomic.Value // error; set before done closes
 }
 
-// dialMux dials and negotiates one v2 connection and starts its loops.
+// dialMux dials and negotiates one connection and starts its loops.
 func dialMux(p *Pool) (*muxConn, error) {
 	conn, err := net.DialTimeout("tcp", p.addr, p.cfg.DialTimeout)
 	if err != nil {
@@ -321,7 +397,7 @@ func dialMux(p *Pool) (*muxConn, error) {
 		maxBatch:   maxBatch,
 		maxFrame:   maxFrame,
 		submitCh:   make(chan *poolCall),
-		inflight:   make(chan []*poolCall, pipelineDepth),
+		inflight:   make(chan sentFrame, pipelineDepth),
 		done:       make(chan struct{}),
 		writerDone: make(chan struct{}),
 	}
@@ -353,7 +429,7 @@ func (mc *muxConn) failErr() error {
 
 // roundTrip submits one call and waits for its response items.
 func (mc *muxConn) roundTrip(op byte, items []wire.ReqItem) ([]poolItem, error) {
-	call := &poolCall{op: op, items: items, done: make(chan poolResult, 1)}
+	call := &poolCall{op: op, items: items, size: wire.RequestBodySize(items), done: make(chan poolResult, 1)}
 	select {
 	case mc.submitCh <- call:
 	case <-mc.done:
@@ -364,9 +440,12 @@ func (mc *muxConn) roundTrip(op byte, items []wire.ReqItem) ([]poolItem, error) 
 }
 
 // writeLoop coalesces calls into frames. It takes one call, then greedily
-// drains whatever same-op calls are already waiting (up to the negotiated
-// batch limit) into the same frame — under concurrency many callers' single
-// ops ride one frame, which is where the pool's throughput comes from.
+// drains whatever same-op calls are already waiting into the same frame, up
+// to the negotiated batch limit and frame cap — under concurrency many
+// callers' single ops ride one frame, which is where the pool's throughput
+// comes from. A call that does not fit (other op, too many items, too many
+// bytes) is held back and opens the next frame, so merging never makes a
+// frame fail that its calls would not have failed alone.
 func (mc *muxConn) writeLoop() {
 	defer close(mc.writerDone)
 	var held *poolCall
@@ -383,8 +462,11 @@ func (mc *muxConn) writeLoop() {
 				return
 			}
 		}
-		batch := append(make([]*poolCall, 0, 8), first)
-		n := len(first.items)
+		frame := sentFrame{calls: append(make([]*poolCall, 0, 8), first)}
+		// Each call's size counts its own 3-byte body header, so the sum
+		// over-estimates the merged body by a few bytes per call — on the
+		// safe side of the cap.
+		n, size := len(first.items), first.size
 		// Yield once before draining: the sender's rendezvous schedules this
 		// goroutine immediately (runnext), before other concurrent callers
 		// reach their own send. One yield lets them park so the greedy drain
@@ -395,20 +477,15 @@ func (mc *muxConn) writeLoop() {
 		for n < mc.maxBatch {
 			select {
 			case next := <-mc.submitCh:
-				if next.op != first.op || n+len(next.items) > mc.maxBatch {
+				if next.op != first.op || n+len(next.items) > mc.maxBatch || size+next.size > mc.maxFrame {
 					held = next
 					break coalesce
 				}
-				batch = append(batch, next)
+				frame.calls = append(frame.calls, next)
 				n += len(next.items)
+				size += next.size
 			case <-mc.done:
-				cause := mc.failErr()
-				for _, c := range batch {
-					c.done <- poolResult{err: cause}
-				}
-				if held != nil {
-					held.done <- poolResult{err: cause}
-				}
+				frame.answer(mc.failErr())
 				return
 			default:
 				break coalesce
@@ -416,31 +493,26 @@ func (mc *muxConn) writeLoop() {
 		}
 
 		itemScratch = itemScratch[:0]
-		for _, c := range batch {
+		for _, c := range frame.calls {
 			itemScratch = append(itemScratch, c.items...)
 		}
-		frame, err := enc.EncodeRequest(first.op, itemScratch, mc.maxFrame)
+		buf, err := enc.EncodeRequest(first.op, itemScratch, mc.maxFrame)
 		if err != nil {
-			// The combined frame exceeds the negotiated cap — a caller-size
-			// problem, not a connection problem. Answer the calls and keep
-			// the connection.
-			for _, c := range batch {
-				c.done <- poolResult{err: fmt.Errorf("sem pool: encode %s: %w", opForV2(first.op), err)}
-			}
+			// A call that alone exceeds the negotiated cap — a caller-size
+			// problem, not a connection problem. Answer it and keep the
+			// connection.
+			frame.answer(fmt.Errorf("sem pool: encode %s: %w", opName(first.op), err))
 			continue
 		}
+		frame.bytes, frame.at = len(buf), time.Now()
 		// FIFO record first, then write: the reader must find the record
 		// when the response lands.
 		select {
-		case mc.inflight <- batch:
+		case mc.inflight <- frame:
 		case <-mc.done:
-			cause := mc.failErr()
-			for _, c := range batch {
-				c.done <- poolResult{err: cause}
-			}
+			frame.answer(mc.failErr())
 			if held != nil {
-				held.done <- poolResult{err: cause}
-				held = nil
+				held.done <- poolResult{err: mc.failErr()}
 			}
 			return
 		}
@@ -450,13 +522,12 @@ func (mc *muxConn) writeLoop() {
 		if mc.pool.cfg.OpTimeout > 0 {
 			_ = mc.conn.SetWriteDeadline(time.Now().Add(mc.pool.cfg.OpTimeout))
 		}
-		if _, err := mc.conn.Write(frame); err != nil {
-			// The batch just pushed to inflight is answered by the
+		if _, err := mc.conn.Write(buf); err != nil {
+			// The frame just pushed to inflight is answered by the
 			// reader's drain.
-			mc.fail(fmt.Errorf("sem pool: write %s: %w", opForV2(first.op), err))
+			mc.fail(fmt.Errorf("sem pool: write %s: %w", opName(first.op), err))
 			if held != nil {
 				held.done <- poolResult{err: mc.failErr()}
-				held = nil
 			}
 			return
 		}
@@ -471,13 +542,14 @@ func (mc *muxConn) readLoop() {
 	var dec wire.FrameDecoder
 	for {
 		select {
-		case batch := <-mc.inflight:
+		case frame := <-mc.inflight:
 			mc.pool.met.inflight.Dec()
-			if mc.readOne(&dec, batch) {
-				continue
+			if err := mc.readOne(&dec, frame); err != nil {
+				mc.fail(err)
+				frame.answer(mc.failErr())
+				mc.drain()
+				return
 			}
-			mc.drain()
-			return
 		case <-mc.done:
 			mc.drain()
 			return
@@ -493,19 +565,15 @@ func (mc *muxConn) drain() {
 	cause := mc.failErr()
 	for {
 		select {
-		case batch := <-mc.inflight:
+		case frame := <-mc.inflight:
 			mc.pool.met.inflight.Dec()
-			for _, c := range batch {
-				c.done <- poolResult{err: cause}
-			}
+			frame.answer(cause)
 		case <-mc.writerDone:
 			for {
 				select {
-				case batch := <-mc.inflight:
+				case frame := <-mc.inflight:
 					mc.pool.met.inflight.Dec()
-					for _, c := range batch {
-						c.done <- poolResult{err: cause}
-					}
+					frame.answer(cause)
 				default:
 					return
 				}
@@ -514,238 +582,128 @@ func (mc *muxConn) drain() {
 	}
 }
 
-// readOne reads one response frame and completes batch. It reports false
-// when the connection has failed (the caller then drains).
-func (mc *muxConn) readOne(dec *wire.FrameDecoder, batch []*poolCall) bool {
+// readOne reads one response frame and completes frame's calls. A non-nil
+// error means the connection can no longer be trusted; the caller fails it
+// and answers the calls.
+func (mc *muxConn) readOne(dec *wire.FrameDecoder, frame sentFrame) error {
 	if mc.pool.cfg.OpTimeout > 0 {
 		_ = mc.conn.SetReadDeadline(time.Now().Add(mc.pool.cfg.OpTimeout))
 	}
-	op, items, _, err := dec.ReadResponse(mc.conn, mc.maxFrame, 0)
+	sent := frame.calls[0].op
+	op, items, recv, err := dec.ReadResponse(mc.conn, mc.maxFrame, 0)
 	if err != nil {
-		mc.fail(fmt.Errorf("sem pool: read response: %w", err))
-		cause := mc.failErr()
-		for _, c := range batch {
-			c.done <- poolResult{err: cause}
-		}
-		return false
+		return fmt.Errorf("sem pool: read response: %w", err)
 	}
 	total := 0
-	for _, c := range batch {
+	for _, c := range frame.calls {
 		total += len(c.items)
 	}
-	if op != batch[0].op {
-		mc.fail(fmt.Errorf("%w: v2 response op %#x does not match request op %#x", ErrProtocol, op, batch[0].op))
-		cause := mc.failErr()
-		for _, c := range batch {
-			c.done <- poolResult{err: cause}
-		}
-		return false
+	if op != sent {
+		return fmt.Errorf("%w: response op %#x does not match request op %#x", ErrProtocol, op, sent)
 	}
 	if len(items) != total {
 		// A single-item error response to a multi-item frame is the
 		// server's frame-level refusal; anything else is a protocol break.
-		if total > 1 && len(items) == 1 && items[0].Status != v2StatusOK {
-			err := decodeError(responseFromV2(opForV2(op), items[0]))
-			for _, c := range batch {
-				c.done <- poolResult{err: err}
-			}
-			return true
+		if total > 1 && len(items) == 1 && items[0].Status != statusOK {
+			frame.answer(remoteErr(items[0].Status, items[0].Data))
+			return nil
 		}
-		mc.fail(fmt.Errorf("%w: v2 response carries %d items, want %d", ErrProtocol, len(items), total))
-		cause := mc.failErr()
-		for _, c := range batch {
-			c.done <- poolResult{err: cause}
-		}
-		return false
+		return fmt.Errorf("%w: response carries %d items, want %d", ErrProtocol, len(items), total)
 	}
-	off := 0
-	for _, c := range batch {
+	payload, off := 0, 0
+	for _, c := range frame.calls {
 		out := make([]poolItem, len(c.items))
 		for i := range out {
 			it := items[off+i]
 			out[i] = poolItem{status: it.Status, data: bytes.Clone(it.Data)}
+			if it.Status == statusOK {
+				payload += len(it.Data)
+			}
 		}
 		off += len(c.items)
 		c.done <- poolResult{items: out}
 	}
-	return true
+	if opName(sent) != "" {
+		st := &mc.pool.met.ops[sent]
+		st.calls.Add(uint64(total))
+		st.sent.Add(uint64(frame.bytes))
+		st.recv.Add(uint64(recv))
+		st.payload.Add(uint64(payload))
+	}
+	mc.pool.met.roundTrip.Observe(time.Since(frame.at))
+	return nil
 }
 
-// batchCall is the Pool's raw transport (the batchCaller contract): chunk
-// by the connection's negotiated batch limit, one retry per chunk on a
-// fresh connection for transport failures — every SEM op is idempotent, so
-// replaying a chunk whose connection died is safe.
-func (p *Pool) batchCall(op Op, ids []string, payloads [][]byte) ([][]byte, []error, error) {
-	if len(ids) != len(payloads) {
-		return nil, nil, fmt.Errorf("sem: batch has %d ids but %d payloads", len(ids), len(payloads))
+// call runs one op's items through a pooled connection, with one replay on
+// a fresh connection when the first died in transport — every SEM op is
+// idempotent, so replaying a call whose connection failed is safe. The
+// returned items are index-aligned with the request's.
+func (p *Pool) call(mc *muxConn, op byte, items []wire.ReqItem) ([]poolItem, error) {
+	res, err := mc.roundTrip(op, items)
+	if err == nil || errors.Is(err, ErrRemote) || errors.Is(err, ErrFrameTooLarge) || p.isClosed() {
+		return res, err
 	}
+	p.met.retries.Inc()
+	if mc, err = p.get(); err != nil {
+		return nil, err
+	}
+	return mc.roundTrip(op, items)
+}
+
+func (p *Pool) isClosed() bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.closed
+}
+
+// one sends a single item through the pool's coalescing path (the transport
+// contract).
+func (p *Pool) one(op byte, id string, payload []byte) ([]byte, error) {
+	mc, err := p.get()
+	if err != nil {
+		return nil, err
+	}
+	res, err := p.call(mc, op, []wire.ReqItem{{ID: []byte(id), Payload: payload}})
+	if err != nil {
+		return nil, err
+	}
+	if res[0].status != statusOK {
+		return nil, remoteErr(res[0].status, res[0].data)
+	}
+	return res[0].data, nil
+}
+
+// many sends a batch (the transport contract), one frame per chunk of the
+// connection's negotiated batch limit.
+func (p *Pool) many(op byte, ids []string, payloads [][]byte) ([][]byte, []error, error) {
 	results := make([][]byte, len(ids))
 	errs := make([]error, len(ids))
-	if len(ids) == 0 {
-		return results, errs, nil
-	}
-	opByte := v2ByteFor(op)
-	lo := 0
-	for lo < len(ids) {
+	for lo := 0; lo < len(ids); {
 		mc, err := p.get()
-		if err != nil {
-			for i := lo; i < len(ids); i++ {
-				errs[i] = err
+		var res []poolItem
+		if err == nil {
+			items := make([]wire.ReqItem, min(mc.maxBatch, len(ids)-lo))
+			for i := range items {
+				items[i] = wire.ReqItem{ID: []byte(ids[lo+i]), Payload: payloads[lo+i]}
 			}
-			return results, errs, err
-		}
-		hi := lo + mc.maxBatch
-		if hi > len(ids) {
-			hi = len(ids)
-		}
-		items := make([]wire.ReqItem, hi-lo)
-		for i := range items {
-			items[i] = wire.ReqItem{ID: []byte(ids[lo+i]), Payload: payloads[lo+i]}
-		}
-		res, err := mc.roundTrip(opByte, items)
-		if err != nil && !isRemote(err) && p.retryable(err) {
-			p.met.retries.Inc()
-			mc2, gerr := p.get()
-			if gerr == nil {
-				res, err = mc2.roundTrip(opByte, items)
-			} else {
-				err = gerr
-			}
+			res, err = p.call(mc, op, items)
 		}
 		if err != nil {
+			// The failed chunk and everything after it never produced
+			// results; keep the chunks already fetched and mark the rest.
 			for i := lo; i < len(ids); i++ {
 				errs[i] = err
 			}
 			return results, errs, err
 		}
 		for i, it := range res {
-			if it.status != v2StatusOK {
-				errs[lo+i] = decodeError(&Response{OK: false, Code: codeForV2Status(it.status), Error: string(it.data)})
+			if it.status != statusOK {
+				errs[lo+i] = remoteErr(it.status, it.data)
 				continue
 			}
 			results[lo+i] = it.data
 		}
-		lo = hi
+		lo += len(res)
 	}
 	return results, errs, nil
-}
-
-// retryable reports whether a transport failure is worth one replay on a
-// fresh connection: not when the pool itself is closed.
-func (p *Pool) retryable(err error) bool {
-	p.mu.Lock()
-	closed := p.closed
-	p.mu.Unlock()
-	return !closed && err != nil
-}
-
-// isRemote reports whether the server answered (failover/retry would only
-// repeat the error).
-func isRemote(err error) bool { return errors.Is(err, ErrRemote) }
-
-// single runs one op through the pool's coalescing path.
-func (p *Pool) single(op Op, id string, payload []byte) ([]byte, error) {
-	res, errs, err := p.batchCall(op, []string{id}, [][]byte{payload})
-	if err != nil {
-		return nil, err
-	}
-	if errs[0] != nil {
-		return nil, errs[0]
-	}
-	return res[0], nil
-}
-
-// Ping checks liveness through the pool.
-func (p *Pool) Ping() error {
-	_, err := p.single(OpPing, "", nil)
-	return err
-}
-
-// IBEToken requests ê(U, d_ID,sem) through the pool.
-func (p *Pool) IBEToken(id string, u *curve.Point) (*pairing.GT, error) {
-	if p.pp == nil {
-		return nil, errors.New("sem: pool has no pairing params")
-	}
-	raw, err := p.single(OpIBEToken, id, u.Marshal())
-	if err != nil {
-		return nil, err
-	}
-	return wire.UnmarshalGT(p.pp, raw)
-}
-
-// GDHHalfSign requests S_sem = x_sem·h through the pool.
-func (p *Pool) GDHHalfSign(id string, h *curve.Point) (*curve.Point, error) {
-	if p.pp == nil {
-		return nil, errors.New("sem: pool has no pairing params")
-	}
-	raw, err := p.single(OpGDHSign, id, h.Marshal())
-	if err != nil {
-		return nil, err
-	}
-	return wire.UnmarshalG1(p.pp.Curve(), raw)
-}
-
-// RSAHalfDecrypt requests c^{d_sem} mod n through the pool.
-func (p *Pool) RSAHalfDecrypt(pub *mrsa.PublicKey, id string, ciphertext *big.Int) (*big.Int, error) {
-	raw, err := p.single(OpRSADecrypt, id, ciphertext.Bytes()) //cryptolint:public (sanctioned wire serialization edge; the ciphertext is on the wire by design)
-	if err != nil {
-		return nil, err
-	}
-	return wire.UnmarshalScalar(raw, pub.N)
-}
-
-// Revoke disables an identity on the pool's SEM.
-func (p *Pool) Revoke(id, reason string) error {
-	_, err := p.single(OpRevoke, id, []byte(reason))
-	return err
-}
-
-// Unrevoke restores an identity.
-func (p *Pool) Unrevoke(id string) error {
-	_, err := p.single(OpUnrevoke, id, nil)
-	return err
-}
-
-// Status reports whether an identity is revoked.
-func (p *Pool) Status(id string) (bool, error) {
-	raw, err := p.single(OpStatus, id, nil)
-	if err != nil {
-		return false, err
-	}
-	return len(raw) == 1 && raw[0] == 1, nil //cryptolint:public (one-byte revocation status straight off the wire)
-}
-
-// ListRevoked fetches the SEM's full revocation list through the pool
-// (see Client.ListRevoked for the partial-list semantics).
-func (p *Pool) ListRevoked() ([]core.RevocationEntry, error) {
-	raw, err := p.single(OpList, "", nil)
-	if err != nil {
-		return nil, err
-	}
-	return parseRevocationList(raw)
-}
-
-// TokenBatch requests k tokens through the pool (see Client.TokenBatch).
-func (p *Pool) TokenBatch(ids []string, us []*curve.Point) ([]*pairing.GT, []error, error) {
-	return tokenBatch(p, p.pp, ids, us)
-}
-
-// GDHHalfSignBatch requests k half-signatures through the pool.
-func (p *Pool) GDHHalfSignBatch(ids []string, hs []*curve.Point) ([]*curve.Point, []error, error) {
-	return gdhHalfSignBatch(p, p.pp, ids, hs)
-}
-
-// RSAHalfDecryptBatch requests k half-decryptions through the pool.
-func (p *Pool) RSAHalfDecryptBatch(pub *mrsa.PublicKey, ids []string, cts []*big.Int) ([]*big.Int, []error, error) {
-	return rsaHalfDecryptBatch(p, pub, ids, cts)
-}
-
-// RegisterIBEBatch bulk-enrolls SEM IBE halves through the pool.
-func (p *Pool) RegisterIBEBatch(ids []string, ds []*curve.Point) ([]error, error) {
-	return registerIBEBatch(p, ids, ds)
-}
-
-// RegisterGDHBatch bulk-enrolls SEM GDH halves through the pool.
-func (p *Pool) RegisterGDHBatch(ids []string, xs []*big.Int) ([]error, error) {
-	return registerGDHBatch(p, ids, xs)
 }

@@ -1,7 +1,9 @@
 package sem
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"strings"
@@ -13,6 +15,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/curve"
 	"repro/internal/obs"
+	"repro/internal/wire"
 )
 
 // killableProxy forwards TCP connections to a backend and can sever every
@@ -328,4 +331,76 @@ loop:
 	}
 	t.Logf("churn: %d ok, %d transport failures, %d evictions, %d dials",
 		ok.Load(), failed.Load(), pool.met.evictions.Value(), pool.met.dials.Value())
+}
+
+// TestPoolCoalescingRespectsFrameCap is the regression test for merging by
+// item count alone: 64 concurrent 32 KiB calls fit the default 1 MiB cap
+// one by one but not merged, so the dispatcher must stop a frame before the
+// cap instead of failing every caller it merged — while a call that alone
+// exceeds the cap still gets the typed error, and keeps its connection.
+func TestPoolCoalescingRespectsFrameCap(t *testing.T) {
+	addr := fakeSEM(t, DefaultMaxBatch, func(conn net.Conn) {
+		answerFrames(conn, func(_ byte, items []wire.ReqItem) []wire.RespItem {
+			resp := make([]wire.RespItem, len(items))
+			for i, it := range items {
+				resp[i] = wire.RespItem{Status: statusOK, Data: it.Payload[:min(1, len(it.Payload))]}
+			}
+			return resp
+		})
+	})
+	pool := NewPool(addr, nil, PoolConfig{Size: 1, HealthInterval: -1})
+	defer func() { _ = pool.Close() }()
+	if err := pool.Ping(); err != nil {
+		t.Fatal(err)
+	}
+
+	const calls = 64
+	// Several rounds: coalescing depends on callers actually piling up
+	// behind the dispatcher, so keep going until a round demonstrably
+	// merged (every round must succeed either way).
+	for round := 0; ; round++ {
+		before := pool.met.frames.Value()
+		start := make(chan struct{})
+		errs := make(chan error, calls)
+		for i := 0; i < calls; i++ {
+			go func(i int) {
+				payload := bytes.Repeat([]byte{byte(i)}, 32<<10)
+				<-start
+				got, err := pool.one(opRSASign, "big", payload)
+				if err == nil && !bytes.Equal(got, payload[:1]) {
+					err = fmt.Errorf("call %d got another call's answer %x", i, got)
+				}
+				errs <- err
+			}(i)
+		}
+		close(start)
+		for i := 0; i < calls; i++ {
+			if err := <-errs; err != nil {
+				t.Fatalf("round %d: a call that fits the cap alone failed once merged: %v", round, err)
+			}
+		}
+		frames := pool.met.frames.Value() - before
+		if frames < calls {
+			// 64 × 32 KiB is 2 MiB: merged, but never into fewer than 3 frames.
+			if frames < 3 {
+				t.Fatalf("round %d: %d frames carried 2 MiB under a 1 MiB cap", round, frames)
+			}
+			t.Logf("round %d: %d calls rode %d frames", round, calls, frames)
+			break
+		}
+		if round == 20 {
+			t.Fatal("no round coalesced; the test never exercised the cap")
+		}
+	}
+
+	dials := pool.met.dials.Value()
+	if _, err := pool.one(opRSASign, "huge", make([]byte, DefaultMaxFrame+1)); !errors.Is(err, ErrFrameTooLarge) {
+		t.Fatalf("over-cap call: %v, want ErrFrameTooLarge", err)
+	}
+	if err := pool.Ping(); err != nil {
+		t.Fatal(err)
+	}
+	if d := pool.met.dials.Value(); d != dials {
+		t.Fatalf("over-cap call cost the connection: dials %d → %d", dials, d)
+	}
 }

@@ -104,7 +104,7 @@ func TestRegisterBatchAndValidation(t *testing.T) {
 	}
 
 	// Malformed point: remote bad-request, no typed sentinel.
-	if _, err := f.client.roundTrip(&Request{Op: OpRegisterIBE, ID: "x@y", Payload: []byte("junk")}); !errors.Is(err, ErrRemote) {
+	if _, err := f.client.one(opRegisterIBE, "x@y", []byte("junk")); !errors.Is(err, ErrRemote) {
 		t.Fatalf("malformed point err = %v, want ErrRemote", err)
 	}
 	// Scalar outside [1, q-1].

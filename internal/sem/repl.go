@@ -2,12 +2,11 @@ package sem
 
 // Replication over the SEM protocol: the server-side handlers for the
 // repl.append / repl.snapshot / repl.status ops, the matching client
-// methods, and the adapter that lets a repl.Leader speak to followers
+// methods, and the dialer that lets a repl.Leader speak to followers
 // through an ordinary SEM client connection. The application logic lives
 // in internal/repl; this file only moves its records across the wire.
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -40,38 +39,23 @@ func coreReplOp(b byte) (string, bool) {
 	}
 }
 
-// replErrorResponse maps the typed errors of internal/repl onto protocol
-// codes so the leader-side client can reconstruct them with errors.Is.
-func replErrorResponse(err error) *Response {
-	switch {
-	case errors.Is(err, repl.ErrStaleEpoch):
-		return errResponse(CodeStaleEpoch, err)
-	case errors.Is(err, repl.ErrSeqGap):
-		return errResponse(CodeSeqGap, err)
-	case errors.Is(err, repl.ErrNotLeader):
-		return errResponse(CodeNotLeader, err)
-	default:
-		return errResponse(CodeInternal, err)
-	}
-}
-
 // replAppend applies a leader's record batch to the local follower. The
-// whole batch travels inside ONE v2 item on purpose: the v2 server fans a
+// whole batch travels inside ONE item on purpose: the server fans a
 // frame's items across workers in parallel, and replication must apply in
 // sequence order.
-func (s *Server) replAppend(req *Request) *Response {
+func (s *Server) replAppend(_ string, payload []byte) ([]byte, error) {
 	if s.cfg.Repl == nil {
-		return &Response{OK: false, Code: CodeUnsupported, Error: "replication not enabled (no journal)"}
+		return nil, unsupported("replication not enabled (no journal)")
 	}
-	leaderEpoch, wrecs, err := wire.ParseReplRecords(req.Payload)
+	leaderEpoch, wrecs, err := wire.ParseReplRecords(payload)
 	if err != nil {
-		return errResponse(CodeBadRequest, err)
+		return nil, err
 	}
 	recs := make([]core.ReplRecord, len(wrecs))
 	for i, w := range wrecs {
 		op, ok := coreReplOp(w.Op)
 		if !ok {
-			return &Response{OK: false, Code: CodeBadRequest, Error: fmt.Sprintf("unknown replication op byte %#x", w.Op)}
+			return nil, fmt.Errorf("unknown replication op byte %#x", w.Op)
 		}
 		recs[i] = core.ReplRecord{
 			Seq:    w.Seq,
@@ -82,20 +66,17 @@ func (s *Server) replAppend(req *Request) *Response {
 			When:   time.Unix(0, w.WhenUnixNano).UTC(),
 		}
 	}
-	if err := s.cfg.Repl.ApplyAppend(leaderEpoch, recs); err != nil {
-		return replErrorResponse(err)
-	}
-	return &Response{OK: true}
+	return nil, internal(s.cfg.Repl.ApplyAppend(leaderEpoch, recs))
 }
 
 // replSnapshot feeds one chunk of a leader's full-state transfer.
-func (s *Server) replSnapshot(req *Request) *Response {
+func (s *Server) replSnapshot(_ string, payload []byte) ([]byte, error) {
 	if s.cfg.Repl == nil {
-		return &Response{OK: false, Code: CodeUnsupported, Error: "replication not enabled (no journal)"}
+		return nil, unsupported("replication not enabled (no journal)")
 	}
-	wc, err := wire.ParseReplSnapshotChunk(req.Payload)
+	wc, err := wire.ParseReplSnapshotChunk(payload)
 	if err != nil {
-		return errResponse(CodeBadRequest, err)
+		return nil, err
 	}
 	entries := make([]core.RevocationEntry, len(wc.Entries))
 	for i, e := range wc.Entries {
@@ -109,33 +90,30 @@ func (s *Server) replSnapshot(req *Request) *Response {
 		Chunks:  int(wc.Chunks),
 		Entries: entries,
 	}
-	if err := s.cfg.Repl.ApplySnapshotChunk(c); err != nil {
-		return replErrorResponse(err)
-	}
-	return &Response{OK: true}
+	return nil, internal(s.cfg.Repl.ApplySnapshotChunk(c))
 }
 
 // replStatus reports this daemon's replication position, flagging whether
 // it is the fleet's active leader — the signal ShardedClient probes for
 // when the ring's leader designation has drifted from the daemon actually
 // running with -repl-leader (see shard.Ring.Leader for the hazard).
-func (s *Server) replStatus(req *Request) *Response {
+func (s *Server) replStatus(string, []byte) ([]byte, error) {
 	if s.cfg.Repl == nil {
-		return &Response{OK: false, Code: CodeUnsupported, Error: "replication not enabled (no journal)"}
+		return nil, unsupported("replication not enabled (no journal)")
 	}
 	epoch, lastSeq := s.cfg.Repl.Status()
 	isLeader := s.cfg.Leader != nil && !s.cfg.Leader.Deposed()
-	return &Response{OK: true, Payload: wire.PackReplStatus(wire.ReplStatus{Epoch: epoch, LastSeq: lastSeq, Leader: isLeader})}
+	return wire.PackReplStatus(wire.ReplStatus{Epoch: epoch, LastSeq: lastSeq, Leader: isLeader}), nil
 }
 
 // ReplStatus asks the SEM for its replication position (epoch, last
 // durable sequence number).
-func (c *Client) ReplStatus() (epoch, lastSeq uint64, err error) {
-	resp, err := c.roundTrip(&Request{Op: OpReplStatus})
+func (o *ops) ReplStatus() (epoch, lastSeq uint64, err error) {
+	raw, err := o.t.one(opReplStatus, "", nil)
 	if err != nil {
 		return 0, 0, err
 	}
-	st, err := wire.ParseReplStatus(resp.Payload)
+	st, err := wire.ParseReplStatus(raw)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -143,10 +121,10 @@ func (c *Client) ReplStatus() (epoch, lastSeq uint64, err error) {
 }
 
 // ReplAppend ships a contiguous batch of journal records to the SEM,
-// packed into a single request so the follower applies them in order. The
+// packed into a single item so the follower applies them in order. The
 // error unwraps to repl.ErrStaleEpoch / repl.ErrSeqGap when the follower
 // refused the batch.
-func (c *Client) ReplAppend(leaderEpoch uint64, recs []core.ReplRecord) error {
+func (o *ops) ReplAppend(leaderEpoch uint64, recs []core.ReplRecord) error {
 	wrecs := make([]wire.ReplRecord, len(recs))
 	for i, r := range recs {
 		op, ok := wireReplOp(r.Op)
@@ -166,12 +144,12 @@ func (c *Client) ReplAppend(leaderEpoch uint64, recs []core.ReplRecord) error {
 	if err != nil {
 		return err
 	}
-	_, err = c.roundTrip(&Request{Op: OpReplAppend, Payload: payload})
+	_, err = o.t.one(opReplAppend, "", payload)
 	return err
 }
 
 // ReplSnapshot ships one chunk of a full-state transfer to the SEM.
-func (c *Client) ReplSnapshot(chunk *repl.SnapshotChunk) error {
+func (o *ops) ReplSnapshot(chunk *repl.SnapshotChunk) error {
 	entries := make([]wire.ReplEntry, len(chunk.Entries))
 	for i, e := range chunk.Entries {
 		entries[i] = wire.ReplEntry{ID: e.ID, Reason: e.Reason, WhenUnixNano: e.When.UnixNano()}
@@ -188,29 +166,23 @@ func (c *Client) ReplSnapshot(chunk *repl.SnapshotChunk) error {
 	if err != nil {
 		return err
 	}
-	_, err = c.roundTrip(&Request{Op: OpReplSnapshot, Payload: payload})
+	_, err = o.t.one(opReplSnapshot, "", payload)
 	return err
 }
 
-// replPeer adapts a Client to the repl.Peer interface the Leader speaks.
-type replPeer struct{ c *Client }
-
-func (p *replPeer) ReplStatus() (epoch, lastSeq uint64, err error) { return p.c.ReplStatus() }
-func (p *replPeer) ReplAppend(leaderEpoch uint64, recs []core.ReplRecord) error {
-	return p.c.ReplAppend(leaderEpoch, recs)
-}
-func (p *replPeer) ReplSnapshot(chunk *repl.SnapshotChunk) error { return p.c.ReplSnapshot(chunk) }
-func (p *replPeer) Close() error                                 { return p.c.Close() }
-
 // ReplDialer returns the peer dialer a repl.Leader uses to reach its
-// followers over the SEM protocol. timeout covers the connection attempt;
-// replication ops run under the client's default op deadline.
+// followers over the SEM protocol: one eagerly dialed connection per
+// follower (a *Pool is a repl.Peer). timeout covers the connection
+// attempt; replication ops run under the pool's default op deadline, and a
+// call whose connection dies is replayed once on a fresh one — safe,
+// because a follower skips redelivered records and refuses an
+// out-of-sequence snapshot chunk, which restarts the transfer.
 func ReplDialer(timeout time.Duration) func(addr string) (repl.Peer, error) {
 	return func(addr string) (repl.Peer, error) {
-		c, err := Dial(addr, nil, timeout)
+		p, err := Dial(addr, nil, timeout)
 		if err != nil {
 			return nil, err
 		}
-		return &replPeer{c: c}, nil
+		return p, nil
 	}
 }

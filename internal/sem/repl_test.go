@@ -2,10 +2,13 @@ package sem
 
 import (
 	"crypto/rand"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -449,5 +452,294 @@ func TestRingLeaderStability(t *testing.T) {
 	defer sc2.Close()
 	if got := sc2.LeaderAddr(); got != leader {
 		t.Errorf("leader depends on listing order: %s vs %s", got, leader)
+	}
+}
+
+// lossyProxy forwards SEM connections to a backend one frame at a time and,
+// when armed, loses a response: a request frame carrying the armed op byte
+// (the first one after skip others) reaches the backend and is answered,
+// but the answer is swallowed and the connection severed — the server
+// applied the request, the client never learns. That is the failure a replayed replication call must
+// survive.
+type lossyProxy struct {
+	ln      net.Listener
+	backend string
+	wg      sync.WaitGroup
+
+	mu      sync.Mutex
+	dropOp  byte // 0 = disarmed
+	skip    int
+	dropped int
+}
+
+func newLossyProxy(t *testing.T, backend string) *lossyProxy {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &lossyProxy{ln: ln, backend: backend}
+	p.wg.Add(1)
+	go func() {
+		defer p.wg.Done()
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			p.wg.Add(1)
+			go func() {
+				defer p.wg.Done()
+				p.relay(c)
+			}()
+		}
+	}()
+	t.Cleanup(func() {
+		_ = ln.Close()
+		p.wg.Wait()
+	})
+	return p
+}
+
+func (p *lossyProxy) addr() string { return p.ln.Addr().String() }
+
+// dropAfter arms the proxy to lose the response to an op frame, letting
+// skip of them through first.
+func (p *lossyProxy) dropAfter(skip int, op byte) {
+	p.mu.Lock()
+	p.dropOp, p.skip = op, skip
+	p.mu.Unlock()
+}
+
+func (p *lossyProxy) drops() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.dropped
+}
+
+func (p *lossyProxy) relay(client net.Conn) {
+	defer func() { _ = client.Close() }()
+	server, err := net.Dial("tcp", p.backend)
+	if err != nil {
+		return
+	}
+	defer func() { _ = server.Close() }()
+	deadline := time.Now().Add(30 * time.Second)
+	_ = client.SetDeadline(deadline)
+	_ = server.SetDeadline(deadline)
+	// Handshake: 5-byte preamble up, 11-byte ack down.
+	if _, err := io.CopyN(server, client, 5); err != nil {
+		return
+	}
+	if _, err := io.CopyN(client, server, 11); err != nil {
+		return
+	}
+	frame := func(src net.Conn) ([]byte, error) {
+		var hdr [4]byte
+		if _, err := io.ReadFull(src, hdr[:]); err != nil {
+			return nil, err
+		}
+		buf := make([]byte, 4+binary.BigEndian.Uint32(hdr[:]))
+		copy(buf, hdr[:])
+		_, err := io.ReadFull(src, buf[4:])
+		return buf, err
+	}
+	for {
+		req, err := frame(client)
+		if err != nil {
+			return
+		}
+		if _, err := server.Write(req); err != nil {
+			return
+		}
+		resp, err := frame(server)
+		if err != nil {
+			return
+		}
+		p.mu.Lock()
+		lose := false
+		if p.dropOp != 0 && req[4] == p.dropOp {
+			if lose = p.skip == 0; lose {
+				p.dropOp = 0
+				p.dropped++
+			}
+			p.skip--
+		}
+		p.mu.Unlock()
+		if lose {
+			return
+		}
+		if _, err := client.Write(resp); err != nil {
+			return
+		}
+	}
+}
+
+// TestReplPeerSurvivesLostResponses drives the leader→follower peer (a
+// one-connection Pool since this PR) through the failure its replay-once
+// policy introduces on this path: the follower applies a call whose answer
+// is lost, and the pool redelivers it on a fresh connection. An append
+// must succeed (redelivered records are skipped); a snapshot chunk must be
+// refused with a typed server answer — never applied twice — and the
+// transfer must complete when restarted from chunk 0.
+func TestReplPeerSurvivesLostResponses(t *testing.T) {
+	pp, err := pairing.Toy()
+	if err != nil {
+		t.Fatal(err)
+	}
+	node := newReplNode(t, pp, nil, tmpJournal(t))
+	proxy := newLossyProxy(t, node.addr)
+	peer, err := ReplDialer(2 * time.Second)(proxy.addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = peer.Close() }()
+	pool := peer.(*Pool)
+	when := time.Now().UTC()
+
+	// Mid-append.
+	recs := []core.ReplRecord{
+		{Seq: 1, Epoch: 1, Op: "revoke", ID: "a@x", Reason: "one", When: when},
+		{Seq: 2, Epoch: 1, Op: "revoke", ID: "b@x", Reason: "two", When: when},
+	}
+	proxy.dropAfter(0, opReplAppend)
+	if err := peer.ReplAppend(1, recs); err != nil {
+		t.Fatalf("append whose first answer was lost: %v", err)
+	}
+	if proxy.drops() != 1 || pool.met.retries.Value() != 1 {
+		t.Fatalf("drops=%d retries=%d, want the append delivered twice", proxy.drops(), pool.met.retries.Value())
+	}
+	if epoch, seq, err := peer.ReplStatus(); err != nil || epoch != 1 || seq != 2 {
+		t.Fatalf("status after redelivered append = %d/%d, %v; want 1/2 (records applied once)", epoch, seq, err)
+	}
+
+	// Mid-snapshot: lose the answer to the middle chunk of three.
+	entries := []core.RevocationEntry{
+		{ID: "s0@x", Reason: "r", When: when}, {ID: "s1@x", Reason: "r", When: when}, {ID: "s2@x", Reason: "r", When: when},
+	}
+	chunk := func(i int) *repl.SnapshotChunk {
+		return &repl.SnapshotChunk{Epoch: 2, BaseSeq: 40, Total: 3, Index: i, Chunks: 3, Entries: entries[i : i+1]}
+	}
+	if err := peer.ReplSnapshot(chunk(0)); err != nil {
+		t.Fatal(err)
+	}
+	proxy.dropAfter(0, opReplSnapshot)
+	err = peer.ReplSnapshot(chunk(1))
+	if !errors.Is(err, ErrRemote) {
+		t.Fatalf("redelivered chunk: %v, want the follower's typed refusal", err)
+	}
+	if node.journal.Registry().IsRevoked("s0@x") || node.journal.Epoch() != 1 {
+		t.Fatal("a broken transfer must install nothing")
+	}
+	// The refusal dropped the pending assembly; the leader's answer is to
+	// start over, and that must go through.
+	for i := 0; i < 3; i++ {
+		if err := peer.ReplSnapshot(chunk(i)); err != nil {
+			t.Fatalf("restarted transfer, chunk %d: %v", i, err)
+		}
+	}
+	if epoch, seq, err := peer.ReplStatus(); err != nil || epoch != 2 || seq != 40 {
+		t.Fatalf("status after restarted snapshot = %d/%d, %v; want 2/40", epoch, seq, err)
+	}
+	reg := node.journal.Registry()
+	if !reg.IsRevoked("s0@x") || !reg.IsRevoked("s1@x") || !reg.IsRevoked("s2@x") || reg.IsRevoked("a@x") {
+		t.Fatal("snapshot state not installed wholesale")
+	}
+}
+
+// TestReplLeaderConvergesThroughLostResponses is the same failure end to
+// end: a real Leader streaming to a follower whose answers get lost
+// mid-snapshot and mid-append must log the refusal, restart, and converge.
+func TestReplLeaderConvergesThroughLostResponses(t *testing.T) {
+	pp, err := pairing.Toy()
+	if err != nil {
+		t.Fatal(err)
+	}
+	followerNode := newReplNode(t, pp, nil, tmpJournal(t))
+	proxy := newLossyProxy(t, followerNode.addr)
+
+	// Pre-load the leader's journal so first contact needs a three-chunk
+	// snapshot, and lose the answer to its second chunk.
+	leaderJournal := tmpJournal(t)
+	for i := 0; i < 6; i++ {
+		if err := leaderJournal.Revoke(fmt.Sprintf("pre%d@x", i), "preloaded"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	proxy.dropAfter(1, opReplSnapshot)
+	var mu sync.Mutex
+	var logs []string
+	leader, err := repl.NewLeader(repl.LeaderConfig{
+		Journal:       leaderJournal,
+		Epoch:         1,
+		Peers:         []string{proxy.addr()},
+		Dial:          ReplDialer(2 * time.Second),
+		RetryInterval: 10 * time.Millisecond,
+		SnapshotBatch: 2,
+		Logf: func(format string, args ...any) {
+			mu.Lock()
+			logs = append(logs, fmt.Sprintf(format, args...))
+			mu.Unlock()
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = leader.Close() }()
+
+	waitFor := func(what string, cond func() bool) {
+		t.Helper()
+		deadline := time.Now().Add(10 * time.Second)
+		for !cond() {
+			if time.Now().After(deadline) {
+				mu.Lock()
+				defer mu.Unlock()
+				t.Fatalf("%s never happened; leader log: %q", what, logs)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	waitFor("snapshot convergence", func() bool {
+		return followerNode.journal.LastSeq() == leaderJournal.LastSeq() && followerNode.journal.Epoch() == 1
+	})
+	if proxy.drops() != 1 {
+		t.Fatalf("drops = %d, want one snapshot chunk's answer lost", proxy.drops())
+	}
+	mu.Lock()
+	refused := false
+	for _, l := range logs {
+		if strings.Contains(l, "does not continue the pending assembly") {
+			refused = true
+		}
+	}
+	mu.Unlock()
+	if !refused {
+		t.Fatalf("leader never saw the follower's typed refusal of the redelivered chunk; log: %q", logs)
+	}
+
+	// Now lose an append's answer: the replayed batch is skipped, not
+	// re-applied, and nothing gaps.
+	proxy.dropAfter(0, opReplAppend)
+	for i := 0; i < 3; i++ {
+		if err := leader.Revoke(fmt.Sprintf("live%d@x", i), "streamed"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor("append convergence", func() bool { return followerNode.journal.LastSeq() == leaderJournal.LastSeq() })
+	if proxy.drops() != 2 {
+		t.Fatalf("drops = %d, want an append's answer lost too", proxy.drops())
+	}
+	if leader.Deposed() {
+		t.Fatal("lost responses deposed the leader")
+	}
+	want := leaderJournal.Registry().Entries()
+	got := followerNode.journal.Registry()
+	if len(want) != 9 || len(got.Entries()) != len(want) {
+		t.Fatalf("follower holds %d revocations, leader %d (want 9)", len(got.Entries()), len(want))
+	}
+	for _, e := range want {
+		if !got.IsRevoked(e.ID) {
+			t.Fatalf("follower missing %s", e.ID)
+		}
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"repro/internal/gm"
 	"repro/internal/mrsa"
 	"repro/internal/pairing"
+	"repro/internal/wire"
 )
 
 const msgLen = 32
@@ -24,7 +25,7 @@ type fixture struct {
 	pp      *pairing.Params
 	addr    string
 	server  *Server
-	client  *Client
+	client  *Pool
 	reg     *core.Registry
 	pkg     *core.MediatedPKG
 	ibeUser *core.UserKeyHalf
@@ -242,16 +243,20 @@ func TestUnknownIdentityOverTheWire(t *testing.T) {
 
 func TestMalformedPayloadRejected(t *testing.T) {
 	f := newFixture(t)
-	resp, err := f.client.roundTrip(&Request{Op: OpIBEToken, ID: testID, Payload: []byte{1, 2, 3}})
+	resp, err := f.client.one(opIBEToken, testID, []byte{1, 2, 3})
 	if err == nil {
-		t.Fatalf("malformed point accepted: %+v", resp)
+		t.Fatalf("malformed point accepted: %x", resp)
 	}
 }
 
 func TestUnknownOpRejected(t *testing.T) {
 	f := newFixture(t)
-	if _, err := f.client.roundTrip(&Request{Op: "nonsense"}); err == nil {
-		t.Fatal("unknown op accepted")
+	if _, err := f.client.one(200, "", nil); !errors.Is(err, ErrRemote) {
+		t.Fatalf("unknown op byte: %v, want a remote refusal", err)
+	}
+	// The refusal is per frame, not per connection: the client keeps working.
+	if err := f.client.Ping(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -365,18 +370,15 @@ func TestUnsupportedBackend(t *testing.T) {
 func TestFrameLimit(t *testing.T) {
 	f := newFixture(t)
 	huge := make([]byte, DefaultMaxFrame+1)
-	if _, err := f.client.roundTrip(&Request{Op: OpRSASign, ID: testID, Payload: huge}); !errors.Is(err, ErrFrameTooLarge) {
+	if _, err := f.client.RSAHalfSign(f.rsaPub, testID, huge); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("oversized frame: %v", err)
 	}
 }
 
 func TestTruncatedFrameHandled(t *testing.T) {
-	// A raw connection that sends garbage must not wedge the server.
+	// A negotiated connection that dies mid-frame must not wedge the server.
 	f := newFixture(t)
-	conn, err := net.Dial("tcp", f.server.Addr().String())
-	if err != nil {
-		t.Fatal(err)
-	}
+	conn, _, _ := rawConn(t, f.addr, wire.V2Version)
 	_, _ = conn.Write([]byte{0, 0, 0, 50, 'x'}) // announces 50 bytes, sends 1
 	_ = conn.Close()
 	// Server must still serve others.
@@ -411,11 +413,11 @@ func TestNetworkedGMDecryption(t *testing.T) {
 func TestGMPackUnpackRoundTrip(t *testing.T) {
 	f := newFixture(t)
 	cs, _ := f.gmKey.Public.Encrypt(rand.Reader, []byte{0xA5})
-	packed, err := packInts(cs)
+	packed, err := wire.PackInts(cs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := unpackInts(packed)
+	back, err := wire.UnpackInts(packed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,10 +430,10 @@ func TestGMPackUnpackRoundTrip(t *testing.T) {
 		}
 	}
 	// Truncations are rejected.
-	if _, err := unpackInts(packed[:1]); !errors.Is(err, ErrProtocol) {
+	if _, err := wire.UnpackInts(packed[:1]); !errors.Is(err, ErrProtocol) {
 		t.Errorf("truncated header accepted: %v", err)
 	}
-	if _, err := unpackInts(packed[:len(packed)-1]); !errors.Is(err, ErrProtocol) {
+	if _, err := wire.UnpackInts(packed[:len(packed)-1]); !errors.Is(err, ErrProtocol) {
 		t.Errorf("truncated body accepted: %v", err)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"math/big"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -21,14 +22,9 @@ import (
 
 func TestV2Negotiated(t *testing.T) {
 	f := newFixture(t)
-	if err := f.client.Ping(); err != nil {
-		t.Fatal(err)
-	}
-	if v := f.client.Version(); v != 2 {
-		t.Fatalf("negotiated version %d, want 2", v)
-	}
-	if mb := f.client.MaxBatch(); mb != DefaultMaxBatch {
-		t.Fatalf("negotiated max batch %d, want %d", mb, DefaultMaxBatch)
+	_, maxBatch, maxFrame := rawConn(t, f.addr, wire.V2Version) // asserts the acked version
+	if maxBatch != DefaultMaxBatch || maxFrame != DefaultMaxFrame {
+		t.Fatalf("negotiated limits %d/%d, want %d/%d", maxBatch, maxFrame, DefaultMaxBatch, DefaultMaxFrame)
 	}
 }
 
@@ -100,10 +96,7 @@ func TestTokenBatchPartialFailures(t *testing.T) {
 func TestTokenBatchSplitsOverMaxBatch(t *testing.T) {
 	f := newFixture(t)
 	// Force several chunks through the negotiated limit.
-	if err := f.client.Ping(); err != nil {
-		t.Fatal(err)
-	}
-	k := f.client.MaxBatch()*2 + 3
+	k := DefaultMaxBatch*2 + 3
 	us := randomPoints(t, f, k)
 	ids := make([]string, k)
 	for i := range ids {
@@ -165,7 +158,7 @@ func TestRSAHalfDecryptBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Combine each SEM half with the local user half and finish the OAEP
-	// decryption, matching what Client.DecryptRSA does per item.
+	// decryption, matching what DecryptRSA does per item.
 	for i := 0; i < k; i++ {
 		if errs[i] != nil {
 			t.Fatalf("item %d: %v", i, errs[i])
@@ -181,74 +174,9 @@ func TestRSAHalfDecryptBatch(t *testing.T) {
 	}
 }
 
-// TestMixedVersionClients serves a v1 JSON client and a v2 batch client on
-// the same listener concurrently — the compat guarantee of the versioned
-// framing (run under -race in CI).
-func TestMixedVersionClients(t *testing.T) {
-	f := newFixture(t)
-
-	v1, err := DialV1(f.server.Addr().String(), f.pp, 2*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = v1.Close() }()
-
-	const perClient = 20
-	var wg sync.WaitGroup
-	errCh := make(chan error, 2)
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < perClient; i++ {
-			u, err := f.pp.Curve().HashToPoint("semv2-v1", []byte{byte(i)})
-			if err != nil {
-				errCh <- err
-				return
-			}
-			if _, err := v1.IBEToken(testID, u); err != nil {
-				errCh <- fmt.Errorf("v1 client: %w", err)
-				return
-			}
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		us := randomPoints(t, f, 8)
-		ids := make([]string, len(us))
-		for i := range ids {
-			ids[i] = testID
-		}
-		for i := 0; i < perClient/4; i++ {
-			_, errs, err := f.client.TokenBatch(ids, us)
-			if err != nil {
-				errCh <- fmt.Errorf("v2 client: %w", err)
-				return
-			}
-			for _, e := range errs {
-				if e != nil {
-					errCh <- fmt.Errorf("v2 item: %w", e)
-					return
-				}
-			}
-		}
-	}()
-	wg.Wait()
-	select {
-	case err := <-errCh:
-		t.Fatal(err)
-	default:
-	}
-	if v := v1.Version(); v != 1 {
-		t.Fatalf("v1 client reports version %d", v)
-	}
-	if v := f.client.Version(); v != 2 {
-		t.Fatalf("v2 client reports version %d", v)
-	}
-}
-
-// rawV2Conn dials addr and completes the v2 handshake manually, for
+// rawConn dials addr and completes the handshake manually, for
 // protocol-level misbehavior tests.
-func rawV2Conn(t *testing.T, addr string, proposeVersion byte) (net.Conn, int, int) {
+func rawConn(t *testing.T, addr string, proposeVersion byte) (net.Conn, int, int) {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -270,10 +198,11 @@ func rawV2Conn(t *testing.T, addr string, proposeVersion byte) (net.Conn, int, i
 
 func TestV2UnknownVersionDowngrades(t *testing.T) {
 	f := newFixture(t)
-	conn, _, _ := rawV2Conn(t, f.server.Addr().String(), 9) // proposes a future version
-	// The connection still speaks v2 after the downgrade ack.
+	conn, _, _ := rawConn(t, f.server.Addr().String(), 9) // proposes a future version
+	// The ack names version 2 whatever was proposed, and the connection
+	// speaks it.
 	var enc wire.FrameEncoder
-	frame, err := enc.EncodeRequest(v2OpPing, []wire.ReqItem{{}}, 0)
+	frame, err := enc.EncodeRequest(opPing, []wire.ReqItem{{}}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,20 +214,20 @@ func TestV2UnknownVersionDowngrades(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if op != v2OpPing || len(items) != 1 || items[0].Status != v2StatusOK {
+	if op != opPing || len(items) != 1 || items[0].Status != statusOK {
 		t.Fatalf("ping after downgrade: op=%d items=%+v", op, items)
 	}
 }
 
 func TestV2OverBatchGetsTypedRefusal(t *testing.T) {
 	_, addr := newFixtureWithLimits(t, 4096, 2)
-	conn, maxBatch, _ := rawV2Conn(t, addr, wire.V2Version)
+	conn, maxBatch, _ := rawConn(t, addr, wire.V2Version)
 	if maxBatch != 2 {
 		t.Fatalf("announced max batch %d, want 2", maxBatch)
 	}
 	var enc wire.FrameEncoder
 	items := []wire.ReqItem{{}, {}, {}} // 3 > 2
-	frame, err := enc.EncodeRequest(v2OpPing, items, 0)
+	frame, err := enc.EncodeRequest(opPing, items, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,11 +239,11 @@ func TestV2OverBatchGetsTypedRefusal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if op != v2OpPing || len(resp) != 1 || resp[0].Status != v2StatusBadRequest {
+	if op != opPing || len(resp) != 1 || resp[0].Status != statusBadRequest {
 		t.Fatalf("over-batch refusal: op=%d resp=%+v", op, resp)
 	}
 	// The stream stays synchronized: a conforming frame still works.
-	frame, err = enc.EncodeRequest(v2OpPing, items[:2], 0)
+	frame, err = enc.EncodeRequest(opPing, items[:2], 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,20 +254,20 @@ func TestV2OverBatchGetsTypedRefusal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(resp) != 2 || resp[0].Status != v2StatusOK {
+	if len(resp) != 2 || resp[0].Status != statusOK {
 		t.Fatalf("conforming frame after refusal: %+v", resp)
 	}
 }
 
 func TestV2OversizeFrameGetsTypedRefusal(t *testing.T) {
 	_, addr := newFixtureWithLimits(t, 4096, 8)
-	conn, _, maxFrame := rawV2Conn(t, addr, wire.V2Version)
+	conn, _, maxFrame := rawConn(t, addr, wire.V2Version)
 	if maxFrame != 4096 {
 		t.Fatalf("announced max frame %d, want 4096", maxFrame)
 	}
 	var enc wire.FrameEncoder
 	oversize := []wire.ReqItem{{ID: []byte(testID), Payload: make([]byte, 8192)}}
-	frame, err := enc.EncodeRequest(v2OpRSADecrypt, oversize, 0) // beyond server cap, below wire default
+	frame, err := enc.EncodeRequest(opRSADecrypt, oversize, 0) // beyond server cap, below wire default
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,35 +279,12 @@ func TestV2OversizeFrameGetsTypedRefusal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(resp) != 1 || resp[0].Status != v2StatusBadRequest {
+	if len(resp) != 1 || resp[0].Status != statusBadRequest {
 		t.Fatalf("oversize refusal: %+v", resp)
 	}
 	// An unsynchronizable stream: the server hangs up afterwards.
 	if _, _, _, err := dec.ReadResponse(conn, 0, 0); err == nil {
 		t.Fatal("connection survived an unsynchronizable oversize frame")
-	}
-}
-
-// TestV1OversizeFrameGetsTypedError covers the same refusal on the JSON
-// protocol: the server answers CodeBadRequest before hanging up instead of
-// silently dropping the connection.
-func TestV1OversizeFrameGetsTypedError(t *testing.T) {
-	_, addr := newFixtureWithLimits(t, 4096, 8)
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = conn.Close() }()
-	huge := &Request{Op: OpRSASign, ID: testID, Payload: make([]byte, 8192)}
-	if _, err := wire.WriteFrame(conn, huge); err != nil { // default 1 MiB cap on the sender
-		t.Fatal(err)
-	}
-	var resp Response
-	if _, err := wire.ReadFrame(conn, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.OK || resp.Code != CodeBadRequest {
-		t.Fatalf("oversize v1 frame: %+v", resp)
 	}
 }
 
@@ -404,26 +310,91 @@ func newFixtureWithLimits(t *testing.T, maxFrame, maxBatch int) (*Server, string
 	return srv, ln.Addr().String()
 }
 
+// fakeSEM is a loopback listener speaking just enough of the protocol for
+// a test to script the server's side frame by frame: it acks every
+// connection with the given limits, then hands the connection to serve.
+func fakeSEM(t *testing.T, maxBatch int, serve func(conn net.Conn)) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer func() { _ = conn.Close() }()
+				_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
+				var first [1]byte
+				if _, err := io.ReadFull(conn, first[:]); err != nil {
+					return
+				}
+				if _, err := wire.ReadV2HelloTail(conn); err != nil {
+					return
+				}
+				if err := wire.WriteV2Ack(conn, wire.V2Version, maxBatch, wire.MaxFrame); err != nil {
+					return
+				}
+				serve(conn)
+			}()
+		}
+	}()
+	t.Cleanup(func() {
+		_ = ln.Close()
+		wg.Wait()
+	})
+	return ln.Addr().String()
+}
+
+// answerFrames reads request frames off conn and answers each with
+// respond's items until the peer hangs up or respond returns nil.
+func answerFrames(conn net.Conn, respond func(op byte, items []wire.ReqItem) []wire.RespItem) {
+	var dec wire.FrameDecoder
+	var enc wire.FrameEncoder
+	for {
+		op, items, _, err := dec.ReadRequest(conn, 0, 0)
+		if err != nil {
+			return
+		}
+		resp := respond(op, items)
+		if resp == nil {
+			return
+		}
+		frame, err := enc.EncodeResponse(op, resp, 0)
+		if err != nil {
+			return
+		}
+		if _, err := conn.Write(frame); err != nil {
+			return
+		}
+	}
+}
+
 // TestListRevokedPartialEntries is the regression test for the hardened
 // ListRevoked: one malformed element in the server's response must not
 // void the whole call.
 func TestListRevokedPartialEntries(t *testing.T) {
-	cli, srv := net.Pipe()
-	defer func() { _ = cli.Close() }()
-	go func() {
-		defer func() { _ = srv.Close() }()
-		var req Request
-		if _, err := wire.ReadFrame(srv, &req); err != nil {
-			return
-		}
-		good1 := core.RevocationEntry{ID: "alice@example.com", Reason: "lost key", When: time.Now()}
-		good2 := core.RevocationEntry{ID: "carol@example.com", Reason: "left org", When: time.Now()}
-		payload, _ := json.Marshal([]any{good1, 42, map[string]string{"reason": "no id"}, good2})
-		_, _ = wire.WriteFrame(srv, &Response{OK: true, Payload: payload})
-	}()
-
-	c := NewClientV1(cli, nil)
-	c.SetOpTimeout(2 * time.Second)
+	addr := fakeSEM(t, DefaultMaxBatch, func(conn net.Conn) {
+		answerFrames(conn, func(byte, []wire.ReqItem) []wire.RespItem {
+			good1 := core.RevocationEntry{ID: "alice@example.com", Reason: "lost key", When: time.Now()}
+			good2 := core.RevocationEntry{ID: "carol@example.com", Reason: "left org", When: time.Now()}
+			payload, _ := json.Marshal([]any{good1, 42, map[string]string{"reason": "no id"}, good2})
+			return []wire.RespItem{{Status: statusOK, Data: payload}}
+		})
+	})
+	c, err := Dial(addr, nil, 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = c.Close() }()
 	entries, err := c.ListRevoked()
 	if !errors.Is(err, ErrPartialList) {
 		t.Fatalf("want ErrPartialList, got %v", err)
@@ -438,49 +409,29 @@ func TestListRevokedPartialEntries(t *testing.T) {
 // survive a later chunk's connection error, with the voided slots carrying
 // that error, instead of the whole call collapsing to nil.
 func TestBatchCallKeepsCompletedChunks(t *testing.T) {
-	cli, srv := net.Pipe()
-	defer func() { _ = cli.Close() }()
-	go func() {
-		defer func() { _ = srv.Close() }()
-		var first [1]byte
-		if _, err := io.ReadFull(srv, first[:]); err != nil {
-			return
-		}
-		if _, err := wire.ReadV2HelloTail(srv); err != nil {
-			return
-		}
-		// Announce maxBatch 2 so four items split into two chunks.
-		if err := wire.WriteV2Ack(srv, wire.V2Version, 2, wire.MaxFrame); err != nil {
-			return
-		}
-		var dec wire.FrameDecoder
-		var enc wire.FrameEncoder
-		op, items, _, err := dec.ReadRequest(srv, 0, 2)
-		if err != nil {
-			return
-		}
-		resp := make([]wire.RespItem, len(items))
-		for i := range items {
-			resp[i] = wire.RespItem{Status: v2StatusOK, Data: []byte{byte(i + 1)}}
-		}
-		frame, err := enc.EncodeResponse(op, resp, 0)
-		if err != nil {
-			return
-		}
-		if _, err := srv.Write(frame); err != nil {
-			return
-		}
-		// Swallow the second chunk, then hang up without answering it.
-		_, _, _, _ = dec.ReadRequest(srv, 0, 2)
-	}()
-
-	c := NewClient(cli, nil)
-	c.SetOpTimeout(2 * time.Second)
+	// maxBatch 2 splits four items into two chunks. Only the very first
+	// frame is ever answered: the second chunk dies on its connection and
+	// again on the pool's one replay.
+	var frames atomic.Int64
+	addr := fakeSEM(t, 2, func(conn net.Conn) {
+		answerFrames(conn, func(_ byte, items []wire.ReqItem) []wire.RespItem {
+			if frames.Add(1) > 1 {
+				return nil // hang up without answering
+			}
+			resp := make([]wire.RespItem, len(items))
+			for i := range items {
+				resp[i] = wire.RespItem{Status: statusOK, Data: []byte{byte(i + 1)}}
+			}
+			return resp
+		})
+	})
+	c := NewPool(addr, nil, PoolConfig{Size: 1, OpTimeout: 2 * time.Second, HealthInterval: -1})
+	defer func() { _ = c.Close() }()
 	ids := []string{"a", "b", "c", "d"}
 	payloads := [][]byte{{1}, {2}, {3}, {4}}
-	results, errs, err := c.batchCall(OpRSADecrypt, ids, payloads)
-	if err == nil {
-		t.Fatal("want a transport error for the dead second chunk")
+	results, errs, err := c.many(opRSADecrypt, ids, payloads)
+	if err == nil || errors.Is(err, ErrRemote) {
+		t.Fatalf("want a transport error for the dead second chunk, got %v", err)
 	}
 	if len(results) != 4 || len(errs) != 4 {
 		t.Fatalf("lengths: %d results, %d errs", len(results), len(errs))
@@ -492,6 +443,54 @@ func TestBatchCallKeepsCompletedChunks(t *testing.T) {
 		if errs[i] == nil || results[i] != nil {
 			t.Fatalf("voided slot %d: result=%v err=%v", i, results[i], errs[i])
 		}
+	}
+	if r := c.met.retries.Value(); r != 1 {
+		t.Fatalf("retries = %d, want exactly one replay of the dead chunk", r)
+	}
+}
+
+// TestMalformedResponsesFailTheConnection scripts the protocol breaks a
+// client must treat as transport failures (never as server answers): a
+// response for the wrong op, and a response with the wrong item count.
+func TestMalformedResponsesFailTheConnection(t *testing.T) {
+	for name, respond := range map[string]func(op byte, items []wire.ReqItem) (byte, []wire.RespItem){
+		"wrong op": func(op byte, items []wire.ReqItem) (byte, []wire.RespItem) {
+			return op + 1, make([]wire.RespItem, len(items))
+		},
+		"extra item": func(op byte, items []wire.ReqItem) (byte, []wire.RespItem) {
+			return op, make([]wire.RespItem, len(items)+1)
+		},
+		"ok for many": func(op byte, items []wire.ReqItem) (byte, []wire.RespItem) { return op, make([]wire.RespItem, 1) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			addr := fakeSEM(t, DefaultMaxBatch, func(conn net.Conn) {
+				var dec wire.FrameDecoder
+				var enc wire.FrameEncoder
+				for {
+					op, items, _, err := dec.ReadRequest(conn, 0, 0)
+					if err != nil {
+						return
+					}
+					respOp, resp := respond(op, items)
+					frame, err := enc.EncodeResponse(respOp, resp, 0)
+					if err != nil {
+						return
+					}
+					if _, err := conn.Write(frame); err != nil {
+						return
+					}
+				}
+			})
+			c := NewPool(addr, nil, PoolConfig{Size: 1, OpTimeout: 2 * time.Second, HealthInterval: -1})
+			defer func() { _ = c.Close() }()
+			_, _, err := c.many(opRSADecrypt, []string{"a", "b"}, [][]byte{{1}, {2}})
+			if !errors.Is(err, ErrProtocol) || errors.Is(err, ErrRemote) {
+				t.Fatalf("err = %v, want a protocol (transport) error", err)
+			}
+			if ev := c.met.evictions.Value(); ev != 2 {
+				t.Fatalf("evictions = %d, want the first connection and its replay both dropped", ev)
+			}
+		})
 	}
 }
 

@@ -13,14 +13,15 @@ import (
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/pairing"
+	"repro/internal/parallel"
 	"repro/internal/repl"
 	"repro/internal/wire"
 )
 
 // Server is the SEM daemon. It serves whichever mediated schemes it was
-// configured with; requests for an unconfigured scheme get CodeUnsupported.
-// All schemes share one revocation registry: a single Revoke removes every
-// capability of the identity at once.
+// configured with; requests for an unconfigured scheme are refused as
+// unsupported. All schemes share one revocation registry: a single Revoke
+// removes every capability of the identity at once.
 //
 // Requests are executed by a bounded worker pool shared across connections,
 // so token issuance — a pairing per request — saturates the configured
@@ -33,11 +34,11 @@ type Server struct {
 	cfg Config
 	met *serverMetrics
 
-	jobs        chan job
+	jobs        chan *batchJob
 	workersOnce sync.Once
 	workerWG    sync.WaitGroup
-	// fanSlots holds the Workers−1 permits for widening a v2 batch fan
-	// beyond the worker's own goroutine (see Server.acquireFanWidth), so
+	// fanSlots holds the Workers−1 permits for widening a batch fan beyond
+	// the worker's own goroutine (see Server.acquireFanWidth), so
 	// concurrent batches share — not multiply — the configured parallelism.
 	fanSlots chan struct{}
 
@@ -48,17 +49,7 @@ type Server struct {
 	wg     sync.WaitGroup
 }
 
-// job is one unit of work travelling through the worker pool: either a
-// single v1 request (req/done) or a whole v2 batch (batch). done and
-// batch.ready are buffered, so a worker never blocks on a slow (or dead)
-// connection writer.
-type job struct {
-	req   *Request
-	done  chan *Response
-	batch *v2job
-}
-
-// pipelineDepth bounds the number of in-flight requests per connection;
+// pipelineDepth bounds the number of in-flight frames per connection;
 // beyond it the connection's reader stalls, back-pressuring the client.
 const pipelineDepth = 64
 
@@ -94,13 +85,12 @@ type Config struct {
 	// or glacial peers. 0 selects the default (2 minutes); negative
 	// disables deadlines entirely.
 	IOTimeout time.Duration
-	// MaxFrame caps a single protocol frame (both versions; announced to
-	// v2 clients in the negotiation ack). 0 selects DefaultMaxFrame
-	// (1 MiB); values above wire.V2MaxFrame are rejected because the v1/v2
-	// sniffing byte must stay unambiguous. Size it to MaxBatch times the
-	// largest per-item payload the deployment serves.
+	// MaxFrame caps a single protocol frame (announced to clients in the
+	// negotiation ack). 0 selects DefaultMaxFrame (1 MiB); the ceiling is
+	// wire.V2MaxFrame. Size it to MaxBatch times the largest per-item
+	// payload the deployment serves.
 	MaxFrame int
-	// MaxBatch caps the number of items in one v2 frame. 0 selects
+	// MaxBatch caps the number of items in one frame. 0 selects
 	// DefaultMaxBatch (64); the hard ceiling is wire.V2MaxBatch.
 	MaxBatch int
 	// AllowRegister enables the register_ibe/register_gdh enrollment ops,
@@ -156,7 +146,7 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:      cfg,
-		jobs:     make(chan job, cfg.Workers),
+		jobs:     make(chan *batchJob, cfg.Workers),
 		conns:    make(map[net.Conn]struct{}),
 		fanSlots: make(chan struct{}, cfg.Workers-1),
 	}
@@ -179,17 +169,9 @@ func (s *Server) startWorkers() {
 			defer s.workerWG.Done()
 			for j := range s.jobs {
 				s.met.inflight.Inc()
-				if j.batch != nil {
-					s.executeBatch(j.batch)
-					s.met.inflight.Dec()
-					j.batch.ready <- struct{}{}
-					continue
-				}
-				start := time.Now()
-				resp := s.dispatch(j.req)
-				s.met.observe(j.req.Op, resp, time.Since(start))
+				s.executeBatch(j)
 				s.met.inflight.Dec()
-				j.done <- resp
+				j.ready <- struct{}{}
 			}
 		}()
 	}
@@ -279,11 +261,9 @@ func (s *Server) Close() error {
 	return err
 }
 
-// handleConn sniffs the protocol version from the connection's first byte
-// and hands off to the matching serving loop. A v1 frame always opens with
-// a 0x00 length byte (MaxFrame is capped below 2^24), while a v2
-// connection opens with the "SEM2" preamble — so one listener serves both
-// protocol generations.
+// handleConn runs the handshake and then the frame loop. The protocol has
+// one opener: a connection whose first bytes are not the "SEM2" preamble
+// is logged and closed without an answer.
 func (s *Server) handleConn(conn net.Conn) {
 	defer func() {
 		_ = conn.Close()
@@ -293,128 +273,372 @@ func (s *Server) handleConn(conn net.Conn) {
 	}()
 
 	if s.cfg.IOTimeout > 0 {
-		_ = conn.SetReadDeadline(time.Now().Add(s.cfg.IOTimeout))
+		_ = conn.SetDeadline(time.Now().Add(s.cfg.IOTimeout))
 	}
 	var first [1]byte
 	if _, err := io.ReadFull(conn, first[:]); err != nil {
 		return // connected and left without a byte; not worth logging
 	}
-	if first[0] == wire.V2MagicByte {
-		version, err := wire.ReadV2HelloTail(conn)
-		if err != nil {
-			s.cfg.Logf("sem: v2 preamble from %v: %v", conn.RemoteAddr(), err)
-			return
-		}
-		// Unknown proposed versions downgrade to the newest the server
-		// speaks — the ack carries the version actually in force.
-		if version > wire.V2Version || version < wire.V2Version {
-			version = wire.V2Version
-		}
-		if s.cfg.IOTimeout > 0 {
-			_ = conn.SetWriteDeadline(time.Now().Add(s.cfg.IOTimeout))
-		}
-		if err := wire.WriteV2Ack(conn, version, s.cfg.MaxBatch, s.cfg.MaxFrame); err != nil {
-			s.cfg.Logf("sem: v2 ack to %v: %v", conn.RemoteAddr(), err)
-			return
-		}
-		s.met.connects(2)
-		s.serveV2(conn)
+	if first[0] != wire.V2MagicByte {
+		s.cfg.Logf("sem: %v opened with byte %#x, not the SEM2 preamble; closing", conn.RemoteAddr(), first[0])
 		return
 	}
-	s.met.connects(1)
-	s.serveV1(conn, first[0])
+	// The proposed version is not negotiated on: the ack names the one
+	// version this server speaks and the client decides whether it can.
+	if _, err := wire.ReadV2HelloTail(conn); err != nil {
+		s.cfg.Logf("sem: preamble from %v: %v", conn.RemoteAddr(), err)
+		return
+	}
+	if err := wire.WriteV2Ack(conn, wire.V2Version, s.cfg.MaxBatch, s.cfg.MaxFrame); err != nil {
+		s.cfg.Logf("sem: ack to %v: %v", conn.RemoteAddr(), err)
+		return
+	}
+	s.met.connects.Inc()
+	s.serve(conn)
 }
 
-// serveV1 is the JSON-protocol reader: it decodes frames, reserves a
-// response slot in the FIFO and hands the request to the worker pool. A
-// companion writer goroutine drains the FIFO so responses leave in request
-// order no matter which worker finishes first. firstByte is the
-// already-sniffed first byte of the first frame's length prefix.
-func (s *Server) serveV1(conn net.Conn, firstByte byte) {
-	rd := &prefixedReader{first: firstByte, r: conn}
+// batchJob is one in-flight frame. Each job owns its own frame decoder and
+// encoder: decoded items alias the decoder's buffer, so with pipelining a
+// shared decoder would be overwritten while earlier batches still execute.
+// Jobs cycle through a per-connection free list, so a settled connection
+// serves batches with no per-frame allocation in the framing layer. ready
+// is buffered, so a worker never blocks on a slow (or dead) connection
+// writer.
+type batchJob struct {
+	dec     wire.FrameDecoder
+	enc     wire.FrameEncoder
+	op      byte
+	items   []wire.ReqItem
+	results []wire.RespItem
+	ready   chan struct{}
+	// failed, when non-nil, short-circuits the writer with a single-item
+	// error frame built by the reader (over-batch/over-frame refusals).
+	failed []wire.RespItem
+}
 
-	pending := make(chan chan *Response, pipelineDepth)
+// serve is the frame loop of one connection: a reader that decodes frames
+// into pooled jobs and submits each batch to the worker pool as one unit,
+// and a writer that encodes and sends response frames in request order.
+func (s *Server) serve(conn net.Conn) {
+	free := make(chan *batchJob, pipelineDepth)
+	pending := make(chan *batchJob, pipelineDepth)
 	writerDone := make(chan struct{})
 	go func() {
 		defer close(writerDone)
 		broken := false
-		for slot := range pending {
-			resp := <-slot
+		for j := range pending {
+			results := j.failed
+			if results == nil {
+				<-j.ready
+				results = j.results
+			}
 			if broken {
+				free <- j
 				continue // keep draining so the reader never wedges
+			}
+			frame, err := j.enc.EncodeResponse(j.op, results, s.cfg.MaxFrame)
+			if err != nil {
+				// The batch's results exceed the frame cap (or the batch
+				// grew past the wire ceiling) — the stream cannot carry
+				// the response, so refuse it in one typed item instead.
+				j.failed = j.failed[:0]
+				j.failed = append(j.failed, wire.RespItem{
+					Status: statusBadRequest,
+					Data:   []byte("response exceeds the negotiated frame limit"),
+				})
+				frame, err = j.enc.EncodeResponse(j.op, j.failed, s.cfg.MaxFrame)
+				if err != nil {
+					s.cfg.Logf("sem: encode refusal: %v", err)
+					broken = true
+					_ = conn.Close()
+					free <- j
+					continue
+				}
 			}
 			if s.cfg.IOTimeout > 0 {
 				_ = conn.SetWriteDeadline(time.Now().Add(s.cfg.IOTimeout))
 			}
-			n, err := writeFrame(conn, resp, s.cfg.MaxFrame)
-			s.met.frameTx(n)
-			if err != nil {
-				s.cfg.Logf("sem: write frame to %v: %v", conn.RemoteAddr(), err)
+			_, werr := conn.Write(frame)
+			s.met.frameTx(len(frame))
+			if werr != nil {
+				s.cfg.Logf("sem: write frame to %v: %v", conn.RemoteAddr(), werr)
 				broken = true
 				_ = conn.Close() // unblock the reader
 			}
+			free <- j
 		}
 	}()
 
+	created := 0
 	for {
-		var req Request
+		var j *batchJob
+		select {
+		case j = <-free:
+		default:
+			if created < pipelineDepth {
+				j = &batchJob{ready: make(chan struct{}, 1)}
+				created++
+			} else {
+				j = <-free
+			}
+		}
+		j.failed = nil
+
 		if s.cfg.IOTimeout > 0 {
 			// A per-frame read deadline: a peer that stops mid-frame (or
 			// goes idle past the limit) releases the handler instead of
 			// pinning it for the daemon's lifetime.
 			_ = conn.SetReadDeadline(time.Now().Add(s.cfg.IOTimeout))
 		}
-		n, err := readFrame(rd, &req, s.cfg.MaxFrame)
+		op, items, n, err := j.dec.ReadRequest(conn, s.cfg.MaxFrame, s.cfg.MaxBatch)
 		s.met.frameRx(n)
 		if err != nil {
-			if errors.Is(err, ErrFrameTooLarge) {
-				// The peer gets told why before the (unsynchronizable)
-				// connection drops, instead of a silent hangup.
-				resp := oversizeResponse(s.cfg.MaxFrame)
-				slot := make(chan *Response, 1)
-				slot <- resp
-				pending <- slot
-				s.met.observe("", resp, 0)
-			} else if !errors.Is(err, net.ErrClosed) && err.Error() != "EOF" {
+			if errors.Is(err, wire.ErrBatchTooLarge) {
+				// The frame was fully consumed — the stream is still
+				// synchronized — but its batch breaks the negotiated
+				// contract. Refuse it with a typed single-item response
+				// (the op echo lets a pipelined client correlate it) and
+				// keep serving.
+				s.refuse(j, op, "batch exceeds the negotiated limit", pending)
+				continue
+			}
+			if errors.Is(err, wire.ErrFrameTooLarge) {
+				// The announced body was never read, so the stream cannot
+				// be resynchronized: answer with a typed refusal, then
+				// drop the connection.
+				s.refuse(j, op, "frame exceeds the negotiated limit", pending)
+			} else if err != io.EOF && !errors.Is(err, net.ErrClosed) {
 				s.cfg.Logf("sem: read frame from %v: %v", conn.RemoteAddr(), err)
 			}
 			break
 		}
-		slot := make(chan *Response, 1)
-		pending <- slot
-		s.jobs <- job{req: &req, done: slot}
+		s.met.batchSize.Observe(len(items))
+		j.op, j.items = op, items
+		pending <- j
+		s.jobs <- j
 	}
 	close(pending)
 	<-writerDone
 }
 
-// prefixedReader replays the sniffed first byte ahead of the connection
-// stream.
-type prefixedReader struct {
-	first byte
-	used  bool
-	r     io.Reader
+// refuse queues a typed single-item bad-request response for a frame the
+// reader rejected at the protocol layer.
+func (s *Server) refuse(j *batchJob, op byte, msg string, pending chan *batchJob) {
+	s.met.observe(op, statusBadRequest, 0)
+	j.op = op
+	j.failed = []wire.RespItem{{Status: statusBadRequest, Data: []byte(msg)}}
+	pending <- j
 }
 
-func (p *prefixedReader) Read(b []byte) (int, error) {
-	if !p.used {
-		if len(b) == 0 {
-			return 0, nil
-		}
-		b[0] = p.first
-		p.used = true
-		return 1, nil
+// opTable is the protocol's dispatch table, indexed by op byte: the Op name
+// (metric label) and the handler that turns one item into response data or
+// an error statusFor classifies. A zero entry is an op byte nobody serves.
+var opTable = [numOps]struct {
+	name   Op
+	handle func(s *Server, id string, payload []byte) ([]byte, error)
+}{
+	opIBEToken:     {OpIBEToken, (*Server).ibeToken},
+	opGDHSign:      {OpGDHSign, (*Server).gdhSign},
+	opRSADecrypt:   {OpRSADecrypt, (*Server).rsaDecrypt},
+	opRSASign:      {OpRSASign, (*Server).rsaSign},
+	opGMDecrypt:    {OpGMDecrypt, (*Server).gmDecrypt},
+	opRevoke:       {OpRevoke, (*Server).revoke},
+	opUnrevoke:     {OpUnrevoke, (*Server).unrevoke},
+	opStatus:       {OpStatus, (*Server).status},
+	opList:         {OpList, (*Server).list},
+	opPing:         {OpPing, (*Server).ping},
+	opRegisterIBE:  {OpRegisterIBE, (*Server).registerIBE},
+	opRegisterGDH:  {OpRegisterGDH, (*Server).registerGDH},
+	opReplAppend:   {OpReplAppend, (*Server).replAppend},
+	opReplSnapshot: {OpReplSnapshot, (*Server).replSnapshot},
+	opReplStatus:   {OpReplStatus, (*Server).replStatus},
+}
+
+// opName is the Op a byte stands for ("" for bytes outside the table).
+func opName(op byte) Op {
+	if int(op) >= len(opTable) {
+		return ""
 	}
-	return p.r.Read(b)
+	return opTable[op].name
 }
 
-// oversizeResponse is the typed refusal for frames beyond the connection's
-// negotiated cap.
-func oversizeResponse(maxFrame int) *Response {
-	return &Response{
-		OK:    false,
-		Code:  CodeBadRequest,
-		Error: fmt.Sprintf("frame exceeds the %d-byte limit", maxFrame),
+// executeBatch runs every item of a batch through its op's handler in one
+// pass, fanning across the configured parallelism, and stores the per-item
+// results in request order. Executed on a worker-pool goroutine, so one
+// batch occupies one queue slot no matter its size. Handlers never panic by
+// contract; unexpected failures come back as errors.
+func (s *Server) executeBatch(j *batchJob) {
+	n := len(j.items)
+	if cap(j.results) < n {
+		j.results = make([]wire.RespItem, n)
+	}
+	j.results = j.results[:n]
+
+	if opName(j.op) == "" {
+		for i := range j.results {
+			j.results[i] = wire.RespItem{Status: statusBadRequest, Data: []byte("unknown v2 op")}
+		}
+		return
+	}
+	handle := opTable[j.op].handle
+
+	// Width derates with the batch so tiny batches stay inline, and with
+	// the server's load: extra width beyond this worker's own goroutine is
+	// borrowed from the shared fanSlots permits, so concurrent batch jobs
+	// cannot multiply into Workers² crypto goroutines (the bounded-
+	// parallelism invariant: at most 2·Workers−1 in flight, exactly
+	// Workers at saturation, when every fan runs width 1 inline).
+	width := s.acquireFanWidth(n)
+	defer s.releaseFanWidth(width)
+	parallel.FanChunks(width, func(lo, hi int) {
+		chunkLo, chunkHi := lo*n/width, hi*n/width
+		for i := chunkLo; i < chunkHi; i++ {
+			item := j.items[i]
+			start := time.Now()
+			data, err := handle(s, string(item.ID), item.Payload)
+			status := statusFor(err)
+			s.met.observe(j.op, status, time.Since(start))
+			if err != nil {
+				data = []byte(err.Error())
+			}
+			j.results[i] = wire.RespItem{Status: status, Data: data}
+		}
+	})
+}
+
+// acquireFanWidth returns the parallelism a batch of n items may use right
+// now: 1 for the calling worker's own goroutine plus however many of the
+// shared fanSlots permits are free, capped at min(n, Workers). It never
+// blocks — under load it degrades to 1 and the batch executes inline on
+// its worker. Pair every call with releaseFanWidth(width).
+func (s *Server) acquireFanWidth(n int) int {
+	width := 1
+	limit := n
+	if limit > s.cfg.Workers {
+		limit = s.cfg.Workers
+	}
+	for width < limit {
+		select {
+		case <-s.fanSlots:
+			width++
+		default:
+			return width
+		}
+	}
+	return width
+}
+
+// releaseFanWidth returns the width−1 borrowed fan permits.
+func (s *Server) releaseFanWidth(width int) {
+	for i := 1; i < width; i++ {
+		s.fanSlots <- struct{}{}
+	}
+}
+
+func (s *Server) ping(string, []byte) ([]byte, error) { return nil, nil }
+
+func (s *Server) ibeToken(id string, payload []byte) ([]byte, error) {
+	if s.cfg.IBE == nil {
+		return nil, unsupported("IBE backend not configured")
+	}
+	u, err := wire.UnmarshalG1(s.cfg.Pairing.Curve(), payload)
+	if err != nil {
+		return nil, err
+	}
+	token, err := s.cfg.IBE.Token(id, u)
+	if err != nil {
+		return nil, err
+	}
+	return token.Bytes(), nil
+}
+
+func (s *Server) gdhSign(id string, payload []byte) ([]byte, error) {
+	if s.cfg.GDH == nil {
+		return nil, unsupported("GDH backend not configured")
+	}
+	h, err := wire.UnmarshalG1(s.cfg.Pairing.Curve(), payload)
+	if err != nil {
+		return nil, err
+	}
+	half, err := s.cfg.GDH.HalfSign(id, h)
+	if err != nil {
+		return nil, err
+	}
+	return half.Marshal(), nil
+}
+
+func (s *Server) rsaDecrypt(id string, payload []byte) ([]byte, error) {
+	if s.cfg.RSA == nil {
+		return nil, unsupported("RSA backend not configured")
+	}
+	half, err := s.cfg.RSA.HalfDecryptBytes(id, payload)
+	if err != nil {
+		return nil, err
+	}
+	return half.Bytes(), nil //cryptolint:public (sanctioned wire serialization edge; the half-result goes to the user by design)
+}
+
+func (s *Server) rsaSign(id string, payload []byte) ([]byte, error) {
+	if s.cfg.RSA == nil {
+		return nil, unsupported("RSA backend not configured")
+	}
+	half, err := s.cfg.RSA.HalfSign(id, payload)
+	if err != nil {
+		return nil, err
+	}
+	return half.Bytes(), nil //cryptolint:public (sanctioned wire serialization edge; the half-result goes to the user by design)
+}
+
+func (s *Server) gmDecrypt(id string, payload []byte) ([]byte, error) {
+	if s.cfg.GM == nil {
+		return nil, unsupported("GM backend not configured")
+	}
+	cs, err := wire.UnpackInts(payload)
+	if err != nil {
+		return nil, err
+	}
+	halves, err := s.cfg.GM.HalfDecrypt(id, cs)
+	if err != nil {
+		return nil, err
+	}
+	packed, err := wire.PackInts(halves)
+	if err != nil {
+		return nil, internal(err)
+	}
+	return packed, nil
+}
+
+// revoke disables id; the item's payload is the reason. On a replication
+// leader the mutation goes through the Leader so it is sequenced, made
+// durable and streamed to the fleet in one motion.
+func (s *Server) revoke(id string, reason []byte) ([]byte, error) {
+	switch {
+	case s.cfg.Leader != nil:
+		return nil, internal(s.cfg.Leader.Revoke(id, string(reason)))
+	case s.cfg.Journal != nil:
+		if err := s.refuseIfFollower(); err != nil {
+			return nil, err
+		}
+		return nil, internal(s.cfg.Journal.Revoke(id, string(reason)))
+	default:
+		s.cfg.Registry.Revoke(id, string(reason))
+		return nil, nil
+	}
+}
+
+// unrevoke restores id (leader-sequenced like revoke).
+func (s *Server) unrevoke(id string, _ []byte) ([]byte, error) {
+	switch {
+	case s.cfg.Leader != nil:
+		return nil, internal(s.cfg.Leader.Unrevoke(id))
+	case s.cfg.Journal != nil:
+		if err := s.refuseIfFollower(); err != nil {
+			return nil, err
+		}
+		return nil, internal(s.cfg.Journal.Unrevoke(id))
+	default:
+		s.cfg.Registry.Unrevoke(id)
+		return nil, nil
 	}
 }
 
@@ -426,206 +650,61 @@ func oversizeResponse(maxFrame int) *Response {
 // gets a typed not_leader refusal pointing at the real write path. A
 // standalone journaled daemon (epoch 0, never spoken to by a leader) keeps
 // accepting direct mutations. Returns nil when the mutation may proceed.
-func (s *Server) refuseIfFollower() *Response {
+func (s *Server) refuseIfFollower() error {
 	if epoch := s.cfg.Journal.Epoch(); epoch > 0 {
-		return replErrorResponse(fmt.Errorf(
-			"%w: this daemon follows a revocation leader at epoch %d; route the mutation through the leader shard", repl.ErrNotLeader, epoch))
+		return fmt.Errorf("%w: this daemon follows a revocation leader at epoch %d; route the mutation through the leader shard", repl.ErrNotLeader, epoch)
 	}
 	return nil
 }
 
-// dispatch routes one request. It never panics; unexpected failures become
-// CodeInternal responses.
-func (s *Server) dispatch(req *Request) *Response {
-	switch req.Op {
-	case OpPing:
-		return &Response{OK: true}
-	case OpIBEToken:
-		return s.ibeToken(req)
-	case OpGDHSign:
-		return s.gdhSign(req)
-	case OpRSADecrypt:
-		return s.rsaDecrypt(req)
-	case OpRSASign:
-		return s.rsaSign(req)
-	case OpGMDecrypt:
-		return s.gmDecrypt(req)
-	case OpRevoke:
-		// On a replication leader the mutation goes through the Leader so it
-		// is sequenced, made durable and streamed to the fleet in one motion.
-		if s.cfg.Leader != nil {
-			if err := s.cfg.Leader.Revoke(req.ID, req.Reason); err != nil {
-				return replErrorResponse(err)
-			}
-		} else if s.cfg.Journal != nil {
-			if resp := s.refuseIfFollower(); resp != nil {
-				return resp
-			}
-			if err := s.cfg.Journal.Revoke(req.ID, req.Reason); err != nil {
-				return errResponse(CodeInternal, err)
-			}
-		} else {
-			s.cfg.Registry.Revoke(req.ID, req.Reason)
-		}
-		return &Response{OK: true}
-	case OpUnrevoke:
-		if s.cfg.Leader != nil {
-			if err := s.cfg.Leader.Unrevoke(req.ID); err != nil {
-				return replErrorResponse(err)
-			}
-		} else if s.cfg.Journal != nil {
-			if resp := s.refuseIfFollower(); resp != nil {
-				return resp
-			}
-			if err := s.cfg.Journal.Unrevoke(req.ID); err != nil {
-				return errResponse(CodeInternal, err)
-			}
-		} else {
-			s.cfg.Registry.Unrevoke(req.ID)
-		}
-		return &Response{OK: true}
-	case OpReplAppend:
-		return s.replAppend(req)
-	case OpReplSnapshot:
-		return s.replSnapshot(req)
-	case OpReplStatus:
-		return s.replStatus(req)
-	case OpRegisterIBE:
-		return s.registerIBE(req)
-	case OpRegisterGDH:
-		return s.registerGDH(req)
-	case OpStatus:
-		return &Response{OK: true, Revoked: s.cfg.Registry.IsRevoked(req.ID)}
-	case OpList:
-		body, err := json.Marshal(s.cfg.Registry.Entries())
-		if err != nil {
-			return errResponse(CodeInternal, err)
-		}
-		return &Response{OK: true, Payload: body}
-	default:
-		return &Response{OK: false, Code: CodeBadRequest, Error: fmt.Sprintf("unknown op %q", req.Op)}
+func (s *Server) status(id string, _ []byte) ([]byte, error) {
+	if s.cfg.Registry.IsRevoked(id) {
+		return []byte{1}, nil
 	}
+	return []byte{0}, nil
 }
 
-func (s *Server) ibeToken(req *Request) *Response {
-	if s.cfg.IBE == nil {
-		return &Response{OK: false, Code: CodeUnsupported, Error: "IBE backend not configured"}
-	}
-	u, err := wire.UnmarshalG1(s.cfg.Pairing.Curve(), req.Payload)
+func (s *Server) list(string, []byte) ([]byte, error) {
+	body, err := json.Marshal(s.cfg.Registry.Entries())
 	if err != nil {
-		return errResponse(CodeBadRequest, err)
+		return nil, internal(err)
 	}
-	token, err := s.cfg.IBE.Token(req.ID, u)
-	if err != nil {
-		return coreError(err)
-	}
-	return &Response{OK: true, Payload: token.Bytes()}
+	return body, nil
 }
 
-func (s *Server) gdhSign(req *Request) *Response {
-	if s.cfg.GDH == nil {
-		return &Response{OK: false, Code: CodeUnsupported, Error: "GDH backend not configured"}
-	}
-	h, err := wire.UnmarshalG1(s.cfg.Pairing.Curve(), req.Payload)
-	if err != nil {
-		return errResponse(CodeBadRequest, err)
-	}
-	half, err := s.cfg.GDH.HalfSign(req.ID, h)
-	if err != nil {
-		return coreError(err)
-	}
-	return &Response{OK: true, Payload: half.Marshal()}
-}
-
-func (s *Server) rsaDecrypt(req *Request) *Response {
-	if s.cfg.RSA == nil {
-		return &Response{OK: false, Code: CodeUnsupported, Error: "RSA backend not configured"}
-	}
-	half, err := s.cfg.RSA.HalfDecryptBytes(req.ID, req.Payload)
-	if err != nil {
-		return coreError(err)
-	}
-	return &Response{OK: true, Payload: half.Bytes()} //cryptolint:public (sanctioned wire serialization edge; the half-result goes to the user by design)
-}
-
-func (s *Server) rsaSign(req *Request) *Response {
-	if s.cfg.RSA == nil {
-		return &Response{OK: false, Code: CodeUnsupported, Error: "RSA backend not configured"}
-	}
-	half, err := s.cfg.RSA.HalfSign(req.ID, req.Payload)
-	if err != nil {
-		return coreError(err)
-	}
-	return &Response{OK: true, Payload: half.Bytes()} //cryptolint:public (sanctioned wire serialization edge; the half-result goes to the user by design)
-}
-
-func (s *Server) gmDecrypt(req *Request) *Response {
-	if s.cfg.GM == nil {
-		return &Response{OK: false, Code: CodeUnsupported, Error: "GM backend not configured"}
-	}
-	cs, err := unpackInts(req.Payload)
-	if err != nil {
-		return errResponse(CodeBadRequest, err)
-	}
-	halves, err := s.cfg.GM.HalfDecrypt(req.ID, cs)
-	if err != nil {
-		return coreError(err)
-	}
-	payload, err := packInts(halves)
-	if err != nil {
-		return errResponse(CodeInternal, err)
-	}
-	return &Response{OK: true, Payload: payload}
-}
-
-func (s *Server) registerIBE(req *Request) *Response {
-	if !s.cfg.AllowRegister {
-		return &Response{OK: false, Code: CodeUnsupported, Error: "registration not enabled (AllowRegister)"}
-	}
-	if s.cfg.IBE == nil {
-		return &Response{OK: false, Code: CodeUnsupported, Error: "IBE backend not configured"}
-	}
-	if req.ID == "" {
-		return &Response{OK: false, Code: CodeBadRequest, Error: "register needs an identity"}
-	}
-	d, err := wire.UnmarshalG1(s.cfg.Pairing.Curve(), req.Payload)
-	if err != nil {
-		return errResponse(CodeBadRequest, err)
-	}
-	s.cfg.IBE.Register(&core.SEMKeyHalf{ID: req.ID, D: d})
-	return &Response{OK: true}
-}
-
-func (s *Server) registerGDH(req *Request) *Response {
-	if !s.cfg.AllowRegister {
-		return &Response{OK: false, Code: CodeUnsupported, Error: "registration not enabled (AllowRegister)"}
-	}
-	if s.cfg.GDH == nil {
-		return &Response{OK: false, Code: CodeUnsupported, Error: "GDH backend not configured"}
-	}
-	if req.ID == "" {
-		return &Response{OK: false, Code: CodeBadRequest, Error: "register needs an identity"}
-	}
-	x, err := wire.UnmarshalScalar(req.Payload, s.cfg.Pairing.Q())
-	if err != nil || x.Sign() <= 0 {
-		return &Response{OK: false, Code: CodeBadRequest, Error: "x_sem scalar outside [1, q-1]"}
-	}
-	s.cfg.GDH.Register(&core.GDHSEMKey{ID: req.ID, X: x})
-	return &Response{OK: true}
-}
-
-// coreError maps the typed errors of internal/core onto protocol codes.
-func coreError(err error) *Response {
+// checkRegister gates both enrollment ops.
+func (s *Server) checkRegister(id string, backend bool, name string) error {
 	switch {
-	case errors.Is(err, core.ErrRevoked):
-		return errResponse(CodeRevoked, err)
-	case errors.Is(err, core.ErrUnknownIdentity):
-		return errResponse(CodeUnknownIdentity, err)
-	default:
-		return errResponse(CodeBadRequest, err)
+	case !s.cfg.AllowRegister:
+		return unsupported("registration not enabled (AllowRegister)")
+	case !backend:
+		return unsupported(name + " backend not configured")
+	case id == "":
+		return badRequest("register needs an identity")
 	}
+	return nil
 }
 
-func errResponse(code ErrorCode, err error) *Response {
-	return &Response{OK: false, Code: code, Error: err.Error()}
+func (s *Server) registerIBE(id string, payload []byte) ([]byte, error) {
+	if err := s.checkRegister(id, s.cfg.IBE != nil, "IBE"); err != nil {
+		return nil, err
+	}
+	d, err := wire.UnmarshalG1(s.cfg.Pairing.Curve(), payload)
+	if err != nil {
+		return nil, err
+	}
+	s.cfg.IBE.Register(&core.SEMKeyHalf{ID: id, D: d})
+	return nil, nil
+}
+
+func (s *Server) registerGDH(id string, payload []byte) ([]byte, error) {
+	if err := s.checkRegister(id, s.cfg.GDH != nil, "GDH"); err != nil {
+		return nil, err
+	}
+	x, err := wire.UnmarshalScalar(payload, s.cfg.Pairing.Q())
+	if err != nil || x.Sign() <= 0 {
+		return nil, badRequest("x_sem scalar outside [1, q-1]")
+	}
+	s.cfg.GDH.Register(&core.GDHSEMKey{ID: id, X: x})
+	return nil, nil
 }

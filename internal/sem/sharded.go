@@ -3,14 +3,9 @@ package sem
 import (
 	"errors"
 	"fmt"
-	"math/big"
 	"sync/atomic"
 
-	"repro/internal/bf"
-	"repro/internal/bls"
 	"repro/internal/core"
-	"repro/internal/curve"
-	"repro/internal/mrsa"
 	"repro/internal/obs"
 	"repro/internal/pairing"
 	"repro/internal/parallel"
@@ -19,19 +14,23 @@ import (
 	"repro/internal/wire"
 )
 
-// ShardedClient routes SEM traffic across a fleet of shards. Identities map
-// to shards by consistent hashing (stable under fleet growth), each shard is
+// ShardedClient routes SEM traffic across a fleet of shards: the typed
+// operations of ops over a transport that picks shards. Identities map to
+// shards by consistent hashing (stable under fleet growth), each shard is
 // served by a multiplexed Pool, and per-identity ops fail over to the next
 // ring replica when a shard dies mid-request. Batches split shard-aware: one
 // sub-batch per owning shard, fanned in parallel, merged back in input order.
+// What this type adds to ops is only routing policy: the replica walk, the
+// shard-split batch, leader-routed revocation, replica-set enrollment, and
+// the all-shard Ping/ListRevoked.
 //
 // Replica failover assumes the identity's key half is enrolled on every
-// replica (Register* methods do exactly that), and that revocations reach
+// replica (the register ops do exactly that), and that revocations reach
 // every shard (Revoke/Unrevoke broadcast). Transport errors trigger
 // failover; errors the server answered (ErrRemote) never do — a revoked
 // identity stays revoked on the next replica too.
 type ShardedClient struct {
-	pp    *pairing.Params
+	ops
 	ring  *shard.Ring
 	pools map[string]*Pool
 	addrs []string //cryptolint:public (shard addresses; deployment metadata)
@@ -100,13 +99,13 @@ func NewShardedClient(addrs []string, pp *pairing.Params, cfg ShardedConfig) (*S
 	poolCfg := cfg.Pool
 	poolCfg.Metrics = cfg.Metrics
 	sc := &ShardedClient{
-		pp:    pp,
 		ring:  ring,
 		pools: make(map[string]*Pool, len(addrs)),
 		addrs: ring.Nodes(),
 		reps:  cfg.Replicas,
 		met:   newShardedMetrics(cfg.Metrics),
 	}
+	sc.ops = ops{t: sc, pp: pp}
 	for _, addr := range sc.addrs {
 		sc.pools[addr] = NewPool(addr, pp, poolCfg)
 	}
@@ -137,22 +136,40 @@ func (sc *ShardedClient) replicasFor(dst []string, id string) []string {
 	return sc.ring.Replicas(dst, id, sc.reps)
 }
 
-// callReplicated runs one per-identity op against the identity's primary
-// shard, failing over down the replica list on transport errors. Errors the
-// server answered (ErrRemote) and our own close (ErrClientClosed) return
-// immediately — retrying those elsewhere is useless or wrong.
-func (sc *ShardedClient) callReplicated(op Op, id string, payload []byte) ([]byte, error) {
+// one routes a single item (the transport contract) by what the op is:
+// revocation mutations go through the fleet's leader, enrollment to the
+// identity's whole replica set, and everything else down a replica list,
+// failing over on transport errors — the identity's ring replicas, primary
+// first, or for the identity-less replication ops just the ring's leader
+// shard (the fleet's revocation write path). Errors the server answered
+// (ErrRemote) and our own close (ErrClientClosed) return immediately —
+// retrying those elsewhere is useless or wrong.
+func (sc *ShardedClient) one(op byte, id string, payload []byte) ([]byte, error) {
 	if sc.closed.Load() {
 		return nil, ErrClientClosed
 	}
 	var scratch [4]string
-	reps := sc.replicasFor(scratch[:0], id)
+	var reps []string
+	switch op {
+	case opRevoke, opUnrevoke:
+		return nil, sc.leaderMutate(op, id, payload)
+	case opRegisterIBE, opRegisterGDH:
+		_, errs, err := sc.many(op, []string{id}, [][]byte{payload})
+		if err == nil {
+			err = errs[0]
+		}
+		return nil, err
+	case opReplStatus, opReplAppend, opReplSnapshot:
+		reps = append(scratch[:0], sc.ring.Leader())
+	default:
+		reps = sc.replicasFor(scratch[:0], id)
+	}
 	var lastErr error
 	for i, addr := range reps {
 		if i > 0 {
 			sc.met.failovers.Inc()
 		}
-		raw, err := sc.pools[addr].single(op, id, payload) //cryptolint:public (replica-walk routing on shard addresses; deployment metadata)
+		raw, err := sc.pools[addr].one(op, id, payload) //cryptolint:public (replica-walk routing on shard addresses; deployment metadata)
 		if err == nil {
 			return raw, nil
 		}
@@ -164,16 +181,13 @@ func (sc *ShardedClient) callReplicated(op Op, id string, payload []byte) ([]byt
 	return nil, fmt.Errorf("sem: all %d replicas for %q failed: %w", len(reps), id, lastErr) //cryptolint:public (identities are public protocol metadata, not key material)
 }
 
-// batchCall is the ShardedClient's raw transport (the batchCaller
-// contract): split the items by owning shard, fan one sub-batch per shard
-// in parallel, and on shard failure retry the voided slots on each item's
-// next ring replica. Register ops instead broadcast every item to its full
-// replica set (enrollment must land everywhere failover can read from).
-// Results and errs come back in input order.
-func (sc *ShardedClient) batchCall(op Op, ids []string, payloads [][]byte) ([][]byte, []error, error) {
-	if len(ids) != len(payloads) {
-		return nil, nil, fmt.Errorf("sem: batch has %d ids but %d payloads", len(ids), len(payloads))
-	}
+// many routes a batch (the transport contract): split the items by owning
+// shard, fan one sub-batch per shard in parallel, and on shard failure
+// retry the voided slots on each item's next ring replica. Register ops
+// instead broadcast every item to its full replica set (enrollment must
+// land everywhere failover can read from). Results and errs come back in
+// input order.
+func (sc *ShardedClient) many(op byte, ids []string, payloads [][]byte) ([][]byte, []error, error) {
 	if sc.closed.Load() {
 		return nil, nil, ErrClientClosed
 	}
@@ -182,7 +196,7 @@ func (sc *ShardedClient) batchCall(op Op, ids []string, payloads [][]byte) ([][]
 	if len(ids) == 0 {
 		return results, errs, nil
 	}
-	if op == OpRegisterIBE || op == OpRegisterGDH {
+	if op == opRegisterIBE || op == opRegisterGDH {
 		err := sc.broadcastRegister(op, ids, payloads, errs)
 		return results, errs, err
 	}
@@ -244,7 +258,7 @@ func (sc *ShardedClient) groupByReplica(ids []string, pending []int, attempt int
 
 // runShardBatch runs one shard's sub-batch and writes its slots of the
 // result arrays (disjoint across shards, so concurrent writers are safe).
-func (sc *ShardedClient) runShardBatch(op Op, addr string, idxs []int, ids []string, payloads [][]byte, results [][]byte, errs []error) {
+func (sc *ShardedClient) runShardBatch(op byte, addr string, idxs []int, ids []string, payloads [][]byte, results [][]byte, errs []error) {
 	sc.met.shardBatches.Inc()
 	subIDs := make([]string, len(idxs))
 	subPayloads := make([][]byte, len(idxs))
@@ -252,24 +266,17 @@ func (sc *ShardedClient) runShardBatch(op Op, addr string, idxs []int, ids []str
 		subIDs[j] = ids[i]
 		subPayloads[j] = payloads[i]
 	}
-	subResults, subErrs, err := sc.pools[addr].batchCall(op, subIDs, subPayloads) //cryptolint:public (pool lookup by shard address; deployment metadata)
+	subResults, subErrs, _ := sc.pools[addr].many(op, subIDs, subPayloads) //cryptolint:public (pool lookup by shard address; deployment metadata)
 	for j, i := range idxs {
-		switch {
-		case subResults == nil:
-			errs[i] = err
-		case subErrs[j] != nil:
-			errs[i] = subErrs[j]
-		default:
-			errs[i] = nil
-			results[i] = subResults[j]
-		}
+		// A transport failure is already stamped into every slot it voided.
+		results[i], errs[i] = subResults[j], subErrs[j]
 	}
 }
 
 // broadcastRegister enrolls every item on its full replica set: failover
 // reads from any replica, so enrollment is complete only when all of them
 // hold the key half. An item's error is its first failing replica's.
-func (sc *ShardedClient) broadcastRegister(op Op, ids []string, payloads [][]byte, errs []error) error {
+func (sc *ShardedClient) broadcastRegister(op byte, ids []string, payloads [][]byte, errs []error) error {
 	// One pass per replica rank reuses the shard-batch machinery; every
 	// rank must succeed for an item to be cleanly enrolled.
 	all := make([]int, len(ids))
@@ -296,25 +303,6 @@ func (sc *ShardedClient) broadcastRegister(op Op, ids []string, payloads [][]byt
 	for _, e := range errs {
 		if e != nil && !errors.Is(e, ErrRemote) {
 			return e
-		}
-	}
-	return nil
-}
-
-// broadcast runs one op against every shard in the fleet and returns the
-// first error (all shards must accept).
-func (sc *ShardedClient) broadcast(op Op, id string, payload []byte) error {
-	if sc.closed.Load() {
-		return ErrClientClosed
-	}
-	sc.met.broadcasts.Inc()
-	errsByShard := make([]error, len(sc.addrs))
-	parallel.Fan(len(sc.addrs), func(i int) {
-		_, errsByShard[i] = sc.pools[sc.addrs[i]].single(op, id, payload)
-	})
-	for i, err := range errsByShard {
-		if err != nil {
-			return fmt.Errorf("sem: shard %s: %w", sc.addrs[i], err)
 		}
 	}
 	return nil
@@ -375,81 +363,6 @@ func (sc *ShardedClient) ListRevoked() ([]core.RevocationEntry, error) {
 	return merged, partial
 }
 
-// IBEToken requests ê(U, d_ID,sem) from the identity's shard (with replica
-// failover).
-func (sc *ShardedClient) IBEToken(id string, u *curve.Point) (*pairing.GT, error) {
-	if sc.pp == nil {
-		return nil, errors.New("sem: sharded client has no pairing params")
-	}
-	raw, err := sc.callReplicated(OpIBEToken, id, u.Marshal())
-	if err != nil {
-		return nil, err
-	}
-	return wire.UnmarshalGT(sc.pp, raw)
-}
-
-// GDHHalfSign requests S_sem = x_sem·h from the identity's shard.
-func (sc *ShardedClient) GDHHalfSign(id string, h *curve.Point) (*curve.Point, error) {
-	if sc.pp == nil {
-		return nil, errors.New("sem: sharded client has no pairing params")
-	}
-	raw, err := sc.callReplicated(OpGDHSign, id, h.Marshal())
-	if err != nil {
-		return nil, err
-	}
-	return wire.UnmarshalG1(sc.pp.Curve(), raw)
-}
-
-// RSAHalfDecrypt requests c^{d_sem} mod n from the identity's shard.
-func (sc *ShardedClient) RSAHalfDecrypt(pub *mrsa.PublicKey, id string, ciphertext *big.Int) (*big.Int, error) {
-	raw, err := sc.callReplicated(OpRSADecrypt, id, ciphertext.Bytes()) //cryptolint:public (sanctioned wire serialization edge; the ciphertext is on the wire by design)
-	if err != nil {
-		return nil, err
-	}
-	return wire.UnmarshalScalar(raw, pub.N)
-}
-
-// DecryptIBE runs the user side of mediated-IBE decryption against the
-// fleet: request token from the owning shard, pair the user half, open.
-func (sc *ShardedClient) DecryptIBE(pub *bf.PublicParams, key *core.UserKeyHalf, ct *bf.Ciphertext) ([]byte, error) {
-	token, err := sc.IBEToken(key.ID, ct.U)
-	if err != nil {
-		return nil, err
-	}
-	return core.UserDecrypt(pub, key, ct, token)
-}
-
-// SignGDH runs the user side of mediated-GDH signing against the fleet.
-func (sc *ShardedClient) SignGDH(key *core.GDHUserKey, msg []byte) (*curve.Point, error) {
-	h, err := bls.HashMessage(key.Public.Pairing, msg)
-	if err != nil {
-		return nil, err
-	}
-	semHalf, err := sc.GDHHalfSign(key.ID, h)
-	if err != nil {
-		return nil, err
-	}
-	return core.UserSign(key, msg, semHalf)
-}
-
-// Revoke disables an identity fleet-wide. The mutation lands
-// authoritatively on the fleet's leader shard (shard.Ring.Leader — in a
-// replicated fleet that daemon sequences it, makes it durable and streams
-// it to every follower), then fans to the remaining shards as a
-// best-effort hint so even non-replicated fleets converge before the call
-// returns. A hint miss — a shard down at that moment — is counted, not
-// fatal: the leader owns the truth and catch-up replication delivers the
-// mutation when the shard returns. This replaces the pre-replication
-// broadcast, whose guarantee evaporated exactly when a shard was down.
-func (sc *ShardedClient) Revoke(id, reason string) error {
-	return sc.leaderMutate(OpRevoke, id, []byte(reason))
-}
-
-// Unrevoke restores an identity fleet-wide (leader-routed, like Revoke).
-func (sc *ShardedClient) Unrevoke(id string) error {
-	return sc.leaderMutate(OpUnrevoke, id, nil)
-}
-
 // LeaderAddr reports the shard the ring *designates* as the fleet's
 // revocation write path — where cmd/semd's -repl-leader should run. Note
 // the rebalance hazard documented on shard.Ring.Leader: after the fleet
@@ -468,7 +381,7 @@ func (sc *ShardedClient) probeLeader(skip string) string {
 			continue
 		}
 		sc.met.leaderProbes.Inc()
-		raw, err := sc.pools[addr].single(OpReplStatus, "", nil)
+		raw, err := sc.pools[addr].one(opReplStatus, "", nil)
 		if err != nil {
 			continue // down or replication-less shards simply aren't the leader
 		}
@@ -481,23 +394,26 @@ func (sc *ShardedClient) probeLeader(skip string) string {
 	return ""
 }
 
-// leaderMutate performs a revocation mutation: authoritative write on the
-// ring's leader shard (the call fails if the leader does), then a
-// synchronous best-effort hint to every other shard. When the
+// leaderMutate performs a revocation mutation (Revoke/Unrevoke) fleet-wide.
+// The mutation lands authoritatively on the fleet's leader shard
+// (shard.Ring.Leader — in a replicated fleet that daemon sequences it,
+// makes it durable and streams it to every follower; the call fails if the
+// leader does), then fans to the remaining shards as a synchronous
+// best-effort hint so even non-replicated fleets converge before the call
+// returns. A hint miss — a shard down at that moment — is counted, not
+// fatal: the leader owns the truth and catch-up replication delivers the
+// mutation when the shard returns. When the
 // ring-designated shard refuses with not_leader — a rebalance moved the
 // designation onto a daemon running as a follower (see shard.Ring.Leader)
 // — the fleet is probed for the daemon actually leading and the mutation
 // retried there, so authoritative writes survive fleet-list drift instead
 // of failing until an operator restart.
-func (sc *ShardedClient) leaderMutate(op Op, id string, payload []byte) error {
-	if sc.closed.Load() {
-		return ErrClientClosed
-	}
+func (sc *ShardedClient) leaderMutate(op byte, id string, payload []byte) error {
 	leader := sc.ring.Leader()
-	_, err := sc.pools[leader].single(op, id, payload) //cryptolint:public (leader routing on shard addresses; deployment metadata)
+	_, err := sc.pools[leader].one(op, id, payload) //cryptolint:public (leader routing on shard addresses; deployment metadata)
 	if err != nil && errors.Is(err, repl.ErrNotLeader) {
 		if actual := sc.probeLeader(leader); actual != "" {
-			if _, perr := sc.pools[actual].single(op, id, payload); perr == nil {
+			if _, perr := sc.pools[actual].one(op, id, payload); perr == nil {
 				leader, err = actual, nil
 			} else {
 				err = perr
@@ -513,7 +429,7 @@ func (sc *ShardedClient) leaderMutate(op Op, id string, payload []byte) error {
 		if addr == leader { //cryptolint:public (skip-the-leader comparison on shard addresses; deployment metadata)
 			return
 		}
-		if _, err := sc.pools[addr].single(op, id, payload); err != nil {
+		if _, err := sc.pools[addr].one(op, id, payload); err != nil {
 			// A replicated follower refuses direct mutations by design
 			// (repl.ErrNotLeader) — the leader's stream is already carrying
 			// this record there, so that refusal is not a lost hint.
@@ -523,59 +439,4 @@ func (sc *ShardedClient) leaderMutate(op Op, id string, payload []byte) error {
 		}
 	})
 	return nil
-}
-
-// Status reports whether an identity is revoked, read from its primary
-// shard (with replica failover).
-func (sc *ShardedClient) Status(id string) (bool, error) {
-	raw, err := sc.callReplicated(OpStatus, id, nil)
-	if err != nil {
-		return false, err
-	}
-	return len(raw) == 1 && raw[0] == 1, nil
-}
-
-// RegisterIBE enrolls an SEM IBE key half on every replica serving id.
-func (sc *ShardedClient) RegisterIBE(id string, d *curve.Point) error {
-	errs, err := sc.RegisterIBEBatch([]string{id}, []*curve.Point{d})
-	if err != nil {
-		return err
-	}
-	return errs[0]
-}
-
-// RegisterGDH enrolls an SEM GDH scalar half on every replica serving id.
-func (sc *ShardedClient) RegisterGDH(id string, x *big.Int) error {
-	errs, err := sc.RegisterGDHBatch([]string{id}, []*big.Int{x})
-	if err != nil {
-		return err
-	}
-	return errs[0]
-}
-
-// TokenBatch requests k tokens, shard-split (see Client.TokenBatch for the
-// result contract).
-func (sc *ShardedClient) TokenBatch(ids []string, us []*curve.Point) ([]*pairing.GT, []error, error) {
-	return tokenBatch(sc, sc.pp, ids, us)
-}
-
-// GDHHalfSignBatch requests k half-signatures, shard-split.
-func (sc *ShardedClient) GDHHalfSignBatch(ids []string, hs []*curve.Point) ([]*curve.Point, []error, error) {
-	return gdhHalfSignBatch(sc, sc.pp, ids, hs)
-}
-
-// RSAHalfDecryptBatch requests k half-decryptions, shard-split.
-func (sc *ShardedClient) RSAHalfDecryptBatch(pub *mrsa.PublicKey, ids []string, cts []*big.Int) ([]*big.Int, []error, error) {
-	return rsaHalfDecryptBatch(sc, pub, ids, cts)
-}
-
-// RegisterIBEBatch bulk-enrolls SEM IBE halves across the fleet (every
-// replica of every id).
-func (sc *ShardedClient) RegisterIBEBatch(ids []string, ds []*curve.Point) ([]error, error) {
-	return registerIBEBatch(sc, ids, ds)
-}
-
-// RegisterGDHBatch bulk-enrolls SEM GDH halves across the fleet.
-func (sc *ShardedClient) RegisterGDHBatch(ids []string, xs []*big.Int) ([]error, error) {
-	return registerGDHBatch(sc, ids, xs)
 }

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/pairing"
+	"repro/internal/wire"
 )
 
 // ibeFixture spins up a SEM daemon with only the IBE backend — the token
@@ -138,8 +139,12 @@ func TestConcurrentTokenStress(t *testing.T) {
 		t.Fatalf("cache holds %d programs, want %d", got, nIdentities)
 	}
 	st := f.ibe.PairerCacheStats()
-	// Every request beyond the first per identity should have hit.
-	if want := uint64(nConns*nRequests - nIdentities); st.Hits < want {
+	// Every request beyond a connection's first should have hit. (Not
+	// "beyond the first per identity": connections sharing an identity can
+	// both miss on their first request — Token does Get → build → Add with
+	// no build-once step — which made the tighter bound fail one run in
+	// five.)
+	if want := uint64(nConns*nRequests - nConns); st.Hits < want {
 		t.Fatalf("stats = %+v, want ≥%d hits", st, want)
 	}
 }
@@ -190,35 +195,37 @@ func TestPipelinedFramesAnsweredInOrder(t *testing.T) {
 	f := newIBEOnlyFixture(t, 0)
 	f.reg.Revoke("revoked@example.com", "pattern bit")
 
-	conn, err := net.Dial("tcp", f.addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
+	conn, _, _ := rawConn(t, f.addr, wire.V2Version)
 	_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
 
 	// Frame i asks for the revocation status of an identity whose status
 	// encodes i's parity, so a reordered response is detectable.
 	const n = 32
+	var enc wire.FrameEncoder
 	for i := 0; i < n; i++ {
 		id := "fine@example.com"
 		if i%2 == 1 {
 			id = "revoked@example.com"
 		}
-		if _, err := writeFrame(conn, &Request{Op: OpStatus, ID: id}, 0); err != nil {
+		frame, err := enc.EncodeRequest(opStatus, []wire.ReqItem{{ID: []byte(id)}}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(frame); err != nil {
 			t.Fatal(err)
 		}
 	}
+	var dec wire.FrameDecoder
 	for i := 0; i < n; i++ {
-		var resp Response
-		if _, err := readFrame(conn, &resp, 0); err != nil {
+		op, items, _, err := dec.ReadResponse(conn, 0, 0)
+		if err != nil {
 			t.Fatalf("response %d: %v", i, err)
 		}
-		if !resp.OK {
-			t.Fatalf("response %d: %+v", i, resp)
+		if op != opStatus || len(items) != 1 || items[0].Status != statusOK || len(items[0].Data) != 1 {
+			t.Fatalf("response %d: op=%d items=%+v", i, op, items)
 		}
-		if want := i%2 == 1; resp.Revoked != want {
-			t.Fatalf("response %d out of order: revoked=%v, want %v", i, resp.Revoked, want)
+		if want := i%2 == 1; (items[0].Data[0] == 1) != want {
+			t.Fatalf("response %d out of order: revoked=%v, want %v", i, items[0].Data[0] == 1, want)
 		}
 	}
 }

@@ -1,6 +1,7 @@
-// V2 binary framing.
+// V2 binary framing: the SEM protocol's only framing.
 //
-// The v1 framing of this package (4-byte length + JSON body) spends a JSON
+// The JSON framing of this package (wire.go: 4-byte length + JSON body,
+// still spoken by internal/cluster's share protocol) spends a JSON
 // marshal, a base64 expansion and several transient buffers on every
 // protocol operation — acceptable for admin traffic, hostile to a mediator
 // that serves a pairing-bound token per request. The v2 framing replaces
@@ -18,10 +19,10 @@
 //	magic "SEM2" (4 bytes) | version (1 byte) |
 //	maxBatch (2 bytes BE)  | maxFrame (4 bytes BE)
 //
-// The magic's first byte 'S' (0x53) can never open a v1 frame: v1 frames
-// are length-prefixed and capped well below 2^24, so their first byte is
-// always 0x00. A server sniffs one byte and serves both protocol versions
-// on the same listener.
+// The magic's first byte 'S' (0x53) can never open a JSON frame: those are
+// length-prefixed and capped well below 2^24, so their first byte is always
+// 0x00. One byte therefore tells a SEM server that a peer is not speaking
+// this protocol, and it closes the connection.
 //
 // Frame layout (both directions):
 //
@@ -51,9 +52,9 @@ const V2Version = 2
 // v2Magic opens every v2 connection preamble and acknowledgement.
 var v2Magic = [4]byte{'S', 'E', 'M', '2'}
 
-// V2MagicByte is the first byte of the v2 preamble, used by servers to
-// sniff the protocol version of an incoming connection (v1 frames always
-// start with 0x00).
+// V2MagicByte is the first byte of the v2 preamble; a server refuses a
+// connection that opens with anything else (a length-prefixed JSON frame
+// always starts with 0x00).
 const V2MagicByte = byte('S')
 
 // V2 frame geometry.
@@ -65,8 +66,8 @@ const (
 	v2HelloLen    = 5     // magic + version
 	v2AckLen      = 4 + 1 + 2 + 4
 	v2MaxIDLen    = 0xFFFF // idLen is a uint16
-	// V2MaxFrame caps any negotiable frame limit: the length prefix must
-	// keep its top byte zero so v1/v2 sniffing stays unambiguous.
+	// V2MaxFrame caps any negotiable frame limit: the length prefix keeps
+	// its top byte zero, so no frame can be mistaken for a preamble.
 	V2MaxFrame = 1<<24 - 1
 	// V2MaxBatch caps any negotiable batch limit (count is a uint16).
 	V2MaxBatch = 0xFFFF
@@ -112,7 +113,7 @@ func WriteV2Hello(w io.Writer, version byte) error {
 }
 
 // ReadV2HelloTail completes a preamble whose first byte the server already
-// consumed while sniffing the protocol version: it reads and validates the
+// consumed (and matched against V2MagicByte): it reads and validates the
 // remaining magic bytes and returns the announced version.
 func ReadV2HelloTail(r io.Reader) (version byte, err error) {
 	var buf [v2HelloLen - 1]byte
@@ -186,6 +187,17 @@ func (e *FrameEncoder) grow(n int) []byte {
 	return e.buf
 }
 
+// RequestBodySize is the body length of the request frame carrying items —
+// what EncodeRequest holds against maxFrame, exposed so a sender merging
+// requests into one frame can stop before the negotiated cap.
+func RequestBodySize(items []ReqItem) int {
+	body := v2BodyHdrLen
+	for i := range items {
+		body += v2ReqItemHdr + len(items[i].ID) + len(items[i].Payload)
+	}
+	return body
+}
+
 // EncodeRequest encodes op plus its batch of items and returns the
 // complete frame, rejecting frames beyond maxFrame body bytes. maxFrame
 // ≤ 0 selects the package default MaxFrame.
@@ -196,13 +208,12 @@ func (e *FrameEncoder) EncodeRequest(op byte, items []ReqItem, maxFrame int) ([]
 	if len(items) > V2MaxBatch {
 		return nil, ErrBatchTooLarge
 	}
-	body := v2BodyHdrLen
 	for i := range items {
 		if len(items[i].ID) > v2MaxIDLen {
 			return nil, fmt.Errorf("%w: item %d identity is %d bytes (limit %d)", ErrProtocol, i, len(items[i].ID), v2MaxIDLen)
 		}
-		body += v2ReqItemHdr + len(items[i].ID) + len(items[i].Payload)
 	}
+	body := RequestBodySize(items)
 	if body > maxFrame {
 		return nil, ErrFrameTooLarge
 	}

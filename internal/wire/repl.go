@@ -90,7 +90,6 @@ type ReplEntry struct {
 const (
 	replRecordFixed = 8 + 8 + 1 + 2 + 2 + 8 // epoch, seq, op, idLen, reasonLen, when
 	replEntryFixed  = 2 + 2 + 8
-	replStatusLenV1 = 8 + 8     // epoch, lastSeq (pre-leader-flag encoders)
 	replStatusLen   = 8 + 8 + 1 // epoch, lastSeq, leader flag
 	replChunkHdrLen = 8 + 8 + 4 + 4 + 4 + 4
 )
@@ -196,21 +195,16 @@ func PackReplStatus(st ReplStatus) []byte {
 	return buf
 }
 
-// ParseReplStatus decodes a status payload. The 16-byte form written by
-// pre-leader-flag encoders is accepted with Leader false, so a mixed-
-// version fleet keeps replicating during a rolling upgrade.
+// ParseReplStatus decodes a status payload.
 func ParseReplStatus(data []byte) (ReplStatus, error) {
-	if len(data) != replStatusLen && len(data) != replStatusLenV1 {
-		return ReplStatus{}, fmt.Errorf("%w: replication status is %d bytes, want %d or %d", ErrProtocol, len(data), replStatusLen, replStatusLenV1)
+	if len(data) != replStatusLen {
+		return ReplStatus{}, fmt.Errorf("%w: replication status is %d bytes, want %d", ErrProtocol, len(data), replStatusLen)
 	}
-	st := ReplStatus{
+	return ReplStatus{
 		Epoch:   binary.BigEndian.Uint64(data[0:8]),
 		LastSeq: binary.BigEndian.Uint64(data[8:16]),
-	}
-	if len(data) == replStatusLen {
-		st.Leader = data[16] == 1
-	}
-	return st, nil
+		Leader:  data[16] == 1,
+	}, nil
 }
 
 // MarshalReplSnapshotChunk encodes one snapshot chunk.

@@ -84,16 +84,9 @@ func TestReplStatusRoundTrip(t *testing.T) {
 			t.Errorf("status = %+v, want %+v", got, st)
 		}
 	}
-	// The 16-byte pre-leader-flag form still parses (Leader false), so a
-	// mixed-version fleet keeps replicating through a rolling upgrade.
-	legacy, err := ParseReplStatus(PackReplStatus(ReplStatus{Epoch: 2, LastSeq: 9})[:16])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacy.Leader || legacy.Epoch != 2 || legacy.LastSeq != 9 {
-		t.Errorf("legacy status = %+v, want epoch 2, seq 9, leader false", legacy)
-	}
-	for _, n := range []int{0, 15, 18} {
+	// Exactly one encoding exists: the 16-byte form without the leader flag
+	// is refused like any other wrong length.
+	for _, n := range []int{0, 15, 16, 18} {
 		if _, err := ParseReplStatus(make([]byte, n)); !errors.Is(err, ErrProtocol) {
 			t.Errorf("%d-byte status: err = %v, want ErrProtocol", n, err)
 		}
