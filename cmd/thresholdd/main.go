@@ -168,6 +168,7 @@ func recombine(params *core.ThresholdParams, id, players string, metrics *obs.Re
 	if err != nil {
 		return err
 	}
+	defer func() { _ = rec.Close() }()
 	rec.Instrument(metrics)
 	raw, err := io.ReadAll(stdin)
 	if err != nil {

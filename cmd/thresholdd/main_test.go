@@ -207,8 +207,8 @@ func TestThresholdDebugEndpoint(t *testing.T) {
 	}
 	out := string(body)
 	for _, want := range []string{
-		`player_share_requests_total{player="1"} 1`,
-		`player_share_seconds_count{player="1"} 1`,
+		`sem_requests_total{op="threshold_share"} 1`,
+		`sem_service_seconds_count{op="threshold_share"} 1`,
 		`curve_hash_to_point_total `,
 	} {
 		if !strings.Contains(out, want) {

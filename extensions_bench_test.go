@@ -239,6 +239,7 @@ func BenchmarkCluster(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	defer func() { _ = rec.Close() }()
 	msg := make([]byte, 32)
 	ct, err := params.Public.EncryptBasic(rand.Reader, "bench@example.com", msg)
 	if err != nil {

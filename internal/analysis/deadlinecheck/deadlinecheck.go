@@ -3,11 +3,12 @@
 // set offers SetReadDeadline) must be preceded, in the function that owns
 // the connection, by a SetDeadline/SetReadDeadline/SetWriteDeadline call
 // on the same connection. A slow or stalled peer must cost a bounded
-// amount of server time; an undeadlined ReadFrame parks a goroutine
+// amount of server time; an undeadlined frame read parks a goroutine
 // forever.
 //
 // I/O rarely happens on the conn directly — the serving stack funnels
-// through wire.ReadFrame/WriteFrame, which take io.Reader/io.Writer. The
+// through wire's FrameDecoder.ReadRequest/ReadResponse and handshake
+// helpers, which take io.Reader/io.Writer. The
 // analyzer therefore classifies module functions interprocedurally: a
 // function performs I/O on a parameter if it calls Read/Write on it, hands
 // it to an io/binary primitive (io.ReadFull, io.Copy, ...), or passes it
@@ -129,7 +130,7 @@ func ioEvents(info *types.Info, body *ast.BlockStmt, cls *classification) []even
 			return true
 		}
 		if byName, ok := ioPrimitives[fn.Pkg().Path()]; ok {
-			// No conn-likeness filter here: inside wire.ReadFrame the stream
+			// No conn-likeness filter here: inside wire's frame readers the stream
 			// is a plain io.Reader, and the event must still propagate to the
 			// caller holding the conn. Reporting filters by type.
 			for _, i := range byName[fn.Name()] {

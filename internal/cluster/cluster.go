@@ -5,7 +5,11 @@
 // recombines any t acceptable ones — tolerating unreachable and byzantine
 // players exactly as the paper's recombiner is meant to.
 //
-// Wire format: the shared length-prefixed JSON framing of internal/wire.
+// The package owns only what is threshold-specific: the fan-out to n
+// players, the per-share NIZK check, the quorum/reject bookkeeping and the
+// recombination. Shares travel as the threshold_share op of internal/sem:
+// a player is a sem.Server with the threshold backend, the recombiner
+// holds one sem.Pool per player.
 package cluster
 
 import (
@@ -14,463 +18,129 @@ import (
 	"net"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/bf"
 	"repro/internal/core"
 	"repro/internal/curve"
 	"repro/internal/obs"
-	"repro/internal/wire"
+	"repro/internal/sem"
 )
 
 var (
 	// ErrUnknownIdentity is returned when a player holds no key share for
-	// the identity.
-	ErrUnknownIdentity = errors.New("cluster: unknown identity")
+	// the identity. It is core's sentinel, which the share protocol carries
+	// as a typed status, so errors.Is matches it on both ends of the wire.
+	ErrUnknownIdentity = core.ErrUnknownIdentity
 
 	// ErrNotEnoughShares is returned when fewer than t usable shares could
 	// be collected.
 	ErrNotEnoughShares = errors.New("cluster: not enough valid shares")
 )
 
-// request is one recombiner → player message.
-type request struct {
-	Op string   `json:"op"` // "share" | "shares" | "ping"
-	ID string   `json:"id,omitempty"`
-	U  []byte   `json:"u,omitempty"`  // compressed ciphertext point ("share")
-	Us [][]byte `json:"us,omitempty"` // batched ciphertext points ("shares")
-}
-
-// proofWire serializes a core.ShareProof.
-type proofWire struct {
-	W1 []byte `json:"w1"`
-	W2 []byte `json:"w2"`
-	E  []byte `json:"e"`
-	V  []byte `json:"v"`
-}
-
-// response is one player → recombiner message.
-type response struct {
-	OK     bool        `json:"ok"`
-	Error  string      `json:"error,omitempty"`
-	Index  int         `json:"index,omitempty"`
-	G      []byte      `json:"g,omitempty"`
-	Proof  *proofWire  `json:"proof,omitempty"`
-	Shares []shareItem `json:"shares,omitempty"` // batched "shares" results
-}
-
-// PlayerServer is one decryption server of the cluster. Safe for
-// concurrent use.
+// PlayerServer is one decryption server of the cluster: the player's key
+// shares (Install, SetMisbehaviour — see core.ThresholdPlayer) served by a
+// sem.Server. Safe for concurrent use.
 type PlayerServer struct {
-	params *core.ThresholdParams
-	index  int
+	*core.ThresholdPlayer
+	params  *core.ThresholdParams
+	metrics *obs.Registry
 
-	keysMu sync.RWMutex
-	keys   map[string]*core.KeyShare
-
-	mu     sync.Mutex
-	ln     net.Listener
-	conns  map[net.Conn]struct{}
-	closed bool
-	wg     sync.WaitGroup
-
-	// ioTimeout bounds each frame read (doubling as the per-connection idle
-	// limit) and each response write, so a hung or glacial peer cannot pin
-	// a handler goroutine forever.
-	ioTimeout time.Duration
-
-	// misbehave, when set, corrupts outgoing shares — the test hook for
-	// byzantine behaviour.
-	misbehave func(*core.DecryptionShare) *core.DecryptionShare
-
-	shareRequests *obs.Counter   // player_share_requests_total
-	shareErrors   *obs.Counter   // player_share_errors_total
-	shareTime     *obs.Histogram // player_share_seconds
+	once sync.Once
+	srv  *sem.Server
+	err  error
 }
-
-// Instrument registers the player's serving metrics with reg: share
-// request/error counters, the share service-time histogram (the
-// pairing-with-proof computation thresholdd spends its CPU on) and the curve
-// kernel counters — curve_hash_to_point_total staying flat while share
-// requests climb is the visible form of "per-identity constants are computed
-// at Install". Call before Serve.
-func (p *PlayerServer) Instrument(reg *obs.Registry) {
-	l := obs.Label{Key: "player", Value: strconv.Itoa(p.index)}
-	p.shareRequests = reg.Counter("player_share_requests_total", "decryption-share requests received", l)
-	p.shareErrors = reg.Counter("player_share_errors_total", "share requests answered with an error", l)
-	p.shareTime = reg.Histogram("player_share_seconds", "share computation time (incl. proof)", l)
-	if reg != nil { // a nil registry would unhook the shared MSM latency histogram
-		curve.RegisterMSMMetrics(reg)
-	}
-}
-
-// defaultIOTimeout is the per-frame read/write deadline a player server
-// applies to every connection.
-const defaultIOTimeout = 2 * time.Minute
 
 // NewPlayerServer creates player index's server.
 func NewPlayerServer(params *core.ThresholdParams, index int) (*PlayerServer, error) {
-	if index < 1 || index > params.N {
-		return nil, fmt.Errorf("cluster: player index %d out of 1..%d", index, params.N)
+	player, err := core.NewThresholdPlayer(params, index)
+	if err != nil {
+		return nil, err
 	}
-	return &PlayerServer{
-		params:    params,
-		index:     index,
-		keys:      make(map[string]*core.KeyShare),
-		conns:     make(map[net.Conn]struct{}),
-		ioTimeout: defaultIOTimeout,
-	}, nil
+	return &PlayerServer{ThresholdPlayer: player, params: params}, nil
 }
 
-// Install registers the player's key share for an identity (after
-// verifying it, as the paper's Keygen demands).
-func (p *PlayerServer) Install(share *core.KeyShare) error {
-	if share.Index != p.index {
-		return fmt.Errorf("cluster: share for player %d installed on player %d", share.Index, p.index)
-	}
-	if err := p.params.VerifyKeyShare(share); err != nil {
-		return fmt.Errorf("cluster: refusing bad key share: %w", err)
-	}
-	p.keysMu.Lock()
-	defer p.keysMu.Unlock()
-	p.keys[share.ID] = share
-	return nil
+// Instrument exports the player's serving metrics through reg: the sem_*
+// series (op="threshold_share" counts and times the share-with-proof
+// computation) and the curve kernel counters — curve_hash_to_point_total
+// staying flat while share requests climb is the visible form of
+// "per-identity constants are computed at Install". Call before Serve.
+func (p *PlayerServer) Instrument(reg *obs.Registry) { p.metrics = reg }
+
+// server returns the sem.Server behind the player, built on the first Serve
+// or Close so that Instrument can come before it.
+func (p *PlayerServer) server() (*sem.Server, error) {
+	p.once.Do(func() {
+		p.srv, p.err = sem.NewServer(sem.Config{
+			Registry:  core.NewRegistry(),
+			Threshold: p.ThresholdPlayer,
+			Pairing:   p.params.Public.Pairing,
+			Metrics:   p.metrics,
+		})
+	})
+	return p.srv, p.err
 }
 
-// SetMisbehaviour installs a share-corrupting hook (tests only).
-func (p *PlayerServer) SetMisbehaviour(f func(*core.DecryptionShare) *core.DecryptionShare) {
-	p.misbehave = f
-}
-
-// Serve accepts connections until Close.
+// Serve answers share requests on ln until Close.
 func (p *PlayerServer) Serve(ln net.Listener) error {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return errors.New("cluster: player server is closed")
+	srv, err := p.server()
+	if err != nil {
+		return err
 	}
-	p.ln = ln
-	p.mu.Unlock()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			p.mu.Lock()
-			closed := p.closed
-			p.mu.Unlock()
-			if closed {
-				return nil
-			}
-			return fmt.Errorf("cluster accept: %w", err)
-		}
-		p.mu.Lock()
-		if p.closed {
-			p.mu.Unlock()
-			_ = conn.Close()
-			return nil
-		}
-		p.conns[conn] = struct{}{}
-		p.wg.Add(1)
-		p.mu.Unlock()
-		go func() {
-			defer p.wg.Done()
-			p.handle(conn)
-		}()
-	}
+	return srv.Serve(ln)
 }
 
-// Addr returns the bound address once serving.
-func (p *PlayerServer) Addr() net.Addr {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.ln == nil {
-		return nil
-	}
-	return p.ln.Addr()
-}
-
-// Close stops the server and drains handlers.
+// Close stops the server and drains its handlers. A later Serve fails.
 func (p *PlayerServer) Close() error {
-	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return nil
-	}
-	p.closed = true
-	ln := p.ln
-	for c := range p.conns {
-		_ = c.Close()
-	}
-	p.mu.Unlock()
-	var err error
-	if ln != nil {
-		err = ln.Close()
-	}
-	p.wg.Wait()
-	return err
-}
-
-func (p *PlayerServer) handle(conn net.Conn) {
-	defer func() {
-		_ = conn.Close()
-		p.mu.Lock()
-		delete(p.conns, conn)
-		p.mu.Unlock()
-	}()
-	for {
-		var req request
-		_ = conn.SetReadDeadline(time.Now().Add(p.ioTimeout))
-		if _, err := wire.ReadFrame(conn, &req); err != nil {
-			return
-		}
-		resp := p.dispatch(&req)
-		_ = conn.SetWriteDeadline(time.Now().Add(p.ioTimeout))
-		if _, err := wire.WriteFrame(conn, resp); err != nil {
-			return
-		}
-	}
-}
-
-func (p *PlayerServer) dispatch(req *request) *response {
-	switch req.Op {
-	case "ping":
-		return &response{OK: true, Index: p.index}
-	case "share":
-		p.shareRequests.Inc()
-		start := time.Now()
-		resp := p.shareResponse(req)
-		p.shareTime.Observe(time.Since(start))
-		if !resp.OK {
-			p.shareErrors.Inc()
-		}
-		return resp
-	case "shares":
-		p.shareRequests.Add(uint64(len(req.Us)))
-		start := time.Now()
-		resp := p.sharesResponse(req)
-		p.shareTime.Observe(time.Since(start))
-		if !resp.OK {
-			p.shareErrors.Inc()
-		}
-		return resp
-	default:
-		return &response{OK: false, Error: fmt.Sprintf("unknown op %q", req.Op)}
-	}
-}
-
-func (p *PlayerServer) shareResponse(req *request) *response {
-	p.keysMu.RLock()
-	key, ok := p.keys[req.ID]
-	p.keysMu.RUnlock()
-	if !ok {
-		return &response{OK: false, Error: ErrUnknownIdentity.Error()}
-	}
-	u, err := wire.UnmarshalG1(p.params.Public.Pairing.Curve(), req.U)
+	srv, err := p.server()
 	if err != nil {
-		return &response{OK: false, Error: "bad ciphertext point: " + err.Error()}
+		return err
 	}
-	ds, err := p.params.ComputeShareWithProof(nil, key, u)
-	if err != nil {
-		return &response{OK: false, Error: err.Error()}
-	}
-	if p.misbehave != nil {
-		ds = p.misbehave(ds)
-	}
-	return &response{
-		OK:    true,
-		Index: ds.Index,
-		G:     ds.G.Bytes(), //cryptolint:public (sanctioned wire serialization edge; the share goes to the recombiner by design)
-		Proof: &proofWire{
-			W1: ds.Proof.W1.Bytes(), //cryptolint:public (the NIZK proof is public by construction)
-			W2: ds.Proof.W2.Bytes(), //cryptolint:public (the NIZK proof is public by construction)
-			E:  ds.Proof.E.Bytes(),  //cryptolint:public (the NIZK proof is public by construction)
-			V:  ds.Proof.V.Marshal(),
-		},
-	}
+	return srv.Close()
 }
 
 // Recombiner is the designated-player client: it collects, verifies and
-// combines decryption shares from the player servers. Connections to
-// players persist across decryptions in a small per-player pool, so a
-// steady stream of threshold decryptions pays the TCP handshake once per
-// player instead of once per operation.
+// combines decryption shares from the player servers, over one sem.Pool
+// per deployed player — persistent multiplexed connections, so a steady
+// stream of threshold decryptions pays the TCP handshake once per player
+// and concurrent decryptions share frames.
 type Recombiner struct {
 	params *core.ThresholdParams
-	// addrs[i-1] is player i's address ("" = player not deployed).
+	// addrs[i-1] is player i's address ("" = player not deployed), and
+	// pools[i-1] the pool that reaches it (nil likewise).
 	addrs   []string
+	pools   []*sem.Pool
 	timeout time.Duration
 	met     *recombinerMetrics
-	pool    *connPool
+	closed  atomic.Bool
 }
 
-// connPool caches idle player connections keyed by address. Players close
-// idle peers after their IOTimeout, so a cached connection may be stale —
-// the round-trip path absorbs that with one fresh-dial retry.
-type connPool struct {
-	mu      sync.Mutex
-	idle    map[string][]net.Conn
-	closed  bool
-	maxIdle int // per address
-}
-
-// maxIdlePerPlayer bounds cached connections per player: one decryption fan
-// uses one connection per player, so anything beyond a couple only covers
-// concurrent Decrypt callers.
-const maxIdlePerPlayer = 2
-
-func newConnPool() *connPool {
-	return &connPool{idle: make(map[string][]net.Conn), maxIdle: maxIdlePerPlayer}
-}
-
-// get pops an idle connection for addr, or nil when the caller must dial.
-func (cp *connPool) get(addr string) net.Conn {
-	cp.mu.Lock()
-	defer cp.mu.Unlock()
-	conns := cp.idle[addr]
-	if len(conns) == 0 {
-		return nil
-	}
-	c := conns[len(conns)-1]
-	cp.idle[addr] = conns[:len(conns)-1]
-	return c
-}
-
-// put returns a healthy connection to the pool (closing it instead when the
-// pool is full or closed).
-func (cp *connPool) put(addr string, c net.Conn) {
-	cp.mu.Lock()
-	if cp.closed || len(cp.idle[addr]) >= cp.maxIdle {
-		cp.mu.Unlock()
-		_ = c.Close()
-		return
-	}
-	cp.idle[addr] = append(cp.idle[addr], c)
-	cp.mu.Unlock()
-}
-
-// size reports the total idle connections (for the cluster_pool_idle gauge).
-func (cp *connPool) size() int64 {
-	cp.mu.Lock()
-	defer cp.mu.Unlock()
-	n := 0
-	for _, conns := range cp.idle {
-		n += len(conns)
-	}
-	return int64(n)
-}
-
-// closeAll closes every idle connection and refuses further caching.
-func (cp *connPool) closeAll() {
-	cp.mu.Lock()
-	defer cp.mu.Unlock()
-	cp.closed = true
-	for addr, conns := range cp.idle {
-		for _, c := range conns {
-			_ = c.Close()
-		}
-		delete(cp.idle, addr)
-	}
-}
+// playerConns is the pool size per player. One multiplexed connection
+// carries every concurrent decryption's request (merged into shared
+// frames), and with no second connection to go stale beside it, the pool's
+// one replay after a transport failure always lands on a fresh dial — a
+// restarted player costs no rejected share.
+const playerConns = 1
 
 // recombinerMetrics instruments the fan-out path: where a threshold
 // decryption actually spends its time (per-shareholder network+verify
 // latency, and the quorum wait that bounds the whole operation) and which
-// players are feeding the recombiner garbage.
+// players are feeding the recombiner garbage. The connections' own series
+// are the pools' sempool_* and semclient_*.
 type recombinerMetrics struct {
 	fetch      []*obs.Histogram // cluster_fetch_seconds{player=...}, index i-1
 	verifyFail *obs.Counter     // cluster_verify_failures_total
 	quorumWait *obs.Histogram   // cluster_quorum_wait_seconds
 	decrypts   *obs.Counter     // cluster_decrypts_total
 	rejected   *obs.Counter     // cluster_rejected_shares_total
-	poolDials  *obs.Counter     // cluster_pool_dials_total
-	poolReuses *obs.Counter     // cluster_pool_reuses_total
-	poolRetry  *obs.Counter     // cluster_pool_stale_retries_total
 }
 
-// Instrument registers the recombiner's series with reg: one
-// cluster_fetch_seconds histogram per player (fetch + NIZK verify, the
-// unit of the overlap the Decrypt pipeline exploits), the NIZK
-// verification failure counter, and the quorum wait histogram (time until
-// every player resolved — the paper's recombiner cannot finish earlier).
-// Call before Decrypt; safe to skip entirely.
-func (r *Recombiner) Instrument(reg *obs.Registry) {
-	m := &recombinerMetrics{
-		fetch:      make([]*obs.Histogram, r.params.N),
-		verifyFail: reg.Counter("cluster_verify_failures_total", "decryption shares rejected by the NIZK robustness check"),
-		quorumWait: reg.Histogram("cluster_quorum_wait_seconds", "time from fan-out until all player fetches resolved"),
-		decrypts:   reg.Counter("cluster_decrypts_total", "threshold decryptions attempted"),
-		rejected:   reg.Counter("cluster_rejected_shares_total", "player responses rejected (unreachable, malformed or failing verification)"),
-		poolDials:  reg.Counter("cluster_pool_dials_total", "player connections dialed by the recombiner"),
-		poolReuses: reg.Counter("cluster_pool_reuses_total", "share fetches served over a pooled player connection"),
-		poolRetry:  reg.Counter("cluster_pool_stale_retries_total", "fetches replayed on a fresh dial after a pooled connection went stale"),
-	}
-	for i := 1; i <= r.params.N; i++ {
-		m.fetch[i-1] = reg.Histogram("cluster_fetch_seconds", "per-player share fetch + proof verification time",
-			obs.Label{Key: "player", Value: strconv.Itoa(i)})
-	}
-	reg.GaugeFunc("cluster_pool_idle", "idle pooled player connections", r.pool.size)
-	r.met = m
-}
-
-// The recording helpers are nil-safe so an uninstrumented recombiner pays
-// nothing but the receiver check.
-
-func (m *recombinerMetrics) decryptStarted() {
-	if m == nil {
-		return
-	}
-	m.decrypts.Inc()
-}
-
-func (m *recombinerMetrics) verifyFailed() {
-	if m == nil {
-		return
-	}
-	m.verifyFail.Inc()
-}
-
-func (m *recombinerMetrics) observeFetch(player int, d time.Duration) {
-	if m == nil {
-		return
-	}
-	m.fetch[player-1].Observe(d)
-}
-
-func (m *recombinerMetrics) observeQuorumWait(d time.Duration) {
-	if m == nil {
-		return
-	}
-	m.quorumWait.Observe(d)
-}
-
-func (m *recombinerMetrics) shareRejected() {
-	if m == nil {
-		return
-	}
-	m.rejected.Inc()
-}
-
-func (m *recombinerMetrics) pooledDial() {
-	if m == nil {
-		return
-	}
-	m.poolDials.Inc()
-}
-
-func (m *recombinerMetrics) pooledReuse() {
-	if m == nil {
-		return
-	}
-	m.poolReuses.Inc()
-}
-
-func (m *recombinerMetrics) pooledStaleRetry() {
-	if m == nil {
-		return
-	}
-	m.poolRetry.Inc()
-}
-
-// NewRecombiner binds a recombiner to the cluster topology.
+// NewRecombiner binds a recombiner to the cluster topology: addrs[i-1] is
+// player i's address ("" = not deployed). timeout bounds each dial and
+// each wait for a player's answer; a player that fails in transport is
+// retried once on a fresh connection, so an unresponsive one holds a
+// decryption for at most twice the timeout before it is rejected.
 func NewRecombiner(params *core.ThresholdParams, addrs []string, timeout time.Duration) (*Recombiner, error) {
 	if len(addrs) != params.N {
 		return nil, fmt.Errorf("cluster: %d addresses for n=%d players", len(addrs), params.N)
@@ -478,187 +148,165 @@ func NewRecombiner(params *core.ThresholdParams, addrs []string, timeout time.Du
 	if timeout <= 0 {
 		timeout = 5 * time.Second
 	}
-	return &Recombiner{params: params, addrs: addrs, timeout: timeout, pool: newConnPool()}, nil
+	r := &Recombiner{params: params, addrs: addrs, timeout: timeout, pools: make([]*sem.Pool, params.N)}
+	r.Instrument(nil)
+	return r, nil
 }
 
-// Close releases the recombiner's pooled player connections. The
-// recombiner stays usable — subsequent decryptions dial fresh.
+// Instrument registers the recombiner's series with reg: one
+// cluster_fetch_seconds histogram per player (fetch + NIZK verify, the
+// unit of the overlap the fan exploits), the NIZK verification failure
+// counter, the quorum wait histogram (time until every player resolved —
+// the paper's recombiner cannot finish earlier), and the player pools'
+// sempool_* / semclient_* series — which is why it builds the pools (they
+// dial on first use). A nil reg keeps every series live but unexported.
+// Call before the first decryption; safe to skip entirely.
+func (r *Recombiner) Instrument(reg *obs.Registry) {
+	for i, addr := range r.addrs {
+		if r.pools[i] != nil {
+			_ = r.pools[i].Close()
+		}
+		if addr != "" { //cryptolint:public (the player's network address, not key material)
+			r.pools[i] = sem.NewPool(addr, r.params.Public.Pairing, sem.PoolConfig{
+				Size: playerConns, DialTimeout: r.timeout, OpTimeout: r.timeout, Metrics: reg,
+			})
+		}
+	}
+	m := &recombinerMetrics{
+		fetch:      make([]*obs.Histogram, r.params.N),
+		verifyFail: reg.Counter("cluster_verify_failures_total", "decryption shares rejected by the NIZK robustness check"),
+		quorumWait: reg.Histogram("cluster_quorum_wait_seconds", "time from fan-out until all player fetches resolved"),
+		decrypts:   reg.Counter("cluster_decrypts_total", "threshold decryptions attempted"),
+		rejected:   reg.Counter("cluster_rejected_shares_total", "player responses rejected (unreachable, malformed or failing verification)"),
+	}
+	for i := range m.fetch {
+		m.fetch[i] = reg.Histogram("cluster_fetch_seconds", "per-player share fetch + proof verification time",
+			obs.Label{Key: "player", Value: strconv.Itoa(i + 1)})
+	}
+	r.met = m
+}
+
+// Close releases the player connections. It is terminal: decryptions
+// afterwards fail with sem.ErrClientClosed.
 func (r *Recombiner) Close() error {
-	r.pool.closeAll()
+	r.closed.Store(true)
+	for _, p := range r.pools {
+		if p != nil {
+			_ = p.Close()
+		}
+	}
 	return nil
-}
-
-// roundTrip performs one framed request/response exchange with a player
-// over a pooled connection. A transport failure on a reused connection is
-// indistinguishable from the player having idle-closed it, so the exchange
-// is replayed exactly once on a fresh dial; failures on fresh connections
-// are real and propagate.
-func (r *Recombiner) roundTrip(addr string, req *request, resp *response) error {
-	conn := r.pool.get(addr)
-	reused := conn != nil
-	if reused {
-		r.met.pooledReuse()
-	} else {
-		var err error
-		r.met.pooledDial()
-		conn, err = net.DialTimeout("tcp", addr, r.timeout)
-		if err != nil {
-			return err
-		}
-	}
-	err := exchangeFrames(conn, req, resp, r.timeout)
-	if err != nil {
-		_ = conn.Close()
-		if !reused {
-			return err
-		}
-		r.met.pooledStaleRetry()
-		r.met.pooledDial()
-		conn, err = net.DialTimeout("tcp", addr, r.timeout)
-		if err != nil {
-			return err
-		}
-		*resp = response{}
-		if err = exchangeFrames(conn, req, resp, r.timeout); err != nil {
-			_ = conn.Close()
-			return err
-		}
-	}
-	r.pool.put(addr, conn)
-	return nil
-}
-
-// exchangeFrames writes one request frame and reads one response frame
-// under the round-trip deadline.
-func exchangeFrames(conn net.Conn, req *request, resp *response, timeout time.Duration) error {
-	_ = conn.SetDeadline(time.Now().Add(timeout))
-	if _, err := wire.WriteFrame(conn, req); err != nil {
-		return err
-	}
-	_, err := wire.ReadFrame(conn, resp)
-	return err
 }
 
 // Decrypt fans the ciphertext out to every reachable player, verifies each
 // returned share's proof, and recombines t acceptable shares. It returns
 // the plaintext together with the indices of players whose responses were
-// rejected (unreachable, malformed, or failing the NIZK check).
+// rejected (unreachable, malformed, or failing the NIZK check). It is the
+// single-ciphertext case of DecryptBatch.
+func (r *Recombiner) Decrypt(id string, c *bf.BasicCiphertext) (msg []byte, rejected []int, err error) {
+	msgs, rejected, err := r.DecryptBatch(id, []*bf.BasicCiphertext{c})
+	if err != nil {
+		return nil, rejected, err
+	}
+	return msgs[0], rejected, nil
+}
+
+// DecryptBatch fans k ciphertexts for one identity out to every reachable
+// player in a single round trip per player, verifies every returned
+// share's proof, and recombines each ciphertext from t acceptable shares.
+// It returns the plaintexts in request order together with the indices of
+// rejected players. A player is rejected wholesale — unreachable,
+// malformed response, or any share failing decode or NIZK verification —
+// because a peer caught lying once is not trustworthy for its other
+// shares either.
 //
 // Proof verification — a multi-pairing per share — runs inside each
 // player's fetch goroutine, so the NIZK checks for fast responders overlap
-// the network wait for slow ones and each other; the decryption latency is
-// dominated by the slowest single fetch+verify chain rather than their sum.
+// the network wait for slow ones and each other; the latency is that of
+// the slowest single fetch+verify chain rather than their sum.
 // ThresholdParams' verification-key pairing cache is safe under this
 // concurrency.
-func (r *Recombiner) Decrypt(id string, c *bf.BasicCiphertext) (msg []byte, rejected []int, err error) {
-	type outcome struct {
-		index int
-		share *core.DecryptionShare
-		err   error
+func (r *Recombiner) DecryptBatch(id string, cs []*bf.BasicCiphertext) (msgs [][]byte, rejected []int, err error) {
+	if len(cs) == 0 {
+		return nil, nil, nil
 	}
-	r.met.decryptStarted()
-	// Q_ID is the same for all n verifications: hash the identity once.
+	if r.closed.Load() {
+		return nil, nil, sem.ErrClientClosed
+	}
+	r.met.decrypts.Add(uint64(len(cs)))
+	ids, us := make([]string, len(cs)), make([]*curve.Point, len(cs))
+	for j, c := range cs {
+		ids[j], us[j] = id, c.U
+	}
+	// Q_ID is the same for all n·k verifications: hash the identity once.
 	qid, err := bf.HashIdentity(r.params.Public.Pairing, id)
 	if err != nil {
 		return nil, nil, err
 	}
+
+	// columns[i-1] is player i's full column of len(cs) verified shares,
+	// nil when the player was rejected.
+	columns := make([][]*core.DecryptionShare, r.params.N)
 	start := time.Now()
-	results := make(chan outcome, r.params.N)
 	var wg sync.WaitGroup
-	for i := 1; i <= r.params.N; i++ {
-		addr := r.addrs[i-1]
-		if addr == "" { //cryptolint:public (the player's network address, not key material)
-			results <- outcome{index: i, err: errors.New("not deployed")}
+	for i, pool := range r.pools {
+		if pool == nil {
 			continue
 		}
 		wg.Add(1)
-		go func(i int, addr string) {
+		go func() {
 			defer wg.Done()
 			fetchStart := time.Now()
-			share, err := r.fetchShare(addr, id, c)
-			if err == nil {
-				if err = r.params.VerifyShareProofFor(qid, c.U, share); err != nil {
-					r.met.verifyFailed()
-				}
-			}
-			r.met.observeFetch(i, time.Since(fetchStart))
-			results <- outcome{index: i, share: share, err: err}
-		}(i, addr)
+			columns[i] = r.fetchColumn(pool, i+1, qid, ids, us)
+			r.met.fetch[i].Observe(time.Since(fetchStart))
+		}()
 	}
 	wg.Wait()
-	r.met.observeQuorumWait(time.Since(start))
-	close(results)
+	r.met.quorumWait.Observe(time.Since(start))
 
-	valid := make([]*core.DecryptionShare, 0, r.params.N)
-	for out := range results {
-		if out.err != nil {
-			rejected = append(rejected, out.index)
-			r.met.shareRejected()
+	valid := make([][]*core.DecryptionShare, 0, r.params.N)
+	for i, col := range columns {
+		if col == nil {
+			rejected = append(rejected, i+1)
+			r.met.rejected.Inc()
 			continue
 		}
-		valid = append(valid, out.share)
+		valid = append(valid, col)
 	}
 	if len(valid) < r.params.T {
 		return nil, rejected, fmt.Errorf("%w: %d of %d", ErrNotEnoughShares, len(valid), r.params.N)
 	}
-	msg, err = r.params.Recombine(valid[:r.params.T], c)
-	return msg, rejected, err
+
+	msgs = make([][]byte, len(cs))
+	quorum := make([]*core.DecryptionShare, r.params.T)
+	for j := range cs {
+		for p := range quorum {
+			quorum[p] = valid[p][j]
+		}
+		msgs[j], err = r.params.Recombine(quorum, cs[j])
+		if err != nil {
+			return nil, rejected, fmt.Errorf("cluster: recombining ciphertext %d: %w", j, err)
+		}
+	}
+	return msgs, rejected, nil
 }
 
-// fetchShare performs one share request against a player over a pooled
-// connection.
-func (r *Recombiner) fetchShare(addr, id string, c *bf.BasicCiphertext) (*core.DecryptionShare, error) {
-	var resp response
-	if err := r.roundTrip(addr, &request{Op: "share", ID: id, U: c.U.Marshal()}, &resp); err != nil {
-		return nil, err
+// fetchColumn asks player index for its share of every ciphertext in one
+// batched request and verifies each proof against that player's
+// verification key: the share is stamped with the slot that was dialed, not
+// with anything the player says about itself, so a share relayed from
+// another player fails here. It returns nil when the player is rejected.
+func (r *Recombiner) fetchColumn(pool *sem.Pool, index int, qid *curve.Point, ids []string, us []*curve.Point) []*core.DecryptionShare {
+	shares, errs, err := pool.ThresholdShareBatch(ids, us)
+	if err != nil || errors.Join(errs...) != nil {
+		return nil
 	}
-	if !resp.OK {
-		return nil, errors.New(resp.Error)
+	for j, share := range shares {
+		share.Index = index
+		if r.params.VerifyShareProofFor(qid, us[j], share) != nil {
+			r.met.verifyFail.Inc()
+			return nil
+		}
 	}
-	return r.decodeShare(&resp)
+	return shares
 }
-
-func (r *Recombiner) decodeShare(resp *response) (*core.DecryptionShare, error) {
-	// Every component of the response comes from a possibly-misbehaving
-	// player: GT elements get the order-q membership check, the proof point
-	// the subgroup check, and the challenge the F_q range check, before any
-	// of them enters verification arithmetic.
-	pp := r.params.Public.Pairing
-	g, err := wire.UnmarshalGT(pp, resp.G)
-	if err != nil {
-		return nil, fmt.Errorf("share value: %w", err)
-	}
-	if resp.Proof == nil {
-		return nil, errors.New("cluster: response missing proof")
-	}
-	w1, err := wire.UnmarshalGT(pp, resp.Proof.W1)
-	if err != nil {
-		return nil, fmt.Errorf("proof w1: %w", err)
-	}
-	w2, err := wire.UnmarshalGT(pp, resp.Proof.W2)
-	if err != nil {
-		return nil, fmt.Errorf("proof w2: %w", err)
-	}
-	v, err := wire.UnmarshalG1(pp.Curve(), resp.Proof.V)
-	if err != nil {
-		return nil, fmt.Errorf("proof v: %w", err)
-	}
-	e, err := wire.UnmarshalScalar(resp.Proof.E, pp.Q())
-	if err != nil {
-		return nil, fmt.Errorf("proof e: %w", err)
-	}
-	return &core.DecryptionShare{
-		Index: resp.Index,
-		G:     g,
-		Proof: &core.ShareProof{
-			W1: w1,
-			W2: w2,
-			E:  e,
-			V:  v,
-		},
-	}, nil
-}
-
-// wireWrite and wireRead expose the framing to the package's tests.
-func wireWrite(conn net.Conn, v any) (int, error) { return wire.WriteFrame(conn, v) }
-func wireRead(conn net.Conn, v any) (int, error)  { return wire.ReadFrame(conn, v) }

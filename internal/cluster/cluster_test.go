@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/rand"
 	"errors"
+	"io"
 	"math/big"
 	"net"
 	"strings"
@@ -15,6 +16,8 @@ import (
 	"repro/internal/curve"
 	"repro/internal/obs"
 	"repro/internal/pairing"
+	"repro/internal/sem"
+	"repro/internal/wire"
 )
 
 const (
@@ -29,6 +32,7 @@ type deployment struct {
 	params  *core.ThresholdParams
 	players []*PlayerServer
 	addrs   []string
+	keys    []*core.KeyShare // keys[i-1] is player i's share of ident's key
 }
 
 func deploy(t *testing.T) *deployment {
@@ -61,6 +65,7 @@ func deploy(t *testing.T) *deployment {
 		}
 		go func() { _ = srv.Serve(ln) }()
 		d.players = append(d.players, srv)
+		d.keys = append(d.keys, ks)
 		d.addrs[i-1] = ln.Addr().String()
 	}
 	t.Cleanup(func() {
@@ -77,6 +82,7 @@ func (d *deployment) recombiner(t *testing.T) *Recombiner {
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { _ = r.Close() })
 	return r
 }
 
@@ -100,14 +106,18 @@ func TestClusterDecryption(t *testing.T) {
 	}
 }
 
-// corruptions tampers with each component of a share-with-proof in turn,
-// keeping every element inside its group (so it survives wire validation
-// and reaches the NIZK check) and leaving the rest of the tuple stale.
+// corruptions are a byzantine player's ways to lie. Each gets the player's
+// own honest share-with-proof and player 1's for the same ciphertext. The
+// first five tamper with one component of the tuple in turn, keeping every
+// element inside its group (so it survives wire validation and reaches the
+// NIZK check) and leaving the rest stale; the last answers with another
+// player's share, index and proof intact — which the share protocol lets
+// anyone obtain by asking.
 var corruptions = []struct {
 	part  string
-	apply func(ds *core.DecryptionShare) *core.DecryptionShare
+	apply func(own, player1 *core.DecryptionShare) *core.DecryptionShare
 }{
-	{"G", func(ds *core.DecryptionShare) *core.DecryptionShare {
+	{"G", func(ds, _ *core.DecryptionShare) *core.DecryptionShare {
 		return &core.DecryptionShare{Index: ds.Index, G: ds.G.Mul(ds.G), Proof: ds.Proof}
 	}},
 	{"W1", corruptProof(func(pr *core.ShareProof) { pr.W1 = pr.W1.Mul(pr.W1) })},
@@ -117,26 +127,54 @@ var corruptions = []struct {
 		pr.E = e.Mod(e, pr.V.Curve().Q())
 	})},
 	{"V", corruptProof(func(pr *core.ShareProof) { pr.V = pr.V.Double() })},
+	{"relays player 1's share", func(_, player1 *core.DecryptionShare) *core.DecryptionShare { return player1 }},
 }
 
-// corruptProof returns a misbehaviour that edits a copy of the proof and
+// corruptProof returns a corruption that edits a copy of the proof and
 // leaves the share value alone.
-func corruptProof(edit func(pr *core.ShareProof)) func(*core.DecryptionShare) *core.DecryptionShare {
-	return func(ds *core.DecryptionShare) *core.DecryptionShare {
+func corruptProof(edit func(pr *core.ShareProof)) func(own, player1 *core.DecryptionShare) *core.DecryptionShare {
+	return func(ds, _ *core.DecryptionShare) *core.DecryptionShare {
 		pr := *ds.Proof
 		edit(&pr)
 		return &core.DecryptionShare{Index: ds.Index, G: ds.G, Proof: &pr}
 	}
 }
 
+// lie makes player liar answer requests for cs with apply's corruption. The
+// hook sees only its own share, so it finds the ciphertext that share
+// belongs to by checking the (still honest) proof, then computes what
+// player 1 would answer for it.
+func (d *deployment) lie(t *testing.T, liar int, cs []*bf.BasicCiphertext, apply func(own, player1 *core.DecryptionShare) *core.DecryptionShare) {
+	t.Helper()
+	qid, err := bf.HashIdentity(d.params.Public.Pairing, ident)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.players[liar-1].SetMisbehaviour(func(own *core.DecryptionShare) *core.DecryptionShare {
+		for _, c := range cs {
+			if d.params.VerifyShareProofFor(qid, c.U, own) != nil {
+				continue
+			}
+			player1, err := d.params.ComputeShareWithProof(nil, d.keys[0], c.U)
+			if err != nil {
+				t.Error(err)
+				return own
+			}
+			return apply(own, player1)
+		}
+		t.Error("share requested for a ciphertext outside the test's batch")
+		return own
+	})
+}
+
 func TestClusterToleratesByzantinePlayer(t *testing.T) {
 	for _, corrupt := range corruptions {
 		t.Run(corrupt.part, func(t *testing.T) {
 			d := deploy(t)
-			d.players[1].SetMisbehaviour(corrupt.apply) // player 2 lies
 			r := d.recombiner(t)
 			msg := bytes.Repeat([]byte{0x11}, msgLen)
 			c, _ := d.params.Public.EncryptBasic(rand.Reader, ident, msg)
+			d.lie(t, 2, []*bf.BasicCiphertext{c}, corrupt.apply)
 			got, rejected, err := r.Decrypt(ident, c)
 			if err != nil {
 				t.Fatal(err)
@@ -193,6 +231,15 @@ func TestClusterUnknownIdentity(t *testing.T) {
 	if _, _, err := r.Decrypt("ghost@example.com", c); !errors.Is(err, ErrNotEnoughShares) {
 		t.Fatalf("unknown identity decrypted: %v", err)
 	}
+	// Asked directly, a player names the reason with the typed sentinel.
+	player, err := sem.Dial(d.addrs[0], d.params.Public.Pairing, 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = player.Close() }()
+	if _, err := player.ThresholdShare("ghost@example.com", c.U); !errors.Is(err, ErrUnknownIdentity) {
+		t.Fatalf("share for an unknown identity: %v, want ErrUnknownIdentity", err)
+	}
 }
 
 func TestPlayerInstallValidation(t *testing.T) {
@@ -228,57 +275,74 @@ func TestRecombinerValidation(t *testing.T) {
 	}
 }
 
-func TestClusterRejectsMalformedPoint(t *testing.T) {
-	d := deploy(t)
-	conn, err := net.Dial("tcp", d.addrs[0])
+// Wire constants of the sem protocol the raw-frame tests below speak (op
+// and status bytes are fixed by internal/sem's golden frames).
+const (
+	opIBEToken        = 1
+	opPing            = 10
+	opThresholdShare  = 16
+	statusOK          = 0
+	statusBadRequest  = 3
+	statusUnsupported = 4
+)
+
+// exchange opens a raw connection to a player, completes the handshake and
+// trades one request frame for its response items.
+func exchange(t *testing.T, addr string, op byte, items ...wire.ReqItem) []wire.RespItem {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	if _, err := writeFrameForTest(conn, &request{Op: "share", ID: ident, U: []byte{1, 2}}); err != nil {
+	t.Cleanup(func() { _ = conn.Close() })
+	_ = conn.SetDeadline(time.Now().Add(10 * time.Second))
+	if err := wire.WriteV2Hello(conn, wire.V2Version); err != nil {
 		t.Fatal(err)
 	}
-	var resp response
-	if _, err := readFrameForTest(conn, &resp); err != nil {
+	if _, _, _, err := wire.ReadV2Ack(conn); err != nil {
 		t.Fatal(err)
 	}
-	if resp.OK {
-		t.Fatal("malformed point accepted")
+	var enc wire.FrameEncoder
+	frame, err := enc.EncodeRequest(op, items, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+	var dec wire.FrameDecoder
+	gotOp, resp, _, err := dec.ReadResponse(conn, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotOp != op || len(resp) != len(items) {
+		t.Fatalf("op %d with %d items answered by op %d with %d items", op, len(items), gotOp, len(resp))
+	}
+	return resp
+}
+
+func TestClusterRejectsMalformedPoint(t *testing.T) {
+	d := deploy(t)
+	resp := exchange(t, d.addrs[0], opThresholdShare, wire.ReqItem{ID: []byte(ident), Payload: []byte{1, 2}})
+	if resp[0].Status != statusBadRequest {
+		t.Fatalf("malformed point answered with status %d: %s", resp[0].Status, resp[0].Data)
 	}
 }
 
 func TestClusterPing(t *testing.T) {
 	d := deploy(t)
-	conn, err := net.Dial("tcp", d.addrs[2])
-	if err != nil {
-		t.Fatal(err)
+	if resp := exchange(t, d.addrs[2], opPing, wire.ReqItem{}); resp[0].Status != statusOK {
+		t.Fatalf("ping answered with status %d: %s", resp[0].Status, resp[0].Data)
 	}
-	defer conn.Close()
-	if _, err := writeFrameForTest(conn, &request{Op: "ping"}); err != nil {
-		t.Fatal(err)
+	// An op byte nobody serves is refused, and so is one whose backend a
+	// player does not have.
+	if resp := exchange(t, d.addrs[2], 200, wire.ReqItem{}); resp[0].Status != statusBadRequest {
+		t.Fatalf("unknown op answered with status %d: %s", resp[0].Status, resp[0].Data)
 	}
-	var resp response
-	if _, err := readFrameForTest(conn, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if !resp.OK || resp.Index != 3 {
-		t.Fatalf("ping response = %+v", resp)
-	}
-	// Unknown op is rejected.
-	if _, err := writeFrameForTest(conn, &request{Op: "nonsense"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := readFrameForTest(conn, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.OK {
-		t.Fatal("unknown op accepted")
+	if resp := exchange(t, d.addrs[2], opIBEToken, wire.ReqItem{ID: []byte(ident)}); resp[0].Status != statusUnsupported {
+		t.Fatalf("ibe_token on a player answered with status %d: %s", resp[0].Status, resp[0].Data)
 	}
 }
-
-// Test-only frame helpers delegating to the shared wire package.
-func writeFrameForTest(conn net.Conn, v any) (int, error) { return wireWrite(conn, v) }
-func readFrameForTest(conn net.Conn, v any) (int, error)  { return wireRead(conn, v) }
 
 // TestRecombinerMetrics drives an instrumented decryption past a byzantine
 // player and checks the exported series: per-player fetch timings, the
@@ -359,9 +423,9 @@ func TestClusterBatchToleratesByzantinePlayer(t *testing.T) {
 	for _, corrupt := range corruptions {
 		t.Run(corrupt.part, func(t *testing.T) {
 			d := deploy(t)
-			d.players[2].SetMisbehaviour(corrupt.apply) // player 3 corrupts every share in the batch
 			r := d.recombiner(t)
 			msgs, cs := encryptBatch(t, d, 3)
+			d.lie(t, 3, cs, corrupt.apply) // player 3 corrupts every share in the batch
 			got, rejected, err := r.DecryptBatch(ident, cs)
 			if err != nil {
 				t.Fatal(err)
@@ -390,44 +454,32 @@ func TestClusterBatchFailsBelowThreshold(t *testing.T) {
 	}
 }
 
-// TestClusterSharesOpPartialMalformed drives the raw batched op: one
+// TestClusterSharesOpPartialMalformed drives a raw multi-item frame: one
 // malformed ciphertext point fails only its own slot.
 func TestClusterSharesOpPartialMalformed(t *testing.T) {
 	d := deploy(t)
-	msgs, cs := encryptBatch(t, d, 2)
-	_ = msgs
-	conn, err := net.Dial("tcp", d.addrs[0])
-	if err != nil {
-		t.Fatal(err)
+	_, cs := encryptBatch(t, d, 2)
+	item := func(u []byte) wire.ReqItem { return wire.ReqItem{ID: []byte(ident), Payload: u} }
+	resp := exchange(t, d.addrs[0], opThresholdShare, item(cs[0].U.Marshal()), item([]byte{1, 2}), item(cs[1].U.Marshal()))
+	if resp[0].Status != statusOK || resp[2].Status != statusOK {
+		t.Fatalf("valid slots failed: %d %q, %d %q", resp[0].Status, resp[0].Data, resp[2].Status, resp[2].Data)
 	}
-	defer conn.Close()
-	us := [][]byte{cs[0].U.Marshal(), {1, 2}, cs[1].U.Marshal()}
-	if _, err := writeFrameForTest(conn, &request{Op: "shares", ID: ident, Us: us}); err != nil {
-		t.Fatal(err)
-	}
-	var resp response
-	if _, err := readFrameForTest(conn, &resp); err != nil {
-		t.Fatal(err)
-	}
-	if !resp.OK || len(resp.Shares) != 3 {
-		t.Fatalf("shares response = %+v", resp)
-	}
-	if !resp.Shares[0].OK || !resp.Shares[2].OK {
-		t.Fatal("valid slots failed")
-	}
-	if resp.Shares[1].OK || !strings.Contains(resp.Shares[1].Error, "bad ciphertext point") {
-		t.Fatalf("malformed slot = %+v", resp.Shares[1])
+	if resp[1].Status != statusBadRequest || !strings.Contains(string(resp[1].Data), "compressed point") {
+		t.Fatalf("malformed slot = %d %q", resp[1].Status, resp[1].Data)
 	}
 }
 
-// TestRecombinerConnPool checks the pooled-connection path: the first
-// decryption dials every player, the second rides the cached connections,
-// and a cache full of dead sockets is absorbed by the stale-retry replay
-// without the caller seeing an error.
+// poolCounter reads one of the recombiner pools' sempool_* counters (the
+// pools share the registry, so it is the sum over players).
+func poolCounter(reg *obs.Registry, name string) uint64 { return reg.Counter(name, "").Value() }
+
+// TestRecombinerConnPool checks the pooled-connection path on the pools'
+// own series: a stream of decryptions rides a bounded set of connections,
+// a player that was restarted on its address is served again without the
+// caller seeing a rejected share, and Close is terminal.
 func TestRecombinerConnPool(t *testing.T) {
 	d := deploy(t)
 	r := d.recombiner(t)
-	defer func() { _ = r.Close() }()
 	reg := obs.NewRegistry()
 	r.Instrument(reg)
 
@@ -436,62 +488,113 @@ func TestRecombinerConnPool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for round := 0; round < 2; round++ {
+	decrypt := func(stage string) {
+		t.Helper()
 		got, rejected, err := r.Decrypt(ident, c)
 		if err != nil || len(rejected) != 0 {
-			t.Fatalf("round %d: rejected=%v err=%v", round, rejected, err)
+			t.Fatalf("%s: rejected=%v err=%v", stage, rejected, err)
 		}
 		if !bytes.Equal(got, msg) {
-			t.Fatalf("round %d: decrypted %x, want %x", round, got, msg)
+			t.Fatalf("%s: decrypted %x, want %x", stage, got, msg)
 		}
 	}
-	if dials := r.met.poolDials.Value(); dials != nn {
-		t.Fatalf("dials = %d, want %d (second round must reuse)", dials, nn)
+	const rounds = 8
+	for range rounds {
+		decrypt("steady state")
 	}
-	if reuses := r.met.poolReuses.Value(); reuses != nn {
-		t.Fatalf("reuses = %d, want %d", reuses, nn)
+	if frames := poolCounter(reg, "sempool_frames_total"); frames < rounds*nn {
+		t.Fatalf("frames = %d, want at least %d", frames, rounds*nn)
 	}
-
-	// Poison the cache: close every pooled socket out from under the
-	// recombiner, as a player's idle timeout would. The next decryption must
-	// detect the stale connections and replay on fresh dials.
-	r.pool.mu.Lock()
-	for _, conns := range r.pool.idle {
-		for _, pc := range conns {
-			_ = pc.Close()
-		}
-	}
-	r.pool.mu.Unlock()
-	got, rejected, err := r.Decrypt(ident, c)
-	if err != nil || len(rejected) != 0 {
-		t.Fatalf("post-poison decrypt: rejected=%v err=%v", rejected, err)
-	}
-	if !bytes.Equal(got, msg) {
-		t.Fatalf("post-poison decrypted %x, want %x", got, msg)
-	}
-	if retries := r.met.poolRetry.Value(); retries != nn {
-		t.Fatalf("stale retries = %d, want %d", retries, nn)
+	if dials := poolCounter(reg, "sempool_dials_total"); dials < nn || dials > nn*playerConns {
+		t.Fatalf("dials = %d after %d decryptions, want %d..%d (connections must be reused)", dials, rounds, nn, nn*playerConns)
 	}
 
-	var sb strings.Builder
-	if err := reg.WritePrometheus(&sb); err != nil {
+	// Restart player 3 on its address: its pooled connections are dead, and
+	// the next decryption must reach the new server by itself.
+	if err := d.players[2].Close(); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"cluster_pool_dials_total", "cluster_pool_reuses_total", "cluster_pool_stale_retries_total", "cluster_pool_idle"} {
-		if !strings.Contains(sb.String(), want) {
-			t.Errorf("metrics missing %q", want)
-		}
+	reborn, err := NewPlayerServer(d.params, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := reborn.Install(d.keys[2]); err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", d.addrs[2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() { _ = reborn.Serve(ln) }()
+	t.Cleanup(func() { _ = reborn.Close() })
+	before := poolCounter(reg, "sempool_dials_total")
+	decrypt("after player 3 restarted")
+	if poolCounter(reg, "sempool_dials_total") == before {
+		t.Fatal("no fresh dial after a player restart")
 	}
 
-	// Close drains the cache; decryption still works by dialing fresh.
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if n := r.pool.size(); n != 0 {
-		t.Fatalf("idle conns after Close = %d", n)
+	if _, _, err := r.Decrypt(ident, c); !errors.Is(err, sem.ErrClientClosed) {
+		t.Fatalf("decrypt after Close: %v, want ErrClientClosed", err)
 	}
-	if _, _, err := r.Decrypt(ident, c); err != nil {
-		t.Fatalf("decrypt after Close: %v", err)
+}
+
+// TestClusterToleratesHungPlayer: a player that accepts, shakes hands,
+// reads and never answers is rejected once the recombiner's timeout (and
+// the pool's one replay) ran out, and the other four still decrypt.
+func TestClusterToleratesHungPlayer(t *testing.T) {
+	d := deploy(t)
+	_ = d.players[3].Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = ln.Close() })
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer func() { _ = conn.Close() }()
+				hello := make([]byte, 5)
+				if _, err := io.ReadFull(conn, hello); err != nil {
+					return
+				}
+				if err := wire.WriteV2Ack(conn, wire.V2Version, sem.DefaultMaxBatch, sem.DefaultMaxFrame); err != nil {
+					return
+				}
+				_, _ = io.Copy(io.Discard, conn) // reads every request, answers none
+			}()
+		}
+	}()
+	addrs := append([]string(nil), d.addrs...)
+	addrs[3] = ln.Addr().String()
+	const timeout = 300 * time.Millisecond
+	r, err := NewRecombiner(d.params, addrs, timeout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = r.Close() })
+
+	msg := bytes.Repeat([]byte{0x66}, msgLen)
+	c, _ := d.params.Public.EncryptBasic(rand.Reader, ident, msg)
+	start := time.Now()
+	got, rejected, err := r.Decrypt(ident, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if elapsed := time.Since(start); elapsed < timeout || elapsed > 10*timeout {
+		t.Fatalf("decryption took %v with a hung player and a %v timeout", elapsed, timeout)
+	}
+	if len(rejected) != 1 || rejected[0] != 4 {
+		t.Fatalf("rejected = %v, want [4]", rejected)
+	}
+	if !bytes.Equal(got, msg) {
+		t.Fatal("decryption with a hung player failed")
 	}
 }
 

@@ -366,6 +366,68 @@ func (o *ops) RSAHalfDecryptBatch(pub *mrsa.PublicKey, ids []string, cts []*big.
 	return decodeEach(raws, errs, func(raw []byte) (*big.Int, error) { return wire.UnmarshalScalar(raw, pub.N) }), errs, err
 }
 
+// ThresholdShare requests a threshold-IBE player's decryption share
+// ê(U, d_IDi) with its robustness proof (paper §3.2). The share's Index is
+// left zero: the wire carries none, and the caller stamps the player it
+// dialed before verifying — so a player cannot pass off another's share.
+func (o *ops) ThresholdShare(id string, u *curve.Point) (*core.DecryptionShare, error) {
+	shares, errs, err := o.ThresholdShareBatch([]string{id}, []*curve.Point{u})
+	if shares == nil {
+		return nil, err
+	}
+	return shares[0], errs[0]
+}
+
+// ThresholdShareBatch requests one player's shares for k (id, U) pairs —
+// the batch counterpart of ThresholdShare. Every element comes from a
+// possibly-misbehaving player, so before any of it enters verification
+// arithmetic the 3k GT elements (share value and both proof commitments)
+// pass the order-q membership check in one batched pass, each proof point
+// the subgroup check and each challenge the F_q range check.
+func (o *ops) ThresholdShareBatch(ids []string, us []*curve.Point) (shares []*core.DecryptionShare, errs []error, err error) {
+	if o.pp == nil {
+		return nil, nil, errNoPairing
+	}
+	payloads, err := marshalAll(ids, us, marshalPoint)
+	if err != nil {
+		return nil, nil, err
+	}
+	raws, errs, err := o.t.many(opThresholdShare, ids, payloads)
+	if raws == nil {
+		return nil, nil, err
+	}
+	gt, point, scalar := shareWidths(o.pp)
+	size := 3*gt + point + scalar
+	gtRaws := make([][]byte, 3*len(raws))
+	for i, raw := range raws {
+		if errs[i] == nil && len(raw) != size {
+			errs[i] = fmt.Errorf("%w: threshold share is %d bytes, want %d", ErrProtocol, len(raw), size)
+		}
+		if errs[i] == nil {
+			gtRaws[3*i], gtRaws[3*i+1], gtRaws[3*i+2] = raw[:gt], raw[gt:2*gt], raw[2*gt:3*gt]
+		}
+	}
+	gs, gtErrs, berr := wire.UnmarshalGTBatch(o.pp, gtRaws)
+	if berr != nil {
+		return nil, nil, fmt.Errorf("sem: batch share validation: %w", berr)
+	}
+	shares = make([]*core.DecryptionShare, len(raws))
+	for i, raw := range raws {
+		if errs[i] == nil {
+			errs[i] = errors.Join(gtErrs[3*i], gtErrs[3*i+1], gtErrs[3*i+2])
+		}
+		if errs[i] != nil {
+			continue
+		}
+		v, verr := wire.UnmarshalG1(o.pp.Curve(), raw[3*gt:3*gt+point])
+		e, eerr := wire.UnmarshalScalar(raw[3*gt+point:], o.pp.Q())
+		if errs[i] = errors.Join(verr, eerr); errs[i] == nil {
+			shares[i] = &core.DecryptionShare{G: gs[3*i], Proof: &core.ShareProof{W1: gs[3*i+1], W2: gs[3*i+2], E: e, V: v}}
+		}
+	}
+	return shares, errs, err
+}
+
 // RegisterIBEBatch installs k SEM IBE halves in one frame per negotiated
 // chunk — the bulk-enrollment path semload uses to seed a million
 // identities. errs is index-aligned; err reports a transport failure

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"math/big"
+	mrand "math/rand"
 	"net"
 	"os"
 	"path/filepath"
@@ -93,9 +94,43 @@ func goldenFullConfig(tb testing.TB, pp *pairing.Params) Config {
 	gmSEM.Register(testID, &gm.HalfKey{N: n, Half: big.NewInt(0x2f)})
 	return Config{
 		Registry: reg, IBE: ibe, GDH: gdh, RSA: rsa, GM: gmSEM,
-		Journal: j, Repl: repl.NewFollower(j),
+		Threshold: goldenPlayer(tb, pp),
+		Journal:   j, Repl: repl.NewFollower(j),
 		Pairing: pp, AllowRegister: true,
 	}
+}
+
+// goldenPlayer is player 1 of a (2, 3) threshold system dealt from a fixed
+// seed, holding testID's key share. A share's proof draws a fresh nonce, so
+// to make the recorded bytes repeatable the byzantine hook swaps every
+// answer for the share of the script's U computed under a fixed nonce.
+func goldenPlayer(tb testing.TB, pp *pairing.Params) *core.ThresholdPlayer {
+	tb.Helper()
+	pkg, err := core.SetupThreshold(mrand.New(mrand.NewSource(2003)), pp, msgLen, 2, 3)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	player, err := core.NewThresholdPlayer(pkg.Params(), 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ks, err := pkg.ExtractShare(testID, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := player.Install(ks); err != nil {
+		tb.Fatal(err)
+	}
+	u, err := pp.Curve().HashToPoint("golden", []byte("U"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	fixed, err := pkg.Params().ComputeShareWithProof(mrand.New(mrand.NewSource(42)), ks, u)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	player.SetMisbehaviour(func(*core.DecryptionShare) *core.DecryptionShare { return fixed })
+	return player
 }
 
 // goldenServers starts the three daemons the steps address: "full"
@@ -228,6 +263,14 @@ func goldenSteps(t testing.TB, pp *pairing.Params) []goldenStep {
 	add("tight", "ping_pair_after_refusal", 10, wire.ReqItem{}, wire.ReqItem{})
 	add("tight", "err_over_frame", 3, goldenItem(testID, make([]byte, 8192)))
 	steps[len(steps)-1].hangup = true
+
+	// threshold_share: a player's answer, its failure classes, a batch with
+	// one bad slot, and a daemon that is no player.
+	add("full", "threshold_share", 16, goldenItem(testID, u))
+	add("full", "err_threshold_unknown_identity", 16, goldenItem(nobody, u))
+	add("full", "err_threshold_bad_point", 16, goldenItem(testID, []byte{1, 2, 3}))
+	add("full", "threshold_share_batch_mixed", 16, goldenItem(testID, u), goldenItem(testID, []byte{1, 2, 3}), goldenItem(testID, u))
+	add("bare", "err_unsupported_threshold", 16, goldenItem(testID, u))
 	return steps
 }
 

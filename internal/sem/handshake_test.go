@@ -114,9 +114,14 @@ func TestClientMethodSetParity(t *testing.T) {
 		}
 	}
 	// The five half-ops, five full protocols, five batch forms, six admin
-	// ops, three repl ops and Close: a shrinking count means a method moved
-	// off the shared set.
-	if ops < 25 {
+	// ops, three repl ops, the threshold share in both forms and Close: a
+	// shrinking count means a method moved off the shared set.
+	for _, name := range []string{"ThresholdShare", "ThresholdShareBatch"} {
+		if _, ok := pool.MethodByName(name); !ok {
+			t.Errorf("*Pool lacks %s", name)
+		}
+	}
+	if ops < 27 {
 		t.Errorf("only %d shared methods; the typed operations are missing from *Pool", ops)
 	}
 }
@@ -139,4 +144,29 @@ func signature(fn reflect.Type) string {
 	}
 	b.WriteString(")")
 	return strings.TrimSuffix(b.String(), " ()")
+}
+
+// TestServeOnClosedServer: Close may win the race against a Serve that was
+// started in a goroutine (a deployment torn down right after it was built).
+// Serve must then refuse and close the listener, so a client gets a refused
+// dial instead of hanging in an accept backlog nobody drains.
+func TestServeOnClosedServer(t *testing.T) {
+	srv, err := NewServer(Config{Registry: core.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Serve(ln); err == nil {
+		t.Fatal("Serve on a closed server returned nil")
+	}
+	if conn, err := net.DialTimeout("tcp", ln.Addr().String(), time.Second); err == nil {
+		_ = conn.Close()
+		t.Fatal("the listener of a closed server still accepts")
+	}
 }

@@ -3,7 +3,9 @@
 // mediated schemes (pairing IBE, GDH signature, mRSA/IB-mRSA), enforces a
 // shared revocation list, and serves the per-operation protocol steps —
 // exactly the "SEM remains online all the system's lifetime" deployment the
-// paper describes, with the PKG offline after enrollment.
+// paper describes, with the PKG offline after enrollment. The same daemon,
+// configured with a threshold backend, is one decryption server of the
+// paper's threshold IBE (threshold_share; internal/cluster builds on it).
 //
 // Wire format: one protocol, the binary framing of internal/wire
 // (framev2.go). A connection opens with the client preamble ("SEM2" +
@@ -21,6 +23,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/pairing"
 	"repro/internal/repl"
 	"repro/internal/wire"
 )
@@ -59,6 +62,12 @@ const (
 	OpReplAppend   Op = "repl.append"   // item: wire repl append batch → empty
 	OpReplSnapshot Op = "repl.snapshot" // item: wire repl snapshot chunk → empty
 	OpReplStatus   Op = "repl.status"   // item: none → wire repl status payload
+
+	// Threshold IBE (paper §3), served when Config.Threshold is set. The
+	// response is the share ê(U, d_IDi) and its NIZK proof at the fixed
+	// widths of shareWidths, with no player index: the recombiner knows whom
+	// it dialed. A batch of ciphertexts is a multi-item frame of this op.
+	OpThresholdShare Op = "threshold_share" // item: id, compressed U → G‖W1‖W2‖V‖E
 )
 
 // Op bytes: what a frame header carries. They index opTable (server.go),
@@ -79,9 +88,17 @@ const (
 	opReplAppend
 	opReplSnapshot
 	opReplStatus
+	opThresholdShare
 
-	numOps = int(opReplStatus) + 1 // opTable rows; row 0 is the byte no op uses
+	numOps = int(opThresholdShare) + 1 // opTable rows; row 0 is the byte no op uses
 )
+
+// shareWidths returns the field widths of a threshold_share response: a GT
+// element (G, W1, W2), a compressed G1 point (V) and a scalar below q (E).
+func shareWidths(pp *pairing.Params) (gt, point, scalar int) {
+	coord := pp.Curve().CoordinateSize()
+	return 2 * coord, 1 + coord, (pp.Q().BitLen() + 7) / 8
+}
 
 // Response status bytes. Zero is success; every other value is a failure
 // class whose response data is the server's error message.

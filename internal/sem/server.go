@@ -61,6 +61,10 @@ type Config struct {
 	GDH      *core.GDHSEM
 	RSA      *core.RSASEM
 	GM       *core.GMSEM
+	// Threshold, when set, makes the daemon one decryption server of the
+	// paper's threshold IBE: it serves threshold_share from the player's
+	// installed key shares. Needs Pairing.
+	Threshold *core.ThresholdPlayer
 	// Journal, when set, persists revocation mutations (its Registry must
 	// be the same one the backends share).
 	Journal *core.Journal
@@ -72,7 +76,8 @@ type Config struct {
 	// leader (which appends to the journal and streams to the fleet). Its
 	// journal must be Config.Journal.
 	Leader *repl.Leader
-	// Pairing is required when IBE or GDH is configured (to parse points).
+	// Pairing is required when IBE, GDH or Threshold is configured (to parse
+	// points).
 	Pairing *pairing.Params
 	// Logf receives connection-level errors; nil silences them.
 	Logf func(format string, args ...any)
@@ -114,8 +119,8 @@ func NewServer(cfg Config) (*Server, error) {
 	if cfg.Registry == nil {
 		return nil, errors.New("sem: config needs a Registry")
 	}
-	if (cfg.IBE != nil || cfg.GDH != nil) && cfg.Pairing == nil {
-		return nil, errors.New("sem: pairing params required for IBE/GDH backends")
+	if (cfg.IBE != nil || cfg.GDH != nil || cfg.Threshold != nil) && cfg.Pairing == nil {
+		return nil, errors.New("sem: pairing params required for IBE/GDH/threshold backends")
 	}
 	if cfg.Repl != nil && cfg.Repl.Journal() != cfg.Journal { //cryptolint:public (pointer-identity wiring check on config; no key material)
 		return nil, errors.New("sem: Repl follower must wrap Config.Journal")
@@ -178,16 +183,20 @@ func (s *Server) startWorkers() {
 }
 
 // Serve accepts connections on ln until Close is called. It blocks; run it
-// in a goroutine when the caller needs to continue.
+// in a goroutine when the caller needs to continue. On a server that is
+// already closed it closes ln and returns an error.
 func (s *Server) Serve(ln net.Listener) error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
+		_ = ln.Close() // nobody will accept on it; dials must fail, not hang
 		return errors.New("sem: server is closed")
 	}
 	s.ln = ln
-	s.mu.Unlock()
+	// Under the lock, so a concurrent Close either saw no server to stop or
+	// finds the pool fully started — never half-way through.
 	s.workersOnce.Do(s.startWorkers)
+	s.mu.Unlock()
 
 	for {
 		conn, err := ln.Accept()
@@ -452,6 +461,8 @@ var opTable = [numOps]struct {
 	opReplAppend:   {OpReplAppend, (*Server).replAppend},
 	opReplSnapshot: {OpReplSnapshot, (*Server).replSnapshot},
 	opReplStatus:   {OpReplStatus, (*Server).replStatus},
+
+	opThresholdShare: {OpThresholdShare, (*Server).thresholdShare},
 }
 
 // opName is the Op a byte stands for ("" for bytes outside the table).
@@ -565,6 +576,29 @@ func (s *Server) gdhSign(id string, payload []byte) ([]byte, error) {
 		return nil, err
 	}
 	return half.Marshal(), nil
+}
+
+// thresholdShare answers one ciphertext's U with this player's decryption
+// share and proof, G‖W1‖W2‖V‖E at the fixed widths of shareWidths.
+func (s *Server) thresholdShare(id string, payload []byte) ([]byte, error) {
+	if s.cfg.Threshold == nil {
+		return nil, unsupported("threshold backend not configured")
+	}
+	u, err := wire.UnmarshalG1(s.cfg.Pairing.Curve(), payload)
+	if err != nil {
+		return nil, err
+	}
+	ds, err := s.cfg.Threshold.Share(id, u)
+	if err != nil {
+		return nil, err
+	}
+	gt, point, scalar := shareWidths(s.cfg.Pairing)
+	out := make([]byte, 0, 3*gt+point+scalar)
+	out = append(out, ds.G.Bytes()...)        //cryptolint:public (sanctioned wire serialization edge; the share goes to the recombiner by design)
+	out = append(out, ds.Proof.W1.Bytes()...) //cryptolint:public (the NIZK proof is public by construction)
+	out = append(out, ds.Proof.W2.Bytes()...) //cryptolint:public (the NIZK proof is public by construction)
+	out = append(out, ds.Proof.V.Marshal()...)
+	return append(out, ds.Proof.E.FillBytes(make([]byte, scalar))...), nil //cryptolint:public (the NIZK proof is public by construction)
 }
 
 func (s *Server) rsaDecrypt(id string, payload []byte) ([]byte, error) {

@@ -1,19 +1,17 @@
 // Package wire provides the framing shared by the repository's network
-// services (the SEM daemon and the threshold-IBE cluster): the v1 framing
-// is a 4-byte big-endian length followed by a JSON body, capped at MaxFrame
-// by default or at a caller-negotiated limit; framev2.go adds the binary
-// batched v2 framing. The package also carries the untrusted-input decoders
-// (points, scalars, GT elements) every network boundary must use, plus a
-// packed encoding for vectors of big integers.
+// services (the SEM daemon, and the threshold-IBE players that are SEM
+// daemons with a share backend): the binary batched framing of framev2.go,
+// capped at MaxFrame by default or at a limit negotiated per connection.
+// The package also carries the untrusted-input decoders (points, scalars,
+// GT elements) every network boundary must use, plus a packed encoding for
+// vectors of big integers.
 package wire
 
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math/big"
 
 	"repro/internal/curve"
@@ -32,66 +30,6 @@ var (
 	// ErrProtocol is returned on malformed frames.
 	ErrProtocol = errors.New("wire: protocol error")
 )
-
-// WriteFrame sends one length-prefixed JSON message and reports the bytes
-// written, capping the body at the package default MaxFrame.
-func WriteFrame(w io.Writer, v any) (int, error) {
-	return WriteFrameLimit(w, v, MaxFrame)
-}
-
-// WriteFrameLimit is WriteFrame with a caller-chosen body cap (maxFrame
-// ≤ 0 selects the package default).
-func WriteFrameLimit(w io.Writer, v any, maxFrame int) (int, error) {
-	if maxFrame <= 0 {
-		maxFrame = MaxFrame
-	}
-	body, err := json.Marshal(v)
-	if err != nil {
-		return 0, fmt.Errorf("encode frame: %w", err)
-	}
-	if len(body) > maxFrame {
-		return 0, ErrFrameTooLarge
-	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return 0, err
-	}
-	n, err := w.Write(body)
-	return 4 + n, err
-}
-
-// ReadFrame receives one length-prefixed JSON message into v, returning
-// the wire size consumed and capping the body at the package default
-// MaxFrame.
-func ReadFrame(r io.Reader, v any) (int, error) {
-	return ReadFrameLimit(r, v, MaxFrame)
-}
-
-// ReadFrameLimit is ReadFrame with a caller-chosen body cap (maxFrame ≤ 0
-// selects the package default). On ErrFrameTooLarge the announced body has
-// not been consumed, so the connection cannot be resynchronized.
-func ReadFrameLimit(r io.Reader, v any, maxFrame int) (int, error) {
-	if maxFrame <= 0 {
-		maxFrame = MaxFrame
-	}
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > uint32(maxFrame) {
-		return 0, ErrFrameTooLarge
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return 0, fmt.Errorf("%w: truncated frame: %v", ErrProtocol, err)
-	}
-	if err := json.Unmarshal(body, v); err != nil {
-		return 0, fmt.Errorf("%w: %v", ErrProtocol, err)
-	}
-	return 4 + int(n), nil
-}
 
 // UnmarshalG1 decodes a compressed curve point received from an untrusted
 // peer and checks order-q subgroup membership. curve.Unmarshal alone only

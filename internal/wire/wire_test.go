@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"bytes"
 	"crypto/rand"
 	"errors"
 	"math/big"
@@ -11,63 +10,6 @@ import (
 	"repro/internal/curve"
 	"repro/internal/pairing"
 )
-
-type payload struct {
-	A string `json:"a"`
-	B []byte `json:"b"`
-}
-
-func TestFrameRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	in := &payload{A: "hello", B: []byte{1, 2, 3}}
-	sent, err := WriteFrame(&buf, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out payload
-	recv, err := ReadFrame(&buf, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sent != recv {
-		t.Fatalf("sent %d, received %d", sent, recv)
-	}
-	if out.A != in.A || !bytes.Equal(out.B, in.B) {
-		t.Fatalf("round trip mismatch: %+v", out)
-	}
-}
-
-func TestFrameLimits(t *testing.T) {
-	var buf bytes.Buffer
-	if _, err := WriteFrame(&buf, &payload{B: make([]byte, MaxFrame)}); !errors.Is(err, ErrFrameTooLarge) {
-		t.Fatalf("oversized write: %v", err)
-	}
-	buf.Reset()
-	buf.Write([]byte{0xFF, 0xFF, 0xFF, 0xFF})
-	var out payload
-	if _, err := ReadFrame(&buf, &out); !errors.Is(err, ErrFrameTooLarge) {
-		t.Fatalf("oversized read: %v", err)
-	}
-}
-
-func TestFrameMalformed(t *testing.T) {
-	var out payload
-	// Truncated body.
-	buf := bytes.NewBuffer([]byte{0, 0, 0, 9, 'x'})
-	if _, err := ReadFrame(buf, &out); !errors.Is(err, ErrProtocol) {
-		t.Fatalf("truncated body: %v", err)
-	}
-	// Invalid JSON.
-	buf = bytes.NewBuffer([]byte{0, 0, 0, 2, '{', 'x'})
-	if _, err := ReadFrame(buf, &out); !errors.Is(err, ErrProtocol) {
-		t.Fatalf("bad JSON: %v", err)
-	}
-	// Unmarshalable value on write.
-	var w bytes.Buffer
-	if _, err := WriteFrame(&w, make(chan int)); err == nil {
-		t.Fatal("unencodable value accepted")
-	}
-}
 
 // TestUnmarshalG1 pins the subgroup check at the network boundary: a point
 // of cofactor order is a valid curve point (plain Unmarshal accepts it) but
