@@ -137,10 +137,11 @@ func servingPrefixed(entries []bench.BaselineEntry) bool {
 // restricts the comparison to matching snapshot entries, letting one
 // snapshot file gate microbenches and serving-layer entries separately;
 // serving-layer entries in the (filtered) snapshot are re-measured
-// automatically. The same-run ratios of the fresh measurement (the 8-limb
-// kernel gates: fp.mul ÷ fp.mul.generic ≤ 0.70, fp.square ÷ fp.mul ≤ 0.92)
-// are held to their bounds whatever the tolerance and whatever the snapshot
-// records; -filter selects them by gate name.
+// automatically. The same-run ratios of the fresh measurement (the
+// paper-size gates: fp.mul ÷ fp.mul.generic ≤ 0.70, fp.square ÷ fp.mul ≤
+// 0.92, thibe.verify-batch5 ÷ thibe.verify-single5 ≤ 0.65) are held to
+// their bounds whatever the tolerance and whatever the snapshot records;
+// -filter selects them by gate name.
 func runCheck(pp *pairing.Params, path string, tolerance float64, quick, serving bool, filterRe *regexp.Regexp, out io.Writer) error {
 	body, err := os.ReadFile(path)
 	if err != nil {

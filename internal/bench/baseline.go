@@ -64,9 +64,9 @@ type BaselineRatio struct {
 	Value float64 `json:"value"`
 }
 
-// measureRatio returns cost(num) ÷ cost(den) from alternating bursts.
-func measureRatio(num, den func() error) (float64, error) {
-	const rounds, burst = 64, 2048
+// measureRatio returns cost(num) ÷ cost(den) from rounds alternating bursts
+// of burst calls each.
+func measureRatio(num, den func() error, rounds, burst int) (float64, error) {
 	best := [2]time.Duration{math.MaxInt64, math.MaxInt64}
 	for r := 0; r < rounds; r++ {
 		for side, body := range [2]func() error{num, den} {
@@ -107,8 +107,9 @@ func benchScalar(label string, q *big.Int) *big.Int {
 // Baseline times the primitive operations behind every scheme: the pairing
 // (optimized and full-Miller oracle), the three scalar-multiplication
 // strategies, fixed-base vs generic GT exponentiation, one BF FullIdent
-// encrypt/decrypt pair, hash-to-G1 and one threshold-IBE share with its
-// proof and that proof's verification. Each body runs for at least minIters
+// encrypt/decrypt pair, hash-to-G1, one threshold-IBE share with its proof,
+// that proof's verification alone and the five of one decryption as a batch,
+// and the two small-n kernels under it. Each body runs for at least minIters
 // iterations and minDuration wall time, whichever is larger.
 func Baseline(pp *pairing.Params, minIters int, minDuration time.Duration) (*BaselineReport, error) {
 	P := pp.Generator()
@@ -147,28 +148,42 @@ func Baseline(pp *pairing.Params, minIters int, minDuration time.Duration) (*Bas
 		return nil, err
 	}
 
-	// Threshold-IBE fixtures: one installed (3, 5) key share, a share with
-	// its robustness proof, and the identity's Q_ID as a recombiner holds it
-	// across the n verifications of one decryption.
-	tpkg, err := core.SetupThreshold(rand.Reader, pp, 32, 3, 5)
+	// Threshold-IBE fixtures: the installed key shares of a (3, 5) system,
+	// every player's share of one ciphertext with its robustness proof, and
+	// the identity's Q_ID as a recombiner holds it across one decryption.
+	const thibeN = 5
+	tpkg, err := core.SetupThreshold(rand.Reader, pp, 32, 3, thibeN)
 	if err != nil {
 		return nil, err
 	}
 	tparams := tpkg.Params()
-	tshare, err := tpkg.ExtractShare(id, 1)
-	if err != nil {
-		return nil, err
-	}
-	if err := tparams.VerifyKeyShare(tshare); err != nil {
-		return nil, err
-	}
-	tproof, err := tparams.ComputeShareWithProof(rand.Reader, tshare, ct.U)
-	if err != nil {
-		return nil, err
+	tshares := make([]*core.KeyShare, thibeN)
+	tproofs := make([]*core.DecryptionShare, thibeN)
+	for i := range tshares {
+		if tshares[i], err = tpkg.ExtractShare(id, i+1); err != nil {
+			return nil, err
+		}
+		if err := tparams.VerifyKeyShare(tshares[i]); err != nil {
+			return nil, err
+		}
+		if tproofs[i], err = tparams.ComputeShareWithProof(rand.Reader, tshares[i], ct.U); err != nil {
+			return nil, err
+		}
 	}
 	qid, err := bf.HashIdentity(pp, id)
 	if err != nil {
 		return nil, err
+	}
+	// The right-hand side of the batched proof check has four GT terms per
+	// share; its shape with full-width exponents is the multi-exponentiation
+	// entry.
+	var gtBases []*pairing.GT
+	var gtExps []*big.Int
+	for i, ds := range tproofs {
+		gtBases = append(gtBases, ds.G, ds.Proof.W1, ds.Proof.W2, ds.G.Mul(ds.Proof.W1))
+		for j := 0; j < 4; j++ {
+			gtExps = append(gtExps, benchScalar(fmt.Sprintf("bench.gtexp.%d.%d", i, j), pp.Q()))
+		}
 	}
 
 	// Batch-kernel fixtures: a 256-member MSM input (Add-chain points, cheap
@@ -340,10 +355,24 @@ func Baseline(pp *pairing.Params, minIters int, minDuration time.Duration) (*Bas
 		{"bf.decrypt", func() error { _, err := pub.Decrypt(key, ct); return err }},
 		{"hash.to-g1", func() error { _, err := bf.HashIdentity(pp, id); return err }},
 		{"thibe.share-with-proof", func() error {
-			_, err := tparams.ComputeShareWithProof(rand.Reader, tshare, ct.U)
+			_, err := tparams.ComputeShareWithProof(rand.Reader, tshares[0], ct.U)
 			return err
 		}},
-		{"thibe.verify-proof", func() error { return tparams.VerifyShareProofFor(qid, ct.U, tproof) }},
+		{"thibe.verify-proof", func() error { return tparams.VerifyShareProofFor(qid, ct.U, tproofs[0]) }},
+		{"thibe.verify-batch5", func() error { return tparams.VerifyShareProofs(qid, ct.U, tproofs) }},
+		{"thibe.verify-single5", func() error {
+			for _, ds := range tproofs {
+				if err := tparams.VerifyShareProofFor(qid, ct.U, ds); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+		{"gtexp.multi4x5", func() error { _, err := pp.MultiExp(gtBases, gtExps); return err }},
+		{"msm.5", func() error {
+			_, err := cv.MSM(msmKs[:5], msmPts[:5])
+			return err
+		}},
 		{"msm.64", func() error {
 			_, err := cv.MSM(msmKs[:64], msmPts[:64])
 			return err
@@ -487,7 +516,7 @@ func Baseline(pp *pairing.Params, minIters int, minDuration time.Duration) (*Bas
 			run[body.name] = body.run
 		}
 		for _, g := range kernelRatioGates {
-			v, err := measureRatio(run[g.Num], run[g.Den])
+			v, err := measureRatio(run[g.Num], run[g.Den], g.Rounds, g.Burst)
 			if err != nil {
 				return nil, fmt.Errorf("baseline %s: %w", g.name(), err)
 			}

@@ -33,21 +33,30 @@ func (r Regression) String() string {
 // machine (BaselineReport.Ratios). Unlike the absolute ns/op comparison the
 // bound holds on any host and needs no tolerance: it is how a loose
 // absolute gate (CI runs at 400 %) can still see an optimized path fall
-// back to the code it replaced.
+// back to the code it replaced. Rounds and Burst size the alternating
+// measurement (measureRatio) to the cost of the two sides.
 type ratioGate struct {
-	Num, Den string
-	Max      float64
+	Num, Den      string
+	Max           float64
+	Rounds, Burst int
 }
 
 func (g ratioGate) name() string { return g.Num + " ÷ " + g.Den }
 
-// kernelRatioGates guard the straight-line 8-limb field kernels of
-// internal/fp (measured when they landed: 0.40 and 0.81). Baseline measures
-// them when the modulus has 8 limbs — the only width with kernels; at any
-// other width Mul is the generic loop and Square is Mul.
+// kernelRatioGates are measured at paper size — when the modulus has 8
+// limbs, the only width with field kernels and the one the bounds were
+// taken at. The first two guard the straight-line 8-limb kernels of
+// internal/fp (measured when they landed: 0.40 and 0.81); at any other
+// width Mul is the generic loop and Square is Mul. The third guards the
+// batched share-proof check (measured when it landed: 0.44): checking five
+// shares of one ciphertext as one equation against checking them one by
+// one, which is what a recombiner paid before and still pays to name a
+// liar. Losing either new kernel under it (the small-n MSM, the GT
+// multi-exponentiation) moves the ratio past the bound.
 var kernelRatioGates = []ratioGate{
-	{Num: "fp.mul", Den: "fp.mul.generic", Max: 0.70},
-	{Num: "fp.square", Den: "fp.mul", Max: 0.92},
+	{Num: "fp.mul", Den: "fp.mul.generic", Max: 0.70, Rounds: 64, Burst: 2048},
+	{Num: "fp.square", Den: "fp.mul", Max: 0.92, Rounds: 64, Burst: 2048},
+	{Num: "thibe.verify-batch5", Den: "thibe.verify-single5", Max: 0.65, Rounds: 12, Burst: 1},
 }
 
 // CompareBaselines checks a freshly measured report against a committed

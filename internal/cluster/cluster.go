@@ -6,10 +6,11 @@
 // players exactly as the paper's recombiner is meant to.
 //
 // The package owns only what is threshold-specific: the fan-out to n
-// players, the per-share NIZK check, the quorum/reject bookkeeping and the
-// recombination. Shares travel as the threshold_share op of internal/sem:
-// a player is a sem.Server with the threshold backend, the recombiner
-// holds one sem.Pool per player.
+// players, the quorum/reject bookkeeping and the recombination; which
+// shares are acceptable is core's rule (ThresholdParams.AcceptableShares).
+// Shares travel as the threshold_share op of internal/sem: a player is a
+// sem.Server with the threshold backend, the recombiner holds one sem.Pool
+// per player.
 package cluster
 
 import (
@@ -25,6 +26,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/curve"
 	"repro/internal/obs"
+	"repro/internal/parallel"
 	"repro/internal/sem"
 )
 
@@ -123,15 +125,18 @@ type Recombiner struct {
 // restarted player costs no rejected share.
 const playerConns = 1
 
-// recombinerMetrics instruments the fan-out path: where a threshold
-// decryption actually spends its time (per-shareholder network+verify
-// latency, and the quorum wait that bounds the whole operation) and which
-// players are feeding the recombiner garbage. The connections' own series
-// are the pools' sempool_* and semclient_*.
+// recombinerMetrics instruments the decryption path: where a threshold
+// decryption actually spends its time (per-shareholder fetch latency, the
+// quorum wait that bounds the network phase, the proof check that follows
+// it), which players are feeding the recombiner garbage, and how often that
+// forces the share-by-share identification pass. The connections' own
+// series are the pools' sempool_* and semclient_*.
 type recombinerMetrics struct {
 	fetch      []*obs.Histogram // cluster_fetch_seconds{player=...}, index i-1
-	verifyFail *obs.Counter     // cluster_verify_failures_total
 	quorumWait *obs.Histogram   // cluster_quorum_wait_seconds
+	verify     *obs.Histogram   // cluster_verify_seconds
+	fallbacks  *obs.Counter     // cluster_verify_fallbacks_total
+	verifyFail *obs.Counter     // cluster_verify_failures_total
 	decrypts   *obs.Counter     // cluster_decrypts_total
 	rejected   *obs.Counter     // cluster_rejected_shares_total
 }
@@ -154,13 +159,18 @@ func NewRecombiner(params *core.ThresholdParams, addrs []string, timeout time.Du
 }
 
 // Instrument registers the recombiner's series with reg: one
-// cluster_fetch_seconds histogram per player (fetch + NIZK verify, the
-// unit of the overlap the fan exploits), the NIZK verification failure
-// counter, the quorum wait histogram (time until every player resolved —
-// the paper's recombiner cannot finish earlier), and the player pools'
-// sempool_* / semclient_* series — which is why it builds the pools (they
-// dial on first use). A nil reg keeps every series live but unexported.
-// Call before the first decryption; safe to skip entirely.
+// cluster_fetch_seconds histogram per player (request, the player's
+// share-with-proof computation, response decoding and validation), the
+// quorum wait histogram (time until every player resolved — the paper's
+// recombiner cannot finish earlier), cluster_verify_seconds (the proof
+// check of one ciphertext's shares, including any identification pass),
+// cluster_verify_fallbacks_total (ciphertexts whose one-equation check
+// failed, so every share was verified singly — a cluster being made to pay
+// that shows here), cluster_verify_failures_total (players whose proofs
+// failed), and the player pools' sempool_* / semclient_* series — which is
+// why it builds the pools (they dial on first use). A nil reg keeps every
+// series live but unexported. Call before the first decryption; safe to
+// skip entirely.
 func (r *Recombiner) Instrument(reg *obs.Registry) {
 	for i, addr := range r.addrs {
 		if r.pools[i] != nil {
@@ -174,13 +184,15 @@ func (r *Recombiner) Instrument(reg *obs.Registry) {
 	}
 	m := &recombinerMetrics{
 		fetch:      make([]*obs.Histogram, r.params.N),
-		verifyFail: reg.Counter("cluster_verify_failures_total", "decryption shares rejected by the NIZK robustness check"),
 		quorumWait: reg.Histogram("cluster_quorum_wait_seconds", "time from fan-out until all player fetches resolved"),
+		verify:     reg.Histogram("cluster_verify_seconds", "proof check of one ciphertext's shares: the batched equation plus, when it fails, the share-by-share pass"),
+		fallbacks:  reg.Counter("cluster_verify_fallbacks_total", "ciphertexts whose batched proof check failed and were verified share by share"),
+		verifyFail: reg.Counter("cluster_verify_failures_total", "players rejected by the NIZK robustness check"),
 		decrypts:   reg.Counter("cluster_decrypts_total", "threshold decryptions attempted"),
 		rejected:   reg.Counter("cluster_rejected_shares_total", "player responses rejected (unreachable, malformed or failing verification)"),
 	}
 	for i := range m.fetch {
-		m.fetch[i] = reg.Histogram("cluster_fetch_seconds", "per-player share fetch + proof verification time",
+		m.fetch[i] = reg.Histogram("cluster_fetch_seconds", "per-player share fetch time (request, share computation, response validation)",
 			obs.Label{Key: "player", Value: strconv.Itoa(i + 1)})
 	}
 	r.met = m
@@ -198,8 +210,8 @@ func (r *Recombiner) Close() error {
 	return nil
 }
 
-// Decrypt fans the ciphertext out to every reachable player, verifies each
-// returned share's proof, and recombines t acceptable shares. It returns
+// Decrypt fans the ciphertext out to every reachable player, checks the
+// returned shares' proofs, and recombines t acceptable shares. It returns
 // the plaintext together with the indices of players whose responses were
 // rejected (unreachable, malformed, or failing the NIZK check). It is the
 // single-ciphertext case of DecryptBatch.
@@ -212,20 +224,18 @@ func (r *Recombiner) Decrypt(id string, c *bf.BasicCiphertext) (msg []byte, reje
 }
 
 // DecryptBatch fans k ciphertexts for one identity out to every reachable
-// player in a single round trip per player, verifies every returned
-// share's proof, and recombines each ciphertext from t acceptable shares.
-// It returns the plaintexts in request order together with the indices of
+// player in a single round trip per player, checks every returned share's
+// proof, and recombines each ciphertext from t acceptable shares. It
+// returns the plaintexts in request order together with the indices of
 // rejected players. A player is rejected wholesale — unreachable,
 // malformed response, or any share failing decode or NIZK verification —
 // because a peer caught lying once is not trustworthy for its other
 // shares either.
 //
-// Proof verification — a multi-pairing per share — runs inside each
-// player's fetch goroutine, so the NIZK checks for fast responders overlap
-// the network wait for slow ones and each other; the latency is that of
-// the slowest single fetch+verify chain rather than their sum.
-// ThresholdParams' verification-key pairing cache is safe under this
-// concurrency.
+// Proof checking starts once every fetch has resolved: the shares of one
+// ciphertext are verified together (core's AcceptableShares — one pairing
+// equation for all of them, share by share only to name a liar), and the k
+// ciphertexts of a batch are checked in parallel.
 func (r *Recombiner) DecryptBatch(id string, cs []*bf.BasicCiphertext) (msgs [][]byte, rejected []int, err error) {
 	if len(cs) == 0 {
 		return nil, nil, nil
@@ -238,14 +248,14 @@ func (r *Recombiner) DecryptBatch(id string, cs []*bf.BasicCiphertext) (msgs [][
 	for j, c := range cs {
 		ids[j], us[j] = id, c.U
 	}
-	// Q_ID is the same for all n·k verifications: hash the identity once.
+	// Q_ID is the same for all n·k proofs: hash the identity once.
 	qid, err := bf.HashIdentity(r.params.Public.Pairing, id)
 	if err != nil {
 		return nil, nil, err
 	}
 
-	// columns[i-1] is player i's full column of len(cs) verified shares,
-	// nil when the player was rejected.
+	// columns[i-1] is player i's full column of len(cs) shares, nil when the
+	// player is rejected.
 	columns := make([][]*core.DecryptionShare, r.params.N)
 	start := time.Now()
 	var wg sync.WaitGroup
@@ -257,12 +267,37 @@ func (r *Recombiner) DecryptBatch(id string, cs []*bf.BasicCiphertext) (msgs [][
 		go func() {
 			defer wg.Done()
 			fetchStart := time.Now()
-			columns[i] = r.fetchColumn(pool, i+1, qid, ids, us)
+			columns[i] = fetchColumn(pool, i+1, ids, us)
 			r.met.fetch[i].Observe(time.Since(fetchStart))
 		}()
 	}
 	wg.Wait()
 	r.met.quorumWait.Observe(time.Since(start))
+
+	// liars[j] are the players whose share of ciphertext j failed its proof.
+	liars := make([][]int, len(cs))
+	parallel.Fan(len(cs), func(j int) {
+		verifyStart := time.Now()
+		row := make([]*core.DecryptionShare, 0, r.params.N)
+		for _, col := range columns {
+			if col != nil {
+				row = append(row, col[j])
+			}
+		}
+		_, liars[j] = r.params.AcceptableShares(qid, us[j], row)
+		r.met.verify.Observe(time.Since(verifyStart))
+	})
+	for _, row := range liars {
+		if len(row) > 0 {
+			r.met.fallbacks.Inc()
+		}
+		for _, i := range row {
+			if columns[i-1] != nil {
+				columns[i-1] = nil
+				r.met.verifyFail.Inc()
+			}
+		}
+	}
 
 	valid := make([][]*core.DecryptionShare, 0, r.params.N)
 	for i, col := range columns {
@@ -292,21 +327,18 @@ func (r *Recombiner) DecryptBatch(id string, cs []*bf.BasicCiphertext) (msgs [][
 }
 
 // fetchColumn asks player index for its share of every ciphertext in one
-// batched request and verifies each proof against that player's
-// verification key: the share is stamped with the slot that was dialed, not
+// batched request. Each share is stamped with the slot that was dialed, not
 // with anything the player says about itself, so a share relayed from
-// another player fails here. It returns nil when the player is rejected.
-func (r *Recombiner) fetchColumn(pool *sem.Pool, index int, qid *curve.Point, ids []string, us []*curve.Point) []*core.DecryptionShare {
+// another player is checked against the wrong verification key and fails.
+// It returns nil when the player is unreachable or any of its answers is
+// refused or malformed.
+func fetchColumn(pool *sem.Pool, index int, ids []string, us []*curve.Point) []*core.DecryptionShare {
 	shares, errs, err := pool.ThresholdShareBatch(ids, us)
 	if err != nil || errors.Join(errs...) != nil {
 		return nil
 	}
-	for j, share := range shares {
+	for _, share := range shares {
 		share.Index = index
-		if r.params.VerifyShareProofFor(qid, us[j], share) != nil {
-			r.met.verifyFail.Inc()
-			return nil
-		}
 	}
 	return shares
 }

@@ -344,41 +344,65 @@ func TestClusterPing(t *testing.T) {
 	}
 }
 
-// TestRecombinerMetrics drives an instrumented decryption past a byzantine
-// player and checks the exported series: per-player fetch timings, the
-// verification-failure and rejected-share counters, and quorum wait.
+// TestRecombinerMetrics drives instrumented decryptions, first with every
+// player honest and then past a byzantine one, and checks the exported
+// series: per-player fetch timings, quorum wait, one proof-check timing per
+// ciphertext, the identification pass counted only once someone lies, and
+// the verification-failure and rejected-share counters naming one player.
 func TestRecombinerMetrics(t *testing.T) {
 	d := deploy(t)
-	d.players[1].SetMisbehaviour(func(ds *core.DecryptionShare) *core.DecryptionShare {
-		return &core.DecryptionShare{Index: ds.Index, G: ds.G.Mul(ds.G), Proof: ds.Proof}
-	})
 	r := d.recombiner(t)
 	reg := obs.NewRegistry()
 	r.Instrument(reg)
-
-	msg := bytes.Repeat([]byte{0x33}, msgLen)
-	c, _ := d.params.Public.EncryptBasic(rand.Reader, ident, msg)
-	if _, _, err := r.Decrypt(ident, c); err != nil {
-		t.Fatal(err)
-	}
-
-	var sb strings.Builder
-	if err := reg.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{
-		`cluster_decrypts_total 1`,
-		`cluster_verify_failures_total 1`,
-		`cluster_rejected_shares_total 1`,
-		`cluster_quorum_wait_seconds_count 1`,
-		`cluster_fetch_seconds_count{player="1"} 1`,
-		`cluster_fetch_seconds_count{player="2"} 1`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("recombiner metrics missing %q:\n%s", want, out)
+	expect := func(stage string, wants ...string) {
+		t.Helper()
+		var sb strings.Builder
+		if err := reg.WritePrometheus(&sb); err != nil {
+			t.Fatal(err)
+		}
+		for _, want := range wants {
+			if !strings.Contains(sb.String(), want+"\n") {
+				t.Fatalf("%s: recombiner metrics missing %q:\n%s", stage, want, sb.String())
+			}
 		}
 	}
+
+	msgs, cs := encryptBatch(t, d, 3)
+	if _, rejected, err := r.Decrypt(ident, cs[0]); err != nil || len(rejected) != 0 {
+		t.Fatalf("honest decryption: rejected %v, err %v", rejected, err)
+	}
+	expect("all honest",
+		`cluster_decrypts_total 1`,
+		`cluster_verify_seconds_count 1`,
+		`cluster_verify_fallbacks_total 0`,
+		`cluster_verify_failures_total 0`,
+		`cluster_rejected_shares_total 0`,
+	)
+
+	// Player 2 lies about every share of a three-ciphertext batch: each
+	// ciphertext's check falls back, one player is named.
+	d.players[1].SetMisbehaviour(func(ds *core.DecryptionShare) *core.DecryptionShare {
+		return &core.DecryptionShare{Index: ds.Index, G: ds.G.Mul(ds.G), Proof: ds.Proof}
+	})
+	got, rejected, err := r.DecryptBatch(ident, cs)
+	if err != nil || len(rejected) != 1 || rejected[0] != 2 {
+		t.Fatalf("byzantine batch: rejected %v, err %v", rejected, err)
+	}
+	for i := range msgs {
+		if !bytes.Equal(got[i], msgs[i]) {
+			t.Fatalf("byzantine batch: ciphertext %d decrypted wrongly", i)
+		}
+	}
+	expect("one liar",
+		`cluster_decrypts_total 4`,
+		`cluster_verify_seconds_count 4`,
+		`cluster_verify_fallbacks_total 3`,
+		`cluster_verify_failures_total 1`,
+		`cluster_rejected_shares_total 1`,
+		`cluster_quorum_wait_seconds_count 2`,
+		`cluster_fetch_seconds_count{player="1"} 2`,
+		`cluster_fetch_seconds_count{player="2"} 2`,
+	)
 }
 
 // encryptBatch produces k distinct ciphertexts for ident.

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math/big"
+	"sort"
 	"sync"
 
 	"repro/internal/bf"
@@ -348,22 +349,8 @@ func (p *ThresholdParams) ComputeShareWithProof(rng io.Reader, share *KeyShare, 
 }
 
 // VerifyShareProof checks a decryption share's robustness proof against the
-// player's public verification key:
-//
-//	ê(P, V) ≟ W1 · ê(P_pub^(i), Q_ID)^e
-//	ê(U, V) ≟ W2 · share^e
-//
-// and that the challenge was honestly derived (Fiat-Shamir). The two
-// pairing equations are checked as one randomized combination: with a fresh
-// verifier-private ρ ← [1, q),
-//
-//	ê(P, V) · ê(ρ·U, V) ≟ (W1 · pubPair^e) · (W2 · share^e)^ρ,
-//
-// computed with a single two-pair MultiPair on the left. Writing the two
-// equations' quotients as A and B, the combined check is A·B^ρ = 1, which
-// for (A, B) ≠ (1, 1) holds for at most one ρ in the order-q group — a
-// cheating prover survives with probability ≤ 1/(q−1), far below the 2⁻ᵏ
-// soundness of the Fiat-Shamir challenge itself.
+// player's public verification key: the one-share case of VerifyShareProofs
+// for a verifier that holds the identity as a string.
 func (p *ThresholdParams) VerifyShareProof(id string, u *curve.Point, ds *DecryptionShare) error {
 	qid, err := bf.HashIdentity(p.Public.Pairing, id)
 	if err != nil {
@@ -373,51 +360,154 @@ func (p *ThresholdParams) VerifyShareProof(id string, u *curve.Point, ds *Decryp
 }
 
 // VerifyShareProofFor is VerifyShareProof for a verifier that has already
-// hashed the identity: qid must be Q_ID = H1(ID). A recombiner checking n
-// shares of one decryption hashes once and calls this n times.
+// hashed the identity: qid must be Q_ID = H1(ID).
 func (p *ThresholdParams) VerifyShareProofFor(qid, u *curve.Point, ds *DecryptionShare) error {
-	if ds.Proof == nil {
-		return fmt.Errorf("%w: missing proof", ErrProofInvalid)
-	}
-	if ds.Index < 1 || ds.Index > p.N {
-		return fmt.Errorf("%w: index %d out of range", ErrProofInvalid, ds.Index)
-	}
+	return p.VerifyShareProofs(qid, u, []*DecryptionShare{ds})
+}
+
+// batchCoefficientBits is the size of the random coefficients that fold the
+// shares of one ciphertext into a single check: a set with a bad share
+// passes with probability ≤ 2⁻¹²⁸ over them.
+const batchCoefficientBits = 128
+
+// VerifyShareProofs checks the robustness proofs of decryption shares of
+// one ciphertext component u under the identity with Q_ID = qid — the
+// proofs of Section 3.2, which for share i with cᵢ = ê(P_pub^(i), Q_ID)
+// assert
+//
+//	ê(P, Vᵢ) = W1ᵢ · cᵢ^eᵢ   and   ê(U, Vᵢ) = W2ᵢ · Gᵢ^eᵢ
+//
+// with eᵢ = H(Gᵢ, cᵢ, W1ᵢ, W2ᵢ) honestly derived (Fiat-Shamir). Every share
+// has its cᵢ computed, its challenge recomputed and compared; the 2n
+// pairing equations are then checked as one. With verifier-private
+// ρ ← [1, q) folding each share's pair of equations and a₁ = 1,
+// aᵢ ← [1, 2¹²⁸) folding the shares,
+//
+//	ê(P + ρ·U, Σ aᵢ·Vᵢ)  ≟  Π (W1ᵢ · cᵢ^eᵢ)^aᵢ · [ Π (W2ᵢ · Gᵢ^eᵢ)^aᵢ ]^ρ
+//
+// is one pairing, one n-term multi-scalar multiplication and one 4n-term GT
+// multi-exponentiation. Write share i's two quotients as g^αᵢ and g^βᵢ in the
+// order-q group GT: the check is Σ aᵢ·(αᵢ + ρ·βᵢ) = 0. A share with
+// (αᵢ, βᵢ) ≠ (0, 0) keeps αᵢ + ρ·βᵢ ≠ 0 for all but at most one ρ, and a
+// linear form in the aᵢ with a nonzero coefficient then vanishes for at most
+// one value of that aᵢ (never, if it is the fixed a₁ alone) — a set holding a
+// bad share passes with probability ≤ 1/(q−1) + 2⁻¹²⁸ (q > 2¹²⁸ at paper
+// size; under a smaller q the coefficients act modulo q and the second term
+// is ≈ 1/q like the first). That argument is about equations between
+// elements of G1 and GT: membership is the decoding boundary's business
+// (wire.UnmarshalG1, UnmarshalGTBatch), checked there per element and never
+// folded.
+//
+// A nil error accepts every share. An error (ErrProofInvalid for anything a
+// prover can cause) says that some share is bad, not which one — verify them
+// singly to find out, as AcceptableShares does.
+func (p *ThresholdParams) VerifyShareProofs(qid, u *curve.Point, shares []*DecryptionShare) error {
 	pp := p.Public.Pairing
-	pubPair, err := p.vkPair(ds.Index, qid)
-	if err != nil {
-		return err
+	q := pp.Q()
+	n := len(shares)
+	if n == 0 {
+		return nil
 	}
-	e := proofChallenge(pp.Q(), ds.G, pubPair, ds.Proof.W1, ds.Proof.W2)
-	if e.Cmp(ds.Proof.E) != 0 { //cryptolint:public (Fiat–Shamir challenge check; the proof and challenge are public values)
-		return fmt.Errorf("%w: challenge mismatch (player %d)", ErrProofInvalid, ds.Index)
+	players := make([]int, n)
+	for i, ds := range shares {
+		if ds == nil || ds.Proof == nil {
+			return fmt.Errorf("%w: missing proof", ErrProofInvalid)
+		}
+		if ds.G == nil || ds.Proof.W1 == nil || ds.Proof.W2 == nil || ds.Proof.E == nil || ds.Proof.V == nil {
+			return fmt.Errorf("%w: incomplete proof (player %d)", ErrProofInvalid, ds.Index)
+		}
+		if ds.Index < 1 || ds.Index > p.N {
+			return fmt.Errorf("%w: index %d out of range", ErrProofInvalid, ds.Index)
+		}
+		players[i] = ds.Index
 	}
-	rho, err := mathx.RandomFieldElement(rand.Reader, pp.Q())
+
+	rho, err := mathx.RandomFieldElement(rand.Reader, q)
 	if err != nil {
 		return fmt.Errorf("sample verification scalar: %w", err)
 	}
-	lhs, err := pp.MultiPair(
-		[]*curve.Point{pp.Generator(), u.ScalarMul(rho)},
-		[]*curve.Point{ds.Proof.V, ds.Proof.V},
-	)
+	one := big.NewInt(1)
+	coefBound := new(big.Int).Lsh(one, batchCoefficientBits)
+	// The right-hand side as 4n (base, exponent) terms:
+	// W1ᵢ^aᵢ · cᵢ^(aᵢeᵢ) · W2ᵢ^(aᵢρ) · Gᵢ^(aᵢeᵢρ).
+	bases := make([]*pairing.GT, 4*n)
+	exps := make([]*big.Int, 4*n)
+	as := make([]*big.Int, n)
+	vs := make([]*curve.Point, n)
+	for i, ds := range shares {
+		pubPair, err := p.vkPair(ds.Index, qid)
+		if err != nil {
+			return err
+		}
+		e := proofChallenge(q, ds.G, pubPair, ds.Proof.W1, ds.Proof.W2)
+		if e.Cmp(ds.Proof.E) != 0 { //cryptolint:public (Fiat–Shamir challenge check; the proof and challenge are public values)
+			return fmt.Errorf("%w: challenge mismatch (player %d)", ErrProofInvalid, ds.Index)
+		}
+		a := one
+		if i > 0 {
+			if a, err = mathx.RandomInRange(rand.Reader, one, coefBound); err != nil {
+				return fmt.Errorf("sample batching coefficient: %w", err)
+			}
+		}
+		ae := mathx.MulMod(a, e, q)
+		copy(bases[4*i:], []*pairing.GT{ds.Proof.W1, pubPair, ds.Proof.W2, ds.G})
+		copy(exps[4*i:], []*big.Int{a, ae, mathx.MulMod(a, rho, q), mathx.MulMod(ae, rho, q)})
+		as[i], vs[i] = a, ds.Proof.V
+	}
+
+	v, err := pp.Curve().MSM(as, vs)
 	if err != nil {
 		return err
 	}
-	pubPairE, err := pubPair.Exp(e)
+	lhs, err := pp.Pair(pp.Generator().Add(u.ScalarMul(rho)), v)
 	if err != nil {
 		return err
 	}
-	shareE, err := ds.G.Exp(e)
+	rhs, err := pp.MultiExp(bases, exps)
 	if err != nil {
-		return err
+		return fmt.Errorf("%w: %w", ErrProofInvalid, err)
 	}
-	rhs2, err := ds.Proof.W2.Mul(shareE).Exp(rho)
-	if err != nil {
-		return err
-	}
-	if !lhs.Equal(ds.Proof.W1.Mul(pubPairE).Mul(rhs2)) {
-		return fmt.Errorf("%w: combined pairing equation (player %d)", ErrProofInvalid, ds.Index)
+	if !lhs.Equal(rhs) {
+		return fmt.Errorf("%w: combined pairing equation (players %v)", ErrProofInvalid, players)
 	}
 	return nil
+}
+
+// AcceptableShares is the recombiner's accept rule, written once: it splits
+// the decryption shares offered for one ciphertext component u into those a
+// combination may use and the player indices it turned away (ascending).
+//
+// All proofs are checked together (VerifyShareProofs), which is all an
+// honest set ever costs; only when that fails is each share verified on its
+// own, to name who lied. Either way no share is returned that a passed
+// check does not cover. Of several verifying shares with one index — one
+// player's share offered again by another — the first is kept and the rest
+// are turned away, so len(valid) counts distinct players and t of them
+// always interpolate.
+func (p *ThresholdParams) AcceptableShares(qid, u *curve.Point, shares []*DecryptionShare) (valid []*DecryptionShare, rejected []int) {
+	ok := shares
+	if p.VerifyShareProofs(qid, u, shares) != nil {
+		ok = make([]*DecryptionShare, 0, len(shares))
+		for _, ds := range shares {
+			if p.VerifyShareProofFor(qid, u, ds) == nil {
+				ok = append(ok, ds)
+			} else if ds != nil {
+				rejected = append(rejected, ds.Index)
+			}
+		}
+	}
+	seen := make(map[int]bool, len(ok))
+	valid = make([]*DecryptionShare, 0, len(ok))
+	for _, ds := range ok {
+		if seen[ds.Index] {
+			rejected = append(rejected, ds.Index)
+			continue
+		}
+		seen[ds.Index] = true
+		valid = append(valid, ds)
+	}
+	sort.Ints(rejected)
+	return valid, rejected
 }
 
 // proofChallenge is the Fiat-Shamir hash e = H(g, pubPair, w1, w2) ∈ F_q.
@@ -453,33 +543,7 @@ func (p *ThresholdParams) Recombine(shares []*DecryptionShare, c *bf.BasicCipher
 
 // CombineShares interpolates g = Π share_i^λ_i from exactly t shares.
 func (p *ThresholdParams) CombineShares(shares []*DecryptionShare) (*pairing.GT, error) {
-	if len(shares) < p.T {
-		return nil, fmt.Errorf("%w: have %d, need %d", ErrNotEnoughValidShares, len(shares), p.T)
-	}
-	use := shares[:p.T]
-	xs := make([]*big.Int, p.T)
-	seen := make(map[int]bool, p.T)
-	for i, s := range use {
-		if seen[s.Index] {
-			return nil, fmt.Errorf("core: duplicate share index %d", s.Index)
-		}
-		seen[s.Index] = true
-		xs[i] = big.NewInt(int64(s.Index))
-	}
-	q := p.Public.Pairing.Q()
-	g := p.Public.Pairing.One()
-	for i, s := range use {
-		li, err := mathx.Lagrange0(i, xs, q)
-		if err != nil {
-			return nil, fmt.Errorf("lagrange coefficient: %w", err)
-		}
-		gi, err := s.G.Exp(li)
-		if err != nil {
-			return nil, err
-		}
-		g = g.Mul(gi)
-	}
-	return g, nil
+	return p.interpolate(shares, 0)
 }
 
 // RecoverShare interpolates the decryption share of an absent or dishonest
@@ -487,51 +551,55 @@ func (p *ThresholdParams) CombineShares(shares []*DecryptionShare) (*pairing.GT,
 // "t among the others can combine their shares to find the one of the
 // dishonest ones" step of Section 3.2.
 func (p *ThresholdParams) RecoverShare(shares []*DecryptionShare, j int) (*DecryptionShare, error) {
+	g, err := p.interpolate(shares, j)
+	if err != nil {
+		return nil, err
+	}
+	return &DecryptionShare{Index: j, G: g}, nil
+}
+
+// interpolate evaluates the degree t−1 polynomial in the exponent that the
+// first t shares lie on at x = at, as Π share_i^{λ_i(at)} in one GT
+// multi-exponentiation. The t indices must be distinct and differ from at.
+func (p *ThresholdParams) interpolate(shares []*DecryptionShare, at int) (*pairing.GT, error) {
 	if len(shares) < p.T {
 		return nil, fmt.Errorf("%w: have %d, need %d", ErrNotEnoughValidShares, len(shares), p.T)
 	}
 	use := shares[:p.T]
 	xs := make([]*big.Int, p.T)
+	gs := make([]*pairing.GT, p.T)
+	seen := make(map[int]bool, p.T)
 	for i, s := range use {
-		if s.Index == j {
-			return nil, fmt.Errorf("core: share %d already present", j)
+		if s.Index == at {
+			return nil, fmt.Errorf("core: share %d already present", at)
 		}
-		xs[i] = big.NewInt(int64(s.Index))
+		if seen[s.Index] {
+			return nil, fmt.Errorf("core: duplicate share index %d", s.Index)
+		}
+		seen[s.Index] = true
+		xs[i], gs[i] = big.NewInt(int64(s.Index)), s.G
 	}
-	q := p.Public.Pairing.Q()
-	at := big.NewInt(int64(j))
-	g := p.Public.Pairing.One()
-	for i, s := range use {
-		li, err := mathx.LagrangeAt(i, xs, at, q)
-		if err != nil {
+	q, x := p.Public.Pairing.Q(), big.NewInt(int64(at))
+	lis := make([]*big.Int, p.T)
+	for i := range lis {
+		var err error
+		if lis[i], err = mathx.LagrangeAt(i, xs, x, q); err != nil {
 			return nil, fmt.Errorf("lagrange coefficient: %w", err)
 		}
-		gi, err := s.G.Exp(li)
-		if err != nil {
-			return nil, err
-		}
-		g = g.Mul(gi)
 	}
-	return &DecryptionShare{Index: j, G: g}, nil
+	return p.Public.Pairing.MultiExp(gs, lis)
 }
 
-// RobustDecrypt is the full robust recombiner: it verifies every share's
-// proof, discards invalid ones, and if at least t survive, recombines and
-// opens the ciphertext. It returns the indices of rejected players alongside
-// the plaintext.
+// RobustDecrypt is the full robust recombiner: it checks the shares' proofs
+// (AcceptableShares), discards what fails, and if shares of at least t
+// distinct players survive, recombines and opens the ciphertext. It returns
+// the indices of rejected players alongside the plaintext.
 func (p *ThresholdParams) RobustDecrypt(id string, shares []*DecryptionShare, c *bf.BasicCiphertext) (msg []byte, rejected []int, err error) {
 	qid, err := bf.HashIdentity(p.Public.Pairing, id)
 	if err != nil {
 		return nil, nil, err
 	}
-	valid := make([]*DecryptionShare, 0, len(shares))
-	for _, s := range shares {
-		if err := p.VerifyShareProofFor(qid, c.U, s); err != nil {
-			rejected = append(rejected, s.Index)
-			continue
-		}
-		valid = append(valid, s)
-	}
+	valid, rejected := p.AcceptableShares(qid, c.U, shares)
 	if len(valid) < p.T {
 		return nil, rejected, fmt.Errorf("%w: %d of %d shares valid", ErrNotEnoughValidShares, len(valid), len(shares))
 	}

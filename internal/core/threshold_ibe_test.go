@@ -225,6 +225,47 @@ func TestRobustDecryptRejectsByzantinePlayer(t *testing.T) {
 	}
 }
 
+// TestRobustDecryptCountsDistinctPlayers: player 2 answers with a copy of
+// player 1's share, index and proof intact. Both copies verify, but they
+// are one point of the polynomial: the recombiner must count distinct
+// indices toward t, turn the surplus copy away and decrypt from the four
+// players it really heard from.
+func TestRobustDecryptCountsDistinctPlayers(t *testing.T) {
+	pkg := thresholdFixture(t, 3, 5)
+	p := pkg.Params()
+	id := "relayed@example.com"
+	keyShares := issueShares(t, pkg, id)
+	msg := bytes.Repeat([]byte{0x78}, msgLen)
+	c, _ := p.Public.EncryptBasic(rand.Reader, id, msg)
+
+	shares := make([]*DecryptionShare, p.N)
+	for i, ks := range keyShares {
+		ds, err := p.ComputeShareWithProof(rand.Reader, ks, c.U)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shares[i] = ds
+	}
+	shares[1] = shares[0]
+
+	got, rejected, err := p.RobustDecrypt(id, shares, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, msg) {
+		t.Fatal("robust decryption produced wrong plaintext")
+	}
+	if len(rejected) != 1 || rejected[0] != 1 {
+		t.Fatalf("rejected = %v, want [1] (the surplus copy of share 1)", rejected)
+	}
+
+	// With the copy standing in for two of only three answers there are two
+	// players, not three.
+	if _, _, err := p.RobustDecrypt(id, shares[:3], c); !errors.Is(err, ErrNotEnoughValidShares) {
+		t.Fatalf("two distinct players of t = 3 decrypted: %v", err)
+	}
+}
+
 func TestRobustDecryptFailsBelowThreshold(t *testing.T) {
 	pkg := thresholdFixture(t, 3, 5)
 	p := pkg.Params()

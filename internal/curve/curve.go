@@ -264,7 +264,7 @@ func (pt *Point) InSubgroup() bool {
 		return s == 1
 	}
 	c := pt.curve
-	acc, err := c.ladder(pt, c.qNAF, newLjScratch(c.fld))
+	acc, err := c.ladder([]*Point{pt}, []naf{c.qNAF}, newLjScratch(c.fld))
 	// err is unreachable for prime p (see ljBatchNormalize); an unverifiable
 	// point is not admitted.
 	in := err == nil && c.fld.IsZero(acc.z)

@@ -16,16 +16,7 @@ const (
 	toyQHex = "fd51d491"
 )
 
-func toyCurve(t *testing.T) *Curve {
-	t.Helper()
-	p, _ := new(big.Int).SetString(toyPHex, 16)
-	q, _ := new(big.Int).SetString(toyQHex, 16)
-	c, err := New(p, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
-}
+func toyCurve(t *testing.T) *Curve { return hexCurve(t, toyPHex, toyQHex) }
 
 func TestNewValidation(t *testing.T) {
 	p, _ := new(big.Int).SetString(toyPHex, 16)

@@ -1,25 +1,28 @@
 // Multi-scalar multiplication: a bucketed Pippenger kernel over the limb
 // Jacobian layer, with the window fan-out parallelized through
-// internal/parallel.
+// internal/parallel, and below msmLadderMax terms the interleaved w-NAF
+// ladder of scalarmul.go.
 //
 // The batch operations of the threshold schemes — BLS batch-verification
-// aggregation, Feldman commitment evaluation, point-share recombination —
-// all reduce to Σ eᵢ·Pᵢ. Computed point-by-point that costs one full w-NAF
-// ladder per term; Pippenger's algorithm instead slices every scalar into
-// b-bit signed digits, accumulates the points with equal digit d into
-// bucket d (one mixed addition per point per window), collapses each
-// window's buckets with a running suffix sum (Σ d·bucket_d via 2·2^(b−1)
-// additions, no multiplications), and merges the window sums with b
-// doublings per window. Total cost ≈ windows·(n + 2^b) additions versus
-// n·(bits + bits/w) for the per-point loop — asymptotically bits/b times
-// fewer group operations.
+// aggregation, Feldman commitment evaluation, point-share recombination,
+// the batched share-proof check — all reduce to Σ eᵢ·Pᵢ. Computed
+// point-by-point that costs one full w-NAF ladder per term. The interleaved
+// ladder shares the doublings and the table inversion among the terms,
+// which is all a handful of terms can share. Pippenger's algorithm instead
+// slices every scalar into b-bit signed digits, accumulates the points with
+// equal digit d into bucket d (one mixed addition per point per window),
+// collapses each window's buckets with a running suffix sum (Σ d·bucket_d
+// via 2·2^(b−1) additions, no multiplications), and merges the window sums
+// with b doublings per window. Total cost ≈ windows·(n + 2^b) additions
+// versus n·(bits + bits/w) for the per-point loop — asymptotically bits/b
+// times fewer group operations.
 //
 // Determinism: windows are distributed across workers but each window sum
 // is written to its own slot and the merge walks the slots in index order
 // on the caller's goroutine, so the result is the exact group element of
 // the sequential evaluation regardless of scheduling — and equal group
 // elements have equal affine coordinates, making MSM bit-identical to the
-// MSMSequential oracle (fuzzed in msm_test.go).
+// MSMSequential oracle on either kernel (fuzzed in msm_test.go).
 package curve
 
 import (
@@ -100,62 +103,106 @@ func windowDigit(words []uint64, bit, b int) uint64 {
 	return d & (1<<uint(b) - 1)
 }
 
-// MSM computes the multi-scalar sum Σ scalars[i]·points[i] with the
-// bucketed Pippenger kernel. Scalars may be negative, zero or wider than
-// the group order (they are not reduced — the sum matches the sequential
-// ScalarMul semantics for arbitrary curve points, including cofactor-order
-// ones); identity points and zero scalars contribute nothing. The result is
-// bit-identical to MSMSequential.
+// msmLadderMax is the largest number of contributing terms MSM hands to the
+// interleaved w-NAF ladder instead of the bucket kernel. Pippenger pays a
+// fixed price per window — a slab of buckets, their batch normalization and
+// a running-sum collapse — that only amortizes over many points: at paper
+// size the ladder takes 0.35× the bucket kernel's time at n = 5, 0.57× at
+// 16, 0.74× at 32, reaches parity near n ≈ 80, and allocates a tenth as much
+// throughout (BenchmarkMSMCrossover; DESIGN §5d has the table). 32 keeps
+// every size where the ladder wins by a quarter or more and leaves the
+// near-parity band to the kernel whose windows fan across cores. The
+// schemes' own sums sit far below it (t = 3 Lagrange terms in shamir and
+// dkg, n = 5 batching coefficients in the threshold verifier) or far above
+// (batch verification).
+const msmLadderMax = 32
+
+// MSM computes the multi-scalar sum Σ scalars[i]·points[i]: with the
+// interleaved w-NAF ladder for up to msmLadderMax contributing terms, with
+// the bucketed Pippenger kernel beyond. Scalars may be negative, zero or
+// wider than the group order (they are not reduced — the sum matches the
+// sequential ScalarMul semantics for arbitrary curve points, including
+// cofactor-order ones); identity points and zero scalars contribute nothing.
+// The result is bit-identical to MSMSequential.
 func (c *Curve) MSM(scalars []*big.Int, points []*Point) (*Point, error) {
 	if err := msmCheckArgs(scalars, points); err != nil {
 		return nil, err
 	}
-	F := c.fld
 	start := time.Now()
-
-	// Collect the contributing terms: |kᵢ| as words, the Montgomery affine
-	// coordinates, and ±y with the scalar's sign folded into which y a
-	// positive digit selects.
-	n := 0
-	words := make([][]uint64, 0, len(points))
-	xs := make([][]uint64, 0, len(points))
-	ysPos := make([][]uint64, 0, len(points))
-	ysNeg := make([][]uint64, 0, len(points))
-	maxBits := 0
-	for i := range points {
-		k, pt := scalars[i], points[i]
-		if pt.inf || k.Sign() == 0 {
-			continue
-		}
-		abs := k
-		if k.Sign() < 0 {
-			abs = new(big.Int).Neg(k)
-		}
-		x, y, ny := F.NewElt(), F.NewElt(), F.NewElt()
-		if err := F.FromBig(x, pt.x); err != nil {
-			return nil, fmt.Errorf("curve: MSM point %d: %w", i, err)
-		}
-		if err := F.FromBig(y, pt.y); err != nil {
-			return nil, fmt.Errorf("curve: MSM point %d: %w", i, err)
-		}
-		F.Neg(ny, y)
-		if k.Sign() < 0 {
-			y, ny = ny, y
-		}
-		words = append(words, scalarWords(abs))
-		xs = append(xs, x)
-		ysPos = append(ysPos, y)
-		ysNeg = append(ysNeg, ny)
-		if b := abs.BitLen(); b > maxBits {
-			maxBits = b
-		}
-		n++
-	}
-	if n == 0 {
+	ks, pts := msmTerms(scalars, points)
+	if len(pts) == 0 {
 		recordMSM(0, 0, 0, time.Since(start))
 		return c.Infinity(), nil
 	}
+	if len(pts) > msmLadderMax {
+		return c.msmBuckets(ks, pts, start), nil
+	}
+	out, err := c.msmLadder(ks, pts, start)
+	if err != nil {
+		// Unreachable for prime p (see ljBatchNormalize); the oracle keeps
+		// the kernel total.
+		return c.MSMSequential(scalars, points)
+	}
+	return out, nil
+}
 
+// msmTerms returns the contributing terms of Σ scalars[i]·points[i] as
+// |kᵢ|·(±Pᵢ): positive scalars and non-identity points, the input of either
+// kernel.
+func msmTerms(scalars []*big.Int, points []*Point) (ks []*big.Int, pts []*Point) {
+	ks = make([]*big.Int, 0, len(points))
+	pts = make([]*Point, 0, len(points))
+	for i, pt := range points {
+		k := scalars[i]
+		if pt.inf || k.Sign() == 0 {
+			continue
+		}
+		if k.Sign() < 0 {
+			k, pt = new(big.Int).Neg(k), pt.Neg()
+		}
+		ks = append(ks, k)
+		pts = append(pts, pt)
+	}
+	return ks, pts
+}
+
+// msmLadder is the small-n kernel behind MSM: Σ ks[i]·pts[i] for positive
+// scalars and non-identity points as one interleaved w-NAF ladder.
+func (c *Curve) msmLadder(ks []*big.Int, pts []*Point, start time.Time) (*Point, error) {
+	recs := make([]naf, len(ks))
+	for i, k := range ks {
+		recs[i] = recode(k)
+	}
+	s := newLjScratch(c.fld)
+	acc, err := c.ladder(pts, recs, s)
+	if err != nil {
+		return nil, err
+	}
+	out := c.ljToPoint(&acc, s)
+	recordMSM(len(pts), 0, 0, time.Since(start))
+	return out, nil
+}
+
+// msmBuckets is the Pippenger kernel behind MSM: Σ ks[i]·pts[i] for positive
+// scalars and non-identity points.
+func (c *Curve) msmBuckets(ks []*big.Int, pts []*Point, start time.Time) *Point {
+	F := c.fld
+	n := len(pts)
+
+	// |kᵢ| as words and the Montgomery affine coordinates with ±y, so a
+	// negative digit selects the negated point without a field negation.
+	words := make([][]uint64, n)
+	xs := make([][]uint64, n)
+	ysPos := make([][]uint64, n)
+	ysNeg := make([][]uint64, n)
+	maxBits := 0
+	for i, pt := range pts {
+		xs[i], ysPos[i] = c.montXY(pt)
+		ysNeg[i] = F.NewElt()
+		F.Neg(ysNeg[i], ysPos[i])
+		words[i] = scalarWords(ks[i])
+		maxBits = max(maxBits, ks[i].BitLen())
+	}
 	b := msmWindowBits(n)
 	// One extra window absorbs the final carry of the signed-digit
 	// recoding (digits in (−2^(b−1), 2^(b−1)]).
@@ -231,7 +278,8 @@ func (c *Curve) MSM(scalars []*big.Int, points []*Point) (*Point, error) {
 		if err != nil {
 			// Unreachable in theory (see ljBatchNormalize); keep the kernel
 			// total by deferring to the oracle.
-			return c.MSMSequential(scalars, points)
+			out, _ := c.MSMSequential(ks, pts) // its only error is the argument check MSM already passed
+			return out
 		}
 	}
 
@@ -249,7 +297,7 @@ func (c *Curve) MSM(scalars []*big.Int, points []*Point) (*Point, error) {
 	}
 	out := c.ljToPoint(&acc, s)
 	recordMSM(n, windows, b, time.Since(start))
-	return out, nil
+	return out
 }
 
 // MSMSequential is the point-by-point oracle for MSM: Σ scalars[i]·points[i]

@@ -8,6 +8,7 @@ import (
 	mrand "math/rand"
 	"sync"
 	"testing"
+	"time"
 )
 
 // Paper-size parameters (|p| = 512, |q| = 160) for the kernel benchmarks.
@@ -18,10 +19,19 @@ const (
 	paperQHex = "d766107fb0eace0a6ccd9d42e9492ba8bf2298ed"
 )
 
-func paperCurve(tb testing.TB) *Curve {
+// The "fast" fixed set (|p| = 256, |q| = 128), duplicated for the same reason.
+const (
+	fastPHex = "db19579dd2a906bb3f2f4f74c236e52c70115d99c09f7c474e96cdbe63e4da07"
+	fastQHex = "e10324209a11be3de5ba91918d7c367d"
+)
+
+func paperCurve(tb testing.TB) *Curve { return hexCurve(tb, paperPHex, paperQHex) }
+func fastCurve(tb testing.TB) *Curve  { return hexCurve(tb, fastPHex, fastQHex) }
+
+func hexCurve(tb testing.TB, pHex, qHex string) *Curve {
 	tb.Helper()
-	p, _ := new(big.Int).SetString(paperPHex, 16)
-	q, _ := new(big.Int).SetString(paperQHex, 16)
+	p, _ := new(big.Int).SetString(pHex, 16)
+	q, _ := new(big.Int).SetString(qHex, 16)
 	c, err := New(p, q)
 	if err != nil {
 		tb.Fatal(err)
@@ -50,17 +60,39 @@ func msmFixture(tb testing.TB, c *Curve, n int, seed int64) ([]*big.Int, []*Poin
 	return scalars, points
 }
 
-func mustMSMBytes(t *testing.T, c *Curve, scalars []*big.Int, points []*Point) ([]byte, []byte) {
-	t.Helper()
+// msmKernels evaluates the sum three ways — MSM as callers reach it, and
+// each of its two kernels run directly whatever the size, so the shapes a
+// test feeds in exercise the ladder and the buckets alike and not only the
+// one msmLadderMax routes them to.
+func msmKernels(tb testing.TB, c *Curve, scalars []*big.Int, points []*Point) map[string]*Point {
+	tb.Helper()
 	got, err := c.MSM(scalars, points)
 	if err != nil {
-		t.Fatalf("MSM: %v", err)
+		tb.Fatalf("MSM: %v", err)
 	}
+	out := map[string]*Point{"MSM": got}
+	if ks, pts := msmTerms(scalars, points); len(pts) > 0 {
+		if out["ladder"], err = c.msmLadder(ks, pts, time.Now()); err != nil {
+			tb.Fatalf("msmLadder: %v", err)
+		}
+		out["buckets"] = c.msmBuckets(ks, pts, time.Now())
+	}
+	return out
+}
+
+// checkMSM demands bit-identity of MSM and both kernels with the per-point
+// oracle.
+func checkMSM(tb testing.TB, c *Curve, scalars []*big.Int, points []*Point) {
+	tb.Helper()
 	want, err := c.MSMSequential(scalars, points)
 	if err != nil {
-		t.Fatalf("MSMSequential: %v", err)
+		tb.Fatalf("MSMSequential: %v", err)
 	}
-	return got.Marshal(), want.Marshal()
+	for kernel, got := range msmKernels(tb, c, scalars, points) {
+		if !bytes.Equal(got.Marshal(), want.Marshal()) {
+			tb.Fatalf("%s %x diverges from the sequential oracle %x", kernel, got.Marshal(), want.Marshal())
+		}
+	}
 }
 
 // TestMSMMatchesSequential drives the Pippenger kernel through the scalar
@@ -109,19 +141,28 @@ func TestMSMMatchesSequential(t *testing.T) {
 			[]*Point{P, P.Double(), c.Infinity(), cof, P.Add(P.Double())}},
 	}
 	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			got, want := mustMSMBytes(t, c, tc.scalars, tc.points)
-			if !bytes.Equal(got, want) {
-				t.Fatalf("MSM diverges from sequential oracle: %x vs %x", got, want)
-			}
-		})
+		t.Run(tc.name, func(t *testing.T) { checkMSM(t, c, tc.scalars, tc.points) })
 	}
 
-	for _, n := range []int{1, 2, 3, 7, 17, 64, 129} {
+	for _, n := range []int{1, 2, 3, 7, msmLadderMax, msmLadderMax + 1, 64, 129} {
 		scalars, points := msmFixture(t, c, n, int64(1000+n))
-		got, want := mustMSMBytes(t, c, scalars, points)
-		if !bytes.Equal(got, want) {
-			t.Fatalf("n=%d: MSM diverges from sequential oracle", n)
+		checkMSM(t, c, scalars, points)
+	}
+}
+
+// TestMSMSmallSizes walks the sizes the schemes' own sums have (t Lagrange
+// terms, n batching coefficients) on every fixed parameter set, with the
+// half-width scalars the batched share-proof check uses mixed in: the
+// interleaved ladder picks a narrower window for those.
+func TestMSMSmallSizes(t *testing.T) {
+	curves := map[string]*Curve{"toy": toyCurve(t), "fast": fastCurve(t), "paper": paperCurve(t)}
+	for name, c := range curves {
+		for n := 1; n <= 8; n++ {
+			scalars, points := msmFixture(t, c, n, int64(31*n))
+			for i := 0; i < n; i += 2 {
+				scalars[i] = new(big.Int).Rsh(scalars[i], uint(c.Q().BitLen()/2))
+			}
+			t.Run(benchName(name, n), func(t *testing.T) { checkMSM(t, c, scalars, points) })
 		}
 	}
 }
@@ -139,26 +180,20 @@ func TestMSMOrderTwoPoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	odd, err := c.MSM([]*big.Int{big.NewInt(5)}, []*Point{T})
-	if err != nil {
-		t.Fatal(err)
+	for kernel, odd := range msmKernels(t, c, []*big.Int{big.NewInt(5)}, []*Point{T}) {
+		if !odd.Equal(T) {
+			t.Fatalf("%s: 5·(0,0) = %v, want (0,0)", kernel, odd)
+		}
 	}
-	if !odd.Equal(T) {
-		t.Fatalf("5·(0,0) = %v, want (0,0)", odd)
+	for kernel, even := range msmKernels(t, c, []*big.Int{big.NewInt(4)}, []*Point{T}) {
+		if !even.IsInfinity() {
+			t.Fatalf("%s: 4·(0,0) = %v, want O", kernel, even)
+		}
 	}
-	even, err := c.MSM([]*big.Int{big.NewInt(4)}, []*Point{T})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !even.IsInfinity() {
-		t.Fatalf("4·(0,0) = %v, want O", even)
-	}
-	mixed, err := c.MSM([]*big.Int{big.NewInt(3), big.NewInt(2)}, []*Point{T, P})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !mixed.Equal(T.Add(P.Double())) {
-		t.Fatalf("3·(0,0) + 2·P mismatch")
+	for kernel, mixed := range msmKernels(t, c, []*big.Int{big.NewInt(3), big.NewInt(2)}, []*Point{T, P}) {
+		if !mixed.Equal(T.Add(P.Double())) {
+			t.Fatalf("%s: 3·(0,0) + 2·P mismatch", kernel)
+		}
 	}
 	if T.InSubgroup() {
 		t.Fatal("order-2 point claims G1 membership (q is odd)")
@@ -334,18 +369,7 @@ func FuzzMSM(f *testing.F) {
 			}
 			prev = points[i]
 		}
-		got, err := c.MSM(scalars, points)
-		if err != nil {
-			t.Fatalf("MSM: %v", err)
-		}
-		want, err := c.MSMSequential(scalars, points)
-		if err != nil {
-			t.Fatalf("MSMSequential: %v", err)
-		}
-		if !bytes.Equal(got.Marshal(), want.Marshal()) {
-			t.Fatalf("seed=%d n=%d: MSM %x differs from oracle %x",
-				seed, n, got.Marshal(), want.Marshal())
-		}
+		checkMSM(t, c, scalars, points)
 	})
 }
 
@@ -369,6 +393,29 @@ func BenchmarkMSM(b *testing.B) {
 				if _, err := c.MSMSequential(scalars, points); err != nil {
 					b.Fatal(err)
 				}
+			}
+		})
+	}
+}
+
+// BenchmarkMSMCrossover times both MSM kernels on the same paper-size inputs
+// around msmLadderMax; it is where that constant comes from (DESIGN §5d).
+func BenchmarkMSMCrossover(b *testing.B) {
+	c := paperCurve(b)
+	for _, n := range []int{1, 3, 5, 8, 12, 16, 24, 32, 48, 64} {
+		ks, pts := msmTerms(msmFixture(b, c, n, int64(n)))
+		b.Run(benchName("ladder", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := c.msmLadder(ks, pts, time.Now()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(benchName("buckets", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				c.msmBuckets(ks, pts, time.Now())
 			}
 		})
 	}

@@ -11,7 +11,9 @@ import (
 // and what the kernel costs decide whether the Pippenger machinery pays for
 // itself outside benchmarks, so the serving daemons export them (same
 // pattern as the pairing engine counters). Recording is a handful of
-// uncontended atomic adds per MSM call — never per point.
+// uncontended atomic adds per MSM call — never per point. A call the
+// interleaved ladder served (at most msmLadderMax terms) records its points
+// and latency with zero windows and zero window bits.
 var msmCounters struct {
 	calls      atomic.Uint64                 // MSM invocations
 	points     atomic.Uint64                 // contributing (nonzero) terms across calls
@@ -51,7 +53,8 @@ type MSMStats struct {
 	Points uint64
 	// Windows counts processed Pippenger windows across all calls.
 	Windows uint64
-	// WindowBits is the bucket-index width the most recent call selected.
+	// WindowBits is the bucket-index width the most recent call selected
+	// (0 when the ladder served it).
 	WindowBits int
 }
 
@@ -70,13 +73,13 @@ func KernelStats() MSMStats {
 // deduplicates series — so every instrumented component may call it without
 // coordination.
 func RegisterMSMMetrics(reg *obs.Registry) {
-	reg.CounterFunc("curve_msm_calls_total", "Pippenger MSM kernel invocations",
+	reg.CounterFunc("curve_msm_calls_total", "MSM kernel invocations (interleaved ladder or Pippenger)",
 		func() uint64 { return msmCounters.calls.Load() })
 	reg.CounterFunc("curve_msm_points_total", "scalar-point terms summed across MSM invocations",
 		func() uint64 { return msmCounters.points.Load() })
 	reg.CounterFunc("curve_msm_windows_total", "Pippenger windows processed across MSM invocations",
 		func() uint64 { return msmCounters.windows.Load() })
-	reg.GaugeFunc("curve_msm_window_bits", "window width selected by the most recent MSM call",
+	reg.GaugeFunc("curve_msm_window_bits", "Pippenger window width selected by the most recent MSM call (0: the ladder served it)",
 		func() int64 { return msmCounters.windowBits.Load() })
 	msmCounters.latency.Store(reg.Histogram("curve_msm_seconds", "MSM kernel latency"))
 	reg.CounterFunc("curve_hash_to_point_total", "hash-to-curve evaluations (HashToPoint and HashToPointUncleared)",

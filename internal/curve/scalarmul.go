@@ -16,6 +16,8 @@ package curve
 import (
 	"fmt"
 	"math/big"
+
+	"repro/internal/mathx"
 )
 
 // wnafWidth picks the NAF window for a scalar of the given bit length:
@@ -32,95 +34,92 @@ func wnafWidth(bits int) uint {
 	}
 }
 
-// wnaf recodes a positive scalar into width-w non-adjacent form: digits in
-// {0, ±1, ±3, …, ±(2^(w−1)−1)}, least significant first, with at most one
-// nonzero digit in any w consecutive positions.
-func wnaf(k *big.Int, w uint) []int8 {
-	digits := make([]int8, 0, k.BitLen()+1)
-	n := new(big.Int).Set(k)
-	mask := big.Word(1)<<w - 1
-	half := int64(1) << (w - 1)
-	for n.Sign() > 0 {
-		if n.Bit(0) == 1 {
-			d := int64(n.Bits()[0] & mask)
-			if d >= half {
-				d -= int64(mask) + 1 // make the digit negative so the rest stays even
-			}
-			digits = append(digits, int8(d))
-			if d > 0 {
-				n.Sub(n, big.NewInt(d))
-			} else {
-				n.Add(n, big.NewInt(-d))
-			}
-		} else {
-			digits = append(digits, 0)
-		}
-		n.Rsh(n, 1)
-	}
-	return digits
-}
-
 // naf is a positive scalar in width-w non-adjacent form.
 type naf struct {
 	w      uint
 	digits []int8 // least significant first
 }
 
+// oddMultiples is the number of table entries a ladder over k needs: odd
+// digits reach 2^(w−1)−1, so the 2^(w−2) multiples {1, 3, …, 2^(w−1)−1}.
+func (k naf) oddMultiples() int { return 1 << (k.w - 2) }
+
 // recode returns the w-NAF of the positive scalar k at the width its size
 // calls for.
 func recode(k *big.Int) naf {
 	w := wnafWidth(k.BitLen())
-	return naf{w: w, digits: wnaf(k, w)}
+	return naf{w: w, digits: mathx.WNAF(k, w)}
 }
 
 // ladder is the package's one w-NAF scalar-multiplication loop: it returns
-// k·pt (pt ≠ O) in Jacobian form for the recoded scalar k, leaving the
-// caller to normalize the result or — the subgroup check — only test it for
-// the identity.
-func (c *Curve) ladder(pt *Point, k naf, s *ljScratch) (limbJac, error) {
+// Σ ks[i]·pts[i] (every pts[i] ≠ O) in Jacobian form for the recoded positive
+// scalars, leaving the caller to normalize the result or — the subgroup
+// check — only test it for the identity. The terms are interleaved
+// (Straus): each has its own table of odd multiples and its own digit
+// string, and all of them share the one accumulator, so n terms cost one
+// run of doublings and one table inversion instead of n. A single term is
+// the plain w-NAF ladder.
+func (c *Curve) ladder(pts []*Point, ks []naf, s *ljScratch) (limbJac, error) {
 	F := c.fld
-	bx, by := c.montXY(pt)
 
-	// Odd digits reach 2^(w−1)−1, so the table holds the 2^(w−2) odd
-	// multiples {1, 3, …, 2^(w−1)−1}·P, batch-normalized with one inversion
-	// so the loop below uses only mixed additions. An order-2 base has
-	// 2P = O, which ljAdd ignores: every odd multiple then equals P.
-	table := newLimbJacs(F, 1<<(k.w-2))
-	table[0].setAffine(F, bx, by)
-	if len(table) > 1 {
-		twoP := newLimbJac(F)
-		twoP.setAffine(F, bx, by)
-		ljDouble(F, &twoP, s)
-		for i := 1; i < len(table); i++ {
-			table[i].set(F, &table[i-1])
-			ljAdd(F, &table[i], &twoP, s)
+	// Term i's row of the table holds the odd multiples of pts[i]; the whole
+	// table is batch-normalized with one inversion so the loop below uses
+	// only mixed additions. An order-2 base has 2P = O, which ljAdd ignores:
+	// every odd multiple then equals P.
+	size, steps := 0, 0
+	for _, k := range ks {
+		size += k.oddMultiples()
+		steps = max(steps, len(k.digits))
+	}
+	table := newLimbJacs(F, size)
+	twoP := newLimbJac(F)
+	off := 0
+	for i, k := range ks {
+		bx, by := c.montXY(pts[i])
+		row := table[off : off+k.oddMultiples()]
+		off += len(row)
+		row[0].setAffine(F, bx, by)
+		if len(row) > 1 {
+			twoP.setAffine(F, bx, by)
+			ljDouble(F, &twoP, s)
+			for j := 1; j < len(row); j++ {
+				row[j].set(F, &row[j-1])
+				ljAdd(F, &row[j], &twoP, s)
+			}
 		}
-		if err := ljBatchNormalize(F, table, newElts(F, len(table)), s); err != nil {
+	}
+	if size > len(ks) {
+		if err := ljBatchNormalize(F, table, newElts(F, size), s); err != nil {
 			return limbJac{}, err
 		}
 	}
 
 	ny := F.NewElt()
 	acc := newLimbJac(F)
-	for i := len(k.digits) - 1; i >= 0; i-- {
+	for i := steps - 1; i >= 0; i-- {
 		ljDouble(F, &acc, s)
-		d := k.digits[i]
-		if d == 0 {
-			continue
-		}
-		neg := d < 0
-		if neg {
-			d = -d
-		}
-		e := &table[(d-1)/2]
-		if F.IsZero(e.z) {
-			continue // odd multiple collapsed to O (tiny-order base): adds nothing
-		}
-		if neg {
-			F.Neg(ny, e.y)
-			ljAddMixed(F, &acc, e.x, ny, s)
-		} else {
-			ljAddMixed(F, &acc, e.x, e.y, s)
+		off = 0
+		for _, k := range ks {
+			row := table[off : off+k.oddMultiples()]
+			off += len(row)
+			if i >= len(k.digits) || k.digits[i] == 0 {
+				continue
+			}
+			d := k.digits[i]
+			neg := d < 0
+			if neg {
+				d = -d
+			}
+			e := &row[(d-1)/2]
+			if F.IsZero(e.z) {
+				continue // odd multiple collapsed to O (tiny-order base): adds nothing
+			}
+			if neg {
+				F.Neg(ny, e.y)
+				ljAddMixed(F, &acc, e.x, ny, s)
+			} else {
+				ljAddMixed(F, &acc, e.x, e.y, s)
+			}
 		}
 	}
 	return acc, nil
@@ -133,7 +132,7 @@ func (pt *Point) mulRecoded(k *big.Int, rec naf) *Point {
 	}
 	c := pt.curve
 	s := newLjScratch(c.fld)
-	acc, err := c.ladder(pt, rec, s)
+	acc, err := c.ladder([]*Point{pt}, []naf{rec}, s)
 	if err != nil {
 		// Unreachable for prime p (see ljBatchNormalize); the affine oracle
 		// keeps the operation total.

@@ -272,6 +272,19 @@ func (e *Element) SquareUnitary(x *Element) *Element {
 	return e
 }
 
+// IsUnitary reports whether e has norm a² + b² = 1 — the precondition of
+// SquareUnitary, and of taking Conjugate for the inverse.
+func (e *Element) IsUnitary() bool {
+	f := e.f
+	var t1, t2 [fp.MaxLimbs]uint64
+	n := f.fp.Limbs()
+	aa, bb := t1[:n], t2[:n]
+	f.fp.Square(aa, e.a)
+	f.fp.Square(bb, e.b)
+	f.fp.Add(aa, aa, bb)
+	return f.fp.IsOne(aa)
+}
+
 // Conjugate sets e = a − b·i for x = a + b·i and returns e. Conjugation is
 // the Frobenius map x ↦ x^p on F_p².
 func (e *Element) Conjugate(x *Element) *Element {

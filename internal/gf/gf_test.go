@@ -105,6 +105,15 @@ func TestSquareUnitaryMatchesSquare(t *testing.T) {
 		u := new(Element).Conjugate(y)
 		u.Mul(u, inv)
 
+		// IsUnitary tells the two kinds apart, and a unitary element's
+		// conjugate is its inverse.
+		if !u.IsUnitary() || y.IsUnitary() {
+			t.Fatalf("iteration %d: IsUnitary(y^(p−1)) = %v, IsUnitary(y) = %v", i, u.IsUnitary(), y.IsUnitary())
+		}
+		if !new(Element).Mul(u, new(Element).Conjugate(u)).IsOne() {
+			t.Fatalf("iteration %d: u·conj(u) ≠ 1 for unitary u", i)
+		}
+
 		want := new(Element).Square(u)
 		got := new(Element).SquareUnitary(u)
 		if !got.Equal(want) {

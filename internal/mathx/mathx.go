@@ -184,6 +184,12 @@ func LagrangeAt(i int, xs []*big.Int, at, q *big.Int) (*big.Int, error) {
 	return num, nil
 }
 
+// MulMod returns x·y mod m as a fresh value.
+func MulMod(x, y, m *big.Int) *big.Int {
+	z := new(big.Int).Mul(x, y)
+	return z.Mod(z, m)
+}
+
 // BytesToIntMod hashes-friendly helper: interprets b as a big-endian integer
 // reduced modulo m.
 func BytesToIntMod(b []byte, m *big.Int) *big.Int {
@@ -201,4 +207,36 @@ func PadBytes(x *big.Int, size int) ([]byte, error) {
 	out := make([]byte, size)
 	copy(out[size-len(b):], b)
 	return out, nil
+}
+
+// WNAF recodes a positive scalar into width-w non-adjacent form (w ≥ 2):
+// digits in {0, ±1, ±3, …, ±(2^(w−1)−1)}, least significant first, with at
+// most one nonzero digit in any w consecutive positions — so a ladder over
+// them performs an addition (a multiplication, in a multiplicative group) at
+// only 1/(w+1) of its steps. It serves the G1 ladders of internal/curve and
+// the GT multi-exponentiation of internal/pairing, both groups where the
+// inverse a negative digit calls for is free.
+func WNAF(k *big.Int, w uint) []int8 {
+	digits := make([]int8, 0, k.BitLen()+1)
+	n := new(big.Int).Set(k)
+	mask := big.Word(1)<<w - 1
+	half := int64(1) << (w - 1)
+	for n.Sign() > 0 {
+		if n.Bit(0) == 1 {
+			d := int64(n.Bits()[0] & mask)
+			if d >= half {
+				d -= int64(mask) + 1 // make the digit negative so the rest stays even
+			}
+			digits = append(digits, int8(d))
+			if d > 0 {
+				n.Sub(n, big.NewInt(d))
+			} else {
+				n.Add(n, big.NewInt(-d))
+			}
+		} else {
+			digits = append(digits, 0)
+		}
+		n.Rsh(n, 1)
+	}
+	return digits
 }

@@ -4,6 +4,7 @@ import (
 	"crypto/rand"
 	"errors"
 	"math/big"
+	mrand "math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -320,4 +321,58 @@ func (d *detRand) next() uint64 {
 	d.state ^= d.state >> 7
 	d.state ^= d.state << 17
 	return d.state
+}
+
+// TestWNAF checks the three properties the ladders lean on, at every width
+// they use: the digits reconstruct k, every nonzero digit is odd and below
+// 2^(w−1) in magnitude, and any w consecutive positions hold at most one.
+func TestWNAF(t *testing.T) {
+	rng := mrand.New(mrand.NewSource(7))
+	limit := new(big.Int).Lsh(big.NewInt(1), 200)
+	for _, w := range []uint{2, 4, 5} {
+		for iter := 0; iter < 200; iter++ {
+			k := new(big.Int).Rand(rng, limit)
+			k.Rsh(k, uint(rng.Intn(200))) // every size down to a few bits
+			k.Add(k, big.NewInt(1))
+			digits := WNAF(k, w)
+			sum := new(big.Int)
+			last := -int(w)
+			for i := len(digits) - 1; i >= 0; i-- {
+				sum.Lsh(sum, 1)
+				sum.Add(sum, big.NewInt(int64(digits[i])))
+			}
+			for i, d := range digits {
+				if d == 0 {
+					continue
+				}
+				if d%2 == 0 || int(d) >= 1<<(w-1) || int(d) <= -(1<<(w-1)) {
+					t.Fatalf("w=%d k=%v: digit %d at %d out of range", w, k, d, i)
+				}
+				if i-last < int(w) {
+					t.Fatalf("w=%d k=%v: nonzero digits at %d and %d", w, k, last, i)
+				}
+				last = i
+			}
+			if sum.Cmp(k) != 0 {
+				t.Fatalf("w=%d: digits of %v sum to %v", w, k, sum)
+			}
+		}
+	}
+	if got := WNAF(new(big.Int), 4); len(got) != 0 {
+		t.Fatalf("WNAF(0) = %v, want no digits", got)
+	}
+}
+
+func TestMulMod(t *testing.T) {
+	m := big.NewInt(97)
+	x, y := big.NewInt(95), big.NewInt(96)
+	if got := MulMod(x, y, m); got.Int64() != 95*96%97 {
+		t.Fatalf("MulMod(95, 96, 97) = %v", got)
+	}
+	if x.Int64() != 95 || y.Int64() != 96 {
+		t.Fatal("MulMod modified an operand")
+	}
+	if got := MulMod(big.NewInt(-3), big.NewInt(5), m); got.Int64() != 82 {
+		t.Fatalf("MulMod(-3, 5, 97) = %v, want the residue in [0, m)", got)
+	}
 }
