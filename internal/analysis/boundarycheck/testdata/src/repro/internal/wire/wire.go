@@ -23,3 +23,9 @@ func UnmarshalScalar(data []byte, max *big.Int) (*big.Int, error) {
 func UnmarshalGT(pp *pairing.Params, data []byte) (*pairing.GT, error) {
 	return pp.GTFromBytes(data)
 }
+
+// UnmarshalPairingArg decodes a point that is on the curve and not the
+// identity, without the subgroup check: a pairing evaluation point only.
+func UnmarshalPairingArg(c *curve.Curve, data []byte) (*curve.Point, error) {
+	return c.Unmarshal(data)
+}

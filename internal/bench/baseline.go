@@ -109,8 +109,10 @@ func benchScalar(label string, q *big.Int) *big.Int {
 // strategies, fixed-base vs generic GT exponentiation, one BF FullIdent
 // encrypt/decrypt pair, hash-to-G1, one threshold-IBE share with its proof,
 // that proof's verification alone and the five of one decryption as a batch,
-// and the two small-n kernels under it. Each body runs for at least minIters
-// iterations and minDuration wall time, whichever is larger.
+// the two small-n kernels under it, and the hot token's boundary steps (point
+// decode with and without the subgroup ladder, final exponentiation, GT
+// check). Each body runs for at least minIters iterations and minDuration
+// wall time, whichever is larger.
 func Baseline(pp *pairing.Params, minIters int, minDuration time.Duration) (*BaselineReport, error) {
 	P := pp.Generator()
 	Q, err := pp.Curve().HashToPoint("baseline", []byte("x"))
@@ -312,6 +314,13 @@ func Baseline(pp *pairing.Params, minIters int, minDuration time.Duration) (*Bas
 		return nil
 	}
 
+	// Token-boundary fixtures: the compressed ciphertext point a SEM decodes
+	// (with and without the [q]· subgroup ladder) and the final
+	// exponentiation's tail (p+1)/q — the curve's cofactor — over an
+	// arbitrary Miller-shaped value.
+	uBytes := ct.U.Marshal()
+	expTail := cv.Cofactor()
+
 	// Field-layer bodies: the F_p² tower and the raw Montgomery limb ops it
 	// is built from. These are the entries the zero-alloc gate watches.
 	fld := pp.Field()
@@ -342,6 +351,7 @@ func Baseline(pp *pairing.Params, minIters int, minDuration time.Duration) (*Bas
 		{"pair.full-miller", func() error { _, err := pp.PairFull(P, Q); return err }},
 		{"pair.fixed", func() error { _, err := fp.Pair(Q); return err }},
 		{"pair.fixed.precompute", func() error { _, err := pp.NewFixedPair(P); return err }},
+		{"pair.finalexp", func() error { _, err := eOut.ExpUnitaryPart(e1, expTail); return err }},
 		{"multipair.2", func() error {
 			_, err := pp.MultiPair([]*curve.Point{P, Q}, []*curve.Point{Q, P})
 			return err
@@ -351,6 +361,14 @@ func Baseline(pp *pairing.Params, minIters int, minDuration time.Duration) (*Bas
 		{"scalarmul.binary-ladder", func() error { P.ScalarMulBinary(k); return nil }},
 		{"gtexp.square-multiply", func() error { _, err := g.Exp(k); return err }},
 		{"gtexp.fixed-base", func() error { gtTab.Exp(k); return nil }},
+		{"gt.ingt", func() error {
+			if !pp.InGT(g) {
+				return fmt.Errorf("pairing value outside GT")
+			}
+			return nil
+		}},
+		{"wire.g1", func() error { _, err := wire.UnmarshalG1(cv, uBytes); return err }},
+		{"wire.pairing-arg", func() error { _, err := wire.UnmarshalPairingArg(cv, uBytes); return err }},
 		{"bf.encrypt", func() error { _, err := pub.Encrypt(rand.Reader, id, msg); return err }},
 		{"bf.decrypt", func() error { _, err := pub.Decrypt(key, ct); return err }},
 		{"hash.to-g1", func() error { _, err := bf.HashIdentity(pp, id); return err }},

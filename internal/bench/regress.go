@@ -52,11 +52,18 @@ func (g ratioGate) name() string { return g.Num + " ÷ " + g.Den }
 // shares of one ciphertext as one equation against checking them one by
 // one, which is what a recombiner paid before and still pays to name a
 // liar. Losing either new kernel under it (the small-n MSM, the GT
-// multi-exponentiation) moves the ratio past the bound.
+// multi-exponentiation) moves the ratio past the bound. The last two guard
+// the hot token's boundary: the SEM's decode of a pairing evaluation point
+// against the full G1 decode (measured 0.24–0.26; 1.0 if the [q]· ladder
+// comes back onto ibe_token's decoder), and the Lucas-ladder GT check
+// against a generic 160-bit GT exponentiation, which is what InGT used to
+// be (measured 0.48–0.50).
 var kernelRatioGates = []ratioGate{
 	{Num: "fp.mul", Den: "fp.mul.generic", Max: 0.70, Rounds: 64, Burst: 2048},
 	{Num: "fp.square", Den: "fp.mul", Max: 0.92, Rounds: 64, Burst: 2048},
 	{Num: "thibe.verify-batch5", Den: "thibe.verify-single5", Max: 0.65, Rounds: 12, Burst: 1},
+	{Num: "wire.pairing-arg", Den: "wire.g1", Max: 0.50, Rounds: 32, Burst: 8},
+	{Num: "gt.ingt", Den: "gtexp.square-multiply", Max: 0.65, Rounds: 32, Burst: 16},
 }
 
 // CompareBaselines checks a freshly measured report against a committed

@@ -129,6 +129,23 @@ func TestCompareBaselinesRatioGates(t *testing.T) {
 		t.Fatalf("String() = %q", s)
 	}
 
+	// The token-boundary gates: the [q]· ladder back on ibe_token's decode
+	// makes it cost what wire.g1 costs; InGT back on square-and-multiply
+	// makes it cost a GT exponentiation.
+	token := func(decode, ingt float64) *BaselineReport {
+		r := with(0.40, 0.81)
+		r.Ratios = append(r.Ratios,
+			BaselineRatio{Name: "wire.pairing-arg ÷ wire.g1", Value: decode},
+			BaselineRatio{Name: "gt.ingt ÷ gtexp.square-multiply", Value: ingt})
+		return r
+	}
+	if regs, err := CompareBaselines(ref, token(0.33, 0.45), 400); err != nil || len(regs) != 0 {
+		t.Fatalf("healthy token ratios flagged: %+v, %v", regs, err)
+	}
+	if regs, _ := CompareBaselines(ref, token(1.0, 1.0), 400); len(regs) != 2 || regs[0].RefNs != 0.65 || regs[1].RefNs != 0.50 {
+		t.Fatalf("regressions = %+v, want the gt.ingt (0.65) and wire.pairing-arg (0.50) gates", regs)
+	}
+
 	// A reference without ratios (older snapshot, hand-edited, recorded
 	// with a -filter) does not switch the gates off.
 	ref.Ratios = nil

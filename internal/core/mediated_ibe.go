@@ -51,8 +51,11 @@ type UserKeyHalf struct {
 	fp     *pairing.FixedPair
 }
 
-// pairing returns ê(u, d_ID,user) through the half's cached fixed-argument
-// program, falling back to the generic pairing for degenerate halves.
+// pairing returns ê(d_ID,user, u) through the half's cached fixed-argument
+// program, falling back to the generic pairing for degenerate halves. Like
+// the SEM's side it walks the key and evaluates at u, so a cofactor
+// component of u contributes nothing to g — and FullIdent's validity check
+// (r·P = U) then refuses the ciphertext.
 func (k *UserKeyHalf) pairing(pp *pairing.Params, u *curve.Point) (*pairing.GT, error) {
 	k.fpOnce.Do(func() {
 		fp, err := pp.NewFixedPair(k.D)
@@ -63,7 +66,7 @@ func (k *UserKeyHalf) pairing(pp *pairing.Params, u *curve.Point) (*pairing.GT, 
 	if k.fp != nil {
 		return k.fp.Pair(u)
 	}
-	return pp.Pair(u, k.D)
+	return pp.Pair(k.D, u)
 }
 
 // SEMKeyHalf is the mediator's piece d_ID,sem of an identity key.
@@ -129,10 +132,27 @@ type IBESEM struct {
 
 // semPairer binds a precomputed pairing program to the exact key half it
 // was derived from, so a cached program can never serve a re-registered
-// identity's stale key.
+// identity's stale key. The entry goes into the cache before its program
+// exists and build makes the program once: connections missing together on
+// one identity all find the same entry and share the one NewFixedPair.
 type semPairer struct {
-	d  *curve.Point
-	fp *pairing.FixedPair
+	d     *curve.Point
+	build sync.Once
+	fp    *pairing.FixedPair // nil once built: degenerate half, generic pairing
+}
+
+// pair returns ê(d, u) — d walked, u the evaluation point — building the
+// Miller program on first use.
+func (p *semPairer) pair(pp *pairing.Params, u *curve.Point) (*pairing.GT, error) {
+	p.build.Do(func() {
+		if fp, err := pp.NewFixedPair(p.d); err == nil {
+			p.fp = fp
+		}
+	})
+	if p.fp == nil {
+		return pp.Pair(p.d, u)
+	}
+	return p.fp.Pair(u)
 }
 
 // semPairerCapacity bounds the SEM's per-identity precomputation cache; the
@@ -188,11 +208,21 @@ func (s *IBESEM) SetPairerCacheCapacity(n int) { s.pairers.Resize(n) }
 func (s *IBESEM) Registry() *Registry { return s.reg }
 
 // Token implements the SEM side of the decryption protocol: check
-// revocation, then return g_sem = ê(U, d_ID,sem).
+// revocation, then return g_sem = ê(d_ID,sem, U) (= ê(U, d_ID,sem); ê is
+// symmetric on G1).
 //
 // The token is bound to U = H3(σ, M)·P, so it opens exactly one ciphertext;
 // it reveals nothing about d_ID,sem (it is a random-looking GT element) and
 // is useless to anyone but the key-half holder.
+//
+// What is checked on U: non-nil and not the identity. What is not: order-q
+// subgroup membership. U is only ever the pairing's evaluation point — every
+// pairing below walks the Miller loop of the SEM's own half d and evaluates
+// its lines at φ(U) — and the reduced Tate pairing's second argument lives
+// in E/qE, so for U = U_q + T with T of cofactor order the token is bit for
+// bit ê(d, U_q): what an honest query for U_q gets, always in GT (DESIGN §7).
+// The argument needs d in the order-q subgroup and d as the FIRST argument;
+// nothing here may multiply, add, marshal or walk U.
 func (s *IBESEM) Token(id string, u *curve.Point) (*pairing.GT, error) {
 	if err := s.reg.Check(id); err != nil {
 		return nil, err
@@ -201,25 +231,21 @@ func (s *IBESEM) Token(id string, u *curve.Point) (*pairing.GT, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownIdentity, id)
 	}
-	if u == nil || u.IsInfinity() || !u.InSubgroup() {
-		return nil, fmt.Errorf("core: ciphertext point U is not a valid G1 element")
+	if u == nil || u.IsInfinity() {
+		return nil, fmt.Errorf("core: ciphertext point U is not a valid pairing argument")
 	}
-	// Serve from the per-identity precomputed Miller program when it matches
-	// the registered half; (re)build it otherwise. A concurrent revoke can
-	// race the Add and leave a cached program behind, but it can never be
+	// Serve from the per-identity Miller program when the cached entry
+	// matches the registered half; replace it otherwise. A concurrent revoke
+	// can race the insert and leave an entry behind, but it can never be
 	// *served* for a revoked identity — the Check above runs on every call —
 	// and the entry is keyed to this exact half, so it is correct again if
 	// the identity is unrevoked.
-	if cached, ok := s.pairers.Get(id); ok && cached.d.Equal(half.D) {
-		return cached.fp.Pair(u)
+	p, hit := s.pairers.GetOrAdd(id, func() *semPairer { return &semPairer{d: half.D} })
+	if hit && !p.d.Equal(half.D) {
+		p = &semPairer{d: half.D}
+		s.pairers.Add(id, p)
 	}
-	fp, err := s.pub.Pairing.NewFixedPair(half.D)
-	if err != nil {
-		// Degenerate registered half; fall back to the generic pairing.
-		return s.pub.Pairing.Pair(u, half.D)
-	}
-	s.pairers.Add(id, &semPairer{d: half.D, fp: fp})
-	return fp.Pair(u)
+	return p.pair(s.pub.Pairing, u)
 }
 
 // UserDecrypt completes decryption on the user side given the SEM token:

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"crypto/rand"
 	"errors"
+	"math/big"
 	"testing"
 
 	"repro/internal/bf"
+	"repro/internal/curve"
 	"repro/internal/pairing"
 )
 
@@ -144,12 +146,73 @@ func TestTokenRejectsBadU(t *testing.T) {
 	if _, err := sem.Token("alice@example.com", O); err == nil {
 		t.Error("U = O accepted")
 	}
-	outside, _ := pkg.Public().Pairing.Curve().RandomPoint(rand.Reader)
-	for outside.InSubgroup() {
-		outside, _ = pkg.Public().Pairing.Curve().RandomPoint(rand.Reader)
+	// U outside G1 is not refused: it is only the pairing's evaluation
+	// point, and its cofactor component T contributes nothing — the token for
+	// U_q + T is the token for U_q, a pure cofactor point gets 1 (DESIGN §7).
+	uq, tors := cofactorSplit(t, pkg.Public().Pairing.Curve())
+	want, err := sem.Token("alice@example.com", uq)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := sem.Token("alice@example.com", outside); err == nil {
-		t.Error("out-of-subgroup U accepted")
+	got, err := sem.Token("alice@example.com", uq.Add(tors))
+	if err != nil || !got.Equal(want) {
+		t.Errorf("Token(U_q + T) = %v, %v; want Token(U_q)", got, err)
+	}
+	if !pkg.Public().Pairing.InGT(got) {
+		t.Error("token for U_q + T outside GT")
+	}
+	if one, err := sem.Token("alice@example.com", tors); err != nil || !one.IsOne() {
+		t.Errorf("Token(T) = %v, %v; want 1", one, err)
+	}
+}
+
+// cofactorSplit draws a random point of E(F_p) outside G1 and splits it into
+// its order-q part U_q and its cofactor part T ≠ O (q ∥ p+1, so the two
+// projections exist: a ≡ 1 mod q, a ≡ 0 mod h picks out U_q).
+func cofactorSplit(t *testing.T, c *curve.Curve) (uq, tors *curve.Point) {
+	t.Helper()
+	q, h := c.Q(), c.Cofactor()
+	a := new(big.Int).ModInverse(h, q)
+	a.Mul(a, h)
+	for {
+		r, err := c.RandomPoint(rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		uq = r.ScalarMul(a)
+		tors = r.Add(uq.Neg())
+		if !uq.IsInfinity() && !tors.IsInfinity() {
+			if !uq.InSubgroup() || !tors.ScalarMul(h).IsInfinity() {
+				t.Fatal("cofactor split is wrong")
+			}
+			return uq, tors
+		}
+	}
+}
+
+// TestCofactorCiphertextFailsValidity pins the other half of the relaxed
+// boundary: a ciphertext whose U carries a cofactor component yields the
+// honest g on both sides, and FullIdent's r·P = U check then refuses it.
+func TestCofactorCiphertextFailsValidity(t *testing.T) {
+	pkg, sem := ibeFixture(t)
+	alice := enroll(t, pkg, sem, "alice@example.com")
+	msg := bytes.Repeat([]byte{9}, msgLen)
+	c, err := pkg.Public().Encrypt(rand.Reader, "alice@example.com", msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Decrypt(sem, alice, c); err != nil {
+		t.Fatal(err)
+	}
+	_, tors := cofactorSplit(t, pkg.Public().Pairing.Curve())
+	bad := *c
+	bad.U = c.U.Add(tors)
+	token, err := sem.Token("alice@example.com", bad.U)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := UserDecrypt(pkg.Public(), alice, &bad, token); !errors.Is(err, ErrTokenMismatch) {
+		t.Fatalf("ciphertext with a cofactor component in U: err = %v, want ErrTokenMismatch", err)
 	}
 }
 

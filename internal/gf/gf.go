@@ -340,6 +340,129 @@ func (e *Element) Exp(x *Element, k *big.Int) (*Element, error) {
 	return e.Set(result), nil
 }
 
+// lucasLadder writes c_k and c_{k+1} into ck and ck1 (k ≥ 0), where
+// c_j = Re(g^j) for a unitary g with real part a. The norm relation makes
+// the real parts a sequence of their own — c_j = T_j(a), the Chebyshev
+// polynomial, i.e. the Lucas sequence V_j(2a, 1)/2 — with
+//
+//	c_{2j} = 2c_j² − 1,   c_{2j+1} = 2c_j·c_{j+1} − a,
+//
+// so the ladder keeps the adjacent pair (c_j, c_{j+1}) and spends one
+// base-field squaring and one multiplication per exponent bit, against two
+// squarings plus a share of a general multiplication for square-and-multiply
+// over SquareUnitary. The exponents that reach it (q, (p+1)/q) are public.
+// ck and ck1 must not alias a.
+func (f *Field) lucasLadder(ck, ck1, a []uint64, k *big.Int) {
+	F := f.fp
+	var buf [fp.MaxLimbs]uint64
+	mid := buf[:F.Limbs()]
+	F.Set(ck, f.one) // c_0
+	F.Set(ck1, a)    // c_1
+	for i := k.BitLen() - 1; i >= 0; i-- {
+		F.Mul(mid, ck, ck1) // c_{2j+1}
+		F.Double(mid, mid)
+		F.Sub(mid, mid, a)
+		sq, other := ck, ck1 // bit 0: (c_{2j}, c_{2j+1})
+		if k.Bit(i) == 1 {
+			sq, other = ck1, ck // bit 1: (c_{2j+1}, c_{2j+2})
+		}
+		F.Square(sq, sq)
+		F.Double(sq, sq)
+		F.Sub(sq, sq, f.one)
+		F.Set(other, mid)
+	}
+}
+
+// expUnitary sets e = (a + b·i)^k for a unitary a + b·i with b ≠ 0, given
+// invB = 1/b: the ladder yields (c_k, c_{k+1}), and c_{k+1} = a·c_k − b·s_k
+// recovers the imaginary part s_k = (a·c_k − c_{k+1})/b.
+func (f *Field) expUnitary(e *Element, a, invB []uint64, k *big.Int) *Element {
+	F := f.fp
+	var b1, b2 [fp.MaxLimbs]uint64
+	ck, ck1 := b1[:F.Limbs()], b2[:F.Limbs()]
+	f.lucasLadder(ck, ck1, a, k)
+	e.ensure(f)
+	F.Mul(e.b, a, ck)
+	F.Sub(e.b, e.b, ck1)
+	F.Mul(e.b, e.b, invB)
+	F.Set(e.a, ck)
+	return e
+}
+
+// ExpUnitaryPart sets e = (x^(p−1))^k = (x̄/x)^k for k ≥ 0 and returns e —
+// the shape of a pairing final exponentiation, whose easy part x^(p−1)
+// projects x onto the unitary subgroup and whose tail k then runs on
+// lucasLadder. With x = u + v·i and N = u² + v²,
+//
+//	x̄/x = x̄²/N = ((u² − v²) − 2uv·i)/N,
+//
+// so one inversion, of N·2uv, serves both the division by N and the 1/b the
+// ladder needs to recover the imaginary part; x̄/x = ±1 (uv = 0) has no such
+// inverse and is answered directly. The result is the same field element
+// Inverse, Conjugate, Mul and Exp produce. ErrNotInvertible for x = 0; the
+// inversion is variable-time as in Inverse.
+func (e *Element) ExpUnitaryPart(x *Element, k *big.Int) (*Element, error) {
+	if x.IsZero() {
+		return nil, ErrNotInvertible
+	}
+	if k.Sign() < 0 {
+		return nil, errors.New("gf: negative exponent")
+	}
+	f := x.f
+	F := f.fp
+	if F.IsZero(x.a) || F.IsZero(x.b) {
+		// x real: x̄/x = 1. x imaginary: x̄/x = −1, and (−1)^k = ±1.
+		minus := F.IsZero(x.a) && k.Bit(0) == 1
+		e.ensure(f)
+		F.Set(e.a, f.one)
+		if minus {
+			F.Neg(e.a, e.a)
+		}
+		F.SetZero(e.b)
+		return e, nil
+	}
+	var b1, b2, b3, b4 [fp.MaxLimbs]uint64
+	n := F.Limbs()
+	a, norm, m, inv := b1[:n], b2[:n], b3[:n], b4[:n]
+	F.Square(a, x.a)
+	F.Square(inv, x.b)
+	F.Add(norm, a, inv) // N
+	F.Sub(a, a, inv)    // u² − v²
+	F.Mul(m, x.a, x.b)
+	F.Double(m, m) // 2uv
+	F.Mul(inv, norm, m)
+	if err := F.InvVarTime(inv, inv); err != nil {
+		// N = 0 needs −1 to be a square, which p ≡ 3 (mod 4) excludes.
+		return nil, ErrNotInvertible
+	}
+	// a = (u² − v²)/N = (u² − v²)·2uv·inv; 1/b = −N/2uv = −N²·inv.
+	F.Mul(a, a, m)
+	F.Mul(a, a, inv)
+	invB := norm
+	F.Square(invB, norm)
+	F.Mul(invB, invB, inv)
+	F.Neg(invB, invB)
+	return f.expUnitary(e, a, invB, k), nil
+}
+
+// UnitaryOrderDivides reports whether e is unitary and e^k = 1 (k ≥ 0) —
+// membership in the order-k subgroup of the norm-1 group when k divides
+// p+1, which is how the pairing's GT check uses it. For a unitary element
+// the real part alone decides: c_k = 1 forces s_k² = 1 − c_k² = 0. When k
+// divides p+1 the verdict is Exp(e, k).IsOne()'s on every input — an
+// element of such an order is unitary to begin with, and zero is neither.
+func (e *Element) UnitaryOrderDivides(k *big.Int) bool {
+	if k.Sign() < 0 || !e.IsUnitary() {
+		return false
+	}
+	f := e.f
+	var b1, b2 [fp.MaxLimbs]uint64
+	n := f.fp.Limbs()
+	ck, ck1 := b1[:n], b2[:n]
+	f.lucasLadder(ck, ck1, e.a, k)
+	return f.fp.IsOne(ck)
+}
+
 // String renders the element as "a + b·i" for debugging.
 func (e *Element) String() string {
 	return fmt.Sprintf("%v + %v·i", e.Re(), e.Im())

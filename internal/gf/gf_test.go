@@ -311,3 +311,138 @@ func TestQuickRingAxioms(t *testing.T) {
 		t.Errorf("conjugation not multiplicative: %v", err)
 	}
 }
+
+// unitaryBases returns 1, −1, i, −i and a few random-looking unitary
+// elements y^(p−1) of f.
+func unitaryBases(t *testing.T, f *Field) []*Element {
+	t.Helper()
+	bases := []*Element{
+		f.NewElement(big.NewInt(1), big.NewInt(0)),
+		f.NewElement(big.NewInt(-1), big.NewInt(0)),
+		f.NewElement(big.NewInt(0), big.NewInt(1)),
+		f.NewElement(big.NewInt(0), big.NewInt(-1)),
+	}
+	for _, ab := range [][2]int64{{2, 3}, {12345, 999983}, {7, -1}, {1, 1}} {
+		y := f.NewElement(big.NewInt(ab[0]), big.NewInt(ab[1]))
+		inv, err := new(Element).Inverse(y)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bases = append(bases, new(Element).Conjugate(y).Mul(new(Element).Conjugate(y), inv))
+	}
+	return bases
+}
+
+// TestLucasLadderMatchesExp is the differential test of the real-part
+// ladder against square-and-multiply: Re(g^k) and Re(g^(k+1)) on every
+// unitary base, and the recovered full power wherever b ≠ 0.
+func TestLucasLadderMatchesExp(t *testing.T) {
+	f := testField(t)
+	F := f.fp
+	p := f.P()
+	exps := []*big.Int{
+		big.NewInt(0), big.NewInt(1), big.NewInt(2), big.NewInt(3), big.NewInt(4),
+		big.NewInt(53), big.NewInt(89 * 4), big.NewInt(0xdeadbeef),
+		new(big.Int).Add(p, big.NewInt(1)), p, new(big.Int).Mul(p, p),
+	}
+	for bi, g := range unitaryBases(t, f) {
+		if !g.IsUnitary() {
+			t.Fatalf("base %d is not unitary", bi)
+		}
+		for _, k := range exps {
+			want, _ := new(Element).Exp(g, k)
+			next := new(Element).Mul(want, g)
+			ck, ck1 := F.NewElt(), F.NewElt()
+			f.lucasLadder(ck, ck1, g.a, k)
+			if !F.Equal(ck, want.a) || !F.Equal(ck1, next.a) {
+				t.Fatalf("base %d, k = %v: ladder real parts differ from Exp", bi, k)
+			}
+			if F.IsZero(g.b) {
+				continue
+			}
+			invB := F.NewElt()
+			if err := F.InvVarTime(invB, g.b); err != nil {
+				t.Fatal(err)
+			}
+			if got := f.expUnitary(new(Element), g.a, invB, k); !got.Equal(want) {
+				t.Fatalf("base %d, k = %v: expUnitary = %v, Exp = %v", bi, k, got, want)
+			}
+		}
+	}
+}
+
+// TestExpUnitaryPartMatchesGeneric checks (x̄/x)^k against Inverse,
+// Conjugate, Mul, Exp, including the x̄/x = ±1 inputs the shared inversion
+// cannot serve, an aliased receiver, and the refusals.
+func TestExpUnitaryPartMatchesGeneric(t *testing.T) {
+	f := testField(t)
+	xs := []*Element{
+		f.NewElement(big.NewInt(5), big.NewInt(0)),  // x̄/x = 1
+		f.NewElement(big.NewInt(0), big.NewInt(5)),  // x̄/x = −1
+		f.NewElement(big.NewInt(1), big.NewInt(-1)), // x̄/x = i
+		f.NewElement(big.NewInt(1), big.NewInt(1)),  // x̄/x = −i
+		f.NewElement(big.NewInt(31337), big.NewInt(271828)),
+		f.NewElement(big.NewInt(-2), big.NewInt(999)),
+	}
+	for xi, x := range xs {
+		inv, err := new(Element).Inverse(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := new(Element).Conjugate(x)
+		g.Mul(g, inv)
+		for _, k := range []int64{0, 1, 2, 3, 89, 1000004 / 53, 1 << 40} {
+			want, _ := new(Element).Exp(g, big.NewInt(k))
+			got, err := new(Element).ExpUnitaryPart(x, big.NewInt(k))
+			if err != nil || !got.Equal(want) {
+				t.Fatalf("x %d, k = %d: ExpUnitaryPart = %v, %v; want %v", xi, k, got, err, want)
+			}
+			aliased := x.Copy()
+			if _, err := aliased.ExpUnitaryPart(aliased, big.NewInt(k)); err != nil || !aliased.Equal(want) {
+				t.Fatalf("x %d, k = %d: aliased ExpUnitaryPart diverges", xi, k)
+			}
+		}
+	}
+	if _, err := new(Element).ExpUnitaryPart(f.Zero(), big.NewInt(3)); !errors.Is(err, ErrNotInvertible) {
+		t.Fatalf("ExpUnitaryPart(0): err = %v, want ErrNotInvertible", err)
+	}
+	if _, err := new(Element).ExpUnitaryPart(xs[4], big.NewInt(-1)); err == nil {
+		t.Fatal("negative exponent accepted")
+	}
+}
+
+// TestUnitaryOrderDividesMatchesExp: for every k | p+1 the verdict is
+// Exp(e, k).IsOne()'s — on unitary elements of every order, non-unitary
+// elements (whose order may well divide other k) and zero.
+func TestUnitaryOrderDividesMatchesExp(t *testing.T) {
+	f := testField(t) // p + 1 = 1000004 = 2²·53²·89
+	inputs := append(unitaryBases(t, f),
+		f.Zero(),
+		f.NewElement(big.NewInt(2), big.NewInt(0)), // in F_p*: order divides p−1, not unitary
+		f.NewElement(big.NewInt(2), big.NewInt(3)),
+	)
+	for _, g := range unitaryBases(t, f) { // push some bases into small subgroups
+		small, _ := new(Element).Exp(g, big.NewInt(1000004/53))
+		inputs = append(inputs, small)
+	}
+	sawMember, sawOutsider := false, false
+	for _, k := range []int64{1, 2, 4, 53, 89, 53 * 53, 4 * 89, 1000004} {
+		for i, e := range inputs {
+			pow, _ := new(Element).Exp(e, big.NewInt(k))
+			want := pow.IsOne()
+			if got := e.UnitaryOrderDivides(big.NewInt(k)); got != want {
+				t.Fatalf("input %d (%v), k = %d: UnitaryOrderDivides = %v, Exp says %v", i, e, k, got, want)
+			}
+			if k == 53 && !e.IsOne() {
+				sawMember = sawMember || want
+				sawOutsider = sawOutsider || !want
+			}
+		}
+	}
+	if !sawMember || !sawOutsider {
+		t.Fatal("test inputs never exercised both verdicts at k = 53")
+	}
+	if f.One().UnitaryOrderDivides(big.NewInt(-4)) {
+		t.Fatal("negative k accepted")
+	}
+}

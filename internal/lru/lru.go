@@ -62,6 +62,30 @@ func (c *Cache[K, V]) Get(key K) (V, bool) {
 	return zero, false
 }
 
+// GetOrAdd returns the value cached under key (a hit), or — atomically with
+// the lookup — inserts and returns mk() (a miss), so concurrent callers
+// missing on one key agree on a single value: the first inserts it and every
+// other finds it. That makes the entry itself the rendezvous for build-once
+// state (cache a value that carries a sync.Once; see core.IBESEM). mk runs
+// under the cache lock: it must only construct the value and must not call
+// back into the cache.
+func (c *Cache[K, V]) GetOrAdd(key K, mk func() V) (val V, hit bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.items[key]; ok {
+		c.order.MoveToFront(el)
+		c.stats.Hits++
+		return el.Value.(*entry[K, V]).val, true
+	}
+	c.stats.Misses++
+	val = mk()
+	c.items[key] = c.order.PushFront(&entry[K, V]{key: key, val: val})
+	if c.order.Len() > c.cap {
+		c.evictOldest()
+	}
+	return val, false
+}
+
 // Add inserts or replaces the value under key (marking it most recently
 // used) and reports whether an older entry was evicted to make room.
 func (c *Cache[K, V]) Add(key K, val V) bool {

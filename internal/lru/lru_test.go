@@ -60,6 +60,38 @@ func TestAddReplacesInPlace(t *testing.T) {
 	}
 }
 
+// TestGetOrAddInsertsOnce: goroutines missing together on one key agree on
+// the first one's value — one mk call, one miss, every other a hit — and an
+// over-capacity insert evicts like Add.
+func TestGetOrAddInsertsOnce(t *testing.T) {
+	c := New[string, *int](2)
+	const n = 16
+	var made int // written under the cache lock, inside mk
+	vals := make([]*int, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			vals[i], _ = c.GetOrAdd("k", func() *int { made++; return new(int) })
+		}(i)
+	}
+	wg.Wait()
+	for _, v := range vals {
+		if v != vals[0] {
+			t.Fatal("callers got different values for one key")
+		}
+	}
+	if s := c.Stats(); made != 1 || s.Misses != 1 || s.Hits != n-1 {
+		t.Fatalf("mk ran %d times, stats = %+v; want 1 build, 1 miss, %d hits", made, s, n-1)
+	}
+	c.GetOrAdd("b", func() *int { return new(int) })
+	c.GetOrAdd("c", func() *int { return new(int) })
+	if _, ok := c.Get("k"); ok || c.Len() != 2 || c.Stats().Evictions != 1 {
+		t.Fatalf("over-capacity GetOrAdd did not evict the oldest entry: len %d, stats %+v", c.Len(), c.Stats())
+	}
+}
+
 func TestRemoveIsNotAnEviction(t *testing.T) {
 	c := New[string, int](4)
 	c.Add("a", 1)

@@ -507,53 +507,3 @@ func batchInvert(F *fp.Field, xs [][]uint64) ([][]uint64, error) {
 	}
 	return out, nil
 }
-
-// expUnitary computes g^e for a unitary g (norm 1 — the output of the final
-// exponentiation's easy part) with 4-bit fixed windows: each window costs
-// four cheap unitary squarings plus at most one general multiplication,
-// against the bit-at-a-time square-and-multiply of the generic gf exponent
-// path.
-func expUnitary(fld *gf.Field, g *gf.Element, e *big.Int) *gf.Element {
-	bits := e.BitLen()
-	if bits == 0 {
-		return fld.One()
-	}
-	// Odd and even powers g¹..g¹⁵; unitary elements stay unitary under
-	// multiplication, so every intermediate remains eligible for
-	// SquareUnitary.
-	var tab [15]*gf.Element
-	tab[0] = g.Copy()
-	for i := 1; i < 15; i++ {
-		tab[i] = new(gf.Element).Mul(tab[i-1], g)
-	}
-	windows := (bits + 3) / 4
-	out := fld.One()
-	started := false
-	for w := windows - 1; w >= 0; w-- {
-		if started {
-			out.SquareUnitary(out)
-			out.SquareUnitary(out)
-			out.SquareUnitary(out)
-			out.SquareUnitary(out)
-		}
-		d := 0
-		for b := 3; b >= 0; b-- {
-			d <<= 1
-			if e.Bit(4*w+b) == 1 {
-				d |= 1
-			}
-		}
-		if d != 0 {
-			if started {
-				out.Mul(out, tab[d-1])
-			} else {
-				out.Set(tab[d-1])
-				started = true
-			}
-		}
-	}
-	if !started {
-		return fld.One()
-	}
-	return out
-}

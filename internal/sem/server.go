@@ -552,7 +552,9 @@ func (s *Server) ibeToken(id string, payload []byte) ([]byte, error) {
 	if s.cfg.IBE == nil {
 		return nil, unsupported("IBE backend not configured")
 	}
-	u, err := wire.UnmarshalG1(s.cfg.Pairing.Curve(), payload)
+	// U is only ever the evaluation point of ê(d_ID,sem, ·), so it needs
+	// on-curve and non-identity, not the [q]· ladder (wire.UnmarshalPairingArg).
+	u, err := wire.UnmarshalPairingArg(s.cfg.Pairing.Curve(), payload)
 	if err != nil {
 		return nil, err
 	}

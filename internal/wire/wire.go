@@ -36,7 +36,8 @@ var (
 // verifies the point is on the curve — the curve has cofactor c > 1, so a
 // malicious peer can otherwise smuggle in low-order components that leak
 // information through protocol responses (small-subgroup attacks). Every
-// network boundary (SEM daemon, cluster nodes) must decode through this.
+// network boundary (SEM daemon, cluster nodes) must decode through this;
+// the one exception, with its own narrower contract, is UnmarshalPairingArg.
 func UnmarshalG1(c *curve.Curve, data []byte) (*curve.Point, error) {
 	pt, err := c.Unmarshal(data)
 	if err != nil {
@@ -44,6 +45,34 @@ func UnmarshalG1(c *curve.Curve, data []byte) (*curve.Point, error) {
 	}
 	if err := pt.Validate(); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrProtocol, err)
+	}
+	return pt, nil
+}
+
+// UnmarshalPairingArg decodes a compressed curve point received from an
+// untrusted peer for one use only: as the evaluation point — the second,
+// non-walked argument — of a pairing whose first argument is the caller's
+// own order-q key. It checks what that use needs and no more: the encoding
+// is canonical, the point is on the curve, and it is not the identity. It
+// does NOT check order-q subgroup membership, which is the 160-bit [q]·
+// ladder that dominates UnmarshalG1.
+//
+// Why that is enough there and nowhere else: the reduced Tate pairing's
+// second argument lives in E/qE, so for d ∈ E(F_p)[q] and U = U_q + T with
+// ord(T) | (p+1)/q, ê(d, U) = ê(d, U_q) bit for bit — a cofactor component
+// buys the peer the token an honest query for U_q gets, always in GT, and
+// nothing else (DESIGN §7). A point that is multiplied by a secret, added
+// to, marshalled back out, stored, or walked as a pairing's FIRST argument
+// has no such quotient to hide in and must come through UnmarshalG1; the
+// boundarycheck analyzer enforces that a value returned from here reaches
+// only core.IBESEM.Token or a pairing's second argument.
+func UnmarshalPairingArg(c *curve.Curve, data []byte) (*curve.Point, error) {
+	pt, err := c.Unmarshal(data)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrProtocol, err)
+	}
+	if pt.IsInfinity() {
+		return nil, fmt.Errorf("%w: point at infinity", ErrProtocol)
 	}
 	return pt, nil
 }

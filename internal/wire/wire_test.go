@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"crypto/rand"
 	"errors"
 	"math/big"
@@ -53,6 +54,74 @@ func TestUnmarshalG1(t *testing.T) {
 	}
 	if _, err := UnmarshalG1(c, []byte{0x02, 0x01}); !errors.Is(err, ErrProtocol) {
 		t.Fatalf("garbage encoding: err = %v, want ErrProtocol", err)
+	}
+}
+
+// TestUnmarshalPairingArg pins the narrower decoder's contract against
+// UnmarshalG1's, at toy and paper size: both refuse malformed encodings and
+// the identity; a cofactor-order point, the 2-torsion point (0, 0) and
+// U_q + T are refused by UnmarshalG1 and accepted only by the decoder whose
+// result may be nothing but a pairing's evaluation point.
+func TestUnmarshalPairingArg(t *testing.T) {
+	for _, name := range []string{"toy", "paper"} {
+		pp, err := pairing.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := pp.Curve()
+		uq, err := c.RandomG1(rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var tors *curve.Point
+		for tors == nil || tors.IsInfinity() {
+			r, err := c.RandomPoint(rand.Reader)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tors = r.ScalarMul(c.Q())
+		}
+		two, err := c.NewPoint(big.NewInt(0), big.NewInt(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		for what, pt := range map[string]*curve.Point{"cofactor-order point": tors, "(0,0)": two, "U_q + T": uq.Add(tors)} {
+			if _, err := UnmarshalG1(c, pt.Marshal()); !errors.Is(err, ErrProtocol) {
+				t.Errorf("%s: UnmarshalG1(%s): err = %v, want ErrProtocol", name, what, err)
+			}
+			got, err := UnmarshalPairingArg(c, pt.Marshal())
+			if err != nil || !got.Equal(pt) {
+				t.Errorf("%s: UnmarshalPairingArg(%s) = %v, %v; want the point", name, what, got, err)
+			}
+		}
+		if got, err := UnmarshalPairingArg(c, uq.Marshal()); err != nil || !got.Equal(uq) {
+			t.Errorf("%s: UnmarshalPairingArg(G1 point) = %v, %v", name, got, err)
+		}
+
+		offCurve := uq.Marshal()
+		for { // walk x until x³ + x is a non-residue
+			offCurve[len(offCurve)-1]++
+			if _, err := c.Unmarshal(offCurve); err != nil {
+				break
+			}
+		}
+		for what, enc := range map[string][]byte{
+			"identity":    c.Infinity().Marshal(),
+			"empty":       {},
+			"short":       {0x02, 0x01},
+			"off curve":   offCurve,
+			"long":        append(uq.Marshal(), 0),
+			"bad tag":     append([]byte{0x07}, uq.Marshal()[1:]...),
+			"x out of Fp": append([]byte{0x02}, bytes.Repeat([]byte{0xff}, c.CoordinateSize())...),
+		} {
+			if _, err := UnmarshalPairingArg(c, enc); !errors.Is(err, ErrProtocol) {
+				t.Errorf("%s: UnmarshalPairingArg(%s): err = %v, want ErrProtocol", name, what, err)
+			}
+			if _, err := UnmarshalG1(c, enc); !errors.Is(err, ErrProtocol) {
+				t.Errorf("%s: UnmarshalG1(%s): err = %v, want ErrProtocol", name, what, err)
+			}
+		}
 	}
 }
 
