@@ -1,6 +1,7 @@
 // Command thresholdd runs the threshold-IBE cluster: in serve mode it is
 // one player's decryption server; in -decrypt mode it is the recombiner,
-// fanning a ciphertext out to the players and combining t verified shares.
+// asking t players for their shares of a ciphertext (the rest only if one of
+// those fails) and combining t verified shares.
 //
 // Generate a deployment with pkgen, then:
 //
@@ -189,11 +190,12 @@ func recombine(params *core.ThresholdParams, id, players string, metrics *obs.Re
 		return err
 	}
 	msg, rejected, err := rec.Decrypt(id, ct)
+	if len(rejected) > 0 {
+		// Only players that were asked can appear here.
+		log.Printf("thresholdd: rejected shares from players %v", rejected)
+	}
 	if err != nil {
 		return err
-	}
-	if len(rejected) > 0 {
-		log.Printf("thresholdd: rejected shares from players %v", rejected)
 	}
 	_, err = stdout.Write(msg)
 	return err

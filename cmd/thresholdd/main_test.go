@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"net/http"
 	"os"
@@ -11,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/keyfile"
 )
 
@@ -100,6 +102,24 @@ func TestThresholdDaemonEndToEnd(t *testing.T) {
 	}
 	if !strings.HasPrefix(plain.String(), "split me") {
 		t.Fatalf("decrypted %q", plain.String()[:16])
+	}
+
+	// An identity no player holds a share for: the error says so, rather
+	// than only that shares were missing.
+	ct.Reset()
+	if err := run([]string{"-system", system, "-encrypt", "-id", "ghost@example.com"},
+		nil, nil, nil, strings.NewReader("nobody's"), &ct); err != nil {
+		t.Fatal(err)
+	}
+	err = run([]string{
+		"-system", system, "-decrypt", "-id", "ghost@example.com",
+		"-players", a1 + ",," + a3,
+	}, nil, nil, nil, bytes.NewReader(ct.Bytes()), io.Discard)
+	if !errors.Is(err, cluster.ErrUnknownIdentity) || !errors.Is(err, cluster.ErrNotEnoughShares) {
+		t.Fatalf("decrypt for an unenrolled identity: %v, want ErrNotEnoughShares and ErrUnknownIdentity", err)
+	}
+	if !strings.Contains(err.Error(), "unknown identity") {
+		t.Fatalf("error text %q does not name the reason", err)
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/bf"
 	"repro/internal/bls"
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/curve"
 	"repro/internal/pairing"
@@ -109,7 +110,8 @@ func benchScalar(label string, q *big.Int) *big.Int {
 // strategies, fixed-base vs generic GT exponentiation, one BF FullIdent
 // encrypt/decrypt pair, hash-to-G1, one threshold-IBE share with its proof,
 // that proof's verification alone and the five of one decryption as a batch,
-// the two small-n kernels under it, and the hot token's boundary steps (point
+// the two small-n kernels under it, a (3, 5) cluster decryption with and
+// without a failed first choice, and the hot token's boundary steps (point
 // decode with and without the subgroup ladder, final exponentiation, GT
 // check). Each body runs for at least minIters iterations and minDuration
 // wall time, whichever is larger.
@@ -173,6 +175,17 @@ func Baseline(pp *pairing.Params, minIters int, minDuration time.Duration) (*Bas
 		}
 	}
 	qid, err := bf.HashIdentity(pp, id)
+	if err != nil {
+		return nil, err
+	}
+	// The same system as a live cluster: five player servers on loopback and
+	// a ciphertext for the identity they hold shares of.
+	tcluster, err := newBaselineCluster(tparams, tshares)
+	if err != nil {
+		return nil, err
+	}
+	defer tcluster.close()
+	tct, err := tparams.Public.EncryptBasic(rand.Reader, id, msg)
 	if err != nil {
 		return nil, err
 	}
@@ -386,6 +399,8 @@ func Baseline(pp *pairing.Params, minIters int, minDuration time.Duration) (*Bas
 			}
 			return nil
 		}},
+		{"cluster.decrypt.honest", func() error { return tcluster.decrypt(tcluster.addrs, id, tct) }},
+		{"cluster.decrypt.escalated", func() error { return tcluster.decrypt(tcluster.addrsPlayer2Down, id, tct) }},
 		{"gtexp.multi4x5", func() error { _, err := pp.MultiExp(gtBases, gtExps); return err }},
 		{"msm.5", func() error {
 			_, err := cv.MSM(msmKs[:5], msmPts[:5])
@@ -584,6 +599,67 @@ func newBaselineSEM(pp *pairing.Params, id string) (*baselineSEM, error) {
 func (b *baselineSEM) close() {
 	_ = b.client.Close()
 	_ = b.server.Close()
+}
+
+// baselineCluster is the live (t, n) cluster behind the cluster.decrypt.*
+// entries: every player's server on loopback, and a second topology in which
+// player 2's address is one nobody listens on.
+type baselineCluster struct {
+	params                  *core.ThresholdParams
+	players                 []*cluster.PlayerServer
+	addrs, addrsPlayer2Down []string
+}
+
+func newBaselineCluster(params *core.ThresholdParams, shares []*core.KeyShare) (_ *baselineCluster, err error) {
+	b := &baselineCluster{params: params}
+	defer func() {
+		if err != nil {
+			b.close()
+		}
+	}()
+	for i, ks := range shares {
+		p, err := cluster.NewPlayerServer(params, i+1)
+		if err != nil {
+			return nil, err
+		}
+		if err := p.Install(ks); err != nil {
+			return nil, err
+		}
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			return nil, err
+		}
+		go func() { _ = p.Serve(ln) }()
+		b.players = append(b.players, p)
+		b.addrs = append(b.addrs, ln.Addr().String())
+	}
+	dead, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return nil, err
+	}
+	b.addrsPlayer2Down = append([]string(nil), b.addrs...)
+	b.addrsPlayer2Down[1] = dead.Addr().String()
+	return b, dead.Close()
+}
+
+// decrypt is one decryption by a new recombiner over addrs, connections
+// included. A new recombiner's first choices are players 1..t, which is what
+// makes the two entries differ in exactly one thing: with player 2 down,
+// every decryption needs the second round.
+func (b *baselineCluster) decrypt(addrs []string, id string, ct *bf.BasicCiphertext) error {
+	rec, err := cluster.NewRecombiner(b.params, addrs, 5*time.Second)
+	if err != nil {
+		return err
+	}
+	defer func() { _ = rec.Close() }()
+	_, _, err = rec.Decrypt(id, ct)
+	return err
+}
+
+func (b *baselineCluster) close() {
+	for _, p := range b.players {
+		_ = p.Close()
+	}
 }
 
 // JSON renders the report with stable formatting for committing to the repo.

@@ -146,6 +146,20 @@ func TestCompareBaselinesRatioGates(t *testing.T) {
 		t.Fatalf("regressions = %+v, want the gt.ingt (0.65) and wire.pairing-arg (0.50) gates", regs)
 	}
 
+	// The recombiner's optimistic round: asking every player again makes an
+	// honest decryption cost what one past a crashed player costs.
+	rounds := func(v float64) *BaselineReport {
+		r := with(0.40, 0.81)
+		r.Ratios = append(r.Ratios, BaselineRatio{Name: "cluster.decrypt.honest ÷ cluster.decrypt.escalated", Value: v})
+		return r
+	}
+	if regs, err := CompareBaselines(ref, rounds(0.75), 400); err != nil || len(regs) != 0 {
+		t.Fatalf("healthy cluster ratio flagged: %+v, %v", regs, err)
+	}
+	if regs, _ := CompareBaselines(ref, rounds(1.0), 400); len(regs) != 1 || regs[0].RefNs != 0.90 {
+		t.Fatalf("regressions = %+v, want the cluster.decrypt (0.90) gate", regs)
+	}
+
 	// A reference without ratios (older snapshot, hand-edited, recorded
 	// with a -filter) does not switch the gates off.
 	ref.Ratios = nil

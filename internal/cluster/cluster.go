@@ -1,13 +1,15 @@
 // Package cluster is the network embedding of the paper's threshold IBE
 // (Section 3): each of the n players runs a PlayerServer holding its
-// identity-key shares, and a Recombiner fans a ciphertext out to the
-// players, verifies the returned decryption shares' robustness proofs, and
-// recombines any t acceptable ones — tolerating unreachable and byzantine
-// players exactly as the paper's recombiner is meant to.
+// identity-key shares, and a Recombiner asks t of them for their decryption
+// shares of a ciphertext, verifies the robustness proofs that come back,
+// and recombines — going to the other n − t players, once and all together,
+// only when one of the first t fails. Unreachable and byzantine players are
+// tolerated exactly as the paper's recombiner ("picks t acceptable shares")
+// is meant to.
 //
-// The package owns only what is threshold-specific: the fan-out to n
-// players, the quorum/reject bookkeeping and the recombination; which
-// shares are acceptable is core's rule (ThresholdParams.AcceptableShares).
+// The package owns only what is threshold-specific: which players are
+// asked, the quorum/reject bookkeeping and the recombination; which shares
+// are acceptable is core's rule (ThresholdParams.AcceptableShares).
 // Shares travel as the threshold_share op of internal/sem: a player is a
 // sem.Server with the threshold backend, the recombiner holds one sem.Pool
 // per player.
@@ -17,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -116,6 +119,14 @@ type Recombiner struct {
 	timeout time.Duration
 	met     *recombinerMetrics
 	closed  atomic.Bool
+
+	// next is the rotation: decryption number k starts its choice of
+	// players at player (k mod n) + 1, so each serves t/n of the traffic. A
+	// new recombiner's first decryption starts at player 1.
+	next atomic.Uint64
+	// failedAt[i-1] is when player i was last rejected (UnixNano; 0 = never).
+	// For timeout afterwards the player is asked only in a second round.
+	failedAt []atomic.Int64
 }
 
 // playerConns is the pool size per player. One multiplexed connection
@@ -127,25 +138,29 @@ const playerConns = 1
 
 // recombinerMetrics instruments the decryption path: where a threshold
 // decryption actually spends its time (per-shareholder fetch latency, the
-// quorum wait that bounds the network phase, the proof check that follows
-// it), which players are feeding the recombiner garbage, and how often that
-// forces the share-by-share identification pass. The connections' own
-// series are the pools' sempool_* and semclient_*.
+// wait for a round of fetches that bounds the network phase, the proof
+// check that follows it), how many players it had to ask, which of them are
+// feeding the recombiner garbage, and how often that forces the
+// share-by-share identification pass or a second round. The connections'
+// own series are the pools' sempool_* and semclient_*.
 type recombinerMetrics struct {
-	fetch      []*obs.Histogram // cluster_fetch_seconds{player=...}, index i-1
-	quorumWait *obs.Histogram   // cluster_quorum_wait_seconds
-	verify     *obs.Histogram   // cluster_verify_seconds
-	fallbacks  *obs.Counter     // cluster_verify_fallbacks_total
-	verifyFail *obs.Counter     // cluster_verify_failures_total
-	decrypts   *obs.Counter     // cluster_decrypts_total
-	rejected   *obs.Counter     // cluster_rejected_shares_total
+	fetch       []*obs.Histogram // cluster_fetch_seconds{player=...}, index i-1
+	quorumWait  *obs.Histogram   // cluster_quorum_wait_seconds
+	verify      *obs.Histogram   // cluster_verify_seconds
+	fallbacks   *obs.Counter     // cluster_verify_fallbacks_total
+	verifyFail  *obs.Counter     // cluster_verify_failures_total
+	decrypts    *obs.Counter     // cluster_decrypts_total
+	asked       *obs.Counter     // cluster_players_asked_total
+	escalations *obs.Counter     // cluster_escalations_total
+	rejected    *obs.Counter     // cluster_rejected_shares_total
 }
 
 // NewRecombiner binds a recombiner to the cluster topology: addrs[i-1] is
 // player i's address ("" = not deployed). timeout bounds each dial and
 // each wait for a player's answer; a player that fails in transport is
-// retried once on a fresh connection, so an unresponsive one holds a
-// decryption for at most twice the timeout before it is rejected.
+// retried once on a fresh connection, so an unresponsive one holds a round
+// of a decryption for at most twice the timeout before it is rejected — and
+// for timeout after any rejection it is not among the players asked first.
 func NewRecombiner(params *core.ThresholdParams, addrs []string, timeout time.Duration) (*Recombiner, error) {
 	if len(addrs) != params.N {
 		return nil, fmt.Errorf("cluster: %d addresses for n=%d players", len(addrs), params.N)
@@ -153,20 +168,28 @@ func NewRecombiner(params *core.ThresholdParams, addrs []string, timeout time.Du
 	if timeout <= 0 {
 		timeout = 5 * time.Second
 	}
-	r := &Recombiner{params: params, addrs: addrs, timeout: timeout, pools: make([]*sem.Pool, params.N)}
+	r := &Recombiner{
+		params: params, addrs: addrs, timeout: timeout,
+		pools: make([]*sem.Pool, params.N), failedAt: make([]atomic.Int64, params.N),
+	}
 	r.Instrument(nil)
 	return r, nil
 }
 
 // Instrument registers the recombiner's series with reg: one
 // cluster_fetch_seconds histogram per player (request, the player's
-// share-with-proof computation, response decoding and validation), the
-// quorum wait histogram (time until every player resolved — the paper's
-// recombiner cannot finish earlier), cluster_verify_seconds (the proof
-// check of one ciphertext's shares, including any identification pass),
-// cluster_verify_fallbacks_total (ciphertexts whose one-equation check
-// failed, so every share was verified singly — a cluster being made to pay
-// that shows here), cluster_verify_failures_total (players whose proofs
+// share-with-proof computation, response decoding and validation; only
+// players that were asked are observed), cluster_quorum_wait_seconds (one
+// observation per round: the time until every player asked in it resolved
+// — t players when nobody fails, not n), cluster_verify_seconds (the proof
+// check of one ciphertext's shares from one round, including any
+// identification pass), cluster_players_asked_total (shares requested:
+// players asked × ciphertexts, so ÷ cluster_decrypts_total is t while
+// everyone is honest), cluster_escalations_total (ciphertexts whose first t
+// players did not yield t acceptable shares, so the rest were asked),
+// cluster_verify_fallbacks_total (checks whose one equation failed, so
+// every share in it was verified singly — a cluster being made to pay that
+// shows here), cluster_verify_failures_total (players whose proofs
 // failed), and the player pools' sempool_* / semclient_* series — which is
 // why it builds the pools (they dial on first use). A nil reg keeps every
 // series live but unexported. Call before the first decryption; safe to
@@ -183,13 +206,15 @@ func (r *Recombiner) Instrument(reg *obs.Registry) {
 		}
 	}
 	m := &recombinerMetrics{
-		fetch:      make([]*obs.Histogram, r.params.N),
-		quorumWait: reg.Histogram("cluster_quorum_wait_seconds", "time from fan-out until all player fetches resolved"),
-		verify:     reg.Histogram("cluster_verify_seconds", "proof check of one ciphertext's shares: the batched equation plus, when it fails, the share-by-share pass"),
-		fallbacks:  reg.Counter("cluster_verify_fallbacks_total", "ciphertexts whose batched proof check failed and were verified share by share"),
-		verifyFail: reg.Counter("cluster_verify_failures_total", "players rejected by the NIZK robustness check"),
-		decrypts:   reg.Counter("cluster_decrypts_total", "threshold decryptions attempted"),
-		rejected:   reg.Counter("cluster_rejected_shares_total", "player responses rejected (unreachable, malformed or failing verification)"),
+		fetch:       make([]*obs.Histogram, r.params.N),
+		quorumWait:  reg.Histogram("cluster_quorum_wait_seconds", "time from a round's fan-out until every player asked in it resolved"),
+		verify:      reg.Histogram("cluster_verify_seconds", "proof check of one ciphertext's shares from one round: the batched equation plus, when it fails, the share-by-share pass"),
+		fallbacks:   reg.Counter("cluster_verify_fallbacks_total", "proof checks whose batched equation failed and were repeated share by share"),
+		verifyFail:  reg.Counter("cluster_verify_failures_total", "players rejected by the NIZK robustness check"),
+		decrypts:    reg.Counter("cluster_decrypts_total", "threshold decryptions attempted"),
+		asked:       reg.Counter("cluster_players_asked_total", "shares requested (players asked x ciphertexts); t per decryption while nobody fails"),
+		escalations: reg.Counter("cluster_escalations_total", "threshold decryptions that had to ask the players beyond the first t"),
+		rejected:    reg.Counter("cluster_rejected_shares_total", "players asked and turned away (unreachable, refusing, malformed or failing verification)"),
 	}
 	for i := range m.fetch {
 		m.fetch[i] = reg.Histogram("cluster_fetch_seconds", "per-player share fetch time (request, share computation, response validation)",
@@ -210,11 +235,11 @@ func (r *Recombiner) Close() error {
 	return nil
 }
 
-// Decrypt fans the ciphertext out to every reachable player, checks the
-// returned shares' proofs, and recombines t acceptable shares. It returns
-// the plaintext together with the indices of players whose responses were
-// rejected (unreachable, malformed, or failing the NIZK check). It is the
-// single-ciphertext case of DecryptBatch.
+// Decrypt asks t players for their shares of the ciphertext, checks the
+// proofs, and recombines; the remaining players are asked only if the first
+// t do not yield t acceptable shares. It returns the plaintext together
+// with the indices of the players that were asked and turned away. It is
+// the single-ciphertext case of DecryptBatch.
 func (r *Recombiner) Decrypt(id string, c *bf.BasicCiphertext) (msg []byte, rejected []int, err error) {
 	msgs, rejected, err := r.DecryptBatch(id, []*bf.BasicCiphertext{c})
 	if err != nil {
@@ -223,19 +248,30 @@ func (r *Recombiner) Decrypt(id string, c *bf.BasicCiphertext) (msg []byte, reje
 	return msgs[0], rejected, nil
 }
 
-// DecryptBatch fans k ciphertexts for one identity out to every reachable
-// player in a single round trip per player, checks every returned share's
-// proof, and recombines each ciphertext from t acceptable shares. It
-// returns the plaintexts in request order together with the indices of
-// rejected players. A player is rejected wholesale — unreachable,
-// malformed response, or any share failing decode or NIZK verification —
-// because a peer caught lying once is not trustworthy for its other
-// shares either.
+// DecryptBatch decrypts k ciphertexts for one identity in at most two
+// rounds. Round one asks t players — the rotation's next t, players
+// rejected within the last timeout coming last — for their shares of all k
+// ciphertexts in a single round trip each, and checks every returned
+// share's proof; if t of them survive, their shares are recombined and no
+// one else is contacted. Otherwise round two asks every remaining player at
+// once, checks those the same way, and the decryption succeeds iff t
+// players survived in total (ErrNotEnoughShares otherwise; when every
+// player asked answered that it holds no share for id, the error is also
+// ErrUnknownIdentity). All-at-once rather than one more player at a time:
+// the worst case is two rounds of at most 2·timeout each, not n − t + 1.
 //
-// Proof checking starts once every fetch has resolved: the shares of one
-// ciphertext are verified together (core's AcceptableShares — one pairing
-// equation for all of them, share by share only to name a liar), and the k
-// ciphertexts of a batch are checked in parallel.
+// It returns the plaintexts in request order together with the indices, in
+// ascending order, of the players that were asked and turned away. A player
+// is rejected wholesale — unreachable, refusing, malformed response, or any
+// share failing decode or NIZK verification — because a peer caught lying
+// once is not trustworthy for its other shares either. A player that was
+// not asked is neither used nor rejected.
+//
+// Proof checking starts once every fetch of a round has resolved: that
+// round's shares of one ciphertext are verified together (core's
+// AcceptableShares — one pairing equation for all of them, share by share
+// only to name a liar), and the k ciphertexts of a batch are checked in
+// parallel. No share reaches Recombine that such a check did not cover.
 func (r *Recombiner) DecryptBatch(id string, cs []*bf.BasicCiphertext) (msgs [][]byte, rejected []int, err error) {
 	if len(cs) == 0 {
 		return nil, nil, nil
@@ -248,37 +284,132 @@ func (r *Recombiner) DecryptBatch(id string, cs []*bf.BasicCiphertext) (msgs [][
 	for j, c := range cs {
 		ids[j], us[j] = id, c.U
 	}
-	// Q_ID is the same for all n·k proofs: hash the identity once.
+	// Q_ID is the same for every proof: hash the identity once.
 	qid, err := bf.HashIdentity(r.params.Public.Pairing, id)
 	if err != nil {
 		return nil, nil, err
 	}
 
-	// columns[i-1] is player i's full column of len(cs) shares, nil when the
-	// player is rejected.
-	columns := make([][]*core.DecryptionShare, r.params.N)
+	// valid holds the verified columns (a player's len(cs) shares), in the
+	// order they were accepted; unknown counts the rejected players that
+	// answered "no share for this identity".
+	valid := make([][]*core.DecryptionShare, 0, r.params.T)
+	unknown := 0
+	waiting := playerOrder(r)
+	for round := 1; len(valid) < r.params.T && len(waiting) > 0; round++ {
+		ask := waiting
+		if round == 1 {
+			ask = waiting[:min(r.params.T, len(waiting))]
+		} else {
+			r.met.escalations.Add(uint64(len(cs)))
+		}
+		waiting = waiting[len(ask):]
+		r.met.asked.Add(uint64(len(ask) * len(cs)))
+		columns, errs := r.fetchRound(ask, ids, us)
+		r.verifyRound(qid, us, columns)
+		for _, i := range ask {
+			if columns[i] != nil {
+				valid = append(valid, columns[i])
+				continue
+			}
+			rejected = append(rejected, i+1)
+			r.met.rejected.Inc()
+			r.failedAt[i].Store(time.Now().UnixNano())
+			if errors.Is(errs[i], ErrUnknownIdentity) {
+				unknown++
+			}
+		}
+	}
+	sort.Ints(rejected)
+	if len(valid) < r.params.T {
+		if len(valid) == 0 && unknown > 0 && unknown == len(rejected) {
+			return nil, rejected, fmt.Errorf("%w: %d of %d: %w", ErrNotEnoughShares, len(valid), r.params.N, ErrUnknownIdentity)
+		}
+		return nil, rejected, fmt.Errorf("%w: %d of %d", ErrNotEnoughShares, len(valid), r.params.N)
+	}
+
+	msgs = make([][]byte, len(cs))
+	quorum := make([]*core.DecryptionShare, r.params.T)
+	for j := range cs {
+		for p := range quorum {
+			quorum[p] = valid[p][j]
+		}
+		msgs[j], err = r.params.Recombine(quorum, cs[j])
+		if err != nil {
+			return nil, rejected, fmt.Errorf("cluster: recombining ciphertext %d: %w", j, err)
+		}
+	}
+	return msgs, rejected, nil
+}
+
+// playerOrder returns r's deployed players (as indices into pools) in the
+// order the next decryption prefers them: the rotation's cyclic order from
+// its next start, with the players rejected within the last timeout moved —
+// in that same order — to the end. (A function, not a method: cryptolint
+// treats the slice results of methods on anything that holds deployment
+// parameters as secret, and these indices — public — go on to index
+// slices.)
+func playerOrder(r *Recombiner) []int {
+	n := len(r.pools)
+	start := int((r.next.Add(1) - 1) % uint64(n))
+	now := time.Now().UnixNano()
+	order, demoted := make([]int, 0, n), make([]int, 0, n)
+	for k := range n {
+		i := (start + k) % n
+		switch at := r.failedAt[i].Load(); {
+		case r.pools[i] == nil:
+		case at != 0 && now-at < int64(r.timeout):
+			demoted = append(demoted, i)
+		default:
+			order = append(order, i)
+		}
+	}
+	return append(order, demoted...)
+}
+
+// fetchRound asks the given players in parallel for their shares of every
+// ciphertext, one batched request each. columns[i-1] is player i's column,
+// nil when the player was not asked, is unreachable, or any of its answers
+// is refused or malformed; errs[i-1] is then the transport error or, from a
+// player that answered, its refusals. Each share is stamped with the slot
+// that was dialed, not with anything the player says about itself, so a
+// share relayed from another player is checked against the wrong
+// verification key and fails.
+func (r *Recombiner) fetchRound(ask []int, ids []string, us []*curve.Point) (columns [][]*core.DecryptionShare, errs []error) {
+	columns, errs = make([][]*core.DecryptionShare, r.params.N), make([]error, r.params.N)
 	start := time.Now()
 	var wg sync.WaitGroup
-	for i, pool := range r.pools {
-		if pool == nil {
-			continue
-		}
+	for _, i := range ask {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			fetchStart := time.Now()
-			columns[i] = fetchColumn(pool, i+1, ids, us)
+			shares, itemErrs, err := r.pools[i].ThresholdShareBatch(ids, us)
+			if err == nil {
+				err = errors.Join(itemErrs...)
+			}
+			if errs[i] = err; err == nil {
+				for _, share := range shares {
+					share.Index = i + 1
+				}
+				columns[i] = shares
+			}
 			r.met.fetch[i].Observe(time.Since(fetchStart))
 		}()
 	}
 	wg.Wait()
 	r.met.quorumWait.Observe(time.Since(start))
+	return columns, errs
+}
 
+// verifyRound checks one round's columns ciphertext by ciphertext and nils
+// the column of every player any of whose shares failed its proof.
+func (r *Recombiner) verifyRound(qid *curve.Point, us []*curve.Point, columns [][]*core.DecryptionShare) {
 	// liars[j] are the players whose share of ciphertext j failed its proof.
-	liars := make([][]int, len(cs))
-	parallel.Fan(len(cs), func(j int) {
+	liars := make([][]int, len(us))
+	parallel.Fan(len(us), func(j int) {
 		verifyStart := time.Now()
-		row := make([]*core.DecryptionShare, 0, r.params.N)
+		row := make([]*core.DecryptionShare, 0, len(columns))
 		for _, col := range columns {
 			if col != nil {
 				row = append(row, col[j])
@@ -298,47 +429,4 @@ func (r *Recombiner) DecryptBatch(id string, cs []*bf.BasicCiphertext) (msgs [][
 			}
 		}
 	}
-
-	valid := make([][]*core.DecryptionShare, 0, r.params.N)
-	for i, col := range columns {
-		if col == nil {
-			rejected = append(rejected, i+1)
-			r.met.rejected.Inc()
-			continue
-		}
-		valid = append(valid, col)
-	}
-	if len(valid) < r.params.T {
-		return nil, rejected, fmt.Errorf("%w: %d of %d", ErrNotEnoughShares, len(valid), r.params.N)
-	}
-
-	msgs = make([][]byte, len(cs))
-	quorum := make([]*core.DecryptionShare, r.params.T)
-	for j := range cs {
-		for p := range quorum {
-			quorum[p] = valid[p][j]
-		}
-		msgs[j], err = r.params.Recombine(quorum, cs[j])
-		if err != nil {
-			return nil, rejected, fmt.Errorf("cluster: recombining ciphertext %d: %w", j, err)
-		}
-	}
-	return msgs, rejected, nil
-}
-
-// fetchColumn asks player index for its share of every ciphertext in one
-// batched request. Each share is stamped with the slot that was dialed, not
-// with anything the player says about itself, so a share relayed from
-// another player is checked against the wrong verification key and fails.
-// It returns nil when the player is unreachable or any of its answers is
-// refused or malformed.
-func fetchColumn(pool *sem.Pool, index int, ids []string, us []*curve.Point) []*core.DecryptionShare {
-	shares, errs, err := pool.ThresholdShareBatch(ids, us)
-	if err != nil || errors.Join(errs...) != nil {
-		return nil
-	}
-	for _, share := range shares {
-		share.Index = index
-	}
-	return shares
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math/big"
 	"net"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -33,6 +34,7 @@ type deployment struct {
 	players []*PlayerServer
 	addrs   []string
 	keys    []*core.KeyShare // keys[i-1] is player i's share of ident's key
+	regs    []*obs.Registry  // regs[i-1] holds player i's sem_* series
 }
 
 func deploy(t *testing.T) *deployment {
@@ -63,9 +65,12 @@ func deploy(t *testing.T) *deployment {
 		if err != nil {
 			t.Fatal(err)
 		}
+		reg := obs.NewRegistry()
+		srv.Instrument(reg)
 		go func() { _ = srv.Serve(ln) }()
 		d.players = append(d.players, srv)
 		d.keys = append(d.keys, ks)
+		d.regs = append(d.regs, reg)
 		d.addrs[i-1] = ln.Addr().String()
 	}
 	t.Cleanup(func() {
@@ -78,12 +83,97 @@ func deploy(t *testing.T) *deployment {
 
 func (d *deployment) recombiner(t *testing.T) *Recombiner {
 	t.Helper()
-	r, err := NewRecombiner(d.params, d.addrs, 2*time.Second)
+	return d.recombinerWithTimeout(t, 2*time.Second)
+}
+
+func (d *deployment) recombinerWithTimeout(t *testing.T, timeout time.Duration) *Recombiner {
+	t.Helper()
+	r, err := NewRecombiner(d.params, d.addrs, timeout)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { _ = r.Close() })
 	return r
+}
+
+// startAt pins the rotation: the next decryption prefers players first,
+// first+1, … (cyclically). Tests reach the counter directly; there is no
+// option for it.
+func (r *Recombiner) startAt(first int) { r.next.Store(uint64(first - 1)) }
+
+// fetched is how many times the recombiner has asked player i.
+func (r *Recombiner) fetched(i int) uint64 { return r.met.fetch[i-1].Snapshot().Count }
+
+// rounds is how many fetch rounds the recombiner has run.
+func (r *Recombiner) rounds() uint64 { return r.met.quorumWait.Snapshot().Count }
+
+// served is how many share requests player i's server has dispatched.
+func (d *deployment) served(i int) uint64 {
+	return d.regs[i-1].Counter("sem_requests_total", "", obs.Label{Key: "op", Value: "threshold_share"}).Value()
+}
+
+// crash stops player i's server; its address refuses connections.
+func (d *deployment) crash(i int) { _ = d.players[i-1].Close() }
+
+// lieAlways makes player i answer every request with a share value that is
+// not ê(U, d_IDi), under the honest share's (now stale) proof.
+func (d *deployment) lieAlways(i int) {
+	d.players[i-1].SetMisbehaviour(func(ds *core.DecryptionShare) *core.DecryptionShare {
+		return &core.DecryptionShare{Index: ds.Index, G: ds.G.Mul(ds.G), Proof: ds.Proof}
+	})
+}
+
+// hang replaces player i with a listener that accepts, shakes hands, reads
+// every request and answers none. Call before building the recombiner.
+func (d *deployment) hang(t *testing.T, i int) {
+	t.Helper()
+	d.crash(i)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = ln.Close() })
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer func() { _ = conn.Close() }()
+				hello := make([]byte, 5)
+				if _, err := io.ReadFull(conn, hello); err != nil {
+					return
+				}
+				if err := wire.WriteV2Ack(conn, wire.V2Version, sem.DefaultMaxBatch, sem.DefaultMaxFrame); err != nil {
+					return
+				}
+				_, _ = io.Copy(io.Discard, conn)
+			}()
+		}
+	}()
+	d.addrs[i-1] = ln.Addr().String()
+}
+
+// restart brings a crashed player i back on its old address with the same
+// key share (and fresh serving counters).
+func (d *deployment) restart(t *testing.T, i int) {
+	t.Helper()
+	reborn, err := NewPlayerServer(d.params, i)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := reborn.Install(d.keys[i-1]); err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", d.addrs[i-1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.regs[i-1] = obs.NewRegistry()
+	reborn.Instrument(d.regs[i-1])
+	go func() { _ = reborn.Serve(ln) }()
+	d.players[i-1] = reborn // closed with the deployment
 }
 
 func TestClusterDecryption(t *testing.T) {
@@ -189,23 +279,46 @@ func TestClusterToleratesByzantinePlayer(t *testing.T) {
 	}
 }
 
+// TestClusterToleratesCrashedPlayers: a crashed player costs a rejection
+// only where it was asked. With players 1 and 5 down, a decryption whose
+// first choices are 1, 2, 3 loses player 1, asks 4 and 5 together, loses 5
+// and recombines from 2, 3, 4; one whose first choices are 2, 3, 4 never
+// learns that anyone is down.
 func TestClusterToleratesCrashedPlayers(t *testing.T) {
 	d := deploy(t)
 	// Crash two players: 5 − 2 = 3 = t still suffices.
-	_ = d.players[0].Close()
-	_ = d.players[4].Close()
-	r := d.recombiner(t)
+	d.crash(1)
+	d.crash(5)
 	msg := bytes.Repeat([]byte{0x22}, msgLen)
 	c, _ := d.params.Public.EncryptBasic(rand.Reader, ident, msg)
+
+	r := d.recombiner(t) // a new recombiner starts at player 1
 	got, rejected, err := r.Decrypt(ident, c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rejected) != 2 {
-		t.Fatalf("rejected = %v, want two crashed players", rejected)
+	if !slices.Equal(rejected, []int{1, 5}) {
+		t.Fatalf("rejected = %v, want both crashed players [1 5]", rejected)
 	}
 	if !bytes.Equal(got, msg) {
 		t.Fatal("decryption with crashed players failed")
+	}
+	if r.rounds() != 2 {
+		t.Fatalf("%d fetch rounds, want 2", r.rounds())
+	}
+
+	r = d.recombiner(t)
+	r.startAt(2)
+	got, rejected, err = r.Decrypt(ident, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rejected) != 0 || r.fetched(1) != 0 || r.fetched(5) != 0 || r.rounds() != 1 {
+		t.Fatalf("first choices 2, 3, 4 all up: rejected %v, asked player 1 %d times and player 5 %d times in %d rounds",
+			rejected, r.fetched(1), r.fetched(5), r.rounds())
+	}
+	if !bytes.Equal(got, msg) {
+		t.Fatal("decryption from the three live first choices failed")
 	}
 }
 
@@ -228,8 +341,18 @@ func TestClusterUnknownIdentity(t *testing.T) {
 	r := d.recombiner(t)
 	msg := bytes.Repeat([]byte{0x44}, msgLen)
 	c, _ := d.params.Public.EncryptBasic(rand.Reader, "ghost@example.com", msg)
-	if _, _, err := r.Decrypt("ghost@example.com", c); !errors.Is(err, ErrNotEnoughShares) {
-		t.Fatalf("unknown identity decrypted: %v", err)
+	_, rejected, err := r.Decrypt("ghost@example.com", c)
+	if !errors.Is(err, ErrNotEnoughShares) || !errors.Is(err, ErrUnknownIdentity) {
+		t.Fatalf("unknown identity: %v, want ErrNotEnoughShares and ErrUnknownIdentity", err)
+	}
+	if !slices.Equal(rejected, []int{1, 2, 3, 4, 5}) {
+		t.Fatalf("rejected = %v, want every player (all were asked, all refused)", rejected)
+	}
+	// One player unreachable among the refusals: the typed reason would no
+	// longer be the whole story, so it is not given.
+	d.crash(4)
+	if _, _, err := d.recombiner(t).Decrypt("ghost@example.com", c); !errors.Is(err, ErrNotEnoughShares) || errors.Is(err, ErrUnknownIdentity) {
+		t.Fatalf("refusals mixed with a transport failure: %v, want plain ErrNotEnoughShares", err)
 	}
 	// Asked directly, a player names the reason with the typed sentinel.
 	player, err := sem.Dial(d.addrs[0], d.params.Public.Pairing, 2*time.Second)
@@ -345,10 +468,11 @@ func TestClusterPing(t *testing.T) {
 }
 
 // TestRecombinerMetrics drives instrumented decryptions, first with every
-// player honest and then past a byzantine one, and checks the exported
-// series: per-player fetch timings, quorum wait, one proof-check timing per
-// ciphertext, the identification pass counted only once someone lies, and
-// the verification-failure and rejected-share counters naming one player.
+// player honest and then with a byzantine one among the first choices, and
+// checks the exported series: t players asked per honest decryption and no
+// escalation; then the identification pass, the second round, the players
+// it added, and the verification-failure and rejected-share counters naming
+// one player.
 func TestRecombinerMetrics(t *testing.T) {
 	d := deploy(t)
 	r := d.recombiner(t)
@@ -373,19 +497,22 @@ func TestRecombinerMetrics(t *testing.T) {
 	}
 	expect("all honest",
 		`cluster_decrypts_total 1`,
+		`cluster_players_asked_total 3`, // = t · decrypts
+		`cluster_escalations_total 0`,
+		`cluster_quorum_wait_seconds_count 1`,
 		`cluster_verify_seconds_count 1`,
 		`cluster_verify_fallbacks_total 0`,
 		`cluster_verify_failures_total 0`,
 		`cluster_rejected_shares_total 0`,
 	)
 
-	// Player 2 lies about every share of a three-ciphertext batch: each
-	// ciphertext's check falls back, one player is named.
-	d.players[1].SetMisbehaviour(func(ds *core.DecryptionShare) *core.DecryptionShare {
-		return &core.DecryptionShare{Index: ds.Index, G: ds.G.Mul(ds.G), Proof: ds.Proof}
-	})
+	// Player 2 lies about every share of a three-ciphertext batch whose
+	// first choices are 1, 2, 3: each ciphertext's check falls back, one
+	// player is named, and players 4 and 5 are asked for all three.
+	d.lieAlways(2)
+	r.startAt(1)
 	got, rejected, err := r.DecryptBatch(ident, cs)
-	if err != nil || len(rejected) != 1 || rejected[0] != 2 {
+	if err != nil || !slices.Equal(rejected, []int{2}) {
 		t.Fatalf("byzantine batch: rejected %v, err %v", rejected, err)
 	}
 	for i := range msgs {
@@ -395,13 +522,16 @@ func TestRecombinerMetrics(t *testing.T) {
 	}
 	expect("one liar",
 		`cluster_decrypts_total 4`,
-		`cluster_verify_seconds_count 4`,
+		`cluster_players_asked_total 18`, // 3 + (3 + 2) players x 3 ciphertexts
+		`cluster_escalations_total 3`,
+		`cluster_quorum_wait_seconds_count 3`,
+		`cluster_verify_seconds_count 7`, // 1 + 3 ciphertexts x 2 rounds
 		`cluster_verify_fallbacks_total 3`,
 		`cluster_verify_failures_total 1`,
 		`cluster_rejected_shares_total 1`,
-		`cluster_quorum_wait_seconds_count 2`,
 		`cluster_fetch_seconds_count{player="1"} 2`,
 		`cluster_fetch_seconds_count{player="2"} 2`,
+		`cluster_fetch_seconds_count{player="4"} 1`,
 	)
 }
 
@@ -500,7 +630,9 @@ func poolCounter(reg *obs.Registry, name string) uint64 { return reg.Counter(nam
 // TestRecombinerConnPool checks the pooled-connection path on the pools'
 // own series: a stream of decryptions rides a bounded set of connections,
 // a player that was restarted on its address is served again without the
-// caller seeing a rejected share, and Close is terminal.
+// caller seeing a rejected share, a player that did fail is kept out of the
+// first choices for timeout and is one again afterwards, and Close is
+// terminal.
 func TestRecombinerConnPool(t *testing.T) {
 	d := deploy(t)
 	r := d.recombiner(t)
@@ -512,49 +644,57 @@ func TestRecombinerConnPool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	decrypt := func(stage string) {
+	// decrypt runs one decryption whose first choices start at player 3.
+	decrypt := func(stage string, wantRejected ...int) {
 		t.Helper()
+		r.startAt(3)
 		got, rejected, err := r.Decrypt(ident, c)
-		if err != nil || len(rejected) != 0 {
-			t.Fatalf("%s: rejected=%v err=%v", stage, rejected, err)
+		if err != nil || !slices.Equal(rejected, wantRejected) {
+			t.Fatalf("%s: rejected=%v err=%v, want rejected=%v", stage, rejected, err, wantRejected)
 		}
 		if !bytes.Equal(got, msg) {
 			t.Fatalf("%s: decrypted %x, want %x", stage, got, msg)
 		}
 	}
-	const rounds = 8
+	const rounds = 10
 	for range rounds {
-		decrypt("steady state")
+		if _, rejected, err := r.Decrypt(ident, c); err != nil || len(rejected) != 0 {
+			t.Fatalf("steady state: rejected=%v err=%v", rejected, err)
+		}
 	}
-	if frames := poolCounter(reg, "sempool_frames_total"); frames < rounds*nn {
-		t.Fatalf("frames = %d, want at least %d", frames, rounds*nn)
+	if frames := poolCounter(reg, "sempool_frames_total"); frames != rounds*tt {
+		t.Fatalf("frames = %d after %d honest decryptions, want %d (t players asked each time)", frames, rounds, rounds*tt)
 	}
-	if dials := poolCounter(reg, "sempool_dials_total"); dials < nn || dials > nn*playerConns {
-		t.Fatalf("dials = %d after %d decryptions, want %d..%d (connections must be reused)", dials, rounds, nn, nn*playerConns)
+	if dials := poolCounter(reg, "sempool_dials_total"); dials != nn*playerConns {
+		t.Fatalf("dials = %d after %d decryptions, want %d (the rotation reaches every player, connections are reused)", dials, rounds, nn*playerConns)
 	}
 
-	// Restart player 3 on its address: its pooled connections are dead, and
-	// the next decryption must reach the new server by itself.
-	if err := d.players[2].Close(); err != nil {
-		t.Fatal(err)
-	}
-	reborn, err := NewPlayerServer(d.params, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := reborn.Install(d.keys[2]); err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", d.addrs[2])
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() { _ = reborn.Serve(ln) }()
-	t.Cleanup(func() { _ = reborn.Close() })
+	// Restart player 3 on its address: its pooled connection is dead, and
+	// the next decryption that asks it must reach the new server by itself.
+	d.crash(3)
+	d.restart(t, 3)
 	before := poolCounter(reg, "sempool_dials_total")
 	decrypt("after player 3 restarted")
 	if poolCounter(reg, "sempool_dials_total") == before {
 		t.Fatal("no fresh dial after a player restart")
+	}
+
+	// Player 3 down for good: the decryption that asks it first pays a
+	// second round once; the following ones keep it for last and never get
+	// that far — until timeout has passed since the failure.
+	d.crash(3)
+	decrypt("player 3 down", 3)
+	asked, escalated := r.fetched(3), r.met.escalations.Value()
+	decrypt("player 3 down, demoted")
+	if r.fetched(3) != asked || r.met.escalations.Value() != escalated {
+		t.Fatalf("a player rejected within the last timeout was asked again (fetches %d → %d, escalations %d → %d)",
+			asked, r.fetched(3), escalated, r.met.escalations.Value())
+	}
+	d.restart(t, 3)
+	r.failedAt[2].Add(-int64(r.timeout)) // timeout has passed since the rejection
+	decrypt("player 3 back, demotion expired")
+	if r.fetched(3) != asked+1 {
+		t.Fatalf("player 3 was asked %d times after its demotion expired, want %d", r.fetched(3), asked+1)
 	}
 
 	if err := r.Close(); err != nil {
@@ -567,58 +707,48 @@ func TestRecombinerConnPool(t *testing.T) {
 
 // TestClusterToleratesHungPlayer: a player that accepts, shakes hands,
 // reads and never answers is rejected once the recombiner's timeout (and
-// the pool's one replay) ran out, and the other four still decrypt.
+// the pool's one replay) ran out, and the others still decrypt. The second
+// leg is the stated worst case: a hung player among the first choices and
+// another among the rest make two rounds of at most 2·timeout each.
 func TestClusterToleratesHungPlayer(t *testing.T) {
-	d := deploy(t)
-	_ = d.players[3].Close()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = ln.Close() })
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				defer func() { _ = conn.Close() }()
-				hello := make([]byte, 5)
-				if _, err := io.ReadFull(conn, hello); err != nil {
-					return
-				}
-				if err := wire.WriteV2Ack(conn, wire.V2Version, sem.DefaultMaxBatch, sem.DefaultMaxFrame); err != nil {
-					return
-				}
-				_, _ = io.Copy(io.Discard, conn) // reads every request, answers none
-			}()
-		}
-	}()
-	addrs := append([]string(nil), d.addrs...)
-	addrs[3] = ln.Addr().String()
-	const timeout = 300 * time.Millisecond
-	r, err := NewRecombiner(d.params, addrs, timeout)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = r.Close() })
-
+	const timeout = 200 * time.Millisecond
 	msg := bytes.Repeat([]byte{0x66}, msgLen)
-	c, _ := d.params.Public.EncryptBasic(rand.Reader, ident, msg)
-	start := time.Now()
-	got, rejected, err := r.Decrypt(ident, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := time.Since(start); elapsed < timeout || elapsed > 10*timeout {
-		t.Fatalf("decryption took %v with a hung player and a %v timeout", elapsed, timeout)
-	}
-	if len(rejected) != 1 || rejected[0] != 4 {
-		t.Fatalf("rejected = %v, want [4]", rejected)
-	}
-	if !bytes.Equal(got, msg) {
-		t.Fatal("decryption with a hung player failed")
+	for _, leg := range []struct {
+		name     string
+		hung     []int
+		first    int
+		min, max time.Duration
+	}{
+		{"one hung first choice", []int{4}, 4, timeout, 2*timeout + 2*time.Second},
+		{"hung players in both rounds", []int{1, 4}, 1, 2 * timeout, 4*timeout + 2*time.Second},
+	} {
+		t.Run(leg.name, func(t *testing.T) {
+			t.Parallel() // the legs wait rather than compute
+			d := deploy(t)
+			for _, i := range leg.hung {
+				d.hang(t, i)
+			}
+			r := d.recombinerWithTimeout(t, timeout)
+			r.startAt(leg.first)
+			c, _ := d.params.Public.EncryptBasic(rand.Reader, ident, msg)
+			start := time.Now()
+			got, rejected, err := r.Decrypt(ident, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if elapsed := time.Since(start); elapsed < leg.min || elapsed > leg.max {
+				t.Fatalf("decryption took %v with hung players %v and a %v timeout, want %v..%v", elapsed, leg.hung, timeout, leg.min, leg.max)
+			}
+			if !slices.Equal(rejected, leg.hung) {
+				t.Fatalf("rejected = %v, want %v", rejected, leg.hung)
+			}
+			if r.rounds() != 2 {
+				t.Fatalf("%d fetch rounds, want 2", r.rounds())
+			}
+			if !bytes.Equal(got, msg) {
+				t.Fatal("decryption with hung players failed")
+			}
+		})
 	}
 }
 

@@ -16,7 +16,7 @@ import (
 // recombiner can face — all five players, a single one, exactly t, some
 // absent; no liar, one, two — the batched check accepts iff every share
 // would pass on its own, and the accept rule turns away exactly the liars.
-// No network: the shares are computed and stamped as fetchColumn would.
+// No network: the shares are computed and stamped as fetchRound would.
 func TestBatchVerdictMatchesSingleVerdicts(t *testing.T) {
 	d := deploy(t)
 	p := d.params
