@@ -18,8 +18,10 @@
 // the caller's own order-q key, where a cofactor component cancels
 // (DESIGN §7). In the same network-facing packages its result must be bound
 // to a local variable, and every use of that variable must be one of: the U
-// argument of core.IBESEM.Token, the second argument of pairing.Params.Pair
-// or PairFull, the argument of pairing.FixedPair.Pair or
+// argument of core.IBESEM.Token or core.ThresholdPlayer.Share (a decryption
+// share is the token for the player's key share, and its proof is powers of
+// that pairing value), the second argument of pairing.Params.Pair or
+// PairFull, the argument of pairing.FixedPair.Pair or
 // Params.PairWithGenerator, a comparison with nil, or a call of its
 // IsInfinity method. Anything else — ScalarMul, Add, Marshal, a first
 // pairing argument, a copy, a return, a store — is a finding: those uses
@@ -68,6 +70,7 @@ var pairingArgSinks = []struct {
 	arg                     int
 }{
 	{"internal/core", "IBESEM", "Token", 1},
+	{"internal/core", "ThresholdPlayer", "Share", 1},
 	{"internal/pairing", "Params", "Pair", 1},
 	{"internal/pairing", "Params", "PairFull", 1},
 	{"internal/pairing", "Params", "PairWithGenerator", 0},
@@ -180,7 +183,7 @@ func checkPairingArgs(pass *analysis.Pass) {
 			case *ast.Ident:
 				if restricted[info.Uses[x]] && !defining[x] {
 					if use := pairingArgUse(pass, x, stack); use != "" {
-						pass.Reportf(x.Pos(), "point from wire.%s %s; it is not subgroup-checked and may only reach IBESEM.Token or a pairing's second argument — decode with wire.UnmarshalG1", pairingArgDecoder, use)
+						pass.Reportf(x.Pos(), "point from wire.%s %s; it is not subgroup-checked and may only reach IBESEM.Token, ThresholdPlayer.Share or a pairing's second argument — decode with wire.UnmarshalG1", pairingArgDecoder, use)
 					}
 				}
 			}

@@ -19,3 +19,15 @@ type IBESEM struct{}
 
 // Token returns ê(d_sem, u): u is only the pairing's evaluation point.
 func (s *IBESEM) Token(id string, u *curve.Point) (*pairing.GT, error) { return &pairing.GT{}, nil }
+
+// DecryptionShare is a threshold player's answer.
+type DecryptionShare struct{}
+
+// ThresholdPlayer is one threshold decryption server.
+type ThresholdPlayer struct{}
+
+// Share returns ê(d_IDi, u) and its proof: u is only the pairing's
+// evaluation point.
+func (p *ThresholdPlayer) Share(id string, u *curve.Point) (*DecryptionShare, error) {
+	return &DecryptionShare{}, nil
+}

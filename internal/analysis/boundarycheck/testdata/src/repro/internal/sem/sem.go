@@ -52,6 +52,16 @@ func HandleIBEToken(s *core.IBESEM, pp *pairing.Params, fp *pairing.FixedPair, k
 	return s.Token(id, u)
 }
 
+// HandleThresholdShare is the other allowed flow: the unchecked point
+// reaches only ThresholdPlayer.Share.
+func HandleThresholdShare(p *core.ThresholdPlayer, c *curve.Curve, id string, payload []byte) (*core.DecryptionShare, error) {
+	u, err := wire.UnmarshalPairingArg(c, payload)
+	if err != nil {
+		return nil, err
+	}
+	return p.Share(id, u)
+}
+
 // HandleHalfSign multiplies the unchecked point by a secret.
 func HandleHalfSign(c *curve.Curve, x int, payload []byte) []byte {
 	h, err := wire.UnmarshalPairingArg(c, payload)

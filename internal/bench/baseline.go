@@ -178,6 +178,15 @@ func Baseline(pp *pairing.Params, minIters int, minDuration time.Duration) (*Bas
 	if err != nil {
 		return nil, err
 	}
+	// Player 1 as a server holds it: the share installed, so a request is
+	// served from the identity's cached Miller program after the first.
+	tplayer, err := core.NewThresholdPlayer(tparams, 1)
+	if err != nil {
+		return nil, err
+	}
+	if err := tplayer.Install(tshares[0]); err != nil {
+		return nil, err
+	}
 	// The same system as a live cluster: five player servers on loopback and
 	// a ciphertext for the identity they hold shares of.
 	tcluster, err := newBaselineCluster(tparams, tshares)
@@ -389,6 +398,7 @@ func Baseline(pp *pairing.Params, minIters int, minDuration time.Duration) (*Bas
 			_, err := tparams.ComputeShareWithProof(rand.Reader, tshares[0], ct.U)
 			return err
 		}},
+		{"thibe.player-share", func() error { _, err := tplayer.Share(id, ct.U); return err }},
 		{"thibe.verify-proof", func() error { return tparams.VerifyShareProofFor(qid, ct.U, tproofs[0]) }},
 		{"thibe.verify-batch5", func() error { return tparams.VerifyShareProofs(qid, ct.U, tproofs) }},
 		{"thibe.verify-single5", func() error {

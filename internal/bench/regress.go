@@ -57,7 +57,14 @@ func (g ratioGate) name() string { return g.Num + " ÷ " + g.Den }
 // against the full G1 decode (measured 0.24–0.26; 1.0 if the [q]· ladder
 // comes back onto ibe_token's decoder), and the Lucas-ladder GT check
 // against a generic 160-bit GT exponentiation, which is what InGT used to
-// be (measured 0.48–0.50). The last guards the recombiner's optimistic round
+// be (measured 0.48–0.50). The sixth guards a threshold player's share: a
+// warm ThresholdPlayer.Share — G replayed from the identity's cached Miller
+// program, the proof committed with R = r·d_IDi so that it is two GT powers
+// and one scalar multiplication — against one fresh pairing (measured
+// 1.03–1.04 when it landed; 1.8–2.2 before, when a share was a fresh pairing
+// plus a generator-program replay and the comb and ê(P, P) table behind
+// R = r·P). Losing either half puts it back at ≈ 1.6–2.0, so either trips
+// the bound. The last guards the recombiner's optimistic round
 // on a live (3, 5) cluster: a decryption whose three first choices answer
 // against one that finds player 2 down and has to ask the other two as well.
 // Measured 0.74–0.78 on two cores, where the three first-choice shares do not
@@ -70,6 +77,7 @@ var kernelRatioGates = []ratioGate{
 	{Num: "thibe.verify-batch5", Den: "thibe.verify-single5", Max: 0.65, Rounds: 12, Burst: 1},
 	{Num: "wire.pairing-arg", Den: "wire.g1", Max: 0.50, Rounds: 32, Burst: 8},
 	{Num: "gt.ingt", Den: "gtexp.square-multiply", Max: 0.65, Rounds: 32, Burst: 16},
+	{Num: "thibe.player-share", Den: "pair", Max: 1.40, Rounds: 24, Burst: 4},
 	{Num: "cluster.decrypt.honest", Den: "cluster.decrypt.escalated", Max: 0.90, Rounds: 24, Burst: 1},
 }
 

@@ -42,6 +42,10 @@ var (
 	// ErrNotEnoughShares is returned when fewer than t usable shares could
 	// be collected.
 	ErrNotEnoughShares = errors.New("cluster: not enough valid shares")
+
+	// ErrBadCiphertext is returned when a ciphertext's U is not a point of
+	// G1: no proof can verify against it, and that is nobody's lie.
+	ErrBadCiphertext = errors.New("cluster: ciphertext point U is not in G1")
 )
 
 // PlayerServer is one decryption server of the cluster: the player's key
@@ -68,9 +72,13 @@ func NewPlayerServer(params *core.ThresholdParams, index int) (*PlayerServer, er
 
 // Instrument exports the player's serving metrics through reg: the sem_*
 // series (op="threshold_share" counts and times the share-with-proof
-// computation) and the curve kernel counters — curve_hash_to_point_total
-// staying flat while share requests climb is the visible form of
-// "per-identity constants are computed at Install". Call before Serve.
+// computation); next to them the player's Miller-program cache as the
+// cache="player_pairers" series of the lru_* families (lru_hits_total,
+// lru_misses_total, lru_evictions_total, lru_entries — a share request that
+// misses pays one program build, which pairing_fixed_programs_total counts);
+// and the curve kernel counters — curve_hash_to_point_total staying flat
+// while share requests climb is the visible form of "per-identity constants
+// are computed at Install". Call before Serve.
 func (p *PlayerServer) Instrument(reg *obs.Registry) { p.metrics = reg }
 
 // server returns the sem.Server behind the player, built on the first Serve
@@ -306,7 +314,10 @@ func (r *Recombiner) DecryptBatch(id string, cs []*bf.BasicCiphertext) (msgs [][
 		waiting = waiting[len(ask):]
 		r.met.asked.Add(uint64(len(ask) * len(cs)))
 		columns, errs := r.fetchRound(ask, ids, us)
-		r.verifyRound(qid, us, columns)
+		if err := r.verifyRound(qid, us, columns); err != nil {
+			sort.Ints(rejected)
+			return nil, rejected, err
+		}
 		for _, i := range ask {
 			if columns[i] != nil {
 				valid = append(valid, columns[i])
@@ -403,8 +414,10 @@ func (r *Recombiner) fetchRound(ask []int, ids []string, us []*curve.Point) (col
 }
 
 // verifyRound checks one round's columns ciphertext by ciphertext and nils
-// the column of every player any of whose shares failed its proof.
-func (r *Recombiner) verifyRound(qid *curve.Point, us []*curve.Point, columns [][]*core.DecryptionShare) {
+// the column of every player any of whose shares failed its proof — unless
+// the proofs failed against a U that is not in G1, which is
+// ErrBadCiphertext and leaves the columns alone.
+func (r *Recombiner) verifyRound(qid *curve.Point, us []*curve.Point, columns [][]*core.DecryptionShare) error {
 	// liars[j] are the players whose share of ciphertext j failed its proof.
 	liars := make([][]int, len(us))
 	parallel.Fan(len(us), func(j int) {
@@ -418,6 +431,11 @@ func (r *Recombiner) verifyRound(qid *curve.Point, us []*curve.Point, columns []
 		_, liars[j] = r.params.AcceptableShares(qid, us[j], row)
 		r.met.verify.Observe(time.Since(verifyStart))
 	})
+	for j, row := range liars {
+		if len(row) > 0 && us[j].Validate() != nil {
+			return fmt.Errorf("%w (ciphertext %d)", ErrBadCiphertext, j)
+		}
+	}
 	for _, row := range liars {
 		if len(row) > 0 {
 			r.met.fallbacks.Inc()
@@ -429,4 +447,5 @@ func (r *Recombiner) verifyRound(qid *curve.Point, us []*curve.Point, columns []
 			}
 		}
 	}
+	return nil
 }

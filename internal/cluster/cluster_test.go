@@ -452,6 +452,57 @@ func TestClusterRejectsMalformedPoint(t *testing.T) {
 	}
 }
 
+// TestBadCiphertextIsNobodysLie: players answer a U with a cofactor
+// component (it is only their pairing's evaluation point), the recombiner's
+// check — which walks U — then fails for every honest proof, and the
+// decryption must say the ciphertext is bad instead of rejecting and
+// demoting the t honest players it asked.
+func TestBadCiphertextIsNobodysLie(t *testing.T) {
+	d := deploy(t)
+	r := d.recombiner(t)
+	msgs, cs := encryptBatch(t, d, 2)
+	c := d.params.Public.Pairing.Curve()
+	var tors *curve.Point
+	for tors == nil || tors.IsInfinity() {
+		pt, err := c.RandomPoint(rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tors = pt.ScalarMul(c.Q())
+	}
+	bad := &bf.BasicCiphertext{U: cs[1].U.Add(tors), V: cs[1].V}
+
+	r.startAt(1)
+	out, rejected, err := r.DecryptBatch(ident, []*bf.BasicCiphertext{cs[0], bad})
+	if !errors.Is(err, ErrBadCiphertext) || !strings.Contains(err.Error(), "ciphertext 1") || out != nil {
+		t.Fatalf("U = U_q + T: plaintexts %v, err %v; want ErrBadCiphertext naming ciphertext 1", out, err)
+	}
+	if rejected != nil {
+		t.Fatalf("honest players %v rejected over a bad ciphertext", rejected)
+	}
+	for i := 1; i <= tt; i++ {
+		if d.served(i) != 2 { // one item per ciphertext
+			t.Fatalf("player %d served %d requests; the first choices were 1..%d", i, d.served(i), tt)
+		}
+	}
+
+	// Nobody was demoted: the next decryption asks the same first choices
+	// (and only them), and an honest ciphertext still opens.
+	r.startAt(1)
+	got, rejected, err := r.Decrypt(ident, cs[0])
+	if err != nil || rejected != nil || !bytes.Equal(got, msgs[0]) {
+		t.Fatalf("after a bad ciphertext: plaintext %x, rejected %v, err %v", got, rejected, err)
+	}
+	for i := 1; i <= nn; i++ {
+		if want := uint64(3); i <= tt && d.served(i) != want || i > tt && d.served(i) != 0 {
+			t.Fatalf("player %d served %d requests after the second decryption", i, d.served(i))
+		}
+	}
+	if r.rounds() != 2 {
+		t.Fatalf("%d fetch rounds for two decryptions", r.rounds())
+	}
+}
+
 func TestClusterPing(t *testing.T) {
 	d := deploy(t)
 	if resp := exchange(t, d.addrs[2], opPing, wire.ReqItem{}); resp[0].Status != statusOK {
@@ -472,7 +523,9 @@ func TestClusterPing(t *testing.T) {
 // checks the exported series: t players asked per honest decryption and no
 // escalation; then the identification pass, the second round, the players
 // it added, and the verification-failure and rejected-share counters naming
-// one player.
+// one player. The players' own registries carry the other end: after two
+// decryptions of one identity by the same first choices, each of them has
+// served the second from its cached Miller program.
 func TestRecombinerMetrics(t *testing.T) {
 	d := deploy(t)
 	r := d.recombiner(t)
@@ -506,6 +559,28 @@ func TestRecombinerMetrics(t *testing.T) {
 		`cluster_rejected_shares_total 0`,
 	)
 
+	r.startAt(1)
+	if _, rejected, err := r.Decrypt(ident, cs[1]); err != nil || len(rejected) != 0 {
+		t.Fatalf("second honest decryption: rejected %v, err %v", rejected, err)
+	}
+	for i := 1; i <= tt; i++ {
+		var sb strings.Builder
+		if err := d.regs[i-1].WritePrometheus(&sb); err != nil {
+			t.Fatal(err)
+		}
+		for _, want := range []string{
+			`sem_requests_total{op="threshold_share"} 2`,
+			`lru_hits_total{cache="player_pairers"} 1`,
+			`lru_misses_total{cache="player_pairers"} 1`,
+			`lru_evictions_total{cache="player_pairers"} 0`,
+			`lru_entries{cache="player_pairers"} 1`,
+		} {
+			if !strings.Contains(sb.String(), want+"\n") {
+				t.Fatalf("player %d metrics missing %q:\n%s", i, want, sb.String())
+			}
+		}
+	}
+
 	// Player 2 lies about every share of a three-ciphertext batch whose
 	// first choices are 1, 2, 3: each ciphertext's check falls back, one
 	// player is named, and players 4 and 5 are asked for all three.
@@ -521,16 +596,16 @@ func TestRecombinerMetrics(t *testing.T) {
 		}
 	}
 	expect("one liar",
-		`cluster_decrypts_total 4`,
-		`cluster_players_asked_total 18`, // 3 + (3 + 2) players x 3 ciphertexts
+		`cluster_decrypts_total 5`,
+		`cluster_players_asked_total 21`, // 3 + 3 + (3 + 2) players x 3 ciphertexts
 		`cluster_escalations_total 3`,
-		`cluster_quorum_wait_seconds_count 3`,
-		`cluster_verify_seconds_count 7`, // 1 + 3 ciphertexts x 2 rounds
+		`cluster_quorum_wait_seconds_count 4`,
+		`cluster_verify_seconds_count 8`, // 1 + 1 + 3 ciphertexts x 2 rounds
 		`cluster_verify_fallbacks_total 3`,
 		`cluster_verify_failures_total 1`,
 		`cluster_rejected_shares_total 1`,
-		`cluster_fetch_seconds_count{player="1"} 2`,
-		`cluster_fetch_seconds_count{player="2"} 2`,
+		`cluster_fetch_seconds_count{player="1"} 3`,
+		`cluster_fetch_seconds_count{player="2"} 3`,
 		`cluster_fetch_seconds_count{player="4"} 1`,
 	)
 }

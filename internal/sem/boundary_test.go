@@ -5,23 +5,29 @@ import (
 	"crypto/rand"
 	"errors"
 	"math/big"
+	"net"
 	"testing"
+	"time"
 
+	"repro/internal/bf"
 	"repro/internal/core"
 	"repro/internal/curve"
 	"repro/internal/pairing"
 	"repro/internal/wire"
 )
 
-// TestSubgroupCheckRelaxedOnlyForIBEToken walks the op table at toy and
-// paper size with the three inputs the [q]· check exists for — a point of
-// cofactor order, the 2-torsion point (0, 0), and U_q + T. ibe_token, where
-// the point is only the evaluation point of ê(d_sem, ·), answers them with
-// what the pairing's E/qE quotient says (1, 1, Token(U_q)) and refuses only
-// the identity and malformed encodings; every other op that takes a point —
-// gdh_half_sign, threshold_share, register_ibe — still refuses all three as
-// protocol errors, and register_gdh refuses them as scalars.
-func TestSubgroupCheckRelaxedOnlyForIBEToken(t *testing.T) {
+// TestSubgroupCheckRelaxedOnlyForEvaluationPoints walks the op table at toy
+// and paper size with the three inputs the [q]· check exists for — a point
+// of cofactor order, the 2-torsion point (0, 0), and U_q + T. The two ops
+// where the point is only the evaluation point of a pairing that walks the
+// server's own key answer them with what the pairing's E/qE quotient says:
+// ibe_token with (1, 1, Token(U_q)), threshold_share with the share of the
+// G1 projection (G = 1, 1, G(U_q)) and a proof that verifies for it; both
+// refuse only the identity and malformed encodings. Every other op that
+// takes a point — gdh_half_sign, register_ibe — still refuses all three as
+// protocol errors, register_gdh refuses them as scalars, and so does the
+// client for every point a server sends back.
+func TestSubgroupCheckRelaxedOnlyForEvaluationPoints(t *testing.T) {
 	for _, name := range []string{"toy", "paper"} {
 		pp, err := pairing.ByName(name)
 		if err != nil {
@@ -91,8 +97,8 @@ func TestSubgroupCheckRelaxedOnlyForIBEToken(t *testing.T) {
 		}
 		outside := map[string]*curve.Point{"cofactor-order point": tors, "(0,0)": two, "U_q + T": uq.Add(tors)}
 
-		// Everything but ibe_token keeps the [q]· check.
-		for opByte, opName := range map[byte]Op{opGDHSign: OpGDHSign, opThresholdShare: OpThresholdShare, opRegisterIBE: OpRegisterIBE} {
+		// Everything but ibe_token and threshold_share keeps the [q]· check.
+		for opByte, opName := range map[byte]Op{opGDHSign: OpGDHSign, opRegisterIBE: OpRegisterIBE} {
 			if _, err := call(opByte, uq.Marshal()); err != nil {
 				t.Fatalf("%s: %s refused a G1 point: %v", name, opName, err)
 			}
@@ -138,15 +144,99 @@ func TestSubgroupCheckRelaxedOnlyForIBEToken(t *testing.T) {
 				t.Errorf("%s: ibe_token(%s) ≠ 1", name, what)
 			}
 		}
+
+		// threshold_share: the share of the G1 projection with a proof for
+		// it, decoded as the recombiner would.
+		qid, err := bf.HashIdentity(pp, testID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		go func() { _ = srv.Serve(ln) }()
+		cl, err := Dial(ln.Addr().String(), pp, 2*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = cl.Close() })
+		share := func(pt *curve.Point) *core.DecryptionShare {
+			t.Helper()
+			ds, err := cl.ThresholdShare(testID, pt)
+			if err != nil {
+				t.Fatalf("%s: threshold_share: %v", name, err)
+			}
+			ds.Index = 1
+			return ds
+		}
+		wantShare, err := pp.Pair(uq, ks.D)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for what, proj := range map[string]*curve.Point{"U_q": uq, "U_q + T": uq, "cofactor-order point": nil, "(0,0)": nil} {
+			pt := outside[what]
+			if pt == nil {
+				pt = uq
+			}
+			ds := share(pt)
+			if proj == nil {
+				if !ds.G.IsOne() {
+					t.Errorf("%s: threshold_share(%s): G ≠ 1", name, what)
+				}
+				continue
+			}
+			if !bytes.Equal(ds.G.Bytes(), wantShare.Bytes()) {
+				t.Errorf("%s: threshold_share(%s): G ≠ ê(U_q, d_IDi)", name, what)
+			}
+			if err := tpkg.Params().VerifyShareProofFor(qid, proj, ds); err != nil {
+				t.Errorf("%s: threshold_share(%s): proof does not verify for U_q: %v", name, what, err)
+			}
+		}
+
 		for what, enc := range map[string][]byte{
 			"identity":  c.Infinity().Marshal(),
 			"empty":     {},
 			"truncated": uq.Marshal()[:c.CoordinateSize()],
 			"bad tag":   append([]byte{0x09}, uq.Marshal()[1:]...),
 		} {
-			if _, err := call(opIBEToken, enc); !errors.Is(err, wire.ErrProtocol) || statusFor(err) != statusBadRequest {
-				t.Errorf("%s: ibe_token(%s): err = %v, want a wire.ErrProtocol bad request", name, what, err)
+			for opByte, opName := range map[byte]Op{opIBEToken: OpIBEToken, opThresholdShare: OpThresholdShare} {
+				if _, err := call(opByte, enc); !errors.Is(err, wire.ErrProtocol) || statusFor(err) != statusBadRequest {
+					t.Errorf("%s: %s(%s): err = %v, want a wire.ErrProtocol bad request", name, opName, what, err)
+				}
 			}
+		}
+
+		// The client side keeps [q]· on every point it is sent: a GDH
+		// half-signature, and a share proof's V.
+		honest, err := call(opThresholdShare, uq.Marshal())
+		if err != nil {
+			t.Fatal(err)
+		}
+		gt, _, _ := shareWidths(pp)
+		for what, pt := range outside {
+			answers := map[byte][]byte{opGDHSign: pt.Marshal(), opThresholdShare: bytes.Clone(honest)}
+			copy(answers[opThresholdShare][3*gt:], pt.Marshal())
+			addr := fakeSEM(t, DefaultMaxBatch, func(conn net.Conn) {
+				answerFrames(conn, func(op byte, items []wire.ReqItem) []wire.RespItem {
+					resp := make([]wire.RespItem, len(items))
+					for i := range resp {
+						resp[i] = wire.RespItem{Status: statusOK, Data: answers[op]}
+					}
+					return resp
+				})
+			})
+			cl, err := Dial(addr, pp, 2*time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := cl.GDHHalfSign(testID, uq); !errors.Is(err, ErrProtocol) {
+				t.Errorf("%s: client took a half-signature that is %s: %v", name, what, err)
+			}
+			if _, err := cl.ThresholdShare(testID, uq); !errors.Is(err, ErrProtocol) {
+				t.Errorf("%s: client took a proof point V that is %s: %v", name, what, err)
+			}
+			_ = cl.Close()
 		}
 	}
 }

@@ -392,3 +392,50 @@ func TestGoldenFrames(t *testing.T) {
 		t.Fatalf("re-recorded %s; set regenerateGolden back to false", goldenFile)
 	}
 }
+
+// The two threshold_share responses as recorded before PR 20, when a proof
+// committed with R = r·P. PR 20 commits with R = r·d_IDi and re-recorded
+// exactly these two records, on purpose.
+const (
+	parentThresholdShareResp      = "00000061100001000000005960b92f3364e323961d8ecee5689ab0f1a3b99c18ad6ae52950500297f4d37dbe349ed8e40471c81564ab5b93ad9a32aa2f3c016f12c938a241eb71a23c5ff6e292f7ef9b77eaaaa403b7d0d0e443f7200449d26c34dcb0ff2f"
+	parentThresholdShareBatchResp = "00000109100003000000005960b92f3364e323961d8ecee5689ab0f1a3b99c18ad6ae52950500297f4d37dbe349ed8e40471c81564ab5b93ad9a32aa2f3c016f12c938a241eb71a23c5ff6e292f7ef9b77eaaaa403b7d0d0e443f7200449d26c34dcb0ff2f0300000045776972653a2070726f746f636f6c206572726f723a2063757276653a20636f6d7072657373656420706f696e74206d7573742062652031332062797465732c20676f742033000000005960b92f3364e323961d8ecee5689ab0f1a3b99c18ad6ae52950500297f4d37dbe349ed8e40471c81564ab5b93ad9a32aa2f3c016f12c938a241eb71a23c5ff6e292f7ef9b77eaaaa403b7d0d0e443f7200449d26c34dcb0ff2f"
+)
+
+// TestThresholdShareFramesRerecordedInShapeOnly holds the re-recorded
+// threshold_share frames to the ones they replaced: the same lengths, the
+// same framing, the same share value G, and nothing different but the
+// W1‖W2‖V‖E of the one fixed share both frames carry — swap the new proof
+// bytes for the old and the old frames come back, byte for byte.
+func TestThresholdShareFramesRerecordedInShapeOnly(t *testing.T) {
+	pp, err := pairing.Toy()
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden := loadGolden(t)
+	gt, point, scalar := shareWidths(pp)
+	const header = 12 // frame length, op, item count, status, data length
+	single := golden["threshold_share"].resp
+	old, err := hex.DecodeString(parentThresholdShareResp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(single) != header+3*gt+point+scalar || len(single) != len(old) {
+		t.Fatalf("threshold_share response is %d bytes, was %d", len(single), len(old))
+	}
+	if !bytes.Equal(single[:header+gt], old[:header+gt]) {
+		t.Error("threshold_share: framing or G differs from the record it replaced")
+	}
+	newProof, oldProof := single[header+gt:], old[header+gt:]
+	if bytes.Equal(newProof, oldProof) {
+		t.Error("threshold_share: the proof bytes did not change; why was it re-recorded?")
+	}
+	for name, parent := range map[string]string{"threshold_share": parentThresholdShareResp, "threshold_share_batch_mixed": parentThresholdShareBatchResp} {
+		old, err := hex.DecodeString(parent)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := bytes.ReplaceAll(golden[name].resp, newProof, oldProof); !bytes.Equal(got, old) {
+			t.Errorf("%s: differs from the record it replaced outside W1‖W2‖V‖E", name)
+		}
+	}
+}

@@ -79,6 +79,9 @@ func newServerMetrics(reg *obs.Registry, s *Server) *serverMetrics {
 	if s.cfg.IBE != nil {
 		s.cfg.IBE.InstrumentPairerCache(reg)
 	}
+	if s.cfg.Threshold != nil {
+		s.cfg.Threshold.InstrumentPairerCache(reg)
+	}
 	pairing.RegisterEngineMetrics(reg)
 	curve.RegisterMSMMetrics(reg)
 	parallel.RegisterPoolMetrics(reg)

@@ -586,7 +586,9 @@ func (s *Server) thresholdShare(id string, payload []byte) ([]byte, error) {
 	if s.cfg.Threshold == nil {
 		return nil, unsupported("threshold backend not configured")
 	}
-	u, err := wire.UnmarshalG1(s.cfg.Pairing.Curve(), payload)
+	// As in ibeToken: U is only the evaluation point of ê(d_IDi, ·) — the
+	// proof is powers of that value and a multiple of the player's share.
+	u, err := wire.UnmarshalPairingArg(s.cfg.Pairing.Curve(), payload)
 	if err != nil {
 		return nil, err
 	}

@@ -65,7 +65,9 @@ func UnmarshalG1(c *curve.Curve, data []byte) (*curve.Point, error) {
 // to, marshalled back out, stored, or walked as a pairing's FIRST argument
 // has no such quotient to hide in and must come through UnmarshalG1; the
 // boundarycheck analyzer enforces that a value returned from here reaches
-// only core.IBESEM.Token or a pairing's second argument.
+// only core.IBESEM.Token, core.ThresholdPlayer.Share (the same pairing for a
+// threshold player's key share, plus a proof made of its powers) or a
+// pairing's second argument.
 func UnmarshalPairingArg(c *curve.Curve, data []byte) (*curve.Point, error) {
 	pt, err := c.Unmarshal(data)
 	if err != nil {
