@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/fp"
 )
 
 func TestBenchtabQuickSubset(t *testing.T) {
@@ -20,6 +21,9 @@ func TestBenchtabQuickSubset(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := out.String()
+	if header := "benchtab: params toy, "; !strings.HasPrefix(s, header) || !strings.Contains(strings.SplitN(s, "\n", 2)[0], "fp kernel "+fp.Kernel()) {
+		t.Errorf("output does not open with the %q header naming the fp kernel:\n%s", header, s)
+	}
 	for _, want := range []string{"== T1", "== T4", "== F1", "SYSTEM BROKEN", "contained", "sem"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("output missing %q", want)
@@ -235,21 +239,30 @@ func TestBenchtabPaperRatios(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &report); err != nil {
 		t.Fatal(err)
 	}
-	if len(report.Entries) != 3 {
-		t.Fatalf("entries = %+v, want fp.mul, fp.mul.generic, fp.square", report.Entries)
+	if len(report.Entries) != 5 {
+		t.Fatalf("entries = %+v, want fp.mul, fp.mul.generic, fp.mul.go, fp.square, fp.square.go", report.Entries)
 	}
-	want := []string{"fp.mul ÷ fp.mul.generic", "fp.square ÷ fp.mul"}
+	if report.FpKernel != fp.Kernel() {
+		t.Fatalf("fp_kernel = %q, want %q", report.FpKernel, fp.Kernel())
+	}
+	want := []string{"fp.mul.go ÷ fp.mul.generic", "fp.square.go ÷ fp.mul.go", "fp.mul ÷ fp.mul.go"}
 	if len(report.Ratios) != len(want) {
 		t.Fatalf("ratios = %+v, want %v", report.Ratios, want)
 	}
 	for i, r := range report.Ratios {
-		if r.Name != want[i] || r.Value <= 0 || r.Value > 2 {
+		// The assembly's gate is measured where the assembly runs and
+		// recorded as not applicable, with no value, where it does not.
+		if na := i == 2 && fp.Kernel() == "go"; r.NA != na {
+			t.Errorf("ratio %d = %+v, want na = %v under kernel %q", i, r, na, fp.Kernel())
+		} else if na && r.Value != 0 {
+			t.Errorf("ratio %d = %+v carries a value with na set", i, r)
+		} else if r.Name != want[i] || !na && (r.Value <= 0 || r.Value > 2) {
 			t.Errorf("ratio %d = %+v, want %s in (0, 2]", i, r, want[i])
 		}
 	}
 
 	filterEntries(&report, regexp.MustCompile(`^fp\.square`))
-	if len(report.Entries) != 1 || len(report.Ratios) != 1 || report.Ratios[0].Name != want[1] {
+	if len(report.Entries) != 2 || len(report.Ratios) != 1 || report.Ratios[0].Name != want[1] {
 		t.Fatalf("filter ^fp\\.square kept %+v / %+v", report.Entries, report.Ratios)
 	}
 }

@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/fp"
 	"repro/internal/keyfile"
 	"repro/internal/obs"
 	"repro/internal/repl"
@@ -106,6 +107,10 @@ func run(args []string, stop <-chan os.Signal, ready, debugReady chan<- string) 
 	if *debugAddr != "" {
 		metrics = obs.NewRegistry()
 	}
+	// Which field kernel this process runs on (the server exports it as
+	// fp_kernel{impl}), so that two hosts' service times can be compared
+	// knowingly.
+	log.Printf("semd: fp kernel %s", fp.Kernel())
 	if *journalFn != "" {
 		if journal, err = core.OpenJournal(*journalFn); err != nil {
 			return err

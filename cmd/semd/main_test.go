@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/fp"
 	"repro/internal/keyfile"
 	"repro/internal/pairing"
 	"repro/internal/sem"
@@ -261,6 +262,7 @@ func TestSemdMetricsEndpoint(t *testing.T) {
 		`sem_queue_depth 0`,
 		`lru_hits_total{cache="sem_pairers"}`,
 		`journal_append_seconds_count 1`,
+		`fp_kernel{impl="` + fp.Kernel() + `"} 1`,
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("metrics endpoint missing %q", want)

@@ -30,6 +30,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/fp"
 	"repro/internal/keyfile"
 	"repro/internal/obs"
 )
@@ -102,6 +103,7 @@ func run(args []string, stop <-chan os.Signal, ready, debugReady chan<- string, 
 		return err
 	}
 	srv.Instrument(metrics)
+	log.Printf("thresholdd: fp kernel %s", fp.Kernel())
 	shares, err := pf.KeyShares(params)
 	if err != nil {
 		return err

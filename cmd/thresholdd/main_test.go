@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/fp"
 	"repro/internal/keyfile"
 )
 
@@ -230,6 +231,7 @@ func TestThresholdDebugEndpoint(t *testing.T) {
 		`sem_requests_total{op="threshold_share"} 1`,
 		`sem_service_seconds_count{op="threshold_share"} 1`,
 		`curve_hash_to_point_total `,
+		`fp_kernel{impl="` + fp.Kernel() + `"} 1`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("player metrics missing %q:\n%s", want, out)

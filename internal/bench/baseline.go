@@ -21,6 +21,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/curve"
+	"repro/internal/fp"
 	"repro/internal/pairing"
 	"repro/internal/sem"
 	"repro/internal/wire"
@@ -49,6 +50,7 @@ type BaselineReport struct {
 	PBits     int             `json:"p_bits"`
 	GoVersion string          `json:"go_version"`
 	GOARCH    string          `json:"goarch"`
+	FpKernel  string          `json:"fp_kernel,omitempty"` // fp.Kernel(): what fp.mul and everything above it ran on
 	Entries   []BaselineEntry `json:"entries"`
 	Ratios    []BaselineRatio `json:"ratios,omitempty"`
 }
@@ -59,10 +61,13 @@ type BaselineReport struct {
 // apart, and on a shared host the speed moves by more than the gates'
 // margins in that time. The two sides are timed in short alternating
 // bursts instead and the fastest burst of each is taken (measureRatio), so
-// a slow spell hits both sides or neither.
+// a slow spell hits both sides or neither. NA marks a gate that does not
+// apply to the run (ratioGate.AsmOnly without the assembly kernel): nothing
+// was measured and nothing is held to the bound.
 type BaselineRatio struct {
 	Name  string  `json:"name"`
 	Value float64 `json:"value"`
+	NA    bool    `json:"na,omitempty"`
 }
 
 // measureRatio returns cost(num) ÷ cost(den) from rounds alternating bursts
@@ -105,8 +110,10 @@ func benchScalar(label string, q *big.Int) *big.Int {
 	return k.Mod(k, q)
 }
 
-// Baseline times the primitive operations behind every scheme: the pairing
-// (optimized and full-Miller oracle), the three scalar-multiplication
+// Baseline times the primitive operations behind every scheme: the field
+// multiplication and squaring as Field dispatches them, on the portable Go
+// kernels and on the any-width loop, a modulus-sized field exponentiation,
+// the pairing (optimized and full-Miller oracle), the three scalar-multiplication
 // strategies, fixed-base vs generic GT exponentiation, one BF FullIdent
 // encrypt/decrypt pair, hash-to-G1, one threshold-IBE share with its proof,
 // that proof's verification alone and the five of one decryption as a batch,
@@ -130,7 +137,7 @@ func Baseline(pp *pairing.Params, minIters int, minDuration time.Duration) (*Bas
 	if err != nil {
 		return nil, err
 	}
-	fp, err := pp.NewFixedPair(P)
+	fixed, err := pp.NewFixedPair(P)
 	if err != nil {
 		return nil, err
 	}
@@ -358,6 +365,11 @@ func Baseline(pp *pairing.Params, minIters int, minDuration time.Duration) (*Bas
 		return nil, err
 	}
 
+	// A modulus-sized exponent, as both of Exp's callers pass: the point
+	// decode's root (p+1)/4 and Inv's p − 2. (p itself, so that no math/big
+	// arithmetic happens here: 512 squarings where the root has 510.)
+	modExp := F.P()
+
 	bodies := []struct {
 		name string
 		run  func() error
@@ -366,12 +378,15 @@ func Baseline(pp *pairing.Params, minIters int, minDuration time.Duration) (*Bas
 		{"fp.sub", func() error { F.Sub(fz, fx, fy); return nil }},
 		{"fp.mul", func() error { F.Mul(fz, fx, fy); return nil }},
 		{"fp.mul.generic", func() error { F.MulGeneric(fz, fx, fy); return nil }},
+		{"fp.mul.go", func() error { F.MulGo(fz, fx, fy); return nil }},
 		{"fp.square", func() error { F.Square(fz, fx); return nil }},
+		{"fp.square.go", func() error { F.SquareGo(fz, fx); return nil }},
+		{"fp.exp", func() error { F.Exp(fz, fx, modExp); return nil }},
 		{"gf.mul", func() error { eOut.Mul(e1, e2); return nil }},
 		{"gf.square", func() error { eOut.Square(e1); return nil }},
 		{"pair", func() error { _, err := pp.Pair(P, Q); return err }},
 		{"pair.full-miller", func() error { _, err := pp.PairFull(P, Q); return err }},
-		{"pair.fixed", func() error { _, err := fp.Pair(Q); return err }},
+		{"pair.fixed", func() error { _, err := fixed.Pair(Q); return err }},
 		{"pair.fixed.precompute", func() error { _, err := pp.NewFixedPair(P); return err }},
 		{"pair.finalexp", func() error { _, err := eOut.ExpUnitaryPart(e1, expTail); return err }},
 		{"multipair.2", func() error {
@@ -490,6 +505,7 @@ func Baseline(pp *pairing.Params, minIters int, minDuration time.Duration) (*Bas
 		PBits:     pp.P().BitLen(),
 		GoVersion: runtime.Version(),
 		GOARCH:    runtime.GOARCH,
+		FpKernel:  fp.Kernel(),
 	}
 	var m0, m1 runtime.MemStats
 	for _, body := range bodies {
@@ -559,6 +575,10 @@ func Baseline(pp *pairing.Params, minIters int, minDuration time.Duration) (*Bas
 			run[body.name] = body.run
 		}
 		for _, g := range kernelRatioGates {
+			if g.AsmOnly && fp.Kernel() == "go" {
+				report.Ratios = append(report.Ratios, BaselineRatio{Name: g.name(), NA: true})
+				continue
+			}
 			v, err := measureRatio(run[g.Num], run[g.Den], g.Rounds, g.Burst)
 			if err != nil {
 				return nil, fmt.Errorf("baseline %s: %w", g.name(), err)

@@ -34,20 +34,28 @@ func (r Regression) String() string {
 // bound holds on any host and needs no tolerance: it is how a loose
 // absolute gate (CI runs at 400 %) can still see an optimized path fall
 // back to the code it replaced. Rounds and Burst size the alternating
-// measurement (measureRatio) to the cost of the two sides.
+// measurement (measureRatio) to the cost of the two sides. An AsmOnly gate
+// compares the assembly field kernel with the Go one; where the assembly is
+// not what runs (fp.Kernel() is "go") both sides are the same code, so the
+// ratio is recorded as not applicable instead of being measured.
 type ratioGate struct {
 	Num, Den      string
 	Max           float64
 	Rounds, Burst int
+	AsmOnly       bool
 }
 
 func (g ratioGate) name() string { return g.Num + " ÷ " + g.Den }
 
 // kernelRatioGates are measured at paper size — when the modulus has 8
 // limbs, the only width with field kernels and the one the bounds were
-// taken at. The first two guard the straight-line 8-limb kernels of
-// internal/fp (measured when they landed: 0.40 and 0.81); at any other
-// width Mul is the generic loop and Square is Mul. The third guards the
+// taken at. The first two guard the straight-line 8-limb Go kernels of
+// internal/fp (measured when they landed: 0.40 and 0.81), timed under their
+// own names through fp's MulGo/SquareGo hooks so that they read the same on
+// a host where Field.Mul is the assembly; at any other width Mul is the
+// generic loop and Square is Mul. The third guards that assembly: Field.Mul
+// as dispatched against the Go kernel (measured 0.68–0.75 when it landed;
+// 1.0 if the dispatch stops reaching mul8). The fourth guards the
 // batched share-proof check (measured when it landed: 0.44): checking five
 // shares of one ciphertext as one equation against checking them one by
 // one, which is what a recombiner paid before and still pays to name a
@@ -57,7 +65,7 @@ func (g ratioGate) name() string { return g.Num + " ÷ " + g.Den }
 // against the full G1 decode (measured 0.24–0.26; 1.0 if the [q]· ladder
 // comes back onto ibe_token's decoder), and the Lucas-ladder GT check
 // against a generic 160-bit GT exponentiation, which is what InGT used to
-// be (measured 0.48–0.50). The sixth guards a threshold player's share: a
+// be (measured 0.48–0.50). The seventh guards a threshold player's share: a
 // warm ThresholdPlayer.Share — G replayed from the identity's cached Miller
 // program, the proof committed with R = r·d_IDi so that it is two GT powers
 // and one scalar multiplication — against one fresh pairing (measured
@@ -72,8 +80,9 @@ func (g ratioGate) name() string { return g.Num + " ÷ " + g.Den }
 // recombiner asking all five every time — there the honest side does the
 // larger job — so the bound sits between the two on any core count.
 var kernelRatioGates = []ratioGate{
-	{Num: "fp.mul", Den: "fp.mul.generic", Max: 0.70, Rounds: 64, Burst: 2048},
-	{Num: "fp.square", Den: "fp.mul", Max: 0.92, Rounds: 64, Burst: 2048},
+	{Num: "fp.mul.go", Den: "fp.mul.generic", Max: 0.70, Rounds: 64, Burst: 2048},
+	{Num: "fp.square.go", Den: "fp.mul.go", Max: 0.92, Rounds: 64, Burst: 2048},
+	{Num: "fp.mul", Den: "fp.mul.go", Max: 0.85, Rounds: 64, Burst: 2048, AsmOnly: true},
 	{Num: "thibe.verify-batch5", Den: "thibe.verify-single5", Max: 0.65, Rounds: 12, Burst: 1},
 	{Num: "wire.pairing-arg", Den: "wire.g1", Max: 0.50, Rounds: 32, Burst: 8},
 	{Num: "gt.ingt", Den: "gtexp.square-multiply", Max: 0.65, Rounds: 32, Burst: 16},
@@ -139,7 +148,7 @@ func CompareBaselines(ref, fresh *BaselineReport, tolerancePct float64) ([]Regre
 	}
 	for _, g := range kernelRatioGates {
 		for _, r := range fresh.Ratios {
-			if r.Name == g.name() && r.Value > g.Max {
+			if r.Name == g.name() && !r.NA && r.Value > g.Max {
 				regs = append(regs, Regression{Name: r.Name, Metric: "ratio", RefNs: g.Max, FreshNs: r.Value, Percent: (r.Value/g.Max - 1) * 100})
 			}
 		}

@@ -106,8 +106,8 @@ func TestCompareBaselinesRatioGates(t *testing.T) {
 	with := func(mulGeneric, squareMul float64) *BaselineReport {
 		r := report("paper", BaselineEntry{Name: "fp.mul", NsPerOp: 100})
 		r.Ratios = []BaselineRatio{
-			{Name: "fp.mul ÷ fp.mul.generic", Value: mulGeneric},
-			{Name: "fp.square ÷ fp.mul", Value: squareMul},
+			{Name: "fp.mul.go ÷ fp.mul.generic", Value: mulGeneric},
+			{Name: "fp.square.go ÷ fp.mul.go", Value: squareMul},
 		}
 		return r
 	}
@@ -116,8 +116,8 @@ func TestCompareBaselinesRatioGates(t *testing.T) {
 		t.Fatalf("healthy ratios flagged: %+v, %v", regs, err)
 	}
 
-	// The kernel fell back to the generic loop and Square to Mul: fp.mul is
-	// inside any absolute tolerance, both ratios are not.
+	// The Go kernel fell back to the generic loop and Square to Mul: fp.mul
+	// is inside any absolute tolerance, both ratios are not.
 	regs, err := CompareBaselines(ref, with(1.0, 1.0), 400)
 	if err != nil {
 		t.Fatal(err)
@@ -125,8 +125,26 @@ func TestCompareBaselinesRatioGates(t *testing.T) {
 	if len(regs) != 2 || regs[0].Metric != "ratio" || regs[1].Metric != "ratio" {
 		t.Fatalf("regressions = %+v, want the two ratio gates", regs)
 	}
-	if s := regs[0].String(); !strings.Contains(s, "fp.mul ÷ fp.mul.generic") || !strings.Contains(s, "0.70") {
+	if s := regs[0].String(); !strings.Contains(s, "fp.mul.go ÷ fp.mul.generic") || !strings.Contains(s, "0.70") {
 		t.Fatalf("String() = %q", s)
+	}
+
+	// The assembly's gate: Field.Mul no longer reaching mul8 costs what the
+	// Go kernel costs. Where the assembly is not selected the ratio is
+	// recorded as not applicable and is not held to the bound.
+	asm := func(r BaselineRatio) *BaselineReport {
+		rep := with(0.40, 0.81)
+		rep.Ratios = append(rep.Ratios, r)
+		return rep
+	}
+	if regs, err := CompareBaselines(ref, asm(BaselineRatio{Name: "fp.mul ÷ fp.mul.go", Value: 0.72}), 400); err != nil || len(regs) != 0 {
+		t.Fatalf("healthy assembly ratio flagged: %+v, %v", regs, err)
+	}
+	if regs, _ := CompareBaselines(ref, asm(BaselineRatio{Name: "fp.mul ÷ fp.mul.go", Value: 1.0}), 400); len(regs) != 1 || regs[0].RefNs != 0.85 {
+		t.Fatalf("regressions = %+v, want the fp.mul ÷ fp.mul.go (0.85) gate", regs)
+	}
+	if regs, _ := CompareBaselines(ref, asm(BaselineRatio{Name: "fp.mul ÷ fp.mul.go", Value: 1.0, NA: true}), 400); len(regs) != 0 {
+		t.Fatalf("a not-applicable ratio was held to its bound: %+v", regs)
 	}
 
 	// The token-boundary gates: the [q]· ladder back on ibe_token's decode

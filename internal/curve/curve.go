@@ -359,6 +359,16 @@ func (c *Curve) clearCofactor(pt *Point) *Point {
 	return out
 }
 
+// hashToPointCalls counts try-and-increment hashes onto the curve
+// (HashToPoint and HashToPointUncleared alike). At paper size one hash with
+// its cofactor clearing costs about as much as a pairing, so the count per
+// served operation says whether a caller is re-deriving a per-identity
+// constant it could have kept.
+var hashToPointCalls atomic.Uint64
+
+// HashToPointCalls returns the number of hash-to-curve evaluations so far.
+func HashToPointCalls() uint64 { return hashToPointCalls.Load() }
+
 // HashToPointUncleared is HashToPoint without the final cofactor
 // multiplication: it returns the raw try-and-increment point T ∈ E(F_p)
 // with HashToPoint(domain, msg) = c·T for cofactor c. Batch verifiers use

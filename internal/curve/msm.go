@@ -30,8 +30,10 @@ import (
 	"fmt"
 	"math/big"
 	"math/bits"
+	"sync/atomic"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/parallel"
 )
 
@@ -312,4 +314,48 @@ func (c *Curve) MSMSequential(scalars []*big.Int, points []*Point) (*Point, erro
 		acc = acc.Add(points[i].ScalarMul(scalars[i]))
 	}
 	return acc, nil
+}
+
+// MSM kernel accounting: how large the multi-scalar sums are in production
+// and what the kernel costs decide whether the Pippenger machinery pays for
+// itself outside benchmarks, so the serving daemons export them (same
+// pattern as the pairing engine counters). Recording is a handful of
+// uncontended atomic adds per MSM call — never per point. A call the
+// interleaved ladder served (at most msmLadderMax terms) records its points
+// and latency with zero windows and zero window bits.
+var msmCounters struct {
+	calls      atomic.Uint64                 // MSM invocations
+	points     atomic.Uint64                 // contributing (nonzero) terms across calls
+	windows    atomic.Uint64                 // Pippenger windows processed across calls
+	windowBits atomic.Int64                  // window width chosen by the last call
+	latency    atomic.Pointer[obs.Histogram] // kernel latency, set by RegisterMSMMetrics
+}
+
+// recordMSM logs one kernel invocation.
+func recordMSM(points, windows, windowBits int, d time.Duration) {
+	msmCounters.calls.Add(1)
+	msmCounters.points.Add(uint64(points))
+	msmCounters.windows.Add(uint64(windows))
+	msmCounters.windowBits.Store(int64(windowBits))
+	if h := msmCounters.latency.Load(); h != nil {
+		h.Observe(d)
+	}
+}
+
+// RegisterMSMMetrics exports the MSM counters, the kernel latency histogram
+// and the hash-to-curve counter through reg. Idempotent — the registry
+// deduplicates series — so every instrumented component may call it without
+// coordination.
+func RegisterMSMMetrics(reg *obs.Registry) {
+	reg.CounterFunc("curve_msm_calls_total", "MSM kernel invocations (interleaved ladder or Pippenger)",
+		func() uint64 { return msmCounters.calls.Load() })
+	reg.CounterFunc("curve_msm_points_total", "scalar-point terms summed across MSM invocations",
+		func() uint64 { return msmCounters.points.Load() })
+	reg.CounterFunc("curve_msm_windows_total", "Pippenger windows processed across MSM invocations",
+		func() uint64 { return msmCounters.windows.Load() })
+	reg.GaugeFunc("curve_msm_window_bits", "Pippenger window width selected by the most recent MSM call (0: the ladder served it)",
+		func() int64 { return msmCounters.windowBits.Load() })
+	msmCounters.latency.Store(reg.Histogram("curve_msm_seconds", "MSM kernel latency"))
+	reg.CounterFunc("curve_hash_to_point_total", "hash-to-curve evaluations (HashToPoint and HashToPointUncleared)",
+		hashToPointCalls.Load)
 }

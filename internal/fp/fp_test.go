@@ -10,7 +10,8 @@ import (
 // pairing primes (2, 4 and 8 limbs — the 8-limb one exercises the fp8.go
 // kernels and, being exactly 512 bits, the non-lazy F_p² path), a 505-bit
 // prime whose 8 limbs leave spare bits (lazy path on the specialized
-// width), 2⁵¹² − 569 (the largest 512-bit prime: top limb all ones, so the
+// width), a 510-bit one with exactly the two spare bits the lazy path asks
+// for, 2⁵¹² − 569 (the largest 512-bit prime: top limb all ones, so the
 // kernels' extra carry word is as live as it can be), and a 9-limb prime
 // on the generic fallback. Entries without a hex literal are derived
 // deterministically: the smallest prime ≥ 2^(bits−1)+1.
@@ -24,6 +25,7 @@ var testModuli = []struct {
 	{name: "fast-4limb", hex: "db19579dd2a906bb3f2f4f74c236e52c70115d99c09f7c474e96cdbe63e4da07"},
 	{name: "paper-8limb", hex: "b282da5c02935d5836473139df6751ee8e1fb07c917309c04088843b36435876d65dd173ce4ac63f883c05a59ad3a134e30ef32607e2a49c71e515d4dcc47eef"},
 	{name: "lazy-8limb", bits: 505},
+	{name: "spare2-8limb", bits: 510},
 	{name: "max-8limb", hex: "fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffdc7"},
 	{name: "9limb", bits: 513},
 }
@@ -203,16 +205,41 @@ func TestAliasing(t *testing.T) {
 	}
 }
 
-// TestKernels8 checks the straight-line 8-limb kernels of fp8.go against
-// the any-width loops (limb for limb — both produce the canonical reduced
-// Montgomery form) and against math/big, at the three 8-limb moduli: the
-// paper prime (all 512 bits), a 505-bit prime (spare top bits) and
-// 2⁵¹² − 569 (top limb all ones). Operands are all pairs of the boundary
-// values plus seeded random ones, in every aliasing form. Elements are put
-// into Montgomery form through math/big, not FromBig, so the kernel under
-// test has no part in building its own inputs or expectations.
+// eachKernel runs body under both selections of the 8-limb Mul/Square
+// kernel: the Go kernels of fp8.go (the assembly switched off for the
+// subtest) and mul8, which is skipped where it is not what Field.Mul runs
+// anyway. No test in the package is parallel, so flipping the package
+// variable is safe.
+func eachKernel(t *testing.T, body func(t *testing.T)) {
+	t.Run("go", func(t *testing.T) {
+		defer setAsm(useAsm)
+		setAsm(false)
+		body(t)
+	})
+	t.Run("asm", func(t *testing.T) {
+		if !useAsm {
+			t.Skip("mul8 is not selected here (purego build, not amd64, or a CPU without ADX and BMI2)")
+		}
+		body(t)
+	})
+}
+
+// TestKernels8 checks the 8-limb kernels — the straight-line Go ones of
+// fp8.go and the assembly mul8, each selected in turn — against the
+// any-width loops (limb for limb — all produce the canonical reduced
+// Montgomery form) and against math/big, at the four 8-limb moduli: the
+// paper prime (all 512 bits), a 505-bit and a 510-bit prime (spare top
+// bits; the second has exactly two) and 2⁵¹² − 569 (top limb all ones).
+// Operands are all pairs of the boundary values plus seeded random ones, in
+// every aliasing form. Elements are put into Montgomery form through
+// math/big, not FromBig, so the kernel under test has no part in building
+// its own inputs or expectations.
 func TestKernels8(t *testing.T) {
-	for _, name := range []string{"paper-8limb", "lazy-8limb", "max-8limb"} {
+	eachKernel(t, testKernels8)
+}
+
+func testKernels8(t *testing.T) {
+	for _, name := range []string{"paper-8limb", "lazy-8limb", "spare2-8limb", "max-8limb"} {
 		t.Run(name, func(t *testing.T) {
 			f, p := mustField(t, name)
 			if f.Limbs() != 8 {
@@ -335,16 +362,39 @@ func TestInvAndExp(t *testing.T) {
 					t.Fatalf("InvVarTime disagrees with Inv for x = %v", a)
 				}
 			}
-			// Exp vs big.Int.Exp on a fixed base and exponent.
-			a := new(big.Int).Div(p, big.NewInt(11))
-			e := new(big.Int).Div(p, big.NewInt(13))
-			if err := f.FromBig(x, a); err != nil {
-				t.Fatal(err)
+			// Exp vs big.Int.Exp: the edges (0, 1, a lone top bit and a run of
+			// ones at lengths around a small window, a limb and the modulus),
+			// the two exponents the repository uses, and seeded random ones
+			// of every length.
+			exps := []*big.Int{
+				big.NewInt(0), big.NewInt(1),
+				new(big.Int).Div(p, big.NewInt(13)),
+				new(big.Int).Sub(p, big.NewInt(2)),
+				new(big.Int).Rsh(new(big.Int).Add(p, big.NewInt(1)), 2),
 			}
-			f.Exp(x, x, e)
-			want := new(big.Int).Exp(a, e, p)
-			if g := f.ToBig(x); g.Cmp(want) != 0 {
-				t.Fatalf("Exp = %v, want %v", g, want)
+			for _, k := range []uint{1, 4, 5, 6, 10, 11, 63, 64, 65, uint(p.BitLen()) - 1, uint(p.BitLen())} {
+				pow := new(big.Int).Lsh(big.NewInt(1), k)
+				exps = append(exps, pow, new(big.Int).Sub(pow, big.NewInt(1)))
+			}
+			rng := rand.New(rand.NewSource(22))
+			for i := 0; i < 40; i++ {
+				limit := new(big.Int).Lsh(big.NewInt(1), uint(1+rng.Intn(p.BitLen()+8)))
+				exps = append(exps, new(big.Int).Rand(rng, limit))
+			}
+			bases := append(boundaryValues(p), new(big.Int).Div(p, big.NewInt(11)))
+			for i, e := range exps {
+				a := bases[i%len(bases)]
+				if err := f.FromBig(x, a); err != nil {
+					t.Fatal(err)
+				}
+				f.Exp(inv, x, e)
+				if g, want := f.ToBig(inv), new(big.Int).Exp(a, e, p); g.Cmp(want) != 0 {
+					t.Fatalf("Exp(%v, %v) = %v, want %v", a, e, g, want)
+				}
+				f.Exp(x, x, e) // in place
+				if !f.Equal(x, inv) {
+					t.Fatalf("Exp(%v, %v) in place differs", a, e)
+				}
 			}
 		})
 	}
@@ -408,13 +458,14 @@ func TestFp2TowerMatchesOracle(t *testing.T) {
 
 func TestLazyFlagPerModulus(t *testing.T) {
 	expect := map[string]bool{
-		"1limb":       false, // 2^64 − 977 uses all 64 bits
-		"toy-2limb":   true,  // 96 bits in 128
-		"fast-4limb":  false, // exactly 256 bits
-		"paper-8limb": false, // exactly 512 bits
-		"lazy-8limb":  true,  // 505 bits in 512
-		"max-8limb":   false, // exactly 512 bits
-		"9limb":       true,  // 513 bits in 576
+		"1limb":        false, // 2^64 − 977 uses all 64 bits
+		"toy-2limb":    true,  // 96 bits in 128
+		"fast-4limb":   false, // exactly 256 bits
+		"paper-8limb":  false, // exactly 512 bits
+		"lazy-8limb":   true,  // 505 bits in 512
+		"spare2-8limb": true,  // 510 bits in 512: the widest lazy modulus
+		"max-8limb":    false, // exactly 512 bits
+		"9limb":        true,  // 513 bits in 576
 	}
 	for _, tm := range testModuli {
 		f, p := mustField(t, tm.name)
@@ -452,8 +503,13 @@ func TestSelectAndEqual(t *testing.T) {
 }
 
 // TestZeroAllocs pins the headline property: no heap allocation per
-// operation, on both the 8-limb kernels and the generic fallback.
+// operation, on the 8-limb kernels — Go and assembly — and the generic
+// fallback.
 func TestZeroAllocs(t *testing.T) {
+	eachKernel(t, testZeroAllocs)
+}
+
+func testZeroAllocs(t *testing.T) {
 	for _, name := range []string{"paper-8limb", "9limb", "lazy-8limb", "max-8limb"} {
 		t.Run(name, func(t *testing.T) {
 			f, p := mustField(t, name)
@@ -474,6 +530,7 @@ func TestZeroAllocs(t *testing.T) {
 				"MulFp2":    func() { f.MulFp2(z, zi, x, y, y, x) },
 				"SquareFp2": func() { f.SquareFp2(z, zi, x, y) },
 				"Inv":       func() { _ = f.Inv(z, x) },
+				"Exp":       func() { f.Exp(z, x, p) },
 			}
 			for opName, op := range ops {
 				if allocs := testing.AllocsPerRun(100, op); allocs != 0 {
@@ -484,9 +541,12 @@ func TestZeroAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkOps times the four operations that have 8-limb kernels, and the
-// generic multiplication they replaced, at the paper prime; the 9-limb
-// rows are the any-width loops at the nearest other width.
+// BenchmarkOps times the four operations that have 8-limb kernels — Mul and
+// Square as dispatched (the assembly where the CPU has it) and on the Go
+// kernels — and the generic multiplication they replaced, at the paper
+// prime; the 9-limb rows are the any-width loops at the nearest other
+// width. BenchmarkExp is one modulus-sized exponentiation, the size of a
+// point decode's square root.
 func BenchmarkOps(b *testing.B) {
 	for _, tm := range []string{"paper-8limb", "9limb"} {
 		f, p := mustField(b, tm)
@@ -503,7 +563,9 @@ func BenchmarkOps(b *testing.B) {
 		}{
 			{"Mul", func() { f.Mul(z, x, y) }},
 			{"MulGeneric", func() { f.MulGeneric(z, x, y) }},
+			{"MulGo", func() { f.MulGo(z, x, y) }},
 			{"Square", func() { f.Square(z, x) }},
+			{"SquareGo", func() { f.SquareGo(z, x) }},
 			{"Add", func() { f.Add(z, x, y) }},
 			{"Sub", func() { f.Sub(z, x, y) }},
 		} {
@@ -514,5 +576,18 @@ func BenchmarkOps(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+func BenchmarkExp(b *testing.B) {
+	f, p := mustField(b, "paper-8limb")
+	x, z := f.NewElt(), f.NewElt()
+	if err := f.FromBig(x, new(big.Int).Div(p, big.NewInt(3))); err != nil {
+		b.Fatal(err)
+	}
+	e := new(big.Int).Rsh(new(big.Int).Add(p, big.NewInt(1)), 2)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		f.Exp(z, x, e)
 	}
 }

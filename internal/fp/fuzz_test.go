@@ -7,9 +7,10 @@ import (
 )
 
 // fuzzFields are constructed once: the three 8-limb primes (paper: all 512
-// bits; lazy: spare top bits; max: top limb all ones) drive the fp8.go
-// kernels and the 9-limb and toy primes the any-width loops, so every fuzz
-// input is replayed through both code paths.
+// bits; lazy: spare top bits; max: top limb all ones) drive the 8-limb
+// kernels — the one Field.Mul selects on this CPU and, through MulGo and
+// SquareGo, the Go ones of fp8.go — and the 9-limb and toy primes the
+// any-width loops, so every fuzz input is replayed through every code path.
 var fuzzFields = func() []*fuzzField {
 	var out []*fuzzField
 	for _, name := range []string{"paper-8limb", "9limb", "toy-2limb", "lazy-8limb", "max-8limb"} {
@@ -114,6 +115,7 @@ func checkFieldOps(t *testing.T, ff *fuzzField, a, b *big.Int) {
 		kernel, generic func(z, x, y []uint64)
 	}{
 		{"Mul", f.Mul, f.montMulGeneric},
+		{"MulGo", f.MulGo, f.montMulGeneric},
 		{"Add", f.Add, f.addGeneric},
 		{"Sub", f.Sub, f.subGeneric},
 	} {
@@ -123,10 +125,12 @@ func checkFieldOps(t *testing.T, ff *fuzzField, a, b *big.Int) {
 			t.Fatalf("[%s] %s(%v, %v) differs from the generic loop", ff.name, op.name, a, b)
 		}
 	}
-	f.Square(z, x)
 	f.montMulGeneric(ref, x, x)
-	if !f.Equal(z, ref) {
-		t.Fatalf("[%s] Square(%v) differs from the generic loop", ff.name, a)
+	for name, square := range map[string]func(z, x []uint64){"Square": f.Square, "SquareGo": f.SquareGo} {
+		square(z, x)
+		if !f.Equal(z, ref) {
+			t.Fatalf("[%s] %s(%v) differs from the generic loop", ff.name, name, a)
+		}
 	}
 
 	// Predicates and constant-time equality.
@@ -188,4 +192,87 @@ func checkFieldOps(t *testing.T, ff *fuzzField, a, b *big.Int) {
 	if got := f.ToBig(x).Bytes(); !bytes.Equal(got, ab) {
 		t.Fatalf("[%s] byte round trip mismatch", ff.name)
 	}
+}
+
+// FuzzMul8 holds the 8-limb multiplication kernels — the assembly mul8
+// where this CPU selects it, the Go montMul8 and montSqr8 everywhere — to
+// montMulGeneric, limb for limb, over an arbitrary odd 8-limb modulus: the
+// kernels are CIOS for any such modulus, prime or not, and the fuzzer moves
+// the modulus bits (top limb full or nearly empty, long carry runs) as
+// freely as the operands. Each input is run with the drawn operands and
+// with 0, 1 and p − 1, in every aliasing form the callers use.
+func FuzzMul8(f *testing.F) {
+	ones := bytes.Repeat([]byte{0xff}, 64)
+	paper := testModulus(f, "paper-8limb").Bytes()
+	for _, p := range [][]byte{paper, ones, {1}, append([]byte{0x80}, make([]byte, 63)...)} {
+		f.Add(p, ones, paper)
+		f.Add(p, []byte{2}, ones[:8])
+	}
+	f.Fuzz(func(t *testing.T, rawP, rawA, rawB []byte) {
+		// Any 512-bit string with the top limb non-zero and the low bit set.
+		p := new(big.Int).SetBytes(rawP)
+		p.And(p, new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), 512), big.NewInt(1)))
+		if p.BitLen() <= 448 {
+			p.SetBit(p, 448, 1)
+		}
+		p.SetBit(p, 0, 1)
+		fld, err := New(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fld.Limbs() != 8 {
+			t.Fatalf("modulus %x has %d limbs", p, fld.Limbs())
+		}
+		elt := func(v *big.Int) []uint64 {
+			z := fld.NewElt()
+			limbsFromBig(z, v)
+			return z
+		}
+		clone := func(x []uint64) []uint64 { return append([]uint64(nil), x...) }
+		kernels := map[string]func(z, x, y []uint64){"montMul8": fld.montMul8}
+		if useAsm {
+			kernels["mul8"] = fld.Mul
+		}
+		vals := [][]uint64{
+			elt(new(big.Int).Mod(new(big.Int).SetBytes(rawA), p)),
+			elt(new(big.Int).Mod(new(big.Int).SetBytes(rawB), p)),
+			elt(big.NewInt(0)), elt(big.NewInt(1)), elt(new(big.Int).Sub(p, big.NewInt(1))),
+		}
+		ref, sq, z := fld.NewElt(), fld.NewElt(), fld.NewElt()
+		for _, x := range vals {
+			fld.montMulGeneric(sq, x, x)
+			for _, y := range vals {
+				fld.montMulGeneric(ref, x, y)
+				for name, mul := range kernels {
+					same := func(form string, got, want []uint64) {
+						t.Helper()
+						if !fld.Equal(got, want) {
+							t.Fatalf("%s %s: p = %x, x = %x, y = %x: got %x, want %x", name, form, p, x, y, got, want)
+						}
+					}
+					mul(z, x, y)
+					same("z", z, ref)
+					zx := clone(x)
+					mul(zx, zx, y)
+					same("z = x", zx, ref)
+					zy := clone(y)
+					mul(zy, x, zy)
+					same("z = y", zy, ref)
+					mul(z, x, x)
+					same("x = y", z, sq)
+					zx = clone(x)
+					mul(zx, zx, zx)
+					same("z = x = y", zx, sq)
+				}
+			}
+			for name, square := range map[string]func(z, x []uint64){"montSqr8": fld.montSqr8, "Square": fld.Square} {
+				square(z, x)
+				zx := clone(x)
+				square(zx, zx)
+				if !fld.Equal(z, sq) || !fld.Equal(zx, sq) {
+					t.Fatalf("%s: p = %x, x = %x: got %x and in place %x, want %x", name, p, x, z, zx, sq)
+				}
+			}
+		}
+	})
 }

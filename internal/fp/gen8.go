@@ -1,8 +1,10 @@
 //go:build ignore
 
-// gen8 writes fp8.go: the straight-line 8-limb kernels behind Field.Mul,
-// Square, Add and Sub. Run it with `go generate ./internal/fp`; CI re-runs
-// it and fails on any difference from the committed output.
+// gen8 writes fp8.go — the straight-line 8-limb Go kernels behind
+// Field.Mul, Square, Add and Sub — and fp8_amd64.s, the same Montgomery
+// multiplication on MULX/ADCX/ADOX for amd64 CPUs that have them. Run it
+// with `go generate ./internal/fp`; CI re-runs it and fails on any
+// difference from the committed output.
 //
 // The generator is a program rather than ~1000 hand-kept lines because the
 // kernels are pure repetition with shifting indices: every word of the
@@ -294,6 +296,124 @@ func (f *Field) sub8(z, x, y []uint64) {`)
 	p("}")
 }
 
+// The registers of mul8. Ten accumulator words (t0…t8 and the one-bit
+// tenth word), DX as MULX's implicit multiplicand, two product halves and
+// the x and p pointers are all fifteen: BP is free because a non-zero frame
+// makes the assembler save and restore it, R14 and R15 because an ABI0
+// function that touches no global owes the runtime neither. The y pointer
+// and n0 are re-read from the arguments where they are used.
+var (
+	acc        = []string{"R8", "R9", "R10", "R11", "R12", "R13", "R14", "R15", "DI", "BP"}
+	lo, hi     = "AX", "BX"
+	xPtr, pPtr = "SI", "CX"
+)
+
+// mulxChains emits t += DX·src over words 0…8, the carries out of word 8
+// added into word 9: eight MULXQ, their low halves on the OF chain and
+// their high halves, one word up, on the CF chain. The caller has cleared
+// both flags; MOVQ leaves them alone.
+func mulxChains(src string, t []string) {
+	for j := 0; j < n; j++ {
+		p("\tMULXQ %d(%s), %s, %s", 8*j, src, lo, hi)
+		p("\tADOXQ %s, %s", lo, t[j])
+		p("\tADCXQ %s, %s", hi, t[j+1])
+	}
+	p("\tMOVQ $0, %s", lo)
+	p("\tADOXQ %s, %s", lo, t[n])
+	p("\tADCXQ %s, %s", lo, t[n+1])
+	p("\tADOXQ %s, %s", lo, t[n+1])
+}
+
+// opening picks the instruction that starts a single carry run (no carry
+// in) over the one that continues it.
+func opening(first bool, start, cont string) string {
+	if first {
+		return start
+	}
+	return cont
+}
+
+func genAsm() {
+	p(`// Code generated by gen8.go; DO NOT EDIT.
+
+//go:build !purego
+
+#include "textflag.h"
+
+// func mul8(z, x, y, p *[8]uint64, n0 uint64)
+//
+// mul8 sets z = x·y·R⁻¹ mod p for any odd 8-limb modulus; z may alias x
+// and/or y (it is written after the last read). It is montMul8's CIOS
+// round for round — add x·y[i], add m·p with m = t0·n0, shift down one limb
+// — with each half's two carry runs, which the Go kernel makes one after
+// the other, as one ADOX and one ADCX chain running side by side under
+// eight MULX. A round's sum can reach one bit into a tenth word (the paper
+// prime has all 512 bits), so each half ends by adding both chains' carries
+// out of word 8 into word 9; the shift brings it back down to word 8. The
+// shift itself is a renaming: the word the reduction zeroes becomes the
+// next round's tenth. Straight-line, and no branch or address depends on
+// an operand.
+TEXT ·mul8(SB), NOSPLIT, $64-40
+	MOVQ x+8(FP), %s
+	MOVQ p+24(FP), %s`, xPtr, pPtr)
+	t := acc
+	for i := 0; i < n; i++ {
+		p("")
+		p("\t// round %d: t += x·y[%d]", i, i)
+		p("\tMOVQ y+16(FP), DX")
+		p("\tMOVQ %d(DX), DX", 8*i)
+		if i == 0 {
+			// t = 0: the row product is the accumulator, on one chain.
+			p("\tMULXQ 0(%s), %s, %s", xPtr, t[0], t[1])
+			for j := 1; j < n; j++ {
+				p("\tMULXQ %d(%s), %s, %s", 8*j, xPtr, lo, t[j+1])
+				p("\t%s %s, %s", opening(j == 1, "ADDQ", "ADCQ"), lo, t[j])
+			}
+			p("\tADCQ $0, %s", t[n])
+			p("\tMOVQ $0, %s", t[n+1])
+		} else {
+			p("\tXORQ %s, %s", lo, lo)
+			p("\tMOVQ $0, %s", t[n+1])
+			mulxChains(xPtr, t)
+		}
+		p("\t// t += m·p, m = t0·n0: word 0 cancels")
+		p("\tMOVQ n0+32(FP), DX")
+		p("\tIMULQ %s, DX", t[0])
+		p("\tXORQ %s, %s", lo, lo)
+		mulxChains(pPtr, t)
+		t = append(t[1:], t[0])
+	}
+	p("")
+	p("\t// t < 2p: subtract p once; a borrow out of word 8 means t < p, and the")
+	p("\t// stored t comes back.")
+	for k := 0; k < n; k++ {
+		p("\tMOVQ %s, t%d-%d(SP)", t[k], k, 8*(n-k))
+	}
+	for k := 0; k < n; k++ {
+		p("\t%s %d(%s), %s", opening(k == 0, "SUBQ", "SBBQ"), 8*k, pPtr, t[k])
+	}
+	p("\tSBBQ $0, %s", t[n])
+	for k := 0; k < n; k++ {
+		p("\tCMOVQCS t%d-%d(SP), %s", k, 8*(n-k), t[k])
+	}
+	p("\tMOVQ z+0(FP), %s", lo)
+	for k := 0; k < n; k++ {
+		p("\tMOVQ %s, %d(%s)", t[k], 8*k, lo)
+	}
+	p("\tRET")
+	p(`
+// func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
+TEXT ·cpuid(SB), NOSPLIT, $0-24
+	MOVL leaf+0(FP), AX
+	MOVL sub+4(FP), CX
+	CPUID
+	MOVL AX, eax+8(FP)
+	MOVL BX, ebx+12(FP)
+	MOVL CX, ecx+16(FP)
+	MOVL DX, edx+20(FP)
+	RET`)
+}
+
 func main() {
 	p(`// Code generated by gen8.go; DO NOT EDIT.
 
@@ -323,6 +443,12 @@ import "math/bits"
 		log.Fatal(err)
 	}
 	if err := os.WriteFile("fp8.go", src, 0o644); err != nil {
+		log.Fatal(err)
+	}
+
+	out.Reset()
+	genAsm()
+	if err := os.WriteFile("fp8_amd64.s", out.Bytes(), 0o644); err != nil {
 		log.Fatal(err)
 	}
 }

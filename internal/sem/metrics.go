@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"repro/internal/curve"
+	"repro/internal/fp"
 	"repro/internal/obs"
 	"repro/internal/pairing"
 	"repro/internal/parallel"
@@ -85,6 +86,11 @@ func newServerMetrics(reg *obs.Registry, s *Server) *serverMetrics {
 	pairing.RegisterEngineMetrics(reg)
 	curve.RegisterMSMMetrics(reg)
 	parallel.RegisterPoolMetrics(reg)
+	// Every service time above is field multiplications, and their price
+	// depends on which kernel the host selected: two hosts' histograms are
+	// comparable only knowing this label.
+	reg.Gauge("fp_kernel", "constant 1, labeled with the field multiplication kernel in use (fp.Kernel)",
+		obs.Label{Key: "impl", Value: fp.Kernel()}).Set(1)
 	return m
 }
 

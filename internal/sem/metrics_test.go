@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/fp"
 	"repro/internal/obs"
 	"repro/internal/wire"
 )
@@ -79,6 +80,7 @@ func TestServerMetricsExported(t *testing.T) {
 		"sem_queue_depth 0",
 		"sem_workers",
 		`sem_connections_total{version="2"} 2`,
+		`fp_kernel{impl="` + fp.Kernel() + `"} 1`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("server metrics missing %q:\n%s", want, out)
@@ -157,8 +159,21 @@ func TestServerIdleTimeout(t *testing.T) {
 	if n, err := conn.Read(make([]byte, 1)); err != io.EOF {
 		t.Fatalf("idle connection: read %d bytes, err %v; want EOF from the server's reaper", n, err)
 	}
-	// The pooled client's connection was reaped too; its next op re-dials
-	// instead of surfacing the dead socket.
+	// The pooled client's connection goes the same way, but not by now for
+	// certain: each handler arms its own read deadline when it gets to run,
+	// so the one for the connection dialled first can expire last. Wait for
+	// the server to have released both before pinging. The client's next op
+	// then re-dials instead of surfacing the dead socket.
+	deadline := time.Now().Add(5 * time.Second)
+	for open := 1; open > 0; {
+		srv.mu.Lock()
+		open = len(srv.conns)
+		srv.mu.Unlock()
+		if time.Now().After(deadline) {
+			t.Fatalf("%d idle connections still open long past the IO timeout", open)
+		}
+		time.Sleep(time.Millisecond)
+	}
 	if err := client.Ping(); err != nil {
 		t.Fatalf("ping after the idle reap: %v", err)
 	}

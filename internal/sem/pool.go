@@ -610,27 +610,32 @@ func (mc *muxConn) readOne(dec *wire.FrameDecoder, frame sentFrame) error {
 		}
 		return fmt.Errorf("%w: response carries %d items, want %d", ErrProtocol, len(items), total)
 	}
-	payload, off := 0, 0
-	for _, c := range frame.calls {
-		out := make([]poolItem, len(c.items))
-		for i := range out {
-			it := items[off+i]
-			out[i] = poolItem{status: it.Status, data: bytes.Clone(it.Data)}
+	// Account for the frame before answering its callers: whoever holds a
+	// result finds it in the counters.
+	mc.pool.met.roundTrip.Observe(time.Since(frame.at))
+	if opName(sent) != "" {
+		payload := 0
+		for _, it := range items {
 			if it.Status == statusOK {
 				payload += len(it.Data)
 			}
 		}
-		off += len(c.items)
-		c.done <- poolResult{items: out}
-	}
-	if opName(sent) != "" {
 		st := &mc.pool.met.ops[sent]
 		st.calls.Add(uint64(total))
 		st.sent.Add(uint64(frame.bytes))
 		st.recv.Add(uint64(recv))
 		st.payload.Add(uint64(payload))
 	}
-	mc.pool.met.roundTrip.Observe(time.Since(frame.at))
+	off := 0
+	for _, c := range frame.calls {
+		out := make([]poolItem, len(c.items))
+		for i := range out {
+			it := items[off+i]
+			out[i] = poolItem{status: it.Status, data: bytes.Clone(it.Data)}
+		}
+		off += len(c.items)
+		c.done <- poolResult{items: out}
+	}
 	return nil
 }
 

@@ -298,11 +298,13 @@ func (s *Server) handleConn(conn net.Conn) {
 		s.cfg.Logf("sem: preamble from %v: %v", conn.RemoteAddr(), err)
 		return
 	}
+	// Counted before the ack leaves: a client that holds the ack is in
+	// sem_connections_total, whenever this goroutine runs next.
+	s.met.connects.Inc()
 	if err := wire.WriteV2Ack(conn, wire.V2Version, s.cfg.MaxBatch, s.cfg.MaxFrame); err != nil {
 		s.cfg.Logf("sem: ack to %v: %v", conn.RemoteAddr(), err)
 		return
 	}
-	s.met.connects.Inc()
 	s.serve(conn)
 }
 
