@@ -26,11 +26,26 @@
 // IsInfinity method. Anything else — ScalarMul, Add, Marshal, a first
 // pairing argument, a copy, a return, a store — is a finding: those uses
 // need the [q]· check of wire.UnmarshalG1.
+//
+// An evaluation point may also be stored — in a struct field that says so.
+// A field marked //cryptolint:evalpoint (reason) may be assigned such a
+// variable, in an assignment or a composite literal, and is then treated as
+// one wherever it is read: every selection of a marked field, in the
+// network-facing packages and in internal/core (where the verifier that
+// reads it lives), is held to the uses above plus one. Evaluation points may
+// be summed: a marked field may be assigned to an element of a local slice
+// that is only ever filled, measured with len and passed as the points of
+// curve.Curve.MSM — exact on all of E(F_p), so the cofactor parts add up to
+// a cofactor part — provided the sum is bound to a local variable, which is
+// then itself restricted to those uses. A line that must do otherwise with
+// its own point — a prover marshalling the V it has just computed — carries
+// a //cryptolint:evalpoint (reason) comment of its own.
 package boundarycheck
 
 import (
 	"go/ast"
 	"go/types"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -78,10 +93,17 @@ var pairingArgSinks = []struct {
 }
 
 func run(pass *analysis.Pass) error {
-	if !networkFacing(pass.Pkg.Path) || exempt(pass.Pkg.Path) {
+	if exempt(pass.Pkg.Path) {
 		return nil
 	}
-	checkPairingArgs(pass)
+	facing := networkFacing(pass.Pkg.Path)
+	if !facing && !pathMatches(pass.Pkg.Path, "internal/core") {
+		return nil
+	}
+	checkEvalPoints(pass)
+	if !facing {
+		return nil
+	}
 	for _, f := range pass.Pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
@@ -114,26 +136,128 @@ func calleeOf(pass *analysis.Pass, call *ast.CallExpr) *types.Func {
 	return fn
 }
 
-func isPairingArgDecode(pass *analysis.Pass, e ast.Expr) bool {
-	call, ok := ast.Unparen(e).(*ast.CallExpr)
-	if !ok {
-		return false
+// recvName is the name of the type fn is a method of ("" for a function).
+func recvName(fn *types.Func) string {
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil {
+		return ""
 	}
-	fn := calleeOf(pass, call)
-	return fn != nil && fn.Pkg() != nil && fn.Name() == pairingArgDecoder && pathMatches(fn.Pkg().Path(), "internal/wire")
+	t := sig.Recv().Type()
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	if named, ok := t.(*types.Named); ok {
+		return named.Obj().Name()
+	}
+	return ""
 }
 
-// checkPairingArgs enforces the pairing-argument rule of the package
-// comment. It is a per-package, flow-insensitive check on variables: a
-// variable that is ever assigned wire.UnmarshalPairingArg's result is
-// restricted everywhere it appears.
-func checkPairingArgs(pass *analysis.Pass) {
+// isCall reports whether e calls the named function or method of the package
+// with the given import-path suffix, and returns the call.
+func isCall(pass *analysis.Pass, e ast.Expr, pkgSuffix, recv, name string) (*ast.CallExpr, bool) {
+	call, ok := ast.Unparen(e).(*ast.CallExpr)
+	if !ok {
+		return nil, false
+	}
+	fn := calleeOf(pass, call)
+	if fn == nil || fn.Pkg() == nil || fn.Name() != name || recvName(fn) != recv || !pathMatches(fn.Pkg().Path(), pkgSuffix) {
+		return nil, false
+	}
+	return call, true
+}
+
+func isPairingArgDecode(pass *analysis.Pass, e ast.Expr) bool {
+	_, ok := isCall(pass, e, "internal/wire", "", pairingArgDecoder)
+	return ok
+}
+
+// evalPoints is the state of the evaluation-point rule for one package.
+type evalPoints struct {
+	pass  *analysis.Pass
+	marks *analysis.LineMarks
+	// fields are the struct fields marked //cryptolint:evalpoint, module-wide.
+	fields map[types.Object]bool
+	// vars are the restricted local variables, each with the phrase findings
+	// name it by: results of wire.UnmarshalPairingArg and MSM sums of
+	// evaluation points.
+	vars map[types.Object]string
+	// local are the variables declared by an assignment or a var statement
+	// (not parameters, results or package-level variables); sums are those of
+	// them that are slices an evaluation point was assigned into.
+	local map[types.Object]bool
+	sums  map[types.Object]bool
+	// bound are the decoder and MSM calls whose result lands in a restricted
+	// variable, defining the identifiers those assignments write.
+	bound    map[*ast.CallExpr]bool
+	defining map[*ast.Ident]bool
+}
+
+// evalPointFields collects the marked struct fields of every source-loaded
+// package.
+func evalPointFields(all []*analysis.Package) map[types.Object]bool {
+	fields := make(map[types.Object]bool)
+	for _, pkg := range all {
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				st, ok := n.(*ast.StructType)
+				if !ok {
+					return true
+				}
+				for _, field := range st.Fields.List {
+					if !analysis.HasMarker(field.Doc, analysis.MarkerEvalPoint) && !analysis.HasMarker(field.Comment, analysis.MarkerEvalPoint) {
+						continue
+					}
+					for _, name := range field.Names {
+						if obj := pkg.Info.Defs[name]; obj != nil {
+							fields[obj] = true
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	return fields
+}
+
+// checkEvalPoints enforces the evaluation-point rule of the package comment.
+// It is a per-package, flow-insensitive check: a variable that is ever
+// assigned wire.UnmarshalPairingArg's result (or a sum of evaluation points)
+// is restricted everywhere it appears, and so is every read of a marked
+// field.
+func checkEvalPoints(pass *analysis.Pass) {
 	info := pass.Pkg.Info
-	restricted := make(map[types.Object]bool)
-	bound := make(map[*ast.CallExpr]bool) // decoder calls whose result lands in a variable
-	defining := make(map[*ast.Ident]bool) // the identifiers those assignments write
-	bind := func(lhs []ast.Expr, rhs []ast.Expr) {
-		if len(rhs) != 1 || len(lhs) != 2 || !isPairingArgDecode(pass, rhs[0]) {
+	ep := &evalPoints{
+		pass:     pass,
+		marks:    analysis.CollectLineMarks(pass.Pkg, analysis.MarkerEvalPoint),
+		fields:   evalPointFields(pass.All),
+		vars:     make(map[types.Object]string),
+		local:    make(map[types.Object]bool),
+		sums:     make(map[types.Object]bool),
+		bound:    make(map[*ast.CallExpr]bool),
+		defining: make(map[*ast.Ident]bool),
+	}
+	// eachAssign visits every assignment and declaration as (lhs, rhs).
+	eachAssign := func(visit func(lhs, rhs []ast.Expr)) {
+		for _, f := range pass.Pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch st := n.(type) {
+				case *ast.AssignStmt:
+					visit(st.Lhs, st.Rhs)
+				case *ast.ValueSpec:
+					lhs := make([]ast.Expr, len(st.Names))
+					for i, name := range st.Names {
+						lhs[i] = name
+					}
+					visit(lhs, st.Values)
+				}
+				return true
+			})
+		}
+	}
+	// bind restricts the variable a two-valued call's first result lands in.
+	bind := func(lhs []ast.Expr, call *ast.CallExpr, what string) {
+		if len(lhs) != 2 {
 			return
 		}
 		id, ok := lhs[0].(*ast.Ident)
@@ -147,25 +271,40 @@ func checkPairingArgs(pass *analysis.Pass) {
 		if obj == nil {
 			return
 		}
-		restricted[obj] = true
-		bound[ast.Unparen(rhs[0]).(*ast.CallExpr)] = true
-		defining[id] = true
+		ep.vars[obj] = what
+		ep.bound[call] = true
+		ep.defining[id] = true
 	}
-	for _, f := range pass.Pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch st := n.(type) {
-			case *ast.AssignStmt:
-				bind(st.Lhs, st.Rhs)
-			case *ast.ValueSpec:
-				lhs := make([]ast.Expr, len(st.Names))
-				for i, name := range st.Names {
-					lhs[i] = name
+	eachAssign(func(lhs, rhs []ast.Expr) {
+		if len(rhs) == 1 && isPairingArgDecode(pass, rhs[0]) {
+			bind(lhs, ast.Unparen(rhs[0]).(*ast.CallExpr), "point from wire."+pairingArgDecoder)
+		}
+		for _, l := range lhs {
+			if id, ok := l.(*ast.Ident); ok {
+				if v, ok := info.Defs[id].(*types.Var); ok && v.Parent() != pass.Pkg.Types.Scope() {
+					ep.local[v] = true
 				}
-				bind(lhs, st.Values)
 			}
-			return true
-		})
-	}
+		}
+	})
+	eachAssign(func(lhs, rhs []ast.Expr) {
+		if len(lhs) != len(rhs) {
+			return
+		}
+		for i := range lhs {
+			if obj := ep.sliceOfElem(lhs[i]); obj != nil && ep.what(rhs[i]) != "" {
+				ep.sums[obj] = true
+			}
+		}
+	})
+	eachAssign(func(lhs, rhs []ast.Expr) {
+		if len(rhs) != 1 {
+			return
+		}
+		if call, ok := ep.sumCall(rhs[0]); ok {
+			bind(lhs, call, "sum of evaluation points")
+		}
+	})
 
 	for _, f := range pass.Pkg.Files {
 		var stack []ast.Node
@@ -177,45 +316,131 @@ func checkPairingArgs(pass *analysis.Pass) {
 			stack = append(stack, n)
 			switch x := n.(type) {
 			case *ast.CallExpr:
-				if isPairingArgDecode(pass, x) && !bound[x] {
-					pass.Reportf(x.Pos(), "wire.%s result must be bound to a local variable so its uses can be checked (it is not subgroup-checked)", pairingArgDecoder)
+				if isPairingArgDecode(pass, x) && !ep.bound[x] {
+					ep.reportf(x, "wire.%s result must be bound to a local variable so its uses can be checked (it is not subgroup-checked)", pairingArgDecoder)
+				}
+				if _, ok := ep.sumCall(x); ok && !ep.bound[x] {
+					ep.reportf(x, "a Curve.MSM sum of evaluation points must be bound to a local variable so its uses can be checked (it is not subgroup-checked)")
 				}
 			case *ast.Ident:
-				if restricted[info.Uses[x]] && !defining[x] {
-					if use := pairingArgUse(pass, x, stack); use != "" {
-						pass.Reportf(x.Pos(), "point from wire.%s %s; it is not subgroup-checked and may only reach IBESEM.Token, ThresholdPlayer.Share or a pairing's second argument — decode with wire.UnmarshalG1", pairingArgDecoder, use)
-					}
+				if ep.defining[x] {
+					break
 				}
+				if ep.sums[info.Uses[x]] {
+					if use := ep.sumUse(stack); use != "" {
+						ep.reportf(x, "slice of evaluation points %s; it may only be filled, measured with len and summed by Curve.MSM", use)
+					}
+					break
+				}
+				ep.checkUse(x, stack)
+			case *ast.SelectorExpr:
+				ep.checkUse(x, stack)
 			}
 			return true
 		})
 	}
 }
 
-// pairingArgUse classifies one use of a restricted variable from its
-// enclosing nodes (stack ends at the identifier): "" for a permitted use,
-// else a phrase naming the forbidden one.
-func pairingArgUse(pass *analysis.Pass, id *ast.Ident, stack []ast.Node) string {
-	i := len(stack) - 2
-	var self ast.Expr = id
-	for ; i >= 0; i-- { // step out of parentheses
+// reportf reports a finding at n unless its line carries the reasoned
+// //cryptolint:evalpoint escape.
+func (ep *evalPoints) reportf(n ast.Node, format string, args ...any) {
+	if !ep.marks.Has(analysis.MarkerEvalPoint, n.Pos()) {
+		ep.pass.Reportf(n.Pos(), format, args...)
+	}
+}
+
+// what names the evaluation point e reads — a restricted variable or a marked
+// field — for a finding; "" when e is neither.
+func (ep *evalPoints) what(e ast.Expr) string {
+	switch x := ast.Unparen(e).(type) {
+	case *ast.Ident:
+		return ep.vars[ep.pass.Pkg.Info.Uses[x]]
+	case *ast.SelectorExpr:
+		if obj := ep.pass.Pkg.Info.Uses[x.Sel]; ep.fields[obj] {
+			return "stored evaluation point " + x.Sel.Name
+		}
+	}
+	return ""
+}
+
+// sliceOfElem returns the slice variable P when e is P[i] and P is a
+// function's own slice (declared in a function body, so nothing outside the
+// function holds it unless the function lets it go — which sumUse reports);
+// nil otherwise.
+func (ep *evalPoints) sliceOfElem(e ast.Expr) types.Object {
+	idx, ok := ast.Unparen(e).(*ast.IndexExpr)
+	if !ok {
+		return nil
+	}
+	id, ok := ast.Unparen(idx.X).(*ast.Ident)
+	if !ok {
+		return nil
+	}
+	v, ok := ep.pass.Pkg.Info.Uses[id].(*types.Var)
+	if !ok || !ep.local[v] {
+		return nil
+	}
+	if _, ok := v.Type().Underlying().(*types.Slice); !ok {
+		return nil
+	}
+	return v
+}
+
+// sumCall reports whether e is a Curve.MSM call whose points are a slice of
+// evaluation points.
+func (ep *evalPoints) sumCall(e ast.Expr) (*ast.CallExpr, bool) {
+	call, ok := isCall(ep.pass, e, "internal/curve", "Curve", "MSM")
+	if !ok || len(call.Args) != 2 {
+		return nil, false
+	}
+	id, ok := ast.Unparen(call.Args[1]).(*ast.Ident)
+	return call, ok && ep.sums[ep.pass.Pkg.Info.Uses[id]]
+}
+
+// checkUse reports e, the last node of stack, if it reads an evaluation point
+// somewhere the rule does not allow.
+func (ep *evalPoints) checkUse(e ast.Expr, stack []ast.Node) {
+	what := ep.what(e)
+	if what == "" {
+		return
+	}
+	if use := ep.use(e, stack); use != "" {
+		ep.reportf(e, "%s %s; it is not subgroup-checked and may only reach IBESEM.Token, ThresholdPlayer.Share, a pairing's second argument or a Curve.MSM sum that does — decode with wire.UnmarshalG1", what, use)
+	}
+}
+
+// parentOf steps out of parentheses: it returns the index in stack of the
+// nearest enclosing node of stack's last node that is not a ParenExpr (−1 at
+// the top), and the expression that stands for the last node inside it.
+func parentOf(stack []ast.Node) (parent int, self ast.Expr) {
+	self = stack[len(stack)-1].(ast.Expr)
+	for i := len(stack) - 2; i >= 0; i-- {
 		p, ok := stack[i].(*ast.ParenExpr)
 		if !ok {
-			break
+			return i, self
 		}
 		self = p
 	}
+	return -1, self
+}
+
+// use classifies one read of an evaluation point from its enclosing nodes
+// (stack ends at the expression): "" for a permitted use, else a phrase
+// naming the forbidden one.
+func (ep *evalPoints) use(e ast.Expr, stack []ast.Node) string {
+	info := ep.pass.Pkg.Info
 	const escapes = "escapes (copied, returned or stored)"
-	if i < 0 {
+	pi, self := parentOf(stack)
+	if pi < 0 {
 		return escapes
 	}
-	switch parent := stack[i].(type) {
+	switch parent := stack[pi].(type) {
 	case *ast.BinaryExpr:
 		other := parent.X
 		if other == self {
 			other = parent.Y
 		}
-		if tv, ok := pass.Pkg.Info.Types[other]; ok && tv.IsNil() {
+		if tv, ok := info.Types[other]; ok && tv.IsNil() {
 			return ""
 		}
 		return "is compared with another point"
@@ -227,8 +452,29 @@ func pairingArgUse(pass *analysis.Pass, id *ast.Ident, stack []ast.Node) string 
 			}
 			return "is the receiver of " + parent.Sel.Name
 		}
+	case *ast.AssignStmt:
+		for i, lhs := range parent.Lhs {
+			if lhs == self {
+				return "" // the store into a marked field; what is stored is the right-hand side's business
+			}
+			if len(parent.Lhs) != len(parent.Rhs) || parent.Rhs[i] != self {
+				continue
+			}
+			// Stored where it stays an evaluation point: a marked field, or a
+			// slice that is only summed.
+			if sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr); ok && ep.fields[info.Uses[sel.Sel]] {
+				return ""
+			}
+			if ep.sums[ep.sliceOfElem(lhs)] {
+				return ""
+			}
+		}
+	case *ast.KeyValueExpr:
+		if key, ok := parent.Key.(*ast.Ident); ok && parent.Value == self && ep.fields[info.Uses[key]] {
+			return ""
+		}
 	case *ast.CallExpr:
-		fn := calleeOf(pass, parent)
+		fn := calleeOf(ep.pass, parent)
 		for argIdx, arg := range parent.Args {
 			if arg != self {
 				continue
@@ -236,16 +482,7 @@ func pairingArgUse(pass *analysis.Pass, id *ast.Ident, stack []ast.Node) string 
 			if fn == nil || fn.Pkg() == nil {
 				return "is passed to a function the rule does not know"
 			}
-			recv := ""
-			if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
-				t := sig.Recv().Type()
-				if ptr, ok := t.(*types.Pointer); ok {
-					t = ptr.Elem()
-				}
-				if named, ok := t.(*types.Named); ok {
-					recv = named.Obj().Name()
-				}
-			}
+			recv := recvName(fn)
 			for _, s := range pairingArgSinks {
 				if s.method == fn.Name() && s.recv == recv && s.arg == argIdx && pathMatches(fn.Pkg().Path(), s.pkgSuffix) {
 					return ""
@@ -256,6 +493,41 @@ func pairingArgUse(pass *analysis.Pass, id *ast.Ident, stack []ast.Node) string 
 			}
 			return "is passed to " + fn.Name()
 		}
+	}
+	return escapes
+}
+
+// sumUse classifies one use of a slice of evaluation points: "" when it is
+// filled, measured or summed into a bound variable, else a phrase naming the
+// use.
+func (ep *evalPoints) sumUse(stack []ast.Node) string {
+	const escapes = "escapes (copied, returned or stored)"
+	pi, self := parentOf(stack)
+	if pi < 0 {
+		return escapes
+	}
+	switch parent := stack[pi].(type) {
+	case *ast.IndexExpr:
+		if parent.X != self {
+			break
+		}
+		// P[i] = …: the element must be the target of an assignment.
+		if gi, elem := parentOf(stack[:pi+1]); gi >= 0 {
+			if as, ok := stack[gi].(*ast.AssignStmt); ok && slices.Contains(as.Lhs, elem) {
+				return ""
+			}
+		}
+		return "has an element read"
+	case *ast.CallExpr:
+		if fun, ok := ast.Unparen(parent.Fun).(*ast.Ident); ok && fun.Name == "len" {
+			if _, builtin := ep.pass.Pkg.Info.Uses[fun].(*types.Builtin); builtin {
+				return ""
+			}
+		}
+		if _, ok := ep.sumCall(parent); ok && parent.Args[1] == self && ep.bound[parent] {
+			return ""
+		}
+		return "is passed to a function other than Curve.MSM"
 	}
 	return escapes
 }

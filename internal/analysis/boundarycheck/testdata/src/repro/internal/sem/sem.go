@@ -105,3 +105,40 @@ func HandleRegister(c *curve.Curve, store map[string]*curve.Point, id string, pa
 func HandleUnbound(c *curve.Curve, payload []byte) (*curve.Point, error) {
 	return wire.UnmarshalPairingArg(c, payload) // want `wire.UnmarshalPairingArg result must be bound to a local variable`
 }
+
+// HandleShareProof is the allowed flow for a stored evaluation point: the
+// marked field takes the unchecked point in a literal or an assignment, and
+// a subgroup-checked point anywhere.
+func HandleShareProof(c *curve.Curve, payload []byte) (*core.ShareProof, *core.ShareProof, error) {
+	v, err := wire.UnmarshalPairingArg(c, payload)
+	if err != nil {
+		return nil, nil, err
+	}
+	checked, err := wire.UnmarshalG1(c, payload)
+	if err != nil {
+		return nil, nil, err
+	}
+	lit := &core.ShareProof{E: 1, V: v}
+	set := &core.ShareProof{V: checked, W: checked}
+	set.V = v
+	return lit, set, nil
+}
+
+// HandleShareProofWrongField stores the unchecked point in fields that do
+// not say they hold one.
+func HandleShareProofWrongField(c *curve.Curve, payload []byte) *core.ShareProof {
+	v, err := wire.UnmarshalPairingArg(c, payload)
+	if err != nil {
+		return nil
+	}
+	pr := &core.ShareProof{W: v} // want `point from wire.UnmarshalPairingArg escapes`
+	pr.W = v                     // want `point from wire.UnmarshalPairingArg escapes`
+	return pr
+}
+
+// EchoShareProof marshals a stored evaluation point back out: a finding in a
+// network-facing package as in core, unless the line says why.
+func EchoShareProof(pr *core.ShareProof) ([]byte, []byte) {
+	own := pr.V.Marshal()      //cryptolint:evalpoint (this side computed V itself)
+	return own, pr.V.Marshal() // want `stored evaluation point V is the receiver of Marshal`
+}

@@ -21,6 +21,10 @@ import (
 //   - //cryptolint:nodeadline — line-level deadlinecheck escape
 //   - //cryptolint:panic-ok — line-level nopanic escape (deliberate
 //     re-raise, e.g. the parallel worker-panic propagation)
+//   - //cryptolint:evalpoint — struct fields holding a curve point that is
+//     not subgroup-checked and only ever a pairing's evaluation point;
+//     boundarycheck restricts every read of such a field, and honours the
+//     same marker as the line-level escape from that restriction
 //
 // Every escape marker is expected to carry a parenthesised reason; the
 // marker's presence is what the analyzers test, the reason is for the
@@ -31,6 +35,7 @@ const (
 	MarkerVartime    = "//cryptolint:vartime"
 	MarkerNoDeadline = "//cryptolint:nodeadline"
 	MarkerPanicOK    = "//cryptolint:panic-ok"
+	MarkerEvalPoint  = "//cryptolint:evalpoint"
 )
 
 // HasMarker reports whether any comment in cg begins with marker.

@@ -78,7 +78,16 @@ func (g ratioGate) name() string { return g.Num + " ÷ " + g.Den }
 // Measured 0.74–0.78 on two cores, where the three first-choice shares do not
 // all overlap (≈ 0.65 expected with a core per player), and 1.19 with the
 // recombiner asking all five every time — there the honest side does the
-// larger job — so the bound sits between the two on any core count.
+// larger job — so the bound sits between the two on any core count. The
+// ninth guards the recombiner's hash: an identity hashed as a pairing.HashArg
+// against the same hash cofactor-cleared into G1 (measured 0.22–0.27 for
+// the bench identity, profile 0.26–0.40 with the number of try-and-increment
+// attempts; 1.0 if the clearing ladder comes back). The tenth guards
+// Field.Exp's sliding window in the unit the field layer is counted in, one
+// squaring: a modulus-sized exponentiation costs 748–761 squarings' time
+// with the window and 941–963 as plain square-and-multiply (three
+// alternating runs of each on the benchmark host), and the bound sits
+// midway.
 var kernelRatioGates = []ratioGate{
 	{Num: "fp.mul.go", Den: "fp.mul.generic", Max: 0.70, Rounds: 64, Burst: 2048},
 	{Num: "fp.square.go", Den: "fp.mul.go", Max: 0.92, Rounds: 64, Burst: 2048},
@@ -88,6 +97,8 @@ var kernelRatioGates = []ratioGate{
 	{Num: "gt.ingt", Den: "gtexp.square-multiply", Max: 0.65, Rounds: 32, Burst: 16},
 	{Num: "thibe.player-share", Den: "pair", Max: 1.40, Rounds: 24, Burst: 4},
 	{Num: "cluster.decrypt.honest", Den: "cluster.decrypt.escalated", Max: 0.90, Rounds: 24, Burst: 1},
+	{Num: "hash.to-g1.arg", Den: "hash.to-g1", Max: 0.55, Rounds: 32, Burst: 4},
+	{Num: "fp.exp", Den: "fp.square", Max: 850, Rounds: 16, Burst: 256},
 }
 
 // CompareBaselines checks a freshly measured report against a committed

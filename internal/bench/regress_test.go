@@ -178,6 +178,24 @@ func TestCompareBaselinesRatioGates(t *testing.T) {
 		t.Fatalf("regressions = %+v, want the cluster.decrypt (0.90) gate", regs)
 	}
 
+	// The recombiner's hash and the field exponentiation: the cofactor
+	// clearing back on an identity that is only paired against fixed keys
+	// makes its hash cost what hash.to-g1 costs; Field.Exp back on plain
+	// square-and-multiply costs ≈ 950 squarings' time.
+	ladders := func(hash, exp float64) *BaselineReport {
+		r := with(0.40, 0.81)
+		r.Ratios = append(r.Ratios,
+			BaselineRatio{Name: "hash.to-g1.arg ÷ hash.to-g1", Value: hash},
+			BaselineRatio{Name: "fp.exp ÷ fp.square", Value: exp})
+		return r
+	}
+	if regs, err := CompareBaselines(ref, ladders(0.30, 755), 400); err != nil || len(regs) != 0 {
+		t.Fatalf("healthy hash and exponentiation ratios flagged: %+v, %v", regs, err)
+	}
+	if regs, _ := CompareBaselines(ref, ladders(1.0, 950), 400); len(regs) != 2 || regs[0].RefNs != 850 || regs[1].RefNs != 0.55 {
+		t.Fatalf("regressions = %+v, want the fp.exp (850) and hash.to-g1.arg (0.55) gates", regs)
+	}
+
 	// A reference without ratios (older snapshot, hand-edited, recorded
 	// with a -filter) does not switch the gates off.
 	ref.Ratios = nil

@@ -65,8 +65,9 @@ var (
 // PublicParams must be used by pointer (every method has a pointer receiver):
 // it lazily caches per-recipient fixed-base tables for the GT element
 // ê(P_pub, Q_ID), which depends only on the recipient identity, so repeat
-// encryptions to the same identity skip both the pairing and the generic
-// square-and-multiply exponentiation.
+// encryptions to the same identity skip the hash onto the curve, the pairing
+// and the generic square-and-multiply exponentiation; a first encryption
+// pairs through the Miller program of P_pub, built once.
 type PublicParams struct {
 	Pairing *pairing.Params
 	PPub    *curve.Point
@@ -75,6 +76,10 @@ type PublicParams struct {
 
 	gtOnce  sync.Once
 	gtCache *lru.Cache[string, *pairing.GTTable]
+
+	ppubOnce sync.Once
+	ppubPair *pairing.HashPairer // ê(P_pub, H1(·)); nil, with ppubErr set, for a P_pub outside G1 ∖ {O}
+	ppubErr  error
 }
 
 // maxCachedRecipients bounds the per-identity table cache; least recently
@@ -106,19 +111,30 @@ func (pub *PublicParams) RecipientCacheStats() lru.Stats {
 }
 
 // recipientPairing returns ê(P_pub, Q_ID)^r for the given identity, through
-// a cached fixed-base GT table when one is available.
-func (pub *PublicParams) recipientPairing(id string, qid *curve.Point, r *big.Int) (*pairing.GT, error) {
+// a cached fixed-base GT table when one is available. Only a recipient
+// without one is hashed onto the curve, and then only as the evaluation
+// point of P_pub's program (HashIdentityArg: no cofactor clearing).
+func (pub *PublicParams) recipientPairing(id string, r *big.Int) (*pairing.GT, error) {
 	cache := pub.recipientCache()
 	if tab, ok := cache.Get(id); ok {
 		return tab.Exp(r), nil
 	}
-	g, err := pub.Pairing.Pair(pub.PPub, qid)
+	h, err := HashIdentityArg(pub.Pairing, id)
+	if err != nil {
+		return nil, err
+	}
+	pub.ppubOnce.Do(func() { pub.ppubPair, pub.ppubErr = pub.Pairing.NewHashPairer(pub.PPub) })
+	if pub.ppubErr != nil {
+		return nil, fmt.Errorf("bf: system public key P_pub: %w", pub.ppubErr)
+	}
+	g, err := pub.ppubPair.Pair(h)
 	if err != nil {
 		return nil, err
 	}
 	tab, err := pairing.NewGTTable(g)
 	if err != nil {
-		// Degenerate pairing value (infinity inputs); exponentiate directly.
+		// Degenerate pairing value (an identity hashing to cofactor order,
+		// probability below 2⁻³⁵⁰); exponentiate directly.
 		return g.Exp(r)
 	}
 	cache.Add(id, tab)
@@ -215,13 +231,27 @@ func (p *PKG) Extract(id string) (*PrivateKey, error) {
 	return &PrivateKey{ID: id, D: qid.ScalarMul(p.master)}, nil
 }
 
-// HashIdentity is the H1 oracle: identities → G1.
+// HashIdentity is the H1 oracle: identities → G1. It is for callers that
+// multiply or walk Q_ID (key extraction); one that only pairs Q_ID against a
+// fixed key wants HashIdentityArg.
 func HashIdentity(pp *pairing.Params, id string) (*curve.Point, error) {
 	pt, err := pp.Curve().HashToPoint(domainH1, []byte(id))
 	if err != nil {
 		return nil, fmt.Errorf("hash identity %q: %w", id, err)
 	}
 	return pt, nil
+}
+
+// HashIdentityArg is the H1 oracle for a caller that will only evaluate
+// ê(K, Q_ID) for fixed keys K ∈ G1: the same hash without its cofactor
+// clearing, in the opaque form a pairing.HashPairer takes (and nothing else
+// does), so that pairing comes out as ê(K, HashIdentity(id)) bit for bit.
+func HashIdentityArg(pp *pairing.Params, id string) (*pairing.HashArg, error) {
+	h, err := pp.HashArg(domainH1, []byte(id))
+	if err != nil {
+		return nil, fmt.Errorf("hash identity %q: %w", id, err)
+	}
+	return h, nil
 }
 
 // BasicCiphertext is a BasicIdent ciphertext <U, V>.
@@ -236,16 +266,12 @@ func (pub *PublicParams) EncryptBasic(rng io.Reader, id string, msg []byte) (*Ba
 	if len(msg) != pub.MsgLen {
 		return nil, fmt.Errorf("%w: got %d, want %d", ErrMessageLength, len(msg), pub.MsgLen)
 	}
-	qid, err := HashIdentity(pub.Pairing, id)
-	if err != nil {
-		return nil, err
-	}
 	r, err := randScalar(rng, pub.Pairing.Q())
 	if err != nil {
 		return nil, err
 	}
 	u := pub.Pairing.GeneratorMul(r)
-	g, err := pub.recipientPairing(id, qid, r)
+	g, err := pub.recipientPairing(id, r)
 	if err != nil {
 		return nil, err
 	}
@@ -278,17 +304,13 @@ func (pub *PublicParams) Encrypt(rng io.Reader, id string, msg []byte) (*Ciphert
 	if len(msg) != pub.MsgLen {
 		return nil, fmt.Errorf("%w: got %d, want %d", ErrMessageLength, len(msg), pub.MsgLen)
 	}
-	qid, err := HashIdentity(pub.Pairing, id)
-	if err != nil {
-		return nil, err
-	}
 	sigma := make([]byte, pub.MsgLen)
 	if _, err := io.ReadFull(orDefaultRand(rng), sigma); err != nil {
 		return nil, fmt.Errorf("sample sigma: %w", err)
 	}
 	r := DeriveR(sigma, msg, pub.Pairing.Q())
 	u := pub.Pairing.GeneratorMul(r)
-	g, err := pub.recipientPairing(id, qid, r)
+	g, err := pub.recipientPairing(id, r)
 	if err != nil {
 		return nil, err
 	}

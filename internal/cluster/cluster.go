@@ -29,6 +29,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/curve"
 	"repro/internal/obs"
+	"repro/internal/pairing"
 	"repro/internal/parallel"
 	"repro/internal/sem"
 )
@@ -76,9 +77,11 @@ func NewPlayerServer(params *core.ThresholdParams, index int) (*PlayerServer, er
 // cache="player_pairers" series of the lru_* families (lru_hits_total,
 // lru_misses_total, lru_evictions_total, lru_entries — a share request that
 // misses pays one program build, which pairing_fixed_programs_total counts);
-// and the curve kernel counters — curve_hash_to_point_total staying flat
-// while share requests climb is the visible form of "per-identity constants
-// are computed at Install". Call before Serve.
+// and the curve kernel counters — curve_hash_to_point_total,
+// curve_cofactor_clears_total and curve_subgroup_checks_total all staying
+// flat while share requests climb is the visible form of "per-identity
+// constants are computed at Install, and U is only an evaluation point".
+// Call before Serve.
 func (p *PlayerServer) Instrument(reg *obs.Registry) { p.metrics = reg }
 
 // server returns the sem.Server behind the player, built on the first Serve
@@ -293,7 +296,7 @@ func (r *Recombiner) DecryptBatch(id string, cs []*bf.BasicCiphertext) (msgs [][
 		ids[j], us[j] = id, c.U
 	}
 	// Q_ID is the same for every proof: hash the identity once.
-	qid, err := bf.HashIdentity(r.params.Public.Pairing, id)
+	qid, err := bf.HashIdentityArg(r.params.Public.Pairing, id)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -417,7 +420,7 @@ func (r *Recombiner) fetchRound(ask []int, ids []string, us []*curve.Point) (col
 // the column of every player any of whose shares failed its proof — unless
 // the proofs failed against a U that is not in G1, which is
 // ErrBadCiphertext and leaves the columns alone.
-func (r *Recombiner) verifyRound(qid *curve.Point, us []*curve.Point, columns [][]*core.DecryptionShare) error {
+func (r *Recombiner) verifyRound(qid *pairing.HashArg, us []*curve.Point, columns [][]*core.DecryptionShare) error {
 	// liars[j] are the players whose share of ciphertext j failed its proof.
 	liars := make([][]int, len(us))
 	parallel.Fan(len(us), func(j int) {

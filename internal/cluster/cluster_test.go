@@ -15,6 +15,7 @@ import (
 	"repro/internal/bf"
 	"repro/internal/core"
 	"repro/internal/curve"
+	"repro/internal/curve/curvetest"
 	"repro/internal/obs"
 	"repro/internal/pairing"
 	"repro/internal/sem"
@@ -200,9 +201,11 @@ func TestClusterDecryption(t *testing.T) {
 // own honest share-with-proof and player 1's for the same ciphertext. The
 // first five tamper with one component of the tuple in turn, keeping every
 // element inside its group (so it survives wire validation and reaches the
-// NIZK check) and leaving the rest stale; the last answers with another
-// player's share, index and proof intact — which the share protocol lets
-// anyone obtain by asking.
+// NIZK check) and leaving the rest stale; the next two send a V with no
+// order-q part at all — which decodes, V being only an evaluation point to
+// the recombiner, and claims V_q = O; the last answers with another player's
+// share, index and proof intact — which the share protocol lets anyone
+// obtain by asking.
 var corruptions = []struct {
 	part  string
 	apply func(own, player1 *core.DecryptionShare) *core.DecryptionShare
@@ -217,6 +220,8 @@ var corruptions = []struct {
 		pr.E = e.Mod(e, pr.V.Curve().Q())
 	})},
 	{"V", corruptProof(func(pr *core.ShareProof) { pr.V = pr.V.Double() })},
+	{"V = T", corruptProof(func(pr *core.ShareProof) { pr.V = curvetest.RandomCofactorPoint(pr.V.Curve()) })},
+	{"V = (0,0)", corruptProof(func(pr *core.ShareProof) { pr.V, _ = pr.V.Curve().NewPoint(new(big.Int), new(big.Int)) })},
 	{"relays player 1's share", func(_, player1 *core.DecryptionShare) *core.DecryptionShare { return player1 }},
 }
 
@@ -236,7 +241,7 @@ func corruptProof(edit func(pr *core.ShareProof)) func(own, player1 *core.Decryp
 // player 1 would answer for it.
 func (d *deployment) lie(t *testing.T, liar int, cs []*bf.BasicCiphertext, apply func(own, player1 *core.DecryptionShare) *core.DecryptionShare) {
 	t.Helper()
-	qid, err := bf.HashIdentity(d.params.Public.Pairing, ident)
+	qid, err := bf.HashIdentityArg(d.params.Public.Pairing, ident)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -461,15 +466,7 @@ func TestBadCiphertextIsNobodysLie(t *testing.T) {
 	d := deploy(t)
 	r := d.recombiner(t)
 	msgs, cs := encryptBatch(t, d, 2)
-	c := d.params.Public.Pairing.Curve()
-	var tors *curve.Point
-	for tors == nil || tors.IsInfinity() {
-		pt, err := c.RandomPoint(rand.Reader)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tors = pt.ScalarMul(c.Q())
-	}
+	tors := curvetest.RandomCofactorPoint(d.params.Public.Pairing.Curve())
 	bad := &bf.BasicCiphertext{U: cs[1].U.Add(tors), V: cs[1].V}
 
 	r.startAt(1)
@@ -853,4 +850,51 @@ func TestDecryptHashesIdentityOnce(t *testing.T) {
 	if n := curve.HashToPointCalls() - before; n != 1 {
 		t.Fatalf("one DecryptBatch of %d ciphertexts hashed to G1 %d times, want 1", len(cs), n)
 	}
+}
+
+// TestWarmDecryptionRunsNoClearingAndNoSubgroupLadder counts, process-wide
+// (players and recombiner share the process), the three ladders a decryption
+// could be made to pay per request: once the verification keys' programs
+// exist, a decryption hashes the identity once, never clears that hash's
+// cofactor — Q_ID is only the evaluation point of those programs — and runs
+// no [q]· ladder: U at the players and V at the recombiner are evaluation
+// points, decoded as such. The same holds when a first choice is down and
+// when one lies (the ciphertext's own G1 check, made when a proof fails, is
+// memoized on its U after the first such decryption).
+func TestWarmDecryptionRunsNoClearingAndNoSubgroupLadder(t *testing.T) {
+	d := deploy(t)
+	r := d.recombiner(t)
+	msgs, cs := encryptBatch(t, d, 1)
+	counted := func(what string, wantRejected []int) {
+		t.Helper()
+		r.startAt(1)
+		hashes, clears, checks := curve.HashToPointCalls(), curve.CofactorClears(), curve.SubgroupChecks()
+		got, rejected, err := r.Decrypt(ident, cs[0])
+		if err != nil || !slices.Equal(rejected, wantRejected) || !bytes.Equal(got, msgs[0]) {
+			t.Fatalf("%s: Decrypt = %x, rejected %v, err %v", what, got, rejected, err)
+		}
+		hashes, clears, checks = curve.HashToPointCalls()-hashes, curve.CofactorClears()-clears, curve.SubgroupChecks()-checks
+		if hashes != 1 || clears != 0 || checks != 0 {
+			t.Fatalf("%s: a warm (%d, %d) decryption ran %d hashes, %d cofactor clearings and %d subgroup ladders, want 1, 0, 0", what, tt, nn, hashes, clears, checks)
+		}
+	}
+	// Cold: the first decryptions build (and subgroup-check) the keys of the
+	// players they ask; 1..3 here, 4 and 5 with the escalation below.
+	r.startAt(1)
+	if _, _, err := r.Decrypt(ident, cs[0]); err != nil {
+		t.Fatal(err)
+	}
+	counted("honest", nil)
+
+	d.lieAlways(2)
+	r.startAt(1)
+	if _, rejected, err := r.Decrypt(ident, cs[0]); err != nil || !slices.Equal(rejected, []int{2}) {
+		t.Fatalf("warming the escalated path: rejected %v, err %v", rejected, err)
+	}
+	r.failedAt[1].Store(0) // ask the liar first again
+	counted("escalated by a liar", []int{2})
+
+	d.crash(2)
+	r.failedAt[1].Store(0)
+	counted("escalated by a crash", []int{2})
 }

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/bf"
 	"repro/internal/core"
+	"repro/internal/curve/curvetest"
 )
 
 // TestBatchVerdictMatchesSingleVerdicts is the differential property behind
@@ -16,11 +17,14 @@ import (
 // recombiner can face — all five players, a single one, exactly t, some
 // absent; no liar, one, two — the batched check accepts iff every share
 // would pass on its own, and the accept rule turns away exactly the liars.
-// No network: the shares are computed and stamped as fetchRound would.
+// One more row is no lie at all: the same positions answering with
+// V + T, T of cofactor order, which both verdicts must accept (V is only an
+// evaluation point of the check). No network: the shares are computed and
+// stamped as fetchRound would.
 func TestBatchVerdictMatchesSingleVerdicts(t *testing.T) {
 	d := deploy(t)
 	p := d.params
-	qid, err := bf.HashIdentity(p.Public.Pairing, ident)
+	qid, err := bf.HashIdentityArg(p.Public.Pairing, ident)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +52,17 @@ func TestBatchVerdictMatchesSingleVerdicts(t *testing.T) {
 		}
 	}
 
+	type row struct {
+		part  string
+		apply func(own, player1 *core.DecryptionShare) *core.DecryptionShare
+		lie   bool
+	}
+	rows := []row{{"V + T", corruptProof(func(pr *core.ShareProof) { pr.V = pr.V.Add(curvetest.RandomCofactorPoint(pr.V.Curve())) }), false}}
 	for _, corrupt := range corruptions {
+		rows = append(rows, row{corrupt.part, corrupt.apply, true})
+	}
+
+	for _, corrupt := range rows {
 		for _, pl := range plans {
 			t.Run(fmt.Sprintf("%s/present%v/liars%v", corrupt.part, pl.present, pl.liars), func(t *testing.T) {
 				shares := make([]*core.DecryptionShare, len(pl.present))
@@ -62,6 +76,9 @@ func TestBatchVerdictMatchesSingleVerdicts(t *testing.T) {
 						lie.Index = i
 						shares[k] = &lie
 					}
+				}
+				if !corrupt.lie {
+					pl.liars = nil // the plan's positions answered in disguise, and honestly
 				}
 				all := true
 				for _, ds := range shares {

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"crypto/rand"
 	"errors"
+	"fmt"
 	"math/big"
 	"slices"
 	"testing"
 
 	"repro/internal/bf"
 	"repro/internal/curve"
+	"repro/internal/curve/curvetest"
 	"repro/internal/pairing"
 )
 
@@ -18,7 +20,7 @@ import (
 type batchFixture struct {
 	p      *ThresholdParams
 	id     string
-	qid    *curve.Point
+	qid    *pairing.HashArg
 	c      *bf.BasicCiphertext
 	msg    []byte
 	shares []*DecryptionShare // shares[i-1] is player i's
@@ -31,7 +33,7 @@ func newBatchFixture(tb testing.TB, pp *pairing.Params) *batchFixture {
 		tb.Fatal(err)
 	}
 	f := &batchFixture{p: pkg.Params(), id: "batch@example.com", msg: bytes.Repeat([]byte{0x42}, msgLen)}
-	if f.qid, err = bf.HashIdentity(pp, f.id); err != nil {
+	if f.qid, err = bf.HashIdentityArg(pp, f.id); err != nil {
 		tb.Fatal(err)
 	}
 	if f.c, err = f.p.Public.EncryptBasic(rand.Reader, f.id, f.msg); err != nil {
@@ -102,9 +104,12 @@ func TestVerifyShareProofNilComponents(t *testing.T) {
 
 // TestVerifyShareProofsAllocs is the batch verifier's allocation ceiling at
 // the size the cluster runs it (n = 5, paper parameters; measured 1 170 when
-// it landed, against 5 × 333 for the one-by-one checks it replaced). The
-// bucketed MSM kernel alone adds ~1 700 at this size, a big.Int GT path far
-// more: the bound fails the day either comes back under it.
+// it landed, against 5 × 333 for the one-by-one checks it replaced, and 872
+// since the replayed programs live in slabs — the identity arrives hashed,
+// as a HashArg, so no clearing ladder's recoding or table is in the count).
+// The bucketed MSM kernel alone adds ~1 700 at this size, a big.Int GT path
+// far more, a cofactor clearing or a [q]V ladder per share ≈ 60 each: the
+// bound fails the day any of them comes back under it.
 func TestVerifyShareProofsAllocs(t *testing.T) {
 	pp, err := pairing.Paper()
 	if err != nil {
@@ -117,19 +122,25 @@ func TestVerifyShareProofsAllocs(t *testing.T) {
 		}
 	}
 	verify() // build the verification keys' Miller programs outside the count
-	if allocs := testing.AllocsPerRun(5, verify); allocs >= 1300 {
-		t.Fatalf("paper-size VerifyShareProofs over 5 shares allocates %.0f times per call, want < 1300", allocs)
+	if allocs := testing.AllocsPerRun(5, verify); allocs >= 1000 {
+		t.Fatalf("paper-size VerifyShareProofs over 5 shares allocates %.0f times per call, want < 1000", allocs)
 	}
 }
 
+// disguisedPart is the one part of perturb that is no lie: V + T.
+const disguisedPart = 7
+
 // perturb returns a copy of ds with one component moved inside its group
-// (so it would survive wire validation) or, for part 5, another player's
-// share passed off under ds's index. Parts mirror the byzantine table of
+// (so it would survive wire validation), for part 5 another player's share
+// passed off under ds's index, for part 6 a V that is the cofactor-order
+// point tors alone, and for part 7 (disguisedPart) the honest V with tors
+// added — which decodes like the others and, V being only an evaluation
+// point of the check, must verify. Parts mirror the byzantine table of
 // internal/cluster.
-func perturb(ds, other *DecryptionShare, part uint8, q *big.Int) *DecryptionShare {
+func perturb(ds, other *DecryptionShare, part uint8, q *big.Int, tors *curve.Point) *DecryptionShare {
 	pr := *ds.Proof
 	out := &DecryptionShare{Index: ds.Index, G: ds.G, Proof: &pr}
-	switch part % 6 {
+	switch part % 8 {
 	case 0:
 		out.G = ds.G.Mul(ds.G)
 	case 1:
@@ -144,13 +155,18 @@ func perturb(ds, other *DecryptionShare, part uint8, q *big.Int) *DecryptionShar
 	case 5:
 		relayed := *other.Proof
 		out.G, out.Proof = other.G, &relayed
+	case 6:
+		pr.V = tors
+	case disguisedPart:
+		pr.V = pr.V.Add(tors)
 	}
 	return out
 }
 
 // FuzzVerifyShareProofs: the fuzzer chooses which players answer, which of
 // them lie and how (one byte per player: bit 7 absent, low bits zero for
-// honest, otherwise a component to perturb). The batch verdict must be the
+// honest, otherwise a component to perturb — or, for one value, an honest V
+// sent outside the subgroup). The batch verdict must be the
 // AND of the single verdicts, the accept rule must turn away exactly the
 // liars, and whenever t honest players remain the plaintext must come out
 // right.
@@ -158,16 +174,20 @@ func FuzzVerifyShareProofs(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 0})             // all honest
 	f.Add([]byte{0})                         // n = 1
 	f.Add([]byte{0, 0x80, 0, 0x80, 0})       // n = t with absent players
-	for part := byte(1); part <= 6; part++ { // one liar per kind of lie
+	for part := byte(1); part <= 7; part++ { // one liar per kind of lie
 		f.Add([]byte{0, part, 0, 0, 0})
 		f.Add([]byte{part, 0x80, 0, part, 0}) // two liars, one absentee
 	}
+	f.Add([]byte{disguisedPart + 1, disguisedPart + 1, disguisedPart + 1, 0x80, 0x80}) // n = t, every V outside G1, nobody lying
+	f.Add([]byte{disguisedPart + 1, 7, 0, 5, disguisedPart + 1})                       // V + T beside V = T and a stale V
 	pp, err := pairing.Toy()
 	if err != nil {
 		f.Fatal(err)
 	}
 	fix := newBatchFixture(f, pp)
 	q := pp.Q()
+	cofactor := curvetest.CofactorPoints(f, pp.Curve())
+	tors := cofactor[len(cofactor)-1]
 
 	f.Fuzz(func(t *testing.T, plan []byte) {
 		var shares []*DecryptionShare
@@ -178,8 +198,10 @@ func FuzzVerifyShareProofs(f *testing.F) {
 			}
 			ds := fix.shares[i]
 			if part := b & 0x7f; part != 0 {
-				ds = perturb(ds, fix.shares[(i+1)%fix.p.N], part-1, q)
-				liars = append(liars, ds.Index)
+				ds = perturb(ds, fix.shares[(i+1)%fix.p.N], part-1, q, tors)
+				if (part-1)%8 != disguisedPart {
+					liars = append(liars, ds.Index)
+				}
 			}
 			shares = append(shares, ds)
 		}
@@ -214,4 +236,82 @@ func FuzzVerifyShareProofs(f *testing.F) {
 			t.Fatalf("plan %x: RobustDecrypt = %x, %v", plan, got, err)
 		}
 	})
+}
+
+// TestVerificationKeyPairersMatchClearedHash: the constant every proof is
+// bound to, cᵢ = ê(P_pub^(i), Q_ID), comes out of the verification keys'
+// hash-argument programs — fed the identity's UNcleared hash — as the bytes
+// of the plain pairing with the cleared Q_ID, for every key of a (3, 5)
+// system and for P_pub. The Fiat–Shamir transcript hashes those bytes, so
+// this is what keeps every recorded proof valid.
+func TestVerificationKeyPairersMatchClearedHash(t *testing.T) {
+	for _, name := range []string{"toy", "fast", "paper"} {
+		pp, err := pairing.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pkg, err := SetupThreshold(rand.Reader, pp, msgLen, 3, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := pkg.Params()
+		ppub, err := pp.NewHashPairer(p.Public.PPub)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for m := 0; m < 50; m++ {
+			id := fmt.Sprintf("user-%d@example.com", m)
+			arg, err := bf.HashIdentityArg(pp, id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			qid, err := bf.HashIdentity(pp, id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check := func(what string, key *curve.Point, got *pairing.GT, err error) {
+				t.Helper()
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := pp.Pair(key, qid)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got.Bytes(), want.Bytes()) {
+					t.Fatalf("%s: %s, identity %d: program on the uncleared hash ≠ ê(key, Q_ID)", name, what, m)
+				}
+			}
+			got, err := ppub.Pair(arg)
+			check("P_pub", p.Public.PPub, got, err)
+			for i, vk := range p.VerificationKeys {
+				got, err := p.vkPair(i+1, arg)
+				check(fmt.Sprintf("P_pub^(%d)", i+1), vk, got, err)
+			}
+		}
+	}
+}
+
+// TestDegenerateVerificationKeyVouchesForNothing: a verification key that is
+// not a G1 point has no program, so its player's shares are turned away and
+// its key shares refused — never paired against.
+func TestDegenerateVerificationKeyVouchesForNothing(t *testing.T) {
+	pp, err := pairing.Toy()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := newBatchFixture(t, pp)
+	cofactor := curvetest.CofactorPoints(t, pp.Curve())
+	for what, bad := range map[string]*curve.Point{"O": pp.Curve().Infinity(), "P_pub^(2) + T": f.p.VerificationKeys[1].Add(cofactor[len(cofactor)-1])} {
+		vks := slices.Clone(f.p.VerificationKeys)
+		vks[1] = bad
+		p := &ThresholdParams{Public: f.p.Public, T: f.p.T, N: f.p.N, VerificationKeys: vks}
+		if err := p.VerifyShareProofFor(f.qid, f.c.U, f.shares[1]); !errors.Is(err, curve.ErrNotInSubgroup) {
+			t.Fatalf("%s: share of the player with the bad key: %v, want ErrNotInSubgroup", what, err)
+		}
+		got, rejected, err := p.RobustDecrypt(f.id, f.shares, f.c)
+		if err != nil || !bytes.Equal(got, f.msg) || !slices.Equal(rejected, []int{2}) {
+			t.Fatalf("%s: RobustDecrypt = %x, rejected %v, %v; want the plaintext with player 2 turned away", what, got, rejected, err)
+		}
+	}
 }

@@ -48,9 +48,11 @@ var (
 // ThresholdParams are the public parameters of the threshold system: the
 // Boneh-Franklin publics plus the verification vector.
 //
-// Every share-verification equation pairs against the same n verification
-// keys, so the params lazily cache one fixed-argument Miller program per
-// key. Use by pointer (the cache makes values non-copyable).
+// Every share-verification equation pairs an identity's hash against the
+// same n verification keys, so the params lazily cache one hash-argument
+// Miller program per key (pairing.HashPairer: the hash's cofactor clearing
+// is folded into the key, once). Use by pointer (the cache makes values
+// non-copyable).
 type ThresholdParams struct {
 	Public *bf.PublicParams
 	T, N   int
@@ -61,31 +63,28 @@ type ThresholdParams struct {
 	vkPairers []vkPairer // vkPairers[i-1] serves VerificationKeys[i-1]
 }
 
-// vkPairer is the lazily built fixed-argument program of one verification
+// vkPairer is the lazily built hash-argument program of one verification
 // key. Each key has its own Once, so the n concurrent verifications of a
 // first decryption build their n programs in parallel instead of queueing
 // behind one lock.
 type vkPairer struct {
 	once sync.Once
-	fp   *pairing.FixedPair // nil for a degenerate key (nothing this package constructs)
+	hp   *pairing.HashPairer
+	err  error // set for a key outside G1 ∖ {O} (nothing this package constructs)
 }
 
-// vkPair computes ê(P_pub^(i), q1) through a per-index cached
-// fixed-argument program (i is 1-based and already range-checked by
-// callers).
-func (p *ThresholdParams) vkPair(i int, q1 *curve.Point) (*pairing.GT, error) {
+// vkPair computes cᵢ = ê(P_pub^(i), Q_ID) from the identity's uncleared hash
+// through a per-index cached program (i is 1-based and already range-checked
+// by callers). A verification key that is not a G1 point has no program and
+// vouches for no share.
+func (p *ThresholdParams) vkPair(i int, qid *pairing.HashArg) (*pairing.GT, error) {
 	p.vkOnce.Do(func() { p.vkPairers = make([]vkPairer, len(p.VerificationKeys)) })
-	vk := p.VerificationKeys[i-1]
 	e := &p.vkPairers[i-1]
-	e.once.Do(func() {
-		// A degenerate key leaves fp nil and the generic pairing below
-		// serves it.
-		e.fp, _ = p.Public.Pairing.NewFixedPair(vk)
-	})
-	if e.fp != nil {
-		return e.fp.Pair(q1)
+	e.once.Do(func() { e.hp, e.err = p.Public.Pairing.NewHashPairer(p.VerificationKeys[i-1]) })
+	if e.err != nil {
+		return nil, fmt.Errorf("core: verification key of player %d: %w", i, e.err)
 	}
-	return p.Public.Pairing.Pair(vk, q1)
+	return e.hp.Pair(qid)
 }
 
 // ThresholdPKG is the trusted dealer: it holds the sharing polynomial and
@@ -123,7 +122,7 @@ func (p *ThresholdParams) sharePubPair(share *KeyShare) (*pairing.GT, error) {
 			share.pubErr = fmt.Errorf("core: player index %d out of range 1..%d", share.Index, p.N)
 			return
 		}
-		qid, err := bf.HashIdentity(p.Public.Pairing, share.ID)
+		qid, err := bf.HashIdentityArg(p.Public.Pairing, share.ID)
 		if err != nil {
 			share.pubErr = err
 			return
@@ -289,10 +288,13 @@ func (p *ThresholdParams) ComputeShare(share *KeyShare, u *curve.Point) (*Decryp
 // maps ê(P, ·) and ê(U, ·): the player proves knowledge of d_IDi such that
 // ê(P, d_IDi) = ê(P_pub^(i), Q_ID) and ê(U, d_IDi) = share.
 type ShareProof struct {
-	W1 *pairing.GT  // ê(P, R) for the random commitment R = r·d_IDi
-	W2 *pairing.GT  // ê(U, R)
-	E  *big.Int     // Fiat-Shamir challenge
-	V  *curve.Point // R + e·d_IDi
+	W1 *pairing.GT // ê(P, R) for the random commitment R = r·d_IDi
+	W2 *pairing.GT // ê(U, R)
+	E  *big.Int    // Fiat-Shamir challenge
+	// V is R + e·d_IDi. A verifier holds it as received: on the curve, not
+	// subgroup-checked, good for the linear combination VerifyShareProofs
+	// pairs and nothing else.
+	V *curve.Point //cryptolint:evalpoint (only ever summed by MSM into the second argument of one pairing, which is cofactor-blind: DESIGN §7)
 }
 
 // ComputeShareWithProof produces the decryption share together with its
@@ -356,7 +358,7 @@ func (p *ThresholdParams) proveShare(rng io.Reader, share *KeyShare, g *pairing.
 // player's public verification key: the one-share case of VerifyShareProofs
 // for a verifier that holds the identity as a string.
 func (p *ThresholdParams) VerifyShareProof(id string, u *curve.Point, ds *DecryptionShare) error {
-	qid, err := bf.HashIdentity(p.Public.Pairing, id)
+	qid, err := bf.HashIdentityArg(p.Public.Pairing, id)
 	if err != nil {
 		return err
 	}
@@ -364,8 +366,8 @@ func (p *ThresholdParams) VerifyShareProof(id string, u *curve.Point, ds *Decryp
 }
 
 // VerifyShareProofFor is VerifyShareProof for a verifier that has already
-// hashed the identity: qid must be Q_ID = H1(ID).
-func (p *ThresholdParams) VerifyShareProofFor(qid, u *curve.Point, ds *DecryptionShare) error {
+// hashed the identity: qid must be bf.HashIdentityArg(ID).
+func (p *ThresholdParams) VerifyShareProofFor(qid *pairing.HashArg, u *curve.Point, ds *DecryptionShare) error {
 	return p.VerifyShareProofs(qid, u, []*DecryptionShare{ds})
 }
 
@@ -375,9 +377,10 @@ func (p *ThresholdParams) VerifyShareProofFor(qid, u *curve.Point, ds *Decryptio
 const batchCoefficientBits = 128
 
 // VerifyShareProofs checks the robustness proofs of decryption shares of
-// one ciphertext component u under the identity with Q_ID = qid — the
-// proofs of Section 3.2, which for share i with cᵢ = ê(P_pub^(i), Q_ID)
-// assert
+// one ciphertext component u under the identity whose hash is qid
+// (bf.HashIdentityArg: Q_ID is only ever paired against the verification
+// keys here, so it is never cofactor-cleared) — the proofs of Section 3.2,
+// which for share i with cᵢ = ê(P_pub^(i), Q_ID) assert
 //
 //	ê(P, Vᵢ) = W1ᵢ · cᵢ^eᵢ   and   ê(U, Vᵢ) = W2ᵢ · Gᵢ^eᵢ
 //
@@ -398,14 +401,30 @@ const batchCoefficientBits = 128
 // bad share passes with probability ≤ 1/(q−1) + 2⁻¹²⁸ (q > 2¹²⁸ at paper
 // size; under a smaller q the coefficients act modulo q and the second term
 // is ≈ 1/q like the first). That argument is about equations between
-// elements of G1 and GT: membership is the decoding boundary's business
-// (wire.UnmarshalG1, UnmarshalGTBatch), checked there per element and never
-// folded.
+// elements of G1 and GT. For Gᵢ, W1ᵢ, W2ᵢ membership is the decoding
+// boundary's business (wire.UnmarshalGTBatch), checked there per element and
+// never folded. A Vᵢ need only be a point of E(F_p): it enters nothing but
+// the sum Σ aᵢ·Vᵢ — exact on the whole curve — which is then the evaluation
+// point of a pairing whose walked argument P + ρ·U is in G1, and that
+// argument is cofactor-blind. Writing Vᵢ = Vᵢ,q + Tᵢ with Tᵢ of cofactor
+// order, the equation checked is exactly the equation for the projections
+// Vᵢ,q: a prover sending V_q + T gains nothing it could not have by sending
+// V_q, and a V of pure cofactor order is the claim V_q = O (DESIGN §7).
+//
+// All of the above is for u ∈ G1, which this function does not check: the
+// scheme defines a plaintext only for such a u (an honest sender's r·P). For
+// a u outside G1, P + ρ·u is not in G1 either, what Pair returns is no
+// pairing value — not bilinear, not blind to a Vᵢ's cofactor part — and a
+// verdict here means nothing. cluster's recombiner validates u only after a
+// round has failed (honest proofs always fail against such a u), which is
+// enough to answer ErrBadCiphertext and blame nobody; a caller that must
+// never accept shares for a malformed ciphertext validates u itself
+// (wire.UnmarshalG1, or u.Validate()). DESIGN §7 has the reasoning.
 //
 // A nil error accepts every share. An error (ErrProofInvalid for anything a
 // prover can cause) says that some share is bad, not which one — verify them
 // singly to find out, as AcceptableShares does.
-func (p *ThresholdParams) VerifyShareProofs(qid, u *curve.Point, shares []*DecryptionShare) error {
+func (p *ThresholdParams) VerifyShareProofs(qid *pairing.HashArg, u *curve.Point, shares []*DecryptionShare) error {
 	pp := p.Public.Pairing
 	q := pp.Q()
 	n := len(shares)
@@ -488,7 +507,7 @@ func (p *ThresholdParams) VerifyShareProofs(qid, u *curve.Point, shares []*Decry
 // player's share offered again by another — the first is kept and the rest
 // are turned away, so len(valid) counts distinct players and t of them
 // always interpolate.
-func (p *ThresholdParams) AcceptableShares(qid, u *curve.Point, shares []*DecryptionShare) (valid []*DecryptionShare, rejected []int) {
+func (p *ThresholdParams) AcceptableShares(qid *pairing.HashArg, u *curve.Point, shares []*DecryptionShare) (valid []*DecryptionShare, rejected []int) {
 	ok := shares
 	if p.VerifyShareProofs(qid, u, shares) != nil {
 		ok = make([]*DecryptionShare, 0, len(shares))
@@ -599,7 +618,7 @@ func (p *ThresholdParams) interpolate(shares []*DecryptionShare, at int) (*pairi
 // distinct players survive, recombines and opens the ciphertext. It returns
 // the indices of rejected players alongside the plaintext.
 func (p *ThresholdParams) RobustDecrypt(id string, shares []*DecryptionShare, c *bf.BasicCiphertext) (msg []byte, rejected []int, err error) {
-	qid, err := bf.HashIdentity(p.Public.Pairing, id)
+	qid, err := bf.HashIdentityArg(p.Public.Pairing, id)
 	if err != nil {
 		return nil, nil, err
 	}

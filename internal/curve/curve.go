@@ -57,6 +57,7 @@ type Curve struct {
 	// the parameters, all built by New (see limb.go and scalarmul.go).
 	fld     *fp.Field //cryptolint:public (curve parameters)
 	sqrtExp *big.Int  //cryptolint:public ((p+1)/4, the p ≡ 3 (mod 4) square-root exponent)
+	cModQ   *big.Int  //cryptolint:public (the cofactor reduced modulo q: what c· is on G1)
 	qNAF    naf       //cryptolint:public (recoding of the subgroup order, shared by every subgroup check)
 	cNAF    naf       //cryptolint:public (recoding of the cofactor, shared by every hash-to-point)
 }
@@ -86,6 +87,7 @@ func New(p, q *big.Int) (*Curve, error) {
 		c:       c,
 		fld:     fld,
 		sqrtExp: new(big.Int).Rsh(pPlus1, 2),
+		cModQ:   new(big.Int).Mod(c, q),
 		qNAF:    recode(q),
 		cNAF:    recode(c),
 	}, nil
@@ -264,6 +266,7 @@ func (pt *Point) InSubgroup() bool {
 		return s == 1
 	}
 	c := pt.curve
+	subgroupChecks.Add(1)
 	acc, err := c.ladder([]*Point{pt}, []naf{c.qNAF}, newLjScratch(c.fld))
 	// err is unreachable for prime p (see ljBatchNormalize); an unverifiable
 	// point is not admitted.
@@ -352,6 +355,7 @@ func (c *Curve) HashToPoint(domain string, msg []byte) (*Point, error) {
 // clearCofactor returns c·pt for the cofactor c = (p+1)/q — a point of G1,
 // marked as such — through the cofactor recoding New cached.
 func (c *Curve) clearCofactor(pt *Point) *Point {
+	cofactorClears.Add(1)
 	out := pt.mulRecoded(c.c, c.cNAF)
 	if !out.inf {
 		out.g1.Store(1) // cofactor-cleared by construction
@@ -359,15 +363,45 @@ func (c *Curve) clearCofactor(pt *Point) *Point {
 	return out
 }
 
-// hashToPointCalls counts try-and-increment hashes onto the curve
-// (HashToPoint and HashToPointUncleared alike). At paper size one hash with
-// its cofactor clearing costs about as much as a pairing, so the count per
-// served operation says whether a caller is re-deriving a per-identity
-// constant it could have kept.
-var hashToPointCalls atomic.Uint64
+// MulCofactorG1 returns c·K for a point K of G1 ∖ {O} and the cofactor
+// c = (p+1)/q. On the order-q group that is (c mod q)·K, a |q|-bit ladder
+// where clearing an arbitrary point walks all of c; the result is in G1 and
+// marked as such. Anything else is refused (ErrNotInSubgroup): off G1 the two
+// multiples differ. It is what moves a hash's cofactor clearing onto a fixed
+// pairing argument, once, instead of paying it per hash —
+// ê(K, c·T) = ê(c·K, T) (pairing.HashPairer).
+func (c *Curve) MulCofactorG1(k *Point) (*Point, error) {
+	if err := k.Validate(); err != nil {
+		return nil, err
+	}
+	out := k.ScalarMul(c.cModQ)
+	if !out.inf {
+		out.g1.Store(1) // a multiple of a G1 point
+	}
+	return out, nil
+}
+
+// The ladders a caller can be made to pay per request, counted where they
+// run. At paper size one hash with its cofactor clearing costs about as much
+// as a pairing and a subgroup check about a third of one, so the counts per
+// served operation say whether a caller is re-deriving a per-identity
+// constant it could have kept, clearing a hash that is only paired against a
+// fixed key, or subgroup-checking a point that is only an evaluation point.
+var (
+	hashToPointCalls atomic.Uint64 // try-and-increment hashes (HashToPoint and HashToPointUncleared alike)
+	cofactorClears   atomic.Uint64 // [c]· ladders: HashToPoint, RandomG1
+	subgroupChecks   atomic.Uint64 // [q]· ladders: InSubgroup verdicts not served from a point's memo
+)
 
 // HashToPointCalls returns the number of hash-to-curve evaluations so far.
 func HashToPointCalls() uint64 { return hashToPointCalls.Load() }
+
+// CofactorClears returns the number of cofactor multiplications run so far.
+func CofactorClears() uint64 { return cofactorClears.Load() }
+
+// SubgroupChecks returns the number of [q]· subgroup ladders run so far; a
+// verdict memoized on its point does not count.
+func SubgroupChecks() uint64 { return subgroupChecks.Load() }
 
 // HashToPointUncleared is HashToPoint without the final cofactor
 // multiplication: it returns the raw try-and-increment point T ∈ E(F_p)

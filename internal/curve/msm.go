@@ -343,9 +343,9 @@ func recordMSM(points, windows, windowBits int, d time.Duration) {
 }
 
 // RegisterMSMMetrics exports the MSM counters, the kernel latency histogram
-// and the hash-to-curve counter through reg. Idempotent — the registry
-// deduplicates series — so every instrumented component may call it without
-// coordination.
+// and the hash-to-curve, cofactor-clearing and subgroup-check counters
+// through reg. Idempotent — the registry deduplicates series — so every
+// instrumented component may call it without coordination.
 func RegisterMSMMetrics(reg *obs.Registry) {
 	reg.CounterFunc("curve_msm_calls_total", "MSM kernel invocations (interleaved ladder or Pippenger)",
 		func() uint64 { return msmCounters.calls.Load() })
@@ -358,4 +358,8 @@ func RegisterMSMMetrics(reg *obs.Registry) {
 	msmCounters.latency.Store(reg.Histogram("curve_msm_seconds", "MSM kernel latency"))
 	reg.CounterFunc("curve_hash_to_point_total", "hash-to-curve evaluations (HashToPoint and HashToPointUncleared)",
 		hashToPointCalls.Load)
+	reg.CounterFunc("curve_cofactor_clears_total", "cofactor multiplications run (HashToPoint, RandomG1)",
+		cofactorClears.Load)
+	reg.CounterFunc("curve_subgroup_checks_total", "[q]· subgroup-membership ladders run (memoized verdicts do not count)",
+		subgroupChecks.Load)
 }

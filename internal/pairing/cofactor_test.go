@@ -2,10 +2,10 @@ package pairing
 
 import (
 	"crypto/rand"
-	"math/big"
 	"testing"
 
 	"repro/internal/curve"
+	"repro/internal/curve/curvetest"
 )
 
 // allParams returns the three committed parameter sets.
@@ -22,48 +22,12 @@ func allParams(t *testing.T) map[string]*Params {
 	return sets
 }
 
-// cofactorPoints returns points of E(F_p) with no order-q component: one of
-// every prime order ℓ < 2¹⁶ dividing h = (p+1)/q (ℓ = 2 is the point (0, 0)),
-// plus two random elements of the whole cofactor subgroup [q]E(F_p).
+// cofactorPoints returns points of E(F_p) with no order-q component (one of
+// every small prime order dividing the cofactor, (0, 0) first, then two
+// random elements of [q]E(F_p)).
 func cofactorPoints(t *testing.T, pp *Params) []*curve.Point {
 	t.Helper()
-	c := pp.Curve()
-	h, q := c.Cofactor(), c.Q()
-	random := func(k *big.Int) *curve.Point {
-		for {
-			r, err := c.RandomPoint(rand.Reader)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if pt := r.ScalarMul(k); !pt.IsInfinity() {
-				return pt
-			}
-		}
-	}
-	var out []*curve.Point
-	order := new(big.Int).Mul(h, q)
-	for l := int64(2); l < 1<<16; l++ {
-		ell := big.NewInt(l)
-		if !ell.ProbablyPrime(0) || new(big.Int).Mod(h, ell).Sign() != 0 {
-			continue
-		}
-		pt := random(new(big.Int).Div(order, ell))
-		if !pt.ScalarMul(ell).IsInfinity() {
-			t.Fatalf("ℓ = %d: point of wrong order", l)
-		}
-		out = append(out, pt)
-	}
-	if len(out) == 0 || out[0].Y().Sign() != 0 {
-		t.Fatal("4 | h, so the first small-order point must be the 2-torsion point (0, 0)")
-	}
-	for i := 0; i < 2; i++ {
-		pt := random(q)
-		if pt.InSubgroup() {
-			t.Fatal("[q]R landed in G1")
-		}
-		out = append(out, pt)
-	}
-	return out
+	return curvetest.CofactorPoints(t, pp.Curve())
 }
 
 // TestPairingIgnoresCofactorInSecondArgument is the property the SEM's

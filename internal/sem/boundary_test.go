@@ -12,6 +12,7 @@ import (
 	"repro/internal/bf"
 	"repro/internal/core"
 	"repro/internal/curve"
+	"repro/internal/curve/curvetest"
 	"repro/internal/pairing"
 	"repro/internal/wire"
 )
@@ -26,7 +27,12 @@ import (
 // refuse only the identity and malformed encodings. Every other op that
 // takes a point — gdh_half_sign, register_ibe — still refuses all three as
 // protocol errors, register_gdh refuses them as scalars, and so does the
-// client for every point a server sends back.
+// client for a half-signature a server sends back. The one point a client
+// takes with a cofactor component is a share proof's V, its own pairing's
+// evaluation point: V_q + T for T of every small prime order and random
+// T ∈ [q]E(F_p) verifies and recombines as V_q, a V of cofactor order alone
+// decodes and then fails the proof check (core.ErrProofInvalid), and O or a
+// non-point still fails to decode.
 func TestSubgroupCheckRelaxedOnlyForEvaluationPoints(t *testing.T) {
 	for _, name := range []string{"toy", "paper"} {
 		pp, err := pairing.ByName(name)
@@ -83,14 +89,7 @@ func TestSubgroupCheckRelaxedOnlyForEvaluationPoints(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var tors *curve.Point
-		for tors == nil || tors.IsInfinity() {
-			r, err := c.RandomPoint(rand.Reader)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tors = r.ScalarMul(c.Q())
-		}
+		tors := curvetest.RandomCofactorPoint(c)
 		two, err := c.NewPoint(big.NewInt(0), big.NewInt(0))
 		if err != nil {
 			t.Fatal(err)
@@ -147,7 +146,7 @@ func TestSubgroupCheckRelaxedOnlyForEvaluationPoints(t *testing.T) {
 
 		// threshold_share: the share of the G1 projection with a proof for
 		// it, decoded as the recombiner would.
-		qid, err := bf.HashIdentity(pp, testID)
+		qid, err := bf.HashIdentityArg(pp, testID)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -207,16 +206,41 @@ func TestSubgroupCheckRelaxedOnlyForEvaluationPoints(t *testing.T) {
 			}
 		}
 
-		// The client side keeps [q]· on every point it is sent: a GDH
-		// half-signature, and a share proof's V.
-		honest, err := call(opThresholdShare, uq.Marshal())
+		// The client side keeps [q]· on a GDH half-signature. A share proof's
+		// V is to the client what U is to the player — the evaluation point
+		// of one pairing — so it is taken as sent when it is a point of the
+		// curve: V_q + T verifies as V_q does and recombines to the honest
+		// plaintext, a V with no order-q part reaches the proof check and
+		// fails it, and only O and non-points fail to decode.
+		tparams := tpkg.Params()
+		msg := bytes.Repeat([]byte{0x5a}, msgLen)
+		ct, err := tparams.Public.EncryptBasic(rand.Reader, testID, msg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gt, _, _ := shareWidths(pp)
-		for what, pt := range outside {
-			answers := map[byte][]byte{opGDHSign: pt.Marshal(), opThresholdShare: bytes.Clone(honest)}
-			copy(answers[opThresholdShare][3*gt:], pt.Marshal())
+		honest, err := call(opThresholdShare, ct.U.Marshal())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ks2, err := tpkg.ExtractShare(testID, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		share2, err := tparams.ComputeShareWithProof(rand.Reader, ks2, ct.U)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gt, point, _ := shareWidths(pp)
+		honestV, err := c.Unmarshal(honest[3*gt : 3*gt+point])
+		if err != nil {
+			t.Fatal(err)
+		}
+		// answered dials a fake player that answers every share request with
+		// the honest share, its V replaced by v, and every half-sign request
+		// with half.
+		answered := func(half, v []byte) *Pool {
+			t.Helper()
+			answers := map[byte][]byte{opGDHSign: half, opThresholdShare: append(append(bytes.Clone(honest[:3*gt]), v...), honest[3*gt+point:]...)}
 			addr := fakeSEM(t, DefaultMaxBatch, func(conn net.Conn) {
 				answerFrames(conn, func(op byte, items []wire.ReqItem) []wire.RespItem {
 					resp := make([]wire.RespItem, len(items))
@@ -230,13 +254,59 @@ func TestSubgroupCheckRelaxedOnlyForEvaluationPoints(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := cl.GDHHalfSign(testID, uq); !errors.Is(err, ErrProtocol) {
+			t.Cleanup(func() { _ = cl.Close() })
+			return cl
+		}
+		for what, pt := range outside {
+			if _, err := answered(pt.Marshal(), honestV.Marshal()).GDHHalfSign(testID, uq); !errors.Is(err, ErrProtocol) {
 				t.Errorf("%s: client took a half-signature that is %s: %v", name, what, err)
 			}
-			if _, err := cl.ThresholdShare(testID, uq); !errors.Is(err, ErrProtocol) {
+		}
+		for i, tors := range curvetest.CofactorPoints(t, c) {
+			ds, err := answered(nil, honestV.Add(tors).Marshal()).ThresholdShare(testID, ct.U)
+			if err != nil {
+				t.Fatalf("%s: client refused V_q + T (cofactor point %d): %v", name, i, err)
+			}
+			ds.Index = 1
+			if ds.Proof.V.InSubgroup() {
+				t.Fatalf("%s: cofactor point %d: the decoded V is in G1", name, i)
+			}
+			if err := tparams.VerifyShareProofFor(qid, ct.U, ds); err != nil {
+				t.Errorf("%s: V_q + T (cofactor point %d) does not verify: %v", name, i, err)
+			}
+			got, rejected, err := tparams.RobustDecrypt(testID, []*core.DecryptionShare{ds, share2}, ct)
+			if err != nil || len(rejected) != 0 || !bytes.Equal(got, msg) {
+				t.Errorf("%s: recombining with V_q + T (cofactor point %d): plaintext %x, rejected %v, err %v", name, i, got, rejected, err)
+			}
+
+			ds, err = answered(nil, tors.Marshal()).ThresholdShare(testID, ct.U)
+			if err != nil {
+				t.Fatalf("%s: V = T (cofactor point %d) failed to decode, want it to reach verification: %v", name, i, err)
+			}
+			ds.Index = 1
+			if err := tparams.VerifyShareProofs(qid, ct.U, []*core.DecryptionShare{ds, share2}); !errors.Is(err, core.ErrProofInvalid) {
+				t.Errorf("%s: V = T (cofactor point %d): VerifyShareProofs = %v, want ErrProofInvalid", name, i, err)
+			}
+			if _, rejected := tparams.AcceptableShares(qid, ct.U, []*core.DecryptionShare{ds, share2}); len(rejected) != 1 || rejected[0] != 1 {
+				t.Errorf("%s: V = T (cofactor point %d): rejected %v, want [1]", name, i, rejected)
+			}
+		}
+		offCurve := honestV.Marshal()
+		for {
+			offCurve[len(offCurve)-1]++
+			if _, err := c.Unmarshal(offCurve); err != nil {
+				break
+			}
+		}
+		for what, enc := range map[string][]byte{
+			"identity":  c.Infinity().Marshal(),
+			"off-curve": offCurve,
+			"bad tag":   append([]byte{0x09}, honestV.Marshal()[1:]...),
+			"x ≥ p":     append([]byte{0x02}, bytes.Repeat([]byte{0xff}, c.CoordinateSize())...),
+		} {
+			if _, err := answered(nil, enc).ThresholdShare(testID, ct.U); !errors.Is(err, ErrProtocol) {
 				t.Errorf("%s: client took a proof point V that is %s: %v", name, what, err)
 			}
-			_ = cl.Close()
 		}
 	}
 }

@@ -382,8 +382,12 @@ func (o *ops) ThresholdShare(id string, u *curve.Point) (*core.DecryptionShare, 
 // the batch counterpart of ThresholdShare. Every element comes from a
 // possibly-misbehaving player, so before any of it enters verification
 // arithmetic the 3k GT elements (share value and both proof commitments)
-// pass the order-q membership check in one batched pass, each proof point
-// the subgroup check and each challenge the F_q range check.
+// pass the order-q membership check in one batched pass and each challenge
+// the F_q range check. A proof's V is decoded as what it is to the verifier,
+// the evaluation point of one pairing (wire.UnmarshalPairingArg: canonical,
+// on the curve, not O — no [q]· ladder): a cofactor component in it changes
+// nothing the proof check sees, and a V with no order-q part fails that
+// check like any other wrong V (core.VerifyShareProofs, DESIGN §7).
 func (o *ops) ThresholdShareBatch(ids []string, us []*curve.Point) (shares []*core.DecryptionShare, errs []error, err error) {
 	if o.pp == nil {
 		return nil, nil, errNoPairing
@@ -419,7 +423,7 @@ func (o *ops) ThresholdShareBatch(ids []string, us []*curve.Point) (shares []*co
 		if errs[i] != nil {
 			continue
 		}
-		v, verr := wire.UnmarshalG1(o.pp.Curve(), raw[3*gt:3*gt+point])
+		v, verr := wire.UnmarshalPairingArg(o.pp.Curve(), raw[3*gt:3*gt+point])
 		e, eerr := wire.UnmarshalScalar(raw[3*gt+point:], o.pp.Q())
 		if errs[i] = errors.Join(verr, eerr); errs[i] == nil {
 			shares[i] = &core.DecryptionShare{G: gs[3*i], Proof: &core.ShareProof{W1: gs[3*i+1], W2: gs[3*i+2], E: e, V: v}}

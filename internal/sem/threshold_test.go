@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/curve"
+	"repro/internal/curve/curvetest"
 	"repro/internal/pairing"
 	"repro/internal/wire"
 )
@@ -116,7 +117,10 @@ func TestThresholdShareOp(t *testing.T) {
 
 // TestThresholdShareValidatesEveryElement scripts a player that answers with
 // a well-formed share in which one element at a time has left its group or
-// range: the client must refuse each before it reaches proof arithmetic.
+// range: the client must refuse each before it reaches proof arithmetic. The
+// one element with no group to leave is V, the evaluation point of the proof
+// check's pairing: the client refuses a V that is O or no point at all, and
+// hands one of cofactor order to the proof check, which fails it.
 func TestThresholdShareValidatesEveryElement(t *testing.T) {
 	f := newThresholdFixture(t)
 	honest, err := f.srv.thresholdShare(testID, f.u.Marshal())
@@ -125,14 +129,7 @@ func TestThresholdShareValidatesEveryElement(t *testing.T) {
 	}
 	gt, point, scalar := shareWidths(f.pp)
 	outsider := f.pp.Field().NewElement(big.NewInt(2), big.NewInt(3)).Bytes()
-	var small *curve.Point
-	for small == nil || small.IsInfinity() {
-		r, err := f.pp.Curve().RandomPoint(rand.Reader)
-		if err != nil {
-			t.Fatal(err)
-		}
-		small = r.ScalarMul(f.pp.Q())
-	}
+	small := curvetest.RandomCofactorPoint(f.pp.Curve())
 	splice := func(at int, field []byte) []byte {
 		out := bytes.Clone(honest)
 		copy(out[at:], field)
@@ -144,6 +141,8 @@ func TestThresholdShareValidatesEveryElement(t *testing.T) {
 		"G outside GT":        splice(0, outsider),
 		"W1 outside GT":       splice(gt, outsider),
 		"W2 outside GT":       splice(2*gt, outsider),
+		"V at infinity":       splice(3*gt, f.pp.Curve().Infinity().Marshal()),
+		"V with a bad tag":    splice(3*gt, []byte{0x09}),
 		"V of cofactor order": splice(3*gt, small.Marshal()),
 		"E not below q":       splice(3*gt+point, f.pp.Q().FillBytes(make([]byte, scalar))),
 		"one byte too long":   append(bytes.Clone(honest), 0),
@@ -162,11 +161,22 @@ func TestThresholdShareValidatesEveryElement(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = c.ThresholdShare(testID, f.u)
+		ds, err := c.ThresholdShare(testID, f.u)
 		_ = c.Close()
-		if name == "honest" {
+		switch name {
+		case "honest":
 			if err != nil {
 				t.Errorf("honest answer refused: %v", err)
+			}
+			continue
+		case "V of cofactor order":
+			if err != nil {
+				t.Errorf("%s: err = %v, want it decoded and left to the proof check", name, err)
+				continue
+			}
+			ds.Index = 2
+			if err := f.params.VerifyShareProof(testID, f.u, ds); !errors.Is(err, core.ErrProofInvalid) {
+				t.Errorf("%s: VerifyShareProof = %v, want ErrProofInvalid", name, err)
 			}
 			continue
 		}

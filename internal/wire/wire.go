@@ -62,12 +62,16 @@ func UnmarshalG1(c *curve.Curve, data []byte) (*curve.Point, error) {
 // ord(T) | (p+1)/q, ê(d, U) = ê(d, U_q) bit for bit — a cofactor component
 // buys the peer the token an honest query for U_q gets, always in GT, and
 // nothing else (DESIGN §7). A point that is multiplied by a secret, added
-// to, marshalled back out, stored, or walked as a pairing's FIRST argument
-// has no such quotient to hide in and must come through UnmarshalG1; the
+// to, marshalled back out, or walked as a pairing's FIRST argument has no
+// such quotient to hide in and must come through UnmarshalG1; the
 // boundarycheck analyzer enforces that a value returned from here reaches
 // only core.IBESEM.Token, core.ThresholdPlayer.Share (the same pairing for a
-// threshold player's key share, plus a proof made of its powers) or a
-// pairing's second argument.
+// threshold player's key share, plus a proof made of its powers), a
+// pairing's second argument, or a struct field marked
+// //cryptolint:evalpoint — core.ShareProof.V, a share proof's response as
+// the recombiner holds it — every read of which is held to the same uses
+// plus the one that V needs: being summed by curve.Curve.MSM (exact on all
+// of E(F_p)) into a point that is in turn only a pairing's second argument.
 func UnmarshalPairingArg(c *curve.Curve, data []byte) (*curve.Point, error) {
 	pt, err := c.Unmarshal(data)
 	if err != nil {
