@@ -261,6 +261,7 @@ func TestSemdMetricsEndpoint(t *testing.T) {
 		`sem_service_seconds_count{op="ping"} 3`,
 		`sem_queue_depth 0`,
 		`lru_hits_total{cache="sem_pairers"}`,
+		`lru_rejected_total{cache="sem_pairers"} 0`,
 		`journal_append_seconds_count 1`,
 		`fp_kernel{impl="` + fp.Kernel() + `"} 1`,
 	} {

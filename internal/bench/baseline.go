@@ -196,6 +196,56 @@ func Baseline(pp *pairing.Params, minIters int, minDuration time.Duration) (*Bas
 	if err := tplayer.Install(tshares[0]); err != nil {
 		return nil, err
 	}
+	// A SEM in front of four times as many identities as its program cache
+	// holds (core's pairerCapacity is 256; the benchmark's token_cold has
+	// the same proportion): a working set that fills the cache, asked once
+	// in four requests, and a scan going round the other three quarters in
+	// between. It is plain LRU's worst case — the scan flushes each
+	// working-set program before its owner returns, so every token builds a
+	// program and evicts one unused — and with admission any four tokens in
+	// a row are one replay and three plain pairings. (The working set is
+	// asked in an order that changes every time round: in a fixed rota the
+	// one identity a stray admission displaces is always the next one due,
+	// and so is the one it displaces in turn.) The halves are multiples of
+	// the generator — a SEM does not care whose key it holds half of —
+	// validated here as the wire decoder validates a half that is registered
+	// (the point remembers the verdict).
+	const scanIDs, scanResident = 1024, 256
+	scanSEM := core.NewIBESEM(pub, core.NewRegistry())
+	scanNames := make([]string, scanIDs)
+	for i := range scanNames {
+		scanNames[i] = fmt.Sprintf("scan%04d@example.com", i)
+		d := pp.GeneratorMul(benchScalar(scanNames[i], pp.Q()))
+		if err := d.Validate(); err != nil {
+			return nil, err
+		}
+		scanSEM.Register(&core.SEMKeyHalf{ID: scanNames[i], D: d})
+	}
+	// Warm-up: the working set, then the working set again and the scan's
+	// first stretch, which is what it takes to flush an LRU.
+	for _, name := range append(scanNames[:scanResident:scanResident], scanNames[:2*scanResident]...) {
+		if _, err := scanSEM.Token(name, ct.U); err != nil {
+			return nil, err
+		}
+	}
+	if n := scanSEM.PairerCacheLen(); n != scanResident {
+		return nil, fmt.Errorf("baseline ibe.token.scan: the SEM caches %d programs, the fixture is built for %d", n, scanResident)
+	}
+	scanCalls, scanNext := 0, 2*scanResident
+	scanToken := func() error {
+		name := scanNames[scanNext]
+		if scanCalls%4 == 0 {
+			// Odd multipliers permute Z/256: a different order each round,
+			// none of them the warm-up's.
+			turn, round := scanCalls/4%scanResident, scanCalls/4/scanResident+1
+			name = scanNames[((2*round+1)*turn+97*round)%scanResident]
+		} else if scanNext++; scanNext == scanIDs {
+			scanNext = scanResident
+		}
+		scanCalls++
+		_, err := scanSEM.Token(name, ct.U)
+		return err
+	}
 	// The same system as a live cluster: five player servers on loopback and
 	// a ciphertext for the identity they hold shares of.
 	tcluster, err := newBaselineCluster(tparams, tshares)
@@ -416,6 +466,7 @@ func Baseline(pp *pairing.Params, minIters int, minDuration time.Duration) (*Bas
 		{"bf.decrypt", func() error { _, err := pub.Decrypt(key, ct); return err }},
 		{"hash.to-g1", func() error { _, err := bf.HashIdentity(pp, id); return err }},
 		{"hash.to-g1.arg", func() error { _, err := bf.HashIdentityArg(pp, id); return err }},
+		{"ibe.token.scan", scanToken},
 		{"thibe.share-with-proof", func() error {
 			_, err := tparams.ComputeShareWithProof(rand.Reader, tshares[0], ct.U)
 			return err

@@ -75,8 +75,10 @@ func NewPlayerServer(params *core.ThresholdParams, index int) (*PlayerServer, er
 // series (op="threshold_share" counts and times the share-with-proof
 // computation); next to them the player's Miller-program cache as the
 // cache="player_pairers" series of the lru_* families (lru_hits_total,
-// lru_misses_total, lru_evictions_total, lru_entries — a share request that
-// misses pays one program build, which pairing_fixed_programs_total counts);
+// lru_misses_total, lru_evictions_total, lru_rejected_total, lru_entries — a
+// share request that misses pays one program build, which
+// pairing_fixed_programs_total counts, unless the full cache refused the
+// identity a program, which lru_rejected_total counts);
 // and the curve kernel counters — curve_hash_to_point_total,
 // curve_cofactor_clears_total and curve_subgroup_checks_total all staying
 // flat while share requests climb is the visible form of "per-identity

@@ -570,6 +570,7 @@ func TestRecombinerMetrics(t *testing.T) {
 			`lru_hits_total{cache="player_pairers"} 1`,
 			`lru_misses_total{cache="player_pairers"} 1`,
 			`lru_evictions_total{cache="player_pairers"} 0`,
+			`lru_rejected_total{cache="player_pairers"} 0`,
 			`lru_entries{cache="player_pairers"} 1`,
 		} {
 			if !strings.Contains(sb.String(), want+"\n") {

@@ -120,9 +120,9 @@ func (m *MediatedPKG) SplitExtract(rng io.Reader, id string) (*UserKeyHalf, *SEM
 //
 // Token issuance is the SEM's entire hot path — every decryption by every
 // user lands here — so the SEM keeps a pairerCache of fixed-argument Miller
-// programs (one per recently served identity; tunable per deployment with
-// SetPairerCacheCapacity). Revoking or re-registering an identity drops its
-// program.
+// programs: pairerCapacity of them, for the identities asked most often of
+// late; every other identity's token is the plain pairing, the same bits.
+// Revoking or re-registering an identity drops its program.
 type IBESEM struct {
 	pub     *bf.PublicParams
 	reg     *Registry
@@ -156,23 +156,20 @@ func (s *IBESEM) Register(half *SEMKeyHalf) {
 }
 
 // InstrumentPairerCache exports the precomputation cache's hit/miss/
-// eviction counters and size through reg as the cache="sem_pairers"
+// eviction/rejection counters and size through reg as the cache="sem_pairers"
 // series of the shared lru_* families.
 func (s *IBESEM) InstrumentPairerCache(reg *obs.Registry) {
 	s.pairers.Instrument(reg, "sem_pairers")
 }
 
 // PairerCacheStats reports the hit/miss/eviction counters of the SEM's
-// precomputed-pairing cache.
+// precomputed-pairing cache, and how many of the misses were refused a
+// program (answered by the plain pairing).
 func (s *IBESEM) PairerCacheStats() lru.Stats { return s.pairers.Stats() }
 
 // PairerCacheLen returns the number of identities with a live precomputed
 // pairing program.
 func (s *IBESEM) PairerCacheLen() int { return s.pairers.Len() }
-
-// SetPairerCacheCapacity resizes the precomputation cache (values below 1
-// are clamped to 1).
-func (s *IBESEM) SetPairerCacheCapacity(n int) { s.pairers.Resize(n) }
 
 // Registry exposes the revocation registry (admin interface).
 func (s *IBESEM) Registry() *Registry { return s.reg }
@@ -204,7 +201,8 @@ func (s *IBESEM) Token(id string, u *curve.Point) (*pairing.GT, error) {
 	if u == nil || u.IsInfinity() {
 		return nil, fmt.Errorf("core: ciphertext point U is not a valid pairing argument")
 	}
-	// Served from the per-identity Miller program. A concurrent revoke can
+	// Served from the per-identity Miller program, or by the plain pairing
+	// for an identity the full cache did not admit. A concurrent revoke can
 	// race the cache insert and leave an entry behind, but it can never be
 	// *served* for a revoked identity — the Check above runs on every call —
 	// and the entry is keyed to this exact half, so it is correct again if

@@ -110,43 +110,78 @@ func TestReRegisterInvalidatesPairerTable(t *testing.T) {
 	}
 }
 
+// unsharedID returns a fresh identity that has one of the sketch's counters
+// to itself — and keeps it, as long as every identity of the test is drawn
+// here — so the cache's estimate of it is exactly its own request count.
+// The sketch's hash is seeded per process; the tests that pin the strict
+// "more often than the victim" rule need that much determinism from it.
+func unsharedID(c pairerCache, next *int) string {
+	for {
+		id := fmt.Sprintf("user%d@example.com", *next)
+		*next++
+		if c.freq.counters[slot(c.freq.hash(id), 0)] == 0 {
+			return id
+		}
+	}
+}
+
+// TestPairerCacheEviction pins admission to a full cache: it never exceeds
+// its capacity; a newcomer asked as often as the eviction candidate is
+// refused a program, gets the right plaintext all the same and leaves the
+// candidate's program in place; asked once more it displaces the next one.
 func TestPairerCacheEviction(t *testing.T) {
 	pkg, sem := ibeFixture(t)
-	sem.SetPairerCacheCapacity(2)
 	msg := bytes.Repeat([]byte{0xD4}, msgLen)
-
-	users := make([]*UserKeyHalf, 3)
-	for i := range users {
-		id := fmt.Sprintf("user%d@example.com", i)
-		users[i] = enroll(t, pkg, sem, id)
+	users := make(map[string]*UserKeyHalf)
+	next := 0
+	newUser := func() string {
+		id := unsharedID(sem.pairers, &next)
+		users[id] = enroll(t, pkg, sem, id)
+		return id
+	}
+	decrypt := func(id string) {
+		t.Helper()
 		c, err := pkg.Public().Encrypt(rand.Reader, id, msg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Decrypt(sem, users[i], c); err != nil {
+		got, err := Decrypt(sem, users[id], c)
+		if err != nil {
 			t.Fatal(err)
 		}
+		if !bytes.Equal(got, msg) {
+			t.Fatalf("wrong plaintext for %s", id)
+		}
+		if n := sem.PairerCacheLen(); n > pairerCapacity {
+			t.Fatalf("cache holds %d programs, capacity %d", n, pairerCapacity)
+		}
 	}
-	if got := sem.PairerCacheLen(); got != 2 {
-		t.Fatalf("cache holds %d entries, want capacity 2", got)
-	}
-	if st := sem.PairerCacheStats(); st.Evictions != 1 {
-		t.Fatalf("stats = %+v, want exactly 1 eviction", st)
+	expect := func(when string, hits, evictions, rejected uint64) {
+		t.Helper()
+		st := sem.PairerCacheStats()
+		if st.Hits != hits || st.Evictions != evictions || st.Rejected != rejected || sem.PairerCacheLen() != pairerCapacity {
+			t.Fatalf("%s: len %d, stats %+v; want a full cache, %d hits, %d evictions, %d rejected",
+				when, sem.PairerCacheLen(), st, hits, evictions, rejected)
+		}
 	}
 
-	// The evicted identity (least recently used = user0) is still served,
-	// just recomputed.
-	c, err := pkg.Public().Encrypt(rand.Reader, "user0@example.com", msg)
-	if err != nil {
-		t.Fatal(err)
+	// While there is room every first request builds.
+	victim := newUser()
+	decrypt(victim)
+	for i := 1; i < pairerCapacity; i++ {
+		decrypt(newUser())
 	}
-	got, err := Decrypt(sem, users[0], c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, msg) {
-		t.Fatal("wrong plaintext for evicted identity")
-	}
+	expect("filled", 0, 0, 0)
+
+	x := newUser()
+	decrypt(x)
+	expect("newcomer asked once, like the victim", 0, 0, 1)
+	decrypt(victim)
+	expect("the victim of a refused newcomer", 1, 0, 1)
+	decrypt(x)
+	expect("newcomer asked twice, the next victim once", 1, 1, 1)
+	decrypt(x)
+	expect("admitted newcomer", 2, 1, 1)
 }
 
 // The same cache serves a threshold player's key shares; the tests below pin
@@ -244,62 +279,93 @@ func TestPlayerReinstallDropsProgram(t *testing.T) {
 // TestPlayerRefusesKeyShareOutsideG1: a share with a cofactor component is
 // refused on its first request and on every later one, with the curve's
 // typed error, by NewFixedPair's own check — it is never walked, so no G is
-// ever computed from it — and so is the cacheless path.
+// ever computed from it — and so is the cacheless path. Against a full cache
+// of identities asked more often, where the bad share is not admitted and
+// the plain pairing would answer, Validate gives the same refusal.
 func TestPlayerRefusesKeyShareOutsideG1(t *testing.T) {
-	pkg, player := playerFixture(t)
-	id := "vault@example.com"
-	ks, err := pkg.ExtractShare(id, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	u, tors := cofactorSplit(t, pkg.Params().Public.Pairing.Curve())
-	bad := &KeyShare{ID: id, Index: 1, D: ks.D.Add(tors)}
-	if err := player.Install(bad); err != nil {
-		t.Fatal(err)
-	}
-	builds := pairing.AmortizedEngineStats().FixedPairBuilds
-	for i := 0; i < 2; i++ {
-		if ds, err := player.Share(id, u); !errors.Is(err, curve.ErrNotInSubgroup) || ds != nil {
-			t.Fatalf("request %d: %v, %v; want curve.ErrNotInSubgroup", i, ds, err)
-		}
-	}
-	if got := pairing.AmortizedEngineStats().FixedPairBuilds; got != builds {
-		t.Fatalf("%d Miller programs built from a key outside G1", got-builds)
-	}
-	if ds, err := pkg.Params().ComputeShareWithProof(nil, bad, u); !errors.Is(err, curve.ErrNotInSubgroup) || ds != nil {
-		t.Fatalf("ComputeShareWithProof: %v, %v; want curve.ErrNotInSubgroup", ds, err)
-	}
-	if ds, err := pkg.Params().ComputeShare(bad, u); !errors.Is(err, curve.ErrNotInSubgroup) || ds != nil {
-		t.Fatalf("ComputeShare: %v, %v; want curve.ErrNotInSubgroup", ds, err)
+	for _, full := range []bool{false, true} {
+		t.Run(fmt.Sprintf("full=%v", full), func(t *testing.T) {
+			pkg, player := playerFixture(t)
+			u, tors := cofactorSplit(t, pkg.Params().Public.Pairing.Curve())
+			next := 0
+			if full {
+				for i := 0; i < pairerCapacity; i++ {
+					id := unsharedID(player.pairers, &next)
+					installShare(t, pkg, player, id)
+					for asks := 0; asks < 3; asks++ {
+						if _, err := player.Share(id, u); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+			}
+			id := unsharedID(player.pairers, &next)
+			ks, err := pkg.ExtractShare(id, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bad := &KeyShare{ID: id, Index: 1, D: ks.D.Add(tors)}
+			if err := player.Install(bad); err != nil {
+				t.Fatal(err)
+			}
+			builds := pairing.AmortizedEngineStats().FixedPairBuilds
+			rejected := player.pairers.Stats().Rejected
+			for i := 0; i < 2; i++ {
+				if ds, err := player.Share(id, u); !errors.Is(err, curve.ErrNotInSubgroup) || ds != nil {
+					t.Fatalf("request %d: %v, %v; want curve.ErrNotInSubgroup", i, ds, err)
+				}
+			}
+			if got := pairing.AmortizedEngineStats().FixedPairBuilds; got != builds {
+				t.Fatalf("%d Miller programs built from a key outside G1", got-builds)
+			}
+			if got := player.pairers.Stats().Rejected - rejected; full && got != 2 {
+				t.Fatalf("%d of 2 requests took the plain-pairing path, want both", got)
+			}
+			if ds, err := pkg.Params().ComputeShareWithProof(nil, bad, u); !errors.Is(err, curve.ErrNotInSubgroup) || ds != nil {
+				t.Fatalf("ComputeShareWithProof: %v, %v; want curve.ErrNotInSubgroup", ds, err)
+			}
+			if ds, err := pkg.Params().ComputeShare(bad, u); !errors.Is(err, curve.ErrNotInSubgroup) || ds != nil {
+				t.Fatalf("ComputeShare: %v, %v; want curve.ErrNotInSubgroup", ds, err)
+			}
+		})
 	}
 }
 
 // TestPlayerPairerCacheBounded touches twice the cache's capacity in
-// identities: the cache stays at capacity, and an evicted identity is still
-// served (rebuilt).
+// identities, once each: the cache fills and stays at capacity, the second
+// half — asked no more often than any program's owner — is refused programs
+// and evicts nothing, and every share verifies whichever path made it. One
+// of the refused asked again displaces a program.
 func TestPlayerPairerCacheBounded(t *testing.T) {
 	pkg, player := playerFixture(t)
 	u, _ := pkg.Params().Public.Pairing.Curve().RandomG1(rand.Reader)
-	ids := make([]string, 2*pairerCapacity)
-	for i := range ids {
-		ids[i] = fmt.Sprintf("user%d@example.com", i)
-		installShare(t, pkg, player, ids[i])
-		if _, err := player.Share(ids[i], u); err != nil {
+	share := func(id string) {
+		t.Helper()
+		ds, err := player.Share(id, u)
+		if err != nil {
 			t.Fatal(err)
+		}
+		if err := pkg.Params().VerifyShareProof(id, u, ds); err != nil {
+			t.Fatalf("%s: %v", id, err)
 		}
 		if n := player.pairers.Len(); n > pairerCapacity {
 			t.Fatalf("cache holds %d programs, capacity %d", n, pairerCapacity)
 		}
 	}
-	if st := player.pairers.Stats(); player.pairers.Len() != pairerCapacity || st.Evictions != pairerCapacity {
-		t.Fatalf("len %d, stats %+v; want %d entries and as many evictions", player.pairers.Len(), st, pairerCapacity)
+	ids := make([]string, 2*pairerCapacity)
+	next := 0
+	for i := range ids {
+		ids[i] = unsharedID(player.pairers, &next)
+		installShare(t, pkg, player, ids[i])
+		share(ids[i])
 	}
-	ds, err := player.Share(ids[0], u)
-	if err != nil {
-		t.Fatal(err)
+	if st := player.pairers.Stats(); player.pairers.Len() != pairerCapacity || st.Evictions != 0 || st.Rejected != pairerCapacity {
+		t.Fatalf("len %d, stats %+v; want %d entries, as many refused and no eviction", player.pairers.Len(), st, pairerCapacity)
 	}
-	if err := pkg.Params().VerifyShareProof(ids[0], u, ds); err != nil {
-		t.Fatalf("evicted identity: %v", err)
+	share(ids[pairerCapacity])
+	share(ids[pairerCapacity])
+	if st := player.pairers.Stats(); player.pairers.Len() != pairerCapacity || st.Evictions != 1 || st.Hits != 1 {
+		t.Fatalf("len %d, stats %+v; want the identity asked twice admitted over one asked once, then hit", player.pairers.Len(), st)
 	}
 }
 

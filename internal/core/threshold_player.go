@@ -56,7 +56,7 @@ func (p *ThresholdPlayer) SetMisbehaviour(f func(*DecryptionShare) *DecryptionSh
 }
 
 // InstrumentPairerCache exports the Miller-program cache's hit/miss/
-// eviction counters and size through reg as the cache="player_pairers"
+// eviction/rejection counters and size through reg as the cache="player_pairers"
 // series of the shared lru_* families.
 func (p *ThresholdPlayer) InstrumentPairerCache(reg *obs.Registry) {
 	p.pairers.Instrument(reg, "player_pairers")

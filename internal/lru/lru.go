@@ -12,11 +12,14 @@ import (
 	"repro/internal/obs"
 )
 
-// Stats is a snapshot of a cache's counters.
+// Stats is a snapshot of a cache's counters. Every lookup is a hit or a
+// miss; Rejected counts the misses GetOrAdmit refused to insert, so
+// Misses − Rejected of them built a value.
 type Stats struct {
 	Hits      uint64
 	Misses    uint64
 	Evictions uint64
+	Rejected  uint64
 }
 
 // Cache is a fixed-capacity least-recently-used map. All methods are safe
@@ -62,28 +65,34 @@ func (c *Cache[K, V]) Get(key K) (V, bool) {
 	return zero, false
 }
 
-// GetOrAdd returns the value cached under key (a hit), or — atomically with
-// the lookup — inserts and returns mk() (a miss), so concurrent callers
-// missing on one key agree on a single value: the first inserts it and every
-// other finds it. That makes the entry itself the rendezvous for build-once
-// state (cache a value that carries a sync.Once; see core.IBESEM). mk runs
-// under the cache lock: it must only construct the value and must not call
-// back into the cache.
-func (c *Cache[K, V]) GetOrAdd(key K, mk func() V) (val V, hit bool) {
+// GetOrAdmit returns the value cached under key (hit), or — atomically with
+// the lookup — inserts and returns mk() (ok without hit), so concurrent
+// callers missing on one key agree on a single value: the first inserts it
+// and every other finds it. That makes the entry itself the rendezvous for
+// build-once state (cache a value that carries a sync.Once; see
+// core.pairerCache). A miss on a full cache inserts, and evicts the least
+// recently used entry, only if admit says that entry's key should make way;
+// otherwise it only counts as Rejected and ok is false. admit and mk run
+// under the cache lock: they must not call back into the cache.
+func (c *Cache[K, V]) GetOrAdmit(key K, admit func(victim K) bool, mk func() V) (val V, hit, ok bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
+	if el, found := c.items[key]; found {
 		c.order.MoveToFront(el)
 		c.stats.Hits++
-		return el.Value.(*entry[K, V]).val, true
+		return el.Value.(*entry[K, V]).val, true, true
 	}
 	c.stats.Misses++
-	val = mk()
-	c.items[key] = c.order.PushFront(&entry[K, V]{key: key, val: val})
-	if c.order.Len() > c.cap {
+	if c.order.Len() >= c.cap {
+		if !admit(c.order.Back().Value.(*entry[K, V]).key) {
+			c.stats.Rejected++
+			return val, false, false
+		}
 		c.evictOldest()
 	}
-	return val, false
+	val = mk()
+	c.items[key] = c.order.PushFront(&entry[K, V]{key: key, val: val})
+	return val, false, true
 }
 
 // Add inserts or replaces the value under key (marking it most recently
@@ -126,29 +135,6 @@ func (c *Cache[K, V]) Len() int {
 	return c.order.Len()
 }
 
-// Purge drops every entry (counters are preserved; purged entries are not
-// evictions).
-func (c *Cache[K, V]) Purge() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.order.Init()
-	c.items = make(map[K]*list.Element)
-}
-
-// Resize changes the capacity (clamped to ≥ 1), evicting oldest entries if
-// the cache is now over capacity.
-func (c *Cache[K, V]) Resize(capacity int) {
-	if capacity < 1 {
-		capacity = 1
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.cap = capacity
-	for c.order.Len() > c.cap {
-		c.evictOldest()
-	}
-}
-
 // Stats returns a snapshot of the hit/miss/eviction counters.
 func (c *Cache[K, V]) Stats() Stats {
 	c.mu.Lock()
@@ -159,9 +145,9 @@ func (c *Cache[K, V]) Stats() Stats {
 // Instrument registers the cache's counters with reg under the shared
 // lru_* metric families, one series per cache distinguished by a
 // cache=<name> label: lru_hits_total, lru_misses_total,
-// lru_evictions_total and the lru_entries gauge. The series are
-// function-backed — export samples Stats()/Len() at scrape time, so
-// instrumentation adds nothing to the cache's own lock scope.
+// lru_evictions_total, lru_rejected_total and the lru_entries gauge. The
+// series are function-backed — export samples Stats()/Len() at scrape time,
+// so instrumentation adds nothing to the cache's own lock scope.
 func (c *Cache[K, V]) Instrument(reg *obs.Registry, name string) {
 	label := obs.Label{Key: "cache", Value: name}
 	reg.CounterFunc("lru_hits_total", "cache lookups served from the cache",
@@ -170,6 +156,8 @@ func (c *Cache[K, V]) Instrument(reg *obs.Registry, name string) {
 		func() uint64 { return c.Stats().Misses }, label)
 	reg.CounterFunc("lru_evictions_total", "entries evicted by capacity pressure",
 		func() uint64 { return c.Stats().Evictions }, label)
+	reg.CounterFunc("lru_rejected_total", "misses refused admission to a full cache",
+		func() uint64 { return c.Stats().Rejected }, label)
 	reg.GaugeFunc("lru_entries", "entries currently cached",
 		func() int64 { return int64(c.Len()) }, label)
 }

@@ -60,10 +60,10 @@ func TestAddReplacesInPlace(t *testing.T) {
 	}
 }
 
-// TestGetOrAddInsertsOnce: goroutines missing together on one key agree on
-// the first one's value — one mk call, one miss, every other a hit — and an
-// over-capacity insert evicts like Add.
-func TestGetOrAddInsertsOnce(t *testing.T) {
+// TestGetOrAdmitInsertsOnce: goroutines missing together on one key agree on
+// the first one's value — one mk call, one miss, every other a hit — and
+// while there is room admit is never consulted.
+func TestGetOrAdmitInsertsOnce(t *testing.T) {
 	c := New[string, *int](2)
 	const n = 16
 	var made int // written under the cache lock, inside mk
@@ -73,7 +73,9 @@ func TestGetOrAddInsertsOnce(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			vals[i], _ = c.GetOrAdd("k", func() *int { made++; return new(int) })
+			vals[i], _, _ = c.GetOrAdmit("k",
+				func(string) bool { t.Error("admit consulted with room to spare"); return false },
+				func() *int { made++; return new(int) })
 		}(i)
 	}
 	wg.Wait()
@@ -85,10 +87,41 @@ func TestGetOrAddInsertsOnce(t *testing.T) {
 	if s := c.Stats(); made != 1 || s.Misses != 1 || s.Hits != n-1 {
 		t.Fatalf("mk ran %d times, stats = %+v; want 1 build, 1 miss, %d hits", made, s, n-1)
 	}
-	c.GetOrAdd("b", func() *int { return new(int) })
-	c.GetOrAdd("c", func() *int { return new(int) })
-	if _, ok := c.Get("k"); ok || c.Len() != 2 || c.Stats().Evictions != 1 {
-		t.Fatalf("over-capacity GetOrAdd did not evict the oldest entry: len %d, stats %+v", c.Len(), c.Stats())
+}
+
+// TestGetOrAdmitFullCache: a miss on a full cache puts the least recently
+// used key to admit. Refused, it inserts nothing, runs no mk and evicts
+// nothing; admitted, it evicts exactly that key.
+func TestGetOrAdmitFullCache(t *testing.T) {
+	c := New[string, int](2)
+	c.Add("a", 1)
+	c.Add("b", 2)
+	c.Get("a") // b is now the eviction candidate
+	var asked []string
+	admit := func(ok bool) func(string) bool {
+		return func(victim string) bool { asked = append(asked, victim); return ok }
+	}
+
+	v, hit, ok := c.GetOrAdmit("c", admit(false), func() int { t.Error("mk ran for a refused key"); return 3 })
+	if v != 0 || hit || ok || c.Len() != 2 {
+		t.Fatalf("refused miss returned %d, %v, %v and left %d entries", v, hit, ok, c.Len())
+	}
+	if v, hit, ok := c.GetOrAdmit("b", admit(false), nil); v != 2 || !hit || !ok {
+		t.Fatalf("the candidate of a refused miss: %d, %v, %v; want its value, a hit", v, hit, ok)
+	}
+	// a is the candidate now; an admitted miss evicts it and nothing else.
+	if v, hit, ok := c.GetOrAdmit("c", admit(true), func() int { return 3 }); v != 3 || hit || !ok {
+		t.Fatalf("admitted miss: %d, %v, %v", v, hit, ok)
+	}
+	if _, ok := c.Get("a"); ok || c.Len() != 2 {
+		t.Fatalf("admitted miss did not evict the candidate: len %d", c.Len())
+	}
+	if len(asked) != 2 || asked[0] != "b" || asked[1] != "a" {
+		t.Fatalf("admit was shown %v, want the least recently used key each time: [b a]", asked)
+	}
+	want := Stats{Hits: 2, Misses: 3, Evictions: 1, Rejected: 1}
+	if s := c.Stats(); s != want {
+		t.Fatalf("stats = %+v, want %+v", s, want)
 	}
 }
 
@@ -115,30 +148,6 @@ func TestCapacityClamped(t *testing.T) {
 	c.Add("b", 2)
 	if c.Len() != 1 {
 		t.Fatalf("capacity-0 cache holds %d entries, want clamp to 1", c.Len())
-	}
-}
-
-func TestPurgeAndResize(t *testing.T) {
-	c := New[int, int](8)
-	for i := 0; i < 8; i++ {
-		c.Add(i, i)
-	}
-	c.Resize(3)
-	if c.Len() != 3 {
-		t.Fatalf("len after Resize(3) = %d", c.Len())
-	}
-	// The three survivors are the most recently inserted.
-	for i := 5; i < 8; i++ {
-		if _, ok := c.Get(i); !ok {
-			t.Fatalf("entry %d missing after resize", i)
-		}
-	}
-	c.Purge()
-	if c.Len() != 0 {
-		t.Fatalf("len after Purge = %d", c.Len())
-	}
-	if c.Stats().Evictions != 5 {
-		t.Fatalf("evictions = %d, want 5 from resize only", c.Stats().Evictions)
 	}
 }
 
@@ -176,6 +185,7 @@ func TestInstrumentExportsCounters(t *testing.T) {
 	c.Get("a")
 	c.Get("zzz")
 	c.Add("c", 3) // evicts b
+	c.GetOrAdmit("d", func(string) bool { return false }, nil)
 
 	var sb strings.Builder
 	if err := reg.WritePrometheus(&sb); err != nil {
@@ -184,8 +194,9 @@ func TestInstrumentExportsCounters(t *testing.T) {
 	out := sb.String()
 	for _, want := range []string{
 		`lru_hits_total{cache="test_cache"} 1`,
-		`lru_misses_total{cache="test_cache"} 1`,
+		`lru_misses_total{cache="test_cache"} 2`,
 		`lru_evictions_total{cache="test_cache"} 1`,
+		`lru_rejected_total{cache="test_cache"} 1`,
 		`lru_entries{cache="test_cache"} 2`,
 	} {
 		if !strings.Contains(out, want) {

@@ -229,11 +229,14 @@ func TestPipelinedFramesAnsweredInOrder(t *testing.T) {
 }
 
 // TestCacheEvictionOverTheWire drives more identities through the daemon
-// than the precomputation cache holds and checks the stats see the
-// evictions while service is unaffected.
+// than the precomputation cache holds: the cache stays at its capacity,
+// identities asked less often than the ones holding programs are served
+// without one (and evict nothing), one asked more often displaces a program,
+// and service is unaffected throughout. The cache's frequency sketch is
+// seeded per process and shares counters between identities, so the counts
+// below leave room for the rare newcomer that inherits a resident's count.
 func TestCacheEvictionOverTheWire(t *testing.T) {
 	f := newIBEOnlyFixture(t, 0)
-	f.ibe.SetPairerCacheCapacity(2)
 	msg := bytes.Repeat([]byte{0xE7}, msgLen)
 
 	client, err := Dial(f.addr, f.pp, 5*time.Second)
@@ -242,26 +245,60 @@ func TestCacheEvictionOverTheWire(t *testing.T) {
 	}
 	defer client.Close()
 
-	for i := 0; i < 3; i++ {
-		id := fmt.Sprintf("evict%d@example.com", i)
-		user := f.enrollID(t, id)
+	users := make(map[string]*core.UserKeyHalf)
+	newcomer := func() string {
+		id := fmt.Sprintf("evict%d@example.com", len(users))
+		users[id] = f.enrollID(t, id)
+		return id
+	}
+	decrypt := func(id string) {
+		t.Helper()
 		ct, err := f.pkg.Public().Encrypt(rand.Reader, id, msg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := client.DecryptIBE(f.pkg.Public(), user, ct)
+		got, err := client.DecryptIBE(f.pkg.Public(), users[id], ct)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, msg) {
-			t.Fatalf("identity %d: wrong plaintext", i)
+			t.Fatalf("%s: wrong plaintext", id)
 		}
 	}
-	if got := f.ibe.PairerCacheLen(); got != 2 {
-		t.Fatalf("cache holds %d programs, want capacity 2", got)
+
+	// Fill the cache with identities asked twice each; it is full when a
+	// first request no longer grows it.
+	capacity := -1
+	for f.ibe.PairerCacheLen() > capacity {
+		capacity = f.ibe.PairerCacheLen()
+		id := newcomer()
+		decrypt(id)
+		decrypt(id)
 	}
-	if st := f.ibe.PairerCacheStats(); st.Evictions != 1 {
-		t.Fatalf("stats = %+v, want exactly 1 eviction", st)
+	if capacity < 2 || len(users) != capacity+1 {
+		t.Fatalf("cache stopped growing at %d programs after %d identities", capacity, len(users))
+	}
+
+	const once = 16
+	before := f.ibe.PairerCacheStats()
+	for i := 0; i < once; i++ {
+		decrypt(newcomer())
+		if got := f.ibe.PairerCacheLen(); got != capacity {
+			t.Fatalf("cache holds %d programs, capacity %d", got, capacity)
+		}
+	}
+	after := f.ibe.PairerCacheStats()
+	if refused, evicted := after.Rejected-before.Rejected, after.Evictions-before.Evictions; refused+evicted != once || refused < once-2 {
+		t.Fatalf("%d identities asked once against programs asked twice: %d refused, %d evictions; want (nearly) all refused", once, refused, evicted)
+	}
+
+	hot := newcomer()
+	for i := 0; i < 5; i++ {
+		decrypt(hot)
+	}
+	final := f.ibe.PairerCacheStats()
+	if final.Evictions == after.Evictions || final.Hits == after.Hits || f.ibe.PairerCacheLen() != capacity {
+		t.Fatalf("an identity asked five times in a row got no program: len %d, stats %+v → %+v", f.ibe.PairerCacheLen(), after, final)
 	}
 }
 
