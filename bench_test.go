@@ -200,10 +200,9 @@ func BenchmarkPairing(b *testing.B) {
 	}
 }
 
-// BenchmarkScalarMul compares the three scalar-multiplication strategies at
-// paper size: the default variable-base w-NAF/Jacobian path, the fixed-base
-// comb behind Params.GeneratorMul, and the original affine double-and-add
-// ladder kept as the correctness oracle.
+// BenchmarkScalarMul compares the two scalar-multiplication strategies at
+// paper size: the default variable-base w-NAF/Jacobian path and the
+// fixed-base comb behind Params.GeneratorMul.
 func BenchmarkScalarMul(b *testing.B) {
 	pp, _ := pairing.Paper()
 	P := pp.Generator()
@@ -219,12 +218,6 @@ func BenchmarkScalarMul(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			pp.GeneratorMul(k)
-		}
-	})
-	b.Run("binary-ladder", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			P.ScalarMulBinary(k)
 		}
 	})
 }
@@ -285,28 +278,6 @@ func BenchmarkRSAModExp(b *testing.B) {
 }
 
 // --- ablations (DESIGN.md §5) ---
-
-// BenchmarkAblationMiller quantifies denominator elimination: the default
-// Miller loop vs the variant that tracks vertical-line denominators.
-func BenchmarkAblationMiller(b *testing.B) {
-	pp, _ := pairing.Paper()
-	P := pp.Generator()
-	Q, _ := pp.Curve().HashToPoint("bench", []byte("x"))
-	b.Run("denominator-elimination", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_, _ = pp.Pair(P, Q)
-		}
-	})
-	b.Run("full-miller", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := pp.PairFull(P, Q); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
 
 // BenchmarkAblationPointCompression: compressed points trade a sqrt at
 // decode time for half the wire size — the trade behind the paper's key

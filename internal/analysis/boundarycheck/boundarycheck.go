@@ -20,9 +20,9 @@
 // to a local variable, and every use of that variable must be one of: the U
 // argument of core.IBESEM.Token or core.ThresholdPlayer.Share (a decryption
 // share is the token for the player's key share, and its proof is powers of
-// that pairing value), the second argument of pairing.Params.Pair or
-// PairFull, the argument of pairing.FixedPair.Pair or
-// Params.PairWithGenerator, a comparison with nil, or a call of its
+// that pairing value), the second argument of pairing.Params.Pair, the
+// argument of pairing.FixedPair.Pair or Params.PairWithGenerator, a
+// comparison with nil, or a call of its
 // IsInfinity method. Anything else — ScalarMul, Add, Marshal, a first
 // pairing argument, a copy, a return, a store — is a finding: those uses
 // need the [q]· check of wire.UnmarshalG1.
@@ -87,7 +87,6 @@ var pairingArgSinks = []struct {
 	{"internal/core", "IBESEM", "Token", 1},
 	{"internal/core", "ThresholdPlayer", "Share", 1},
 	{"internal/pairing", "Params", "Pair", 1},
-	{"internal/pairing", "Params", "PairFull", 1},
 	{"internal/pairing", "Params", "PairWithGenerator", 0},
 	{"internal/pairing", "FixedPair", "Pair", 0},
 }

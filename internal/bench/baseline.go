@@ -437,7 +437,6 @@ func Baseline(pp *pairing.Params, minIters int, minDuration time.Duration) (*Bas
 		{"gf.mul", func() error { eOut.Mul(e1, e2); return nil }},
 		{"gf.square", func() error { eOut.Square(e1); return nil }},
 		{"pair", func() error { _, err := pp.Pair(P, Q); return err }},
-		{"pair.full-miller", func() error { _, err := pp.PairFull(P, Q); return err }},
 		{"pair.fixed", func() error { _, err := fixed.Pair(Q); return err }},
 		{"pair.fixed.precompute", func() error { _, err := pp.NewFixedPair(P); return err }},
 		{"pair.finalexp", func() error { _, err := eOut.ExpUnitaryPart(e1, expTail); return err }},
@@ -447,7 +446,6 @@ func Baseline(pp *pairing.Params, minIters int, minDuration time.Duration) (*Bas
 		}},
 		{"scalarmul.variable-wnaf", func() error { P.ScalarMul(k); return nil }},
 		{"scalarmul.fixed-base", func() error { pp.GeneratorMul(k); return nil }},
-		{"scalarmul.binary-ladder", func() error { P.ScalarMulBinary(k); return nil }},
 		{"gtexp.square-multiply", func() error { _, err := g.Exp(k); return err }},
 		{"gtexp.fixed-base", func() error { gtTab.Exp(k); return nil }},
 		{"gt.ingt", func() error {
@@ -498,8 +496,11 @@ func Baseline(pp *pairing.Params, minIters int, minDuration time.Duration) (*Bas
 			return err
 		}},
 		{"msm.256.sequential", func() error {
-			_, err := cv.MSMSequential(msmKs, msmPts)
-			return err
+			acc := cv.Infinity()
+			for i, pt := range msmPts {
+				acc = acc.Add(pt.ScalarMul(msmKs[i]))
+			}
+			return nil
 		}},
 		{"batchverify.256", func() error {
 			return sk.Public.BatchVerify(rand.Reader, batchMsgs, batchSigs)

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/bf"
 	"repro/internal/curve"
+	"repro/internal/curve/curvetest"
 	"repro/internal/mathx"
 	"repro/internal/pairing"
 )
@@ -103,7 +104,7 @@ func referenceProof(t *testing.T, f *proofFixture) *DecryptionShare {
 		t.Fatal(err)
 	}
 	P := pp.Generator()
-	R := f.share.D.ScalarMulBinary(r)
+	R := curvetest.ScalarMulBinary(f.share.D, r)
 	qid, err := bf.HashIdentity(pp, f.id)
 	if err != nil {
 		t.Fatal(err)
@@ -119,7 +120,7 @@ func referenceProof(t *testing.T, f *proofFixture) *DecryptionShare {
 		h.Write(x.Bytes())
 	}
 	e := mathx.BytesToIntMod(h.Sum(nil), pp.Q())
-	v := R.Add(f.share.D.ScalarMulBinary(e))
+	v := R.Add(curvetest.ScalarMulBinary(f.share.D, e))
 	return &DecryptionShare{Index: f.share.Index, G: g, Proof: &ShareProof{W1: w1, W2: w2, E: e, V: v}}
 }
 

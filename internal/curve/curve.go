@@ -10,16 +10,17 @@
 // The group G1 of the schemes is the order-q subgroup, where q is a prime
 // divisor of p + 1 chosen at parameter-generation time (see package pairing).
 //
-// The public Point API is affine and immutable (auditable, and the
-// denominator-tracking Miller oracle needs affine line slopes), but every
-// multi-step operation — ScalarMul, the fixed-base tables of Precomputed,
-// hash-to-point cofactor clearing, the subgroup check, MSM — runs on one
-// Jacobian-coordinate layer over internal/fp Montgomery limbs (limb.go) and
-// converts back to affine exactly once. The affine big.Int Add, Double and
-// the double-and-add ladder ScalarMulBinary stay as the single-operation API
-// and as the differential-test oracle for that layer.
+// A Point is its limbs: the affine coordinates as Montgomery-form vectors of
+// the width internal/fp fixes for p, the one representation from Unmarshal
+// through every kernel (the Jacobian layer of limb.go under ScalarMul,
+// Precomputed, cofactor clearing, the subgroup check, MSM and Add; the Miller
+// loops of internal/pairing, which read the limbs in place through Mont) and
+// back out through Marshal. math/big appears at the edges only — NewPoint, X,
+// Y and String, parameter construction, scalars, and the reduction of a hash
+// digest — and the affine big.Int group law the kernels are differential-
+// tested against lives in curvetest, written against that edge API.
 //
-//cryptolint:vartime (scalar recoding, table lookups and the affine big.Int API branch on their operands; constant-time execution is the fp limb field's contract, not this package's)
+//cryptolint:vartime (w-NAF recoding and table indices follow the scalar, normalisation to affine is fp.InvVarTime, and the ladders' bounds are the bits of public q and (p+1)/q; the field arithmetic underneath is fp's constant-time contract)
 package curve
 
 import (
@@ -64,10 +65,15 @@ type Curve struct {
 
 // New constructs the curve. It validates that p ≡ 3 (mod 4), that p fits the
 // limb backend (fp.MaxLimbs, the same bound gf.NewField puts on the pairing's
-// extension field) and that q·c = p + 1 with q prime (probabilistically).
+// extension field) and that q·c = p + 1 with p and q prime (probabilistically,
+// once per parameter set): a nonzero element being invertible is what makes
+// the kernels' normalisations total.
 func New(p, q *big.Int) (*Curve, error) {
 	if p.Bit(0) != 1 || p.Bit(1) != 1 {
 		return nil, fmt.Errorf("curve: p must be ≡ 3 (mod 4)")
+	}
+	if !p.ProbablyPrime(20) {
+		return nil, fmt.Errorf("curve: field characteristic p is not prime")
 	}
 	fld, err := fp.New(p)
 	if err != nil {
@@ -103,14 +109,16 @@ func (c *Curve) Q() *big.Int { return new(big.Int).Set(c.q) }
 func (c *Curve) Cofactor() *big.Int { return new(big.Int).Set(c.c) }
 
 // CoordinateSize returns the byte length of one field coordinate.
-func (c *Curve) CoordinateSize() int { return (c.p.BitLen() + 7) / 8 }
+func (c *Curve) CoordinateSize() int { return c.fld.ByteLen() }
 
 // Point is a point of E(F_p) in affine coordinates, or the point at
 // infinity. Points are immutable: all group operations return new points.
 type Point struct {
 	curve *Curve //cryptolint:public (curve parameters)
-	x, y  *big.Int
-	inf   bool
+
+	// The coordinates in Montgomery form, the two halves of one slab; nil
+	// for O.
+	x, y []uint64
 
 	// g1 memoizes the subgroup-membership verdict (0 unknown, 1 in G1,
 	// 2 outside). Immutability makes the verdict permanent; the atomic
@@ -120,134 +128,125 @@ type Point struct {
 }
 
 // Infinity returns the identity element O.
-func (c *Curve) Infinity() *Point {
-	return &Point{curve: c, inf: true}
+func (c *Curve) Infinity() *Point { return &Point{curve: c} }
+
+// newPoint allocates a finite point with zeroed coordinates for the caller
+// to fill before anyone else sees it.
+func (c *Curve) newPoint() *Point {
+	n := c.fld.Limbs()
+	slab := make([]uint64, 2*n)
+	return &Point{curve: c, x: slab[:n:n], y: slab[n:]}
 }
 
-// NewPoint constructs the affine point (x, y), validating the curve
-// equation.
+// NewPoint constructs the affine point (x mod p, y mod p), validating the
+// curve equation.
 func (c *Curve) NewPoint(x, y *big.Int) (*Point, error) {
-	xm := new(big.Int).Mod(x, c.p)
-	ym := new(big.Int).Mod(y, c.p)
-	if !c.isOnCurve(xm, ym) {
+	F := c.fld
+	pt := c.newPoint()
+	// Reduced, so FromBig's only error — an input outside [0, p) — cannot occur.
+	_ = F.FromBig(pt.x, new(big.Int).Mod(x, c.p))
+	_ = F.FromBig(pt.y, new(big.Int).Mod(y, c.p))
+	var lb, rb [fp.MaxLimbs]uint64
+	lhs, rhs := lb[:F.Limbs()], rb[:F.Limbs()]
+	F.Square(lhs, pt.y)
+	c.rhs(rhs, pt.x)
+	if !F.Equal(lhs, rhs) {
 		return nil, ErrNotOnCurve
 	}
-	return &Point{curve: c, x: xm, y: ym}, nil
+	return pt, nil
 }
 
-func (c *Curve) isOnCurve(x, y *big.Int) bool {
-	// y² ≟ x³ + x
-	lhs := new(big.Int).Mul(y, y)
-	lhs.Mod(lhs, c.p)
-	rhs := new(big.Int).Mul(x, x)
-	rhs.Mul(rhs, x)
-	rhs.Add(rhs, x)
-	rhs.Mod(rhs, c.p)
-	return lhs.Cmp(rhs) == 0
+// rhs sets z = x³ + x, the right-hand side of the curve equation.
+func (c *Curve) rhs(z, x []uint64) {
+	F := c.fld
+	F.Square(z, x)
+	F.Mul(z, z, x)
+	F.Add(z, z, x)
+}
+
+// solveY sets y to the principal square root (x³ + x)^((p+1)/4) — the root
+// mathx.SqrtModP returns for p ≡ 3 (mod 4); enrolled keys depend on the two
+// being bit-identical — and reports whether there is one, i.e. whether x is
+// the abscissa of a curve point: a is a residue iff (a^((p+1)/4))² = a.
+func (c *Curve) solveY(y, x []uint64) bool {
+	F := c.fld
+	var ab, cb [fp.MaxLimbs]uint64
+	a, chk := ab[:F.Limbs()], cb[:F.Limbs()]
+	c.rhs(a, x)
+	F.Exp(y, a, c.sqrtExp)
+	F.Square(chk, y)
+	return F.Equal(chk, a)
 }
 
 // IsInfinity reports whether the point is the identity.
-func (pt *Point) IsInfinity() bool { return pt.inf }
+func (pt *Point) IsInfinity() bool { return pt.x == nil }
 
-// X returns a copy of the affine x-coordinate; nil for O.
+// X returns the affine x-coordinate as a fresh big.Int; nil for O.
 func (pt *Point) X() *big.Int {
-	if pt.inf {
+	if pt.IsInfinity() {
 		return nil
 	}
-	return new(big.Int).Set(pt.x)
+	return pt.curve.fld.ToBig(pt.x)
 }
 
-// Y returns a copy of the affine y-coordinate; nil for O.
+// Y returns the affine y-coordinate as a fresh big.Int; nil for O.
 func (pt *Point) Y() *big.Int {
-	if pt.inf {
+	if pt.IsInfinity() {
 		return nil
 	}
-	return new(big.Int).Set(pt.y)
+	return pt.curve.fld.ToBig(pt.y)
 }
+
+// Mont returns the coordinates themselves: Montgomery-form limb vectors of
+// the curve prime's fp.Field (any fp.Field of the same p reads them), nil for
+// O. They are the point's own storage — read, never write.
+func (pt *Point) Mont() (x, y []uint64) { return pt.x, pt.y }
 
 // Curve returns the curve the point lives on.
 func (pt *Point) Curve() *Curve { return pt.curve }
 
 // Equal reports whether two points are the same group element.
 func (pt *Point) Equal(other *Point) bool {
-	if pt.inf || other.inf {
-		return pt.inf == other.inf
+	if pt.IsInfinity() || other.IsInfinity() {
+		return pt.IsInfinity() == other.IsInfinity()
 	}
-	return pt.x.Cmp(other.x) == 0 && pt.y.Cmp(other.y) == 0
+	F := pt.curve.fld
+	return F.Equal(pt.x, other.x) && F.Equal(pt.y, other.y)
 }
 
 // Neg returns −P.
 func (pt *Point) Neg() *Point {
-	if pt.inf {
+	if pt.IsInfinity() {
 		return pt
 	}
-	ny := new(big.Int).Neg(pt.y)
-	ny.Mod(ny, pt.curve.p)
-	out := &Point{curve: pt.curve, x: new(big.Int).Set(pt.x), y: ny}
+	F := pt.curve.fld
+	out := pt.curve.newPoint()
+	F.Set(out.x, pt.x)
+	F.Neg(out.y, pt.y)
 	// −P has the same order as P: the subgroup verdict carries over.
 	out.g1.Store(pt.g1.Load())
 	return out
 }
 
-// Add returns P + Q using the affine chord-and-tangent rules.
+// Add returns P + Q: one mixed Jacobian addition (a doubling when P = Q) and
+// one normalisation, the affine chord-and-tangent result bit for bit.
 func (pt *Point) Add(other *Point) *Point {
-	c := pt.curve
-	if pt.inf {
+	if pt.IsInfinity() {
 		return other
 	}
-	if other.inf {
+	if other.IsInfinity() {
 		return pt
 	}
-	if pt.x.Cmp(other.x) == 0 {
-		sum := new(big.Int).Add(pt.y, other.y)
-		sum.Mod(sum, c.p)
-		if sum.Sign() == 0 {
-			return c.Infinity() // P + (−P)
-		}
-		return pt.Double()
-	}
-	// λ = (y2 − y1)/(x2 − x1)
-	num := new(big.Int).Sub(other.y, pt.y)
-	den := new(big.Int).Sub(other.x, pt.x)
-	den.ModInverse(den, c.p)
-	lambda := num.Mul(num, den)
-	lambda.Mod(lambda, c.p)
-	return c.chord(pt, other, lambda)
+	c := pt.curve
+	s := newLjScratch(c.fld)
+	acc := newLimbJac(c.fld)
+	acc.setAffine(c.fld, pt.x, pt.y)
+	ljAddMixed(c.fld, &acc, other.x, other.y, s)
+	return c.ljToPoint(&acc, s)
 }
 
 // Double returns 2P.
-func (pt *Point) Double() *Point {
-	c := pt.curve
-	if pt.inf {
-		return pt
-	}
-	if pt.y.Sign() == 0 {
-		return c.Infinity() // order-2 point
-	}
-	// λ = (3x² + 1)/(2y)   (curve a-coefficient is 1)
-	num := new(big.Int).Mul(pt.x, pt.x)
-	num.Mul(num, big.NewInt(3))
-	num.Add(num, big.NewInt(1))
-	num.Mod(num, c.p)
-	den := new(big.Int).Lsh(pt.y, 1)
-	den.ModInverse(den, c.p)
-	lambda := num.Mul(num, den)
-	lambda.Mod(lambda, c.p)
-	return c.chord(pt, pt, lambda)
-}
-
-// chord completes an addition given the line slope λ through p1 and p2.
-func (c *Curve) chord(p1, p2 *Point, lambda *big.Int) *Point {
-	x3 := new(big.Int).Mul(lambda, lambda)
-	x3.Sub(x3, p1.x)
-	x3.Sub(x3, p2.x)
-	x3.Mod(x3, c.p)
-	y3 := new(big.Int).Sub(p1.x, x3)
-	y3.Mul(y3, lambda)
-	y3.Sub(y3, p1.y)
-	y3.Mod(y3, c.p)
-	return &Point{curve: c, x: x3, y: y3}
-}
+func (pt *Point) Double() *Point { return pt.Add(pt) }
 
 // InSubgroup reports whether the point lies in the prime-order subgroup G1,
 // i.e. q·P = O. Every network-facing decode funnels through this check, so
@@ -259,7 +258,7 @@ func (c *Curve) chord(p1, p2 *Point, lambda *big.Int) *Point {
 // key, a batch re-verified under a new random combination — is a single
 // atomic load.
 func (pt *Point) InSubgroup() bool {
-	if pt.inf {
+	if pt.IsInfinity() {
 		return true // O is in every subgroup
 	}
 	if s := pt.g1.Load(); s != 0 {
@@ -301,27 +300,16 @@ func (pt *Point) Validate() error {
 // RandomPoint returns a uniformly random point of the full group E(F_p)
 // (not necessarily in G1) by sampling x until x³ + x is a residue.
 func (c *Curve) RandomPoint(rng io.Reader) (*Point, error) {
+	pt := c.newPoint()
 	for {
 		x, err := mathx.RandomInRange(rng, big.NewInt(0), c.p)
 		if err != nil {
 			return nil, err
 		}
-		rhs := new(big.Int).Mul(x, x)
-		rhs.Mul(rhs, x)
-		rhs.Add(rhs, x)
-		rhs.Mod(rhs, c.p)
-		y, err := c.sqrtMod(rhs)
-		if err != nil {
-			continue
+		_ = c.fld.FromBig(pt.x, x) // in [0, p) by construction
+		if c.solveY(pt.y, pt.x) {
+			return pt, nil
 		}
-		pt, err := c.NewPoint(x, y)
-		if err != nil {
-			continue
-		}
-		if pt.IsInfinity() {
-			continue
-		}
-		return pt, nil
 	}
 }
 
@@ -333,7 +321,7 @@ func (c *Curve) RandomG1(rng io.Reader) (*Point, error) {
 		if err != nil {
 			return nil, err
 		}
-		if g := c.clearCofactor(pt); !g.inf {
+		if g := c.clearCofactor(pt); !g.IsInfinity() {
 			return g, nil
 		}
 	}
@@ -356,8 +344,8 @@ func (c *Curve) HashToPoint(domain string, msg []byte) (*Point, error) {
 // marked as such — through the cofactor recoding New cached.
 func (c *Curve) clearCofactor(pt *Point) *Point {
 	cofactorClears.Add(1)
-	out := pt.mulRecoded(c.c, c.cNAF)
-	if !out.inf {
+	out := pt.mulRecoded(c.cNAF)
+	if !out.IsInfinity() {
 		out.g1.Store(1) // cofactor-cleared by construction
 	}
 	return out
@@ -375,7 +363,7 @@ func (c *Curve) MulCofactorG1(k *Point) (*Point, error) {
 		return nil, err
 	}
 	out := k.ScalarMul(c.cModQ)
-	if !out.inf {
+	if !out.IsInfinity() {
 		out.g1.Store(1) // a multiple of a G1 point
 	}
 	return out, nil
@@ -417,28 +405,20 @@ func SubgroupChecks() uint64 { return subgroupChecks.Load() }
 // with that probability, which no caller can observe.
 func (c *Curve) HashToPointUncleared(domain string, msg []byte) (*Point, error) {
 	hashToPointCalls.Add(1)
+	F := c.fld
 	size := c.CoordinateSize()
+	pt := c.newPoint()
 	for ctr := 0; ctr < 256; ctr++ {
 		digest := expandDigest(domain, uint8(ctr), msg, size+16)
 		x := new(big.Int).SetBytes(digest[:size+8])
-		x.Mod(x, c.p)
-		rhs := new(big.Int).Mul(x, x)
-		rhs.Mul(rhs, x)
-		rhs.Add(rhs, x)
-		rhs.Mod(rhs, c.p)
-		y, err := c.sqrtMod(rhs)
-		if err != nil {
+		_ = F.FromBig(pt.x, x.Mod(x, c.p)) // reduced: cannot fail
+		if !c.solveY(pt.y, pt.x) {
 			continue
 		}
 		// Use one post-coordinate digest byte to pick the root's sign so the
 		// map does not systematically favour the "small" root.
 		if digest[size+8]&1 == 1 {
-			y.Neg(y)
-			y.Mod(y, c.p)
-		}
-		pt, err := c.NewPoint(x, y)
-		if err != nil {
-			continue
+			F.Neg(pt.y, pt.y)
 		}
 		return pt, nil
 	}
@@ -471,19 +451,20 @@ func expandDigest(domain string, ctr uint8, msg []byte, n int) []byte {
 // This is the "point compression" the paper invokes when comparing key
 // sizes with IB-mRSA.
 func (pt *Point) Marshal() []byte {
-	size := pt.curve.CoordinateSize()
-	out := make([]byte, 1+size)
-	if pt.inf {
+	F := pt.curve.fld
+	out := make([]byte, 1+pt.curve.CoordinateSize())
+	if pt.IsInfinity() {
 		return out
 	}
-	out[0] = byte(2 + pt.y.Bit(0))
-	pt.x.FillBytes(out[1:])
+	out[0] = byte(2 + F.Parity(pt.y))
+	F.FillBytes(out[1:], pt.x)
 	return out
 }
 
-// Unmarshal parses a compressed point produced by Marshal, recomputing y
-// from the curve equation and the parity bit. It accepts exactly the
-// encodings Marshal writes: an accepted input re-marshals to the same bytes.
+// Unmarshal parses a compressed point produced by Marshal straight into
+// limbs, solving the curve equation for y and picking the root of the tagged
+// parity. It accepts exactly the encodings Marshal writes: an accepted input
+// re-marshals to the same bytes.
 func (c *Curve) Unmarshal(data []byte) (*Point, error) {
 	size := c.CoordinateSize()
 	if len(data) != 1+size {
@@ -498,27 +479,23 @@ func (c *Curve) Unmarshal(data []byte) (*Point, error) {
 		}
 		return c.Infinity(), nil
 	case 2, 3:
-		x := new(big.Int).SetBytes(data[1:])
-		if x.Cmp(c.p) >= 0 {
+		F := c.fld
+		pt := c.newPoint()
+		if F.SetBytes(pt.x, data[1:]) != nil {
 			return nil, fmt.Errorf("curve: x-coordinate out of range")
 		}
-		rhs := new(big.Int).Mul(x, x)
-		rhs.Mul(rhs, x)
-		rhs.Add(rhs, x)
-		rhs.Mod(rhs, c.p)
-		y, err := c.sqrtMod(rhs)
-		if err != nil {
+		if !c.solveY(pt.y, pt.x) {
 			return nil, ErrNotOnCurve
 		}
-		if y.Bit(0) != uint(data[0]-2) {
+		if F.Parity(pt.y) != uint(data[0]-2) {
 			// p − y has the other parity for every root but y = 0 (the
 			// 2-torsion point (0, 0)), which Marshal writes with tag 2 only.
-			if y.Sign() == 0 {
+			if F.IsZero(pt.y) {
 				return nil, fmt.Errorf("curve: non-canonical sign tag for y = 0")
 			}
-			y.Sub(c.p, y)
+			F.Neg(pt.y, pt.y)
 		}
-		return c.NewPoint(x, y)
+		return pt, nil
 	default:
 		return nil, fmt.Errorf("curve: unknown compression tag 0x%02x", data[0]) //cryptolint:public (the format tag byte, not coordinate material)
 	}
@@ -526,8 +503,8 @@ func (c *Curve) Unmarshal(data []byte) (*Point, error) {
 
 // String renders the point for debugging.
 func (pt *Point) String() string {
-	if pt.inf {
+	if pt.IsInfinity() {
 		return "O"
 	}
-	return fmt.Sprintf("(%v, %v)", pt.x, pt.y)
+	return fmt.Sprintf("(%v, %v)", pt.X(), pt.Y()) //cryptolint:public (String is the debug rendering; secretleak judges who prints which point at String's call sites)
 }

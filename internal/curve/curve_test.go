@@ -1,4 +1,4 @@
-package curve
+package curve_test
 
 import (
 	"bytes"
@@ -7,6 +7,8 @@ import (
 	"math/big"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/curve"
 )
 
 // Toy parameters (shared with internal/pairing's "toy" fixed set):
@@ -16,20 +18,20 @@ const (
 	toyQHex = "fd51d491"
 )
 
-func toyCurve(t *testing.T) *Curve { return hexCurve(t, toyPHex, toyQHex) }
+func toyCurve(t testing.TB) *curve.Curve { return hexCurve(t, toyPHex, toyQHex) }
 
 func TestNewValidation(t *testing.T) {
 	p, _ := new(big.Int).SetString(toyPHex, 16)
 	q, _ := new(big.Int).SetString(toyQHex, 16)
 
-	if _, err := New(big.NewInt(13), big.NewInt(7)); err == nil {
+	if _, err := curve.New(big.NewInt(13), big.NewInt(7)); err == nil {
 		t.Error("p ≡ 1 mod 4 must be rejected")
 	}
-	if _, err := New(p, big.NewInt(12345)); err == nil {
+	if _, err := curve.New(p, big.NewInt(12345)); err == nil {
 		t.Error("q ∤ p+1 must be rejected")
 	}
 	bad := new(big.Int).Mul(q, big.NewInt(3)) // divides p+1? almost surely not, but composite anyway
-	if _, err := New(p, bad); err == nil {
+	if _, err := curve.New(p, bad); err == nil {
 		t.Error("composite q must be rejected")
 	}
 }
@@ -132,7 +134,7 @@ func TestInSubgroup(t *testing.T) {
 
 func TestNewPointValidates(t *testing.T) {
 	c := toyCurve(t)
-	if _, err := c.NewPoint(big.NewInt(1), big.NewInt(1)); !errors.Is(err, ErrNotOnCurve) {
+	if _, err := c.NewPoint(big.NewInt(1), big.NewInt(1)); !errors.Is(err, curve.ErrNotOnCurve) {
 		t.Fatalf("bogus point accepted: %v", err)
 	}
 }
@@ -241,7 +243,7 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 		x.Add(x, big.NewInt(1))
 	}
 	x.FillBytes(notOn[1:])
-	if _, err := c.Unmarshal(notOn); !errors.Is(err, ErrNotOnCurve) {
+	if _, err := c.Unmarshal(notOn); !errors.Is(err, curve.ErrNotOnCurve) {
 		t.Errorf("non-curve x accepted: %v", err)
 	}
 	// malformed infinity (nonzero payload)
@@ -268,7 +270,7 @@ func TestRandomPointOnCurve(t *testing.T) {
 	if P.IsInfinity() {
 		t.Fatal("random point is infinity")
 	}
-	if !c.isOnCurve(P.X(), P.Y()) {
+	if _, err := c.NewPoint(P.X(), P.Y()); err != nil {
 		t.Fatal("random point not on curve")
 	}
 }

@@ -1,22 +1,16 @@
-// Jacobian-coordinate arithmetic over internal/fp Montgomery limbs: the one
-// performance layer under the public affine Point API. Scalar multiplication
-// (variable and fixed base), cofactor clearing, the subgroup check and MSM
-// all run here; so do the square roots of decoding and hashing.
+// Jacobian-coordinate arithmetic over internal/fp Montgomery limbs: the layer
+// every group operation runs on. A Point already is a pair of limb vectors,
+// so a kernel reads its inputs in place (as the affine side of a mixed
+// addition, or copied into an accumulator with Z = 1), works in Jacobian form
+// with no inversion, and normalises into a fresh Point's limbs exactly once.
 //
 // A Jacobian triple (X, Y, Z) with Z ≠ 0 denotes the affine point
-// (X/Z², Y/Z³); Z = 0 denotes the point at infinity. Doubling and (mixed)
-// addition in this representation cost a handful of field multiplications
-// and no modular inversion, whereas every affine chord-and-tangent step pays
-// one big.Int.ModInverse — by far the most expensive field operation — and
-// one limb multiplication costs ~180 ns at the paper's 512-bit prime against
-// ~1 µs for a big.Int multiply-and-reduce. A kernel therefore converts its
-// inputs once (Point coordinates are big.Int), runs entirely in Jacobian
-// form, and converts back to affine exactly once; when several points need
-// conversion at the same time (precomputation tables, Pippenger buckets),
+// (X/Z², Y/Z³); Z = 0 denotes the point at infinity. When several points need
+// normalising at the same time (precomputation tables, Pippenger buckets),
 // Montgomery's simultaneous-inversion trick shares a single inversion among
 // all of them. Equal group elements have equal affine coordinates, so every
-// kernel is bit-identical to the affine big.Int oracle (Add, Double,
-// ScalarMulBinary) it is differential-tested against.
+// kernel is bit-identical to the affine big.Int group law of curvetest it is
+// differential-tested against.
 //
 // The formulas are the standard ones for short Weierstrass curves with a
 // generic a-coefficient (here a = 1, so M = 3X² + Z⁴):
@@ -30,49 +24,7 @@
 // the inversion-free Miller loop in internal/pairing.
 package curve
 
-import (
-	"math/big"
-
-	"repro/internal/fp"
-	"repro/internal/mathx"
-)
-
-// sqrtMod computes a square root of the canonical residue a (0 ≤ a < p)
-// modulo the curve prime, returning the principal root a^((p+1)/4) exactly
-// as mathx.SqrtModP does for p ≡ 3 (mod 4) — enrolled keys depend on the two
-// being bit-identical. Non-residues yield mathx.ErrNoSquareRoot.
-func (c *Curve) sqrtMod(a *big.Int) (*big.Int, error) {
-	F := c.fld
-	if a.Sign() == 0 {
-		return new(big.Int), nil
-	}
-	m := F.NewElt()
-	if err := F.FromBig(m, a); err != nil {
-		return nil, err
-	}
-	r := F.NewElt()
-	F.Exp(r, m, c.sqrtExp)
-	// For p ≡ 3 (mod 4), a is a residue iff (a^((p+1)/4))² = a; this check
-	// replaces the Jacobi-symbol pretest of mathx.SqrtModP.
-	chk := F.NewElt()
-	F.Square(chk, r)
-	if !F.Equal(chk, m) {
-		return nil, mathx.ErrNoSquareRoot
-	}
-	return F.ToBig(r), nil
-}
-
-// montXY loads pt's affine coordinates (pt ≠ O) into fresh Montgomery limb
-// vectors.
-func (c *Curve) montXY(pt *Point) (x, y []uint64) {
-	x, y = c.fld.NewElt(), c.fld.NewElt()
-	// Point coordinates are canonical residues by construction (NewPoint
-	// and every group operation reduce, Unmarshal range-checks), so
-	// FromBig's only error — an input outside [0, p) — cannot occur.
-	_ = c.fld.FromBig(x, pt.x)
-	_ = c.fld.FromBig(y, pt.y)
-	return x, y
-}
+import "repro/internal/fp"
 
 // newElts allocates k zero field elements carved from one slab.
 func newElts(F *fp.Field, k int) [][]uint64 {
@@ -348,8 +300,8 @@ func ljBatchNormalize(F *fp.Field, pts []limbJac, prefix [][]uint64, s *ljScratc
 	return nil
 }
 
-// ljToPoint normalizes v back to the immutable affine representation (one
-// inversion): the canonical coordinates of the group element.
+// ljToPoint normalizes v into a fresh immutable Point (one inversion): the
+// canonical coordinates of the group element.
 func (c *Curve) ljToPoint(v *limbJac, s *ljScratch) *Point {
 	F := c.fld
 	if F.IsZero(v.z) {
@@ -361,10 +313,9 @@ func (c *Curve) ljToPoint(v *limbJac, s *ljScratch) *Point {
 	}
 	zInv2 := s.t2
 	F.Square(zInv2, zInv)
-	x := s.t3
-	F.Mul(x, v.x, zInv2)
-	y := s.t4
-	F.Mul(y, v.y, zInv2)
-	F.Mul(y, y, zInv)
-	return &Point{curve: c, x: F.ToBig(x), y: F.ToBig(y)}
+	pt := c.newPoint()
+	F.Mul(pt.x, v.x, zInv2)
+	F.Mul(pt.y, v.y, zInv2)
+	F.Mul(pt.y, pt.y, zInv)
+	return pt
 }

@@ -22,7 +22,8 @@
 // on the caller's goroutine, so the result is the exact group element of
 // the sequential evaluation regardless of scheduling — and equal group
 // elements have equal affine coordinates, making MSM bit-identical to the
-// MSMSequential oracle on either kernel (fuzzed in msm_test.go).
+// term-by-term oracle (curvetest.MSMSequential) on either kernel (fuzzed in
+// msm_test.go).
 package curve
 
 import (
@@ -37,8 +38,7 @@ import (
 	"repro/internal/parallel"
 )
 
-// errMSMShape is wrapped by the argument-validation errors of MSM and
-// MSMSequential.
+// errMSMShape is wrapped by MSM's argument-validation errors.
 var errMSMShape = errors.New("curve: invalid MSM arguments")
 
 // msmWindowBits picks the Pippenger window width for n points: wider
@@ -57,7 +57,7 @@ func msmWindowBits(n int) int {
 	return b
 }
 
-// msmCheckArgs validates the shared MSM/MSMSequential contract.
+// msmCheckArgs validates MSM's argument contract.
 func msmCheckArgs(scalars []*big.Int, points []*Point) error {
 	if len(scalars) != len(points) {
 		return fmt.Errorf("%w: %d scalars for %d points", errMSMShape, len(scalars), len(points))
@@ -125,7 +125,7 @@ const msmLadderMax = 32
 // wider than the group order (they are not reduced — the sum matches the
 // sequential ScalarMul semantics for arbitrary curve points, including
 // cofactor-order ones); identity points and zero scalars contribute nothing.
-// The result is bit-identical to MSMSequential.
+// The result is bit-identical to the term-by-term sum.
 func (c *Curve) MSM(scalars []*big.Int, points []*Point) (*Point, error) {
 	if err := msmCheckArgs(scalars, points); err != nil {
 		return nil, err
@@ -137,15 +137,9 @@ func (c *Curve) MSM(scalars []*big.Int, points []*Point) (*Point, error) {
 		return c.Infinity(), nil
 	}
 	if len(pts) > msmLadderMax {
-		return c.msmBuckets(ks, pts, start), nil
+		return c.msmBuckets(ks, pts, start)
 	}
-	out, err := c.msmLadder(ks, pts, start)
-	if err != nil {
-		// Unreachable for prime p (see ljBatchNormalize); the oracle keeps
-		// the kernel total.
-		return c.MSMSequential(scalars, points)
-	}
-	return out, nil
+	return c.msmLadder(ks, pts, start)
 }
 
 // msmTerms returns the contributing terms of Σ scalars[i]·points[i] as
@@ -156,7 +150,7 @@ func msmTerms(scalars []*big.Int, points []*Point) (ks []*big.Int, pts []*Point)
 	pts = make([]*Point, 0, len(points))
 	for i, pt := range points {
 		k := scalars[i]
-		if pt.inf || k.Sign() == 0 {
+		if pt.IsInfinity() || k.Sign() == 0 {
 			continue
 		}
 		if k.Sign() < 0 {
@@ -187,7 +181,7 @@ func (c *Curve) msmLadder(ks []*big.Int, pts []*Point, start time.Time) (*Point,
 
 // msmBuckets is the Pippenger kernel behind MSM: Σ ks[i]·pts[i] for positive
 // scalars and non-identity points.
-func (c *Curve) msmBuckets(ks []*big.Int, pts []*Point, start time.Time) *Point {
+func (c *Curve) msmBuckets(ks []*big.Int, pts []*Point, start time.Time) (*Point, error) {
 	F := c.fld
 	n := len(pts)
 
@@ -199,7 +193,7 @@ func (c *Curve) msmBuckets(ks []*big.Int, pts []*Point, start time.Time) *Point 
 	ysNeg := make([][]uint64, n)
 	maxBits := 0
 	for i, pt := range pts {
-		xs[i], ysPos[i] = c.montXY(pt)
+		xs[i], ysPos[i] = pt.x, pt.y
 		ysNeg[i] = F.NewElt()
 		F.Neg(ysNeg[i], ysPos[i])
 		words[i] = scalarWords(ks[i])
@@ -276,13 +270,8 @@ func (c *Curve) msmBuckets(ks []*big.Int, pts []*Point, start time.Time) *Point 
 			windowSums[j] = wj
 		}
 	})
-	for _, err := range windowErrs {
-		if err != nil {
-			// Unreachable in theory (see ljBatchNormalize); keep the kernel
-			// total by deferring to the oracle.
-			out, _ := c.MSMSequential(ks, pts) // its only error is the argument check MSM already passed
-			return out
-		}
+	if err := errors.Join(windowErrs...); err != nil {
+		return nil, err // unreachable for prime p (see ljBatchNormalize)
 	}
 
 	// Merge window sums most-significant first: b doublings then one
@@ -299,21 +288,7 @@ func (c *Curve) msmBuckets(ks []*big.Int, pts []*Point, start time.Time) *Point 
 	}
 	out := c.ljToPoint(&acc, s)
 	recordMSM(n, windows, b, time.Since(start))
-	return out
-}
-
-// MSMSequential is the point-by-point oracle for MSM: Σ scalars[i]·points[i]
-// evaluated with one w-NAF ScalarMul per term and affine additions. It is
-// the differential-test baseline (FuzzMSM).
-func (c *Curve) MSMSequential(scalars []*big.Int, points []*Point) (*Point, error) {
-	if err := msmCheckArgs(scalars, points); err != nil {
-		return nil, err
-	}
-	acc := c.Infinity()
-	for i := range points {
-		acc = acc.Add(points[i].ScalarMul(scalars[i]))
-	}
-	return acc, nil
+	return out, nil
 }
 
 // MSM kernel accounting: how large the multi-scalar sums are in production

@@ -1,4 +1,4 @@
-package curve
+package curve_test
 
 import (
 	"bytes"
@@ -8,12 +8,13 @@ import (
 	mrand "math/rand"
 	"sync"
 	"testing"
-	"time"
+
+	"repro/internal/curve"
+	"repro/internal/curve/curvetest"
 )
 
 // Paper-size parameters (|p| = 512, |q| = 160) for the kernel benchmarks.
-// These mirror internal/pairing's "paper" fixed set; they are duplicated
-// here because importing pairing from curve's internal tests would cycle.
+// These mirror internal/pairing's "paper" fixed set.
 const (
 	paperPHex = "b282da5c02935d5836473139df6751ee8e1fb07c917309c04088843b36435876d65dd173ce4ac63f883c05a59ad3a134e30ef32607e2a49c71e515d4dcc47eef"
 	paperQHex = "d766107fb0eace0a6ccd9d42e9492ba8bf2298ed"
@@ -25,14 +26,14 @@ const (
 	fastQHex = "e10324209a11be3de5ba91918d7c367d"
 )
 
-func paperCurve(tb testing.TB) *Curve { return hexCurve(tb, paperPHex, paperQHex) }
-func fastCurve(tb testing.TB) *Curve  { return hexCurve(tb, fastPHex, fastQHex) }
+func paperCurve(tb testing.TB) *curve.Curve { return hexCurve(tb, paperPHex, paperQHex) }
+func fastCurve(tb testing.TB) *curve.Curve  { return hexCurve(tb, fastPHex, fastQHex) }
 
-func hexCurve(tb testing.TB, pHex, qHex string) *Curve {
+func hexCurve(tb testing.TB, pHex, qHex string) *curve.Curve {
 	tb.Helper()
 	p, _ := new(big.Int).SetString(pHex, 16)
 	q, _ := new(big.Int).SetString(qHex, 16)
-	c, err := New(p, q)
+	c, err := curve.New(p, q)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -42,7 +43,7 @@ func hexCurve(tb testing.TB, pHex, qHex string) *Curve {
 // msmFixture builds n distinct points (an Add-chain from a random G1 base,
 // cheap even at paper size) and n scalars below q drawn from a deterministic
 // stream.
-func msmFixture(tb testing.TB, c *Curve, n int, seed int64) ([]*big.Int, []*Point) {
+func msmFixture(tb testing.TB, c *curve.Curve, n int, seed int64) ([]*big.Int, []*curve.Point) {
 	tb.Helper()
 	base, err := c.RandomG1(rand.Reader)
 	if err != nil {
@@ -50,7 +51,7 @@ func msmFixture(tb testing.TB, c *Curve, n int, seed int64) ([]*big.Int, []*Poin
 	}
 	rng := mrand.New(mrand.NewSource(seed))
 	scalars := make([]*big.Int, n)
-	points := make([]*Point, n)
+	points := make([]*curve.Point, n)
 	acc := base
 	for i := 0; i < n; i++ {
 		points[i] = acc
@@ -64,30 +65,29 @@ func msmFixture(tb testing.TB, c *Curve, n int, seed int64) ([]*big.Int, []*Poin
 // each of its two kernels run directly whatever the size, so the shapes a
 // test feeds in exercise the ladder and the buckets alike and not only the
 // one msmLadderMax routes them to.
-func msmKernels(tb testing.TB, c *Curve, scalars []*big.Int, points []*Point) map[string]*Point {
+func msmKernels(tb testing.TB, c *curve.Curve, scalars []*big.Int, points []*curve.Point) map[string]*curve.Point {
 	tb.Helper()
 	got, err := c.MSM(scalars, points)
 	if err != nil {
 		tb.Fatalf("MSM: %v", err)
 	}
-	out := map[string]*Point{"MSM": got}
-	if ks, pts := msmTerms(scalars, points); len(pts) > 0 {
-		if out["ladder"], err = c.msmLadder(ks, pts, time.Now()); err != nil {
+	out := map[string]*curve.Point{"MSM": got}
+	if ks, pts := curve.MSMTerms(scalars, points); len(pts) > 0 {
+		if out["ladder"], err = c.MSMLadder(ks, pts); err != nil {
 			tb.Fatalf("msmLadder: %v", err)
 		}
-		out["buckets"] = c.msmBuckets(ks, pts, time.Now())
+		if out["buckets"], err = c.MSMBuckets(ks, pts); err != nil {
+			tb.Fatalf("msmBuckets: %v", err)
+		}
 	}
 	return out
 }
 
 // checkMSM demands bit-identity of MSM and both kernels with the per-point
 // oracle.
-func checkMSM(tb testing.TB, c *Curve, scalars []*big.Int, points []*Point) {
+func checkMSM(tb testing.TB, c *curve.Curve, scalars []*big.Int, points []*curve.Point) {
 	tb.Helper()
-	want, err := c.MSMSequential(scalars, points)
-	if err != nil {
-		tb.Fatalf("MSMSequential: %v", err)
-	}
+	want := curvetest.MSMSequential(c, scalars, points)
 	for kernel, got := range msmKernels(tb, c, scalars, points) {
 		if !bytes.Equal(got.Marshal(), want.Marshal()) {
 			tb.Fatalf("%s %x diverges from the sequential oracle %x", kernel, got.Marshal(), want.Marshal())
@@ -105,7 +105,7 @@ func TestMSMMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var cof *Point
+	var cof *curve.Point
 	for {
 		R, err := c.RandomPoint(rand.Reader)
 		if err != nil {
@@ -123,28 +123,28 @@ func TestMSMMatchesSequential(t *testing.T) {
 	cases := []struct {
 		name    string
 		scalars []*big.Int
-		points  []*Point
+		points  []*curve.Point
 	}{
 		{"empty", nil, nil},
-		{"single", []*big.Int{big.NewInt(5)}, []*Point{P}},
-		{"single.one", []*big.Int{big.NewInt(1)}, []*Point{P}},
-		{"single.zero", []*big.Int{big.NewInt(0)}, []*Point{P}},
-		{"single.neg", []*big.Int{big.NewInt(-9)}, []*Point{P}},
-		{"single.qm1", []*big.Int{qm1}, []*Point{P}},
-		{"single.q", []*big.Int{new(big.Int).Set(q)}, []*Point{P}},
-		{"single.wide", []*big.Int{big1}, []*Point{P}},
-		{"infinity.only", []*big.Int{big.NewInt(7)}, []*Point{c.Infinity()}},
-		{"cofactor.point", []*big.Int{big.NewInt(11), big.NewInt(3)}, []*Point{cof, P}},
-		{"repeated.point", []*big.Int{big.NewInt(2), big.NewInt(3), big.NewInt(4)}, []*Point{P, P, P}},
-		{"cancel", []*big.Int{big.NewInt(6), big.NewInt(-6)}, []*Point{P, P}},
+		{"single", []*big.Int{big.NewInt(5)}, []*curve.Point{P}},
+		{"single.one", []*big.Int{big.NewInt(1)}, []*curve.Point{P}},
+		{"single.zero", []*big.Int{big.NewInt(0)}, []*curve.Point{P}},
+		{"single.neg", []*big.Int{big.NewInt(-9)}, []*curve.Point{P}},
+		{"single.qm1", []*big.Int{qm1}, []*curve.Point{P}},
+		{"single.q", []*big.Int{new(big.Int).Set(q)}, []*curve.Point{P}},
+		{"single.wide", []*big.Int{big1}, []*curve.Point{P}},
+		{"infinity.only", []*big.Int{big.NewInt(7)}, []*curve.Point{c.Infinity()}},
+		{"cofactor.point", []*big.Int{big.NewInt(11), big.NewInt(3)}, []*curve.Point{cof, P}},
+		{"repeated.point", []*big.Int{big.NewInt(2), big.NewInt(3), big.NewInt(4)}, []*curve.Point{P, P, P}},
+		{"cancel", []*big.Int{big.NewInt(6), big.NewInt(-6)}, []*curve.Point{P, P}},
 		{"mixed", []*big.Int{big.NewInt(0), qm1, big.NewInt(-1), big1, new(big.Int).Set(q)},
-			[]*Point{P, P.Double(), c.Infinity(), cof, P.Add(P.Double())}},
+			[]*curve.Point{P, P.Double(), c.Infinity(), cof, P.Add(P.Double())}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) { checkMSM(t, c, tc.scalars, tc.points) })
 	}
 
-	for _, n := range []int{1, 2, 3, 7, msmLadderMax, msmLadderMax + 1, 64, 129} {
+	for _, n := range []int{1, 2, 3, 7, curve.MSMLadderMax, curve.MSMLadderMax + 1, 64, 129} {
 		scalars, points := msmFixture(t, c, n, int64(1000+n))
 		checkMSM(t, c, scalars, points)
 	}
@@ -155,7 +155,7 @@ func TestMSMMatchesSequential(t *testing.T) {
 // half-width scalars the batched share-proof check uses mixed in: the
 // interleaved ladder picks a narrower window for those.
 func TestMSMSmallSizes(t *testing.T) {
-	curves := map[string]*Curve{"toy": toyCurve(t), "fast": fastCurve(t), "paper": paperCurve(t)}
+	curves := map[string]*curve.Curve{"toy": toyCurve(t), "fast": fastCurve(t), "paper": paperCurve(t)}
 	for name, c := range curves {
 		for n := 1; n <= 8; n++ {
 			scalars, points := msmFixture(t, c, n, int64(31*n))
@@ -180,17 +180,17 @@ func TestMSMOrderTwoPoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for kernel, odd := range msmKernels(t, c, []*big.Int{big.NewInt(5)}, []*Point{T}) {
+	for kernel, odd := range msmKernels(t, c, []*big.Int{big.NewInt(5)}, []*curve.Point{T}) {
 		if !odd.Equal(T) {
 			t.Fatalf("%s: 5·(0,0) = %v, want (0,0)", kernel, odd)
 		}
 	}
-	for kernel, even := range msmKernels(t, c, []*big.Int{big.NewInt(4)}, []*Point{T}) {
+	for kernel, even := range msmKernels(t, c, []*big.Int{big.NewInt(4)}, []*curve.Point{T}) {
 		if !even.IsInfinity() {
 			t.Fatalf("%s: 4·(0,0) = %v, want O", kernel, even)
 		}
 	}
-	for kernel, mixed := range msmKernels(t, c, []*big.Int{big.NewInt(3), big.NewInt(2)}, []*Point{T, P}) {
+	for kernel, mixed := range msmKernels(t, c, []*big.Int{big.NewInt(3), big.NewInt(2)}, []*curve.Point{T, P}) {
 		if !mixed.Equal(T.Add(P.Double())) {
 			t.Fatalf("%s: 3·(0,0) + 2·P mismatch", kernel)
 		}
@@ -207,17 +207,14 @@ func TestMSMErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	one := big.NewInt(1)
-	if _, err := c.MSM([]*big.Int{one, one}, []*Point{P}); !errors.Is(err, errMSMShape) {
+	if _, err := c.MSM([]*big.Int{one, one}, []*curve.Point{P}); !errors.Is(err, curve.ErrMSMShape) {
 		t.Fatalf("length mismatch: err = %v", err)
 	}
-	if _, err := c.MSM([]*big.Int{nil}, []*Point{P}); !errors.Is(err, errMSMShape) {
+	if _, err := c.MSM([]*big.Int{nil}, []*curve.Point{P}); !errors.Is(err, curve.ErrMSMShape) {
 		t.Fatalf("nil scalar: err = %v", err)
 	}
-	if _, err := c.MSM([]*big.Int{one}, []*Point{nil}); !errors.Is(err, errMSMShape) {
+	if _, err := c.MSM([]*big.Int{one}, []*curve.Point{nil}); !errors.Is(err, curve.ErrMSMShape) {
 		t.Fatalf("nil point: err = %v", err)
-	}
-	if _, err := c.MSMSequential([]*big.Int{one}, []*Point{nil}); !errors.Is(err, errMSMShape) {
-		t.Fatalf("sequential nil point: err = %v", err)
 	}
 }
 
@@ -269,7 +266,7 @@ func TestMSMConcurrent(t *testing.T) {
 // and that Neg propagates the cache.
 func TestInSubgroupCached(t *testing.T) {
 	c := toyCurve(t)
-	oracle := func(pt *Point) bool { return pt.ScalarMul(c.Q()).IsInfinity() }
+	oracle := func(pt *curve.Point) bool { return pt.ScalarMul(c.Q()).IsInfinity() }
 
 	for i := 0; i < 20; i++ {
 		P, err := c.RandomPoint(rand.Reader)
@@ -297,7 +294,7 @@ func TestInSubgroupCached(t *testing.T) {
 	if !c.Infinity().InSubgroup() {
 		t.Fatal("O must be in the subgroup")
 	}
-	var cof *Point
+	var cof *curve.Point
 	for {
 		R, err := c.RandomPoint(rand.Reader)
 		if err != nil {
@@ -326,7 +323,7 @@ func FuzzMSM(f *testing.F) {
 	f.Add(int64(99), uint8(64))
 	p, _ := new(big.Int).SetString(toyPHex, 16)
 	qv, _ := new(big.Int).SetString(toyQHex, 16)
-	c, err := New(p, qv)
+	c, err := curve.New(p, qv)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -340,8 +337,8 @@ func FuzzMSM(f *testing.F) {
 		n := int(nRaw % 40)
 		rng := mrand.New(mrand.NewSource(seed))
 		scalars := make([]*big.Int, n)
-		points := make([]*Point, n)
-		var prev *Point
+		points := make([]*curve.Point, n)
+		var prev *curve.Point
 		for i := 0; i < n; i++ {
 			switch rng.Intn(8) {
 			case 0:
@@ -390,9 +387,7 @@ func BenchmarkMSM(b *testing.B) {
 		b.Run(benchName("sequential", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := c.MSMSequential(scalars, points); err != nil {
-					b.Fatal(err)
-				}
+				curvetest.MSMSequential(c, scalars, points)
 			}
 		})
 	}
@@ -403,11 +398,11 @@ func BenchmarkMSM(b *testing.B) {
 func BenchmarkMSMCrossover(b *testing.B) {
 	c := paperCurve(b)
 	for _, n := range []int{1, 3, 5, 8, 12, 16, 24, 32, 48, 64} {
-		ks, pts := msmTerms(msmFixture(b, c, n, int64(n)))
+		ks, pts := curve.MSMTerms(msmFixture(b, c, n, int64(n)))
 		b.Run(benchName("ladder", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := c.msmLadder(ks, pts, time.Now()); err != nil {
+				if _, err := c.MSMLadder(ks, pts); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -415,7 +410,9 @@ func BenchmarkMSMCrossover(b *testing.B) {
 		b.Run(benchName("buckets", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				c.msmBuckets(ks, pts, time.Now())
+				if _, err := c.MSMBuckets(ks, pts); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

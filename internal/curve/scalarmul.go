@@ -75,7 +75,7 @@ func (c *Curve) ladder(pts []*Point, ks []naf, s *ljScratch) (limbJac, error) {
 	twoP := newLimbJac(F)
 	off := 0
 	for i, k := range ks {
-		bx, by := c.montXY(pts[i])
+		bx, by := pts[i].x, pts[i].y
 		row := table[off : off+k.oddMultiples()]
 		off += len(row)
 		row[0].setAffine(F, bx, by)
@@ -125,18 +125,16 @@ func (c *Curve) ladder(pts []*Point, ks []naf, s *ljScratch) (limbJac, error) {
 	return acc, nil
 }
 
-// mulRecoded returns k·pt for a positive scalar k and its recoding.
-func (pt *Point) mulRecoded(k *big.Int, rec naf) *Point {
-	if pt.inf {
+// mulRecoded returns k·pt for the recoding of a positive scalar k.
+func (pt *Point) mulRecoded(rec naf) *Point {
+	if pt.IsInfinity() {
 		return pt
 	}
 	c := pt.curve
 	s := newLjScratch(c.fld)
 	acc, err := c.ladder([]*Point{pt}, []naf{rec}, s)
 	if err != nil {
-		// Unreachable for prime p (see ljBatchNormalize); the affine oracle
-		// keeps the operation total.
-		return pt.ScalarMulBinary(k)
+		return c.Infinity() // unreachable for prime p (see ljBatchNormalize)
 	}
 	return c.ljToPoint(&acc, s)
 }
@@ -144,11 +142,11 @@ func (pt *Point) mulRecoded(k *big.Int, rec naf) *Point {
 // ScalarMul returns k·P. Negative scalars are handled as (−k)·(−P).
 //
 // The multiplication runs on the limb Jacobian layer with a width-w NAF
-// recoding of the scalar; the final result is normalized back to affine
-// form, so outputs are bit-identical to the affine double-and-add ladder
-// (retained as ScalarMulBinary, the differential-test oracle).
+// recoding of the scalar; the result is normalized once, so outputs are
+// bit-identical to the affine double-and-add ladder (curvetest, the
+// differential-test oracle).
 func (pt *Point) ScalarMul(k *big.Int) *Point {
-	if pt.inf || k.Sign() == 0 {
+	if pt.IsInfinity() || k.Sign() == 0 {
 		return pt.curve.Infinity()
 	}
 	base := pt
@@ -157,31 +155,7 @@ func (pt *Point) ScalarMul(k *big.Int) *Point {
 		base = pt.Neg()
 		scalar = new(big.Int).Neg(k)
 	}
-	return base.mulRecoded(scalar, recode(scalar))
-}
-
-// ScalarMulBinary is the affine left-to-right double-and-add ladder over
-// big.Int coordinates: the correctness oracle for the Jacobian/w-NAF path
-// (differential tests, FuzzScalarMul) and the coordinates ablation baseline.
-func (pt *Point) ScalarMulBinary(k *big.Int) *Point {
-	c := pt.curve
-	if pt.inf || k.Sign() == 0 {
-		return c.Infinity()
-	}
-	base := pt
-	scalar := k
-	if k.Sign() < 0 {
-		base = pt.Neg()
-		scalar = new(big.Int).Neg(k)
-	}
-	acc := c.Infinity()
-	for i := scalar.BitLen() - 1; i >= 0; i-- {
-		acc = acc.Double()
-		if scalar.Bit(i) == 1 {
-			acc = acc.Add(base)
-		}
-	}
-	return acc
+	return base.mulRecoded(recode(scalar))
 }
 
 // Precomputed is a fixed-base scalar-multiplication table for a long-lived
@@ -224,8 +198,7 @@ func NewPrecomputed(base *Point, order *big.Int) (*Precomputed, error) {
 
 	// Window bases 2^(wj)·base by repeated doubling, normalized together.
 	bases := newLimbJacs(F, windows)
-	bx, by := c.montXY(base)
-	bases[0].setAffine(F, bx, by)
+	bases[0].setAffine(F, base.x, base.y)
 	for j := 1; j < windows; j++ {
 		bases[j].set(F, &bases[j-1])
 		for b := 0; b < precompWindow; b++ {

@@ -1,4 +1,4 @@
-package curve
+package curve_test
 
 import (
 	"bytes"
@@ -6,6 +6,9 @@ import (
 	"errors"
 	"math/big"
 	"testing"
+
+	"repro/internal/curve"
+	"repro/internal/curve/curvetest"
 )
 
 // randScalarBits returns a uniform scalar of up to bits bits (occasionally
@@ -27,7 +30,7 @@ func randScalarBits(t *testing.T, bits int, i int) *big.Int {
 // random (point, scalar) pairs, including scalars wider than q.
 func TestScalarMulDifferential(t *testing.T) {
 	c := toyCurve(t)
-	points := make([]*Point, 10)
+	points := make([]*curve.Point, 10)
 	for i := range points {
 		P, err := c.RandomPoint(rand.Reader) // full group, not just G1
 		if err != nil {
@@ -40,7 +43,7 @@ func TestScalarMulDifferential(t *testing.T) {
 		bits := 8 + i%120 // from tiny scalars past |q| = 32 up to > |p|
 		k := randScalarBits(t, bits, i)
 		fast := P.ScalarMul(k)
-		slow := P.ScalarMulBinary(k)
+		slow := curvetest.ScalarMulBinary(P, k)
 		if !fast.Equal(slow) {
 			t.Fatalf("iter %d: wNAF %v ≠ ladder %v for k=%v", i, fast, slow, k)
 		}
@@ -91,14 +94,14 @@ func TestPrecomputedDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pc, err := NewPrecomputed(P, c.Q())
+	pc, err := curve.NewPrecomputed(P, c.Q())
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 1000; i++ {
 		k := randScalarBits(t, 8+i%60, i) // exercises k > q and k < 0 (mod-order reduction)
 		fast := pc.ScalarMul(k)
-		slow := P.ScalarMulBinary(new(big.Int).Mod(k, c.Q()))
+		slow := curvetest.ScalarMulBinary(P, new(big.Int).Mod(k, c.Q()))
 		if !fast.Equal(slow) {
 			t.Fatalf("iter %d: comb %v ≠ ladder %v for k=%v", i, fast, slow, k)
 		}
@@ -109,18 +112,18 @@ func TestPrecomputedDifferential(t *testing.T) {
 	if !pc.ScalarMul(c.Q()).IsInfinity() {
 		t.Error("comb q·P ≠ O")
 	}
-	if pc.TableSize() != (c.Q().BitLen()+precompWindow-1)/precompWindow*(1<<precompWindow-1) {
+	if pc.TableSize() != (c.Q().BitLen()+curve.PrecompWindow-1)/curve.PrecompWindow*(1<<curve.PrecompWindow-1) {
 		t.Errorf("unexpected table size %d", pc.TableSize())
 	}
 }
 
 func TestPrecomputedRejectsBadInput(t *testing.T) {
 	c := toyCurve(t)
-	if _, err := NewPrecomputed(c.Infinity(), c.Q()); err == nil {
+	if _, err := curve.NewPrecomputed(c.Infinity(), c.Q()); err == nil {
 		t.Error("precomputing O must fail")
 	}
 	P, _ := c.RandomG1(rand.Reader)
-	if _, err := NewPrecomputed(P, big.NewInt(0)); err == nil {
+	if _, err := curve.NewPrecomputed(P, big.NewInt(0)); err == nil {
 		t.Error("non-positive order must fail")
 	}
 }
@@ -129,36 +132,26 @@ func TestPrecomputedRejectsBadInput(t *testing.T) {
 // the affine big.Int group law, including interleaved points at infinity.
 func TestBatchToAffine(t *testing.T) {
 	c := toyCurve(t)
-	F := c.fld
-	s := newLjScratch(F)
-	jacs := newLimbJacs(F, 40)
-	var want []*Point
-	for i := range jacs {
+	pts := make([]*curve.Point, 40)
+	want := make([]*curve.Point, len(pts))
+	for i := range pts {
 		if i%5 == 3 {
-			want = append(want, c.Infinity()) // jacs[i] stays at Z = 0
+			pts[i], want[i] = c.Infinity(), c.Infinity()
 			continue
 		}
 		P, err := c.RandomPoint(rand.Reader)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Give the point a non-trivial Z by running it through a doubling
-		// and a mixed addition.
-		x, y := c.montXY(P)
-		jacs[i].setAffine(F, x, y)
-		ljDouble(F, &jacs[i], s)
-		ljAddMixed(F, &jacs[i], x, y, s)
-		want = append(want, P.Double().Add(P))
+		pts[i], want[i] = P, curvetest.Add(curvetest.Double(P), P)
 	}
-	if err := ljBatchNormalize(F, jacs, newElts(F, len(jacs)), s); err != nil {
+	got, err := c.BatchTriple(pts)
+	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range jacs {
-		if !F.IsZero(jacs[i].z) && !F.IsOne(jacs[i].z) {
-			t.Fatalf("point %d left with Z ∉ {0, 1}", i)
-		}
-		if got := c.ljToPoint(&jacs[i], s); !got.Equal(want[i]) {
-			t.Fatalf("batch normalization differs at %d: %v vs %v", i, got, want[i])
+	for i := range got {
+		if !got[i].Equal(want[i]) {
+			t.Fatalf("batch normalization differs at %d: %v vs %v", i, got[i], want[i])
 		}
 	}
 }
@@ -168,7 +161,7 @@ func TestBatchToAffine(t *testing.T) {
 // is the subgroup check the untrusted-input boundaries rely on.
 func TestValidateRejectsCofactorPoint(t *testing.T) {
 	c := toyCurve(t)
-	var small *Point
+	var small *curve.Point
 	for {
 		P, err := c.RandomPoint(rand.Reader)
 		if err != nil {
@@ -187,11 +180,11 @@ func TestValidateRejectsCofactorPoint(t *testing.T) {
 	if err != nil {
 		t.Fatalf("cofactor point must decode (it is on the curve): %v", err)
 	}
-	if err := decoded.Validate(); !errors.Is(err, ErrNotInSubgroup) {
-		t.Fatalf("Validate = %v, want ErrNotInSubgroup", err)
+	if err := decoded.Validate(); !errors.Is(err, curve.ErrNotInSubgroup) {
+		t.Fatalf("Validate = %v, want curve.ErrNotInSubgroup", err)
 	}
-	if err := c.Infinity().Validate(); !errors.Is(err, ErrNotInSubgroup) {
-		t.Fatalf("Validate(O) = %v, want ErrNotInSubgroup", err)
+	if err := c.Infinity().Validate(); !errors.Is(err, curve.ErrNotInSubgroup) {
+		t.Fatalf("Validate(O) = %v, want curve.ErrNotInSubgroup", err)
 	}
 	P, _ := c.RandomG1(rand.Reader)
 	if err := P.Validate(); err != nil {
@@ -202,7 +195,7 @@ func TestValidateRejectsCofactorPoint(t *testing.T) {
 func BenchmarkScalarMulStrategies(b *testing.B) {
 	p, _ := new(big.Int).SetString(toyPHex, 16)
 	q, _ := new(big.Int).SetString(toyQHex, 16)
-	c, err := New(p, q)
+	c, err := curve.New(p, q)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -210,7 +203,7 @@ func BenchmarkScalarMulStrategies(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pc, err := NewPrecomputed(P, c.Q())
+	pc, err := curve.NewPrecomputed(P, c.Q())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -230,7 +223,7 @@ func BenchmarkScalarMulStrategies(b *testing.B) {
 	b.Run("binary-ladder", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			P.ScalarMulBinary(k)
+			curvetest.ScalarMulBinary(P, k)
 		}
 	})
 }
@@ -247,7 +240,7 @@ func FuzzScalarMul(f *testing.F) {
 	f.Add([]byte(""), []byte{0x07}, true, uint8(3))
 	p, _ := new(big.Int).SetString(toyPHex, 16)
 	q, _ := new(big.Int).SetString(toyQHex, 16)
-	c, err := New(p, q)
+	c, err := curve.New(p, q)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -270,18 +263,18 @@ func FuzzScalarMul(f *testing.F) {
 		}
 		switch kind % 4 {
 		case 1:
-			base = base.ScalarMulBinary(c.Cofactor()) // G1
+			base = curvetest.ScalarMulBinary(base, c.Cofactor()) // G1
 		case 2:
-			base = base.ScalarMulBinary(q) // cofactor order
+			base = curvetest.ScalarMulBinary(base, q) // cofactor order
 		case 3:
 			base = two
 		}
-		got, want := base.ScalarMul(k), base.ScalarMulBinary(k)
+		got, want := base.ScalarMul(k), curvetest.ScalarMulBinary(base, k)
 		if !bytes.Equal(got.Marshal(), want.Marshal()) {
 			t.Fatalf("kind=%d k=%v base=%v: w-NAF %v ≠ oracle %v", kind%4, k, base, got, want)
 		}
 		if kind%4 == 1 && !base.IsInfinity() {
-			pc, err := NewPrecomputed(base, q)
+			pc, err := curve.NewPrecomputed(base, q)
 			if err != nil {
 				t.Fatal(err)
 			}

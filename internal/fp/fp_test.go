@@ -1,6 +1,7 @@
 package fp
 
 import (
+	"bytes"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -127,6 +128,70 @@ func TestRoundTripAndConstants(t *testing.T) {
 			}
 			if err := f.FromBig(f.NewElt(), p); err == nil {
 				t.Fatal("FromBig accepted p itself")
+			}
+		})
+	}
+}
+
+// TestBytesCodec holds the bytes ↔ Montgomery codec to the big.Int edge it
+// replaces on the wire: SetBytes is FromBig∘SetBytes, FillBytes is
+// FillBytes∘ToBig and Parity is ToBig's low bit on every modulus width
+// (ByteLen is not a whole number of limbs for most), p and everything above
+// it is refused, so is any other length, and nothing allocates.
+func TestBytesCodec(t *testing.T) {
+	for _, tm := range testModuli {
+		t.Run(tm.name, func(t *testing.T) {
+			f, p := mustField(t, tm.name)
+			size := f.ByteLen()
+			if size != (p.BitLen()+7)/8 {
+				t.Fatalf("ByteLen = %d for a %d-bit modulus", size, p.BitLen())
+			}
+			rng := rand.New(rand.NewSource(int64(size)))
+			vals := boundaryValues(p)
+			for i := 0; i < 50; i++ {
+				vals = append(vals, new(big.Int).Rand(rng, p))
+			}
+			z, want := f.NewElt(), f.NewElt()
+			enc, out := make([]byte, size), make([]byte, size)
+			for _, v := range vals {
+				v.FillBytes(enc)
+				if err := f.SetBytes(z, enc); err != nil {
+					t.Fatalf("SetBytes(%x): %v", enc, err)
+				}
+				if err := f.FromBig(want, v); err != nil {
+					t.Fatal(err)
+				}
+				if !f.Equal(z, want) {
+					t.Fatalf("SetBytes(%x) ≠ FromBig", enc)
+				}
+				if f.FillBytes(out, z); !bytes.Equal(out, enc) {
+					t.Fatalf("FillBytes = %x, want %x", out, enc)
+				}
+				if f.Parity(z) != v.Bit(0) {
+					t.Fatalf("Parity(%v) = %d", v, f.Parity(z))
+				}
+			}
+			limit := new(big.Int).Lsh(big.NewInt(1), uint(8*size))
+			for _, v := range []*big.Int{p, new(big.Int).Add(p, big.NewInt(1)), new(big.Int).Sub(limit, big.NewInt(1))} {
+				if v.Cmp(limit) >= 0 {
+					continue // p fills its last byte: nothing above it fits
+				}
+				if err := f.SetBytes(z, v.FillBytes(enc)); err == nil {
+					t.Fatalf("SetBytes accepted %v ≥ p", v)
+				}
+			}
+			if f.SetBytes(z, enc[:size-1]) == nil || f.SetBytes(z, append(enc, 0)) == nil {
+				t.Fatal("SetBytes accepted an encoding of the wrong length")
+			}
+			vals[3].FillBytes(enc)
+			for name, op := range map[string]func(){
+				"SetBytes":  func() { _ = f.SetBytes(z, enc) },
+				"FillBytes": func() { f.FillBytes(out, z) },
+				"Parity":    func() { f.Parity(z) },
+			} {
+				if allocs := testing.AllocsPerRun(100, op); allocs != 0 {
+					t.Errorf("%s allocates %.1f objects/op, want 0", name, allocs)
+				}
 			}
 		})
 	}

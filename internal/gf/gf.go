@@ -8,17 +8,18 @@
 // Coordinates are stored as Montgomery-form limb vectors backed by
 // internal/fp, so the tower multiplications run on raw uint64 arithmetic
 // with zero heap allocations; *big.Int appears only at the edges
-// (construction, serialization, String) where values enter or leave the
-// field. Because inversion is Fermat-based in the limb backend, the modulus
-// handed to NewField must be prime — every caller in this repository
-// constructs fields over the primes produced by param generation.
+// (construction from integers, Re/Im, String) — serialization goes through
+// fp's bytes codec, limbs to wire and back. Because inversion is Fermat-based
+// in the limb backend, the modulus handed to NewField must be prime — every
+// caller in this repository constructs fields over the primes produced by
+// param generation.
 //
 // All operations are immutable with respect to their operands: methods on
 // *Element write into the receiver and return it (math/big style), so
 // chains like e.Mul(x, y).Square(e) work, and no method retains references
 // to argument internals.
 //
-//cryptolint:vartime (big.Int extension-field backend; the constant-time GT path is the fp limb backend)
+//cryptolint:vartime (Exp and the Lucas ladder branch on their exponent's bits — public q and (p+1)/q in every in-repo caller but GT.Exp's — and Inverse and ExpUnitaryPart invert with fp.InvVarTime; the coordinate arithmetic underneath is fp's constant-time contract)
 package gf
 
 import (
@@ -59,7 +60,7 @@ func NewField(p *big.Int) (*Field, error) {
 	f := &Field{
 		p:    new(big.Int).Set(p),
 		fp:   base,
-		size: (p.BitLen() + 7) / 8,
+		size: base.ByteLen(),
 		one:  base.NewElt(),
 	}
 	base.SetOne(f.one)
@@ -465,29 +466,29 @@ func (e *Element) UnitaryOrderDivides(k *big.Int) bool {
 
 // String renders the element as "a + b·i" for debugging.
 func (e *Element) String() string {
-	return fmt.Sprintf("%v + %v·i", e.Re(), e.Im())
+	return fmt.Sprintf("%v + %v·i", e.Re(), e.Im()) //cryptolint:public (String is the debug rendering; secretleak judges who prints which element at String's call sites)
 }
 
 // Bytes serializes the element as the fixed-width big-endian concatenation
-// a ‖ b, each ⌈|p|/8⌉ bytes.
+// a ‖ b, each ⌈|p|/8⌉ bytes, straight from the limbs.
 func (e *Element) Bytes() []byte {
 	size := e.f.size
 	out := make([]byte, 2*size)
-	e.Re().FillBytes(out[:size])
-	e.Im().FillBytes(out[size:])
+	e.f.fp.FillBytes(out[:size], e.a)
+	e.f.fp.FillBytes(out[size:], e.b)
 	return out
 }
 
-// ElementFromBytes parses the serialization produced by Element.Bytes.
+// ElementFromBytes parses the serialization produced by Element.Bytes
+// straight into limbs.
 func (f *Field) ElementFromBytes(data []byte) (*Element, error) {
 	size := f.size
 	if len(data) != 2*size {
 		return nil, fmt.Errorf("gf: element encoding must be %d bytes, got %d", 2*size, len(data))
 	}
-	a := new(big.Int).SetBytes(data[:size])
-	b := new(big.Int).SetBytes(data[size:])
-	if a.Cmp(f.p) >= 0 || b.Cmp(f.p) >= 0 {
+	e := f.Zero()
+	if f.fp.SetBytes(e.a, data[:size]) != nil || f.fp.SetBytes(e.b, data[size:]) != nil {
 		return nil, fmt.Errorf("gf: coordinate out of field range")
 	}
-	return f.NewElement(a, b), nil
+	return e, nil
 }

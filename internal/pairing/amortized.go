@@ -10,16 +10,16 @@
 //	l(φQ) = (a + b·x_Q) + (c·y_Q)·i,   a, b, c ∈ F_p,
 //
 // where (a, b, c) depend only on V and P — not on Q. millerVars computes
-// these generic coefficients while advancing V with the inversion-free
-// Jacobian formulas of millerJacobian (see pairing.go for their derivation);
-// each step's overall F_p* scale is arbitrary because the final
-// exponentiation (p²−1)/q annihilates F_p*.
+// these generic coefficients while advancing V with inversion-free Jacobian
+// formulas (derived at doubleStep and addStep); each step's overall F_p*
+// scale is arbitrary because the final exponentiation (p²−1)/q annihilates
+// F_p*.
 //
-// Three consumers:
+// Two consumers:
 //
-//   - Pair feeds (a, b, c) straight into the accumulator (pairing.go);
-//   - MultiPair runs n walks in lock-step sharing one accumulator squaring
-//     per iteration and a single final exponentiation;
+//   - MultiPair runs n walks in lock-step (millerProduct), feeding (a, b, c)
+//     straight into one accumulator with one squaring per iteration and a
+//     single final exponentiation; Pair is its one-pair case;
 //   - FixedPair runs the walk once at construction, normalizes each line by
 //     1/c (another F_p* scale) to the two-coefficient form
 //     (α·x_Q + β) + y_Q·i, and replays the recorded program against any
@@ -28,7 +28,6 @@ package pairing
 
 import (
 	"fmt"
-	"math/big"
 
 	"repro/internal/curve"
 	"repro/internal/fp"
@@ -36,22 +35,12 @@ import (
 	"repro/internal/parallel"
 )
 
-// toMont converts a canonical affine coordinate (a residue in [0, p)) into
-// a freshly allocated Montgomery limb vector. Curve points only ever hold
-// canonical residues; the reduction branch is defensive.
-func toMont(F *fp.Field, v *big.Int) []uint64 {
-	z := F.NewElt()
-	if err := F.FromBig(z, v); err != nil {
-		_ = F.FromBig(z, new(big.Int).Mod(v, F.P()))
-	}
-	return z
-}
-
 // millerVars is the running state of one Miller-loop traversal: the affine
-// base P, the running point V in Jacobian coordinates, and scratch storage
-// reused across steps. All coordinates are Montgomery limb vectors — the
-// entire walk runs on internal/fp with no big.Int arithmetic and no heap
-// allocation per step.
+// base P — the point's own limbs, read in place — the running point V in
+// Jacobian coordinates, and scratch storage reused across steps, all carved
+// from one slab. All coordinates are Montgomery limb vectors — the entire walk
+// runs on internal/fp with no big.Int arithmetic and no heap allocation per
+// step.
 type millerVars struct {
 	F       *fp.Field //cryptolint:public (field parameters)
 	xP, yP  []uint64  // affine base point P
@@ -61,18 +50,18 @@ type millerVars struct {
 	t1, t2, t3, t4, t5, t6 []uint64
 }
 
+// newMillerVars starts a walk at V = P for a finite point P.
 func newMillerVars(F *fp.Field, pt *curve.Point) *millerVars {
+	w := F.Limbs()
+	slab := make([]uint64, 10*w)
+	elt := func(k int) []uint64 { return slab[k*w : (k+1)*w : (k+1)*w] }
 	mv := &millerVars{
-		F:   F,
-		xP:  toMont(F, pt.X()),
-		yP:  toMont(F, pt.Y()),
-		Z:   F.NewElt(),
-		one: F.NewElt(),
-		t1:  F.NewElt(), t2: F.NewElt(), t3: F.NewElt(),
-		t4: F.NewElt(), t5: F.NewElt(), t6: F.NewElt(),
+		F: F, X: elt(0), Y: elt(1), Z: elt(2), one: elt(3),
+		t1: elt(4), t2: elt(5), t3: elt(6), t4: elt(7), t5: elt(8), t6: elt(9),
 	}
-	mv.X = append([]uint64(nil), mv.xP...)
-	mv.Y = append([]uint64(nil), mv.yP...)
+	mv.xP, mv.yP = pt.Mont()
+	F.Set(mv.X, mv.xP)
+	F.Set(mv.Y, mv.yP)
 	F.SetOne(mv.Z)
 	F.SetOne(mv.one)
 	return mv
@@ -264,11 +253,7 @@ func (pp *Params) MultiPair(ps, qs []*curve.Point) (*GT, error) {
 		if ps[i].IsInfinity() || qs[i].IsInfinity() {
 			continue // ê(P, O) = ê(O, Q) = 1
 		}
-		live = append(live, livePair{
-			mv: newMillerVars(F, ps[i]),
-			xQ: toMont(F, qs[i].X()),
-			yQ: toMont(F, qs[i].Y()),
-		})
+		live = append(live, newLivePair(F, ps[i], qs[i]))
 	}
 	engineCounters.multiCalls.Add(1)
 	engineCounters.multiPairs.Add(uint64(len(ps)))
@@ -298,11 +283,7 @@ func (pp *Params) MultiPair(ps, qs []*curve.Point) (*GT, error) {
 			f.Mul(f, fk)
 		}
 	}
-	v, err := pp.finalExp(f)
-	if err != nil {
-		return nil, err
-	}
-	return &GT{v: v, q: pp.curve.Q()}, nil
+	return pp.finalExp(f), nil
 }
 
 // livePair is one contributing (P, Q) pair of a MultiPair product: the
@@ -310,6 +291,12 @@ func (pp *Params) MultiPair(ps, qs []*curve.Point) (*GT, error) {
 type livePair struct {
 	mv     *millerVars
 	xQ, yQ []uint64
+}
+
+func newLivePair(F *fp.Field, p1, q1 *curve.Point) livePair {
+	lp := livePair{mv: newMillerVars(F, p1)}
+	lp.xQ, lp.yQ = q1.Mont()
+	return lp
 }
 
 // millerProduct runs the lock-step shared-squaring Miller loop over live and
@@ -448,7 +435,7 @@ func (fp *FixedPair) Pair(q1 *curve.Point) (*GT, error) {
 	}
 	fld := pp.field
 	F := fld.Fp()
-	xQ, yQ := toMont(F, q1.X()), toMont(F, q1.Y())
+	xQ, yQ := q1.Mont()
 
 	f := fld.One()
 	line := fld.One()
@@ -465,11 +452,7 @@ func (fp *FixedPair) Pair(q1 *curve.Point) (*GT, error) {
 		F.Add(re, re, st.beta)
 		f.Mul(f, fld.SetMont(line, re, yQ))
 	}
-	v, err := pp.finalExp(f)
-	if err != nil {
-		return nil, err
-	}
-	return &GT{v: v, q: pp.curve.Q()}, nil
+	return pp.finalExp(f), nil
 }
 
 // Lines returns the number of recorded line evaluations (memory

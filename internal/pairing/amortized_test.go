@@ -42,7 +42,7 @@ func TestFixedPairMatchesPairAndOracle(t *testing.T) {
 			if !bytes.Equal(got.Bytes(), want.Bytes()) {
 				t.Fatalf("trial %d/%d: FixedPair(%v) ≠ Pair", trial, i, Q)
 			}
-			oracle, err := pp.PairFull(P, Q)
+			oracle, err := pairFull(pp, P, Q)
 			if err != nil {
 				t.Fatalf("PairFull oracle: %v", err)
 			}
@@ -144,6 +144,26 @@ func TestFixedPairSlabBuild(t *testing.T) {
 	}
 }
 
+// TestFixedPairAllocs pins a paper-size replay to the limb representation:
+// the second argument's coordinates are read in place, so what is left is the
+// accumulator, the line, the final exponentiation's one variable-time
+// inversion and the result (29 on go1.24). Each big.Int coordinate coming back
+// costs at least two more — the replay made 33 when Point held big.Ints.
+func TestFixedPairAllocs(t *testing.T) {
+	pp, err := Paper()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp, err := pp.NewFixedPair(pp.Generator())
+	if err != nil {
+		t.Fatal(err)
+	}
+	Q := randPoint(t, pp)
+	if allocs := testing.AllocsPerRun(20, func() { _, _ = fp.Pair(Q) }); allocs > 30 {
+		t.Errorf("paper: FixedPair.Pair makes %.0f allocations, want ≤ 30", allocs)
+	}
+}
+
 func TestPairWithGeneratorMatchesPair(t *testing.T) {
 	pp := toyParams(t)
 	for i := 0; i < 16; i++ {
@@ -181,7 +201,7 @@ func TestMultiPairMatchesProductOfPairs(t *testing.T) {
 		// Same check against the affine oracle.
 		oracle := pp.One()
 		for i := range ps {
-			g, err := pp.PairFull(ps[i], qs[i])
+			g, err := pairFull(pp, ps[i], qs[i])
 			if err != nil {
 				t.Fatal(err)
 			}

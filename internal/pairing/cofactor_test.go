@@ -56,7 +56,7 @@ func TestPairingIgnoresCofactorInSecondArgument(t *testing.T) {
 			if ut.InSubgroup() {
 				t.Fatalf("%s/%d: U + T is in G1", name, i)
 			}
-			full, err := pp.PairFull(d, ut)
+			full, err := pairFull(pp, d, ut)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -80,7 +80,7 @@ func TestPairingIgnoresCofactorInSecondArgument(t *testing.T) {
 				t.Errorf("%s/%d: MultiPair with cofactor components in both second arguments differs", name, i)
 			}
 
-			fullT, err := pp.PairFull(d, tors)
+			fullT, err := pairFull(pp, d, tors)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"math/big"
 	"testing"
+
+	"repro/internal/pairing/pairingtest"
 )
 
 // TestPairDifferentialRandom cross-checks the inversion-free Jacobian Miller
@@ -30,7 +32,7 @@ func TestPairDifferentialRandom(t *testing.T) {
 			Qpt = h
 		}
 		fast := mustPair(t, pp, P, Qpt)
-		full, err := pp.PairFull(P, Qpt)
+		full, err := pairFull(pp, P, Qpt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,23 +53,23 @@ func TestSlopeDegenerateErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tangentSlope(two, p); !errors.Is(err, ErrBadSlope) {
+	if _, err := pairingtest.TangentSlope(two, p); !errors.Is(err, pairingtest.ErrBadSlope) {
 		t.Fatalf("tangentSlope at order-2 point: err = %v, want ErrBadSlope", err)
 	}
 	// A chord between two points with equal x has a zero denominator.
 	P := pp.Generator()
-	if _, err := chordSlope(P, P, p); !errors.Is(err, ErrBadSlope) {
+	if _, err := pairingtest.ChordSlope(P, P, p); !errors.Is(err, pairingtest.ErrBadSlope) {
 		t.Fatalf("chordSlope with equal x: err = %v, want ErrBadSlope", err)
 	}
-	if _, err := chordSlope(P, P.Neg(), p); !errors.Is(err, ErrBadSlope) {
+	if _, err := pairingtest.ChordSlope(P, P.Neg(), p); !errors.Is(err, pairingtest.ErrBadSlope) {
 		t.Fatalf("chordSlope at vertical line: err = %v, want ErrBadSlope", err)
 	}
 	// Valid inputs still work.
-	if _, err := tangentSlope(P, p); err != nil {
+	if _, err := pairingtest.TangentSlope(P, p); err != nil {
 		t.Fatalf("tangentSlope at generator: %v", err)
 	}
 	Q := P.Double()
-	if _, err := chordSlope(P, Q, p); err != nil {
+	if _, err := pairingtest.ChordSlope(P, Q, p); err != nil {
 		t.Fatalf("chordSlope generator→2·generator: %v", err)
 	}
 }

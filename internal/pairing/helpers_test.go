@@ -5,7 +5,18 @@ import (
 	"testing"
 
 	"repro/internal/curve"
+	"repro/internal/pairing/pairingtest"
 )
+
+// pairFull is ê(a, b) by the affine big.Int Miller loop with every
+// denominator kept (pairingtest), wrapped as a GT for comparison.
+func pairFull(pp *Params, a, b *curve.Point) (*GT, error) {
+	v, err := pairingtest.PairFull(pp.curve, pp.field, a, b)
+	if err != nil {
+		return nil, err
+	}
+	return &GT{v: v, q: pp.curve.Q()}, nil
+}
 
 // mustPair computes ê(a, b), failing the test on the (never-expected)
 // internal error path.

@@ -14,13 +14,16 @@
 //
 //   - Denominator elimination: the x-coordinate of φ(Q) lies in F_p, so
 //     every vertical-line factor of the Miller loop lands in F_p*, which the
-//     final exponentiation (p²−1)/q = (p−1)·(p+1)/q annihilates. The default
-//     loop therefore skips vertical lines entirely. millerFull keeps them and
-//     exists for the ablation benchmark and as a cross-check oracle in tests.
+//     final exponentiation (p²−1)/q = (p−1)·(p+1)/q annihilates. The loop
+//     skips vertical lines entirely; the affine loop that keeps them is the
+//     oracle of pairingtest.
+//   - One representation: the Miller walks read a curve.Point's Montgomery
+//     limbs in place (Point.Mont) and run on internal/fp; nothing here
+//     converts a coordinate.
 //   - Final exponentiation: f^(p−1) = conj(f)/f (Frobenius on F_p² is
 //     conjugation), then one real-part Lucas ladder by (p+1)/q.
 //
-//cryptolint:vartime (big.Int Miller loop and GT arithmetic; constant-time execution is the fp limb backend's contract)
+//cryptolint:vartime (every loop is bounded by the bits of public q and (p+1)/q, but the line normalisation of NewFixedPair and the final exponentiation invert with fp.InvVarTime, and GT and multi-exponent recodings follow their exponents; the field arithmetic underneath is fp's constant-time contract)
 package pairing
 
 import (
@@ -236,19 +239,15 @@ func (pp *Params) InGT(g *GT) bool {
 }
 
 // Pair computes the modified Tate pairing ê(P, Q) with denominator
-// elimination and an inversion-free Miller loop. ê(P, O) = ê(O, Q) = 1.
-// An error indicates corrupted inputs (the internal exponentiations cannot
-// fail for points produced by this package).
+// elimination and an inversion-free Miller loop: the one-pair case of
+// MultiPair's lock-step walk. ê(P, O) = ê(O, Q) = 1. An error indicates
+// corrupted inputs (the internal exponentiations cannot fail for points
+// produced by this package).
 func (pp *Params) Pair(p1, q1 *curve.Point) (*GT, error) {
 	if p1.IsInfinity() || q1.IsInfinity() {
 		return pp.One(), nil
 	}
-	f := pp.millerJacobian(p1, q1)
-	v, err := pp.finalExp(f)
-	if err != nil {
-		return nil, err
-	}
-	return &GT{v: v, q: pp.curve.Q()}, nil
+	return pp.finalExp(pp.millerProduct([]livePair{newLivePair(pp.field.Fp(), p1, q1)})), nil
 }
 
 // PairWithGenerator computes ê(P, q1) for the fixed system generator P via
@@ -271,232 +270,19 @@ func (pp *Params) PairWithGenerator(q1 *curve.Point) (*GT, error) {
 	return pp.Pair(pp.gen, q1)
 }
 
-// PairFull computes the same pairing along the affine Miller loop without
-// denominator elimination (tracking vertical-line factors explicitly). It
-// exists as a correctness oracle for the optimized Jacobian loop and for
-// the Miller-loop ablation benchmark. It returns an error only on
-// degenerate line slopes, which valid odd-order inputs never produce.
-func (pp *Params) PairFull(p1, q1 *curve.Point) (*GT, error) {
-	if p1.IsInfinity() || q1.IsInfinity() {
-		return pp.One(), nil
-	}
-	f, err := pp.millerAffine(p1, q1, true)
-	if err != nil {
-		return nil, err
-	}
-	v, err := pp.finalExp(f)
-	if err != nil {
-		return nil, err
-	}
-	return &GT{v: v, q: pp.curve.Q()}, nil
-}
-
-// millerJacobian evaluates f_{q,P}(φ(Q)) with the running point V kept in
-// Jacobian coordinates, deriving the line coefficients directly from the
-// doubling/addition intermediates — no modular inversion anywhere in the
-// loop (the affine loop pays one ModInverse per iteration for the slope).
-//
-// Validity of the scaling: the affine line through V with slope λ = n/d is
-// replaced by d·l, i.e. each Miller factor is multiplied by some d ∈ F_p*.
-// The final exponentiation (p²−1)/q = (p−1)·(p+1)/q annihilates all of
-// F_p* — the same argument that justifies denominator elimination — so the
-// output GT element is bit-identical to the affine loop's.
-//
-// Line coefficients at φ(Q) = (−x_Q, i·y_Q), derived from the Jacobian
-// doubling intermediates (V = (X, Y, Z), M = 3X² + Z⁴, Z₃ = 2YZ), scaling
-// the affine tangent by 2YZ³:
-//
-//	l_dbl = [M·(X + Z²·x_Q) − 2Y²] + [Z₃·Z²·y_Q]·i
-//
-// and for mixed addition of the affine base P (H = x_P·Z² − X,
-// R = y_P·Z³ − Y, Z₃ = ZH), scaling the affine chord by Z₃:
-//
-//	l_add = [R·(x_Q + x_P) − Z₃·y_P] + [Z₃·y_Q]·i
-//
-// The step formulas live in millerVars (amortized.go), which emits each line
-// as generic coefficients (a, b, c) with l = (a + b·x_Q) + (c·y_Q)·i; this
-// loop is one of three consumers of that machinery alongside MultiPair and
-// NewFixedPair.
-func (pp *Params) millerJacobian(p1, q1 *curve.Point) *gf.Element {
-	fld := pp.field
-	F := fld.Fp()
-	xQ, yQ := toMont(F, q1.X()), toMont(F, q1.Y())
-	mv := newMillerVars(F, p1)
-
-	f := fld.One()
-	line := fld.One()
-	a, b, c := F.NewElt(), F.NewElt(), F.NewElt()
-	lr, li := F.NewElt(), F.NewElt()
-	n := pp.curve.Q()
-
-	mulLine := func() {
-		F.Mul(lr, b, xQ)
-		F.Add(lr, lr, a)
-		F.Mul(li, c, yQ)
-		f.Mul(f, fld.SetMont(line, lr, li))
-	}
-	for i := n.BitLen() - 2; i >= 0; i-- {
-		f.Square(f)
-		if mv.doubleStep(a, b, c) {
-			mulLine()
-		}
-		if n.Bit(i) == 1 && mv.addStep(a, b, c) {
-			mulLine()
-		}
-	}
-	return f
-}
-
-// millerAffine evaluates f_{q,P}(φ(Q)) by the original affine Miller loop.
-// When withDenominators is true, vertical-line factors are divided out
-// explicitly; otherwise they are skipped (denominator elimination).
-//
-// With φ(Q) = (−x_Q, i·y_Q), the line through V with slope λ evaluated at
-// φ(Q) is
-//
-//	l(φQ) = i·y_Q − y_V − λ·(−x_Q − x_V)  =  (−y_V − λ·(−x_Q − x_V)) + y_Q·i
-//
-// whose real part stays in F_p, so each step multiplies f by a cheap
-// "almost-F_p" element.
-func (pp *Params) millerAffine(p1, q1 *curve.Point, withDenominators bool) (*gf.Element, error) {
-	fld := pp.field
-	pMod := pp.curve.P()
-	xQneg := new(big.Int).Neg(q1.X())
-	xQneg.Mod(xQneg, pMod)
-	yQ := q1.Y()
-
-	f := fld.One()
-	fden := fld.One()
-	v := p1
-	n := pp.curve.Q()
-
-	lineAt := func(vPt *curve.Point, lambda *big.Int) *gf.Element {
-		// real = −y_V − λ·(−x_Q − x_V) mod p
-		re := new(big.Int).Sub(xQneg, vPt.X())
-		re.Mul(re, lambda)
-		re.Add(re, vPt.Y())
-		re.Neg(re)
-		re.Mod(re, pMod)
-		return fld.NewElement(re, yQ)
-	}
-	vertical := func(xV *big.Int) *gf.Element {
-		// x(φQ) − x_V = −x_Q − x_V ∈ F_p
-		re := new(big.Int).Sub(xQneg, xV)
-		re.Mod(re, pMod)
-		return fld.FromInt(re)
-	}
-
-	for i := n.BitLen() - 2; i >= 0; i-- {
-		f.Square(f)
-		if withDenominators {
-			fden.Square(fden)
-		}
-		if !v.IsInfinity() {
-			if v.Y().Sign() == 0 {
-				// Order-2 point: tangent is vertical (cannot occur in the
-				// odd-order subgroup, handled for completeness).
-				f.Mul(f, vertical(v.X()))
-				v = v.Double()
-			} else {
-				lambda, err := tangentSlope(v, pMod)
-				if err != nil {
-					return nil, err
-				}
-				l := lineAt(v, lambda)
-				f.Mul(f, l)
-				v = v.Double()
-				if withDenominators && !v.IsInfinity() {
-					fden.Mul(fden, vertical(v.X()))
-				}
-			}
-		}
-		if n.Bit(i) == 1 && !v.IsInfinity() {
-			if v.Equal(p1.Neg()) {
-				// Line through V and P is vertical.
-				if withDenominators {
-					f.Mul(f, vertical(p1.X()))
-				}
-				v = pp.curve.Infinity()
-			} else if v.Equal(p1) {
-				lambda, err := tangentSlope(v, pMod)
-				if err != nil {
-					return nil, err
-				}
-				f.Mul(f, lineAt(v, lambda))
-				v = v.Double()
-				if withDenominators && !v.IsInfinity() {
-					fden.Mul(fden, vertical(v.X()))
-				}
-			} else {
-				lambda, err := chordSlope(v, p1, pMod)
-				if err != nil {
-					return nil, err
-				}
-				f.Mul(f, lineAt(v, lambda))
-				v = v.Add(p1)
-				if withDenominators && !v.IsInfinity() {
-					fden.Mul(fden, vertical(v.X()))
-				}
-			}
-		}
-	}
-	if withDenominators {
-		inv, err := new(gf.Element).Inverse(fden)
-		if err != nil {
-			return nil, fmt.Errorf("pairing: invert denominator product: %w", err)
-		}
-		f.Mul(f, inv)
-	}
-	return f, nil
-}
-
-// ErrBadSlope reports a line-slope denominator that is not invertible mod p.
-// It cannot arise for points on the curve over a prime field (2y and x_W−x_V
-// are nonzero in the branches that compute a slope), so seeing it means the
-// inputs were corrupted; the affine loop surfaces it instead of letting
-// big.Int.ModInverse return nil and crash a later multiplication.
-var ErrBadSlope = errors.New("pairing: line slope denominator is not invertible")
-
-func tangentSlope(v *curve.Point, p *big.Int) (*big.Int, error) {
-	num := new(big.Int).Mul(v.X(), v.X())
-	num.Mul(num, big.NewInt(3))
-	num.Add(num, big.NewInt(1))
-	num.Mod(num, p)
-	den := new(big.Int).Lsh(v.Y(), 1)
-	if den.ModInverse(den, p) == nil {
-		return nil, fmt.Errorf("%w: 2·y_V not invertible mod p", ErrBadSlope)
-	}
-	num.Mul(num, den)
-	num.Mod(num, p)
-	return num, nil
-}
-
-func chordSlope(v, w *curve.Point, p *big.Int) (*big.Int, error) {
-	num := new(big.Int).Sub(w.Y(), v.Y())
-	den := new(big.Int).Sub(w.X(), v.X())
-	if den.ModInverse(den, p) == nil {
-		return nil, fmt.Errorf("%w: x_W − x_V not invertible mod p", ErrBadSlope)
-	}
-	num.Mul(num, den)
-	num.Mod(num, p)
-	return num, nil
-}
-
-// finalExp raises f to (p²−1)/q = (p−1)·(p+1)/q. The easy part
-// f^(p−1) = conj(f)·f⁻¹ lands in the norm-1 (unitary) subgroup, where the
-// real parts of the powers form a Lucas sequence of their own, so the tail
-// (p+1)/q runs on gf's real-part ladder — one F_p squaring and one
-// multiplication per exponent bit, with the imaginary part recovered at the
-// end from the same inversion that serves the easy part
-// (gf.Element.ExpUnitaryPart). Same field element
-// as the generic square-and-multiply. The error return is kept for signature
-// stability with earlier revisions; the current implementation cannot fail.
-func (pp *Params) finalExp(f *gf.Element) (*gf.Element, error) {
+// finalExp raises the Miller value f to (p²−1)/q = (p−1)·(p+1)/q and wraps
+// the result as a GT element. The easy part f^(p−1) = conj(f)·f⁻¹ lands in
+// the norm-1 (unitary) subgroup, where the real parts of the powers form a
+// Lucas sequence of their own, so the tail (p+1)/q runs on gf's real-part
+// ladder — one F_p squaring and one multiplication per exponent bit, with the
+// imaginary part recovered at the end from the same inversion that serves the
+// easy part (gf.Element.ExpUnitaryPart). Same field element as the generic
+// square-and-multiply. A zero Miller value cannot occur for valid inputs (line
+// functions vanish only on the points themselves) and pairs to 1.
+func (pp *Params) finalExp(f *gf.Element) *GT {
 	v, err := new(gf.Element).ExpUnitaryPart(f, pp.expTail)
 	if err != nil {
-		// A zero Miller value cannot occur for valid inputs (line functions
-		// vanish only on the points themselves).
-		return pp.field.One(), nil
+		v = pp.field.One()
 	}
-	return v, nil
+	return &GT{v: v, q: pp.curve.Q()}
 }

@@ -128,7 +128,7 @@ func TestDenominatorEliminationAgreesWithFullMiller(t *testing.T) {
 		P := gen.ScalarMul(a)
 		Q := gen.ScalarMul(b)
 		fast := mustPair(t, pp, P, Q)
-		full, err := pp.PairFull(P, Q)
+		full, err := pairFull(pp, P, Q)
 		if err != nil {
 			t.Fatal(err)
 		}
