@@ -144,6 +144,14 @@ func Baseline(pp *pairing.Params, minIters int, minDuration time.Duration) (*Bas
 		return nil, err
 	}
 	pp.GeneratorMul(k) // build the lazy generator table outside the timers
+	comb, err := curve.NewSecretComb(P)
+	if err != nil {
+		return nil, err
+	}
+	gtComb, err := pairing.NewGTSecretComb(g)
+	if err != nil {
+		return nil, err
+	}
 
 	pkg, err := bf.Setup(rand.Reader, pp, 32)
 	if err != nil {
@@ -446,7 +454,17 @@ func Baseline(pp *pairing.Params, minIters int, minDuration time.Duration) (*Bas
 		}},
 		{"scalarmul.variable-wnaf", func() error { P.ScalarMul(k); return nil }},
 		{"scalarmul.fixed-base", func() error { pp.GeneratorMul(k); return nil }},
+		// The secret-scalar path: the constant-time ladder and exponentiation,
+		// the two combs a threshold player keeps per identity (of its key
+		// share and of the share's pairing constant), and what each costs
+		// to build (about one ladder: they pay from their second use).
+		{"scalarmul.secret", func() error { _, err := P.ScalarMulSecret(k); return err }},
+		{"scalarmul.secret-comb", func() error { comb.ScalarMul(k); return nil }},
+		{"scalarmul.secret-comb.build", func() error { _, err := curve.NewSecretComb(P); return err }},
 		{"gtexp.square-multiply", func() error { _, err := g.Exp(k); return err }},
+		{"gtexp.secret", func() error { _, err := g.ExpSecret(k); return err }},
+		{"gtexp.secret-comb", func() error { gtComb.ExpSecret(k); return nil }},
+		{"gtexp.secret-comb.build", func() error { _, err := pairing.NewGTSecretComb(g); return err }},
 		{"gtexp.fixed-base", func() error { gtTab.Exp(k); return nil }},
 		{"gt.ingt", func() error {
 			if !pp.InGT(g) {

@@ -71,8 +71,12 @@ func (g ratioGate) name() string { return g.Num + " ÷ " + g.Den }
 // and one scalar multiplication — against one fresh pairing (measured
 // 1.03–1.04 when it landed; 1.8–2.2 before, when a share was a fresh pairing
 // plus a generator-program replay and the comb and ê(P, P) table behind
-// R = r·P). Losing either half puts it back at ≈ 1.6–2.0, so either trips
-// the bound. The last guards the recombiner's optimistic round
+// R = r·P; 0.69–0.73 since PR 28, when the proof's V and W1 came off the
+// cached entry's constant-time combs of d_IDi and cᵢ — 0.81–0.82 with W1 on
+// the exponentiation ladder, and 1.05–1.08 at the parent commit in the same
+// sessions). Losing the program, the commitment or d_IDi's comb puts it
+// past 0.90, and cᵢ's comb alone past the bound. The
+// eighth guards the recombiner's optimistic round
 // on a live (3, 5) cluster: a decryption whose three first choices answer
 // against one that finds player 2 down and has to ask the other two as well.
 // Measured 0.74–0.78 on two cores, where the three first-choice shares do not
@@ -96,7 +100,11 @@ func (g ratioGate) name() string { return g.Num + " ÷ " + g.Den }
 // 0.83–0.94 measured, ≈ 0.86 by arithmetic. With a program built on every
 // miss — what pairerCache.pair did before, and what it does again if the
 // admission callback is lost or always says yes — the scan flushes the
-// working set and every token is a build and a replay: 1.13–1.24.
+// working set and every token is a build and a replay: 1.13–1.24. The
+// twelfth guards the secret-scalar comb against the variable-time ladder it
+// replaced under a player's proof: d − 1 doublings and d additions with every
+// row read, against a 160-bit w-NAF walk (measured 0.38–0.40; a comb that
+// lost a tooth or fell back to the window ladder reads 0.7–1.1).
 var kernelRatioGates = []ratioGate{
 	{Num: "fp.mul.go", Den: "fp.mul.generic", Max: 0.70, Rounds: 64, Burst: 2048},
 	{Num: "fp.square.go", Den: "fp.mul.go", Max: 0.92, Rounds: 64, Burst: 2048},
@@ -104,11 +112,12 @@ var kernelRatioGates = []ratioGate{
 	{Num: "thibe.verify-batch5", Den: "thibe.verify-single5", Max: 0.65, Rounds: 12, Burst: 1},
 	{Num: "wire.pairing-arg", Den: "wire.g1", Max: 0.50, Rounds: 32, Burst: 8},
 	{Num: "gt.ingt", Den: "gtexp.square-multiply", Max: 0.65, Rounds: 32, Burst: 16},
-	{Num: "thibe.player-share", Den: "pair", Max: 1.40, Rounds: 24, Burst: 4},
+	{Num: "thibe.player-share", Den: "pair", Max: 0.80, Rounds: 24, Burst: 4},
 	{Num: "cluster.decrypt.honest", Den: "cluster.decrypt.escalated", Max: 0.90, Rounds: 24, Burst: 1},
 	{Num: "hash.to-g1.arg", Den: "hash.to-g1", Max: 0.55, Rounds: 32, Burst: 4},
 	{Num: "fp.exp", Den: "fp.square", Max: 850, Rounds: 16, Burst: 256},
 	{Num: "ibe.token.scan", Den: "pair", Max: 1.05, Rounds: 12, Burst: 16},
+	{Num: "scalarmul.secret-comb", Den: "scalarmul.variable-wnaf", Max: 0.55, Rounds: 32, Burst: 8},
 }
 
 // CompareBaselines checks a freshly measured report against a committed

@@ -135,7 +135,7 @@ func (pub *PublicParams) recipientPairing(id string, r *big.Int) (*pairing.GT, e
 	if err != nil {
 		// Degenerate pairing value (an identity hashing to cofactor order,
 		// probability below 2⁻³⁵⁰); exponentiate directly.
-		return g.Exp(r)
+		return g.ExpSecret(r)
 	}
 	cache.Add(id, tab)
 	return tab.Exp(r), nil
@@ -228,7 +228,11 @@ func (p *PKG) Extract(id string) (*PrivateKey, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &PrivateKey{ID: id, D: qid.ScalarMul(p.master)}, nil
+	d, err := qid.ScalarMulSecret(p.master)
+	if err != nil {
+		return nil, err
+	}
+	return &PrivateKey{ID: id, D: d}, nil
 }
 
 // HashIdentity is the H1 oracle: identities → G1. It is for callers that

@@ -87,7 +87,7 @@ func (k *PrivateKey) Sign(msg []byte) (*curve.Point, error) {
 	if err != nil {
 		return nil, err
 	}
-	return h.ScalarMul(k.X), nil
+	return h.ScalarMulSecret(k.X)
 }
 
 // Verify checks that (P, R, h(M), S) is a Diffie-Hellman tuple:
@@ -272,7 +272,11 @@ func SignShare(pp *pairing.Params, share shamir.Share, msg []byte) (shamir.Point
 	if err != nil {
 		return shamir.PointShare{}, err
 	}
-	return shamir.PointShare{Index: share.Index, Value: h.ScalarMul(share.Value)}, nil
+	s, err := h.ScalarMulSecret(share.Value)
+	if err != nil {
+		return shamir.PointShare{}, err
+	}
+	return shamir.PointShare{Index: share.Index, Value: s}, nil
 }
 
 // VerifyShare checks a partial signature against the player's verification

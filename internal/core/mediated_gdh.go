@@ -101,7 +101,7 @@ func (s *GDHSEM) HalfSign(id string, h *curve.Point) (*curve.Point, error) {
 	if h == nil || h.IsInfinity() || !h.InSubgroup() {
 		return nil, fmt.Errorf("core: message hash is not a valid G1 element")
 	}
-	return h.ScalarMul(half.X), nil
+	return h.ScalarMulSecret(half.X)
 }
 
 // UserSign completes the user's protocol steps: compute S_user = x_user·h(M),
@@ -112,7 +112,11 @@ func UserSign(key *GDHUserKey, msg []byte, semHalf *curve.Point) (*curve.Point, 
 	if err != nil {
 		return nil, err
 	}
-	sig := semHalf.Add(h.ScalarMul(key.X))
+	userHalf, err := h.ScalarMulSecret(key.X)
+	if err != nil {
+		return nil, err
+	}
+	sig := semHalf.Add(userHalf)
 	if err := key.Public.Verify(msg, sig); err != nil {
 		return nil, fmt.Errorf("combined mediated signature invalid: %w", err)
 	}

@@ -207,7 +207,8 @@ func (s *IBESEM) Token(id string, u *curve.Point) (*pairing.GT, error) {
 	// *served* for a revoked identity — the Check above runs on every call —
 	// and the entry is keyed to this exact half, so it is correct again if
 	// the identity is unrevoked.
-	return s.pairers.pair(s.pub.Pairing, id, half.D, u)
+	g, _, err := s.pairers.pair(s.pub.Pairing, id, half.D, u)
+	return g, err
 }
 
 // UserDecrypt completes decryption on the user side given the SEM token:

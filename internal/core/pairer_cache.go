@@ -3,6 +3,7 @@ package core
 import (
 	"hash/maphash"
 	"math"
+	"math/big"
 	"sync"
 
 	"repro/internal/curve"
@@ -13,7 +14,11 @@ import (
 // pairerCapacity bounds a server's per-identity precomputation cache; the
 // working set of actively decrypting identities stays warm while idle ones
 // age out. A program is two field elements per Miller line — ≈ 45 KB at
-// paper size, so a full cache is ≈ 11 MB per SEM or threshold player.
+// paper size, so a SEM's full cache is ≈ 11 MB. A threshold player's entry
+// also grows two ≈ 4 KB combs the first time it proves a share — of its key
+// share and of the share's public pairing constant (≈ 53 KB an entry,
+// ≈ 13.5 MB full); a SEM never multiplies by its key half, so its entries
+// never do.
 const pairerCapacity = 256
 
 // pairerCache is the bounded, build-once cache of fixed-argument Miller
@@ -36,16 +41,28 @@ func newPairerCache() pairerCache {
 	return pairerCache{lru.New[string, *keyPairer](pairerCapacity), &sketch{seed: maphash.MakeSeed()}}
 }
 
-// keyPairer binds a precomputed pairing program to the exact key it was
+// keyPairer binds what is precomputed for one key to the exact key it was
 // derived from, so a cached program can never serve a re-installed
 // identity's stale key. The entry goes into the cache before its program
 // exists and build makes the program once: connections missing together on
-// one identity all find the same entry and share the one NewFixedPair.
+// one identity all find the same entry and share the one NewFixedPair. The
+// two combs — the key as a fixed base for secret scalars, and the public
+// pairing constant a threshold player raises to its proof nonce — are built
+// the same way, each under its own Once, by the first mulSecret and the
+// first powSecret, and go when the entry goes.
 type keyPairer struct {
 	d     *curve.Point
 	build sync.Once
 	fp    *pairing.FixedPair
 	err   error // NewFixedPair's refusal of d, answered to every request
+
+	combOnce sync.Once
+	comb     *curve.SecretComb
+	combErr  error // NewSecretComb's refusal of d (the same points NewFixedPair refuses)
+
+	powOnce sync.Once
+	pow     *pairing.GTSecretComb
+	powErr  error // NewGTSecretComb's refusal of a base outside GT
 }
 
 // pair returns ê(d, u) for the key d held under id — d walked, u only the
@@ -54,22 +71,57 @@ type keyPairer struct {
 // admitted, and by Params.Pair, which a replay is bit-identical to, when it
 // is not. A d outside G1 ∖ {O} is never walked: NewFixedPair refuses it
 // (curve.ErrNotInSubgroup), Validate gives the plain path the same verdict.
+// The entry the value came from is returned beside it, nil when the identity
+// was not admitted, for a holder of d that goes on to multiply by it.
 //
 // The key must also be dropped (Remove) when it is replaced or withdrawn;
 // the d.Equal guard is what makes a racing insert harmless.
-func (c pairerCache) pair(pp *pairing.Params, id string, d, u *curve.Point) (*pairing.GT, error) {
+func (c pairerCache) pair(pp *pairing.Params, id string, d, u *curve.Point) (*pairing.GT, *keyPairer, error) {
 	p, ok := c.lookup(id, d)
 	if !ok {
 		if err := d.Validate(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		return pp.Pair(d, u)
+		g, err := pp.Pair(d, u)
+		return g, nil, err
 	}
 	p.build.Do(func() { p.fp, p.err = pp.NewFixedPair(p.d) })
 	if p.err != nil {
-		return nil, p.err
+		return nil, nil, p.err
 	}
-	return p.fp.Pair(u)
+	g, err := p.fp.Pair(u)
+	return g, p, err
+}
+
+// mulSecret returns k·d for a secret scalar k from the entry's comb of d,
+// built on its first use: the point d.ScalarMulSecret(k) returns, at under
+// half the price from the second call on. A nil entry — an identity the cache
+// did not admit, or a caller with no cache — is answered by that ladder.
+func (p *keyPairer) mulSecret(d *curve.Point, k *big.Int) (*curve.Point, error) {
+	if p == nil {
+		return d.ScalarMulSecret(k)
+	}
+	p.combOnce.Do(func() { p.comb, p.combErr = curve.NewSecretComb(p.d) })
+	if p.combErr != nil {
+		return nil, p.combErr
+	}
+	return p.comb.ScalarMul(k), nil
+}
+
+// powSecret returns c^r for a secret exponent r, where c is the public
+// pairing constant of the key share the entry was made for (the same c on
+// every call: it is a function of the identity and the player, as d is), from
+// a comb of c built on first use: the element c.ExpSecret(r) returns, at a
+// quarter of the price. A nil entry is answered by c.ExpSecret.
+func (p *keyPairer) powSecret(c *pairing.GT, r *big.Int) (*pairing.GT, error) {
+	if p == nil {
+		return c.ExpSecret(r)
+	}
+	p.powOnce.Do(func() { p.pow, p.powErr = pairing.NewGTSecretComb(c) })
+	if p.powErr != nil {
+		return nil, p.powErr
+	}
+	return p.pow.ExpSecret(r), nil
 }
 
 // lookup counts one request for id and returns the entry its program lives

@@ -5,6 +5,7 @@ import (
 	"crypto/rand"
 	"errors"
 	"fmt"
+	"math/big"
 	"testing"
 
 	"repro/internal/curve"
@@ -213,7 +214,7 @@ func installShare(t *testing.T, pkg *ThresholdPKG, player *ThresholdPlayer, id s
 
 // TestPairerCacheGuardsTheKey: an entry left behind for an identity's old
 // key — a racing insert that slipped past the Remove — is never served for
-// the new one: the d.Equal guard replaces it.
+// the new one: the d.Equal guard replaces it, program and comb alike.
 func TestPairerCacheGuardsTheKey(t *testing.T) {
 	pkg, _ := playerFixture(t)
 	pp := pkg.Params().Public.Pairing
@@ -221,8 +222,9 @@ func TestPairerCacheGuardsTheKey(t *testing.T) {
 	d1, _ := pp.Curve().RandomG1(rand.Reader)
 	d2, _ := pp.Curve().RandomG1(rand.Reader)
 	u, _ := pp.Curve().RandomG1(rand.Reader)
+	k := big.NewInt(0xC0FFEE)
 	for _, d := range []*curve.Point{d1, d2, d2, d1} {
-		got, err := c.pair(pp, "id", d, u)
+		got, entry, err := c.pair(pp, "id", d, u)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -233,9 +235,106 @@ func TestPairerCacheGuardsTheKey(t *testing.T) {
 		if !bytes.Equal(got.Bytes(), want.Bytes()) {
 			t.Fatal("a program built for another key was served")
 		}
+		if entry == nil {
+			t.Fatal("an identity admitted to a cache with room has no entry")
+		}
+		v, err := entry.mulSecret(d, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !v.Equal(d.ScalarMul(k)) {
+			t.Fatal("a comb built for another key was served")
+		}
 	}
 	if st := c.Stats(); c.Len() != 1 || st.Hits != 3 {
 		t.Fatalf("len %d, stats %+v; want one entry looked up three times after its insert", c.Len(), st)
+	}
+}
+
+// TestSEMEntryBuildsNoComb: the combs are built by whoever multiplies by the
+// key and raises its public constant, which an IBESEM never does — its
+// entries stay a Miller program, at the size pairerCapacity's comment gives —
+// while a player's entry has both from its first share on.
+func TestSEMEntryBuildsNoComb(t *testing.T) {
+	pkg, sem := ibeFixture(t)
+	enroll(t, pkg, sem, "alice@example.com")
+	u, _ := pkg.Public().Pairing.Curve().RandomG1(rand.Reader)
+	for i := 0; i < 3; i++ {
+		if _, err := sem.Token("alice@example.com", u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	entry, ok := sem.pairers.Get("alice@example.com")
+	if !ok || entry.fp == nil {
+		t.Fatal("three tokens left no program in the cache")
+	}
+	if entry.comb != nil || entry.pow != nil {
+		t.Fatal("an IBESEM entry built a comb")
+	}
+
+	tpkg, player := playerFixture(t)
+	installShare(t, tpkg, player, "vault@example.com")
+	if _, err := player.Share("vault@example.com", u); err != nil {
+		t.Fatal(err)
+	}
+	if entry, ok := player.pairers.Get("vault@example.com"); !ok || entry.comb == nil || entry.pow == nil {
+		t.Fatal("a player's first share left no combs beside the program")
+	}
+}
+
+// TestCombsBuiltOnce: callers that multiply and exponentiate together through
+// an entry that has no combs yet all end up on the one pair the first of them
+// built, and a nil entry answers the same elements from the ladders. Run
+// under -race.
+func TestCombsBuiltOnce(t *testing.T) {
+	pkg, _ := playerFixture(t)
+	pp := pkg.Params().Public.Pairing
+	d, _ := pp.Curve().RandomG1(rand.Reader)
+	c, err := pp.PairWithGenerator(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entry := &keyPairer{d: d}
+	k := big.NewInt(0xBADC0DE)
+	wantV := d.ScalarMul(k)
+	wantW, err := c.Exp(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	type built struct {
+		comb *curve.SecretComb
+		pow  *pairing.GTSecretComb
+	}
+	const callers = 8
+	results := make(chan built, callers)
+	for i := 0; i < callers; i++ {
+		go func() {
+			v, errV := entry.mulSecret(d, k)
+			w, errW := entry.powSecret(c, k)
+			if errV != nil || errW != nil || !v.Equal(wantV) || !w.Equal(wantW) {
+				results <- built{}
+				return
+			}
+			results <- built{entry.comb, entry.pow}
+		}()
+	}
+	first := <-results
+	if first.comb == nil || first.pow == nil {
+		t.Fatal("a concurrent first use failed or returned the wrong element")
+	}
+	for i := 1; i < callers; i++ {
+		if got := <-results; got != first {
+			t.Fatal("concurrent first uses did not share one pair of combs")
+		}
+	}
+
+	var none *keyPairer
+	if v, err := none.mulSecret(d, k); err != nil || !v.Equal(wantV) {
+		t.Fatalf("nil entry: k·d = %v, %v", v, err)
+	}
+	if w, err := none.powSecret(c, k); err != nil || !w.Equal(wantW) {
+		t.Fatalf("nil entry: c^k = %v, %v", w, err)
 	}
 }
 

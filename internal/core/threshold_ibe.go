@@ -194,8 +194,11 @@ func (tp *ThresholdPKG) ExtractShare(id string, i int) (*KeyShare, error) {
 	if err != nil {
 		return nil, err
 	}
-	fi := tp.poly.Eval(big.NewInt(int64(i)))
-	return &KeyShare{ID: id, Index: i, D: qid.ScalarMul(fi)}, nil
+	d, err := qid.ScalarMulSecret(tp.poly.Eval(big.NewInt(int64(i))))
+	if err != nil {
+		return nil, err
+	}
+	return &KeyShare{ID: id, Index: i, D: d}, nil
 }
 
 // NewThresholdParams assembles threshold parameters from externally
@@ -238,7 +241,11 @@ func KeyShareFromScalar(pp *pairing.Params, id string, j int, x *big.Int) (*KeyS
 	if err != nil {
 		return nil, err
 	}
-	return &KeyShare{ID: id, Index: j, D: qid.ScalarMul(x)}, nil
+	d, err := qid.ScalarMulSecret(x)
+	if err != nil {
+		return nil, err
+	}
+	return &KeyShare{ID: id, Index: j, D: d}, nil
 }
 
 // VerifyKeyShare is the player's acceptance check from the paper:
@@ -306,7 +313,7 @@ func (p *ThresholdParams) ComputeShareWithProof(rng io.Reader, share *KeyShare, 
 	if err != nil {
 		return nil, err
 	}
-	return p.proveShare(rng, share, g)
+	return p.proveShare(rng, share, g, nil)
 }
 
 // proveShare attaches Section 3.2's proof to the share value g = ê(U, d_IDi).
@@ -323,7 +330,16 @@ func (p *ThresholdParams) ComputeShareWithProof(rng io.Reader, share *KeyShare, 
 //
 // the same GT and G1 elements two pairings against R would give, hence the
 // same bytes, for two GT exponentiations and one scalar multiplication.
-func (p *ThresholdParams) proveShare(rng io.Reader, share *KeyShare, g *pairing.GT) (*DecryptionShare, error) {
+//
+// r and r + e are nonce-grade — either one, with the published e and V, gives
+// d_IDi = (r + e)⁻¹·V away — so nothing here lets them steer a branch or an
+// address. W2 is GT.ExpSecret; W1 and V have fixed bases, cᵢ and d_IDi, and
+// come off entry, the share's line in a player's cache, as constant-time comb
+// walks (keyPairer.powSecret, mulSecret) — or, with no entry (nil: an identity
+// the cache did not admit, the cacheless ComputeShareWithProof), from
+// ExpSecret and ScalarMulSecret, the same elements. One field inversion per
+// share, V's, blinded.
+func (p *ThresholdParams) proveShare(rng io.Reader, share *KeyShare, g *pairing.GT, entry *keyPairer) (*DecryptionShare, error) {
 	q := p.Public.Pairing.Q()
 	pubPair, err := p.sharePubPair(share)
 	if err != nil {
@@ -333,20 +349,23 @@ func (p *ThresholdParams) proveShare(rng io.Reader, share *KeyShare, g *pairing.
 	if err != nil {
 		return nil, fmt.Errorf("sample proof nonce: %w", err)
 	}
-	w1, err := pubPair.Exp(r)
+	w1, err := entry.powSecret(pubPair, r)
 	if err != nil {
 		return nil, err
 	}
-	w2, err := g.Exp(r)
+	w2, err := g.ExpSecret(r)
 	if err != nil {
 		return nil, err
 	}
 	e := proofChallenge(q, g, pubPair, w1, w2)
-	// r + e is nonce-grade like r (it and the public e give r away), and is
-	// treated like r: sampled and reduced by math/big, consumed only by the
-	// curve's scalar multiplication, never branched on, compared or encoded.
+	// r + e is reduced by math/big — one limb-wise add and one reduction
+	// below 2q — and consumed only by mulSecret, never branched on, compared
+	// or encoded. r + e ≡ 0 gives V = O like any other multiple.
 	k := new(big.Int).Mod(new(big.Int).Add(r, e), q) //cryptolint:public (the flagged operand is the Fiat–Shamir challenge e, which is published; the nonce r enters the sum as it left mathx.RandomFieldElement — one limb-wise add and one reduction below 2q)
-	v := share.D.ScalarMul(k)
+	v, err := entry.mulSecret(share.D, k)
+	if err != nil {
+		return nil, fmt.Errorf("core: key share of player %d: %w", share.Index, err)
+	}
 	return &DecryptionShare{
 		Index: share.Index,
 		G:     g,

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"io"
 
 	"repro/internal/curve"
 	"repro/internal/obs"
@@ -74,6 +75,11 @@ func (p *ThresholdPlayer) InstrumentPairerCache(reg *obs.Registry) {
 // share outside G1 is refused on its first request (curve.ErrNotInSubgroup)
 // and never walked.
 func (p *ThresholdPlayer) Share(id string, u *curve.Point) (*DecryptionShare, error) {
+	return p.share(nil, id, u)
+}
+
+// share is Share with the proof nonce drawn from rng (nil: crypto/rand).
+func (p *ThresholdPlayer) share(rng io.Reader, id string, u *curve.Point) (*DecryptionShare, error) {
 	key, ok := p.keys.get(id)
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownIdentity, id)
@@ -81,11 +87,11 @@ func (p *ThresholdPlayer) Share(id string, u *curve.Point) (*DecryptionShare, er
 	if u == nil || u.IsInfinity() {
 		return nil, fmt.Errorf("core: ciphertext point U is not a valid pairing argument")
 	}
-	g, err := p.pairers.pair(p.params.Public.Pairing, id, key.D, u)
+	g, entry, err := p.pairers.pair(p.params.Public.Pairing, id, key.D, u)
 	if err != nil {
 		return nil, fmt.Errorf("core: player %d: %w", p.index, err)
 	}
-	ds, err := p.params.proveShare(nil, key, g)
+	ds, err := p.params.proveShare(rng, key, g, entry)
 	if err != nil {
 		return nil, err
 	}

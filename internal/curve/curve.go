@@ -19,8 +19,6 @@
 // Y and String, parameter construction, scalars, and the reduction of a hash
 // digest — and the affine big.Int group law the kernels are differential-
 // tested against lives in curvetest, written against that edge API.
-//
-//cryptolint:vartime (w-NAF recoding and table indices follow the scalar, normalisation to affine is fp.InvVarTime, and the ladders' bounds are the bits of public q and (p+1)/q; the field arithmetic underneath is fp's constant-time contract)
 package curve
 
 import (
@@ -144,8 +142,8 @@ func (c *Curve) NewPoint(x, y *big.Int) (*Point, error) {
 	F := c.fld
 	pt := c.newPoint()
 	// Reduced, so FromBig's only error — an input outside [0, p) — cannot occur.
-	_ = F.FromBig(pt.x, new(big.Int).Mod(x, c.p))
-	_ = F.FromBig(pt.y, new(big.Int).Mod(y, c.p))
+	_ = F.FromBig(pt.x, new(big.Int).Mod(x, c.p)) //cryptolint:public (the big.Int edge: a caller's coordinates are reduced by math/big on their way into limbs)
+	_ = F.FromBig(pt.y, new(big.Int).Mod(y, c.p)) //cryptolint:public (as above)
 	var lb, rb [fp.MaxLimbs]uint64
 	lhs, rhs := lb[:F.Limbs()], rb[:F.Limbs()]
 	F.Square(lhs, pt.y)
@@ -168,6 +166,8 @@ func (c *Curve) rhs(z, x []uint64) {
 // mathx.SqrtModP returns for p ≡ 3 (mod 4); enrolled keys depend on the two
 // being bit-identical — and reports whether there is one, i.e. whether x is
 // the abscissa of a curve point: a is a residue iff (a^((p+1)/4))² = a.
+//
+//cryptolint:vartime (the exponent (p+1)/4 is public and x is a candidate abscissa off the wire or out of a hash; the verdict is the API)
 func (c *Curve) solveY(y, x []uint64) bool {
 	F := c.fld
 	var ab, cb [fp.MaxLimbs]uint64
@@ -257,6 +257,8 @@ func (pt *Point) Double() *Point { return pt.Add(pt) }
 // (immutable) point, so re-validating a long-lived element — a cached public
 // key, a batch re-verified under a new random combination — is a single
 // atomic load.
+//
+//cryptolint:vartime (a w-NAF ladder over the public order q, ended by an identity test; the verdict is the API)
 func (pt *Point) InSubgroup() bool {
 	if pt.IsInfinity() {
 		return true // O is in every subgroup
@@ -403,6 +405,8 @@ func SubgroupChecks() uint64 { return subgroupChecks.Load() }
 // check would cost the very scalar multiplication this variant exists to
 // skip. HashToPoint inherits the same behaviour: its output is the identity
 // with that probability, which no caller can observe.
+//
+//cryptolint:vartime (try-and-increment: the number of candidates tried depends on the hashed string, which is public — an identity or a message)
 func (c *Curve) HashToPointUncleared(domain string, msg []byte) (*Point, error) {
 	hashToPointCalls.Add(1)
 	F := c.fld
@@ -465,6 +469,8 @@ func (pt *Point) Marshal() []byte {
 // limbs, solving the curve equation for y and picking the root of the tagged
 // parity. It accepts exactly the encodings Marshal writes: an accepted input
 // re-marshals to the same bytes.
+//
+//cryptolint:vartime (branches on the encoding's tag, range and residuosity: a decoder's verdicts about bytes it was handed)
 func (c *Curve) Unmarshal(data []byte) (*Point, error) {
 	size := c.CoordinateSize()
 	if len(data) != 1+size {

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/big"
 	"time"
+
+	"repro/internal/fp"
 )
 
 // What the tests reach of the package's internals. They live in package
@@ -43,7 +45,7 @@ func (c *Curve) BatchTriple(pts []*Point) ([]*Point, error) {
 		ljDouble(F, &jacs[i], s)
 		ljAddMixed(F, &jacs[i], P.x, P.y, s)
 	}
-	if err := ljBatchNormalize(F, jacs, newElts(F, len(jacs)), s); err != nil {
+	if err := ljBatchNormalize(F, jacs, newElts(F, len(jacs)), s, (*fp.Field).InvVarTime); err != nil {
 		return nil, err
 	}
 	out := make([]*Point, len(pts))
@@ -54,4 +56,33 @@ func (c *Curve) BatchTriple(pts []*Point) ([]*Point, error) {
 		out[i] = c.ljToPoint(&jacs[i], s)
 	}
 	return out, nil
+}
+
+// SecretOps is what a secret-scalar kernel did, counted in group operations,
+// table rows and inversions; each group operation is one straight line of fp
+// calls.
+type SecretOps = secretOps
+
+// ScalarMulSecretOps is ScalarMulSecret with its operations counted.
+func (pt *Point) ScalarMulSecretOps(k *big.Int) (*Point, SecretOps, error) {
+	return pt.scalarMulSecret(k)
+}
+
+// ScalarMulOps is ScalarMul with its operations counted.
+func (sc *SecretComb) ScalarMulOps(k *big.Int) (*Point, SecretOps) { return sc.scalarMul(k) }
+
+// Shape returns the comb's teeth, spacing and row count.
+func (sc *SecretComb) Shape() (teeth, spacing, rows int) {
+	return sc.teeth, sc.spacing, 1 << (sc.teeth - 1)
+}
+
+// SecretLastStepOnItself runs the kernels' last step — the addition that is
+// also right for equal operands — with the accumulator holding R and R the
+// row picked, and returns what it leaves: 2R.
+func SecretLastStepOnItself(R *Point) *Point {
+	walk := R.curve.newSecretWalk()
+	walk.pick(affineRows(R.curve.fld, []limbJac{{x: R.x, y: R.y}}), []uint64{1}, 0, 1, 1)
+	walk.load()
+	walk.add(0, true)
+	return walk.finish(0, 0)
 }

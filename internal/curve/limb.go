@@ -86,14 +86,13 @@ func newLjScratch(F *fp.Field) *ljScratch {
 	return &ljScratch{t1: e[0], t2: e[1], t3: e[2], t4: e[3], t5: e[4], t6: e[5], t7: e[6], t8: e[7]}
 }
 
-// ljDouble sets v = 2v in place (a = 1: M = 3X² + Z⁴). The identity stays
-// put and the 2-torsion case degenerates gracefully to Z' = 2YZ = 0.
+// ljDouble sets v = 2v in place (a = 1: M = 3X² + Z⁴), the same straight
+// line of field operations for every v: the identity and the 2-torsion point
+// both come out as Z' = 2YZ = 0, which is all any reader of an identity looks
+// at.
 //
 //cryptolint:hotpath
 func ljDouble(F *fp.Field, v *limbJac, s *ljScratch) {
-	if F.IsZero(v.z) {
-		return
-	}
 	xx := s.t1
 	F.Square(xx, v.x)
 	yy := s.t2
@@ -139,24 +138,13 @@ func ljDouble(F *fp.Field, v *limbJac, s *ljScratch) {
 // point, v = A doubles, v = −A yields O.
 //
 //cryptolint:hotpath
+//cryptolint:vartime (branches on the exceptional points Z = 0 and H = 0; the secret-scalar kernels never meet them and call ljMixedDiff and ljMixedChord bare)
 func ljAddMixed(F *fp.Field, v *limbJac, ax, ay []uint64, s *ljScratch) {
 	if F.IsZero(v.z) {
 		v.setAffine(F, ax, ay)
 		return
 	}
-	zz := s.t1
-	F.Square(zz, v.z)
-	u2 := s.t2
-	F.Mul(u2, ax, zz) // U2 = x·Z²
-	s2 := s.t3
-	F.Mul(s2, ay, zz) // S2 = y·Z³
-	F.Mul(s2, s2, v.z)
-
-	h := u2 // H = U2 − X
-	F.Sub(h, u2, v.x)
-	r := s2 // R = S2 − Y
-	F.Sub(r, s2, v.y)
-
+	h, r := ljMixedDiff(F, v, ax, ay, s)
 	if F.IsZero(h) {
 		if F.IsZero(r) {
 			ljDouble(F, v, s)
@@ -165,7 +153,33 @@ func ljAddMixed(F *fp.Field, v *limbJac, ax, ay []uint64, s *ljScratch) {
 		}
 		return
 	}
+	ljMixedChord(F, v, h, r, s)
+}
 
+// ljMixedDiff returns the two differences a mixed addition v + (ax, ay) is
+// made of, H = x·Z² − X and R = y·Z³ − Y, in s.t2 and s.t3 (s.t1 is spent):
+// H = 0 says the two points share their x, and then R = 0 that they are equal.
+//
+//cryptolint:hotpath
+func ljMixedDiff(F *fp.Field, v *limbJac, ax, ay []uint64, s *ljScratch) (h, r []uint64) {
+	zz := s.t1
+	F.Square(zz, v.z)
+	h = s.t2
+	F.Mul(h, ax, zz) // U2 = x·Z²
+	r = s.t3
+	F.Mul(r, ay, zz) // S2 = y·Z³
+	F.Mul(r, r, v.z)
+	F.Sub(h, h, v.x)
+	F.Sub(r, r, v.y)
+	return h, r
+}
+
+// ljMixedChord finishes v = v + A from ljMixedDiff's H and R by the chord
+// formulas and nothing else — one straight line of field operations, right
+// whenever v ≠ O and v ≠ ±A (for H = 0 it leaves Z' = 0).
+//
+//cryptolint:hotpath
+func ljMixedChord(F *fp.Field, v *limbJac, h, r []uint64, s *ljScratch) {
 	hh := s.t4
 	F.Square(hh, h)
 	hhh := s.t5
@@ -195,6 +209,7 @@ func ljAddMixed(F *fp.Field, v *limbJac, ax, ay []uint64, s *ljScratch) {
 // to the identity.
 //
 //cryptolint:hotpath
+//cryptolint:vartime (branches on the exceptional points Z = 0 and H = 0)
 func ljAdd(F *fp.Field, v, u *limbJac, s *ljScratch) {
 	if F.IsZero(u.z) {
 		return
@@ -256,15 +271,20 @@ func ljAdd(F *fp.Field, v, u *limbJac, s *ljScratch) {
 	F.Sub(v.y, u1hh, hhh)
 }
 
+// inverter is how a normalisation inverts: (*fp.Field).InvVarTime for
+// coordinates anyone may see, (*fp.Field).InvBlinded when the Z being
+// inverted was computed from a secret scalar or a secret base.
+type inverter func(F *fp.Field, z, x []uint64) error
+
 // ljBatchNormalize converts every non-identity point in pts to affine form
 // (Z = 1) in place with Montgomery's simultaneous-inversion trick: one
-// variable-time inversion (the coordinates are public) plus three
-// multiplications per point. prefix is a caller-owned slab of at least
-// len(pts) field elements reused across calls. Identity points are left
-// untouched (Z stays 0).
+// inversion by inv plus three multiplications per point. prefix is a
+// caller-owned slab of at least len(pts) field elements reused across calls.
+// Identity points are left untouched (Z stays 0).
 //
 //cryptolint:hotpath
-func ljBatchNormalize(F *fp.Field, pts []limbJac, prefix [][]uint64, s *ljScratch) error {
+//cryptolint:vartime (skips identity points: which of them are is a property of public operands in every caller but the secret kernels, whose tables hold none)
+func ljBatchNormalize(F *fp.Field, pts []limbJac, prefix [][]uint64, s *ljScratch, inv inverter) error {
 	acc := s.t1
 	F.SetOne(acc)
 	live := 0
@@ -279,7 +299,7 @@ func ljBatchNormalize(F *fp.Field, pts []limbJac, prefix [][]uint64, s *ljScratc
 	if live == 0 {
 		return nil
 	}
-	if err := F.InvVarTime(acc, acc); err != nil {
+	if err := inv(F, acc, acc); err != nil {
 		// Unreachable: every factor is a nonzero residue mod the prime p.
 		return err
 	}
@@ -300,15 +320,22 @@ func ljBatchNormalize(F *fp.Field, pts []limbJac, prefix [][]uint64, s *ljScratc
 	return nil
 }
 
-// ljToPoint normalizes v into a fresh immutable Point (one inversion): the
-// canonical coordinates of the group element.
+// ljToPoint normalizes v into a fresh immutable Point (one variable-time
+// inversion): the canonical coordinates of a group element anyone may see.
+//
+//cryptolint:vartime (fp.InvVarTime on Z, and the identity is answered without one)
 func (c *Curve) ljToPoint(v *limbJac, s *ljScratch) *Point {
+	return c.ljNormalize(v, s, (*fp.Field).InvVarTime)
+}
+
+// ljNormalize is ljToPoint with the inversion of Z left to inv.
+func (c *Curve) ljNormalize(v *limbJac, s *ljScratch, inv inverter) *Point {
 	F := c.fld
 	if F.IsZero(v.z) {
 		return c.Infinity()
 	}
 	zInv := s.t1
-	if err := F.InvVarTime(zInv, v.z); err != nil {
+	if err := inv(F, zInv, v.z); err != nil {
 		return c.Infinity() // unreachable: Z ≠ 0 mod prime p
 	}
 	zInv2 := s.t2

@@ -34,6 +34,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/fp"
 	"repro/internal/obs"
 	"repro/internal/parallel"
 )
@@ -145,6 +146,8 @@ func (c *Curve) MSM(scalars []*big.Int, points []*Point) (*Point, error) {
 // msmTerms returns the contributing terms of Σ scalars[i]·points[i] as
 // |kᵢ|·(±Pᵢ): positive scalars and non-identity points, the input of either
 // kernel.
+//
+//cryptolint:vartime (zero terms are dropped and signs folded by math/big: a multi-scalar sum's coefficients are public — batching, Lagrange and verification scalars)
 func msmTerms(scalars []*big.Int, points []*Point) (ks []*big.Int, pts []*Point) {
 	ks = make([]*big.Int, 0, len(points))
 	pts = make([]*Point, 0, len(points))
@@ -181,6 +184,8 @@ func (c *Curve) msmLadder(ks []*big.Int, pts []*Point, start time.Time) (*Point,
 
 // msmBuckets is the Pippenger kernel behind MSM: Σ ks[i]·pts[i] for positive
 // scalars and non-identity points.
+//
+//cryptolint:vartime (a digit is its point's bucket index and a zero digit is skipped: public coefficients, as msmTerms says)
 func (c *Curve) msmBuckets(ks []*big.Int, pts []*Point, start time.Time) (*Point, error) {
 	F := c.fld
 	n := len(pts)
@@ -253,7 +258,7 @@ func (c *Curve) msmBuckets(ks []*big.Int, pts []*Point, start time.Time) (*Point
 				// Batch-affine collapse: normalize the live buckets with one
 				// shared inversion so the suffix running sum uses cheap mixed
 				// additions, then T = Σ d·bucket_d via S += bucket_d; T += S.
-				if err := ljBatchNormalize(F, buckets, prefix, s); err != nil {
+				if err := ljBatchNormalize(F, buckets, prefix, s, (*fp.Field).InvVarTime); err != nil {
 					windowErrs[j] = err
 					continue
 				}

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math/big"
 
+	"repro/internal/fp"
 	"repro/internal/mathx"
 )
 
@@ -46,6 +47,8 @@ func (k naf) oddMultiples() int { return 1 << (k.w - 2) }
 
 // recode returns the w-NAF of the positive scalar k at the width its size
 // calls for.
+//
+//cryptolint:vartime (the width follows the scalar's length and the digits its bits: public scalars only — a secret one goes to ScalarMulSecret)
 func recode(k *big.Int) naf {
 	w := wnafWidth(k.BitLen())
 	return naf{w: w, digits: mathx.WNAF(k, w)}
@@ -59,6 +62,8 @@ func recode(k *big.Int) naf {
 // string, and all of them share the one accumulator, so n terms cost one
 // run of doublings and one table inversion instead of n. A single term is
 // the plain w-NAF ladder.
+//
+//cryptolint:vartime (zero digits are skipped and a digit indexes its table entry: the scalars are public — q, the cofactor, verification coefficients)
 func (c *Curve) ladder(pts []*Point, ks []naf, s *ljScratch) (limbJac, error) {
 	F := c.fld
 
@@ -89,7 +94,7 @@ func (c *Curve) ladder(pts []*Point, ks []naf, s *ljScratch) (limbJac, error) {
 		}
 	}
 	if size > len(ks) {
-		if err := ljBatchNormalize(F, table, newElts(F, size), s); err != nil {
+		if err := ljBatchNormalize(F, table, newElts(F, size), s, (*fp.Field).InvVarTime); err != nil {
 			return limbJac{}, err
 		}
 	}
@@ -144,7 +149,11 @@ func (pt *Point) mulRecoded(rec naf) *Point {
 // The multiplication runs on the limb Jacobian layer with a width-w NAF
 // recoding of the scalar; the result is normalized once, so outputs are
 // bit-identical to the affine double-and-add ladder (curvetest, the
-// differential-test oracle).
+// differential-test oracle). The scalar steers the ladder — digits, skipped
+// additions, table reads — so it is for public scalars; a secret one goes to
+// ScalarMulSecret.
+//
+//cryptolint:vartime (the w-NAF path for public scalars; sign handling is math/big's)
 func (pt *Point) ScalarMul(k *big.Int) *Point {
 	if pt.IsInfinity() || k.Sign() == 0 {
 		return pt.curve.Infinity()
@@ -205,7 +214,7 @@ func NewPrecomputed(base *Point, order *big.Int) (*Precomputed, error) {
 			ljDouble(F, &bases[j], s)
 		}
 	}
-	if err := ljBatchNormalize(F, bases, newElts(F, windows), s); err != nil {
+	if err := ljBatchNormalize(F, bases, newElts(F, windows), s, (*fp.Field).InvVarTime); err != nil {
 		return nil, err
 	}
 
@@ -223,7 +232,7 @@ func NewPrecomputed(base *Point, order *big.Int) (*Precomputed, error) {
 			ljAddMixed(F, &row[d], bases[j].x, bases[j].y, s)
 		}
 	}
-	if err := ljBatchNormalize(F, table, newElts(F, len(table)), s); err != nil {
+	if err := ljBatchNormalize(F, table, newElts(F, len(table)), s, (*fp.Field).InvVarTime); err != nil {
 		return nil, err
 	}
 	return &Precomputed{
@@ -243,7 +252,11 @@ func (pc *Precomputed) TableSize() int { return len(pc.table) }
 
 // ScalarMul returns (k mod order)·base using only table lookups and mixed
 // additions — no doublings. The result is the same group element (and the
-// same affine encoding) that base.ScalarMul(k) produces.
+// same affine encoding) that base.ScalarMul(k) produces. Zero digits are
+// skipped and a digit indexes its table row: for a secret scalar and a fixed
+// secret base there is SecretComb.
+//
+//cryptolint:vartime (digit-indexed table reads and zero-digit skips follow the scalar)
 func (pc *Precomputed) ScalarMul(k *big.Int) *Point {
 	c := pc.curve
 	F := c.fld

@@ -446,3 +446,208 @@ func TestUnitaryOrderDividesMatchesExp(t *testing.T) {
 		t.Fatal("negative k accepted")
 	}
 }
+
+// TestExpSecretMatchesExp holds the fixed-window ladder to square-and-multiply
+// on every kind of base — general, unitary, 1, 0, −1, i — and every kind of
+// exponent a 160-bit order allows, the ends of the range included, at a small
+// prime and at paper size (the generic field loops and the 8-limb kernels).
+func TestExpSecretMatchesExp(t *testing.T) {
+	paper, ok := new(big.Int).SetString(paperPHex, 16)
+	if !ok {
+		t.Fatal("bad paper prime literal")
+	}
+	const size = 160
+	top := new(big.Int).Lsh(big.NewInt(1), size)
+	exps := []*big.Int{
+		new(big.Int), big.NewInt(1), big.NewInt(2), big.NewInt(15), big.NewInt(16), big.NewInt(17),
+		new(big.Int).Sub(top, big.NewInt(1)), new(big.Int).Rsh(top, 1), new(big.Int).Rsh(top, 4),
+		new(big.Int).Div(top, big.NewInt(3)), new(big.Int).Div(top, big.NewInt(0xf0f1)),
+	}
+	for _, p := range []*big.Int{big.NewInt(1000003), paper} {
+		f, err := NewField(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := f.NewElement(new(big.Int).Div(p, big.NewInt(3)), new(big.Int).Div(p, big.NewInt(5)))
+		inv, err := new(Element).Inverse(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		unitary := new(Element).Conjugate(x)
+		unitary.Mul(unitary, inv)
+		bases := []*Element{x, unitary, f.One(), f.Zero(), new(Element).Neg(f.One()), f.NewElement(big.NewInt(0), big.NewInt(1))}
+		for bi, base := range bases {
+			for _, k := range exps {
+				want, err := new(Element).Exp(base, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := new(Element).ExpSecret(base, k, size)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !got.Equal(want) {
+					t.Fatalf("|p|=%d base %d, k=%v: ExpSecret %v ≠ Exp %v", p.BitLen(), bi, k, got, want)
+				}
+			}
+			// In place, like every other method of the type.
+			aliased := base.Copy()
+			want, _ := new(Element).Exp(base, exps[9])
+			if _, err := aliased.ExpSecret(aliased, exps[9], size); err != nil || !aliased.Equal(want) {
+				t.Fatalf("|p|=%d base %d: aliased ExpSecret diverges (%v)", p.BitLen(), bi, err)
+			}
+		}
+		for _, k := range []*big.Int{big.NewInt(-1), top} {
+			if _, err := new(Element).ExpSecret(x, k, size); err == nil {
+				t.Fatalf("exponent %v outside [0, 2^%d) must be refused", k, size)
+			}
+		}
+	}
+}
+
+// TestExpSecretSameOperations is the trace gate for the secret exponent: gf
+// keeps its package-level vartime marker, so nothing static reads ExpSecret,
+// and this does — exponents of Hamming weight 0, 1, |q|/2 and |q| − 1 all cost
+// the squarings, multiplications and table reads the window shape predicts.
+func TestExpSecretSameOperations(t *testing.T) {
+	f := testField(t)
+	x := f.NewElement(big.NewInt(5), big.NewInt(3))
+	const size = 160
+	half := new(big.Int)
+	for i := 0; i < size; i += 2 {
+		half.SetBit(half, i, 1)
+	}
+	want := expOps{
+		Squares:     7 + 4*(size/4-1), // x², x⁴, … x¹⁴, then four per window after the first
+		Muls:        7 + size/4 - 1,   // x³, x⁵, … x¹⁵, then one per window after the first
+		EntriesRead: 16 * size / 4,
+	}
+	for label, k := range map[string]*big.Int{
+		"zero":         new(big.Int),
+		"weight 1":     new(big.Int).Lsh(big.NewInt(1), size-2),
+		"weight |q|/2": half,
+		"weight |q|-1": new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), size-1), big.NewInt(1)),
+	} {
+		ops, err := new(Element).expSecret(x, k, size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ops != want {
+			t.Errorf("%s: ExpSecret did %+v, want %+v", label, ops, want)
+		}
+	}
+}
+
+// unitaryOfOrder returns an element of exact odd prime order q of the norm-1
+// subgroup of f (q must divide p + 1): a random x̄/x raised to (p + 1)/q.
+func unitaryOfOrder(t *testing.T, f *Field, q *big.Int, seed int64) *Element {
+	t.Helper()
+	p := f.P()
+	cof := new(big.Int).Add(p, big.NewInt(1))
+	if new(big.Int).Mod(cof, q).Sign() != 0 {
+		t.Fatal("q does not divide p + 1")
+	}
+	cof.Div(cof, q)
+	for ; ; seed++ {
+		x := f.NewElement(big.NewInt(seed), big.NewInt(seed+7))
+		g, err := new(Element).ExpUnitaryPart(x, cof)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !g.IsOne() {
+			return g
+		}
+	}
+}
+
+// TestUnitaryCombMatchesExp: the fixed-base comb returns Exp's element for
+// every exponent of a small group (all of [0, q), where every column pattern
+// and both parities occur) and, at paper size, for the ends of the range, the
+// exponents that are reduced first and random ones — and it refuses a base
+// that is not in the group its sign handling assumes.
+func TestUnitaryCombMatchesExp(t *testing.T) {
+	// p = 1000003 = 4·250001 − 1: the norm-1 group has order p + 1 = 2²·53²·89.
+	small := testField(t)
+	q := big.NewInt(89)
+	g := unitaryOfOrder(t, small, q, 3)
+	comb, err := NewUnitaryComb(g, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := int64(-3); k < 2*89+3; k++ {
+		kk := big.NewInt(k)
+		want, _ := new(Element).Exp(g, new(big.Int).Mod(kk, q))
+		if got := comb.ExpSecret(kk); !got.Equal(want) {
+			t.Fatalf("g^%d: comb %v ≠ Exp %v", k, got, want)
+		}
+	}
+	if _, err := NewUnitaryComb(small.NewElement(big.NewInt(5), big.NewInt(3)), q); err == nil {
+		t.Fatal("a non-unitary base must be refused")
+	}
+	if _, err := NewUnitaryComb(unitaryOfOrder(t, small, big.NewInt(53), 3), q); err == nil {
+		t.Fatal("a base of another order must be refused")
+	}
+	if _, err := NewUnitaryComb(g, big.NewInt(88)); err == nil {
+		t.Fatal("an even order must be refused")
+	}
+
+	paperP, _ := new(big.Int).SetString(paperPHex, 16)
+	paperQ, _ := new(big.Int).SetString("d766107fb0eace0a6ccd9d42e9492ba8bf2298ed", 16)
+	paper, err := NewField(paperP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g = unitaryOfOrder(t, paper, paperQ, 11)
+	if comb, err = NewUnitaryComb(g, paperQ); err != nil {
+		t.Fatal(err)
+	}
+	exps := []*big.Int{
+		new(big.Int), big.NewInt(1), big.NewInt(2), new(big.Int).Sub(paperQ, big.NewInt(1)), new(big.Int).Set(paperQ),
+		new(big.Int).Add(paperQ, big.NewInt(2)), big.NewInt(-5), new(big.Int).Lsh(paperQ, 33),
+		new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), 160), big.NewInt(1)),
+	}
+	for i := int64(1); i <= 24; i++ {
+		exps = append(exps, new(big.Int).Div(new(big.Int).Mul(paperQ, big.NewInt(i)), big.NewInt(25+i)))
+	}
+	for _, k := range exps {
+		want, _ := new(Element).Exp(g, new(big.Int).Mod(k, paperQ))
+		if got := comb.ExpSecret(k); !got.Equal(want) {
+			t.Fatalf("paper size, g^%v: comb ≠ Exp", k)
+		}
+	}
+}
+
+// TestUnitaryCombSameOperations is the comb's trace gate, as
+// TestExpSecretSameOperations is ExpSecret's: d − 1 squarings, d − 1
+// multiplications and 32·d rows read, whatever the exponent.
+func TestUnitaryCombSameOperations(t *testing.T) {
+	paperP, _ := new(big.Int).SetString(paperPHex, 16)
+	paperQ, _ := new(big.Int).SetString("d766107fb0eace0a6ccd9d42e9492ba8bf2298ed", 16)
+	paper, err := NewField(paperP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	comb, err := NewUnitaryComb(unitaryOfOrder(t, paper, paperQ, 11), paperQ)
+	if err != nil {
+		t.Fatal(err)
+	}
+	half := new(big.Int)
+	for i := 0; i < 159; i += 2 {
+		half.SetBit(half, i, 1)
+	}
+	const d = 27 // ⌈160/6⌉
+	want := expOps{Squares: d - 1, Muls: d - 1, EntriesRead: 32 * d}
+	for label, k := range map[string]*big.Int{
+		"zero":         new(big.Int),
+		"one":          big.NewInt(1),
+		"two":          big.NewInt(2),
+		"weight 1":     new(big.Int).Lsh(big.NewInt(1), 158),
+		"weight |q|/2": half,
+		"weight |q|-1": new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), 159), big.NewInt(1)),
+		"q-1":          new(big.Int).Sub(paperQ, big.NewInt(1)),
+	} {
+		if ops := comb.expSecret(paper.Zero(), k); ops != want {
+			t.Errorf("%s: comb did %+v, want %+v", label, ops, want)
+		}
+	}
+}

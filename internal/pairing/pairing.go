@@ -214,6 +214,23 @@ func (g *GT) Exp(k *big.Int) (*GT, error) {
 	return &GT{v: out, q: g.q}, nil
 }
 
+// ExpSecret returns g^k like Exp, for an exponent that must stay secret (a
+// proof nonce, an encryption randomiser): k is reduced modulo the group order
+// only if it lies outside [0, 2^|q|), which no in-repo caller's does, and is
+// then walked by gf's fixed-window ladder — the same squarings,
+// multiplications and table reads for every exponent of that size, no
+// inversion. The same field element as Exp, for any g.
+func (g *GT) ExpSecret(k *big.Int) (*GT, error) {
+	if k.Sign() < 0 || k.BitLen() > g.q.BitLen() {
+		k = new(big.Int).Mod(k, g.q)
+	}
+	out := new(gf.Element)
+	if _, err := out.ExpSecret(g.v, k, g.q.BitLen()); err != nil {
+		return nil, fmt.Errorf("pairing: GT exponentiation: %w", err)
+	}
+	return &GT{v: out, q: g.q}, nil
+}
+
 // Bytes returns the canonical fixed-width serialization of g.
 func (g *GT) Bytes() []byte { return g.v.Bytes() }
 
