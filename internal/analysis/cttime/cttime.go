@@ -13,9 +13,8 @@
 //     (Sign(), BitLen(), IsZero()) are exempt.
 //   - index: indexing a slice, array or map with a tainted index or key
 //     leaks through the cache.
-//   - vartime call: fp.Field.InvVarTime (binary extended GCD) and
-//     math/big arithmetic run in time dependent on their operands' values;
-//     neither may receive tainted input.
+//   - vartime call: math/big arithmetic runs in time dependent on its
+//     operands' values and may not receive tainted input.
 //
 // Escapes, each expected to carry a reason:
 //
@@ -40,7 +39,7 @@ import (
 // Analyzer is the cttime checker.
 var Analyzer = &analysis.Analyzer{
 	Name: "cttime",
-	Doc:  "forbid variable-time operations (branches, indexing, math/big, InvVarTime) on secret-tainted values",
+	Doc:  "forbid variable-time operations (branches, indexing, math/big) on secret-tainted values",
 	Run:  run,
 }
 
@@ -147,23 +146,11 @@ func checkCond(pass *analysis.Pass, ta *taint.Analysis, marks *analysis.LineMark
 	walk(cond)
 }
 
-// checkCall reports variable-time callees receiving tainted input.
+// checkCall reports variable-time math/big arithmetic receiving tainted
+// input.
 func checkCall(pass *analysis.Pass, ta *taint.Analysis, marks *analysis.LineMarks, info *types.Info, call *ast.CallExpr) {
 	fn := calleeFunc(info, call)
-	if fn == nil || fn.Pkg() == nil {
-		return
-	}
-	recv := receiverTypeName(fn)
-
-	vartime := false
-	var label string
-	switch {
-	case fn.Pkg().Path() == "repro/internal/fp" && recv == "Field" && fn.Name() == "InvVarTime":
-		vartime, label = true, "fp.Field.InvVarTime (binary extended GCD)"
-	case fn.Pkg().Path() == "math/big" && recv == "Int" && bigIntMethods[fn.Name()]:
-		vartime, label = true, "math/big.Int."+fn.Name()
-	}
-	if !vartime {
+	if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() != "math/big" || receiverTypeName(fn) != "Int" || !bigIntMethods[fn.Name()] {
 		return
 	}
 
@@ -178,7 +165,7 @@ func checkCall(pass *analysis.Pass, ta *taint.Analysis, marks *analysis.LineMark
 		leaks = ta.Tainted(info, arg)
 	}
 	if leaks && !marks.Has(analysis.MarkerPublic, call.Pos()) {
-		pass.Reportf(call.Pos(), "secret-tainted value reaches variable-time %s; use the constant-time fp path or annotate the sanctioned edge", label)
+		pass.Reportf(call.Pos(), "secret-tainted value reaches variable-time math/big.Int.%s; use the constant-time fp path or annotate the sanctioned edge", fn.Name())
 	}
 }
 

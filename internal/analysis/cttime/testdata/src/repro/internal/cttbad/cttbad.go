@@ -4,7 +4,6 @@ package cttbad
 import (
 	"math/big"
 
-	"repro/internal/fp"
 	"repro/internal/keys"
 )
 
@@ -43,12 +42,6 @@ func Blind(k *keys.PrivateKey, n *big.Int) *big.Int {
 // Reduce mutates the secret in place; the receiver is tainted.
 func Reduce(k *keys.PrivateKey, n *big.Int) {
 	k.D.Mod(k.D, n) // want `secret-tainted value reaches variable-time math/big.Int.Mod`
-}
-
-// Invert hands secret limbs to the variable-time GCD.
-func Invert(f *fp.Field, k *keys.PrivateKey) *fp.Element {
-	var z fp.Element
-	return f.InvVarTime(&z, k.E) // want `secret-tainted value reaches variable-time fp.Field.InvVarTime`
 }
 
 // derive moves the secret through a call boundary; the taint layer tracks

@@ -3,12 +3,3 @@ package fp
 
 // Element is a stub limb vector.
 type Element [4]uint64
-
-// Field is a stub field context.
-type Field struct{}
-
-// Inv is the constant-time inversion.
-func (f *Field) Inv(z, x *Element) *Element { return z }
-
-// InvVarTime is the variable-time inversion; cttime forbids tainted input.
-func (f *Field) InvVarTime(z, x *Element) *Element { return z }

@@ -425,9 +425,9 @@ func Baseline(pp *pairing.Params, minIters int, minDuration time.Duration) (*Bas
 		return nil, err
 	}
 
-	// A modulus-sized exponent, as both of Exp's callers pass: the point
-	// decode's root (p+1)/4 and Inv's p − 2. (p itself, so that no math/big
-	// arithmetic happens here: 512 squarings where the root has 510.)
+	// A modulus-sized exponent, as Exp's caller passes: the point decode's
+	// root (p+1)/4. (p itself, so that no math/big arithmetic happens here:
+	// 512 squarings where the root has 510.)
 	modExp := F.P()
 
 	bodies := []struct {
@@ -442,6 +442,7 @@ func Baseline(pp *pairing.Params, minIters int, minDuration time.Duration) (*Bas
 		{"fp.square", func() error { F.Square(fz, fx); return nil }},
 		{"fp.square.go", func() error { F.SquareGo(fz, fx); return nil }},
 		{"fp.exp", func() error { F.Exp(fz, fx, modExp); return nil }},
+		{"fp.inv", func() error { return F.Inv(fz, fx) }},
 		{"gf.mul", func() error { eOut.Mul(e1, e2); return nil }},
 		{"gf.square", func() error { eOut.Square(e1); return nil }},
 		{"pair", func() error { _, err := pp.Pair(P, Q); return err }},

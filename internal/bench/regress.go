@@ -56,14 +56,16 @@ func (g ratioGate) name() string { return g.Num + " ÷ " + g.Den }
 // generic loop and Square is Mul. The third guards that assembly: Field.Mul
 // as dispatched against the Go kernel (measured 0.68–0.75 when it landed;
 // 1.0 if the dispatch stops reaching mul8). The fourth guards the
-// batched share-proof check (measured when it landed: 0.44): checking five
-// shares of one ciphertext as one equation against checking them one by
-// one, which is what a recombiner paid before and still pays to name a
-// liar. Losing either new kernel under it (the small-n MSM, the GT
-// multi-exponentiation) moves the ratio past the bound. The next two guard
-// the hot token's boundary: the SEM's decode of a pairing evaluation point
-// against the full G1 decode (measured 0.24–0.26; 1.0 if the [q]· ladder
-// comes back onto ibe_token's decoder), and the Lucas-ladder GT check
+// batched share-proof check (measured when it landed: 0.44; 0.50–0.53 since
+// ρ multiplies the generator's table instead of U, which takes the same off
+// each single check as off the batch): checking five shares of one
+// ciphertext as one equation against checking them one by one, which is
+// what a recombiner paid before and still pays to name a liar. Losing either
+// new kernel under it (the small-n MSM, the GT multi-exponentiation) moves
+// the ratio past the bound. The next two guard the hot token's boundary: the
+// SEM's decode of a pairing evaluation point against the full G1 decode
+// (measured 0.24–0.26; 1.0 if the [q]· ladder comes back onto ibe_token's
+// decoder), and the Lucas-ladder GT check
 // against a generic 160-bit GT exponentiation, which is what InGT used to
 // be (measured 0.48–0.50). The seventh guards a threshold player's share: a
 // warm ThresholdPlayer.Share — G replayed from the identity's cached Miller
@@ -104,7 +106,10 @@ func (g ratioGate) name() string { return g.Num + " ÷ " + g.Den }
 // twelfth guards the secret-scalar comb against the variable-time ladder it
 // replaced under a player's proof: d − 1 doublings and d additions with every
 // row read, against a 160-bit w-NAF walk (measured 0.38–0.40; a comb that
-// lost a tooth or fell back to the window ladder reads 0.7–1.1).
+// lost a tooth or fell back to the window ladder reads 0.7–1.1). The
+// thirteenth guards the field's one inverse, the constant-time safegcd, in
+// multiplications: ≈ 100 measured, where the math/big GCD it replaced read
+// ≈ 89 and the Fermat ladder before that ≈ 720 in the same bursts.
 var kernelRatioGates = []ratioGate{
 	{Num: "fp.mul.go", Den: "fp.mul.generic", Max: 0.70, Rounds: 64, Burst: 2048},
 	{Num: "fp.square.go", Den: "fp.mul.go", Max: 0.92, Rounds: 64, Burst: 2048},
@@ -118,6 +123,7 @@ var kernelRatioGates = []ratioGate{
 	{Num: "fp.exp", Den: "fp.square", Max: 850, Rounds: 16, Burst: 256},
 	{Num: "ibe.token.scan", Den: "pair", Max: 1.05, Rounds: 12, Burst: 16},
 	{Num: "scalarmul.secret-comb", Den: "scalarmul.variable-wnaf", Max: 0.55, Rounds: 32, Burst: 8},
+	{Num: "fp.inv", Den: "fp.mul", Max: 120, Rounds: 32, Burst: 64},
 }
 
 // CompareBaselines checks a freshly measured report against a committed

@@ -12,6 +12,7 @@ import (
 	"repro/internal/bf"
 	"repro/internal/curve"
 	"repro/internal/curve/curvetest"
+	"repro/internal/mathx"
 	"repro/internal/pairing"
 )
 
@@ -23,6 +24,7 @@ type batchFixture struct {
 	qid    *pairing.HashArg
 	c      *bf.BasicCiphertext
 	msg    []byte
+	keys   []*KeyShare        // keys[i-1] is player i's
 	shares []*DecryptionShare // shares[i-1] is player i's
 }
 
@@ -48,6 +50,7 @@ func newBatchFixture(tb testing.TB, pp *pairing.Params) *batchFixture {
 		if err != nil {
 			tb.Fatal(err)
 		}
+		f.keys = append(f.keys, ks)
 		f.shares = append(f.shares, ds)
 	}
 	return f
@@ -124,6 +127,71 @@ func TestVerifyShareProofsAllocs(t *testing.T) {
 	verify() // build the verification keys' Miller programs outside the count
 	if allocs := testing.AllocsPerRun(5, verify); allocs >= 1000 {
 		t.Fatalf("paper-size VerifyShareProofs over 5 shares allocates %.0f times per call, want < 1000", allocs)
+	}
+}
+
+// TestCancellingLieFails: player 2 commits to W1·g^δ and W2·g^−δ and proves
+// the moved commitments honestly — challenge recomputed, V = R + e·d_IDi —
+// so that its two equations are off by g^−δ and g^δ, which cancel wherever
+// the two are folded with equal weight. The fresh ρ weighing one against the
+// other must catch it, batched beside honest shares and alone.
+func TestCancellingLieFails(t *testing.T) {
+	pp, err := pairing.Toy()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := newBatchFixture(t, pp)
+	q := pp.Q()
+	pair := func(a, b *curve.Point) *pairing.GT {
+		g, err := pp.Pair(a, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	exp := func(g *pairing.GT, k *big.Int) *pairing.GT {
+		h, err := g.Exp(new(big.Int).Mod(k, q))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
+	ks, P, U := f.keys[1], pp.Generator(), f.c.U
+	c, err := f.p.vkPair(ks.Index, f.qid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, G := pair(P, P), pair(U, ks.D)
+	prove := func(delta *big.Int) *DecryptionShare {
+		r, err := mathx.RandomFieldElement(rand.Reader, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		R := ks.D.ScalarMul(r)
+		w1 := pair(P, R).Mul(exp(g, delta))
+		w2 := pair(U, R).Mul(exp(g, new(big.Int).Neg(delta)))
+		e := proofChallenge(q, G, c, w1, w2)
+		return &DecryptionShare{Index: ks.Index, G: G, Proof: &ShareProof{W1: w1, W2: w2, E: e, V: R.Add(ks.D.ScalarMul(e))}}
+	}
+	if err := f.p.VerifyShareProofFor(f.qid, U, prove(new(big.Int))); err != nil {
+		t.Fatalf("the same proof with δ = 0: %v", err)
+	}
+	for trial := 0; trial < 8; trial++ {
+		delta, err := mathx.RandomFieldElement(rand.Reader, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lie := prove(delta)
+		if err := f.p.VerifyShareProofFor(f.qid, U, lie); !errors.Is(err, ErrProofInvalid) {
+			t.Fatalf("single check accepted the cancelling lie: %v", err)
+		}
+		shares := []*DecryptionShare{f.shares[0], lie, f.shares[2]}
+		if err := f.p.VerifyShareProofs(f.qid, U, shares); !errors.Is(err, ErrProofInvalid) {
+			t.Fatalf("batch check accepted the cancelling lie: %v", err)
+		}
+		if _, rejected := f.p.AcceptableShares(f.qid, U, shares); !slices.Equal(rejected, []int{2}) {
+			t.Fatalf("rejected %v, want [2]", rejected)
+		}
 	}
 }
 

@@ -338,7 +338,7 @@ func (p *ThresholdParams) ComputeShareWithProof(rng io.Reader, share *KeyShare, 
 // walks (keyPairer.powSecret, mulSecret) — or, with no entry (nil: an identity
 // the cache did not admit, the cacheless ComputeShareWithProof), from
 // ExpSecret and ScalarMulSecret, the same elements. One field inversion per
-// share, V's, blinded.
+// share, V's, by the constant-time fp.Field.Inv.
 func (p *ThresholdParams) proveShare(rng io.Reader, share *KeyShare, g *pairing.GT, entry *keyPairer) (*DecryptionShare, error) {
 	q := p.Public.Pairing.Q()
 	pubPair, err := p.sharePubPair(share)
@@ -409,30 +409,38 @@ const batchCoefficientBits = 128
 // ρ ← [1, q) folding each share's pair of equations and a₁ = 1,
 // aᵢ ← [1, 2¹²⁸) folding the shares,
 //
-//	ê(P + ρ·U, Σ aᵢ·Vᵢ)  ≟  Π (W1ᵢ · cᵢ^eᵢ)^aᵢ · [ Π (W2ᵢ · Gᵢ^eᵢ)^aᵢ ]^ρ
+//	ê(ρ·P + U, Σ aᵢ·Vᵢ)  ≟  [ Π (W1ᵢ · cᵢ^eᵢ)^aᵢ ]^ρ · Π (W2ᵢ · Gᵢ^eᵢ)^aᵢ
 //
-// is one pairing, one n-term multi-scalar multiplication and one 4n-term GT
+// is one pairing, one fixed-base multiplication of the generator
+// (pairing.Params.GeneratorMul, a table walk where a ladder on U costs four
+// times as much), one n-term multi-scalar multiplication and one 4n-term GT
 // multi-exponentiation. Write share i's two quotients as g^αᵢ and g^βᵢ in the
-// order-q group GT: the check is Σ aᵢ·(αᵢ + ρ·βᵢ) = 0. A share with
-// (αᵢ, βᵢ) ≠ (0, 0) keeps αᵢ + ρ·βᵢ ≠ 0 for all but at most one ρ, and a
+// order-q group GT: the check is Σ aᵢ·(ρ·αᵢ + βᵢ) = 0. A share with
+// (αᵢ, βᵢ) ≠ (0, 0) keeps ρ·αᵢ + βᵢ ≠ 0 for all but at most one ρ, and a
 // linear form in the aᵢ with a nonzero coefficient then vanishes for at most
 // one value of that aᵢ (never, if it is the fixed a₁ alone) — a set holding a
 // bad share passes with probability ≤ 1/(q−1) + 2⁻¹²⁸ (q > 2¹²⁸ at paper
 // size; under a smaller q the coefficients act modulo q and the second term
-// is ≈ 1/q like the first). That argument is about equations between
-// elements of G1 and GT. For Gᵢ, W1ᵢ, W2ᵢ membership is the decoding
-// boundary's business (wire.UnmarshalGTBatch), checked there per element and
-// never folded. A Vᵢ need only be a point of E(F_p): it enters nothing but
-// the sum Σ aᵢ·Vᵢ — exact on the whole curve — which is then the evaluation
-// point of a pairing whose walked argument P + ρ·U is in G1, and that
-// argument is cofactor-blind. Writing Vᵢ = Vᵢ,q + Tᵢ with Tᵢ of cofactor
+// is ≈ 1/q like the first). Which equation ρ weighs does not matter to the
+// argument; that it is fresh does — a prover who moves W1 by g^δ and W2 by
+// g^−δ leaves α = −δ, β = δ, which cancel for ρ = 1. The table walk behind
+// ρ·P follows ρ's digits, as the ladder on U did: ρ is drawn per call after
+// the shares are in, used once and never published.
+//
+// The soundness argument is about equations between elements of G1 and GT.
+// For Gᵢ, W1ᵢ, W2ᵢ membership is the decoding boundary's business
+// (wire.UnmarshalGTBatch), checked there per element and never folded. A Vᵢ
+// need only be a point of E(F_p): it enters nothing but the sum Σ aᵢ·Vᵢ —
+// exact on the whole curve — which is then the evaluation point of a pairing
+// whose walked argument ρ·P + U is in G1, and that argument is
+// cofactor-blind. Writing Vᵢ = Vᵢ,q + Tᵢ with Tᵢ of cofactor
 // order, the equation checked is exactly the equation for the projections
 // Vᵢ,q: a prover sending V_q + T gains nothing it could not have by sending
 // V_q, and a V of pure cofactor order is the claim V_q = O (DESIGN §7).
 //
 // All of the above is for u ∈ G1, which this function does not check: the
 // scheme defines a plaintext only for such a u (an honest sender's r·P). For
-// a u outside G1, P + ρ·u is not in G1 either, what Pair returns is no
+// a u outside G1, ρ·P + u is not in G1 either, what Pair returns is no
 // pairing value — not bilinear, not blind to a Vᵢ's cofactor part — and a
 // verdict here means nothing. cluster's recombiner validates u only after a
 // round has failed (honest proofs always fail against such a u), which is
@@ -471,7 +479,7 @@ func (p *ThresholdParams) VerifyShareProofs(qid *pairing.HashArg, u *curve.Point
 	one := big.NewInt(1)
 	coefBound := new(big.Int).Lsh(one, batchCoefficientBits)
 	// The right-hand side as 4n (base, exponent) terms:
-	// W1ᵢ^aᵢ · cᵢ^(aᵢeᵢ) · W2ᵢ^(aᵢρ) · Gᵢ^(aᵢeᵢρ).
+	// W1ᵢ^(aᵢρ) · cᵢ^(aᵢeᵢρ) · W2ᵢ^aᵢ · Gᵢ^(aᵢeᵢ).
 	bases := make([]*pairing.GT, 4*n)
 	exps := make([]*big.Int, 4*n)
 	as := make([]*big.Int, n)
@@ -493,7 +501,7 @@ func (p *ThresholdParams) VerifyShareProofs(qid *pairing.HashArg, u *curve.Point
 		}
 		ae := mathx.MulMod(a, e, q)
 		copy(bases[4*i:], []*pairing.GT{ds.Proof.W1, pubPair, ds.Proof.W2, ds.G})
-		copy(exps[4*i:], []*big.Int{a, ae, mathx.MulMod(a, rho, q), mathx.MulMod(ae, rho, q)})
+		copy(exps[4*i:], []*big.Int{mathx.MulMod(a, rho, q), mathx.MulMod(ae, rho, q), a, ae})
 		as[i], vs[i] = a, ds.Proof.V
 	}
 
@@ -501,7 +509,7 @@ func (p *ThresholdParams) VerifyShareProofs(qid *pairing.HashArg, u *curve.Point
 	if err != nil {
 		return err
 	}
-	lhs, err := pp.Pair(pp.Generator().Add(u.ScalarMul(rho)), v)
+	lhs, err := pp.Pair(pp.GeneratorMul(rho).Add(u), v)
 	if err != nil {
 		return err
 	}

@@ -173,7 +173,8 @@ func TestShareTimingIndependentOfNonce(t *testing.T) {
 
 // TestWarmShareAllocs pins the warm share's allocation count at what it was
 // with V on the w-NAF ladder and the powers on GT.Exp (145): the comb, the
-// blinded normalisation and the fixed-window powers must not cost objects.
+// constant-time normalisation and the fixed-window powers must not cost
+// objects.
 func TestWarmShareAllocs(t *testing.T) {
 	pkg, player := playerFixture(t)
 	const id = "vault@example.com"

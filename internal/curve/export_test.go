@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math/big"
 	"time"
-
-	"repro/internal/fp"
 )
 
 // What the tests reach of the package's internals. They live in package
@@ -45,7 +43,7 @@ func (c *Curve) BatchTriple(pts []*Point) ([]*Point, error) {
 		ljDouble(F, &jacs[i], s)
 		ljAddMixed(F, &jacs[i], P.x, P.y, s)
 	}
-	if err := ljBatchNormalize(F, jacs, newElts(F, len(jacs)), s, (*fp.Field).InvVarTime); err != nil {
+	if err := ljBatchNormalize(F, jacs, newElts(F, len(jacs)), s); err != nil {
 		return nil, err
 	}
 	out := make([]*Point, len(pts))

@@ -271,20 +271,15 @@ func ljAdd(F *fp.Field, v, u *limbJac, s *ljScratch) {
 	F.Sub(v.y, u1hh, hhh)
 }
 
-// inverter is how a normalisation inverts: (*fp.Field).InvVarTime for
-// coordinates anyone may see, (*fp.Field).InvBlinded when the Z being
-// inverted was computed from a secret scalar or a secret base.
-type inverter func(F *fp.Field, z, x []uint64) error
-
 // ljBatchNormalize converts every non-identity point in pts to affine form
 // (Z = 1) in place with Montgomery's simultaneous-inversion trick: one
-// inversion by inv plus three multiplications per point. prefix is a
-// caller-owned slab of at least len(pts) field elements reused across calls.
+// inversion plus three multiplications per point. prefix is a caller-owned
+// slab of at least len(pts) field elements reused across calls.
 // Identity points are left untouched (Z stays 0).
 //
 //cryptolint:hotpath
 //cryptolint:vartime (skips identity points: which of them are is a property of public operands in every caller but the secret kernels, whose tables hold none)
-func ljBatchNormalize(F *fp.Field, pts []limbJac, prefix [][]uint64, s *ljScratch, inv inverter) error {
+func ljBatchNormalize(F *fp.Field, pts []limbJac, prefix [][]uint64, s *ljScratch) error {
 	acc := s.t1
 	F.SetOne(acc)
 	live := 0
@@ -299,7 +294,7 @@ func ljBatchNormalize(F *fp.Field, pts []limbJac, prefix [][]uint64, s *ljScratc
 	if live == 0 {
 		return nil
 	}
-	if err := inv(F, acc, acc); err != nil {
+	if err := F.Inv(acc, acc); err != nil {
 		// Unreachable: every factor is a nonzero residue mod the prime p.
 		return err
 	}
@@ -320,22 +315,17 @@ func ljBatchNormalize(F *fp.Field, pts []limbJac, prefix [][]uint64, s *ljScratc
 	return nil
 }
 
-// ljToPoint normalizes v into a fresh immutable Point (one variable-time
-// inversion): the canonical coordinates of a group element anyone may see.
+// ljToPoint normalizes v into a fresh immutable Point with one inversion of
+// Z: the canonical coordinates of the group element.
 //
-//cryptolint:vartime (fp.InvVarTime on Z, and the identity is answered without one)
+//cryptolint:vartime (the identity is answered without an inversion)
 func (c *Curve) ljToPoint(v *limbJac, s *ljScratch) *Point {
-	return c.ljNormalize(v, s, (*fp.Field).InvVarTime)
-}
-
-// ljNormalize is ljToPoint with the inversion of Z left to inv.
-func (c *Curve) ljNormalize(v *limbJac, s *ljScratch, inv inverter) *Point {
 	F := c.fld
 	if F.IsZero(v.z) {
 		return c.Infinity()
 	}
 	zInv := s.t1
-	if err := inv(F, zInv, v.z); err != nil {
+	if err := F.Inv(zInv, v.z); err != nil {
 		return c.Infinity() // unreachable: Z ≠ 0 mod prime p
 	}
 	zInv2 := s.t2

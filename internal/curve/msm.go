@@ -34,7 +34,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/fp"
 	"repro/internal/obs"
 	"repro/internal/parallel"
 )
@@ -258,7 +257,7 @@ func (c *Curve) msmBuckets(ks []*big.Int, pts []*Point, start time.Time) (*Point
 				// Batch-affine collapse: normalize the live buckets with one
 				// shared inversion so the suffix running sum uses cheap mixed
 				// additions, then T = Σ d·bucket_d via S += bucket_d; T += S.
-				if err := ljBatchNormalize(F, buckets, prefix, s, (*fp.Field).InvVarTime); err != nil {
+				if err := ljBatchNormalize(F, buckets, prefix, s); err != nil {
 					windowErrs[j] = err
 					continue
 				}

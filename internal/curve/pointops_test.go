@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/curve"
 	"repro/internal/curve/curvetest"
-	"repro/internal/fp"
 	"repro/internal/mathx"
 )
 
@@ -145,9 +144,9 @@ func TestNewRejectsCompositeP(t *testing.T) {
 }
 
 // The representation's allocation pins at paper size: a decoded point is its
-// header and one slab; an addition adds the Jacobian scratch and one
-// variable-time inversion's big.Int words. A big.Int coordinate coming back
-// on either path at least doubles the count.
+// header and one slab; an addition adds the Jacobian scratch, and its
+// inversion nothing. A big.Int coordinate coming back on either path, or an
+// inverse that allocates, at least doubles the count.
 func TestPointAllocs(t *testing.T) {
 	c := paperCurve(t)
 	P, err := c.RandomG1(rand.Reader)
@@ -163,19 +162,9 @@ func TestPointAllocs(t *testing.T) {
 	}); n != 2 {
 		t.Errorf("Unmarshal allocates %.0f times per point, want 2 (header and slab)", n)
 	}
-	// An addition is the Jacobian scratch (3), the accumulator (3), the result
-	// (2) and whatever one fp.InvVarTime makes inside math/big (18 on go1.24);
-	// the big.Int chord-and-tangent Add it replaced made 29 in all.
-	F, err := fp.New(c.P())
-	if err != nil {
-		t.Fatal(err)
-	}
-	z, zInv := F.NewElt(), F.NewElt()
-	if err := F.FromBig(z, P.X()); err != nil {
-		t.Fatal(err)
-	}
-	inv := testing.AllocsPerRun(50, func() { _ = F.InvVarTime(zInv, z) })
-	if n := testing.AllocsPerRun(50, func() { P.Add(Q) }); n > inv+8 {
-		t.Errorf("Add allocates %.0f times per call, want ≤ %.0f (one inversion's %.0f and 8)", n, inv+8, inv)
+	// An addition is the Jacobian scratch (3), the accumulator (3) and the
+	// result (2); its inversion allocates nothing.
+	if n := testing.AllocsPerRun(50, func() { P.Add(Q) }); n != 8 {
+		t.Errorf("Add allocates %.0f times per call, want 8", n)
 	}
 }

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"math/big"
 
-	"repro/internal/fp"
 	"repro/internal/mathx"
 )
 
@@ -94,7 +93,7 @@ func (c *Curve) ladder(pts []*Point, ks []naf, s *ljScratch) (limbJac, error) {
 		}
 	}
 	if size > len(ks) {
-		if err := ljBatchNormalize(F, table, newElts(F, size), s, (*fp.Field).InvVarTime); err != nil {
+		if err := ljBatchNormalize(F, table, newElts(F, size), s); err != nil {
 			return limbJac{}, err
 		}
 	}
@@ -214,7 +213,7 @@ func NewPrecomputed(base *Point, order *big.Int) (*Precomputed, error) {
 			ljDouble(F, &bases[j], s)
 		}
 	}
-	if err := ljBatchNormalize(F, bases, newElts(F, windows), s, (*fp.Field).InvVarTime); err != nil {
+	if err := ljBatchNormalize(F, bases, newElts(F, windows), s); err != nil {
 		return nil, err
 	}
 
@@ -232,7 +231,7 @@ func NewPrecomputed(base *Point, order *big.Int) (*Precomputed, error) {
 			ljAddMixed(F, &row[d], bases[j].x, bases[j].y, s)
 		}
 	}
-	if err := ljBatchNormalize(F, table, newElts(F, len(table)), s, (*fp.Field).InvVarTime); err != nil {
+	if err := ljBatchNormalize(F, table, newElts(F, len(table)), s); err != nil {
 		return nil, err
 	}
 	return &Precomputed{

@@ -158,14 +158,14 @@ func (k *secretWalk) add(doubles int, last bool) {
 }
 
 // finish turns the accumulator into the product's Point: the sign k's
-// parity asked for, one blinded inversion of a Z that saw the whole scalar,
-// and O when the scalar was zero — a verdict the published product carries
-// anyway.
+// parity asked for, one constant-time inversion of a Z that saw the whole
+// scalar, and O when the scalar was zero — a verdict the published product
+// carries anyway.
 func (k *secretWalk) finish(neg, zero int) *Point {
 	F := k.c.fld
 	F.Neg(k.ny, k.acc.y)
 	fp.Select(k.acc.y, k.ny, k.acc.y, neg)
-	pt := k.c.ljNormalize(&k.acc, k.s, (*fp.Field).InvBlinded)
+	pt := k.c.ljToPoint(&k.acc, k.s)
 	k.ops.Inversions++
 	if zero == 1 { //cryptolint:public (the product O is what the caller publishes for k ≡ 0)
 		return k.c.Infinity()
@@ -179,10 +179,10 @@ func (k *secretWalk) finish(neg, zero int) *Point {
 // ScalarMulSecret returns (k mod q)·P for a point P of G1 ∖ {O} and a secret
 // scalar k, bit-identical to P.ScalarMul(k): a fixed-window ladder over the
 // signed recoding above whose doublings, additions and table reads are the
-// same for every k in [0, q). The eight odd multiples of P are normalised
-// behind a blind, as is the product, so that P itself may be secret too (a
-// key share). About a tenth dearer than ScalarMul's w-NAF at paper size;
-// public scalars stay there. ErrNotInSubgroup for any other P.
+// same for every k in [0, q). The eight odd multiples of P are normalised by
+// the constant-time inverse, as is the product, so that P itself may be
+// secret too (a key share). About a tenth dearer than ScalarMul's w-NAF at
+// paper size; public scalars stay there. ErrNotInSubgroup for any other P.
 func (pt *Point) ScalarMulSecret(k *big.Int) (*Point, error) {
 	out, _, err := pt.scalarMulSecret(k)
 	return out, err
@@ -207,7 +207,7 @@ func (pt *Point) scalarMulSecret(k *big.Int) (*Point, secretOps, error) {
 		rows[j].set(F, &rows[j-1])
 		ljAdd(F, &rows[j], twoP, walk.s)
 	}
-	if err := ljBatchNormalize(F, rows, newElts(F, len(rows)), walk.s, (*fp.Field).InvBlinded); err != nil {
+	if err := ljBatchNormalize(F, rows, newElts(F, len(rows)), walk.s); err != nil {
 		return nil, secretOps{}, fmt.Errorf("curve: secret-scalar table: %w", err)
 	}
 	walk.ops = secretOps{Doubles: 1, Adds: len(rows) - 1, Inversions: 1}
@@ -254,7 +254,7 @@ func combTeeth(bits int) int {
 
 // NewSecretComb builds the comb of base, which must be a point of G1 ∖ {O}
 // (curve.ErrNotInSubgroup otherwise, as NewFixedPair answers): (w−1)·d
-// doublings, 2^(w−1) + w − 2 additions and one blinded batch normalisation.
+// doublings, 2^(w−1) + w − 2 additions and one batch normalisation.
 func NewSecretComb(base *Point) (*SecretComb, error) {
 	if base == nil {
 		return nil, fmt.Errorf("%w: nil point", ErrNotInSubgroup)
@@ -299,7 +299,7 @@ func NewSecretComb(base *Point) (*SecretComb, error) {
 		rows[idx].set(F, &rows[idx&(idx-1)])
 		ljAdd(F, &rows[idx], &teeth[t], s)
 	}
-	if err := ljBatchNormalize(F, rows, newElts(F, len(rows)), s, (*fp.Field).InvBlinded); err != nil {
+	if err := ljBatchNormalize(F, rows, newElts(F, len(rows)), s); err != nil {
 		return nil, fmt.Errorf("curve: secret comb: %w", err)
 	}
 

@@ -242,7 +242,7 @@ func TestSecretKernelsSameOperations(t *testing.T) {
 				Adds:         7 + digits - 2,   // 3P … 15P, then one per digit between the first and the last
 				CompleteAdds: 1,
 				RowsRead:     8 * digits,
-				Inversions:   2, // the table and the product, both blinded
+				Inversions:   2, // the table and the product
 			}
 			teeth, spacing, rows := comb.Shape()
 			if teeth*spacing < bits || rows != 1<<(teeth-1) {

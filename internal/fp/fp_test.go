@@ -247,7 +247,108 @@ func TestArithmeticMatchesBigInt(t *testing.T) {
 					t.Fatalf("Double(%v) = %v, want %v", a, g, wantDbl)
 				}
 			}
+			// Inv against ModInverse, on the values above and the inverse's
+			// own edges: (p+1)/2 = 2⁻¹, p's top limb over all-ones lower
+			// limbs, and seeded random values.
+			s := uint(64 * (f.Limbs() - 1))
+			topFull := new(big.Int).Lsh(new(big.Int).Rsh(p, s), s)
+			vals = append(vals, new(big.Int).Rsh(new(big.Int).Add(p, big.NewInt(1)), 1), topFull.Sub(topFull, big.NewInt(1)))
+			rng := rand.New(rand.NewSource(29))
+			for i := 0; i < 64; i++ {
+				vals = append(vals, new(big.Int).Rand(rng, p))
+			}
+			for _, a := range vals {
+				checkInv(t, tm.name, f, p, a)
+			}
 		})
+	}
+}
+
+// TestInvSmallPrimes inverts every x modulo every odd prime below 2¹², and
+// checks on the way that the divstep bound Inv's batch count rests on covers
+// every one of them: run a divstep at a time, (1, p, x) reaches g = 0 within
+// it. Below 2¹² that is one batch, so a batch count one short inverts
+// nothing; at the repository's widths it is 5 (96 bits), 12 (256) and 24
+// (512).
+func TestInvSmallPrimes(t *testing.T) {
+	for name, want := range map[string]int{"toy-2limb": 5, "fast-4limb": 12, "paper-8limb": 24} {
+		if f, _ := mustField(t, name); f.batches != want {
+			t.Errorf("%s: %d batches, want %d", name, f.batches, want)
+		}
+	}
+	divsteps := func(f, g int64) int {
+		delta, n := int64(1), 0
+		for ; g != 0; n++ {
+			if delta > 0 && g&1 == 1 {
+				delta, f, g = 1-delta, g, (g-f)/2
+			} else {
+				delta, g = 1+delta, (g+(g&1)*f)/2
+			}
+		}
+		return n
+	}
+	primes := 0
+	for p := int64(3); p < 1<<12; p += 2 {
+		pb := big.NewInt(p)
+		if !pb.ProbablyPrime(0) {
+			continue
+		}
+		primes++
+		f, err := New(pb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bound := divstepBound(pb.BitLen())
+		if f.batches*62 < bound {
+			t.Fatalf("p = %d: %d batches for a bound of %d divsteps", p, f.batches, bound)
+		}
+		x, z := f.NewElt(), f.NewElt()
+		for a := int64(0); a < p; a++ {
+			if n := divsteps(p, a); n > bound {
+				t.Fatalf("p = %d, x = %d: %d divsteps, bound %d", p, a, n, bound)
+			}
+			x[0] = uint64(a)
+			f.Mul(x, x, f.rr)
+			err := f.Inv(z, x)
+			if a == 0 {
+				if err != ErrNotInvertible {
+					t.Fatalf("p = %d: Inv(0) = %v", p, err)
+				}
+				continue
+			}
+			if f.Mul(z, z, x); err != nil || !f.IsOne(z) {
+				t.Fatalf("p = %d: x·Inv(x) ≠ 1 for x = %d (%v)", p, a, err)
+			}
+		}
+	}
+	if primes != 563 {
+		t.Fatalf("%d odd primes below 2¹², want 563", primes)
+	}
+}
+
+// checkInv holds Inv(a) to big.Int.ModInverse, in place too, and Inv(0) to
+// ErrNotInvertible.
+func checkInv(t *testing.T, name string, f *Field, p, a *big.Int) {
+	t.Helper()
+	x, z := f.NewElt(), f.NewElt()
+	if err := f.FromBig(x, a); err != nil {
+		t.Fatal(err)
+	}
+	err := f.Inv(z, x)
+	if a.Sign() == 0 {
+		if err != ErrNotInvertible {
+			t.Fatalf("[%s] Inv(0) = %v, want ErrNotInvertible", name, err)
+		}
+		return
+	}
+	if err != nil {
+		t.Fatalf("[%s] Inv(%v): %v", name, a, err)
+	}
+	if g, want := f.ToBig(z), new(big.Int).ModInverse(a, p); g.Cmp(want) != 0 {
+		t.Fatalf("[%s] Inv(%v) = %v, want %v", name, a, g, want)
+	}
+	if err := f.Inv(x, x); err != nil || !f.Equal(x, z) {
+		t.Fatalf("[%s] Inv(%v) in place = %v, %v", name, a, f.ToBig(x), err)
 	}
 }
 
@@ -396,41 +497,15 @@ func testKernels8(t *testing.T) {
 	}
 }
 
-func TestInvAndExp(t *testing.T) {
+// TestExp holds Exp to big.Int.Exp at every width: the edges (0, 1, a lone
+// top bit and a run of ones at lengths around a small window, a limb and the
+// modulus), a modulus-sized exponent and the root's (p+1)/4, and seeded
+// random ones of every length.
+func TestExp(t *testing.T) {
 	for _, tm := range testModuli {
 		t.Run(tm.name, func(t *testing.T) {
 			f, p := mustField(t, tm.name)
-			x, inv, prod := f.NewElt(), f.NewElt(), f.NewElt()
-			for _, a := range boundaryValues(p) {
-				if err := f.FromBig(x, a); err != nil {
-					t.Fatal(err)
-				}
-				err := f.Inv(inv, x)
-				if a.Sign() == 0 {
-					if err != ErrNotInvertible {
-						t.Fatalf("Inv(0) = %v, want ErrNotInvertible", err)
-					}
-					continue
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				f.Mul(prod, x, inv)
-				if !f.IsOne(prod) {
-					t.Fatalf("x·x⁻¹ ≠ 1 for x = %v", a)
-				}
-				vt := f.NewElt()
-				if err := f.InvVarTime(vt, x); err != nil {
-					t.Fatal(err)
-				}
-				if !f.Equal(vt, inv) {
-					t.Fatalf("InvVarTime disagrees with Inv for x = %v", a)
-				}
-			}
-			// Exp vs big.Int.Exp: the edges (0, 1, a lone top bit and a run of
-			// ones at lengths around a small window, a limb and the modulus),
-			// the two exponents the repository uses, and seeded random ones
-			// of every length.
+			x, z := f.NewElt(), f.NewElt()
 			exps := []*big.Int{
 				big.NewInt(0), big.NewInt(1),
 				new(big.Int).Div(p, big.NewInt(13)),
@@ -452,12 +527,12 @@ func TestInvAndExp(t *testing.T) {
 				if err := f.FromBig(x, a); err != nil {
 					t.Fatal(err)
 				}
-				f.Exp(inv, x, e)
-				if g, want := f.ToBig(inv), new(big.Int).Exp(a, e, p); g.Cmp(want) != 0 {
+				f.Exp(z, x, e)
+				if g, want := f.ToBig(z), new(big.Int).Exp(a, e, p); g.Cmp(want) != 0 {
 					t.Fatalf("Exp(%v, %v) = %v, want %v", a, e, g, want)
 				}
 				f.Exp(x, x, e) // in place
-				if !f.Equal(x, inv) {
+				if !f.Equal(x, z) {
 					t.Fatalf("Exp(%v, %v) in place differs", a, e)
 				}
 			}
@@ -608,7 +683,7 @@ func testZeroAllocs(t *testing.T) {
 
 // BenchmarkOps times the four operations that have 8-limb kernels — Mul and
 // Square as dispatched (the assembly where the CPU has it) and on the Go
-// kernels — and the generic multiplication they replaced, at the paper
+// kernels — the generic multiplication they replaced and Inv, at the paper
 // prime; the 9-limb rows are the any-width loops at the nearest other
 // width. BenchmarkExp is one modulus-sized exponentiation, the size of a
 // point decode's square root.
@@ -633,6 +708,7 @@ func BenchmarkOps(b *testing.B) {
 			{"SquareGo", func() { f.SquareGo(z, x) }},
 			{"Add", func() { f.Add(z, x, y) }},
 			{"Sub", func() { f.Sub(z, x, y) }},
+			{"Inv", func() { _ = f.Inv(z, x) }},
 		} {
 			b.Run(tm+"/"+op.name, func(b *testing.B) {
 				b.ReportAllocs()

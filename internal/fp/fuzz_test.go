@@ -9,11 +9,12 @@ import (
 // fuzzFields are constructed once: the three 8-limb primes (paper: all 512
 // bits; lazy: spare top bits; max: top limb all ones) drive the 8-limb
 // kernels — the one Field.Mul selects on this CPU and, through MulGo and
-// SquareGo, the Go ones of fp8.go — and the 9-limb and toy primes the
-// any-width loops, so every fuzz input is replayed through every code path.
+// SquareGo, the Go ones of fp8.go — and the 9-, 4-, 2- and 1-limb primes the
+// any-width loops, so every fuzz input is replayed through every code path
+// and the inverse at every width.
 var fuzzFields = func() []*fuzzField {
 	var out []*fuzzField
-	for _, name := range []string{"paper-8limb", "9limb", "toy-2limb", "lazy-8limb", "max-8limb"} {
+	for _, name := range []string{"paper-8limb", "9limb", "toy-2limb", "lazy-8limb", "max-8limb", "fast-4limb", "1limb"} {
 		var p *big.Int
 		for _, tm := range testModuli {
 			if tm.name != name {
@@ -43,7 +44,8 @@ type fuzzField struct {
 // FuzzFpArith cross-checks every fp operation against a math/big oracle.
 // The two input byte strings are reduced mod p to obtain field elements, so
 // arbitrary fuzzer output maps onto the full input domain; the seed corpus
-// pins the boundary cases (0, 1, p−1, p−2, high-limb-set patterns).
+// pins the boundary cases (0, 1, 2, p−1, p−2, (p+1)/2, high-limb-set
+// patterns).
 func FuzzFpArith(f *testing.F) {
 	// Boundary seeds, expressed for the widest modulus — reduction maps
 	// them onto the corners of the smaller fields too.
@@ -56,7 +58,8 @@ func FuzzFpArith(f *testing.F) {
 	pm2 := new(big.Int).Sub(pm1, one)
 	top := new(big.Int).Lsh(one, 512) // sets only the top limb of the 9-limb field
 	allHigh := new(big.Int).Sub(new(big.Int).Lsh(one, 576), one)
-	for _, a := range []*big.Int{big.NewInt(0), one, pm1, pm2, top, allHigh} {
+	half := new(big.Int).Rsh(new(big.Int).Add(wide, one), 1)
+	for _, a := range []*big.Int{big.NewInt(0), one, big.NewInt(2), pm1, pm2, half, top, allHigh} {
 		for _, b := range []*big.Int{big.NewInt(0), one, pm1, top} {
 			seed(a, b)
 		}
@@ -141,32 +144,8 @@ func checkFieldOps(t *testing.T, ff *fuzzField, a, b *big.Int) {
 		t.Fatalf("[%s] Equal(%v, %v) wrong", ff.name, a, b)
 	}
 
-	// Inverse: error iff zero, else x·x⁻¹ = 1; the Fermat and extended-GCD
-	// paths must agree.
-	err := f.Inv(z, x)
-	if a.Sign() == 0 {
-		if err != ErrNotInvertible {
-			t.Fatalf("[%s] Inv(0) = %v", ff.name, err)
-		}
-		if err := f.InvVarTime(z, x); err != ErrNotInvertible {
-			t.Fatalf("[%s] InvVarTime(0) = %v", ff.name, err)
-		}
-	} else {
-		if err != nil {
-			t.Fatalf("[%s] Inv(%v): %v", ff.name, a, err)
-		}
-		vt := f.NewElt()
-		if err := f.InvVarTime(vt, x); err != nil {
-			t.Fatalf("[%s] InvVarTime(%v): %v", ff.name, a, err)
-		}
-		if !f.Equal(vt, z) {
-			t.Fatalf("[%s] InvVarTime ≠ Inv for %v", ff.name, a)
-		}
-		f.Mul(z, z, x)
-		if !f.IsOne(z) {
-			t.Fatalf("[%s] x·x⁻¹ ≠ 1 for %v", ff.name, a)
-		}
-	}
+	// Inverse: ErrNotInvertible iff zero, else big.Int.ModInverse's.
+	checkInv(t, ff.name, f, p, a)
 
 	// Exp against big.Int.Exp, using b as the exponent.
 	f.Exp(z, x, b)

@@ -85,33 +85,3 @@ func TestLookup(t *testing.T) {
 		}
 	}
 }
-
-// TestInvBlinded: the blinded inverse is the inverse, at every field width,
-// and zero is refused as by the others.
-func TestInvBlinded(t *testing.T) {
-	for _, tm := range testModuli {
-		f, p := mustField(t, tm.name)
-		x, got, want := f.NewElt(), f.NewElt(), f.NewElt()
-		for _, a := range boundaryValues(p) {
-			if err := f.FromBig(x, a); err != nil {
-				t.Fatal(err)
-			}
-			err := f.InvBlinded(got, x)
-			if a.Sign() == 0 {
-				if err != ErrNotInvertible {
-					t.Fatalf("%s: InvBlinded(0) = %v, want ErrNotInvertible", tm.name, err)
-				}
-				continue
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := f.Inv(want, x); err != nil {
-				t.Fatal(err)
-			}
-			if !f.Equal(got, want) {
-				t.Fatalf("%s: InvBlinded(%v) ≠ Inv", tm.name, a)
-			}
-		}
-	}
-}

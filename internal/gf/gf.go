@@ -9,17 +9,17 @@
 // internal/fp, so the tower multiplications run on raw uint64 arithmetic
 // with zero heap allocations; *big.Int appears only at the edges
 // (construction from integers, Re/Im, String) — serialization goes through
-// fp's bytes codec, limbs to wire and back. Because inversion is Fermat-based
-// in the limb backend, the modulus handed to NewField must be prime — every
-// caller in this repository constructs fields over the primes produced by
-// param generation.
+// fp's bytes codec, limbs to wire and back. The modulus handed to NewField
+// must be prime — the limb backend's inverse, and with it Inverse, is only an
+// inverse modulo a prime — and every caller in this repository constructs
+// fields over the primes produced by param generation.
 //
 // All operations are immutable with respect to their operands: methods on
 // *Element write into the receiver and return it (math/big style), so
 // chains like e.Mul(x, y).Square(e) work, and no method retains references
 // to argument internals.
 //
-//cryptolint:vartime (Exp and the Lucas ladder branch on their exponent's bits — public q and (p+1)/q in every in-repo caller but GT.Exp's — and Inverse and ExpUnitaryPart invert with fp.InvVarTime; the coordinate arithmetic underneath is fp's constant-time contract)
+//cryptolint:vartime (Exp and the Lucas ladder branch on their exponent's bits — public q and (p+1)/q in every in-repo caller but GT.Exp's; the coordinate arithmetic underneath, inversion included, is fp's constant-time contract)
 package gf
 
 import (
@@ -45,7 +45,7 @@ type Field struct {
 // NewField constructs the quadratic extension over the prime p.
 // It returns an error unless p ≡ 3 (mod 4) (needed for i² = −1 to define a
 // field: −1 must be a non-residue). Primality itself is the caller's
-// contract — inversion is computed as a Fermat power x^(p−2).
+// contract, as it is fp.New's.
 func NewField(p *big.Int) (*Field, error) {
 	if p.Sign() <= 0 {
 		return nil, fmt.Errorf("gf: modulus must be positive")
@@ -296,13 +296,9 @@ func (e *Element) Conjugate(x *Element) *Element {
 	return e
 }
 
-// Inverse sets e = x⁻¹ and returns e, via x⁻¹ = conj(x)/(a² + b²).
-// It returns ErrNotInvertible for x = 0.
-//
-// The norm inversion is variable-time (binary extended GCD), as it always
-// has been in this package — F_p² inversion happens on public pairing
-// values (final exponentiation, GT division). Code inverting secret
-// residues should use fp.Field.Inv, the constant-exponent Fermat ladder.
+// Inverse sets e = x⁻¹ and returns e, via x⁻¹ = conj(x)/(a² + b²), with the
+// norm inverted by fp.Field.Inv (constant-time). It returns ErrNotInvertible
+// for x = 0.
 func (e *Element) Inverse(x *Element) (*Element, error) {
 	if x.IsZero() {
 		return nil, ErrNotInvertible
@@ -314,7 +310,7 @@ func (e *Element) Inverse(x *Element) (*Element, error) {
 	f.fp.Square(norm, x.a)
 	f.fp.Square(bb, x.b)
 	f.fp.Add(norm, norm, bb)
-	if err := f.fp.InvVarTime(norm, norm); err != nil {
+	if err := f.fp.Inv(norm, norm); err != nil {
 		return nil, ErrNotInvertible
 	}
 	e.ensure(f)
@@ -478,8 +474,7 @@ func (f *Field) expUnitary(e *Element, a, invB []uint64, k *big.Int) *Element {
 // so one inversion, of N·2uv, serves both the division by N and the 1/b the
 // ladder needs to recover the imaginary part; x̄/x = ±1 (uv = 0) has no such
 // inverse and is answered directly. The result is the same field element
-// Inverse, Conjugate, Mul and Exp produce. ErrNotInvertible for x = 0; the
-// inversion is variable-time as in Inverse.
+// Inverse, Conjugate, Mul and Exp produce. ErrNotInvertible for x = 0.
 func (e *Element) ExpUnitaryPart(x *Element, k *big.Int) (*Element, error) {
 	if x.IsZero() {
 		return nil, ErrNotInvertible
@@ -510,7 +505,7 @@ func (e *Element) ExpUnitaryPart(x *Element, k *big.Int) (*Element, error) {
 	F.Mul(m, x.a, x.b)
 	F.Double(m, m) // 2uv
 	F.Mul(inv, norm, m)
-	if err := F.InvVarTime(inv, inv); err != nil {
+	if err := F.Inv(inv, inv); err != nil {
 		// N = 0 needs −1 to be a square, which p ≡ 3 (mod 4) excludes.
 		return nil, ErrNotInvertible
 	}

@@ -469,9 +469,9 @@ func (fp *FixedPair) Lines() int {
 
 // batchInvert replaces the elements of xs — F.Limbs() words each, laid end
 // to end — by their field inverses with Montgomery's simultaneous-inversion
-// trick: one Fermat inversion plus 3(n−1) multiplications, all in the limb
-// domain. prefix is scratch of the same length. It errors if any element is
-// zero (xs is then left as it was).
+// trick: one constant-time inversion plus 3(n−1) multiplications, all in the
+// limb domain. prefix is scratch of the same length. It errors if any
+// element is zero (xs is then left as it was).
 func batchInvert(F *fp.Field, xs, prefix []uint64) error {
 	w := F.Limbs()
 	n := len(xs) / w
@@ -488,8 +488,7 @@ func batchInvert(F *fp.Field, xs, prefix []uint64) error {
 		F.Set(prefix[i*w:(i+1)*w], acc)
 		F.Mul(acc, acc, x)
 	}
-	// Line scales are public values; the variable-time inverse is safe here.
-	if err := F.InvVarTime(acc, acc); err != nil {
+	if err := F.Inv(acc, acc); err != nil {
 		return fmt.Errorf("product is not invertible mod p")
 	}
 	for i := n - 1; i >= 0; i-- {

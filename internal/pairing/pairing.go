@@ -23,7 +23,7 @@
 //   - Final exponentiation: f^(p−1) = conj(f)/f (Frobenius on F_p² is
 //     conjugation), then one real-part Lucas ladder by (p+1)/q.
 //
-//cryptolint:vartime (every loop is bounded by the bits of public q and (p+1)/q, but the line normalisation of NewFixedPair and the final exponentiation invert with fp.InvVarTime, and GT and multi-exponent recodings follow their exponents; the field arithmetic underneath is fp's constant-time contract)
+//cryptolint:vartime (every loop is bounded by the bits of public q and (p+1)/q, but GT and multi-exponent recodings follow their exponents; the field arithmetic underneath, inversion included, is fp's constant-time contract)
 package pairing
 
 import (
