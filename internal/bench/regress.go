@@ -109,7 +109,17 @@ func (g ratioGate) name() string { return g.Num + " ÷ " + g.Den }
 // lost a tooth or fell back to the window ladder reads 0.7–1.1). The
 // thirteenth guards the field's one inverse, the constant-time safegcd, in
 // multiplications: ≈ 100 measured, where the math/big GCD it replaced read
-// ≈ 89 and the Fermat ladder before that ≈ 720 in the same bursts.
+// ≈ 89 and the Fermat ladder before that ≈ 720 in the same bursts. The last
+// two guard the assembly kernels above mul8, so they are asm-only like the
+// third, and count in the Go kernel's multiplications: mul8 itself times
+// up to a seventh fast in the odd run (the third gate then reads 0.42–0.50
+// instead of 0.70), which a denominator must not pass on. An F_p² product
+// is one call on the kernel, three of mul8's products and its sums in
+// registers: 1.72–2.35 Go multiplications' time, where the tower composed
+// of Field calls read 2.70–2.76 (2.25 in one fast-mul8 run). The GT check
+// is the Lucas ladder on the trace, 160 steps in one kernel call: 187–251,
+// where the real-part ladder of Field calls it replaced read 295–302
+// (four alternating quick runs of each).
 var kernelRatioGates = []ratioGate{
 	{Num: "fp.mul.go", Den: "fp.mul.generic", Max: 0.70, Rounds: 64, Burst: 2048},
 	{Num: "fp.square.go", Den: "fp.mul.go", Max: 0.92, Rounds: 64, Burst: 2048},
@@ -124,6 +134,8 @@ var kernelRatioGates = []ratioGate{
 	{Num: "ibe.token.scan", Den: "pair", Max: 1.05, Rounds: 12, Burst: 16},
 	{Num: "scalarmul.secret-comb", Den: "scalarmul.variable-wnaf", Max: 0.55, Rounds: 32, Burst: 8},
 	{Num: "fp.inv", Den: "fp.mul", Max: 120, Rounds: 32, Burst: 64},
+	{Num: "gf.mul", Den: "fp.mul.go", Max: 2.55, Rounds: 64, Burst: 1024, AsmOnly: true},
+	{Num: "gt.ingt", Den: "fp.mul.go", Max: 275, Rounds: 32, Burst: 16, AsmOnly: true},
 }
 
 // CompareBaselines checks a freshly measured report against a committed

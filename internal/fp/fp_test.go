@@ -2,6 +2,7 @@ package fp
 
 import (
 	"bytes"
+	"fmt"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -391,9 +392,10 @@ func eachKernel(t *testing.T, body func(t *testing.T)) {
 }
 
 // TestKernels8 checks the 8-limb kernels — the straight-line Go ones of
-// fp8.go and the assembly mul8, each selected in turn — against the
-// any-width loops (limb for limb — all produce the canonical reduced
-// Montgomery form) and against math/big, at the four 8-limb moduli: the
+// fp8.go and the assembly (mul8, and the one-call F_p² products and Lucas
+// step), each selected in turn — against the any-width loops (limb for
+// limb — all produce the canonical reduced Montgomery form) and against
+// math/big, at the four 8-limb moduli: the
 // paper prime (all 512 bits), a 505-bit and a 510-bit prime (spare top
 // bits; the second has exactly two) and 2⁵¹² − 569 (top limb all ones).
 // Operands are all pairs of the boundary values plus seeded random ones, in
@@ -441,9 +443,9 @@ func testKernels8(t *testing.T) {
 				{"Add", f.Add, f.addGeneric, func(a, b *big.Int) *big.Int { return mod(new(big.Int).Add(a, b)) }},
 				{"Sub", f.Sub, f.subGeneric, func(a, b *big.Int) *big.Int { return mod(new(big.Int).Sub(a, b)) }},
 			}
-			for _, pr := range pairs {
-				a, b := pr[0], pr[1]
-				x, y := mont(a), mont(b)
+			for k, pr := range pairs {
+				a, b, c := pr[0], pr[1], pairs[(k+1)%len(pairs)][0]
+				x, y, w := mont(a), mont(b), mont(c)
 				same := func(what string, got, want []uint64) {
 					t.Helper()
 					if !f.Equal(got, want) {
@@ -492,9 +494,66 @@ func testKernels8(t *testing.T) {
 				same("Neg", z, neg)
 				f.Neg(zx, zx)
 				same("Neg in place", zx, neg)
+
+				// The tower and the Lucas ladder (one assembly call each where
+				// that is selected): (a + b·i)·(b + c·i), the same times the
+				// line (c·b + a) + c·i and (a + b·i)², in the aliasing forms
+				// their callers use.
+				mul := func(u, v *big.Int) *big.Int { return new(big.Int).Mul(u, v) }
+				zi := f.NewElt()
+				re, im := mont(mod(mul(a, b).Sub(mul(a, b), mul(b, c)))), mont(mod(mul(a, c).Add(mul(a, c), mul(b, b))))
+				f.MulFp2(z, zi, x, y, y, w)
+				same("MulFp2 re", z, re)
+				same("MulFp2 im", zi, im)
+				zx, zy := clone(x), clone(y)
+				f.MulFp2(zx, zy, zx, zy, y, w)
+				same("MulFp2 in place re", zx, re)
+				same("MulFp2 in place im", zy, im)
+				r := mul(c, b).Add(mul(c, b), a) // the line c·x + a at x = b, y = c
+				re, im = mont(mod(mul(a, r).Sub(mul(a, r), mul(b, c)))), mont(mod(mul(a, c).Add(mul(a, c), mul(b, r))))
+				zx, zy = clone(x), clone(y)
+				f.MulLine(zx, zy, w, x, y, w)
+				same("MulLine re", zx, re)
+				same("MulLine im", zy, im)
+				re, im = mont(mod(mul(a, a).Sub(mul(a, a), mul(b, b)))), mont(mod(mul(a, b).Lsh(mul(a, b), 1)))
+				f.SquareFp2(z, zi, x, y)
+				same("SquareFp2 re", z, re)
+				same("SquareFp2 im", zi, im)
+				zx, zy = clone(x), clone(y)
+				f.SquareFp2(zx, zy, zx, zy)
+				same("SquareFp2 in place re", zx, re)
+				same("SquareFp2 in place im", zy, im)
+				// The ladder with V_1 = c: over the low 24 bits of b, and over
+				// all of b for the first pairs (the boundary values).
+				e := new(big.Int).And(b, big.NewInt(1<<24-1))
+				if k < 8 {
+					e = b
+				}
+				vk, vk1 := lucasRef(c, e, p)
+				f.LucasLadder(z, zi, w, e)
+				same(fmt.Sprintf("LucasLadder V_k, k = %v", e), z, mont(vk))
+				same(fmt.Sprintf("LucasLadder V_(k+1), k = %v", e), zi, mont(vk1))
 			}
 		})
 	}
+}
+
+// lucasRef is LucasLadder in math/big: (V_k, V_(k+1)) mod p for V_0 = 2,
+// V_1 = v1, one bit at a time from the top.
+func lucasRef(v1, k, p *big.Int) (*big.Int, *big.Int) {
+	u, v := big.NewInt(2), new(big.Int).Set(v1)
+	for i := k.BitLen() - 1; i >= 0; i-- {
+		mid := new(big.Int).Mul(u, v)
+		mid.Sub(mid, v1).Mod(mid, p)
+		if k.Bit(i) == 0 {
+			u.Mul(u, u).Sub(u, big.NewInt(2)).Mod(u, p)
+			v = mid
+		} else {
+			v.Mul(v, v).Sub(v, big.NewInt(2)).Mod(v, p)
+			u = mid
+		}
+	}
+	return u, v
 }
 
 // TestExp holds Exp to big.Int.Exp at every width: the edges (0, 1, a lone
@@ -661,16 +720,18 @@ func testZeroAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 			ops := map[string]func(){
-				"Add":       func() { f.Add(z, x, y) },
-				"Sub":       func() { f.Sub(z, x, y) },
-				"Neg":       func() { f.Neg(z, x) },
-				"Double":    func() { f.Double(z, x) },
-				"Mul":       func() { f.Mul(z, x, y) },
-				"Square":    func() { f.Square(z, x) },
-				"MulFp2":    func() { f.MulFp2(z, zi, x, y, y, x) },
-				"SquareFp2": func() { f.SquareFp2(z, zi, x, y) },
-				"Inv":       func() { _ = f.Inv(z, x) },
-				"Exp":       func() { f.Exp(z, x, p) },
+				"Add":         func() { f.Add(z, x, y) },
+				"Sub":         func() { f.Sub(z, x, y) },
+				"Neg":         func() { f.Neg(z, x) },
+				"Double":      func() { f.Double(z, x) },
+				"Mul":         func() { f.Mul(z, x, y) },
+				"Square":      func() { f.Square(z, x) },
+				"MulFp2":      func() { f.MulFp2(z, zi, x, y, y, x) },
+				"SquareFp2":   func() { f.SquareFp2(z, zi, x, y) },
+				"LucasLadder": func() { f.LucasLadder(z, zi, x, p) },
+				"MulLine":     func() { f.MulLine(z, zi, x, y, x, y) },
+				"Inv":         func() { _ = f.Inv(z, x) },
+				"Exp":         func() { f.Exp(z, x, p) },
 			}
 			for opName, op := range ops {
 				if allocs := testing.AllocsPerRun(100, op); allocs != 0 {
@@ -690,7 +751,7 @@ func testZeroAllocs(t *testing.T) {
 func BenchmarkOps(b *testing.B) {
 	for _, tm := range []string{"paper-8limb", "9limb"} {
 		f, p := mustField(b, tm)
-		x, y, z := f.NewElt(), f.NewElt(), f.NewElt()
+		x, y, z, zi := f.NewElt(), f.NewElt(), f.NewElt(), f.NewElt()
 		if err := f.FromBig(x, new(big.Int).Div(p, big.NewInt(3))); err != nil {
 			b.Fatal(err)
 		}
@@ -709,6 +770,10 @@ func BenchmarkOps(b *testing.B) {
 			{"Add", func() { f.Add(z, x, y) }},
 			{"Sub", func() { f.Sub(z, x, y) }},
 			{"Inv", func() { _ = f.Inv(z, x) }},
+			{"MulFp2", func() { f.MulFp2(z, zi, x, y, y, x) }},
+			{"SquareFp2", func() { f.SquareFp2(z, zi, x, y) }},
+			{"LucasLadder", func() { f.LucasLadder(z, zi, x, p) }},
+			{"MulLine", func() { f.MulLine(z, zi, x, y, x, y) }},
 		} {
 			b.Run(tm+"/"+op.name, func(b *testing.B) {
 				b.ReportAllocs()

@@ -179,7 +179,9 @@ func checkFieldOps(t *testing.T, ff *fuzzField, a, b *big.Int) {
 // kernels are CIOS for any such modulus, prime or not, and the fuzzer moves
 // the modulus bits (top limb full or nearly empty, long carry runs) as
 // freely as the operands. Each input is run with the drawn operands and
-// with 0, 1 and p − 1, in every aliasing form the callers use.
+// with 0, 1 and p − 1, in every aliasing form the callers use. The F_p²
+// products and the Lucas ladder, whose assembly forms are built from mul8's
+// rounds, are held to schoolbook formulas on the generic loops alongside.
 func FuzzMul8(f *testing.F) {
 	ones := bytes.Repeat([]byte{0xff}, 64)
 	paper := testModulus(f, "paper-8limb").Bytes()
@@ -244,6 +246,42 @@ func FuzzMul8(f *testing.F) {
 					same("z = x = y", zx, sq)
 				}
 			}
+			// The F_p² products and the Lucas ladder — one assembly call
+			// each where that is selected — against schoolbook formulas on
+			// the generic loops, with y and p − 1 as the other operands.
+			gmul := func(u, v []uint64) []uint64 { z := fld.NewElt(); fld.montMulGeneric(z, u, v); return z }
+			gadd := func(u, v []uint64) []uint64 { z := fld.NewElt(); fld.addGeneric(z, u, v); return z }
+			gsub := func(u, v []uint64) []uint64 { z := fld.NewElt(); fld.subGeneric(z, u, v); return z }
+			y, v1, zi := vals[1], vals[4], fld.NewElt()
+			fp2 := func(name string, gotR, gotI, wantR, wantI []uint64) {
+				t.Helper()
+				if !fld.Equal(gotR, wantR) || !fld.Equal(gotI, wantI) {
+					t.Fatalf("%s: p = %x, x = %x, y = %x: got (%x, %x), want (%x, %x)", name, p, x, y, gotR, gotI, wantR, wantI)
+				}
+			}
+			fld.MulFp2(z, zi, x, y, y, x)
+			fp2("MulFp2", z, zi, gsub(gmul(x, y), gmul(y, x)), gadd(gmul(x, x), gmul(y, y)))
+			fld.SquareFp2(z, zi, x, y)
+			fp2("SquareFp2", z, zi, gsub(gmul(x, x), gmul(y, y)), gadd(gmul(x, y), gmul(x, y)))
+			r := gadd(gmul(y, x), v1) // the line y·x + V_1 at (x, V_1)
+			u, v := clone(x), clone(y)
+			fld.MulLine(u, v, y, v1, x, v1)
+			fp2("MulLine", u, v, gsub(gmul(x, r), gmul(y, v1)), gadd(gmul(x, v1), gmul(y, r)))
+			// The ladder over the low 16 bits of the drawn b, from V_1 = x.
+			two := gadd(fld.one, fld.one)
+			k := new(big.Int).SetBytes(rawB)
+			k.And(k, big.NewInt(1<<16-1))
+			wantK, wantK1 := clone(two), clone(x)
+			for i := k.BitLen() - 1; i >= 0; i-- {
+				mid := gsub(gmul(wantK, wantK1), x)
+				if k.Bit(i) == 0 {
+					wantK, wantK1 = gsub(gmul(wantK, wantK), two), mid
+				} else {
+					wantK, wantK1 = mid, gsub(gmul(wantK1, wantK1), two)
+				}
+			}
+			fld.LucasLadder(u, v, x, k)
+			fp2("LucasLadder", u, v, wantK, wantK1)
 			for name, square := range map[string]func(z, x []uint64){"montSqr8": fld.montSqr8, "Square": fld.Square} {
 				square(z, x)
 				zx := clone(x)

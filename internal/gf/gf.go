@@ -19,7 +19,7 @@
 // chains like e.Mul(x, y).Square(e) work, and no method retains references
 // to argument internals.
 //
-//cryptolint:vartime (Exp and the Lucas ladder branch on their exponent's bits — public q and (p+1)/q in every in-repo caller but GT.Exp's; the coordinate arithmetic underneath, inversion included, is fp's constant-time contract)
+//cryptolint:vartime (Exp branches on its exponent's bits and the Lucas ladder runs for its exponent's length — public q and (p+1)/q in every in-repo caller but GT.Exp's; the coordinate arithmetic underneath, inversion and the ladder's step included, is fp's constant-time contract)
 package gf
 
 import (
@@ -40,6 +40,8 @@ type Field struct {
 	fp   *fp.Field //cryptolint:public (field parameters)
 	size int       // bytes per serialized coordinate
 	one  []uint64  // 1 in Montgomery form, for SquareUnitary
+	two  []uint64  // 2 = V_0: a trace ladder that ends here ended at 1
+	half []uint64  // 1/2, from a trace back to a real part
 }
 
 // NewField constructs the quadratic extension over the prime p.
@@ -62,8 +64,12 @@ func NewField(p *big.Int) (*Field, error) {
 		fp:   base,
 		size: base.ByteLen(),
 		one:  base.NewElt(),
+		two:  base.NewElt(),
+		half: base.NewElt(),
 	}
 	base.SetOne(f.one)
+	base.Double(f.two, f.one)
+	f.setCoord(f.half, new(big.Int).Rsh(new(big.Int).Add(p, big.NewInt(1)), 1))
 	return f, nil
 }
 
@@ -218,11 +224,21 @@ func (e *Element) Neg(x *Element) *Element {
 
 // Mul sets e = x · y and returns e. The tower multiplication is Karatsuba
 // over the limb backend (three base-field multiplications, with lazy
-// reduction when the modulus leaves headroom in its top limb).
+// reduction when the modulus leaves headroom in its top limb; at paper size
+// on an ADX CPU, one assembly call — fp.Field.MulFp2).
 func (e *Element) Mul(x, y *Element) *Element {
 	f := x.f
 	e.ensure(f)
 	f.fp.MulFp2(e.a, e.b, x.a, x.b, y.a, y.b)
+	return e
+}
+
+// MulLine sets e = e · ((alpha·x + beta) + y·i) for F_p values given as
+// Montgomery limbs and returns e: a fixed-argument Miller program's line
+// evaluated at the second argument (x, y) and folded into the accumulator
+// e, in one fp.Field.MulLine. e must already hold an element of the field.
+func (e *Element) MulLine(alpha, beta, x, y []uint64) *Element {
+	e.f.fp.MulLine(e.a, e.b, alpha, beta, x, y)
 	return e
 }
 
@@ -415,59 +431,39 @@ func (e *Element) expSecret(x *Element, k *big.Int, size int) (ops expOps, err e
 	return ops, nil
 }
 
-// lucasLadder writes c_k and c_{k+1} into ck and ck1 (k ≥ 0), where
-// c_j = Re(g^j) for a unitary g with real part a. The norm relation makes
-// the real parts a sequence of their own — c_j = T_j(a), the Chebyshev
-// polynomial, i.e. the Lucas sequence V_j(2a, 1)/2 — with
-//
-//	c_{2j} = 2c_j² − 1,   c_{2j+1} = 2c_j·c_{j+1} − a,
-//
-// so the ladder keeps the adjacent pair (c_j, c_{j+1}) and spends one
-// base-field squaring and one multiplication per exponent bit, against two
-// squarings plus a share of a general multiplication for square-and-multiply
-// over SquareUnitary. The exponents that reach it (q, (p+1)/q) are public.
-// ck and ck1 must not alias a.
-func (f *Field) lucasLadder(ck, ck1, a []uint64, k *big.Int) {
-	F := f.fp
-	var buf [fp.MaxLimbs]uint64
-	mid := buf[:F.Limbs()]
-	F.Set(ck, f.one) // c_0
-	F.Set(ck1, a)    // c_1
-	for i := k.BitLen() - 1; i >= 0; i-- {
-		F.Mul(mid, ck, ck1) // c_{2j+1}
-		F.Double(mid, mid)
-		F.Sub(mid, mid, a)
-		sq, other := ck, ck1 // bit 0: (c_{2j}, c_{2j+1})
-		if k.Bit(i) == 1 {
-			sq, other = ck1, ck // bit 1: (c_{2j+1}, c_{2j+2})
-		}
-		F.Square(sq, sq)
-		F.Double(sq, sq)
-		F.Sub(sq, sq, f.one)
-		F.Set(other, mid)
-	}
-}
-
 // expUnitary sets e = (a + b·i)^k for a unitary a + b·i with b ≠ 0, given
-// invB = 1/b: the ladder yields (c_k, c_{k+1}), and c_{k+1} = a·c_k − b·s_k
-// recovers the imaginary part s_k = (a·c_k − c_{k+1})/b.
+// invB = 1/b. For a unitary g the norm relation makes the traces of its
+// powers, V_j = g^j + g^−j = 2·Re(g^j), a sequence of their own — the Lucas
+// sequence V_j(2a, 1), i.e. 2·T_j(a) for the Chebyshev polynomial T_j — so
+// fp.Field.LucasLadder reaches (V_k, V_(k+1)) with one base-field squaring
+// and one multiplication per exponent bit (one assembly call at paper
+// size), against two squarings plus a share of a general multiplication for
+// square-and-multiply over SquareUnitary; on the trace rather than the real
+// parts c_j = V_j/2 a step needs no doubling. Then c_k = V_k/2, and
+// c_(k+1) = a·c_k − b·s_k recovers the imaginary part
+// s_k = (a·V_k − V_(k+1))/2b. The exponents that reach the ladder — q and
+// (p+1)/q — are public; its bits only steer selections, its length is the
+// loop bound.
 func (f *Field) expUnitary(e *Element, a, invB []uint64, k *big.Int) *Element {
 	F := f.fp
-	var b1, b2 [fp.MaxLimbs]uint64
-	ck, ck1 := b1[:F.Limbs()], b2[:F.Limbs()]
-	f.lucasLadder(ck, ck1, a, k)
+	var b1, b2, b3 [fp.MaxLimbs]uint64
+	n := F.Limbs()
+	vk, vk1, v1 := b1[:n], b2[:n], b3[:n]
+	F.Double(v1, a)
+	F.LucasLadder(vk, vk1, v1, k)
 	e.ensure(f)
-	F.Mul(e.b, a, ck)
-	F.Sub(e.b, e.b, ck1)
+	F.Mul(e.b, a, vk)
+	F.Sub(e.b, e.b, vk1)
 	F.Mul(e.b, e.b, invB)
-	F.Set(e.a, ck)
+	F.Mul(e.b, e.b, f.half)
+	F.Mul(e.a, vk, f.half)
 	return e
 }
 
 // ExpUnitaryPart sets e = (x^(p−1))^k = (x̄/x)^k for k ≥ 0 and returns e —
 // the shape of a pairing final exponentiation, whose easy part x^(p−1)
-// projects x onto the unitary subgroup and whose tail k then runs on
-// lucasLadder. With x = u + v·i and N = u² + v²,
+// projects x onto the unitary subgroup and whose tail k then runs on the
+// trace ladder (expUnitary). With x = u + v·i and N = u² + v²,
 //
 //	x̄/x = x̄²/N = ((u² − v²) − 2uv·i)/N,
 //
@@ -522,7 +518,7 @@ func (e *Element) ExpUnitaryPart(x *Element, k *big.Int) (*Element, error) {
 // UnitaryOrderDivides reports whether e is unitary and e^k = 1 (k ≥ 0) —
 // membership in the order-k subgroup of the norm-1 group when k divides
 // p+1, which is how the pairing's GT check uses it. For a unitary element
-// the real part alone decides: c_k = 1 forces s_k² = 1 − c_k² = 0. When k
+// the trace alone decides: V_k = 2, i.e. c_k = 1, forces s_k² = 1 − c_k² = 0. When k
 // divides p+1 the verdict is Exp(e, k).IsOne()'s on every input — an
 // element of such an order is unitary to begin with, and zero is neither.
 func (e *Element) UnitaryOrderDivides(k *big.Int) bool {
@@ -530,11 +526,12 @@ func (e *Element) UnitaryOrderDivides(k *big.Int) bool {
 		return false
 	}
 	f := e.f
-	var b1, b2 [fp.MaxLimbs]uint64
+	var b1, b2, b3 [fp.MaxLimbs]uint64
 	n := f.fp.Limbs()
-	ck, ck1 := b1[:n], b2[:n]
-	f.lucasLadder(ck, ck1, e.a, k)
-	return f.fp.IsOne(ck)
+	vk, vk1, v1 := b1[:n], b2[:n], b3[:n]
+	f.fp.Double(v1, e.a)
+	f.fp.LucasLadder(vk, vk1, v1, k)
+	return f.fp.Equal(vk, f.two)
 }
 
 // String renders the element as "a + b·i" for debugging.

@@ -333,11 +333,22 @@ func unitaryBases(t *testing.T, f *Field) []*Element {
 	return bases
 }
 
-// TestLucasLadderMatchesExp is the differential test of the real-part
-// ladder against square-and-multiply: Re(g^k) and Re(g^(k+1)) on every
-// unitary base, and the recovered full power wherever b ≠ 0.
+// TestLucasLadderMatchesExp is the differential test of the trace ladder
+// against square-and-multiply: 2·Re(g^k) and 2·Re(g^(k+1)) on every unitary
+// base, and the recovered full power wherever b ≠ 0 — at a small prime and
+// at paper size, where every step is the assembly kernel's.
 func TestLucasLadderMatchesExp(t *testing.T) {
-	f := testField(t)
+	paperP, _ := new(big.Int).SetString(paperPHex, 16)
+	paper, err := NewField(paperP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []*Field{testField(t), paper} {
+		testLucasLadder(t, f)
+	}
+}
+
+func testLucasLadder(t *testing.T, f *Field) {
 	F := f.fp
 	p := f.P()
 	exps := []*big.Int{
@@ -349,13 +360,18 @@ func TestLucasLadderMatchesExp(t *testing.T) {
 		if !g.IsUnitary() {
 			t.Fatalf("base %d is not unitary", bi)
 		}
+		v1 := F.NewElt()
+		F.Double(v1, g.a)
 		for _, k := range exps {
 			want, _ := new(Element).Exp(g, k)
 			next := new(Element).Mul(want, g)
-			ck, ck1 := F.NewElt(), F.NewElt()
-			f.lucasLadder(ck, ck1, g.a, k)
-			if !F.Equal(ck, want.a) || !F.Equal(ck1, next.a) {
-				t.Fatalf("base %d, k = %v: ladder real parts differ from Exp", bi, k)
+			vk, vk1, trace := F.NewElt(), F.NewElt(), F.NewElt()
+			F.LucasLadder(vk, vk1, v1, k)
+			if F.Double(trace, want.a); !F.Equal(vk, trace) {
+				t.Fatalf("|p|=%d base %d, k = %v: V_k differs from 2·Re(g^k)", p.BitLen(), bi, k)
+			}
+			if F.Double(trace, next.a); !F.Equal(vk1, trace) {
+				t.Fatalf("|p|=%d base %d, k = %v: V_(k+1) differs from 2·Re(g^(k+1))", p.BitLen(), bi, k)
 			}
 			if F.IsZero(g.b) {
 				continue

@@ -433,24 +433,16 @@ func (fp *FixedPair) Pair(q1 *curve.Point) (*GT, error) {
 	if q1.IsInfinity() {
 		return pp.One(), nil
 	}
-	fld := pp.field
-	F := fld.Fp()
 	xQ, yQ := q1.Mont()
-
-	f := fld.One()
-	line := fld.One()
-	re := F.NewElt()
+	f := pp.field.One()
 	for i := range fp.steps {
 		st := &fp.steps[i]
 		if st.square {
 			f.Square(f)
 		}
-		if st.alpha == nil {
-			continue
+		if st.alpha != nil {
+			f.MulLine(st.alpha, st.beta, xQ, yQ)
 		}
-		F.Mul(re, st.alpha, xQ)
-		F.Add(re, re, st.beta)
-		f.Mul(f, fld.SetMont(line, re, yQ))
 	}
 	return pp.finalExp(f), nil
 }
