@@ -201,20 +201,20 @@ func BenchmarkPairing(b *testing.B) {
 }
 
 // BenchmarkScalarMul compares the two scalar-multiplication strategies at
-// paper size: the default variable-base w-NAF/Jacobian path and the
-// fixed-base comb behind Params.GeneratorMul.
+// paper size: the variable-base w-NAF/Jacobian path for public scalars and
+// the constant-time comb behind Params.GeneratorMul.
 func BenchmarkScalarMul(b *testing.B) {
 	pp, _ := pairing.Paper()
 	P := pp.Generator()
 	k, _ := rand.Int(rand.Reader, pp.Q())
-	pp.GeneratorMul(k) // force the lazy table build outside the timer
+	pp.GeneratorMul(k) // force the lazy comb build outside the timer
 	b.Run("variable-wnaf", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			P.ScalarMul(k)
 		}
 	})
-	b.Run("fixed-base", func(b *testing.B) {
+	b.Run("generator-comb", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			pp.GeneratorMul(k)
@@ -223,7 +223,7 @@ func BenchmarkScalarMul(b *testing.B) {
 }
 
 // BenchmarkGTExp compares generic square-and-multiply GT exponentiation with
-// the fixed-base table the BF encryptor caches per recipient.
+// the constant-time comb the BF encryptor caches per recipient.
 func BenchmarkGTExp(b *testing.B) {
 	pp, _ := pairing.Paper()
 	Q, err := pp.Curve().HashToPoint("bench", []byte("x"))
@@ -234,7 +234,7 @@ func BenchmarkGTExp(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	tab, err := pairing.NewGTTable(g)
+	comb, err := pairing.NewGTSecretComb(g)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -245,10 +245,10 @@ func BenchmarkGTExp(b *testing.B) {
 			_, _ = g.Exp(k)
 		}
 	})
-	b.Run("fixed-base", func(b *testing.B) {
+	b.Run("secret-comb", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			tab.Exp(k)
+			comb.ExpSecret(k)
 		}
 	})
 }

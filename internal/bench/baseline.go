@@ -113,8 +113,9 @@ func benchScalar(label string, q *big.Int) *big.Int {
 // Baseline times the primitive operations behind every scheme: the field
 // multiplication and squaring as Field dispatches them, on the portable Go
 // kernels and on the any-width loop, a modulus-sized field exponentiation,
-// the pairing (optimized and full-Miller oracle), the three scalar-multiplication
-// strategies, fixed-base vs generic GT exponentiation, one BF FullIdent
+// the pairing (optimized and full-Miller oracle), the public w-NAF ladder
+// against the secret-scalar ladder and comb, the same three ways of raising a
+// GT element, one BF FullIdent
 // encrypt/decrypt pair (encryption to a known and to a new recipient),
 // hash-to-G1 with and without its cofactor clearing, one threshold-IBE share
 // with its proof,
@@ -135,15 +136,11 @@ func Baseline(pp *pairing.Params, minIters int, minDuration time.Duration) (*Bas
 	if err != nil {
 		return nil, err
 	}
-	gtTab, err := pairing.NewGTTable(g)
-	if err != nil {
-		return nil, err
-	}
 	fixed, err := pp.NewFixedPair(P)
 	if err != nil {
 		return nil, err
 	}
-	pp.GeneratorMul(k) // build the lazy generator table outside the timers
+	pp.GeneratorMul(k) // build the lazy generator comb outside the timers
 	comb, err := curve.NewSecretComb(P)
 	if err != nil {
 		return nil, err
@@ -454,7 +451,6 @@ func Baseline(pp *pairing.Params, minIters int, minDuration time.Duration) (*Bas
 			return err
 		}},
 		{"scalarmul.variable-wnaf", func() error { P.ScalarMul(k); return nil }},
-		{"scalarmul.fixed-base", func() error { pp.GeneratorMul(k); return nil }},
 		// The secret-scalar path: the constant-time ladder and exponentiation,
 		// the two combs a threshold player keeps per identity (of its key
 		// share and of the share's pairing constant), and what each costs
@@ -466,7 +462,6 @@ func Baseline(pp *pairing.Params, minIters int, minDuration time.Duration) (*Bas
 		{"gtexp.secret", func() error { _, err := g.ExpSecret(k); return err }},
 		{"gtexp.secret-comb", func() error { gtComb.ExpSecret(k); return nil }},
 		{"gtexp.secret-comb.build", func() error { _, err := pairing.NewGTSecretComb(g); return err }},
-		{"gtexp.fixed-base", func() error { gtTab.Exp(k); return nil }},
 		{"gt.ingt", func() error {
 			if !pp.InGT(g) {
 				return fmt.Errorf("pairing value outside GT")
@@ -476,9 +471,9 @@ func Baseline(pp *pairing.Params, minIters int, minDuration time.Duration) (*Bas
 		{"wire.g1", func() error { _, err := wire.UnmarshalG1(cv, uBytes); return err }},
 		{"wire.pairing-arg", func() error { _, err := wire.UnmarshalPairingArg(cv, uBytes); return err }},
 		{"bf.encrypt", func() error { _, err := pub.Encrypt(rand.Reader, id, msg); return err }},
-		// bf.encrypt is a later message to a recipient (its GT table cached);
+		// bf.encrypt is a later message to a recipient (its GT comb cached);
 		// a first one pays the hash onto the curve, one replay of P_pub's
-		// program and the table build.
+		// program and the comb build.
 		{"bf.encrypt.first", encryptFirst(pub, msg)},
 		{"bf.decrypt", func() error { _, err := pub.Decrypt(key, ct); return err }},
 		{"hash.to-g1", func() error { _, err := bf.HashIdentity(pp, id); return err }},

@@ -73,8 +73,8 @@ func Ops(w *World) ([]Op, error) {
 	return []Op{
 		// --- encryption (sender side; SEM not involved: transparency) ---
 		// A first message to a recipient hashes the identity onto the curve,
-		// pairs it with P_pub and builds the recipient's GT table; every
-		// later one is a generator multiple and a table lookup.
+		// pairs it with P_pub and builds the recipient's GT comb; every
+		// later one is two comb walks, of the generator and of that comb.
 		{"mediated-ibe", "encrypt.first", encryptFirst(pub, msg)},
 		{"mediated-ibe", "encrypt", func() error {
 			_, err := pub.Encrypt(rand.Reader, w.ID, msg)

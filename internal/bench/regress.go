@@ -57,7 +57,7 @@ func (g ratioGate) name() string { return g.Num + " ÷ " + g.Den }
 // as dispatched against the Go kernel (measured 0.68–0.75 when it landed;
 // 1.0 if the dispatch stops reaching mul8). The fourth guards the
 // batched share-proof check (measured when it landed: 0.44; 0.50–0.53 since
-// ρ multiplies the generator's table instead of U, which takes the same off
+// ρ multiplies the generator's comb instead of U, which takes the same off
 // each single check as off the batch): checking five shares of one
 // ciphertext as one equation against checking them one by one, which is
 // what a recombiner paid before and still pays to name a liar. Losing either

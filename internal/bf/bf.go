@@ -63,11 +63,12 @@ var (
 // the pairing groups, the generator P (inside params) and P_pub = s·P.
 //
 // PublicParams must be used by pointer (every method has a pointer receiver):
-// it lazily caches per-recipient fixed-base tables for the GT element
-// ê(P_pub, Q_ID), which depends only on the recipient identity, so repeat
-// encryptions to the same identity skip the hash onto the curve, the pairing
-// and the generic square-and-multiply exponentiation; a first encryption
-// pairs through the Miller program of P_pub, built once.
+// it lazily caches per-recipient constant-time combs (pairing.GTSecretComb)
+// of the GT element ê(P_pub, Q_ID), which depends only on the recipient
+// identity, so repeat encryptions to the same identity skip the hash onto the
+// curve and the pairing, and raise that element to the sender's r — the
+// secret that opens the message — by the same operations for every r; a
+// first encryption pairs through the Miller program of P_pub, built once.
 type PublicParams struct {
 	Pairing *pairing.Params
 	PPub    *curve.Point
@@ -75,49 +76,49 @@ type PublicParams struct {
 	MsgLen int
 
 	gtOnce  sync.Once
-	gtCache *lru.Cache[string, *pairing.GTTable]
+	gtCache *lru.Cache[string, *pairing.GTSecretComb]
 
 	ppubOnce sync.Once
 	ppubPair *pairing.HashPairer // ê(P_pub, H1(·)); nil, with ppubErr set, for a P_pub outside G1 ∖ {O}
 	ppubErr  error
 }
 
-// maxCachedRecipients bounds the per-identity table cache; least recently
+// maxCachedRecipients bounds the per-identity comb cache; least recently
 // encrypted-to identities are evicted first, so a sender spraying unique
 // identities cannot grow memory without bound while a working set of hot
 // recipients stays cached.
 const maxCachedRecipients = 64
 
-// recipientCache returns the LRU of per-recipient GT tables, building it on
+// recipientCache returns the LRU of per-recipient GT combs, building it on
 // first use (PublicParams values are assembled by struct literal).
-func (pub *PublicParams) recipientCache() *lru.Cache[string, *pairing.GTTable] {
+func (pub *PublicParams) recipientCache() *lru.Cache[string, *pairing.GTSecretComb] {
 	pub.gtOnce.Do(func() {
-		pub.gtCache = lru.New[string, *pairing.GTTable](maxCachedRecipients)
+		pub.gtCache = lru.New[string, *pairing.GTSecretComb](maxCachedRecipients)
 	})
 	return pub.gtCache
 }
 
-// InstrumentRecipientCache exports the per-recipient GT-table cache's
+// InstrumentRecipientCache exports the per-recipient GT-comb cache's
 // counters through reg as the cache="bf_gt_tables" series of the shared
-// lru_* families.
+// lru_* families (the label predates the combs and is kept for dashboards).
 func (pub *PublicParams) InstrumentRecipientCache(reg *obs.Registry) {
 	pub.recipientCache().Instrument(reg, "bf_gt_tables")
 }
 
 // RecipientCacheStats reports the hit/miss/eviction counters of the
-// per-recipient GT-table cache.
+// per-recipient GT-comb cache.
 func (pub *PublicParams) RecipientCacheStats() lru.Stats {
 	return pub.recipientCache().Stats()
 }
 
 // recipientPairing returns ê(P_pub, Q_ID)^r for the given identity, through
-// a cached fixed-base GT table when one is available. Only a recipient
-// without one is hashed onto the curve, and then only as the evaluation
-// point of P_pub's program (HashIdentityArg: no cofactor clearing).
+// the recipient's cached GT comb when there is one. Only a recipient without
+// one is hashed onto the curve, and then only as the evaluation point of
+// P_pub's program (HashIdentityArg: no cofactor clearing).
 func (pub *PublicParams) recipientPairing(id string, r *big.Int) (*pairing.GT, error) {
 	cache := pub.recipientCache()
-	if tab, ok := cache.Get(id); ok {
-		return tab.Exp(r), nil
+	if comb, ok := cache.Get(id); ok {
+		return comb.ExpSecret(r), nil
 	}
 	h, err := HashIdentityArg(pub.Pairing, id)
 	if err != nil {
@@ -131,14 +132,14 @@ func (pub *PublicParams) recipientPairing(id string, r *big.Int) (*pairing.GT, e
 	if err != nil {
 		return nil, err
 	}
-	tab, err := pairing.NewGTTable(g)
+	comb, err := pairing.NewGTSecretComb(g)
 	if err != nil {
-		// Degenerate pairing value (an identity hashing to cofactor order,
-		// probability below 2⁻³⁵⁰); exponentiate directly.
+		// A value outside GT, which a pairing of G1 points never is;
+		// exponentiate directly.
 		return g.ExpSecret(r)
 	}
-	cache.Add(id, tab)
-	return tab.Exp(r), nil
+	cache.Add(id, comb)
+	return comb.ExpSecret(r), nil
 }
 
 // PrivateKey is an extracted identity key d_ID = s·Q_ID.

@@ -15,7 +15,7 @@ import (
 // TestEncryptVectors pins FullIdent and BasicIdent ciphertexts for a fixed
 // master key and a fixed randomness stream, at every parameter set, for a
 // first message to a recipient (hashed onto the curve, paired through
-// P_pub's program) and a later one (the cached GT table; no hash): how the
+// P_pub's program) and a later one (the cached GT comb; no hash): how the
 // sender gets to ê(P_pub, Q_ID)^r may change, the bytes may not. Recorded at
 // the commit before the hash moved behind the recipient cache; the first
 // messages also decrypt, and cost one hash each, the later ones none.

@@ -159,7 +159,7 @@ func SetupThreshold(rng io.Reader, pp *pairing.Params, msgLen, t, n int) (*Thres
 	if err != nil {
 		return nil, fmt.Errorf("share master key: %w", err)
 	}
-	vks, commit := poly.VerificationVector(pp.Generator(), n)
+	vks, commit := poly.VerificationVector(pp.GeneratorMul, n)
 	if !commit.Equal(base.Public().PPub) {
 		return nil, fmt.Errorf("core: verification vector commitment mismatch")
 	}
@@ -412,8 +412,8 @@ const batchCoefficientBits = 128
 //	ê(ρ·P + U, Σ aᵢ·Vᵢ)  ≟  [ Π (W1ᵢ · cᵢ^eᵢ)^aᵢ ]^ρ · Π (W2ᵢ · Gᵢ^eᵢ)^aᵢ
 //
 // is one pairing, one fixed-base multiplication of the generator
-// (pairing.Params.GeneratorMul, a table walk where a ladder on U costs four
-// times as much), one n-term multi-scalar multiplication and one 4n-term GT
+// (pairing.Params.GeneratorMul, a comb walk where a ladder on U costs 2.5 times
+// as much), one n-term multi-scalar multiplication and one 4n-term GT
 // multi-exponentiation. Write share i's two quotients as g^αᵢ and g^βᵢ in the
 // order-q group GT: the check is Σ aᵢ·(ρ·αᵢ + βᵢ) = 0. A share with
 // (αᵢ, βᵢ) ≠ (0, 0) keeps ρ·αᵢ + βᵢ ≠ 0 for all but at most one ρ, and a
@@ -423,9 +423,9 @@ const batchCoefficientBits = 128
 // size; under a smaller q the coefficients act modulo q and the second term
 // is ≈ 1/q like the first). Which equation ρ weighs does not matter to the
 // argument; that it is fresh does — a prover who moves W1 by g^δ and W2 by
-// g^−δ leaves α = −δ, β = δ, which cancel for ρ = 1. The table walk behind
-// ρ·P follows ρ's digits, as the ladder on U did: ρ is drawn per call after
-// the shares are in, used once and never published.
+// g^−δ leaves α = −δ, β = δ, which cancel for ρ = 1. ρ is drawn per call
+// after the shares are in, used once and never published, and the comb walk
+// behind ρ·P is the same for every ρ.
 //
 // The soundness argument is about equations between elements of G1 and GT.
 // For Gᵢ, W1ᵢ, W2ᵢ membership is the decoding boundary's business

@@ -12,8 +12,8 @@
 //
 // A Point is its limbs: the affine coordinates as Montgomery-form vectors of
 // the width internal/fp fixes for p, the one representation from Unmarshal
-// through every kernel (the Jacobian layer of limb.go under ScalarMul,
-// Precomputed, cofactor clearing, the subgroup check, MSM and Add; the Miller
+// through every kernel (the Jacobian layer of limb.go under ScalarMul, the
+// secret kernels, cofactor clearing, the subgroup check, MSM and Add; the Miller
 // loops of internal/pairing, which read the limbs in place through Mont) and
 // back out through Marshal. math/big appears at the edges only — NewPoint, X,
 // Y and String, parameter construction, scalars, and the reduction of a hash

@@ -9,10 +9,7 @@ import (
 // What the tests reach of the package's internals. They live in package
 // curve_test so that they can import the curvetest oracle (which imports this
 // package), and see the unexported kernels through these names only.
-const (
-	MSMLadderMax  = msmLadderMax
-	PrecompWindow = precompWindow
-)
+const MSMLadderMax = msmLadderMax
 
 var (
 	ErrMSMShape = errMSMShape

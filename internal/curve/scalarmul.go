@@ -5,16 +5,15 @@
 // loop iterations perform an addition (vs 1/2 for double-and-add), and the
 // odd multiples ±P, ±3P, …, ±(2^(w−1)−1)P are precomputed once and
 // batch-normalized to affine so the loop uses cheap mixed additions. One
-// ladder serves ScalarMul, cofactor clearing and the subgroup check.
+// ladder serves ScalarMul, cofactor clearing and the subgroup check. The
+// scalar steers it, so it is for public scalars only.
 //
-// Fixed base: a Precomputed radix-2^w table (single-table comb) holding
-// d·2^(wj)·P for every window j and digit d. A fixed-base multiply is then
-// just one table lookup and one mixed addition per window — no doublings at
-// all — at the cost of (2^w − 1)·⌈bits/w⌉ stored affine points.
+// Fixed base has one kernel, the constant-time SecretComb (secretmul.go):
+// every long-lived base, the generator included, is multiplied by scalars
+// that are secret more often than not.
 package curve
 
 import (
-	"fmt"
 	"math/big"
 
 	"repro/internal/mathx"
@@ -164,118 +163,4 @@ func (pt *Point) ScalarMul(k *big.Int) *Point {
 		scalar = new(big.Int).Neg(k)
 	}
 	return base.mulRecoded(recode(scalar))
-}
-
-// Precomputed is a fixed-base scalar-multiplication table for a long-lived
-// point (the G1 generator, the PKG public key, key halves): a radix-2^w
-// comb storing d·2^(wj)·base for every window j and digit d ∈ [1, 2^w−1].
-// Immutable and safe for concurrent use after construction.
-type Precomputed struct {
-	curve   *Curve //cryptolint:public (curve parameters)
-	base    *Point
-	order   *big.Int //cryptolint:public (the point's public order)
-	windows int
-	// table[j·(2^w−1) + d−1] = d·2^(wj)·base as a Montgomery-form affine
-	// point (Z = 1), or Z = 0 where that multiple is the identity.
-	table []limbJac
-}
-
-// precompWindow is the fixed-base radix; 4 keeps the table at
-// (2^4−1)·⌈|q|/4⌉ points (600 for a 160-bit order) while cutting a
-// multiply to ⌈|q|/4⌉ mixed additions.
-const precompWindow = 4
-
-// precompPerWindow is the number of stored multiples per window.
-const precompPerWindow = 1<<precompWindow - 1
-
-// NewPrecomputed builds the fixed-base table for base, whose order must be
-// the given positive integer (q for G1 points). Building costs one pass of
-// Jacobian arithmetic plus two batch normalizations; afterwards every
-// ScalarMul is ~⌈bits(order)/w⌉ mixed additions and a single inversion.
-func NewPrecomputed(base *Point, order *big.Int) (*Precomputed, error) {
-	if base == nil || base.IsInfinity() {
-		return nil, fmt.Errorf("curve: cannot precompute the point at infinity")
-	}
-	if order == nil || order.Sign() <= 0 {
-		return nil, fmt.Errorf("curve: precomputation needs a positive point order")
-	}
-	c := base.curve
-	F := c.fld
-	windows := (order.BitLen() + precompWindow - 1) / precompWindow
-	s := newLjScratch(F)
-
-	// Window bases 2^(wj)·base by repeated doubling, normalized together.
-	bases := newLimbJacs(F, windows)
-	bases[0].setAffine(F, base.x, base.y)
-	for j := 1; j < windows; j++ {
-		bases[j].set(F, &bases[j-1])
-		for b := 0; b < precompWindow; b++ {
-			ljDouble(F, &bases[j], s)
-		}
-	}
-	if err := ljBatchNormalize(F, bases, newElts(F, windows), s); err != nil {
-		return nil, err
-	}
-
-	// Each window's multiples 1·B, 2·B, …, (2^w−1)·B by repeated mixed
-	// addition of its base B; a window whose base is O stays all-identity.
-	table := newLimbJacs(F, windows*precompPerWindow)
-	for j := range bases {
-		if F.IsZero(bases[j].z) {
-			continue
-		}
-		row := table[j*precompPerWindow:]
-		row[0].set(F, &bases[j])
-		for d := 1; d < precompPerWindow; d++ {
-			row[d].set(F, &row[d-1])
-			ljAddMixed(F, &row[d], bases[j].x, bases[j].y, s)
-		}
-	}
-	if err := ljBatchNormalize(F, table, newElts(F, len(table)), s); err != nil {
-		return nil, err
-	}
-	return &Precomputed{
-		curve:   c,
-		base:    base,
-		order:   new(big.Int).Set(order),
-		windows: windows,
-		table:   table,
-	}, nil
-}
-
-// Base returns the point the table was built for.
-func (pc *Precomputed) Base() *Point { return pc.base }
-
-// TableSize returns the number of stored points (memory diagnostics).
-func (pc *Precomputed) TableSize() int { return len(pc.table) }
-
-// ScalarMul returns (k mod order)·base using only table lookups and mixed
-// additions — no doublings. The result is the same group element (and the
-// same affine encoding) that base.ScalarMul(k) produces. Zero digits are
-// skipped and a digit indexes its table row: for a secret scalar and a fixed
-// secret base there is SecretComb.
-//
-//cryptolint:vartime (digit-indexed table reads and zero-digit skips follow the scalar)
-func (pc *Precomputed) ScalarMul(k *big.Int) *Point {
-	c := pc.curve
-	F := c.fld
-	kr := new(big.Int).Mod(k, pc.order)
-	if kr.Sign() == 0 {
-		return c.Infinity()
-	}
-	words := scalarWords(kr)
-	s := newLjScratch(F)
-	acc := newLimbJac(F)
-	for j := 0; j < pc.windows; j++ {
-		d := windowDigit(words, j*precompWindow, precompWindow)
-		if d == 0 {
-			continue
-		}
-		e := &pc.table[j*precompPerWindow+int(d)-1]
-		if F.IsZero(e.z) {
-			continue
-		}
-		ljAddMixed(F, &acc, e.x, e.y, s)
-	}
-	return c.ljToPoint(&acc, s)
 }

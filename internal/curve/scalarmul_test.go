@@ -86,48 +86,6 @@ func TestScalarMulEdgeCases(t *testing.T) {
 	}
 }
 
-// TestPrecomputedDifferential asserts that fixed-base comb multiplication
-// agrees with the generic path on ~1000 random scalars.
-func TestPrecomputedDifferential(t *testing.T) {
-	c := toyCurve(t)
-	P, err := c.RandomG1(rand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pc, err := curve.NewPrecomputed(P, c.Q())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 1000; i++ {
-		k := randScalarBits(t, 8+i%60, i) // exercises k > q and k < 0 (mod-order reduction)
-		fast := pc.ScalarMul(k)
-		slow := curvetest.ScalarMulBinary(P, new(big.Int).Mod(k, c.Q()))
-		if !fast.Equal(slow) {
-			t.Fatalf("iter %d: comb %v ≠ ladder %v for k=%v", i, fast, slow, k)
-		}
-	}
-	if !pc.ScalarMul(big.NewInt(0)).IsInfinity() {
-		t.Error("comb 0·P ≠ O")
-	}
-	if !pc.ScalarMul(c.Q()).IsInfinity() {
-		t.Error("comb q·P ≠ O")
-	}
-	if pc.TableSize() != (c.Q().BitLen()+curve.PrecompWindow-1)/curve.PrecompWindow*(1<<curve.PrecompWindow-1) {
-		t.Errorf("unexpected table size %d", pc.TableSize())
-	}
-}
-
-func TestPrecomputedRejectsBadInput(t *testing.T) {
-	c := toyCurve(t)
-	if _, err := curve.NewPrecomputed(c.Infinity(), c.Q()); err == nil {
-		t.Error("precomputing O must fail")
-	}
-	P, _ := c.RandomG1(rand.Reader)
-	if _, err := curve.NewPrecomputed(P, big.NewInt(0)); err == nil {
-		t.Error("non-positive order must fail")
-	}
-}
-
 // TestBatchToAffine checks the simultaneous-inversion normalization against
 // the affine big.Int group law, including interleaved points at infinity.
 func TestBatchToAffine(t *testing.T) {
@@ -203,7 +161,7 @@ func BenchmarkScalarMulStrategies(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pc, err := curve.NewPrecomputed(P, c.Q())
+	comb, err := curve.NewSecretComb(P)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -214,10 +172,10 @@ func BenchmarkScalarMulStrategies(b *testing.B) {
 			P.ScalarMul(k)
 		}
 	})
-	b.Run("fixed-base", func(b *testing.B) {
+	b.Run("secret-comb", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			pc.ScalarMul(k)
+			comb.ScalarMul(k)
 		}
 	})
 	b.Run("binary-ladder", func(b *testing.B) {
@@ -232,7 +190,7 @@ func BenchmarkScalarMulStrategies(b *testing.B) {
 // arbitrary scalars (any width, either sign) times points of every shape the
 // curve has — full-group, G1, cofactor-order, the 2-torsion point — must
 // stay bit-identical to the affine double-and-add oracle, and the fixed-base
-// comb must agree wherever it applies (a base of known order q).
+// comb must agree wherever it applies (a G1 base).
 func FuzzScalarMul(f *testing.F) {
 	f.Add([]byte("seed"), []byte{0x01}, false, uint8(0))
 	f.Add([]byte("seed"), []byte{0xfd, 0x51, 0xd4, 0x91}, false, uint8(1)) // k = q
@@ -274,11 +232,11 @@ func FuzzScalarMul(f *testing.F) {
 			t.Fatalf("kind=%d k=%v base=%v: w-NAF %v ≠ oracle %v", kind%4, k, base, got, want)
 		}
 		if kind%4 == 1 && !base.IsInfinity() {
-			pc, err := curve.NewPrecomputed(base, q)
+			comb, err := curve.NewSecretComb(base)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if comb := pc.ScalarMul(k); !bytes.Equal(comb.Marshal(), want.Marshal()) {
+			if comb := comb.ScalarMul(k); !bytes.Equal(comb.Marshal(), want.Marshal()) {
 				t.Fatalf("k=%v base=%v: comb %v ≠ oracle %v", k, base, comb, want)
 			}
 		}

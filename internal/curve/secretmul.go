@@ -1,11 +1,12 @@
-// Scalar multiplication by a secret: the mediator's path.
+// Scalar multiplication by a secret: the mediator's path, and the package's
+// one fixed-base kernel.
 //
-// ScalarMul and Precomputed let the scalar choose what they do — where the
-// w-NAF digits fall, which additions are skipped, which table entry is read —
-// which is the right economy for a public scalar and a timing oracle for a
-// secret one. The two kernels here do the same thing for every scalar in
-// [0, q): the same doublings and additions in the same order, every table
-// row read for every digit, no branch or address taken from the scalar.
+// ScalarMul lets the scalar choose what it does — where the w-NAF digits
+// fall, which additions are skipped, which table entry is read — which is the
+// right economy for a public scalar and a timing oracle for a secret one. The
+// two kernels here do the same thing for every scalar in [0, q): the same
+// doublings and additions in the same order, every table row read for every
+// digit, no branch or address taken from the scalar.
 //
 // Both rest on one recoding (fp.SignedBits, shared with gf.UnitaryComb). An
 // odd k̃ < 2^L is written with L signed bits
@@ -79,7 +80,7 @@ func (pt *Point) secretBase() error {
 // first.
 func (c *Curve) secretScalar(k *big.Int, L int) (signs []uint64, neg, zero int) {
 	if k.Sign() < 0 || k.BitLen() > c.q.BitLen() {
-		k = new(big.Int).Mod(k, c.q) //cryptolint:public (a scalar outside the kernels' contract — every caller's is already in [0, q) — is brought into it by math/big, which tells a timer no more than that)
+		k = new(big.Int).Mod(k, c.q) //cryptolint:public (a scalar outside the kernels' contract — a secret caller's is already in [0, q); GeneratorMul's API takes any integer — is brought into it by math/big, which tells a timer no more than that)
 	}
 	return fp.SignedBits(k, c.q, L)
 }
@@ -227,13 +228,16 @@ func (pt *Point) scalarMulSecret(k *big.Int) (*Point, secretOps, error) {
 }
 
 // SecretComb is the fixed-base form of ScalarMulSecret for a long-lived
-// secret point — a key share multiplied by a fresh nonce on every request:
-// a signed comb of w teeth spaced d = ⌈|q|/w⌉ apart, whose 2^(w−1) affine
+// point — a key share multiplied by a fresh nonce on every request, or the
+// generator behind pairing.Params.GeneratorMul, whose scalars are keys and
+// encryption nonces: a signed comb of w teeth spaced d = ⌈|q|/w⌉ apart, whose 2^(w−1) affine
 // rows hold ±2^((w−1)d)·P ± … ± 2^d·P ± P for every choice of the lower
 // signs. A multiplication is d − 1 doublings and d additions, each reading
 // all the rows, where the window ladder pays |q| and ⌈|q|/4⌉ — under half
 // its time at paper size, for 4 KB and a build that costs about one ladder.
-// Immutable and safe for concurrent use.
+// Reading every row is what a wider comb would pay for: at paper size seven
+// teeth already cost more than they save (DESIGN §7). Immutable and safe for
+// concurrent use.
 type SecretComb struct {
 	curve          *Curve //cryptolint:public (curve parameters)
 	teeth, spacing int

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"crypto/rand"
 	"errors"
+	"fmt"
 	"math/big"
+	"sync"
 	"testing"
 
 	"repro/internal/curve"
@@ -268,6 +270,54 @@ func TestSecretKernelsSameOperations(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSecretCombConcurrent shares one comb and one set of scalars among
+// goroutines (run with -race): ScalarMul reads its rows and its scalar and
+// writes only its own accumulator, so every worker gets ScalarMul's bytes and
+// the scalars come back as they went in.
+func TestSecretCombConcurrent(t *testing.T) {
+	c := toyCurve(t)
+	P, err := c.RandomG1(rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	comb, err := curve.NewSecretComb(P)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := c.Q()
+	ks := []*big.Int{big.NewInt(123456), big.NewInt(-789), new(big.Int).Set(q), new(big.Int).Lsh(q, 3), new(big.Int).Sub(q, big.NewInt(2))}
+	var want [][]byte
+	var before []string
+	for _, k := range ks {
+		want = append(want, P.ScalarMul(k).Marshal())
+		before = append(before, k.String())
+	}
+	var wg sync.WaitGroup
+	errs := make([]error, 8)
+	for w := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				j := (w + i) % len(ks)
+				if got := comb.ScalarMul(ks[j]); !bytes.Equal(got.Marshal(), want[j]) {
+					errs[w] = fmt.Errorf("worker %d run %d: comb %v ≠ ScalarMul for k=%v", w, i, got, ks[j])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		t.Fatal(err)
+	}
+	for j, k := range ks {
+		if k.String() != before[j] {
+			t.Errorf("scalar %s came back as %v", before[j], k)
+		}
 	}
 }
 

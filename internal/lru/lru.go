@@ -1,6 +1,6 @@
 // Package lru provides a small mutex-guarded LRU cache with hit/miss/
 // eviction counters. The SEM's fixed-argument pairing programs and the
-// Boneh-Franklin per-recipient GT tables are both keyed by identity and
+// Boneh-Franklin per-recipient GT combs are both keyed by identity and
 // unbounded in principle — millions of users — so every cache of derived
 // per-identity state in this codebase is bounded by this one policy.
 package lru

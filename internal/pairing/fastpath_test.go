@@ -74,57 +74,9 @@ func TestSlopeDegenerateErrors(t *testing.T) {
 	}
 }
 
-// TestGTTableDifferential checks fixed-base GT exponentiation against the
-// square-and-multiply GT.Exp on random, negative, boundary and oversized
-// exponents, asserting bit-identical serialization.
-func TestGTTableDifferential(t *testing.T) {
-	pp := toyParams(t)
-	g := mustPair(t, pp, pp.Generator(), pp.Generator())
-	tab, err := NewGTTable(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := pp.Q()
-	check := func(k *big.Int, label string) {
-		t.Helper()
-		fast := tab.Exp(k)
-		slow := mustExp(t, g, k)
-		if string(fast.Bytes()) != string(slow.Bytes()) {
-			t.Fatalf("%s: table exponentiation differs for k=%v", label, k)
-		}
-	}
-	for i := 0; i < 200; i++ {
-		k, _ := rand.Int(rand.Reader, q)
-		if i%5 == 0 {
-			k.Neg(k)
-		}
-		if i%11 == 0 {
-			k.Mul(k, q) // force multi-limb reduction
-		}
-		check(k, "random")
-	}
-	check(big.NewInt(0), "zero")
-	check(big.NewInt(1), "one")
-	check(q, "order")
-	check(new(big.Int).Sub(q, big.NewInt(1)), "order−1")
-	if tab.TableSize() != (q.BitLen()+gtWindow-1)/gtWindow*(1<<gtWindow-1) {
-		t.Errorf("unexpected table size %d", tab.TableSize())
-	}
-}
-
-func TestGTTableRejectsDegenerate(t *testing.T) {
-	pp := toyParams(t)
-	if _, err := NewGTTable(pp.One()); err == nil {
-		t.Error("GT table for the identity must be rejected")
-	}
-	zero := &GT{v: pp.Field().Zero(), q: pp.Q()}
-	if _, err := NewGTTable(zero); err == nil {
-		t.Error("GT table for zero must be rejected")
-	}
-}
-
-// TestGeneratorMul checks the lazily-built fixed-base generator path against
-// the generic multiplication, including the concurrent first build.
+// TestGeneratorMul checks the lazily-built comb of the generator against the
+// generic multiplication, including the concurrent first build and scalars
+// the comb's edge must reduce first: negative ones and ones above q.
 func TestGeneratorMul(t *testing.T) {
 	pp := toyParams(t)
 	gen := pp.Generator()
@@ -134,7 +86,7 @@ func TestGeneratorMul(t *testing.T) {
 		go func(seed int64) {
 			defer func() { done <- struct{}{} }()
 			k := big.NewInt(seed)
-			pp.GeneratorMul(k) // races the sync.Once table build
+			pp.GeneratorMul(k) // races the sync.Once comb build
 		}(int64(w + 1))
 	}
 	for w := 0; w < 4; w++ {
@@ -144,6 +96,9 @@ func TestGeneratorMul(t *testing.T) {
 		k, _ := rand.Int(rand.Reader, q)
 		if i%6 == 0 {
 			k.Neg(k)
+		}
+		if i%7 == 0 {
+			k.Add(k, new(big.Int).Lsh(q, uint(i%3)))
 		}
 		fast := pp.GeneratorMul(k)
 		slow := gen.ScalarMul(k)
@@ -156,5 +111,21 @@ func TestGeneratorMul(t *testing.T) {
 	}
 	if !pp.GeneratorMul(big.NewInt(0)).IsInfinity() {
 		t.Error("0·P ≠ O via GeneratorMul")
+	}
+}
+
+// TestGeneratorMulRunsOnComb: the public ladder GeneratorMul falls back to
+// gives the same bytes, so no output comparison notices a generator whose
+// comb failed to build. Every fixed parameter set must have one.
+func TestGeneratorMulRunsOnComb(t *testing.T) {
+	for _, name := range []string{"toy", "fast", "paper"} {
+		pp, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pp.GeneratorMul(big.NewInt(1))
+		if pp.genComb == nil {
+			t.Errorf("%s: GeneratorMul is not on the generator's constant-time comb", name)
+		}
 	}
 }

@@ -44,8 +44,8 @@ var ErrDegenerate = errors.New("pairing: degenerate (identity) pairing value")
 
 // Params bundles everything the schemes need: the groups G1 (order-q curve
 // subgroup), GT (order-q subgroup of F_p²*) and the pairing between them.
-// Immutable (the generator table is built lazily under a sync.Once) and safe
-// for concurrent use.
+// Immutable (the generator's comb and Miller program are built lazily, each
+// under a sync.Once) and safe for concurrent use.
 type Params struct {
 	curve    *curve.Curve //cryptolint:public (system parameters)
 	field    *gf.Field    //cryptolint:public (system parameters)
@@ -54,8 +54,8 @@ type Params struct {
 	qBits    int
 	security string
 
-	genTabOnce sync.Once
-	genTab     *curve.Precomputed //cryptolint:public (comb for the public generator)
+	genCombOnce sync.Once
+	genComb     *curve.SecretComb //cryptolint:public (comb for the public generator)
 
 	genFPOnce sync.Once
 	genFP     *FixedPair //cryptolint:public (Miller program for the public generator)
@@ -132,23 +132,24 @@ func (pp *Params) Field() *gf.Field { return pp.field }
 // Generator returns the fixed public generator P of G1.
 func (pp *Params) Generator() *curve.Point { return pp.gen }
 
-// GeneratorMul returns k·P for the fixed generator P, using a fixed-base
-// comb table built lazily on first use (and shared by all callers). Every
-// scheme layer multiplies the generator constantly — key generation, BLS
-// signing, DKG commitments, BF encryption — so this is the hot path the
-// table exists for. The result is bit-identical to Generator().ScalarMul(k).
+// GeneratorMul returns k·P for the fixed generator P on the constant-time
+// comb of P (curve.SecretComb), built lazily on first use and shared by all
+// callers. Almost every scalar it is given is secret — a master, signing or
+// user key, an encryption nonce, a dealer's polynomial value — so it walks
+// them all the same way; k may be any integer and is reduced mod q at the
+// comb's edge. The result is bit-identical to Generator().ScalarMul(k).
 func (pp *Params) GeneratorMul(k *big.Int) *curve.Point {
-	pp.genTabOnce.Do(func() {
-		tab, err := curve.NewPrecomputed(pp.gen, pp.curve.Q())
+	pp.genCombOnce.Do(func() {
+		comb, err := curve.NewSecretComb(pp.gen)
 		if err == nil {
-			pp.genTab = tab
+			pp.genComb = comb
 		}
-		// err is impossible for a valid generator (non-infinity, positive
-		// order); if Params were built by hand with a bad generator we fall
-		// through to the generic path below.
+		// err is impossible for a generator of a usable group; an order too
+		// small for the comb (curve.ErrOrderTooSmall) protects nothing, and
+		// such Params fall through to the public ladder below.
 	})
-	if pp.genTab != nil {
-		return pp.genTab.ScalarMul(k)
+	if pp.genComb != nil {
+		return pp.genComb.ScalarMul(k)
 	}
 	return pp.gen.ScalarMul(k)
 }

@@ -112,16 +112,19 @@ func (p *Polynomial) IssueShares(n int) ([]Share, error) {
 }
 
 // VerificationVector returns the public points {f(i)·base} for i = 1..n plus
-// the commitment f(0)·base to the secret. In the threshold IBE these are the
-// P_pub^(i) published by the PKG.
-func (p *Polynomial) VerificationVector(base *curve.Point, n int) ([]*curve.Point, *curve.Point) {
+// the commitment f(0)·base to the secret, where mul(k) is k·base. In the
+// threshold IBE these are the P_pub^(i) published by the PKG. Every f(i) is a
+// share, so mul must be a constant-time fixed-base kernel of the base:
+// pairing.Params.GeneratorMul for the generator, a curve.SecretComb's
+// ScalarMul for any other.
+func (p *Polynomial) VerificationVector(mul func(k *big.Int) *curve.Point, n int) ([]*curve.Point, *curve.Point) {
 	vec := make([]*curve.Point, n)
 	x, val, tmp, quo := new(big.Int), new(big.Int), new(big.Int), new(big.Int)
 	for i := 1; i <= n; i++ {
 		x.SetInt64(int64(i))
-		vec[i-1] = base.ScalarMul(p.evalInto(val, x, tmp, quo))
+		vec[i-1] = mul(p.evalInto(val, x, tmp, quo))
 	}
-	return vec, base.ScalarMul(p.coeffs[0])
+	return vec, mul(p.coeffs[0])
 }
 
 // Reconstruct interpolates the secret f(0) from at least t shares.

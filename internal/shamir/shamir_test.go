@@ -125,8 +125,17 @@ func TestVerificationVector(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	comb, err := curve.NewSecretComb(base)
+	if err != nil {
+		t.Fatal(err)
+	}
 	poly, _ := NewPolynomial(rand.Reader, big.NewInt(987654), q, 3)
-	vec, commit := poly.VerificationVector(base, 5)
+	vec, commit := poly.VerificationVector(comb.ScalarMul, 5)
+	for i, v := range vec {
+		if want := base.ScalarMul(poly.Eval(big.NewInt(int64(i + 1)))); !v.Equal(want) {
+			t.Fatalf("entry %d is not f(%d)·base", i+1, i+1)
+		}
+	}
 
 	if err := VerifyVector(vec, commit, []int{1, 2, 3}, q); err != nil {
 		t.Fatalf("subset {1,2,3}: %v", err)
