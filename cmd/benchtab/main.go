@@ -38,7 +38,7 @@ func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("benchtab", flag.ContinueOnError)
 	var (
 		exp       = fs.String("exp", "all", "experiment: t1,t2,t3,t4,f1,f2,f3,ext or all (comma-separated)")
-		params    = fs.String("params", "paper", "pairing parameter set: toy, fast or paper")
+		params    = fs.String("params", "paper", "pairing parameter set: toy, fast, paper or paper_dense")
 		quick     = fs.Bool("quick", false, "reduced iterations/sweeps for a fast pass")
 		baseline  = fs.String("baseline", "", "write a primitive-op baseline snapshot (JSON) to this file ('-' for stdout) and exit")
 		check     = fs.String("check", "", "re-measure the primitives and exit non-zero if any entry regressed vs this committed snapshot")
@@ -143,7 +143,7 @@ func servingPrefixed(entries []bench.BaselineEntry) bool {
 // paper-size gates: fp.mul.go ÷ fp.mul.generic ≤ 0.70, fp.square.go ÷
 // fp.mul.go ≤ 0.92, fp.mul ÷ fp.mul.go ≤ 0.85, thibe.verify-batch5 ÷
 // thibe.verify-single5 ≤ 0.65, wire.pairing-arg ÷ wire.g1 ≤ 0.50, gt.ingt ÷
-// gtexp.square-multiply ≤ 0.65, thibe.player-share ÷ pair ≤ 1.40,
+// gtexp.square-multiply ≤ 0.65, thibe.player-share ÷ pair ≤ 1.00,
 // cluster.decrypt.honest ÷ cluster.decrypt.escalated ≤ 0.90, hash.to-g1.arg ÷
 // hash.to-g1 ≤ 0.55, fp.exp ÷ fp.square ≤ 850, ibe.token.scan ÷ pair ≤ 1.05;
 // bench.kernelRatioGates has the reasons) are held to their bounds whatever the

@@ -35,7 +35,7 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("pkgen", flag.ContinueOnError)
 	var (
 		out       = fs.String("out", "deploy", "output directory for the deployment artifacts")
-		params    = fs.String("params", "paper", "pairing parameter set: toy, fast or paper")
+		params    = fs.String("params", "paper", "pairing parameter set: toy, fast, paper or paper_dense")
 		rsaBits   = fs.Int("rsa", 1024, "IB-mRSA modulus size (0 disables the baseline; 512/1024 use embedded fixed moduli)")
 		msgLen    = fs.Int("msglen", 32, "IBE plaintext length in bytes")
 		ids       = fs.String("ids", "", "comma-separated identities to enroll")

@@ -54,7 +54,7 @@ func startFleet(t *testing.T, n int) (shards, systemFn string) {
 		addrs = append(addrs, ln.Addr().String())
 	}
 	systemFn = filepath.Join(t.TempDir(), "system.json")
-	if err := keyfile.Save(systemFn, &keyfile.System{ParamSet: "toy", MsgLen: 32}, false); err != nil {
+	if err := keyfile.Save(systemFn, toySystem(t), false); err != nil {
 		t.Fatal(err)
 	}
 	return strings.Join(addrs, ","), systemFn
@@ -190,6 +190,17 @@ func TestSemloadFlagValidation(t *testing.T) {
 	}
 }
 
+// toySystem is the public artifact semload reads: the toy set by name and
+// digest. The fleet's P_pub is not needed to drive it.
+func toySystem(t *testing.T) *keyfile.System {
+	t.Helper()
+	pp, err := pairing.Toy()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &keyfile.System{ParamSet: "toy", ParamDigest: keyfile.ParamDigest(pp), MsgLen: 32}
+}
+
 func TestSemloadDeadFleet(t *testing.T) {
 	// A listener that is immediately closed: connection refused on dial.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -199,7 +210,7 @@ func TestSemloadDeadFleet(t *testing.T) {
 	addr := ln.Addr().String()
 	_ = ln.Close()
 	systemFn := filepath.Join(t.TempDir(), "system.json")
-	if err := keyfile.Save(systemFn, &keyfile.System{ParamSet: "toy", MsgLen: 32}, false); err != nil {
+	if err := keyfile.Save(systemFn, toySystem(t), false); err != nil {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer

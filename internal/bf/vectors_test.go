@@ -21,11 +21,12 @@ import (
 // messages also decrypt, and cost one hash each, the later ones none.
 func TestEncryptVectors(t *testing.T) {
 	want := map[string]string{
-		"toy":   "3b9dee65c5e1a027fba2197321cf59585a9aefca502bb4c7067f024299b1419a",
-		"fast":  "38c09670efab835faf0802482b1607e3bddd95862203d797aa72604f4c8c872a",
-		"paper": "d5b8bfc558ddb022487a32db922559049ecef76085ff475bbaea43c623ee3532",
+		"toy":         "3b9dee65c5e1a027fba2197321cf59585a9aefca502bb4c7067f024299b1419a",
+		"fast":        "38c09670efab835faf0802482b1607e3bddd95862203d797aa72604f4c8c872a",
+		"paper":       "c4a6386503db630352458626227dd047af4695c5f629c78cf0a3737ba3a360f3",
+		"paper_dense": "d5b8bfc558ddb022487a32db922559049ecef76085ff475bbaea43c623ee3532",
 	}
-	for _, name := range []string{"toy", "fast", "paper"} {
+	for _, name := range []string{"toy", "fast", "paper", "paper_dense"} {
 		pp, err := pairing.ByName(name)
 		if err != nil {
 			t.Fatal(err)

@@ -23,15 +23,15 @@ var update = flag.Bool("update", false, "rewrite testdata/golden.json")
 
 const goldenPath = "testdata/golden.json"
 
-// goldenVectors evaluates every pinned operation on the toy, fast and paper
-// parameter sets and returns name → hex(Marshal(result)). Everything is
+// goldenVectors evaluates every pinned operation on the toy, fast, paper and
+// paper_dense parameter sets and returns name → hex(Marshal(result)). Everything is
 // derived from fixed strings and the parameter constants, so two
 // implementations agree on the map exactly when they agree bit for bit on
 // hash-to-G1, variable-base and fixed-base multiplication and encoding.
 func goldenVectors(t *testing.T) map[string]string {
 	t.Helper()
 	out := make(map[string]string)
-	for _, name := range []string{"toy", "fast", "paper"} {
+	for _, name := range []string{"toy", "fast", "paper", "paper_dense"} {
 		pp, err := pairing.ByName(name)
 		if err != nil {
 			t.Fatal(err)

@@ -13,10 +13,11 @@ import (
 	"repro/internal/curve/curvetest"
 )
 
-// secretCurves are the three parameter sizes: the generic 2-limb field, the
-// 4-limb one and the 8-limb kernels (assembly, or Go under -tags purego).
+// secretCurves are the three parameter sizes — the generic 2-limb field, the
+// 4-limb one and the 8-limb kernels (assembly, or Go under -tags purego) — and
+// at paper size both orders: one whose top is a single bit, one dense.
 func secretCurves(tb testing.TB) map[string]*curve.Curve {
-	return map[string]*curve.Curve{"toy": toyCurve(tb), "fast": fastCurve(tb), "paper": paperCurve(tb)}
+	return map[string]*curve.Curve{"toy": toyCurve(tb), "fast": fastCurve(tb), "paper": paperCurve(tb), "paper_dense": paperDenseCurve(tb)}
 }
 
 // edgeScalars are the scalars the signed recoding has to get right by
@@ -117,8 +118,9 @@ func TestSecretScalarMulDifferential(t *testing.T) {
 // k̃ = q + 2d₀ recodes as d₀ above a prefix ≡ d₀ (mod q): the ladder's last
 // addition adds a point to itself. Both k = q + 2d₀ and k = −2d₀ (which runs
 // as q + 2d₀ and is negated) must still come out right; with the plain chord
-// formulas in that step they come out as O. The comb has no such scalar at
-// the three in-repo orders, so the step it shares with the ladder is also
+// formulas in that step they come out as O. Neither paper order has one
+// (d₀ ≡ 15 and 3 mod 32), and the comb has none at any in-repo order
+// (TestSecretCombLastColumn), so the step it shares with the ladder is also
 // driven directly: an accumulator holding R, R selected from a one-row table.
 func TestSecretScalarMulLastAdditionDoubles(t *testing.T) {
 	met := 0
@@ -148,6 +150,92 @@ func TestSecretScalarMulLastAdditionDoubles(t *testing.T) {
 	}
 	if met == 0 {
 		t.Error("no parameter set has a self-doubling scalar any more: find another")
+	}
+}
+
+// combSelfDoublings returns the scalars k̃ ∈ [1, q) whose comb walk (teeth ×
+// spacing) ends by adding a point to itself: k̃ − 2D₀ = q for the column-0
+// digit D₀ of k̃'s signed recoding. Only k̃ = q + 2D for a negative digit
+// value D can qualify, so the 2^(teeth−1) values −|row| are all there is to
+// try; the recoding is recomputed here from its definition (bᵢ = bit i of
+// (k̃ − 1)/2 + 2^(L−1), read as ±1), not through the kernels' fp.SignedBits.
+func combSelfDoublings(q *big.Int, teeth, spacing int) []*big.Int {
+	L := teeth * spacing
+	var out []*big.Int
+	for idx := 0; idx < 1<<(teeth-1); idx++ {
+		row := new(big.Int).Lsh(big.NewInt(1), uint((teeth-1)*spacing))
+		for t := 0; t < teeth-1; t++ {
+			term := new(big.Int).Lsh(big.NewInt(1), uint(t*spacing))
+			if idx>>uint(t)&1 == 1 {
+				row.Add(row, term)
+			} else {
+				row.Sub(row, term)
+			}
+		}
+		k := new(big.Int).Sub(q, new(big.Int).Lsh(row, 1)) // q + 2D for D = −row
+		if k.Sign() <= 0 {
+			continue
+		}
+		u := new(big.Int).Rsh(k, 1)
+		u.SetBit(u, L-1, 1)
+		d0 := new(big.Int)
+		for t := 0; t < teeth; t++ {
+			term := new(big.Int).Lsh(big.NewInt(1), uint(t*spacing))
+			if u.Bit(t*spacing) == 1 {
+				d0.Add(d0, term)
+			} else {
+				d0.Sub(d0, term)
+			}
+		}
+		if new(big.Int).Sub(k, new(big.Int).Lsh(d0, 1)).Cmp(q) == 0 {
+			out = append(out, k)
+		}
+	}
+	return out
+}
+
+// TestSecretCombLastColumn is the comb's half of DESIGN §7's per-order facts:
+// at every in-repo order — paper's single-bit top included — no scalar makes
+// the comb's last addition a doubling, and the predicate that says so is not
+// vacuous: among the small orders of TestSecretScalarMulExhaustiveSmallOrders
+// it finds the self-doubling scalars, and each one runs right through the
+// comb.
+func TestSecretCombLastColumn(t *testing.T) {
+	for name, c := range secretCurves(t) {
+		P, err := c.RandomG1(rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		comb, err := curve.NewSecretComb(P)
+		if err != nil {
+			t.Fatal(err)
+		}
+		teeth, spacing, _ := comb.Shape()
+		if ks := combSelfDoublings(c.Q(), teeth, spacing); len(ks) != 0 {
+			t.Errorf("%s (comb %d×%d): self-doubling scalars %v", name, teeth, spacing, ks)
+		}
+	}
+	met := 0
+	for _, q := range []int64{131, 251, 257, 509, 521, 1021, 2053, 4093, 8191} {
+		c := smallCurve(t, q)
+		P, err := c.RandomG1(rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		comb, err := curve.NewSecretComb(P)
+		if err != nil {
+			t.Fatal(err)
+		}
+		teeth, spacing, _ := comb.Shape()
+		for _, k := range combSelfDoublings(c.Q(), teeth, spacing) {
+			met++
+			if got, want := comb.ScalarMul(k), P.ScalarMul(k); !got.Equal(want) {
+				t.Errorf("q=%d k=%v: comb %v, want %v", q, k, got, want)
+			}
+		}
+	}
+	if met == 0 {
+		t.Error("no small order has a self-doubling comb scalar: the predicate is vacuous")
 	}
 }
 

@@ -26,6 +26,7 @@ var testModuli = []struct {
 	{name: "toy-2limb", hex: "c88410b59ac4fa20d9a0256b"},
 	{name: "fast-4limb", hex: "db19579dd2a906bb3f2f4f74c236e52c70115d99c09f7c474e96cdbe63e4da07"},
 	{name: "paper-8limb", hex: "b282da5c02935d5836473139df6751ee8e1fb07c917309c04088843b36435876d65dd173ce4ac63f883c05a59ad3a134e30ef32607e2a49c71e515d4dcc47eef"},
+	{name: "paper-sparse-8limb", hex: "e6a30dc9bb2f27db4f2d112924218fa457702d317324509952984dbe937dd4f96ded3efffd8680e00e1780697ee844a3e981e0a4d64594888b2f7f881197f947"},
 	{name: "lazy-8limb", bits: 505},
 	{name: "spare2-8limb", bits: 510},
 	{name: "max-8limb", hex: "fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffdc7"},
@@ -657,14 +658,15 @@ func TestFp2TowerMatchesOracle(t *testing.T) {
 
 func TestLazyFlagPerModulus(t *testing.T) {
 	expect := map[string]bool{
-		"1limb":        false, // 2^64 − 977 uses all 64 bits
-		"toy-2limb":    true,  // 96 bits in 128
-		"fast-4limb":   false, // exactly 256 bits
-		"paper-8limb":  false, // exactly 512 bits
-		"lazy-8limb":   true,  // 505 bits in 512
-		"spare2-8limb": true,  // 510 bits in 512: the widest lazy modulus
-		"max-8limb":    false, // exactly 512 bits
-		"9limb":        true,  // 513 bits in 576
+		"1limb":              false, // 2^64 − 977 uses all 64 bits
+		"toy-2limb":          true,  // 96 bits in 128
+		"fast-4limb":         false, // exactly 256 bits
+		"paper-8limb":        false, // exactly 512 bits
+		"lazy-8limb":         true,  // 505 bits in 512
+		"paper-sparse-8limb": false, // exactly 512 bits
+		"spare2-8limb":       true,  // 510 bits in 512: the widest lazy modulus
+		"max-8limb":          false, // exactly 512 bits
+		"9limb":              true,  // 513 bits in 576
 	}
 	for _, tm := range testModuli {
 		f, p := mustField(t, tm.name)

@@ -12,7 +12,7 @@ import (
 // [1, q) that neg and zero say it is.
 func TestSignedBitsRecodes(t *testing.T) {
 	rng := mrand.New(mrand.NewSource(28))
-	for _, qs := range []string{"83", "fd51d491", "e10324209a11be3de5ba91918d7c367d", "d766107fb0eace0a6ccd9d42e9492ba8bf2298ed"} {
+	for _, qs := range []string{"83", "fd51d491", "e10324209a11be3de5ba91918d7c367d", "8000000000000000000000000000000000020001", "d766107fb0eace0a6ccd9d42e9492ba8bf2298ed"} {
 		q, _ := new(big.Int).SetString(qs, 16)
 		bits := q.BitLen()
 		scalars := []*big.Int{new(big.Int), big.NewInt(1), big.NewInt(2), new(big.Int).Sub(q, big.NewInt(1)), new(big.Int).Sub(q, big.NewInt(2)),

@@ -5,9 +5,15 @@ import (
 	"testing"
 )
 
-// paperPHex is the 512-bit characteristic of the committed "paper"
-// parameter set — the field size every headline benchmark runs at.
-const paperPHex = "b282da5c02935d5836473139df6751ee8e1fb07c917309c04088843b36435876d65dd173ce4ac63f883c05a59ad3a134e30ef32607e2a49c71e515d4dcc47eef"
+// paperPHex and paperQHex are the 512-bit characteristic and 160-bit order of
+// the committed "paper" parameter set — the field size every headline
+// benchmark runs at — and the paperDense pair those of "paper_dense".
+const (
+	paperPHex      = "e6a30dc9bb2f27db4f2d112924218fa457702d317324509952984dbe937dd4f96ded3efffd8680e00e1780697ee844a3e981e0a4d64594888b2f7f881197f947"
+	paperQHex      = "8000000000000000000000000000000000020001"
+	paperDensePHex = "b282da5c02935d5836473139df6751ee8e1fb07c917309c04088843b36435876d65dd173ce4ac63f883c05a59ad3a134e30ef32607e2a49c71e515d4dcc47eef"
+	paperDenseQHex = "d766107fb0eace0a6ccd9d42e9492ba8bf2298ed"
+)
 
 func benchField(b *testing.B) (*Field, *big.Int) {
 	b.Helper()

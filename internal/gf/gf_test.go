@@ -607,63 +607,71 @@ func TestUnitaryCombMatchesExp(t *testing.T) {
 		t.Fatal("an even order must be refused")
 	}
 
-	paperP, _ := new(big.Int).SetString(paperPHex, 16)
-	paperQ, _ := new(big.Int).SetString("d766107fb0eace0a6ccd9d42e9492ba8bf2298ed", 16)
-	paper, err := NewField(paperP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g = unitaryOfOrder(t, paper, paperQ, 11)
-	if comb, err = NewUnitaryComb(g, paperQ); err != nil {
-		t.Fatal(err)
-	}
-	exps := []*big.Int{
-		new(big.Int), big.NewInt(1), big.NewInt(2), new(big.Int).Sub(paperQ, big.NewInt(1)), new(big.Int).Set(paperQ),
-		new(big.Int).Add(paperQ, big.NewInt(2)), big.NewInt(-5), new(big.Int).Lsh(paperQ, 33),
-		new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), 160), big.NewInt(1)),
-	}
-	for i := int64(1); i <= 24; i++ {
-		exps = append(exps, new(big.Int).Div(new(big.Int).Mul(paperQ, big.NewInt(i)), big.NewInt(25+i)))
-	}
-	for _, k := range exps {
-		want, _ := new(Element).Exp(g, new(big.Int).Mod(k, paperQ))
-		if got := comb.ExpSecret(k); !got.Equal(want) {
-			t.Fatalf("paper size, g^%v: comb ≠ Exp", k)
+	for _, set := range paperSets {
+		paperP, _ := new(big.Int).SetString(set[0], 16)
+		paperQ, _ := new(big.Int).SetString(set[1], 16)
+		paper, err := NewField(paperP)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g = unitaryOfOrder(t, paper, paperQ, 11)
+		if comb, err = NewUnitaryComb(g, paperQ); err != nil {
+			t.Fatal(err)
+		}
+		exps := []*big.Int{
+			new(big.Int), big.NewInt(1), big.NewInt(2), new(big.Int).Sub(paperQ, big.NewInt(1)), new(big.Int).Set(paperQ),
+			new(big.Int).Add(paperQ, big.NewInt(2)), big.NewInt(-5), new(big.Int).Lsh(paperQ, 33),
+			new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), 160), big.NewInt(1)),
+		}
+		for i := int64(1); i <= 24; i++ {
+			exps = append(exps, new(big.Int).Div(new(big.Int).Mul(paperQ, big.NewInt(i)), big.NewInt(25+i)))
+		}
+		for _, k := range exps {
+			want, _ := new(Element).Exp(g, new(big.Int).Mod(k, paperQ))
+			if got := comb.ExpSecret(k); !got.Equal(want) {
+				t.Fatalf("paper size (q = %x), g^%v: comb ≠ Exp", paperQ, k)
+			}
 		}
 	}
 }
+
+// paperSets are the (p, q) of both paper-size sets: an order whose top is a
+// single bit and a dense one.
+var paperSets = [][2]string{{paperPHex, paperQHex}, {paperDensePHex, paperDenseQHex}}
 
 // TestUnitaryCombSameOperations is the comb's trace gate, as
 // TestExpSecretSameOperations is ExpSecret's: d − 1 squarings, d − 1
 // multiplications and 32·d rows read, whatever the exponent.
 func TestUnitaryCombSameOperations(t *testing.T) {
-	paperP, _ := new(big.Int).SetString(paperPHex, 16)
-	paperQ, _ := new(big.Int).SetString("d766107fb0eace0a6ccd9d42e9492ba8bf2298ed", 16)
-	paper, err := NewField(paperP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	comb, err := NewUnitaryComb(unitaryOfOrder(t, paper, paperQ, 11), paperQ)
-	if err != nil {
-		t.Fatal(err)
-	}
 	half := new(big.Int)
 	for i := 0; i < 159; i += 2 {
 		half.SetBit(half, i, 1)
 	}
 	const d = 27 // ⌈160/6⌉
 	want := expOps{Squares: d - 1, Muls: d - 1, EntriesRead: 32 * d}
-	for label, k := range map[string]*big.Int{
-		"zero":         new(big.Int),
-		"one":          big.NewInt(1),
-		"two":          big.NewInt(2),
-		"weight 1":     new(big.Int).Lsh(big.NewInt(1), 158),
-		"weight |q|/2": half,
-		"weight |q|-1": new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), 159), big.NewInt(1)),
-		"q-1":          new(big.Int).Sub(paperQ, big.NewInt(1)),
-	} {
-		if ops := comb.expSecret(paper.Zero(), k); ops != want {
-			t.Errorf("%s: comb did %+v, want %+v", label, ops, want)
+	for _, set := range paperSets {
+		paperP, _ := new(big.Int).SetString(set[0], 16)
+		paperQ, _ := new(big.Int).SetString(set[1], 16)
+		paper, err := NewField(paperP)
+		if err != nil {
+			t.Fatal(err)
+		}
+		comb, err := NewUnitaryComb(unitaryOfOrder(t, paper, paperQ, 11), paperQ)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for label, k := range map[string]*big.Int{
+			"zero":         new(big.Int),
+			"one":          big.NewInt(1),
+			"two":          big.NewInt(2),
+			"weight 1":     new(big.Int).Lsh(big.NewInt(1), 158),
+			"weight |q|/2": half,
+			"weight |q|-1": new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), 159), big.NewInt(1)),
+			"q-1":          new(big.Int).Sub(paperQ, big.NewInt(1)),
+		} {
+			if ops := comb.expSecret(paper.Zero(), k); ops != want {
+				t.Errorf("q = %x, %s: comb did %+v, want %+v", paperQ, label, ops, want)
+			}
 		}
 	}
 }

@@ -28,7 +28,7 @@ type Deployment struct {
 
 // DeploymentConfig configures NewDeployment.
 type DeploymentConfig struct {
-	ParamSet string // "toy", "fast", "paper"
+	ParamSet string // "toy", "fast", "paper", "paper_dense"; default "paper"
 	MsgLen   int    // default 32
 	// RSABits enables the IB-mRSA baseline: 0 = disabled, 512/1024 use the
 	// embedded fixed moduli, other sizes generate fresh safe primes (slow).
@@ -57,10 +57,11 @@ func NewDeployment(cfg DeploymentConfig) (*Deployment, error) {
 	}
 	d := &Deployment{
 		sys: &System{
-			ParamSet: cfg.ParamSet,
-			MsgLen:   cfg.MsgLen,
-			PPub:     ibePKG.Public().PPub.Marshal(),
-			GDHKeys:  map[string][]byte{},
+			ParamSet:    cfg.ParamSet,
+			ParamDigest: ParamDigest(pp),
+			MsgLen:      cfg.MsgLen,
+			PPub:        ibePKG.Public().PPub.Marshal(),
+			GDHKeys:     map[string][]byte{},
 		},
 		store:  &SEMStore{IBE: map[string][]byte{}, GDH: map[string][]byte{}, RSA: map[string][]byte{}},
 		users:  map[string]*User{},

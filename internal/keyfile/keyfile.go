@@ -11,6 +11,7 @@
 package keyfile
 
 import (
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"math/big"
@@ -28,8 +29,10 @@ import (
 // System is the public side of a deployment.
 type System struct {
 	// ParamSet names the fixed pairing parameter set ("toy", "fast",
-	// "paper").
+	// "paper", "paper_dense").
 	ParamSet string `json:"paramSet"`
+	// ParamDigest is ParamDigest of that set when the file was written.
+	ParamDigest string `json:"paramDigest"`
 	// MsgLen is the IBE plaintext length in bytes.
 	MsgLen int `json:"msgLen"`
 	// PPub is the compressed Boneh-Franklin system key s·P.
@@ -108,7 +111,44 @@ func UserFileName(id string) string {
 
 // Params resolves the system's pairing parameter set.
 func (s *System) Params() (*pairing.Params, error) {
-	return pairing.ByName(s.ParamSet)
+	return resolveParams(s.ParamSet, s.ParamDigest)
+}
+
+// ParamDigest is the hex form of pp.Digest(): what a system file records
+// beside the set's name, so a file written for one set is refused, not
+// misread, under another of that name.
+func ParamDigest(pp *pairing.Params) string {
+	d := pp.Digest()
+	return hex.EncodeToString(d[:])
+}
+
+// ParamSetError is Params' answer to a system file whose parameter digest is
+// missing or is not the digest of the set it names: a deployment written for
+// another set of that name, such as "paper" before its order was made sparse.
+type ParamSetError struct {
+	Set  string // the file's parameter set name
+	Got  string // the file's digest; "" when it records none
+	Want string // the digest of this build's set of that name
+}
+
+func (e *ParamSetError) Error() string {
+	if e.Got == "" {
+		return fmt.Sprintf("keyfile: parameter set %q: the file records no parameter digest, so it predates them and may be for another set of that name; regenerate the deployment", e.Set)
+	}
+	return fmt.Sprintf("keyfile: parameter set %q: the file was written for parameters with digest %s, this build's %q has %s; regenerate the deployment", e.Set, e.Got, e.Set, e.Want)
+}
+
+// resolveParams looks a parameter set up by name and holds it to the digest
+// the file recorded.
+func resolveParams(name, digest string) (*pairing.Params, error) {
+	pp, err := pairing.ByName(name)
+	if err != nil {
+		return nil, err
+	}
+	if want := ParamDigest(pp); digest != want {
+		return nil, &ParamSetError{Set: name, Got: digest, Want: want}
+	}
+	return pp, nil
 }
 
 // PublicParams rebuilds the Boneh-Franklin public parameters.

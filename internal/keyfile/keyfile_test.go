@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/mrsa"
+	"repro/internal/pairing"
 )
 
 func testDeployment(t *testing.T) *Deployment {
@@ -191,7 +192,11 @@ func TestSystemAccessorErrors(t *testing.T) {
 	if _, err := sys.Params(); err == nil {
 		t.Fatal("unknown param set accepted")
 	}
-	sys2 := &System{ParamSet: "toy", MsgLen: 32, PPub: []byte{1, 2}}
+	toy, err := pairing.Toy()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys2 := &System{ParamSet: "toy", ParamDigest: ParamDigest(toy), MsgLen: 32, PPub: []byte{1, 2}}
 	if _, err := sys2.PublicParams(); err == nil {
 		t.Fatal("garbage PPub accepted")
 	}

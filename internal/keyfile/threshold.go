@@ -20,10 +20,12 @@ import (
 // ThresholdSystem is the public artifact of a threshold deployment.
 type ThresholdSystem struct {
 	ParamSet string `json:"paramSet"`
-	MsgLen   int    `json:"msgLen"`
-	T        int    `json:"t"`
-	N        int    `json:"n"`
-	PPub     []byte `json:"ppub"`
+	// ParamDigest is ParamDigest of the set when the file was written.
+	ParamDigest string `json:"paramDigest"`
+	MsgLen      int    `json:"msgLen"`
+	T           int    `json:"t"`
+	N           int    `json:"n"`
+	PPub        []byte `json:"ppub"`
 	// VerificationKeys[i-1] is player i's compressed P_pub^(i).
 	VerificationKeys [][]byte `json:"verificationKeys"`
 }
@@ -38,7 +40,7 @@ type PlayerFile struct {
 // Params reconstructs the threshold parameters for verification and
 // recombination.
 func (ts *ThresholdSystem) Params() (*core.ThresholdParams, error) {
-	pp, err := pairing.ByName(ts.ParamSet)
+	pp, err := resolveParams(ts.ParamSet, ts.ParamDigest)
 	if err != nil {
 		return nil, err
 	}
@@ -117,6 +119,7 @@ func NewThresholdDeployment(cfg ThresholdDeploymentConfig) (*ThresholdDeployment
 	return &ThresholdDeployment{
 		sys: &ThresholdSystem{
 			ParamSet:         cfg.ParamSet,
+			ParamDigest:      ParamDigest(pp),
 			MsgLen:           cfg.MsgLen,
 			T:                cfg.T,
 			N:                cfg.N,

@@ -112,9 +112,11 @@ func TestFixedPairLines(t *testing.T) {
 // and what it must: the generator program has exactly the lines it had when
 // every coefficient was its own allocation (counted at 23db819; the last
 // addition's vertical chord emits none), a replay is Pair bit for bit, and a
-// paper-size build is O(1) allocations (1 264 before).
+// paper-size build is O(1) allocations (1 264 before). The sparse-order
+// "paper" set records one tangent per bit below the top and the chord of its
+// one addition that is not the last: 159 + 1.
 func TestFixedPairSlabBuild(t *testing.T) {
-	for name, lines := range map[string]int{"toy": 46, "fast": 186, "paper": 239} {
+	for name, lines := range map[string]int{"toy": 46, "fast": 186, "paper": 160, "paper_dense": 239} {
 		pp, err := ByName(name)
 		if err != nil {
 			t.Fatal(err)

@@ -27,6 +27,7 @@
 package pairing
 
 import (
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"io"
@@ -62,37 +63,65 @@ type Params struct {
 }
 
 // Generate creates fresh pairing parameters with a qBits-bit prime group
-// order and a pBits-bit field. pBits − qBits should be at least 16 so a
-// cofactor exists. Generation retries until p = q·c − 1 is prime with
-// c ≡ 0 (mod 4), guaranteeing p ≡ 3 (mod 4).
+// order and a pBits-bit field; pBits − qBits should be at least 16 so a
+// cofactor exists. The order is q = 2^(qBits−1) + 2^b + 1 with the smallest b
+// that makes it prime (PBC's "type A" form), so a Miller loop over it draws
+// one chord besides its tangents and a [q]-ladder takes two additions. The
+// field is p = h·q − 1 for a random cofactor h with 4 | h (p ≡ 3 mod 4),
+// q ∤ h (q ∥ p + 1) and gcd(h, 2^(qBits−1) − 2^b − 1) = 1, so no element of
+// F_p²'s norm-1 group other than 1 has an order dividing that mirror of q.
+// Pollard rho does not see the form of q, and the random h keeps p dense, so
+// the number field sieve on F_p² gets no special form either.
 func Generate(rng io.Reader, qBits, pBits int) (*Params, error) {
 	if pBits-qBits < 16 {
 		return nil, fmt.Errorf("pairing: pBits−qBits = %d too small for a cofactor", pBits-qBits)
 	}
-	q, err := mathx.RandomPrime(rng, qBits)
+	q, b, err := sparseOrder(qBits)
 	if err != nil {
-		return nil, fmt.Errorf("generate group order: %w", err)
+		return nil, err
 	}
-	kBits := pBits - qBits - 2 // c = 4k, so |c| = kBits + 2
-	lo := new(big.Int).Lsh(big.NewInt(1), uint(kBits-1))
-	hi := new(big.Int).Lsh(big.NewInt(1), uint(kBits))
+	one := big.NewInt(1)
+	mirror := new(big.Int).Lsh(one, uint(qBits-1))
+	mirror.Sub(mirror, new(big.Int).Lsh(one, uint(b)))
+	mirror.Sub(mirror, one)
+	// h = 4k, with k drawn so that p = 4k·q − 1 has exactly pBits bits.
+	fourQ := new(big.Int).Lsh(q, 2)
+	lo := new(big.Int).Lsh(one, uint(pBits-1))
+	lo.Div(lo, fourQ).Add(lo, one)
+	hi := new(big.Int).Lsh(one, uint(pBits))
+	hi.Div(hi, fourQ)
+	gcd := new(big.Int)
 	for attempt := 0; attempt < 100000; attempt++ {
 		k, err := mathx.RandomInRange(rng, lo, hi)
 		if err != nil {
 			return nil, err
 		}
-		c := new(big.Int).Lsh(k, 2)
-		if new(big.Int).Mod(c, q).Sign() == 0 {
-			continue // keep q ∥ p+1 exactly once
+		h := new(big.Int).Lsh(k, 2)
+		if new(big.Int).Mod(h, q).Sign() == 0 || gcd.GCD(nil, nil, h, mirror).Cmp(one) != 0 {
+			continue
 		}
-		p := new(big.Int).Mul(q, c)
-		p.Sub(p, big.NewInt(1))
+		p := new(big.Int).Mul(q, h)
+		p.Sub(p, one)
 		if p.BitLen() != pBits || !p.ProbablyPrime(20) {
 			continue
 		}
 		return fromPQ(rng, p, q)
 	}
 	return nil, fmt.Errorf("pairing: no suitable prime found for qBits=%d pBits=%d", qBits, pBits)
+}
+
+// sparseOrder returns the prime q = 2^(qBits−1) + 2^b + 1 with the smallest
+// b ≥ 1 (b = 6 at 32 and 128 bits, 17 at 160), and b.
+func sparseOrder(qBits int) (*big.Int, int, error) {
+	one := big.NewInt(1)
+	for b := 1; b < qBits-1; b++ {
+		q := new(big.Int).Lsh(one, uint(qBits-1))
+		q.Add(q, new(big.Int).Lsh(one, uint(b))).Add(q, one)
+		if q.ProbablyPrime(20) {
+			return q, b, nil
+		}
+	}
+	return nil, 0, fmt.Errorf("pairing: no prime 2^%d + 2^b + 1", qBits-1)
 }
 
 // fromPQ finishes parameter construction once p and q are fixed.
@@ -163,6 +192,21 @@ func (pp *Params) P() *big.Int { return pp.curve.P() }
 // Name returns a human-readable label for fixed parameter sets ("" for
 // generated ones).
 func (pp *Params) Name() string { return pp.security }
+
+// Digest is the SHA-256 of p and q, each as ⌈|p|/8⌉ big-endian bytes, and of
+// the generator's compressed encoding: one value that names these exact
+// parameters where a set's name alone could mean another.
+func (pp *Params) Digest() [sha256.Size]byte {
+	p, q := pp.P(), pp.Q()
+	n := (p.BitLen() + 7) / 8
+	h := sha256.New()
+	h.Write(p.FillBytes(make([]byte, n)))
+	h.Write(q.FillBytes(make([]byte, n)))
+	h.Write(pp.gen.Marshal())
+	var d [sha256.Size]byte
+	h.Sum(d[:0])
+	return d
+}
 
 // GT is an element of the order-q target group, a thin wrapper over F_p²
 // that carries the group order for exponent reduction.

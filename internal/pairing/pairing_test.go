@@ -17,11 +17,16 @@ func toyParams(t *testing.T) *Params {
 }
 
 func TestFixedSetsLoad(t *testing.T) {
-	for _, name := range []string{"toy", "fast", "paper"} {
+	digests := map[[32]byte]string{}
+	for _, name := range []string{"toy", "fast", "paper", "paper_dense"} {
 		pp, err := ByName(name)
 		if err != nil {
 			t.Fatalf("load %q: %v", name, err)
 		}
+		if other, ok := digests[pp.Digest()]; ok {
+			t.Errorf("sets %q and %q have one digest", other, name)
+		}
+		digests[pp.Digest()] = name
 		if pp.Name() != name {
 			t.Errorf("set %q reports name %q", name, pp.Name())
 		}
@@ -224,6 +229,7 @@ func TestGenerateSmallParams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkSparseSet(t, pp, 31, 6, 80) // 2^31 + 2^6 + 1
 	P := pp.Generator()
 	a := big.NewInt(7)
 	b := big.NewInt(11)
@@ -235,6 +241,74 @@ func TestGenerateSmallParams(t *testing.T) {
 	if mustPair(t, pp, P, P).IsOne() {
 		t.Fatal("generated params degenerate")
 	}
+}
+
+// TestPaperSetStructure holds the committed "paper" set to what Generate
+// promises at 160/512 bits: the sparse order with the smallest prime-making b,
+// and a cofactor that keeps p dense and the trace-comparison InGT sound.
+func TestPaperSetStructure(t *testing.T) {
+	pp, err := Paper()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkSparseSet(t, pp, 159, 17, 512)
+	q, b, err := sparseOrder(160)
+	if err != nil || b != 17 || q.Cmp(pp.Q()) != 0 {
+		t.Errorf("sparseOrder(160) = %x, %d, %v; the set has q = %x", q, b, err, pp.Q())
+	}
+	if w := nafWeight(pp.Q()); w != 3 {
+		t.Errorf("paper q has NAF weight %d, want 3", w)
+	}
+	dense, err := ByName("paper_dense")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w := nafWeight(dense.Q()); w < 50 {
+		t.Errorf("paper_dense q has NAF weight %d: not the dense reference set", w)
+	}
+}
+
+// checkSparseSet requires q = 2^top + 2^b + 1 and p = h·q − 1 a pBits-bit
+// prime with p ≡ 3 (mod 4), q ∤ h and gcd(h, 2^top − 2^b − 1) = 1.
+func checkSparseSet(t *testing.T, pp *Params, top, b uint, pBits int) {
+	t.Helper()
+	one := big.NewInt(1)
+	q := new(big.Int).Lsh(one, top)
+	q.Add(q, new(big.Int).Lsh(one, b)).Add(q, one)
+	if pp.Q().Cmp(q) != 0 {
+		t.Fatalf("q = %x, want 2^%d + 2^%d + 1", pp.Q(), top, b)
+	}
+	p := pp.P()
+	if p.BitLen() != pBits || !p.ProbablyPrime(32) || p.Bit(0) != 1 || p.Bit(1) != 1 {
+		t.Errorf("p = %x is not a %d-bit prime ≡ 3 (mod 4)", p, pBits)
+	}
+	h, r := new(big.Int).QuoRem(new(big.Int).Add(p, one), q, new(big.Int))
+	if r.Sign() != 0 || new(big.Int).Mod(h, q).Sign() == 0 {
+		t.Errorf("q does not divide p + 1 exactly once")
+	}
+	mirror := new(big.Int).Lsh(one, top)
+	mirror.Sub(mirror, new(big.Int).Lsh(one, b)).Sub(mirror, one)
+	if g := new(big.Int).GCD(nil, nil, h, mirror); g.Cmp(one) != 0 {
+		t.Errorf("gcd(h, 2^%d − 2^%d − 1) = %v, want 1", top, b, g)
+	}
+}
+
+// nafWeight counts the non-zero digits of k's non-adjacent form.
+func nafWeight(k *big.Int) int {
+	k = new(big.Int).Set(k)
+	w := 0
+	for k.Sign() > 0 {
+		if k.Bit(0) == 1 {
+			w++
+			if k.Bit(1) == 1 { // digit −1
+				k.Add(k, big.NewInt(1))
+			} else {
+				k.Sub(k, big.NewInt(1))
+			}
+		}
+		k.Rsh(k, 1)
+	}
+	return w
 }
 
 func TestGenerateRejectsTinyCofactor(t *testing.T) {
