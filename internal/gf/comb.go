@@ -29,18 +29,16 @@ type UnitaryComb struct {
 	rows    []uint64 // 2^(combTeeth−1) rows of 2n words, a ‖ b
 }
 
-// NewUnitaryComb builds the comb of g, which must be unitary and satisfy
-// g^order = 1 for the odd order given (a pairing value and the group order
-// q); anything else is refused, since the comb's negative digits and its
-// handling of even exponents are only right in that group.
-func NewUnitaryComb(g *Element, order *big.Int) (*UnitaryComb, error) {
-	if order.Sign() <= 0 || order.Bit(0) == 0 {
-		return nil, errors.New("gf: comb needs a positive odd group order")
-	}
-	if !g.UnitaryOrderDivides(order) {
-		return nil, errors.New("gf: comb base is not a unitary element of the given order")
+// NewUnitaryComb builds the comb of g, which must lie in the subgroup given (a
+// pairing value and GT), by that subgroup's own membership test; anything
+// else is refused, since the comb's negative digits and its handling of even
+// exponents are only right in that group.
+func NewUnitaryComb(g *Element, grp *UnitarySubgroup) (*UnitaryComb, error) {
+	if g.f != grp.f || !grp.Contains(g) {
+		return nil, errors.New("gf: comb base is not an element of the given subgroup")
 	}
 	f := g.f
+	order := grp.order
 	n := f.fp.Limbs()
 	const w = combTeeth
 	d := (order.BitLen() + w - 1) / w
@@ -74,7 +72,7 @@ func NewUnitaryComb(g *Element, order *big.Int) (*UnitaryComb, error) {
 		}
 		row(idx).Mul(row(idx&(idx-1)), &teeth[t])
 	}
-	return &UnitaryComb{f: f, order: new(big.Int).Set(order), spacing: d, rows: rows}, nil
+	return &UnitaryComb{f: f, order: order, spacing: d, rows: rows}, nil
 }
 
 // ExpSecret returns g^(k mod order) for a secret exponent k: the element

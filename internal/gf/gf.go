@@ -534,6 +534,92 @@ func (e *Element) UnitaryOrderDivides(k *big.Int) bool {
 	return f.fp.Equal(vk, f.two)
 }
 
+// UnitaryTracesMeet reports whether e is unitary and its traces at 2^a and
+// 2^b + 1 agree, V_(2^a) = V_(2^b+1), for 0 ≤ b < a. Since
+//
+//	V_x − V_y = (g^x − g^y)(1 − g^−(x+y)),
+//
+// that holds exactly when e^(2^a + 2^b + 1) = 1 or e^(2^a − 2^b − 1) = 1. It
+// is a membership test for the first group only where no element of the
+// norm-1 group but 1 lies in the second, which is UnitarySubgroup's gcd
+// condition; alone it proves nothing about e's order.
+func (e *Element) UnitaryTracesMeet(a, b int) bool {
+	if b < 0 || b >= a {
+		return false
+	}
+	return e.unitaryTracesMeet(new(big.Int).Lsh(big.NewInt(1), uint(b)), a-b)
+}
+
+// unitaryTracesMeet is UnitaryTracesMeet with low = 2^b and gap = a − b: the
+// trace ladder over 2^b gives (V_(2^b), V_(2^b+1)) in b + 1 steps, and gap
+// squarings V_2j = V_j² − 2 carry the first to V_(2^a).
+func (e *Element) unitaryTracesMeet(low *big.Int, gap int) bool {
+	if !e.IsUnitary() {
+		return false
+	}
+	f := e.f
+	F := f.fp
+	var b1, b2, b3 [fp.MaxLimbs]uint64
+	n := F.Limbs()
+	v, w, v1 := b1[:n], b2[:n], b3[:n]
+	F.Double(v1, e.a)
+	F.LucasLadder(v, w, v1, low)
+	for i := 0; i < gap; i++ {
+		F.Square(v, v)
+		F.Sub(v, v, f.two)
+	}
+	return F.Equal(v, w)
+}
+
+// UnitarySubgroup is the subgroup of order q of F_p²'s norm-1 group, for an
+// odd q dividing p + 1, with its membership test decided once, at
+// construction, from p and q alone. Contains is the verdict of "e is unitary
+// and e^q = 1" on every input. Where q = 2^a + 2^b + 1 (b < a) and
+// gcd(p + 1, 2^a − 2^b − 1) = 1, it compares two traces (UnitaryTracesMeet):
+// b + 1 ladder steps and a − b squarings, where the ladder over q takes a + 1
+// steps of a squaring and a multiplication each. Every other q runs that
+// ladder (UnitaryOrderDivides). Immutable and safe for concurrent use.
+type UnitarySubgroup struct {
+	f     *Field
+	order *big.Int
+	low   *big.Int // 2^b when the traces decide, nil when the ladder does
+	gap   int      // a − b
+}
+
+// NewUnitarySubgroup returns the order-q subgroup of f's norm-1 group; q must
+// be odd and divide p + 1.
+func (f *Field) NewUnitarySubgroup(q *big.Int) (*UnitarySubgroup, error) {
+	one := big.NewInt(1)
+	norm1 := new(big.Int).Add(f.p, one) // the norm-1 group's order
+	if q.Sign() <= 0 || q.Bit(0) == 0 || new(big.Int).Mod(norm1, q).Sign() != 0 {
+		return nil, errors.New("gf: subgroup order must be odd and divide p + 1")
+	}
+	s := &UnitarySubgroup{f: f, order: new(big.Int).Set(q)}
+	m := new(big.Int).Sub(q, one)
+	a, b := m.BitLen()-1, int(m.TrailingZeroBits())
+	if b >= a || m.Cmp(new(big.Int).SetBit(new(big.Int).Lsh(one, uint(a)), b, 1)) != 0 {
+		return s, nil // q − 1 is not two powers of 2
+	}
+	mirror := new(big.Int).Lsh(one, uint(a))
+	mirror.Sub(mirror, new(big.Int).Lsh(one, uint(b))).Sub(mirror, one)
+	if new(big.Int).GCD(nil, nil, norm1, mirror).Cmp(one) == 0 {
+		s.low, s.gap = new(big.Int).Lsh(one, uint(b)), a-b
+	}
+	return s, nil
+}
+
+// Contains reports whether e lies in the subgroup.
+func (s *UnitarySubgroup) Contains(e *Element) bool {
+	if s.low == nil {
+		return e.UnitaryOrderDivides(s.order)
+	}
+	return e.unitaryTracesMeet(s.low, s.gap)
+}
+
+// ComparesTraces reports which test Contains runs: the trace comparison
+// (true) or the ladder over q (false).
+func (s *UnitarySubgroup) ComparesTraces() bool { return s.low != nil }
+
 // String renders the element as "a + b·i" for debugging.
 func (e *Element) String() string {
 	return fmt.Sprintf("%v + %v·i", e.Re(), e.Im()) //cryptolint:public (String is the debug rendering; secretleak judges who prints which element at String's call sites)

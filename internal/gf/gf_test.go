@@ -463,6 +463,117 @@ func TestUnitaryOrderDividesMatchesExp(t *testing.T) {
 	}
 }
 
+// mustSubgroup returns f's norm-1 subgroup of order q.
+func mustSubgroup(t *testing.T, f *Field, q *big.Int) *UnitarySubgroup {
+	t.Helper()
+	grp, err := f.NewUnitarySubgroup(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return grp
+}
+
+// allUnitary returns every element of f's norm-1 group: for each real part
+// x, the square roots of 1 − x² (p ≡ 3 mod 4, so a root is a power).
+func allUnitary(f *Field) []*Element {
+	p := f.P()
+	root := new(big.Int).Add(p, big.NewInt(1))
+	root.Rsh(root, 2)
+	var out []*Element
+	for x := int64(0); x < p.Int64(); x++ {
+		rhs := big.NewInt(1 - x*x)
+		rhs.Mod(rhs, p)
+		y := new(big.Int).Exp(rhs, root, p)
+		if new(big.Int).Mod(new(big.Int).Mul(y, y), p).Cmp(rhs) != 0 {
+			continue
+		}
+		out = append(out, f.NewElement(big.NewInt(x), y))
+		if y.Sign() != 0 {
+			out = append(out, f.NewElement(big.NewInt(x), new(big.Int).Neg(y)))
+		}
+	}
+	return out
+}
+
+// TestUnitarySubgroupExhaustive runs both membership tests on every element
+// of two small norm-1 groups with q = 137 = 2^7 + 2^3 + 1, whose mirror
+// 2^7 − 2^3 − 1 = 119 = 7·17. For p = 4931 (p + 1 = 36·137, gcd 1) the
+// subgroup compares traces; for p = 27947 (p + 1 = 204·137 = 12·17·137) it
+// must not, and the order-17 elements show why: their traces meet, and they
+// are not in the subgroup. Either way Contains is Exp(e, q).IsOne()'s verdict
+// on every unitary element and on the non-unitary elements that share a
+// trace ladder with one, and UnitaryTracesMeet is e^q = 1 or e^119 = 1 on
+// unitary elements and false on the others.
+func TestUnitarySubgroupExhaustive(t *testing.T) {
+	q, mirror := big.NewInt(137), big.NewInt(119)
+	for _, c := range []struct {
+		p      int64
+		traces bool
+	}{{4931, true}, {27947, false}} {
+		f, err := NewField(big.NewInt(c.p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		grp := mustSubgroup(t, f, q)
+		if grp.ComparesTraces() != c.traces {
+			t.Fatalf("p = %d: ComparesTraces = %v, want %v", c.p, grp.ComparesTraces(), c.traces)
+		}
+		unitary := allUnitary(f)
+		if int64(len(unitary)) != c.p+1 {
+			t.Fatalf("p = %d: %d unitary elements, want p + 1", c.p, len(unitary))
+		}
+		// Beside them, every element of F_p (zero included) and, for each
+		// unitary a + bi, the non-unitary a + (b + 1)i: elements whose trace
+		// ladder is that of a group element (the unitary one with the same
+		// real part, or a root of X² − 2aX + 1 in F_p*, whose order can divide
+		// p − 1 and 2^7 − 2^3 − 1 both) but which are not in the group.
+		inputs := append([]*Element(nil), unitary...)
+		for x := int64(0); x < c.p; x++ {
+			inputs = append(inputs, f.NewElement(big.NewInt(x), big.NewInt(0)))
+		}
+		for _, u := range unitary {
+			inputs = append(inputs, f.NewElement(u.Re(), new(big.Int).Add(u.Im(), big.NewInt(1))))
+		}
+		members, escaped := 0, 0
+		for i, e := range inputs {
+			toQ, _ := new(Element).Exp(e, q)
+			toMirror, _ := new(Element).Exp(e, mirror)
+			want := e.IsUnitary() && toQ.IsOne()
+			if got := grp.Contains(e); got != want {
+				t.Fatalf("p = %d, e = %v: Contains = %v, e^q = 1 says %v", c.p, e, got, want)
+			}
+			meet := e.IsUnitary() && (toQ.IsOne() || toMirror.IsOne())
+			if got := e.UnitaryTracesMeet(7, 3); got != meet {
+				t.Fatalf("p = %d, e = %v: UnitaryTracesMeet = %v, want %v", c.p, e, got, meet)
+			}
+			if i >= len(unitary) {
+				continue
+			}
+			if want {
+				members++
+			}
+			if meet && !want {
+				escaped++
+			}
+		}
+		if members != 137 {
+			t.Fatalf("p = %d: %d members, want 137", c.p, members)
+		}
+		if wantEscaped := map[bool]int{true: 0, false: 16}[c.traces]; escaped != wantEscaped {
+			t.Fatalf("p = %d: %d non-members whose traces meet, want %d", c.p, escaped, wantEscaped)
+		}
+	}
+	f := testField(t)
+	for _, bad := range []int64{88, 3, -89, 0} {
+		if _, err := f.NewUnitarySubgroup(big.NewInt(bad)); err == nil {
+			t.Fatalf("order %d (even, not dividing p + 1 or not positive) accepted", bad)
+		}
+	}
+	if f.One().UnitaryTracesMeet(3, 3) || f.One().UnitaryTracesMeet(3, -1) {
+		t.Fatal("UnitaryTracesMeet accepted b outside [0, a)")
+	}
+}
+
 // TestExpSecretMatchesExp holds the fixed-window ladder to square-and-multiply
 // on every kind of base — general, unitary, 1, 0, −1, i — and every kind of
 // exponent a 160-bit order allows, the ends of the range included, at a small
@@ -585,8 +696,9 @@ func TestUnitaryCombMatchesExp(t *testing.T) {
 	// p = 1000003 = 4·250001 − 1: the norm-1 group has order p + 1 = 2²·53²·89.
 	small := testField(t)
 	q := big.NewInt(89)
+	grp := mustSubgroup(t, small, q)
 	g := unitaryOfOrder(t, small, q, 3)
-	comb, err := NewUnitaryComb(g, q)
+	comb, err := NewUnitaryComb(g, grp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -597,14 +709,15 @@ func TestUnitaryCombMatchesExp(t *testing.T) {
 			t.Fatalf("g^%d: comb %v ≠ Exp %v", k, got, want)
 		}
 	}
-	if _, err := NewUnitaryComb(small.NewElement(big.NewInt(5), big.NewInt(3)), q); err == nil {
+	if _, err := NewUnitaryComb(small.NewElement(big.NewInt(5), big.NewInt(3)), grp); err == nil {
 		t.Fatal("a non-unitary base must be refused")
 	}
-	if _, err := NewUnitaryComb(unitaryOfOrder(t, small, big.NewInt(53), 3), q); err == nil {
+	if _, err := NewUnitaryComb(unitaryOfOrder(t, small, big.NewInt(53), 3), grp); err == nil {
 		t.Fatal("a base of another order must be refused")
 	}
-	if _, err := NewUnitaryComb(g, big.NewInt(88)); err == nil {
-		t.Fatal("an even order must be refused")
+	other := testField(t)
+	if _, err := NewUnitaryComb(unitaryOfOrder(t, other, q, 3), grp); err == nil {
+		t.Fatal("a base from another field must be refused")
 	}
 
 	for _, set := range paperSets {
@@ -615,7 +728,7 @@ func TestUnitaryCombMatchesExp(t *testing.T) {
 			t.Fatal(err)
 		}
 		g = unitaryOfOrder(t, paper, paperQ, 11)
-		if comb, err = NewUnitaryComb(g, paperQ); err != nil {
+		if comb, err = NewUnitaryComb(g, mustSubgroup(t, paper, paperQ)); err != nil {
 			t.Fatal(err)
 		}
 		exps := []*big.Int{
@@ -656,7 +769,7 @@ func TestUnitaryCombSameOperations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		comb, err := NewUnitaryComb(unitaryOfOrder(t, paper, paperQ, 11), paperQ)
+		comb, err := NewUnitaryComb(unitaryOfOrder(t, paper, paperQ, 11), mustSubgroup(t, paper, paperQ))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -314,7 +314,7 @@ func (pp *Params) millerProduct(live []livePair) *gf.Element {
 		F.Mul(li, c, lp.yQ)
 		f.Mul(f, fld.SetMont(line, lr, li))
 	}
-	n := pp.curve.Q()
+	n := pp.q
 	for i := n.BitLen() - 2; i >= 0; i-- {
 		f.Square(f) // shared: (∏fⱼ)² = ∏fⱼ²
 		for j := range live {
@@ -375,7 +375,7 @@ func (pp *Params) NewFixedPair(p1 *curve.Point) (*FixedPair, error) {
 	}
 	F := pp.field.Fp()
 	mv := newMillerVars(F, p1)
-	n := pp.curve.Q()
+	n := pp.q
 
 	// One doubling per bit below the top one, one addition per set bit
 	// among them: an upper bound on the lines (vertical ones emit none).

@@ -8,9 +8,10 @@ import (
 // subgroup of F_p²* — the batched form of InGT for validating a batch of
 // decryption tokens in one pass.
 //
-// Each element gets its own full q-width exponentiation (exactly InGT),
-// fanned across cores with parallel.Fan; the wall-clock cost of a batch of
-// k is ~⌈k/cores⌉ exponentiations. An earlier version combined the batch
+// Each element gets its own InGT — the norm check and the trace test chosen
+// for q, the trace comparison on the paper set and the ladder over q on
+// dense orders — fanned across cores with parallel.Fan; the wall-clock cost
+// of a batch of k is ~⌈k/cores⌉ checks. An earlier version combined the batch
 // into one exponentiation via a random linear combination t = ∏ gᵢ^{rᵢ},
 // but that check is UNSOUND here: the cofactor c = (p²−1)/q is even, so
 // F_p²* has small-order components outside the q-subgroup (e.g. −1, order

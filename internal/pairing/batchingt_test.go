@@ -14,8 +14,8 @@ func TestBatchInGT(t *testing.T) {
 		mustExp(t, g, big.NewInt(123456789)),
 		pp.One(),
 	}
-	outsider := &GT{v: pp.Field().NewElement(big.NewInt(2), big.NewInt(3)), q: pp.Q()}
-	zero := &GT{v: pp.Field().Zero(), q: pp.Q()}
+	outsider := &GT{v: pp.Field().NewElement(big.NewInt(2), big.NewInt(3)), pp: pp}
+	zero := &GT{v: pp.Field().Zero(), pp: pp}
 
 	t.Run("all members", func(t *testing.T) {
 		ok, err := pp.BatchInGT(members)
@@ -63,7 +63,7 @@ func TestBatchInGT(t *testing.T) {
 	// which accepted such an element whenever its 64-bit coefficient was
 	// even — probability 1/2 per call, and freely retryable by the peer.
 	t.Run("order-2 tampering always rejected", func(t *testing.T) {
-		tampered := &GT{v: pp.Field().Zero().Neg(g.v), q: pp.Q()}
+		tampered := &GT{v: pp.Field().Zero().Neg(g.v), pp: pp}
 		if pp.InGT(tampered) {
 			t.Fatal("−g reported inside the odd-order subgroup")
 		}

@@ -8,11 +8,12 @@ import (
 	"repro/internal/curve/curvetest"
 )
 
-// allParams returns the three committed parameter sets.
+// allParams returns the four committed parameter sets: the two paper-size
+// ones take different GT membership tests (TestGTMembershipPath).
 func allParams(t *testing.T) map[string]*Params {
 	t.Helper()
 	sets := make(map[string]*Params)
-	for _, name := range []string{"toy", "fast", "paper"} {
+	for _, name := range []string{"toy", "fast", "paper", "paper_dense"} {
 		pp, err := ByName(name)
 		if err != nil {
 			t.Fatal(err)

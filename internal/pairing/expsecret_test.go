@@ -77,7 +77,7 @@ func TestGTSecretCombRefusesNonMembers(t *testing.T) {
 	if _, err := NewGTSecretComb(nil); err == nil {
 		t.Error("a comb was built for a nil base")
 	}
-	zero := &GT{v: pp.Field().Zero(), q: pp.Q()}
+	zero := &GT{v: pp.Field().Zero(), pp: pp}
 	if _, err := NewGTSecretComb(zero); err == nil {
 		t.Error("a comb was built for zero")
 	}

@@ -112,16 +112,7 @@ func buildFixed(fs fixedSet) (*Params, error) {
 	if !gen.InSubgroup() {
 		return nil, fmt.Errorf("generator escapes order-q subgroup")
 	}
-	tail := new(big.Int).Add(p, big.NewInt(1))
-	tail.Div(tail, q)
-	return &Params{
-		curve:    cv,
-		field:    fld,
-		gen:      gen,
-		expTail:  tail,
-		qBits:    q.BitLen(),
-		security: fs.name,
-	}, nil
+	return newParams(cv, fld, gen, fs.name)
 }
 
 func fixed(name string) (*Params, error) {

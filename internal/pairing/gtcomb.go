@@ -16,23 +16,24 @@ import (
 // for concurrent use.
 type GTSecretComb struct {
 	comb *gf.UnitaryComb
-	q    *big.Int //cryptolint:public (the subgroup order)
+	pp   *Params
 }
 
 // NewGTSecretComb builds the comb of g, which must be an element of GT — the
-// order-q subgroup — as every pairing value is; anything else is refused.
+// order-q subgroup — as every pairing value is; anything else is refused, by
+// the membership test InGT runs.
 func NewGTSecretComb(g *GT) (*GTSecretComb, error) {
 	if g == nil {
 		return nil, fmt.Errorf("pairing: nil base for a GT comb")
 	}
-	comb, err := gf.NewUnitaryComb(g.v, g.q)
+	comb, err := gf.NewUnitaryComb(g.v, g.pp.gt)
 	if err != nil {
 		return nil, fmt.Errorf("pairing: GT comb: %w", err)
 	}
-	return &GTSecretComb{comb: comb, q: g.q}, nil
+	return &GTSecretComb{comb: comb, pp: g.pp}, nil
 }
 
 // ExpSecret returns g^k, bit-identical to g.Exp(k), for a secret exponent k.
 func (c *GTSecretComb) ExpSecret(k *big.Int) *GT {
-	return &GT{v: c.comb.ExpSecret(k), q: c.q}
+	return &GT{v: c.comb.ExpSecret(k), pp: c.pp}
 }

@@ -15,7 +15,7 @@ func pairFull(pp *Params, a, b *curve.Point) (*GT, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &GT{v: v, q: pp.curve.Q()}, nil
+	return &GT{v: v, pp: pp}, nil
 }
 
 // mustPair computes ê(a, b), failing the test on the (never-expected)

@@ -107,7 +107,7 @@ func TestMultiExpRejectsBadInput(t *testing.T) {
 	if _, err := pp.MultiExp([]*GT{g}, []*big.Int{nil}); err == nil {
 		t.Error("nil exponent accepted")
 	}
-	outsider := &GT{v: pp.Field().NewElement(big.NewInt(2), big.NewInt(3)), q: pp.Q()}
+	outsider := &GT{v: pp.Field().NewElement(big.NewInt(2), big.NewInt(3)), pp: pp}
 	if _, err := pp.MultiExp([]*GT{g, outsider}, []*big.Int{one, one}); !errors.Is(err, ErrNotUnitary) {
 		t.Errorf("non-unitary base: err = %v, want ErrNotUnitary", err)
 	}

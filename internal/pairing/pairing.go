@@ -48,10 +48,12 @@ var ErrDegenerate = errors.New("pairing: degenerate (identity) pairing value")
 // Immutable (the generator's comb and Miller program are built lazily, each
 // under a sync.Once) and safe for concurrent use.
 type Params struct {
-	curve    *curve.Curve //cryptolint:public (system parameters)
-	field    *gf.Field    //cryptolint:public (system parameters)
-	gen      *curve.Point //cryptolint:public (system parameters)
-	expTail  *big.Int     //cryptolint:public (derived from public p and q)
+	curve    *curve.Curve        //cryptolint:public (system parameters)
+	field    *gf.Field           //cryptolint:public (system parameters)
+	gen      *curve.Point        //cryptolint:public (system parameters)
+	q        *big.Int            // the group order, shared read-only by every GT value of these parameters
+	gt       *gf.UnitarySubgroup // GT and its membership test, decided by newParams
+	expTail  *big.Int            //cryptolint:public (derived from public p and q)
 	qBits    int
 	security string
 
@@ -141,14 +143,32 @@ func fromPQ(rng io.Reader, p, q *big.Int) (*Params, error) {
 	if !gen.InSubgroup() {
 		return nil, fmt.Errorf("pairing: generated point escapes subgroup (q² | p+1?)")
 	}
-	tail := new(big.Int).Add(p, big.NewInt(1))
-	tail.Div(tail, q)
+	return newParams(cv, fld, gen, "")
+}
+
+// newParams assembles Params around a generator already known to lie in G1.
+// It takes its own copy of q, which every GT value of the set shares, and
+// decides here, from p and q alone, how GT membership is tested: the trace
+// comparison where q = 2^a + 2^b + 1 and gcd(p + 1, 2^a − 2^b − 1) = 1 — the
+// gcd computed here, not trusted from Generate — and the ladder over q
+// otherwise (gf.UnitarySubgroup).
+func newParams(cv *curve.Curve, fld *gf.Field, gen *curve.Point, name string) (*Params, error) {
+	q := cv.Q()
+	gt, err := fld.NewUnitarySubgroup(q)
+	if err != nil {
+		return nil, fmt.Errorf("pairing: GT: %w", err)
+	}
+	tail := cv.P()
+	tail.Add(tail, big.NewInt(1)).Div(tail, q)
 	return &Params{
-		curve:   cv,
-		field:   fld,
-		gen:     gen,
-		expTail: tail,
-		qBits:   q.BitLen(),
+		curve:    cv,
+		field:    fld,
+		gen:      gen,
+		q:        q,
+		gt:       gt,
+		expTail:  tail,
+		qBits:    q.BitLen(),
+		security: name,
 	}, nil
 }
 
@@ -184,7 +204,7 @@ func (pp *Params) GeneratorMul(k *big.Int) *curve.Point {
 }
 
 // Q returns a copy of the prime group order.
-func (pp *Params) Q() *big.Int { return pp.curve.Q() }
+func (pp *Params) Q() *big.Int { return new(big.Int).Set(pp.q) }
 
 // P returns a copy of the field characteristic.
 func (pp *Params) P() *big.Int { return pp.curve.P() }
@@ -209,15 +229,16 @@ func (pp *Params) Digest() [sha256.Size]byte {
 }
 
 // GT is an element of the order-q target group, a thin wrapper over F_p²
-// that carries the group order for exponent reduction.
+// that points at its parameters for the group order (shared, never copied)
+// and the membership test.
 type GT struct {
-	v *gf.Element
-	q *big.Int
+	v  *gf.Element
+	pp *Params
 }
 
 // One returns the identity of GT.
 func (pp *Params) One() *GT {
-	return &GT{v: pp.field.One(), q: pp.curve.Q()}
+	return &GT{v: pp.field.One(), pp: pp}
 }
 
 // Element exposes the raw F_p² value (a copy).
@@ -233,7 +254,7 @@ func (g *GT) Equal(h *GT) bool { return g.v.Equal(h.v) }
 func (g *GT) Mul(h *GT) *GT {
 	out := g.v.Copy()
 	out.Mul(out, h.v)
-	return &GT{v: out, q: g.q}
+	return &GT{v: out, pp: g.pp}
 }
 
 // Inverse returns g⁻¹. GT elements produced by the pairing are never zero.
@@ -242,7 +263,7 @@ func (g *GT) Inverse() (*GT, error) {
 	if err != nil {
 		return nil, fmt.Errorf("invert GT element: %w", err)
 	}
-	return &GT{v: inv, q: g.q}, nil
+	return &GT{v: inv, pp: g.pp}, nil
 }
 
 // Exp returns g^k with k reduced modulo the group order (negative k
@@ -251,12 +272,12 @@ func (g *GT) Inverse() (*GT, error) {
 // that condition is surfaced as an error rather than a panic so no request
 // path can crash the process.
 func (g *GT) Exp(k *big.Int) (*GT, error) {
-	e := new(big.Int).Mod(k, g.q)
+	e := new(big.Int).Mod(k, g.pp.q)
 	out := new(gf.Element)
 	if _, err := out.Exp(g.v, e); err != nil {
 		return nil, fmt.Errorf("pairing: GT exponentiation: %w", err)
 	}
-	return &GT{v: out, q: g.q}, nil
+	return &GT{v: out, pp: g.pp}, nil
 }
 
 // ExpSecret returns g^k like Exp, for an exponent that must stay secret (a
@@ -266,14 +287,15 @@ func (g *GT) Exp(k *big.Int) (*GT, error) {
 // multiplications and table reads for every exponent of that size, no
 // inversion. The same field element as Exp, for any g.
 func (g *GT) ExpSecret(k *big.Int) (*GT, error) {
-	if k.Sign() < 0 || k.BitLen() > g.q.BitLen() {
-		k = new(big.Int).Mod(k, g.q)
+	q := g.pp.q
+	if k.Sign() < 0 || k.BitLen() > q.BitLen() {
+		k = new(big.Int).Mod(k, q)
 	}
 	out := new(gf.Element)
-	if _, err := out.ExpSecret(g.v, k, g.q.BitLen()); err != nil {
+	if _, err := out.ExpSecret(g.v, k, q.BitLen()); err != nil {
 		return nil, fmt.Errorf("pairing: GT exponentiation: %w", err)
 	}
-	return &GT{v: out, q: g.q}, nil
+	return &GT{v: out, pp: g.pp}, nil
 }
 
 // Bytes returns the canonical fixed-width serialization of g.
@@ -287,17 +309,21 @@ func (pp *Params) GTFromBytes(data []byte) (*GT, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &GT{v: el, q: pp.curve.Q()}, nil
+	return &GT{v: el, pp: pp}, nil
 }
 
 // InGT reports whether g lies in the order-q subgroup of F_p²*. Since
 // q | p+1 that subgroup sits inside the norm-1 group, so the check is the
-// norm equation a² + b² = 1 plus one real-part Lucas ladder for g^q = 1
-// (gf.Element.UnitaryOrderDivides) — the verdict of the generic g^q == 1
-// on every input, zero and non-unitary elements included, at under half
-// its cost.
+// norm equation a² + b² = 1 plus a test on the trace alone, the one
+// newParams chose for q (gf.UnitarySubgroup): on the sparse-order paper set
+// and every Generate output, V_(2^a) = V_(2^b+1) for q = 2^a + 2^b + 1 —
+// b + 1 ladder steps and a − b squarings, about half the ladder's price
+// (DESIGN §7 has the argument) — and on any other q, V_q = 2 by the
+// trace ladder over q. Either is the verdict of the generic g^q == 1 on
+// every input, zero and non-unitary elements included, and allocates
+// nothing.
 func (pp *Params) InGT(g *GT) bool {
-	return g.v.UnitaryOrderDivides(pp.curve.Q())
+	return pp.gt.Contains(g.v)
 }
 
 // Pair computes the modified Tate pairing ê(P, Q) with denominator
@@ -346,5 +372,5 @@ func (pp *Params) finalExp(f *gf.Element) *GT {
 	if err != nil {
 		v = pp.field.One()
 	}
-	return &GT{v: v, q: pp.curve.Q()}
+	return &GT{v: v, pp: pp}
 }

@@ -211,11 +211,11 @@ func TestInGTRejectsOutsiders(t *testing.T) {
 	pp := toyParams(t)
 	// A random field element is in GT with probability q/(p²−1) ≈ 2⁻⁶⁴.
 	el := pp.Field().NewElement(big.NewInt(2), big.NewInt(3))
-	outsider := &GT{v: el, q: pp.Q()}
+	outsider := &GT{v: el, pp: pp}
 	if pp.InGT(outsider) {
 		t.Fatal("random field element accepted as GT member")
 	}
-	zero := &GT{v: pp.Field().Zero(), q: pp.Q()}
+	zero := &GT{v: pp.Field().Zero(), pp: pp}
 	if pp.InGT(zero) {
 		t.Fatal("zero accepted as GT member")
 	}
@@ -269,7 +269,8 @@ func TestPaperSetStructure(t *testing.T) {
 }
 
 // checkSparseSet requires q = 2^top + 2^b + 1 and p = h·q − 1 a pBits-bit
-// prime with p ≡ 3 (mod 4), q ∤ h and gcd(h, 2^top − 2^b − 1) = 1.
+// prime with p ≡ 3 (mod 4), q ∤ h and gcd(h, 2^top − 2^b − 1) = 1 — and
+// that InGT therefore compares traces.
 func checkSparseSet(t *testing.T, pp *Params, top, b uint, pBits int) {
 	t.Helper()
 	one := big.NewInt(1)
@@ -290,6 +291,9 @@ func checkSparseSet(t *testing.T, pp *Params, top, b uint, pBits int) {
 	mirror.Sub(mirror, new(big.Int).Lsh(one, b)).Sub(mirror, one)
 	if g := new(big.Int).GCD(nil, nil, h, mirror); g.Cmp(one) != 0 {
 		t.Errorf("gcd(h, 2^%d − 2^%d − 1) = %v, want 1", top, b, g)
+	}
+	if !pp.gt.ComparesTraces() {
+		t.Errorf("q = 2^%d + 2^%d + 1: InGT runs the ladder, want the trace comparison", top, b)
 	}
 }
 

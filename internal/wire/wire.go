@@ -126,8 +126,8 @@ func UnmarshalGT(pp *pairing.Params, data []byte) (*pairing.GT, error) {
 
 // UnmarshalGTBatch decodes k GT elements received from an untrusted peer
 // and checks order-q subgroup membership of the whole batch with
-// pairing.BatchInGT, which fans the per-element q-exponentiations across
-// cores — the validated decoder behind the batch token path. Each element
+// pairing.BatchInGT, which fans the per-element InGT checks across cores —
+// the validated decoder behind the batch token path. Each element
 // is checked deterministically (random-linear-combination batching is
 // unsound in GT: the cofactor has small-order subgroups, see BatchInGT).
 // A nil raws[i] yields a nil element with a nil error (the
