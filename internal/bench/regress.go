@@ -129,7 +129,21 @@ func (g ratioGate) name() string { return g.Num + " ÷ " + g.Den }
 // compares two traces on the paper set: 127–148, where the Lucas ladder over
 // q in one kernel call read 181–252 (192–250 with the paper set forced onto
 // it, in the six interleaved runs above) and the real-part ladder of Field
-// calls before that 295–302.
+// calls before that 295–302. The sixteenth guards the Miller walk's b = 0
+// doubling: a plain pairing against the replay of a cached program, which
+// walks no point and so does not move with the step. With the step's
+// pairing 2.04–2.23 measured; 2.28–2.59 with the generic a = 1 step back
+// in doubleStep or at the parent commit (two series of interleaved quick
+// runs on a busy host, 18–20 readings of each side), so the bound sits
+// between the two. The seventeenth guards the same formula in the curve's
+// doubling, which a pairing does not reach: a variable-base 160-bit w-NAF
+// multiplication, ≈ 160 doublings, against the same replay. 1.00–1.10 with
+// the b = 0 ljDouble (one reading of 1.22 in 23), 1.27–1.88 with the
+// generic one back or at the parent commit (21 readings). Both count
+// against the replay because it is made of the same mul8 products as their
+// numerators, so a host that runs the kernel fast or slow moves both
+// sides; both take the fastest of 128 single calls a side, which on that
+// host was what kept the intact build's readings below the mutants'.
 var kernelRatioGates = []ratioGate{
 	{Num: "fp.mul.go", Den: "fp.mul.generic", Max: 0.70, Rounds: 64, Burst: 2048},
 	{Num: "fp.square.go", Den: "fp.mul.go", Max: 0.92, Rounds: 64, Burst: 2048},
@@ -146,6 +160,8 @@ var kernelRatioGates = []ratioGate{
 	{Num: "fp.inv", Den: "fp.mul", Max: 120, Rounds: 32, Burst: 64},
 	{Num: "gf.mul", Den: "fp.mul.go", Max: 2.55, Rounds: 64, Burst: 1024, AsmOnly: true},
 	{Num: "gt.ingt", Den: "fp.mul.go", Max: 170, Rounds: 32, Burst: 16, AsmOnly: true},
+	{Num: "pair", Den: "pair.fixed", Max: 2.26, Rounds: 128, Burst: 1},
+	{Num: "scalarmul.variable-wnaf", Den: "pair.fixed", Max: 1.24, Rounds: 128, Burst: 1},
 }
 
 // CompareBaselines checks a freshly measured report against a committed

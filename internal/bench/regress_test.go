@@ -196,6 +196,23 @@ func TestCompareBaselinesRatioGates(t *testing.T) {
 		t.Fatalf("regressions = %+v, want the fp.exp (850) and hash.to-g1.arg (0.55) gates", regs)
 	}
 
+	// The b = 0 doubling: the generic a = 1 step back in the Miller walk
+	// makes a plain pairing cost ≈ 2.3 replays, the generic ljDouble back
+	// makes a w-NAF multiplication ≈ 1.27 of one.
+	doublings := func(pair, wnaf float64) *BaselineReport {
+		r := with(0.40, 0.81)
+		r.Ratios = append(r.Ratios,
+			BaselineRatio{Name: "pair ÷ pair.fixed", Value: pair},
+			BaselineRatio{Name: "scalarmul.variable-wnaf ÷ pair.fixed", Value: wnaf})
+		return r
+	}
+	if regs, err := CompareBaselines(ref, doublings(2.04, 1.04), 400); err != nil || len(regs) != 0 {
+		t.Fatalf("healthy doubling ratios flagged: %+v, %v", regs, err)
+	}
+	if regs, _ := CompareBaselines(ref, doublings(2.30, 1.28), 400); len(regs) != 2 || regs[0].RefNs != 2.26 || regs[1].RefNs != 1.24 {
+		t.Fatalf("regressions = %+v, want the pair (2.26) and scalarmul.variable-wnaf (1.24) gates", regs)
+	}
+
 	// A reference without ratios (older snapshot, hand-edited, recorded
 	// with a -filter) does not switch the gates off.
 	ref.Ratios = nil

@@ -3,7 +3,11 @@ package curve
 import (
 	"fmt"
 	"math/big"
+	"sync/atomic"
+	"testing"
 	"time"
+
+	"repro/internal/fp"
 )
 
 // What the tests reach of the package's internals. They live in package
@@ -80,4 +84,52 @@ func SecretLastStepOnItself(R *Point) *Point {
 	walk.load()
 	walk.add(0, true)
 	return walk.finish(0, 0)
+}
+
+// WatchDoublings checks, until tb ends, every point ljDouble is handed: it
+// must satisfy Y² = X³ + X·Z⁴ or have Z = 0, which is what the b = 0
+// doubling formulas rely on. A point that does neither fails tb. It returns
+// a counter of the points checked so far. The tests of this package do not
+// run in parallel, so installing the check is safe; the kernels' own worker
+// goroutines only read it.
+func WatchDoublings(tb testing.TB) func() uint64 {
+	var n atomic.Uint64
+	checkDouble = func(F *fp.Field, x, y, z []uint64) {
+		n.Add(1)
+		if !onCurveOrIdentity(F, x, y, z) {
+			tb.Errorf("ljDouble handed (%x, %x, %x): neither on y² = x³ + x nor Z = 0", x, y, z)
+		}
+	}
+	tb.Cleanup(func() { checkDouble = nil })
+	return n.Load
+}
+
+// onCurveOrIdentity reports whether the Jacobian (x, y, z) has z = 0 or
+// satisfies y² = x³ + x·z⁴.
+func onCurveOrIdentity(F *fp.Field, x, y, z []uint64) bool {
+	if F.IsZero(z) {
+		return true
+	}
+	lhs, rhs, z4 := F.NewElt(), F.NewElt(), F.NewElt()
+	F.Square(lhs, y)
+	F.Square(z4, z)
+	F.Square(z4, z4)
+	F.Square(rhs, x)
+	F.Add(rhs, rhs, z4)
+	F.Mul(rhs, rhs, x)
+	return F.Equal(lhs, rhs)
+}
+
+// Fp is the curve's base field.
+func (c *Curve) Fp() *fp.Field { return c.fld }
+
+// LjDouble runs ljDouble on the Jacobian limbs (x, y, z) in place.
+func LjDouble(F *fp.Field, x, y, z []uint64) {
+	ljDouble(F, &limbJac{x: x, y: y, z: z}, newLjScratch(F))
+}
+
+// IdentityJac returns the limbs of the identity as newLimbJacs makes it.
+func IdentityJac(F *fp.Field) (x, y, z []uint64) {
+	v := newLimbJac(F)
+	return v.x, v.y, v.z
 }

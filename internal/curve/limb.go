@@ -12,11 +12,15 @@
 // kernel is bit-identical to the affine big.Int group law of curvetest it is
 // differential-tested against.
 //
-// The formulas are the standard ones for short Weierstrass curves with a
-// generic a-coefficient (here a = 1, so M = 3X² + Z⁴):
+// The addition formulas are the standard ones for short Weierstrass curves;
+// the doubling is the one for y² = x³ + x, b = 0 (Costello, Hisil, Boyd,
+// González Nieto and Wong, "Faster Pairings on Special Weierstrass Curves"),
+// which gives the same field elements as the generic a = 1 doubling
+// (S = 4XY², M = 3X² + Z⁴, X' = M² − 2S, Y' = M(S − X') − 8Y⁴) on every
+// point of the curve, without Y²:
 //
-//	doubling:   S = 4XY², M = 3X² + Z⁴,
-//	            X' = M² − 2S, Y' = M(S − X') − 8Y⁴, Z' = 2YZ
+//	doubling:   A = X², B = Z², C = B², E = A − C,
+//	            X' = E², Y' = E(E² + 8AC), Z' = 2YZ
 //	mixed add:  U2 = x·Z², S2 = y·Z³, H = U2 − X, R = S2 − Y,
 //	            X' = R² − H³ − 2XH², Y' = R(XH² − X') − YH³, Z' = ZH
 //
@@ -86,52 +90,55 @@ func newLjScratch(F *fp.Field) *ljScratch {
 	return &ljScratch{t1: e[0], t2: e[1], t3: e[2], t4: e[3], t5: e[4], t6: e[5], t7: e[6], t8: e[7]}
 }
 
-// ljDouble sets v = 2v in place (a = 1: M = 3X² + Z⁴), the same straight
-// line of field operations for every v: the identity and the 2-torsion point
+// ljDouble sets v = 2v in place on y² = x³ + x, the same straight line of
+// field operations for every v. With A = X², B = Z², C = B² and E = A − C,
+//
+//	X' = E², Y' = E·(E² + 8AC), Z' = 2YZ,
+//
+// four squarings and three multiplications: the curve gives Y² = X·(A + C),
+// under which the generic doubling's M² − 2S is E² and its
+// M·(S − X') − 8Y⁴ is E·(E² + 8AC) (M = 3A + C, S = 4XY²), the same field
+// elements, so Y² is never formed. Every v handed here is on the curve or
+// has Z = 0 (the fuzz tests assert it); the identity and the 2-torsion point
 // both come out as Z' = 2YZ = 0, which is all any reader of an identity looks
 // at.
 //
 //cryptolint:hotpath
 func ljDouble(F *fp.Field, v *limbJac, s *ljScratch) {
-	xx := s.t1
-	F.Square(xx, v.x)
-	yy := s.t2
-	F.Square(yy, v.y)
-	zz := s.t3
-	F.Square(zz, v.z)
-
-	// S = 4·X·Y²
-	sS := s.t4
-	F.Mul(sS, v.x, yy)
-	F.Double(sS, sS)
-	F.Double(sS, sS)
-
-	// M = 3·X² + Z⁴
-	m := s.t5
-	F.Square(m, zz)
-	F.Add(m, m, xx)
-	F.Add(m, m, xx)
-	F.Add(m, m, xx)
+	if checkDouble != nil {
+		checkDouble(F, v.x, v.y, v.z)
+	}
+	a := s.t1
+	F.Square(a, v.x)
+	b := s.t2
+	F.Square(b, v.z)
 
 	// Z' = 2·Y·Z (before Y is overwritten)
 	F.Mul(v.z, v.y, v.z)
 	F.Double(v.z, v.z)
 
-	// X' = M² − 2S
-	F.Square(v.x, m)
-	F.Sub(v.x, v.x, sS)
-	F.Sub(v.x, v.x, sS)
+	c := s.t3
+	F.Square(c, b)
+	ac := s.t4 // 8·A·C
+	F.Mul(ac, a, c)
+	F.Double(ac, ac)
+	F.Double(ac, ac)
+	F.Double(ac, ac)
 
-	// Y' = M·(S − X') − 8·Y⁴
-	yyyy := s.t6
-	F.Square(yyyy, yy)
-	F.Double(yyyy, yyyy)
-	F.Double(yyyy, yyyy)
-	F.Double(yyyy, yyyy)
-	F.Sub(v.y, sS, v.x)
-	F.Mul(v.y, v.y, m)
-	F.Sub(v.y, v.y, yyyy)
+	// X' = E²
+	e := s.t5
+	F.Sub(e, a, c)
+	F.Square(v.x, e)
+
+	// Y' = E·(E² + 8·A·C)
+	F.Add(ac, ac, v.x)
+	F.Mul(v.y, e, ac)
 }
+
+// checkDouble, when set, sees every point ljDouble is handed, before the
+// doubling. Only the package's fuzz tests set it (WatchDoublings); it is nil
+// in every binary.
+var checkDouble func(F *fp.Field, x, y, z []uint64)
 
 // ljAddMixed sets v = v + (ax, ay) in place for a Montgomery-form affine
 // non-identity point A, handling the degenerate cases: v = O loads the

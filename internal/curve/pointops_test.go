@@ -47,7 +47,8 @@ func oracleDecode(c *curve.Curve, enc []byte) (x, y *big.Int, ok bool) {
 // FuzzPointOps holds the limb Point's single-step operations — Unmarshal,
 // Marshal, Add, Double, Neg, Equal — to the big.Int oracles of curvetest and
 // oracleDecode, on every encoding the fuzzer finds: accepted or refused
-// alike, bit for bit.
+// alike, bit for bit. Every point a doubling is handed must be on the curve
+// or have Z = 0 (WatchDoublings).
 func FuzzPointOps(f *testing.F) {
 	c := toyCurve(f)
 	p, size := c.P(), c.CoordinateSize()
@@ -112,6 +113,7 @@ func FuzzPointOps(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, a, b []byte) {
+		doublings := curve.WatchDoublings(t)
 		A, B := decode(t, a), decode(t, b)
 		if A == nil || B == nil {
 			return
@@ -119,6 +121,9 @@ func FuzzPointOps(f *testing.F) {
 		same(t, "A + B", A.Add(B), curvetest.Add(A, B))
 		same(t, "B + A", B.Add(A), curvetest.Add(A, B))
 		same(t, "2A", A.Double(), curvetest.Double(A))
+		if !A.IsInfinity() && doublings() == 0 {
+			t.Fatalf("2A for A = %v reached no doubling", A)
+		}
 		same(t, "A + A", A.Add(A), curvetest.Double(A))
 		same(t, "−A", A.Neg(), curvetest.Neg(A))
 		if !A.Add(A.Neg()).IsInfinity() {

@@ -190,7 +190,8 @@ func BenchmarkScalarMulStrategies(b *testing.B) {
 // arbitrary scalars (any width, either sign) times points of every shape the
 // curve has — full-group, G1, cofactor-order, the 2-torsion point — must
 // stay bit-identical to the affine double-and-add oracle, and the fixed-base
-// comb must agree wherever it applies (a G1 base).
+// comb must agree wherever it applies (a G1 base). Every point a doubling
+// is handed on the way must be on the curve or have Z = 0 (WatchDoublings).
 func FuzzScalarMul(f *testing.F) {
 	f.Add([]byte("seed"), []byte{0x01}, false, uint8(0))
 	f.Add([]byte("seed"), []byte{0xfd, 0x51, 0xd4, 0x91}, false, uint8(1)) // k = q
@@ -208,6 +209,7 @@ func FuzzScalarMul(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, seed, scalar []byte, negative bool, kind uint8) {
+		doublings := curve.WatchDoublings(t)
 		if len(scalar) > 64 {
 			scalar = scalar[:64]
 		}
@@ -238,6 +240,9 @@ func FuzzScalarMul(f *testing.F) {
 			}
 			if comb := comb.ScalarMul(k); !bytes.Equal(comb.Marshal(), want.Marshal()) {
 				t.Fatalf("k=%v base=%v: comb %v ≠ oracle %v", k, base, comb, want)
+			}
+			if doublings() == 0 {
+				t.Fatalf("base=%v: the comb was built without a doubling", base)
 			}
 		}
 	})

@@ -11,9 +11,10 @@
 //
 // where (a, b, c) depend only on V and P — not on Q. millerVars computes
 // these generic coefficients while advancing V with inversion-free Jacobian
-// formulas (derived at doubleStep and addStep); each step's overall F_p*
-// scale is arbitrary because the final exponentiation (p²−1)/q annihilates
-// F_p*.
+// formulas (derived at doubleStep and addStep; the doubling is the b = 0
+// one of y² = x³ + x, four squarings and six multiplications with its
+// tangent); each step's overall F_p* scale is arbitrary because the final
+// exponentiation (p²−1)/q annihilates F_p*.
 //
 // Two consumers:
 //
@@ -45,7 +46,6 @@ type millerVars struct {
 	F       *fp.Field //cryptolint:public (field parameters)
 	xP, yP  []uint64  // affine base point P
 	X, Y, Z []uint64  // running point V (Jacobian)
-	one     []uint64  // 1 in Montgomery form
 
 	t1, t2, t3, t4, t5, t6 []uint64
 }
@@ -53,18 +53,24 @@ type millerVars struct {
 // newMillerVars starts a walk at V = P for a finite point P.
 func newMillerVars(F *fp.Field, pt *curve.Point) *millerVars {
 	w := F.Limbs()
-	slab := make([]uint64, 10*w)
+	slab := make([]uint64, 9*w)
 	elt := func(k int) []uint64 { return slab[k*w : (k+1)*w : (k+1)*w] }
 	mv := &millerVars{
-		F: F, X: elt(0), Y: elt(1), Z: elt(2), one: elt(3),
-		t1: elt(4), t2: elt(5), t3: elt(6), t4: elt(7), t5: elt(8), t6: elt(9),
+		F: F, X: elt(0), Y: elt(1), Z: elt(2),
+		t1: elt(3), t2: elt(4), t3: elt(5), t4: elt(6), t5: elt(7), t6: elt(8),
 	}
 	mv.xP, mv.yP = pt.Mont()
-	F.Set(mv.X, mv.xP)
-	F.Set(mv.Y, mv.yP)
-	F.SetOne(mv.Z)
-	F.SetOne(mv.one)
+	mv.restart()
 	return mv
+}
+
+// restart sets V = P.
+//
+//cryptolint:hotpath
+func (m *millerVars) restart() {
+	m.F.Set(m.X, m.xP)
+	m.F.Set(m.Y, m.yP)
+	m.F.SetOne(m.Z)
 }
 
 // doubleStep advances V ← 2V and writes the tangent-line coefficients into
@@ -72,11 +78,20 @@ func newMillerVars(F *fp.Field, pt *curve.Point) *millerVars {
 // (2-torsion, unreachable from the odd-order subgroup) and V = O contribute
 // only an F_p* factor and emit nothing.
 //
-// Derivation (V = (X, Y, Z), M = 3X² + Z⁴, Z₃ = 2YZ, tangent scaled by
-// 2YZ³): l = [M·X − 2Y² + M·Z²·x_Q] + [Z₃·Z²·y_Q]·i, so
-// a = M·X − 2Y², b = M·Z², c = Z₃·Z².
+// Derivation (V = (X, Y, Z), M = 3X² + Z⁴, S = 4XY², Z₃ = 2YZ, tangent
+// scaled by 2YZ³): l = [M·X − 2Y² + M·Z²·x_Q] + [Z₃·Z²·y_Q]·i, so
+// a = M·X − 2Y², b = M·Z², c = Z₃·Z², and 2V = (M² − 2S,
+// M·(S − X₃) − 8Y⁴, Z₃). On y² = x³ + x the running point satisfies
+// Y² = X·(A + C) with A = X², C = Z⁴, so with E = A − C
+//
+//	X₃ = E², Y₃ = E·(E² + 8AC), a = X·E, b = (3A + C)·Z²,
+//
+// the same field elements, without Y² or Y⁴: four squarings and six
+// multiplications (DESIGN §5b). The products are ordered so that each is
+// followed by one that does not wait for it.
 //
 //cryptolint:hotpath
+//cryptolint:vartime (branches on the exceptional points V = O and 2V = O, unreachable from the odd-order subgroup and public where reached)
 func (m *millerVars) doubleStep(a, b, c []uint64) bool {
 	F := m.F
 	if F.IsZero(m.Z) {
@@ -87,45 +102,26 @@ func (m *millerVars) doubleStep(a, b, c []uint64) bool {
 		F.SetZero(m.Z)
 		return false
 	}
-	xx := m.t1
-	F.Square(xx, m.X)
-	yy := m.t2
-	F.Square(yy, m.Y)
-	zz := m.t3
+	xx, zz, z4, e, k, w := m.t1, m.t2, m.t3, m.t4, m.t5, m.t6
+	F.Square(xx, m.X) // A = X²
 	F.Square(zz, m.Z)
-	s := m.t4 // S = 4XY²
-	F.Mul(s, m.X, yy)
-	F.Double(s, s)
-	F.Double(s, s)
-	mm := m.t5 // M = 3X² + Z⁴
-	F.Square(mm, zz)
-	F.Add(mm, mm, xx)
-	F.Add(mm, mm, xx)
-	F.Add(mm, mm, xx)
-
-	// a = M·X − 2Y², b = M·Z² (X still the pre-doubling coordinate).
-	F.Mul(a, mm, m.X)
-	F.Sub(a, a, yy)
-	F.Sub(a, a, yy)
-	F.Mul(b, mm, zz)
-
-	// Z₃ = 2YZ (before Y is clobbered), then c = Z₃·Z².
-	F.Mul(m.Z, m.Y, m.Z)
+	F.Mul(m.Z, m.Y, m.Z) // Z₃ = 2YZ
 	F.Double(m.Z, m.Z)
-	F.Mul(c, m.Z, zz)
-
-	// X₃ = M² − 2S, Y₃ = M·(S − X₃) − 8Y⁴.
-	F.Square(m.X, mm)
-	F.Sub(m.X, m.X, s)
-	F.Sub(m.X, m.X, s)
-	yyyy := m.t6
-	F.Square(yyyy, yy)
-	F.Double(yyyy, yyyy)
-	F.Double(yyyy, yyyy)
-	F.Double(yyyy, yyyy)
-	F.Sub(m.Y, s, m.X)
-	F.Mul(m.Y, m.Y, mm)
-	F.Sub(m.Y, m.Y, yyyy)
+	F.Square(z4, zz)  // C = Z⁴
+	F.Mul(c, m.Z, zz) // c = Z₃·Z²
+	F.Sub(e, xx, z4)  // E = A − C
+	F.Double(k, xx)   // 3A + C
+	F.Add(k, k, xx)
+	F.Add(k, k, z4)
+	F.Mul(w, xx, z4) // 8AC
+	F.Double(w, w)
+	F.Double(w, w)
+	F.Double(w, w)
+	F.Mul(a, m.X, e) // a = X·E
+	F.Square(m.X, e) // X₃ = E²
+	F.Add(w, w, m.X)
+	F.Mul(b, k, zz)  // b = (3A + C)·Z²
+	F.Mul(m.Y, e, w) // Y₃ = E·(E² + 8AC)
 	return true
 }
 
@@ -140,14 +136,13 @@ func (m *millerVars) doubleStep(a, b, c []uint64) bool {
 // b = R, c = Z₃.
 //
 //cryptolint:hotpath
+//cryptolint:vartime (branches on the exceptional points V = O, V = P and V = −P, unreachable from the odd-order subgroup and public where reached)
 func (m *millerVars) addStep(a, b, c []uint64) bool {
 	F := m.F
 	if F.IsZero(m.Z) {
 		// V = O: the "line" through O and P is the vertical at P, an F_p*
 		// factor — restart at P.
-		F.Set(m.X, m.xP)
-		F.Set(m.Y, m.yP)
-		F.SetOne(m.Z)
+		m.restart()
 		return false
 	}
 	zz := m.t1
@@ -165,40 +160,12 @@ func (m *millerVars) addStep(a, b, c []uint64) bool {
 	switch {
 	case F.IsZero(h) && F.IsZero(r):
 		// V = P: the chord degenerates to the tangent at P, so this addition
-		// is a doubling from the affine representative (x_P, y_P), where
-		// M = 3x_P² + 1 and the line scale is Z₃ = 2y_P. (Unreachable for
-		// odd-order P — the running multiplier never revisits 1 — kept so the
-		// walk matches the affine oracle on arbitrary curve points.)
-		yy := m.t4
-		F.Square(yy, m.yP)
-		mm := m.t5
-		F.Square(mm, m.xP)
-		F.Set(m.t6, mm)
-		F.Double(mm, mm)
-		F.Add(mm, mm, m.t6)
-		F.Add(mm, mm, m.one) // M = 3x_P² + 1 (Z = 1)
-		F.Mul(a, mm, m.xP)
-		F.Sub(a, a, yy)
-		F.Sub(a, a, yy)
-		F.Set(b, mm)
-		F.Double(m.Z, m.yP) // Z₃ = 2y_P
-		F.Set(c, m.Z)
-		s := m.t6 // S = 4·x_P·y_P²
-		F.Mul(s, m.xP, yy)
-		F.Double(s, s)
-		F.Double(s, s)
-		F.Square(m.X, mm)
-		F.Sub(m.X, m.X, s)
-		F.Sub(m.X, m.X, s)
-		yyyy := yy
-		F.Square(yyyy, yy)
-		F.Double(yyyy, yyyy)
-		F.Double(yyyy, yyyy)
-		F.Double(yyyy, yyyy)
-		F.Sub(m.Y, s, m.X)
-		F.Mul(m.Y, m.Y, mm)
-		F.Sub(m.Y, m.Y, yyyy)
-		return true
+		// is a doubling from the affine representative (x_P, y_P, 1).
+		// (Unreachable for odd-order P — the running multiplier never
+		// revisits 1 — kept so the walk matches the affine oracle on
+		// arbitrary curve points.)
+		m.restart()
+		return m.doubleStep(a, b, c)
 	case F.IsZero(h):
 		// V = −P: vertical line, an F_p* factor — V + P = O.
 		F.SetZero(m.Z)

@@ -39,6 +39,8 @@ const gtNAFWidth = 4
 // base-field squarings. Lagrange recombination in the exponent
 // (core.CombineShares, RecoverShare) and the right-hand side of the batched
 // share-proof check are the callers.
+//
+//cryptolint:vartime (the exponents' w-NAF digits steer the walk, as in GT.Exp; the callers' exponents are Lagrange coefficients and a verifier's batching weights, none of them a key)
 func (pp *Params) MultiExp(gs []*GT, ks []*big.Int) (*GT, error) {
 	if len(gs) != len(ks) {
 		return nil, fmt.Errorf("pairing: MultiExp got %d bases and %d exponents", len(gs), len(ks))

@@ -22,8 +22,12 @@
 //     converts a coordinate.
 //   - Final exponentiation: f^(p−1) = conj(f)/f (Frobenius on F_p² is
 //     conjugation), then one real-part Lucas ladder by (p+1)/q.
-//
-//cryptolint:vartime (every loop is bounded by the bits of public q and (p+1)/q, but GT and multi-exponent recodings follow their exponents; the field arithmetic underneath, inversion included, is fp's constant-time contract)
+//   - Timing: the package is read by cryptolint's cttime like any other.
+//     The variable-time functions carry their own marker — the Miller
+//     steps' exceptional-point branches, the final exponentiation's ladder
+//     over the public (p+1)/q, and GT.Exp and MultiExp, whose recodings
+//     follow their (public) exponents; secret exponents go through
+//     GT.ExpSecret and GTSecretComb.
 package pairing
 
 import (
@@ -159,7 +163,7 @@ func newParams(cv *curve.Curve, fld *gf.Field, gen *curve.Point, name string) (*
 		return nil, fmt.Errorf("pairing: GT: %w", err)
 	}
 	tail := cv.P()
-	tail.Add(tail, big.NewInt(1)).Div(tail, q)
+	tail.Add(tail, big.NewInt(1)).Div(tail, q) //cryptolint:public (the final exponentiation's exponent, from the public p and q)
 	return &Params{
 		curve:    cv,
 		field:    fld,
@@ -220,8 +224,8 @@ func (pp *Params) Digest() [sha256.Size]byte {
 	p, q := pp.P(), pp.Q()
 	n := (p.BitLen() + 7) / 8
 	h := sha256.New()
-	h.Write(p.FillBytes(make([]byte, n)))
-	h.Write(q.FillBytes(make([]byte, n)))
+	h.Write(p.FillBytes(make([]byte, n))) //cryptolint:public (the public modulus, serialized)
+	h.Write(q.FillBytes(make([]byte, n))) //cryptolint:public (the public group order, serialized)
 	h.Write(pp.gen.Marshal())
 	var d [sha256.Size]byte
 	h.Sum(d[:0])
@@ -271,6 +275,8 @@ func (g *GT) Inverse() (*GT, error) {
 // underlying field exponentiation can only fail on a corrupted receiver;
 // that condition is surfaced as an error rather than a panic so no request
 // path can crash the process.
+//
+//cryptolint:vartime (the exponent's recoding steers the walk; secret exponents go through ExpSecret)
 func (g *GT) Exp(k *big.Int) (*GT, error) {
 	e := new(big.Int).Mod(k, g.pp.q)
 	out := new(gf.Element)
@@ -289,7 +295,7 @@ func (g *GT) Exp(k *big.Int) (*GT, error) {
 func (g *GT) ExpSecret(k *big.Int) (*GT, error) {
 	q := g.pp.q
 	if k.Sign() < 0 || k.BitLen() > q.BitLen() {
-		k = new(big.Int).Mod(k, q)
+		k = new(big.Int).Mod(k, q) //cryptolint:public (an exponent outside the ladder's contract — every in-repo caller's is in [0, 2^|q|) — is brought into it by math/big, which tells a timer no more than that)
 	}
 	out := new(gf.Element)
 	if _, err := out.ExpSecret(g.v, k, q.BitLen()); err != nil {
@@ -367,6 +373,8 @@ func (pp *Params) PairWithGenerator(q1 *curve.Point) (*GT, error) {
 // easy part (gf.Element.ExpUnitaryPart). Same field element as the generic
 // square-and-multiply. A zero Miller value cannot occur for valid inputs (line
 // functions vanish only on the points themselves) and pairs to 1.
+//
+//cryptolint:vartime (a ladder over the public exponent (p+1)/q; the field arithmetic underneath, inversion included, is fp's constant-time contract)
 func (pp *Params) finalExp(f *gf.Element) *GT {
 	v, err := new(gf.Element).ExpUnitaryPart(f, pp.expTail)
 	if err != nil {
