@@ -81,12 +81,14 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // Run applies every analyzer to every target package and returns the
-// accumulated diagnostics sorted by position. all must contain at least the
-// targets; passing the loader's full source-loaded set enables
-// cross-package annotation lookups.
+// accumulated diagnostics sorted by position, with a "markers" finding for
+// every //cryptolint: comment outside the marker vocabulary (markers.go).
+// all must contain at least the targets; passing the loader's full
+// source-loaded set enables cross-package annotation lookups.
 func Run(targets, all []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	for _, pkg := range targets {
+		checkMarkers(pkg, &diags)
 		for _, a := range analyzers {
 			pass := &Pass{Analyzer: a, Pkg: pkg, All: all, diags: &diags}
 			if err := a.Run(pass); err != nil {

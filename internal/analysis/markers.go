@@ -1,8 +1,10 @@
 package analysis
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
+	"slices"
 	"strings"
 )
 
@@ -21,22 +23,48 @@ import (
 //   - //cryptolint:nodeadline — line-level deadlinecheck escape
 //   - //cryptolint:panic-ok — line-level nopanic escape (deliberate
 //     re-raise, e.g. the parallel worker-panic propagation)
-//   - //cryptolint:evalpoint — struct fields holding a curve point that is
-//     not subgroup-checked and only ever a pairing's evaluation point;
-//     boundarycheck restricts every read of such a field, and honours the
-//     same marker as the line-level escape from that restriction
 //
 // Every escape marker is expected to carry a parenthesised reason; the
 // marker's presence is what the analyzers test, the reason is for the
-// reviewer.
+// reviewer. A //cryptolint: comment with any other word is a finding of its
+// own (checkMarkers): a misspelt marker, or one whose rule is gone, would
+// otherwise escape nothing, silently.
 const (
 	MarkerPublic     = "//cryptolint:public"
 	MarkerHotpath    = "//cryptolint:hotpath"
 	MarkerVartime    = "//cryptolint:vartime"
 	MarkerNoDeadline = "//cryptolint:nodeadline"
 	MarkerPanicOK    = "//cryptolint:panic-ok"
-	MarkerEvalPoint  = "//cryptolint:evalpoint"
 )
+
+// markerPrefix opens every marker; markerWords is the vocabulary above.
+const markerPrefix = "//cryptolint:"
+
+var markerWords = []string{"secret", "public", "hotpath", "vartime", "nodeadline", "panic-ok"}
+
+// checkMarkers reports every //cryptolint: comment of pkg whose word is not
+// in the vocabulary.
+func checkMarkers(pkg *Package, diags *[]Diagnostic) {
+	for _, f := range pkg.Files {
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				rest, ok := strings.CutPrefix(strings.TrimSpace(c.Text), markerPrefix)
+				if !ok {
+					continue
+				}
+				word, _, _ := strings.Cut(rest, " ")
+				word, _, _ = strings.Cut(word, "(")
+				if !slices.Contains(markerWords, word) {
+					*diags = append(*diags, Diagnostic{
+						Pos:      pkg.Fset.Position(c.Pos()),
+						Analyzer: "markers",
+						Message:  fmt.Sprintf("unknown marker %s%s; the vocabulary is %s", markerPrefix, word, strings.Join(markerWords, ", ")),
+					})
+				}
+			}
+		}
+	}
+}
 
 // HasMarker reports whether any comment in cg begins with marker.
 func HasMarker(cg *ast.CommentGroup, marker string) bool {

@@ -95,7 +95,7 @@ func (k *PrivateKey) Sign(msg []byte) (*curve.Point, error) {
 // ê(P, S)·ê(−R, h(M)) = 1 so one shared Miller loop and one final
 // exponentiation replace two full pairings.
 func (pk *PublicKey) Verify(msg []byte, sig *curve.Point) error {
-	if sig == nil || sig.IsInfinity() {
+	if sig.IsInfinity() {
 		return ErrInvalidSignature
 	}
 	if !sig.InSubgroup() {
@@ -162,7 +162,7 @@ func (pk *PublicKey) BatchVerify(rng io.Reader, msgs [][]byte, sigs []*curve.Poi
 	memberErrs := make([]error, len(msgs))
 	parallel.Fan(len(msgs), func(i int) {
 		sig := sigs[i]
-		if sig == nil || sig.IsInfinity() {
+		if sig.IsInfinity() {
 			memberErrs[i] = fmt.Errorf("%w: batch member %d", ErrInvalidSignature, i)
 			return
 		}

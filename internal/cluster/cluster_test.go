@@ -208,38 +208,54 @@ func TestClusterDecryption(t *testing.T) {
 // obtain by asking.
 var corruptions = []struct {
 	part  string
-	apply func(own, player1 *core.DecryptionShare) *core.DecryptionShare
+	apply func(tb testing.TB, own, player1 *core.DecryptionShare) *core.DecryptionShare
 }{
-	{"G", func(ds, _ *core.DecryptionShare) *core.DecryptionShare {
+	{"G", func(_ testing.TB, ds, _ *core.DecryptionShare) *core.DecryptionShare {
 		return &core.DecryptionShare{Index: ds.Index, G: ds.G.Mul(ds.G), Proof: ds.Proof}
 	}},
-	{"W1", corruptProof(func(pr *core.ShareProof) { pr.W1 = pr.W1.Mul(pr.W1) })},
-	{"W2", corruptProof(func(pr *core.ShareProof) { pr.W2 = pr.W2.Mul(pr.W2) })},
-	{"E", corruptProof(func(pr *core.ShareProof) {
+	{"W1", corruptProof(func(_ testing.TB, pr *core.ShareProof) { pr.W1 = pr.W1.Mul(pr.W1) })},
+	{"W2", corruptProof(func(_ testing.TB, pr *core.ShareProof) { pr.W2 = pr.W2.Mul(pr.W2) })},
+	{"E", corruptProof(func(_ testing.TB, pr *core.ShareProof) {
 		e := new(big.Int).Add(pr.E, big.NewInt(1))
-		pr.E = e.Mod(e, pr.V.Curve().Q())
+		pr.E = e.Mod(e, toyCurve().Q())
 	})},
-	{"V", corruptProof(func(pr *core.ShareProof) { pr.V = pr.V.Double() })},
-	{"V = T", corruptProof(func(pr *core.ShareProof) { pr.V = curvetest.RandomCofactorPoint(pr.V.Curve()) })},
-	{"V = (0,0)", corruptProof(func(pr *core.ShareProof) { pr.V, _ = pr.V.Curve().NewPoint(new(big.Int), new(big.Int)) })},
-	{"relays player 1's share", func(_, player1 *core.DecryptionShare) *core.DecryptionShare { return player1 }},
+	{"V", corruptProof(func(tb testing.TB, pr *core.ShareProof) { pr.V = curve.EvalPointOf(openV(tb, pr).Double()) })},
+	{"V = T", corruptProof(func(_ testing.TB, pr *core.ShareProof) {
+		pr.V = curve.EvalPointOf(curvetest.RandomCofactorPoint(toyCurve()))
+	})},
+	{"V = (0,0)", corruptProof(func(_ testing.TB, pr *core.ShareProof) {
+		v, _ := toyCurve().NewPoint(new(big.Int), new(big.Int))
+		pr.V = curve.EvalPointOf(v)
+	})},
+	{"relays player 1's share", func(_ testing.TB, _, player1 *core.DecryptionShare) *core.DecryptionShare { return player1 }},
 }
 
 // corruptProof returns a corruption that edits a copy of the proof and
 // leaves the share value alone.
-func corruptProof(edit func(pr *core.ShareProof)) func(own, player1 *core.DecryptionShare) *core.DecryptionShare {
-	return func(ds, _ *core.DecryptionShare) *core.DecryptionShare {
+func corruptProof(edit func(tb testing.TB, pr *core.ShareProof)) func(tb testing.TB, own, player1 *core.DecryptionShare) *core.DecryptionShare {
+	return func(tb testing.TB, ds, _ *core.DecryptionShare) *core.DecryptionShare {
 		pr := *ds.Proof
-		edit(&pr)
+		edit(tb, &pr)
 		return &core.DecryptionShare{Index: ds.Index, G: ds.G, Proof: &pr}
 	}
+}
+
+// toyCurve is the curve of every test deployment (deploy's pairing.Toy).
+func toyCurve() *curve.Curve {
+	pp, _ := pairing.Toy()
+	return pp.Curve()
+}
+
+// openV returns a proof's V as a point, to build a lying one from.
+func openV(tb testing.TB, pr *core.ShareProof) *curve.Point {
+	return curvetest.Open(tb, toyCurve(), pr.V)
 }
 
 // lie makes player liar answer requests for cs with apply's corruption. The
 // hook sees only its own share, so it finds the ciphertext that share
 // belongs to by checking the (still honest) proof, then computes what
 // player 1 would answer for it.
-func (d *deployment) lie(t *testing.T, liar int, cs []*bf.BasicCiphertext, apply func(own, player1 *core.DecryptionShare) *core.DecryptionShare) {
+func (d *deployment) lie(t *testing.T, liar int, cs []*bf.BasicCiphertext, apply func(tb testing.TB, own, player1 *core.DecryptionShare) *core.DecryptionShare) {
 	t.Helper()
 	qid, err := bf.HashIdentityArg(d.params.Public.Pairing, ident)
 	if err != nil {
@@ -255,7 +271,7 @@ func (d *deployment) lie(t *testing.T, liar int, cs []*bf.BasicCiphertext, apply
 				t.Error(err)
 				return own
 			}
-			return apply(own, player1)
+			return apply(t, own, player1)
 		}
 		t.Error("share requested for a ciphertext outside the test's batch")
 		return own

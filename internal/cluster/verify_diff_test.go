@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/bf"
 	"repro/internal/core"
+	"repro/internal/curve"
 	"repro/internal/curve/curvetest"
 )
 
@@ -54,10 +55,12 @@ func TestBatchVerdictMatchesSingleVerdicts(t *testing.T) {
 
 	type row struct {
 		part  string
-		apply func(own, player1 *core.DecryptionShare) *core.DecryptionShare
+		apply func(tb testing.TB, own, player1 *core.DecryptionShare) *core.DecryptionShare
 		lie   bool
 	}
-	rows := []row{{"V + T", corruptProof(func(pr *core.ShareProof) { pr.V = pr.V.Add(curvetest.RandomCofactorPoint(pr.V.Curve())) }), false}}
+	rows := []row{{"V + T", corruptProof(func(tb testing.TB, pr *core.ShareProof) {
+		pr.V = curve.EvalPointOf(openV(tb, pr).Add(curvetest.RandomCofactorPoint(toyCurve())))
+	}), false}}
 	for _, corrupt := range corruptions {
 		rows = append(rows, row{corrupt.part, corrupt.apply, true})
 	}
@@ -72,7 +75,7 @@ func TestBatchVerdictMatchesSingleVerdicts(t *testing.T) {
 						// The table's second argument is "another player's
 						// share"; the answer is stamped with the slot it came
 						// from, whatever index it carried.
-						lie := *corrupt.apply(honest[i-1], honest[i%nn])
+						lie := *corrupt.apply(t, honest[i-1], honest[i%nn])
 						lie.Index = i
 						shares[k] = &lie
 					}

@@ -98,7 +98,7 @@ func (s *GDHSEM) HalfSign(id string, h *curve.Point) (*curve.Point, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownIdentity, id)
 	}
-	if h == nil || h.IsInfinity() || !h.InSubgroup() {
+	if h.IsInfinity() || !h.InSubgroup() {
 		return nil, fmt.Errorf("core: message hash is not a valid G1 element")
 	}
 	return h.ScalarMulSecret(half.X)

@@ -189,8 +189,8 @@ func (s *IBESEM) Registry() *Registry { return s.reg }
 // in E/qE, so for U = U_q + T with T of cofactor order the token is bit for
 // bit ê(d, U_q): what an honest query for U_q gets, always in GT (DESIGN §7).
 // The argument needs d in the order-q subgroup and d as the FIRST argument;
-// nothing here may multiply, add, marshal or walk U.
-func (s *IBESEM) Token(id string, u *curve.Point) (*pairing.GT, error) {
+// U's type, curve.EvalArg, allows nothing else.
+func (s *IBESEM) Token(id string, u curve.EvalArg) (*pairing.GT, error) {
 	if err := s.reg.Check(id); err != nil {
 		return nil, err
 	}

@@ -166,6 +166,61 @@ func TestTokenRejectsBadU(t *testing.T) {
 	}
 }
 
+// TestAbsentEvaluationPoint: every entry point that takes an evaluation
+// point answers an absent one — a nil interface, a nil *curve.Point inside
+// one, the zero EvalPoint — as it answers O: Token and Share refuse it with
+// their error, a pairing is 1. None of them panics.
+func TestAbsentEvaluationPoint(t *testing.T) {
+	pkg, sem := ibeFixture(t)
+	enroll(t, pkg, sem, "alice@example.com")
+	tpkg, player := playerFixture(t)
+	installShare(t, tpkg, player, "alice@example.com")
+	pp := pkg.Public().Pairing
+	fixed, err := pp.NewFixedPair(pp.Generator())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// refusal is Token's and Share's answer; a pairing's is 1.
+	const refusal = "core: ciphertext point U is not a valid pairing argument"
+	share := func(u curve.EvalArg) (*pairing.GT, error) {
+		ds, err := player.Share("alice@example.com", u)
+		if err != nil {
+			return nil, err
+		}
+		return ds.G, nil
+	}
+	calls := []struct {
+		name    string
+		refused bool
+		f       func(u curve.EvalArg) (*pairing.GT, error)
+	}{
+		{"IBESEM.Token", true, func(u curve.EvalArg) (*pairing.GT, error) { return sem.Token("alice@example.com", u) }},
+		{"ThresholdPlayer.Share", true, share},
+		{"FixedPair.Pair", false, fixed.Pair},
+		{"Params.Pair", false, func(u curve.EvalArg) (*pairing.GT, error) { return pp.Pair(pp.Generator(), u) }},
+		{"PairWithGenerator", false, pp.PairWithGenerator},
+	}
+	inputs := map[string]curve.EvalArg{
+		"nil":                    nil,
+		"nil *curve.Point":       (*curve.Point)(nil),
+		"zero curve.EvalPoint{}": curve.EvalPoint{},
+	}
+	for _, call := range calls {
+		for input, u := range inputs {
+			t.Run(call.name+"/"+input, func(t *testing.T) {
+				g, err := call.f(u)
+				if call.refused {
+					if err == nil || err.Error() != refusal {
+						t.Fatalf("got %v, %v; want the error %q", g, err, refusal)
+					}
+				} else if err != nil || !g.IsOne() {
+					t.Fatalf("got %v, %v; want 1", g, err)
+				}
+			})
+		}
+	}
+}
+
 // cofactorSplit draws a random point of E(F_p) outside G1 and splits it into
 // its order-q part U_q and its cofactor part T ≠ O (q ∥ p+1, so the two
 // projections exist: a ≡ 1 mod q, a ≡ 0 mod h picks out U_q).

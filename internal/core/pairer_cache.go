@@ -76,7 +76,7 @@ type keyPairer struct {
 //
 // The key must also be dropped (Remove) when it is replaced or withdrawn;
 // the d.Equal guard is what makes a racing insert harmless.
-func (c pairerCache) pair(pp *pairing.Params, id string, d, u *curve.Point) (*pairing.GT, *keyPairer, error) {
+func (c pairerCache) pair(pp *pairing.Params, id string, d *curve.Point, u curve.EvalArg) (*pairing.GT, *keyPairer, error) {
 	p, ok := c.lookup(id, d)
 	if !ok {
 		if err := d.Validate(); err != nil {

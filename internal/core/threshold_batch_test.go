@@ -71,7 +71,7 @@ func TestVerifyShareProofNilComponents(t *testing.T) {
 		"W1":    func(ds *DecryptionShare) { ds.Proof.W1 = nil },
 		"W2":    func(ds *DecryptionShare) { ds.Proof.W2 = nil },
 		"E":     func(ds *DecryptionShare) { ds.Proof.E = nil },
-		"V":     func(ds *DecryptionShare) { ds.Proof.V = nil },
+		"V":     func(ds *DecryptionShare) { ds.Proof.V = curve.EvalPoint{} },
 		"all":   func(ds *DecryptionShare) { ds.G, ds.Proof = nil, &ShareProof{} },
 		"proof": func(ds *DecryptionShare) { ds.Proof = nil },
 	}
@@ -171,7 +171,7 @@ func TestCancellingLieFails(t *testing.T) {
 		w1 := pair(P, R).Mul(exp(g, delta))
 		w2 := pair(U, R).Mul(exp(g, new(big.Int).Neg(delta)))
 		e := proofChallenge(q, G, c, w1, w2)
-		return &DecryptionShare{Index: ks.Index, G: G, Proof: &ShareProof{W1: w1, W2: w2, E: e, V: R.Add(ks.D.ScalarMul(e))}}
+		return &DecryptionShare{Index: ks.Index, G: G, Proof: &ShareProof{W1: w1, W2: w2, E: e, V: curve.EvalPointOf(R.Add(ks.D.ScalarMul(e)))}}
 	}
 	if err := f.p.VerifyShareProofFor(f.qid, U, prove(new(big.Int))); err != nil {
 		t.Fatalf("the same proof with δ = 0: %v", err)
@@ -205,8 +205,9 @@ const disguisedPart = 7
 // added — which decodes like the others and, V being only an evaluation
 // point of the check, must verify. Parts mirror the byzantine table of
 // internal/cluster.
-func perturb(ds, other *DecryptionShare, part uint8, q *big.Int, tors *curve.Point) *DecryptionShare {
+func perturb(tb testing.TB, ds, other *DecryptionShare, part uint8, q *big.Int, tors *curve.Point) *DecryptionShare {
 	pr := *ds.Proof
+	v := func() *curve.Point { return curvetest.Open(tb, tors.Curve(), pr.V) }
 	out := &DecryptionShare{Index: ds.Index, G: ds.G, Proof: &pr}
 	switch part % 8 {
 	case 0:
@@ -219,14 +220,14 @@ func perturb(ds, other *DecryptionShare, part uint8, q *big.Int, tors *curve.Poi
 		e := new(big.Int).Add(pr.E, big.NewInt(1))
 		pr.E = e.Mod(e, q)
 	case 4:
-		pr.V = pr.V.Double()
+		pr.V = curve.EvalPointOf(v().Double())
 	case 5:
 		relayed := *other.Proof
 		out.G, out.Proof = other.G, &relayed
 	case 6:
-		pr.V = tors
+		pr.V = curve.EvalPointOf(tors)
 	case disguisedPart:
-		pr.V = pr.V.Add(tors)
+		pr.V = curve.EvalPointOf(v().Add(tors))
 	}
 	return out
 }
@@ -266,7 +267,7 @@ func FuzzVerifyShareProofs(f *testing.F) {
 			}
 			ds := fix.shares[i]
 			if part := b & 0x7f; part != 0 {
-				ds = perturb(ds, fix.shares[(i+1)%fix.p.N], part-1, q, tors)
+				ds = perturb(t, ds, fix.shares[(i+1)%fix.p.N], part-1, q, tors)
 				if (part-1)%8 != disguisedPart {
 					liars = append(liars, ds.Index)
 				}

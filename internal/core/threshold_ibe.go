@@ -300,8 +300,8 @@ type ShareProof struct {
 	E  *big.Int    // Fiat-Shamir challenge
 	// V is R + e·d_IDi. A verifier holds it as received: on the curve, not
 	// subgroup-checked, good for the linear combination VerifyShareProofs
-	// pairs and nothing else.
-	V *curve.Point //cryptolint:evalpoint (only ever summed by MSM into the second argument of one pairing, which is cofactor-blind: DESIGN §7)
+	// pairs and nothing else (DESIGN §7).
+	V curve.EvalPoint
 }
 
 // ComputeShareWithProof produces the decryption share together with its
@@ -369,7 +369,7 @@ func (p *ThresholdParams) proveShare(rng io.Reader, share *KeyShare, g *pairing.
 	return &DecryptionShare{
 		Index: share.Index,
 		G:     g,
-		Proof: &ShareProof{W1: w1, W2: w2, E: e, V: v},
+		Proof: &ShareProof{W1: w1, W2: w2, E: e, V: curve.EvalPointOf(v)},
 	}, nil
 }
 
@@ -463,7 +463,9 @@ func (p *ThresholdParams) VerifyShareProofs(qid *pairing.HashArg, u *curve.Point
 		if ds == nil || ds.Proof == nil {
 			return fmt.Errorf("%w: missing proof", ErrProofInvalid)
 		}
-		if ds.G == nil || ds.Proof.W1 == nil || ds.Proof.W2 == nil || ds.Proof.E == nil || ds.Proof.V == nil {
+		// V = O counts as absent: the wire cannot carry it, and an honest
+		// prover sends it with probability 1/q.
+		if ds.G == nil || ds.Proof.W1 == nil || ds.Proof.W2 == nil || ds.Proof.E == nil || ds.Proof.V.IsInfinity() {
 			return fmt.Errorf("%w: incomplete proof (player %d)", ErrProofInvalid, ds.Index)
 		}
 		if ds.Index < 1 || ds.Index > p.N {
@@ -483,7 +485,7 @@ func (p *ThresholdParams) VerifyShareProofs(qid *pairing.HashArg, u *curve.Point
 	bases := make([]*pairing.GT, 4*n)
 	exps := make([]*big.Int, 4*n)
 	as := make([]*big.Int, n)
-	vs := make([]*curve.Point, n)
+	vs := make([]curve.EvalPoint, n)
 	for i, ds := range shares {
 		pubPair, err := p.vkPair(ds.Index, qid)
 		if err != nil {
@@ -505,7 +507,7 @@ func (p *ThresholdParams) VerifyShareProofs(qid *pairing.HashArg, u *curve.Point
 		as[i], vs[i] = a, ds.Proof.V
 	}
 
-	v, err := pp.Curve().MSM(as, vs)
+	v, err := pp.Curve().EvalSum(as, vs)
 	if err != nil {
 		return err
 	}

@@ -71,15 +71,14 @@ func (p *ThresholdPlayer) InstrumentPairerCache(reg *obs.Registry) {
 // that walks the player's own share, and the proof is made of powers of that
 // pairing's value and a multiple of the share, so for u = U_q + T with T of
 // cofactor order the answer is, bit for bit, a share and a valid proof for
-// U_q (DESIGN §7). Nothing here may multiply, add, marshal or walk u. A key
-// share outside G1 is refused on its first request (curve.ErrNotInSubgroup)
-// and never walked.
-func (p *ThresholdPlayer) Share(id string, u *curve.Point) (*DecryptionShare, error) {
+// U_q (DESIGN §7). A key share outside G1 is refused on its first request
+// (curve.ErrNotInSubgroup) and never walked.
+func (p *ThresholdPlayer) Share(id string, u curve.EvalArg) (*DecryptionShare, error) {
 	return p.share(nil, id, u)
 }
 
 // share is Share with the proof nonce drawn from rng (nil: crypto/rand).
-func (p *ThresholdPlayer) share(rng io.Reader, id string, u *curve.Point) (*DecryptionShare, error) {
+func (p *ThresholdPlayer) share(rng io.Reader, id string, u curve.EvalArg) (*DecryptionShare, error) {
 	key, ok := p.keys.get(id)
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownIdentity, id)

@@ -121,7 +121,7 @@ func referenceProof(t *testing.T, f *proofFixture) *DecryptionShare {
 	}
 	e := mathx.BytesToIntMod(h.Sum(nil), pp.Q())
 	v := R.Add(curvetest.ScalarMulBinary(f.share.D, e))
-	return &DecryptionShare{Index: f.share.Index, G: g, Proof: &ShareProof{W1: w1, W2: w2, E: e, V: v}}
+	return &DecryptionShare{Index: f.share.Index, G: g, Proof: &ShareProof{W1: w1, W2: w2, E: e, V: curve.EvalPointOf(v)}}
 }
 
 // TestShareProofMatchesReference: for a fixed nonce, ComputeShareWithProof
@@ -190,7 +190,7 @@ func TestShareProofCommitmentPowers(t *testing.T) {
 			if !bytes.Equal(ds.G.Bytes(), wantG.Bytes()) {
 				t.Errorf("%s/%s: G ≠ ê(U, d)", name, prover)
 			}
-			R := ds.Proof.V.Add(f.share.D.ScalarMul(ds.Proof.E).Neg())
+			R := curvetest.Open(t, pp.Curve(), ds.Proof.V).Add(f.share.D.ScalarMul(ds.Proof.E).Neg())
 			if w1, err := pp.Pair(pp.Generator(), R); err != nil || !bytes.Equal(w1.Bytes(), ds.Proof.W1.Bytes()) {
 				t.Errorf("%s/%s: W1 ≠ ê(P, R) (%v)", name, prover, err)
 			}

@@ -178,8 +178,9 @@ func (c *Curve) solveY(y, x []uint64) bool {
 	return F.Equal(chk, a)
 }
 
-// IsInfinity reports whether the point is the identity.
-func (pt *Point) IsInfinity() bool { return pt.x == nil }
+// IsInfinity reports whether the point is the identity. A nil *Point is the
+// identity too, so a nil one inside an EvalArg reads as O.
+func (pt *Point) IsInfinity() bool { return pt == nil || pt.x == nil }
 
 // X returns the affine x-coordinate as a fresh big.Int; nil for O.
 func (pt *Point) X() *big.Int {

@@ -66,6 +66,19 @@ func CofactorPoints(tb testing.TB, c *curve.Curve) []*curve.Point {
 	return out
 }
 
+// Open returns the point behind an evaluation point, for tests that build an
+// adversarial one from an honest one: it round-trips e through Marshal and
+// curve.Unmarshal, the only way back, and fails tb if the bytes do not
+// decode.
+func Open(tb testing.TB, c *curve.Curve, e curve.EvalPoint) *curve.Point {
+	tb.Helper()
+	pt, err := c.Unmarshal(e.Marshal())
+	if err != nil {
+		tb.Fatalf("curvetest.Open: %v", err)
+	}
+	return pt
+}
+
 // fromAffine builds the point (x mod p, y mod p) the oracle computed.
 // NewPoint re-checks the curve equation in limbs; an oracle that left the
 // curve yields nil, which fails the calling test at first use.

@@ -260,7 +260,7 @@ type livePair struct {
 	xQ, yQ []uint64
 }
 
-func newLivePair(F *fp.Field, p1, q1 *curve.Point) livePair {
+func newLivePair(F *fp.Field, p1 *curve.Point, q1 curve.EvalArg) livePair {
 	lp := livePair{mv: newMillerVars(F, p1)}
 	lp.xQ, lp.yQ = q1.Mont()
 	return lp
@@ -395,9 +395,9 @@ func (pp *Params) NewFixedPair(p1 *curve.Point) (*FixedPair, error) {
 
 // Pair computes ê(P, q1) for the fixed P by replaying the precomputed line
 // program, bit-identical to Params.Pair(P, q1). ê(P, O) = 1.
-func (fp *FixedPair) Pair(q1 *curve.Point) (*GT, error) {
+func (fp *FixedPair) Pair(q1 curve.EvalArg) (*GT, error) {
 	pp := fp.pp
-	if q1.IsInfinity() {
+	if q1 == nil || q1.IsInfinity() {
 		return pp.One(), nil
 	}
 	xQ, yQ := q1.Mont()

@@ -334,11 +334,12 @@ func (pp *Params) InGT(g *GT) bool {
 
 // Pair computes the modified Tate pairing ê(P, Q) with denominator
 // elimination and an inversion-free Miller loop: the one-pair case of
-// MultiPair's lock-step walk. ê(P, O) = ê(O, Q) = 1. An error indicates
-// corrupted inputs (the internal exponentiations cannot fail for points
-// produced by this package).
-func (pp *Params) Pair(p1, q1 *curve.Point) (*GT, error) {
-	if p1.IsInfinity() || q1.IsInfinity() {
+// MultiPair's lock-step walk. ê(P, O) = ê(O, Q) = 1, and a nil argument is
+// O. P is walked; Q is only evaluated at, so it may be any curve.EvalArg. An
+// error indicates corrupted inputs (the internal exponentiations cannot fail
+// for points produced by this package).
+func (pp *Params) Pair(p1 *curve.Point, q1 curve.EvalArg) (*GT, error) {
+	if p1.IsInfinity() || q1 == nil || q1.IsInfinity() {
 		return pp.One(), nil
 	}
 	return pp.finalExp(pp.millerProduct([]livePair{newLivePair(pp.field.Fp(), p1, q1)})), nil
@@ -349,7 +350,7 @@ func (pp *Params) Pair(p1, q1 *curve.Point) (*GT, error) {
 // analogue of GeneratorMul. Verification equations pair against the
 // generator constantly (BLS, threshold share proofs), which is the hot path
 // the cached program exists for. Bit-identical to Pair(Generator(), q1).
-func (pp *Params) PairWithGenerator(q1 *curve.Point) (*GT, error) {
+func (pp *Params) PairWithGenerator(q1 curve.EvalArg) (*GT, error) {
 	pp.genFPOnce.Do(func() {
 		fp, err := pp.NewFixedPair(pp.gen)
 		if err == nil {

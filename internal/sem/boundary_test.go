@@ -268,7 +268,7 @@ func TestSubgroupCheckRelaxedOnlyForEvaluationPoints(t *testing.T) {
 				t.Fatalf("%s: client refused V_q + T (cofactor point %d): %v", name, i, err)
 			}
 			ds.Index = 1
-			if ds.Proof.V.InSubgroup() {
+			if curvetest.Open(t, c, ds.Proof.V).InSubgroup() {
 				t.Fatalf("%s: cofactor point %d: the decoded V is in G1", name, i)
 			}
 			if err := tparams.VerifyShareProofFor(qid, ct.U, ds); err != nil {

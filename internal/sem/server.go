@@ -598,13 +598,12 @@ func (s *Server) thresholdShare(id string, payload []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	v := ds.Proof.V.Marshal() //cryptolint:evalpoint (the prover's own V = (r + e)·d_IDi, computed by Share just above and not a point it received; the recombiner is who holds a V unchecked)
 	gt, point, scalar := shareWidths(s.cfg.Pairing)
 	out := make([]byte, 0, 3*gt+point+scalar)
 	out = append(out, ds.G.Bytes()...)        //cryptolint:public (sanctioned wire serialization edge; the share goes to the recombiner by design)
 	out = append(out, ds.Proof.W1.Bytes()...) //cryptolint:public (the NIZK proof is public by construction)
 	out = append(out, ds.Proof.W2.Bytes()...) //cryptolint:public (the NIZK proof is public by construction)
-	out = append(out, v...)
+	out = append(out, ds.Proof.V.Marshal()...)
 	return append(out, ds.Proof.E.FillBytes(make([]byte, scalar))...), nil //cryptolint:public (the NIZK proof is public by construction)
 }
 

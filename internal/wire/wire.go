@@ -54,33 +54,21 @@ func UnmarshalG1(c *curve.Curve, data []byte) (*curve.Point, error) {
 // non-walked argument — of a pairing whose first argument is the caller's
 // own order-q key. It checks what that use needs and no more: the encoding
 // is canonical, the point is on the curve, and it is not the identity. It
-// does NOT check order-q subgroup membership, which is the 160-bit [q]·
-// ladder that dominates UnmarshalG1.
-//
-// Why that is enough there and nowhere else: the reduced Tate pairing's
-// second argument lives in E/qE, so for d ∈ E(F_p)[q] and U = U_q + T with
-// ord(T) | (p+1)/q, ê(d, U) = ê(d, U_q) bit for bit — a cofactor component
-// buys the peer the token an honest query for U_q gets, always in GT, and
-// nothing else (DESIGN §7). A point that is multiplied by a secret, added
-// to, marshalled back out, or walked as a pairing's FIRST argument has no
-// such quotient to hide in and must come through UnmarshalG1; the
-// boundarycheck analyzer enforces that a value returned from here reaches
-// only core.IBESEM.Token, core.ThresholdPlayer.Share (the same pairing for a
-// threshold player's key share, plus a proof made of its powers), a
-// pairing's second argument, or a struct field marked
-// //cryptolint:evalpoint — core.ShareProof.V, a share proof's response as
-// the recombiner holds it — every read of which is held to the same uses
-// plus the one that V needs: being summed by curve.Curve.MSM (exact on all
-// of E(F_p)) into a point that is in turn only a pairing's second argument.
-func UnmarshalPairingArg(c *curve.Curve, data []byte) (*curve.Point, error) {
+// does NOT check order-q subgroup membership, the [q]· ladder that dominates
+// UnmarshalG1: the reduced pairing's second argument lives in E/qE, so a
+// cofactor component buys the peer nothing (DESIGN §7). The result is a
+// curve.EvalPoint, which only a pairing's second argument, IBESEM.Token,
+// ThresholdPlayer.Share and Curve.EvalSum accept; any other use of the point
+// needs UnmarshalG1.
+func UnmarshalPairingArg(c *curve.Curve, data []byte) (curve.EvalPoint, error) {
 	pt, err := c.Unmarshal(data)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrProtocol, err)
+		return curve.EvalPoint{}, fmt.Errorf("%w: %v", ErrProtocol, err)
 	}
 	if pt.IsInfinity() {
-		return nil, fmt.Errorf("%w: point at infinity", ErrProtocol)
+		return curve.EvalPoint{}, fmt.Errorf("%w: point at infinity", ErrProtocol)
 	}
-	return pt, nil
+	return curve.EvalPointOf(pt), nil
 }
 
 // UnmarshalScalar decodes a big-endian scalar received from an untrusted
