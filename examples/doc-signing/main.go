@@ -54,7 +54,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	rsaSEM := core.NewRSASEM(reg)
+	rsaSEM := core.NewExpSEM(reg)
 	rsaUser, rsaSEMHalf, err := ibpkg.IssueHalves(rand.Reader, signer)
 	if err != nil {
 		return err
@@ -78,7 +78,7 @@ func run() error {
 	fmt.Printf("mediated GDH: SEM sent %4d bits; final signature %4d bits\n",
 		len(gdhToken.Marshal())*8, len(gdhSig.Marshal())*8)
 
-	rsaToken, err := rsaSEM.HalfSign(signer, contract)
+	rsaToken, err := rsaSEM.HalfOp(signer, core.RSAMessage(contract))
 	if err != nil {
 		return err
 	}
@@ -118,7 +118,7 @@ func run() error {
 	if _, err := gdhSEM.HalfSign(signer, h); !errors.Is(err, core.ErrRevoked) {
 		return fmt.Errorf("GDH SEM still cooperates: %v", err)
 	}
-	if _, err := rsaSEM.HalfSign(signer, contract); !errors.Is(err, core.ErrRevoked) {
+	if _, err := rsaSEM.HalfOp(signer, core.RSAMessage(contract)); !errors.Is(err, core.ErrRevoked) {
 		return fmt.Errorf("RSA SEM still cooperates: %v", err)
 	}
 	fmt.Println("signer revoked: neither scheme will produce another signature")

@@ -15,6 +15,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dkg"
 	"repro/internal/gm"
+	"repro/internal/mathx"
 	"repro/internal/pairing"
 	"repro/internal/rabin"
 )
@@ -22,24 +23,24 @@ import (
 var (
 	gmOnce sync.Once
 	gmKey  *gm.PrivateKey
-	gmUser *gm.HalfKey
-	gmSEM  *core.GMSEM
+	gmUser *mathx.ExpHalf
+	gmSEM  *core.ExpSEM
 	gmErr  error
 )
 
-func gmWorld(b *testing.B) (*gm.PrivateKey, *gm.HalfKey, *core.GMSEM) {
+func gmWorld(b *testing.B) (*gm.PrivateKey, *mathx.ExpHalf, *core.ExpSEM) {
 	b.Helper()
 	gmOnce.Do(func() {
 		gmKey, gmErr = gm.GenerateKey(rand.Reader, 512)
 		if gmErr != nil {
 			return
 		}
-		var semHalf *gm.HalfKey
+		var semHalf *mathx.ExpHalf
 		gmUser, semHalf, gmErr = gm.Split(rand.Reader, gmKey)
 		if gmErr != nil {
 			return
 		}
-		gmSEM = core.NewGMSEM(core.NewRegistry())
+		gmSEM = core.NewExpSEM(core.NewRegistry())
 		gmSEM.Register("bench@example.com", semHalf)
 	})
 	if gmErr != nil {
@@ -74,24 +75,24 @@ func BenchmarkExtensionGM(b *testing.B) {
 var (
 	rabinOnce sync.Once
 	rabinKey  *rabin.PrivateKey
-	rabinUser *rabin.HalfKey
-	rabinSEM  *core.RabinSEM
+	rabinUser *mathx.ExpHalf
+	rabinSEM  *core.ExpSEM
 	rabinErr  error
 )
 
-func rabinWorld(b *testing.B) (*rabin.PrivateKey, *rabin.HalfKey, *core.RabinSEM) {
+func rabinWorld(b *testing.B) (*rabin.PrivateKey, *mathx.ExpHalf, *core.ExpSEM) {
 	b.Helper()
 	rabinOnce.Do(func() {
 		rabinKey, rabinErr = rabin.GenerateKey(rand.Reader, 1024)
 		if rabinErr != nil {
 			return
 		}
-		var semHalf *rabin.HalfKey
+		var semHalf *mathx.ExpHalf
 		rabinUser, semHalf, rabinErr = rabin.Split(rand.Reader, rabinKey)
 		if rabinErr != nil {
 			return
 		}
-		rabinSEM = core.NewRabinSEM(core.NewRegistry())
+		rabinSEM = core.NewExpSEM(core.NewRegistry())
 		rabinSEM.Register("bench@example.com", semHalf)
 	})
 	if rabinErr != nil {

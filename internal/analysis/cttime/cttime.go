@@ -80,7 +80,7 @@ func run(pass *analysis.Pass) error {
 			case *ast.SwitchStmt:
 				checkCond(pass, ta, marks, info, x.Tag)
 			case *ast.IndexExpr:
-				// A generic instantiation (newKeyStore[*GDHSEMKey]) parses
+				// A generic instantiation (newMediator[*GDHSEMKey]) parses
 				// as an IndexExpr too; a type argument is not a memory
 				// access.
 				if tv, ok := info.Types[x.Index]; ok && tv.IsType() {

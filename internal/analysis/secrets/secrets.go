@@ -27,7 +27,7 @@
 // comment on the field declaration:
 //
 //	//cryptolint:secret
-//	type HalfKey struct {
+//	type ExpHalf struct {
 //		N    *big.Int //cryptolint:public (the modulus)
 //		Half *big.Int
 //	}

@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -358,10 +359,36 @@ func Baseline(pp *pairing.Params, minIters int, minDuration time.Duration) (*Bas
 		return nil, err
 	}
 	defer benchJournal.Close()
+	// An identity costs one allocation whatever the counter reads. Through
+	// fmt the counter would box for free below 256 and cost one more
+	// allocation from there on, so the journal entries' allocs column would
+	// depend on how many ops ran before a pass.
 	var journalCtr atomic.Uint64
 	nextJournalID := func() string {
-		return fmt.Sprintf("bench%08d@journal.test", journalCtr.Add(1))
+		var b [48]byte
+		id := strconv.AppendUint(append(b[:0], "bench"...), journalCtr.Add(1), 10)
+		return string(append(id, "@journal.test"...))
 	}
+	// The group16 entry's writers live as long as the fixture: spawned per
+	// op, each would cost a g struct or not as the scheduler happened to
+	// reuse a dead one. Both channels are unbuffered, so each of an op's
+	// jobs goes to a different writer.
+	const journalWriters = 16
+	journalJobs, journalDone := make(chan struct{}), make(chan error)
+	var writers sync.WaitGroup
+	for range journalWriters {
+		writers.Add(1)
+		go func() {
+			defer writers.Done()
+			for range journalJobs {
+				journalDone <- benchJournal.Revoke(nextJournalID(), "bench")
+			}
+		}()
+	}
+	defer func() {
+		close(journalJobs)
+		writers.Wait()
+	}()
 
 	// batchVerifySequential replays the pre-Pippenger batch loop through the
 	// public API — full-order ScalarMul subgroup checks and per-member
@@ -537,22 +564,16 @@ func Baseline(pp *pairing.Params, minIters int, minDuration time.Duration) (*Bas
 			return benchJournal.Revoke(nextJournalID(), "bench")
 		}},
 		{"journal.append.group16", func() error {
-			var wg sync.WaitGroup
-			errs := make([]error, 16)
-			for w := range errs {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					errs[w] = benchJournal.Revoke(nextJournalID(), "bench")
-				}(w)
+			for range journalWriters {
+				journalJobs <- struct{}{}
 			}
-			wg.Wait()
-			for _, e := range errs {
-				if e != nil {
-					return e
+			var err error
+			for range journalWriters {
+				if e := <-journalDone; e != nil {
+					err = e
 				}
 			}
-			return nil
+			return err
 		}},
 		{"sem.token.single", func() error {
 			_, err := semWorld.client.IBEToken(id, ct.U)

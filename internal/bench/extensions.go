@@ -69,7 +69,7 @@ func Extensions(cfg ExtensionsConfig) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	gmSEM := core.NewGMSEM(core.NewRegistry())
+	gmSEM := core.NewExpSEM(core.NewRegistry())
 	gmSEM.Register("x", gmSEMHalf)
 	gmMsg := []byte("extension probe")
 	gmCT, err := gmKey.Public.Encrypt(rand.Reader, gmMsg)
@@ -98,7 +98,7 @@ func Extensions(cfg ExtensionsConfig) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	rbSEM := core.NewRabinSEM(core.NewRegistry())
+	rbSEM := core.NewExpSEM(core.NewRegistry())
 	rbSEM.Register("x", rbSEMHalf)
 	rbCT, err := rbKey.Public.Encrypt(rand.Reader, gmMsg)
 	if err != nil {

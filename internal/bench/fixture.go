@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/mathx"
 	"repro/internal/mrsa"
 	"repro/internal/pairing"
 	"repro/internal/sem"
@@ -33,10 +34,10 @@ type World struct {
 	GDHSEMK *core.GDHSEMKey
 
 	RSAPKG  *mrsa.IBPKG
-	RSASEM  *core.RSASEM
+	RSASEM  *core.ExpSEM
 	RSAPub  *mrsa.PublicKey
-	RSAUser *mrsa.HalfKey
-	RSASEMK *mrsa.HalfKey
+	RSAUser *mathx.ExpHalf
+	RSASEMK *mathx.ExpHalf
 
 	Registry *core.Registry
 
@@ -103,7 +104,7 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 	if err != nil {
 		return nil, fmt.Errorf("rsa pkg: %w", err)
 	}
-	w.RSASEM = core.NewRSASEM(w.Registry)
+	w.RSASEM = core.NewExpSEM(w.Registry)
 	if w.RSAUser, w.RSASEMK, err = w.RSAPKG.IssueHalves(rand.Reader, w.ID); err != nil {
 		return nil, fmt.Errorf("rsa enroll: %w", err)
 	}

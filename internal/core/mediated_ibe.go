@@ -124,9 +124,8 @@ func (m *MediatedPKG) SplitExtract(rng io.Reader, id string) (*UserKeyHalf, *SEM
 // late; every other identity's token is the plain pairing, the same bits.
 // Revoking or re-registering an identity drops its program.
 type IBESEM struct {
+	Mediator[*SEMKeyHalf]
 	pub     *bf.PublicParams
-	reg     *Registry
-	keys    *keyStore[*SEMKeyHalf]
 	pairers pairerCache
 }
 
@@ -138,10 +137,9 @@ type IBESEM struct {
 // so both transitions must invalidate derived state.
 func NewIBESEM(pub *bf.PublicParams, reg *Registry) *IBESEM {
 	s := &IBESEM{
-		pub:     pub,
-		reg:     reg,
-		keys:    newKeyStore[*SEMKeyHalf](),
-		pairers: newPairerCache(),
+		Mediator: newMediator[*SEMKeyHalf](reg),
+		pub:      pub,
+		pairers:  newPairerCache(),
 	}
 	reg.OnRevoke(func(id string) { s.pairers.Remove(id) })
 	reg.OnUnrevoke(func(id string) { s.pairers.Remove(id) })
@@ -171,9 +169,6 @@ func (s *IBESEM) PairerCacheStats() lru.Stats { return s.pairers.Stats() }
 // pairing program.
 func (s *IBESEM) PairerCacheLen() int { return s.pairers.Len() }
 
-// Registry exposes the revocation registry (admin interface).
-func (s *IBESEM) Registry() *Registry { return s.reg }
-
 // Token implements the SEM side of the decryption protocol: check
 // revocation, then return g_sem = ê(d_ID,sem, U) (= ê(U, d_ID,sem); ê is
 // symmetric on G1).
@@ -191,12 +186,9 @@ func (s *IBESEM) Registry() *Registry { return s.reg }
 // The argument needs d in the order-q subgroup and d as the FIRST argument;
 // U's type, curve.EvalArg, allows nothing else.
 func (s *IBESEM) Token(id string, u curve.EvalArg) (*pairing.GT, error) {
-	if err := s.reg.Check(id); err != nil {
+	half, err := s.half(id)
+	if err != nil {
 		return nil, err
-	}
-	half, ok := s.keys.get(id)
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrUnknownIdentity, id)
 	}
 	if u == nil || u.IsInfinity() {
 		return nil, fmt.Errorf("core: ciphertext point U is not a valid pairing argument")
@@ -204,7 +196,7 @@ func (s *IBESEM) Token(id string, u curve.EvalArg) (*pairing.GT, error) {
 	// Served from the per-identity Miller program, or by the plain pairing
 	// for an identity the full cache did not admit. A concurrent revoke can
 	// race the cache insert and leave an entry behind, but it can never be
-	// *served* for a revoked identity — the Check above runs on every call —
+	// *served* for a revoked identity — half checks revocation on every call —
 	// and the entry is keyed to this exact half, so it is correct again if
 	// the identity is unrevoked.
 	g, _, err := s.pairers.pair(s.pub.Pairing, id, half.D, u)

@@ -125,17 +125,6 @@ func TestRevocationStopsDecryption(t *testing.T) {
 	}
 }
 
-func TestUnknownIdentityRejected(t *testing.T) {
-	pkg, sem := ibeFixture(t)
-	user, _, _ := pkg.SplitExtract(rand.Reader, "ghost@example.com")
-	// SEM never got the half.
-	msg := bytes.Repeat([]byte{1}, msgLen)
-	c, _ := pkg.Public().Encrypt(rand.Reader, "ghost@example.com", msg)
-	if _, err := Decrypt(sem, user, c); !errors.Is(err, ErrUnknownIdentity) {
-		t.Fatalf("unknown identity served: %v", err)
-	}
-}
-
 func TestTokenRejectsBadU(t *testing.T) {
 	pkg, sem := ibeFixture(t)
 	enroll(t, pkg, sem, "alice@example.com")

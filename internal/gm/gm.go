@@ -163,65 +163,48 @@ func (sk *PrivateKey) DecryptBit(c *big.Int) (byte, error) {
 
 // Decrypt decrypts a bitwise ciphertext back into bytes.
 func (sk *PrivateKey) Decrypt(cs []*big.Int) ([]byte, error) {
-	return decryptBits(cs, sk.DecryptBit)
-}
-
-// HalfKey is one additive half of the residuosity exponent.
-//
-//cryptolint:secret
-type HalfKey struct {
-	N    *big.Int //cryptolint:public (the modulus)
-	Half *big.Int
+	return decryptBits(cs, func(i int) (byte, error) { return sk.DecryptBit(cs[i]) })
 }
 
 // Split divides d = φ(n)/4 into user and SEM halves mod φ(n), mirroring
 // the mRSA split.
-func Split(rng io.Reader, sk *PrivateKey) (user, sem *HalfKey, err error) {
-	if rng == nil {
-		rng = rand.Reader
-	}
-	du, err := mathx.RandomInRange(rng, one, sk.Public.N)
-	if err != nil {
-		return nil, nil, fmt.Errorf("sample user half: %w", err)
-	}
-	dsem := new(big.Int).Sub(sk.D, du)
-	dsem.Mod(dsem, sk.Phi)
-	return &HalfKey{N: new(big.Int).Set(sk.Public.N), Half: du},
-		&HalfKey{N: new(big.Int).Set(sk.Public.N), Half: dsem},
-		nil
-}
-
-// Op applies the half exponent to one ciphertext element.
-func (h *HalfKey) Op(c *big.Int) *big.Int {
-	return new(big.Int).Exp(c, h.Half, h.N)
-}
-
-// CombineBit multiplies the two half-results and interprets the
-// residuosity: +1 → 0, −1 → 1.
-func CombineBit(pk *PublicKey, userPart, semPart *big.Int) (byte, error) {
-	t := new(big.Int).Mul(userPart, semPart)
-	t.Mod(t, pk.N)
-	return interpretResiduosity(t, pk.N)
+func Split(rng io.Reader, sk *PrivateKey) (user, sem *mathx.ExpHalf, err error) {
+	return mathx.SplitExponent(rng, sk.Public.N, sk.D, sk.Phi)
 }
 
 // MediatedDecrypt runs the two-party decryption in-process over a bitwise
 // ciphertext.
-func MediatedDecrypt(pk *PublicKey, user, sem *HalfKey, cs []*big.Int) ([]byte, error) {
-	return decryptBits(cs, func(c *big.Int) (byte, error) {
-		if err := checkElement(c, pk.N); err != nil {
-			return 0, err
+func MediatedDecrypt(pk *PublicKey, user, sem *mathx.ExpHalf, cs []*big.Int) ([]byte, error) {
+	semParts := make([]*big.Int, len(cs))
+	for i, c := range cs {
+		semParts[i] = sem.Op(c)
+	}
+	return Combine(pk, user, cs, semParts)
+}
+
+// Combine is the user's side of mediated decryption, wherever the SEM's
+// half-results semParts came from: it checks every element of cs as
+// DecryptBit does, multiplies the user's half-result into the SEM's and
+// reads the residuosity (+1 → 0, −1 → 1) as the plaintext bits.
+func Combine(pk *PublicKey, user *mathx.ExpHalf, cs, semParts []*big.Int) ([]byte, error) {
+	if len(semParts) != len(cs) {
+		return nil, fmt.Errorf("%w: %d SEM half-results for %d elements", ErrDecrypt, len(semParts), len(cs))
+	}
+	return decryptBits(cs, func(i int) (byte, error) {
+		if err := checkElement(cs[i], pk.N); err != nil {
+			return 0, fmt.Errorf("element %d: %w", i, err)
 		}
-		return CombineBit(pk, user.Op(c), sem.Op(c))
+		return interpretResiduosity(mathx.MulMod(user.Op(cs[i]), semParts[i], pk.N), pk.N)
 	})
 }
 
-func decryptBits(cs []*big.Int, decryptBit func(*big.Int) (byte, error)) ([]byte, error) {
+func decryptBits(cs []*big.Int, decryptBit func(i int) (byte, error)) ([]byte, error) {
 	if len(cs)%8 != 0 {
 		return nil, fmt.Errorf("%w: ciphertext length %d not a multiple of 8", ErrDecrypt, len(cs))
 	}
 	out := make([]byte, len(cs)/8)
-	for i, c := range cs {
-		bit, err := decryptBit(c)
+	for i := range cs {
+		bit, err := decryptBit(i)
 		if err != nil {
 			return nil, err
 		}

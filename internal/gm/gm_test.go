@@ -193,3 +193,36 @@ func TestQuickRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestCombineChecksEveryElement(t *testing.T) {
+	// The SEM's half-results alone are no licence: Combine refuses an
+	// element DecryptBit would refuse, even one congruent to an honest
+	// encryption (c + n decrypts like c if only the residue is looked at).
+	sk := testKey(t)
+	user, sem, err := Split(nil, sk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs, err := sk.Public.Encrypt(rand.Reader, []byte{0x5a})
+	if err != nil {
+		t.Fatal(err)
+	}
+	semParts := func(cs []*big.Int) []*big.Int {
+		out := make([]*big.Int, len(cs))
+		for i, c := range cs {
+			out[i] = sem.Op(c)
+		}
+		return out
+	}
+	if got, err := Combine(sk.Public, user, cs, semParts(cs)); err != nil || !bytes.Equal(got, []byte{0x5a}) {
+		t.Fatalf("honest ciphertext: %x, %v", got, err)
+	}
+	bad := append([]*big.Int(nil), cs...)
+	bad[3] = new(big.Int).Add(cs[3], sk.Public.N)
+	if _, err := Combine(sk.Public, user, bad, semParts(bad)); !errors.Is(err, ErrDecrypt) {
+		t.Errorf("element ≥ n combined: %v", err)
+	}
+	if _, err := Combine(sk.Public, user, cs, semParts(cs)[1:]); !errors.Is(err, ErrDecrypt) {
+		t.Errorf("short SEM response combined: %v", err)
+	}
+}

@@ -22,6 +22,7 @@ import (
 	"repro/internal/bf"
 	"repro/internal/bls"
 	"repro/internal/core"
+	"repro/internal/mathx"
 	"repro/internal/mrsa"
 	"repro/internal/pairing"
 )
@@ -221,14 +222,14 @@ func (u *User) GDHUserKey(pp *pairing.Params) (*core.GDHUserKey, error) {
 }
 
 // RSAUserKey decodes the user's mRSA half bound to the system modulus.
-func (u *User) RSAUserKey(sys *System) (*mrsa.HalfKey, error) {
+func (u *User) RSAUserKey(sys *System) (*mathx.ExpHalf, error) {
 	if len(u.RSAHalf) == 0 {
 		return nil, fmt.Errorf("keyfile: user %q has no RSA half", u.ID)
 	}
 	if len(sys.RSAModulus) == 0 {
 		return nil, fmt.Errorf("keyfile: system has no RSA modulus")
 	}
-	return &mrsa.HalfKey{
+	return &mathx.ExpHalf{
 		N:    new(big.Int).SetBytes(sys.RSAModulus), //cryptolint:public (sanctioned keyfile serialization edge; the modulus is public)
 		Half: new(big.Int).SetBytes(u.RSAHalf),      //cryptolint:public (sanctioned keyfile serialization edge)
 	}, nil
@@ -236,7 +237,7 @@ func (u *User) RSAUserKey(sys *System) (*mrsa.HalfKey, error) {
 
 // BuildSEMs reconstructs the three SEM backends from a store, all sharing
 // one registry — what cmd/semd runs at startup.
-func (st *SEMStore) BuildSEMs(sys *System, reg *core.Registry) (*core.IBESEM, *core.GDHSEM, *core.RSASEM, error) {
+func (st *SEMStore) BuildSEMs(sys *System, reg *core.Registry) (*core.IBESEM, *core.GDHSEM, *core.ExpSEM, error) {
 	pub, err := sys.PublicParams()
 	if err != nil {
 		return nil, nil, nil, err
@@ -255,15 +256,15 @@ func (st *SEMStore) BuildSEMs(sys *System, reg *core.Registry) (*core.IBESEM, *c
 	for id, raw := range st.GDH {
 		gdh.Register(&core.GDHSEMKey{ID: id, X: new(big.Int).SetBytes(raw)}) //cryptolint:public (sanctioned keyfile serialization edge)
 	}
-	var rsa *core.RSASEM
+	var rsa *core.ExpSEM
 	if len(st.RSA) > 0 {
 		if len(sys.RSAModulus) == 0 {
 			return nil, nil, nil, fmt.Errorf("keyfile: SEM store has RSA halves but system has no modulus")
 		}
-		rsa = core.NewRSASEM(reg)
+		rsa = core.NewExpSEM(reg)
 		n := new(big.Int).SetBytes(sys.RSAModulus) //cryptolint:public (sanctioned keyfile serialization edge; the modulus is public)
 		for id, raw := range st.RSA {
-			rsa.Register(id, &mrsa.HalfKey{N: new(big.Int).Set(n), Half: new(big.Int).SetBytes(raw)}) //cryptolint:public (sanctioned keyfile serialization edge)
+			rsa.Register(id, &mathx.ExpHalf{N: new(big.Int).Set(n), Half: new(big.Int).SetBytes(raw)}) //cryptolint:public (sanctioned keyfile serialization edge)
 		}
 	}
 	return ibe, gdh, rsa, nil

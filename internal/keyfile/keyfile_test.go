@@ -111,7 +111,7 @@ func TestDeploymentWriteAndReload(t *testing.T) {
 		t.Fatal(err)
 	}
 	ci := new(big.Int).SetBytes(rct)
-	semHalf, err := rsaSEM.HalfDecrypt("alice@example.com", ci)
+	semHalf, err := rsaSEM.HalfOp("alice@example.com", core.RSACiphertext(rct))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -101,6 +101,41 @@ func RandomFieldElement(rng io.Reader, q *big.Int) (*big.Int, error) {
 	return RandomInRange(rng, one, q)
 }
 
+// ExpHalf is one additive half of a private exponent split over Z_n, bound
+// to its modulus: mediated RSA, GM and Rabin each give one to the user and
+// one to the SEM.
+//
+//cryptolint:secret
+type ExpHalf struct {
+	N    *big.Int //cryptolint:public (the modulus)
+	Half *big.Int
+}
+
+// Op applies the half exponent: x^Half mod N. It is the single primitive
+// both parties run, for decryption and signing alike; the two half-results
+// multiply to x^d.
+func (h *ExpHalf) Op(x *big.Int) *big.Int {
+	return new(big.Int).Exp(x, h.Half, h.N)
+}
+
+// SplitExponent splits the private exponent d of the modulus n additively,
+// d = d_user + d_sem (mod φ(n)): d_user is drawn uniformly from [1, n) and
+// d_sem = d − d_user mod φ(n). A nil rng means crypto/rand.
+func SplitExponent(rng io.Reader, n, d, phi *big.Int) (user, sem *ExpHalf, err error) {
+	if rng == nil {
+		rng = rand.Reader
+	}
+	du, err := RandomInRange(rng, one, n)
+	if err != nil {
+		return nil, nil, fmt.Errorf("sample user half: %w", err)
+	}
+	dsem := new(big.Int).Sub(d, du)
+	dsem.Mod(dsem, phi)
+	return &ExpHalf{N: new(big.Int).Set(n), Half: du},
+		&ExpHalf{N: new(big.Int).Set(n), Half: dsem},
+		nil
+}
+
 // RandomPrime returns a random prime with exactly the given bit length.
 func RandomPrime(rng io.Reader, bits int) (*big.Int, error) {
 	if bits < 2 {

@@ -3,6 +3,7 @@ package mathx
 import (
 	"crypto/rand"
 	"errors"
+	"io"
 	"math/big"
 	mrand "math/rand"
 	"testing"
@@ -374,5 +375,34 @@ func TestMulMod(t *testing.T) {
 	}
 	if got := MulMod(big.NewInt(-3), big.NewInt(5), m); got.Int64() != 82 {
 		t.Fatalf("MulMod(-3, 5, 97) = %v, want the residue in [0, m)", got)
+	}
+}
+
+func TestSplitExponent(t *testing.T) {
+	// n = 11·23, φ(n) = 220; any d works for the split's arithmetic.
+	n, phi, d := big.NewInt(253), big.NewInt(220), big.NewInt(147)
+	for _, rng := range []io.Reader{nil, rand.Reader} { // nil means crypto/rand
+		for i := 0; i < 50; i++ {
+			user, sem, err := SplitExponent(rng, n, d, phi)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if user.Half.Sign() <= 0 || user.Half.Cmp(n) >= 0 {
+				t.Fatalf("d_user = %v outside [1, n)", user.Half)
+			}
+			sum := new(big.Int).Add(user.Half, sem.Half)
+			if sum.Sub(sum, d).Mod(sum, phi).Sign() != 0 {
+				t.Fatalf("d_user + d_sem = %v + %v ≢ d (mod φ)", user.Half, sem.Half)
+			}
+			if user.N == n || sem.N == n || user.N == sem.N || user.N.Cmp(n) != 0 || sem.N.Cmp(n) != 0 {
+				t.Fatal("halves must carry their own copies of n")
+			}
+			// The half-results multiply to x^d for a unit x.
+			x := big.NewInt(int64(2 + i))
+			got := MulMod(user.Op(x), sem.Op(x), n)
+			if want := new(big.Int).Exp(x, d, n); got.Cmp(want) != 0 {
+				t.Fatalf("x^d_user·x^d_sem = %v, want x^d = %v", got, want)
+			}
+		}
 	}
 }

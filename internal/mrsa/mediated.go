@@ -25,33 +25,10 @@ import (
 // negligible with safe primes.
 var ErrIdentityExponent = errors.New("mrsa: identity exponent not invertible mod φ(n)")
 
-// HalfKey is one half of a split private exponent, bound to the modulus.
-//
-//cryptolint:secret
-type HalfKey struct {
-	N    *big.Int //cryptolint:public (the modulus)
-	Half *big.Int
-}
-
-// Split divides kp's private exponent into a user half and a SEM half.
-// Following the paper's Keygen, the user half is drawn uniformly from Z_n
-// and the SEM half is d − d_user mod φ(n).
-func Split(rng io.Reader, kp *KeyPair) (user, sem *HalfKey, err error) {
-	du, err := mathx.RandomInRange(rng, big.NewInt(1), kp.Public.N)
-	if err != nil {
-		return nil, nil, fmt.Errorf("sample user half: %w", err)
-	}
-	dsem := new(big.Int).Sub(kp.D, du)
-	dsem.Mod(dsem, kp.Phi)
-	return &HalfKey{N: new(big.Int).Set(kp.Public.N), Half: du},
-		&HalfKey{N: new(big.Int).Set(kp.Public.N), Half: dsem},
-		nil
-}
-
-// Op applies the half exponent: x^half mod n. It is the single primitive
-// both the user and the SEM run, for decryption and signing alike.
-func (h *HalfKey) Op(x *big.Int) *big.Int {
-	return new(big.Int).Exp(x, h.Half, h.N)
+// Split divides kp's private exponent into a user half and a SEM half
+// (mathx.SplitExponent, per the paper's Keygen).
+func Split(rng io.Reader, kp *KeyPair) (user, sem *mathx.ExpHalf, err error) {
+	return mathx.SplitExponent(rng, kp.Public.N, kp.D, kp.Phi)
 }
 
 // Combine multiplies two half-results modulo n.
@@ -64,30 +41,20 @@ func Combine(n, a, b *big.Int) *big.Int {
 // in-process): c → c^{d_u}·c^{d_sem} → OAEP decode. The networked variant
 // lives in internal/sem; this is the protocol reference and the benchmark
 // body.
-func MediatedDecrypt(pub *PublicKey, user, sem *HalfKey, ciphertext []byte) ([]byte, error) {
-	k := pub.ModulusBytes()
-	if len(ciphertext) != k {
+func MediatedDecrypt(pub *PublicKey, user, sem *mathx.ExpHalf, ciphertext []byte) ([]byte, error) {
+	if len(ciphertext) != pub.ModulusBytes() {
 		return nil, ErrDecrypt
 	}
 	c := new(big.Int).SetBytes(ciphertext)
 	if c.Cmp(pub.N) >= 0 {
 		return nil, ErrDecrypt
 	}
-	m := Combine(pub.N, user.Op(c), sem.Op(c))
-	em, err := mathx.PadBytes(m, k)
-	if err != nil {
-		return nil, ErrDecrypt
-	}
-	msg, err := oaepDecode(em, nil, k)
-	if err != nil {
-		return nil, ErrDecrypt
-	}
-	return msg, nil
+	return FinishDecrypt(pub, Combine(pub.N, user.Op(c), sem.Op(c)))
 }
 
 // FinishDecrypt OAEP-decodes a recombined mediated-decryption result
-// m = m_user·m_sem mod n. It is the user's final protocol step when the SEM
-// half arrived over the network (see internal/sem).
+// m = m_user·m_sem mod n: the user's final protocol step, in-process or
+// when the SEM half arrived over the network (see internal/sem).
 func FinishDecrypt(pub *PublicKey, combined *big.Int) ([]byte, error) {
 	k := pub.ModulusBytes()
 	em, err := mathx.PadBytes(combined, k)
@@ -101,13 +68,23 @@ func FinishDecrypt(pub *PublicKey, combined *big.Int) ([]byte, error) {
 	return msg, nil
 }
 
-// SignHalf computes one party's signature half over msg: EMSA(msg)^half.
-func SignHalf(h *HalfKey, msg []byte) (*big.Int, error) {
-	em, err := emsaEncode(msg, (h.N.BitLen()+7)/8)
+// EMSA returns the integer representative of msg's EMSA-PKCS1-v1_5 encoding
+// under the modulus n: the element both signing halves exponentiate.
+func EMSA(msg []byte, n *big.Int) (*big.Int, error) {
+	em, err := emsaEncode(msg, (n.BitLen()+7)/8)
 	if err != nil {
 		return nil, err
 	}
-	return h.Op(new(big.Int).SetBytes(em)), nil
+	return new(big.Int).SetBytes(em), nil
+}
+
+// SignHalf computes one party's signature half over msg: EMSA(msg)^half.
+func SignHalf(h *mathx.ExpHalf, msg []byte) (*big.Int, error) {
+	m, err := EMSA(msg, h.N)
+	if err != nil {
+		return nil, err
+	}
+	return h.Op(m), nil
 }
 
 // FinishSignature combines two signature halves, checks the result against
@@ -190,23 +167,17 @@ func (g *IBPKG) IdentityPublicKey(id string) *PublicKey {
 
 // IssueHalves derives the identity's private exponent and splits it between
 // the user and the SEM, per the paper's four-step Keygen.
-func (g *IBPKG) IssueHalves(rng io.Reader, id string) (user, sem *HalfKey, err error) {
-	e := IdentityExponent(id)
-	d, err := mathx.InverseMod(e, g.phi)
+func (g *IBPKG) IssueHalves(rng io.Reader, id string) (user, sem *mathx.ExpHalf, err error) {
+	d, err := g.FullExponent(id)
 	if err != nil {
-		return nil, nil, fmt.Errorf("%w: identity %q", ErrIdentityExponent, id)
+		return nil, nil, err
 	}
-	du, err := mathx.RandomInRange(rng, one, g.n)
-	if err != nil {
-		return nil, nil, fmt.Errorf("sample user half: %w", err)
-	}
-	dsem := new(big.Int).Sub(d, du)
-	dsem.Mod(dsem, g.phi)
-	return &HalfKey{N: g.Modulus(), Half: du}, &HalfKey{N: g.Modulus(), Half: dsem}, nil
+	return mathx.SplitExponent(rng, g.n, d, g.phi)
 }
 
-// FullExponent returns the unsplit private exponent for an identity. Only
-// the attack demonstrations use it (a real PKG never hands this out).
+// FullExponent returns the unsplit private exponent for an identity. Outside
+// IssueHalves only the attack demonstrations use it (a real PKG never hands
+// this out).
 func (g *IBPKG) FullExponent(id string) (*big.Int, error) {
 	d, err := mathx.InverseMod(IdentityExponent(id), g.phi)
 	if err != nil {

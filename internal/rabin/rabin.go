@@ -210,7 +210,7 @@ func (pk *PublicKey) ModulusBytes() int { return (pk.N.BitLen() + 7) / 8 }
 
 // Decrypt recovers a msgLen-byte plaintext with the full key.
 func (sk *PrivateKey) Decrypt(ciphertext []byte, msgLen int) ([]byte, error) {
-	c, err := sk.Public.parseCiphertext(ciphertext)
+	c, err := sk.Public.ParseCiphertext(ciphertext)
 	if err != nil {
 		return nil, err
 	}
@@ -218,8 +218,9 @@ func (sk *PrivateKey) Decrypt(ciphertext []byte, msgLen int) ([]byte, error) {
 	return sk.Public.FinishDecrypt(c, s, msgLen)
 }
 
-// parseCiphertext validates the wire form.
-func (pk *PublicKey) parseCiphertext(ciphertext []byte) (*big.Int, error) {
+// ParseCiphertext validates the wire form: exactly ModulusBytes long, and
+// an element of [1, n).
+func (pk *PublicKey) ParseCiphertext(ciphertext []byte) (*big.Int, error) {
 	if len(ciphertext) != pk.ModulusBytes() {
 		return nil, ErrDecrypt
 	}
@@ -250,38 +251,15 @@ func (pk *PublicKey) FinishDecrypt(c, s *big.Int, msgLen int) ([]byte, error) {
 	return nil, ErrDecrypt
 }
 
-// HalfKey is one additive half of the square-root exponent.
-//
-//cryptolint:secret
-type HalfKey struct {
-	N    *big.Int //cryptolint:public (the modulus)
-	Half *big.Int
-}
-
-// Split divides d into user and SEM halves mod φ(n).
-func Split(rng io.Reader, sk *PrivateKey) (user, sem *HalfKey, err error) {
-	if rng == nil {
-		rng = rand.Reader
-	}
-	du, err := mathx.RandomInRange(rng, one, sk.Public.N)
-	if err != nil {
-		return nil, nil, fmt.Errorf("sample user half: %w", err)
-	}
-	dsem := new(big.Int).Sub(sk.D, du)
-	dsem.Mod(dsem, sk.Phi)
-	return &HalfKey{N: new(big.Int).Set(sk.Public.N), Half: du},
-		&HalfKey{N: new(big.Int).Set(sk.Public.N), Half: dsem},
-		nil
-}
-
-// Op applies the half exponent.
-func (h *HalfKey) Op(x *big.Int) *big.Int {
-	return new(big.Int).Exp(x, h.Half, h.N)
+// Split divides d into user and SEM halves mod φ(n), mirroring the mRSA
+// split.
+func Split(rng io.Reader, sk *PrivateKey) (user, sem *mathx.ExpHalf, err error) {
+	return mathx.SplitExponent(rng, sk.Public.N, sk.D, sk.Phi)
 }
 
 // MediatedDecrypt runs the two-party decryption in-process.
-func MediatedDecrypt(pk *PublicKey, user, sem *HalfKey, ciphertext []byte, msgLen int) ([]byte, error) {
-	c, err := pk.parseCiphertext(ciphertext)
+func MediatedDecrypt(pk *PublicKey, user, sem *mathx.ExpHalf, ciphertext []byte, msgLen int) ([]byte, error) {
+	c, err := pk.ParseCiphertext(ciphertext)
 	if err != nil {
 		return nil, err
 	}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/curve"
 	"repro/internal/gm"
+	"repro/internal/mathx"
 	"repro/internal/mrsa"
 	"repro/internal/pairing"
 	"repro/internal/wire"
@@ -117,7 +118,7 @@ func (o *ops) RSAHalfDecrypt(pub *mrsa.PublicKey, id string, ciphertext *big.Int
 
 // DecryptRSA runs the user side of the mediated-RSA decryption protocol
 // over the network.
-func (o *ops) DecryptRSA(pub *mrsa.PublicKey, id string, userHalf *mrsa.HalfKey, ciphertext []byte) ([]byte, error) {
+func (o *ops) DecryptRSA(pub *mrsa.PublicKey, id string, userHalf *mathx.ExpHalf, ciphertext []byte) ([]byte, error) {
 	if len(ciphertext) != pub.ModulusBytes() {
 		return nil, mrsa.ErrDecrypt
 	}
@@ -145,7 +146,7 @@ func (o *ops) RSAHalfSign(pub *mrsa.PublicKey, id string, msg []byte) (*big.Int,
 
 // SignRSA runs the user side of the mediated-RSA signing protocol over the
 // network.
-func (o *ops) SignRSA(pub *mrsa.PublicKey, userHalf *mrsa.HalfKey, id string, msg []byte) ([]byte, error) {
+func (o *ops) SignRSA(pub *mrsa.PublicKey, userHalf *mathx.ExpHalf, id string, msg []byte) ([]byte, error) {
 	semHalf, err := o.RSAHalfSign(pub, id, msg)
 	if err != nil {
 		return nil, err
@@ -179,23 +180,12 @@ func (o *ops) GMHalfDecrypt(id string, cs []*big.Int) ([]*big.Int, error) {
 
 // DecryptGM runs the user side of the mediated Goldwasser-Micali
 // decryption protocol over the network.
-func (o *ops) DecryptGM(pk *gm.PublicKey, id string, userHalf *gm.HalfKey, cs []*big.Int) ([]byte, error) {
-	if len(cs)%8 != 0 {
-		return nil, fmt.Errorf("sem: GM ciphertext length %d not a multiple of 8", len(cs))
-	}
+func (o *ops) DecryptGM(pk *gm.PublicKey, id string, userHalf *mathx.ExpHalf, cs []*big.Int) ([]byte, error) {
 	semParts, err := o.GMHalfDecrypt(id, cs)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]byte, len(cs)/8)
-	for i, ct := range cs {
-		bit, err := gm.CombineBit(pk, userHalf.Op(ct), semParts[i])
-		if err != nil {
-			return nil, fmt.Errorf("element %d: %w", i, err)
-		}
-		out[i/8] |= bit << uint(7-i%8)
-	}
-	return out, nil
+	return gm.Combine(pk, userHalf, cs, semParts)
 }
 
 // Revoke instructs the SEM to revoke an identity.

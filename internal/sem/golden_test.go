@@ -18,7 +18,7 @@ import (
 
 	"repro/internal/bf"
 	"repro/internal/core"
-	"repro/internal/gm"
+	"repro/internal/mathx"
 	"repro/internal/mrsa"
 	"repro/internal/pairing"
 	"repro/internal/repl"
@@ -88,10 +88,10 @@ func goldenFullConfig(tb testing.TB, pp *pairing.Params) Config {
 		tb.Fatal(err)
 	}
 	n := ibpkg.IdentityPublicKey(testID).N
-	rsa := core.NewRSASEM(reg)
-	rsa.Register(testID, &mrsa.HalfKey{N: n, Half: big.NewInt(0x10001)})
-	gmSEM := core.NewGMSEM(reg)
-	gmSEM.Register(testID, &gm.HalfKey{N: n, Half: big.NewInt(0x2f)})
+	rsa := core.NewExpSEM(reg)
+	rsa.Register(testID, &mathx.ExpHalf{N: n, Half: big.NewInt(0x10001)})
+	gmSEM := core.NewExpSEM(reg)
+	gmSEM.Register(testID, &mathx.ExpHalf{N: n, Half: big.NewInt(0x2f)})
 	return Config{
 		Registry: reg, IBE: ibe, GDH: gdh, RSA: rsa, GM: gmSEM,
 		Threshold: goldenPlayer(tb, pp),

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/gm"
+	"repro/internal/mathx"
 	"repro/internal/mrsa"
 	"repro/internal/pairing"
 	"repro/internal/wire"
@@ -31,9 +32,9 @@ type fixture struct {
 	ibeUser *core.UserKeyHalf
 	gdhUser *core.GDHUserKey
 	rsaPub  *mrsa.PublicKey
-	rsaUser *mrsa.HalfKey
+	rsaUser *mathx.ExpHalf
 	gmKey   *gm.PrivateKey
-	gmUser  *gm.HalfKey
+	gmUser  *mathx.ExpHalf
 }
 
 const testID = "alice@example.com"
@@ -72,7 +73,7 @@ func newFixture(t *testing.T) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rsaSEM := core.NewRSASEM(reg)
+	rsaSEM := core.NewExpSEM(reg)
 	rsaUser, rsaSEMHalf, err := ibpkg.IssueHalves(rand.Reader, testID)
 	if err != nil {
 		t.Fatal(err)
@@ -84,7 +85,7 @@ func newFixture(t *testing.T) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gmSEM := core.NewGMSEM(reg)
+	gmSEM := core.NewExpSEM(reg)
 	gmUser, gmSEMHalf, err := gm.Split(rand.Reader, gmKey)
 	if err != nil {
 		t.Fatal(err)

@@ -59,8 +59,8 @@ type Config struct {
 	Registry *core.Registry
 	IBE      *core.IBESEM
 	GDH      *core.GDHSEM
-	RSA      *core.RSASEM
-	GM       *core.GMSEM
+	RSA      *core.ExpSEM
+	GM       *core.ExpSEM
 	// Threshold, when set, makes the daemon one decryption server of the
 	// paper's threshold IBE: it serves threshold_share from the player's
 	// installed key shares. Needs Pairing.
@@ -611,7 +611,7 @@ func (s *Server) rsaDecrypt(id string, payload []byte) ([]byte, error) {
 	if s.cfg.RSA == nil {
 		return nil, unsupported("RSA backend not configured")
 	}
-	half, err := s.cfg.RSA.HalfDecryptBytes(id, payload)
+	half, err := s.cfg.RSA.HalfOp(id, core.RSACiphertext(payload))
 	if err != nil {
 		return nil, err
 	}
@@ -622,7 +622,7 @@ func (s *Server) rsaSign(id string, payload []byte) ([]byte, error) {
 	if s.cfg.RSA == nil {
 		return nil, unsupported("RSA backend not configured")
 	}
-	half, err := s.cfg.RSA.HalfSign(id, payload)
+	half, err := s.cfg.RSA.HalfOp(id, core.RSAMessage(payload))
 	if err != nil {
 		return nil, err
 	}
@@ -637,7 +637,7 @@ func (s *Server) gmDecrypt(id string, payload []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	halves, err := s.cfg.GM.HalfDecrypt(id, cs)
+	halves, err := s.cfg.GM.HalfDecryptGM(id, cs)
 	if err != nil {
 		return nil, err
 	}
