@@ -429,7 +429,7 @@ const batchCoefficientBits = 128
 //
 // The soundness argument is about equations between elements of G1 and GT.
 // For Gᵢ, W1ᵢ, W2ᵢ membership is the decoding boundary's business
-// (wire.UnmarshalGTBatch), checked there per element and never folded. A Vᵢ
+// (wire.UnmarshalGT), checked there per element and never folded. A Vᵢ
 // need only be a point of E(F_p): it enters nothing but the sum Σ aᵢ·Vᵢ —
 // exact on the whole curve — which is then the evaluation point of a pairing
 // whose walked argument ρ·P + U is in G1, and that argument is

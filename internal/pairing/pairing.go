@@ -328,6 +328,15 @@ func (pp *Params) GTFromBytes(data []byte) (*GT, error) {
 // trace ladder over q. Either is the verdict of the generic g^q == 1 on
 // every input, zero and non-unitary elements included, and allocates
 // nothing.
+//
+// A batch of k elements is checked by k InGT calls, never by one test on a
+// random linear combination t = ∏ gᵢ^{rᵢ}: that check is UNSOUND here. The
+// cofactor c = (p²−1)/q is even, so F_p²* has small-order components
+// outside the q-subgroup (e.g. −1, order 2), and gᵢ·ε with ord(ε) = m slips
+// through whenever rᵢ ≡ 0 (mod m) — probability 1/m per attempt, retryable,
+// nowhere near 2⁻⁶⁴. Random combinations reach 2⁻λ soundness only when the
+// quotient group has no small-order subgroups, which this one structurally
+// cannot satisfy.
 func (pp *Params) InGT(g *GT) bool {
 	return pp.gt.Contains(g.v)
 }

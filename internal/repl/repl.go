@@ -45,10 +45,11 @@
 // higher value than any predecessor's).
 //
 // Transport is the existing SEM v2 wire protocol: three ops
-// (repl.append / repl.snapshot / repl.status) whose payloads are encoded
-// by internal/wire. This package never touches sockets — the Leader
-// speaks through the Peer interface and internal/sem provides the
-// concrete client adapter, keeping repl testable with in-memory peers.
+// (repl.append / repl.snapshot / repl.status) whose payloads this package
+// encodes from the journal's own types (codec.go). It never touches
+// sockets — the Leader speaks through the Peer interface and internal/sem
+// provides the concrete client adapter, keeping repl testable with
+// in-memory peers.
 package repl
 
 import (
@@ -79,9 +80,10 @@ var (
 	ErrNotLeader = errors.New("repl: not the revocation leader")
 )
 
-// SnapshotChunk is one slice of a full-state transfer, in application
-// form. Entries across all Chunks chunks of the same (Epoch, BaseSeq)
-// snapshot concatenate to the complete revocation set as of BaseSeq.
+// SnapshotChunk is one slice of a full-state transfer, in the one form the
+// follower applies and the wire carries (MarshalSnapshotChunk). Entries
+// across all Chunks chunks of the same (Epoch, BaseSeq) snapshot
+// concatenate to the complete revocation set as of BaseSeq.
 type SnapshotChunk struct {
 	Epoch   uint64
 	BaseSeq uint64

@@ -14,6 +14,7 @@ import (
 	"repro/internal/mathx"
 	"repro/internal/mrsa"
 	"repro/internal/pairing"
+	"repro/internal/parallel"
 	"repro/internal/wire"
 )
 
@@ -50,6 +51,105 @@ var errNoPairing = errors.New("sem: client has no pairing params")
 // down ourselves" (eviction, shutdown), never that the peer died.
 var ErrClientClosed = errors.New("sem: client closed")
 
+// call is the one single-item path: the op's request goes out through the
+// transport and the SEM's answer comes back only through check, the op's
+// validator.
+func call[T any](o *ops, op byte, id string, payload []byte, check func([]byte) (T, error)) (T, error) {
+	raw, err := o.t.one(op, id, payload)
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	return check(raw)
+}
+
+// batch is the one multi-item path: it marshals each operand, sends the
+// items through the transport and runs check on every answered slot,
+// fanned across cores, demoting a slot that fails validation to an error.
+// results and errs are index-aligned with the inputs; a non-nil err
+// reports a transport failure partway through, in which case the slots
+// answered before it are still validated and returned and the voided ones
+// carry that error in errs.
+func batch[X, T any](o *ops, op byte, ids []string, xs []X, marshal func(X) []byte, check func([]byte) (T, error)) (results []T, errs []error, err error) {
+	if len(ids) != len(xs) {
+		return nil, nil, fmt.Errorf("sem: batch has %d ids but %d operands", len(ids), len(xs))
+	}
+	payloads := make([][]byte, len(xs))
+	for i, x := range xs {
+		payloads[i] = marshal(x)
+	}
+	raws, errs, err := o.t.many(op, ids, payloads)
+	if raws == nil {
+		return nil, nil, err
+	}
+	results = make([]T, len(raws))
+	parallel.Fan(len(raws), func(i int) {
+		if errs[i] == nil {
+			results[i], errs[i] = check(raws[i])
+		}
+	})
+	return results, errs, err
+}
+
+func marshalPoint(p *curve.Point) []byte { return p.Marshal() }
+func marshalInt(x *big.Int) []byte       { return x.Bytes() } //cryptolint:public (sanctioned wire serialization edge: ciphertexts are on the wire by design, SEM half delivery is the enrollment protocol)
+
+// gt and g1 validate a GT and a G1 answer: canonical encoding and order-q
+// membership.
+func (o *ops) gt(raw []byte) (*pairing.GT, error)  { return wire.UnmarshalGT(o.pp, raw) }
+func (o *ops) g1(raw []byte) (*curve.Point, error) { return wire.UnmarshalG1(o.pp.Curve(), raw) }
+
+// below validates a Z_n answer: a residue in [0, n).
+func below(n *big.Int) func([]byte) (*big.Int, error) {
+	return func(raw []byte) (*big.Int, error) { return wire.UnmarshalScalar(raw, n) }
+}
+
+// revoked validates a status answer: exactly one byte, 1 for revoked and 0
+// for not.
+func revoked(raw []byte) (bool, error) {
+	if len(raw) != 1 || raw[0] > 1 {
+		return false, fmt.Errorf("%w: revocation status %x, want one byte 0 or 1", ErrProtocol, raw)
+	}
+	return raw[0] == 1, nil
+}
+
+// ignore reads nothing from an answer: the register ops answer with an
+// empty payload the caller has no use for.
+func ignore([]byte) (struct{}, error) { return struct{}{}, nil }
+
+// share validates a threshold player's answer: G, W1 and W2 must be in GT,
+// and the challenge E below q. Every element comes from a
+// possibly-misbehaving player, so all of it is checked before it enters
+// verification arithmetic. A proof's V is decoded as what it is to the
+// verifier, the evaluation point of one pairing (wire.UnmarshalPairingArg:
+// canonical, on the curve, not O — no [q]· ladder): a cofactor component
+// in it changes nothing the proof check sees, and a V with no order-q part
+// fails that check like any other wrong V (core.VerifyShareProofs,
+// DESIGN §7).
+func (o *ops) share(raw []byte) (*core.DecryptionShare, error) {
+	gt, point, scalar := shareWidths(o.pp)
+	if size := 3*gt + point + scalar; len(raw) != size {
+		return nil, fmt.Errorf("%w: threshold share is %d bytes, want %d", ErrProtocol, len(raw), size)
+	}
+	var gs [3]*pairing.GT
+	for k := range gs {
+		g, err := o.gt(raw[k*gt : (k+1)*gt])
+		if err != nil {
+			return nil, err
+		}
+		gs[k] = g
+	}
+	v, err := wire.UnmarshalPairingArg(o.pp.Curve(), raw[3*gt:3*gt+point])
+	if err != nil {
+		return nil, err
+	}
+	e, err := wire.UnmarshalScalar(raw[3*gt+point:], o.pp.Q())
+	if err != nil {
+		return nil, err
+	}
+	return &core.DecryptionShare{G: gs[0], Proof: &core.ShareProof{W1: gs[1], W2: gs[2], E: e, V: v}}, nil
+}
+
 // Ping checks liveness.
 func (o *ops) Ping() error {
 	_, err := o.t.one(opPing, "", nil)
@@ -62,11 +162,17 @@ func (o *ops) IBEToken(id string, u *curve.Point) (*pairing.GT, error) {
 	if o.pp == nil {
 		return nil, errNoPairing
 	}
-	raw, err := o.t.one(opIBEToken, id, u.Marshal())
-	if err != nil {
-		return nil, err
+	return call(o, opIBEToken, id, u.Marshal(), o.gt)
+}
+
+// TokenBatch requests decryption tokens for k (id, U) pairs in one frame
+// per negotiated chunk — the batch counterpart of IBEToken, each token
+// checked as IBEToken checks it.
+func (o *ops) TokenBatch(ids []string, us []*curve.Point) (tokens []*pairing.GT, errs []error, err error) {
+	if o.pp == nil {
+		return nil, nil, errNoPairing
 	}
-	return wire.UnmarshalGT(o.pp, raw)
+	return batch(o, opIBEToken, ids, us, marshalPoint, o.gt)
 }
 
 // DecryptIBE runs the user side of the full mediated-IBE decryption
@@ -85,11 +191,16 @@ func (o *ops) GDHHalfSign(id string, h *curve.Point) (*curve.Point, error) {
 	if o.pp == nil {
 		return nil, errNoPairing
 	}
-	raw, err := o.t.one(opGDHSign, id, h.Marshal())
-	if err != nil {
-		return nil, err
+	return call(o, opGDHSign, id, h.Marshal(), o.g1)
+}
+
+// GDHHalfSignBatch requests SEM half-signatures for k (id, h(M)) pairs —
+// the batch counterpart of GDHHalfSign.
+func (o *ops) GDHHalfSignBatch(ids []string, hs []*curve.Point) (halves []*curve.Point, errs []error, err error) {
+	if o.pp == nil {
+		return nil, nil, errNoPairing
 	}
-	return wire.UnmarshalG1(o.pp.Curve(), raw)
+	return batch(o, opGDHSign, ids, hs, marshalPoint, o.g1)
 }
 
 // SignGDH runs the user side of the full mediated-GDH signing protocol over
@@ -106,18 +217,9 @@ func (o *ops) SignGDH(key *core.GDHUserKey, msg []byte) (*curve.Point, error) {
 	return core.UserSign(key, msg, semHalf)
 }
 
-// RSAHalfDecrypt requests m_sem = c^{d_sem} mod n. The public key carries
-// the modulus the SEM's response is range-checked against.
-func (o *ops) RSAHalfDecrypt(pub *mrsa.PublicKey, id string, ciphertext *big.Int) (*big.Int, error) {
-	raw, err := o.t.one(opRSADecrypt, id, ciphertext.Bytes()) //cryptolint:public (sanctioned wire serialization edge; the ciphertext is on the wire by design)
-	if err != nil {
-		return nil, err
-	}
-	return wire.UnmarshalScalar(raw, pub.N)
-}
-
 // DecryptRSA runs the user side of the mediated-RSA decryption protocol
-// over the network.
+// over the network: the SEM's m_sem = c^{d_sem} mod n is range-checked
+// against the public modulus before it is combined.
 func (o *ops) DecryptRSA(pub *mrsa.PublicKey, id string, userHalf *mathx.ExpHalf, ciphertext []byte) ([]byte, error) {
 	if len(ciphertext) != pub.ModulusBytes() {
 		return nil, mrsa.ErrDecrypt
@@ -126,7 +228,7 @@ func (o *ops) DecryptRSA(pub *mrsa.PublicKey, id string, userHalf *mathx.ExpHalf
 	if err != nil {
 		return nil, mrsa.ErrDecrypt
 	}
-	semHalf, err := o.RSAHalfDecrypt(pub, id, ci)
+	semHalf, err := call(o, opRSADecrypt, id, marshalInt(ci), below(pub.N))
 	if err != nil {
 		return nil, err
 	}
@@ -134,14 +236,16 @@ func (o *ops) DecryptRSA(pub *mrsa.PublicKey, id string, userHalf *mathx.ExpHalf
 	return mrsa.FinishDecrypt(pub, combined)
 }
 
+// RSAHalfDecryptBatch requests m_sem = c^{d_sem} mod n for k ciphertexts,
+// each response range-checked against the public modulus.
+func (o *ops) RSAHalfDecryptBatch(pub *mrsa.PublicKey, ids []string, cts []*big.Int) (halves []*big.Int, errs []error, err error) {
+	return batch(o, opRSADecrypt, ids, cts, marshalInt, below(pub.N))
+}
+
 // RSAHalfSign requests EMSA(msg)^{d_sem} mod n. The public key carries the
 // modulus the SEM's response is range-checked against.
 func (o *ops) RSAHalfSign(pub *mrsa.PublicKey, id string, msg []byte) (*big.Int, error) {
-	raw, err := o.t.one(opRSASign, id, msg)
-	if err != nil {
-		return nil, err
-	}
-	return wire.UnmarshalScalar(raw, pub.N)
+	return call(o, opRSASign, id, msg, below(pub.N))
 }
 
 // SignRSA runs the user side of the mediated-RSA signing protocol over the
@@ -158,34 +262,39 @@ func (o *ops) SignRSA(pub *mrsa.PublicKey, userHalf *mathx.ExpHalf, id string, m
 	return mrsa.FinishSignature(pub, msg, mine, semHalf)
 }
 
-// GMHalfDecrypt requests the SEM half-results for a bitwise GM ciphertext.
-func (o *ops) GMHalfDecrypt(id string, cs []*big.Int) ([]*big.Int, error) {
+// DecryptGM runs the user side of the mediated Goldwasser-Micali
+// decryption protocol over the network; gm.Combine checks the SEM's
+// half-results against the ciphertext.
+func (o *ops) DecryptGM(pk *gm.PublicKey, id string, userHalf *mathx.ExpHalf, cs []*big.Int) ([]byte, error) {
 	payload, err := wire.PackInts(cs)
 	if err != nil {
 		return nil, err
 	}
-	raw, err := o.t.one(opGMDecrypt, id, payload)
-	if err != nil {
-		return nil, err
-	}
-	halves, err := wire.UnpackInts(raw)
-	if err != nil {
-		return nil, err
-	}
-	if len(halves) != len(cs) {
-		return nil, fmt.Errorf("sem: GM response has %d elements, want %d", len(halves), len(cs))
-	}
-	return halves, nil
-}
-
-// DecryptGM runs the user side of the mediated Goldwasser-Micali
-// decryption protocol over the network.
-func (o *ops) DecryptGM(pk *gm.PublicKey, id string, userHalf *mathx.ExpHalf, cs []*big.Int) ([]byte, error) {
-	semParts, err := o.GMHalfDecrypt(id, cs)
+	semParts, err := call(o, opGMDecrypt, id, payload, wire.UnpackInts)
 	if err != nil {
 		return nil, err
 	}
 	return gm.Combine(pk, userHalf, cs, semParts)
+}
+
+// ThresholdShare requests a threshold-IBE player's decryption share
+// ê(U, d_IDi) with its robustness proof (paper §3.2). The share's Index is
+// left zero: the wire carries none, and the caller stamps the player it
+// dialed before verifying — so a player cannot pass off another's share.
+func (o *ops) ThresholdShare(id string, u *curve.Point) (*core.DecryptionShare, error) {
+	if o.pp == nil {
+		return nil, errNoPairing
+	}
+	return call(o, opThresholdShare, id, u.Marshal(), o.share)
+}
+
+// ThresholdShareBatch requests one player's shares for k (id, U) pairs —
+// the batch counterpart of ThresholdShare.
+func (o *ops) ThresholdShareBatch(ids []string, us []*curve.Point) (shares []*core.DecryptionShare, errs []error, err error) {
+	if o.pp == nil {
+		return nil, nil, errNoPairing
+	}
+	return batch(o, opThresholdShare, ids, us, marshalPoint, o.share)
 }
 
 // Revoke instructs the SEM to revoke an identity.
@@ -200,13 +309,10 @@ func (o *ops) Unrevoke(id string) error {
 	return err
 }
 
-// Status reports whether an identity is revoked.
+// Status reports whether an identity is revoked. An answer other than
+// one byte 0 or 1 is an ErrProtocol, never a verdict.
 func (o *ops) Status(id string) (bool, error) {
-	raw, err := o.t.one(opStatus, id, nil)
-	if err != nil {
-		return false, err
-	}
-	return len(raw) == 1 && raw[0] == 1, nil //cryptolint:public (one-byte revocation status straight off the wire)
+	return call(o, opStatus, id, nil, revoked)
 }
 
 // RegisterIBE installs the SEM half of id's mediated IBE key. The server
@@ -216,11 +322,27 @@ func (o *ops) RegisterIBE(id string, d *curve.Point) error {
 	return err
 }
 
+// RegisterIBEBatch installs k SEM IBE halves in one frame per negotiated
+// chunk — the bulk-enrollment path semload uses to seed a million
+// identities. errs is index-aligned; err reports a transport failure
+// partway through.
+func (o *ops) RegisterIBEBatch(ids []string, ds []*curve.Point) ([]error, error) {
+	_, errs, err := batch(o, opRegisterIBE, ids, ds, marshalPoint, ignore)
+	return errs, err
+}
+
 // RegisterGDH installs the SEM half of id's GDH signing key. The server
 // must have been started with AllowRegister.
 func (o *ops) RegisterGDH(id string, x *big.Int) error {
-	_, err := o.t.one(opRegisterGDH, id, x.Bytes()) //cryptolint:public (sanctioned wire serialization edge; SEM half delivery is the enrollment protocol)
+	_, err := o.t.one(opRegisterGDH, id, marshalInt(x))
 	return err
+}
+
+// RegisterGDHBatch installs k SEM GDH halves in one frame per negotiated
+// chunk.
+func (o *ops) RegisterGDHBatch(ids []string, xs []*big.Int) ([]error, error) {
+	_, errs, err := batch(o, opRegisterGDH, ids, xs, marshalInt, ignore)
+	return errs, err
 }
 
 // ErrPartialList reports that ListRevoked dropped entries it could not
@@ -255,195 +377,6 @@ func (o *ops) ListRevoked() ([]core.RevocationEntry, error) {
 		return entries, fmt.Errorf("%w: dropped %d of %d", ErrPartialList, dropped, len(raw))
 	}
 	return entries, nil
-}
-
-// marshalAll applies one serializer across a batch's operands.
-func marshalAll[T any](ids []string, xs []T, marshal func(T) []byte) ([][]byte, error) {
-	if len(ids) != len(xs) {
-		return nil, fmt.Errorf("sem: batch has %d ids but %d operands", len(ids), len(xs))
-	}
-	payloads := make([][]byte, len(xs))
-	for i, x := range xs {
-		payloads[i] = marshal(x)
-	}
-	return payloads, nil
-}
-
-func marshalPoint(p *curve.Point) []byte { return p.Marshal() }
-func marshalInt(x *big.Int) []byte       { return x.Bytes() } //cryptolint:public (sanctioned wire serialization edge: ciphertexts are on the wire by design, SEM half delivery is the enrollment protocol)
-
-// TokenBatch requests decryption tokens for k (id, U) pairs in one frame
-// per negotiated chunk and validates the returned tokens with a single
-// batched subgroup check (order-q membership for the whole batch in one
-// combined exponentiation, per-item fallback pinpointing offenders only
-// when something is actually bad) — the batch counterpart of IBEToken.
-// tokens and errs are index-aligned with the inputs; a non-nil err reports
-// a transport failure partway through, in which case tokens fetched before
-// the failure are still returned and the voided slots carry that error in
-// errs.
-func (o *ops) TokenBatch(ids []string, us []*curve.Point) (tokens []*pairing.GT, errs []error, err error) {
-	if o.pp == nil {
-		return nil, nil, errNoPairing
-	}
-	payloads, err := marshalAll(ids, us, marshalPoint)
-	if err != nil {
-		return nil, nil, err
-	}
-	raws, errs, err := o.t.many(opIBEToken, ids, payloads)
-	if raws == nil {
-		return nil, nil, err
-	}
-	for i := range raws {
-		if errs[i] != nil {
-			raws[i] = nil
-		}
-	}
-	tokens, gtErrs, berr := wire.UnmarshalGTBatch(o.pp, raws)
-	if berr != nil {
-		return nil, nil, fmt.Errorf("sem: batch token validation: %w", berr)
-	}
-	for i, e := range gtErrs {
-		if errs[i] == nil && e != nil {
-			errs[i] = e
-		}
-	}
-	return tokens, errs, err
-}
-
-// decodeEach validates every successful slot of a batch with decode,
-// demoting a slot that fails validation to an error.
-func decodeEach[T any](raws [][]byte, errs []error, decode func([]byte) (T, error)) []T {
-	out := make([]T, len(raws))
-	for i, raw := range raws {
-		if errs[i] == nil {
-			out[i], errs[i] = decode(raw)
-		}
-	}
-	return out
-}
-
-// GDHHalfSignBatch requests SEM half-signatures for k (id, h(M)) pairs —
-// the batch counterpart of GDHHalfSign. Each returned point passes the
-// same subgroup validation as the single-op path.
-func (o *ops) GDHHalfSignBatch(ids []string, hs []*curve.Point) (halves []*curve.Point, errs []error, err error) {
-	if o.pp == nil {
-		return nil, nil, errNoPairing
-	}
-	payloads, err := marshalAll(ids, hs, marshalPoint)
-	if err != nil {
-		return nil, nil, err
-	}
-	raws, errs, err := o.t.many(opGDHSign, ids, payloads)
-	if raws == nil {
-		return nil, nil, err
-	}
-	c := o.pp.Curve()
-	return decodeEach(raws, errs, func(raw []byte) (*curve.Point, error) { return wire.UnmarshalG1(c, raw) }), errs, err
-}
-
-// RSAHalfDecryptBatch requests m_sem = c^{d_sem} mod n for k ciphertexts —
-// the batch counterpart of RSAHalfDecrypt. Responses are range-checked
-// against the public modulus like the single-op path.
-func (o *ops) RSAHalfDecryptBatch(pub *mrsa.PublicKey, ids []string, cts []*big.Int) (halves []*big.Int, errs []error, err error) {
-	payloads, err := marshalAll(ids, cts, marshalInt)
-	if err != nil {
-		return nil, nil, err
-	}
-	raws, errs, err := o.t.many(opRSADecrypt, ids, payloads)
-	if raws == nil {
-		return nil, nil, err
-	}
-	return decodeEach(raws, errs, func(raw []byte) (*big.Int, error) { return wire.UnmarshalScalar(raw, pub.N) }), errs, err
-}
-
-// ThresholdShare requests a threshold-IBE player's decryption share
-// ê(U, d_IDi) with its robustness proof (paper §3.2). The share's Index is
-// left zero: the wire carries none, and the caller stamps the player it
-// dialed before verifying — so a player cannot pass off another's share.
-func (o *ops) ThresholdShare(id string, u *curve.Point) (*core.DecryptionShare, error) {
-	shares, errs, err := o.ThresholdShareBatch([]string{id}, []*curve.Point{u})
-	if shares == nil {
-		return nil, err
-	}
-	return shares[0], errs[0]
-}
-
-// ThresholdShareBatch requests one player's shares for k (id, U) pairs —
-// the batch counterpart of ThresholdShare. Every element comes from a
-// possibly-misbehaving player, so before any of it enters verification
-// arithmetic the 3k GT elements (share value and both proof commitments)
-// pass the order-q membership check in one batched pass and each challenge
-// the F_q range check. A proof's V is decoded as what it is to the verifier,
-// the evaluation point of one pairing (wire.UnmarshalPairingArg: canonical,
-// on the curve, not O — no [q]· ladder): a cofactor component in it changes
-// nothing the proof check sees, and a V with no order-q part fails that
-// check like any other wrong V (core.VerifyShareProofs, DESIGN §7).
-func (o *ops) ThresholdShareBatch(ids []string, us []*curve.Point) (shares []*core.DecryptionShare, errs []error, err error) {
-	if o.pp == nil {
-		return nil, nil, errNoPairing
-	}
-	payloads, err := marshalAll(ids, us, marshalPoint)
-	if err != nil {
-		return nil, nil, err
-	}
-	raws, errs, err := o.t.many(opThresholdShare, ids, payloads)
-	if raws == nil {
-		return nil, nil, err
-	}
-	gt, point, scalar := shareWidths(o.pp)
-	size := 3*gt + point + scalar
-	gtRaws := make([][]byte, 3*len(raws))
-	for i, raw := range raws {
-		if errs[i] == nil && len(raw) != size {
-			errs[i] = fmt.Errorf("%w: threshold share is %d bytes, want %d", ErrProtocol, len(raw), size)
-		}
-		if errs[i] == nil {
-			gtRaws[3*i], gtRaws[3*i+1], gtRaws[3*i+2] = raw[:gt], raw[gt:2*gt], raw[2*gt:3*gt]
-		}
-	}
-	gs, gtErrs, berr := wire.UnmarshalGTBatch(o.pp, gtRaws)
-	if berr != nil {
-		return nil, nil, fmt.Errorf("sem: batch share validation: %w", berr)
-	}
-	shares = make([]*core.DecryptionShare, len(raws))
-	for i, raw := range raws {
-		if errs[i] == nil {
-			errs[i] = errors.Join(gtErrs[3*i], gtErrs[3*i+1], gtErrs[3*i+2])
-		}
-		if errs[i] != nil {
-			continue
-		}
-		v, verr := wire.UnmarshalPairingArg(o.pp.Curve(), raw[3*gt:3*gt+point])
-		e, eerr := wire.UnmarshalScalar(raw[3*gt+point:], o.pp.Q())
-		if errs[i] = errors.Join(verr, eerr); errs[i] == nil {
-			shares[i] = &core.DecryptionShare{G: gs[3*i], Proof: &core.ShareProof{W1: gs[3*i+1], W2: gs[3*i+2], E: e, V: v}}
-		}
-	}
-	return shares, errs, err
-}
-
-// RegisterIBEBatch installs k SEM IBE halves in one frame per negotiated
-// chunk — the bulk-enrollment path semload uses to seed a million
-// identities. errs is index-aligned; err reports a transport failure
-// partway through.
-func (o *ops) RegisterIBEBatch(ids []string, ds []*curve.Point) ([]error, error) {
-	payloads, err := marshalAll(ids, ds, marshalPoint)
-	if err != nil {
-		return nil, err
-	}
-	_, errs, err := o.t.many(opRegisterIBE, ids, payloads)
-	return errs, err
-}
-
-// RegisterGDHBatch installs k SEM GDH halves in one frame per negotiated
-// chunk.
-func (o *ops) RegisterGDHBatch(ids []string, xs []*big.Int) ([]error, error) {
-	payloads, err := marshalAll(ids, xs, marshalInt)
-	if err != nil {
-		return nil, err
-	}
-	_, errs, err := o.t.many(opRegisterGDH, ids, payloads)
-	return errs, err
 }
 
 // WireStats accumulates protocol traffic for one operation class.

@@ -1,10 +1,19 @@
 package sem
 
 import (
+	"bytes"
 	"errors"
+	"math/big"
+	"net"
 	"testing"
+	"time"
 
 	"repro/internal/core"
+	"repro/internal/curve"
+	"repro/internal/curve/curvetest"
+	"repro/internal/mrsa"
+	"repro/internal/pairing"
+	"repro/internal/wire"
 )
 
 // TestClientCloseIdempotent covers the close contract of a dialed client:
@@ -77,4 +86,115 @@ func TestRemoteErrorClassification(t *testing.T) {
 	if err := c.Ping(); err == nil || errors.Is(err, ErrRemote) || errors.Is(err, ErrClientClosed) {
 		t.Fatalf("transport error %v misclassified", err)
 	}
+}
+
+// answering dials a scripted SEM that answers every item of every frame
+// with answer(slot).
+func answering(t *testing.T, pp *pairing.Params, answer func(slot int) []byte) *Pool {
+	t.Helper()
+	addr := fakeSEM(t, DefaultMaxBatch, func(conn net.Conn) {
+		answerFrames(conn, func(_ byte, items []wire.ReqItem) []wire.RespItem {
+			resp := make([]wire.RespItem, len(items))
+			for i := range resp {
+				resp[i] = wire.RespItem{Status: statusOK, Data: answer(i)}
+			}
+			return resp
+		})
+	})
+	c, err := Dial(addr, pp, 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = c.Close() })
+	return c
+}
+
+// TestStatusRefusesMalformedAnswers: a status answer is one byte, 0 or 1.
+// Anything else is a protocol error, never "not revoked".
+func TestStatusRefusesMalformedAnswers(t *testing.T) {
+	for _, tc := range []struct {
+		answer  []byte
+		revoked bool
+		err     error
+	}{
+		{answer: []byte{0}},
+		{answer: []byte{1}, revoked: true},
+		{answer: []byte{}, err: ErrProtocol},
+		{answer: []byte{1, 0}, err: ErrProtocol},
+		{answer: []byte{2}, err: ErrProtocol},
+	} {
+		c := answering(t, nil, func(int) []byte { return tc.answer })
+		revoked, err := c.Status(testID)
+		if revoked != tc.revoked || !errors.Is(err, tc.err) || (tc.err == nil) != (err == nil) {
+			t.Errorf("answer %x: Status = %v, %v; want %v, %v", tc.answer, revoked, err, tc.revoked, tc.err)
+		}
+	}
+}
+
+// TestBatchFormsRefuseOneLyingSlot scripts a SEM that answers every slot of
+// a batch honestly except slot 1, in each batch form that returns values:
+// exactly that slot must fail with ErrProtocol and a nil result, and every
+// other slot must validate — each answer is checked, and in its own slot.
+func TestBatchFormsRefuseOneLyingSlot(t *testing.T) {
+	f := newThresholdFixture(t)
+	pp := f.pp
+	honestShare, err := f.srv.thresholdShare(testID, f.u.Marshal())
+	if err != nil {
+		t.Fatal(err)
+	}
+	token, err := pp.Pair(pp.Generator(), f.u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gt, _, _ := shareWidths(pp)
+	outsider := pp.Field().NewElement(big.NewInt(2), big.NewInt(3)).Bytes()
+	tamperedW1 := bytes.Clone(honestShare)
+	copy(tamperedW1[gt:], outsider)
+	pub := &mrsa.PublicKey{N: big.NewInt(1000003), E: big.NewInt(3)}
+	ids := []string{testID, testID, testID}
+	us := []*curve.Point{f.u, f.u, f.u}
+	cts := []*big.Int{big.NewInt(2), big.NewInt(3), big.NewInt(4)}
+
+	for _, tc := range []struct {
+		name        string
+		honest, lie []byte
+		run         func(*Pool) ([]bool, []error, error)
+	}{
+		{"token outside GT", token.Bytes(), outsider,
+			func(c *Pool) ([]bool, []error, error) { return answered(c.TokenBatch(ids, us)) }},
+		{"half-signature of cofactor order", pp.Generator().Marshal(), curvetest.RandomCofactorPoint(pp.Curve()).Marshal(),
+			func(c *Pool) ([]bool, []error, error) { return answered(c.GDHHalfSignBatch(ids, us)) }},
+		{"RSA half not below n", big.NewInt(5).Bytes(), pub.N.Bytes(),
+			func(c *Pool) ([]bool, []error, error) { return answered(c.RSAHalfDecryptBatch(pub, ids, cts)) }},
+		{"share with W1 outside GT", honestShare, tamperedW1,
+			func(c *Pool) ([]bool, []error, error) { return answered(c.ThresholdShareBatch(ids, us)) }},
+		{"share one byte short", honestShare, honestShare[:len(honestShare)-1],
+			func(c *Pool) ([]bool, []error, error) { return answered(c.ThresholdShareBatch(ids, us)) }},
+	} {
+		c := answering(t, pp, func(slot int) []byte {
+			if slot == 1 {
+				return tc.lie
+			}
+			return tc.honest
+		})
+		got, errs, err := tc.run(c)
+		if err != nil || len(got) != 3 || len(errs) != 3 {
+			t.Fatalf("%s: %d results, %d errs, err %v", tc.name, len(got), len(errs), err)
+		}
+		for i := range got {
+			if lying := i == 1; got[i] == lying || (errs[i] != nil) != lying || (lying && !errors.Is(errs[i], ErrProtocol)) {
+				t.Errorf("%s: slot %d: result present %v, err %v", tc.name, i, got[i], errs[i])
+			}
+		}
+	}
+}
+
+// answered reports which slots of a batch came back with a result.
+func answered[T comparable](results []T, errs []error, err error) ([]bool, []error, error) {
+	var zero T
+	got := make([]bool, len(results))
+	for i, r := range results {
+		got[i] = r != zero
+	}
+	return got, errs, err
 }

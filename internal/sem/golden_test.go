@@ -170,16 +170,16 @@ func goldenSteps(t testing.TB, pp *pairing.Params) []goldenStep {
 		return p.Marshal()
 	}
 	u, h := point("U"), point("h(M)")
-	when := time.Date(2024, 1, 2, 3, 4, 5, 6, time.UTC).UnixNano()
-	records := func(leaderEpoch uint64, recs ...wire.ReplRecord) []byte {
-		b, err := wire.AppendReplRecords(nil, leaderEpoch, recs)
+	when := time.Date(2024, 1, 2, 3, 4, 5, 6, time.UTC)
+	records := func(leaderEpoch uint64, recs ...core.ReplRecord) []byte {
+		b, err := repl.AppendRecords(nil, leaderEpoch, recs)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return b
 	}
-	chunk := func(c wire.ReplSnapshotChunk) []byte {
-		b, err := wire.MarshalReplSnapshotChunk(&c)
+	chunk := func(c repl.SnapshotChunk) []byte {
+		b, err := repl.MarshalSnapshotChunk(&c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,20 +225,21 @@ func goldenSteps(t testing.TB, pp *pairing.Params) []goldenStep {
 	add("full", "err_register_zero_scalar", 12, goldenItem(bob, nil))
 	add("full", "err_unknown_op", 200, wire.ReqItem{})
 	add("full", "repl_append", 13, goldenItem("", records(2,
-		wire.ReplRecord{Epoch: 2, Seq: 3, Op: wire.ReplOpRevoke, ID: "a@x", Reason: "first", WhenUnixNano: when},
-		wire.ReplRecord{Epoch: 2, Seq: 4, Op: wire.ReplOpUnrevoke, ID: "a@x", WhenUnixNano: when})))
+		core.ReplRecord{Epoch: 2, Seq: 3, Op: "revoke", ID: "a@x", Reason: "first", When: when},
+		core.ReplRecord{Epoch: 2, Seq: 4, Op: "unrevoke", ID: "a@x", When: when})))
 	add("full", "err_stale_epoch", 13, goldenItem("", records(1,
-		wire.ReplRecord{Epoch: 1, Seq: 5, Op: wire.ReplOpRevoke, ID: "z@x", WhenUnixNano: when})))
+		core.ReplRecord{Epoch: 1, Seq: 5, Op: "revoke", ID: "z@x", When: when})))
 	add("full", "err_seq_gap", 13, goldenItem("", records(2,
-		wire.ReplRecord{Epoch: 2, Seq: 99, Op: wire.ReplOpRevoke, ID: "z@x", WhenUnixNano: when})))
+		core.ReplRecord{Epoch: 2, Seq: 99, Op: "revoke", ID: "z@x", When: when})))
 	add("full", "err_repl_bad_payload", 13, goldenItem("", []byte("junk")))
-	add("full", "err_repl_bad_op", 13, goldenItem("", records(2,
-		wire.ReplRecord{Epoch: 2, Seq: 5, Op: 9, ID: "z@x", WhenUnixNano: when})))
+	badOp := records(2, core.ReplRecord{Epoch: 2, Seq: 5, Op: "revoke", ID: "z@x", When: when})
+	badOp[12+16] = 9 // the record's op byte: the encoder refuses unknown ops
+	add("full", "err_repl_bad_op", 13, goldenItem("", badOp))
 	add("full", "err_not_leader_revoke", 6, goldenItem("direct@x", []byte("forbidden")))
 	add("full", "err_not_leader_unrevoke", 7, goldenItem("direct@x", nil))
-	add("full", "err_internal", 14, goldenItem("", chunk(wire.ReplSnapshotChunk{Epoch: 3, BaseSeq: 50, Total: 2, Index: 1, Chunks: 2})))
-	add("full", "repl_snapshot", 14, goldenItem("", chunk(wire.ReplSnapshotChunk{Epoch: 3, BaseSeq: 50, Total: 1, Index: 0, Chunks: 1,
-		Entries: []wire.ReplEntry{{ID: "snap@x", Reason: "installed", WhenUnixNano: when}}})))
+	add("full", "err_internal", 14, goldenItem("", chunk(repl.SnapshotChunk{Epoch: 3, BaseSeq: 50, Total: 2, Index: 1, Chunks: 2})))
+	add("full", "repl_snapshot", 14, goldenItem("", chunk(repl.SnapshotChunk{Epoch: 3, BaseSeq: 50, Total: 1, Index: 0, Chunks: 1,
+		Entries: []core.RevocationEntry{{ID: "snap@x", Reason: "installed", When: when}}})))
 	add("full", "list_one", 9, wire.ReqItem{})
 	add("full", "repl_status_after", 15, wire.ReqItem{})
 
@@ -252,7 +253,7 @@ func goldenSteps(t testing.TB, pp *pairing.Params) []goldenStep {
 	add("bare", "err_unsupported_register_ibe", 11, goldenItem(bob, u))
 	add("bare", "err_unsupported_register_gdh", 12, goldenItem(bob, []byte{1}))
 	add("bare", "err_unsupported_repl_append", 13, goldenItem("", records(1)))
-	add("bare", "err_unsupported_repl_snapshot", 14, goldenItem("", chunk(wire.ReplSnapshotChunk{Chunks: 1})))
+	add("bare", "err_unsupported_repl_snapshot", 14, goldenItem("", chunk(repl.SnapshotChunk{Chunks: 1})))
 	add("bare", "err_unsupported_repl_status", 15, wire.ReqItem{})
 	add("bare", "revoke_registry_only", 6, goldenItem(mallory, []byte("no journal")))
 	add("bare", "unrevoke_registry_only", 7, goldenItem(mallory, nil))

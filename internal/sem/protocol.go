@@ -59,9 +59,9 @@ const (
 	// with a journal. Like the admin ops they trust the network perimeter:
 	// a replicated fleet runs leader and followers on one operator-owned
 	// network.
-	OpReplAppend   Op = "repl.append"   // item: wire repl append batch → empty
-	OpReplSnapshot Op = "repl.snapshot" // item: wire repl snapshot chunk → empty
-	OpReplStatus   Op = "repl.status"   // item: none → wire repl status payload
+	OpReplAppend   Op = "repl.append"   // item: repl.AppendRecords batch → empty
+	OpReplSnapshot Op = "repl.snapshot" // item: repl.MarshalSnapshotChunk chunk → empty
+	OpReplStatus   Op = "repl.status"   // item: none → repl.PackStatus payload
 
 	// Threshold IBE (paper §3), served when Config.Threshold is set. The
 	// response is the share ê(U, d_IDi) and its NIZK proof at the fixed

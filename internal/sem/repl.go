@@ -7,37 +7,11 @@ package sem
 // in internal/repl; this file only moves its records across the wire.
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/repl"
-	"repro/internal/wire"
 )
-
-// wireReplOp maps a journal op name to its wire op byte.
-func wireReplOp(op string) (byte, bool) {
-	switch op {
-	case "revoke":
-		return wire.ReplOpRevoke, true
-	case "unrevoke":
-		return wire.ReplOpUnrevoke, true
-	default:
-		return 0, false
-	}
-}
-
-// coreReplOp inverts wireReplOp.
-func coreReplOp(b byte) (string, bool) {
-	switch b {
-	case wire.ReplOpRevoke:
-		return "revoke", true
-	case wire.ReplOpUnrevoke:
-		return "unrevoke", true
-	default:
-		return "", false
-	}
-}
 
 // replAppend applies a leader's record batch to the local follower. The
 // whole batch travels inside ONE item on purpose: the server fans a
@@ -47,24 +21,9 @@ func (s *Server) replAppend(_ string, payload []byte) ([]byte, error) {
 	if s.cfg.Repl == nil {
 		return nil, unsupported("replication not enabled (no journal)")
 	}
-	leaderEpoch, wrecs, err := wire.ParseReplRecords(payload)
+	leaderEpoch, recs, err := repl.ParseRecords(payload)
 	if err != nil {
 		return nil, err
-	}
-	recs := make([]core.ReplRecord, len(wrecs))
-	for i, w := range wrecs {
-		op, ok := coreReplOp(w.Op)
-		if !ok {
-			return nil, fmt.Errorf("unknown replication op byte %#x", w.Op)
-		}
-		recs[i] = core.ReplRecord{
-			Seq:    w.Seq,
-			Epoch:  w.Epoch,
-			Op:     op,
-			ID:     w.ID,
-			Reason: w.Reason,
-			When:   time.Unix(0, w.WhenUnixNano).UTC(),
-		}
 	}
 	return nil, internal(s.cfg.Repl.ApplyAppend(leaderEpoch, recs))
 }
@@ -74,21 +33,9 @@ func (s *Server) replSnapshot(_ string, payload []byte) ([]byte, error) {
 	if s.cfg.Repl == nil {
 		return nil, unsupported("replication not enabled (no journal)")
 	}
-	wc, err := wire.ParseReplSnapshotChunk(payload)
+	c, err := repl.ParseSnapshotChunk(payload)
 	if err != nil {
 		return nil, err
-	}
-	entries := make([]core.RevocationEntry, len(wc.Entries))
-	for i, e := range wc.Entries {
-		entries[i] = core.RevocationEntry{ID: e.ID, Reason: e.Reason, When: time.Unix(0, e.WhenUnixNano).UTC()}
-	}
-	c := &repl.SnapshotChunk{
-		Epoch:   wc.Epoch,
-		BaseSeq: wc.BaseSeq,
-		Total:   int(wc.Total),
-		Index:   int(wc.Index),
-		Chunks:  int(wc.Chunks),
-		Entries: entries,
 	}
 	return nil, internal(s.cfg.Repl.ApplySnapshotChunk(c))
 }
@@ -103,21 +50,14 @@ func (s *Server) replStatus(string, []byte) ([]byte, error) {
 	}
 	epoch, lastSeq := s.cfg.Repl.Status()
 	isLeader := s.cfg.Leader != nil && !s.cfg.Leader.Deposed()
-	return wire.PackReplStatus(wire.ReplStatus{Epoch: epoch, LastSeq: lastSeq, Leader: isLeader}), nil
+	return repl.PackStatus(repl.Status{Epoch: epoch, LastSeq: lastSeq, Leader: isLeader}), nil
 }
 
 // ReplStatus asks the SEM for its replication position (epoch, last
 // durable sequence number).
 func (o *ops) ReplStatus() (epoch, lastSeq uint64, err error) {
-	raw, err := o.t.one(opReplStatus, "", nil)
-	if err != nil {
-		return 0, 0, err
-	}
-	st, err := wire.ParseReplStatus(raw)
-	if err != nil {
-		return 0, 0, err
-	}
-	return st.Epoch, st.LastSeq, nil
+	st, err := call(o, opReplStatus, "", nil, repl.ParseStatus)
+	return st.Epoch, st.LastSeq, err
 }
 
 // ReplAppend ships a contiguous batch of journal records to the SEM,
@@ -125,22 +65,7 @@ func (o *ops) ReplStatus() (epoch, lastSeq uint64, err error) {
 // error unwraps to repl.ErrStaleEpoch / repl.ErrSeqGap when the follower
 // refused the batch.
 func (o *ops) ReplAppend(leaderEpoch uint64, recs []core.ReplRecord) error {
-	wrecs := make([]wire.ReplRecord, len(recs))
-	for i, r := range recs {
-		op, ok := wireReplOp(r.Op)
-		if !ok {
-			return fmt.Errorf("sem: record %d has unknown replication op %q", i, r.Op)
-		}
-		wrecs[i] = wire.ReplRecord{
-			Epoch:        r.Epoch,
-			Seq:          r.Seq,
-			Op:           op,
-			ID:           r.ID,
-			Reason:       r.Reason,
-			WhenUnixNano: r.When.UnixNano(),
-		}
-	}
-	payload, err := wire.AppendReplRecords(nil, leaderEpoch, wrecs)
+	payload, err := repl.AppendRecords(nil, leaderEpoch, recs)
 	if err != nil {
 		return err
 	}
@@ -150,19 +75,7 @@ func (o *ops) ReplAppend(leaderEpoch uint64, recs []core.ReplRecord) error {
 
 // ReplSnapshot ships one chunk of a full-state transfer to the SEM.
 func (o *ops) ReplSnapshot(chunk *repl.SnapshotChunk) error {
-	entries := make([]wire.ReplEntry, len(chunk.Entries))
-	for i, e := range chunk.Entries {
-		entries[i] = wire.ReplEntry{ID: e.ID, Reason: e.Reason, WhenUnixNano: e.When.UnixNano()}
-	}
-	wc := &wire.ReplSnapshotChunk{
-		Epoch:   chunk.Epoch,
-		BaseSeq: chunk.BaseSeq,
-		Total:   uint32(chunk.Total),
-		Index:   uint32(chunk.Index),
-		Chunks:  uint32(chunk.Chunks),
-		Entries: entries,
-	}
-	payload, err := wire.MarshalReplSnapshotChunk(wc)
+	payload, err := repl.MarshalSnapshotChunk(chunk)
 	if err != nil {
 		return err
 	}

@@ -11,7 +11,6 @@ import (
 	"repro/internal/parallel"
 	"repro/internal/repl"
 	"repro/internal/shard"
-	"repro/internal/wire"
 )
 
 // ShardedClient routes SEM traffic across a fleet of shards: the typed
@@ -385,7 +384,7 @@ func (sc *ShardedClient) probeLeader(skip string) string {
 		if err != nil {
 			continue // down or replication-less shards simply aren't the leader
 		}
-		st, err := wire.ParseReplStatus(raw)
+		st, err := repl.ParseStatus(raw)
 		if err != nil || !st.Leader {
 			continue
 		}

@@ -112,43 +112,6 @@ func UnmarshalGT(pp *pairing.Params, data []byte) (*pairing.GT, error) {
 	return g, nil
 }
 
-// UnmarshalGTBatch decodes k GT elements received from an untrusted peer
-// and checks order-q subgroup membership of the whole batch with
-// pairing.BatchInGT, which fans the per-element InGT checks across cores —
-// the validated decoder behind the batch token path. Each element
-// is checked deterministically (random-linear-combination batching is
-// unsound in GT: the cofactor has small-order subgroups, see BatchInGT).
-// A nil raws[i] yields a nil element with a nil error (the
-// caller already failed that slot upstream); a malformed or out-of-subgroup
-// element sets errs[i] and leaves gs[i] nil. The error return is non-nil
-// only for batch-level failures such as randomness exhaustion.
-func UnmarshalGTBatch(pp *pairing.Params, raws [][]byte) (gs []*pairing.GT, errs []error, err error) {
-	gs = make([]*pairing.GT, len(raws))
-	errs = make([]error, len(raws))
-	for i, raw := range raws {
-		if raw == nil {
-			continue
-		}
-		g, gerr := pp.GTFromBytes(raw)
-		if gerr != nil {
-			errs[i] = fmt.Errorf("%w: %v", ErrProtocol, gerr)
-			continue
-		}
-		gs[i] = g
-	}
-	ok, berr := pp.BatchInGT(gs)
-	if berr != nil {
-		return nil, nil, fmt.Errorf("batch GT validation: %w", berr)
-	}
-	for i := range gs {
-		if gs[i] != nil && !ok[i] {
-			gs[i] = nil
-			errs[i] = fmt.Errorf("%w: element outside the order-q subgroup of GT", ErrProtocol)
-		}
-	}
-	return gs, errs, nil
-}
-
 // PackInts serializes a vector of non-negative integers as 2-byte-length-
 // prefixed big-endian chunks.
 func PackInts(xs []*big.Int) ([]byte, error) {

@@ -188,10 +188,9 @@ func TestQuickPackInts(t *testing.T) {
 	}
 }
 
-// TestUnmarshalGTBatch pins the batched GT decoder: members decode, nil
-// slots pass through untouched, and malformed or out-of-subgroup elements
-// come back as per-item ErrProtocol findings.
-func TestUnmarshalGTBatch(t *testing.T) {
+// TestUnmarshalGT pins the GT decoder: members decode to themselves, and
+// malformed or out-of-subgroup elements are ErrProtocol findings.
+func TestUnmarshalGT(t *testing.T) {
 	pp, err := pairing.Toy()
 	if err != nil {
 		t.Fatal(err)
@@ -204,40 +203,15 @@ func TestUnmarshalGTBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	outsider := pp.Field().NewElement(big.NewInt(2), big.NewInt(3))
-
-	raws := [][]byte{
-		g.Bytes(),
-		nil, // upstream failure slot: stays nil with no error
-		g7.Bytes(),
-		outsider.Bytes(),
-		{0xFF}, // malformed encoding
+	for _, member := range []*pairing.GT{g, g7} {
+		if got, err := UnmarshalGT(pp, member.Bytes()); err != nil || !got.Equal(member) {
+			t.Fatalf("member %x: %v %v", member.Bytes(), got, err)
+		}
 	}
-	gs, errs, err := UnmarshalGTBatch(pp, raws)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gs[0] == nil || !gs[0].Equal(g) || errs[0] != nil {
-		t.Fatalf("member 0: %v %v", gs[0], errs[0])
-	}
-	if gs[1] != nil || errs[1] != nil {
-		t.Fatalf("nil slot must pass through: %v %v", gs[1], errs[1])
-	}
-	if gs[2] == nil || !gs[2].Equal(g7) || errs[2] != nil {
-		t.Fatalf("member 2: %v %v", gs[2], errs[2])
-	}
-	if gs[3] != nil || !errors.Is(errs[3], ErrProtocol) {
-		t.Fatalf("out-of-subgroup element: %v %v", gs[3], errs[3])
-	}
-	if gs[4] != nil || !errors.Is(errs[4], ErrProtocol) {
-		t.Fatalf("malformed element: %v %v", gs[4], errs[4])
-	}
-
-	// Agreement with the scalar decoder on both verdict classes.
-	if _, err := UnmarshalGT(pp, g.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := UnmarshalGT(pp, outsider.Bytes()); !errors.Is(err, ErrProtocol) {
-		t.Fatalf("scalar decoder disagrees: %v", err)
+	outsider := pp.Field().NewElement(big.NewInt(2), big.NewInt(3)).Bytes()
+	for name, raw := range map[string][]byte{"out-of-subgroup": outsider, "malformed": {0xFF}} {
+		if got, err := UnmarshalGT(pp, raw); got != nil || !errors.Is(err, ErrProtocol) {
+			t.Fatalf("%s element: %v %v", name, got, err)
+		}
 	}
 }
