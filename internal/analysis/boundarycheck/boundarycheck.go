@@ -11,12 +11,15 @@
 // cluster or cmd element, calls to the raw decoders are findings. The wire
 // package itself is exempt — it is the sanctioned implementation site.
 //
-// One validated decoder checks less than the others on purpose:
+// Two validated decoders check less than the others on purpose:
 // wire.UnmarshalPairingArg skips the subgroup check, which is sound only for
-// a pairing's evaluation point (DESIGN §7). It needs no rule here, because it
-// returns a curve.EvalPoint, a type that only a pairing's second argument,
-// core.IBESEM.Token, core.ThresholdPlayer.Share and curve.Curve.EvalSum
-// accept; the compiler refuses every other use.
+// a pairing's evaluation point (DESIGN §7), and wire.UnmarshalPairingX the
+// square root as well, for an x-only pairing's. They need no rule here,
+// because they return a curve.EvalPoint — a type that only a pairing's
+// second argument, core.IBESEM.Token, core.ThresholdPlayer.Share and
+// curve.Curve.EvalSum accept — and a curve.EvalX, which only the x-only
+// pairings and core.IBESEM.TokenX accept; the compiler refuses every other
+// use.
 package boundarycheck
 
 import (
@@ -44,7 +47,9 @@ type rawDecoder struct {
 
 var rawDecoders = []rawDecoder{
 	{"internal/curve", "Unmarshal", "wire.UnmarshalG1"},
+	{"internal/curve", "UnmarshalX", "wire.UnmarshalPairingX"},
 	{"internal/pairing", "GTFromBytes", "wire.UnmarshalGT"},
+	{"internal/pairing", "ResolveX", "wire.UnmarshalGTX"},
 	{"internal/gf", "ElementFromBytes", "wire.UnmarshalGT"},
 	{"math/big", "SetBytes", "wire.UnmarshalScalar"},
 }

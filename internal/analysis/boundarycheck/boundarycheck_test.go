@@ -48,6 +48,7 @@ var (
 	pr   *core.ShareProof
 	held struct{ P *curve.Point }
 	byID map[string]*curve.Point
+	ex   curve.EvalX
 )
 
 func use(payload []byte) (any, error) {
@@ -165,6 +166,71 @@ func TestEvalPointMethodSet(t *testing.T) {
 	for i := range st.NumFields() {
 		if st.Field(i).Exported() {
 			t.Errorf("EvalPoint has the exported field %s", st.Field(i).Name())
+		}
+	}
+}
+
+// TestEvalXDoesNotCompile holds an x-only evaluation point to the x-only
+// pairings: it has no y, so every use that reads a point's y — a pairing's
+// second argument, Token, Share, EvalSum, Marshal — must fail to type-check
+// for it, and no evaluation point with a y may pass where it goes.
+func TestEvalXDoesNotCompile(t *testing.T) {
+	l := moduleLoader(t)
+	forbidden := map[string]string{
+		"second pairing argument": "return pp.Pair(key, $V)",
+		"FixedPair.Pair":          "return fp.Pair($V)",
+		"IBESEM.Token":            `return sem.Token("id", $V)`,
+		"ThresholdPlayer.Share":   `return pl.Share("id", $V)`,
+		"EvalSum":                 "return c.EvalSum([]*big.Int{k}, []curve.EvalPoint{$V})",
+		"Marshal":                 "return $V.Marshal(), nil",
+		"converted to a Point":    "return (*curve.Point)($V), nil",
+		"converted to EvalPoint":  "return curve.EvalPoint($V), nil",
+	}
+	for name, body := range forbidden {
+		if typeCheck(t, l, body, "ex") == nil {
+			t.Errorf("%s: compiles for an EvalX", name)
+		}
+	}
+	allowed := map[string]string{
+		"IBESEM.TokenX":   `return sem.TokenX("id", $V)`,
+		"Params.PairX":    "return pp.PairX(key, $V)",
+		"FixedPair.PairX": "return fp.PairX($V)",
+		"IsInfinity":      "return $V.IsInfinity(), nil",
+	}
+	for name, body := range allowed {
+		if err := typeCheck(t, l, body, "ex"); err != nil {
+			t.Errorf("%s: does not compile for an EvalX: %v", name, err)
+		}
+		for _, v := range append(evalPoints, "key") {
+			if name != "IsInfinity" && typeCheck(t, l, body, v) == nil {
+				t.Errorf("%s: compiles for %s, which is not an EvalX", name, v)
+			}
+		}
+	}
+}
+
+// TestEvalXMethodSet: an EvalX offers IsInfinity and its x and s, and no
+// field, so nothing leads to a y or a point.
+func TestEvalXMethodSet(t *testing.T) {
+	pkg, err := moduleLoader(t).Import("repro/internal/curve")
+	if err != nil {
+		t.Fatal(err)
+	}
+	named := pkg.Scope().Lookup("EvalX").Type()
+	var methods []string
+	ms := types.NewMethodSet(types.NewPointer(named))
+	for i := range ms.Len() {
+		if m := ms.At(i).Obj(); m.Exported() {
+			methods = append(methods, m.Name())
+		}
+	}
+	if want := []string{"IsInfinity", "XS"}; !slices.Equal(methods, want) {
+		t.Errorf("EvalX's exported methods are %v, want %v", methods, want)
+	}
+	st := named.Underlying().(*types.Struct)
+	for i := range st.NumFields() {
+		if st.Field(i).Exported() {
+			t.Errorf("EvalX has the exported field %s", st.Field(i).Name())
 		}
 	}
 }

@@ -9,3 +9,9 @@ type Point struct{}
 
 // Unmarshal decodes without subgroup validation.
 func (c *Curve) Unmarshal(data []byte) (*Point, error) { return &Point{}, nil }
+
+// EvalX is an x-only evaluation point.
+type EvalX struct{}
+
+// UnmarshalX decodes an abscissa without the residuosity check's wrapping.
+func (c *Curve) UnmarshalX(data []byte) (EvalX, error) { return EvalX{}, nil }

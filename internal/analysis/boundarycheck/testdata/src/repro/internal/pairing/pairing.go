@@ -14,3 +14,6 @@ func (pp *Params) GTFromBytes(data []byte) (*GT, error) { return &GT{}, nil }
 
 // Curve returns the underlying curve.
 func (pp *Params) Curve() *curve.Curve { return &curve.Curve{} }
+
+// ResolveX decodes and resolves an x-only token without a membership check.
+func (pp *Params) ResolveX(data []byte, u *curve.Point) (*GT, error) { return &GT{}, nil }

@@ -29,3 +29,13 @@ func HandleElement(f *gf.Field, payload []byte) (*gf.Element, error) {
 func HandleScalar(payload []byte) *big.Int {
 	return new(big.Int).SetBytes(payload) // want `raw big.SetBytes decode at a network boundary; use wire.UnmarshalScalar`
 }
+
+// HandleAbscissa decodes a peer abscissa outside wire.
+func HandleAbscissa(c *curve.Curve, payload []byte) (curve.EvalX, error) {
+	return c.UnmarshalX(payload) // want `raw curve.UnmarshalX decode at a network boundary; use wire.UnmarshalPairingX`
+}
+
+// HandleTokenX decodes an x-only token without a membership check.
+func HandleTokenX(pp *pairing.Params, payload []byte, u *curve.Point) (*pairing.GT, error) {
+	return pp.ResolveX(payload, u) // want `raw pairing.ResolveX decode at a network boundary; use wire.UnmarshalGTX`
+}

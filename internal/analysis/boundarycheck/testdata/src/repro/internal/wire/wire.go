@@ -23,3 +23,13 @@ func UnmarshalScalar(data []byte, max *big.Int) (*big.Int, error) {
 func UnmarshalGT(pp *pairing.Params, data []byte) (*pairing.GT, error) {
 	return pp.GTFromBytes(data)
 }
+
+// UnmarshalPairingX decodes an x-only evaluation point.
+func UnmarshalPairingX(c *curve.Curve, data []byte) (curve.EvalX, error) {
+	return c.UnmarshalX(data)
+}
+
+// UnmarshalGTX decodes, resolves and membership-checks an x-only token.
+func UnmarshalGTX(pp *pairing.Params, data []byte, u *curve.Point) (*pairing.GT, error) {
+	return pp.ResolveX(data, u)
+}

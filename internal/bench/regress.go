@@ -87,7 +87,11 @@ func (g ratioGate) name() string { return g.Num + " ÷ " + g.Den }
 // adds a pairing and lands past both. cᵢ's comb alone (W1 by ExpSecret)
 // reads 0.94–0.98 there, too close to the intact build for a bound that must
 // not flake, so this gate no longer guards it (13 interleaved quick runs of
-// each). The eighth guards the recombiner's optimistic round
+// each). Since the b = 0 doubling made that denominator cheaper again
+// (0.88–0.98 against the plain pairing), the gate counts in replays of a
+// cached program instead, which the doubling does not move: 1.79–2.01
+// intact, 2.68–2.69 with d_IDi's comb back on the window ladder, 2.97–3.43
+// with the program lost (16, 3 and 3 quick runs). The eighth guards the recombiner's optimistic round
 // on a live (3, 5) cluster: a decryption whose three first choices answer
 // against one that finds player 2 down and has to ask the other two as well.
 // Measured 0.74–0.78 on two cores, where the three first-choice shares do not
@@ -111,7 +115,11 @@ func (g ratioGate) name() string { return g.Num + " ÷ " + g.Den }
 // 0.83–0.94 measured, ≈ 0.86 by arithmetic. With a program built on every
 // miss — what pairerCache.pair did before, and what it does again if the
 // admission callback is lost or always says yes — the scan flushes the
-// working set and every token is a build and a replay: 1.13–1.24. The
+// working set and every token is a build and a replay: 1.13–1.24. Since the
+// SEM answers from U's abscissa the scan's tokens are TokenX and the
+// denominator the x-only plain pairing they fall back to: 0.72–0.92 in 17
+// quick runs (one 1.05 on a disturbed host), 1.19–1.20 without admission.
+// The
 // twelfth guards the secret-scalar comb against the variable-time ladder it
 // replaced under a player's proof: d − 1 doublings and d additions with every
 // row read, against a 160-bit w-NAF walk (measured 0.38–0.40; a comb that
@@ -143,7 +151,21 @@ func (g ratioGate) name() string { return g.Num + " ÷ " + g.Den }
 // against the replay because it is made of the same mul8 products as their
 // numerators, so a host that runs the kernel fast or slow moves both
 // sides; both take the fastest of 128 single calls a side, which on that
-// host was what kept the intact build's readings below the mutants'.
+// host was what kept the intact build's readings below the mutants'. The
+// eighteenth holds the x-only replay to the standard one: its square in
+// F_p[j]/(j² + s) takes four products where F_p²'s takes two, 1.12–1.21
+// measured with the shared final exponentiation (30 quick runs, besides two
+// readings of 1.01 and one of 1.57 on a busy host, where the sixteenth read
+// up to 2.39 at the parent commit), 1.21–1.30 with one product more in the
+// square and 1.30–1.34 with one more in the line as well (4 and 5 runs); one
+// extra product is within the noise, two are not.
+// The nineteenth guards the Legendre symbol under the x-only decode in
+// multiplications, as the thirteenth guards the inverse: 50–66, where
+// Euler's criterion reads 714–748. The last guards that decode, ibe_token's
+// since the SEM answers from U's abscissa, against the pairing-argument
+// decode it replaced: a Legendre symbol where the other takes a square root,
+// 0.09–0.11 measured, 0.995–1.002 with the root back or with the symbol by
+// Euler's criterion (three quick runs each).
 var kernelRatioGates = []ratioGate{
 	{Num: "fp.mul.go", Den: "fp.mul.generic", Max: 0.70, Rounds: 64, Burst: 2048},
 	{Num: "fp.square.go", Den: "fp.mul.go", Max: 0.92, Rounds: 64, Burst: 2048},
@@ -151,17 +173,20 @@ var kernelRatioGates = []ratioGate{
 	{Num: "thibe.verify-batch5", Den: "thibe.verify-single5", Max: 0.65, Rounds: 12, Burst: 1},
 	{Num: "wire.pairing-arg", Den: "wire.g1", Max: 0.50, Rounds: 32, Burst: 8},
 	{Num: "gt.ingt", Den: "gtexp.square-multiply", Max: 0.45, Rounds: 32, Burst: 16},
-	{Num: "thibe.player-share", Den: "pair", Max: 1.00, Rounds: 24, Burst: 4},
+	{Num: "thibe.player-share", Den: "pair.fixed", Max: 2.30, Rounds: 24, Burst: 4},
 	{Num: "cluster.decrypt.honest", Den: "cluster.decrypt.escalated", Max: 0.90, Rounds: 24, Burst: 1},
 	{Num: "hash.to-g1.arg", Den: "hash.to-g1", Max: 0.55, Rounds: 32, Burst: 4},
 	{Num: "fp.exp", Den: "fp.square", Max: 850, Rounds: 16, Burst: 256},
-	{Num: "ibe.token.scan", Den: "pair", Max: 1.05, Rounds: 12, Burst: 16},
+	{Num: "ibe.token.scan", Den: "pair.x", Max: 1.05, Rounds: 12, Burst: 16},
 	{Num: "scalarmul.secret-comb", Den: "scalarmul.variable-wnaf", Max: 0.55, Rounds: 32, Burst: 8},
 	{Num: "fp.inv", Den: "fp.mul", Max: 120, Rounds: 32, Burst: 64},
 	{Num: "gf.mul", Den: "fp.mul.go", Max: 2.55, Rounds: 64, Burst: 1024, AsmOnly: true},
 	{Num: "gt.ingt", Den: "fp.mul.go", Max: 170, Rounds: 32, Burst: 16, AsmOnly: true},
 	{Num: "pair", Den: "pair.fixed", Max: 2.26, Rounds: 128, Burst: 1},
 	{Num: "scalarmul.variable-wnaf", Den: "pair.fixed", Max: 1.24, Rounds: 128, Burst: 1},
+	{Num: "pair.fixed.x", Den: "pair.fixed", Max: 1.26, Rounds: 128, Burst: 1},
+	{Num: "fp.legendre", Den: "fp.mul", Max: 120, Rounds: 32, Burst: 64},
+	{Num: "wire.pairing-x", Den: "wire.pairing-arg", Max: 0.50, Rounds: 32, Burst: 8},
 }
 
 // CompareBaselines checks a freshly measured report against a committed

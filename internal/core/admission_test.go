@@ -302,64 +302,88 @@ func noWorseThanLRU(slack float64) func(*testing.T, policyRun, policyRun) {
 // Pair(d, U) are the same bytes — for U ∈ G1 and for U + T with T of every
 // small prime order dividing the cofactor and random T ∈ [q]E(F_p), which is
 // DESIGN §7's cofactor-blind property on the path that walks no program.
+// Both forms of the token are held to it: Token, and TokenX on U's abscissa
+// resolved with U's y.
 func TestRefusedMissIsTheSameToken(t *testing.T) {
-	for _, name := range []string{"toy", "fast", "paper"} {
-		t.Run(name, func(t *testing.T) {
-			pp, err := pairing.ByName(name)
+	forms := map[string]func(sem *IBESEM, id string, u *curve.Point) (*pairing.GT, error){
+		"Token": func(sem *IBESEM, id string, u *curve.Point) (*pairing.GT, error) { return sem.Token(id, u) },
+		"TokenX": func(sem *IBESEM, id string, u *curve.Point) (*pairing.GT, error) {
+			ux, err := sem.pub.Pairing.Curve().UnmarshalX(u.Marshal())
 			if err != nil {
-				t.Fatal(err)
+				return nil, err
 			}
-			pkg, err := NewMediatedPKG(rand.New(rand.NewSource(1)), pp, msgLen)
+			g, err := sem.TokenX(id, ux)
 			if err != nil {
-				t.Fatal(err)
+				return nil, err
 			}
-			sem := NewIBESEM(pkg.Public(), NewRegistry())
-			u, err := pp.Curve().RandomG1(cryptorand.Reader)
-			if err != nil {
-				t.Fatal(err)
+			return sem.pub.Pairing.ResolveX(g.Bytes(), u)
+		},
+	}
+	for form, tokenOf := range forms {
+		for _, name := range []string{"toy", "fast", "paper", "paper_dense"} {
+			sub := name
+			if form == "TokenX" {
+				sub = "TokenX/" + name
+			} else if name == "paper_dense" {
+				continue
 			}
-			us := []*curve.Point{u}
-			for _, tors := range curvetest.CofactorPoints(t, pp.Curve()) {
-				us = append(us, u.Add(tors))
-			}
-			// The SEM does not care whose key it holds half of: multiples of
-			// the generator stand in for 2 × capacity enrolled halves.
-			next := 0
-			enrol := func(i int) *SEMKeyHalf {
-				half := &SEMKeyHalf{ID: unsharedID(sem.pairers, &next), D: pp.GeneratorMul(big.NewInt(int64(i + 2)))}
-				sem.Register(half)
-				return half
-			}
-			token := func(half *SEMKeyHalf, u *curve.Point) []byte {
-				t.Helper()
-				g, err := sem.Token(half.ID, u)
+			t.Run(sub, func(t *testing.T) {
+				pp, err := pairing.ByName(name)
 				if err != nil {
 					t.Fatal(err)
 				}
-				return g.Bytes()
-			}
-			for i := 0; i < pairerCapacity; i++ {
-				token(enrol(i), u)
-			}
-			for i := pairerCapacity; i < 2*pairerCapacity; i++ {
-				half := enrol(i)
-				want, err := pp.Pair(half.D, u)
+				pkg, err := NewMediatedPKG(rand.New(rand.NewSource(1)), pp, msgLen)
 				if err != nil {
 					t.Fatal(err)
 				}
-				before := sem.PairerCacheStats()
-				refused := token(half, us[i%len(us)])
-				mid := sem.PairerCacheStats()
-				program := token(half, us[(i+1)%len(us)])
-				after := sem.PairerCacheStats()
-				if mid.Rejected != before.Rejected+1 || after.Evictions != mid.Evictions+1 || after.Rejected != mid.Rejected {
-					t.Fatalf("identity %d: stats %+v → %+v → %+v; want one refused miss, then one admitted", i, before, mid, after)
+				sem := NewIBESEM(pkg.Public(), NewRegistry())
+				u, err := pp.Curve().RandomG1(cryptorand.Reader)
+				if err != nil {
+					t.Fatal(err)
 				}
-				if !bytes.Equal(refused, want.Bytes()) || !bytes.Equal(program, want.Bytes()) {
-					t.Fatalf("identity %d: the plain path, the program and Pair(d, U) disagree", i)
+				us := []*curve.Point{u}
+				for _, tors := range curvetest.CofactorPoints(t, pp.Curve()) {
+					us = append(us, u.Add(tors))
 				}
-			}
-		})
+				// The SEM does not care whose key it holds half of: multiples of
+				// the generator stand in for 2 × capacity enrolled halves.
+				next := 0
+				enrol := func(i int) *SEMKeyHalf {
+					half := &SEMKeyHalf{ID: unsharedID(sem.pairers, &next), D: pp.GeneratorMul(big.NewInt(int64(i + 2)))}
+					sem.Register(half)
+					return half
+				}
+				token := func(half *SEMKeyHalf, u *curve.Point) []byte {
+					t.Helper()
+					g, err := tokenOf(sem, half.ID, u)
+					if err != nil {
+						t.Fatal(err)
+					}
+					return g.Bytes()
+				}
+				for i := 0; i < pairerCapacity; i++ {
+					token(enrol(i), u)
+				}
+				for i := pairerCapacity; i < 2*pairerCapacity; i++ {
+					half := enrol(i)
+					want, err := pp.Pair(half.D, u)
+					if err != nil {
+						t.Fatal(err)
+					}
+					before := sem.PairerCacheStats()
+					refused := token(half, us[i%len(us)])
+					mid := sem.PairerCacheStats()
+					program := token(half, us[(i+1)%len(us)])
+					after := sem.PairerCacheStats()
+					if mid.Rejected != before.Rejected+1 || after.Evictions != mid.Evictions+1 || after.Rejected != mid.Rejected {
+						t.Fatalf("identity %d: stats %+v → %+v → %+v; want one refused miss, then one admitted", i, before, mid, after)
+					}
+					if !bytes.Equal(refused, want.Bytes()) || !bytes.Equal(program, want.Bytes()) {
+						t.Fatalf("identity %d: the plain path, the program and Pair(d, U) disagree", i)
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -203,6 +203,23 @@ func (s *IBESEM) Token(id string, u curve.EvalArg) (*pairing.GT, error) {
 	return g, err
 }
 
+// TokenX is Token for a U the SEM has as its abscissa alone
+// (wire.UnmarshalPairingX): the same revocation check, program cache and
+// refusals, and the token g_sem = X + (Y·y_U)·i as the pairing.GTX (X, Y)
+// that the requester, who holds y_U, resolves. Computed in F_p[j]/(j² + s),
+// s = x_U³ + x_U, a field isomorphic to F_p² (DESIGN §7): the SEM never
+// needs y_U and takes no square root.
+func (s *IBESEM) TokenX(id string, u curve.EvalX) (pairing.GTX, error) {
+	half, err := s.half(id)
+	if err != nil {
+		return pairing.GTX{}, err
+	}
+	if u.IsInfinity() {
+		return pairing.GTX{}, fmt.Errorf("core: ciphertext point U is not a valid pairing argument")
+	}
+	return s.pairers.pairX(s.pub.Pairing, id, half.D, u)
+}
+
 // UserDecrypt completes decryption on the user side given the SEM token:
 // g = g_sem · ê(U, d_ID,user), then the FullIdent opening with its validity
 // check.

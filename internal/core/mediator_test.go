@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/bls"
+	"repro/internal/curve"
 	"repro/internal/gm"
 	"repro/internal/mrsa"
 	"repro/internal/rabin"
@@ -29,7 +30,7 @@ const mediatedID = "member@example.com"
 
 func mediatorCases(t *testing.T) []mediatorCase {
 	t.Helper()
-	return []mediatorCase{ibeCase(t), gdhCase(t), rsaCase(t), gmCase(t), rabinCase(t)}
+	return []mediatorCase{ibeCase(t), ibeXCase(t), gdhCase(t), rsaCase(t), gmCase(t), rabinCase(t)}
 }
 
 func ibeCase(t *testing.T) mediatorCase {
@@ -46,6 +47,34 @@ func ibeCase(t *testing.T) mediatorCase {
 			return err
 		}
 		return wantBytes(UserDecrypt(pkg.Public(), user, c, token))(msg)
+	}}
+}
+
+// ibeXCase is the IBE SEM answering from U's abscissa (TokenX), the token
+// resolved with U's y as the networked client does.
+func ibeXCase(t *testing.T) mediatorCase {
+	pkg, sem := ibeFixture(t)
+	user := enroll(t, pkg, sem, mediatedID)
+	msg := bytes.Repeat([]byte{0x5e}, msgLen)
+	c, err := pkg.Public().Encrypt(rand.Reader, mediatedID, msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ux, err := pkg.Public().Pairing.Curve().UnmarshalX(c.U.Marshal())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mediatorCase{name: "ibe_x", reg: sem.Registry(), serve: func(id string) error {
+		token, err := sem.TokenX(id, ux)
+		if err != nil {
+			return err
+		}
+		return wantBytes(UserDecrypt(pkg.Public(), user, c, resolveToken(t, pkg.Public().Pairing, token, c.U)))(msg)
+	}, refused: map[string]func(id string) error{
+		"O": func(id string) error {
+			_, err := sem.TokenX(id, curve.EvalX{})
+			return err
+		},
 	}}
 }
 

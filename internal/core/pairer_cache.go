@@ -77,20 +77,45 @@ type keyPairer struct {
 // The key must also be dropped (Remove) when it is replaced or withdrawn;
 // the d.Equal guard is what makes a racing insert harmless.
 func (c pairerCache) pair(pp *pairing.Params, id string, d *curve.Point, u curve.EvalArg) (*pairing.GT, *keyPairer, error) {
-	p, ok := c.lookup(id, d)
-	if !ok {
-		if err := d.Validate(); err != nil {
-			return nil, nil, err
-		}
+	p, err := c.program(pp, id, d)
+	if err != nil {
+		return nil, nil, err
+	}
+	if p == nil {
 		g, err := pp.Pair(d, u)
 		return g, nil, err
 	}
-	p.build.Do(func() { p.fp, p.err = pp.NewFixedPair(p.d) })
-	if p.err != nil {
-		return nil, nil, p.err
-	}
 	g, err := p.fp.Pair(u)
 	return g, p, err
+}
+
+// pairX is pair for an x-only evaluation point: the same admission, program
+// and refusals, the replay and the plain pairing both run in u's ring
+// (FixedPair.PairX, Params.PairX).
+func (c pairerCache) pairX(pp *pairing.Params, id string, d *curve.Point, u curve.EvalX) (pairing.GTX, error) {
+	p, err := c.program(pp, id, d)
+	if err != nil {
+		return pairing.GTX{}, err
+	}
+	if p == nil {
+		return pp.PairX(d, u)
+	}
+	return p.fp.PairX(u)
+}
+
+// program counts one request for id and returns the entry holding d's built
+// program, or nil when the full cache does not admit id — then d has been
+// validated for the plain pairing instead.
+func (c pairerCache) program(pp *pairing.Params, id string, d *curve.Point) (*keyPairer, error) {
+	p, ok := c.lookup(id, d)
+	if !ok {
+		return nil, d.Validate()
+	}
+	p.build.Do(func() { p.fp, p.err = pp.NewFixedPair(p.d) })
+	if p.err != nil {
+		return nil, p.err
+	}
+	return p, nil
 }
 
 // mulSecret returns k·d for a secret scalar k from the entry's comb of d,

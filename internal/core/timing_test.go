@@ -2,6 +2,7 @@ package core
 
 import (
 	"crypto/rand"
+	"fmt"
 	"math"
 	"math/big"
 	mrand "math/rand"
@@ -9,7 +10,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/curve"
 	"repro/internal/mathx"
+	"repro/internal/pairing"
+	"repro/internal/pairing/pairingtest"
 )
 
 // nonceSource is the io.Reader a timed share draws its proof nonce from: it
@@ -69,10 +73,7 @@ func welch(a, b []float64) float64 {
 // GT.Exp for the comb of cᵢ or for ExpSecret — fails this test in all three
 // rounds (CHANGES.md, PR 28, records the runs).
 //
-// A timing test shares its host: samples above the pooled 90th percentile
-// (preemptions, GC assists) are cropped as dudect does, and a round that
-// still fails is repeated, twice at most — a leak fails every round, a noisy
-// neighbour does not.
+// The rounds and the cropping are timingClassesAgree's.
 func TestShareTimingIndependentOfNonce(t *testing.T) {
 	if testing.Short() {
 		t.Skip("2·10⁵ timed shares")
@@ -130,24 +131,41 @@ func TestShareTimingIndependentOfNonce(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	order := make([]bool, 2*perClass) // true: the fixed class
+	if !timingClassesAgree(t, perClass, func(class, i int) time.Duration {
+		r := fixed
+		if class == 1 {
+			r = random[i]
+		}
+		_, d := timed(r)
+		return d
+	}, fmt.Sprintf("fixed nonce %v (w-NAF weight of r+e: %d)", fixed, best)) {
+		t.Fatal("a share's running time depends on its proof nonce")
+	}
+}
+
+// timingClassesAgree is the dudect loop both timing tests run: perClass
+// calls of class 0 and of class 1 (timeCall(class, i) times the i-th of its
+// class), interleaved at random, and Welch's t between the two. A timing
+// test shares its host: samples above the pooled 90th percentile
+// (preemptions, GC assists) are cropped as dudect does, and a round that
+// fails is repeated, twice at most — a leak fails every round, a noisy
+// neighbour does not. It reports whether a round ended with |t| < 4.5.
+func timingClassesAgree(t *testing.T, perClass int, timeCall func(class, i int) time.Duration, what string) bool {
+	t.Helper()
+	order := make([]bool, 2*perClass) // true: class 0
 	for i := 0; i < perClass; i++ {
 		order[i] = true
 	}
-
 	var tStat float64
 	for round := 1; round <= 3; round++ {
 		mrand.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		samples := [2][]float64{make([]float64, 0, perClass), make([]float64, 0, perClass)}
-		next := 0
-		for _, isFixed := range order {
-			r, class := fixed, 0
-			if !isFixed {
-				r, class = random[next], 1
-				next++
+		for _, first := range order {
+			class := 1
+			if first {
+				class = 0
 			}
-			_, d := timed(r)
-			samples[class] = append(samples[class], float64(d))
+			samples[class] = append(samples[class], float64(timeCall(class, len(samples[class]))))
 		}
 		pooled := append(append([]float64(nil), samples[0]...), samples[1]...)
 		sort.Float64s(pooled)
@@ -162,13 +180,116 @@ func TestShareTimingIndependentOfNonce(t *testing.T) {
 			samples[c] = kept
 		}
 		tStat = welch(samples[0], samples[1])
-		t.Logf("round %d: fixed nonce %v (w-NAF weight of r+e: %d), %d + %d samples under %.1f µs, t = %.2f",
-			round, fixed, best, len(samples[0]), len(samples[1]), cut/1e3, tStat)
+		t.Logf("round %d: %s, %d + %d samples under %.1f µs, t = %.2f", round, what, len(samples[0]), len(samples[1]), cut/1e3, tStat)
 		if math.Abs(tStat) < 4.5 {
-			return
+			return true
 		}
 	}
-	t.Fatalf("a share's running time depends on its proof nonce: |t| = %.1f ≥ 4.5 in three rounds of 2·10⁵ samples", math.Abs(tStat))
+	t.Logf("|t| = %.1f ≥ 4.5 in three rounds of %d samples", math.Abs(tStat), 2*perClass)
+	return false
+}
+
+// TestTokenTimingIndependentOfKey is the dudect check of ROADMAP item
+// 3(ii) on the SEM's token: a warm IBESEM.TokenX — the replay of a cached
+// Miller program in the x-only ring, and its final exponentiation — is
+// timed 10⁵ times for each of two enrolled identities, the same U, the two
+// classes interleaved at random, and Welch's t must stay under 4.5. The
+// program's (α, β) derive from d_sem, and the replay has no branch on them:
+// it runs the same products and sums whatever their values. The two halves
+// are extreme for the one statistic a branch on α's low limb would key on:
+// among 48 candidate halves, the programs with the most and the fewest α
+// whose Montgomery low word is odd (α is the affine slope of the walk's
+// tangent or chord). A replay that did one product more on such lines fails
+// this test (CHANGES.md records the run).
+func TestTokenTimingIndependentOfKey(t *testing.T) {
+	if testing.Short() {
+		t.Skip("2·10⁵ timed tokens")
+	}
+	if raceEnabled {
+		t.Skip("running times under the race detector measure the detector")
+	}
+	const perClass = 100_000
+
+	pkg, sem := ibeFixture(t)
+	pp := pkg.Public().Pairing
+	var halves [2]*curve.Point
+	var odd [2]int
+	for k := 0; k < 48; k++ {
+		d, err := pp.Curve().RandomG1(rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := oddSlopes(t, pp, d)
+		if k == 0 || n > odd[0] {
+			halves[0], odd[0] = d, n
+		}
+		if k == 0 || n < odd[1] {
+			halves[1], odd[1] = d, n
+		}
+	}
+	ids := [2]string{"most-odd@example.com", "fewest-odd@example.com"}
+	for c, id := range ids {
+		sem.Register(&SEMKeyHalf{ID: id, D: halves[c]})
+	}
+	u, err := pp.Curve().RandomG1(rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ux, err := pp.Curve().UnmarshalX(u.Marshal())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c, id := range ids {
+		g, err := sem.TokenX(id, ux)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, _ := pp.Pair(halves[c], u); !resolveToken(t, pp, g, u).Equal(want) {
+			t.Fatalf("%s: the warm-up token is not ê(d_sem, U)", id)
+		}
+	}
+	if !timingClassesAgree(t, perClass, func(class, _ int) time.Duration {
+		t0 := time.Now()
+		_, err := sem.TokenX(ids[class], ux)
+		d := time.Since(t0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}, fmt.Sprintf("programs with %d and %d odd α", odd[0], odd[1])) {
+		t.Fatal("a token's running time depends on the SEM's key half")
+	}
+}
+
+// oddSlopes counts the lines of d's Miller program whose α — the slope of
+// the walk's tangent or chord, which FixedPair records — has an odd low word
+// in Montgomery form. The walk's last chord, to O, is vertical and records
+// no line.
+func oddSlopes(t *testing.T, pp *pairing.Params, d *curve.Point) int {
+	t.Helper()
+	p, q := pp.P(), pp.Q()
+	r := new(big.Int).Lsh(big.NewInt(1), uint(64*((p.BitLen()+63)/64)))
+	n := 0
+	count := func(lambda *big.Int) {
+		m := new(big.Int).Mul(lambda, r)
+		n += int(m.Mod(m, p).Bit(0))
+	}
+	v := d
+	for i := q.BitLen() - 2; i >= 0; i-- {
+		lambda, err := pairingtest.TangentSlope(v, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		count(lambda)
+		v = v.Double()
+		if q.Bit(i) == 1 {
+			if lambda, err := pairingtest.ChordSlope(v, d, p); err == nil {
+				count(lambda)
+			}
+			v = v.Add(d)
+		}
+	}
+	return n
 }
 
 // TestWarmShareAllocs pins the warm share's allocation count at what it was

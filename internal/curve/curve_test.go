@@ -5,6 +5,7 @@ import (
 	"crypto/rand"
 	"errors"
 	"math/big"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -252,6 +253,86 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 	if _, err := c.Unmarshal(badInf); err == nil {
 		t.Error("malformed infinity accepted")
 	}
+}
+
+// TestUnmarshalX: the x-only decoder accepts exactly what Unmarshal accepts
+// less O and the 2-torsion point (0, 0), both sign tags alike, and keeps the
+// point's x: over random points of E(F_p), random abscissae and the
+// refusals one by one, a non-residue x³ + x among them.
+func TestUnmarshalX(t *testing.T) {
+	c := toyCurve(t)
+	size := 1 + c.CoordinateSize()
+	for i := 0; i < 50; i++ {
+		P, err := c.RandomPoint(rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data := P.Marshal()
+		for _, tag := range []byte{2, 3} {
+			data[0] = tag
+			e, err := c.UnmarshalX(data)
+			if err != nil {
+				t.Fatalf("tag %d: %v", tag, err)
+			}
+			px, _ := P.Mont()
+			if x, _ := e.XS(); !slices.Equal(x, px) || e.IsInfinity() {
+				t.Fatalf("tag %d: x = %v, want the point's %v", tag, x, px)
+			}
+		}
+	}
+	for i := 0; i < 2000; i++ {
+		data := make([]byte, size)
+		if _, err := rand.Read(data[1:]); err != nil {
+			t.Fatal(err)
+		}
+		data[0] = byte(2 + i%2)
+		if i%7 == 0 {
+			data[1] = 0 // below p more often
+		}
+		pt, errFull := c.Unmarshal(data)
+		_, errX := c.UnmarshalX(data)
+		want := errFull == nil && pt.X().Sign() != 0
+		if (errX == nil) != want {
+			t.Fatalf("%x: UnmarshalX err = %v, Unmarshal err = %v", data, errX, errFull)
+		}
+	}
+
+	refuse := func(name string, data []byte, want error) {
+		t.Helper()
+		e, err := c.UnmarshalX(data)
+		if err == nil || !e.IsInfinity() || (want != nil && !errors.Is(err, want)) {
+			t.Errorf("%s: UnmarshalX = %v, want a refusal (%v)", name, err, want)
+		}
+	}
+	refuse("short", []byte{2, 3}, nil)
+	refuse("O", c.Infinity().Marshal(), nil)
+	for _, tag := range []byte{1, 4, 9} {
+		bad := make([]byte, size)
+		bad[0], bad[size-1] = tag, 1
+		refuse("unknown tag", bad, nil)
+	}
+	over := make([]byte, size)
+	over[0] = 2
+	c.P().FillBytes(over[1:])
+	refuse("x = p", over, nil)
+	for _, tag := range []byte{2, 3} {
+		zero := make([]byte, size)
+		zero[0] = tag
+		refuse("x = 0", zero, nil)
+	}
+	notOn := make([]byte, size)
+	notOn[0] = 3
+	x := big.NewInt(1)
+	for {
+		rhs := new(big.Int).Mul(x, x)
+		rhs.Mul(rhs, x).Add(rhs, x).Mod(rhs, c.P())
+		if big.Jacobi(rhs, c.P()) == -1 {
+			break
+		}
+		x.Add(x, big.NewInt(1))
+	}
+	x.FillBytes(notOn[1:])
+	refuse("non-residue x³ + x", notOn, curve.ErrNotOnCurve)
 }
 
 func TestNegInfinity(t *testing.T) {

@@ -733,6 +733,7 @@ func testZeroAllocs(t *testing.T) {
 				"LucasLadder": func() { f.LucasLadder(z, zi, x, p) },
 				"MulLine":     func() { f.MulLine(z, zi, x, y, x, y) },
 				"Inv":         func() { _ = f.Inv(z, x) },
+				"Legendre":    func() { _ = f.Legendre(x) },
 				"Exp":         func() { f.Exp(z, x, p) },
 			}
 			for opName, op := range ops {
@@ -772,6 +773,7 @@ func BenchmarkOps(b *testing.B) {
 			{"Add", func() { f.Add(z, x, y) }},
 			{"Sub", func() { f.Sub(z, x, y) }},
 			{"Inv", func() { _ = f.Inv(z, x) }},
+			{"Legendre", func() { _ = f.Legendre(y) }},
 			{"MulFp2", func() { f.MulFp2(z, zi, x, y, y, x) }},
 			{"SquareFp2", func() { f.SquareFp2(z, zi, x, y) }},
 			{"LucasLadder", func() { f.LucasLadder(z, zi, x, p) }},
@@ -797,5 +799,59 @@ func BenchmarkExp(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		f.Exp(z, x, e)
+	}
+}
+
+// TestLegendreSmallPrimes holds Legendre to big.Jacobi for every x modulo
+// every odd prime below 2¹², on the divstep walk alone: none of them may
+// fall through to Euler's criterion.
+func TestLegendreSmallPrimes(t *testing.T) {
+	for p := int64(3); p < 1<<12; p += 2 {
+		pb := big.NewInt(p)
+		if !pb.ProbablyPrime(0) {
+			continue
+		}
+		f, err := New(pb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := f.NewElt()
+		for a := int64(0); a < p; a++ {
+			x[0] = uint64(a)
+			f.Mul(x, x, f.rr)
+			if got, want := f.Legendre(x), big.Jacobi(big.NewInt(a), pb); got != want {
+				t.Fatalf("p = %d: Legendre(%d) = %d, want %d", p, a, got, want)
+			}
+		}
+	}
+}
+
+// TestLegendreMatchesJacobi holds Legendre to big.Jacobi at every test
+// width, on the boundary values, random elements, and squares and their
+// negatives (p ≡ 3 mod 4 for the pairing primes, so −x² is a non-residue).
+func TestLegendreMatchesJacobi(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, tm := range testModuli {
+		t.Run(tm.name, func(t *testing.T) {
+			f, p := mustField(t, tm.name)
+			vals := boundaryValues(p)
+			for range 200 {
+				r := new(big.Int).Rand(rng, p)
+				sq := new(big.Int).Mul(r, r)
+				vals = append(vals, r, sq.Mod(sq, p), new(big.Int).Sub(p, sq).Mod(new(big.Int).Sub(p, sq), p))
+			}
+			x := f.NewElt()
+			for _, a := range vals {
+				if err := f.FromBig(x, a); err != nil {
+					t.Fatal(err)
+				}
+				if got, want := f.Legendre(x), big.Jacobi(a, p); got != want {
+					t.Fatalf("Legendre(%v) = %d, want %d", a, got, want)
+				}
+				if got, want := f.legendreEuler(x), big.Jacobi(a, p); a.Sign() != 0 && got != want {
+					t.Fatalf("legendreEuler(%v) = %d, want %d", a, got, want)
+				}
+			}
+		})
 	}
 }

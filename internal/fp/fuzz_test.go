@@ -147,6 +147,10 @@ func checkFieldOps(t *testing.T, ff *fuzzField, a, b *big.Int) {
 	// Inverse: ErrNotInvertible iff zero, else big.Int.ModInverse's.
 	checkInv(t, ff.name, f, p, a)
 
+	if got, want := f.Legendre(x), big.Jacobi(a, p); got != want {
+		t.Fatalf("[%s] Legendre(%v) = %d, want %d", ff.name, a, got, want)
+	}
+
 	// Exp against big.Int.Exp, using b as the exponent.
 	f.Exp(z, x, b)
 	check("Exp", new(big.Int).Exp(a, b, p))

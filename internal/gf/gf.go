@@ -242,6 +242,80 @@ func (e *Element) MulLine(alpha, beta, x, y []uint64) *Element {
 	return e
 }
 
+// The ring F_p[j]/(j² + s), for a nonzero square s = y² of F_p, is F_p²
+// again, by j ↦ y·i. An element a + b·j is stored as a + b·i is, so a
+// pairing that knows s = x³ + x but not y (pairing.FixedPair.PairX) runs its
+// Miller loop on Elements; SquareJ, MulJ and MulLineJ are Square, Mul and
+// MulLine in that ring, and ExpUnitaryPart takes s. With s = 1 the ring is
+// F_p² itself.
+
+// SquareJ sets e = x² = (a² − s·b²) + 2ab·j in F_p[j]/(j² + s) and returns
+// e: four products, where Square, with s = 1 folded in, needs two.
+func (e *Element) SquareJ(x *Element, s []uint64) *Element {
+	f := x.f
+	F := f.fp
+	var t1, t2 [fp.MaxLimbs]uint64
+	n := F.Limbs()
+	aa, sbb := t1[:n], t2[:n]
+	F.Square(aa, x.a)
+	F.Square(sbb, x.b)
+	F.Mul(sbb, sbb, s)
+	e.ensure(f)
+	F.Mul(e.b, x.a, x.b) // x.a is read here for the last time: e may alias x
+	F.Double(e.b, e.b)
+	F.Sub(e.a, aa, sbb)
+	return e
+}
+
+// MulJ sets e = x·y = (x₀y₀ − s·x₁y₁) + (x₀y₁ + x₁y₀)·j in F_p[j]/(j² + s)
+// and returns e, by Karatsuba: four products.
+func (e *Element) MulJ(x, y *Element, s []uint64) *Element {
+	f := x.f
+	F := f.fp
+	var t1, t2, t3, t4 [fp.MaxLimbs]uint64
+	n := F.Limbs()
+	t0, u1, sx, sy := t1[:n], t2[:n], t3[:n], t4[:n]
+	F.Mul(t0, x.a, y.a)
+	F.Mul(u1, x.b, y.b)
+	F.Add(sx, x.a, x.b)
+	F.Add(sy, y.a, y.b)
+	F.Mul(sx, sx, sy)
+	F.Sub(sx, sx, t0)
+	F.Sub(sx, sx, u1)
+	F.Mul(u1, u1, s)
+	e.ensure(f)
+	F.Sub(e.a, t0, u1)
+	F.Set(e.b, sx)
+	return e
+}
+
+// MulLineJ sets e = e·(L + j) = (aL − s·b) + (a + bL)·j in F_p[j]/(j² + s)
+// for L = alpha·x + beta, and returns e: a fixed-argument Miller program's
+// line evaluated at an evaluation point of abscissa x (MulLine's line with
+// j for y·i), four products. e must already hold an element of the field.
+func (e *Element) MulLineJ(alpha, beta, x, s []uint64) *Element {
+	F := e.f.fp
+	var t1, t2, t3 [fp.MaxLimbs]uint64
+	n := F.Limbs()
+	l, sb, bl := t1[:n], t2[:n], t3[:n]
+	F.Mul(l, alpha, x)
+	F.Add(l, l, beta)
+	F.Mul(sb, e.b, s)
+	F.Mul(bl, e.b, l)
+	F.Add(e.b, e.a, bl)
+	F.Mul(e.a, e.a, l)
+	F.Sub(e.a, e.a, sb)
+	return e
+}
+
+// FromJ sets e = a + (b·y)·i for x = a + b·j of F_p[j]/(j² + y²) and
+// returns e: the ring's isomorphism onto F_p², for the holder of y.
+func (e *Element) FromJ(x *Element, y []uint64) *Element {
+	e.Set(x)
+	e.f.fp.Mul(e.b, e.b, y)
+	return e
+}
+
 // MulScalar sets e = k · x for k ∈ F_p and returns e.
 func (e *Element) MulScalar(x *Element, k *big.Int) *Element {
 	f := x.f
@@ -463,15 +537,21 @@ func (f *Field) expUnitary(e *Element, a, invB []uint64, k *big.Int) *Element {
 // ExpUnitaryPart sets e = (x^(p−1))^k = (x̄/x)^k for k ≥ 0 and returns e —
 // the shape of a pairing final exponentiation, whose easy part x^(p−1)
 // projects x onto the unitary subgroup and whose tail k then runs on the
-// trace ladder (expUnitary). With x = u + v·i and N = u² + v²,
+// trace ladder (expUnitary). x and the result are in F_p[j]/(j² + s) for a
+// nonzero square s (see SquareJ; nil s is 1, F_p² itself), where the
+// Frobenius is again a + b·j ↦ a − b·j. With x = u + v·j and
+// N = u² + s·v², the norm,
 //
-//	x̄/x = x̄²/N = ((u² − v²) − 2uv·i)/N,
+//	x̄/x = x̄²/N = ((u² − s·v²) − 2uv·j)/N,
 //
-// so one inversion, of N·2uv, serves both the division by N and the 1/b the
-// ladder needs to recover the imaginary part; x̄/x = ±1 (uv = 0) has no such
-// inverse and is answered directly. The result is the same field element
-// Inverse, Conjugate, Mul and Exp produce. ErrNotInvertible for x = 0.
-func (e *Element) ExpUnitaryPart(x *Element, k *big.Int) (*Element, error) {
+// so one inversion, of N·2uv·s, serves both the division by N and the
+// 1/(s·b) the ladder needs to recover the power's j-coordinate, b = −2uv/N
+// being x̄/x's: through j ↦ y·i the ladder divides by the imaginary part
+// b·y, and the j-coordinate is that quotient over y again, b·y² = s·b in
+// all. x̄/x = ±1 (uv = 0) has no such inverse and is answered directly.
+// The result is the same field element Inverse, Conjugate, Mul and Exp
+// produce, read through j ↦ y·i. ErrNotInvertible for x = 0.
+func (e *Element) ExpUnitaryPart(x *Element, s []uint64, k *big.Int) (*Element, error) {
 	if x.IsZero() {
 		return nil, ErrNotInvertible
 	}
@@ -480,6 +560,9 @@ func (e *Element) ExpUnitaryPart(x *Element, k *big.Int) (*Element, error) {
 	}
 	f := x.f
 	F := f.fp
+	if s == nil {
+		s = f.one
+	}
 	if F.IsZero(x.a) || F.IsZero(x.b) {
 		// x real: x̄/x = 1. x imaginary: x̄/x = −1, and (−1)^k = ±1.
 		minus := F.IsZero(x.a) && k.Bit(0) == 1
@@ -496,16 +579,19 @@ func (e *Element) ExpUnitaryPart(x *Element, k *big.Int) (*Element, error) {
 	a, norm, m, inv := b1[:n], b2[:n], b3[:n], b4[:n]
 	F.Square(a, x.a)
 	F.Square(inv, x.b)
+	F.Mul(inv, inv, s)
 	F.Add(norm, a, inv) // N
-	F.Sub(a, a, inv)    // u² − v²
+	F.Sub(a, a, inv)    // u² − s·v²
 	F.Mul(m, x.a, x.b)
 	F.Double(m, m) // 2uv
+	F.Mul(m, m, s) // 2uv·s
 	F.Mul(inv, norm, m)
 	if err := F.Inv(inv, inv); err != nil {
-		// N = 0 needs −1 to be a square, which p ≡ 3 (mod 4) excludes.
+		// N = 0 needs −s to be a square, which a square s and
+		// p ≡ 3 (mod 4) exclude.
 		return nil, ErrNotInvertible
 	}
-	// a = (u² − v²)/N = (u² − v²)·2uv·inv; 1/b = −N/2uv = −N²·inv.
+	// a = (u² − s·v²)/N = (u² − s·v²)·2uv·s·inv; 1/(s·b) = −N/(2uv·s) = −N²·inv.
 	F.Mul(a, a, m)
 	F.Mul(a, a, inv)
 	invB := norm

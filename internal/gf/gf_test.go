@@ -409,20 +409,20 @@ func TestExpUnitaryPartMatchesGeneric(t *testing.T) {
 		g.Mul(g, inv)
 		for _, k := range []int64{0, 1, 2, 3, 89, 1000004 / 53, 1 << 40} {
 			want, _ := new(Element).Exp(g, big.NewInt(k))
-			got, err := new(Element).ExpUnitaryPart(x, big.NewInt(k))
+			got, err := new(Element).ExpUnitaryPart(x, nil, big.NewInt(k))
 			if err != nil || !got.Equal(want) {
 				t.Fatalf("x %d, k = %d: ExpUnitaryPart = %v, %v; want %v", xi, k, got, err, want)
 			}
 			aliased := x.Copy()
-			if _, err := aliased.ExpUnitaryPart(aliased, big.NewInt(k)); err != nil || !aliased.Equal(want) {
+			if _, err := aliased.ExpUnitaryPart(aliased, nil, big.NewInt(k)); err != nil || !aliased.Equal(want) {
 				t.Fatalf("x %d, k = %d: aliased ExpUnitaryPart diverges", xi, k)
 			}
 		}
 	}
-	if _, err := new(Element).ExpUnitaryPart(f.Zero(), big.NewInt(3)); !errors.Is(err, ErrNotInvertible) {
+	if _, err := new(Element).ExpUnitaryPart(f.Zero(), nil, big.NewInt(3)); !errors.Is(err, ErrNotInvertible) {
 		t.Fatalf("ExpUnitaryPart(0): err = %v, want ErrNotInvertible", err)
 	}
-	if _, err := new(Element).ExpUnitaryPart(xs[4], big.NewInt(-1)); err == nil {
+	if _, err := new(Element).ExpUnitaryPart(xs[4], nil, big.NewInt(-1)); err == nil {
 		t.Fatal("negative exponent accepted")
 	}
 }
@@ -677,7 +677,7 @@ func unitaryOfOrder(t *testing.T, f *Field, q *big.Int, seed int64) *Element {
 	cof.Div(cof, q)
 	for ; ; seed++ {
 		x := f.NewElement(big.NewInt(seed), big.NewInt(seed+7))
-		g, err := new(Element).ExpUnitaryPart(x, cof)
+		g, err := new(Element).ExpUnitaryPart(x, nil, cof)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -784,6 +784,74 @@ func TestUnitaryCombSameOperations(t *testing.T) {
 		} {
 			if ops := comb.expSecret(paper.Zero(), k); ops != want {
 				t.Errorf("q = %x, %s: comb did %+v, want %+v", paperQ, label, ops, want)
+			}
+		}
+	}
+}
+
+// TestJRingIsF_p2 holds the F_p[j]/(j² + s) arithmetic to F_p² through the
+// isomorphism a + b·j ↦ a + (b·y)·i, s = y²: SquareJ, MulJ, MulLineJ and
+// ExpUnitaryPart with s must land on Square, Mul, MulLine and
+// ExpUnitaryPart with nil s, for several y, aliased receivers, and the
+// real and j-only inputs ExpUnitaryPart answers directly. s = 1 (nil) must
+// leave ExpUnitaryPart as it is, and −y must give the conjugate.
+func TestJRingIsF_p2(t *testing.T) {
+	f := testField(t)
+	F := f.fp
+	mont := func(v int64) []uint64 {
+		z := F.NewElt()
+		f.setCoord(z, big.NewInt(v))
+		return z
+	}
+	for _, yv := range []int64{1, 2, 7, 123456, -1, -999} {
+		y := mont(yv)
+		s := F.NewElt()
+		F.Square(s, y)
+		toFp2 := func(x *Element) *Element { return new(Element).FromJ(x, y) }
+		xs := []*Element{
+			f.NewElement(big.NewInt(5), big.NewInt(0)),
+			f.NewElement(big.NewInt(0), big.NewInt(5)),
+			f.NewElement(big.NewInt(31337), big.NewInt(271828)),
+			f.NewElement(big.NewInt(-2), big.NewInt(999)),
+			f.NewElement(big.NewInt(424242), big.NewInt(-17)),
+		}
+		alpha, beta, xq := mont(8675309), mont(-31), mont(4711)
+		for i, x := range xs {
+			if got, want := toFp2(new(Element).SquareJ(x, s)), new(Element).Square(toFp2(x)); !got.Equal(want) {
+				t.Fatalf("y = %d, x %d: SquareJ = %v, want %v", yv, i, got, want)
+			}
+			if got := x.Copy(); !toFp2(got.SquareJ(got, s)).Equal(new(Element).Square(toFp2(x))) {
+				t.Fatalf("y = %d, x %d: aliased SquareJ diverges", yv, i)
+			}
+			z := xs[(i+2)%len(xs)]
+			if got, want := toFp2(new(Element).MulJ(x, z, s)), new(Element).Mul(toFp2(x), toFp2(z)); !got.Equal(want) {
+				t.Fatalf("y = %d, x %d: MulJ = %v, want %v", yv, i, got, want)
+			}
+			if got := x.Copy(); !toFp2(got.MulJ(got, got, s)).Equal(new(Element).Square(toFp2(x))) {
+				t.Fatalf("y = %d, x %d: aliased MulJ diverges", yv, i)
+			}
+			want := toFp2(x).MulLine(alpha, beta, xq, y)
+			if got := toFp2(x.Copy().MulLineJ(alpha, beta, xq, s)); !got.Equal(want) {
+				t.Fatalf("y = %d, x %d: MulLineJ = %v, want %v", yv, i, got, want)
+			}
+			for _, k := range []int64{0, 1, 2, 89, 1 << 40} {
+				want, err := new(Element).ExpUnitaryPart(toFp2(x), nil, big.NewInt(k))
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := new(Element).ExpUnitaryPart(x, s, big.NewInt(k))
+				if err != nil || !toFp2(got).Equal(want) {
+					t.Fatalf("y = %d, x %d, k = %d: ExpUnitaryPart with s = %v, %v; want %v", yv, i, k, got, err, want)
+				}
+				if yv == 1 && !got.Equal(want) {
+					t.Fatalf("x %d, k = %d: s = 1 differs from nil s", i, k)
+				}
+				// The other root −y reads the same (X, Y) as the conjugate.
+				conj := toFp2(got)
+				F.Neg(conj.b, conj.b)
+				if inv, _ := new(Element).Inverse(want); !conj.Equal(inv) {
+					t.Fatalf("y = %d, x %d, k = %d: −y does not give the inverse", yv, i, k)
+				}
 			}
 		}
 	}

@@ -238,23 +238,24 @@ func (pp *Params) MultiPair(ps, qs []*curve.Point) (*GT, error) {
 	// schedules (and to the single-chunk walk).
 	var f *gf.Element
 	if w := parallel.Workers(len(live) / 2); w <= 1 {
-		f = pp.millerProduct(live)
+		f = pp.millerProduct(live, nil)
 	} else {
 		fs := make([]*gf.Element, w)
 		parallel.Fan(w, func(k int) {
 			lo, hi := k*len(live)/w, (k+1)*len(live)/w
-			fs[k] = pp.millerProduct(live[lo:hi])
+			fs[k] = pp.millerProduct(live[lo:hi], nil)
 		})
 		f = fs[0]
 		for _, fk := range fs[1:] {
 			f.Mul(f, fk)
 		}
 	}
-	return pp.finalExp(f), nil
+	return &GT{v: pp.finalExp(f, nil), pp: pp}, nil
 }
 
 // livePair is one contributing (P, Q) pair of a MultiPair product: the
-// Miller walk state for P and the distorted second argument's coordinates.
+// Miller walk state for P and the distorted second argument's coordinates,
+// y_Q nil for an x-only Q (PairX).
 type livePair struct {
 	mv     *millerVars
 	xQ, yQ []uint64
@@ -267,8 +268,10 @@ func newLivePair(F *fp.Field, p1 *curve.Point, q1 curve.EvalArg) livePair {
 }
 
 // millerProduct runs the lock-step shared-squaring Miller loop over live and
-// returns the un-exponentiated accumulator ∏ᵢ fᵢ.
-func (pp *Params) millerProduct(live []livePair) *gf.Element {
+// returns the un-exponentiated accumulator ∏ᵢ fᵢ: in F_p² for a nil s, and
+// for an s in F_p[j]/(j² + s), where a line (a + b·x_Q) + (c·y_Q)·i is
+// (a + b·x_Q) + c·j — then live is the one pair of an x-only Q of that s.
+func (pp *Params) millerProduct(live []livePair, s []uint64) *gf.Element {
 	fld := pp.field
 	F := fld.Fp()
 	f := fld.One()
@@ -278,12 +281,21 @@ func (pp *Params) millerProduct(live []livePair) *gf.Element {
 	mulLine := func(lp *livePair) {
 		F.Mul(lr, b, lp.xQ)
 		F.Add(lr, lr, a)
+		if s != nil {
+			f.MulJ(f, fld.SetMont(line, lr, c), s)
+			return
+		}
 		F.Mul(li, c, lp.yQ)
 		f.Mul(f, fld.SetMont(line, lr, li))
 	}
 	n := pp.q
 	for i := n.BitLen() - 2; i >= 0; i-- {
-		f.Square(f) // shared: (∏fⱼ)² = ∏fⱼ²
+		// shared: (∏fⱼ)² = ∏fⱼ²
+		if s != nil {
+			f.SquareJ(f, s)
+		} else {
+			f.Square(f)
+		}
 		for j := range live {
 			if live[j].mv.doubleStep(a, b, c) {
 				mulLine(&live[j])
@@ -411,7 +423,7 @@ func (fp *FixedPair) Pair(q1 curve.EvalArg) (*GT, error) {
 			f.MulLine(st.alpha, st.beta, xQ, yQ)
 		}
 	}
-	return pp.finalExp(f), nil
+	return &GT{v: pp.finalExp(f, nil), pp: pp}, nil
 }
 
 // Lines returns the number of recorded line evaluations (memory

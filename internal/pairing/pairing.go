@@ -351,7 +351,7 @@ func (pp *Params) Pair(p1 *curve.Point, q1 curve.EvalArg) (*GT, error) {
 	if p1.IsInfinity() || q1 == nil || q1.IsInfinity() {
 		return pp.One(), nil
 	}
-	return pp.finalExp(pp.millerProduct([]livePair{newLivePair(pp.field.Fp(), p1, q1)})), nil
+	return &GT{v: pp.finalExp(pp.millerProduct([]livePair{newLivePair(pp.field.Fp(), p1, q1)}, nil), nil), pp: pp}, nil
 }
 
 // PairWithGenerator computes ê(P, q1) for the fixed system generator P via
@@ -374,21 +374,23 @@ func (pp *Params) PairWithGenerator(q1 curve.EvalArg) (*GT, error) {
 	return pp.Pair(pp.gen, q1)
 }
 
-// finalExp raises the Miller value f to (p²−1)/q = (p−1)·(p+1)/q and wraps
-// the result as a GT element. The easy part f^(p−1) = conj(f)·f⁻¹ lands in
-// the norm-1 (unitary) subgroup, where the real parts of the powers form a
-// Lucas sequence of their own, so the tail (p+1)/q runs on gf's real-part
-// ladder — one F_p squaring and one multiplication per exponent bit, with the
-// imaginary part recovered at the end from the same inversion that serves the
-// easy part (gf.Element.ExpUnitaryPart). Same field element as the generic
-// square-and-multiply. A zero Miller value cannot occur for valid inputs (line
-// functions vanish only on the points themselves) and pairs to 1.
+// finalExp raises the Miller value f to (p²−1)/q = (p−1)·(p+1)/q. The easy
+// part f^(p−1) = conj(f)·f⁻¹ lands in the norm-1 (unitary) subgroup, where
+// the real parts of the powers form a Lucas sequence of their own, so the
+// tail (p+1)/q runs on gf's real-part ladder — one F_p squaring and one
+// multiplication per exponent bit, with the imaginary part recovered at the
+// end from the same inversion that serves the easy part
+// (gf.Element.ExpUnitaryPart). Same field element as the generic
+// square-and-multiply. f is in F_p² for a nil s and in the x-only ring
+// F_p[j]/(j² + s) otherwise (PairX). A zero Miller value cannot occur for
+// valid inputs (line functions vanish only on the points themselves) and
+// pairs to 1.
 //
 //cryptolint:vartime (a ladder over the public exponent (p+1)/q; the field arithmetic underneath, inversion included, is fp's constant-time contract)
-func (pp *Params) finalExp(f *gf.Element) *GT {
-	v, err := new(gf.Element).ExpUnitaryPart(f, pp.expTail)
+func (pp *Params) finalExp(f *gf.Element, s []uint64) *gf.Element {
+	v, err := new(gf.Element).ExpUnitaryPart(f, s, pp.expTail)
 	if err != nil {
 		v = pp.field.One()
 	}
-	return &GT{v: v, pp: pp}
+	return v
 }

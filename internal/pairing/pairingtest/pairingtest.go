@@ -30,7 +30,7 @@ func PairFull(c *curve.Curve, fld *gf.Field, p1, q1 *curve.Point) (*gf.Element, 
 	}
 	// (p²−1)/q = (p−1)·(p+1)/q; a zero Miller value (impossible for valid
 	// inputs) pairs to 1 as it does in package pairing.
-	v, err := new(gf.Element).ExpUnitaryPart(f, c.Cofactor())
+	v, err := new(gf.Element).ExpUnitaryPart(f, nil, c.Cofactor())
 	if err != nil {
 		return fld.One(), nil
 	}

@@ -22,9 +22,11 @@ import (
 // of cofactor order, the 2-torsion point (0, 0), and U_q + T. The two ops
 // where the point is only the evaluation point of a pairing that walks the
 // server's own key answer them with what the pairing's E/qE quotient says:
-// ibe_token with (1, 1, Token(U_q)), threshold_share with the share of the
-// G1 projection (G = 1, 1, G(U_q)) and a proof that verifies for it; both
-// refuse only the identity and malformed encodings. Every other op that
+// ibe_token with 1 and Token(U_q) — and a bad request for (0, 0), whose
+// x³ + x = 0 leaves its x-only pairing no field to run in —, threshold_share
+// with the share of the G1 projection (G = 1, 1, G(U_q)) and a proof that
+// verifies for it; both refuse the identity and malformed encodings, and
+// ibe_token also a non-residue x³ + x and x ≥ p. Every other op that
 // takes a point — gdh_half_sign, register_ibe — still refuses all three as
 // protocol errors, register_gdh refuses them as scalars, and so does the
 // client for a half-signature a server sends back. The one point a client
@@ -115,14 +117,15 @@ func TestSubgroupCheckRelaxedOnlyForEvaluationPoints(t *testing.T) {
 		}
 		ibe.Register(ibeHalf) // register_ibe above replaced the half with U_q
 
-		// ibe_token: the quotient's answer, validated as the client would.
+		// ibe_token: the quotient's answer, resolved and validated as the
+		// client would.
 		token := func(pt *curve.Point) *pairing.GT {
 			t.Helper()
 			raw, err := call(opIBEToken, pt.Marshal())
 			if err != nil {
 				t.Fatalf("%s: ibe_token: %v", name, err)
 			}
-			g, err := wire.UnmarshalGT(pp, raw)
+			g, err := wire.UnmarshalGTX(pp, raw, pt)
 			if err != nil {
 				t.Fatalf("%s: ibe_token answered outside GT: %v", name, err)
 			}
@@ -138,10 +141,13 @@ func TestSubgroupCheckRelaxedOnlyForEvaluationPoints(t *testing.T) {
 		if got := token(outside["U_q + T"]); !bytes.Equal(got.Bytes(), want.Bytes()) {
 			t.Errorf("%s: ibe_token(U_q + T) ≠ ibe_token(U_q)", name)
 		}
-		for _, what := range []string{"cofactor-order point", "(0,0)"} {
-			if got := token(outside[what]); !got.IsOne() {
-				t.Errorf("%s: ibe_token(%s) ≠ 1", name, what)
-			}
+		if got := token(outside["cofactor-order point"]); !got.IsOne() {
+			t.Errorf("%s: ibe_token(cofactor-order point) ≠ 1", name)
+		}
+		// The x-only decoder refuses (0, 0): its s = 0 leaves no field to
+		// pair in.
+		if _, err := call(opIBEToken, two.Marshal()); !errors.Is(err, wire.ErrProtocol) || statusFor(err) != statusBadRequest {
+			t.Errorf("%s: ibe_token((0,0)): err = %v, want a wire.ErrProtocol bad request", name, err)
 		}
 
 		// threshold_share: the share of the G1 projection with a proof for
@@ -203,6 +209,31 @@ func TestSubgroupCheckRelaxedOnlyForEvaluationPoints(t *testing.T) {
 				if _, err := call(opByte, enc); !errors.Is(err, wire.ErrProtocol) || statusFor(err) != statusBadRequest {
 					t.Errorf("%s: %s(%s): err = %v, want a wire.ErrProtocol bad request", name, opName, what, err)
 				}
+			}
+		}
+
+		// ibe_token's decoder takes no root: it refuses an x whose x³ + x is
+		// not a square by its Legendre symbol, and (0, 0) under either tag.
+		size := 1 + c.CoordinateSize()
+		x := big.NewInt(1)
+		for {
+			s := new(big.Int).Exp(x, big.NewInt(3), c.P())
+			if big.Jacobi(s.Add(s, x).Mod(s, c.P()), c.P()) == -1 {
+				break
+			}
+			x.Add(x, big.NewInt(1))
+		}
+		nonResidue := make([]byte, size)
+		nonResidue[0] = 2
+		x.FillBytes(nonResidue[1:])
+		zero3 := make([]byte, size)
+		zero3[0] = 3
+		over := make([]byte, size)
+		over[0] = 3
+		c.P().FillBytes(over[1:])
+		for what, enc := range map[string][]byte{"non-residue x³ + x": nonResidue, "x = 0, tag 3": zero3, "x = p": over} {
+			if _, err := call(opIBEToken, enc); !errors.Is(err, wire.ErrProtocol) || statusFor(err) != statusBadRequest {
+				t.Errorf("%s: ibe_token(%s): err = %v, want a wire.ErrProtocol bad request", name, what, err)
 			}
 		}
 

@@ -64,19 +64,22 @@ func call[T any](o *ops, op byte, id string, payload []byte, check func([]byte) 
 }
 
 // batch is the one multi-item path: it marshals each operand, sends the
-// items through the transport and runs check on every answered slot,
-// fanned across cores, demoting a slot that fails validation to an error.
-// results and errs are index-aligned with the inputs; a non-nil err
-// reports a transport failure partway through, in which case the slots
-// answered before it are still validated and returned and the voided ones
-// carry that error in errs.
-func batch[X, T any](o *ops, op byte, ids []string, xs []X, marshal func(X) []byte, check func([]byte) (T, error)) (results []T, errs []error, err error) {
+// items through the transport and runs check on every answered slot with
+// that slot's operand, fanned across cores, demoting a slot that fails
+// validation to an error. An operand marshal refuses fails the whole call
+// before anything is sent. results and errs are index-aligned with the
+// inputs; a non-nil err reports a transport failure partway through, in
+// which case the slots answered before it are still validated and returned
+// and the voided ones carry that error in errs.
+func batch[X, T any](o *ops, op byte, ids []string, xs []X, marshal func(X) ([]byte, error), check func(X, []byte) (T, error)) (results []T, errs []error, err error) {
 	if len(ids) != len(xs) {
 		return nil, nil, fmt.Errorf("sem: batch has %d ids but %d operands", len(ids), len(xs))
 	}
 	payloads := make([][]byte, len(xs))
 	for i, x := range xs {
-		payloads[i] = marshal(x)
+		if payloads[i], err = marshal(x); err != nil {
+			return nil, nil, fmt.Errorf("sem: batch operand %d: %w", i, err)
+		}
 	}
 	raws, errs, err := o.t.many(op, ids, payloads)
 	if raws == nil {
@@ -85,19 +88,45 @@ func batch[X, T any](o *ops, op byte, ids []string, xs []X, marshal func(X) []by
 	results = make([]T, len(raws))
 	parallel.Fan(len(raws), func(i int) {
 		if errs[i] == nil {
-			results[i], errs[i] = check(raws[i])
+			results[i], errs[i] = check(xs[i], raws[i])
 		}
 	})
 	return results, errs, err
 }
 
-func marshalPoint(p *curve.Point) []byte { return p.Marshal() }
-func marshalInt(x *big.Int) []byte       { return x.Bytes() } //cryptolint:public (sanctioned wire serialization edge: ciphertexts are on the wire by design, SEM half delivery is the enrollment protocol)
+// ErrBadOperand refuses a point-taking op's nil or O operand on the client,
+// before anything is sent: no SEM op takes O, and nil has no encoding.
+var ErrBadOperand = errors.New("sem: operand point is nil or the identity")
 
-// gt and g1 validate a GT and a G1 answer: canonical encoding and order-q
-// membership.
-func (o *ops) gt(raw []byte) (*pairing.GT, error)  { return wire.UnmarshalGT(o.pp, raw) }
-func (o *ops) g1(raw []byte) (*curve.Point, error) { return wire.UnmarshalG1(o.pp.Curve(), raw) }
+// marshalPoint encodes a point operand, refusing nil and O (ErrBadOperand).
+func marshalPoint(p *curve.Point) ([]byte, error) {
+	if p.IsInfinity() {
+		return nil, ErrBadOperand
+	}
+	return p.Marshal(), nil
+}
+
+func marshalInt(x *big.Int) []byte { return x.Bytes() } //cryptolint:public (sanctioned wire serialization edge: ciphertexts are on the wire by design, SEM half delivery is the enrollment protocol)
+
+// intOperand is marshalInt in batch's form; an integer operand is never
+// refused.
+func intOperand(x *big.Int) ([]byte, error) { return marshalInt(x), nil }
+
+// gt validates a GT answer: canonical encoding and order-q membership.
+func (o *ops) gt(raw []byte) (*pairing.GT, error) { return wire.UnmarshalGT(o.pp, raw) }
+
+// halfSig validates a half-signature for the point h it was asked about:
+// canonical encoding and order-q membership, whatever h.
+func (o *ops) halfSig(_ *curve.Point, raw []byte) (*curve.Point, error) {
+	return wire.UnmarshalG1(o.pp.Curve(), raw)
+}
+
+// token validates an ibe_token answer for the U it was asked about: X‖Y
+// paired against U's abscissa, resolved with U's y to X + (Y·y_U)·i and
+// checked for order-q membership (wire.UnmarshalGTX).
+func (o *ops) token(u *curve.Point, raw []byte) (*pairing.GT, error) {
+	return wire.UnmarshalGTX(o.pp, raw, u)
+}
 
 // below validates a Z_n answer: a residue in [0, n).
 func below(n *big.Int) func([]byte) (*big.Int, error) {
@@ -115,18 +144,18 @@ func revoked(raw []byte) (bool, error) {
 
 // ignore reads nothing from an answer: the register ops answer with an
 // empty payload the caller has no use for.
-func ignore([]byte) (struct{}, error) { return struct{}{}, nil }
+func ignore[X any](X, []byte) (struct{}, error) { return struct{}{}, nil }
 
-// share validates a threshold player's answer: G, W1 and W2 must be in GT,
-// and the challenge E below q. Every element comes from a
-// possibly-misbehaving player, so all of it is checked before it enters
-// verification arithmetic. A proof's V is decoded as what it is to the
+// share validates a threshold player's answer to the U it was asked about,
+// whatever U: G, W1 and W2 must be in GT, and the challenge E below q. Every
+// element comes from a possibly-misbehaving player, so all of it is checked
+// before it enters verification arithmetic. A proof's V is decoded as what it is to the
 // verifier, the evaluation point of one pairing (wire.UnmarshalPairingArg:
 // canonical, on the curve, not O — no [q]· ladder): a cofactor component
 // in it changes nothing the proof check sees, and a V with no order-q part
 // fails that check like any other wrong V (core.VerifyShareProofs,
 // DESIGN §7).
-func (o *ops) share(raw []byte) (*core.DecryptionShare, error) {
+func (o *ops) share(_ *curve.Point, raw []byte) (*core.DecryptionShare, error) {
 	gt, point, scalar := shareWidths(o.pp)
 	if size := 3*gt + point + scalar; len(raw) != size {
 		return nil, fmt.Errorf("%w: threshold share is %d bytes, want %d", ErrProtocol, len(raw), size)
@@ -157,12 +186,17 @@ func (o *ops) Ping() error {
 }
 
 // IBEToken requests the decryption token ê(U, d_ID,sem) for a ciphertext's
-// U component.
+// U component. The SEM pairs against U's abscissa alone and the token is
+// resolved here with U's y (OpIBEToken).
 func (o *ops) IBEToken(id string, u *curve.Point) (*pairing.GT, error) {
 	if o.pp == nil {
 		return nil, errNoPairing
 	}
-	return call(o, opIBEToken, id, u.Marshal(), o.gt)
+	payload, err := marshalPoint(u)
+	if err != nil {
+		return nil, err
+	}
+	return call(o, opIBEToken, id, payload, func(raw []byte) (*pairing.GT, error) { return o.token(u, raw) })
 }
 
 // TokenBatch requests decryption tokens for k (id, U) pairs in one frame
@@ -172,7 +206,7 @@ func (o *ops) TokenBatch(ids []string, us []*curve.Point) (tokens []*pairing.GT,
 	if o.pp == nil {
 		return nil, nil, errNoPairing
 	}
-	return batch(o, opIBEToken, ids, us, marshalPoint, o.gt)
+	return batch(o, opIBEToken, ids, us, marshalPoint, o.token)
 }
 
 // DecryptIBE runs the user side of the full mediated-IBE decryption
@@ -191,7 +225,11 @@ func (o *ops) GDHHalfSign(id string, h *curve.Point) (*curve.Point, error) {
 	if o.pp == nil {
 		return nil, errNoPairing
 	}
-	return call(o, opGDHSign, id, h.Marshal(), o.g1)
+	payload, err := marshalPoint(h)
+	if err != nil {
+		return nil, err
+	}
+	return call(o, opGDHSign, id, payload, func(raw []byte) (*curve.Point, error) { return o.halfSig(h, raw) })
 }
 
 // GDHHalfSignBatch requests SEM half-signatures for k (id, h(M)) pairs —
@@ -200,7 +238,7 @@ func (o *ops) GDHHalfSignBatch(ids []string, hs []*curve.Point) (halves []*curve
 	if o.pp == nil {
 		return nil, nil, errNoPairing
 	}
-	return batch(o, opGDHSign, ids, hs, marshalPoint, o.g1)
+	return batch(o, opGDHSign, ids, hs, marshalPoint, o.halfSig)
 }
 
 // SignGDH runs the user side of the full mediated-GDH signing protocol over
@@ -239,7 +277,9 @@ func (o *ops) DecryptRSA(pub *mrsa.PublicKey, id string, userHalf *mathx.ExpHalf
 // RSAHalfDecryptBatch requests m_sem = c^{d_sem} mod n for k ciphertexts,
 // each response range-checked against the public modulus.
 func (o *ops) RSAHalfDecryptBatch(pub *mrsa.PublicKey, ids []string, cts []*big.Int) (halves []*big.Int, errs []error, err error) {
-	return batch(o, opRSADecrypt, ids, cts, marshalInt, below(pub.N))
+	return batch(o, opRSADecrypt, ids, cts, intOperand, func(_ *big.Int, raw []byte) (*big.Int, error) {
+		return wire.UnmarshalScalar(raw, pub.N)
+	})
 }
 
 // RSAHalfSign requests EMSA(msg)^{d_sem} mod n. The public key carries the
@@ -285,7 +325,11 @@ func (o *ops) ThresholdShare(id string, u *curve.Point) (*core.DecryptionShare, 
 	if o.pp == nil {
 		return nil, errNoPairing
 	}
-	return call(o, opThresholdShare, id, u.Marshal(), o.share)
+	payload, err := marshalPoint(u)
+	if err != nil {
+		return nil, err
+	}
+	return call(o, opThresholdShare, id, payload, func(raw []byte) (*core.DecryptionShare, error) { return o.share(u, raw) })
 }
 
 // ThresholdShareBatch requests one player's shares for k (id, U) pairs —
@@ -318,7 +362,11 @@ func (o *ops) Status(id string) (bool, error) {
 // RegisterIBE installs the SEM half of id's mediated IBE key. The server
 // must have been started with AllowRegister.
 func (o *ops) RegisterIBE(id string, d *curve.Point) error {
-	_, err := o.t.one(opRegisterIBE, id, d.Marshal())
+	payload, err := marshalPoint(d)
+	if err != nil {
+		return err
+	}
+	_, err = o.t.one(opRegisterIBE, id, payload)
 	return err
 }
 
@@ -327,7 +375,7 @@ func (o *ops) RegisterIBE(id string, d *curve.Point) error {
 // identities. errs is index-aligned; err reports a transport failure
 // partway through.
 func (o *ops) RegisterIBEBatch(ids []string, ds []*curve.Point) ([]error, error) {
-	_, errs, err := batch(o, opRegisterIBE, ids, ds, marshalPoint, ignore)
+	_, errs, err := batch(o, opRegisterIBE, ids, ds, marshalPoint, ignore[*curve.Point])
 	return errs, err
 }
 
@@ -341,7 +389,7 @@ func (o *ops) RegisterGDH(id string, x *big.Int) error {
 // RegisterGDHBatch installs k SEM GDH halves in one frame per negotiated
 // chunk.
 func (o *ops) RegisterGDHBatch(ids []string, xs []*big.Int) ([]error, error) {
-	_, errs, err := batch(o, opRegisterGDH, ids, xs, marshalInt, ignore)
+	_, errs, err := batch(o, opRegisterGDH, ids, xs, intOperand, ignore[*big.Int])
 	return errs, err
 }
 

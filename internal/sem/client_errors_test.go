@@ -2,9 +2,12 @@ package sem
 
 import (
 	"bytes"
+	"crypto/rand"
 	"errors"
+	"fmt"
 	"math/big"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -142,7 +145,11 @@ func TestBatchFormsRefuseOneLyingSlot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	token, err := pp.Pair(pp.Generator(), f.u)
+	ux, err := wire.UnmarshalPairingX(pp.Curve(), f.u.Marshal())
+	if err != nil {
+		t.Fatal(err)
+	}
+	token, err := pp.PairX(pp.Generator(), ux)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,4 +204,133 @@ func answered[T comparable](results []T, errs []error, err error) ([]bool, []err
 		got[i] = r != zero
 	}
 	return got, errs, err
+}
+
+// pointOps is every client op that sends a point, as *Pool and
+// *ShardedClient both offer it.
+type pointOps interface {
+	IBEToken(id string, u *curve.Point) (*pairing.GT, error)
+	TokenBatch(ids []string, us []*curve.Point) ([]*pairing.GT, []error, error)
+	GDHHalfSign(id string, h *curve.Point) (*curve.Point, error)
+	GDHHalfSignBatch(ids []string, hs []*curve.Point) ([]*curve.Point, []error, error)
+	ThresholdShare(id string, u *curve.Point) (*core.DecryptionShare, error)
+	ThresholdShareBatch(ids []string, us []*curve.Point) ([]*core.DecryptionShare, []error, error)
+	RegisterIBE(id string, d *curve.Point) error
+	RegisterIBEBatch(ids []string, ds []*curve.Point) ([]error, error)
+}
+
+// TestPointOpsRefuseNilAndO: every point-taking op of both clients, given
+// nil or O — alone, or in one slot of a batch whose other slot is a good
+// point — returns ErrBadOperand without panicking and sends nothing.
+func TestPointOpsRefuseNilAndO(t *testing.T) {
+	pp, err := pairing.Toy()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var frames atomic.Int64
+	addr := fakeSEM(t, DefaultMaxBatch, func(conn net.Conn) {
+		answerFrames(conn, func(_ byte, items []wire.ReqItem) []wire.RespItem {
+			frames.Add(1)
+			return make([]wire.RespItem, len(items))
+		})
+	})
+	pool, err := Dial(addr, pp, 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = pool.Close() })
+	sharded, err := NewShardedClient([]string{addr}, pp, ShardedConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = sharded.Close() })
+
+	good := pp.Generator()
+	ids := []string{testID, testID}
+	ops := map[string]func(c pointOps, p *curve.Point) error{
+		"IBEToken": func(c pointOps, p *curve.Point) error { _, err := c.IBEToken(testID, p); return err },
+		"TokenBatch": func(c pointOps, p *curve.Point) error {
+			_, _, err := c.TokenBatch(ids, []*curve.Point{good, p})
+			return err
+		},
+		"GDHHalfSign": func(c pointOps, p *curve.Point) error { _, err := c.GDHHalfSign(testID, p); return err },
+		"GDHHalfSignBatch": func(c pointOps, p *curve.Point) error {
+			_, _, err := c.GDHHalfSignBatch(ids, []*curve.Point{good, p})
+			return err
+		},
+		"ThresholdShare": func(c pointOps, p *curve.Point) error { _, err := c.ThresholdShare(testID, p); return err },
+		"ThresholdShareBatch": func(c pointOps, p *curve.Point) error {
+			_, _, err := c.ThresholdShareBatch(ids, []*curve.Point{good, p})
+			return err
+		},
+		"RegisterIBE": func(c pointOps, p *curve.Point) error { return c.RegisterIBE(testID, p) },
+		"RegisterIBEBatch": func(c pointOps, p *curve.Point) error {
+			_, err := c.RegisterIBEBatch(ids, []*curve.Point{good, p})
+			return err
+		},
+	}
+	for client, c := range map[string]pointOps{"Pool": pool, "ShardedClient": sharded} {
+		for name, op := range ops {
+			for what, p := range map[string]*curve.Point{"nil": nil, "O": pp.Curve().Infinity()} {
+				err := func() (err error) {
+					defer func() {
+						if r := recover(); r != nil {
+							err = fmt.Errorf("panic: %v", r)
+						}
+					}()
+					return op(c, p)
+				}()
+				if !errors.Is(err, ErrBadOperand) {
+					t.Errorf("%s.%s(%s) = %v, want ErrBadOperand", client, name, what, err)
+				}
+			}
+		}
+	}
+	if n := frames.Load(); n != 0 {
+		t.Errorf("%d frames reached the SEM", n)
+	}
+}
+
+// TestClientResolvesTheToken: the SEM answers ibe_token from U's abscissa,
+// and IBEToken and TokenBatch, through a Pool and a ShardedClient, resolve
+// it with U's y into exactly Pair(d_sem, U) — for U in G1 and for U + T with
+// a cofactor component — and into its inverse for −U, whose abscissa the SEM
+// cannot tell from U's.
+func TestClientResolvesTheToken(t *testing.T) {
+	f := newFixture(t)
+	pp := f.pp
+	const id = "resolve@example.com"
+	d := pp.GeneratorMul(big.NewInt(0x5eed))
+	if err := f.client.RegisterIBE(id, d); err != nil {
+		t.Fatal(err)
+	}
+	sharded, err := NewShardedClient([]string{f.addr}, pp, ShardedConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = sharded.Close() })
+	uq, err := pp.Curve().RandomG1(rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	us := []*curve.Point{uq, uq.Add(curvetest.RandomCofactorPoint(pp.Curve())), uq.Neg()}
+	for client, c := range map[string]pointOps{"Pool": f.client, "ShardedClient": sharded} {
+		batch, errs, err := c.TokenBatch([]string{id, id, id}, us)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, u := range us {
+			want, err := pp.Pair(d, u)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := c.IBEToken(id, u)
+			if err != nil || !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Errorf("%s: IBEToken(U %d) = %v, %v; want Pair(d_sem, U)", client, i, got, err)
+			}
+			if errs[i] != nil || !bytes.Equal(batch[i].Bytes(), want.Bytes()) {
+				t.Errorf("%s: TokenBatch slot %d = %v, %v; want Pair(d_sem, U)", client, i, batch[i], errs[i])
+			}
+		}
+	}
 }

@@ -34,8 +34,13 @@ type Op string
 
 // Protocol operations. The first group are the mediated crypto steps; the
 // second are the admin/introspection endpoints.
+//
+// OpIBEToken's answer is x-only: the SEM reads only U's abscissa
+// (wire.UnmarshalPairingX, no square root) and returns X‖Y with
+// ê(d_ID,sem, U) = X + (Y·y_U)·i, which the client resolves with its own
+// y_U before the GT check (wire.UnmarshalGTX).
 const (
-	OpIBEToken   Op = "ibe_token"     // item: id, compressed U → GT bytes
+	OpIBEToken   Op = "ibe_token"     // item: id, compressed U → X‖Y (the token as X + (Y·y_U)·i)
 	OpGDHSign    Op = "gdh_half_sign" // item: id, compressed h(M) → compressed S_sem
 	OpRSADecrypt Op = "rsa_half_dec"  // item: id, c bytes → c^{d_sem} bytes
 	OpRSASign    Op = "rsa_half_sig"  // item: id, message → EMSA(m)^{d_sem} bytes

@@ -554,13 +554,15 @@ func (s *Server) ibeToken(id string, payload []byte) ([]byte, error) {
 	if s.cfg.IBE == nil {
 		return nil, unsupported("IBE backend not configured")
 	}
-	// U is only ever the evaluation point of ê(d_ID,sem, ·), so it needs
-	// on-curve and non-identity, not the [q]· ladder (wire.UnmarshalPairingArg).
-	u, err := wire.UnmarshalPairingArg(s.cfg.Pairing.Curve(), payload)
+	// U is only ever the evaluation point of ê(d_ID,sem, ·), so it needs to
+	// be an abscissa other than O's and (0, 0)'s, not the [q]· ladder and not
+	// its y: the token is paired against x_U alone and resolved by the
+	// requester, who holds y_U (wire.UnmarshalPairingX, DESIGN §7).
+	u, err := wire.UnmarshalPairingX(s.cfg.Pairing.Curve(), payload)
 	if err != nil {
 		return nil, err
 	}
-	token, err := s.cfg.IBE.Token(id, u)
+	token, err := s.cfg.IBE.TokenX(id, u)
 	if err != nil {
 		return nil, err
 	}

@@ -46,8 +46,12 @@ import (
 	"io"
 )
 
-// V2Version is the protocol version negotiated by the v2 preamble.
-const V2Version = 2
+// V2Version is the protocol version negotiated by the v2 preamble. Version
+// 3 answers ibe_token with the x-only token X‖Y the client resolves with its
+// own y_U (version 2's answer was the GT element itself): the same widths,
+// other bytes, so a client and a server of different versions part at the
+// handshake rather than at the token check.
+const V2Version = 3
 
 // v2Magic opens every v2 connection preamble and acknowledgement.
 var v2Magic = [4]byte{'S', 'E', 'M', '2'}

@@ -59,7 +59,8 @@ func UnmarshalG1(c *curve.Curve, data []byte) (*curve.Point, error) {
 // cofactor component buys the peer nothing (DESIGN §7). The result is a
 // curve.EvalPoint, which only a pairing's second argument, IBESEM.Token,
 // ThresholdPlayer.Share and Curve.EvalSum accept; any other use of the point
-// needs UnmarshalG1.
+// needs UnmarshalG1. It still takes the square root for y; a pairing that
+// will be answered to the holder of y needs only UnmarshalPairingX.
 func UnmarshalPairingArg(c *curve.Curve, data []byte) (curve.EvalPoint, error) {
 	pt, err := c.Unmarshal(data)
 	if err != nil {
@@ -69,6 +70,37 @@ func UnmarshalPairingArg(c *curve.Curve, data []byte) (curve.EvalPoint, error) {
 		return curve.EvalPoint{}, fmt.Errorf("%w: point at infinity", ErrProtocol)
 	}
 	return curve.EvalPointOf(pt), nil
+}
+
+// UnmarshalPairingX decodes a compressed curve point received from an
+// untrusted peer as an x-only evaluation point (curve.EvalX): what
+// UnmarshalPairingArg accepts less the 2-torsion point x = 0, without its
+// square root — a Legendre symbol checks that x is an abscissa. The sign
+// tag is accepted either way and read as neither: the x-only pairing's
+// answer is resolved by the peer's own y (DESIGN §7). Refused, as
+// ErrProtocol: a wrong length, tag 0 and unknown tags, x ≥ p, x = 0, and an
+// x³ + x that is not a square.
+func UnmarshalPairingX(c *curve.Curve, data []byte) (curve.EvalX, error) {
+	e, err := c.UnmarshalX(data)
+	if err != nil {
+		return curve.EvalX{}, fmt.Errorf("%w: %v", ErrProtocol, err)
+	}
+	return e, nil
+}
+
+// UnmarshalGTX decodes an x-only pairing value X‖Y received from an
+// untrusted peer that paired against u's abscissa (UnmarshalPairingX on its
+// side), resolves it with u's y to X + (Y·y_u)·i, and checks the result's
+// order-q membership as UnmarshalGT does.
+func UnmarshalGTX(pp *pairing.Params, data []byte, u curve.EvalArg) (*pairing.GT, error) {
+	g, err := pp.ResolveX(data, u)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrProtocol, err)
+	}
+	if !pp.InGT(g) {
+		return nil, fmt.Errorf("%w: element outside the order-q subgroup of GT", ErrProtocol)
+	}
+	return g, nil
 }
 
 // UnmarshalScalar decodes a big-endian scalar received from an untrusted
