@@ -26,6 +26,9 @@ type Peer interface {
 	Close() error
 }
 
+// appendBatch caps the records one ReplAppend call ships.
+const appendBatch = 256
+
 // LeaderConfig configures a replication leader.
 type LeaderConfig struct {
 	// Journal is the authoritative, sequenced log. Required.
@@ -49,8 +52,6 @@ type LeaderConfig struct {
 	Logf func(format string, args ...any)
 	// RetryInterval is the reconnect/idle-poll cadence (default 500ms).
 	RetryInterval time.Duration
-	// AppendBatch caps records per ReplAppend call (default 256).
-	AppendBatch int
 	// SnapshotBatch caps entries per snapshot chunk (default 512).
 	SnapshotBatch int
 }
@@ -101,9 +102,6 @@ func NewLeader(cfg LeaderConfig) (*Leader, error) {
 	}
 	if cfg.RetryInterval <= 0 {
 		cfg.RetryInterval = 500 * time.Millisecond
-	}
-	if cfg.AppendBatch <= 0 {
-		cfg.AppendBatch = 256
 	}
 	if cfg.SnapshotBatch <= 0 {
 		cfg.SnapshotBatch = 512
@@ -370,8 +368,8 @@ func (l *Leader) servePeer(p *peerState, peer Peer) {
 		}
 		for len(recs) > 0 {
 			n := len(recs)
-			if n > l.cfg.AppendBatch {
-				n = l.cfg.AppendBatch
+			if n > appendBatch {
+				n = appendBatch
 			}
 			if err := peer.ReplAppend(l.epoch, recs[:n]); err != nil {
 				switch {

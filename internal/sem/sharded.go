@@ -45,9 +45,6 @@ type ShardedConfig struct {
 	// first); ops fail over down this list on transport errors. ≤ 0
 	// selects 1 (no failover).
 	Replicas int
-	// VirtualNodes tunes ring smoothness; ≤ 0 selects the shard package
-	// default.
-	VirtualNodes int
 	// Pool tunes every per-shard pool. Pool.Metrics is overridden by
 	// Metrics below.
 	Pool PoolConfig
@@ -82,7 +79,7 @@ func newShardedMetrics(reg *obs.Registry) *shardedMetrics {
 // connection is dialed until the first operation. pp may be nil when only
 // RSA/admin ops will be used.
 func NewShardedClient(addrs []string, pp *pairing.Params, cfg ShardedConfig) (*ShardedClient, error) {
-	ring, err := shard.New(addrs, cfg.VirtualNodes)
+	ring, err := shard.New(addrs, shard.DefaultVirtualNodes)
 	if err != nil {
 		return nil, err
 	}
