@@ -148,11 +148,13 @@ func servingPrefixed(entries []bench.BaselineEntry) bool {
 // hash.to-g1 ≤ 0.55, fp.exp ÷ fp.square ≤ 850, ibe.token.scan ÷ pair ≤ 1.05,
 // scalarmul.secret-comb ÷ scalarmul.variable-wnaf ≤ 0.55, fp.inv ÷ fp.mul ≤
 // 120, on the assembly gf.mul ÷ fp.mul.go ≤ 2.55 and gt.ingt ÷ fp.mul.go
-// ≤ 170, then pair ÷ pair.fixed ≤ 2.26 and scalarmul.variable-wnaf ÷
-// pair.fixed ≤ 1.24; bench.kernelRatioGates has the reasons) are held to
-// their bounds whatever the tolerance and whatever the snapshot records;
-// -filter selects them by gate name. A gate that does not apply to the run — fp.mul ÷ fp.mul.go where the
-// assembly kernel is not selected — is printed as n/a and not counted among
+// ≤ 170, then pair ÷ pair.fixed ≤ 2.26, scalarmul.variable-wnaf ÷
+// pair.fixed ≤ 1.24 and the rest of bench.kernelRatioGates, which has the
+// reasons) are held to their bounds whatever the tolerance and whatever the
+// snapshot records; -filter selects them by gate name. A gate that does not
+// apply to the run — an assembly-only one such as fp.mul ÷ fp.mul.go where
+// the assembly kernel is not selected, the lanes-only pair.fixed.x ÷ gf.mul
+// where the lane engine is not — is printed as n/a and not counted among
 // those that hold.
 func runCheck(pp *pairing.Params, path string, tolerance float64, quick, serving bool, filterRe *regexp.Regexp, out io.Writer) error {
 	body, err := os.ReadFile(path)

@@ -63,7 +63,8 @@ type BaselineReport struct {
 // margins in that time. The two sides are timed in short alternating
 // bursts instead and the fastest burst of each is taken (measureRatio), so
 // a slow spell hits both sides or neither. NA marks a gate that does not
-// apply to the run (ratioGate.AsmOnly without the assembly kernel): nothing
+// apply to the run (ratioGate.AsmOnly without the assembly kernel, LanesOnly
+// without the lane engine): nothing
 // was measured and nothing is held to the bound.
 type BaselineRatio struct {
 	Name  string  `json:"name"`
@@ -682,7 +683,7 @@ func Baseline(pp *pairing.Params, minIters int, minDuration time.Duration) (*Bas
 			run[body.name] = body.run
 		}
 		for _, g := range kernelRatioGates {
-			if g.AsmOnly && fp.Kernel() == "go" {
+			if !g.applies(fp.Kernel()) {
 				report.Ratios = append(report.Ratios, BaselineRatio{Name: g.name(), NA: true})
 				continue
 			}

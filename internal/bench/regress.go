@@ -37,15 +37,24 @@ func (r Regression) String() string {
 // measurement (measureRatio) to the cost of the two sides. An AsmOnly gate
 // compares the assembly field kernel with the Go one; where the assembly is
 // not what runs (fp.Kernel() is "go") both sides are the same code, so the
-// ratio is recorded as not applicable instead of being measured.
+// ratio is recorded as not applicable instead of being measured. A
+// LanesOnly gate bounds what the lane engine runs, and is not applicable
+// where fp.Kernel() does not name it.
 type ratioGate struct {
 	Num, Den      string
 	Max           float64
 	Rounds, Burst int
 	AsmOnly       bool
+	LanesOnly     bool
 }
 
 func (g ratioGate) name() string { return g.Num + " ÷ " + g.Den }
+
+// applies reports whether the gate is measured under the kernel k
+// (fp.Kernel()).
+func (g ratioGate) applies(k string) bool {
+	return !(g.AsmOnly && k == "go" || g.LanesOnly && k != "amd64-adx+ifma")
+}
 
 // kernelRatioGates are measured at paper size — when the modulus has 8
 // limbs, the only width with field kernels and the one the bounds were
@@ -165,7 +174,11 @@ func (g ratioGate) name() string { return g.Num + " ÷ " + g.Den }
 // since the SEM answers from U's abscissa, against the pairing-argument
 // decode it replaced: a Legendre symbol where the other takes a square root,
 // 0.09–0.11 measured, 0.995–1.002 with the root back or with the symbol by
-// Euler's criterion (three quick runs each).
+// Euler's criterion (three quick runs each). The twenty-first, lanes-only,
+// holds the x-only replay and its final exponentiation to the lane engine,
+// counted in one-call F_p² products, the MULX unit the scalar replay is made
+// of: 239–341 with both on lanes (15 quick runs), 463–546 with the replay
+// back on MULX and 480–615 with the ladder too (5 and 4 runs).
 var kernelRatioGates = []ratioGate{
 	{Num: "fp.mul.go", Den: "fp.mul.generic", Max: 0.70, Rounds: 64, Burst: 2048},
 	{Num: "fp.square.go", Den: "fp.mul.go", Max: 0.92, Rounds: 64, Burst: 2048},
@@ -187,6 +200,7 @@ var kernelRatioGates = []ratioGate{
 	{Num: "pair.fixed.x", Den: "pair.fixed", Max: 1.26, Rounds: 128, Burst: 1},
 	{Num: "fp.legendre", Den: "fp.mul", Max: 120, Rounds: 32, Burst: 64},
 	{Num: "wire.pairing-x", Den: "wire.pairing-arg", Max: 0.50, Rounds: 32, Burst: 8},
+	{Num: "pair.fixed.x", Den: "gf.mul", Max: 400, Rounds: 64, Burst: 4, LanesOnly: true},
 }
 
 // CompareBaselines checks a freshly measured report against a committed

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/curve"
+	"repro/internal/fp"
 	"repro/internal/mathx"
 	"repro/internal/pairing"
 	"repro/internal/pairing/pairingtest"
@@ -57,7 +58,7 @@ func welch(a, b []float64) float64 {
 	return (ma - mb) / math.Sqrt(va/float64(len(a))+vb/float64(len(b)))
 }
 
-// TestShareTimingIndependentOfNonce is the dudect-style check ROADMAP item 3(c)
+// TestShareTimingIndependentOfNonce is the dudect-style check ROADMAP item 3(ii)
 // asks for on the threshold prover: a warm ThresholdPlayer.Share is timed
 // 10⁵ times with one fixed, extreme proof nonce and 10⁵ times with fresh
 // random ones — same player, identity and U, the two classes interleaved at
@@ -192,26 +193,54 @@ func timingClassesAgree(t *testing.T, perClass int, timeCall func(class, i int) 
 // TestTokenTimingIndependentOfKey is the dudect check of ROADMAP item
 // 3(ii) on the SEM's token: a warm IBESEM.TokenX — the replay of a cached
 // Miller program in the x-only ring, and its final exponentiation — is
-// timed 10⁵ times for each of two enrolled identities, the same U, the two
-// classes interleaved at random, and Welch's t must stay under 4.5. The
-// program's (α, β) derive from d_sem, and the replay has no branch on them:
-// it runs the same products and sums whatever their values. The two halves
-// are extreme for the one statistic a branch on α's low limb would key on:
+// timed for each of two enrolled identities, the same U, the two classes
+// interleaved at random, and Welch's t must stay under 4.5. The program's
+// (α, β) derive from d_sem, and the replay has no branch on them: it runs
+// the same products and sums whatever their values. The two halves are
+// extreme for the one statistic a branch on α's low limb would key on:
 // among 48 candidate halves, the programs with the most and the fewest α
 // whose Montgomery low word is odd (α is the affine slope of the walk's
 // tangent or chord). A replay that did one product more on such lines fails
-// this test (CHANGES.md records the run).
+// this test (CHANGES.md records the runs). It runs on the toy set, 10⁵
+// tokens a class on the any-width loops, and on the paper set, 2·10⁴ a
+// class on the 8-limb kernel this CPU selects — the lane engine's one-call
+// replay where fp.Kernel() names it — and logs which kernel it timed.
 func TestTokenTimingIndependentOfKey(t *testing.T) {
 	if testing.Short() {
-		t.Skip("2·10⁵ timed tokens")
+		t.Skip("2·10⁵ and 4·10⁴ timed tokens")
 	}
 	if raceEnabled {
 		t.Skip("running times under the race detector measure the detector")
 	}
-	const perClass = 100_000
+	for _, set := range []struct {
+		name     string
+		params   func() (*pairing.Params, error)
+		perClass int
+	}{
+		{"toy", pairing.Toy, 100_000},
+		{"paper", pairing.Paper, 20_000},
+	} {
+		t.Run(set.name, func(t *testing.T) {
+			pp, err := set.params()
+			if err != nil {
+				t.Fatal(err)
+			}
+			kernel := "the any-width loops"
+			if pp.Field().Fp().Limbs() == 8 {
+				kernel = "fp kernel " + fp.Kernel()
+			}
+			t.Logf("timing %s tokens on %s", set.name, kernel)
+			tokenTimingIndependentOfKey(t, pp, set.perClass, kernel)
+		})
+	}
+}
 
-	pkg, sem := ibeFixture(t)
-	pp := pkg.Public().Pairing
+func tokenTimingIndependentOfKey(t *testing.T, pp *pairing.Params, perClass int, kernel string) {
+	pkg, err := NewMediatedPKG(rand.Reader, pp, msgLen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sem := NewIBESEM(pkg.Public(), NewRegistry())
 	var halves [2]*curve.Point
 	var odd [2]int
 	for k := 0; k < 48; k++ {
@@ -256,7 +285,7 @@ func TestTokenTimingIndependentOfKey(t *testing.T) {
 			t.Fatal(err)
 		}
 		return d
-	}, fmt.Sprintf("programs with %d and %d odd α", odd[0], odd[1])) {
+	}, fmt.Sprintf("%s, programs with %d and %d odd α", kernel, odd[0], odd[1])) {
 		t.Fatal("a token's running time depends on the SEM's key half")
 	}
 }

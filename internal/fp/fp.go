@@ -79,6 +79,8 @@ type Field struct {
 	p2w  []uint64 // 2·p² as 2n limbs (offset making lazy differences non-negative)
 
 	two []uint64 // 2 in Montgomery form, for LucasLadder
+
+	lanes *laneField // the lane engine's constants, at 8 limbs (lane.go)
 }
 
 // New constructs the field of the odd prime p (at most MaxLimbs·64 bits).
@@ -128,6 +130,9 @@ func New(p *big.Int) (*Field, error) {
 		limbsFromBig(f.p2w, p2)
 	}
 	f.initInv(p)
+	if n == 8 {
+		f.lanes = newLaneField(f)
+	}
 	return f, nil
 }
 
@@ -354,12 +359,16 @@ func (f *Field) Square(z, x []uint64) {
 	}
 }
 
-// Kernel names the code under Mul and Square at 8 limbs in this process:
-// "amd64-adx" for the assembly function, "go" for the portable kernels. It
-// is decided by CPUID at package init and the purego build tag, and by
-// nothing a caller can set.
+// Kernel names the field kernels at 8 limbs in this process: "go" for the
+// portable kernels, "amd64-adx" for the assembly under Mul and Square, and
+// "amd64-adx+ifma" where the lane engine (lane.go) also runs ReplayJ and
+// LucasLadder. It is decided by CPUID and XCR0 at package init and the
+// purego build tag, and by nothing a caller can set.
 func Kernel() string {
-	if useAsm {
+	switch {
+	case useLanes:
+		return "amd64-adx+ifma"
+	case useAsm:
 		return "amd64-adx"
 	}
 	return "go"
@@ -769,7 +778,9 @@ func (f *Field) SquareFp2(zr, zi, ar, ai []uint64) {
 // one multiplication and one squaring per bit, with no doubling and no
 // constant but 2. The bits only steer constant-time selections, and the
 // loop runs k.BitLen() times; at 8 limbs on the assembly the whole ladder
-// is one call (lucasLadder8). vk and vk1 must not alias v1 or each other.
+// is one call, on the lane engine (laneLadder8, the step's two products in
+// one lane product) where Kernel names it and lucasLadder8 elsewhere. vk
+// and vk1 must not alias v1 or each other.
 //
 //cryptolint:hotpath
 func (f *Field) LucasLadder(vk, vk1, v1 []uint64, k *big.Int) {
@@ -777,6 +788,10 @@ func (f *Field) LucasLadder(vk, vk1, v1 []uint64, k *big.Int) {
 	if words := k.Bits(); f.n == 8 && useAsm && len(words) <= len(kw) {
 		for i, w := range words {
 			kw[i] = uint64(w)
+		}
+		if useLanes {
+			f.lucasLanes(vk, vk1, v1, &kw[0], k.BitLen())
+			return
 		}
 		lucasLadder8((*[8]uint64)(vk), (*[8]uint64)(vk1), (*[8]uint64)(v1), (*[8]uint64)(f.two), (*[8]uint64)(f.p), f.n0, &kw[0], uint64(k.BitLen()))
 		return

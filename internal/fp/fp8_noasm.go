@@ -20,3 +20,17 @@ func lucasLadder8(vk, vk1, v1, two, p *[8]uint64, n0 uint64, k *uint64, bits uin
 }
 
 const noAsm = "fp: no assembly kernel in this build"
+
+// Nor is the lane engine.
+const (
+	useLanes    = false
+	laneMissing = "the lane engine is amd64 assembly, left out of this build"
+)
+
+func laneMul8(z, x, y *laneVec, lf *laneField) { panic(noAsm) }
+
+func laneReplayJ8(sc *replayScratch, lf *laneField, kinds *byte, steps uint64, lines *uint64, nlines uint64) {
+	panic(noAsm)
+}
+
+func laneLadder8(sc *ladderScratch, lf *laneField, k *uint64, bits uint64) { panic(noAsm) }

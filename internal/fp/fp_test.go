@@ -373,21 +373,31 @@ func TestAliasing(t *testing.T) {
 	}
 }
 
-// eachKernel runs body under both selections of the 8-limb Mul/Square
-// kernel: the Go kernels of fp8.go (the assembly switched off for the
-// subtest) and mul8, which is skipped where it is not what Field.Mul runs
-// anyway. No test in the package is parallel, so flipping the package
-// variable is safe.
+// eachKernel runs body under each selection of the 8-limb kernels: the Go
+// kernels of fp8.go (the assembly switched off for the subtest), the MULX
+// assembly alone, and the assembly with the lane engine. A subtest is
+// skipped, with the reason, where its kernels are not what this CPU and
+// build run; the lane one names the CPUID or XCR0 bit that is missing. No
+// test in the package is parallel, so flipping the package variables is
+// safe.
 func eachKernel(t *testing.T, body func(t *testing.T)) {
 	t.Run("go", func(t *testing.T) {
 		defer setAsm(useAsm)
+		defer setLanes(useLanes)
 		setAsm(false)
+		setLanes(false)
 		body(t)
 	})
 	t.Run("asm", func(t *testing.T) {
 		if !useAsm {
 			t.Skip("mul8 is not selected here (purego build, not amd64, or a CPU without ADX and BMI2)")
 		}
+		defer setLanes(useLanes)
+		setLanes(false)
+		body(t)
+	})
+	t.Run("lanes", func(t *testing.T) {
+		needLanes(t)
 		body(t)
 	})
 }
@@ -721,7 +731,15 @@ func testZeroAllocs(t *testing.T) {
 			if err := f.FromBig(y, new(big.Int).Div(p, big.NewInt(7))); err != nil {
 				t.Fatal(err)
 			}
+			// A 160-step program, every step a square and a line: the paper
+			// set's token replay (a no-op off the lane engine).
+			kinds, lines := make([]byte, 160), make([]uint64, 0, 160*16)
+			for i := range kinds {
+				kinds[i] = 3
+				lines = append(append(lines, y...), x...)
+			}
 			ops := map[string]func(){
+				"ReplayJ":     func() { f.ReplayJ(z, zi, kinds, lines, x, y) },
 				"Add":         func() { f.Add(z, x, y) },
 				"Sub":         func() { f.Sub(z, x, y) },
 				"Neg":         func() { f.Neg(z, x) },

@@ -128,6 +128,13 @@ func checkFieldOps(t *testing.T, ff *fuzzField, a, b *big.Int) {
 			t.Fatalf("[%s] %s(%v, %v) differs from the generic loop", ff.name, op.name, a, b)
 		}
 	}
+	if useLanes && f.lanes != nil {
+		laneProduct(f, z, x, y)
+		f.montMulGeneric(ref, x, y)
+		if !f.Equal(z, ref) {
+			t.Fatalf("[%s] the lane product of (%v, %v) differs from the generic loop", ff.name, a, b)
+		}
+	}
 	f.montMulGeneric(ref, x, x)
 	for name, square := range map[string]func(z, x []uint64){"Square": f.Square, "SquareGo": f.SquareGo} {
 		square(z, x)

@@ -308,6 +308,15 @@ func (e *Element) MulLineJ(alpha, beta, x, s []uint64) *Element {
 	return e
 }
 
+// ReplayJ sets e to a fixed-argument Miller program's replay in
+// F_p[j]/(j² + s) at the abscissa x, times an F_p* factor (a pairing's
+// final exponentiation removes it), in one call of the lane engine
+// (fp.Field.ReplayJ, which has the program's layout), and reports whether
+// it did; false leaves e alone, where the field's kernel has no lanes.
+func (e *Element) ReplayJ(kinds []byte, lines, x, s []uint64) bool {
+	return e.f.fp.ReplayJ(e.a, e.b, kinds, lines, x, s)
+}
+
 // FromJ sets e = a + (b·y)·i for x = a + b·j of F_p[j]/(j² + y²) and
 // returns e: the ring's isomorphism onto F_p², for the holder of y.
 func (e *Element) FromJ(x *Element, y []uint64) *Element {

@@ -312,13 +312,14 @@ func (pp *Params) millerProduct(live []livePair, s []uint64) *gf.Element {
 	return f
 }
 
-// fixedStep is one replayable instruction of a FixedPair program: square the
-// accumulator (doubling steps), then — unless the step's line was vertical —
-// multiply by (alpha·x_Q + beta) + y_Q·i.
-type fixedStep struct {
-	square      bool
-	alpha, beta []uint64 // Montgomery form; nil alpha ⇒ no line this step
-}
+// A FixedPair program step squares the accumulator (doubling steps) if its
+// kind has stepSquare, then — unless the step's line was vertical —
+// multiplies by the next line (α·x_Q + β) + y_Q·i if it has stepLine: the
+// layout fp.Field.ReplayJ reads.
+const (
+	stepSquare = 1
+	stepLine   = 2
+)
 
 // FixedPair is a fixed-first-argument pairing evaluator: NewFixedPair walks
 // the Miller loop of ê(P, ·) once, records every line's coefficients
@@ -332,8 +333,9 @@ type fixedStep struct {
 // is valid for every Q. Immutable and safe for concurrent use after
 // construction. Memory: two field elements per recorded line, ~2·|q| lines.
 type FixedPair struct {
-	pp    *Params //cryptolint:public (system parameters)
-	steps []fixedStep
+	pp    *Params  //cryptolint:public (system parameters)
+	kinds []byte   // one per step: stepSquare, stepLine or both
+	lines []uint64 // line k: β at [2k·w, (2k+1)·w), α after it, Montgomery form
 }
 
 // NewFixedPair precomputes the Miller-loop program for ê(p1, ·). The fixed
@@ -367,24 +369,23 @@ func (pp *Params) NewFixedPair(p1 *curve.Point) (*FixedPair, error) {
 	scratch := make([]uint64, 2*maxSteps*w) // the c column, then batchInvert's prefix products
 	elt := func(slab []uint64, k int) []uint64 { return slab[k*w : (k+1)*w : (k+1)*w] }
 
-	steps := make([]fixedStep, 0, maxSteps)
+	kinds := make([]byte, 0, maxSteps)
 	lines := 0
 	// next is where the next line's raw coefficients (a, b, c) go: a and b
 	// where they stay as (β, α), normalized after the walk with one batched
 	// inversion of the c column.
 	next := func() (a, b, c []uint64) { return elt(kept, 2*lines), elt(kept, 2*lines+1), elt(scratch, lines) }
-	record := func(square, produced bool) {
-		st := fixedStep{square: square}
+	record := func(kind byte, produced bool) {
 		if produced {
-			st.beta, st.alpha, _ = next()
+			kind |= stepLine
 			lines++
 		}
-		steps = append(steps, st)
+		kinds = append(kinds, kind)
 	}
 	for i := n.BitLen() - 2; i >= 0; i-- {
-		record(true, mv.doubleStep(next()))
+		record(stepSquare, mv.doubleStep(next()))
 		if n.Bit(i) == 1 {
-			record(false, mv.addStep(next()))
+			record(0, mv.addStep(next()))
 		}
 	}
 
@@ -402,7 +403,7 @@ func (pp *Params) NewFixedPair(p1 *curve.Point) (*FixedPair, error) {
 		F.Mul(elt(kept, 2*k+1), elt(kept, 2*k+1), inv)
 	}
 	engineCounters.fixedBuilds.Add(1)
-	return &FixedPair{pp: pp, steps: steps}, nil
+	return &FixedPair{pp: pp, kinds: kinds, lines: kept[:2*lines*w]}, nil
 }
 
 // Pair computes ê(P, q1) for the fixed P by replaying the precomputed line
@@ -414,13 +415,14 @@ func (fp *FixedPair) Pair(q1 curve.EvalArg) (*GT, error) {
 	}
 	xQ, yQ := q1.Mont()
 	f := pp.field.One()
-	for i := range fp.steps {
-		st := &fp.steps[i]
-		if st.square {
+	w, line := len(xQ), fp.lines
+	for _, k := range fp.kinds {
+		if k&stepSquare != 0 { //cryptolint:public (the program's shape, which q fixes)
 			f.Square(f)
 		}
-		if st.alpha != nil {
-			f.MulLine(st.alpha, st.beta, xQ, yQ)
+		if k&stepLine != 0 { //cryptolint:public (the program's shape, which q fixes)
+			f.MulLine(line[w:2*w], line[:w], xQ, yQ)
+			line = line[2*w:]
 		}
 	}
 	return &GT{v: pp.finalExp(f, nil), pp: pp}, nil
@@ -428,15 +430,7 @@ func (fp *FixedPair) Pair(q1 curve.EvalArg) (*GT, error) {
 
 // Lines returns the number of recorded line evaluations (memory
 // diagnostics: two field elements are stored per line).
-func (fp *FixedPair) Lines() int {
-	n := 0
-	for i := range fp.steps {
-		if fp.steps[i].alpha != nil {
-			n++
-		}
-	}
-	return n
-}
+func (fp *FixedPair) Lines() int { return len(fp.lines) / (2 * fp.pp.field.Fp().Limbs()) }
 
 // batchInvert replaces the elements of xs — F.Limbs() words each, laid end
 // to end — by their field inverses with Montgomery's simultaneous-inversion

@@ -150,7 +150,9 @@ func TestFixedPairSlabBuild(t *testing.T) {
 // the second argument's coordinates are read in place, so what is left is the
 // accumulator, the line, the final exponentiation's one variable-time
 // inversion and the result (29 on go1.24). Each big.Int coordinate coming back
-// costs at least two more — the replay made 33 when Point held big.Ints.
+// costs at least two more — the replay made 33 when Point held big.Ints. The
+// x-only replay, on the lane engine where the CPU has it, is held to the same
+// count: the lane kernels' scratch lives on the stack.
 func TestFixedPairAllocs(t *testing.T) {
 	pp, err := Paper()
 	if err != nil {
@@ -163,6 +165,13 @@ func TestFixedPairAllocs(t *testing.T) {
 	Q := randPoint(t, pp)
 	if allocs := testing.AllocsPerRun(20, func() { _, _ = fp.Pair(Q) }); allocs > 30 {
 		t.Errorf("paper: FixedPair.Pair makes %.0f allocations, want ≤ 30", allocs)
+	}
+	qx, err := pp.Curve().UnmarshalX(Q.Marshal())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { _, _ = fp.PairX(qx) }); allocs > 30 {
+		t.Errorf("paper: FixedPair.PairX makes %.0f allocations, want ≤ 30", allocs)
 	}
 }
 

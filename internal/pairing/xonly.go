@@ -61,8 +61,10 @@ func (pp *Params) PairX(p1 *curve.Point, q curve.EvalX) (GTX, error) {
 
 // PairX computes ê(P, Q) for the fixed P from Q's abscissa by replaying the
 // precomputed line program in F_p[j]/(j² + s): Pair's replay with SquareJ
-// and MulLineJ for Square and MulLine. Bit-identical to Pair(Q) once
-// resolved with Q's y. ê(P, O) = 1.
+// and MulLineJ for Square and MulLine, or the whole replay in one call on
+// the lane engine where the field kernel has it (gf.Element.ReplayJ; its
+// F_p* factor is gone after the final exponentiation). Bit-identical to
+// Pair(Q) once resolved with Q's y. ê(P, O) = 1.
 func (fp *FixedPair) PairX(q curve.EvalX) (GTX, error) {
 	pp := fp.pp
 	if q.IsInfinity() {
@@ -70,13 +72,17 @@ func (fp *FixedPair) PairX(q curve.EvalX) (GTX, error) {
 	}
 	x, s := q.XS()
 	f := pp.field.One()
-	for i := range fp.steps {
-		st := &fp.steps[i]
-		if st.square {
+	if f.ReplayJ(fp.kinds, fp.lines, x, s) {
+		return GTX{pp.finalExp(f, s)}, nil
+	}
+	w, line := len(x), fp.lines
+	for _, k := range fp.kinds {
+		if k&stepSquare != 0 { //cryptolint:public (the program's shape, which q fixes)
 			f.SquareJ(f, s)
 		}
-		if st.alpha != nil {
-			f.MulLineJ(st.alpha, st.beta, x, s)
+		if k&stepLine != 0 { //cryptolint:public (the program's shape, which q fixes)
+			f.MulLineJ(line[w:2*w], line[:w], x, s)
+			line = line[2*w:]
 		}
 	}
 	return GTX{pp.finalExp(f, s)}, nil
