@@ -13,8 +13,10 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/fp"
 	"repro/internal/keyfile"
+	"repro/internal/sem"
 )
 
 const testIdent = "vault@example.com"
@@ -121,6 +123,32 @@ func TestThresholdDaemonEndToEnd(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "unknown identity") {
 		t.Fatalf("error text %q does not name the reason", err)
+	}
+
+	// An identity revoked at every deployed player: each refuses its share.
+	for _, addr := range []string{a1, a3} {
+		player, err := sem.Dial(addr, nil, 2*time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = player.Revoke(testIdent, "device lost")
+		_ = player.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	ct.Reset()
+	if err := run([]string{"-system", system, "-encrypt", "-id", testIdent},
+		nil, nil, nil, strings.NewReader("split me"), &ct); err != nil {
+		t.Fatal(err)
+	}
+	plain.Reset()
+	err = run([]string{
+		"-system", system, "-decrypt", "-id", testIdent,
+		"-players", a1 + ",," + a3,
+	}, nil, nil, nil, bytes.NewReader(ct.Bytes()), &plain)
+	if !errors.Is(err, core.ErrRevoked) || !errors.Is(err, cluster.ErrNotEnoughShares) || plain.Len() != 0 {
+		t.Fatalf("decrypt for a revoked identity: %q, %v; want ErrNotEnoughShares and core.ErrRevoked", plain.String(), err)
 	}
 }
 

@@ -196,7 +196,7 @@ func Baseline(pp *pairing.Params, minIters int, minDuration time.Duration) (*Bas
 	}
 	// Player 1 as a server holds it: the share installed, so a request is
 	// served from the identity's cached Miller program after the first.
-	tplayer, err := core.NewThresholdPlayer(tparams, 1)
+	tplayer, err := core.NewThresholdPlayer(tparams, 1, core.NewRegistry())
 	if err != nil {
 		return nil, err
 	}

@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -51,7 +52,9 @@ var (
 
 // PlayerServer is one decryption server of the cluster: the player's key
 // shares (Install, SetMisbehaviour — see core.ThresholdPlayer) served by a
-// sem.Server. Safe for concurrent use.
+// sem.Server over the player's own revocation registry, so the revoke,
+// unrevoke, status and list ops it serves act on the registry every share
+// is checked against. Safe for concurrent use.
 type PlayerServer struct {
 	*core.ThresholdPlayer
 	params  *core.ThresholdParams
@@ -64,7 +67,7 @@ type PlayerServer struct {
 
 // NewPlayerServer creates player index's server.
 func NewPlayerServer(params *core.ThresholdParams, index int) (*PlayerServer, error) {
-	player, err := core.NewThresholdPlayer(params, index)
+	player, err := core.NewThresholdPlayer(params, index, core.NewRegistry())
 	if err != nil {
 		return nil, err
 	}
@@ -91,7 +94,7 @@ func (p *PlayerServer) Instrument(reg *obs.Registry) { p.metrics = reg }
 func (p *PlayerServer) server() (*sem.Server, error) {
 	p.once.Do(func() {
 		p.srv, p.err = sem.NewServer(sem.Config{
-			Registry:  core.NewRegistry(),
+			Registry:  p.Registry(),
 			Threshold: p.ThresholdPlayer,
 			Pairing:   p.params.Public.Pairing,
 			Metrics:   p.metrics,
@@ -269,16 +272,19 @@ func (r *Recombiner) Decrypt(id string, c *bf.BasicCiphertext) (msg []byte, reje
 // one else is contacted. Otherwise round two asks every remaining player at
 // once, checks those the same way, and the decryption succeeds iff t
 // players survived in total (ErrNotEnoughShares otherwise; when every
-// player asked answered that it holds no share for id, the error is also
-// ErrUnknownIdentity). All-at-once rather than one more player at a time:
-// the worst case is two rounds of at most 2·timeout each, not n − t + 1.
+// player asked refused with the same typed reason — it holds no share for
+// id, or id is revoked there — the error also wraps ErrUnknownIdentity or
+// core.ErrRevoked). All-at-once rather than one more player at a time: the
+// worst case is two rounds of at most 2·timeout each, not n − t + 1.
 //
 // It returns the plaintexts in request order together with the indices, in
 // ascending order, of the players that were asked and turned away. A player
 // is rejected wholesale — unreachable, refusing, malformed response, or any
 // share failing decode or NIZK verification — because a peer caught lying
-// once is not trustworthy for its other shares either. A player that was
-// not asked is neither used nor rejected.
+// once is not trustworthy for its other shares either. Each rejected player
+// is also asked last for timeout, except one that refused with a typed
+// reason: it answered honestly. A player that was not asked is neither used
+// nor rejected.
 //
 // Proof checking starts once every fetch of a round has resolved: that
 // round's shares of one ciphertext are verified together (core's
@@ -304,10 +310,10 @@ func (r *Recombiner) DecryptBatch(id string, cs []*bf.BasicCiphertext) (msgs [][
 	}
 
 	// valid holds the verified columns (a player's len(cs) shares), in the
-	// order they were accepted; unknown counts the rejected players that
-	// answered "no share for this identity".
+	// order they were accepted; reasons the typed refusal of each rejected
+	// player (nil for any other rejection).
 	valid := make([][]*core.DecryptionShare, 0, r.params.T)
-	unknown := 0
+	var reasons []error
 	waiting := playerOrder(r)
 	for round := 1; len(valid) < r.params.T && len(waiting) > 0; round++ {
 		ask := waiting
@@ -318,7 +324,7 @@ func (r *Recombiner) DecryptBatch(id string, cs []*bf.BasicCiphertext) (msgs [][
 		}
 		waiting = waiting[len(ask):]
 		r.met.asked.Add(uint64(len(ask) * len(cs)))
-		columns, errs := r.fetchRound(ask, ids, us)
+		columns, refusals := r.fetchRound(ask, ids, us)
 		if err := r.verifyRound(qid, us, columns); err != nil {
 			sort.Ints(rejected)
 			return nil, rejected, err
@@ -329,17 +335,17 @@ func (r *Recombiner) DecryptBatch(id string, cs []*bf.BasicCiphertext) (msgs [][
 				continue
 			}
 			rejected = append(rejected, i+1)
+			reasons = append(reasons, refusals[i])
 			r.met.rejected.Inc()
-			r.failedAt[i].Store(time.Now().UnixNano())
-			if errors.Is(errs[i], ErrUnknownIdentity) {
-				unknown++
+			if refusals[i] == nil {
+				r.failedAt[i].Store(time.Now().UnixNano())
 			}
 		}
 	}
 	sort.Ints(rejected)
 	if len(valid) < r.params.T {
-		if len(valid) == 0 && unknown > 0 && unknown == len(rejected) {
-			return nil, rejected, fmt.Errorf("%w: %d of %d: %w", ErrNotEnoughShares, len(valid), r.params.N, ErrUnknownIdentity)
+		if reasons = slices.Compact(reasons); len(valid) == 0 && len(reasons) == 1 && reasons[0] != nil {
+			return nil, rejected, fmt.Errorf("%w: %d of %d: %w", ErrNotEnoughShares, len(valid), r.params.N, reasons[0])
 		}
 		return nil, rejected, fmt.Errorf("%w: %d of %d", ErrNotEnoughShares, len(valid), r.params.N)
 	}
@@ -386,13 +392,14 @@ func playerOrder(r *Recombiner) []int {
 // fetchRound asks the given players in parallel for their shares of every
 // ciphertext, one batched request each. columns[i-1] is player i's column,
 // nil when the player was not asked, is unreachable, or any of its answers
-// is refused or malformed; errs[i-1] is then the transport error or, from a
-// player that answered, its refusals. Each share is stamped with the slot
-// that was dialed, not with anything the player says about itself, so a
-// share relayed from another player is checked against the wrong
-// verification key and fails.
-func (r *Recombiner) fetchRound(ask []int, ids []string, us []*curve.Point) (columns [][]*core.DecryptionShare, errs []error) {
-	columns, errs = make([][]*core.DecryptionShare, r.params.N), make([]error, r.params.N)
+// is refused or malformed; refusals[i-1] is then the typed sentinel —
+// ErrUnknownIdentity or core.ErrRevoked — when the player answered and
+// every item it failed it refused with that sentinel, nil otherwise. Each
+// share is stamped with the slot that was dialed, not with anything the
+// player says about itself, so a share relayed from another player is
+// checked against the wrong verification key and fails.
+func (r *Recombiner) fetchRound(ask []int, ids []string, us []*curve.Point) (columns [][]*core.DecryptionShare, refusals []error) {
+	columns, refusals = make([][]*core.DecryptionShare, r.params.N), make([]error, r.params.N)
 	start := time.Now()
 	var wg sync.WaitGroup
 	for _, i := range ask {
@@ -401,21 +408,26 @@ func (r *Recombiner) fetchRound(ask []int, ids []string, us []*curve.Point) (col
 			defer wg.Done()
 			fetchStart := time.Now()
 			shares, itemErrs, err := r.pools[i].ThresholdShareBatch(ids, us)
-			if err == nil {
-				err = errors.Join(itemErrs...)
-			}
-			if errs[i] = err; err == nil {
+			switch {
+			case err != nil:
+			case errors.Join(itemErrs...) == nil:
 				for _, share := range shares {
 					share.Index = i + 1
 				}
 				columns[i] = shares
+			default:
+				for _, why := range []error{ErrUnknownIdentity, core.ErrRevoked} {
+					if !slices.ContainsFunc(itemErrs, func(e error) bool { return e != nil && !errors.Is(e, why) }) {
+						refusals[i] = why
+					}
+				}
 			}
 			r.met.fetch[i].Observe(time.Since(fetchStart))
 		}()
 	}
 	wg.Wait()
 	r.met.quorumWait.Observe(time.Since(start))
-	return columns, errs
+	return columns, refusals
 }
 
 // verifyRound checks one round's columns ciphertext by ciphertext and nils

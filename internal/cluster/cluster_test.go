@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/rand"
 	"errors"
+	"fmt"
 	"io"
 	"math/big"
 	"net"
@@ -383,6 +384,61 @@ func TestClusterUnknownIdentity(t *testing.T) {
 	defer func() { _ = player.Close() }()
 	if _, err := player.ThresholdShare("ghost@example.com", c.U); !errors.Is(err, ErrUnknownIdentity) {
 		t.Fatalf("share for an unknown identity: %v, want ErrUnknownIdentity", err)
+	}
+}
+
+// TestClusterRevokedEverywhere: a revoke each player acknowledges over its
+// own revoke op is enforced on its shares. Decrypt then returns no
+// plaintext and a typed error, rejects every player asked and demotes none
+// (a refusal is an honest answer); after unrevoke at every player it
+// decrypts again.
+func TestClusterRevokedEverywhere(t *testing.T) {
+	d := deploy(t)
+	r := d.recombiner(t)
+	msg := bytes.Repeat([]byte{0x5A}, msgLen)
+	c, err := d.params.Public.EncryptBasic(rand.Reader, ident, msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	each := func(op func(*sem.Pool) error) {
+		t.Helper()
+		for _, addr := range d.addrs {
+			player, err := sem.Dial(addr, d.params.Public.Pairing, 2*time.Second)
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = op(player)
+			_ = player.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	each(func(p *sem.Pool) error { return p.Revoke(ident, "key lost") })
+	each(func(p *sem.Pool) error {
+		if revoked, err := p.Status(ident); err != nil || !revoked {
+			return fmt.Errorf("status = %v, %v; want revoked", revoked, err)
+		}
+		return nil
+	})
+
+	got, rejected, err := r.Decrypt(ident, c)
+	if !errors.Is(err, ErrNotEnoughShares) || !errors.Is(err, core.ErrRevoked) || got != nil {
+		t.Fatalf("revoked everywhere: plaintext %x, err %v; want ErrNotEnoughShares and core.ErrRevoked", got, err)
+	}
+	if !slices.Equal(rejected, []int{1, 2, 3, 4, 5}) {
+		t.Fatalf("rejected = %v, want every player (all were asked, all refused)", rejected)
+	}
+	for i := range r.failedAt {
+		if r.failedAt[i].Load() != 0 {
+			t.Fatalf("player %d demoted for refusing a revoked identity", i+1)
+		}
+	}
+
+	each(func(p *sem.Pool) error { return p.Unrevoke(ident) })
+	got, rejected, err = r.Decrypt(ident, c)
+	if err != nil || rejected != nil || !bytes.Equal(got, msg) {
+		t.Fatalf("after unrevoke: plaintext %x, rejected %v, err %v", got, rejected, err)
 	}
 }
 

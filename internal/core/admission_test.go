@@ -48,7 +48,7 @@ func newPolicySim(d *curve.Point) *policySim {
 	return &policySim{
 		d:         d,
 		names:     make(map[int]string),
-		admission: newPairerCache(),
+		admission: newPairerCache(NewRegistry()),
 		plain:     lru.New[string, *keyPairer](pairerCapacity),
 	}
 }
@@ -517,7 +517,7 @@ func TestConcurrentAdmissionBuildsOnce(t *testing.T) {
 // TestSketchZeroAllocs: counting a request and weighing two identities
 // allocate nothing, through a halving too.
 func TestSketchZeroAllocs(t *testing.T) {
-	c := newPairerCache()
+	c := newPairerCache(NewRegistry())
 	ids := []string{"alice@example.com", "bob@example.com"}
 	i := 0
 	allocs := testing.AllocsPerRun(2*sketchReset, func() {
@@ -534,7 +534,7 @@ func TestSketchZeroAllocs(t *testing.T) {
 // TestSketchSaturatesAndHalves: a counter stops at 255 instead of wrapping
 // to zero, and every sketchReset requests halve it.
 func TestSketchSaturatesAndHalves(t *testing.T) {
-	c := newPairerCache()
+	c := newPairerCache(NewRegistry())
 	h, other := c.freq.hash("alice@example.com"), c.freq.hash("bob@example.com")
 	for i := 0; i < 300; i++ {
 		c.freq.touch(h)

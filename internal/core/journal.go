@@ -574,9 +574,9 @@ func (j *Journal) SnapshotState() (epoch, lastSeq uint64, entries []RevocationEn
 
 // InstallSnapshot replaces the journal's entire state with a leader
 // snapshot: the file is atomically rewritten as a single snapshot record,
-// the registry is reset to exactly entries (firing OnRevoke/OnUnrevoke for
-// the differences), and the sequence counter jumps to seq. The journal's
-// epoch may only move forward.
+// the registry is reset to exactly entries (firing OnChange for the
+// differences), and the sequence counter jumps to seq. The journal's epoch
+// may only move forward.
 func (j *Journal) InstallSnapshot(epoch, seq uint64, entries []RevocationEntry) error {
 	j.mu.Lock()
 	if j.f == nil {

@@ -2,8 +2,10 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -394,9 +396,8 @@ func TestJournalInstallSnapshot(t *testing.T) {
 	}
 	reg := j.Registry()
 	var mu sync.Mutex
-	revoked, unrevoked := map[string]int{}, map[string]int{}
-	reg.OnRevoke(func(id string) { mu.Lock(); revoked[id]++; mu.Unlock() })
-	reg.OnUnrevoke(func(id string) { mu.Lock(); unrevoked[id]++; mu.Unlock() })
+	changed := map[string]int{}
+	reg.OnChange(func(id string) { mu.Lock(); changed[id]++; mu.Unlock() })
 
 	if err := j.Revoke("old@x", "pre"); err != nil {
 		t.Fatal(err)
@@ -418,9 +419,11 @@ func TestJournalInstallSnapshot(t *testing.T) {
 	if reg.IsRevoked("old@x") || !reg.IsRevoked("new@x") || !reg.IsRevoked("both@x") {
 		t.Error("snapshot state wrong")
 	}
+	// old@x: its Revoke and the snapshot's reinstatement; both@x: its
+	// Revoke only (the snapshot keeps it); new@x: the snapshot's revoke.
 	mu.Lock()
-	if revoked["new@x"] != 1 || unrevoked["old@x"] != 1 || revoked["both@x"] != 1 || unrevoked["both@x"] != 0 {
-		t.Errorf("listener diff wrong: revoked=%v unrevoked=%v", revoked, unrevoked)
+	if want := map[string]int{"old@x": 2, "both@x": 1, "new@x": 1}; !maps.Equal(changed, want) {
+		t.Errorf("listener diff wrong: changed=%v, want %v", changed, want)
 	}
 	mu.Unlock()
 
@@ -463,12 +466,13 @@ func TestJournalSetEpochRegress(t *testing.T) {
 	}
 }
 
-// TestRegistryOnUnrevoke pins the satellite-1 listener symmetry: the hook
-// fires only when an Unrevoke actually reinstated the identity.
-func TestRegistryOnUnrevoke(t *testing.T) {
+// TestRegistryOnChange pins the listener's two directions: it fires on a
+// Revoke and on an Unrevoke that actually reinstated the identity, and not
+// on one that reinstated nothing.
+func TestRegistryOnChange(t *testing.T) {
 	reg := NewRegistry()
 	var got []string
-	reg.OnUnrevoke(func(id string) { got = append(got, id) })
+	reg.OnChange(func(id string) { got = append(got, id) })
 	reg.Revoke("a@x", "r")
 	if reg.Unrevoke("a@x") != true {
 		t.Fatal("unrevoke of revoked identity reported false")
@@ -476,7 +480,7 @@ func TestRegistryOnUnrevoke(t *testing.T) {
 	if reg.Unrevoke("never@x") != false {
 		t.Fatal("unrevoke of unknown identity reported true")
 	}
-	if len(got) != 1 || got[0] != "a@x" {
-		t.Errorf("OnUnrevoke fired for %v, want [a@x] only", got)
+	if !slices.Equal(got, []string{"a@x", "a@x"}) {
+		t.Errorf("OnChange fired for %v, want [a@x a@x]: the revoke and the reinstatement only", got)
 	}
 }

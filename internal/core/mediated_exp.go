@@ -34,7 +34,7 @@ func NewExpSEM(reg *Registry) *ExpSEM {
 }
 
 // Register installs an identity's SEM exponent half.
-func (s *ExpSEM) Register(id string, half *mathx.ExpHalf) { s.keys.put(id, half) }
+func (s *ExpSEM) Register(id string, half *mathx.ExpHalf) { s.put(id, half) }
 
 // An Operand derives the element the SEM exponentiates from the requesting
 // identity's public modulus n, and refuses a request that does not give one.

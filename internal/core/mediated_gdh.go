@@ -81,7 +81,7 @@ func NewGDHSEM(pp *pairing.Params, reg *Registry) *GDHSEM {
 }
 
 // Register installs an identity's SEM signing half.
-func (s *GDHSEM) Register(half *GDHSEMKey) { s.keys.put(half.ID, half) }
+func (s *GDHSEM) Register(half *GDHSEMKey) { s.put(half.ID, half) }
 
 // HalfSign is the SEM's protocol step: check revocation, then return
 // S_sem = x_sem·h, where h is the (already hashed) message point the user

@@ -130,26 +130,20 @@ type IBESEM struct {
 }
 
 // NewIBESEM constructs a SEM bound to the system parameters and a (possibly
-// shared) revocation registry. The SEM subscribes to the registry: revoking
-// an identity synchronously drops its precomputed pairing program, and so
-// does reinstating one — a replication snapshot can flip an identity
-// through revoke/unrevoke without the SEM seeing the individual mutations,
-// so both transitions must invalidate derived state.
+// shared) revocation registry, whose every revoke and reinstatement drops
+// the identity's pairing program (newPairerCache).
 func NewIBESEM(pub *bf.PublicParams, reg *Registry) *IBESEM {
-	s := &IBESEM{
+	return &IBESEM{
 		Mediator: newMediator[*SEMKeyHalf](reg),
 		pub:      pub,
-		pairers:  newPairerCache(),
+		pairers:  newPairerCache(reg),
 	}
-	reg.OnRevoke(func(id string) { s.pairers.Remove(id) })
-	reg.OnUnrevoke(func(id string) { s.pairers.Remove(id) })
-	return s
 }
 
 // Register installs an identity's SEM key half, invalidating any pairing
 // program precomputed for a previously registered half.
 func (s *IBESEM) Register(half *SEMKeyHalf) {
-	s.keys.put(half.ID, half)
+	s.put(half.ID, half)
 	s.pairers.Remove(half.ID)
 }
 

@@ -30,7 +30,25 @@ const mediatedID = "member@example.com"
 
 func mediatorCases(t *testing.T) []mediatorCase {
 	t.Helper()
-	return []mediatorCase{ibeCase(t), ibeXCase(t), gdhCase(t), rsaCase(t), gmCase(t), rabinCase(t)}
+	return []mediatorCase{ibeCase(t), ibeXCase(t), gdhCase(t), rsaCase(t), gmCase(t), rabinCase(t), thresholdCase(t)}
+}
+
+// thresholdCase is a threshold player, the SEM whose key halves are shares:
+// serving is a share whose proof verifies.
+func thresholdCase(t *testing.T) mediatorCase {
+	pkg, player := playerFixture(t)
+	installShare(t, pkg, player, mediatedID)
+	u, err := pkg.Params().Public.Pairing.Curve().RandomG1(rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mediatorCase{name: "threshold", reg: player.Registry(), serve: func(id string) error {
+		ds, err := player.Share(id, u)
+		if err != nil {
+			return err
+		}
+		return pkg.Params().VerifyShareProof(id, u, ds)
+	}}
 }
 
 func ibeCase(t *testing.T) mediatorCase {
@@ -235,10 +253,10 @@ func wantBytes(got []byte, err error) func(want []byte) error {
 	}
 }
 
-// TestMediators holds every SEM to the paper's revocation contract — an
-// enrolled identity is served, a revoked one refused with ErrRevoked until
-// it is reinstated, an unknown one refused with ErrUnknownIdentity — and the
-// Z_n SEMs to their operand ranges.
+// TestMediators holds every SEM, threshold players included, to the paper's
+// revocation contract — an enrolled identity is served, a revoked one
+// refused with ErrRevoked until it is reinstated, an unknown one refused
+// with ErrUnknownIdentity — and the Z_n SEMs to their operand ranges.
 func TestMediators(t *testing.T) {
 	for _, m := range mediatorCases(t) {
 		t.Run(m.name, func(t *testing.T) {

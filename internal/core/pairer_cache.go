@@ -37,8 +37,14 @@ type pairerCache struct {
 	freq *sketch
 }
 
-func newPairerCache() pairerCache {
-	return pairerCache{lru.New[string, *keyPairer](pairerCapacity), &sketch{seed: maphash.MakeSeed()}}
+// newPairerCache returns an empty cache that drops an identity's program on
+// every revoke and reinstatement reg reports — a replication snapshot can
+// flip an identity through both without its holder seeing the individual
+// mutations, so either transition invalidates derived state.
+func newPairerCache(reg *Registry) pairerCache {
+	c := pairerCache{lru.New[string, *keyPairer](pairerCapacity), &sketch{seed: maphash.MakeSeed()}}
+	reg.OnChange(func(id string) { c.Remove(id) })
+	return c
 }
 
 // keyPairer binds what is precomputed for one key to the exact key it was

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/curve"
@@ -43,6 +44,10 @@ func TestTokenPopulatesPairerCache(t *testing.T) {
 	}
 }
 
+// TestRevokeDropsPairerTable: revoking an identity, and reinstating it, drop
+// its program from the cache of every SEM on the registry — an IBESEM's and
+// a threshold player's alike — and the reinstated identity is served again
+// from a rebuilt one.
 func TestRevokeDropsPairerTable(t *testing.T) {
 	pkg, sem := ibeFixture(t)
 	alice := enroll(t, pkg, sem, "alice@example.com")
@@ -51,32 +56,54 @@ func TestRevokeDropsPairerTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Decrypt(sem, alice, c); err != nil {
-		t.Fatal(err)
-	}
-	if sem.PairerCacheLen() != 1 {
-		t.Fatalf("cache holds %d entries before revoke", sem.PairerCacheLen())
-	}
-
-	sem.Registry().Revoke("alice@example.com", "compromised")
-	if sem.PairerCacheLen() != 0 {
-		t.Fatal("revocation must drop the identity's precomputed table")
-	}
-	if _, err := sem.Token("alice@example.com", c.U); err == nil {
-		t.Fatal("token issued for revoked identity")
-	}
-
-	// Unrevoking restores service (the table is rebuilt on demand).
-	sem.Registry().Unrevoke("alice@example.com")
-	got, err := Decrypt(sem, alice, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, msg) {
-		t.Fatal("wrong plaintext after unrevoke")
-	}
-	if sem.PairerCacheLen() != 1 {
-		t.Fatal("table not rebuilt after unrevoke")
+	tpkg, player := playerFixture(t)
+	installShare(t, tpkg, player, "alice@example.com")
+	for _, tc := range []struct {
+		name  string
+		reg   *Registry
+		serve func() error
+		cache pairerCache
+	}{
+		{"ibe", sem.Registry(), func() error {
+			return wantBytes(Decrypt(sem, alice, c))(msg)
+		}, sem.pairers},
+		{"threshold", player.Registry(), func() error {
+			ds, err := player.Share("alice@example.com", c.U)
+			if err != nil {
+				return err
+			}
+			return tpkg.Params().VerifyShareProof("alice@example.com", c.U, ds)
+		}, player.pairers},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := tc.serve(); err != nil {
+				t.Fatal(err)
+			}
+			if tc.cache.Len() != 1 {
+				t.Fatalf("cache holds %d entries before revoke", tc.cache.Len())
+			}
+			tc.reg.Revoke("alice@example.com", "compromised")
+			if tc.cache.Len() != 0 {
+				t.Fatal("revocation must drop the identity's precomputed table")
+			}
+			if err := tc.serve(); !errors.Is(err, ErrRevoked) {
+				t.Fatalf("revoked identity: %v, want ErrRevoked", err)
+			}
+			// A request that passed the check just before the revoke can
+			// still insert its entry after the drop; reinstating drops it
+			// too, and service resumes from a table rebuilt on demand.
+			tc.cache.Add("alice@example.com", &keyPairer{})
+			tc.reg.Unrevoke("alice@example.com")
+			if tc.cache.Len() != 0 {
+				t.Fatal("reinstatement must drop an entry left behind during the revocation")
+			}
+			if err := tc.serve(); err != nil {
+				t.Fatal(err)
+			}
+			if tc.cache.Len() != 1 {
+				t.Fatal("table not rebuilt after unrevoke")
+			}
+		})
 	}
 }
 
@@ -193,7 +220,7 @@ func TestPairerCacheEviction(t *testing.T) {
 func playerFixture(t *testing.T) (*ThresholdPKG, *ThresholdPlayer) {
 	t.Helper()
 	pkg := thresholdFixture(t, 2, 3)
-	player, err := NewThresholdPlayer(pkg.Params(), 1)
+	player, err := NewThresholdPlayer(pkg.Params(), 1, NewRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +245,7 @@ func installShare(t *testing.T, pkg *ThresholdPKG, player *ThresholdPlayer, id s
 func TestPairerCacheGuardsTheKey(t *testing.T) {
 	pkg, _ := playerFixture(t)
 	pp := pkg.Params().Public.Pairing
-	c := newPairerCache()
+	c := newPairerCache(NewRegistry())
 	d1, _ := pp.Curve().RandomG1(rand.Reader)
 	d2, _ := pp.Curve().RandomG1(rand.Reader)
 	u, _ := pp.Curve().RandomG1(rand.Reader)
@@ -523,5 +550,73 @@ func TestConcurrentPlayerShareStress(t *testing.T) {
 	}
 	if got := pairing.AmortizedEngineStats().FixedPairBuilds - builds; got != nIdentities {
 		t.Fatalf("%d Miller programs built for %d identities", got, nIdentities)
+	}
+}
+
+// TestRevokeRacesPlayerShares is TestRevokeRacesTokenIssuance for a player:
+// an identity is revoked while callers are mid-share. Every answer is a share
+// whose proof verifies or ErrRevoked, and no share that starts after Revoke
+// has returned succeeds. Run under -race.
+func TestRevokeRacesPlayerShares(t *testing.T) {
+	const (
+		nCallers  = 6
+		nRequests = 8
+		id        = "vault@example.com"
+	)
+	pkg, player := playerFixture(t)
+	installShare(t, pkg, player, id)
+	var revoked atomic.Bool
+	served := make(chan struct{}, nCallers*nRequests)
+	errs := make(chan error, nCallers)
+	for c := 0; c < nCallers; c++ {
+		go func() {
+			for r := 0; r < nRequests; r++ {
+				u, err := pkg.Params().Public.Pairing.Curve().RandomG1(rand.Reader)
+				if err != nil {
+					errs <- err
+					return
+				}
+				after := revoked.Load()
+				ds, err := player.Share(id, u)
+				switch {
+				case err == nil && after:
+					errs <- fmt.Errorf("caller %d round %d: a share that started after Revoke returned was served", c, r)
+					return
+				case err == nil:
+					if err := pkg.Params().VerifyShareProof(id, u, ds); err != nil {
+						errs <- fmt.Errorf("caller %d round %d: %w", c, r, err)
+						return
+					}
+					served <- struct{}{}
+				case !errors.Is(err, ErrRevoked):
+					errs <- fmt.Errorf("caller %d round %d: %w", c, r, err)
+					return
+				}
+			}
+			errs <- nil
+		}()
+	}
+	// Revoke once a round's worth of shares is out, with the rest in flight.
+	finished := 0
+	for n := 0; n < nCallers && finished < nCallers; {
+		select {
+		case <-served:
+			n++
+		case err := <-errs:
+			if err != nil {
+				t.Fatal(err)
+			}
+			finished++
+		}
+	}
+	player.Registry().Revoke(id, "mid-flight")
+	revoked.Store(true)
+	for ; finished < nCallers; finished++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := player.Share(id, nil); !errors.Is(err, ErrRevoked) {
+		t.Fatalf("revoked identity served: %v", err)
 	}
 }

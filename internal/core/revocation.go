@@ -41,11 +41,10 @@ type RevocationEntry struct {
 // decryption and signing capabilities simultaneously. Safe for concurrent
 // use; the zero value is not usable — construct with NewRegistry.
 type Registry struct {
-	mu          sync.RWMutex
-	revoked     map[string]RevocationEntry
-	clock       func() time.Time
-	listeners   []func(id string)
-	unlisteners []func(id string)
+	mu        sync.RWMutex
+	revoked   map[string]RevocationEntry
+	clock     func() time.Time
+	listeners []func(id string)
 }
 
 // NewRegistry returns an empty revocation registry.
@@ -57,102 +56,83 @@ func NewRegistry() *Registry {
 }
 
 // Revoke marks the identity revoked. Revoking an already-revoked identity
-// updates the reason and timestamp. Registered OnRevoke listeners run
+// updates the reason and timestamp. Registered OnChange listeners run
 // synchronously before Revoke returns, so derived per-identity state (e.g.
-// a SEM's precomputed pairing tables) is gone by the time the caller
+// a SEM's precomputed pairing programs) is gone by the time the caller
 // observes the revocation.
 func (r *Registry) Revoke(id, reason string) {
 	r.mu.Lock()
 	r.revoked[id] = RevocationEntry{ID: id, Reason: reason, When: r.clock()}
-	listeners := r.listeners
 	r.mu.Unlock()
-	// Listeners run outside the lock: they are allowed to call back into the
-	// registry (and the id is already marked revoked, so no token can be
-	// issued concurrently with the cleanup).
-	for _, fn := range listeners {
-		fn(id)
-	}
+	r.changed(id)
 }
 
-// OnRevoke registers a listener invoked synchronously with the identity on
-// every Revoke. Listeners must be registered before the registry is shared
-// and must not block.
-func (r *Registry) OnRevoke(fn func(id string)) {
+// Unrevoke restores the identity. It reports whether the identity was
+// revoked; only then do the OnChange listeners run, as for Revoke.
+func (r *Registry) Unrevoke(id string) bool {
+	r.mu.Lock()
+	_, ok := r.revoked[id]
+	delete(r.revoked, id)
+	r.mu.Unlock()
+	if ok {
+		r.changed(id)
+	}
+	return ok
+}
+
+// OnChange registers a listener invoked synchronously with the identity on
+// every Revoke and on every reinstatement, by Unrevoke or a snapshot
+// install. Both directions matter: state derived while an identity sat on
+// the revocation list would otherwise survive reinstatement, and
+// replication replay, which drives the registry through both transitions,
+// could leave followers with derived state the leader already dropped.
+// Listeners must be registered before the registry is shared and must not
+// block.
+func (r *Registry) OnChange(fn func(id string)) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.listeners = append(r.listeners, fn)
 }
 
-// Unrevoke restores the identity. It reports whether the identity was
-// revoked. Registered OnUnrevoke listeners run synchronously (outside the
-// lock, mirroring Revoke) whenever the identity was actually revoked, so
-// derived per-identity state cached while the identity was suspended is
-// invalidated before the caller observes the reinstatement.
-func (r *Registry) Unrevoke(id string) bool {
-	r.mu.Lock()
-	_, ok := r.revoked[id]
-	delete(r.revoked, id)
-	listeners := r.unlisteners
-	r.mu.Unlock()
-	if ok {
+// changed runs the OnChange listeners for id. They run outside the lock:
+// they may call back into the registry, and the new state is already in
+// place, so nothing can be served for a revoked id during the cleanup.
+func (r *Registry) changed(ids ...string) {
+	r.mu.RLock()
+	listeners := r.listeners
+	r.mu.RUnlock()
+	for _, id := range ids {
 		for _, fn := range listeners {
 			fn(id)
 		}
 	}
-	return ok
-}
-
-// OnUnrevoke registers a listener invoked synchronously with the identity
-// whenever an Unrevoke actually reinstates it. It mirrors OnRevoke: without
-// the symmetric hook, state derived while an identity sat on the revocation
-// list (e.g. a replica's stale pairing cache) would survive reinstatement,
-// and replication replay — which drives the registry through both
-// transitions — could leave followers with derived state the leader already
-// dropped. Listeners must be registered before the registry is shared and
-// must not block.
-func (r *Registry) OnUnrevoke(fn func(id string)) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.unlisteners = append(r.unlisteners, fn)
 }
 
 // resetTo replaces the whole revocation set with entries (a replication
-// snapshot install). It computes the symmetric difference against the
-// current state and fires OnRevoke for identities that became revoked and
-// OnUnrevoke for identities that were reinstated — listeners see the same
-// transitions they would have seen had the individual mutations been
-// applied one by one. Listeners run outside the lock, after the new state
-// is fully in place.
+// snapshot install). Listeners see each identity of the symmetric
+// difference against the current state — the transitions they would have
+// seen had the individual mutations been applied one by one — after the new
+// state is fully in place.
 func (r *Registry) resetTo(entries []RevocationEntry) {
 	next := make(map[string]RevocationEntry, len(entries))
 	for _, e := range entries {
 		next[e.ID] = e //cryptolint:public (revocation-set keys are identity strings; the list is served verbatim by ListRevoked)
 	}
 	r.mu.Lock()
-	var added, removed []string
+	var flipped []string
 	for id := range r.revoked {
 		if _, ok := next[id]; !ok { //cryptolint:public (revocation-set diff over identity strings; set membership is the registry's product)
-			removed = append(removed, id)
+			flipped = append(flipped, id)
 		}
 	}
 	for id := range next {
 		if _, ok := r.revoked[id]; !ok {
-			added = append(added, id)
+			flipped = append(flipped, id)
 		}
 	}
 	r.revoked = next
-	listeners, unlisteners := r.listeners, r.unlisteners
 	r.mu.Unlock()
-	for _, id := range added {
-		for _, fn := range listeners {
-			fn(id)
-		}
-	}
-	for _, id := range removed {
-		for _, fn := range unlisteners {
-			fn(id)
-		}
-	}
+	r.changed(flipped...)
 }
 
 // IsRevoked reports whether the identity is revoked.

@@ -10,15 +10,15 @@ import (
 
 // ThresholdPlayer is one decryption server's half of the threshold IBE: it
 // holds player i's verified identity-key shares and answers a ciphertext's U
-// with the decryption share ê(U, d_IDi) and its robustness proof. It is the
-// backend a network service serves shares from, in the shape of IBESEM —
-// and a share is that SEM's token for the key d_IDi: ê(d_IDi, U), replayed
-// from the same bounded cache of per-identity Miller programs. Safe for
-// concurrent use.
+// with the decryption share ê(U, d_IDi) and its robustness proof. It is a
+// SEM like IBESEM — a Mediator whose key halves are the shares, so a revoked
+// identity gets no share — and a share is that SEM's token for the key
+// d_IDi: ê(d_IDi, U), replayed from the same bounded cache of per-identity
+// Miller programs. Safe for concurrent use.
 type ThresholdPlayer struct {
+	Mediator[*KeyShare]
 	params  *ThresholdParams
 	index   int
-	keys    *keyStore[*KeyShare]
 	pairers pairerCache
 
 	// misbehave, when set, corrupts outgoing shares — the test hook for
@@ -26,12 +26,13 @@ type ThresholdPlayer struct {
 	misbehave func(*DecryptionShare) *DecryptionShare
 }
 
-// NewThresholdPlayer creates player index's share-serving state.
-func NewThresholdPlayer(params *ThresholdParams, index int) (*ThresholdPlayer, error) {
+// NewThresholdPlayer creates player index's share-serving state, bound to a
+// (possibly shared) revocation registry as NewIBESEM is.
+func NewThresholdPlayer(params *ThresholdParams, index int, reg *Registry) (*ThresholdPlayer, error) {
 	if index < 1 || index > params.N {
 		return nil, fmt.Errorf("core: player index %d out of range 1..%d", index, params.N)
 	}
-	return &ThresholdPlayer{params: params, index: index, keys: newKeyStore[*KeyShare](), pairers: newPairerCache()}, nil
+	return &ThresholdPlayer{Mediator: newMediator[*KeyShare](reg), params: params, index: index, pairers: newPairerCache(reg)}, nil
 }
 
 // Install registers the player's key share for an identity after verifying
@@ -45,7 +46,7 @@ func (p *ThresholdPlayer) Install(share *KeyShare) error {
 	if err := p.params.VerifyKeyShare(share); err != nil {
 		return fmt.Errorf("core: refusing bad key share: %w", err)
 	}
-	p.keys.put(share.ID, share)
+	p.put(share.ID, share)
 	p.pairers.Remove(share.ID)
 	return nil
 }
@@ -64,7 +65,8 @@ func (p *ThresholdPlayer) InstrumentPairerCache(reg *obs.Registry) {
 }
 
 // Share returns the player's decryption share of the ciphertext component
-// u for id, with its proof.
+// u for id, with its proof; a revoked identity is refused with ErrRevoked
+// and one the player holds no share for with ErrUnknownIdentity.
 //
 // What is checked on u: non-nil and not the identity — IBESEM.Token's
 // contract, for its reason. u is only ever the evaluation point of a pairing
@@ -79,9 +81,9 @@ func (p *ThresholdPlayer) Share(id string, u curve.EvalArg) (*DecryptionShare, e
 
 // share is Share with the proof nonce drawn from rng (nil: crypto/rand).
 func (p *ThresholdPlayer) share(rng io.Reader, id string, u curve.EvalArg) (*DecryptionShare, error) {
-	key, ok := p.keys.get(id)
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrUnknownIdentity, id)
+	key, err := p.half(id)
+	if err != nil {
+		return nil, err
 	}
 	if u == nil || u.IsInfinity() {
 		return nil, fmt.Errorf("core: ciphertext point U is not a valid pairing argument")

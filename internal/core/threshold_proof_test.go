@@ -164,7 +164,7 @@ func TestShareProofCommitmentPowers(t *testing.T) {
 	for _, name := range []string{"toy", "fast", "paper"} {
 		f := newProofFixture(t, name)
 		pp := f.pp
-		player, err := NewThresholdPlayer(f.params, f.share.Index)
+		player, err := NewThresholdPlayer(f.params, f.share.Index, NewRegistry())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,7 +209,7 @@ func TestShareProofCommitmentPowers(t *testing.T) {
 // one share from the system RNG must commit 64 different ways.
 func TestShareProofNoncesDistinct(t *testing.T) {
 	f := newProofFixture(t, "toy")
-	player, err := NewThresholdPlayer(f.params, f.share.Index)
+	player, err := NewThresholdPlayer(f.params, f.share.Index, NewRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,7 +66,7 @@ func TestSubgroupCheckRelaxedOnlyForEvaluationPoints(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		player, err := core.NewThresholdPlayer(tpkg.Params(), 1)
+		player, err := core.NewThresholdPlayer(tpkg.Params(), 1, reg)
 		if err != nil {
 			t.Fatal(err)
 		}

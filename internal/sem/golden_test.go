@@ -94,7 +94,7 @@ func goldenFullConfig(tb testing.TB, pp *pairing.Params) Config {
 	gmSEM.Register(testID, &mathx.ExpHalf{N: n, Half: big.NewInt(0x2f)})
 	return Config{
 		Registry: reg, IBE: ibe, GDH: gdh, RSA: rsa, GM: gmSEM,
-		Threshold: goldenPlayer(tb, pp),
+		Threshold: goldenPlayer(tb, pp, reg),
 		Journal:   j, Repl: repl.NewFollower(j),
 		Pairing: pp, AllowRegister: true,
 	}
@@ -104,13 +104,13 @@ func goldenFullConfig(tb testing.TB, pp *pairing.Params) Config {
 // seed, holding testID's key share. A share's proof draws a fresh nonce, so
 // to make the recorded bytes repeatable the byzantine hook swaps every
 // answer for the share of the script's U computed under a fixed nonce.
-func goldenPlayer(tb testing.TB, pp *pairing.Params) *core.ThresholdPlayer {
+func goldenPlayer(tb testing.TB, pp *pairing.Params, reg *core.Registry) *core.ThresholdPlayer {
 	tb.Helper()
 	pkg, err := core.SetupThreshold(mrand.New(mrand.NewSource(2003)), pp, msgLen, 2, 3)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	player, err := core.NewThresholdPlayer(pkg.Params(), 1)
+	player, err := core.NewThresholdPlayer(pkg.Params(), 1, reg)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -5,6 +5,8 @@ import (
 	"crypto/rand"
 	"errors"
 	"net"
+	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -337,6 +339,36 @@ func TestServerConfigValidation(t *testing.T) {
 	}
 	if _, err := NewServer(Config{Registry: reg, IBE: ibe, Pairing: pp}); err != nil {
 		t.Errorf("valid config rejected: %v", err)
+	}
+
+	// A backend, or a journal, on another registry would go on serving an
+	// identity the server's revoke op revoked.
+	other := core.NewRegistry()
+	tpkg, err := core.SetupThreshold(rand.Reader, pp, msgLen, 2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	player, err := core.NewThresholdPlayer(tpkg.Params(), 1, other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := core.OpenJournal(filepath.Join(t.TempDir(), "j.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	for name, cfg := range map[string]Config{
+		"IBE":       {IBE: core.NewIBESEM(nil, other)},
+		"GDH":       {GDH: core.NewGDHSEM(pp, other)},
+		"RSA":       {RSA: core.NewExpSEM(other)},
+		"GM":        {GM: core.NewExpSEM(other)},
+		"Threshold": {Threshold: player},
+		"Journal":   {Journal: j},
+	} {
+		cfg.Registry, cfg.Pairing = reg, pp
+		if _, err := NewServer(cfg); err == nil || !strings.Contains(err.Error(), "Config."+name+" holds") {
+			t.Errorf("%s on another registry: %v, want a refusal naming it", name, err)
+		}
 	}
 }
 

@@ -54,7 +54,8 @@ type Server struct {
 const pipelineDepth = 64
 
 // Config wires the SEM's scheme backends. Registry is required; the scheme
-// backends are optional but must share that registry.
+// backends and the journal are optional but must hold that registry
+// (NewServer refuses them otherwise).
 type Config struct {
 	Registry *core.Registry
 	IBE      *core.IBESEM
@@ -65,8 +66,7 @@ type Config struct {
 	// paper's threshold IBE: it serves threshold_share from the player's
 	// installed key shares. Needs Pairing.
 	Threshold *core.ThresholdPlayer
-	// Journal, when set, persists revocation mutations (its Registry must
-	// be the same one the backends share).
+	// Journal, when set, persists revocation mutations.
 	Journal *core.Journal
 	// Repl, when set, serves the repl.append/repl.snapshot/repl.status ops
 	// so this daemon can act as a replication follower. Its journal must be
@@ -121,6 +121,22 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 	if (cfg.IBE != nil || cfg.GDH != nil || cfg.Threshold != nil) && cfg.Pairing == nil {
 		return nil, errors.New("sem: pairing params required for IBE/GDH/threshold backends")
+	}
+	// A revoke acts on cfg.Registry, so a backend checking another registry
+	// would go on serving an identity the server says is revoked. (set, not
+	// a nil interface test: a nil *core.IBESEM in the interface is not nil.)
+	for _, b := range []struct {
+		name string
+		set  bool
+		reg  interface{ Registry() *core.Registry }
+	}{
+		{"IBE", cfg.IBE != nil, cfg.IBE}, {"GDH", cfg.GDH != nil, cfg.GDH},
+		{"RSA", cfg.RSA != nil, cfg.RSA}, {"GM", cfg.GM != nil, cfg.GM},
+		{"Threshold", cfg.Threshold != nil, cfg.Threshold}, {"Journal", cfg.Journal != nil, cfg.Journal},
+	} {
+		if b.set && b.reg.Registry() != cfg.Registry { //cryptolint:public (pointer-identity wiring check on config; no key material)
+			return nil, fmt.Errorf("sem: Config.%s holds a registry other than Config.Registry", b.name)
+		}
 	}
 	if cfg.Repl != nil && cfg.Repl.Journal() != cfg.Journal { //cryptolint:public (pointer-identity wiring check on config; no key material)
 		return nil, errors.New("sem: Repl follower must wrap Config.Journal")

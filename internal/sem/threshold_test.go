@@ -4,14 +4,17 @@ import (
 	"bytes"
 	"crypto/rand"
 	"errors"
+	"fmt"
 	"math/big"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/curve"
 	"repro/internal/curve/curvetest"
+	"repro/internal/obs"
 	"repro/internal/pairing"
 	"repro/internal/wire"
 )
@@ -19,11 +22,12 @@ import (
 // thresholdFixture is one player of a (2, 3) threshold system served by a
 // sem.Server, plus a ciphertext point to ask shares for.
 type thresholdFixture struct {
-	pp     *pairing.Params
-	params *core.ThresholdParams
-	srv    *Server
-	addr   string
-	u      *curve.Point
+	pp      *pairing.Params
+	params  *core.ThresholdParams
+	srv     *Server
+	addr    string
+	u       *curve.Point
+	metrics *obs.Registry
 }
 
 func newThresholdFixture(t *testing.T) *thresholdFixture {
@@ -36,7 +40,7 @@ func newThresholdFixture(t *testing.T) *thresholdFixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	player, err := core.NewThresholdPlayer(pkg.Params(), 2)
+	player, err := core.NewThresholdPlayer(pkg.Params(), 2, core.NewRegistry())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +51,8 @@ func newThresholdFixture(t *testing.T) *thresholdFixture {
 	if err := player.Install(ks); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewServer(Config{Registry: core.NewRegistry(), Threshold: player, Pairing: pp})
+	metrics := obs.NewRegistry()
+	srv, err := NewServer(Config{Registry: player.Registry(), Threshold: player, Pairing: pp, Metrics: metrics})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +66,67 @@ func newThresholdFixture(t *testing.T) *thresholdFixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &thresholdFixture{pp: pp, params: pkg.Params(), srv: srv, addr: ln.Addr().String(), u: u}
+	return &thresholdFixture{pp: pp, params: pkg.Params(), srv: srv, addr: ln.Addr().String(), u: u, metrics: metrics}
+}
+
+// TestThresholdRevokeOverTheWire: the revoke and unrevoke ops a player
+// serves act on the registry its shares are checked against. A revoked
+// identity's share request is refused with the typed core.ErrRevoked at the
+// client, its Miller program is dropped, and after unrevoke it is served
+// again from a program built afresh.
+func TestThresholdRevokeOverTheWire(t *testing.T) {
+	f := newThresholdFixture(t)
+	c, err := Dial(f.addr, f.pp, 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = c.Close() }()
+	share := func() error {
+		ds, err := c.ThresholdShare(testID, f.u)
+		if err != nil {
+			return err
+		}
+		ds.Index = 2
+		return f.params.VerifyShareProof(testID, f.u, ds)
+	}
+	cache := func(when string, entries, misses int) {
+		t.Helper()
+		var sb strings.Builder
+		if err := f.metrics.WritePrometheus(&sb); err != nil {
+			t.Fatal(err)
+		}
+		for _, want := range []string{
+			fmt.Sprintf(`lru_entries{cache="player_pairers"} %d`, entries),
+			fmt.Sprintf(`lru_misses_total{cache="player_pairers"} %d`, misses),
+		} {
+			if !strings.Contains(sb.String(), want+"\n") {
+				t.Fatalf("%s: metrics missing %q:\n%s", when, want, sb.String())
+			}
+		}
+	}
+
+	if err := share(); err != nil {
+		t.Fatal(err)
+	}
+	cache("served", 1, 1)
+	if err := c.Revoke(testID, "key lost"); err != nil {
+		t.Fatal(err)
+	}
+	cache("revoked", 0, 1)
+	if err := share(); !errors.Is(err, core.ErrRevoked) || !errors.Is(err, ErrRemote) {
+		t.Fatalf("share for a revoked identity: %v, want core.ErrRevoked", err)
+	}
+	if revoked, err := c.Status(testID); err != nil || !revoked {
+		t.Fatalf("status = %v, %v; want revoked", revoked, err)
+	}
+	cache("refused", 0, 1)
+	if err := c.Unrevoke(testID); err != nil {
+		t.Fatal(err)
+	}
+	if err := share(); err != nil {
+		t.Fatalf("share after unrevoke: %v", err)
+	}
+	cache("reinstated", 1, 2)
 }
 
 // TestThresholdShareOp fetches shares through both client flavours, single
