@@ -103,10 +103,12 @@ func (p *PlayerServer) server() (*sem.Server, error) {
 	return p.srv, p.err
 }
 
-// Serve answers share requests on ln until Close.
+// Serve answers share requests on ln until Close. A player whose server
+// cannot be built closes ln and returns why.
 func (p *PlayerServer) Serve(ln net.Listener) error {
 	srv, err := p.server()
 	if err != nil {
+		_ = ln.Close() // nobody will accept on it; dials must fail, not hang
 		return err
 	}
 	return srv.Serve(ln)

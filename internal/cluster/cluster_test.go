@@ -10,6 +10,7 @@ import (
 	"net"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -37,6 +38,9 @@ type deployment struct {
 	addrs   []string
 	keys    []*core.KeyShare // keys[i-1] is player i's share of ident's key
 	regs    []*obs.Registry  // regs[i-1] holds player i's sem_* series
+
+	mu      sync.Mutex
+	stopped map[*PlayerServer]bool // closed by the test: a later Serve is refused, rightly
 }
 
 func deploy(t *testing.T) *deployment {
@@ -50,7 +54,7 @@ func deploy(t *testing.T) *deployment {
 		t.Fatal(err)
 	}
 	params := pkg.Params()
-	d := &deployment{params: params, addrs: make([]string, nn)}
+	d := &deployment{params: params, addrs: make([]string, nn), stopped: map[*PlayerServer]bool{}}
 	for i := 1; i <= nn; i++ {
 		srv, err := NewPlayerServer(params, i)
 		if err != nil {
@@ -69,7 +73,7 @@ func deploy(t *testing.T) *deployment {
 		}
 		reg := obs.NewRegistry()
 		srv.Instrument(reg)
-		go func() { _ = srv.Serve(ln) }()
+		d.serve(t, i, srv, ln)
 		d.players = append(d.players, srv)
 		d.keys = append(d.keys, ks)
 		d.regs = append(d.regs, reg)
@@ -77,10 +81,33 @@ func deploy(t *testing.T) *deployment {
 	}
 	t.Cleanup(func() {
 		for _, p := range d.players {
-			_ = p.Close()
+			d.stop(p)
 		}
 	})
 	return d
+}
+
+// serve runs player i on ln. A player that cannot start is reported, not
+// waited out: its Serve closes ln, so every dial fails at once. A player the
+// test closed before its Serve ran is refused as closed, which is no failure.
+func (d *deployment) serve(t *testing.T, i int, p *PlayerServer, ln net.Listener) {
+	go func() {
+		err := p.Serve(ln)
+		d.mu.Lock()
+		stopped := d.stopped[p]
+		d.mu.Unlock()
+		if err != nil && !stopped {
+			t.Errorf("player %d: Serve: %v", i, err)
+		}
+	}()
+}
+
+// stop closes p, marking it closed on purpose.
+func (d *deployment) stop(p *PlayerServer) {
+	d.mu.Lock()
+	d.stopped[p] = true
+	d.mu.Unlock()
+	_ = p.Close()
 }
 
 func (d *deployment) recombiner(t *testing.T) *Recombiner {
@@ -115,7 +142,7 @@ func (d *deployment) served(i int) uint64 {
 }
 
 // crash stops player i's server; its address refuses connections.
-func (d *deployment) crash(i int) { _ = d.players[i-1].Close() }
+func (d *deployment) crash(i int) { d.stop(d.players[i-1]) }
 
 // lieAlways makes player i answer every request with a share value that is
 // not ê(U, d_IDi), under the honest share's (now stale) proof.
@@ -174,8 +201,39 @@ func (d *deployment) restart(t *testing.T, i int) {
 	}
 	d.regs[i-1] = obs.NewRegistry()
 	reborn.Instrument(d.regs[i-1])
-	go func() { _ = reborn.Serve(ln) }()
+	d.serve(t, i, reborn, ln)
 	d.players[i-1] = reborn // closed with the deployment
+}
+
+// TestPlayerThatCannotStartClosesListener: a player whose server cannot be
+// built closes its listener, so a recombiner's dial is refused at once
+// instead of waiting out a handshake on a port nobody accepts on.
+func TestPlayerThatCannotStartClosesListener(t *testing.T) {
+	pp, err := pairing.Toy()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkg, err := core.SetupThreshold(rand.Reader, pp, msgLen, tt, nn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := NewPlayerServer(pkg.Params(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.params = &core.ThresholdParams{Public: &bf.PublicParams{}} // no pairing: sem.NewServer refuses
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	if err := p.Serve(ln); err == nil {
+		t.Fatal("Serve without pairing parameters returned nil")
+	}
+	if conn, err := net.DialTimeout("tcp", ln.Addr().String(), time.Second); err == nil {
+		_ = conn.Close()
+		t.Fatal("the listener of a player that cannot start still accepts dials")
+	}
 }
 
 func TestClusterDecryption(t *testing.T) {
@@ -347,8 +405,8 @@ func TestClusterToleratesCrashedPlayers(t *testing.T) {
 func TestClusterFailsBelowThreshold(t *testing.T) {
 	d := deploy(t)
 	// Crash three of five: only 2 < t = 3 remain.
-	for _, i := range []int{0, 1, 2} {
-		_ = d.players[i].Close()
+	for _, i := range []int{1, 2, 3} {
+		d.crash(i)
 	}
 	r := d.recombiner(t)
 	msg := bytes.Repeat([]byte{0x33}, msgLen)
@@ -743,8 +801,8 @@ func TestClusterBatchToleratesByzantinePlayer(t *testing.T) {
 
 func TestClusterBatchFailsBelowThreshold(t *testing.T) {
 	d := deploy(t)
-	for _, i := range []int{0, 1, 2} {
-		_ = d.players[i].Close()
+	for _, i := range []int{1, 2, 3} {
+		d.crash(i)
 	}
 	r := d.recombiner(t)
 	_, cs := encryptBatch(t, d, 2)

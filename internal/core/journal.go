@@ -2,9 +2,11 @@ package core
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -17,47 +19,89 @@ import (
 // lifetime", which in practice means surviving restarts without forgetting
 // who was revoked — otherwise a crash would silently unrevoke everyone.
 // Journal gives Registry an append-only JSONL log: every Revoke/Unrevoke
-// is recorded before it takes effect, and OpenJournal replays the log on
-// startup. cmd/semd wires this behind its -journal flag.
+// is written before it takes effect and acknowledged only once it is
+// durable, and OpenJournal replays the log on startup. cmd/semd wires this
+// behind its -journal flag.
 //
-// Since PR 10 the journal is also the unit of replication: every mutation
-// carries a monotonically increasing sequence number and the epoch of the
-// leader that issued it, the journal keeps an in-memory tail of recent
-// records so a leader can stream the suffix a follower is missing, and the
-// log can be compacted to a single snapshot record once the prefix is no
-// longer needed. internal/repl builds the leader/follower protocol on top
-// of these primitives; the journal itself stays transport-agnostic.
+// The journal is also the unit of replication: every mutation carries a
+// monotonically increasing sequence number and the epoch of the leader that
+// issued it, the journal keeps an in-memory tail of recent records so a
+// leader can stream the suffix a follower is missing, and a follower too far
+// behind installs a snapshot, which rewrites its log as a single record.
+// internal/repl builds the leader/follower protocol on top of these
+// primitives; the journal itself stays transport-agnostic. It reaches the
+// disk only through journalFS.
 
 // journalRecord is one line of the append-only log. Seq/Epoch are zero on
 // logs written before replication existed ("legacy" records); replay
 // assigns those sequential numbers so an upgraded journal is immediately
 // replicable. Op "snapshot" replaces the whole state: Entries holds the
 // complete revocation set as of Seq, and replay discards everything before
-// it — the compaction format. Op "epoch" durably records an epoch adoption
-// (a follower fenced by a new leader, or a leader assuming its term): it
-// raises the journal's epoch without consuming a sequence number, so the
-// not_leader write fence survives a restart.
+// it. Op "epoch" durably records an epoch adoption (a follower fenced by a
+// new leader, or a leader assuming its term): it raises the journal's epoch
+// without consuming a sequence number, so the not_leader write fence
+// survives a restart.
 type journalRecord struct {
-	Op      string            `json:"op"` // "revoke" | "unrevoke" | "snapshot" | "epoch"
-	ID      string            `json:"id,omitempty"`
-	Reason  string            `json:"reason,omitempty"`
-	When    time.Time         `json:"when"`
-	Seq     uint64            `json:"seq,omitempty"`
-	Epoch   uint64            `json:"epoch,omitempty"`
+	ReplRecord
 	Entries []RevocationEntry `json:"entries,omitempty"`
 }
 
 // ReplRecord is one replicable journal mutation — the unit internal/repl
-// ships from leader to follower. Op uses the journal's own op names
-// ("revoke"/"unrevoke"); snapshot records never appear here, they travel
-// over the dedicated snapshot path.
+// ships from leader to follower, and the body of its journal line. Op uses
+// the journal's own op names ("revoke"/"unrevoke"); snapshot records never
+// appear here, they travel over the dedicated snapshot path, and epoch
+// records are local fencing state that no leader ships.
 type ReplRecord struct {
-	Seq    uint64
-	Epoch  uint64
-	Op     string
-	ID     string
-	Reason string
-	When   time.Time
+	Op     string    `json:"op"` // "revoke" | "unrevoke" | "snapshot" | "epoch"
+	ID     string    `json:"id,omitempty"`
+	Reason string    `json:"reason,omitempty"`
+	When   time.Time `json:"when"`
+	Seq    uint64    `json:"seq,omitempty"`
+	Epoch  uint64    `json:"epoch,omitempty"`
+}
+
+// journalFS is every file-system call the journal makes. OpenJournal uses
+// osFS; TestJournalCrashPoints replays every crash point of a recording fake.
+type journalFS interface {
+	// OpenFile opens name with os.O_* flags, creating it with mode 0600.
+	OpenFile(name string, flag int) (journalFile, error)
+	Rename(oldpath, newpath string) error
+	Remove(name string) error
+	// SyncDir makes the creates, renames and removes in dir durable.
+	SyncDir(dir string) error
+}
+
+// journalFile is an open log: read once by replay, appended to after.
+type journalFile interface {
+	io.ReadWriteCloser
+	Sync() error
+}
+
+// osFS is journalFS on the operating system's file system.
+type osFS struct{}
+
+func (osFS) OpenFile(name string, flag int) (journalFile, error) {
+	f, err := os.OpenFile(name, flag, 0o600)
+	if err != nil {
+		return nil, err // an untyped nil, not a nil *os.File in the interface
+	}
+	return f, nil
+}
+
+func (osFS) Rename(oldpath, newpath string) error { return os.Rename(oldpath, newpath) }
+
+func (osFS) Remove(name string) error { return os.Remove(name) }
+
+func (osFS) SyncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // defaultTailLimit bounds the in-memory record tail kept for serving
@@ -65,11 +109,6 @@ type ReplRecord struct {
 // snapshot instead, so the limit trades leader memory against how long a
 // follower may be down and still catch up incrementally.
 const defaultTailLimit = 1024
-
-// maxJournalLine is the scanner budget for one journal line. Snapshot
-// records carry the whole revocation set on a single line, so the limit
-// must comfortably exceed bufio's 64 KiB default.
-const maxJournalLine = 64 << 20
 
 var errJournalClosed = errors.New("core: journal is closed")
 
@@ -79,7 +118,8 @@ var errJournalClosed = errors.New("core: journal is closed")
 type Journal struct {
 	mu   sync.Mutex
 	reg  *Registry
-	f    *os.File
+	fs   journalFS
+	f    journalFile
 	enc  *json.Encoder
 	path string
 
@@ -88,7 +128,7 @@ type Journal struct {
 
 	// tail holds the most recent records (ascending Seq, contiguous) so
 	// TailSince can serve a follower's catch-up without re-reading the file.
-	// Trimmed to tailLimit amortized; empty right after a snapshot install.
+	// Trimmed to tailLimit amortized; empty right after a snapshot.
 	tail      []ReplRecord
 	tailLimit int
 
@@ -103,10 +143,6 @@ type Journal struct {
 	syncing  bool
 	syncErr  error // outcome of the last fsync, covering gens ≤ syncGen
 
-	// Compaction bookkeeping: records appended since the last snapshot.
-	sinceSnap   int
-	autoCompact int
-
 	replayed     int
 	droppedLines int
 	unknownOps   int
@@ -118,116 +154,100 @@ type Journal struct {
 }
 
 // OpenJournal opens (creating if needed) the log at path, replays it into
-// a fresh Registry and returns the bound journal. Corrupt trailing lines
-// (a crash mid-write) are tolerated: replay stops at the first undecodable
-// line. The outcome is never silent — Replayed reports how many records
-// took effect, DroppedLines how many non-empty lines were abandoned after
-// the corruption point, and UnknownOps how many well-formed records carried
-// an op this build does not understand (skipped, not applied — a journal
-// written by a newer version). cmd/semd logs all three at startup.
-func OpenJournal(path string) (*Journal, error) {
-	reg := NewRegistry()
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o600)
+// a fresh Registry and returns the bound journal. A corrupt or torn tail (a
+// crash mid-write) is tolerated: replay stops at the first line that does
+// not decode or does not end in a newline. The outcome is never silent —
+// Replayed reports how many records took effect, DroppedLines how many
+// non-empty lines were abandoned at and after that point, and UnknownOps how
+// many well-formed records carried an op this build does not understand
+// (skipped, not applied — a journal written by a newer version). cmd/semd
+// logs all three at startup. A journal that dropped lines is rewritten as
+// one snapshot of what replayed before it is returned: a record appended
+// after the damage would be dropped with it at the next replay.
+func OpenJournal(path string) (*Journal, error) { return openJournal(osFS{}, path) }
+
+func openJournal(fsys journalFS, path string) (*Journal, error) {
+	f, err := fsys.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_APPEND)
 	if err != nil {
 		return nil, fmt.Errorf("open revocation journal: %w", err)
 	}
-	j := &Journal{reg: reg, path: path, tailLimit: defaultTailLimit}
+	j := &Journal{reg: NewRegistry(), fs: fsys, f: f, enc: json.NewEncoder(f), path: path, tailLimit: defaultTailLimit}
 	j.syncCond = sync.NewCond(&j.syncMu)
-	scanner := bufio.NewScanner(f)
-	scanner.Buffer(make([]byte, 64*1024), maxJournalLine)
-	corrupt := false
-	for scanner.Scan() {
-		line := scanner.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		if corrupt {
-			// Count what the stop-at-corruption policy is discarding; a
-			// long valid suffix after a bad line means real damage, not a
-			// torn final write.
-			j.droppedLines++
-			continue
-		}
-		var rec journalRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
-			corrupt = true
-			j.droppedLines++
-			continue
-		}
-		switch rec.Op {
-		case "revoke":
-			j.replaySeq(&rec)
-			reg.mu.Lock()
-			reg.revoked[rec.ID] = RevocationEntry{ID: rec.ID, Reason: rec.Reason, When: rec.When}
-			reg.mu.Unlock()
-			j.pushTail(ReplRecord{Seq: rec.Seq, Epoch: rec.Epoch, Op: rec.Op, ID: rec.ID, Reason: rec.Reason, When: rec.When})
-			j.replayed++
-		case "unrevoke":
-			j.replaySeq(&rec)
-			reg.mu.Lock()
-			delete(reg.revoked, rec.ID)
-			reg.mu.Unlock()
-			j.pushTail(ReplRecord{Seq: rec.Seq, Epoch: rec.Epoch, Op: rec.Op, ID: rec.ID, When: rec.When})
-			j.replayed++
-		case "snapshot":
-			// A snapshot supersedes everything before it: reset the registry
-			// to exactly its entries and restart the tail after its seq.
-			next := make(map[string]RevocationEntry, len(rec.Entries))
-			for _, e := range rec.Entries {
-				next[e.ID] = e
-			}
-			reg.mu.Lock()
-			reg.revoked = next
-			reg.mu.Unlock()
-			if rec.Seq > j.lastSeq {
-				j.lastSeq = rec.Seq
-			}
-			if rec.Epoch > j.epoch {
-				j.epoch = rec.Epoch
-			}
-			j.tail = j.tail[:0]
-			j.replayed++
-		case "epoch":
-			// Durable epoch adoption: the fence a replication leader armed
-			// on this journal. Raises the epoch only — no sequence number
-			// was consumed and no registry state changes.
-			if rec.Epoch > j.epoch {
-				j.epoch = rec.Epoch
-			}
-			j.replayed++
-		default:
-			// A record from a newer build. Skipping it silently as "replayed"
-			// would overstate how much of the journal took effect, so it is
-			// accounted separately and the operator decides whether to care.
-			j.unknownOps++
-		}
-	}
-	if err := scanner.Err(); err != nil {
+	if err := j.replay(); err != nil {
 		_ = f.Close()
 		return nil, fmt.Errorf("replay revocation journal: %w", err)
 	}
-	if _, err := f.Seek(0, 2); err != nil {
-		_ = f.Close()
-		return nil, fmt.Errorf("seek revocation journal: %w", err)
+	if j.droppedLines > 0 {
+		err = j.rewriteLocked(j.epoch, j.lastSeq, j.reg.Entries())
+	} else {
+		// A file just created is not durable until its directory entry is.
+		err = fsys.SyncDir(filepath.Dir(path))
 	}
-	j.f = f
-	j.enc = json.NewEncoder(f)
+	if err != nil {
+		_ = j.f.Close()
+		return nil, fmt.Errorf("open revocation journal: %w", err)
+	}
 	return j, nil
 }
 
-// replaySeq fixes up a replayed mutation's sequence/epoch bookkeeping.
-// Legacy records (Seq == 0, written before replication) are assigned the
-// next sequence number so an upgraded journal replicates immediately.
-func (j *Journal) replaySeq(rec *journalRecord) {
-	if rec.Seq == 0 {
-		rec.Seq = j.lastSeq + 1
+// replay applies the log line by line until the first line that does not
+// decode, or a last line the crash cut before its newline (even one that
+// decodes: it was never acknowledged, and the next append would run into
+// it). That line and every one after it count as dropped.
+func (j *Journal) replay() error {
+	r := bufio.NewReader(j.f)
+	for {
+		line, err := r.ReadBytes('\n')
+		if err != nil && err != io.EOF {
+			return err
+		}
+		var rec journalRecord
+		switch {
+		case len(bytes.TrimSpace(line)) == 0:
+		case j.droppedLines > 0 || err == io.EOF || json.Unmarshal(line, &rec) != nil:
+			// Past the first bad line everything counts: a long valid suffix
+			// after it means real damage, not a torn final write.
+			j.droppedLines++
+		case rec.Op == "revoke" || rec.Op == "unrevoke":
+			if rec.Seq == 0 { // legacy: written before replication
+				rec.Seq = j.lastSeq + 1
+			}
+			fallthrough
+		case rec.Op == "snapshot" || rec.Op == "epoch":
+			j.apply(rec)
+			j.replayed++
+		default:
+			// A record from a newer build. Counting it as replayed would
+			// overstate how much of the journal took effect, so it is
+			// accounted separately and the operator decides whether to care.
+			j.unknownOps++
+		}
+		if err == io.EOF {
+			return nil
+		}
 	}
-	if rec.Seq > j.lastSeq {
-		j.lastSeq = rec.Seq
+}
+
+// apply makes a record take effect: the one place a record changes the
+// registry, the sequence number, the epoch and the tail, whether it was
+// just written, replicated or replayed. The registry holds the record's
+// own time. Caller holds j.mu (or, in OpenJournal, owns j).
+func (j *Journal) apply(rec journalRecord) {
+	switch rec.Op {
+	case "revoke":
+		j.reg.revoke(RevocationEntry{ID: rec.ID, Reason: rec.Reason, When: rec.When})
+		j.pushTail(rec.ReplRecord)
+	case "unrevoke":
+		j.reg.Unrevoke(rec.ID)
+		j.pushTail(rec.ReplRecord)
+	case "snapshot":
+		// A snapshot supersedes everything before it, and may move the
+		// sequence back (a follower ahead of a replacement leader).
+		j.reg.resetTo(rec.Entries)
+		j.lastSeq, j.tail = rec.Seq, j.tail[:0]
 	}
-	if rec.Epoch > j.epoch {
-		j.epoch = rec.Epoch
-	}
+	j.lastSeq = max(j.lastSeq, rec.Seq)
+	j.epoch = max(j.epoch, rec.Epoch)
 }
 
 // pushTail appends a record to the in-memory tail, trimming amortized so
@@ -246,7 +266,7 @@ func (j *Journal) pushTail(rec ReplRecord) {
 func (j *Journal) Replayed() int { return j.replayed }
 
 // DroppedLines reports how many non-empty journal lines OpenJournal
-// abandoned at and after the first undecodable one. 0 means a clean
+// abandoned at and after the first undecodable or torn one. 0 means a clean
 // replay; 1 is the expected torn-final-write crash signature; larger
 // values indicate mid-file corruption and deserve operator attention.
 func (j *Journal) DroppedLines() int { return j.droppedLines }
@@ -282,38 +302,26 @@ func (j *Journal) Epoch() uint64 {
 // Raising the epoch is durable: an "epoch" record is appended and fsynced
 // (via group commit) before SetEpoch returns, so a follower that restarts
 // keeps refusing direct mutations with not_leader instead of silently
-// reopening the self-sequencing write path at epoch 0. Setting the epoch
-// the journal already holds is a no-op and writes nothing.
+// reopening the self-sequencing write path at epoch 0. The record consumes
+// no sequence number and never enters the replication tail. Setting the
+// epoch the journal already holds is a no-op and writes nothing.
 func (j *Journal) SetEpoch(epoch uint64) error {
 	j.mu.Lock()
-	if epoch < j.epoch {
-		cur := j.epoch
-		j.mu.Unlock()
-		return fmt.Errorf("core: journal already at epoch %d, refusing to regress to %d", cur, epoch)
+	cur := j.epoch
+	var gen uint64
+	var err error
+	if epoch > cur {
+		gen, err = j.writeLocked(journalRecord{ReplRecord: ReplRecord{Op: "epoch", When: time.Now(), Seq: j.lastSeq, Epoch: epoch}})
 	}
-	if epoch == j.epoch {
-		j.mu.Unlock()
-		return nil
-	}
-	if j.f == nil {
-		j.mu.Unlock()
-		return errJournalClosed
-	}
-	// Not writeLocked: an epoch record consumes no sequence number and must
-	// never enter the replication tail (it is local fencing state, not a
-	// mutation a leader ships to followers).
-	rec := journalRecord{Op: "epoch", When: time.Now(), Seq: j.lastSeq, Epoch: epoch}
-	if err := j.enc.Encode(rec); err != nil {
-		j.mu.Unlock()
-		return fmt.Errorf("append revocation journal epoch: %w", err)
-	}
-	j.epoch = epoch
-	j.appends.Inc()
-	j.syncMu.Lock()
-	j.writeGen++
-	gen := j.writeGen
-	j.syncMu.Unlock()
 	j.mu.Unlock()
+	switch {
+	case epoch < cur:
+		return fmt.Errorf("core: journal already at epoch %d, refusing to regress to %d", cur, epoch)
+	case epoch == cur:
+		return nil
+	case err != nil:
+		return err
+	}
 	return j.commitSync(gen)
 }
 
@@ -328,15 +336,6 @@ func (j *Journal) SetTailLimit(n int) {
 	}
 }
 
-// SetAutoCompact makes the journal rewrite itself as a single snapshot
-// record after every n appended mutations (0 disables). Compaction runs
-// inline on the append that crosses the threshold.
-func (j *Journal) SetAutoCompact(n int) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.autoCompact = n
-}
-
 // Instrument registers the journal's series with reg: the append-latency
 // histogram (every revocation mutation pays — or shares — an fsync; this
 // is the number that decides revocation throughput), append/fsync counters
@@ -349,7 +348,7 @@ func (j *Journal) Instrument(reg *obs.Registry) {
 	j.appendTime = reg.Histogram("journal_append_seconds", "revocation journal append + fsync time")
 	j.appends = reg.Counter("journal_appends_total", "journal records appended")
 	j.fsyncs = reg.Counter("journal_fsyncs_total", "journal fsyncs issued (appends/fsyncs = group-commit factor)")
-	j.compactions = reg.Counter("journal_compactions_total", "journal snapshot compactions")
+	j.compactions = reg.Counter("journal_compactions_total", "journal rewrites as one snapshot record (snapshot installs)")
 	reg.Gauge("journal_replayed_records", "journal records replayed at startup").Set(int64(j.replayed))
 	reg.Gauge("journal_dropped_lines", "journal lines dropped at startup (corrupt tail)").Set(int64(j.droppedLines))
 	reg.Gauge("journal_unknown_ops", "journal records skipped at startup (op unknown to this build)").Set(int64(j.unknownOps))
@@ -383,23 +382,7 @@ func (j *Journal) Unrevoke(id string) error {
 func (j *Journal) appendMutation(op, id, reason string) error {
 	start := time.Now()
 	j.mu.Lock()
-	if j.f == nil {
-		j.mu.Unlock()
-		return errJournalClosed
-	}
-	rec := journalRecord{Op: op, ID: id, Reason: reason, When: time.Now(), Seq: j.lastSeq + 1, Epoch: j.epoch}
-	gen, err := j.writeLocked(rec)
-	if err != nil {
-		j.mu.Unlock()
-		return err
-	}
-	switch op {
-	case "revoke":
-		j.reg.Revoke(id, reason)
-	case "unrevoke":
-		j.reg.Unrevoke(id)
-	}
-	err = j.maybeCompactLocked()
+	gen, err := j.writeLocked(journalRecord{ReplRecord: ReplRecord{Op: op, ID: id, Reason: reason, When: time.Now(), Seq: j.lastSeq + 1, Epoch: j.epoch}})
 	j.mu.Unlock()
 	if err != nil {
 		return err
@@ -411,25 +394,21 @@ func (j *Journal) appendMutation(op, id, reason string) error {
 	return nil
 }
 
-// writeLocked encodes rec to the OS, advances the sequence/tail state and
-// returns the write generation the caller must wait on for durability.
-// Caller holds j.mu.
+// writeLocked writes rec to the OS, applies it and returns the write
+// generation the caller must wait on for durability. Caller holds j.mu.
 func (j *Journal) writeLocked(rec journalRecord) (uint64, error) {
+	if j.f == nil {
+		return 0, errJournalClosed
+	}
 	if err := j.enc.Encode(rec); err != nil {
 		return 0, fmt.Errorf("append revocation journal: %w", err)
 	}
-	j.lastSeq = rec.Seq
-	if rec.Epoch > j.epoch {
-		j.epoch = rec.Epoch
-	}
-	j.pushTail(ReplRecord{Seq: rec.Seq, Epoch: rec.Epoch, Op: rec.Op, ID: rec.ID, Reason: rec.Reason, When: rec.When})
-	j.sinceSnap++
+	j.apply(rec)
 	j.appends.Inc()
 	j.syncMu.Lock()
+	defer j.syncMu.Unlock()
 	j.writeGen++
-	gen := j.writeGen
-	j.syncMu.Unlock()
-	return gen, nil
+	return j.writeGen, nil
 }
 
 // commitSync blocks until an fsync covering write generation gen has
@@ -478,73 +457,51 @@ func (j *Journal) commitSync(gen uint64) error {
 }
 
 // ApplyReplicated appends a batch of leader-issued records with their
-// original sequence numbers and epochs, applies them to the registry in
-// order, and fsyncs once for the whole batch. Records at or below the
+// original sequence numbers, epochs and times, applies them to the registry
+// in order, and fsyncs once for the whole batch. Records at or below the
 // journal's current sequence are skipped (idempotent redelivery); a record
 // that would leave a gap aborts the batch — internal/repl fences epochs
 // and detects gaps *before* calling this, so the check here is defense in
-// depth, not protocol. Returns how many records were applied.
+// depth, not protocol. The contiguous prefix written before an abort is
+// made durable before the error is returned, so the follower's Status is
+// honest. Returns how many records were applied.
 func (j *Journal) ApplyReplicated(recs []ReplRecord) (int, error) {
 	j.mu.Lock()
-	if j.f == nil {
-		j.mu.Unlock()
-		return 0, errJournalClosed
-	}
-	applied := 0
-	var gen uint64
+	applied, gen := 0, uint64(0)
+	var err error
 	for _, rec := range recs {
 		if rec.Seq <= j.lastSeq {
 			continue
 		}
 		if rec.Seq != j.lastSeq+1 {
-			j.mu.Unlock()
-			if applied > 0 {
-				// The contiguous prefix was written; make it durable before
-				// reporting the gap so the follower's Status is honest.
-				if err := j.commitSync(gen); err != nil {
-					return applied, err
-				}
-			}
-			return applied, fmt.Errorf("core: replicated record seq %d does not extend journal at %d", rec.Seq, j.lastSeq)
+			err = fmt.Errorf("core: replicated record seq %d does not extend journal at %d", rec.Seq, j.lastSeq)
+			break
 		}
-		switch rec.Op {
-		case "revoke", "unrevoke":
-		default:
-			j.mu.Unlock()
-			return applied, fmt.Errorf("core: replicated record has unknown op %q", rec.Op)
+		if rec.Op != "revoke" && rec.Op != "unrevoke" {
+			err = fmt.Errorf("core: replicated record has unknown op %q", rec.Op)
+			break
 		}
-		g, err := j.writeLocked(journalRecord{Op: rec.Op, ID: rec.ID, Reason: rec.Reason, When: rec.When, Seq: rec.Seq, Epoch: rec.Epoch})
-		if err != nil {
-			j.mu.Unlock()
-			return applied, err
+		g, werr := j.writeLocked(journalRecord{ReplRecord: rec})
+		if werr != nil {
+			err = werr
+			break
 		}
 		gen = g
-		switch rec.Op {
-		case "revoke":
-			j.reg.Revoke(rec.ID, rec.Reason)
-		case "unrevoke":
-			j.reg.Unrevoke(rec.ID)
-		}
 		applied++
 	}
-	var compactErr error
-	if applied > 0 {
-		compactErr = j.maybeCompactLocked()
-	}
 	j.mu.Unlock()
-	if compactErr != nil {
-		return applied, compactErr
+	if applied > 0 {
+		if serr := j.commitSync(gen); serr != nil {
+			return applied, serr
+		}
 	}
-	if applied == 0 {
-		return 0, nil
-	}
-	return applied, j.commitSync(gen)
+	return applied, err
 }
 
 // TailSince returns copies of the records with sequence numbers strictly
 // above after, in order. ok is false when the journal can no longer serve
-// that suffix contiguously — the tail was trimmed or compacted past it —
-// in which case the caller must fall back to a snapshot.
+// that suffix contiguously — the tail was trimmed past it or a snapshot
+// replaced it — in which case the caller must fall back to a snapshot.
 func (j *Journal) TailSince(after uint64) (recs []ReplRecord, ok bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -579,118 +536,60 @@ func (j *Journal) SnapshotState() (epoch, lastSeq uint64, entries []RevocationEn
 // may only move forward.
 func (j *Journal) InstallSnapshot(epoch, seq uint64, entries []RevocationEntry) error {
 	j.mu.Lock()
-	if j.f == nil {
-		j.mu.Unlock()
-		return errJournalClosed
-	}
-	if epoch < j.epoch {
-		j.mu.Unlock()
-		return fmt.Errorf("core: snapshot epoch %d below journal epoch %d", epoch, j.epoch)
-	}
-	if err := j.rewriteLocked(epoch, seq, entries); err != nil {
-		j.mu.Unlock()
-		return err
-	}
-	j.epoch = epoch
-	j.lastSeq = seq
-	j.reg.resetTo(entries)
-	j.mu.Unlock()
-	return nil
-}
-
-// Compact rewrites the journal file as one snapshot record of the current
-// state. The mutation history before the snapshot is gone — a follower
-// whose last durable seq predates it will be served the snapshot instead
-// of a suffix.
-func (j *Journal) Compact() error {
-	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.f == nil {
 		return errJournalClosed
 	}
-	return j.rewriteLocked(j.epoch, j.lastSeq, j.reg.Entries())
-}
-
-// maybeCompactLocked runs an inline compaction when the auto-compact
-// threshold is crossed. Caller holds j.mu.
-func (j *Journal) maybeCompactLocked() error {
-	if j.autoCompact <= 0 || j.sinceSnap < j.autoCompact {
-		return nil
+	if epoch < j.epoch {
+		return fmt.Errorf("core: snapshot epoch %d below journal epoch %d", epoch, j.epoch)
 	}
-	return j.rewriteLocked(j.epoch, j.lastSeq, j.reg.Entries())
-}
-
-// syncDir fsyncs a directory so a rename inside it is durable. A renamed
-// file's data being on disk means nothing if the directory entry pointing
-// at the new inode is lost with the page cache — after a power cut the
-// journal would silently revert to its pre-compaction contents.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return j.rewriteLocked(epoch, seq, entries)
 }
 
 // rewriteLocked atomically replaces the journal file with a single
-// snapshot record: write to a temp file, fsync, rename over the journal,
-// fsync the directory (the rename itself is not durable until its
-// directory entry is). On success the in-memory tail resets (the history
-// is gone) and every pending group-commit waiter is released — their
-// records are durable via the snapshot. Caller holds j.mu.
+// snapshot record and applies it: write a temp file, fsync, rename over the
+// journal, fsync the directory (the rename itself is not durable until its
+// directory entry is). Then every pending group-commit waiter is released —
+// their records are durable via the snapshot. Caller holds j.mu.
 func (j *Journal) rewriteLocked(epoch, seq uint64, entries []RevocationEntry) error {
+	rec := journalRecord{ReplRecord: ReplRecord{Op: "snapshot", When: time.Now(), Seq: seq, Epoch: epoch}, Entries: entries}
 	tmpPath := j.path + ".tmp"
-	tf, err := os.OpenFile(tmpPath, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o600)
+	tf, err := j.fs.OpenFile(tmpPath, os.O_RDWR|os.O_CREATE|os.O_TRUNC|os.O_APPEND)
 	if err != nil {
 		return fmt.Errorf("compact revocation journal: %w", err)
 	}
 	enc := json.NewEncoder(tf)
-	rec := journalRecord{Op: "snapshot", When: time.Now(), Seq: seq, Epoch: epoch, Entries: entries}
-	if err := enc.Encode(rec); err != nil {
+	if err = enc.Encode(rec); err == nil {
+		if err = tf.Sync(); err == nil {
+			err = j.fs.Rename(tmpPath, j.path)
+		}
+	}
+	if err != nil {
 		_ = tf.Close()
-		_ = os.Remove(tmpPath)
+		_ = j.fs.Remove(tmpPath)
 		return fmt.Errorf("compact revocation journal: %w", err)
 	}
-	if err := tf.Sync(); err != nil {
-		_ = tf.Close()
-		_ = os.Remove(tmpPath)
-		return fmt.Errorf("compact revocation journal: %w", err)
-	}
-	if err := os.Rename(tmpPath, j.path); err != nil {
-		_ = tf.Close()
-		_ = os.Remove(tmpPath)
-		return fmt.Errorf("compact revocation journal: %w", err)
-	}
-	old := j.f
-	j.f = tf
-	j.enc = enc
-	_ = old.Close()
-	j.tail = j.tail[:0]
-	j.sinceSnap = 0
+	_ = j.f.Close()
+	j.f, j.enc = tf, enc
+	j.apply(rec)
 	j.compactions.Inc()
-	// The rename only persists once the directory entry does. Waiters must
-	// not be told their records are durable before that — a power loss
-	// could revert the whole file to its pre-compaction state, taking every
-	// acknowledged append that rode the compaction with it.
-	dirErr := syncDir(filepath.Dir(j.path))
-	if dirErr != nil {
-		dirErr = fmt.Errorf("sync revocation journal directory: %w", dirErr)
+	// Waiters must not be told their records are durable before the rename
+	// is — a power loss could revert the whole file to its old contents,
+	// taking every acknowledged append that rode the rewrite with it.
+	if err = j.fs.SyncDir(filepath.Dir(j.path)); err != nil {
+		err = fmt.Errorf("sync revocation journal directory: %w", err)
 	}
 	// Everything written before the rename is captured by the fsynced
-	// snapshot: release any group-commit waiters — poisoned with the
+	// snapshot: release the group-commit waiters — poisoned with the
 	// directory-sync error if the rename's durability is in doubt.
 	j.syncMu.Lock()
 	if j.writeGen > j.syncGen {
 		j.syncGen = j.writeGen
-		j.syncErr = dirErr
+		j.syncErr = err
 	}
 	j.syncCond.Broadcast()
 	j.syncMu.Unlock()
-	return dirErr
+	return err
 }
 
 // Close releases the log file. The registry stays usable (read-only

@@ -298,96 +298,11 @@ func TestJournalTailSince(t *testing.T) {
 	}
 }
 
-// TestJournalCompaction: Compact folds the log into one snapshot record;
-// state, sequence and epoch survive a reopen, and history before the
-// snapshot is no longer servable.
-func TestJournalCompaction(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "c.jsonl")
-	j, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.SetEpoch(5); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 6; i++ {
-		if err := j.Revoke(fmt.Sprintf("id%d@x", i), "pre-compact"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := j.Unrevoke("id0@x"); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	body, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lines := strings.Count(strings.TrimSpace(string(body)), "\n") + 1; lines != 1 {
-		t.Errorf("compacted journal has %d lines, want 1", lines)
-	}
-	if _, ok := j.TailSince(2); ok {
-		t.Error("pre-compaction suffix still served")
-	}
-	// Appends keep working after the file swap.
-	if err := j.Revoke("post@x", "after"); err != nil {
-		t.Fatal(err)
-	}
-	if got := j.LastSeq(); got != 8 {
-		t.Errorf("LastSeq after compact+append = %d, want 8", got)
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	j2, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j2.Close()
-	if j2.LastSeq() != 8 || j2.Epoch() != 5 {
-		t.Errorf("after reopen: seq %d epoch %d, want 8/5", j2.LastSeq(), j2.Epoch())
-	}
-	reg := j2.Registry()
-	if reg.IsRevoked("id0@x") || !reg.IsRevoked("id5@x") || !reg.IsRevoked("post@x") {
-		t.Error("compacted state wrong after reopen")
-	}
-}
-
-// TestJournalAutoCompact: crossing the threshold rewrites the file inline,
-// so a long-lived journal stays bounded.
-func TestJournalAutoCompact(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ac.jsonl")
-	j, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
-	j.SetAutoCompact(5)
-	for i := 0; i < 12; i++ {
-		if err := j.Revoke(fmt.Sprintf("id%02d@x", i), "x"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	body, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 12 appends with a threshold of 5 → compactions at 5 and 10, leaving a
-	// snapshot line plus the 2 appends since.
-	if lines := strings.Count(strings.TrimSpace(string(body)), "\n") + 1; lines != 3 {
-		t.Errorf("auto-compacted journal has %d lines, want 3", lines)
-	}
-	if got := j.LastSeq(); got != 12 {
-		t.Errorf("LastSeq = %d, want 12", got)
-	}
-}
-
-// TestJournalInstallSnapshot: installing a snapshot resets the registry to
-// exactly the snapshot set, fires listeners for the symmetric difference,
-// refuses epoch regressions, and survives a reopen.
+// TestJournalInstallSnapshot: installing a snapshot rewrites the file as
+// one record and resets the registry to exactly the snapshot set, fires
+// listeners for the symmetric difference, stops serving the suffix it
+// replaced, refuses epoch regressions, and survives a reopen together with
+// an append made after the file swap.
 func TestJournalInstallSnapshot(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "s.jsonl")
 	j, err := OpenJournal(path)
@@ -427,8 +342,25 @@ func TestJournalInstallSnapshot(t *testing.T) {
 	}
 	mu.Unlock()
 
+	body, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lines := strings.Count(strings.TrimSpace(string(body)), "\n") + 1; lines != 1 {
+		t.Errorf("journal after install has %d lines, want 1", lines)
+	}
+	if _, ok := j.TailSince(1); ok {
+		t.Error("suffix from before the snapshot still served")
+	}
 	if err := j.InstallSnapshot(3, 50, nil); err == nil {
 		t.Fatal("epoch regression accepted")
+	}
+	// Appends keep working after the file swap.
+	if err := j.Revoke("post@x", "after"); err != nil {
+		t.Fatal(err)
+	}
+	if got := j.LastSeq(); got != 41 {
+		t.Errorf("LastSeq after install+append = %d, want 41", got)
 	}
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
@@ -439,11 +371,12 @@ func TestJournalInstallSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j2.Close()
-	if j2.Epoch() != 7 || j2.LastSeq() != 40 {
-		t.Errorf("after reopen: epoch %d seq %d, want 7/40", j2.Epoch(), j2.LastSeq())
+	if j2.Epoch() != 7 || j2.LastSeq() != 41 {
+		t.Errorf("after reopen: epoch %d seq %d, want 7/41", j2.Epoch(), j2.LastSeq())
 	}
-	if !j2.Registry().IsRevoked("new@x") || j2.Registry().IsRevoked("old@x") {
-		t.Error("installed snapshot lost across reopen")
+	reg2 := j2.Registry()
+	if !reg2.IsRevoked("new@x") || reg2.IsRevoked("old@x") || !reg2.IsRevoked("post@x") {
+		t.Error("installed snapshot or the append after it lost across reopen")
 	}
 }
 

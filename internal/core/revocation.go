@@ -43,16 +43,12 @@ type RevocationEntry struct {
 type Registry struct {
 	mu        sync.RWMutex
 	revoked   map[string]RevocationEntry
-	clock     func() time.Time
 	listeners []func(id string)
 }
 
 // NewRegistry returns an empty revocation registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		revoked: make(map[string]RevocationEntry),
-		clock:   time.Now,
-	}
+	return &Registry{revoked: make(map[string]RevocationEntry)}
 }
 
 // Revoke marks the identity revoked. Revoking an already-revoked identity
@@ -61,10 +57,16 @@ func NewRegistry() *Registry {
 // a SEM's precomputed pairing programs) is gone by the time the caller
 // observes the revocation.
 func (r *Registry) Revoke(id, reason string) {
+	r.revoke(RevocationEntry{ID: id, Reason: reason, When: time.Now()})
+}
+
+// revoke records e as its identity's entry — Revoke's stamp, or a journal
+// record's own — and runs the OnChange listeners.
+func (r *Registry) revoke(e RevocationEntry) {
 	r.mu.Lock()
-	r.revoked[id] = RevocationEntry{ID: id, Reason: reason, When: r.clock()}
+	r.revoked[e.ID] = e
 	r.mu.Unlock()
-	r.changed(id)
+	r.changed(e.ID)
 }
 
 // Unrevoke restores the identity. It reports whether the identity was
@@ -164,12 +166,4 @@ func (r *Registry) Entries() []RevocationEntry {
 		out = append(out, e)
 	}
 	return out
-}
-
-// SetClock overrides the registry's time source (tests and the simulated
-// revocation-latency experiments).
-func (r *Registry) SetClock(clock func() time.Time) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.clock = clock
 }

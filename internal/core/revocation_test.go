@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestRegistryConcurrentStress(t *testing.T) {
@@ -38,17 +37,6 @@ func TestRegistryConcurrentStress(t *testing.T) {
 		if e.ID == "" {
 			t.Fatal("empty entry after stress")
 		}
-	}
-}
-
-func TestRegistryClockInjection(t *testing.T) {
-	reg := NewRegistry()
-	fixed := time.Date(2003, 7, 13, 12, 0, 0, 0, time.UTC)
-	reg.SetClock(func() time.Time { return fixed })
-	reg.Revoke("a@x", "r")
-	entries := reg.Entries()
-	if len(entries) != 1 || !entries[0].When.Equal(fixed) {
-		t.Fatalf("entries = %+v, want timestamp %v", entries, fixed)
 	}
 }
 
