@@ -63,23 +63,27 @@ type BaselineReport struct {
 // margins in that time. The two sides are timed in short alternating
 // bursts instead and the fastest burst of each is taken (measureRatio), so
 // a slow spell hits both sides or neither. NA marks a gate that does not
-// apply to the run (ratioGate.AsmOnly without the assembly kernel, LanesOnly
-// without the lane engine): nothing
-// was measured and nothing is held to the bound.
+// apply to the run (a zero ratioGate bound under the run's field kernel):
+// nothing was measured and nothing is held to the bound.
 type BaselineRatio struct {
 	Name  string  `json:"name"`
 	Value float64 `json:"value"`
 	NA    bool    `json:"na,omitempty"`
 }
 
-// measureRatio returns cost(num) ÷ cost(den) from rounds alternating bursts
-// of burst calls each.
-func measureRatio(num, den func() error, rounds, burst int) (float64, error) {
+// measureRatio returns cost(num) ÷ cost(den) per call from rounds
+// alternating bursts, burst calls of num and denBurst of den (burst where
+// denBurst is zero).
+func measureRatio(num, den func() error, rounds, burst, denBurst int) (float64, error) {
+	if denBurst == 0 {
+		denBurst = burst
+	}
 	best := [2]time.Duration{math.MaxInt64, math.MaxInt64}
 	for r := 0; r < rounds; r++ {
 		for side, body := range [2]func() error{num, den} {
+			n := [2]int{burst, denBurst}[side]
 			t0 := time.Now()
-			for i := 0; i < burst; i++ {
+			for i := 0; i < n; i++ {
 				if err := body(); err != nil {
 					return 0, err
 				}
@@ -89,7 +93,7 @@ func measureRatio(num, den func() error, rounds, burst int) (float64, error) {
 			}
 		}
 	}
-	return float64(best[0]) / float64(best[1]), nil
+	return float64(best[0]) / float64(best[1]) * float64(denBurst) / float64(burst), nil
 }
 
 // benchScalar derives a fixed sub-q scalar from a label. Bench inputs must
@@ -683,11 +687,11 @@ func Baseline(pp *pairing.Params, minIters int, minDuration time.Duration) (*Bas
 			run[body.name] = body.run
 		}
 		for _, g := range kernelRatioGates {
-			if !g.applies(fp.Kernel()) {
+			if g.Max.under(fp.Kernel()) == 0 {
 				report.Ratios = append(report.Ratios, BaselineRatio{Name: g.name(), NA: true})
 				continue
 			}
-			v, err := measureRatio(run[g.Num], run[g.Den], g.Rounds, g.Burst)
+			v, err := measureRatio(run[g.Num], run[g.Den], g.Rounds, g.Burst, g.DenBurst)
 			if err != nil {
 				return nil, fmt.Errorf("baseline %s: %w", g.name(), err)
 			}

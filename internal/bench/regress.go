@@ -34,27 +34,45 @@ func (r Regression) String() string {
 // bound holds on any host and needs no tolerance: it is how a loose
 // absolute gate (CI runs at 400 %) can still see an optimized path fall
 // back to the code it replaced. Rounds and Burst size the alternating
-// measurement (measureRatio) to the cost of the two sides. An AsmOnly gate
-// compares the assembly field kernel with the Go one; where the assembly is
-// not what runs (fp.Kernel() is "go") both sides are the same code, so the
-// ratio is recorded as not applicable instead of being measured. A
-// LanesOnly gate bounds what the lane engine runs, and is not applicable
-// where fp.Kernel() does not name it.
+// measurement (measureRatio) to the cost of the two sides, and DenBurst,
+// where it is set, the denominator's bursts apart from the numerator's: a
+// field product is a thousandth of a pairing, and timed one at a time it
+// reads the clock more than the product. Max holds a bound per field kernel
+// (fp.Kernel()), because a gate whose sides run on different kernels reads
+// differently under each; a zero bound means the gate does not apply under
+// that kernel, and its ratio is recorded as not applicable instead of being
+// measured.
 type ratioGate struct {
-	Num, Den      string
-	Max           float64
-	Rounds, Burst int
-	AsmOnly       bool
-	LanesOnly     bool
+	Num, Den                string
+	Max                     kernelBound
+	Rounds, Burst, DenBurst int
+}
+
+// kernelBound is a ratio gate's bound under each field kernel: the portable
+// Go kernels, the MULX assembly, and the lane engine beside it.
+type kernelBound struct{ Go, ADX, IFMA float64 }
+
+// every is the same bound under every kernel; asm the same under the two
+// assembly kernels, and none under the Go one, where both sides of a gate
+// that compares the assembly with the Go kernel are the same code.
+func every(v float64) kernelBound { return kernelBound{v, v, v} }
+func asm(v float64) kernelBound   { return kernelBound{0, v, v} }
+
+// under returns the bound under the kernel k, zero where the gate does not
+// apply.
+func (b kernelBound) under(k string) float64 {
+	switch k {
+	case "go":
+		return b.Go
+	case "amd64-adx":
+		return b.ADX
+	case "amd64-adx+ifma":
+		return b.IFMA
+	}
+	return 0
 }
 
 func (g ratioGate) name() string { return g.Num + " ÷ " + g.Den }
-
-// applies reports whether the gate is measured under the kernel k
-// (fp.Kernel()).
-func (g ratioGate) applies(k string) bool {
-	return !(g.AsmOnly && k == "go" || g.LanesOnly && k != "amd64-adx+ifma")
-}
 
 // kernelRatioGates are measured at paper size — when the modulus has 8
 // limbs, the only width with field kernels and the one the bounds were
@@ -80,27 +98,20 @@ func (g ratioGate) applies(k string) bool {
 // (V_(2^159) = V_(2^17+1): 18 ladder steps and 142 squarings), where the
 // same build with that set forced back onto the ladder reads 0.53–0.59
 // (six interleaved quick runs of each); the bound sits between them. The
-// seventh guards a threshold player's share: a
-// warm ThresholdPlayer.Share — G replayed from the identity's cached Miller
-// program, the proof committed with R = r·d_IDi so that it is two GT powers
-// and one scalar multiplication — against one fresh pairing (measured
-// 1.03–1.04 when it landed; 1.8–2.2 before, when a share was a fresh pairing
-// plus a generator-program replay and the comb and ê(P, P) table behind
-// R = r·P; 0.69–0.73 since PR 28, when the proof's V and W1 came off the
-// cached entry's constant-time combs of d_IDi and cᵢ — 0.81–0.82 with W1 on
-// the exponentiation ladder, and 1.05–1.08 at the parent commit in the same
-// sessions). On the sparse-order paper set its denominator is a fifth
-// cheaper, one chord instead of 80, and the same build reads 0.86–0.91, with
-// d_IDi's comb back on the window ladder 1.26–1.28 and with the program lost
-// (G by Pair) 1.42–1.45; the bound sits between them. Losing the commitment
-// adds a pairing and lands past both. cᵢ's comb alone (W1 by ExpSecret)
-// reads 0.94–0.98 there, too close to the intact build for a bound that must
-// not flake, so this gate no longer guards it (13 interleaved quick runs of
-// each). Since the b = 0 doubling made that denominator cheaper again
-// (0.88–0.98 against the plain pairing), the gate counts in replays of a
-// cached program instead, which the doubling does not move: 1.79–2.01
-// intact, 2.68–2.69 with d_IDi's comb back on the window ladder, 2.97–3.43
-// with the program lost (16, 3 and 3 quick runs). The eighth guards the recombiner's optimistic round
+// seventh guards a threshold player's share: a warm ThresholdPlayer.Share —
+// G replayed from the identity's cached Miller program, the proof committed
+// with R = r·d_IDi so that it is two GT powers and one scalar
+// multiplication off the entry's constant-time combs — counted in one-call
+// F_p² products (gf.mul, which the lane engine does not run), with a bound
+// per kernel because the replay and the powers' ladders run on lanes where
+// it has them. Quick runs on the 2-core IFMA host, intact against the
+// program lost (G by Pair), d_IDi's comb back on the window ladder and the
+// commitment W1 made by a pairing: on the lanes 841–992 (11 runs) against
+// 982–1170, 1322–1497 and 1348–1567 (4 each); with the lanes deselected
+// 1035–1266 (7) against 1770–1842, 1548–1587 and 1505–1982; on the Go
+// kernels 1004–1136 (3) against 1552–1658, 1335–1472 and 1662–1918. On the
+// lanes a lost program costs a share only what the lane walk costs over the
+// lane replay, and that mutant is not caught there. The eighth guards the recombiner's optimistic round
 // on a live (3, 5) cluster: a decryption whose three first choices answer
 // against one that finds player 2 down and has to ask the other two as well.
 // Measured 0.74–0.78 on two cores, where the three first-choice shares do not
@@ -147,27 +158,22 @@ func (g ratioGate) applies(k string) bool {
 // q in one kernel call read 181–252 (192–250 with the paper set forced onto
 // it, in the six interleaved runs above) and the real-part ladder of Field
 // calls before that 295–302. The sixteenth guards the Miller walk's b = 0
-// doubling: a plain pairing against the replay of a cached program, which
-// walks no point and so does not move with the step. With the step's
-// pairing 2.04–2.23 measured; 2.28–2.59 with the generic a = 1 step back
-// in doubleStep or at the parent commit (two series of interleaved quick
-// runs on a busy host, 18–20 readings of each side), so the bound sits
-// between the two. The seventeenth guards the same formula in the curve's
-// doubling, which a pairing does not reach: a variable-base 160-bit w-NAF
-// multiplication, ≈ 160 doublings, against the same replay. 1.00–1.10 with
-// the b = 0 ljDouble (one reading of 1.22 in 23), 1.27–1.88 with the
-// generic one back or at the parent commit (21 readings). Both count
-// against the replay because it is made of the same mul8 products as their
-// numerators, so a host that runs the kernel fast or slow moves both
-// sides; both take the fastest of 128 single calls a side, which on that
-// host was what kept the intact build's readings below the mutants'. The
-// eighteenth holds the x-only replay to the standard one: its square in
-// F_p[j]/(j² + s) takes four products where F_p²'s takes two, 1.12–1.21
-// measured with the shared final exponentiation (30 quick runs, besides two
-// readings of 1.01 and one of 1.57 on a busy host, where the sixteenth read
-// up to 2.39 at the parent commit), 1.21–1.30 with one product more in the
-// square and 1.30–1.34 with one more in the line as well (4 and 5 runs); one
-// extra product is within the noise, two are not.
+// doubling where every kernel runs it, in the program build (NewFixedPair),
+// counted in gf.mul: 880–889 on the lanes and 869–878 without them,
+// 1011–1049 with the generic a = 1 step back in doubleStep; 732–742 on the
+// Go kernels, 828–834 with it (3 runs each). The seventeenth guards the same
+// formula in the curve's doubling: a variable-base 160-bit w-NAF
+// multiplication, ≈ 160 doublings, in the same unit: 539–638 with the b = 0
+// ljDouble on either assembly kernel (14 runs), 747–783 with the generic one
+// back (7); 472–518 on the Go kernels, where the generic one reads 516–594
+// and is caught in two runs of three. The eighteenth holds the x-only replay
+// on the scalar kernels, counted in one-call F_p² squares: 894–1084 with the
+// lanes deselected (4 runs) and 915–971 on the Go kernels, against 1124–1143
+// and 984–1028 with one product more in SquareJ (3 each) — one extra
+// product is within the noise, two are not. On the lanes the replay is
+// theirs, and the twenty-first holds it. All four take the fastest of
+// their rounds a side, and time gf.mul and gf.square in bursts of a
+// thousand, about as long as the numerator's call.
 // The nineteenth guards the Legendre symbol under the x-only decode in
 // multiplications, as the thirteenth guards the inverse: 50–66, where
 // Euler's criterion reads 714–748. The last guards that decode, ibe_token's
@@ -178,29 +184,37 @@ func (g ratioGate) applies(k string) bool {
 // holds the x-only replay and its final exponentiation to the lane engine,
 // counted in one-call F_p² products, the MULX unit the scalar replay is made
 // of: 239–341 with both on lanes (15 quick runs), 463–546 with the replay
-// back on MULX and 480–615 with the ladder too (5 and 4 runs).
+// back on MULX and 480–615 with the ladder too (5 and 4 runs). The last
+// two, lanes-only, hold the threshold decryption's pairings to the lane
+// engine in the same unit, timed as the sixteenth is: the F_p² replay,
+// which runs as PairX's replay in F_p[j]/(j² + y_Q²), 296–403 (40 quick
+// runs) against 481–542 with FixedPair.Pair's lane branch dropped (4); and
+// the plain pairing on the lane walk, 350–583 against 1135–1235 with
+// Params.Pair back on the scalar walk.
 var kernelRatioGates = []ratioGate{
-	{Num: "fp.mul.go", Den: "fp.mul.generic", Max: 0.70, Rounds: 64, Burst: 2048},
-	{Num: "fp.square.go", Den: "fp.mul.go", Max: 0.92, Rounds: 64, Burst: 2048},
-	{Num: "fp.mul", Den: "fp.mul.go", Max: 0.85, Rounds: 64, Burst: 2048, AsmOnly: true},
-	{Num: "thibe.verify-batch5", Den: "thibe.verify-single5", Max: 0.65, Rounds: 12, Burst: 1},
-	{Num: "wire.pairing-arg", Den: "wire.g1", Max: 0.50, Rounds: 32, Burst: 8},
-	{Num: "gt.ingt", Den: "gtexp.square-multiply", Max: 0.45, Rounds: 32, Burst: 16},
-	{Num: "thibe.player-share", Den: "pair.fixed", Max: 2.30, Rounds: 24, Burst: 4},
-	{Num: "cluster.decrypt.honest", Den: "cluster.decrypt.escalated", Max: 0.90, Rounds: 24, Burst: 1},
-	{Num: "hash.to-g1.arg", Den: "hash.to-g1", Max: 0.55, Rounds: 32, Burst: 4},
-	{Num: "fp.exp", Den: "fp.square", Max: 850, Rounds: 16, Burst: 256},
-	{Num: "ibe.token.scan", Den: "pair.x", Max: 1.05, Rounds: 12, Burst: 16},
-	{Num: "scalarmul.secret-comb", Den: "scalarmul.variable-wnaf", Max: 0.55, Rounds: 32, Burst: 8},
-	{Num: "fp.inv", Den: "fp.mul", Max: 120, Rounds: 32, Burst: 64},
-	{Num: "gf.mul", Den: "fp.mul.go", Max: 2.55, Rounds: 64, Burst: 1024, AsmOnly: true},
-	{Num: "gt.ingt", Den: "fp.mul.go", Max: 170, Rounds: 32, Burst: 16, AsmOnly: true},
-	{Num: "pair", Den: "pair.fixed", Max: 2.26, Rounds: 128, Burst: 1},
-	{Num: "scalarmul.variable-wnaf", Den: "pair.fixed", Max: 1.24, Rounds: 128, Burst: 1},
-	{Num: "pair.fixed.x", Den: "pair.fixed", Max: 1.26, Rounds: 128, Burst: 1},
-	{Num: "fp.legendre", Den: "fp.mul", Max: 120, Rounds: 32, Burst: 64},
-	{Num: "wire.pairing-x", Den: "wire.pairing-arg", Max: 0.50, Rounds: 32, Burst: 8},
-	{Num: "pair.fixed.x", Den: "gf.mul", Max: 400, Rounds: 64, Burst: 4, LanesOnly: true},
+	{Num: "fp.mul.go", Den: "fp.mul.generic", Max: every(0.70), Rounds: 64, Burst: 2048},
+	{Num: "fp.square.go", Den: "fp.mul.go", Max: every(0.92), Rounds: 64, Burst: 2048},
+	{Num: "fp.mul", Den: "fp.mul.go", Max: asm(0.85), Rounds: 64, Burst: 2048},
+	{Num: "thibe.verify-batch5", Den: "thibe.verify-single5", Max: every(0.65), Rounds: 12, Burst: 1},
+	{Num: "wire.pairing-arg", Den: "wire.g1", Max: every(0.50), Rounds: 32, Burst: 8},
+	{Num: "gt.ingt", Den: "gtexp.square-multiply", Max: every(0.45), Rounds: 32, Burst: 16},
+	{Num: "thibe.player-share", Den: "gf.mul", Max: kernelBound{Go: 1250, ADX: 1400, IFMA: 1200}, Rounds: 24, Burst: 4, DenBurst: 4096},
+	{Num: "cluster.decrypt.honest", Den: "cluster.decrypt.escalated", Max: every(0.90), Rounds: 24, Burst: 1},
+	{Num: "hash.to-g1.arg", Den: "hash.to-g1", Max: every(0.55), Rounds: 32, Burst: 4},
+	{Num: "fp.exp", Den: "fp.square", Max: every(850), Rounds: 16, Burst: 256},
+	{Num: "ibe.token.scan", Den: "pair.x", Max: every(1.05), Rounds: 12, Burst: 16},
+	{Num: "scalarmul.secret-comb", Den: "scalarmul.variable-wnaf", Max: every(0.55), Rounds: 32, Burst: 8},
+	{Num: "fp.inv", Den: "fp.mul", Max: every(120), Rounds: 32, Burst: 64},
+	{Num: "gf.mul", Den: "fp.mul.go", Max: asm(2.55), Rounds: 64, Burst: 1024},
+	{Num: "gt.ingt", Den: "fp.mul.go", Max: asm(170), Rounds: 32, Burst: 16},
+	{Num: "pair.fixed.precompute", Den: "gf.mul", Max: kernelBound{Go: 785, ADX: 950, IFMA: 950}, Rounds: 128, Burst: 1, DenBurst: 1024},
+	{Num: "scalarmul.variable-wnaf", Den: "gf.mul", Max: kernelBound{Go: 545, ADX: 690, IFMA: 690}, Rounds: 128, Burst: 1, DenBurst: 1024},
+	{Num: "pair.fixed.x", Den: "gf.square", Max: kernelBound{Go: 1040, ADX: 1150}, Rounds: 128, Burst: 1, DenBurst: 1024},
+	{Num: "fp.legendre", Den: "fp.mul", Max: every(120), Rounds: 32, Burst: 64},
+	{Num: "wire.pairing-x", Den: "wire.pairing-arg", Max: every(0.50), Rounds: 32, Burst: 8},
+	{Num: "pair.fixed.x", Den: "gf.mul", Max: kernelBound{IFMA: 400}, Rounds: 64, Burst: 4},
+	{Num: "pair.fixed", Den: "gf.mul", Max: kernelBound{IFMA: 450}, Rounds: 128, Burst: 1, DenBurst: 1024},
+	{Num: "pair", Den: "gf.mul", Max: kernelBound{IFMA: 850}, Rounds: 128, Burst: 1, DenBurst: 1024},
 }
 
 // CompareBaselines checks a freshly measured report against a committed
@@ -260,9 +274,10 @@ func CompareBaselines(ref, fresh *BaselineReport, tolerancePct float64) ([]Regre
 		return nil, fmt.Errorf("bench: no common entries between reference and fresh report")
 	}
 	for _, g := range kernelRatioGates {
+		max := g.Max.under(fresh.FpKernel)
 		for _, r := range fresh.Ratios {
-			if r.Name == g.name() && !r.NA && r.Value > g.Max {
-				regs = append(regs, Regression{Name: r.Name, Metric: "ratio", RefNs: g.Max, FreshNs: r.Value, Percent: (r.Value/g.Max - 1) * 100})
+			if r.Name == g.name() && !r.NA && max > 0 && r.Value > max {
+				regs = append(regs, Regression{Name: r.Name, Metric: "ratio", RefNs: max, FreshNs: r.Value, Percent: (r.Value/max - 1) * 100})
 			}
 		}
 	}

@@ -6,7 +6,7 @@ import (
 )
 
 func report(params string, entries ...BaselineEntry) *BaselineReport {
-	return &BaselineReport{Params: params, Entries: entries}
+	return &BaselineReport{Params: params, FpKernel: "amd64-adx", Entries: entries}
 }
 
 func TestCompareBaselinesFlagsOnlyRealRegressions(t *testing.T) {
@@ -197,20 +197,38 @@ func TestCompareBaselinesRatioGates(t *testing.T) {
 	}
 
 	// The b = 0 doubling: the generic a = 1 step back in the Miller walk
-	// makes a plain pairing cost ≈ 2.3 replays, the generic ljDouble back
-	// makes a w-NAF multiplication ≈ 1.27 of one.
-	doublings := func(pair, wnaf float64) *BaselineReport {
+	// makes a program build cost ≈ 1 030 F_p² products, the generic
+	// ljDouble back makes a w-NAF multiplication ≈ 760.
+	doublings := func(build, wnaf float64) *BaselineReport {
 		r := with(0.40, 0.81)
 		r.Ratios = append(r.Ratios,
-			BaselineRatio{Name: "pair ÷ pair.fixed", Value: pair},
-			BaselineRatio{Name: "scalarmul.variable-wnaf ÷ pair.fixed", Value: wnaf})
+			BaselineRatio{Name: "pair.fixed.precompute ÷ gf.mul", Value: build},
+			BaselineRatio{Name: "scalarmul.variable-wnaf ÷ gf.mul", Value: wnaf})
 		return r
 	}
-	if regs, err := CompareBaselines(ref, doublings(2.04, 1.04), 400); err != nil || len(regs) != 0 {
+	if regs, err := CompareBaselines(ref, doublings(875, 620), 400); err != nil || len(regs) != 0 {
 		t.Fatalf("healthy doubling ratios flagged: %+v, %v", regs, err)
 	}
-	if regs, _ := CompareBaselines(ref, doublings(2.30, 1.28), 400); len(regs) != 2 || regs[0].RefNs != 2.26 || regs[1].RefNs != 1.24 {
-		t.Fatalf("regressions = %+v, want the pair (2.26) and scalarmul.variable-wnaf (1.24) gates", regs)
+	if regs, _ := CompareBaselines(ref, doublings(1030, 760), 400); len(regs) != 2 || regs[0].RefNs != 950 || regs[1].RefNs != 690 {
+		t.Fatalf("regressions = %+v, want the pair.fixed.precompute (950) and scalarmul.variable-wnaf (690) gates", regs)
+	}
+
+	// A bound is the run's kernel's: the plain pairing off the lane walk
+	// costs ≈ 1 200 F_p² products, out of the lane engine's bound and no
+	// gate on the MULX kernel, where that is what it costs.
+	lanes := func(kernel string) *BaselineReport {
+		r := with(0.40, 0.81)
+		r.FpKernel = kernel
+		r.Ratios = append(r.Ratios, BaselineRatio{Name: "pair ÷ gf.mul", Value: 1200})
+		return r
+	}
+	if regs, _ := CompareBaselines(ref, lanes("amd64-adx+ifma"), 400); len(regs) != 1 || regs[0].RefNs != 850 {
+		t.Fatalf("regressions = %+v, want the lanes-only pair ÷ gf.mul (850) gate", regs)
+	}
+	for _, k := range []string{"amd64-adx", "go"} {
+		if regs, _ := CompareBaselines(ref, lanes(k), 400); len(regs) != 0 {
+			t.Fatalf("fp kernel %q: the lanes-only gate was held: %+v", k, regs)
+		}
 	}
 
 	// A reference without ratios (older snapshot, hand-edited, recorded

@@ -396,11 +396,24 @@ func (j *Journal) appendMutation(op, id, reason string) error {
 
 // writeLocked writes rec to the OS, applies it and returns the write
 // generation the caller must wait on for durability. Caller holds j.mu.
+//
+// A write that fails may have left part of its line in the file, and a
+// record appended after those bytes would share their line and be dropped
+// with it at the next replay. So a failure leaves j.enc nil, and the next
+// write first rewrites the file as one snapshot of what has been applied
+// (rewriteLocked), which also gives it a fresh encoder: a json.Encoder
+// keeps its first write error.
 func (j *Journal) writeLocked(rec journalRecord) (uint64, error) {
 	if j.f == nil {
 		return 0, errJournalClosed
 	}
+	if j.enc == nil {
+		if err := j.rewriteLocked(j.epoch, j.lastSeq, j.reg.Entries()); err != nil {
+			return 0, fmt.Errorf("append revocation journal: %w", err)
+		}
+	}
 	if err := j.enc.Encode(rec); err != nil {
+		j.enc = nil
 		return 0, fmt.Errorf("append revocation journal: %w", err)
 	}
 	j.apply(rec)

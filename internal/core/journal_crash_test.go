@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -104,10 +105,13 @@ func (d *crashDisk) image(powerLoss bool) map[string][]byte {
 }
 
 // crashFS is a journalFS on a crashDisk that logs every call changing it.
+// While full is set the disk has no room: a write stores the first half of
+// its bytes and fails with ENOSPC.
 type crashFS struct {
 	mu   sync.Mutex
 	disk *crashDisk
 	log  []fsEvent
+	full bool
 }
 
 func newCrashFS(image map[string][]byte) *crashFS { return &crashFS{disk: newCrashDisk(image)} }
@@ -194,6 +198,11 @@ func (f *crashFile) Write(p []byte) (int, error) {
 	defer f.fs.mu.Unlock()
 	if f.closed {
 		return 0, os.ErrClosed
+	}
+	if f.fs.full {
+		n := len(p) / 2
+		f.fs.record(fsEvent{op: "write", ino: f.ino, data: slices.Clone(p[:n])})
+		return n, syscall.ENOSPC
 	}
 	f.fs.record(fsEvent{op: "write", ino: f.ino, data: slices.Clone(p)})
 	return len(p), nil
@@ -582,5 +591,61 @@ func TestJournalEntriesKeepRecordTime(t *testing.T) {
 	}
 	if got := entryMap(installed.Registry()); !sameEntries(got, want) {
 		t.Errorf("snapshot-installed follower holds %v, want %v", got, want)
+	}
+}
+
+// TestJournalRecoversFromFailedWrite fills the disk under a journal: a
+// revocation's write stores half its line and fails, and so does the next
+// while the disk stays full. Once there is room, the next revocation and
+// reinstatement must succeed — a json.Encoder keeps its first write error,
+// so one that outlived the failure refused them until a restart — and a
+// journal reopened on what the process left, or on what a power loss
+// leaves, must replay every acknowledged record with no line dropped: a
+// record appended after the torn half line would share its line and be
+// dropped with it.
+func TestJournalRecoversFromFailedWrite(t *testing.T) {
+	fs := newCrashFS(nil)
+	j, err := openJournal(fs, crashPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{"a@x", "b@x"} {
+		if err := j.Revoke(id, "before"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fs.mu.Lock()
+	fs.full = true
+	fs.mu.Unlock()
+	for _, id := range []string{"c@x", "d@x"} {
+		if err := j.Revoke(id, "disk full"); err == nil {
+			t.Fatalf("revoke %s on a full disk succeeded", id)
+		}
+	}
+	fs.mu.Lock()
+	fs.full = false
+	fs.mu.Unlock()
+	if err := j.Revoke("e@x", "after"); err != nil {
+		t.Fatalf("revoke once the disk has room: %v", err)
+	}
+	if err := j.Unrevoke("a@x"); err != nil {
+		t.Fatalf("unrevoke once the disk has room: %v", err)
+	}
+	want := entryMap(j.Registry())
+	if len(want) != 2 || want["b@x"].ID == "" || want["e@x"].ID == "" {
+		t.Fatalf("registry after the full disk = %v, want b@x and e@x", want)
+	}
+	seq := j.LastSeq()
+	for _, powerLoss := range []bool{false, true} {
+		fs.mu.Lock()
+		image := fs.disk.image(powerLoss)
+		fs.mu.Unlock()
+		again, err := openJournal(newCrashFS(image), crashPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := entryMap(again.Registry()); !sameEntries(got, want) || again.LastSeq() != seq || again.DroppedLines() != 0 {
+			t.Errorf("reopened (power loss %v): registry %v at seq %d with %d lines dropped, want %v at seq %d with none", powerLoss, got, again.LastSeq(), again.DroppedLines(), want, seq)
+		}
 	}
 }

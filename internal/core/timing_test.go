@@ -74,18 +74,54 @@ func welch(a, b []float64) float64 {
 // GT.Exp for the comb of cᵢ or for ExpSecret — fails this test in all three
 // rounds (CHANGES.md, PR 28, records the runs).
 //
+// That is the toy set, on the any-width loops. The paper set runs 10⁴
+// shares a class on the 8-limb kernel this CPU selects — where fp.Kernel()
+// names the lane engine, the replay of lines derived from d_IDi is one
+// lane kernel call and the ladders of the powers run on lanes too — with
+// the fixed nonce's one to three extra bits drawn from every fifth
+// position, which keeps the candidates near 5 000; it logs which kernel it
+// timed.
+//
 // The rounds and the cropping are timingClassesAgree's.
 func TestShareTimingIndependentOfNonce(t *testing.T) {
 	if testing.Short() {
-		t.Skip("2·10⁵ timed shares")
+		t.Skip("2·10⁵ and 2·10⁴ timed shares")
 	}
 	if raceEnabled {
 		t.Skip("running times under the race detector measure the detector")
 	}
-	const perClass = 100_000
+	for _, set := range []struct {
+		name     string
+		params   func() (*pairing.Params, error)
+		perClass int
+	}{
+		{"toy", pairing.Toy, 100_000},
+		{"paper", pairing.Paper, 10_000},
+	} {
+		t.Run(set.name, func(t *testing.T) {
+			pp, err := set.params()
+			if err != nil {
+				t.Fatal(err)
+			}
+			kernel := "the any-width loops"
+			if pp.Field().Fp().Limbs() == 8 {
+				kernel = "fp kernel " + fp.Kernel()
+			}
+			t.Logf("timing %s shares on %s", set.name, kernel)
+			shareTimingIndependentOfNonce(t, pp, set.perClass, kernel)
+		})
+	}
+}
 
-	pkg, player := playerFixture(t)
-	pp := pkg.Params().Public.Pairing
+func shareTimingIndependentOfNonce(t *testing.T, pp *pairing.Params, perClass int, kernel string) {
+	pkg, err := SetupThreshold(rand.Reader, pp, msgLen, 2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	player, err := NewThresholdPlayer(pkg.Params(), 1, NewRegistry())
+	if err != nil {
+		t.Fatal(err)
+	}
 	q := pp.Q()
 	const id = "vault@example.com"
 	installShare(t, pkg, player, id)
@@ -105,13 +141,15 @@ func TestShareTimingIndependentOfNonce(t *testing.T) {
 		return ds, d
 	}
 
-	// The fixed class: the top bit of a (|q| − 1)-bit nonce plus one to three more.
+	// The fixed class: the top bit of a (|q| − 1)-bit nonce plus one to
+	// three more, at every stride-th position.
 	var fixed *big.Int
 	best := math.MaxInt
 	low := q.BitLen() - 2
-	for i := 0; i < low; i++ {
-		for j := i; j < low; j++ {
-			for l := j; l < low; l++ {
+	stride := max(1, low/30)
+	for i := 0; i < low; i += stride {
+		for j := i; j < low; j += stride {
+			for l := j; l < low; l += stride {
 				r := new(big.Int).SetBit(new(big.Int), low, 1)
 				r.SetBit(r.SetBit(r.SetBit(r, i, 1), j, 1), l, 1)
 				ds, _ := timed(r)
@@ -139,7 +177,7 @@ func TestShareTimingIndependentOfNonce(t *testing.T) {
 		}
 		_, d := timed(r)
 		return d
-	}, fmt.Sprintf("fixed nonce %v (w-NAF weight of r+e: %d)", fixed, best)) {
+	}, fmt.Sprintf("%s, fixed nonce %v (w-NAF weight of r+e: %d)", kernel, fixed, best)) {
 		t.Fatal("a share's running time depends on its proof nonce")
 	}
 }
@@ -241,21 +279,7 @@ func tokenTimingIndependentOfKey(t *testing.T, pp *pairing.Params, perClass int,
 		t.Fatal(err)
 	}
 	sem := NewIBESEM(pkg.Public(), NewRegistry())
-	var halves [2]*curve.Point
-	var odd [2]int
-	for k := 0; k < 48; k++ {
-		d, err := pp.Curve().RandomG1(rand.Reader)
-		if err != nil {
-			t.Fatal(err)
-		}
-		n := oddSlopes(t, pp, d)
-		if k == 0 || n > odd[0] {
-			halves[0], odd[0] = d, n
-		}
-		if k == 0 || n < odd[1] {
-			halves[1], odd[1] = d, n
-		}
-	}
+	halves, odd := extremeKeys(t, pp)
 	ids := [2]string{"most-odd@example.com", "fewest-odd@example.com"}
 	for c, id := range ids {
 		sem.Register(&SEMKeyHalf{ID: id, D: halves[c]})
@@ -288,6 +312,82 @@ func tokenTimingIndependentOfKey(t *testing.T, pp *pairing.Params, perClass int,
 	}, fmt.Sprintf("%s, programs with %d and %d odd α", kernel, odd[0], odd[1])) {
 		t.Fatal("a token's running time depends on the SEM's key half")
 	}
+}
+
+// TestPairingTimingIndependentOfKey is the dudect check of ROADMAP item
+// 3(ii) on the plain pairings that walk a secret key: Params.PairX, which
+// answers a SEM's token for an identity its program cache turned away, and
+// Params.Pair, a threshold player's share for one. Both walk the key half on
+// the lane walk where fp.Kernel() names the lane engine (the doubling steps
+// in fp.Field.WalkJ, the additions on the scalar kernels), and on the
+// 8-limb scalar kernels elsewhere. Two keys are timed at the paper set, 10⁴
+// pairings a class with the same U, interleaved at random, and Welch's t
+// must stay under 4.5; the keys are extreme as
+// TestTokenTimingIndependentOfKey's are, the most and the fewest odd
+// tangent and chord slopes α among 48 candidates — what the walk's lines
+// are made of. It logs which kernel it timed.
+func TestPairingTimingIndependentOfKey(t *testing.T) {
+	if testing.Short() {
+		t.Skip("2·10⁴ timed pairings, twice")
+	}
+	if raceEnabled {
+		t.Skip("running times under the race detector measure the detector")
+	}
+	pp, err := pairing.Paper()
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys, odd := extremeKeys(t, pp)
+	u, err := pp.Curve().RandomG1(rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ux, err := pp.Curve().UnmarshalX(u.Marshal())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("timing paper pairings on fp kernel %s", fp.Kernel())
+	for _, row := range []struct {
+		name string
+		pair func(d *curve.Point) error
+	}{
+		{"PairX", func(d *curve.Point) error { _, err := pp.PairX(d, ux); return err }},
+		{"Pair", func(d *curve.Point) error { _, err := pp.Pair(d, u); return err }},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			if !timingClassesAgree(t, 10_000, func(class, _ int) time.Duration {
+				t0 := time.Now()
+				err := row.pair(keys[class])
+				d := time.Since(t0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return d
+			}, fmt.Sprintf("%s on fp kernel %s, keys with %d and %d odd α", row.name, fp.Kernel(), odd[0], odd[1])) {
+				t.Fatal("a pairing's running time depends on the key it walks")
+			}
+		})
+	}
+}
+
+// extremeKeys returns, among 48 random points of G1, the one whose Miller
+// program has the most lines with an odd α (oddSlopes) and the one with the
+// fewest, and their counts.
+func extremeKeys(t *testing.T, pp *pairing.Params) (keys [2]*curve.Point, odd [2]int) {
+	for k := 0; k < 48; k++ {
+		d, err := pp.Curve().RandomG1(rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := oddSlopes(t, pp, d)
+		if k == 0 || n > odd[0] {
+			keys[0], odd[0] = d, n
+		}
+		if k == 0 || n < odd[1] {
+			keys[1], odd[1] = d, n
+		}
+	}
+	return keys, odd
 }
 
 // oddSlopes counts the lines of d's Miller program whose α — the slope of

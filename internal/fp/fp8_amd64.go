@@ -69,8 +69,8 @@ var laneMissing = func() string {
 	return ""
 }()
 
-// useLanes selects the lane engine under Field.ReplayJ and LucasLadder at 8
-// limbs; see laneMissing.
+// useLanes selects the lane engine under Field.ReplayJ, WalkJ and
+// LucasLadder at 8 limbs; see laneMissing.
 var useLanes = laneMissing == ""
 
 //go:noescape
@@ -83,3 +83,6 @@ func laneReplayJ8(sc *replayScratch, lf *laneField, kinds *byte, steps uint64, l
 func laneLadder8(sc *ladderScratch, lf *laneField, k *uint64, bits uint64)
 
 func xgetbv() (eax, edx uint32)
+
+//go:noescape
+func laneWalkJ8(sc *walkScratch, lf *laneField, steps uint64)

@@ -34,3 +34,5 @@ func laneReplayJ8(sc *replayScratch, lf *laneField, kinds *byte, steps uint64, l
 }
 
 func laneLadder8(sc *ladderScratch, lf *laneField, k *uint64, bits uint64) { panic(noAsm) }
+
+func laneWalkJ8(sc *walkScratch, lf *laneField, steps uint64) { panic(noAsm) }

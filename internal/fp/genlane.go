@@ -6,12 +6,13 @@
 // register; VPMADD52LUQ/HUQ add the low and high 52 bits of eight 52×52-bit
 // products into eight 64-bit accumulators in one instruction (Gueron and
 // Krasnov, "Accelerating big integer arithmetic using Intel IFMA
-// extensions", ARITH 2016). It emits three functions built from one
+// extensions", ARITH 2016). It emits four functions built from one
 // Montgomery product:
 //
 //   - laneMul8, the product of two lane vectors in memory;
 //   - laneReplayJ8, a whole x-only Miller replay in one call (Field.ReplayJ);
-//   - laneLadder8, the whole trace ladder in one call (Field.LucasLadder).
+//   - laneLadder8, the whole trace ladder in one call (Field.LucasLadder);
+//   - laneWalkJ8, a run of a Miller walk's doubling steps (Field.WalkJ).
 //
 // Run it with `go generate ./internal/fp`; CI re-runs it and fails on any
 // difference from the committed output. lane.go has the layouts the
@@ -57,9 +58,11 @@ const lf, sc = "SI", "DI"
 // memory — which zeroes the low 52 bits of limb 0, whose carry moves up one
 // limb before the register is renamed the new top word. Limbs are not
 // carried inside the loop: ten rounds add at most forty halves below 2^52
-// to a limb, which stays under 2^58. For inputs below k·p the result is
-// below (k²/256 + 1)·p (p < 2^512): every value the kernels multiply is
-// below 5.4p, every product below 1.12p.
+// to a limb, which stays under 2^58. For inputs below k·p and l·p the
+// result is below (kl/256 + 1)·p (p < 2^512): every value the replay and
+// the ladder multiply is below 5.4p, every product of theirs below 1.12p,
+// and the walk's operands multiply to below 2^8·p², its products to below
+// 2p.
 func mont(yLimb func(i int)) []string {
 	t := append([]string(nil), acc...)
 	for _, r := range t {
@@ -457,6 +460,185 @@ TEXT ·laneLadder8(SB), NOSPLIT, $0-32
 	p("\tRET")
 }
 
+// consts collects the DATA of the walk's index vectors, emitted after the
+// code.
+var consts bytes.Buffer
+
+// idx declares a read-only index vector of eight lanes (a lane past v
+// reads lane 0; what those lanes compute is never read) and returns its
+// symbol.
+func idx(name string, v ...int) string {
+	for l := 0; l < 8; l++ {
+		e := 0
+		if l < len(v) && v[l] > 0 {
+			e = v[l]
+		}
+		fmt.Fprintf(&consts, "DATA %s<>+%d(SB)/8, $%d\n", name, 8*l, e)
+	}
+	fmt.Fprintf(&consts, "GLOBL %s<>(SB), RODATA|NOPTR, $64\n", name)
+	return name + "<>(SB)"
+}
+
+// The walk's masks, one lane each but K7, which is lanes 2 and 4.
+const kL0, kL1, kL2, kL3, kL4, kL5, kL24 = "K1", "K2", "K3", "K4", "K5", "K6", "K7"
+
+// walkVec is the address of limb j of the scratch vector named f, and
+// walkLane that of its lane l.
+func walkVec(f string, j int) string { return fmt.Sprintf("walkScratch_%s+%d(%s)", f, 64*j, sc) }
+func walkLane(f string, j, l int) string {
+	return fmt.Sprintf("walkScratch_%s+%d(%s)", f, 64*j+8*l, sc)
+}
+
+func genWalk() {
+	p(`
+// func laneWalkJ8(sc *walkScratch, lf *laneField, steps uint64)
+//
+// laneWalkJ8 runs steps doubling steps of a one-pair Miller walk in
+// F_p[j]/(j² + s) (Field.WalkJ). sc.st holds [X, Y, Z, u, v, x, s] in
+// Montgomery form for R = 2^512, read as lane form: V = (X, Y, Z) the
+// running point (Jacobian, on y² = x³ + x), f = u + v·j the accumulator, x
+// the evaluation point's abscissa. One entry product by 2^528 mod p takes
+// them to lane form; x and s stay in sc.xs. A step is four lane products,
+//
+//	[X², Z², YZ, u², v², uv]              = [A, ZZ, YZ, uu, vv, uv]
+//	[ZZ, 2YZ, vv, ZZ, uv]·[ZZ, ZZ, s, x, s] = [C, c, s·vv, ZZ·x, s·uv]
+//	[A, X, E, 3A + C, U, 2s·uv]·[C, E, E, ZZ·x, c, c]
+//	                                      = [AC, a, E², b·x, Uc, sVc]
+//	[E, U, V]·[E² + 8AC, L, L]            = [Y′, UL, VL]
+//
+// (E = A − C, U = uu − s·vv, V = 2uv, L = a + b·x), joined by lane
+// permutes and lane sums, and the new state is [E², Y′, 2YZ, UL − sVc,
+// Uc + VL]: millerVars.doubleStep's X₃, Y₃, Z₃ and tangent (a, b, c), and
+// f ← f²·(L + c·j), the same field elements. Sums that subtract add 2p per
+// subtracted product, so no lane goes negative; every value multiplied is
+// below 18p and every pair of operands multiplies to below 2^8·p², so
+// every product is below 2p. An exit product by 2^512 mod p takes the
+// state back to Montgomery form, below 2p, in sc.st. Nothing branches but
+// the step counter.
+TEXT ·laneWalkJ8(SB), NOSPLIT, $0-24
+	MOVQ sc+0(FP), DI
+	MOVQ lf+8(FP), SI
+	MOVQ steps+16(FP), R9`)
+	setMask()
+	for _, k := range []struct {
+		reg string
+		v   int
+	}{{kL0, 0x01}, {kL1, 0x02}, {kL2, 0x04}, {kL3, 0x08}, {kL4, 0x10}, {kL5, 0x20}, {kL24, 0x14}} {
+		p("\tMOVQ $0x%02x, AX", k.v)
+		p("\tKMOVW AX, %s", k.reg)
+	}
+	p("\t// into lane form: ·2^528")
+	load(x, "walkScratch_st", sc)
+	q := mont(yBcast("laneField_in", lf))
+	store(q, "walkScratch_st", sc)
+	store(q, "walkScratch_xs", sc)
+	p("\tTESTQ R9, R9")
+	p("\tJEQ done")
+	const xLane, sLane = 5, 6
+	i0, i1, i2, i3 := "Z28", "Z29", "Z30", t1
+
+	p("")
+	p("step:")
+	p("\t// [X, Z, Y, u, v, u]·[X, Z, Z, u, v, v]")
+	p("\tVMOVDQU64 %s, %s", idx("walkP1x", 0, 2, 1, 3, 4, 3), i0)
+	for j := 0; j < limbs; j++ {
+		p("\tVPERMQ %s, %s, %s", walkVec("st", j), i0, x[j])
+	}
+	p("\tVMOVDQU64 %s, %s", idx("walkP1y", 0, 1, 1, 3, 4, 4), i3)
+	q = mont(yPerm(i3))
+	store(q, "walkScratch_m1", sc)
+
+	p("\t// [ZZ, 2YZ, vv, ZZ, uv]·[ZZ, ZZ, s, x, s]")
+	p("\tVMOVDQU64 %s, %s", idx("walkP2x", 1, 2, 4, 1, 5), i0)
+	for j := 0; j < limbs; j++ {
+		p("\tVPERMQ %s, %s, %s", walkVec("m1", j), i0, x[j])
+		p("\tVPADDQ %s, %s, %s, %s", x[j], x[j], kL1, x[j])
+	}
+	normalize(x, "VPSRLQ")
+	store(x, "walkScratch_z3", sc)
+	p("\tVPXORQ %s, %s, %s", i3, i3, i3)
+	q = mont(func(i int) {
+		p("\tVPERMQ %s, %s, %s", x[i], i3, yR)
+		p("\tVPBROADCASTQ %s, %s, %s", walkLane("xs", i, sLane), kL24, yR)
+		p("\tVPBROADCASTQ %s, %s, %s", walkLane("xs", i, xLane), kL3, yR)
+	})
+	store(q, "walkScratch_m2", sc)
+
+	p("\t// [A, X, E, 3A + C, U, 2s·uv]·[C, E, E, ZZ·x, c, c]")
+	p("\tVMOVDQU64 %s, %s", idx("walkP3a", 0, 0, 0, 0, 3), i0)
+	p("\tVMOVDQU64 %s, %s", idx("walkP3c", 0, 0, 0, 0, 2, 4), i1)
+	p("\tVPXORQ %s, %s, %s", i2, i2, i2)
+	for j := 0; j < limbs; j++ {
+		p("\tVPERMQ %s, %s, %s", walkVec("m1", j), i0, t3) // [A, ·, A, A, uu, ·]
+		p("\tVPERMQ %s, %s, %s", walkVec("m2", j), i1, t2) // [·, ·, C, C, s·vv, s·uv]
+		p("\tVMOVDQA64 %s, %s", t3, x[j])
+		p("\tVPERMQ %s, %s, %s, %s", walkVec("st", j), i2, kL1, x[j]) // X
+		p("\tVPADDQ %s, %s, %s, %s", t3, x[j], kL3, x[j])
+		p("\tVPADDQ %s, %s, %s, %s", t3, x[j], kL3, x[j])
+		p("\tVPADDQ %s, %s, %s, %s", t2, x[j], kL3, x[j])
+		p("\tVPSUBQ %s, %s, %s, %s", t2, x[j], kL24, x[j])
+		p("\tVPADDQ.BCST laneField_p2+%d(%s), %s, %s, %s", 8*j, lf, x[j], kL24, x[j])
+		p("\tVPADDQ %s, %s, %s, %s", t2, t2, kL5, x[j])
+	}
+	normalize(x, "VPSRAQ")
+	store(x, "walkScratch_e", sc)
+	p("\tVMOVDQU64 %s, %s", idx("walkP3y", 0, 2, 2), i3)
+	q = mont(func(i int) {
+		p("\tVPERMQ %s, %s, %s", x[i], i3, yR)
+		p("\tVPBROADCASTQ %s, %s, %s", walkLane("m2", i, 0), kL0, yR)
+		p("\tVPBROADCASTQ %s, %s, %s", walkLane("m2", i, 3), kL3, yR)
+		p("\tVPBROADCASTQ %s, %s, %s", walkLane("m2", i, 1), kL4, yR)
+		p("\tVPBROADCASTQ %s, %s, %s", walkLane("m2", i, 1), kL5, yR)
+	})
+	store(q, "walkScratch_m3", sc)
+
+	p("\t// [E, U, V]·[E² + 8AC, L, L]")
+	p("\tVMOVDQU64 %s, %s", idx("walkP4x", 2, 4), i0)
+	p("\tVMOVDQU64 %s, %s", idx("walkP4v", 0, 0, 5), i1)
+	p("\tVMOVDQU64 %s, %s", idx("walkP4a", 2, 1, 1), i2)
+	p("\tVMOVDQU64 %s, %s", idx("walkP4b", 0, 3, 3), i3)
+	y := acc[:limbs]
+	for j := 0; j < limbs; j++ {
+		p("\tVPERMQ %s, %s, %s", walkVec("e", j), i0, x[j])
+		p("\tVPERMQ %s, %s, %s, %s", walkVec("m1", j), i1, kL2, x[j])
+		p("\tVPADDQ %s, %s, %s, %s", x[j], x[j], kL2, x[j])
+		p("\tVPERMQ %s, %s, %s", walkVec("m3", j), i2, t2) // [E², a, a]
+		p("\tVPERMQ %s, %s, %s", walkVec("m3", j), i3, t3) // [AC, b·x, b·x]
+		p("\tVPSLLQ $3, %s, %s, %s", t3, kL0, t3)
+		p("\tVPADDQ %s, %s, %s", t2, t3, y[j])
+	}
+	normalize(x, "VPSRLQ")
+	normalize(y, "VPSRLQ")
+	store(y, "walkScratch_y", sc)
+	q = mont(yMem("walkScratch_y", sc))
+
+	p("\t// the new state [E², Y′, 2YZ, UL − sVc, Uc + VL]")
+	p("\tVMOVDQU64 %s, %s", idx("walkNewA", 2, 0, 0, 5, 4), i0)
+	p("\tVMOVDQU64 %s, %s", idx("walkNewB", 0, 0, 0, 1, 2), i1)
+	p("\tVMOVDQU64 %s, %s", idx("walkNewZ", 0, 0, 1), i2)
+	for j := 0; j < limbs; j++ {
+		p("\tVPERMQ %s, %s, %s", walkVec("m3", j), i0, x[j]) // [E², ·, ·, sVc, Uc]
+		p("\tVPERMQ %s, %s, %s", q[j], i1, t2)               // [Y′, Y′, Y′, UL, VL]
+		p("\tVMOVDQA64 %s, %s, %s", t2, kL1, x[j])
+		p("\tVPSUBQ %s, %s, %s, %s", x[j], t2, kL3, x[j])
+		p("\tVPADDQ.BCST laneField_p2+%d(%s), %s, %s, %s", 8*j, lf, x[j], kL3, x[j])
+		p("\tVPADDQ %s, %s, %s, %s", t2, x[j], kL4, x[j])
+		p("\tVPERMQ %s, %s, %s, %s", walkVec("z3", j), i2, kL2, x[j])
+	}
+	normalize(x, "VPSRAQ")
+	store(x, "walkScratch_st", sc)
+	p("\tDECQ R9")
+	p("\tJNE step")
+	p("")
+	p("done:")
+	p("\t// back to Montgomery form for R = 2^512, below 2p")
+	load(x, "walkScratch_st", sc)
+	q = mont(yBcast("laneField_one", lf))
+	store(q, "walkScratch_st", sc)
+	p("\tVZEROUPPER")
+	p("\tRET")
+}
+
 func main() {
 	p(`// Code generated by genlane.go; DO NOT EDIT.
 
@@ -468,6 +650,7 @@ func main() {
 	genMul()
 	genReplay()
 	genLadder()
+	genWalk()
 	p(`
 // func xgetbv() (eax, edx uint32)
 TEXT ·xgetbv(SB), NOSPLIT, $0-8
@@ -476,6 +659,8 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	MOVL AX, eax+0(FP)
 	MOVL DX, edx+4(FP)
 	RET`)
+	p("")
+	out.Write(consts.Bytes())
 	if err := os.WriteFile("lane_amd64.s", out.Bytes(), 0o644); err != nil {
 		log.Fatal(err)
 	}

@@ -54,6 +54,7 @@ type laneField struct {
 	toLane [8]uint64         // 2^8 in Montgomery form: Mul(x, toLane) is x's lane form
 	two    [laneLimbs]uint64 // 2 in lane form
 	p2     [laneLimbs]uint64 // 2p
+	in     [laneLimbs]uint64 // 2^528 mod p: a lane product by it takes Montgomery form to lane form
 }
 
 // replayScratch is laneReplayJ8's memory: the line table of the current
@@ -65,6 +66,13 @@ type replayScratch struct {
 	cSL, cL, cS laneVec
 	xs          [2][laneLimbs]uint64
 	out         laneVec
+}
+
+// walkScratch is laneWalkJ8's memory: the state [X, Y, Z, u, v, x, s] in
+// and out, x and s in lane form, and each step's products and operands.
+type walkScratch struct {
+	st, xs               laneVec
+	m1, z3, m2, e, m3, y laneVec
 }
 
 // ladderScratch is laneLadder8's memory: the starting pair [V_1, 2], the
@@ -147,6 +155,7 @@ func newLaneField(f *Field) *laneField {
 	}
 	limbsFromBig(lf.toLane[:], modp(520))
 	bigRadix52(&lf.two, new(big.Int).Mod(new(big.Int).Lsh(big.NewInt(2), 520), p))
+	bigRadix52(&lf.in, modp(528))
 	for l := range lf.gather {
 		lf.gather[l] = uint64(16 * l)
 	}
@@ -180,7 +189,7 @@ func newLaneField(f *Field) *laneField {
 //
 //cryptolint:hotpath
 func (f *Field) ReplayJ(a, b []uint64, kinds []byte, lines, x, s []uint64) bool {
-	if f.n != 8 || !useLanes {
+	if !f.Lanes() {
 		return false
 	}
 	nl := 0
@@ -214,6 +223,42 @@ func (f *Field) ReplayJ(a, b []uint64, kinds []byte, lines, x, s []uint64) bool 
 	laneReplayJ8(&sc, lf, unsafe.SliceData(kinds), uint64(len(kinds)), unsafe.SliceData(lines), uint64(nl))
 	f.fromLane(a, &sc.out, 0)
 	f.fromLane(b, &sc.out, 1)
+	return true
+}
+
+// Lanes reports whether ReplayJ and WalkJ run on the lane engine: at 8
+// limbs, where Kernel names it. A caller that has to prepare their
+// operands asks first.
+func (f *Field) Lanes() bool { return f.n == 8 && useLanes }
+
+// WalkJ runs steps doubling steps of a one-pair Miller walk in
+// F_p[j]/(j² + s) on the lane engine and reports whether it did: false,
+// leaving every argument alone, where Lanes does not hold. A step squares
+// the accumulator f = a + b·j, doubles the running point V = (X, Y, Z)
+// (Jacobian, on y² = x³ + x) by the b = 0 formulas of a pairing's walk —
+// X₃ = E², Y₃ = E·(E² + 8AC), Z₃ = 2YZ with A = X², C = Z⁴, E = A − C — and
+// folds in the tangent's line at the abscissa x, f ← f²·((a + b·x) + c·j)
+// with a = X·E, b = (3A + C)·Z², c = Z₃·Z². The results are those field
+// elements, each in Montgomery form. A step from V = O or to 2V = O (Z = 0
+// or Y = 0) leaves Z = 0, and every later step keeps it there, so the
+// caller finds such a step in the Z it gets back; the kernel does not
+// branch on it, nor on anything but steps.
+//
+//cryptolint:hotpath
+func (f *Field) WalkJ(X, Y, Z, a, b, x, s []uint64, steps int) bool {
+	if !f.Lanes() {
+		return false
+	}
+	var sc walkScratch
+	var e [laneLimbs]uint64
+	for l, v := range [...][]uint64{X, Y, Z, a, b, x, s} {
+		radix52(&e, v)
+		sc.st.set(l, &e)
+	}
+	laneWalkJ8(&sc, f.lanes, uint64(steps))
+	for l, v := range [...][]uint64{X, Y, Z, a, b} {
+		f.fromLane(v, &sc.st, l)
+	}
 	return true
 }
 

@@ -251,7 +251,8 @@ func TestReplayJMatchesScalar(t *testing.T) {
 
 // BenchmarkLanes times one lane product with 2, 5 and 8 lanes carrying
 // work (the instruction stream is the same), ReplayJ over a 160-step
-// square-and-fold program — the paper set's token — and LucasLadder over a
+// square-and-fold program — the paper set's token — WalkJ over 160
+// doubling steps, a plain pairing's walk, and LucasLadder over a
 // 352-bit exponent, the paper set's final exponentiation, on the lanes and
 // on the MULX ladder.
 func BenchmarkLanes(b *testing.B) {
@@ -285,12 +286,127 @@ func BenchmarkLanes(b *testing.B) {
 			f.ReplayJ(za, zb, kinds, lines, x, s)
 		}
 	})
+	X, Y, Z := randElt(f, rng), randElt(f, rng), randElt(f, rng)
+	b.Run("walk/lanes", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			f.WalkJ(X, Y, Z, za, zb, x, s, 160)
+		}
+	})
 	e := new(big.Int).Rsh(p, 160)
 	for _, lanes := range []bool{true, false} {
 		b.Run(fmt.Sprintf("ladder/lanes=%v", lanes), func(b *testing.B) {
 			setLanes(lanes)
 			for i := 0; i < b.N; i++ {
 				f.LucasLadder(za, zb, x, e)
+			}
+		})
+	}
+}
+
+// walkRef is WalkJ on the scalar field operations: steps doubling steps,
+// each the b = 0 doubling of (X, Y, Z), the square of a + b·j and the fold
+// of the tangent's line, with the products of pairing's doubleStep and of
+// gf.Element.SquareJ and MulJ.
+func walkRef(f *Field, X, Y, Z, a, b, x, s []uint64, steps int) {
+	A, C, ZZ, E, K, W, la, lb, lc, U, V, t := f.NewElt(), f.NewElt(), f.NewElt(), f.NewElt(), f.NewElt(), f.NewElt(), f.NewElt(), f.NewElt(), f.NewElt(), f.NewElt(), f.NewElt(), f.NewElt()
+	for range steps {
+		f.Square(A, X)
+		f.Square(ZZ, Z)
+		f.Mul(Z, Y, Z)
+		f.Double(Z, Z)
+		f.Square(C, ZZ)
+		f.Mul(lc, Z, ZZ)
+		f.Sub(E, A, C)
+		f.Double(K, A)
+		f.Add(K, K, A)
+		f.Add(K, K, C)
+		f.Mul(W, A, C)
+		f.Double(W, W)
+		f.Double(W, W)
+		f.Double(W, W)
+		f.Mul(la, X, E)
+		f.Square(X, E)
+		f.Add(W, W, X)
+		f.Mul(lb, K, ZZ)
+		f.Mul(Y, E, W)
+		// f ← f²·(L + c·j), L = a + b·x
+		f.Mul(lb, lb, x)
+		f.Add(la, la, lb)
+		f.Square(U, a)
+		f.Square(t, b)
+		f.Mul(t, t, s)
+		f.Sub(U, U, t)
+		f.Mul(V, a, b)
+		f.Double(V, V)
+		f.Mul(a, U, la)
+		f.Mul(t, V, lc)
+		f.Mul(t, t, s)
+		f.Sub(a, a, t)
+		f.Mul(b, U, lc)
+		f.Mul(t, V, la)
+		f.Add(b, b, t)
+	}
+}
+
+// TestWalkJMatchesScalar holds the lane walk to walkRef from random states
+// and from boundary ones (0, 1, p − 1 and the rest of boundaryValues in
+// every coordinate), for runs of 1 to 160 steps at the four 8-limb test
+// moduli, and checks that Z = 0 or Y = 0 at the start leaves Z = 0.
+func TestWalkJMatchesScalar(t *testing.T) {
+	needLanes(t)
+	rng := rand.New(rand.NewSource(44))
+	for _, name := range []string{"paper-8limb", "lazy-8limb", "spare2-8limb", "max-8limb"} {
+		f, p := mustField(t, name)
+		bv := boundaryValues(p)
+		check := func(t *testing.T, in [7][]uint64, steps int) {
+			var got, want [7][]uint64
+			for i := range in {
+				got[i], want[i] = f.NewElt(), f.NewElt()
+				copy(got[i], in[i])
+				copy(want[i], in[i])
+			}
+			if !f.WalkJ(got[0], got[1], got[2], got[3], got[4], got[5], got[6], steps) {
+				t.Fatal("WalkJ did not run on the lanes")
+			}
+			walkRef(f, want[0], want[1], want[2], want[3], want[4], want[5], want[6], steps)
+			for i := range 5 {
+				if !f.Equal(got[i], want[i]) {
+					t.Fatalf("%d steps from %x: coordinate %d is %x, want %x", steps, in, i, got[i], want[i])
+				}
+			}
+		}
+		for _, steps := range []int{1, 2, 17, 142, 160} {
+			t.Run(fmt.Sprintf("%s/%d", name, steps), func(t *testing.T) {
+				var in [7][]uint64
+				for i := range in {
+					in[i] = randElt(f, rng)
+				}
+				check(t, in, steps)
+			})
+		}
+		t.Run(name+"/boundary", func(t *testing.T) {
+			for k := range 7 * len(bv) {
+				var in [7][]uint64
+				for i := range in {
+					in[i] = randElt(f, rng)
+				}
+				in[k%7] = f.NewElt()
+				limbsFromBig(in[k%7], bv[k/7])
+				check(t, in, 3)
+			}
+		})
+		t.Run(name+"/exceptional", func(t *testing.T) {
+			for _, zeroed := range []int{1, 2} {
+				var in [7][]uint64
+				for i := range in {
+					in[i] = randElt(f, rng)
+				}
+				f.SetZero(in[zeroed])
+				Z := in[2]
+				f.WalkJ(in[0], in[1], Z, in[3], in[4], in[5], in[6], 5)
+				if !f.IsZero(Z) {
+					t.Fatalf("coordinate %d zero at the start: Z = %x after 5 steps, want 0", zeroed, Z)
+				}
 			}
 		})
 	}

@@ -317,6 +317,14 @@ func (e *Element) ReplayJ(kinds []byte, lines, x, s []uint64) bool {
 	return e.f.fp.ReplayJ(e.a, e.b, kinds, lines, x, s)
 }
 
+// WalkJ runs steps doubling steps of a one-pair Miller walk with e as its
+// accumulator in F_p[j]/(j² + s), on the lane engine (fp.Field.WalkJ, which
+// has the step), and reports whether it did; false leaves e and the
+// running point (X, Y, Z) alone, where the field's kernel has no lanes.
+func (e *Element) WalkJ(X, Y, Z, x, s []uint64, steps int) bool {
+	return e.f.fp.WalkJ(X, Y, Z, e.a, e.b, x, s, steps)
+}
+
 // FromJ sets e = a + (b·y)·i for x = a + b·j of F_p[j]/(j² + y²) and
 // returns e: the ring's isomorphism onto F_p², for the holder of y.
 func (e *Element) FromJ(x *Element, y []uint64) *Element {

@@ -270,8 +270,24 @@ func newLivePair(F *fp.Field, p1 *curve.Point, q1 curve.EvalArg) livePair {
 // millerProduct runs the lock-step shared-squaring Miller loop over live and
 // returns the un-exponentiated accumulator ∏ᵢ fᵢ: in F_p² for a nil s, and
 // for an s in F_p[j]/(j² + s), where a line (a + b·x_Q) + (c·y_Q)·i is
-// (a + b·x_Q) + c·j — then live is the one pair of an x-only Q of that s.
+// (a + b·x_Q) + c·j — then live is the one pair of an x-only Q of that s,
+// or of a Q with y_Q² = s (Pair). That one-pair walk runs on the lane engine
+// where the field has it (walkLanes), and on the scalar kernels otherwise
+// or when walkLanes declines.
 func (pp *Params) millerProduct(live []livePair, s []uint64) *gf.Element {
+	if len(live) == 1 && s != nil {
+		if f, ok := pp.walkLanes(&live[0], s); ok {
+			return f
+		}
+		live[0].mv.restart()
+	}
+	return pp.millerScalar(live, s)
+}
+
+// millerScalar is millerProduct on the scalar kernels: a squaring of the
+// accumulator, doubleStep and its line, then addStep and its line at a set
+// bit of q, for each bit below the top one.
+func (pp *Params) millerScalar(live []livePair, s []uint64) *gf.Element {
 	fld := pp.field
 	F := fld.Fp()
 	f := fld.One()
@@ -310,6 +326,48 @@ func (pp *Params) millerProduct(live []livePair, s []uint64) *gf.Element {
 		}
 	}
 	return f
+}
+
+// walkLanes is millerScalar's one-pair walk in F_p[j]/(j² + s) with the
+// doubling steps on the lane engine: each run of them down to the next set
+// bit of q is one fp.Field.WalkJ call (the same squares, doublings and
+// tangent lines as SquareJ, doubleStep and MulJ, four lane products a
+// step), and each addition runs on the scalar kernels between two runs. It
+// reports false where the field has no lanes, and where a run met V = O or
+// 2V = O, which a point of G1 never does: WalkJ leaves Z = 0 behind such a
+// step, and the caller then walks again on the scalar kernels, whose
+// exceptional-point branches give the value every input is owed. The F_p*
+// factors of the lines are the scalar walk's, so the value is its value.
+//
+//cryptolint:vartime (branches on a run's having met V = O or 2V = O, unreachable from the odd-order subgroup and public where reached)
+func (pp *Params) walkLanes(lp *livePair, s []uint64) (*gf.Element, bool) {
+	fld := pp.field
+	F := fld.Fp()
+	if !F.Lanes() {
+		return nil, false
+	}
+	m := lp.mv
+	f := fld.One()
+	line := fld.One()
+	a, b, c, l := F.NewElt(), F.NewElt(), F.NewElt(), F.NewElt()
+	n := pp.q
+	for i := n.BitLen() - 2; i >= 0; i-- {
+		lo := i
+		for lo > 0 && n.Bit(lo) == 0 {
+			lo--
+		}
+		f.WalkJ(m.X, m.Y, m.Z, lp.xQ, s, i-lo+1)
+		if F.IsZero(m.Z) {
+			return nil, false
+		}
+		i = lo
+		if n.Bit(i) == 1 && m.addStep(a, b, c) {
+			F.Mul(l, b, lp.xQ)
+			F.Add(l, l, a)
+			f.MulJ(f, fld.SetMont(line, l, c), s)
+		}
+	}
+	return f, true
 }
 
 // A FixedPair program step squares the accumulator (doubling steps) if its
@@ -407,13 +465,30 @@ func (pp *Params) NewFixedPair(p1 *curve.Point) (*FixedPair, error) {
 }
 
 // Pair computes ê(P, q1) for the fixed P by replaying the precomputed line
-// program, bit-identical to Params.Pair(P, q1). ê(P, O) = 1.
+// program, bit-identical to Params.Pair(P, q1). ê(P, O) = 1. Where the lane
+// engine runs and y_Q ≠ 0 the replay is PairX's, in F_p[j]/(j² + y_Q²), one
+// gf.Element.ReplayJ call, and its final exponentiation is mapped onto F_p²
+// by j ↦ y_Q·i (gf.Element.FromJ); elsewhere it is pairScalar's.
 func (fp *FixedPair) Pair(q1 curve.EvalArg) (*GT, error) {
 	pp := fp.pp
 	if q1 == nil || q1.IsInfinity() {
 		return pp.One(), nil
 	}
 	xQ, yQ := q1.Mont()
+	var sq jSquare
+	if s := pp.jRing(&sq, yQ); s != nil {
+		if f := pp.field.One(); f.ReplayJ(fp.kinds, fp.lines, xQ, s) {
+			v := pp.finalExp(f, s)
+			return &GT{v: v.FromJ(v, yQ), pp: pp}, nil
+		}
+	}
+	return fp.pairScalar(xQ, yQ), nil
+}
+
+// pairScalar is Pair's replay in F_p² on the scalar kernels, SquareFp2 and
+// MulLine a step.
+func (fp *FixedPair) pairScalar(xQ, yQ []uint64) *GT {
+	pp := fp.pp
 	f := pp.field.One()
 	w, line := len(xQ), fp.lines
 	for _, k := range fp.kinds {
@@ -425,7 +500,26 @@ func (fp *FixedPair) Pair(q1 curve.EvalArg) (*GT, error) {
 			line = line[2*w:]
 		}
 	}
-	return &GT{v: pp.finalExp(f, nil), pp: pp}, nil
+	return &GT{v: pp.finalExp(f, nil), pp: pp}
+}
+
+// jSquare holds y_Q² for a pairing run in F_p[j]/(j² + y_Q²).
+type jSquare [fp.MaxLimbs]uint64
+
+// jRing decides whether a pairing at an evaluation point of ordinate y runs
+// in F_p[j]/(j² + s) with s = y², and returns s (in sq) if it does: where
+// the field has the lane engine (fp.Field.Lanes), whose kernels run that
+// ring, and y ≠ 0, so that j ↦ y·i maps it onto F_p². Elsewhere it returns
+// nil without a product: the scalar kernels run the F_p² loop, which costs
+// less than the ring's (a square is two products there, four in the ring).
+func (pp *Params) jRing(sq *jSquare, y []uint64) []uint64 {
+	F := pp.field.Fp()
+	if !F.Lanes() || F.IsZero(y) { //cryptolint:public (the kernel the process runs, and the evaluation point's ordinate)
+		return nil
+	}
+	s := sq[:len(y)]
+	F.Square(s, y)
+	return s
 }
 
 // Lines returns the number of recorded line evaluations (memory

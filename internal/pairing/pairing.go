@@ -344,14 +344,29 @@ func (pp *Params) InGT(g *GT) bool {
 // Pair computes the modified Tate pairing ê(P, Q) with denominator
 // elimination and an inversion-free Miller loop: the one-pair case of
 // MultiPair's lock-step walk. ê(P, O) = ê(O, Q) = 1, and a nil argument is
-// O. P is walked; Q is only evaluated at, so it may be any curve.EvalArg. An
-// error indicates corrupted inputs (the internal exponentiations cannot fail
-// for points produced by this package).
+// O. P is walked; Q is only evaluated at, so it may be any curve.EvalArg.
+// Where the lane engine runs and y_Q ≠ 0 the walk is PairX's, in
+// F_p[j]/(j² + y_Q²) with its doubling steps on the lanes (walkLanes), and
+// its final exponentiation is mapped onto F_p² by j ↦ y_Q·i; elsewhere it is
+// pairScalar's. An error indicates corrupted inputs (the internal
+// exponentiations cannot fail for points produced by this package).
 func (pp *Params) Pair(p1 *curve.Point, q1 curve.EvalArg) (*GT, error) {
 	if p1.IsInfinity() || q1 == nil || q1.IsInfinity() {
 		return pp.One(), nil
 	}
-	return &GT{v: pp.finalExp(pp.millerProduct([]livePair{newLivePair(pp.field.Fp(), p1, q1)}, nil), nil), pp: pp}, nil
+	live := []livePair{newLivePair(pp.field.Fp(), p1, q1)}
+	var sq jSquare
+	if s := pp.jRing(&sq, live[0].yQ); s != nil {
+		v := pp.finalExp(pp.millerProduct(live, s), s)
+		return &GT{v: v.FromJ(v, live[0].yQ), pp: pp}, nil
+	}
+	return pp.pairScalar(live), nil
+}
+
+// pairScalar is Pair's walk of live's one pair in F_p² on the scalar
+// kernels.
+func (pp *Params) pairScalar(live []livePair) *GT {
+	return &GT{v: pp.finalExp(pp.millerScalar(live, nil), nil), pp: pp}
 }
 
 // PairWithGenerator computes ê(P, q1) for the fixed system generator P via
