@@ -459,14 +459,14 @@ func TestEndToEndAtPaperParameters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := client.DecryptIBE(w.IBEPKG.Public(), w.IBEUser, ct)
+	got, err := core.DecryptIBE(w.IBEPKG.Public(), w.IBEUser, ct, client.IBEToken)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(got) != string(msg) {
 		t.Fatal("paper-size decryption mismatch")
 	}
-	sig, err := client.SignGDH(w.GDHUser, msg)
+	sig, err := core.SignGDH(w.GDHUser, msg, client.GDHHalfSign)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -476,7 +476,7 @@ func TestEndToEndAtPaperParameters(t *testing.T) {
 	if err := client.Revoke(w.ID, "end of test"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := client.DecryptIBE(w.IBEPKG.Public(), w.IBEUser, ct); err == nil {
+	if _, err := core.DecryptIBE(w.IBEPKG.Public(), w.IBEUser, ct, client.IBEToken); err == nil {
 		t.Fatal("revoked identity decrypted at paper parameters")
 	}
 }

@@ -142,7 +142,9 @@ func servingPrefixed(entries []bench.BaselineEntry) bool {
 // automatically. The same-run ratios of the fresh measurement (the
 // paper-size gates: fp.mul.go ÷ fp.mul.generic ≤ 0.70, fp.square.go ÷
 // fp.mul.go ≤ 0.92, fp.mul ÷ fp.mul.go ≤ 0.85, thibe.verify-batch5 ÷
-// thibe.verify-single5 ≤ 0.65, wire.pairing-arg ÷ wire.g1 ≤ 0.50, gt.ingt ÷
+// thibe.verify-single5 ≤ 0.65 (0.87 on the lanes), msm.5 ÷
+// scalarmul.variable-wnaf ≤ 3.8, gtexp.multi4x5 ÷ gtexp.square-multiply ≤
+// 12, wire.pairing-arg ÷ wire.g1 ≤ 0.50, gt.ingt ÷
 // gtexp.square-multiply ≤ 0.45, cluster.decrypt.honest ÷
 // cluster.decrypt.escalated ≤ 0.90, hash.to-g1.arg ÷ hash.to-g1 ≤ 0.55,
 // fp.exp ÷ fp.square ≤ 850, ibe.token.scan ÷ pair.x ≤ 1.05,

@@ -57,12 +57,14 @@ type cli struct {
 	shards []string
 }
 
-// mediator is the SEM-side surface medcli needs; *sem.Pool (one daemon)
-// and *sem.ShardedClient (a fleet behind -shards) both satisfy it.
+// mediator is the SEM ops medcli needs; *sem.Pool (one daemon) and
+// *sem.ShardedClient (a fleet behind -shards) both satisfy it. The user's
+// side of each protocol is core's flow, given one of these ops as its SEM
+// step.
 type mediator interface {
-	DecryptIBE(pub *bf.PublicParams, key *core.UserKeyHalf, ct *bf.Ciphertext) ([]byte, error)
+	IBEToken(id string, u *curve.Point) (*pairing.GT, error)
 	TokenBatch(ids []string, us []*curve.Point) ([]*pairing.GT, []error, error)
-	SignGDH(key *core.GDHUserKey, msg []byte) (*curve.Point, error)
+	GDHHalfSign(id string, h *curve.Point) (*curve.Point, error)
 	Revoke(id, reason string) error
 	Unrevoke(id string) error
 	Status(id string) (bool, error)
@@ -218,7 +220,7 @@ func (c *cli) decrypt(args []string, stdin io.Reader, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	padded, err := client.DecryptIBE(pub, userKey, ct)
+	padded, err := core.DecryptIBE(pub, userKey, ct, client.IBEToken)
 	if err != nil {
 		return err
 	}
@@ -323,7 +325,7 @@ func (c *cli) sign(_ []string, stdin io.Reader, stdout io.Writer) error {
 		return err
 	}
 	defer func() { _ = client.Close() }()
-	sig, err := client.SignGDH(key, msg)
+	sig, err := core.SignGDH(key, msg, client.GDHHalfSign)
 	if err != nil {
 		return err
 	}

@@ -78,15 +78,11 @@ func run() error {
 	fmt.Printf("mediated GDH: SEM sent %4d bits; final signature %4d bits\n",
 		len(gdhToken.Marshal())*8, len(gdhSig.Marshal())*8)
 
-	rsaToken, err := rsaSEM.HalfOp(signer, core.RSAMessage(contract))
+	rsaToken, err := rsaSEM.HalfSignRSA(signer, contract)
 	if err != nil {
 		return err
 	}
-	rsaUserHalf, err := mrsa.SignHalf(rsaUser, contract)
-	if err != nil {
-		return err
-	}
-	rsaSig, err := mrsa.FinishSignature(rsaPub, contract, rsaUserHalf, rsaToken)
+	rsaSig, err := mrsa.CombineSignature(rsaPub, rsaUser, contract, rsaToken)
 	if err != nil {
 		return err
 	}
@@ -118,7 +114,7 @@ func run() error {
 	if _, err := gdhSEM.HalfSign(signer, h); !errors.Is(err, core.ErrRevoked) {
 		return fmt.Errorf("GDH SEM still cooperates: %v", err)
 	}
-	if _, err := rsaSEM.HalfOp(signer, core.RSAMessage(contract)); !errors.Is(err, core.ErrRevoked) {
+	if _, err := rsaSEM.HalfSignRSA(signer, contract); !errors.Is(err, core.ErrRevoked) {
 		return fmt.Errorf("RSA SEM still cooperates: %v", err)
 	}
 	fmt.Println("signer revoked: neither scheme will produce another signature")

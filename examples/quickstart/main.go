@@ -66,7 +66,7 @@ func run() error {
 
 	// 5. Bob decrypts: he asks the SEM for the message-specific token
 	// ê(U, d_sem), pairs his own half, and opens the ciphertext.
-	plain, err := core.Decrypt(sem, bobKey, ct)
+	plain, err := core.DecryptIBE(pkg.Public(), bobKey, ct, sem.TokenFor)
 	if err != nil {
 		return err
 	}
@@ -77,7 +77,7 @@ func run() error {
 	fmt.Println("admin revoked bob@example.com")
 
 	// 7. The very next decryption attempt fails: the SEM refuses the token.
-	_, err = core.Decrypt(sem, bobKey, ct)
+	_, err = core.DecryptIBE(pkg.Public(), bobKey, ct, sem.TokenFor)
 	switch {
 	case errors.Is(err, core.ErrRevoked):
 		fmt.Println("Bob can no longer decrypt: ", err)

@@ -119,7 +119,7 @@ func run() error {
 		if err != nil {
 			return "", err
 		}
-		block, err := client.DecryptIBE(pub, bobKey, ct)
+		block, err := core.DecryptIBE(pub, bobKey, ct, client.IBEToken)
 		if err != nil {
 			return "", err
 		}

@@ -65,7 +65,7 @@ func BenchmarkExtensionGM(b *testing.B) {
 	})
 	b.Run("mediated-decrypt-16B", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.GMDecrypt(sem, "bench@example.com", key.Public, user, cs); err != nil {
+			if _, err := core.DecryptGM(key.Public, "bench@example.com", user, cs, sem.HalfDecryptGM); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -117,14 +117,14 @@ func BenchmarkExtensionRabin(b *testing.B) {
 	})
 	b.Run("mediated-decrypt", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.RabinDecrypt(sem, "bench@example.com", key.Public, user, ct, len(msg)); err != nil {
+			if _, err := core.DecryptRabin(key.Public, "bench@example.com", user, ct, len(msg), sem.HalfOf); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("mediated-sign", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.RabinSign(sem, "bench@example.com", key.Public, user, msg); err != nil {
+			if _, err := core.SignRabin(key.Public, "bench@example.com", user, msg, sem.HalfOf); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -154,7 +154,7 @@ func BenchmarkSigncryption(b *testing.B) {
 		b.Fatal(err)
 	}
 	gdhSEM.Register(aliceSEM)
-	sc := core.NewSigncrypter(pkg.Public(), ibeSEM, gdhSEM)
+	sc := core.NewSigncrypter(pkg.Public(), ibeSEM.TokenFor, gdhSEM.HalfSign)
 	msg := []byte("signcrypted benchmark message")
 	ct, err := sc.Signcrypt(rand.Reader, alice, "bob@example.com", msg)
 	if err != nil {

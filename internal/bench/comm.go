@@ -3,7 +3,9 @@ package bench
 import (
 	"crypto/rand"
 	"fmt"
+	"math/big"
 
+	"repro/internal/core"
 	"repro/internal/sem"
 )
 
@@ -30,12 +32,12 @@ func Communication(w *World) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := client.DecryptIBE(w.IBEPKG.Public(), w.IBEUser, ct); err != nil {
+	if _, err := core.DecryptIBE(w.IBEPKG.Public(), w.IBEUser, ct, client.IBEToken); err != nil {
 		return nil, fmt.Errorf("ibe decrypt: %w", err)
 	}
 
 	// Mediated GDH signature.
-	if _, err := client.SignGDH(w.GDHUser, []byte("t2 communication probe")); err != nil {
+	if _, err := core.SignGDH(w.GDHUser, []byte("t2 communication probe"), client.GDHHalfSign); err != nil {
 		return nil, fmt.Errorf("gdh sign: %w", err)
 	}
 
@@ -44,12 +46,14 @@ func Communication(w *World) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := client.DecryptRSA(w.RSAPub, w.ID, w.RSAUser, rsaCT); err != nil {
+	rsaHalfDecrypt := func(id string, c *big.Int) (*big.Int, error) { return client.RSAHalfDecrypt(w.RSAPub, id, c) }
+	if _, err := core.DecryptRSA(w.RSAPub, w.ID, w.RSAUser, rsaCT, rsaHalfDecrypt); err != nil {
 		return nil, fmt.Errorf("rsa decrypt: %w", err)
 	}
 
 	// mRSA signature.
-	if _, err := client.SignRSA(w.RSAPub, w.RSAUser, w.ID, []byte("t2 communication probe")); err != nil {
+	rsaHalfSign := func(id string, msg []byte) (*big.Int, error) { return client.RSAHalfSign(w.RSAPub, id, msg) }
+	if _, err := core.SignRSA(w.RSAPub, w.ID, w.RSAUser, []byte("t2 communication probe"), rsaHalfSign); err != nil {
 		return nil, fmt.Errorf("rsa sign: %w", err)
 	}
 

@@ -83,7 +83,7 @@ func Extensions(cfg ExtensionsConfig) (*Table, error) {
 		return nil, err
 	}
 	if err := addRow("mediated-gm", "decrypt-15B", func() error {
-		_, err := core.GMDecrypt(gmSEM, "x", gmKey.Public, gmUser, gmCT)
+		_, err := core.DecryptGM(gmKey.Public, "x", gmUser, gmCT, gmSEM.HalfDecryptGM)
 		return err
 	}); err != nil {
 		return nil, err
@@ -105,13 +105,13 @@ func Extensions(cfg ExtensionsConfig) (*Table, error) {
 		return nil, err
 	}
 	if err := addRow("mediated-rabin", "decrypt", func() error {
-		_, err := core.RabinDecrypt(rbSEM, "x", rbKey.Public, rbUser, rbCT, len(gmMsg))
+		_, err := core.DecryptRabin(rbKey.Public, "x", rbUser, rbCT, len(gmMsg), rbSEM.HalfOf)
 		return err
 	}); err != nil {
 		return nil, err
 	}
 	if err := addRow("mediated-rabin", "sign", func() error {
-		_, err := core.RabinSign(rbSEM, "x", rbKey.Public, rbUser, gmMsg)
+		_, err := core.SignRabin(rbKey.Public, "x", rbUser, gmMsg, rbSEM.HalfOf)
 		return err
 	}); err != nil {
 		return nil, err
@@ -136,7 +136,7 @@ func Extensions(cfg ExtensionsConfig) (*Table, error) {
 		return nil, err
 	}
 	gdhSEM.Register(aliceSEM)
-	sc := core.NewSigncrypter(pkg.Public(), ibeSEM, gdhSEM)
+	sc := core.NewSigncrypter(pkg.Public(), ibeSEM.TokenFor, gdhSEM.HalfSign)
 	scCT, err := sc.Signcrypt(rand.Reader, alice, "bob", gmMsg)
 	if err != nil {
 		return nil, err

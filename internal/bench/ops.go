@@ -57,15 +57,7 @@ func Ops(w *World) ([]Op, error) {
 	if err != nil {
 		return nil, err
 	}
-	rsaSemHalf, err := w.RSASEM.HalfOp(w.ID, core.RSAMessage(sigMsg))
-	if err != nil {
-		return nil, err
-	}
-	rsaUserHalf, err := mrsa.SignHalf(w.RSAUser, sigMsg)
-	if err != nil {
-		return nil, err
-	}
-	rsaSig, err := mrsa.FinishSignature(w.RSAPub, sigMsg, rsaUserHalf, rsaSemHalf)
+	rsaSig, err := core.SignRSA(w.RSAPub, w.ID, w.RSAUser, sigMsg, w.RSASEM.HalfSignRSA)
 	if err != nil {
 		return nil, err
 	}
@@ -94,7 +86,7 @@ func Ops(w *World) ([]Op, error) {
 			return err
 		}},
 		{"mediated-ibe", "decrypt.total", func() error {
-			_, err := core.Decrypt(w.IBESEM, w.IBEUser, ct)
+			_, err := core.DecryptIBE(pub, w.IBEUser, ct, w.IBESEM.TokenFor)
 			return err
 		}},
 		{"ib-mrsa", "decrypt.sem", func() error {
@@ -107,7 +99,7 @@ func Ops(w *World) ([]Op, error) {
 			return nil
 		}},
 		{"ib-mrsa", "decrypt.total", func() error {
-			_, err := mrsa.MediatedDecrypt(w.RSAPub, w.RSAUser, w.RSASEMK, rsaCT)
+			_, err := core.DecryptRSA(w.RSAPub, w.ID, w.RSAUser, rsaCT, w.RSASEM.HalfOf)
 			return err
 		}},
 		// --- signing split by party ---
@@ -120,27 +112,22 @@ func Ops(w *World) ([]Op, error) {
 			return err
 		}},
 		{"mediated-gdh", "sign.total", func() error {
-			_, err := core.Sign(w.GDHSEM, w.GDHUser, sigMsg)
+			_, err := core.SignGDH(w.GDHUser, sigMsg, w.GDHSEM.HalfSign)
 			return err
 		}},
 		{"mrsa", "sign.sem", func() error {
-			_, err := w.RSASEM.HalfOp(w.ID, core.RSAMessage(sigMsg))
+			_, err := w.RSASEM.HalfSignRSA(w.ID, sigMsg)
 			return err
 		}},
 		{"mrsa", "sign.user", func() error {
-			_, err := mrsa.SignHalf(w.RSAUser, sigMsg)
+			m, err := mrsa.EMSA(sigMsg, w.RSAPub.N)
+			if err == nil {
+				_ = w.RSAUser.Op(m)
+			}
 			return err
 		}},
 		{"mrsa", "sign.total", func() error {
-			hu, err := mrsa.SignHalf(w.RSAUser, sigMsg)
-			if err != nil {
-				return err
-			}
-			hs, err := w.RSASEM.HalfOp(w.ID, core.RSAMessage(sigMsg))
-			if err != nil {
-				return err
-			}
-			_, err = mrsa.FinishSignature(w.RSAPub, sigMsg, hu, hs)
+			_, err := core.SignRSA(w.RSAPub, w.ID, w.RSAUser, sigMsg, w.RSASEM.HalfSignRSA)
 			return err
 		}},
 		// --- verification (relying party; no SEM, no revocation checks) ---

@@ -87,9 +87,12 @@ func (g ratioGate) name() string { return g.Num + " ÷ " + g.Den }
 // ρ multiplies the generator's comb instead of U, which takes the same off
 // each single check as off the batch): checking five shares of one
 // ciphertext as one equation against checking them one by one, which is
-// what a recombiner paid before and still pays to name a liar. Losing either
-// new kernel under it (the small-n MSM, the GT multi-exponentiation) moves
-// the ratio past the bound. The next two guard the hot token's boundary: the
+// what a recombiner paid before and still pays to name a liar: 0.92–1.30
+// when they are checked one by one again. On the lanes, where the
+// one-by-one check's pairings got cheaper and the batch's kernels did not,
+// intact (0.59–0.75) overlaps either kernel lost (0.72–0.94), so the bound
+// there holds the batching alone and the last two gates hold the kernels.
+// The next two guard the hot token's boundary: the
 // SEM's decode of a pairing evaluation point against the full G1 decode
 // (measured 0.24–0.26; 1.0 if the [q]· ladder comes back onto ibe_token's
 // decoder), and the GT check against a generic 160-bit GT exponentiation,
@@ -184,18 +187,25 @@ func (g ratioGate) name() string { return g.Num + " ÷ " + g.Den }
 // holds the x-only replay and its final exponentiation to the lane engine,
 // counted in one-call F_p² products, the MULX unit the scalar replay is made
 // of: 239–341 with both on lanes (15 quick runs), 463–546 with the replay
-// back on MULX and 480–615 with the ladder too (5 and 4 runs). The last
-// two, lanes-only, hold the threshold decryption's pairings to the lane
-// engine in the same unit, timed as the sixteenth is: the F_p² replay,
+// back on MULX and 480–615 with the ladder too (5 and 4 runs). The
+// twenty-second and twenty-third, lanes-only, hold the threshold
+// decryption's pairings to the lane engine in the same unit, timed as the
+// sixteenth is: the F_p² replay,
 // which runs as PairX's replay in F_p[j]/(j² + y_Q²), 296–403 (40 quick
 // runs) against 481–542 with FixedPair.Pair's lane branch dropped (4); and
 // the plain pairing on the lane walk, 350–583 against 1135–1235 with
-// Params.Pair back on the scalar walk.
+// Params.Pair back on the scalar walk. The last two hold the kernels under
+// the batched share-proof check against the work each replaced, both sides
+// on one scalar kernel: the five-term MSM on the interleaved ladder against
+// one w-NAF multiplication, 1.94–2.73 intact and 5.13–5.92 as five
+// multiplications summed, and the 20-term GT multi-exponentiation against
+// one exponentiation, 4.7–9.0 intact and 19.9–26.3 as twenty multiplied
+// (quick runs on all three kernels).
 var kernelRatioGates = []ratioGate{
 	{Num: "fp.mul.go", Den: "fp.mul.generic", Max: every(0.70), Rounds: 64, Burst: 2048},
 	{Num: "fp.square.go", Den: "fp.mul.go", Max: every(0.92), Rounds: 64, Burst: 2048},
 	{Num: "fp.mul", Den: "fp.mul.go", Max: asm(0.85), Rounds: 64, Burst: 2048},
-	{Num: "thibe.verify-batch5", Den: "thibe.verify-single5", Max: every(0.65), Rounds: 12, Burst: 1},
+	{Num: "thibe.verify-batch5", Den: "thibe.verify-single5", Max: kernelBound{Go: 0.65, ADX: 0.65, IFMA: 0.87}, Rounds: 12, Burst: 1},
 	{Num: "wire.pairing-arg", Den: "wire.g1", Max: every(0.50), Rounds: 32, Burst: 8},
 	{Num: "gt.ingt", Den: "gtexp.square-multiply", Max: every(0.45), Rounds: 32, Burst: 16},
 	{Num: "thibe.player-share", Den: "gf.mul", Max: kernelBound{Go: 1250, ADX: 1400, IFMA: 1200}, Rounds: 24, Burst: 4, DenBurst: 4096},
@@ -215,6 +225,8 @@ var kernelRatioGates = []ratioGate{
 	{Num: "pair.fixed.x", Den: "gf.mul", Max: kernelBound{IFMA: 400}, Rounds: 64, Burst: 4},
 	{Num: "pair.fixed", Den: "gf.mul", Max: kernelBound{IFMA: 450}, Rounds: 128, Burst: 1, DenBurst: 1024},
 	{Num: "pair", Den: "gf.mul", Max: kernelBound{IFMA: 850}, Rounds: 128, Burst: 1, DenBurst: 1024},
+	{Num: "msm.5", Den: "scalarmul.variable-wnaf", Max: every(3.8), Rounds: 32, Burst: 4},
+	{Num: "gtexp.multi4x5", Den: "gtexp.square-multiply", Max: every(12), Rounds: 32, Burst: 4},
 }
 
 // CompareBaselines checks a freshly measured report against a committed

@@ -231,6 +231,32 @@ func TestCompareBaselinesRatioGates(t *testing.T) {
 		}
 	}
 
+	// The batched share-proof check: on the lanes, where its two kernels
+	// are held apart, gate 4 holds the batching alone (0.75 is intact
+	// there, a MULX or Go host's regression); checked one by one again it
+	// reads ≈ 1.0 everywhere, and either kernel lost fails its own gate on
+	// every field kernel.
+	batched := func(kernel string, batch, msm, multi float64) *BaselineReport {
+		r := with(0.40, 0.81)
+		r.FpKernel = kernel
+		r.Ratios = append(r.Ratios,
+			BaselineRatio{Name: "thibe.verify-batch5 ÷ thibe.verify-single5", Value: batch},
+			BaselineRatio{Name: "msm.5 ÷ scalarmul.variable-wnaf", Value: msm},
+			BaselineRatio{Name: "gtexp.multi4x5 ÷ gtexp.square-multiply", Value: multi})
+		return r
+	}
+	for k, want := range map[string]int{"amd64-adx+ifma": 0, "amd64-adx": 1, "go": 1} {
+		if regs, _ := CompareBaselines(ref, batched(k, 0.75, 2.3, 6.5), 400); len(regs) != want {
+			t.Fatalf("fp kernel %q, batch ratio 0.75: regressions = %+v, want %d", k, regs, want)
+		}
+		if regs, _ := CompareBaselines(ref, batched(k, 1.0, 2.3, 6.5), 400); len(regs) != 1 || regs[0].Name != "thibe.verify-batch5 ÷ thibe.verify-single5" {
+			t.Fatalf("fp kernel %q, shares checked one by one: regressions = %+v", k, regs)
+		}
+		if regs, _ := CompareBaselines(ref, batched(k, 0.55, 5.5, 21), 400); len(regs) != 2 || regs[0].RefNs != 12 || regs[1].RefNs != 3.8 {
+			t.Fatalf("fp kernel %q, both kernels lost: regressions = %+v, want the msm.5 (3.8) and gtexp.multi4x5 (12) gates", k, regs)
+		}
+	}
+
 	// A reference without ratios (older snapshot, hand-edited, recorded
 	// with a -filter) does not switch the gates off.
 	ref.Ratios = nil

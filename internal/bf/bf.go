@@ -280,21 +280,43 @@ func (pub *PublicParams) EncryptBasic(rng io.Reader, id string, msg []byte) (*Ba
 	if err != nil {
 		return nil, err
 	}
-	v := xorBytes(msg, MaskGT(g, pub.MsgLen))
+	v := xorBytes(msg, maskGT(g, pub.MsgLen))
 	return &BasicCiphertext{U: u, V: v}, nil
 }
 
 // DecryptBasic recovers the plaintext with the identity's full private key:
 // m = V ⊕ H2(ê(U, d_ID)).
 func (pub *PublicParams) DecryptBasic(key *PrivateKey, c *BasicCiphertext) ([]byte, error) {
-	if len(c.V) != pub.MsgLen {
-		return nil, fmt.Errorf("%w: ciphertext body %d bytes, want %d", ErrMessageLength, len(c.V), pub.MsgLen)
+	if err := pub.CheckBasic(c); err != nil {
+		return nil, err
 	}
 	g, err := key.pairing(pub.Pairing, c.U)
 	if err != nil {
 		return nil, err
 	}
-	return xorBytes(c.V, MaskGT(g, pub.MsgLen)), nil
+	return pub.OpenBasicWithPairingValue(g, c)
+}
+
+// OpenBasicWithPairingValue completes BasicIdent decryption given the
+// pairing value g = ê(U, d_ID), however it was assembled — by the full key
+// or by a threshold recombiner from t shares — as m = V ⊕ H2(g): the
+// BasicIdent sibling of OpenWithPairingValue, and like it the length check
+// comes first.
+func (pub *PublicParams) OpenBasicWithPairingValue(g *pairing.GT, c *BasicCiphertext) ([]byte, error) {
+	if err := pub.CheckBasic(c); err != nil {
+		return nil, err
+	}
+	return xorBytes(c.V, maskGT(g, pub.MsgLen)), nil
+}
+
+// CheckBasic refuses a BasicIdent ciphertext whose body is not MsgLen bytes
+// (ErrMessageLength): what opening one checks first, and what a threshold
+// recombiner checks before it asks any player for a share.
+func (pub *PublicParams) CheckBasic(c *BasicCiphertext) error {
+	if len(c.V) != pub.MsgLen {
+		return fmt.Errorf("%w: ciphertext body %d bytes, want %d", ErrMessageLength, len(c.V), pub.MsgLen)
+	}
+	return nil
 }
 
 // Ciphertext is a FullIdent ciphertext <U, V, W>.
@@ -313,14 +335,14 @@ func (pub *PublicParams) Encrypt(rng io.Reader, id string, msg []byte) (*Ciphert
 	if _, err := io.ReadFull(orDefaultRand(rng), sigma); err != nil {
 		return nil, fmt.Errorf("sample sigma: %w", err)
 	}
-	r := DeriveR(sigma, msg, pub.Pairing.Q())
+	r := deriveR(sigma, msg, pub.Pairing.Q())
 	u := pub.Pairing.GeneratorMul(r)
 	g, err := pub.recipientPairing(id, r)
 	if err != nil {
 		return nil, err
 	}
-	v := xorBytes(sigma, MaskGT(g, pub.MsgLen))
-	w := xorBytes(msg, MaskSigma(sigma, pub.MsgLen))
+	v := xorBytes(sigma, maskGT(g, pub.MsgLen))
+	w := xorBytes(msg, maskSigma(sigma, pub.MsgLen))
 	return &Ciphertext{U: u, V: v, W: w}, nil
 }
 
@@ -342,29 +364,29 @@ func (pub *PublicParams) OpenWithPairingValue(g *pairing.GT, c *Ciphertext) ([]b
 	if len(c.V) != pub.MsgLen || len(c.W) != pub.MsgLen {
 		return nil, fmt.Errorf("%w: component lengths %d/%d, want %d", ErrMessageLength, len(c.V), len(c.W), pub.MsgLen)
 	}
-	sigma := xorBytes(c.V, MaskGT(g, pub.MsgLen))
-	msg := xorBytes(c.W, MaskSigma(sigma, pub.MsgLen))
-	r := DeriveR(sigma, msg, pub.Pairing.Q())
+	sigma := xorBytes(c.V, maskGT(g, pub.MsgLen))
+	msg := xorBytes(c.W, maskSigma(sigma, pub.MsgLen))
+	r := deriveR(sigma, msg, pub.Pairing.Q())
 	if !pub.Pairing.GeneratorMul(r).Equal(c.U) {
 		return nil, ErrInvalidCiphertext
 	}
 	return msg, nil
 }
 
-// MaskGT is the H2 oracle: it expands a GT element into an n-byte mask.
-func MaskGT(g *pairing.GT, n int) []byte {
+// maskGT is the H2 oracle: it expands a GT element into an n-byte mask.
+func maskGT(g *pairing.GT, n int) []byte {
 	return expand(domainH2, g.Bytes(), n)
 }
 
-// MaskSigma is the H4 oracle: it expands σ into an n-byte mask.
-func MaskSigma(sigma []byte, n int) []byte {
+// maskSigma is the H4 oracle: it expands σ into an n-byte mask.
+func maskSigma(sigma []byte, n int) []byte {
 	return expand(domainH4, sigma, n)
 }
 
-// DeriveR is the H3 oracle: r = H3(σ, M) ∈ [1, q).
+// deriveR is the H3 oracle: r = H3(σ, M) ∈ [1, q).
 //
 //cryptolint:vartime (big.Int hash-to-scalar reduction; the digest width hides the value and the bias is negligible)
-func DeriveR(sigma, msg []byte, q *big.Int) *big.Int {
+func deriveR(sigma, msg []byte, q *big.Int) *big.Int {
 	payload := make([]byte, 0, 8+len(sigma)+len(msg))
 	var lenPrefix [8]byte
 	binary.BigEndian.PutUint64(lenPrefix[:], uint64(len(sigma)))

@@ -144,12 +144,24 @@ func TestFullWrongIdentityRejected(t *testing.T) {
 }
 
 func TestMessageLengthEnforced(t *testing.T) {
-	_, pub := setup(t)
+	pkg, pub := setup(t)
 	if _, err := pub.Encrypt(rand.Reader, "x", []byte("short")); !errors.Is(err, ErrMessageLength) {
 		t.Errorf("short message accepted: %v", err)
 	}
 	if _, err := pub.EncryptBasic(rand.Reader, "x", make([]byte, msgLen+1)); !errors.Is(err, ErrMessageLength) {
 		t.Errorf("long message accepted: %v", err)
+	}
+	key, err := pkg.Extract("x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := pub.EncryptBasic(rand.Reader, "x", make([]byte, msgLen))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.V = c.V[1:]
+	if got, err := pub.DecryptBasic(key, c); !errors.Is(err, ErrMessageLength) {
+		t.Errorf("short body opened to %x (%v)", got, err)
 	}
 }
 
@@ -233,7 +245,7 @@ func TestDeriveRInRange(t *testing.T) {
 	q := pp.Q()
 	for i := 0; i < 50; i++ {
 		sigma := []byte{byte(i)}
-		r := DeriveR(sigma, []byte("m"), q)
+		r := deriveR(sigma, []byte("m"), q)
 		if r.Sign() <= 0 || r.Cmp(q) >= 0 {
 			t.Fatalf("r = %v outside [1, q)", r)
 		}

@@ -300,6 +300,12 @@ func (r *Recombiner) DecryptBatch(id string, cs []*bf.BasicCiphertext) (msgs [][
 	if r.closed.Load() {
 		return nil, nil, sem.ErrClientClosed
 	}
+	// A malformed body costs no player a round.
+	for j, c := range cs {
+		if err := r.params.Public.CheckBasic(c); err != nil {
+			return nil, nil, fmt.Errorf("cluster: ciphertext %d: %w", j, err)
+		}
+	}
 	r.met.decrypts.Add(uint64(len(cs)))
 	ids, us := make([]string, len(cs)), make([]*curve.Point, len(cs))
 	for j, c := range cs {

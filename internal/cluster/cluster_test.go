@@ -739,6 +739,28 @@ func TestRecombinerMetrics(t *testing.T) {
 }
 
 // encryptBatch produces k distinct ciphertexts for ident.
+// TestShortBodyAsksNoPlayer: a ciphertext whose body is not MsgLen bytes is
+// refused with bf.ErrMessageLength before any player is asked, as the full
+// key's DecryptBasic refuses it.
+func TestShortBodyAsksNoPlayer(t *testing.T) {
+	d := deploy(t)
+	r := d.recombiner(t)
+	_, cs := encryptBatch(t, d, 2)
+	short := &bf.BasicCiphertext{U: cs[1].U, V: cs[1].V[:msgLen-1]}
+	out, rejected, err := r.DecryptBatch(ident, []*bf.BasicCiphertext{cs[0], short})
+	if !errors.Is(err, bf.ErrMessageLength) || out != nil || rejected != nil {
+		t.Fatalf("short body: plaintexts %v, rejected %v, err %v; want bf.ErrMessageLength", out, rejected, err)
+	}
+	for i := 1; i <= nn; i++ {
+		if r.fetched(i) != 0 || d.served(i) != 0 {
+			t.Fatalf("player %d asked %d times (served %d) over a malformed ciphertext", i, r.fetched(i), d.served(i))
+		}
+	}
+	if r.met.asked.Value() != 0 || r.rounds() != 0 {
+		t.Fatalf("%d players asked in %d rounds over a malformed ciphertext", r.met.asked.Value(), r.rounds())
+	}
+}
+
 func encryptBatch(t *testing.T, d *deployment, k int) ([][]byte, []*bf.BasicCiphertext) {
 	t.Helper()
 	msgs := make([][]byte, k)

@@ -8,10 +8,10 @@ import (
 	"repro/internal/pairing"
 )
 
-// ExampleDecrypt shows the complete mediated-IBE lifecycle: setup, split
+// ExampleDecryptIBE shows the complete mediated-IBE lifecycle: setup, split
 // extraction, encryption to a bare identity string, SEM-aided decryption,
 // and instant revocation.
-func ExampleDecrypt() {
+func ExampleDecryptIBE() {
 	pp, err := pairing.Fast()
 	if err != nil {
 		fmt.Println(err)
@@ -38,7 +38,7 @@ func ExampleDecrypt() {
 		fmt.Println(err)
 		return
 	}
-	plain, err := core.Decrypt(sem, userHalf, ct)
+	plain, err := core.DecryptIBE(pkg.Public(), userHalf, ct, sem.TokenFor)
 	if err != nil {
 		fmt.Println(err)
 		return
@@ -46,7 +46,7 @@ func ExampleDecrypt() {
 	fmt.Println(string(plain[:21]))
 
 	sem.Registry().Revoke("bob@example.com", "example over")
-	if _, err := core.Decrypt(sem, userHalf, ct); err != nil {
+	if _, err := core.DecryptIBE(pkg.Public(), userHalf, ct, sem.TokenFor); err != nil {
 		fmt.Println("revoked: decryption refused")
 	}
 	// Output:
@@ -54,9 +54,9 @@ func ExampleDecrypt() {
 	// revoked: decryption refused
 }
 
-// ExampleSign shows mediated GDH signing: the SEM contributes its half, the
+// ExampleSignGDH shows mediated GDH signing: the SEM contributes its half, the
 // user completes and verifies the signature.
-func ExampleSign() {
+func ExampleSignGDH() {
 	pp, err := pairing.Fast()
 	if err != nil {
 		fmt.Println(err)
@@ -71,7 +71,7 @@ func ExampleSign() {
 	}
 	sem.Register(semHalf)
 
-	sig, err := core.Sign(sem, key, []byte("the document"))
+	sig, err := core.SignGDH(key, []byte("the document"), sem.HalfSign)
 	if err != nil {
 		fmt.Println(err)
 		return

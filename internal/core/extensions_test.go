@@ -38,7 +38,7 @@ func TestMediatedGMRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := GMDecrypt(sem, "gm-user@example.com", sk.Public, user, cs)
+	got, err := DecryptGM(sk.Public, "gm-user@example.com", user, cs, sem.HalfDecryptGM)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,11 +51,11 @@ func TestMediatedGMRevocation(t *testing.T) {
 	sk, user, sem := gmFixture(t)
 	cs, _ := sk.Public.Encrypt(rand.Reader, []byte("x"))
 	sem.Registry().Revoke("gm-user@example.com", "test")
-	if _, err := GMDecrypt(sem, "gm-user@example.com", sk.Public, user, cs); !errors.Is(err, ErrRevoked) {
+	if _, err := DecryptGM(sk.Public, "gm-user@example.com", user, cs, sem.HalfDecryptGM); !errors.Is(err, ErrRevoked) {
 		t.Fatalf("revoked GM identity decrypted: %v", err)
 	}
 	sem.Registry().Unrevoke("gm-user@example.com")
-	if _, err := GMDecrypt(sem, "gm-user@example.com", sk.Public, user, cs); err != nil {
+	if _, err := DecryptGM(sk.Public, "gm-user@example.com", user, cs, sem.HalfDecryptGM); err != nil {
 		t.Fatalf("unrevoked GM identity failed: %v", err)
 	}
 }
@@ -68,7 +68,7 @@ func TestMediatedGMValidation(t *testing.T) {
 	}
 	// Non-multiple-of-8 ciphertext.
 	cs, _ := sk.Public.Encrypt(rand.Reader, []byte("ab"))
-	if _, err := GMDecrypt(sem, "gm-user@example.com", sk.Public, user, cs[:3]); err == nil {
+	if _, err := DecryptGM(sk.Public, "gm-user@example.com", user, cs[:3], sem.HalfDecryptGM); err == nil {
 		t.Error("ragged ciphertext accepted")
 	}
 }
@@ -116,7 +116,7 @@ func newSigncryptFixture(t *testing.T) *signcryptFixture {
 	gdhSEM.Register(aliceSEMHalf)
 
 	return &signcryptFixture{
-		sc:        NewSigncrypter(pkg.Public(), ibeSEM, gdhSEM),
+		sc:        NewSigncrypter(pkg.Public(), ibeSEM.TokenFor, gdhSEM.HalfSign),
 		pkg:       pkg,
 		reg:       reg,
 		sender:    aliceKey,
@@ -228,7 +228,7 @@ func TestMediatedRabinDecrypt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RabinDecrypt(sem, "rabin-user@example.com", sk.Public, user, ct, len(msg))
+	got, err := DecryptRabin(sk.Public, "rabin-user@example.com", user, ct, len(msg), sem.HalfOf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestMediatedRabinDecrypt(t *testing.T) {
 func TestMediatedRabinSign(t *testing.T) {
 	sk, user, sem := rabinFixture(t)
 	msg := []byte("mediated modified-rabin signature")
-	sig, err := RabinSign(sem, "rabin-user@example.com", sk.Public, user, msg)
+	sig, err := SignRabin(sk.Public, "rabin-user@example.com", user, msg, sem.HalfOf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,10 +254,10 @@ func TestMediatedRabinRevocation(t *testing.T) {
 	msg := []byte("gone")
 	ct, _ := sk.Public.Encrypt(rand.Reader, msg)
 	sem.Registry().Revoke("rabin-user@example.com", "test")
-	if _, err := RabinDecrypt(sem, "rabin-user@example.com", sk.Public, user, ct, len(msg)); !errors.Is(err, ErrRevoked) {
+	if _, err := DecryptRabin(sk.Public, "rabin-user@example.com", user, ct, len(msg), sem.HalfOf); !errors.Is(err, ErrRevoked) {
 		t.Fatalf("revoked Rabin identity decrypted: %v", err)
 	}
-	if _, err := RabinSign(sem, "rabin-user@example.com", sk.Public, user, msg); !errors.Is(err, ErrRevoked) {
+	if _, err := SignRabin(sk.Public, "rabin-user@example.com", user, msg, sem.HalfOf); !errors.Is(err, ErrRevoked) {
 		t.Fatalf("revoked Rabin identity signed: %v", err)
 	}
 }

@@ -54,8 +54,22 @@ func (s *ExpSEM) HalfOp(id string, operand Operand) (*big.Int, error) {
 	return half.Op(x), nil
 }
 
+// HalfOf is HalfOp for an element x of [1, n): the in-process SEM step of
+// mediated-RSA decryption (DecryptRSA) and of Rabin (DecryptRabin,
+// SignRabin).
+func (s *ExpSEM) HalfOf(id string, x *big.Int) (*big.Int, error) {
+	return s.HalfOp(id, element(x))
+}
+
+// HalfSignRSA is HalfOp for mediated-RSA signing: EMSA(msg)^{d_sem} under
+// the identity's modulus. It is the SEM step of SignRSA and what the server
+// answers rsa_half_sig with.
+func (s *ExpSEM) HalfSignRSA(id string, msg []byte) (*big.Int, error) {
+	return s.HalfOp(id, func(n *big.Int) (*big.Int, error) { return mrsa.EMSA(msg, n) })
+}
+
 // HalfDecryptGM is HalfOp over a bitwise GM ciphertext: one revocation
-// check, then every element range-checked as an Element operand is.
+// check, then every element range-checked as HalfOf checks its operand.
 func (s *ExpSEM) HalfDecryptGM(id string, cs []*big.Int) ([]*big.Int, error) {
 	half, err := s.half(id)
 	if err != nil {
@@ -84,14 +98,9 @@ func RSACiphertext(payload []byte) Operand {
 	}
 }
 
-// RSAMessage is mediated RSA signing's operand: EMSA(msg) under the
-// identity's modulus.
-func RSAMessage(msg []byte) Operand {
-	return func(n *big.Int) (*big.Int, error) { return mrsa.EMSA(msg, n) }
-}
-
-// Element is the operand of GM and Rabin: x itself, refused outside [1, n).
-func Element(x *big.Int) Operand {
+// element is the operand of Rabin and of in-process RSA decryption: x
+// itself, refused outside [1, n).
+func element(x *big.Int) Operand {
 	return func(n *big.Int) (*big.Int, error) {
 		if !inRange(x, n) {
 			return nil, fmt.Errorf("core: operand out of range")
@@ -102,50 +111,68 @@ func Element(x *big.Int) Operand {
 
 func inRange(x, n *big.Int) bool { return x.Sign() > 0 && x.Cmp(n) < 0 }
 
-// GMDecrypt runs the full two-party GM decryption in-process: the SEM's
-// half-results, then the user's combination.
-func GMDecrypt(sem *ExpSEM, id string, pk *gm.PublicKey, user *mathx.ExpHalf, cs []*big.Int) ([]byte, error) {
-	semParts, err := sem.HalfDecryptGM(id, cs)
+// DecryptRSA is mediated-RSA decryption, written once for the SEM in
+// process and over the wire: the SEM step halfDecrypt (ExpSEM.HalfOf, or the
+// client's RSAHalfDecrypt under pub) for c^{d_sem}, then mrsa.CombineDecrypt.
+// The Z_n flows below have the same shape.
+func DecryptRSA(pub *mrsa.PublicKey, id string, user *mathx.ExpHalf, ciphertext []byte, halfDecrypt func(id string, c *big.Int) (*big.Int, error)) ([]byte, error) {
+	c, err := pub.ParseCiphertext(ciphertext)
+	if err != nil {
+		return nil, err
+	}
+	semHalf, err := halfDecrypt(id, c)
+	if err != nil {
+		return nil, err
+	}
+	return mrsa.CombineDecrypt(pub, user, c, semHalf)
+}
+
+// SignRSA is mediated-RSA signing: halfSign (ExpSEM.HalfSignRSA, or the
+// client's RSAHalfSign under pub), then mrsa.CombineSignature.
+func SignRSA(pub *mrsa.PublicKey, id string, user *mathx.ExpHalf, msg []byte, halfSign func(id string, msg []byte) (*big.Int, error)) ([]byte, error) {
+	semHalf, err := halfSign(id, msg)
+	if err != nil {
+		return nil, err
+	}
+	return mrsa.CombineSignature(pub, user, msg, semHalf)
+}
+
+// DecryptGM is mediated Goldwasser-Micali decryption: halfDecrypt
+// (ExpSEM.HalfDecryptGM, or the client's GMHalfDecrypt), then gm.Combine.
+func DecryptGM(pk *gm.PublicKey, id string, user *mathx.ExpHalf, cs []*big.Int, halfDecrypt func(id string, cs []*big.Int) ([]*big.Int, error)) ([]byte, error) {
+	semParts, err := halfDecrypt(id, cs)
 	if err != nil {
 		return nil, err
 	}
 	return gm.Combine(pk, user, cs, semParts)
 }
 
-// RabinDecrypt runs the two-party SAEP decryption in-process.
-//
-//cryptolint:vartime (legacy math/big Rabin combination; the limb discipline does not apply to the mediated-Rabin scheme)
-func RabinDecrypt(sem *ExpSEM, id string, pk *rabin.PublicKey, user *mathx.ExpHalf, ciphertext []byte, msgLen int) ([]byte, error) {
+// DecryptRabin is mediated SAEP decryption: half (ExpSEM.HalfOf), then
+// rabin.CombineDecrypt.
+func DecryptRabin(pk *rabin.PublicKey, id string, user *mathx.ExpHalf, ciphertext []byte, msgLen int, half func(id string, x *big.Int) (*big.Int, error)) ([]byte, error) {
 	c, err := pk.ParseCiphertext(ciphertext)
 	if err != nil {
 		return nil, err
 	}
-	semPart, err := sem.HalfOp(id, Element(c))
+	semPart, err := half(id, c)
 	if err != nil {
 		return nil, err
 	}
-	s := new(big.Int).Mul(user.Op(c), semPart)
-	s.Mod(s, pk.N)
-	return pk.FinishDecrypt(c, s, msgLen)
+	return rabin.CombineDecrypt(pk, user, c, semPart, msgLen)
 }
 
-// RabinSign runs the two-party modified-Rabin signing protocol in-process:
-// for each counter, both parties exponentiate the Jacobi-(+1) hash; the
-// combination fails with ErrSignRetry when the hash was not a residue, and
-// the protocol advances the counter (expected two rounds).
-func RabinSign(sem *ExpSEM, id string, pk *rabin.PublicKey, user *mathx.ExpHalf, msg []byte) (*rabin.Signature, error) {
+// SignRabin is mediated modified-Rabin signing: half (ExpSEM.HalfOf) of the
+// Jacobi-(+1) hash, then rabin.CombineSignature, advancing the counter while
+// it answers ErrSignRetry — the hash was not a residue (two rounds expected).
+func SignRabin(pk *rabin.PublicKey, id string, user *mathx.ExpHalf, msg []byte, half func(id string, x *big.Int) (*big.Int, error)) (*rabin.Signature, error) {
 	for ctr := uint32(0); ctr < 128; ctr++ {
-		h := rabin.HashToJacobiPlus(pk.N, msg, ctr)
-		semPart, err := sem.HalfOp(id, Element(h))
+		semPart, err := half(id, rabin.HashToJacobiPlus(pk.N, msg, ctr))
 		if err != nil {
 			return nil, err
 		}
-		sig, err := rabin.CombineSignature(pk, msg, ctr, user.Op(h), semPart)
-		if err == nil {
-			return sig, nil
-		}
+		sig, err := rabin.CombineSignature(pk, user, msg, ctr, semPart)
 		if !errors.Is(err, rabin.ErrSignRetry) {
-			return nil, err
+			return sig, err
 		}
 	}
 	return nil, fmt.Errorf("core: no QR hash in 128 counters (astronomically unlikely)")

@@ -97,9 +97,10 @@ func (s *GDHSEM) HalfSign(id string, h *curve.Point) (*curve.Point, error) {
 	return h.ScalarMulSecret(half.X)
 }
 
-// UserSign completes the user's protocol steps: compute S_user = x_user·h(M),
-// add the SEM half, and verify the combined signature before returning it
-// (the paper's step 3: "He verifies that S_M is a valid signature on M").
+// UserSign is the user's side of mediated GDH signing, wherever the SEM
+// half came from: S_user = x_user·h(M) added to it, and the combined
+// signature verified before it is returned (the paper's step 3: "He
+// verifies that S_M is a valid signature on M").
 func UserSign(key *GDHUserKey, msg []byte, semHalf *curve.Point) (*curve.Point, error) {
 	h, err := bls.HashMessage(key.Public.Pairing, msg)
 	if err != nil {
@@ -116,14 +117,16 @@ func UserSign(key *GDHUserKey, msg []byte, semHalf *curve.Point) (*curve.Point, 
 	return sig, nil
 }
 
-// Sign runs the full two-party signing protocol in-process; the networked
-// flow lives in internal/sem.
-func Sign(sem *GDHSEM, key *GDHUserKey, msg []byte) (*curve.Point, error) {
+// SignGDH is the two-party signing protocol, written once for both places
+// the SEM runs: hash the message, ask halfSign — an in-process GDHSEM's
+// HalfSign, or the networked client's GDHHalfSign — for S_sem, then
+// complete with UserSign.
+func SignGDH(key *GDHUserKey, msg []byte, halfSign func(id string, h *curve.Point) (*curve.Point, error)) (*curve.Point, error) {
 	h, err := bls.HashMessage(key.Public.Pairing, msg)
 	if err != nil {
 		return nil, err
 	}
-	semHalf, err := sem.HalfSign(key.ID, h)
+	semHalf, err := halfSign(key.ID, h)
 	if err != nil {
 		return nil, err
 	}

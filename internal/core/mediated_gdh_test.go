@@ -32,7 +32,7 @@ func TestMediatedGDHSignVerify(t *testing.T) {
 	ta, sem := gdhFixture(t)
 	key := gdhEnroll(t, ta, sem, "signer@example.com")
 	msg := []byte("the contract text")
-	sig, err := Sign(sem, key, msg)
+	sig, err := SignGDH(key, msg, sem.HalfSign)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestMediatedMatchesUnsplitSignature(t *testing.T) {
 	user, semHalf, _ := ta.Keygen(rand.Reader, "signer@example.com")
 	sem.Register(semHalf)
 	msg := []byte("determinism")
-	sig, err := Sign(sem, user, msg)
+	sig, err := SignGDH(user, msg, sem.HalfSign)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,15 +70,15 @@ func TestGDHRevocationStopsSigning(t *testing.T) {
 	ta, sem := gdhFixture(t)
 	key := gdhEnroll(t, ta, sem, "signer@example.com")
 	msg := []byte("m")
-	if _, err := Sign(sem, key, msg); err != nil {
+	if _, err := SignGDH(key, msg, sem.HalfSign); err != nil {
 		t.Fatalf("pre-revocation signing failed: %v", err)
 	}
 	sem.Registry().Revoke("signer@example.com", "key compromise")
-	if _, err := Sign(sem, key, msg); !errors.Is(err, ErrRevoked) {
+	if _, err := SignGDH(key, msg, sem.HalfSign); !errors.Is(err, ErrRevoked) {
 		t.Fatalf("revoked identity still signs: %v", err)
 	}
 	sem.Registry().Unrevoke("signer@example.com")
-	if _, err := Sign(sem, key, msg); err != nil {
+	if _, err := SignGDH(key, msg, sem.HalfSign); err != nil {
 		t.Fatalf("post-unrevoke signing failed: %v", err)
 	}
 }

@@ -214,9 +214,15 @@ func (s *IBESEM) TokenX(id string, u curve.EvalX) (pairing.GTX, error) {
 	return s.pairers.pairX(s.pub.Pairing, id, half.D, u)
 }
 
-// UserDecrypt completes decryption on the user side given the SEM token:
-// g = g_sem · ê(U, d_ID,user), then the FullIdent opening with its validity
-// check.
+// TokenFor is Token for a U the caller holds as a G1 point: the SEM step
+// DecryptIBE asks of an in-process SEM, as the networked client's IBEToken
+// is over the wire.
+func (s *IBESEM) TokenFor(id string, u *curve.Point) (*pairing.GT, error) { return s.Token(id, u) }
+
+// UserDecrypt is the user's side of mediated-IBE decryption, wherever the
+// SEM token came from: g = g_sem · ê(U, d_ID,user), then the FullIdent
+// opening, whose validity check (r·P = U) refuses a token that is not
+// ê(U, d_ID,sem) — nothing unchecked is returned.
 func UserDecrypt(pub *bf.PublicParams, key *UserKeyHalf, c *bf.Ciphertext, token *pairing.GT) ([]byte, error) {
 	gUser, err := key.pairing(pub.Pairing, c.U)
 	if err != nil {
@@ -230,15 +236,15 @@ func UserDecrypt(pub *bf.PublicParams, key *UserKeyHalf, c *bf.Ciphertext, token
 	return msg, nil
 }
 
-// Decrypt runs the full two-party protocol in-process (user and SEM in the
-// same address space) — the reference flow and benchmark body. The
-// networked flow lives in internal/sem.
-func Decrypt(sem *IBESEM, key *UserKeyHalf, c *bf.Ciphertext) ([]byte, error) {
-	token, err := sem.Token(key.ID, c.U)
+// DecryptIBE is the two-party decryption, written once for both places the
+// SEM runs: ask token — an in-process SEM's TokenFor, or the networked
+// client's IBEToken — for g_sem, then complete with UserDecrypt.
+func DecryptIBE(pub *bf.PublicParams, key *UserKeyHalf, c *bf.Ciphertext, token func(id string, u *curve.Point) (*pairing.GT, error)) ([]byte, error) {
+	g, err := token(key.ID, c.U)
 	if err != nil {
 		return nil, err
 	}
-	return UserDecrypt(sem.pub, key, c, token)
+	return UserDecrypt(pub, key, c, g)
 }
 
 // RecombineKey reassembles the full FullIdent key from both halves. Only

@@ -46,7 +46,7 @@ func TestMediatedIBERoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Decrypt(sem, alice, c)
+	got, err := DecryptIBE(sem.pub, alice, c, sem.TokenFor)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,18 +109,18 @@ func TestRevocationStopsDecryption(t *testing.T) {
 	c, _ := pkg.Public().Encrypt(rand.Reader, "alice@example.com", msg)
 
 	// Works before revocation.
-	if _, err := Decrypt(sem, alice, c); err != nil {
+	if _, err := DecryptIBE(sem.pub, alice, c, sem.TokenFor); err != nil {
 		t.Fatalf("pre-revocation decrypt failed: %v", err)
 	}
 	sem.Registry().Revoke("alice@example.com", "left the company")
-	if _, err := Decrypt(sem, alice, c); !errors.Is(err, ErrRevoked) {
+	if _, err := DecryptIBE(sem.pub, alice, c, sem.TokenFor); !errors.Is(err, ErrRevoked) {
 		t.Fatalf("revoked identity still decrypts: %v", err)
 	}
 	// Unrevoke restores capability instantly.
 	if !sem.Registry().Unrevoke("alice@example.com") {
 		t.Fatal("unrevoke reported identity not revoked")
 	}
-	if _, err := Decrypt(sem, alice, c); err != nil {
+	if _, err := DecryptIBE(sem.pub, alice, c, sem.TokenFor); err != nil {
 		t.Fatalf("post-unrevoke decrypt failed: %v", err)
 	}
 }
@@ -245,7 +245,7 @@ func TestCofactorCiphertextFailsValidity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Decrypt(sem, alice, c); err != nil {
+	if _, err := DecryptIBE(sem.pub, alice, c, sem.TokenFor); err != nil {
 		t.Fatal(err)
 	}
 	_, tors := cofactorSplit(t, pkg.Public().Pairing.Curve())
@@ -350,7 +350,7 @@ func TestConcurrentTokens(t *testing.T) {
 				done <- err
 				return
 			}
-			got, err := Decrypt(sem, alice, c)
+			got, err := DecryptIBE(sem.pub, alice, c, sem.TokenFor)
 			if err == nil && !bytes.Equal(got, msg) {
 				err = errors.New("wrong plaintext")
 			}

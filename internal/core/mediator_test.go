@@ -6,24 +6,29 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
+	"reflect"
+	"slices"
 	"testing"
 
-	"repro/internal/bls"
 	"repro/internal/curve"
 	"repro/internal/gm"
 	"repro/internal/mrsa"
+	"repro/internal/pairing"
 	"repro/internal/rabin"
 )
 
 // mediatorCase is one mediated scheme behind its SEM, with one identity
-// enrolled. serve runs the SEM step for any identity and completes it with
-// the enrolled user's half, failing unless the result is correct; each of
-// refused asks the SEM about an operand outside the scheme's range.
+// enrolled. serve runs the scheme's flow for any identity, failing unless
+// the result is correct; each of refused asks the SEM about an operand
+// outside the scheme's range; lie, where the scheme has a user side, runs
+// the flow against a SEM step whose answer is perturbed and is nil only if
+// the completion refused it (caught).
 type mediatorCase struct {
 	name    string
 	reg     *Registry
 	serve   func(id string) error
 	refused map[string]func(id string) error
+	lie     func(id string) error
 }
 
 const mediatedID = "member@example.com"
@@ -59,12 +64,17 @@ func ibeCase(t *testing.T) mediatorCase {
 	if err != nil {
 		t.Fatal(err)
 	}
+	pp := pkg.Public().Pairing
+	g, err := pp.PairWithGenerator(pp.Generator())
+	if err != nil {
+		t.Fatal(err)
+	}
 	return mediatorCase{name: "ibe", reg: sem.Registry(), serve: func(id string) error {
-		token, err := sem.Token(id, c.U)
-		if err != nil {
-			return err
-		}
-		return wantBytes(UserDecrypt(pkg.Public(), user, c, token))(msg)
+		// The flow asks for its key's identity: id's key is the member's
+		// half under id's name.
+		return wantBytes(DecryptIBE(pkg.Public(), &UserKeyHalf{ID: id, D: user.D}, c, sem.TokenFor))(msg)
+	}, lie: func(id string) error {
+		return caught(DecryptIBE(pkg.Public(), user, c, lying(sem.TokenFor, func(token *pairing.GT) *pairing.GT { return token.Mul(g) })))
 	}}
 }
 
@@ -100,17 +110,13 @@ func gdhCase(t *testing.T) mediatorCase {
 	ta, sem := gdhFixture(t)
 	key := gdhEnroll(t, ta, sem, mediatedID)
 	msg := []byte("the contract text")
-	h, err := bls.HashMessage(key.Public.Pairing, msg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	return mediatorCase{name: "gdh", reg: sem.Registry(), serve: func(id string) error {
-		half, err := sem.HalfSign(id, h)
-		if err != nil {
-			return err
-		}
-		_, err = UserSign(key, msg, half) // verifies the combined signature
+		as := *key
+		as.ID = id
+		_, err := SignGDH(&as, msg, sem.HalfSign) // verifies the combined signature
 		return err
+	}, lie: func(id string) error {
+		return caught(SignGDH(key, msg, lying(sem.HalfSign, func(half *curve.Point) *curve.Point { return half.Add(key.Public.Pairing.Generator()) })))
 	}}
 }
 
@@ -131,26 +137,20 @@ func rsaCase(t *testing.T) mediatorCase {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := new(big.Int).SetBytes(ct)
+	double := func(x *big.Int) *big.Int { return new(big.Int).Mod(new(big.Int).Lsh(x, 1), pub.N) }
 	return mediatorCase{name: "rsa", reg: sem.Registry(),
 		serve: func(id string) error {
-			semPart, err := sem.HalfOp(id, RSACiphertext(ct))
-			if err != nil {
+			if err := wantBytes(DecryptRSA(pub, id, user, ct, sem.HalfOf))(msg); err != nil {
 				return err
 			}
-			if err := wantBytes(mrsa.FinishDecrypt(pub, mrsa.Combine(pub.N, user.Op(c), semPart)))(msg); err != nil {
-				return err
-			}
-			semSig, err := sem.HalfOp(id, RSAMessage(msg))
-			if err != nil {
-				return err
-			}
-			userSig, err := mrsa.SignHalf(user, msg)
-			if err != nil {
-				return err
-			}
-			_, err = mrsa.FinishSignature(pub, msg, userSig, semSig) // verifies
+			_, err := SignRSA(pub, id, user, msg, sem.HalfSignRSA) // verifies
 			return err
+		},
+		lie: func(id string) error {
+			if err := caught(DecryptRSA(pub, id, user, ct, lying(sem.HalfOf, double))); err != nil {
+				return err
+			}
+			return caught(SignRSA(pub, id, user, msg, lying(sem.HalfSignRSA, double)))
 		},
 		refused: map[string]func(string) error{
 			"n": func(id string) error {
@@ -191,7 +191,17 @@ func gmCase(t *testing.T) mediatorCase {
 	}
 	return mediatorCase{name: "gm", reg: sem.Registry(),
 		serve: func(id string) error {
-			return wantBytes(GMDecrypt(sem, id, sk.Public, user, cs))(msg)
+			return wantBytes(DecryptGM(sk.Public, id, user, cs, sem.HalfDecryptGM))(msg)
+		},
+		// Doubling one half makes its product ±2, neither +1 nor −1. (A
+		// SEM that answers n − x flips that bit undetected: GM has no
+		// integrity, DESIGN §6.)
+		lie: func(id string) error {
+			return caught(DecryptGM(sk.Public, id, user, cs, lying(sem.HalfDecryptGM, func(parts []*big.Int) []*big.Int {
+				out := slices.Clone(parts)
+				out[len(out)-1] = new(big.Int).Mod(new(big.Int).Lsh(out[len(out)-1], 1), sk.Public.N)
+				return out
+			})))
 		},
 		refused: map[string]func(string) error{
 			"0": elements(big.NewInt(0)),
@@ -218,26 +228,56 @@ func rabinCase(t *testing.T) mediatorCase {
 	}
 	element := func(x *big.Int) func(string) error {
 		return func(id string) error {
-			_, err := sem.HalfOp(id, Element(x))
+			_, err := sem.HalfOf(id, x)
 			return err
 		}
 	}
+	double := lying(sem.HalfOf, func(x *big.Int) *big.Int { return new(big.Int).Mod(new(big.Int).Lsh(x, 1), sk.Public.N) })
 	return mediatorCase{name: "rabin", reg: sem.Registry(),
 		serve: func(id string) error {
-			if err := wantBytes(RabinDecrypt(sem, id, sk.Public, user, ct, len(msg)))(msg); err != nil {
+			if err := wantBytes(DecryptRabin(sk.Public, id, user, ct, len(msg), sem.HalfOf))(msg); err != nil {
 				return err
 			}
-			sig, err := RabinSign(sem, id, sk.Public, user, msg)
+			sig, err := SignRabin(sk.Public, id, user, msg, sem.HalfOf)
 			if err != nil {
 				return err
 			}
 			return sk.Public.Verify(msg, sig)
+		},
+		lie: func(id string) error {
+			if err := caught(DecryptRabin(sk.Public, id, user, ct, len(msg), double)); err != nil {
+				return err
+			}
+			return caught(SignRabin(sk.Public, id, user, msg, double))
 		},
 		refused: map[string]func(string) error{
 			"0": element(big.NewInt(0)),
 			"n": element(sk.Public.N),
 		},
 	}
+}
+
+// lying wraps a SEM step so that every answer it gives is perturbed by f.
+func lying[X, A any](step func(string, X) (A, error), f func(A) A) func(string, X) (A, error) {
+	return func(id string, x X) (A, error) {
+		a, err := step(id, x)
+		if err != nil {
+			return a, err
+		}
+		return f(a), nil
+	}
+}
+
+// caught is nil when a completion refused a lying SEM's answer: an error
+// and no result.
+func caught[T any](res T, err error) error {
+	switch {
+	case err == nil:
+		return fmt.Errorf("a perturbed half was accepted: %v", res)
+	case !reflect.ValueOf(&res).Elem().IsZero():
+		return fmt.Errorf("refused (%v) but returned %v", err, res)
+	}
+	return nil
 }
 
 // wantBytes turns a (plaintext, error) result into a check against want.
@@ -256,7 +296,8 @@ func wantBytes(got []byte, err error) func(want []byte) error {
 // TestMediators holds every SEM, threshold players included, to the paper's
 // revocation contract — an enrolled identity is served, a revoked one
 // refused with ErrRevoked until it is reinstated, an unknown one refused
-// with ErrUnknownIdentity — and the Z_n SEMs to their operand ranges.
+// with ErrUnknownIdentity — the Z_n SEMs to their operand ranges, and every
+// scheme's completion to refusing a SEM half that is not the honest one.
 func TestMediators(t *testing.T) {
 	for _, m := range mediatorCases(t) {
 		t.Run(m.name, func(t *testing.T) {
@@ -277,6 +318,11 @@ func TestMediators(t *testing.T) {
 			for name, refuse := range m.refused {
 				if err := refuse(mediatedID); err == nil {
 					t.Errorf("operand %s accepted", name)
+				}
+			}
+			if m.lie != nil {
+				if err := m.lie(mediatedID); err != nil {
+					t.Errorf("lying SEM: %v", err)
 				}
 			}
 		})

@@ -26,7 +26,7 @@ func TestTokenPopulatesPairerCache(t *testing.T) {
 		t.Fatalf("cache pre-populated: %d entries", sem.PairerCacheLen())
 	}
 	for i := 0; i < 3; i++ {
-		got, err := Decrypt(sem, alice, c)
+		got, err := DecryptIBE(sem.pub, alice, c, sem.TokenFor)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -65,7 +65,7 @@ func TestRevokeDropsPairerTable(t *testing.T) {
 		cache pairerCache
 	}{
 		{"ibe", sem.Registry(), func() error {
-			return wantBytes(Decrypt(sem, alice, c))(msg)
+			return wantBytes(DecryptIBE(sem.pub, alice, c, sem.TokenFor))(msg)
 		}, sem.pairers},
 		{"threshold", player.Registry(), func() error {
 			ds, err := player.Share("alice@example.com", c.U)
@@ -115,7 +115,7 @@ func TestReRegisterInvalidatesPairerTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Decrypt(sem, alice, c); err != nil {
+	if _, err := DecryptIBE(sem.pub, alice, c, sem.TokenFor); err != nil {
 		t.Fatal(err)
 	}
 
@@ -126,10 +126,10 @@ func TestReRegisterInvalidatesPairerTable(t *testing.T) {
 	if sem.PairerCacheLen() != 0 {
 		t.Fatal("re-registration must invalidate the precomputed table")
 	}
-	if _, err := Decrypt(sem, alice, c); err == nil {
+	if _, err := DecryptIBE(sem.pub, alice, c, sem.TokenFor); err == nil {
 		t.Fatal("old key half still decrypts after re-registration")
 	}
-	got, err := Decrypt(sem, alice2, c)
+	got, err := DecryptIBE(sem.pub, alice2, c, sem.TokenFor)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestPairerCacheEviction(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := Decrypt(sem, users[id], c)
+		got, err := DecryptIBE(sem.pub, users[id], c, sem.TokenFor)
 		if err != nil {
 			t.Fatal(err)
 		}

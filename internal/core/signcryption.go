@@ -8,6 +8,8 @@ import (
 
 	"repro/internal/bf"
 	"repro/internal/bls"
+	"repro/internal/curve"
+	"repro/internal/pairing"
 )
 
 // Mediated signcryption — the paper's closing open problem: "find [a]
@@ -44,17 +46,19 @@ var (
 	ErrDesigncrypt = errors.New("core: designcryption failed")
 )
 
-// Signcrypter wires the two SEMs a deployment already runs.
+// Signcrypter runs the composition through the two SEM steps a deployment
+// already serves, as DecryptIBE and SignGDH take them: in-process SEMs'
+// TokenFor and HalfSign, or a networked client's IBEToken and GDHHalfSign.
 type Signcrypter struct {
-	IBE    *IBESEM
-	GDH    *GDHSEM
-	Public *bf.PublicParams
+	Token    func(id string, u *curve.Point) (*pairing.GT, error)
+	HalfSign func(id string, h *curve.Point) (*curve.Point, error)
+	Public   *bf.PublicParams
 }
 
 // NewSigncrypter builds the composite over existing mediated
 // infrastructure.
-func NewSigncrypter(pub *bf.PublicParams, ibe *IBESEM, gdh *GDHSEM) *Signcrypter {
-	return &Signcrypter{IBE: ibe, GDH: gdh, Public: pub}
+func NewSigncrypter(pub *bf.PublicParams, token func(id string, u *curve.Point) (*pairing.GT, error), halfSign func(id string, h *curve.Point) (*curve.Point, error)) *Signcrypter {
+	return &Signcrypter{Token: token, HalfSign: halfSign, Public: pub}
 }
 
 // Overhead returns the bytes of the IBE block consumed by the embedded
@@ -77,7 +81,7 @@ func (sc *Signcrypter) Signcrypt(rng io.Reader, sender *GDHUserKey, recipient st
 	// Bind the recipient into the signed payload so the envelope cannot be
 	// re-encrypted to someone else without detection.
 	signed := signcryptionPayload(sender.ID, recipient, msg)
-	sig, err := Sign(sc.GDH, sender, signed)
+	sig, err := SignGDH(sender, signed, sc.HalfSign)
 	if err != nil {
 		return nil, fmt.Errorf("signcrypt (sender gate): %w", err)
 	}
@@ -92,7 +96,7 @@ func (sc *Signcrypter) Signcrypt(rng io.Reader, sender *GDHUserKey, recipient st
 // Designcrypt decrypts with the recipient's mediated IBE key (SEM-gated),
 // extracts and verifies the embedded signature, and returns the message.
 func (sc *Signcrypter) Designcrypt(recipient *UserKeyHalf, senderID string, senderKey *bls.PublicKey, c *bf.Ciphertext) ([]byte, error) {
-	block, err := Decrypt(sc.IBE, recipient, c)
+	block, err := DecryptIBE(sc.Public, recipient, c, sc.Token)
 	if err != nil {
 		return nil, fmt.Errorf("designcrypt (recipient gate): %w", err)
 	}

@@ -574,23 +574,16 @@ func proofChallenge(q *big.Int, g, pubPair, w1, w2 *pairing.GT) *big.Int {
 }
 
 // Recombine combines t decryption shares into the pairing value
-// g = Π share_i^λ_i and opens the BasicIdent ciphertext. The caller is
-// responsible for having selected "acceptable" shares (verified proofs);
+// g = Π share_i^λ_i and opens the BasicIdent ciphertext with it, as the
+// full key's DecryptBasic does (bf's OpenBasicWithPairingValue). The caller
+// is responsible for having selected "acceptable" shares (verified proofs);
 // Recombine itself checks only structural validity.
 func (p *ThresholdParams) Recombine(shares []*DecryptionShare, c *bf.BasicCiphertext) ([]byte, error) {
 	g, err := p.CombineShares(shares)
 	if err != nil {
 		return nil, err
 	}
-	mask := bf.MaskGT(g, p.Public.MsgLen)
-	if len(c.V) != p.Public.MsgLen {
-		return nil, fmt.Errorf("core: ciphertext body %d bytes, want %d", len(c.V), p.Public.MsgLen)
-	}
-	out := make([]byte, p.Public.MsgLen)
-	for i := range out {
-		out[i] = c.V[i] ^ mask[i]
-	}
-	return out, nil
+	return p.Public.OpenBasicWithPairingValue(g, c)
 }
 
 // CombineShares interpolates g = Π share_i^λ_i from exactly t shares.
@@ -647,6 +640,9 @@ func (p *ThresholdParams) interpolate(shares []*DecryptionShare, at int) (*pairi
 // distinct players survive, recombines and opens the ciphertext. It returns
 // the indices of rejected players alongside the plaintext.
 func (p *ThresholdParams) RobustDecrypt(id string, shares []*DecryptionShare, c *bf.BasicCiphertext) (msg []byte, rejected []int, err error) {
+	if err := p.Public.CheckBasic(c); err != nil {
+		return nil, nil, err
+	}
 	qid, err := bf.HashIdentityArg(p.Public.Pairing, id)
 	if err != nil {
 		return nil, nil, err

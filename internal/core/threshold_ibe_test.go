@@ -6,6 +6,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/bf"
 	"repro/internal/pairing"
 )
 
@@ -282,6 +283,31 @@ func TestRobustDecryptFailsBelowThreshold(t *testing.T) {
 	shares[0].G = shares[0].G.Mul(shares[0].G) // now only 2 valid
 	if _, _, err := p.RobustDecrypt(id, shares, c); !errors.Is(err, ErrNotEnoughValidShares) {
 		t.Fatalf("robust decrypt below threshold succeeded: %v", err)
+	}
+}
+
+// TestShortBodyRefusedAsBasicIdentDoes: a body that is not MsgLen bytes is
+// bf.ErrMessageLength from the robust recombiner — before any share is
+// looked at, so even with none it is the length that is refused — and from
+// Recombine, as from the full key's DecryptBasic.
+func TestShortBodyRefusedAsBasicIdentDoes(t *testing.T) {
+	pkg := thresholdFixture(t, 3, 5)
+	p := pkg.Params()
+	id := "x@x"
+	keyShares := issueShares(t, pkg, id)
+	c, _ := p.Public.EncryptBasic(rand.Reader, id, bytes.Repeat([]byte{1}, msgLen))
+	short := &bf.BasicCiphertext{U: c.U, V: c.V[1:]}
+	var shares []*DecryptionShare
+	for _, ks := range keyShares[:3] {
+		shares = append(shares, mustShare(t, p, ks, c.U))
+	}
+	for _, offered := range [][]*DecryptionShare{shares, nil} {
+		if _, rejected, err := p.RobustDecrypt(id, offered, short); !errors.Is(err, bf.ErrMessageLength) || rejected != nil {
+			t.Errorf("RobustDecrypt with %d shares: rejected %v, err %v; want bf.ErrMessageLength", len(offered), rejected, err)
+		}
+	}
+	if _, err := p.Recombine(shares, short); !errors.Is(err, bf.ErrMessageLength) {
+		t.Errorf("Recombine: %v, want bf.ErrMessageLength", err)
 	}
 }
 

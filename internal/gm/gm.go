@@ -172,20 +172,12 @@ func Split(rng io.Reader, sk *PrivateKey) (user, sem *mathx.ExpHalf, err error) 
 	return mathx.SplitExponent(rng, sk.Public.N, sk.D, sk.Phi)
 }
 
-// MediatedDecrypt runs the two-party decryption in-process over a bitwise
-// ciphertext.
-func MediatedDecrypt(pk *PublicKey, user, sem *mathx.ExpHalf, cs []*big.Int) ([]byte, error) {
-	semParts := make([]*big.Int, len(cs))
-	for i, c := range cs {
-		semParts[i] = sem.Op(c)
-	}
-	return Combine(pk, user, cs, semParts)
-}
-
 // Combine is the user's side of mediated decryption, wherever the SEM's
 // half-results semParts came from: it checks every element of cs as
-// DecryptBit does, multiplies the user's half-result into the SEM's and
-// reads the residuosity (+1 → 0, −1 → 1) as the plaintext bits.
+// DecryptBit does, joins the user's half-result to the SEM's and reads the
+// residuosity (+1 → 0, −1 → 1) as the plaintext bits, refusing a product
+// that is neither. GM has no integrity, so that is all it can check: a SEM
+// that answers n − x for an honest x flips that bit undetected.
 func Combine(pk *PublicKey, user *mathx.ExpHalf, cs, semParts []*big.Int) ([]byte, error) {
 	if len(semParts) != len(cs) {
 		return nil, fmt.Errorf("%w: %d SEM half-results for %d elements", ErrDecrypt, len(semParts), len(cs))
@@ -194,7 +186,7 @@ func Combine(pk *PublicKey, user *mathx.ExpHalf, cs, semParts []*big.Int) ([]byt
 		if err := checkElement(cs[i], pk.N); err != nil {
 			return 0, fmt.Errorf("element %d: %w", i, err)
 		}
-		return interpretResiduosity(mathx.MulMod(user.Op(cs[i]), semParts[i], pk.N), pk.N)
+		return interpretResiduosity(user.Combine(cs[i], semParts[i]), pk.N)
 	})
 }
 

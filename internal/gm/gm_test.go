@@ -7,6 +7,8 @@ import (
 	"math/big"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/mathx"
 )
 
 func testKey(t *testing.T) *PrivateKey {
@@ -117,7 +119,7 @@ func TestMediatedDecrypt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := MediatedDecrypt(sk.Public, user, sem, cs)
+	got, err := Combine(sk.Public, user, cs, halves(sem, cs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +188,7 @@ func TestQuickRoundTrip(t *testing.T) {
 		if err != nil || !bytes.Equal(direct, msg) {
 			return false
 		}
-		mediated, err := MediatedDecrypt(sk.Public, user, sem, cs)
+		mediated, err := Combine(sk.Public, user, cs, halves(sem, cs))
 		return err == nil && bytes.Equal(mediated, msg)
 	}
 	if err := quick.Check(property, cfg); err != nil {
@@ -207,13 +209,7 @@ func TestCombineChecksEveryElement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	semParts := func(cs []*big.Int) []*big.Int {
-		out := make([]*big.Int, len(cs))
-		for i, c := range cs {
-			out[i] = sem.Op(c)
-		}
-		return out
-	}
+	semParts := func(cs []*big.Int) []*big.Int { return halves(sem, cs) }
 	if got, err := Combine(sk.Public, user, cs, semParts(cs)); err != nil || !bytes.Equal(got, []byte{0x5a}) {
 		t.Fatalf("honest ciphertext: %x, %v", got, err)
 	}
@@ -225,4 +221,13 @@ func TestCombineChecksEveryElement(t *testing.T) {
 	if _, err := Combine(sk.Public, user, cs, semParts(cs)[1:]); !errors.Is(err, ErrDecrypt) {
 		t.Errorf("short SEM response combined: %v", err)
 	}
+}
+
+// halves is an honest SEM's half-results for cs.
+func halves(sem *mathx.ExpHalf, cs []*big.Int) []*big.Int {
+	out := make([]*big.Int, len(cs))
+	for i, c := range cs {
+		out[i] = sem.Op(c)
+	}
+	return out
 }

@@ -3,12 +3,10 @@ package keyfile
 import (
 	"bytes"
 	"crypto/rand"
-	"math/big"
 	"path/filepath"
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/mrsa"
 	"repro/internal/pairing"
 )
 
@@ -72,7 +70,7 @@ func TestDeploymentWriteAndReload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := core.Decrypt(ibeSEM, userKey, ct)
+	got, err := core.DecryptIBE(pub, userKey, ct, ibeSEM.TokenFor)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +83,7 @@ func TestDeploymentWriteAndReload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sig, err := core.Sign(gdhSEM, gdhKey, []byte("reloaded"))
+	sig, err := core.SignGDH(gdhKey, []byte("reloaded"), gdhSEM.HalfSign)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,13 +108,7 @@ func TestDeploymentWriteAndReload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ci := new(big.Int).SetBytes(rct)
-	semHalf, err := rsaSEM.HalfOp("alice@example.com", core.RSACiphertext(rct))
-	if err != nil {
-		t.Fatal(err)
-	}
-	combined := mrsa.Combine(rsaPub.N, rsaUser.Op(ci), semHalf)
-	plain, err := mrsa.FinishDecrypt(rsaPub, combined)
+	plain, err := core.DecryptRSA(rsaPub, "alice@example.com", rsaUser, rct, rsaSEM.HalfOf)
 	if err != nil {
 		t.Fatal(err)
 	}

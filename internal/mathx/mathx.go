@@ -118,6 +118,13 @@ func (h *ExpHalf) Op(x *big.Int) *big.Int {
 	return new(big.Int).Exp(x, h.Half, h.N)
 }
 
+// Combine returns x^Half · other mod N: this half's result for x joined to
+// the other party's result for the same x, which is x^d when other is
+// honest. Every Z_n scheme's user side joins the halves here.
+func (h *ExpHalf) Combine(x, other *big.Int) *big.Int {
+	return MulMod(h.Op(x), other, h.N)
+}
+
 // SplitExponent splits the private exponent d of the modulus n additively,
 // d = d_user + d_sem (mod φ(n)): d_user is drawn uniformly from [1, n) and
 // d_sem = d − d_user mod φ(n). A nil rng means crypto/rand.

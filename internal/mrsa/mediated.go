@@ -31,41 +31,12 @@ func Split(rng io.Reader, kp *KeyPair) (user, sem *mathx.ExpHalf, err error) {
 	return mathx.SplitExponent(rng, kp.Public.N, kp.D, kp.Phi)
 }
 
-// Combine multiplies two half-results modulo n.
-func Combine(n, a, b *big.Int) *big.Int {
-	out := new(big.Int).Mul(a, b)
-	return out.Mod(out, n)
-}
-
-// MediatedDecrypt runs the full two-party decryption locally (both halves
-// in-process): c → c^{d_u}·c^{d_sem} → OAEP decode. The networked variant
-// lives in internal/sem; this is the protocol reference and the benchmark
-// body.
-func MediatedDecrypt(pub *PublicKey, user, sem *mathx.ExpHalf, ciphertext []byte) ([]byte, error) {
-	if len(ciphertext) != pub.ModulusBytes() {
-		return nil, ErrDecrypt
-	}
-	c := new(big.Int).SetBytes(ciphertext)
-	if c.Cmp(pub.N) >= 0 {
-		return nil, ErrDecrypt
-	}
-	return FinishDecrypt(pub, Combine(pub.N, user.Op(c), sem.Op(c)))
-}
-
-// FinishDecrypt OAEP-decodes a recombined mediated-decryption result
-// m = m_user·m_sem mod n: the user's final protocol step, in-process or
-// when the SEM half arrived over the network (see internal/sem).
-func FinishDecrypt(pub *PublicKey, combined *big.Int) ([]byte, error) {
-	k := pub.ModulusBytes()
-	em, err := mathx.PadBytes(combined, k)
-	if err != nil {
-		return nil, ErrDecrypt
-	}
-	msg, err := oaepDecode(em, nil, k)
-	if err != nil {
-		return nil, ErrDecrypt
-	}
-	return msg, nil
+// CombineDecrypt is the user's side of mediated decryption, wherever the
+// SEM's half m_sem = c^{d_sem} came from: it joins the user's half for c to
+// it and OAEP-decodes the result, so an answer that is not c^{d_sem} fails
+// the decode (ErrDecrypt) and nothing unchecked is returned.
+func CombineDecrypt(pub *PublicKey, user *mathx.ExpHalf, c, semHalf *big.Int) ([]byte, error) {
+	return pub.openOAEP(user.Combine(c, semHalf))
 }
 
 // EMSA returns the integer representative of msg's EMSA-PKCS1-v1_5 encoding
@@ -78,21 +49,16 @@ func EMSA(msg []byte, n *big.Int) (*big.Int, error) {
 	return new(big.Int).SetBytes(em), nil
 }
 
-// SignHalf computes one party's signature half over msg: EMSA(msg)^half.
-func SignHalf(h *mathx.ExpHalf, msg []byte) (*big.Int, error) {
-	m, err := EMSA(msg, h.N)
+// CombineSignature is the user's side of mediated signing, wherever the
+// SEM's half EMSA(msg)^{d_sem} came from: it joins the user's half to it and
+// verifies the result against the public key before returning it (the
+// user-side step 3 of the paper's protocols).
+func CombineSignature(pub *PublicKey, user *mathx.ExpHalf, msg []byte, semHalf *big.Int) ([]byte, error) {
+	m, err := EMSA(msg, pub.N)
 	if err != nil {
 		return nil, err
 	}
-	return h.Op(m), nil
-}
-
-// FinishSignature combines two signature halves, checks the result against
-// the public key (the user-side step 3 of the paper's protocols) and
-// serializes it.
-func FinishSignature(pub *PublicKey, msg []byte, userHalf, semHalf *big.Int) ([]byte, error) {
-	s := Combine(pub.N, userHalf, semHalf)
-	sig, err := mathx.PadBytes(s, pub.ModulusBytes())
+	sig, err := mathx.PadBytes(user.Combine(m, semHalf), pub.ModulusBytes())
 	if err != nil {
 		return nil, ErrVerify
 	}

@@ -7,6 +7,8 @@ import (
 	"math/big"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/mathx"
 )
 
 func testKey(t *testing.T) *KeyPair {
@@ -140,7 +142,7 @@ func TestMediatedSplitCompleteness(t *testing.T) {
 	// c^{d_u}·c^{d_sem} must equal c^d for random c.
 	c, _ := rand.Int(rand.Reader, kp.Public.N)
 	full := new(big.Int).Exp(c, kp.D, kp.Public.N)
-	combined := Combine(kp.Public.N, user.Op(c), sem.Op(c))
+	combined := user.Combine(c, sem.Op(c))
 	if full.Cmp(combined) != 0 {
 		t.Fatal("half operations do not compose to the full exponentiation")
 	}
@@ -151,7 +153,7 @@ func TestMediatedDecrypt(t *testing.T) {
 	user, sem, _ := Split(rand.Reader, kp)
 	msg := []byte("mediated hello")
 	c, _ := kp.Public.EncryptOAEP(rand.Reader, msg)
-	got, err := MediatedDecrypt(kp.Public, user, sem, c)
+	got, err := mediatedDecrypt(kp.Public, user, sem, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,12 +169,22 @@ func TestMediatedDecryptRejectsGarbage(t *testing.T) {
 	for i := range junk {
 		junk[i] = 0xFF
 	}
-	if _, err := MediatedDecrypt(kp.Public, user, sem, junk); !errors.Is(err, ErrDecrypt) {
+	if _, err := mediatedDecrypt(kp.Public, user, sem, junk); !errors.Is(err, ErrDecrypt) {
 		t.Fatalf("c ≥ n accepted: %v", err)
 	}
-	if _, err := MediatedDecrypt(kp.Public, user, sem, junk[:4]); !errors.Is(err, ErrDecrypt) {
+	if _, err := mediatedDecrypt(kp.Public, user, sem, junk[:4]); !errors.Is(err, ErrDecrypt) {
 		t.Fatalf("short ciphertext accepted: %v", err)
 	}
+}
+
+// mediatedDecrypt is the two-party decryption with both halves in hand: the
+// SEM's half computed in place, then the user's side, CombineDecrypt.
+func mediatedDecrypt(pub *PublicKey, user, sem *mathx.ExpHalf, ciphertext []byte) ([]byte, error) {
+	c, err := pub.ParseCiphertext(ciphertext)
+	if err != nil {
+		return nil, err
+	}
+	return CombineDecrypt(pub, user, c, sem.Op(c))
 }
 
 func TestHalfAloneCannotDecrypt(t *testing.T) {
@@ -194,15 +206,11 @@ func TestMediatedSignature(t *testing.T) {
 	kp := testKey(t)
 	user, sem, _ := Split(rand.Reader, kp)
 	msg := []byte("mediated signature")
-	hu, err := SignHalf(user, msg)
+	m, err := EMSA(msg, kp.Public.N)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs, err := SignHalf(sem, msg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sig, err := FinishSignature(kp.Public, msg, hu, hs)
+	sig, err := CombineSignature(kp.Public, user, msg, sem.Op(m))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,10 +228,10 @@ func TestFinishSignatureDetectsBadHalf(t *testing.T) {
 	kp := testKey(t)
 	user, sem, _ := Split(rand.Reader, kp)
 	msg := []byte("m")
-	hu, _ := SignHalf(user, msg)
-	hs, _ := SignHalf(sem, msg)
+	m, _ := EMSA(msg, kp.Public.N)
+	hs := sem.Op(m)
 	hs.Add(hs, big.NewInt(1))
-	if _, err := FinishSignature(kp.Public, msg, hu, hs); err == nil {
+	if _, err := CombineSignature(kp.Public, user, msg, hs); err == nil {
 		t.Fatal("corrupted SEM half produced a valid signature")
 	}
 }
@@ -257,7 +265,7 @@ func TestIBmRSARoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := MediatedDecrypt(pub, user, sem, c)
+	got, err := mediatedDecrypt(pub, user, sem, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,9 +280,8 @@ func TestIBmRSASignature(t *testing.T) {
 	user, sem, _ := pkg.IssueHalves(rand.Reader, id)
 	pub := pkg.IdentityPublicKey(id)
 	msg := []byte("identity based signature")
-	hu, _ := SignHalf(user, msg)
-	hs, _ := SignHalf(sem, msg)
-	sig, err := FinishSignature(pub, msg, hu, hs)
+	m, _ := EMSA(msg, pub.N)
+	sig, err := CombineSignature(pub, user, msg, sem.Op(m))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +379,7 @@ func TestQuickSplitCompleteness(t *testing.T) {
 		}
 		c := new(big.Int).SetUint64(seed | 2)
 		full := new(big.Int).Exp(c, kp.D, kp.Public.N)
-		return full.Cmp(Combine(kp.Public.N, user.Op(c), sem.Op(c))) == 0
+		return full.Cmp(user.Combine(c, sem.Op(c))) == 0
 	}
 	if err := quick.Check(property, cfg); err != nil {
 		t.Fatal(err)

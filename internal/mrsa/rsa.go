@@ -144,15 +144,30 @@ func (pk *PublicKey) EncryptOAEP(rng io.Reader, msg []byte) ([]byte, error) {
 
 // DecryptOAEP performs full (non-mediated) RSA-OAEP decryption.
 func (kp *KeyPair) DecryptOAEP(ciphertext []byte) ([]byte, error) {
-	k := kp.Public.ModulusBytes()
-	if len(ciphertext) != k {
+	c, err := kp.Public.ParseCiphertext(ciphertext)
+	if err != nil {
+		return nil, err
+	}
+	return kp.Public.openOAEP(new(big.Int).Exp(c, kp.D, kp.Public.N))
+}
+
+// ParseCiphertext validates an OAEP ciphertext's wire form: exactly
+// ModulusBytes long, and below n.
+func (pk *PublicKey) ParseCiphertext(ciphertext []byte) (*big.Int, error) {
+	if len(ciphertext) != pk.ModulusBytes() {
 		return nil, ErrDecrypt
 	}
 	c := new(big.Int).SetBytes(ciphertext)
-	if c.Cmp(kp.Public.N) >= 0 {
+	if c.Cmp(pk.N) >= 0 {
 		return nil, ErrDecrypt
 	}
-	m := new(big.Int).Exp(c, kp.D, kp.Public.N)
+	return c, nil
+}
+
+// openOAEP decodes m = c^d mod n, however it was assembled, as an OAEP
+// encoding.
+func (pk *PublicKey) openOAEP(m *big.Int) ([]byte, error) {
+	k := pk.ModulusBytes()
 	em, err := mathx.PadBytes(m, k)
 	if err != nil {
 		return nil, ErrDecrypt

@@ -215,7 +215,7 @@ func (sk *PrivateKey) Decrypt(ciphertext []byte, msgLen int) ([]byte, error) {
 		return nil, err
 	}
 	s := new(big.Int).Exp(c, sk.D, sk.Public.N)
-	return sk.Public.FinishDecrypt(c, s, msgLen)
+	return sk.Public.finishDecrypt(c, s, msgLen)
 }
 
 // ParseCiphertext validates the wire form: exactly ModulusBytes long, and
@@ -231,10 +231,10 @@ func (pk *PublicKey) ParseCiphertext(ciphertext []byte) (*big.Int, error) {
 	return c, nil
 }
 
-// FinishDecrypt completes decryption given the computed root s = c^d
+// finishDecrypt completes decryption given the computed root s = c^d
 // (however the exponentiation was assembled): verify s² ≡ c, then try both
 // signs through the SAEP decoder.
-func (pk *PublicKey) FinishDecrypt(c, s *big.Int, msgLen int) ([]byte, error) {
+func (pk *PublicKey) finishDecrypt(c, s *big.Int, msgLen int) ([]byte, error) {
 	check := new(big.Int).Mul(s, s)
 	check.Mod(check, pk.N)
 	if check.Cmp(c) != 0 {
@@ -257,15 +257,12 @@ func Split(rng io.Reader, sk *PrivateKey) (user, sem *mathx.ExpHalf, err error) 
 	return mathx.SplitExponent(rng, sk.Public.N, sk.D, sk.Phi)
 }
 
-// MediatedDecrypt runs the two-party decryption in-process.
-func MediatedDecrypt(pk *PublicKey, user, sem *mathx.ExpHalf, ciphertext []byte, msgLen int) ([]byte, error) {
-	c, err := pk.ParseCiphertext(ciphertext)
-	if err != nil {
-		return nil, err
-	}
-	s := new(big.Int).Mul(user.Op(c), sem.Op(c))
-	s.Mod(s, pk.N)
-	return pk.FinishDecrypt(c, s, msgLen)
+// CombineDecrypt is the user's side of mediated decryption, wherever the
+// SEM's half semPart = c^{d_sem} came from: it joins the user's half for c
+// to it and completes as Decrypt does, so a root with s² ≢ c — a lying SEM
+// or an invalid ciphertext — is refused (ErrDecrypt).
+func CombineDecrypt(pk *PublicKey, user *mathx.ExpHalf, c, semPart *big.Int, msgLen int) ([]byte, error) {
+	return pk.finishDecrypt(c, user.Combine(c, semPart), msgLen)
 }
 
 // HashToJacobiPlus maps (msg, ctr) to an element h < n with
@@ -309,19 +306,24 @@ func (sk *PrivateKey) Sign(msg []byte) (*Signature, error) {
 	return nil, fmt.Errorf("rabin: no QR hash found in 128 counters (astronomically unlikely)")
 }
 
-// CombineSignature assembles a mediated signature from the two halves for
-// a given counter. It returns ErrSignRetry when the hash was not a QR —
-// the caller advances the counter and asks the SEM again.
-func CombineSignature(pk *PublicKey, msg []byte, ctr uint32, userPart, semPart *big.Int) (*Signature, error) {
+// CombineSignature is the user's side of mediated signing for one counter,
+// wherever the SEM's half semPart = h^{d_sem} of h = H(msg, ctr) came from:
+// it joins the user's half to it and returns the root s when s² ≡ h. When
+// s² ≡ −h the halves are honest and h is not a residue (h has Jacobi symbol
+// +1, so h^(φ/4) ≡ −1): it returns ErrSignRetry, and the caller advances the
+// counter and asks the SEM again. Any other s is refused with ErrVerify: the
+// SEM's half was not h^{d_sem}.
+func CombineSignature(pk *PublicKey, user *mathx.ExpHalf, msg []byte, ctr uint32, semPart *big.Int) (*Signature, error) {
 	h := HashToJacobiPlus(pk.N, msg, ctr)
-	s := new(big.Int).Mul(userPart, semPart)
-	s.Mod(s, pk.N)
-	check := new(big.Int).Mul(s, s)
-	check.Mod(check, pk.N)
-	if check.Cmp(h) != 0 {
+	s := user.Combine(h, semPart)
+	check := mathx.MulMod(s, s, pk.N)
+	switch {
+	case check.Cmp(h) == 0:
+		return &Signature{S: s, Ctr: ctr}, nil
+	case check.Add(check, h).Cmp(pk.N) == 0:
 		return nil, ErrSignRetry
 	}
-	return &Signature{S: s, Ctr: ctr}, nil
+	return nil, fmt.Errorf("%w: the SEM's half does not complete a root", ErrVerify)
 }
 
 // Verify checks s² ≡ H(msg, ctr) (mod n).

@@ -7,6 +7,8 @@ import (
 	"math/big"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/mathx"
 )
 
 // Fixed 128-bit Blum primes (shared with internal/gm's fixtures' sizes).
@@ -126,12 +128,29 @@ func TestMediatedDecrypt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := MediatedDecrypt(sk.Public, user, sem, ct, len(msg))
+	got, err := mediatedDecrypt(sk.Public, user, sem, ct, len(msg))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, msg) {
 		t.Fatalf("mediated decrypt got %q, want %q", got, msg)
+	}
+	// n − c is a non-residue whose computed root ±c^d squares to c, not to
+	// n − c, and passes the SAEP decoder: only the check s² ≡ c refuses it,
+	// in both the unsplit decryption and the user's completion.
+	c, err := sk.Public.ParseCiphertext(ct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	neg, err := mathx.PadBytes(new(big.Int).Sub(sk.Public.N, c), sk.Public.ModulusBytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := sk.Decrypt(neg, len(msg)); !errors.Is(err, ErrDecrypt) {
+		t.Errorf("n − c decrypted to %q (%v)", got, err)
+	}
+	if got, err := mediatedDecrypt(sk.Public, user, sem, neg, len(msg)); !errors.Is(err, ErrDecrypt) {
+		t.Errorf("n − c combined to %q (%v)", got, err)
 	}
 }
 
@@ -162,6 +181,16 @@ func TestSignVerify(t *testing.T) {
 	}
 }
 
+// mediatedDecrypt is the two-party decryption with both halves in hand: the
+// SEM's half computed in place, then the user's side, CombineDecrypt.
+func mediatedDecrypt(pk *PublicKey, user, sem *mathx.ExpHalf, ciphertext []byte, msgLen int) ([]byte, error) {
+	c, err := pk.ParseCiphertext(ciphertext)
+	if err != nil {
+		return nil, err
+	}
+	return CombineDecrypt(pk, user, c, sem.Op(c), msgLen)
+}
+
 func TestMediatedSignature(t *testing.T) {
 	sk := testKey(t)
 	user, sem, _ := Split(rand.Reader, sk)
@@ -169,7 +198,7 @@ func TestMediatedSignature(t *testing.T) {
 	var sig *Signature
 	for ctr := uint32(0); ctr < 128; ctr++ {
 		h := HashToJacobiPlus(sk.Public.N, msg, ctr)
-		s, err := CombineSignature(sk.Public, msg, ctr, user.Op(h), sem.Op(h))
+		s, err := CombineSignature(sk.Public, user, msg, ctr, sem.Op(h))
 		if errors.Is(err, ErrSignRetry) {
 			continue
 		}
@@ -242,7 +271,7 @@ func TestQuickRoundTrips(t *testing.T) {
 		if err != nil || !bytes.Equal(d1, msg) {
 			return false
 		}
-		d2, err := MediatedDecrypt(sk.Public, user, sem, ct, len(msg))
+		d2, err := mediatedDecrypt(sk.Public, user, sem, ct, len(msg))
 		return err == nil && bytes.Equal(d2, msg)
 	}
 	if err := quick.Check(property, cfg); err != nil {

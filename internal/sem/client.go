@@ -6,12 +6,8 @@ import (
 	"fmt"
 	"math/big"
 
-	"repro/internal/bf"
-	"repro/internal/bls"
 	"repro/internal/core"
 	"repro/internal/curve"
-	"repro/internal/gm"
-	"repro/internal/mathx"
 	"repro/internal/mrsa"
 	"repro/internal/pairing"
 	"repro/internal/parallel"
@@ -209,16 +205,6 @@ func (o *ops) TokenBatch(ids []string, us []*curve.Point) (tokens []*pairing.GT,
 	return batch(o, opIBEToken, ids, us, marshalPoint, o.token)
 }
 
-// DecryptIBE runs the user side of the full mediated-IBE decryption
-// protocol over the network: request token, pair the user half, open.
-func (o *ops) DecryptIBE(pub *bf.PublicParams, key *core.UserKeyHalf, ct *bf.Ciphertext) ([]byte, error) {
-	token, err := o.IBEToken(key.ID, ct.U)
-	if err != nil {
-		return nil, err
-	}
-	return core.UserDecrypt(pub, key, ct, token)
-}
-
 // GDHHalfSign requests the SEM half-signature S_sem = x_sem·h for an
 // already-hashed message point.
 func (o *ops) GDHHalfSign(id string, h *curve.Point) (*curve.Point, error) {
@@ -241,37 +227,10 @@ func (o *ops) GDHHalfSignBatch(ids []string, hs []*curve.Point) (halves []*curve
 	return batch(o, opGDHSign, ids, hs, marshalPoint, o.halfSig)
 }
 
-// SignGDH runs the user side of the full mediated-GDH signing protocol over
-// the network.
-func (o *ops) SignGDH(key *core.GDHUserKey, msg []byte) (*curve.Point, error) {
-	h, err := bls.HashMessage(key.Public.Pairing, msg)
-	if err != nil {
-		return nil, err
-	}
-	semHalf, err := o.GDHHalfSign(key.ID, h)
-	if err != nil {
-		return nil, err
-	}
-	return core.UserSign(key, msg, semHalf)
-}
-
-// DecryptRSA runs the user side of the mediated-RSA decryption protocol
-// over the network: the SEM's m_sem = c^{d_sem} mod n is range-checked
-// against the public modulus before it is combined.
-func (o *ops) DecryptRSA(pub *mrsa.PublicKey, id string, userHalf *mathx.ExpHalf, ciphertext []byte) ([]byte, error) {
-	if len(ciphertext) != pub.ModulusBytes() {
-		return nil, mrsa.ErrDecrypt
-	}
-	ci, err := wire.UnmarshalScalar(ciphertext, pub.N)
-	if err != nil {
-		return nil, mrsa.ErrDecrypt
-	}
-	semHalf, err := call(o, opRSADecrypt, id, marshalInt(ci), below(pub.N))
-	if err != nil {
-		return nil, err
-	}
-	combined := mrsa.Combine(pub.N, userHalf.Op(ci), semHalf)
-	return mrsa.FinishDecrypt(pub, combined)
+// RSAHalfDecrypt requests m_sem = c^{d_sem} mod n, range-checked against
+// the public modulus: the SEM step core.DecryptRSA asks.
+func (o *ops) RSAHalfDecrypt(pub *mrsa.PublicKey, id string, c *big.Int) (*big.Int, error) {
+	return call(o, opRSADecrypt, id, marshalInt(c), below(pub.N))
 }
 
 // RSAHalfDecryptBatch requests m_sem = c^{d_sem} mod n for k ciphertexts,
@@ -288,33 +247,15 @@ func (o *ops) RSAHalfSign(pub *mrsa.PublicKey, id string, msg []byte) (*big.Int,
 	return call(o, opRSASign, id, msg, below(pub.N))
 }
 
-// SignRSA runs the user side of the mediated-RSA signing protocol over the
-// network.
-func (o *ops) SignRSA(pub *mrsa.PublicKey, userHalf *mathx.ExpHalf, id string, msg []byte) ([]byte, error) {
-	semHalf, err := o.RSAHalfSign(pub, id, msg)
-	if err != nil {
-		return nil, err
-	}
-	mine, err := mrsa.SignHalf(userHalf, msg)
-	if err != nil {
-		return nil, err
-	}
-	return mrsa.FinishSignature(pub, msg, mine, semHalf)
-}
-
-// DecryptGM runs the user side of the mediated Goldwasser-Micali
-// decryption protocol over the network; gm.Combine checks the SEM's
-// half-results against the ciphertext.
-func (o *ops) DecryptGM(pk *gm.PublicKey, id string, userHalf *mathx.ExpHalf, cs []*big.Int) ([]byte, error) {
+// GMHalfDecrypt requests c^{d_sem} mod n for every element of a bitwise
+// Goldwasser-Micali ciphertext: the SEM step core.DecryptGM asks, whose
+// completion checks every element against the public key.
+func (o *ops) GMHalfDecrypt(id string, cs []*big.Int) ([]*big.Int, error) {
 	payload, err := wire.PackInts(cs)
 	if err != nil {
 		return nil, err
 	}
-	semParts, err := call(o, opGMDecrypt, id, payload, wire.UnpackInts)
-	if err != nil {
-		return nil, err
-	}
-	return gm.Combine(pk, userHalf, cs, semParts)
+	return call(o, opGMDecrypt, id, payload, wire.UnpackInts)
 }
 
 // ThresholdShare requests a threshold-IBE player's decryption share

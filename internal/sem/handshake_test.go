@@ -95,12 +95,11 @@ func TestClientMethodSetParity(t *testing.T) {
 		"Addr":  true, // the one address a pool targets (ShardedClient has Addrs)
 		"Stats": true, // per-connection wire accounting
 	}
-	// The three half-ops, five full protocols, five batch forms, seven
-	// admin ops, three repl ops, the threshold share in both forms and
-	// Close.
+	// The five half-ops, five batch forms, seven admin ops, three repl
+	// ops, the threshold share in both forms and Close. The user's side of
+	// each protocol is core's flow, given one of these ops.
 	shared := []string{
-		"IBEToken", "GDHHalfSign", "RSAHalfSign",
-		"DecryptIBE", "SignGDH", "DecryptRSA", "SignRSA", "DecryptGM",
+		"IBEToken", "GDHHalfSign", "RSAHalfSign", "RSAHalfDecrypt", "GMHalfDecrypt",
 		"TokenBatch", "GDHHalfSignBatch", "RSAHalfDecryptBatch", "RegisterIBEBatch", "RegisterGDHBatch",
 		"ThresholdShare", "ThresholdShareBatch",
 		"Ping", "Revoke", "Unrevoke", "Status", "RegisterIBE", "RegisterGDH", "ListRevoked",

@@ -41,7 +41,7 @@ func TestRegisterIBEOverWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := f.client.DecryptIBE(f.pkg.Public(), bobUser, ct)
+	got, err := core.DecryptIBE(f.pkg.Public(), bobUser, ct, f.client.IBEToken)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestRegisterGDHOverWire(t *testing.T) {
 		t.Fatal(err)
 	}
 	msg := []byte("registered over the wire")
-	sig, err := f.client.SignGDH(bobUser, msg)
+	sig, err := core.SignGDH(bobUser, msg, f.client.GDHHalfSign)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/rand"
 	"errors"
+	"math/big"
 	"net"
 	"path/filepath"
 	"strings"
@@ -156,7 +157,7 @@ func TestNetworkedIBEDecryption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := f.client.DecryptIBE(f.pkg.Public(), f.ibeUser, ct)
+	got, err := core.DecryptIBE(f.pkg.Public(), f.ibeUser, ct, f.client.IBEToken)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +169,7 @@ func TestNetworkedIBEDecryption(t *testing.T) {
 func TestNetworkedGDHSigning(t *testing.T) {
 	f := newFixture(t)
 	msg := []byte("sign me over the network")
-	sig, err := f.client.SignGDH(f.gdhUser, msg)
+	sig, err := core.SignGDH(f.gdhUser, msg, f.client.GDHHalfSign)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +185,8 @@ func TestNetworkedRSADecryption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := f.client.DecryptRSA(f.rsaPub, testID, f.rsaUser, ct)
+	halfDecrypt := func(id string, c *big.Int) (*big.Int, error) { return f.client.RSAHalfDecrypt(f.rsaPub, id, c) }
+	got, err := core.DecryptRSA(f.rsaPub, testID, f.rsaUser, ct, halfDecrypt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +198,8 @@ func TestNetworkedRSADecryption(t *testing.T) {
 func TestNetworkedRSASigning(t *testing.T) {
 	f := newFixture(t)
 	msg := []byte("mrsa signature online")
-	sig, err := f.client.SignRSA(f.rsaPub, f.rsaUser, testID, msg)
+	halfSign := func(id string, msg []byte) (*big.Int, error) { return f.client.RSAHalfSign(f.rsaPub, id, msg) }
+	sig, err := core.SignRSA(f.rsaPub, testID, f.rsaUser, msg, halfSign)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,10 +221,10 @@ func TestRevocationOverTheWire(t *testing.T) {
 		t.Fatalf("status = %v, %v; want revoked", revoked, err)
 	}
 	// Revocation kills all three capabilities at once.
-	if _, err := f.client.DecryptIBE(f.pkg.Public(), f.ibeUser, ct); !errors.Is(err, core.ErrRevoked) {
+	if _, err := core.DecryptIBE(f.pkg.Public(), f.ibeUser, ct, f.client.IBEToken); !errors.Is(err, core.ErrRevoked) {
 		t.Errorf("IBE after revoke: %v", err)
 	}
-	if _, err := f.client.SignGDH(f.gdhUser, msg); !errors.Is(err, core.ErrRevoked) {
+	if _, err := core.SignGDH(f.gdhUser, msg, f.client.GDHHalfSign); !errors.Is(err, core.ErrRevoked) {
 		t.Errorf("GDH after revoke: %v", err)
 	}
 	if _, err := f.client.RSAHalfSign(f.rsaPub, testID, msg); !errors.Is(err, core.ErrRevoked) {
@@ -231,7 +234,7 @@ func TestRevocationOverTheWire(t *testing.T) {
 	if err := f.client.Unrevoke(testID); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.client.DecryptIBE(f.pkg.Public(), f.ibeUser, ct); err != nil {
+	if _, err := core.DecryptIBE(f.pkg.Public(), f.ibeUser, ct, f.client.IBEToken); err != nil {
 		t.Errorf("IBE after unrevoke: %v", err)
 	}
 }
@@ -266,7 +269,7 @@ func TestUnknownOpRejected(t *testing.T) {
 func TestWireStatsAccumulate(t *testing.T) {
 	f := newFixture(t)
 	msg := []byte("stats")
-	if _, err := f.client.SignGDH(f.gdhUser, msg); err != nil {
+	if _, err := core.SignGDH(f.gdhUser, msg, f.client.GDHHalfSign); err != nil {
 		t.Fatal(err)
 	}
 	stats := f.client.Stats()
@@ -299,7 +302,7 @@ func TestConcurrentClients(t *testing.T) {
 				errs <- err
 				return
 			}
-			got, err := client.DecryptIBE(f.pkg.Public(), f.ibeUser, ct)
+			got, err := core.DecryptIBE(f.pkg.Public(), f.ibeUser, ct, client.IBEToken)
 			if err == nil && !bytes.Equal(got, msg) {
 				err = errors.New("wrong plaintext")
 			}
@@ -427,7 +430,7 @@ func TestNetworkedGMDecryption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := f.client.DecryptGM(f.gmKey.Public, testID, f.gmUser, cs)
+	got, err := core.DecryptGM(f.gmKey.Public, testID, f.gmUser, cs, f.client.GMHalfDecrypt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,7 +441,7 @@ func TestNetworkedGMDecryption(t *testing.T) {
 	if err := f.client.Revoke(testID, "gm test"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.client.DecryptGM(f.gmKey.Public, testID, f.gmUser, cs); !errors.Is(err, core.ErrRevoked) {
+	if _, err := core.DecryptGM(f.gmKey.Public, testID, f.gmUser, cs, f.client.GMHalfDecrypt); !errors.Is(err, core.ErrRevoked) {
 		t.Fatalf("revoked GM identity decrypted over the wire: %v", err)
 	}
 }

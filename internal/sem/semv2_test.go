@@ -157,14 +157,13 @@ func TestRSAHalfDecryptBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Combine each SEM half with the local user half and finish the OAEP
-	// decryption, matching what DecryptRSA does per item.
+	// Complete each SEM half with the local user half, as core.DecryptRSA
+	// does per item.
 	for i := 0; i < k; i++ {
 		if errs[i] != nil {
 			t.Fatalf("item %d: %v", i, errs[i])
 		}
-		combined := mrsa.Combine(f.rsaPub.N, f.rsaUser.Op(cts[i]), halves[i])
-		got, err := mrsa.FinishDecrypt(f.rsaPub, combined)
+		got, err := mrsa.CombineDecrypt(f.rsaPub, f.rsaUser, cts[i], halves[i])
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -640,7 +640,7 @@ func (s *Server) rsaSign(id string, payload []byte) ([]byte, error) {
 	if s.cfg.RSA == nil {
 		return nil, unsupported("RSA backend not configured")
 	}
-	half, err := s.cfg.RSA.HalfOp(id, core.RSAMessage(payload))
+	half, err := s.cfg.RSA.HalfSignRSA(id, payload)
 	if err != nil {
 		return nil, err
 	}

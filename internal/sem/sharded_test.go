@@ -139,7 +139,7 @@ func TestShardedRoutingAndOps(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := sc.DecryptIBE(fl.pkg.Public(), users[i], ct)
+		got, err := core.DecryptIBE(fl.pkg.Public(), users[i], ct, sc.IBEToken)
 		if err != nil {
 			t.Fatalf("decrypt %s: %v", ids[i], err)
 		}
@@ -199,7 +199,7 @@ func TestShardedGDHSigning(t *testing.T) {
 		t.Fatal(err)
 	}
 	msg := []byte("sign me across the fleet")
-	sig, err := sc.SignGDH(user, msg)
+	sig, err := core.SignGDH(user, msg, sc.GDHHalfSign)
 	if err != nil {
 		t.Fatal(err)
 	}

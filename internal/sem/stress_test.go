@@ -116,7 +116,7 @@ func TestConcurrentTokenStress(t *testing.T) {
 					errs <- err
 					return
 				}
-				got, err := client.DecryptIBE(f.pkg.Public(), user, ct)
+				got, err := core.DecryptIBE(f.pkg.Public(), user, ct, client.IBEToken)
 				if err != nil {
 					errs <- err
 					return
@@ -172,7 +172,7 @@ func TestSingleWorkerServesManyConnections(t *testing.T) {
 				errs <- err
 				return
 			}
-			got, err := client.DecryptIBE(f.pkg.Public(), user, ct)
+			got, err := core.DecryptIBE(f.pkg.Public(), user, ct, client.IBEToken)
 			if err == nil && !bytes.Equal(got, msg) {
 				err = errors.New("wrong plaintext")
 			}
@@ -257,7 +257,7 @@ func TestCacheEvictionOverTheWire(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := client.DecryptIBE(f.pkg.Public(), users[id], ct)
+		got, err := core.DecryptIBE(f.pkg.Public(), users[id], ct, client.IBEToken)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -320,7 +320,7 @@ func TestRevocationDropsCachedProgramOverTheWire(t *testing.T) {
 	}
 	defer client.Close()
 
-	if _, err := client.DecryptIBE(f.pkg.Public(), user, ct); err != nil {
+	if _, err := core.DecryptIBE(f.pkg.Public(), user, ct, client.IBEToken); err != nil {
 		t.Fatal(err)
 	}
 	if f.ibe.PairerCacheLen() != 1 {
@@ -333,14 +333,14 @@ func TestRevocationDropsCachedProgramOverTheWire(t *testing.T) {
 	if f.ibe.PairerCacheLen() != 0 {
 		t.Fatal("revocation over the wire left the precomputed program behind")
 	}
-	if _, err := client.DecryptIBE(f.pkg.Public(), user, ct); !errors.Is(err, core.ErrRevoked) {
+	if _, err := core.DecryptIBE(f.pkg.Public(), user, ct, client.IBEToken); !errors.Is(err, core.ErrRevoked) {
 		t.Fatalf("revoked decryption: %v", err)
 	}
 
 	if err := client.Unrevoke(testID); err != nil {
 		t.Fatal(err)
 	}
-	got, err := client.DecryptIBE(f.pkg.Public(), user, ct)
+	got, err := core.DecryptIBE(f.pkg.Public(), user, ct, client.IBEToken)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +378,7 @@ func TestRevokeRacesTokenIssuance(t *testing.T) {
 					errs <- err
 					return
 				}
-				got, err := client.DecryptIBE(f.pkg.Public(), user, ct)
+				got, err := core.DecryptIBE(f.pkg.Public(), user, ct, client.IBEToken)
 				switch {
 				case err == nil:
 					if !bytes.Equal(got, msg) {
