@@ -71,7 +71,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	gdhSig, err := core.UserSign(gdhKey, contract, gdhToken)
+	gdhSig, err := core.UserSign(gdhKey, h, gdhToken)
 	if err != nil {
 		return err
 	}

@@ -151,9 +151,15 @@ func Baseline(pp *pairing.Params, minIters int, minDuration time.Duration) (*Bas
 	if err != nil {
 		return nil, err
 	}
-	gtComb, err := pairing.NewGTSecretComb(g)
-	if err != nil {
-		return nil, err
+	// Four pairing values prepared for one secret exponent: a prover's W1
+	// and W2 are two such bases, a recombiner's final exponentiations four.
+	var gtBases4 []*pairing.SecretBase
+	for h := g; len(gtBases4) < 4; h = h.Mul(g) {
+		b, err := h.SecretBase()
+		if err != nil {
+			return nil, err
+		}
+		gtBases4 = append(gtBases4, b)
 	}
 
 	pkg, err := bf.Setup(rand.Reader, pp, 32)
@@ -171,6 +177,13 @@ func Baseline(pp *pairing.Params, minIters int, minDuration time.Duration) (*Bas
 	if err != nil {
 		return nil, err
 	}
+	// A mediated GDH signer and its SEM, in-process.
+	gdhUser, gdhSEMKey, err := core.NewGDHAuthority(pp).Keygen(rand.Reader, id)
+	if err != nil {
+		return nil, err
+	}
+	gdhSEM := core.NewGDHSEM(pp, core.NewRegistry())
+	gdhSEM.Register(gdhSEMKey)
 
 	// Threshold-IBE fixtures: the installed key shares of a (3, 5) system,
 	// every player's share of one ciphertext with its robustness proof, and
@@ -504,8 +517,9 @@ func Baseline(pp *pairing.Params, minIters int, minDuration time.Duration) (*Bas
 		{"scalarmul.secret-comb.build", func() error { _, err := curve.NewSecretComb(P); return err }},
 		{"gtexp.square-multiply", func() error { _, err := g.Exp(k); return err }},
 		{"gtexp.secret", func() error { _, err := g.ExpSecret(k); return err }},
-		{"gtexp.secret-comb", func() error { gtComb.ExpSecret(k); return nil }},
-		{"gtexp.secret-comb.build", func() error { _, err := pairing.NewGTSecretComb(g); return err }},
+		{"gtexp.secret.x1", func() error { pp.ExpSecretEach(k, gtBases4[0]); return nil }},
+		{"gtexp.secret.x4", func() error { pp.ExpSecretEach(k, gtBases4...); return nil }},
+		{"gdh.sign.mediated", func() error { _, err := core.SignGDH(gdhUser, msg, gdhSEM.HalfSign); return err }},
 		{"gt.ingt", func() error {
 			if !pp.InGT(g) {
 				return fmt.Errorf("pairing value outside GT")

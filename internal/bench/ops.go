@@ -53,7 +53,7 @@ func Ops(w *World) ([]Op, error) {
 	if err != nil {
 		return nil, err
 	}
-	gdhSig, err := core.UserSign(w.GDHUser, sigMsg, gdhSemHalf)
+	gdhSig, err := core.UserSign(w.GDHUser, h, gdhSemHalf)
 	if err != nil {
 		return nil, err
 	}
@@ -108,7 +108,7 @@ func Ops(w *World) ([]Op, error) {
 			return err
 		}},
 		{"mediated-gdh", "sign.user", func() error {
-			_, err := core.UserSign(w.GDHUser, sigMsg, gdhSemHalf)
+			_, err := core.UserSign(w.GDHUser, h, gdhSemHalf)
 			return err
 		}},
 		{"mediated-gdh", "sign.total", func() error {

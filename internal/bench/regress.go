@@ -200,7 +200,17 @@ func (g ratioGate) name() string { return g.Num + " ÷ " + g.Den }
 // one w-NAF multiplication, 1.94–2.73 intact and 5.13–5.92 as five
 // multiplications summed, and the 20-term GT multi-exponentiation against
 // one exponentiation, 4.7–9.0 intact and 19.9–26.3 as twenty multiplied
-// (quick runs on all three kernels).
+// (quick runs on all three kernels). The twenty-sixth, lanes-only, holds
+// the trace ladders of one secret exponent to one lane call: four bases
+// against one, 1.10–1.20 when they share it and 4.03 when each runs its
+// own (quick runs on the IFMA host); on the scalar kernels the ladders run
+// one after another by design and the ratio is ≈ 4 either way, so the gate
+// holds nothing there. The last holds the mediated GDH signature to one
+// hash onto G1: an in-process core.SignGDH at paper size against one
+// hash.to-g1, 2.94–3.98 (IFMA 2.94–3.88, MULX 3.05–3.98, Go 3.68–3.83; four
+// quick runs each) against 4.40–5.02 with the message hashed a second time
+// (4.40–4.90, 4.51–5.02, 4.68–4.98); both sides run on one kernel, so one
+// bound serves all three.
 var kernelRatioGates = []ratioGate{
 	{Num: "fp.mul.go", Den: "fp.mul.generic", Max: every(0.70), Rounds: 64, Burst: 2048},
 	{Num: "fp.square.go", Den: "fp.mul.go", Max: every(0.92), Rounds: 64, Burst: 2048},
@@ -227,6 +237,8 @@ var kernelRatioGates = []ratioGate{
 	{Num: "pair", Den: "gf.mul", Max: kernelBound{IFMA: 850}, Rounds: 128, Burst: 1, DenBurst: 1024},
 	{Num: "msm.5", Den: "scalarmul.variable-wnaf", Max: every(3.8), Rounds: 32, Burst: 4},
 	{Num: "gtexp.multi4x5", Den: "gtexp.square-multiply", Max: every(12), Rounds: 32, Burst: 4},
+	{Num: "gtexp.secret.x4", Den: "gtexp.secret.x1", Max: kernelBound{IFMA: 2.0}, Rounds: 32, Burst: 8},
+	{Num: "gdh.sign.mediated", Den: "hash.to-g1", Max: every(4.2), Rounds: 16, Burst: 2},
 }
 
 // CompareBaselines checks a freshly measured report against a committed

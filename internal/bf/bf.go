@@ -63,12 +63,13 @@ var (
 // the pairing groups, the generator P (inside params) and P_pub = s·P.
 //
 // PublicParams must be used by pointer (every method has a pointer receiver):
-// it lazily caches per-recipient constant-time combs (pairing.GTSecretComb)
-// of the GT element ê(P_pub, Q_ID), which depends only on the recipient
-// identity, so repeat encryptions to the same identity skip the hash onto the
-// curve and the pairing, and raise that element to the sender's r — the
-// secret that opens the message — by the same operations for every r; a
-// first encryption pairs through the Miller program of P_pub, built once.
+// it lazily caches per recipient the GT element ê(P_pub, Q_ID), which
+// depends only on the recipient identity, prepared for secret exponents
+// (pairing.SecretBase), so repeat encryptions to the same identity skip the
+// hash onto the curve, the pairing and the inversion, and raise that element
+// to the sender's r — the secret that opens the message — on the trace
+// ladder, by the same operations for every r; a first encryption pairs
+// through the Miller program of P_pub, built once.
 type PublicParams struct {
 	Pairing *pairing.Params
 	PPub    *curve.Point
@@ -76,49 +77,50 @@ type PublicParams struct {
 	MsgLen int
 
 	gtOnce  sync.Once
-	gtCache *lru.Cache[string, *pairing.GTSecretComb]
+	gtCache *lru.Cache[string, *pairing.SecretBase]
 
 	ppubOnce sync.Once
 	ppubPair *pairing.HashPairer // ê(P_pub, H1(·)); nil, with ppubErr set, for a P_pub outside G1 ∖ {O}
 	ppubErr  error
 }
 
-// maxCachedRecipients bounds the per-identity comb cache; least recently
+// maxCachedRecipients bounds the per-identity cache; least recently
 // encrypted-to identities are evicted first, so a sender spraying unique
 // identities cannot grow memory without bound while a working set of hot
 // recipients stays cached.
 const maxCachedRecipients = 64
 
-// recipientCache returns the LRU of per-recipient GT combs, building it on
-// first use (PublicParams values are assembled by struct literal).
-func (pub *PublicParams) recipientCache() *lru.Cache[string, *pairing.GTSecretComb] {
+// recipientCache returns the LRU of per-recipient pairing values, building
+// it on first use (PublicParams values are assembled by struct literal).
+func (pub *PublicParams) recipientCache() *lru.Cache[string, *pairing.SecretBase] {
 	pub.gtOnce.Do(func() {
-		pub.gtCache = lru.New[string, *pairing.GTSecretComb](maxCachedRecipients)
+		pub.gtCache = lru.New[string, *pairing.SecretBase](maxCachedRecipients)
 	})
 	return pub.gtCache
 }
 
-// InstrumentRecipientCache exports the per-recipient GT-comb cache's
+// InstrumentRecipientCache exports the per-recipient pairing-value cache's
 // counters through reg as the cache="bf_gt_tables" series of the shared
-// lru_* families (the label predates the combs and is kept for dashboards).
+// lru_* families (the label predates the cached values and is kept for
+// dashboards).
 func (pub *PublicParams) InstrumentRecipientCache(reg *obs.Registry) {
 	pub.recipientCache().Instrument(reg, "bf_gt_tables")
 }
 
 // RecipientCacheStats reports the hit/miss/eviction counters of the
-// per-recipient GT-comb cache.
+// per-recipient pairing-value cache.
 func (pub *PublicParams) RecipientCacheStats() lru.Stats {
 	return pub.recipientCache().Stats()
 }
 
-// recipientPairing returns ê(P_pub, Q_ID)^r for the given identity, through
-// the recipient's cached GT comb when there is one. Only a recipient without
-// one is hashed onto the curve, and then only as the evaluation point of
-// P_pub's program (HashIdentityArg: no cofactor clearing).
+// recipientPairing returns ê(P_pub, Q_ID)^r for the given identity, from the
+// recipient's cached pairing value when there is one. Only a recipient
+// without one is hashed onto the curve, and then only as the evaluation point
+// of P_pub's program (HashIdentityArg: no cofactor clearing).
 func (pub *PublicParams) recipientPairing(id string, r *big.Int) (*pairing.GT, error) {
 	cache := pub.recipientCache()
-	if comb, ok := cache.Get(id); ok {
-		return comb.ExpSecret(r), nil
+	if base, ok := cache.Get(id); ok {
+		return pub.Pairing.ExpSecretEach(r, base)[0], nil
 	}
 	h, err := HashIdentityArg(pub.Pairing, id)
 	if err != nil {
@@ -132,14 +134,14 @@ func (pub *PublicParams) recipientPairing(id string, r *big.Int) (*pairing.GT, e
 	if err != nil {
 		return nil, err
 	}
-	comb, err := pairing.NewGTSecretComb(g)
+	base, err := g.SecretBase()
 	if err != nil {
-		// A value outside GT, which a pairing of G1 points never is;
-		// exponentiate directly.
-		return g.ExpSecret(r)
+		// A value off the norm-1 group, which a pairing of G1 points never
+		// is.
+		return nil, err
 	}
-	cache.Add(id, comb)
-	return comb.ExpSecret(r), nil
+	cache.Add(id, base)
+	return pub.Pairing.ExpSecretEach(r, base)[0], nil
 }
 
 // PrivateKey is an extracted identity key d_ID = s·Q_ID.

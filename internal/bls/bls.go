@@ -93,17 +93,26 @@ func (k *PrivateKey) Sign(msg []byte) (*curve.Point, error) {
 // Verify checks that (P, R, h(M), S) is a Diffie-Hellman tuple:
 // ê(P, S) = ê(R, h(M)), evaluated as the single product
 // ê(P, S)·ê(−R, h(M)) = 1 so one shared Miller loop and one final
-// exponentiation replace two full pairings.
+// exponentiation replace two full pairings. It is VerifyHashed on the
+// message's hash, for a verifier that holds only the message.
 func (pk *PublicKey) Verify(msg []byte, sig *curve.Point) error {
+	h, err := HashMessage(pk.Pairing, msg)
+	if err != nil {
+		return err
+	}
+	return pk.VerifyHashed(h, sig)
+}
+
+// VerifyHashed is Verify for a caller that already holds h = h(M)
+// (HashMessage) — a signer completing its own signature — so the message is
+// not hashed again. The signature is checked to be in G1; h is trusted to be
+// the hash.
+func (pk *PublicKey) VerifyHashed(h, sig *curve.Point) error {
 	if sig.IsInfinity() {
 		return ErrInvalidSignature
 	}
 	if !sig.InSubgroup() {
 		return fmt.Errorf("%w: signature outside G1", ErrInvalidSignature)
-	}
-	h, err := HashMessage(pk.Pairing, msg)
-	if err != nil {
-		return err
 	}
 	prod, err := pk.Pairing.MultiPair(
 		[]*curve.Point{pk.Pairing.Generator(), pk.R.Neg()},

@@ -98,20 +98,19 @@ func (s *GDHSEM) HalfSign(id string, h *curve.Point) (*curve.Point, error) {
 }
 
 // UserSign is the user's side of mediated GDH signing, wherever the SEM
-// half came from: S_user = x_user·h(M) added to it, and the combined
-// signature verified before it is returned (the paper's step 3: "He
-// verifies that S_M is a valid signature on M").
-func UserSign(key *GDHUserKey, msg []byte, semHalf *curve.Point) (*curve.Point, error) {
-	h, err := bls.HashMessage(key.Public.Pairing, msg)
-	if err != nil {
-		return nil, err
-	}
+// half came from: S_user = x_user·h added to it, and the combined signature
+// verified before it is returned (the paper's step 3: "He verifies that S_M
+// is a valid signature on M"). h is the message's hash h(M)
+// (bls.HashMessage) that the SEM was asked to sign, which the flow already
+// holds: the signature and its check use it as it is, and the message is
+// hashed once per signature.
+func UserSign(key *GDHUserKey, h, semHalf *curve.Point) (*curve.Point, error) {
 	userHalf, err := h.ScalarMulSecret(key.X)
 	if err != nil {
 		return nil, err
 	}
 	sig := semHalf.Add(userHalf)
-	if err := key.Public.Verify(msg, sig); err != nil {
+	if err := key.Public.VerifyHashed(h, sig); err != nil {
 		return nil, fmt.Errorf("combined mediated signature invalid: %w", err)
 	}
 	return sig, nil
@@ -120,7 +119,7 @@ func UserSign(key *GDHUserKey, msg []byte, semHalf *curve.Point) (*curve.Point, 
 // SignGDH is the two-party signing protocol, written once for both places
 // the SEM runs: hash the message, ask halfSign — an in-process GDHSEM's
 // HalfSign, or the networked client's GDHHalfSign — for S_sem, then
-// complete with UserSign.
+// complete with UserSign on the same hash.
 func SignGDH(key *GDHUserKey, msg []byte, halfSign func(id string, h *curve.Point) (*curve.Point, error)) (*curve.Point, error) {
 	h, err := bls.HashMessage(key.Public.Pairing, msg)
 	if err != nil {
@@ -130,7 +129,7 @@ func SignGDH(key *GDHUserKey, msg []byte, halfSign func(id string, h *curve.Poin
 	if err != nil {
 		return nil, err
 	}
-	return UserSign(key, msg, semHalf)
+	return UserSign(key, h, semHalf)
 }
 
 // RecombineGDHKey reassembles the full signing scalar from both halves —

@@ -94,7 +94,7 @@ func TestGDHUserDetectsBadSEMHalf(t *testing.T) {
 	}
 	// Corrupt the SEM's half: the user-side verification (protocol step 3)
 	// must catch it rather than emit a bad signature.
-	if _, err := UserSign(key, msg, good.Double()); err == nil {
+	if _, err := UserSign(key, h, good.Double()); err == nil {
 		t.Fatal("corrupted SEM half produced an accepted signature")
 	}
 }

@@ -15,10 +15,9 @@ import (
 // working set of actively decrypting identities stays warm while idle ones
 // age out. A program is two field elements per Miller line — ≈ 45 KB at
 // paper size, so a SEM's full cache is ≈ 11 MB. A threshold player's entry
-// also grows two ≈ 4 KB combs the first time it proves a share — of its key
-// share and of the share's public pairing constant (≈ 53 KB an entry,
-// ≈ 13.5 MB full); a SEM never multiplies by its key half, so its entries
-// never do.
+// also grows a ≈ 4 KB comb of its key share the first time it proves a share
+// (≈ 49 KB an entry, ≈ 12.5 MB full); a SEM never multiplies by its key
+// half, so its entries never do.
 const pairerCapacity = 256
 
 // pairerCache is the bounded, build-once cache of fixed-argument Miller
@@ -52,10 +51,8 @@ func newPairerCache(reg *Registry) pairerCache {
 // identity's stale key. The entry goes into the cache before its program
 // exists and build makes the program once: connections missing together on
 // one identity all find the same entry and share the one NewFixedPair. The
-// two combs — the key as a fixed base for secret scalars, and the public
-// pairing constant a threshold player raises to its proof nonce — are built
-// the same way, each under its own Once, by the first mulSecret and the
-// first powSecret, and go when the entry goes.
+// comb of the key, a fixed base for secret scalars, is built the same way,
+// under its own Once, by the first mulSecret, and goes when the entry goes.
 type keyPairer struct {
 	d     *curve.Point
 	build sync.Once
@@ -65,10 +62,6 @@ type keyPairer struct {
 	combOnce sync.Once
 	comb     *curve.SecretComb
 	combErr  error // NewSecretComb's refusal of d (the same points NewFixedPair refuses)
-
-	powOnce sync.Once
-	pow     *pairing.GTSecretComb
-	powErr  error // NewGTSecretComb's refusal of a base outside GT
 }
 
 // pair returns ê(d, u) for the key d held under id — d walked, u only the
@@ -137,22 +130,6 @@ func (p *keyPairer) mulSecret(d *curve.Point, k *big.Int) (*curve.Point, error) 
 		return nil, p.combErr
 	}
 	return p.comb.ScalarMul(k), nil
-}
-
-// powSecret returns c^r for a secret exponent r, where c is the public
-// pairing constant of the key share the entry was made for (the same c on
-// every call: it is a function of the identity and the player, as d is), from
-// a comb of c built on first use: the element c.ExpSecret(r) returns, at a
-// quarter of the price. A nil entry is answered by c.ExpSecret.
-func (p *keyPairer) powSecret(c *pairing.GT, r *big.Int) (*pairing.GT, error) {
-	if p == nil {
-		return c.ExpSecret(r)
-	}
-	p.powOnce.Do(func() { p.pow, p.powErr = pairing.NewGTSecretComb(c) })
-	if p.powErr != nil {
-		return nil, p.powErr
-	}
-	return p.pow.ExpSecret(r), nil
 }
 
 // lookup counts one request for id and returns the entry its program lives

@@ -278,10 +278,10 @@ func TestPairerCacheGuardsTheKey(t *testing.T) {
 	}
 }
 
-// TestSEMEntryBuildsNoComb: the combs are built by whoever multiplies by the
-// key and raises its public constant, which an IBESEM never does — its
-// entries stay a Miller program, at the size pairerCapacity's comment gives —
-// while a player's entry has both from its first share on.
+// TestSEMEntryBuildsNoComb: the comb of the key is built by whoever
+// multiplies by the key, which an IBESEM never does — its entries stay a
+// Miller program, at the size pairerCapacity's comment gives — while a
+// player's entry has it from its first share on.
 func TestSEMEntryBuildsNoComb(t *testing.T) {
 	pkg, sem := ibeFixture(t)
 	enroll(t, pkg, sem, "alice@example.com")
@@ -295,7 +295,7 @@ func TestSEMEntryBuildsNoComb(t *testing.T) {
 	if !ok || entry.fp == nil {
 		t.Fatal("three tokens left no program in the cache")
 	}
-	if entry.comb != nil || entry.pow != nil {
+	if entry.comb != nil {
 		t.Fatal("an IBESEM entry built a comb")
 	}
 
@@ -304,64 +304,47 @@ func TestSEMEntryBuildsNoComb(t *testing.T) {
 	if _, err := player.Share("vault@example.com", u); err != nil {
 		t.Fatal(err)
 	}
-	if entry, ok := player.pairers.Get("vault@example.com"); !ok || entry.comb == nil || entry.pow == nil {
-		t.Fatal("a player's first share left no combs beside the program")
+	if entry, ok := player.pairers.Get("vault@example.com"); !ok || entry.comb == nil {
+		t.Fatal("a player's first share left no comb beside the program")
 	}
 }
 
-// TestCombsBuiltOnce: callers that multiply and exponentiate together through
-// an entry that has no combs yet all end up on the one pair the first of them
-// built, and a nil entry answers the same elements from the ladders. Run
-// under -race.
+// TestCombsBuiltOnce: callers that multiply together through an entry that
+// has no comb yet all end up on the one comb the first of them built, and a
+// nil entry answers the same point from the ladder. Run under -race.
 func TestCombsBuiltOnce(t *testing.T) {
 	pkg, _ := playerFixture(t)
 	pp := pkg.Params().Public.Pairing
 	d, _ := pp.Curve().RandomG1(rand.Reader)
-	c, err := pp.PairWithGenerator(d)
-	if err != nil {
-		t.Fatal(err)
-	}
 	entry := &keyPairer{d: d}
 	k := big.NewInt(0xBADC0DE)
 	wantV := d.ScalarMul(k)
-	wantW, err := c.Exp(k)
-	if err != nil {
-		t.Fatal(err)
-	}
 
-	type built struct {
-		comb *curve.SecretComb
-		pow  *pairing.GTSecretComb
-	}
 	const callers = 8
-	results := make(chan built, callers)
+	results := make(chan *curve.SecretComb, callers)
 	for i := 0; i < callers; i++ {
 		go func() {
 			v, errV := entry.mulSecret(d, k)
-			w, errW := entry.powSecret(c, k)
-			if errV != nil || errW != nil || !v.Equal(wantV) || !w.Equal(wantW) {
-				results <- built{}
+			if errV != nil || !v.Equal(wantV) {
+				results <- nil
 				return
 			}
-			results <- built{entry.comb, entry.pow}
+			results <- entry.comb
 		}()
 	}
 	first := <-results
-	if first.comb == nil || first.pow == nil {
-		t.Fatal("a concurrent first use failed or returned the wrong element")
+	if first == nil {
+		t.Fatal("a concurrent first use failed or returned the wrong point")
 	}
 	for i := 1; i < callers; i++ {
 		if got := <-results; got != first {
-			t.Fatal("concurrent first uses did not share one pair of combs")
+			t.Fatal("concurrent first uses did not share one comb")
 		}
 	}
 
 	var none *keyPairer
 	if v, err := none.mulSecret(d, k); err != nil || !v.Equal(wantV) {
 		t.Fatalf("nil entry: k·d = %v, %v", v, err)
-	}
-	if w, err := none.powSecret(c, k); err != nil || !w.Equal(wantW) {
-		t.Fatalf("nil entry: c^k = %v, %v", w, err)
 	}
 }
 

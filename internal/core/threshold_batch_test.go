@@ -384,3 +384,13 @@ func TestDegenerateVerificationKeyVouchesForNothing(t *testing.T) {
 		}
 	}
 }
+
+// vkPair is cᵢ = ê(P_pub^(i), Q_ID) through verification key i's cached
+// program, as VerifyShareProofs replays it.
+func (p *ThresholdParams) vkPair(i int, qid *pairing.HashArg) (*pairing.GT, error) {
+	hp, err := p.vkPairer(i)
+	if err != nil {
+		return nil, err
+	}
+	return hp.Pair(qid)
+}

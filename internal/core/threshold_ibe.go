@@ -73,18 +73,18 @@ type vkPairer struct {
 	err  error // set for a key outside G1 ∖ {O} (nothing this package constructs)
 }
 
-// vkPair computes cᵢ = ê(P_pub^(i), Q_ID) from the identity's uncleared hash
-// through a per-index cached program (i is 1-based and already range-checked
-// by callers). A verification key that is not a G1 point has no program and
-// vouches for no share.
-func (p *ThresholdParams) vkPair(i int, qid *pairing.HashArg) (*pairing.GT, error) {
+// vkPairer returns the cached program of ê(P_pub^(i), ·) that pairs an
+// identity's uncleared hash into cᵢ = ê(P_pub^(i), Q_ID) (i is 1-based and
+// already range-checked by callers). A verification key that is not a G1
+// point has no program and vouches for no share.
+func (p *ThresholdParams) vkPairer(i int) (*pairing.HashPairer, error) {
 	p.vkOnce.Do(func() { p.vkPairers = make([]vkPairer, len(p.VerificationKeys)) })
 	e := &p.vkPairers[i-1]
 	e.once.Do(func() { e.hp, e.err = p.Public.Pairing.NewHashPairer(p.VerificationKeys[i-1]) })
 	if e.err != nil {
 		return nil, fmt.Errorf("core: verification key of player %d: %w", i, e.err)
 	}
-	return e.hp.Pair(qid)
+	return e.hp, nil
 }
 
 // ThresholdPKG is the trusted dealer: it holds the sharing polynomial and
@@ -96,12 +96,13 @@ type ThresholdPKG struct {
 
 // KeyShare is player i's share d_IDi = f(i)·Q_ID of an identity key.
 //
-// A share lazily carries ê(P_pub^(i), Q_ID), the public constant both its
-// acceptance check and every proof it later emits are bound to, so a player
-// hashes the identity and pairs for it once — at VerifyKeyShare, i.e. at
-// installation — and never per request. The constant is fixed by (ID,
-// Index): leave those alone once the share is in use, and use shares by
-// pointer.
+// A share lazily carries cᵢ = ê(P_pub^(i), Q_ID), the public constant both its
+// acceptance check and every proof it later emits are bound to, prepared as
+// the base of the proof's W1 = cᵢ^r (pairing.SecretBase: cᵢ and its inverted
+// imaginary part), so a player hashes the identity, pairs and inverts for it
+// once — at VerifyKeyShare, i.e. at installation — and never per request.
+// The constant is fixed by (ID, Index): leave those alone once the share is
+// in use, and use shares by pointer.
 //
 //cryptolint:secret
 type KeyShare struct {
@@ -110,13 +111,17 @@ type KeyShare struct {
 	D     *curve.Point
 
 	pubOnce sync.Once
-	pubPair *pairing.GT //cryptolint:public (ê(P_pub^(i), Q_ID): computed from public values only)
+	pubBase *pairing.SecretBase //cryptolint:public (ê(P_pub^(i), Q_ID): computed from public values only)
 	pubErr  error
 }
 
 // sharePubPair returns ê(P_pub^(i), Q_ID) for the share's identity and
-// player index, computing it on first use.
-func (p *ThresholdParams) sharePubPair(share *KeyShare) (*pairing.GT, error) {
+// player index, prepared for secret exponents, computing it on first use.
+// A caller about to finish another pairing passes its Miller value as
+// beside: on a first use the two final exponentiations run together
+// (pairing.Params.Finish) and *besideOut gets the other pairing; otherwise
+// *besideOut is left nil.
+func (p *ThresholdParams) sharePubPair(share *KeyShare, beside *pairing.Miller, besideOut **pairing.GT) (*pairing.SecretBase, error) {
 	share.pubOnce.Do(func() {
 		if share.Index < 1 || share.Index > p.N {
 			share.pubErr = fmt.Errorf("core: player index %d out of range 1..%d", share.Index, p.N)
@@ -127,9 +132,22 @@ func (p *ThresholdParams) sharePubPair(share *KeyShare) (*pairing.GT, error) {
 			share.pubErr = err
 			return
 		}
-		share.pubPair, share.pubErr = p.vkPair(share.Index, qid)
+		hp, err := p.vkPairer(share.Index)
+		if err != nil {
+			share.pubErr = err
+			return
+		}
+		ms := []pairing.Miller{hp.Miller(qid)}
+		if beside != nil {
+			ms = append(ms, *beside)
+		}
+		pairs := p.Public.Pairing.Finish(ms...)
+		if beside != nil {
+			*besideOut = pairs[1]
+		}
+		share.pubBase, share.pubErr = pairs[0].SecretBase()
 	})
-	return share.pubPair, share.pubErr
+	return share.pubBase, share.pubErr
 }
 
 // DecryptionShare is player i's contribution ê(U, d_IDi) for one ciphertext,
@@ -252,15 +270,17 @@ func KeyShareFromScalar(pp *pairing.Params, id string, j int, x *big.Int) (*KeyS
 // ê(P_pub^(i), Q_ID) = ê(P, d_IDi). A failing share triggers a complaint to
 // the PKG.
 func (p *ThresholdParams) VerifyKeyShare(share *KeyShare) error {
-	lhs, err := p.sharePubPair(share)
+	pp := p.Public.Pairing
+	m := pp.MillerWithGenerator(share.D)
+	var rhs *pairing.GT
+	lhs, err := p.sharePubPair(share, &m, &rhs)
 	if err != nil {
 		return err
 	}
-	rhs, err := p.Public.Pairing.PairWithGenerator(share.D)
-	if err != nil {
-		return err
+	if rhs == nil {
+		rhs = pp.Finish(m)[0]
 	}
-	if !lhs.Equal(rhs) {
+	if !lhs.GT().Equal(rhs) {
 		return fmt.Errorf("%w: player %d, identity %q", ErrShareVerification, share.Index, share.ID)
 	}
 	return nil
@@ -333,15 +353,24 @@ func (p *ThresholdParams) ComputeShareWithProof(rng io.Reader, share *KeyShare, 
 //
 // r and r + e are nonce-grade — either one, with the published e and V, gives
 // d_IDi = (r + e)⁻¹·V away — so nothing here lets them steer a branch or an
-// address. W2 is GT.ExpSecret; W1 and V have fixed bases, cᵢ and d_IDi, and
-// come off entry, the share's line in a player's cache, as constant-time comb
-// walks (keyPairer.powSecret, mulSecret) — or, with no entry (nil: an identity
-// the cache did not admit, the cacheless ComputeShareWithProof), from
-// ExpSecret and ScalarMulSecret, the same elements. One field inversion per
-// share, V's, by the constant-time fp.Field.Inv.
+// address. W1 and W2 share the secret r and both bases are public and
+// unitary, so they are one trace ladder of |q| steps for the two
+// (pairing.Params.ExpSecretEach; one lane call on the lane engine), cᵢ
+// prepared once on the share and g by one constant-time inversion here. V has
+// the fixed base d_IDi and comes off entry, the share's line in a player's
+// cache, as a constant-time comb walk (keyPairer.mulSecret) — or, with no
+// entry (nil: an identity the cache did not admit, the cacheless
+// ComputeShareWithProof), from ScalarMulSecret, the same point. Two field
+// inversions per share, g's and V's, each by the constant-time
+// fp.Field.Inv.
 func (p *ThresholdParams) proveShare(rng io.Reader, share *KeyShare, g *pairing.GT, entry *keyPairer) (*DecryptionShare, error) {
-	q := p.Public.Pairing.Q()
-	pubPair, err := p.sharePubPair(share)
+	pp := p.Public.Pairing
+	q := pp.Q()
+	pubBase, err := p.sharePubPair(share, nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	gBase, err := g.SecretBase()
 	if err != nil {
 		return nil, err
 	}
@@ -349,15 +378,9 @@ func (p *ThresholdParams) proveShare(rng io.Reader, share *KeyShare, g *pairing.
 	if err != nil {
 		return nil, fmt.Errorf("sample proof nonce: %w", err)
 	}
-	w1, err := entry.powSecret(pubPair, r)
-	if err != nil {
-		return nil, err
-	}
-	w2, err := g.ExpSecret(r)
-	if err != nil {
-		return nil, err
-	}
-	e := proofChallenge(q, g, pubPair, w1, w2)
+	ws := pp.ExpSecretEach(r, pubBase, gBase)
+	w1, w2 := ws[0], ws[1]
+	e := proofChallenge(q, g, pubBase.GT(), w1, w2)
 	// r + e is reduced by math/big — one limb-wise add and one reduction
 	// below 2q — and consumed only by mulSecret, never branched on, compared
 	// or encoded. r + e ≡ 0 gives V = O like any other multiple.
@@ -480,46 +503,54 @@ func (p *ThresholdParams) VerifyShareProofs(qid *pairing.HashArg, u *curve.Point
 	}
 	one := big.NewInt(1)
 	coefBound := new(big.Int).Lsh(one, batchCoefficientBits)
-	// The right-hand side as 4n (base, exponent) terms:
-	// W1ᵢ^(aᵢρ) · cᵢ^(aᵢeᵢρ) · W2ᵢ^aᵢ · Gᵢ^(aᵢeᵢ).
-	bases := make([]*pairing.GT, 4*n)
-	exps := make([]*big.Int, 4*n)
+	// ρ and the aᵢ read nothing of the shares, so the folded pairing is
+	// walked beside the n cᵢ replays and all n + 1 final exponentiations are
+	// finished together (pairing.Params.Finish); each cᵢ comes out exact and
+	// enters its challenge as before.
 	as := make([]*big.Int, n)
 	vs := make([]curve.EvalPoint, n)
+	ms := make([]pairing.Miller, n+1)
 	for i, ds := range shares {
-		pubPair, err := p.vkPair(ds.Index, qid)
-		if err != nil {
-			return err
-		}
-		e := proofChallenge(q, ds.G, pubPair, ds.Proof.W1, ds.Proof.W2)
-		if e.Cmp(ds.Proof.E) != 0 { //cryptolint:public (Fiat–Shamir challenge check; the proof and challenge are public values)
-			return fmt.Errorf("%w: challenge mismatch (player %d)", ErrProofInvalid, ds.Index)
-		}
-		a := one
+		as[i] = one
 		if i > 0 {
-			if a, err = mathx.RandomInRange(rand.Reader, one, coefBound); err != nil {
+			if as[i], err = mathx.RandomInRange(rand.Reader, one, coefBound); err != nil {
 				return fmt.Errorf("sample batching coefficient: %w", err)
 			}
 		}
-		ae := mathx.MulMod(a, e, q)
-		copy(bases[4*i:], []*pairing.GT{ds.Proof.W1, pubPair, ds.Proof.W2, ds.G})
-		copy(exps[4*i:], []*big.Int{mathx.MulMod(a, rho, q), mathx.MulMod(ae, rho, q), a, ae})
-		as[i], vs[i] = a, ds.Proof.V
+		vs[i] = ds.Proof.V
+		hp, err := p.vkPairer(ds.Index)
+		if err != nil {
+			return err
+		}
+		ms[i] = hp.Miller(qid)
 	}
-
 	v, err := pp.Curve().EvalSum(as, vs)
 	if err != nil {
 		return err
 	}
-	lhs, err := pp.Pair(pp.GeneratorMul(rho).Add(u), v)
-	if err != nil {
-		return err
+	ms[n] = pp.Miller(pp.GeneratorMul(rho).Add(u), v)
+	pairs := pp.Finish(ms...)
+
+	// The right-hand side as 4n (base, exponent) terms:
+	// W1ᵢ^(aᵢρ) · cᵢ^(aᵢeᵢρ) · W2ᵢ^aᵢ · Gᵢ^(aᵢeᵢ).
+	bases := make([]*pairing.GT, 4*n)
+	exps := make([]*big.Int, 4*n)
+	for i, ds := range shares {
+		pubPair := pairs[i]
+		e := proofChallenge(q, ds.G, pubPair, ds.Proof.W1, ds.Proof.W2)
+		if e.Cmp(ds.Proof.E) != 0 { //cryptolint:public (Fiat–Shamir challenge check; the proof and challenge are public values)
+			return fmt.Errorf("%w: challenge mismatch (player %d)", ErrProofInvalid, ds.Index)
+		}
+		a := as[i]
+		ae := mathx.MulMod(a, e, q)
+		copy(bases[4*i:], []*pairing.GT{ds.Proof.W1, pubPair, ds.Proof.W2, ds.G})
+		copy(exps[4*i:], []*big.Int{mathx.MulMod(a, rho, q), mathx.MulMod(ae, rho, q), a, ae})
 	}
 	rhs, err := pp.MultiExp(bases, exps)
 	if err != nil {
 		return fmt.Errorf("%w: %w", ErrProofInvalid, err)
 	}
-	if !lhs.Equal(rhs) {
+	if !pairs[n].Equal(rhs) {
 		return fmt.Errorf("%w: combined pairing equation (players %v)", ErrProofInvalid, players)
 	}
 	return nil

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bls"
 	"repro/internal/curve"
 	"repro/internal/fp"
 	"repro/internal/mathx"
@@ -64,23 +65,26 @@ func welch(a, b []float64) float64 {
 // random ones — same player, identity and U, the two classes interleaved at
 // random — and Welch's t between the classes must stay under 4.5.
 //
-// The fixed nonce is extreme for each thing a nonce used to steer: it has
-// Hamming weight 2 to 4 (square-and-multiply made W1 = cᵢ^r and W2 = g^r
-// three multiplications where a random r costs sixteen), and among the
-// ≈ 5 000 such candidates it is the one whose r + e has the fewest non-zero
-// w-NAF digits
+// The fixed nonce is extreme for each thing a nonce used to steer or could
+// steer: it is half as long as q (a trace ladder that walked r's own length
+// instead of |q| bits would make W1 = cᵢ^r and W2 = g^r in half the steps),
+// it has Hamming weight 2 to 4 (square-and-multiply made them three
+// multiplications where a random r costs sixteen), and among the ≈ 800
+// such candidates it is the one whose r + e has the fewest non-zero w-NAF
+// digits
 // (the ladder that made V = (r + e)·d_IDi skipped an addition per zero
 // digit). Pointing any of the three back — ScalarMul for the comb of d_IDi,
 // GT.Exp for the comb of cᵢ or for ExpSecret — fails this test in all three
 // rounds (CHANGES.md, PR 28, records the runs).
+// A trace ladder that walks r.BitLen() bits fails it too (CHANGES.md
+// records that run).
 //
 // That is the toy set, on the any-width loops. The paper set runs 10⁴
 // shares a class on the 8-limb kernel this CPU selects — where fp.Kernel()
 // names the lane engine, the replay of lines derived from d_IDi is one
 // lane kernel call and the ladders of the powers run on lanes too — with
-// the fixed nonce's one to three extra bits drawn from every fifth
-// position, which keeps the candidates near 5 000; it logs which kernel it
-// timed.
+// the fixed nonce's one to three extra bits drawn from every third
+// position, ≈ 3 600 candidates; it logs which kernel it timed.
 //
 // The rounds and the cropping are timingClassesAgree's.
 func TestShareTimingIndependentOfNonce(t *testing.T) {
@@ -141,12 +145,12 @@ func shareTimingIndependentOfNonce(t *testing.T, pp *pairing.Params, perClass in
 		return ds, d
 	}
 
-	// The fixed class: the top bit of a (|q| − 1)-bit nonce plus one to
-	// three more, at every stride-th position.
+	// The fixed class: the top bit of a |q|/2-bit nonce plus one to three
+	// more, at every stride-th position.
 	var fixed *big.Int
 	best := math.MaxInt
-	low := q.BitLen() - 2
-	stride := max(1, low/30)
+	low := q.BitLen()/2 - 1
+	stride := max(1, low/26)
 	for i := 0; i < low; i += stride {
 		for j := i; j < low; j += stride {
 			for l := j; l < low; l += stride {
@@ -367,6 +371,107 @@ func TestPairingTimingIndependentOfKey(t *testing.T) {
 				t.Fatal("a pairing's running time depends on the key it walks")
 			}
 		})
+	}
+}
+
+// TestHalfSignTimingIndependentOfKey is the dudect check of ROADMAP item
+// 3(ii) on the mediated GDH signature's SEM step, gdh_half_sign: a warm
+// GDHSEM.HalfSign — the revocation check and S_sem = x_sem·h by
+// ScalarMulSecret — is timed for each of two enrolled identities, the same
+// message hash h, the two classes interleaved at random, and Welch's t must
+// stay under 4.5. The two halves x_sem are extreme for what a variable-time
+// ladder keys on: the top bit of a (|q| − 1)-bit scalar plus one more, whose
+// w-NAF has two non-zero digits, against the one of 64 random scalars with
+// the most (ScalarMul skips an addition per zero digit). It runs on the toy
+// set, 10⁵ half-signatures a class on the any-width loops, and on the paper
+// set, 10⁴ a class on the 8-limb kernel this CPU selects (the purego build
+// times the Go kernels), and logs which kernel it timed.
+func TestHalfSignTimingIndependentOfKey(t *testing.T) {
+	if testing.Short() {
+		t.Skip("2·10⁵ and 2·10⁴ timed half-signatures")
+	}
+	if raceEnabled {
+		t.Skip("running times under the race detector measure the detector")
+	}
+	for _, set := range []struct {
+		name     string
+		params   func() (*pairing.Params, error)
+		perClass int
+	}{
+		{"toy", pairing.Toy, 100_000},
+		{"paper", pairing.Paper, 10_000},
+	} {
+		t.Run(set.name, func(t *testing.T) {
+			pp, err := set.params()
+			if err != nil {
+				t.Fatal(err)
+			}
+			kernel := "the any-width loops"
+			if pp.Field().Fp().Limbs() == 8 {
+				kernel = "fp kernel " + fp.Kernel()
+			}
+			t.Logf("timing %s half-signatures on %s", set.name, kernel)
+			halfSignTimingIndependentOfKey(t, pp, set.perClass, kernel)
+		})
+	}
+}
+
+func halfSignTimingIndependentOfKey(t *testing.T, pp *pairing.Params, perClass int, kernel string) {
+	q := pp.Q()
+	width := uint(4)
+	if q.BitLen() > 128 {
+		width = 5 // curve's w-NAF width above 128 bits
+	}
+	weight := func(k *big.Int) int {
+		n := 0
+		for _, d := range mathx.WNAF(k, width) {
+			if d != 0 {
+				n++
+			}
+		}
+		return n
+	}
+	var xs [2]*big.Int
+	xs[0] = new(big.Int).SetBit(new(big.Int), q.BitLen()-2, 1)
+	xs[0].SetBit(xs[0], q.BitLen()/2, 1)
+	most := 0
+	for i := 0; i < 64; i++ {
+		x, err := mathx.RandomFieldElement(rand.Reader, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w := weight(x); w > most {
+			xs[1], most = x, w
+		}
+	}
+	sem := NewGDHSEM(pp, NewRegistry())
+	ids := [2]string{"sparse-key@example.com", "dense-key@example.com"}
+	for c, id := range ids {
+		sem.Register(&GDHSEMKey{ID: id, X: xs[c]})
+	}
+	h, err := bls.HashMessage(pp, []byte("timed message"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c, id := range ids {
+		s, err := sem.HalfSign(id, h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !s.Equal(h.ScalarMul(xs[c])) {
+			t.Fatalf("%s: the warm-up half-signature is not x_sem·h", id)
+		}
+	}
+	if !timingClassesAgree(t, perClass, func(class, _ int) time.Duration {
+		t0 := time.Now()
+		_, err := sem.HalfSign(ids[class], h)
+		d := time.Since(t0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}, fmt.Sprintf("%s, keys of w-NAF weight %d and %d", kernel, weight(xs[0]), most)) {
+		t.Fatal("a half-signature's running time depends on the SEM's key half")
 	}
 }
 

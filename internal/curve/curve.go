@@ -417,7 +417,11 @@ func (c *Curve) HashToPointUncleared(domain string, msg []byte) (*Point, error) 
 		digest := expandDigest(domain, uint8(ctr), msg, size+16)
 		x := new(big.Int).SetBytes(digest[:size+8])
 		_ = F.FromBig(pt.x, x.Mod(x, c.p)) // reduced: cannot fail
-		if !c.solveY(pt.y, pt.x) {
+		// About half the candidates are not abscissas: their Legendre
+		// symbol, a ninth of solveY's exponentiation, turns them away before
+		// the root is taken.
+		c.rhs(pt.y, pt.x)
+		if F.Legendre(pt.y) < 0 || !c.solveY(pt.y, pt.x) {
 			continue
 		}
 		// Use one post-coordinate digest byte to pick the root's sign so the

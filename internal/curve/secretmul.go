@@ -8,7 +8,7 @@
 // doublings and additions in the same order, every table row read for every
 // digit, no branch or address taken from the scalar.
 //
-// Both rest on one recoding (fp.SignedBits, shared with gf.UnitaryComb). An
+// Both rest on one recoding (fp.SignedBits). An
 // odd k̃ < 2^L is written with L signed bits
 //
 //	k̃ = Σ_{i<L} bᵢ·2^i,  b_{L−1} = +1,  bᵢ = +1 if bit i+1 of k̃ is set, else −1

@@ -78,7 +78,7 @@ type Field struct {
 	lazy bool
 	p2w  []uint64 // 2·p² as 2n limbs (offset making lazy differences non-negative)
 
-	two []uint64 // 2 in Montgomery form, for LucasLadder
+	two []uint64 // 2 in Montgomery form, for LucasLadders
 
 	lanes *laneField // the lane engine's constants, at 8 limbs (lane.go)
 }
@@ -361,8 +361,8 @@ func (f *Field) Square(z, x []uint64) {
 
 // Kernel names the field kernels at 8 limbs in this process: "go" for the
 // portable kernels, "amd64-adx" for the assembly under Mul and Square, and
-// "amd64-adx+ifma" where the lane engine (lane.go) also runs ReplayJ and
-// LucasLadder. It is decided by CPUID and XCR0 at package init and the
+// "amd64-adx+ifma" where the lane engine (lane.go) also runs ReplayJ, WalkJ
+// and LucasLadders. It is decided by CPUID and XCR0 at package init and the
 // purego build tag, and by nothing a caller can set.
 func Kernel() string {
 	switch {
@@ -768,6 +768,10 @@ func (f *Field) SquareFp2(zr, zi, ar, ai []uint64) {
 	f.Double(zi, r)
 }
 
+// MaxLadders is how many trace ladders share one lane call (LucasLadders,
+// LucasDoublings): on the lane engine each takes a pair of the eight lanes.
+const MaxLadders = 4
+
 // LucasLadder sets (vk, vk1) = (V_k, V_(k+1)) for k ≥ 0, where V_j is the
 // Lucas sequence with V_0 = 2 and V_1 = v1 — for a norm-1 element g of F_p²
 // with trace v1, the traces V_j = g^j + g^−j = 2·Re(g^j) of its powers. It
@@ -776,34 +780,91 @@ func (f *Field) SquareFp2(zr, zi, ar, ai []uint64) {
 //	V_2j = V_j² − 2,   V_(2j+1) = V_j·V_(j+1) − V_1,
 //
 // one multiplication and one squaring per bit, with no doubling and no
-// constant but 2. The bits only steer constant-time selections, and the
-// loop runs k.BitLen() times; at 8 limbs on the assembly the whole ladder
-// is one call, on the lane engine (laneLadder8, the step's two products in
-// one lane product) where Kernel names it and lucasLadder8 elsewhere. vk
-// and vk1 must not alias v1 or each other.
+// constant but 2. It is LucasLadders for one ladder over k.BitLen() bits,
+// for a public k; a secret one goes through LucasLadders with its bound's
+// bit count. vk and vk1 must not alias v1 or each other.
 //
 //cryptolint:hotpath
 func (f *Field) LucasLadder(vk, vk1, v1 []uint64, k *big.Int) {
+	var a, b, c [1][]uint64
+	a[0], b[0], c[0] = vk, vk1, v1
+	f.LucasLadders(a[:], b[:], c[:], k, k.BitLen())
+}
+
+// LucasLadders sets (vk[m], vk1[m]) = (V_k, V_(k+1)) of the Lucas sequence
+// with V_1 = v1[m], for every ladder m < len(v1) over one exponent
+// 0 ≤ k < 2^bits, walking exactly bits bits of it: leading zero bits keep
+// the pair (V_0, V_1) = (2, V_1) where it is, so the result does not
+// depend on bits, and the work depends on nothing else. The bits only steer
+// constant-time selections. At 8 limbs on the assembly every MaxLadders
+// ladders are one call on the lane engine (laneLadder8, every step's
+// products of every ladder in one lane product) where Kernel names it, and
+// each ladder is one lucasLadder8 call elsewhere; the any-width loop and
+// the Go kernels run lucasStep. Every path gives the same field elements.
+// vk and vk1 must be as long as v1, and vk[m] and vk1[m] must not alias any
+// v1 or each other.
+//
+//cryptolint:hotpath
+func (f *Field) LucasLadders(vk, vk1, v1 [][]uint64, k *big.Int, bits int) {
 	var kw [2 * MaxLimbs]uint64
-	if words := k.Bits(); f.n == 8 && useAsm && len(words) <= len(kw) {
-		for i, w := range words {
-			kw[i] = uint64(w)
+	if f.n == 8 && useAsm && bits <= 64*len(kw) {
+		for i, w := range k.Bits() {
+			if i < len(kw) {
+				kw[i] = uint64(w)
+			}
 		}
 		if useLanes {
-			f.lucasLanes(vk, vk1, v1, &kw[0], k.BitLen())
+			for i := 0; i < len(v1); i += MaxLadders {
+				j := min(i+MaxLadders, len(v1))
+				f.lucasLanes(vk[i:j], vk1[i:j], v1[i:j], &kw[0], bits)
+			}
 			return
 		}
-		lucasLadder8((*[8]uint64)(vk), (*[8]uint64)(vk1), (*[8]uint64)(v1), (*[8]uint64)(f.two), (*[8]uint64)(f.p), f.n0, &kw[0], uint64(k.BitLen()))
+		for m := range v1 {
+			lucasLadder8((*[8]uint64)(vk[m]), (*[8]uint64)(vk1[m]), (*[8]uint64)(v1[m]), (*[8]uint64)(f.two), (*[8]uint64)(f.p), f.n0, &kw[0], uint64(bits))
+		}
 		return
 	}
-	f.Set(vk, f.two)
-	f.Set(vk1, v1)
-	for i := k.BitLen() - 1; i >= 0; i-- {
-		f.lucasStep(vk, vk1, v1, k.Bit(i))
+	for m := range v1 {
+		f.Set(vk[m], f.two)
+		f.Set(vk1[m], v1[m])
+	}
+	for i := bits - 1; i >= 0; i-- {
+		bit := k.Bit(i)
+		for m := range v1 {
+			f.lucasStep(vk[m], vk1[m], v1[m], bit)
+		}
 	}
 }
 
-// lucasStep is one bit of LucasLadder: from (u, v) = (V_j, V_(j+1)) it
+// LucasDoublings sets each v[m] to V_(2^d) of the Lucas sequence with
+// V_1 = v[m] — d doublings of the index, V_2j = V_j² − 2. Since V_a of the
+// sequence with V_1 = V_b is V_ab, that is also one ladder over 2^d: on the
+// lane engine every MaxLadders values, when there are two or more, run as
+// one laneLadder8 call of d + 1 lane products, which costs less than d
+// squarings each from two values on. A lone value, and every value on the
+// scalar kernels, takes the d squarings. The same field elements either way.
+//
+//cryptolint:hotpath
+func (f *Field) LucasDoublings(v [][]uint64, d int) {
+	var kw [2 * MaxLimbs]uint64
+	if f.n == 8 && useLanes && len(v) > 1 && d < 64*len(kw) { //cryptolint:public (the kernel, the batch size and the public count d)
+		kw[d/64] = 1 << (d % 64)
+		for i := 0; i < len(v); i += MaxLadders {
+			j := min(i+MaxLadders, len(v))
+			f.lucasLanes(v[i:j], nil, v[i:j], &kw[0], d+1)
+		}
+		return
+	}
+	for _, x := range v {
+		for range d {
+			f.Square(x, x)
+			f.Sub(x, x, f.two)
+		}
+	}
+}
+
+// lucasStep is one bit of LucasLadders: from (u, v) = (V_j, V_(j+1)) it
 // sets (u, v) to (V_2j, V_(2j+1)) for bit 0 and (V_(2j+1), V_(2j+2)) for
 // bit 1, the bit steering selections only.
 //

@@ -6,7 +6,7 @@ import "fmt"
 
 // useAsm selects the kernels of fp8_amd64.s at 8 limbs: mul8 under
 // Field.Mul and Field.Square, mulFp2x8, lineMul8 and sqrFp2x8 under
-// MulFp2, MulLine and SquareFp2, lucasLadder8 under LucasLadder. It is read
+// MulFp2, MulLine and SquareFp2, lucasLadder8 under LucasLadders. It is read
 // from the CPU once, at package init, and nothing outside
 // this package's tests writes it: MULX is BMI2 and ADCX/ADOX are ADX, both
 // reported by CPUID leaf 7 (EBX bits 8 and 19).
@@ -70,7 +70,7 @@ var laneMissing = func() string {
 }()
 
 // useLanes selects the lane engine under Field.ReplayJ, WalkJ and
-// LucasLadder at 8 limbs; see laneMissing.
+// LucasLadders at 8 limbs; see laneMissing.
 var useLanes = laneMissing == ""
 
 //go:noescape

@@ -11,7 +11,7 @@
 //
 //   - laneMul8, the product of two lane vectors in memory;
 //   - laneReplayJ8, a whole x-only Miller replay in one call (Field.ReplayJ);
-//   - laneLadder8, the whole trace ladder in one call (Field.LucasLadder);
+//   - laneLadder8, up to four trace ladders in one call (Field.LucasLadders);
 //   - laneWalkJ8, a run of a Miller walk's doubling steps (Field.WalkJ).
 //
 // Run it with `go generate ./internal/fp`; CI re-runs it and fails on any
@@ -381,28 +381,46 @@ TEXT ·laneReplayJ8(SB), NOSPLIT, $0-48
 	p("\tRET")
 }
 
+// pairs copies the two index bytes at the bottom of r into bytes 2m and
+// 2m + 1 for every lane pair m and adds 2m to them (R11), so that ladder m
+// permutes within its own lanes.
+func pairs(r string) {
+	p("\tMOVQ %s, R10", r)
+	p("\tSHLQ $16, R10")
+	p("\tORQ R10, %s", r)
+	p("\tMOVQ %s, R10", r)
+	p("\tSHLQ $32, R10")
+	p("\tORQ R10, %s", r)
+	p("\tADDQ R11, %s", r)
+}
+
 func genLadder() {
 	p(`
 // func laneLadder8(sc *ladderScratch, lf *laneField, k *uint64, bits uint64)
 //
-// laneLadder8 is Field.LucasLadder in one call. Each bit is one lane
-// product, [u·v, w²] for the pair (u, v) = (V_j, V_(j+1)) and w = u for a
-// 0 bit, v for a 1, after which sc.d adds [2p − V_1, 2p − 2]: the new pair
-// is that vector q, read as (q[1], q[0]) after a 0 bit and (q[0], q[1])
-// after a 1. The next step's operands x = [u, w] and y = [v, w] are
-// therefore q permuted by index vectors made from this bit b and the next
-// one b′ — x = [1 − b, w], y = [b, w] with w = 1 − (b ⊕ b′) — which are
-// built in a general register and widened by VPMOVZXBQ: the bits steer
-// which lane a permute reads, never a branch or an address. sc.q starts as
-// [V_1, 2] with b = 0, the pair (2, V_1). The loop runs bits times; only
-// the counter and the exponent word it reads follow the step number, which
-// is public.
+// laneLadder8 is Field.LucasLadders in one call: up to four trace ladders
+// over one exponent, ladder m in lanes 2m and 2m + 1. Each bit is one lane
+// product, [u·v, w²] in every lane pair for its pair (u, v) = (V_j,
+// V_(j+1)) and w = u for a 0 bit, v for a 1, after which sc.d adds each
+// pair's [2p − V_1, 2p − 2]: the new pair is that vector q, read as (q[1],
+// q[0]) after a 0 bit and (q[0], q[1]) after a 1. The next step's operands
+// x = [u, w] and y = [v, w] are therefore q permuted by index vectors made
+// from this bit b and the next one b′ — x = [1 − b, w], y = [b, w] with
+// w = 1 − (b ⊕ b′), plus 2m in pair m — which are built in a general
+// register, copied into every pair's two bytes, offset by 0x0606040402020000
+// and widened by VPMOVZXBQ: the bits steer which lane a permute reads,
+// never a branch or an address, and every pair reads its own two lanes. Each
+// pair's sc.q starts as [V_1, 2] with b = 0, the pair (2, V_1); a pair the
+// caller leaves zero multiplies zeros. The loop runs bits times; only the
+// counter and the exponent word it reads follow the step number, which is
+// public.
 TEXT ·laneLadder8(SB), NOSPLIT, $0-32
 	MOVQ sc+0(FP), DI
 	MOVQ lf+8(FP), SI
 	MOVQ k+16(FP), R8
 	MOVQ bits+24(FP), CX
-	XORQ BX, BX`)
+	XORQ BX, BX
+	MOVQ $0x0606040402020000, R11`)
 	setMask()
 	load(x, "ladderScratch_q", sc)
 	p("\tTESTQ CX, CX")
@@ -426,6 +444,8 @@ TEXT ·laneLadder8(SB), NOSPLIT, $0-32
 	p("\tORQ AX, R9")
 	p("\tORQ BX, AX")
 	p("\tMOVQ DX, BX")
+	pairs("R9")
+	pairs("AX")
 	p("\tVMOVQ R9, X10")
 	p("\tVPMOVZXBQ X10, %s", t1)
 	p("\tVMOVQ AX, X11")
@@ -451,6 +471,7 @@ TEXT ·laneLadder8(SB), NOSPLIT, $0-32
 	p("\tMOVQ BX, R9")
 	p("\tXORQ $1, R9")
 	p("\tORQ R9, AX")
+	pairs("AX")
 	p("\tVMOVQ AX, X10")
 	p("\tVPMOVZXBQ X10, %s", t1)
 	perm(x, x, t1)

@@ -18,8 +18,8 @@ import (
 //
 // A token's field work has few independent products per step, not eight,
 // and the kernels fill what there is: ReplayJ runs a Miller step's three
-// squares in one product and its five line products in the next, LucasLadder
-// a step's product and square in one. Where the CPU lacks IFMA (Kernel) the
+// squares in one product and its five line products in the next, LucasLadders
+// a step's product and square in one, for up to four ladders at once. Where the CPU lacks IFMA (Kernel) the
 // scalar kernels run instead; the results are the same field elements.
 
 const laneLimbs = 10
@@ -262,23 +262,31 @@ func (f *Field) WalkJ(X, Y, Z, a, b, x, s []uint64, steps int) bool {
 	return true
 }
 
-// lucasLanes is LucasLadder on the lane engine, for k's words in kw.
+// lucasLanes is LucasLadders on the lane engine, for k's words in kw:
+// ladder m in lanes 2m and 2m + 1. A nil vk1 skips the V_(k+1) outputs. The
+// inputs are read before anything is written, so vk may alias v1.
 //
 //cryptolint:hotpath
-func (f *Field) lucasLanes(vk, vk1, v1 []uint64, kw *uint64, bits int) {
+func (f *Field) lucasLanes(vk, vk1, v1 [][]uint64, kw *uint64, bits int) {
 	lf := f.lanes
 	var sc ladderScratch
 	var t [8]uint64
-	var v, d [laneLimbs]uint64
-	f.Mul(t[:], v1, lf.toLane[:])
-	radix52(&v, t[:])
-	sc.q.set(0, &v)
-	sc.q.set(1, &lf.two)
-	sub52(&d, &lf.p2, &v)
-	sc.d.set(0, &d)
-	sub52(&d, &lf.p2, &lf.two)
-	sc.d.set(1, &d)
+	var v, d, d2 [laneLimbs]uint64
+	sub52(&d2, &lf.p2, &lf.two)
+	for m := range v1 {
+		f.Mul(t[:], v1[m], lf.toLane[:])
+		radix52(&v, t[:])
+		sc.q.set(2*m, &v)
+		sc.q.set(2*m+1, &lf.two)
+		sub52(&d, &lf.p2, &v)
+		sc.d.set(2*m, &d)
+		sc.d.set(2*m+1, &d2)
+	}
 	laneLadder8(&sc, lf, kw, uint64(bits))
-	f.fromLane(vk, &sc.out, 0)
-	f.fromLane(vk1, &sc.out, 1)
+	for m := range vk {
+		f.fromLane(vk[m], &sc.out, 2*m)
+		if vk1 != nil {
+			f.fromLane(vk1[m], &sc.out, 2*m+1)
+		}
+	}
 }

@@ -253,8 +253,8 @@ func TestReplayJMatchesScalar(t *testing.T) {
 // work (the instruction stream is the same), ReplayJ over a 160-step
 // square-and-fold program — the paper set's token — WalkJ over 160
 // doubling steps, a plain pairing's walk, and LucasLadder over a
-// 352-bit exponent, the paper set's final exponentiation, on the lanes and
-// on the MULX ladder.
+// 352-bit exponent, the paper set's final exponentiation, alone and four
+// at once (LucasLadders), on the lanes and on the MULX ladder.
 func BenchmarkLanes(b *testing.B) {
 	needLanes(b)
 	f, p := mustField(b, "paper-8limb")
@@ -293,11 +293,21 @@ func BenchmarkLanes(b *testing.B) {
 		}
 	})
 	e := new(big.Int).Rsh(p, 160)
+	vk, vk1, v1 := make([][]uint64, MaxLadders), make([][]uint64, MaxLadders), make([][]uint64, MaxLadders)
+	for m := range v1 {
+		vk[m], vk1[m], v1[m] = f.NewElt(), f.NewElt(), randElt(f, rng)
+	}
 	for _, lanes := range []bool{true, false} {
 		b.Run(fmt.Sprintf("ladder/lanes=%v", lanes), func(b *testing.B) {
 			setLanes(lanes)
 			for i := 0; i < b.N; i++ {
 				f.LucasLadder(za, zb, x, e)
+			}
+		})
+		b.Run(fmt.Sprintf("ladder4/lanes=%v", lanes), func(b *testing.B) {
+			setLanes(lanes)
+			for i := 0; i < b.N; i++ {
+				f.LucasLadders(vk, vk1, v1, e, e.BitLen())
 			}
 		})
 	}
@@ -409,5 +419,72 @@ func TestWalkJMatchesScalar(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestLucasLaddersMatchOneByOne holds LucasLadders, one to four ladders over
+// one exponent, to lucasRef run ladder by ladder, on every kernel: exponents
+// 0, 1, 2, 2^k and random ones, each walked over its own bit length and over
+// a fixed count with leading zeros (|q| = 160 for the exponents below it,
+// as a secret nonce's are), at the four 8-limb test moduli and the
+// any-width loop. LucasDoublings is held to d squarings of each value, for
+// one to four values.
+func TestLucasLaddersMatchOneByOne(t *testing.T) {
+	eachKernel(t, testLucasLadders)
+}
+
+func testLucasLadders(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	for _, name := range []string{"paper-8limb", "lazy-8limb", "spare2-8limb", "max-8limb", "toy-2limb"} {
+		f, p := mustField(t, name)
+		mont := func(v *big.Int) []uint64 {
+			z := f.NewElt()
+			m := new(big.Int).Lsh(v, uint(64*f.Limbs()))
+			limbsFromBig(z, m.Mod(m, p))
+			return z
+		}
+		exps := []*big.Int{new(big.Int), big.NewInt(1), big.NewInt(2), new(big.Int).Lsh(big.NewInt(1), 17),
+			new(big.Int).Lsh(big.NewInt(1), 159), new(big.Int).Rsh(p, 160), new(big.Int).Rand(rng, new(big.Int).Lsh(big.NewInt(1), 160))}
+		for _, k := range exps {
+			for _, bits := range []int{k.BitLen(), max(k.BitLen(), 160), k.BitLen() + 70} {
+				for n := 1; n <= MaxLadders; n++ {
+					vs := make([]*big.Int, n)
+					v1, vk, vk1 := make([][]uint64, n), make([][]uint64, n), make([][]uint64, n)
+					for m := range vs {
+						vs[m] = new(big.Int).Rand(rng, p)
+						if m == 1 {
+							vs[m] = big.NewInt(2) // the trace of 1
+						}
+						v1[m], vk[m], vk1[m] = mont(vs[m]), f.NewElt(), f.NewElt()
+					}
+					f.LucasLadders(vk, vk1, v1, k, bits)
+					for m := range vs {
+						wk, wk1 := lucasRef(vs[m], k, p)
+						if !f.Equal(vk[m], mont(wk)) || !f.Equal(vk1[m], mont(wk1)) {
+							t.Fatalf("%s: ladder %d of %d, k = %v over %d bits: (V_k, V_(k+1)) differs from one ladder", name, m, n, k, bits)
+						}
+					}
+				}
+			}
+		}
+		for _, d := range []int{0, 1, 17, 142} {
+			for n := 1; n <= MaxLadders; n++ {
+				v, want := make([][]uint64, n), make([][]uint64, n)
+				for m := range v {
+					v[m] = mont(new(big.Int).Rand(rng, p))
+					want[m] = append([]uint64(nil), v[m]...)
+					for range d {
+						f.Square(want[m], want[m])
+						f.Sub(want[m], want[m], f.two)
+					}
+				}
+				f.LucasDoublings(v, d)
+				for m := range v {
+					if !f.Equal(v[m], want[m]) {
+						t.Fatalf("%s: LucasDoublings value %d of %d, d = %d, differs from d squarings", name, m, n, d)
+					}
+				}
+			}
+		}
 	}
 }

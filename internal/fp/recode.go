@@ -6,10 +6,10 @@ import (
 )
 
 // SignedBits conditions a secret scalar for a signed fixed-window or comb
-// walk in a group of odd order q: the kernels under curve.ScalarMulSecret,
-// curve.SecretComb and gf.UnitaryComb, which run the same operations for
-// every scalar because every digit they cut from this recoding is odd, never
-// zero and of one size.
+// walk in a group of odd order q: the kernels under curve.ScalarMulSecret
+// and curve.SecretComb, which run the same operations for every scalar
+// because every digit they cut from this recoding is odd, never zero and of
+// one size.
 //
 // An odd k̃ < 2^L is the sum of L signed bits Σ bᵢ·2^i with b_{L−1} = +1 and
 // bᵢ = +1 exactly when bit i+1 of k̃ is set. For 0 ≤ k < 2^|q| (the caller

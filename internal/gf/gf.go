@@ -96,6 +96,10 @@ type Element struct {
 // per-op allocation after the first touch.
 func (e *Element) ensure(f *Field) {
 	n := f.fp.Limbs()
+	if len(e.a) != n && len(e.b) != n {
+		ab := make([]uint64, 2*n)
+		e.a, e.b = ab[:n:n], ab[n:]
+	}
 	if len(e.a) != n {
 		e.a = make([]uint64, n)
 	}
@@ -444,118 +448,76 @@ func (e *Element) Exp(x *Element, k *big.Int) (*Element, error) {
 	return e.Set(result), nil
 }
 
-// expSecretWindow is ExpSecret's fixed window: a table of the sixteen powers
-// x⁰ … x¹⁵, read in full for every four exponent bits.
-const expSecretWindow = 4
-
-// expOps counts what ExpSecret did, for the test that requires the counts to
-// be the same for every exponent.
-type expOps struct {
-	Squares, Muls, EntriesRead int
+// ImInverse sets z = 1/Im(e), or 0 where Im(e) = 0, by the constant-time
+// fp.Field.Inv: what ExpUnitaries divides by to recover a power's imaginary
+// part. On the norm-1 group Im(e) = 0 only for e = ±1, whose powers have no
+// imaginary part to recover. A caller that raises one element to many
+// exponents computes it once.
+func (e *Element) ImInverse(z []uint64) {
+	if err := e.f.fp.Inv(z, e.b); err != nil {
+		e.f.fp.SetZero(z)
+	}
 }
 
-// ExpSecret sets e = x^k for a secret exponent 0 ≤ k < 2^size, where size is
-// public (the bit length of the group order), and returns e: the field
-// element Exp computes, by a fixed-window ladder that runs the same squarings
-// and multiplications and reads the same table entries for every such k —
-// the exponent's bits pick table entries through fp.Select only, and a zero
-// window multiplies by x⁰ like any other. No inversion and nothing allocated;
-// slightly under Exp's price at 160 bits (a multiplication every fourth bit
-// instead of every second).
-func (e *Element) ExpSecret(x *Element, k *big.Int, size int) (*Element, error) {
-	if _, err := e.expSecret(x, k, size); err != nil {
-		return nil, err
+// ExpUnitaries sets es[m] = xs[m]^k for unitary elements xs[m] and an
+// exponent 0 ≤ k < 2^bits, given invIm[m] = xs[m].ImInverse: the element
+// Exp computes, by the trace ladder (expUnitaries) over exactly bits bits,
+// fp.MaxLadders elements to one fp.Field.LucasLadders call — the same
+// products for every k of that size, and no inversion. It is the secret
+// exponent's kernel: bits is the public bound (|q|), never k's length. A
+// non-unitary element gets a wrong answer; callers check. es[m] may alias
+// xs[m].
+func (f *Field) ExpUnitaries(es, xs []*Element, invIm [][]uint64, k *big.Int, bits int) {
+	var as [fp.MaxLadders][]uint64
+	for i := 0; i < len(xs); i += fp.MaxLadders {
+		j := min(i+fp.MaxLadders, len(xs))
+		for m, x := range xs[i:j] {
+			as[m] = x.a
+		}
+		f.expUnitaries(es[i:j], as[:j-i], invIm[i:j], k, bits)
 	}
-	return e, nil
 }
 
-func (e *Element) expSecret(x *Element, k *big.Int, size int) (ops expOps, err error) {
-	if k.Sign() < 0 || k.BitLen() > size || size > 64*fp.MaxLimbs {
-		return ops, errors.New("gf: secret exponent out of range")
-	}
-	f := x.f
+// expUnitaries sets es[m] = (a_m + b_m·i)^k for up to fp.MaxLadders unitary
+// elements, given their real parts as[m] and invB[m] = 1/b_m (0 for b_m = 0,
+// the elements ±1). For a unitary g the norm relation makes the traces of
+// its powers, V_j = g^j + g^−j = 2·Re(g^j), a sequence of their own — the
+// Lucas sequence V_j(2a, 1), i.e. 2·T_j(a) for the Chebyshev polynomial
+// T_j — so fp.Field.LucasLadders reaches (V_k, V_(k+1)) with one base-field
+// squaring and one multiplication per exponent bit (one assembly call at
+// paper size, for all the elements on the lane engine), against two
+// squarings plus a share of a general multiplication for square-and-multiply
+// over SquareUnitary; on the trace rather than the real parts c_j = V_j/2 a
+// step needs no doubling. Then c_k = V_k/2, and c_(k+1) = a·c_k − b·s_k
+// recovers the imaginary part s_k = (a·V_k − V_(k+1))/2b; for b = 0 the
+// numerator is 0, and so is s_k. The ladder walks bits bits of k; its bits
+// only steer selections, bits is the loop bound.
+func (f *Field) expUnitaries(es []*Element, as, invB [][]uint64, k *big.Int, bits int) {
 	F := f.fp
 	n := F.Limbs()
-	const w = expSecretWindow
-
-	// Entry i is x^i as the 2n words a ‖ b, all in one stack slab: even
-	// powers by squaring, odd ones by one more factor x.
-	var slab [(1 << w) * 2 * fp.MaxLimbs]uint64
-	table := slab[: (1<<w)*2*n : (1<<w)*2*n]
-	re := func(i int) []uint64 { return table[2*n*i : 2*n*i+n] }
-	im := func(i int) []uint64 { return table[2*n*i+n : 2*n*(i+1)] }
-	F.Set(re(0), f.one)
-	F.Set(re(1), x.a)
-	F.Set(im(1), x.b)
-	for i := 2; i < 1<<w; i += 2 {
-		F.SquareFp2(re(i), im(i), re(i/2), im(i/2))
-		F.MulFp2(re(i+1), im(i+1), re(i), im(i), x.a, x.b)
-		ops.Squares++
-		ops.Muls++
+	var b1, b2, b3 [fp.MaxLadders][fp.MaxLimbs]uint64
+	var vk, vk1, v1 [fp.MaxLadders][]uint64
+	for m, a := range as {
+		vk[m], vk1[m], v1[m] = b1[m][:n], b2[m][:n], b3[m][:n]
+		F.Double(v1[m], a)
 	}
-
-	// The exponent as fixed-width big-endian bytes: window i is a nibble.
-	var kb [8 * fp.MaxLimbs]byte
-	kbytes := kb[:(size+7)/8]
-	k.FillBytes(kbytes)
-	var rb, sb [2 * fp.MaxLimbs]uint64
-	r, sel := rb[:2*n], sb[:2*n]
-	digits := (size + w - 1) / w
-	for i := digits - 1; i >= 0; i-- {
-		d := kbytes[len(kbytes)-1-i/2] >> (w * uint(i&1)) & (1<<w - 1)
-		fp.Lookup(sel, table, uint64(d))
-		ops.EntriesRead += 1 << w
-		if i == digits-1 {
-			copy(r, sel)
-			continue
-		}
-		for j := 0; j < w; j++ {
-			F.SquareFp2(r[:n], r[n:], r[:n], r[n:])
-		}
-		F.MulFp2(r[:n], r[n:], r[:n], r[n:], sel[:n], sel[n:])
-		ops.Squares += w
-		ops.Muls++
+	c := len(as)
+	F.LucasLadders(vk[:c], vk1[:c], v1[:c], k, bits)
+	for m, e := range es {
+		e.ensure(f)
+		F.Mul(e.b, as[m], vk[m])
+		F.Sub(e.b, e.b, vk1[m])
+		F.Mul(e.b, e.b, invB[m])
+		F.Mul(e.b, e.b, f.half)
+		F.Mul(e.a, vk[m], f.half)
 	}
-	e.ensure(f)
-	F.Set(e.a, r[:n])
-	F.Set(e.b, r[n:])
-	return ops, nil
-}
-
-// expUnitary sets e = (a + b·i)^k for a unitary a + b·i with b ≠ 0, given
-// invB = 1/b. For a unitary g the norm relation makes the traces of its
-// powers, V_j = g^j + g^−j = 2·Re(g^j), a sequence of their own — the Lucas
-// sequence V_j(2a, 1), i.e. 2·T_j(a) for the Chebyshev polynomial T_j — so
-// fp.Field.LucasLadder reaches (V_k, V_(k+1)) with one base-field squaring
-// and one multiplication per exponent bit (one assembly call at paper
-// size), against two squarings plus a share of a general multiplication for
-// square-and-multiply over SquareUnitary; on the trace rather than the real
-// parts c_j = V_j/2 a step needs no doubling. Then c_k = V_k/2, and
-// c_(k+1) = a·c_k − b·s_k recovers the imaginary part
-// s_k = (a·V_k − V_(k+1))/2b. The exponents that reach the ladder — q and
-// (p+1)/q — are public; its bits only steer selections, its length is the
-// loop bound.
-func (f *Field) expUnitary(e *Element, a, invB []uint64, k *big.Int) *Element {
-	F := f.fp
-	var b1, b2, b3 [fp.MaxLimbs]uint64
-	n := F.Limbs()
-	vk, vk1, v1 := b1[:n], b2[:n], b3[:n]
-	F.Double(v1, a)
-	F.LucasLadder(vk, vk1, v1, k)
-	e.ensure(f)
-	F.Mul(e.b, a, vk)
-	F.Sub(e.b, e.b, vk1)
-	F.Mul(e.b, e.b, invB)
-	F.Mul(e.b, e.b, f.half)
-	F.Mul(e.a, vk, f.half)
-	return e
 }
 
 // ExpUnitaryPart sets e = (x^(p−1))^k = (x̄/x)^k for k ≥ 0 and returns e —
 // the shape of a pairing final exponentiation, whose easy part x^(p−1)
 // projects x onto the unitary subgroup and whose tail k then runs on the
-// trace ladder (expUnitary). x and the result are in F_p[j]/(j² + s) for a
-// nonzero square s (see SquareJ; nil s is 1, F_p² itself), where the
+// trace ladder (expUnitaries). x and the result are in F_p[j]/(j² + s) for
+// a nonzero square s (see SquareJ; nil s is 1, F_p² itself), where the
 // Frobenius is again a + b·j ↦ a − b·j. With x = u + v·j and
 // N = u² + s·v², the norm,
 //
@@ -567,55 +529,114 @@ func (f *Field) expUnitary(e *Element, a, invB []uint64, k *big.Int) *Element {
 // b·y, and the j-coordinate is that quotient over y again, b·y² = s·b in
 // all. x̄/x = ±1 (uv = 0) has no such inverse and is answered directly.
 // The result is the same field element Inverse, Conjugate, Mul and Exp
-// produce, read through j ↦ y·i. ErrNotInvertible for x = 0.
+// produce, read through j ↦ y·i. ErrNotInvertible for x = 0. It is
+// ExpUnitaryParts for one element.
 func (e *Element) ExpUnitaryPart(x *Element, s []uint64, k *big.Int) (*Element, error) {
-	if x.IsZero() {
-		return nil, ErrNotInvertible
+	if err := x.f.ExpUnitaryParts([]*Element{e}, []*Element{x}, [][]uint64{s}, k); err != nil {
+		return nil, err
+	}
+	return e, nil
+}
+
+// ExpUnitaryParts sets es[i] = ExpUnitaryPart(xs[i], ss[i], k) for every i,
+// the same elements, finishing up to fp.MaxLadders of them together: one
+// inversion for all their N·2uv·s by Montgomery's trick (a product chain,
+// one fp.Field.Inv and three products an element back), and one
+// fp.Field.LucasLadders call for all their ladders, which read only the
+// traces, so elements of different rings (different s) share it.
+// ErrNotInvertible if any xs[i] is 0, before anything is written. es[i] may
+// alias xs[i], and no other xs.
+func (f *Field) ExpUnitaryParts(es, xs []*Element, ss [][]uint64, k *big.Int) error {
+	if len(es) != len(xs) || len(ss) != len(xs) {
+		return errors.New("gf: ExpUnitaryParts needs one result and one ring per element")
 	}
 	if k.Sign() < 0 {
-		return nil, errors.New("gf: negative exponent")
+		return errors.New("gf: negative exponent")
 	}
-	f := x.f
-	F := f.fp
-	if s == nil {
-		s = f.one
-	}
-	if F.IsZero(x.a) || F.IsZero(x.b) {
-		// x real: x̄/x = 1. x imaginary: x̄/x = −1, and (−1)^k = ±1.
-		minus := F.IsZero(x.a) && k.Bit(0) == 1
-		e.ensure(f)
-		F.Set(e.a, f.one)
-		if minus {
-			F.Neg(e.a, e.a)
+	for _, x := range xs {
+		if x.IsZero() {
+			return ErrNotInvertible
 		}
-		F.SetZero(e.b)
-		return e, nil
 	}
-	var b1, b2, b3, b4 [fp.MaxLimbs]uint64
+	for i := 0; i < len(xs); i += fp.MaxLadders {
+		j := min(i+fp.MaxLadders, len(xs))
+		if err := f.expUnitaryParts(es[i:j], xs[i:j], ss[i:j], k); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// expUnitaryParts is ExpUnitaryParts for up to fp.MaxLadders nonzero
+// elements.
+func (f *Field) expUnitaryParts(es, xs []*Element, ss [][]uint64, k *big.Int) error {
+	F := f.fp
 	n := F.Limbs()
-	a, norm, m, inv := b1[:n], b2[:n], b3[:n], b4[:n]
-	F.Square(a, x.a)
-	F.Square(inv, x.b)
-	F.Mul(inv, inv, s)
-	F.Add(norm, a, inv) // N
-	F.Sub(a, a, inv)    // u² − s·v²
-	F.Mul(m, x.a, x.b)
-	F.Double(m, m) // 2uv
-	F.Mul(m, m, s) // 2uv·s
-	F.Mul(inv, norm, m)
-	if err := F.Inv(inv, inv); err != nil {
+	const L = fp.MaxLadders
+	var ab, nb, mb, pb [L][fp.MaxLimbs]uint64
+	var as, invB [L][]uint64
+	var ladder [L]*Element
+	c := 0
+	for i, x := range xs {
+		if F.IsZero(x.a) || F.IsZero(x.b) {
+			// x real: x̄/x = 1. x imaginary: x̄/x = −1, and (−1)^k = ±1.
+			minus := F.IsZero(x.a) && k.Bit(0) == 1
+			e := es[i]
+			e.ensure(f)
+			F.Set(e.a, f.one)
+			if minus {
+				F.Neg(e.a, e.a)
+			}
+			F.SetZero(e.b)
+			continue
+		}
+		s := ss[i]
+		if s == nil {
+			s = f.one
+		}
+		a, norm, m := ab[c][:n], nb[c][:n], mb[c][:n]
+		F.Square(a, x.a)
+		F.Square(m, x.b)
+		F.Mul(m, m, s)
+		F.Add(norm, a, m) // N
+		F.Sub(a, a, m)    // u² − s·v²
+		F.Mul(m, x.a, x.b)
+		F.Double(m, m) // 2uv
+		F.Mul(m, m, s) // 2uv·s
+		as[c], invB[c], ladder[c] = a, norm, es[i]
+		c++
+	}
+	if c == 0 {
+		return nil
+	}
+	// prefix[l] = Π_(i<l) N_i·2u_iv_i·s_i; acc ends as the inverse of all.
+	var accb, db [fp.MaxLimbs]uint64
+	acc, d := accb[:n], db[:n]
+	F.SetOne(acc)
+	for l := range c {
+		F.Set(pb[l][:n], acc)
+		F.Mul(d, nb[l][:n], mb[l][:n])
+		F.Mul(acc, acc, d)
+	}
+	if err := F.Inv(acc, acc); err != nil {
 		// N = 0 needs −s to be a square, which a square s and
 		// p ≡ 3 (mod 4) exclude.
-		return nil, ErrNotInvertible
+		return ErrNotInvertible
 	}
-	// a = (u² − s·v²)/N = (u² − s·v²)·2uv·s·inv; 1/(s·b) = −N/(2uv·s) = −N²·inv.
-	F.Mul(a, a, m)
-	F.Mul(a, a, inv)
-	invB := norm
-	F.Square(invB, norm)
-	F.Mul(invB, invB, inv)
-	F.Neg(invB, invB)
-	return f.expUnitary(e, a, invB, k), nil
+	for l := c - 1; l >= 0; l-- {
+		inv, norm, m := pb[l][:n], nb[l][:n], mb[l][:n]
+		F.Mul(inv, inv, acc) // 1/(N·2uv·s)
+		F.Mul(d, norm, m)
+		F.Mul(acc, acc, d)
+		// a = (u² − s·v²)/N = (u² − s·v²)·2uv·s·inv; 1/(s·b) = −N/(2uv·s) = −N²·inv.
+		F.Mul(as[l], as[l], m)
+		F.Mul(as[l], as[l], inv)
+		F.Square(norm, norm)
+		F.Mul(norm, norm, inv)
+		F.Neg(norm, norm)
+	}
+	f.expUnitaries(ladder[:c], as[:c], invB[:c], k, k.BitLen())
+	return nil
 }
 
 // UnitaryOrderDivides reports whether e is unitary and e^k = 1 (k ≥ 0) —
@@ -625,16 +646,35 @@ func (e *Element) ExpUnitaryPart(x *Element, s []uint64, k *big.Int) (*Element, 
 // divides p+1 the verdict is Exp(e, k).IsOne()'s on every input — an
 // element of such an order is unitary to begin with, and zero is neither.
 func (e *Element) UnitaryOrderDivides(k *big.Int) bool {
-	if k.Sign() < 0 || !e.IsUnitary() {
+	if k.Sign() < 0 {
 		return false
 	}
-	f := e.f
-	var b1, b2, b3 [fp.MaxLimbs]uint64
-	n := f.fp.Limbs()
-	vk, vk1, v1 := b1[:n], b2[:n], b3[:n]
-	f.fp.Double(v1, e.a)
-	f.fp.LucasLadder(vk, vk1, v1, k)
-	return f.fp.Equal(vk, f.two)
+	var ok [1]bool
+	e.f.orderDivides([]*Element{e}, k, ok[:])
+	return ok[0]
+}
+
+// orderDivides sets ok[i] to UnitaryOrderDivides(es[i], k) for up to
+// fp.MaxLadders elements, their ladders in one LucasLadders call.
+func (f *Field) orderDivides(es []*Element, k *big.Int, ok []bool) {
+	F := f.fp
+	n := F.Limbs()
+	var b1, b2, b3 [fp.MaxLadders][fp.MaxLimbs]uint64
+	var vk, vk1, v1 [fp.MaxLadders][]uint64
+	var at [fp.MaxLadders]int
+	c := 0
+	for i, e := range es {
+		if ok[i] = e.IsUnitary(); !ok[i] {
+			continue
+		}
+		vk[c], vk1[c], v1[c], at[c] = b1[c][:n], b2[c][:n], b3[c][:n], i
+		F.Double(v1[c], e.a)
+		c++
+	}
+	F.LucasLadders(vk[:c], vk1[:c], v1[:c], k, k.BitLen())
+	for l := range c {
+		ok[at[l]] = F.Equal(vk[l], f.two)
+	}
 }
 
 // UnitaryTracesMeet reports whether e is unitary and its traces at 2^a and
@@ -650,28 +690,37 @@ func (e *Element) UnitaryTracesMeet(a, b int) bool {
 	if b < 0 || b >= a {
 		return false
 	}
-	return e.unitaryTracesMeet(new(big.Int).Lsh(big.NewInt(1), uint(b)), a-b)
+	var ok [1]bool
+	e.f.tracesMeet([]*Element{e}, new(big.Int).Lsh(big.NewInt(1), uint(b)), a-b, ok[:])
+	return ok[0]
 }
 
-// unitaryTracesMeet is UnitaryTracesMeet with low = 2^b and gap = a − b: the
-// trace ladder over 2^b gives (V_(2^b), V_(2^b+1)) in b + 1 steps, and gap
-// squarings V_2j = V_j² − 2 carry the first to V_(2^a).
-func (e *Element) unitaryTracesMeet(low *big.Int, gap int) bool {
-	if !e.IsUnitary() {
-		return false
-	}
-	f := e.f
+// tracesMeet sets ok[i] to UnitaryTracesMeet(es[i], a, b) with low = 2^b
+// and gap = a − b, for up to fp.MaxLadders elements: the trace ladder over
+// 2^b gives (V_(2^b), V_(2^b+1)) in b + 1 steps, every element's in one
+// LucasLadders call, and gap doublings V_2j = V_j² − 2 carry the first to
+// V_(2^a) (LucasDoublings: one lane ladder over 2^gap for two elements or
+// more, squarings otherwise).
+func (f *Field) tracesMeet(es []*Element, low *big.Int, gap int, ok []bool) {
 	F := f.fp
-	var b1, b2, b3 [fp.MaxLimbs]uint64
 	n := F.Limbs()
-	v, w, v1 := b1[:n], b2[:n], b3[:n]
-	F.Double(v1, e.a)
-	F.LucasLadder(v, w, v1, low)
-	for i := 0; i < gap; i++ {
-		F.Square(v, v)
-		F.Sub(v, v, f.two)
+	var b1, b2, b3 [fp.MaxLadders][fp.MaxLimbs]uint64
+	var v, w, v1 [fp.MaxLadders][]uint64
+	var at [fp.MaxLadders]int
+	c := 0
+	for i, e := range es {
+		if ok[i] = e.IsUnitary(); !ok[i] {
+			continue
+		}
+		v[c], w[c], v1[c], at[c] = b1[c][:n], b2[c][:n], b3[c][:n], i
+		F.Double(v1[c], e.a)
+		c++
 	}
-	return F.Equal(v, w)
+	F.LucasLadders(v[:c], w[:c], v1[:c], low, low.BitLen())
+	F.LucasDoublings(v[:c], gap)
+	for l := range c {
+		ok[at[l]] = F.Equal(v[l], w[l])
+	}
 }
 
 // UnitarySubgroup is the subgroup of order q of F_p²'s norm-1 group, for an
@@ -713,10 +762,24 @@ func (f *Field) NewUnitarySubgroup(q *big.Int) (*UnitarySubgroup, error) {
 
 // Contains reports whether e lies in the subgroup.
 func (s *UnitarySubgroup) Contains(e *Element) bool {
-	if s.low == nil {
-		return e.UnitaryOrderDivides(s.order)
+	var ok [1]bool
+	s.ContainsEach([]*Element{e}, ok[:])
+	return ok[0]
+}
+
+// ContainsEach sets ok[i] to Contains(es[i]) for every i: each element's
+// own verdict, never one test on a combination of them. Up to fp.MaxLadders
+// elements share each ladder call, which on the lane engine costs what one
+// element's does.
+func (s *UnitarySubgroup) ContainsEach(es []*Element, ok []bool) {
+	for i := 0; i < len(es); i += fp.MaxLadders {
+		j := min(i+fp.MaxLadders, len(es))
+		if s.low == nil {
+			s.f.orderDivides(es[i:j], s.order, ok[i:j])
+		} else {
+			s.f.tracesMeet(es[i:j], s.low, s.gap, ok[i:j])
+		}
 	}
-	return e.unitaryTracesMeet(s.low, s.gap)
 }
 
 // ComparesTraces reports which test Contains runs: the trace comparison

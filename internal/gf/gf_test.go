@@ -335,7 +335,7 @@ func unitaryBases(t *testing.T, f *Field) []*Element {
 
 // TestLucasLadderMatchesExp is the differential test of the trace ladder
 // against square-and-multiply: 2·Re(g^k) and 2·Re(g^(k+1)) on every unitary
-// base, and the recovered full power wherever b ≠ 0 — at a small prime and
+// base, and the recovered full power (b = 0 included: ±1) — at a small prime and
 // at paper size, where every step is the assembly kernel's.
 func TestLucasLadderMatchesExp(t *testing.T) {
 	paperP, _ := new(big.Int).SetString(paperPHex, 16)
@@ -373,15 +373,11 @@ func testLucasLadder(t *testing.T, f *Field) {
 			if F.Double(trace, next.a); !F.Equal(vk1, trace) {
 				t.Fatalf("|p|=%d base %d, k = %v: V_(k+1) differs from 2·Re(g^(k+1))", p.BitLen(), bi, k)
 			}
-			if F.IsZero(g.b) {
-				continue
-			}
 			invB := F.NewElt()
-			if err := F.Inv(invB, g.b); err != nil {
-				t.Fatal(err)
-			}
-			if got := f.expUnitary(new(Element), g.a, invB, k); !got.Equal(want) {
-				t.Fatalf("base %d, k = %v: expUnitary = %v, Exp = %v", bi, k, got, want)
+			g.ImInverse(invB)
+			got := new(Element)
+			if f.ExpUnitaries([]*Element{got}, []*Element{g}, [][]uint64{invB}, k, k.BitLen()); !got.Equal(want) {
+				t.Fatalf("base %d, k = %v: ExpUnitaries = %v, Exp = %v", bi, k, got, want)
 			}
 		}
 	}
@@ -574,15 +570,15 @@ func TestUnitarySubgroupExhaustive(t *testing.T) {
 	}
 }
 
-// TestExpSecretMatchesExp holds the fixed-window ladder to square-and-multiply
-// on every kind of base — general, unitary, 1, 0, −1, i — and every kind of
-// exponent a 160-bit order allows, the ends of the range included, at a small
-// prime and at paper size (the generic field loops and the 8-limb kernels).
+// TestExpSecretMatchesExp holds the secret exponent's kernel, ExpUnitaries
+// over a fixed |q| = 160 bits, to square-and-multiply on every kind of
+// unitary base — a general one, one of odd prime order, 1, −1 and i — and
+// every kind of exponent a 160-bit order allows, the ends of the range
+// included, alone and one to four bases to a call, aliased and not, at a
+// small prime and at both paper-size sets (the any-width loops and the
+// 8-limb kernels). On the small prime it runs every exponent of a group of
+// order 89, where every bit pattern and both parities occur.
 func TestExpSecretMatchesExp(t *testing.T) {
-	paper, ok := new(big.Int).SetString(paperPHex, 16)
-	if !ok {
-		t.Fatal("bad paper prime literal")
-	}
 	const size = 160
 	top := new(big.Int).Lsh(big.NewInt(1), size)
 	exps := []*big.Int{
@@ -590,77 +586,101 @@ func TestExpSecretMatchesExp(t *testing.T) {
 		new(big.Int).Sub(top, big.NewInt(1)), new(big.Int).Rsh(top, 1), new(big.Int).Rsh(top, 4),
 		new(big.Int).Div(top, big.NewInt(3)), new(big.Int).Div(top, big.NewInt(0xf0f1)),
 	}
-	for _, p := range []*big.Int{big.NewInt(1000003), paper} {
-		f, err := NewField(p)
+	small := testField(t)
+	fields := []*Field{small}
+	orders := []*big.Int{big.NewInt(89)}
+	for _, set := range paperSets {
+		paperP, _ := new(big.Int).SetString(set[0], 16)
+		paperQ, _ := new(big.Int).SetString(set[1], 16)
+		paper, err := NewField(paperP)
 		if err != nil {
 			t.Fatal(err)
 		}
+		fields, orders = append(fields, paper), append(orders, paperQ)
+	}
+	for fi, f := range fields {
+		p := f.P()
+		F := f.fp
 		x := f.NewElement(new(big.Int).Div(p, big.NewInt(3)), new(big.Int).Div(p, big.NewInt(5)))
+		unitary := new(Element).Conjugate(x)
 		inv, err := new(Element).Inverse(x)
 		if err != nil {
 			t.Fatal(err)
 		}
-		unitary := new(Element).Conjugate(x)
 		unitary.Mul(unitary, inv)
-		bases := []*Element{x, unitary, f.One(), f.Zero(), new(Element).Neg(f.One()), f.NewElement(big.NewInt(0), big.NewInt(1))}
-		for bi, base := range bases {
-			for _, k := range exps {
-				want, err := new(Element).Exp(base, k)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := new(Element).ExpSecret(base, k, size)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !got.Equal(want) {
-					t.Fatalf("|p|=%d base %d, k=%v: ExpSecret %v ≠ Exp %v", p.BitLen(), bi, k, got, want)
+		bases := []*Element{unitary, unitaryOfOrder(t, f, orders[fi], 11), f.One(), new(Element).Neg(f.One()), f.NewElement(big.NewInt(0), big.NewInt(1))}
+		invs := make([][]uint64, len(bases))
+		for i, b := range bases {
+			invs[i] = F.NewElt()
+			b.ImInverse(invs[i])
+		}
+		ks := exps
+		if fi == 0 {
+			ks = nil
+			for k := int64(0); k < 89; k++ {
+				ks = append(ks, big.NewInt(k))
+			}
+		}
+		for _, k := range ks {
+			for n := 1; n <= 4; n++ {
+				for first := 0; first+n <= len(bases); first++ {
+					xs := bases[first : first+n]
+					es := make([]*Element, n)
+					for i := range es {
+						es[i] = new(Element)
+					}
+					f.ExpUnitaries(es, xs, invs[first:first+n], k, size)
+					for i, b := range xs {
+						if want, _ := new(Element).Exp(b, k); !es[i].Equal(want) {
+							t.Fatalf("|p|=%d base %d of %d from %d, k=%v: ExpUnitaries %v ≠ Exp %v", p.BitLen(), i, n, first, k, es[i], want)
+						}
+					}
 				}
 			}
 			// In place, like every other method of the type.
-			aliased := base.Copy()
-			want, _ := new(Element).Exp(base, exps[9])
-			if _, err := aliased.ExpSecret(aliased, exps[9], size); err != nil || !aliased.Equal(want) {
-				t.Fatalf("|p|=%d base %d: aliased ExpSecret diverges (%v)", p.BitLen(), bi, err)
-			}
-		}
-		for _, k := range []*big.Int{big.NewInt(-1), top} {
-			if _, err := new(Element).ExpSecret(x, k, size); err == nil {
-				t.Fatalf("exponent %v outside [0, 2^%d) must be refused", k, size)
+			aliased := bases[0].Copy()
+			want, _ := new(Element).Exp(aliased, k)
+			if f.ExpUnitaries([]*Element{aliased}, []*Element{aliased}, invs[:1], k, size); !aliased.Equal(want) {
+				t.Fatalf("|p|=%d k=%v: aliased ExpUnitaries diverges", p.BitLen(), k)
 			}
 		}
 	}
 }
 
-// TestExpSecretSameOperations is the trace gate for the secret exponent: gf
-// keeps its package-level vartime marker, so nothing static reads ExpSecret,
-// and this does — exponents of Hamming weight 0, 1, |q|/2 and |q| − 1 all cost
-// the squarings, multiplications and table reads the window shape predicts.
+// TestExpSecretSameOperations: the secret exponent's walk is fixed by the
+// bound it is given, never by the exponent — exactly size ladder steps, each
+// a multiplication and a squaring whatever the bit. A ladder that followed
+// k's own length would answer g^(k + 2^size) for k + 2^size, where one that
+// walks the low size bits answers g^k, the same for exponents of Hamming
+// weight 0, 1, |q|/2 and |q| − 1.
 func TestExpSecretSameOperations(t *testing.T) {
-	f := testField(t)
-	x := f.NewElement(big.NewInt(5), big.NewInt(3))
 	const size = 160
 	half := new(big.Int)
 	for i := 0; i < size; i += 2 {
 		half.SetBit(half, i, 1)
 	}
-	want := expOps{
-		Squares:     7 + 4*(size/4-1), // x², x⁴, … x¹⁴, then four per window after the first
-		Muls:        7 + size/4 - 1,   // x³, x⁵, … x¹⁵, then one per window after the first
-		EntriesRead: 16 * size / 4,
-	}
-	for label, k := range map[string]*big.Int{
-		"zero":         new(big.Int),
-		"weight 1":     new(big.Int).Lsh(big.NewInt(1), size-2),
-		"weight |q|/2": half,
-		"weight |q|-1": new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), size-1), big.NewInt(1)),
-	} {
-		ops, err := new(Element).expSecret(x, k, size)
+	for _, set := range paperSets {
+		paperP, _ := new(big.Int).SetString(set[0], 16)
+		paperQ, _ := new(big.Int).SetString(set[1], 16)
+		f, err := NewField(paperP)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ops != want {
-			t.Errorf("%s: ExpSecret did %+v, want %+v", label, ops, want)
+		g := unitaryOfOrder(t, f, paperQ, 11)
+		invB := f.fp.NewElt()
+		g.ImInverse(invB)
+		for label, k := range map[string]*big.Int{
+			"zero":         new(big.Int),
+			"weight 1":     new(big.Int).Lsh(big.NewInt(1), size-2),
+			"weight |q|/2": half,
+			"weight |q|-1": new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), size-1), big.NewInt(1)),
+		} {
+			want, _ := new(Element).Exp(g, k)
+			above := new(big.Int).SetBit(new(big.Int).Set(k), size, 1)
+			got := new(Element)
+			if f.ExpUnitaries([]*Element{got}, []*Element{g}, [][]uint64{invB}, above, size); !got.Equal(want) {
+				t.Errorf("q = %x, %s: the walk over %d bits read past them", paperQ, label, size)
+			}
 		}
 	}
 }
@@ -687,107 +707,9 @@ func unitaryOfOrder(t *testing.T, f *Field, q *big.Int, seed int64) *Element {
 	}
 }
 
-// TestUnitaryCombMatchesExp: the fixed-base comb returns Exp's element for
-// every exponent of a small group (all of [0, q), where every column pattern
-// and both parities occur) and, at paper size, for the ends of the range, the
-// exponents that are reduced first and random ones — and it refuses a base
-// that is not in the group its sign handling assumes.
-func TestUnitaryCombMatchesExp(t *testing.T) {
-	// p = 1000003 = 4·250001 − 1: the norm-1 group has order p + 1 = 2²·53²·89.
-	small := testField(t)
-	q := big.NewInt(89)
-	grp := mustSubgroup(t, small, q)
-	g := unitaryOfOrder(t, small, q, 3)
-	comb, err := NewUnitaryComb(g, grp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := int64(-3); k < 2*89+3; k++ {
-		kk := big.NewInt(k)
-		want, _ := new(Element).Exp(g, new(big.Int).Mod(kk, q))
-		if got := comb.ExpSecret(kk); !got.Equal(want) {
-			t.Fatalf("g^%d: comb %v ≠ Exp %v", k, got, want)
-		}
-	}
-	if _, err := NewUnitaryComb(small.NewElement(big.NewInt(5), big.NewInt(3)), grp); err == nil {
-		t.Fatal("a non-unitary base must be refused")
-	}
-	if _, err := NewUnitaryComb(unitaryOfOrder(t, small, big.NewInt(53), 3), grp); err == nil {
-		t.Fatal("a base of another order must be refused")
-	}
-	other := testField(t)
-	if _, err := NewUnitaryComb(unitaryOfOrder(t, other, q, 3), grp); err == nil {
-		t.Fatal("a base from another field must be refused")
-	}
-
-	for _, set := range paperSets {
-		paperP, _ := new(big.Int).SetString(set[0], 16)
-		paperQ, _ := new(big.Int).SetString(set[1], 16)
-		paper, err := NewField(paperP)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g = unitaryOfOrder(t, paper, paperQ, 11)
-		if comb, err = NewUnitaryComb(g, mustSubgroup(t, paper, paperQ)); err != nil {
-			t.Fatal(err)
-		}
-		exps := []*big.Int{
-			new(big.Int), big.NewInt(1), big.NewInt(2), new(big.Int).Sub(paperQ, big.NewInt(1)), new(big.Int).Set(paperQ),
-			new(big.Int).Add(paperQ, big.NewInt(2)), big.NewInt(-5), new(big.Int).Lsh(paperQ, 33),
-			new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), 160), big.NewInt(1)),
-		}
-		for i := int64(1); i <= 24; i++ {
-			exps = append(exps, new(big.Int).Div(new(big.Int).Mul(paperQ, big.NewInt(i)), big.NewInt(25+i)))
-		}
-		for _, k := range exps {
-			want, _ := new(Element).Exp(g, new(big.Int).Mod(k, paperQ))
-			if got := comb.ExpSecret(k); !got.Equal(want) {
-				t.Fatalf("paper size (q = %x), g^%v: comb ≠ Exp", paperQ, k)
-			}
-		}
-	}
-}
-
 // paperSets are the (p, q) of both paper-size sets: an order whose top is a
 // single bit and a dense one.
 var paperSets = [][2]string{{paperPHex, paperQHex}, {paperDensePHex, paperDenseQHex}}
-
-// TestUnitaryCombSameOperations is the comb's trace gate, as
-// TestExpSecretSameOperations is ExpSecret's: d − 1 squarings, d − 1
-// multiplications and 32·d rows read, whatever the exponent.
-func TestUnitaryCombSameOperations(t *testing.T) {
-	half := new(big.Int)
-	for i := 0; i < 159; i += 2 {
-		half.SetBit(half, i, 1)
-	}
-	const d = 27 // ⌈160/6⌉
-	want := expOps{Squares: d - 1, Muls: d - 1, EntriesRead: 32 * d}
-	for _, set := range paperSets {
-		paperP, _ := new(big.Int).SetString(set[0], 16)
-		paperQ, _ := new(big.Int).SetString(set[1], 16)
-		paper, err := NewField(paperP)
-		if err != nil {
-			t.Fatal(err)
-		}
-		comb, err := NewUnitaryComb(unitaryOfOrder(t, paper, paperQ, 11), mustSubgroup(t, paper, paperQ))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for label, k := range map[string]*big.Int{
-			"zero":         new(big.Int),
-			"one":          big.NewInt(1),
-			"two":          big.NewInt(2),
-			"weight 1":     new(big.Int).Lsh(big.NewInt(1), 158),
-			"weight |q|/2": half,
-			"weight |q|-1": new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), 159), big.NewInt(1)),
-			"q-1":          new(big.Int).Sub(paperQ, big.NewInt(1)),
-		} {
-			if ops := comb.expSecret(paper.Zero(), k); ops != want {
-				t.Errorf("q = %x, %s: comb did %+v, want %+v", paperQ, label, ops, want)
-			}
-		}
-	}
-}
 
 // TestJRingIsF_p2 holds the F_p[j]/(j² + s) arithmetic to F_p² through the
 // isomorphism a + b·j ↦ a + (b·y)·i, s = y²: SquareJ, MulJ, MulLineJ and

@@ -468,28 +468,34 @@ func (pp *Params) NewFixedPair(p1 *curve.Point) (*FixedPair, error) {
 // program, bit-identical to Params.Pair(P, q1). ê(P, O) = 1. Where the lane
 // engine runs and y_Q ≠ 0 the replay is PairX's, in F_p[j]/(j² + y_Q²), one
 // gf.Element.ReplayJ call, and its final exponentiation is mapped onto F_p²
-// by j ↦ y_Q·i (gf.Element.FromJ); elsewhere it is pairScalar's.
+// by j ↦ y_Q·i (gf.Element.FromJ); elsewhere it is millerScalar's.
 func (fp *FixedPair) Pair(q1 curve.EvalArg) (*GT, error) {
-	pp := fp.pp
-	if q1 == nil || q1.IsInfinity() {
-		return pp.One(), nil
-	}
-	xQ, yQ := q1.Mont()
-	var sq jSquare
-	if s := pp.jRing(&sq, yQ); s != nil {
-		if f := pp.field.One(); f.ReplayJ(fp.kinds, fp.lines, xQ, s) {
-			v := pp.finalExp(f, s)
-			return &GT{v: v.FromJ(v, yQ), pp: pp}, nil
-		}
-	}
-	return fp.pairScalar(xQ, yQ), nil
+	m := fp.Miller(q1)
+	return fp.pp.finish(&m), nil
 }
 
-// pairScalar is Pair's replay in F_p² on the scalar kernels, SquareFp2 and
-// MulLine a step.
-func (fp *FixedPair) pairScalar(xQ, yQ []uint64) *GT {
+// Miller is Pair stopped before the final exponentiation (Params.Finish).
+func (fp *FixedPair) Miller(q1 curve.EvalArg) Miller {
 	pp := fp.pp
-	f := pp.field.One()
+	if q1 == nil || q1.IsInfinity() {
+		return Miller{}
+	}
+	xQ, yQ := q1.Mont()
+	var m Miller
+	if s := pp.jRing(&m.sq, yQ); s != nil {
+		if f := pp.field.One(); f.ReplayJ(fp.kinds, fp.lines, xQ, s) {
+			m.f, m.inJ, m.y = f, true, yQ
+			return m
+		}
+	}
+	m.f = fp.millerScalar(xQ, yQ)
+	return m
+}
+
+// millerScalar is Pair's replay in F_p² on the scalar kernels, SquareFp2 and
+// MulLine a step.
+func (fp *FixedPair) millerScalar(xQ, yQ []uint64) *gf.Element {
+	f := fp.pp.field.One()
 	w, line := len(xQ), fp.lines
 	for _, k := range fp.kinds {
 		if k&stepSquare != 0 { //cryptolint:public (the program's shape, which q fixes)
@@ -500,7 +506,7 @@ func (fp *FixedPair) pairScalar(xQ, yQ []uint64) *GT {
 			line = line[2*w:]
 		}
 	}
-	return &GT{v: pp.finalExp(f, nil), pp: pp}
+	return f
 }
 
 // jSquare holds y_Q² for a pairing run in F_p[j]/(j² + y_Q²).

@@ -9,10 +9,12 @@ import (
 	"testing"
 )
 
-// TestExpSecretMatchesExp: the secret-exponent ladder and the fixed-base comb
-// return the element Exp returns, bytes included, on every fixed parameter set — for a pairing value
-// and for the identity, for the ends of [0, q), and for the exponents outside
-// it that both reduce first, random negative ones and multiples of q among them.
+// TestExpSecretMatchesExp: the secret-exponent ladder returns the element Exp
+// returns, bytes included, on every fixed parameter set — for a pairing
+// value, its square and the identity, alone (ExpSecret) and one to three
+// bases to one exponent (ExpSecretEach), for the ends of [0, q), and for the
+// exponents outside it that are reduced first, random negative ones and
+// multiples of q among them — and a base off the norm-1 group is refused.
 func TestExpSecretMatchesExp(t *testing.T) {
 	for _, name := range []string{"toy", "fast", "paper"} {
 		pp, err := ByName(name)
@@ -39,67 +41,79 @@ func TestExpSecretMatchesExp(t *testing.T) {
 			}
 			ks = append(ks, k)
 		}
-		for _, base := range []*GT{g, pp.One()} {
-			comb, err := NewGTSecretComb(base)
-			if err != nil {
+		bases := []*GT{g, g.Mul(g), pp.One()}
+		prepared := make([]*SecretBase, len(bases))
+		for i, base := range bases {
+			if prepared[i], err = base.SecretBase(); err != nil {
 				t.Fatal(err)
 			}
-			for _, k := range ks {
+		}
+		for _, k := range ks {
+			for i, base := range bases {
 				got, err := base.ExpSecret(k)
 				if err != nil {
 					t.Fatal(err)
 				}
 				want := mustExp(t, base, k)
 				if string(got.Bytes()) != string(want.Bytes()) {
-					t.Fatalf("%s: g^%v: ExpSecret ≠ Exp", name, k)
+					t.Fatalf("%s: base %d ^ %v: ExpSecret ≠ Exp", name, i, k)
 				}
-				if got := comb.ExpSecret(k); string(got.Bytes()) != string(want.Bytes()) {
-					t.Fatalf("%s: g^%v: comb ≠ Exp", name, k)
+			}
+			for n := 1; n <= len(bases); n++ {
+				for i, got := range pp.ExpSecretEach(k, prepared[:n]...) {
+					if want := mustExp(t, bases[i], k); string(got.Bytes()) != string(want.Bytes()) {
+						t.Fatalf("%s: base %d of %d ^ %v: ExpSecretEach ≠ Exp", name, i, n, k)
+					}
 				}
 			}
 		}
-		// Not in GT: a value of F_p²* that is no pairing value.
+		// Not unitary: a value of F_p²* that is no pairing value.
 		outside, err := pp.GTFromBytes(append(make([]byte, len(g.Bytes())-1), 2))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := NewGTSecretComb(outside); err == nil {
-			t.Fatalf("%s: a comb was built for a base outside GT", name)
+		if _, err := outside.ExpSecret(big.NewInt(3)); !errors.Is(err, ErrNotUnitary) {
+			t.Fatalf("%s: a base off the norm-1 group was exponentiated (%v)", name, err)
 		}
 	}
 }
 
-// TestGTSecretCombRefusesNonMembers: no comb is built for a nil base or for
-// zero, which is not even a unit; the identity is in GT and gets one, whose
-// every power is the identity.
-func TestGTSecretCombRefusesNonMembers(t *testing.T) {
+// TestExpSecretRefusesNonUnitary: no base is prepared for zero, which is not
+// even a unit, or for any other element off the norm-1 group; the identity
+// is answered 1 for every exponent, and −1 — unitary, though of order 2 and
+// so no member of GT — gets Exp's answer, its imaginary part being 0.
+func TestExpSecretRefusesNonUnitary(t *testing.T) {
 	pp := toyParams(t)
-	if _, err := NewGTSecretComb(nil); err == nil {
-		t.Error("a comb was built for a nil base")
-	}
 	zero := &GT{v: pp.Field().Zero(), pp: pp}
-	if _, err := NewGTSecretComb(zero); err == nil {
-		t.Error("a comb was built for zero")
+	if _, err := zero.SecretBase(); err == nil {
+		t.Error("a base was prepared for zero")
 	}
-	comb, err := NewGTSecretComb(pp.One())
-	if err != nil {
-		t.Fatalf("the identity is in GT: %v", err)
+	if _, err := zero.ExpSecret(big.NewInt(5)); err == nil {
+		t.Error("zero was raised to a secret exponent")
 	}
 	for _, k := range []*big.Int{new(big.Int), big.NewInt(5), big.NewInt(-5), pp.Q()} {
-		if !comb.ExpSecret(k).IsOne() {
-			t.Errorf("1^%v ≠ 1", k)
+		if got, err := pp.One().ExpSecret(k); err != nil || !got.IsOne() {
+			t.Errorf("1^%v = %v, %v", k, got, err)
+		}
+	}
+	minus := &GT{v: pp.Field().One(), pp: pp}
+	minus.v.Neg(minus.v)
+	for _, k := range []*big.Int{new(big.Int), big.NewInt(5), big.NewInt(6)} {
+		got, err := minus.ExpSecret(k)
+		if err != nil || !got.Equal(mustExp(t, minus, k)) {
+			t.Errorf("(−1)^%v = %v, %v", k, got, err)
 		}
 	}
 }
 
-// TestGTSecretCombConcurrent shares one comb and one set of exponents among
-// goroutines (run with -race): ExpSecret reads its rows and its exponent and
-// writes only its own accumulator, so every worker gets Exp's bytes and the
-// exponents come back as they went in.
-func TestGTSecretCombConcurrent(t *testing.T) {
+// TestExpSecretConcurrent shares one prepared base and one set of exponents
+// among goroutines (run with -race): ExpSecretEach reads the base and its
+// exponent and writes only its own results, so every worker gets Exp's
+// bytes and the exponents come back as they went in.
+func TestExpSecretConcurrent(t *testing.T) {
 	pp := toyParams(t)
 	g := mustPair(t, pp, pp.Generator(), pp.Generator())
-	comb, err := NewGTSecretComb(g)
+	base, err := g.SecretBase()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +132,7 @@ func TestGTSecretCombConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
 				j := (w + i) % len(ks)
-				if got := comb.ExpSecret(ks[j]); string(got.Bytes()) != want[j] {
+				if got := pp.ExpSecretEach(ks[j], base)[0]; string(got.Bytes()) != want[j] {
 					errs[w] = fmt.Errorf("worker %d run %d: g^%v ≠ Exp", w, i, ks[j])
 					return
 				}

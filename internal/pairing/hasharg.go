@@ -66,3 +66,8 @@ func (pp *Params) NewHashPairer(k *curve.Point) (*HashPairer, error) {
 func (hp *HashPairer) Pair(h *HashArg) (*GT, error) {
 	return hp.fp.Pair(h.t)
 }
+
+// Miller is Pair stopped before the final exponentiation (Params.Finish).
+func (hp *HashPairer) Miller(h *HashArg) Miller {
+	return hp.fp.Miller(h.t)
+}

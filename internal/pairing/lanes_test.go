@@ -29,7 +29,7 @@ func pointOfOrder4(t *testing.T, c *curve.Curve) *curve.Point {
 }
 
 // TestLanesMatchScalar holds every pairing path that runs on the lane
-// engine to the scalar kernels' F_p² loops (pairScalar), byte for byte, at
+// engine to the scalar kernels' F_p² loops (millerScalar), byte for byte, at
 // every parameter set — toy and fast, whose widths the lanes decline,
 // paper, and paper_dense, whose q has 80 additions between the runs of
 // doublings:
@@ -64,7 +64,7 @@ func TestLanesMatchScalar(t *testing.T) {
 			// inG1 says P admits a Miller program.
 			check := func(row string, P, Q *curve.Point, inG1 bool) {
 				t.Helper()
-				want := pp.pairScalar([]livePair{newLivePair(F, P, Q)})
+				want := &GT{v: pp.finalExp(pp.millerScalar([]livePair{newLivePair(F, P, Q)}, nil), nil), pp: pp}
 				got := map[string]*GT{"Pair": mustPair(t, pp, P, Q)}
 				xQ, yQ := Q.Mont()
 				if inG1 {
@@ -75,7 +75,7 @@ func TestLanesMatchScalar(t *testing.T) {
 					if got["FixedPair.Pair"], err = fixed.Pair(Q); err != nil {
 						t.Fatal(err)
 					}
-					got["FixedPair.pairScalar"] = fixed.pairScalar(xQ, yQ)
+					got["FixedPair.millerScalar"] = &GT{v: pp.finalExp(fixed.millerScalar(xQ, yQ), nil), pp: pp}
 				}
 				if !F.IsZero(xQ) {
 					ux, err := c.UnmarshalX(Q.Marshal())

@@ -246,3 +246,88 @@ func BenchmarkInGT(b *testing.B) {
 		})
 	}
 }
+
+// TestInGTEachMatchesInGT: the batch form gives every element InGT's own
+// verdict — members, unitary non-members, non-unitary elements, 0 and −1,
+// mixed in one call and in every position of a four-element chunk, and
+// runs longer than a chunk — at every parameter size, on both of InGT's
+// paths.
+func TestInGTEachMatchesInGT(t *testing.T) {
+	for name, pp := range allParams(t) {
+		fld := pp.Field()
+		gen := mustPair(t, pp, pp.Generator(), pp.Generator())
+		k, _ := rand.Int(rand.Reader, pp.Q())
+		vs := []*gf.Element{
+			gen.v, fld.NewElement(big.NewInt(-1), big.NewInt(0)), mustExp(t, gen, k).v, fld.Zero(),
+			easyPart(t, randomElement(t, pp)), randomElement(t, pp), fld.One(), new(gf.Element).Neg(gen.v),
+			fld.NewElement(big.NewInt(0), big.NewInt(1)), mustExp(t, gen, big.NewInt(7)).v,
+		}
+		for shift := range vs {
+			gs := make([]*GT, len(vs))
+			for i := range gs {
+				gs[i] = &GT{v: vs[(i+shift)%len(vs)], pp: pp}
+			}
+			for n := 1; n <= len(gs); n++ {
+				ok := make([]bool, n)
+				pp.InGTEach(gs[:n], ok)
+				for i, g := range gs[:n] {
+					if want := pp.InGT(g); ok[i] != want {
+						t.Fatalf("%s: element %d of %d (shift %d): InGTEach says %v, InGT %v", name, i, n, shift, ok[i], want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestFinishMatchesPair: final exponentiations finished together are the
+// single ones bit for bit — plain pairings at points of different
+// ordinates (on the lane engine, different rings j² = −y²), program
+// replays, hash-argument replays, a pairing with O, a zero Miller value
+// and a real one (the ±1 answers), in runs longer than one ladder call.
+func TestFinishMatchesPair(t *testing.T) {
+	for name, pp := range allParams(t) {
+		c := pp.Curve()
+		P := pp.Generator()
+		fixed, err := pp.NewFixedPair(P)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hp, err := pp.NewHashPairer(P)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ms []Miller
+		var want []*GT
+		for i := 0; i < 3; i++ {
+			Q, err := c.RandomG1(rand.Reader)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h, err := pp.HashArg("finish", []byte{byte(i)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ms = append(ms, pp.Miller(P, Q), fixed.Miller(Q), hp.Miller(h))
+			want = append(want, mustPair(t, pp, P, Q), mustPair(t, pp, P, Q))
+			w, err := hp.Pair(h)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, w)
+		}
+		realF := Miller{f: pp.Field().NewElement(big.NewInt(5), big.NewInt(0))}
+		ms = append(ms, Miller{}, Miller{f: pp.Field().Zero()}, realF)
+		want = append(want, pp.One(), pp.One(), pp.One())
+		for n := 1; n <= len(ms); n++ {
+			for i, got := range pp.Finish(ms[:n]...) {
+				if string(got.Bytes()) != string(want[i].Bytes()) {
+					t.Fatalf("%s: value %d of %d finished together ≠ its pairing", name, i, n)
+				}
+				if single := pp.finish(&ms[i]); string(single.Bytes()) != string(want[i].Bytes()) {
+					t.Fatalf("%s: value %d finished alone ≠ its pairing", name, i)
+				}
+			}
+		}
+	}
+}

@@ -27,7 +27,7 @@
 //     steps' exceptional-point branches, the final exponentiation's ladder
 //     over the public (p+1)/q, and GT.Exp and MultiExp, whose recodings
 //     follow their (public) exponents; secret exponents go through
-//     GT.ExpSecret and GTSecretComb.
+//     GT.ExpSecret and ExpSecretEach, the trace ladder over |q| bits.
 package pairing
 
 import (
@@ -39,6 +39,7 @@ import (
 	"sync"
 
 	"repro/internal/curve"
+	"repro/internal/fp"
 	"repro/internal/gf"
 	"repro/internal/mathx"
 )
@@ -287,21 +288,73 @@ func (g *GT) Exp(k *big.Int) (*GT, error) {
 }
 
 // ExpSecret returns g^k like Exp, for an exponent that must stay secret (a
-// proof nonce, an encryption randomiser): k is reduced modulo the group order
-// only if it lies outside [0, 2^|q|), which no in-repo caller's does, and is
-// then walked by gf's fixed-window ladder — the same squarings,
-// multiplications and table reads for every exponent of that size, no
-// inversion. The same field element as Exp, for any g.
+// proof nonce, an encryption randomiser): ExpSecretEach for one base, after
+// the one inversion SecretBase costs. g = 1 is answered 1 at once — g is the
+// public side of the exponentiation — and a g off the norm-1 group, which
+// no pairing value and nothing InGT accepts is, is refused (ErrNotUnitary).
 func (g *GT) ExpSecret(k *big.Int) (*GT, error) {
-	q := g.pp.q
+	if g.IsOne() {
+		return g.pp.One(), nil
+	}
+	b, err := g.SecretBase()
+	if err != nil {
+		return nil, err
+	}
+	return g.pp.ExpSecretEach(k, b)[0], nil
+}
+
+// SecretBase is a GT value held for raising to secret exponents
+// (ExpSecretEach): the element and the inverse of its imaginary part, which
+// the trace ladder divides by to recover a power's, computed once — a key
+// share's public constant under every proof nonce, a BF recipient's
+// ê(P_pub, Q_ID) under every sender's r. Immutable and safe for concurrent
+// use.
+type SecretBase struct {
+	g     *GT
+	invIm [fp.MaxLimbs]uint64
+}
+
+// SecretBase prepares g for secret exponents, by one constant-time field
+// inversion. A g off the norm-1 group is refused with ErrNotUnitary, as
+// MultiExp refuses it: the trace ladder is only right on norm 1.
+func (g *GT) SecretBase() (*SecretBase, error) {
+	if !g.v.IsUnitary() {
+		return nil, ErrNotUnitary
+	}
+	b := &SecretBase{g: g}
+	g.v.ImInverse(b.invIm[:g.pp.field.Fp().Limbs()])
+	return b, nil
+}
+
+// GT returns the base's element.
+func (b *SecretBase) GT() *GT { return b.g }
+
+// ExpSecretEach returns bs[i]^k for every base, each the element Exp
+// returns, for one exponent that must stay secret: k is reduced modulo the
+// group order only if it lies outside [0, 2^|q|), which no in-repo caller's
+// does, and every base is walked by the trace ladder over exactly |q| bits
+// (gf.Field.ExpUnitaries) — never k's own length — so the products are the
+// same for every exponent of that size, with no inversion and no table.
+// Four bases share one ladder call, which on the lane engine costs what one
+// base's does. The bases must belong to pp.
+func (pp *Params) ExpSecretEach(k *big.Int, bs ...*SecretBase) []*GT {
+	q := pp.q
 	if k.Sign() < 0 || k.BitLen() > q.BitLen() {
 		k = new(big.Int).Mod(k, q) //cryptolint:public (an exponent outside the ladder's contract — every in-repo caller's is in [0, 2^|q|) — is brought into it by math/big, which tells a timer no more than that)
 	}
-	out := new(gf.Element)
-	if _, err := out.ExpSecret(g.v, k, q.BitLen()); err != nil {
-		return nil, fmt.Errorf("pairing: GT exponentiation: %w", err)
+	n := pp.field.Fp().Limbs()
+	out := make([]*GT, len(bs))
+	var es, xs [fp.MaxLadders]*gf.Element
+	var invs [fp.MaxLadders][]uint64
+	for i := 0; i < len(bs); i += fp.MaxLadders {
+		c := min(len(bs)-i, fp.MaxLadders)
+		for m, b := range bs[i : i+c] {
+			es[m], xs[m], invs[m] = new(gf.Element), b.g.v, b.invIm[:n]
+			out[i+m] = &GT{v: es[m], pp: pp}
+		}
+		pp.field.ExpUnitaries(es[:c], xs[:c], invs[:c], k, q.BitLen())
 	}
-	return &GT{v: out, pp: g.pp}, nil
+	return out
 }
 
 // Bytes returns the canonical fixed-width serialization of g.
@@ -329,8 +382,10 @@ func (pp *Params) GTFromBytes(data []byte) (*GT, error) {
 // every input, zero and non-unitary elements included, and allocates
 // nothing.
 //
-// A batch of k elements is checked by k InGT calls, never by one test on a
-// random linear combination t = ∏ gᵢ^{rᵢ}: that check is UNSOUND here. The
+// A batch of k elements is checked element by element (InGT, or InGTEach,
+// which gives each element its own verdict and only lets their ladders share
+// calls), never by one test on a random linear combination t = ∏ gᵢ^{rᵢ}:
+// that check is UNSOUND here. The
 // cofactor c = (p²−1)/q is even, so F_p²* has small-order components
 // outside the q-subgroup (e.g. −1, order 2), and gᵢ·ε with ord(ε) = m slips
 // through whenever rᵢ ≡ 0 (mod m) — probability 1/m per attempt, retryable,
@@ -341,6 +396,22 @@ func (pp *Params) InGT(g *GT) bool {
 	return pp.gt.Contains(g.v)
 }
 
+// InGTEach sets ok[i] to InGT(gs[i]) for every i: each element's own
+// verdict, by the same test, with up to four elements' trace ladders in one
+// call (gf.UnitarySubgroup.ContainsEach) — on the lane engine the price of
+// one element's. No verdict reads another element, so this is not the
+// combination check InGT's doc rules out.
+func (pp *Params) InGTEach(gs []*GT, ok []bool) {
+	var es [fp.MaxLadders]*gf.Element
+	for i := 0; i < len(gs); i += fp.MaxLadders {
+		j := min(i+fp.MaxLadders, len(gs))
+		for m, g := range gs[i:j] {
+			es[m] = g.v
+		}
+		pp.gt.ContainsEach(es[:j-i], ok[i:j])
+	}
+}
+
 // Pair computes the modified Tate pairing ê(P, Q) with denominator
 // elimination and an inversion-free Miller loop: the one-pair case of
 // MultiPair's lock-step walk. ê(P, O) = ê(O, Q) = 1, and a nil argument is
@@ -348,25 +419,96 @@ func (pp *Params) InGT(g *GT) bool {
 // Where the lane engine runs and y_Q ≠ 0 the walk is PairX's, in
 // F_p[j]/(j² + y_Q²) with its doubling steps on the lanes (walkLanes), and
 // its final exponentiation is mapped onto F_p² by j ↦ y_Q·i; elsewhere it is
-// pairScalar's. An error indicates corrupted inputs (the internal
+// the scalar kernels' millerScalar. An error indicates corrupted inputs (the internal
 // exponentiations cannot fail for points produced by this package).
 func (pp *Params) Pair(p1 *curve.Point, q1 curve.EvalArg) (*GT, error) {
-	if p1.IsInfinity() || q1 == nil || q1.IsInfinity() {
-		return pp.One(), nil
-	}
-	live := []livePair{newLivePair(pp.field.Fp(), p1, q1)}
-	var sq jSquare
-	if s := pp.jRing(&sq, live[0].yQ); s != nil {
-		v := pp.finalExp(pp.millerProduct(live, s), s)
-		return &GT{v: v.FromJ(v, live[0].yQ), pp: pp}, nil
-	}
-	return pp.pairScalar(live), nil
+	m := pp.Miller(p1, q1)
+	return pp.finish(&m), nil
 }
 
-// pairScalar is Pair's walk of live's one pair in F_p² on the scalar
-// kernels.
-func (pp *Params) pairScalar(live []livePair) *GT {
-	return &GT{v: pp.finalExp(pp.millerScalar(live, nil), nil), pp: pp}
+// Miller is a pairing before its final exponentiation: a Miller walk's or a
+// program replay's value f, in F_p² or, where the lane engine ran it, in
+// F_p[j]/(j² + y_Q²), with the y_Q that maps it back. Params.Finish
+// completes several together; Pair, FixedPair.Pair and HashPairer.Pair are
+// the one-value case.
+type Miller struct {
+	f   *gf.Element // nil: the pairing is 1 (an argument was O)
+	inJ bool        // f is in F_p[j]/(j² + s), s = y²
+	sq  jSquare
+	y   []uint64
+}
+
+// s is the ring's s = y², nil for F_p².
+func (m *Miller) s() []uint64 {
+	if !m.inJ {
+		return nil
+	}
+	return m.sq[:len(m.y)]
+}
+
+// Miller walks Pair's Miller loop for (p1, q1) and stops before the final
+// exponentiation.
+func (pp *Params) Miller(p1 *curve.Point, q1 curve.EvalArg) Miller {
+	if p1.IsInfinity() || q1 == nil || q1.IsInfinity() {
+		return Miller{}
+	}
+	live := []livePair{newLivePair(pp.field.Fp(), p1, q1)}
+	var m Miller
+	if s := pp.jRing(&m.sq, live[0].yQ); s != nil {
+		m.f, m.inJ, m.y = pp.millerProduct(live, s), true, live[0].yQ
+		return m
+	}
+	m.f = pp.millerScalar(live, nil)
+	return m
+}
+
+// finish is Finish for one value.
+func (pp *Params) finish(m *Miller) *GT {
+	if m.f == nil {
+		return pp.One()
+	}
+	v := pp.finalExp(m.f, m.s())
+	if m.inJ {
+		v.FromJ(v, m.y)
+	}
+	return &GT{v: v, pp: pp}
+}
+
+// Finish completes pairings begun by Miller, FixedPair.Miller or
+// HashPairer.Miller: each the GT element the one-call form returns, bit for
+// bit, with their final exponentiations finished together
+// (gf.Field.ExpUnitaryParts — one inversion, and one ladder call, for every
+// four). The ladder reads only traces, so values of different rings share
+// it. A zero value pairs to 1, as finalExp has it.
+//
+//cryptolint:vartime (ladders over the public exponent (p+1)/q, as finalExp's)
+func (pp *Params) Finish(ms ...Miller) []*GT {
+	out := make([]*GT, len(ms))
+	es := make([]*gf.Element, 0, len(ms))
+	xs := make([]*gf.Element, 0, len(ms))
+	ss := make([][]uint64, 0, len(ms))
+	for i := range ms {
+		m := &ms[i]
+		if m.f == nil || m.f.IsZero() {
+			out[i] = pp.One()
+			continue
+		}
+		out[i] = &GT{v: new(gf.Element), pp: pp}
+		es, xs, ss = append(es, out[i].v), append(xs, m.f), append(ss, m.s())
+	}
+	if err := pp.field.ExpUnitaryParts(es, xs, ss, pp.expTail); err != nil {
+		// Impossible for the nonzero values left; finish them one by one.
+		for i := range ms {
+			out[i] = pp.finish(&ms[i])
+		}
+		return out
+	}
+	for i := range ms {
+		if m := &ms[i]; m.f != nil && m.inJ && !m.f.IsZero() {
+			out[i].v.FromJ(out[i].v, m.y)
+		}
+	}
+	return out
 }
 
 // PairWithGenerator computes ê(P, q1) for the fixed system generator P via
@@ -375,18 +517,25 @@ func (pp *Params) pairScalar(live []livePair) *GT {
 // generator constantly (BLS, threshold share proofs), which is the hot path
 // the cached program exists for. Bit-identical to Pair(Generator(), q1).
 func (pp *Params) PairWithGenerator(q1 curve.EvalArg) (*GT, error) {
+	m := pp.MillerWithGenerator(q1)
+	return pp.finish(&m), nil
+}
+
+// MillerWithGenerator is PairWithGenerator stopped before the final
+// exponentiation (Finish).
+func (pp *Params) MillerWithGenerator(q1 curve.EvalArg) Miller {
 	pp.genFPOnce.Do(func() {
 		fp, err := pp.NewFixedPair(pp.gen)
 		if err == nil {
 			pp.genFP = fp
 		}
 		// err is impossible for a valid generator; hand-built Params with a
-		// bad generator fall through to the generic path below.
+		// bad generator fall through to the generic walk below.
 	})
 	if pp.genFP != nil {
-		return pp.genFP.Pair(q1)
+		return pp.genFP.Miller(q1)
 	}
-	return pp.Pair(pp.gen, q1)
+	return pp.Miller(pp.gen, q1)
 }
 
 // finalExp raises the Miller value f to (p²−1)/q = (p−1)·(p+1)/q. The easy

@@ -143,7 +143,8 @@ func revoked(raw []byte) (bool, error) {
 func ignore[X any](X, []byte) (struct{}, error) { return struct{}{}, nil }
 
 // share validates a threshold player's answer to the U it was asked about,
-// whatever U: G, W1 and W2 must be in GT, and the challenge E below q. Every
+// whatever U: G, W1 and W2 must be in GT — each checked on its own, the three
+// ladders in one call (wire.UnmarshalGTEach) — and the challenge E below q. Every
 // element comes from a possibly-misbehaving player, so all of it is checked
 // before it enters verification arithmetic. A proof's V is decoded as what it is to the
 // verifier, the evaluation point of one pairing (wire.UnmarshalPairingArg:
@@ -157,12 +158,8 @@ func (o *ops) share(_ *curve.Point, raw []byte) (*core.DecryptionShare, error) {
 		return nil, fmt.Errorf("%w: threshold share is %d bytes, want %d", ErrProtocol, len(raw), size)
 	}
 	var gs [3]*pairing.GT
-	for k := range gs {
-		g, err := o.gt(raw[k*gt : (k+1)*gt])
-		if err != nil {
-			return nil, err
-		}
-		gs[k] = g
+	if err := wire.UnmarshalGTEach(o.pp, gs[:], raw[:gt], raw[gt:2*gt], raw[2*gt:3*gt]); err != nil {
+		return nil, err
 	}
 	v, err := wire.UnmarshalPairingArg(o.pp.Curve(), raw[3*gt:3*gt+point])
 	if err != nil {

@@ -144,6 +144,37 @@ func UnmarshalGT(pp *pairing.Params, data []byte) (*pairing.GT, error) {
 	return g, nil
 }
 
+// UnmarshalGTEach decodes GT elements received together from an untrusted
+// peer — a threshold share's G, W1 and W2 — into gs, each as UnmarshalGT
+// decodes it, with the order-q checks of the elements before the first
+// undecodable one run together (pairing.Params.InGTEach: each element's own
+// verdict, their ladders sharing calls). The error is the one UnmarshalGT
+// gives for the first element, in order, that it refuses.
+func UnmarshalGTEach(pp *pairing.Params, gs []*pairing.GT, data ...[]byte) error {
+	bad := len(data) // the first element that does not decode
+	var derr error
+	for i, raw := range data {
+		if gs[i], derr = pp.GTFromBytes(raw); derr != nil {
+			bad = i
+			break
+		}
+	}
+	var ok [4]bool
+	for i := 0; i < bad; i += len(ok) {
+		c := min(bad-i, len(ok))
+		pp.InGTEach(gs[i:i+c], ok[:c])
+		for _, in := range ok[:c] {
+			if !in {
+				return fmt.Errorf("%w: element outside the order-q subgroup of GT", ErrProtocol)
+			}
+		}
+	}
+	if derr != nil {
+		return fmt.Errorf("%w: %v", ErrProtocol, derr)
+	}
+	return nil
+}
+
 // PackInts serializes a vector of non-negative integers as 2-byte-length-
 // prefixed big-endian chunks.
 func PackInts(xs []*big.Int) ([]byte, error) {

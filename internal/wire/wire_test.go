@@ -215,3 +215,67 @@ func TestUnmarshalGT(t *testing.T) {
 		}
 	}
 }
+
+// TestUnmarshalGTEach: the batch decoder accepts what UnmarshalGT accepts and
+// refuses, with UnmarshalGT's error, the first element in order that
+// UnmarshalGT refuses — a non-member, a non-unitary element, −1 or a
+// malformed encoding, in every position of a three-element share, and two
+// non-members whose product is a member — at the
+// toy size and at the paper size, where the three checks share the lanes.
+func TestUnmarshalGTEach(t *testing.T) {
+	for _, params := range []func() (*pairing.Params, error){pairing.Toy, pairing.Paper} {
+		pp, err := params()
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := pp.Pair(pp.Generator(), pp.Generator())
+		if err != nil {
+			t.Fatal(err)
+		}
+		members := [][]byte{g.Bytes(), g.Mul(g).Bytes(), pp.One().Bytes()}
+		minus := pp.Field().One()
+		minus.Neg(minus)
+		bad := map[string][]byte{
+			"non-unitary": pp.Field().NewElement(big.NewInt(2), big.NewInt(3)).Bytes(),
+			"-1":          minus.Bytes(),
+			"zero":        pp.Field().Zero().Bytes(),
+			"malformed":   {0xFF},
+		}
+		gs := make([]*pairing.GT, 3)
+		if err := UnmarshalGTEach(pp, gs, members...); err != nil {
+			t.Fatalf("members refused: %v", err)
+		}
+		for i, g := range gs {
+			if !bytes.Equal(g.Bytes(), members[i]) {
+				t.Fatalf("member %d decoded to another element", i)
+			}
+		}
+		for name, raw := range bad {
+			_, want := UnmarshalGT(pp, raw)
+			for at := range members {
+				data := append([][]byte(nil), members...)
+				data[at] = raw
+				if err := UnmarshalGTEach(pp, gs, data...); err == nil || err.Error() != want.Error() {
+					t.Fatalf("%s at %d: %v, want %v", name, at, err, want)
+				}
+			}
+		}
+		// Two non-members whose product is a member: a check on the
+		// product would pass them.
+		negG := g.Element()
+		negG.Neg(negG)
+		negG2 := g.Mul(g).Element()
+		negG2.Neg(negG2)
+		if err := UnmarshalGTEach(pp, gs, negG.Bytes(), negG2.Bytes(), members[2]); err == nil {
+			t.Fatal("−g and −g² were accepted: the elements were checked as their product")
+		}
+		_, outside := UnmarshalGT(pp, bad["-1"])
+		if err := UnmarshalGTEach(pp, gs, members[0], bad["-1"], bad["malformed"]); err == nil || err.Error() != outside.Error() {
+			t.Fatalf("a non-member before a malformed element: %v, want %v", err, outside)
+		}
+		_, malformed := UnmarshalGT(pp, bad["malformed"])
+		if err := UnmarshalGTEach(pp, gs, members[0], bad["malformed"], bad["-1"]); err == nil || err.Error() != malformed.Error() {
+			t.Fatalf("a malformed element before a non-member: %v, want %v", err, malformed)
+		}
+	}
+}
