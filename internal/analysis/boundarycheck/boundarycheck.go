@@ -16,10 +16,9 @@
 // a pairing's evaluation point (DESIGN §7), and wire.UnmarshalPairingX the
 // square root as well, for an x-only pairing's. They need no rule here,
 // because they return a curve.EvalPoint — a type that only a pairing's
-// second argument, core.IBESEM.Token, core.ThresholdPlayer.Share and
-// curve.Curve.EvalSum accept — and a curve.EvalX, which only the x-only
-// pairings and core.IBESEM.TokenX accept; the compiler refuses every other
-// use.
+// second argument, core.IBESEM.Token and curve.Curve.EvalSum accept — and a
+// curve.EvalX, which only the x-only pairings, core.IBESEM.TokenX and
+// core.ThresholdPlayer.Share accept; the compiler refuses every other use.
 package boundarycheck
 
 import (

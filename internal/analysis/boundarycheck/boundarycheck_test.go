@@ -125,7 +125,6 @@ func TestEvalPointDoesNotCompile(t *testing.T) {
 	}
 	allowed := map[string]string{
 		"IBESEM.Token":            `return sem.Token("id", $V)`,
-		"ThresholdPlayer.Share":   `return pl.Share("id", $V)`,
 		"second pairing argument": "return pp.Pair(key, $V)",
 		"FixedPair.Pair":          "return fp.Pair($V)",
 		"PairWithGenerator":       "return pp.PairWithGenerator($V)",
@@ -171,16 +170,16 @@ func TestEvalPointMethodSet(t *testing.T) {
 }
 
 // TestEvalXDoesNotCompile holds an x-only evaluation point to the x-only
-// pairings: it has no y, so every use that reads a point's y — a pairing's
-// second argument, Token, Share, EvalSum, Marshal — must fail to type-check
-// for it, and no evaluation point with a y may pass where it goes.
+// pairings and their two servers, TokenX and a threshold player's Share: it
+// has no y, so every use that reads a point's y — a pairing's second
+// argument, Token, EvalSum, Marshal — must fail to type-check for it, and no
+// evaluation point with a y may pass where it goes.
 func TestEvalXDoesNotCompile(t *testing.T) {
 	l := moduleLoader(t)
 	forbidden := map[string]string{
 		"second pairing argument": "return pp.Pair(key, $V)",
 		"FixedPair.Pair":          "return fp.Pair($V)",
 		"IBESEM.Token":            `return sem.Token("id", $V)`,
-		"ThresholdPlayer.Share":   `return pl.Share("id", $V)`,
 		"EvalSum":                 "return c.EvalSum([]*big.Int{k}, []curve.EvalPoint{$V})",
 		"Marshal":                 "return $V.Marshal(), nil",
 		"converted to a Point":    "return (*curve.Point)($V), nil",
@@ -192,10 +191,11 @@ func TestEvalXDoesNotCompile(t *testing.T) {
 		}
 	}
 	allowed := map[string]string{
-		"IBESEM.TokenX":   `return sem.TokenX("id", $V)`,
-		"Params.PairX":    "return pp.PairX(key, $V)",
-		"FixedPair.PairX": "return fp.PairX($V)",
-		"IsInfinity":      "return $V.IsInfinity(), nil",
+		"IBESEM.TokenX":         `return sem.TokenX("id", $V)`,
+		"ThresholdPlayer.Share": `return pl.Share("id", $V)`,
+		"Params.PairX":          "return pp.PairX(key, $V)",
+		"FixedPair.PairX":       "return fp.PairX($V)",
+		"IsInfinity":            "return $V.IsInfinity(), nil",
 	}
 	for name, body := range allowed {
 		if err := typeCheck(t, l, body, "ex"); err != nil {

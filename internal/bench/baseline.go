@@ -5,6 +5,7 @@ import (
 	"crypto/rand"
 	"crypto/sha256"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"math/big"
@@ -455,6 +456,16 @@ func Baseline(pp *pairing.Params, minIters int, minDuration time.Duration) (*Bas
 	// exponentiation's tail (p+1)/q — the curve's cofactor — over an
 	// arbitrary Miller-shaped value.
 	uBytes := ct.U.Marshal()
+	uX, err := wire.UnmarshalPairingX(cv, uBytes)
+	if err != nil {
+		return nil, err
+	}
+	// A recombiner's round of three proof points V, decoded in one call.
+	vBytes := make([][]byte, len(tproofs[:3]))
+	for i, ds := range tproofs[:3] {
+		vBytes[i] = ds.Proof.V.Marshal()
+	}
+	vs, vErrs := make([]curve.EvalPoint, len(vBytes)), make([]error, len(vBytes))
 	expTail := cv.Cofactor()
 	qx, err := cv.UnmarshalX(Q.Marshal())
 	if err != nil {
@@ -529,6 +540,10 @@ func Baseline(pp *pairing.Params, minIters int, minDuration time.Duration) (*Bas
 		{"wire.g1", func() error { _, err := wire.UnmarshalG1(cv, uBytes); return err }},
 		{"wire.pairing-arg", func() error { _, err := wire.UnmarshalPairingArg(cv, uBytes); return err }},
 		{"wire.pairing-x", func() error { _, err := wire.UnmarshalPairingX(cv, uBytes); return err }},
+		{"wire.pairing-arg.x3", func() error {
+			wire.UnmarshalPairingArgs(cv, vs, vErrs, vBytes...)
+			return errors.Join(vErrs...)
+		}},
 		{"bf.encrypt", func() error { _, err := pub.Encrypt(rand.Reader, id, msg); return err }},
 		// bf.encrypt is a later message to a recipient (its GT comb cached);
 		// a first one pays the hash onto the curve, one replay of P_pub's
@@ -542,7 +557,7 @@ func Baseline(pp *pairing.Params, minIters int, minDuration time.Duration) (*Bas
 			_, err := tparams.ComputeShareWithProof(rand.Reader, tshares[0], ct.U)
 			return err
 		}},
-		{"thibe.player-share", func() error { _, err := tplayer.Share(id, ct.U); return err }},
+		{"thibe.player-share", func() error { _, err := tplayer.Share(id, uX); return err }},
 		{"thibe.verify-proof", func() error { return tparams.VerifyShareProofFor(qid, ct.U, tproofs[0]) }},
 		{"thibe.verify-batch5", func() error { return tparams.VerifyShareProofs(qid, ct.U, tproofs) }},
 		{"thibe.verify-single5", func() error {

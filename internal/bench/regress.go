@@ -210,7 +210,12 @@ func (g ratioGate) name() string { return g.Num + " ÷ " + g.Den }
 // hash.to-g1, 2.94–3.98 (IFMA 2.94–3.88, MULX 3.05–3.98, Go 3.68–3.83; four
 // quick runs each) against 4.40–5.02 with the message hashed a second time
 // (4.40–4.90, 4.51–5.02, 4.68–4.98); both sides run on one kernel, so one
-// bound serves all three.
+// bound serves all three. The twenty-eighth, lanes-only, holds a
+// recombiner's round of proof points to one walk of the square-root
+// exponent on the lane engine (wire.UnmarshalPairingArgs): three decodes
+// against one, 1.17–1.32 intact (16 quick runs on the IFMA host) and
+// 2.97–3.02 with the roots back on one Field.Exp each (4). On the scalar
+// kernels three roots are three exponentiations by design, ≈ 3 either way.
 var kernelRatioGates = []ratioGate{
 	{Num: "fp.mul.go", Den: "fp.mul.generic", Max: every(0.70), Rounds: 64, Burst: 2048},
 	{Num: "fp.square.go", Den: "fp.mul.go", Max: every(0.92), Rounds: 64, Burst: 2048},
@@ -239,6 +244,7 @@ var kernelRatioGates = []ratioGate{
 	{Num: "gtexp.multi4x5", Den: "gtexp.square-multiply", Max: every(12), Rounds: 32, Burst: 4},
 	{Num: "gtexp.secret.x4", Den: "gtexp.secret.x1", Max: kernelBound{IFMA: 2.0}, Rounds: 32, Burst: 8},
 	{Num: "gdh.sign.mediated", Den: "hash.to-g1", Max: every(4.2), Rounds: 16, Burst: 2},
+	{Num: "wire.pairing-arg.x3", Den: "wire.pairing-arg", Max: kernelBound{IFMA: 2.0}, Rounds: 32, Burst: 4},
 }
 
 // CompareBaselines checks a freshly measured report against a committed

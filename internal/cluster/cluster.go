@@ -398,16 +398,20 @@ func playerOrder(r *Recombiner) []int {
 }
 
 // fetchRound asks the given players in parallel for their shares of every
-// ciphertext, one batched request each. columns[i-1] is player i's column,
-// nil when the player was not asked, is unreachable, or any of its answers
-// is refused or malformed; refusals[i-1] is then the typed sentinel —
-// ErrUnknownIdentity or core.ErrRevoked — when the player answered and
-// every item it failed it refused with that sentinel, nil otherwise. Each
-// share is stamped with the slot that was dialed, not with anything the
-// player says about itself, so a share relayed from another player is
-// checked against the wrong verification key and fails.
+// ciphertext, one batched request each, and once every fetch has resolved
+// decodes all the round's proof points V in one call (sem.DecodeShares: one
+// walk of the square-root exponent on the lane engine for up to eight).
+// columns[i-1] is player i's column, nil when the player was not asked, is
+// unreachable, or any of its answers is refused or malformed, V included;
+// refusals[i-1] is then the typed sentinel — ErrUnknownIdentity or
+// core.ErrRevoked — when the player answered and every item it failed it
+// refused with that sentinel, nil otherwise. Each share is stamped with the
+// slot that was dialed, not with anything the player says about itself, so
+// a share relayed from another player is checked against the wrong
+// verification key and fails.
 func (r *Recombiner) fetchRound(ask []int, ids []string, us []*curve.Point) (columns [][]*core.DecryptionShare, refusals []error) {
 	columns, refusals = make([][]*core.DecryptionShare, r.params.N), make([]error, r.params.N)
+	replies := make([][]*sem.ShareReply, r.params.N)
 	start := time.Now()
 	var wg sync.WaitGroup
 	for _, i := range ask {
@@ -415,14 +419,11 @@ func (r *Recombiner) fetchRound(ask []int, ids []string, us []*curve.Point) (col
 		go func() {
 			defer wg.Done()
 			fetchStart := time.Now()
-			shares, itemErrs, err := r.pools[i].ThresholdShareBatch(ids, us)
+			got, itemErrs, err := r.pools[i].ThresholdShareBatch(ids, us)
 			switch {
 			case err != nil:
 			case errors.Join(itemErrs...) == nil:
-				for _, share := range shares {
-					share.Index = i + 1
-				}
-				columns[i] = shares
+				replies[i] = got
 			default:
 				for _, why := range []error{ErrUnknownIdentity, core.ErrRevoked} {
 					if !slices.ContainsFunc(itemErrs, func(e error) bool { return e != nil && !errors.Is(e, why) }) {
@@ -435,6 +436,26 @@ func (r *Recombiner) fetchRound(ask []int, ids []string, us []*curve.Point) (col
 	}
 	wg.Wait()
 	r.met.quorumWait.Observe(time.Since(start))
+
+	var round []*sem.ShareReply
+	for _, i := range ask {
+		round = append(round, replies[i]...)
+	}
+	shares, errs := sem.DecodeShares(r.params.Public.Pairing.Curve(), round)
+	for _, i := range ask {
+		if replies[i] == nil {
+			continue
+		}
+		col, colErrs := shares[:len(us)], errs[:len(us)]
+		shares, errs = shares[len(us):], errs[len(us):]
+		if errors.Join(colErrs...) != nil {
+			continue
+		}
+		for _, share := range col {
+			share.Index = i + 1
+		}
+		columns[i] = col
+	}
 	return columns, refusals
 }
 

@@ -49,6 +49,12 @@ func deploy(t *testing.T) *deployment {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return deployOn(t, pp)
+}
+
+// deployOn is deploy over the parameter set pp.
+func deployOn(t *testing.T, pp *pairing.Params) *deployment {
+	t.Helper()
 	pkg, err := core.SetupThreshold(rand.Reader, pp, msgLen, tt, nn)
 	if err != nil {
 		t.Fatal(err)
@@ -145,10 +151,13 @@ func (d *deployment) served(i int) uint64 {
 func (d *deployment) crash(i int) { d.stop(d.players[i-1]) }
 
 // lieAlways makes player i answer every request with a share value that is
-// not ê(U, d_IDi), under the honest share's (now stale) proof.
+// not ê(U, d_IDi) — its W2 = G^r, which resolves into GT as G does — under
+// the honest share's (now stale) proof.
 func (d *deployment) lieAlways(i int) {
-	d.players[i-1].SetMisbehaviour(func(ds *core.DecryptionShare) *core.DecryptionShare {
-		return &core.DecryptionShare{Index: ds.Index, G: ds.G.Mul(ds.G), Proof: ds.Proof}
+	d.players[i-1].SetMisbehaviour(func(sx *core.ShareX) *core.ShareX {
+		lie := *sx
+		lie.G = sx.W2
+		return &lie
 	})
 }
 
@@ -320,20 +329,25 @@ func (d *deployment) lie(t *testing.T, liar int, cs []*bf.BasicCiphertext, apply
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.players[liar-1].SetMisbehaviour(func(own *core.DecryptionShare) *core.DecryptionShare {
+	pp := d.params.Public.Pairing
+	d.players[liar-1].SetMisbehaviour(func(sent *core.ShareX) *core.ShareX {
 		for _, c := range cs {
+			own := core.ResolveShare(sent, c.U)
 			if d.params.VerifyShareProofFor(qid, c.U, own) != nil {
 				continue
 			}
 			player1, err := d.params.ComputeShareWithProof(nil, d.keys[0], c.U)
 			if err != nil {
 				t.Error(err)
-				return own
+				return sent
 			}
-			return apply(t, own, player1)
+			// What the player sends is the lie in U's ring, as it holds it.
+			lie := apply(t, own, player1)
+			xs := pp.UnresolveX(c.U, lie.G, lie.Proof.W2)
+			return &core.ShareX{Index: lie.Index, G: xs[0], W1: lie.Proof.W1, W2: xs[1], E: lie.Proof.E, V: openV(t, lie.Proof)}
 		}
 		t.Error("share requested for a ciphertext outside the test's batch")
-		return own
+		return sent
 	})
 }
 
@@ -1006,22 +1020,24 @@ func TestDecryptHashesIdentityOnce(t *testing.T) {
 }
 
 // TestWarmDecryptionRunsNoClearingAndNoSubgroupLadder counts, process-wide
-// (players and recombiner share the process), the three ladders a decryption
+// (players and recombiner share the process), the ladders a decryption
 // could be made to pay per request: once the verification keys' programs
 // exist, a decryption hashes the identity once, never clears that hash's
 // cofactor — Q_ID is only the evaluation point of those programs — and runs
 // no [q]· ladder: U at the players and V at the recombiner are evaluation
-// points, decoded as such. The same holds when a first choice is down and
-// when one lies (the ciphertext's own G1 check, made when a proof fails, is
-// memoized on its U after the first such decryption).
+// points, decoded as such. Its square roots are the hash's and one per
+// share received, the recombiner's V's: the players read U's abscissa
+// alone. The same holds when a first choice is down and when one lies (the
+// ciphertext's own G1 check, made when a proof fails, is memoized on its U
+// after the first such decryption).
 func TestWarmDecryptionRunsNoClearingAndNoSubgroupLadder(t *testing.T) {
 	d := deploy(t)
 	r := d.recombiner(t)
 	msgs, cs := encryptBatch(t, d, 1)
-	counted := func(what string, wantRejected []int) {
+	counted := func(what string, wantRejected []int, received uint64) {
 		t.Helper()
 		r.startAt(1)
-		hashes, clears, checks := curve.HashToPointCalls(), curve.CofactorClears(), curve.SubgroupChecks()
+		hashes, clears, checks, roots := curve.HashToPointCalls(), curve.CofactorClears(), curve.SubgroupChecks(), curve.SquareRoots()
 		got, rejected, err := r.Decrypt(ident, cs[0])
 		if err != nil || !slices.Equal(rejected, wantRejected) || !bytes.Equal(got, msgs[0]) {
 			t.Fatalf("%s: Decrypt = %x, rejected %v, err %v", what, got, rejected, err)
@@ -1030,6 +1046,9 @@ func TestWarmDecryptionRunsNoClearingAndNoSubgroupLadder(t *testing.T) {
 		if hashes != 1 || clears != 0 || checks != 0 {
 			t.Fatalf("%s: a warm (%d, %d) decryption ran %d hashes, %d cofactor clearings and %d subgroup ladders, want 1, 0, 0", what, tt, nn, hashes, clears, checks)
 		}
+		if roots = curve.SquareRoots() - roots; roots != 1+received {
+			t.Fatalf("%s: a warm decryption receiving %d shares took %d square roots, want %d", what, received, roots, 1+received)
+		}
 	}
 	// Cold: the first decryptions build (and subgroup-check) the keys of the
 	// players they ask; 1..3 here, 4 and 5 with the escalation below.
@@ -1037,7 +1056,7 @@ func TestWarmDecryptionRunsNoClearingAndNoSubgroupLadder(t *testing.T) {
 	if _, _, err := r.Decrypt(ident, cs[0]); err != nil {
 		t.Fatal(err)
 	}
-	counted("honest", nil)
+	counted("honest", nil, tt)
 
 	d.lieAlways(2)
 	r.startAt(1)
@@ -1045,9 +1064,137 @@ func TestWarmDecryptionRunsNoClearingAndNoSubgroupLadder(t *testing.T) {
 		t.Fatalf("warming the escalated path: rejected %v, err %v", rejected, err)
 	}
 	r.failedAt[1].Store(0) // ask the liar first again
-	counted("escalated by a liar", []int{2})
+	counted("escalated by a liar", []int{2}, nn)
 
 	d.crash(2)
 	r.failedAt[1].Store(0)
-	counted("escalated by a crash", []int{2})
+	counted("escalated by a crash", []int{2}, nn-1)
+}
+
+// offCurveV puts a proxy in front of player i that forwards every frame
+// both ways and rewrites the proof point V of each threshold_share answer
+// to an encoding that is no curve point: an x whose x³ + x is not a square.
+// Call before building the recombiner.
+func (d *deployment) offCurveV(t *testing.T, i int) {
+	t.Helper()
+	pp := d.params.Public.Pairing
+	c := pp.Curve()
+	x := big.NewInt(1)
+	for {
+		s := new(big.Int).Exp(x, big.NewInt(3), c.P())
+		if big.Jacobi(s.Add(s, x).Mod(s, c.P()), c.P()) == -1 {
+			break
+		}
+		x.Add(x, big.NewInt(1))
+	}
+	gt, point := 2*c.CoordinateSize(), 1+c.CoordinateSize()
+	bad := make([]byte, point)
+	bad[0] = 2
+	x.FillBytes(bad[1:])
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = ln.Close() })
+	real := d.addrs[i-1]
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer func() { _ = conn.Close() }()
+				up, err := net.Dial("tcp", real)
+				if err != nil {
+					return
+				}
+				defer func() { _ = up.Close() }()
+				hello := make([]byte, 5)
+				if _, err := io.ReadFull(conn, hello); err != nil {
+					return
+				}
+				if _, err := up.Write(hello); err != nil {
+					return
+				}
+				version, maxBatch, maxFrame, err := wire.ReadV2Ack(up)
+				if err != nil || wire.WriteV2Ack(conn, version, maxBatch, maxFrame) != nil {
+					return
+				}
+				var enc wire.FrameEncoder
+				var dec wire.FrameDecoder
+				for {
+					op, items, _, err := dec.ReadRequest(conn, 0, 0)
+					if err != nil {
+						return
+					}
+					frame, err := enc.EncodeRequest(op, items, 0)
+					if err != nil {
+						return
+					}
+					if _, err := up.Write(frame); err != nil {
+						return
+					}
+					op, resp, _, err := dec.ReadResponse(up, 0, 0)
+					if err != nil {
+						return
+					}
+					for k := range resp {
+						if op == opThresholdShare && resp[k].Status == statusOK {
+							data := bytes.Clone(resp[k].Data)
+							copy(data[3*gt:], bad)
+							resp[k].Data = data
+						}
+					}
+					if frame, err = enc.EncodeResponse(op, resp, 0); err != nil {
+						return
+					}
+					if _, err := conn.Write(frame); err != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	d.addrs[i-1] = ln.Addr().String()
+}
+
+// TestOffCurveVRejectsOnlyItsPlayer: a round's proof points are decoded in
+// one call (at paper size one walk of the square-root exponent on the lane
+// engine for all three), each with its own verdict. A player whose V is no
+// curve point is rejected alone; the two shares decoded beside it in that
+// call are accepted, and the round after asks only the two players left.
+func TestOffCurveVRejectsOnlyItsPlayer(t *testing.T) {
+	for _, name := range []string{"toy", "paper"} {
+		t.Run(name, func(t *testing.T) {
+			pp, err := pairing.ByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d := deployOn(t, pp)
+			d.offCurveV(t, 2)
+			r := d.recombiner(t)
+			r.startAt(1)
+			msg := bytes.Repeat([]byte{0x2c}, msgLen)
+			c, err := d.params.Public.EncryptBasic(rand.Reader, ident, msg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, rejected, err := r.Decrypt(ident, c)
+			if err != nil || !bytes.Equal(got, msg) {
+				t.Fatalf("Decrypt = %x, %v", got, err)
+			}
+			if !slices.Equal(rejected, []int{2}) {
+				t.Fatalf("rejected %v, want [2]", rejected)
+			}
+			if n := r.met.verifyFail.Value(); n != 0 {
+				t.Fatalf("%d players failed the proof check; player 2's V must be refused by its decoder", n)
+			}
+			for i, want := range []uint64{1, 1, 1, 1, 1} {
+				if n := r.fetched(i + 1); n != want {
+					t.Errorf("player %d asked %d times, want %d", i+1, n, want)
+				}
+			}
+		})
+	}
 }

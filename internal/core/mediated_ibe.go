@@ -193,8 +193,7 @@ func (s *IBESEM) Token(id string, u curve.EvalArg) (*pairing.GT, error) {
 	// *served* for a revoked identity — half checks revocation on every call —
 	// and the entry is keyed to this exact half, so it is correct again if
 	// the identity is unrevoked.
-	g, _, err := s.pairers.pair(s.pub.Pairing, id, half.D, u)
-	return g, err
+	return s.pairers.pair(s.pub.Pairing, id, half.D, u)
 }
 
 // TokenX is Token for a U the SEM has as its abscissa alone
@@ -211,7 +210,8 @@ func (s *IBESEM) TokenX(id string, u curve.EvalX) (pairing.GTX, error) {
 	if u.IsInfinity() {
 		return pairing.GTX{}, fmt.Errorf("core: ciphertext point U is not a valid pairing argument")
 	}
-	return s.pairers.pairX(s.pub.Pairing, id, half.D, u)
+	g, _, err := s.pairers.pairX(s.pub.Pairing, id, half.D, u)
+	return g, err
 }
 
 // TokenFor is Token for a U the caller holds as a G1 point: the SEM step

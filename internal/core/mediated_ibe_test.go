@@ -172,11 +172,13 @@ func TestAbsentEvaluationPoint(t *testing.T) {
 	// refusal is Token's and Share's answer; a pairing's is 1.
 	const refusal = "core: ciphertext point U is not a valid pairing argument"
 	share := func(u curve.EvalArg) (*pairing.GT, error) {
-		ds, err := player.Share("alice@example.com", u)
+		// A player reads the abscissa alone, and an absent point's is the
+		// zero EvalX.
+		sx, err := player.Share("alice@example.com", curve.EvalX{})
 		if err != nil {
 			return nil, err
 		}
-		return ds.G, nil
+		return sx.G.Resolve(u), nil
 	}
 	calls := []struct {
 		name    string

@@ -48,7 +48,7 @@ func thresholdCase(t *testing.T) mediatorCase {
 		t.Fatal(err)
 	}
 	return mediatorCase{name: "threshold", reg: player.Registry(), serve: func(id string) error {
-		ds, err := player.Share(id, u)
+		ds, err := shareFor(player, id, u)
 		if err != nil {
 			return err
 		}

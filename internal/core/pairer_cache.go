@@ -70,36 +70,36 @@ type keyPairer struct {
 // admitted, and by Params.Pair, which a replay is bit-identical to, when it
 // is not. A d outside G1 ∖ {O} is never walked: NewFixedPair refuses it
 // (curve.ErrNotInSubgroup), Validate gives the plain path the same verdict.
-// The entry the value came from is returned beside it, nil when the identity
-// was not admitted, for a holder of d that goes on to multiply by it.
 //
 // The key must also be dropped (Remove) when it is replaced or withdrawn;
 // the d.Equal guard is what makes a racing insert harmless.
-func (c pairerCache) pair(pp *pairing.Params, id string, d *curve.Point, u curve.EvalArg) (*pairing.GT, *keyPairer, error) {
+func (c pairerCache) pair(pp *pairing.Params, id string, d *curve.Point, u curve.EvalArg) (*pairing.GT, error) {
 	p, err := c.program(pp, id, d)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if p == nil {
-		g, err := pp.Pair(d, u)
-		return g, nil, err
+		return pp.Pair(d, u)
 	}
-	g, err := p.fp.Pair(u)
-	return g, p, err
+	return p.fp.Pair(u)
 }
 
 // pairX is pair for an x-only evaluation point: the same admission, program
 // and refusals, the replay and the plain pairing both run in u's ring
-// (FixedPair.PairX, Params.PairX).
-func (c pairerCache) pairX(pp *pairing.Params, id string, d *curve.Point, u curve.EvalX) (pairing.GTX, error) {
+// (FixedPair.PairX, Params.PairX). The entry the value came from is
+// returned beside it, nil when the identity was not admitted, for a holder
+// of d that goes on to multiply by it (a threshold player's proof).
+func (c pairerCache) pairX(pp *pairing.Params, id string, d *curve.Point, u curve.EvalX) (pairing.GTX, *keyPairer, error) {
 	p, err := c.program(pp, id, d)
 	if err != nil {
-		return pairing.GTX{}, err
+		return pairing.GTX{}, nil, err
 	}
 	if p == nil {
-		return pp.PairX(d, u)
+		g, err := pp.PairX(d, u)
+		return g, nil, err
 	}
-	return p.fp.PairX(u)
+	g, err := p.fp.PairX(u)
+	return g, p, err
 }
 
 // program counts one request for id and returns the entry holding d's built

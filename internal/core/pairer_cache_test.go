@@ -68,7 +68,7 @@ func TestRevokeDropsPairerTable(t *testing.T) {
 			return wantBytes(DecryptIBE(sem.pub, alice, c, sem.TokenFor))(msg)
 		}, sem.pairers},
 		{"threshold", player.Registry(), func() error {
-			ds, err := player.Share("alice@example.com", c.U)
+			ds, err := shareFor(player, "alice@example.com", c.U)
 			if err != nil {
 				return err
 			}
@@ -227,6 +227,17 @@ func playerFixture(t *testing.T) (*ThresholdPKG, *ThresholdPlayer) {
 	return pkg, player
 }
 
+// shareFor asks player for id's share of u as a player daemon is asked —
+// u's abscissa alone — and resolves the answer with u's y, as the
+// recombiner does.
+func shareFor(player *ThresholdPlayer, id string, u *curve.Point) (*DecryptionShare, error) {
+	sx, err := player.Share(id, curve.EvalXOf(u))
+	if err != nil {
+		return nil, err
+	}
+	return ResolveShare(sx, u), nil
+}
+
 func installShare(t *testing.T, pkg *ThresholdPKG, player *ThresholdPlayer, id string) *KeyShare {
 	t.Helper()
 	ks, err := pkg.ExtractShare(id, 1)
@@ -251,7 +262,7 @@ func TestPairerCacheGuardsTheKey(t *testing.T) {
 	u, _ := pp.Curve().RandomG1(rand.Reader)
 	k := big.NewInt(0xC0FFEE)
 	for _, d := range []*curve.Point{d1, d2, d2, d1} {
-		got, entry, err := c.pair(pp, "id", d, u)
+		got, entry, err := c.pairX(pp, "id", d, curve.EvalXOf(u))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -259,7 +270,7 @@ func TestPairerCacheGuardsTheKey(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		if !bytes.Equal(got.Resolve(u).Bytes(), want.Bytes()) {
 			t.Fatal("a program built for another key was served")
 		}
 		if entry == nil {
@@ -301,7 +312,7 @@ func TestSEMEntryBuildsNoComb(t *testing.T) {
 
 	tpkg, player := playerFixture(t)
 	installShare(t, tpkg, player, "vault@example.com")
-	if _, err := player.Share("vault@example.com", u); err != nil {
+	if _, err := shareFor(player, "vault@example.com", u); err != nil {
 		t.Fatal(err)
 	}
 	if entry, ok := player.pairers.Get("vault@example.com"); !ok || entry.comb == nil {
@@ -358,7 +369,7 @@ func TestPlayerReinstallDropsProgram(t *testing.T) {
 	id := "vault@example.com"
 	ks := installShare(t, pkg, player, id)
 	u, tors := cofactorSplit(t, pkg.Params().Public.Pairing.Curve())
-	if _, err := player.Share(id, u); err != nil {
+	if _, err := shareFor(player, id, u); err != nil {
 		t.Fatal(err)
 	}
 	if player.pairers.Len() != 1 {
@@ -371,12 +382,12 @@ func TestPlayerReinstallDropsProgram(t *testing.T) {
 	if player.pairers.Len() != 0 {
 		t.Fatal("re-Install must drop the identity's program")
 	}
-	if ds, err := player.Share(id, u); !errors.Is(err, curve.ErrNotInSubgroup) {
+	if ds, err := shareFor(player, id, u); !errors.Is(err, curve.ErrNotInSubgroup) {
 		t.Fatalf("share served from a replaced key's program: %v, %v", ds, err)
 	}
 
 	installShare(t, pkg, player, id)
-	ds, err := player.Share(id, u)
+	ds, err := shareFor(player, id, u)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,7 +413,7 @@ func TestPlayerRefusesKeyShareOutsideG1(t *testing.T) {
 					id := unsharedID(player.pairers, &next)
 					installShare(t, pkg, player, id)
 					for asks := 0; asks < 3; asks++ {
-						if _, err := player.Share(id, u); err != nil {
+						if _, err := shareFor(player, id, u); err != nil {
 							t.Fatal(err)
 						}
 					}
@@ -420,7 +431,7 @@ func TestPlayerRefusesKeyShareOutsideG1(t *testing.T) {
 			builds := pairing.AmortizedEngineStats().FixedPairBuilds
 			rejected := player.pairers.Stats().Rejected
 			for i := 0; i < 2; i++ {
-				if ds, err := player.Share(id, u); !errors.Is(err, curve.ErrNotInSubgroup) || ds != nil {
+				if ds, err := shareFor(player, id, u); !errors.Is(err, curve.ErrNotInSubgroup) || ds != nil {
 					t.Fatalf("request %d: %v, %v; want curve.ErrNotInSubgroup", i, ds, err)
 				}
 			}
@@ -450,7 +461,7 @@ func TestPlayerPairerCacheBounded(t *testing.T) {
 	u, _ := pkg.Params().Public.Pairing.Curve().RandomG1(rand.Reader)
 	share := func(id string) {
 		t.Helper()
-		ds, err := player.Share(id, u)
+		ds, err := shareFor(player, id, u)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -506,7 +517,7 @@ func TestConcurrentPlayerShareStress(t *testing.T) {
 					errs <- err
 					return
 				}
-				ds, err := player.Share(id, u)
+				ds, err := shareFor(player, id, u)
 				if err != nil {
 					errs <- err
 					return
@@ -560,7 +571,7 @@ func TestRevokeRacesPlayerShares(t *testing.T) {
 					return
 				}
 				after := revoked.Load()
-				ds, err := player.Share(id, u)
+				ds, err := shareFor(player, id, u)
 				switch {
 				case err == nil && after:
 					errs <- fmt.Errorf("caller %d round %d: a share that started after Revoke returned was served", c, r)
@@ -599,7 +610,7 @@ func TestRevokeRacesPlayerShares(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := player.Share(id, nil); !errors.Is(err, ErrRevoked) {
+	if _, err := player.Share(id, curve.EvalX{}); !errors.Is(err, ErrRevoked) {
 		t.Fatalf("revoked identity served: %v", err)
 	}
 }

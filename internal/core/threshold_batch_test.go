@@ -170,7 +170,8 @@ func TestCancellingLieFails(t *testing.T) {
 		R := ks.D.ScalarMul(r)
 		w1 := pair(P, R).Mul(exp(g, delta))
 		w2 := pair(U, R).Mul(exp(g, new(big.Int).Neg(delta)))
-		e := proofChallenge(q, G, c, w1, w2)
+		xs := pp.UnresolveX(U, G, w2)
+		e := proofChallenge(q, pp.Curve().AbscissaBytes(curve.EvalXOf(U)), xs[0], c, w1, xs[1])
 		return &DecryptionShare{Index: ks.Index, G: G, Proof: &ShareProof{W1: w1, W2: w2, E: e, V: curve.EvalPointOf(R.Add(ks.D.ScalarMul(e)))}}
 	}
 	if err := f.p.VerifyShareProofFor(f.qid, U, prove(new(big.Int))); err != nil {

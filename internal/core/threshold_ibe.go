@@ -324,19 +324,56 @@ type ShareProof struct {
 	V curve.EvalPoint
 }
 
+// ShareX is a decryption share with its proof as a player computes them
+// from U's abscissa alone (ThresholdPlayer.Share): G = ê(U, d_IDi) and
+// W2 = G^r are values of U's ring F_p[j]/(j² + s) (pairing.GTX), which the
+// holder of U resolves into the ShareProof's GT elements (ResolveShare);
+// W1, E and V are the proof's own. Its bytes are what a player sends.
+type ShareX struct {
+	Index int
+	G, W2 pairing.GTX
+	W1    *pairing.GT
+	E     *big.Int
+	V     *curve.Point
+}
+
+// ResolveShare resolves a player's x-only answer with u's y (DESIGN §7
+// "The share from U's abscissa"): G and W2 by one product each
+// (pairing.GTX.Resolve), W1, E and V as they are. The GT membership of the
+// results is not checked; a recombiner decodes a player's bytes through
+// wire.UnmarshalGTEach, which resolves and checks.
+func ResolveShare(sx *ShareX, u curve.EvalArg) *DecryptionShare {
+	return &DecryptionShare{
+		Index: sx.Index,
+		G:     sx.G.Resolve(u),
+		Proof: &ShareProof{W1: sx.W1, W2: sx.W2.Resolve(u), E: sx.E, V: curve.EvalPointOf(sx.V)},
+	}
+}
+
 // ComputeShareWithProof produces the decryption share together with its
-// robustness proof, from nothing but the share: one fresh pairing and the
-// proof. (A ThresholdPlayer serves the pairing from a cached program
-// instead.)
+// robustness proof, from nothing but the share: the player's computation
+// from U's abscissa (a fresh x-only pairing, then proveShare), resolved
+// with U's y. (A ThresholdPlayer serves the pairing from a cached program
+// instead and leaves the resolving to the recombiner.)
 func (p *ThresholdParams) ComputeShareWithProof(rng io.Reader, share *KeyShare, u *curve.Point) (*DecryptionShare, error) {
-	g, err := p.sharePair(share, u)
+	if err := share.D.Validate(); err != nil {
+		return nil, fmt.Errorf("core: key share of player %d: %w", share.Index, err)
+	}
+	ux := curve.EvalXOf(u)
+	g, err := p.Public.Pairing.PairX(share.D, ux)
 	if err != nil {
 		return nil, err
 	}
-	return p.proveShare(rng, share, g, nil)
+	sx, err := p.proveShare(rng, share, g, ux, nil)
+	if err != nil {
+		return nil, err
+	}
+	return ResolveShare(sx, u), nil
 }
 
-// proveShare attaches Section 3.2's proof to the share value g = ê(U, d_IDi).
+// proveShare attaches Section 3.2's proof to the share value
+// g = ê(U, d_IDi), which it holds in U's ring as PairX answers it against
+// u, U's abscissa.
 //
 // The commitment is R = r·d_IDi for r ← [1, q). §3.2 asks only that R be
 // uniform in G1, and it is: d_IDi ≠ O generates the prime-order G1, so
@@ -348,14 +385,17 @@ func (p *ThresholdParams) ComputeShareWithProof(rng io.Reader, share *KeyShare, 
 //	W2 = ê(U, R) = ê(U, d_IDi)^r = g^r
 //	V  = R + e·d_IDi = (r + e)·d_IDi
 //
-// the same GT and G1 elements two pairings against R would give, hence the
-// same bytes, for two GT exponentiations and one scalar multiplication.
+// the same GT and G1 elements two pairings against R would give, for two
+// GT exponentiations and one scalar multiplication. W2 is taken in U's
+// ring, where g is, and resolves with y_U to the GT element g^r, since
+// j ↦ y_U·i is a ring isomorphism. The challenge hashes what the player
+// holds: x_U, g and W2 in U's ring, cᵢ and W1 (proofChallenge).
 //
 // r and r + e are nonce-grade — either one, with the published e and V, gives
 // d_IDi = (r + e)⁻¹·V away — so nothing here lets them steer a branch or an
-// address. W1 and W2 share the secret r and both bases are public and
-// unitary, so they are one trace ladder of |q| steps for the two
-// (pairing.Params.ExpSecretEach; one lane call on the lane engine), cᵢ
+// address. W1 and W2 share the secret r and both bases are public and of
+// norm 1, so they are one trace ladder of |q| steps for the two
+// (pairing.Params.ExpSecretX; one lane call on the lane engine), cᵢ
 // prepared once on the share and g by one constant-time inversion here. V has
 // the fixed base d_IDi and comes off entry, the share's line in a player's
 // cache, as a constant-time comb walk (keyPairer.mulSecret) — or, with no
@@ -363,14 +403,10 @@ func (p *ThresholdParams) ComputeShareWithProof(rng io.Reader, share *KeyShare, 
 // ComputeShareWithProof), from ScalarMulSecret, the same point. Two field
 // inversions per share, g's and V's, each by the constant-time
 // fp.Field.Inv.
-func (p *ThresholdParams) proveShare(rng io.Reader, share *KeyShare, g *pairing.GT, entry *keyPairer) (*DecryptionShare, error) {
+func (p *ThresholdParams) proveShare(rng io.Reader, share *KeyShare, g pairing.GTX, u curve.EvalX, entry *keyPairer) (*ShareX, error) {
 	pp := p.Public.Pairing
 	q := pp.Q()
 	pubBase, err := p.sharePubPair(share, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	gBase, err := g.SecretBase()
 	if err != nil {
 		return nil, err
 	}
@@ -378,9 +414,11 @@ func (p *ThresholdParams) proveShare(rng io.Reader, share *KeyShare, g *pairing.
 	if err != nil {
 		return nil, fmt.Errorf("sample proof nonce: %w", err)
 	}
-	ws := pp.ExpSecretEach(r, pubBase, gBase)
-	w1, w2 := ws[0], ws[1]
-	e := proofChallenge(q, g, pubBase.GT(), w1, w2)
+	w1, w2, err := pp.ExpSecretX(r, pubBase, g, u)
+	if err != nil {
+		return nil, err
+	}
+	e := proofChallenge(q, pp.Curve().AbscissaBytes(u), g, pubBase.GT(), w1, w2)
 	// r + e is reduced by math/big — one limb-wise add and one reduction
 	// below 2q — and consumed only by mulSecret, never branched on, compared
 	// or encoded. r + e ≡ 0 gives V = O like any other multiple.
@@ -389,11 +427,7 @@ func (p *ThresholdParams) proveShare(rng io.Reader, share *KeyShare, g *pairing.
 	if err != nil {
 		return nil, fmt.Errorf("core: key share of player %d: %w", share.Index, err)
 	}
-	return &DecryptionShare{
-		Index: share.Index,
-		G:     g,
-		Proof: &ShareProof{W1: w1, W2: w2, E: e, V: curve.EvalPointOf(v)},
-	}, nil
+	return &ShareX{Index: share.Index, G: g, W1: w1, W2: w2, E: e, V: v}, nil
 }
 
 // VerifyShareProof checks a decryption share's robustness proof against the
@@ -531,13 +565,23 @@ func (p *ThresholdParams) VerifyShareProofs(qid *pairing.HashArg, u *curve.Point
 	ms[n] = pp.Miller(pp.GeneratorMul(rho).Add(u), v)
 	pairs := pp.Finish(ms...)
 
+	// Each challenge is recomputed over what its player hashed: x_U, and G
+	// and W2 in U's ring — their x-only forms, one inversion of y_U for all
+	// (pairing.Params.UnresolveX).
+	xU := pp.Curve().AbscissaBytes(curve.EvalXOf(u))
+	gw := make([]*pairing.GT, 0, 2*n)
+	for _, ds := range shares {
+		gw = append(gw, ds.G, ds.Proof.W2)
+	}
+	xs := pp.UnresolveX(u, gw...)
+
 	// The right-hand side as 4n (base, exponent) terms:
 	// W1ᵢ^(aᵢρ) · cᵢ^(aᵢeᵢρ) · W2ᵢ^aᵢ · Gᵢ^(aᵢeᵢ).
 	bases := make([]*pairing.GT, 4*n)
 	exps := make([]*big.Int, 4*n)
 	for i, ds := range shares {
 		pubPair := pairs[i]
-		e := proofChallenge(q, ds.G, pubPair, ds.Proof.W1, ds.Proof.W2)
+		e := proofChallenge(q, xU, xs[2*i], pubPair, ds.Proof.W1, xs[2*i+1])
 		if e.Cmp(ds.Proof.E) != 0 { //cryptolint:public (Fiat–Shamir challenge check; the proof and challenge are public values)
 			return fmt.Errorf("%w: challenge mismatch (player %d)", ErrProofInvalid, ds.Index)
 		}
@@ -593,10 +637,14 @@ func (p *ThresholdParams) AcceptableShares(qid *pairing.HashArg, u *curve.Point,
 	return valid, rejected
 }
 
-// proofChallenge is the Fiat-Shamir hash e = H(g, pubPair, w1, w2) ∈ F_q.
-func proofChallenge(q *big.Int, g, pubPair, w1, w2 *pairing.GT) *big.Int {
+// proofChallenge is the Fiat-Shamir hash e = H(x_U, g, pubPair, w1, w2) ∈
+// F_q over what the player holds: U's abscissa and g and w2 in U's ring,
+// which U and −U share — a proof verifies for both, each resolving it with
+// its own y (DESIGN §7 "The share from U's abscissa").
+func proofChallenge(q *big.Int, xU []byte, g pairing.GTX, pubPair, w1 *pairing.GT, w2 pairing.GTX) *big.Int {
 	h := sha256.New()
-	h.Write([]byte("THIBE-PROOF"))
+	h.Write([]byte("THIBE-PROOF-X"))
+	h.Write(xU)
 	h.Write(g.Bytes())
 	h.Write(pubPair.Bytes())
 	h.Write(w1.Bytes())

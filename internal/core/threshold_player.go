@@ -10,11 +10,12 @@ import (
 
 // ThresholdPlayer is one decryption server's half of the threshold IBE: it
 // holds player i's verified identity-key shares and answers a ciphertext's U
-// with the decryption share ê(U, d_IDi) and its robustness proof. It is a
-// SEM like IBESEM — a Mediator whose key halves are the shares, so a revoked
-// identity gets no share — and a share is that SEM's token for the key
-// d_IDi: ê(d_IDi, U), replayed from the same bounded cache of per-identity
-// Miller programs. Safe for concurrent use.
+// — its abscissa, all the player reads of it — with the decryption share
+// ê(U, d_IDi) and its robustness proof, in U's ring for the recombiner to
+// resolve. It is a SEM like IBESEM — a Mediator whose key halves are the
+// shares, so a revoked identity gets no share — and a share is that SEM's
+// token for the key d_IDi: ê(d_IDi, U), replayed from the same bounded cache
+// of per-identity Miller programs. Safe for concurrent use.
 type ThresholdPlayer struct {
 	Mediator[*KeyShare]
 	params  *ThresholdParams
@@ -23,7 +24,7 @@ type ThresholdPlayer struct {
 
 	// misbehave, when set, corrupts outgoing shares — the test hook for
 	// byzantine behaviour.
-	misbehave func(*DecryptionShare) *DecryptionShare
+	misbehave func(*ShareX) *ShareX
 }
 
 // NewThresholdPlayer creates player index's share-serving state, bound to a
@@ -53,7 +54,7 @@ func (p *ThresholdPlayer) Install(share *KeyShare) error {
 
 // SetMisbehaviour installs a share-corrupting hook (tests only; set it
 // before requests arrive).
-func (p *ThresholdPlayer) SetMisbehaviour(f func(*DecryptionShare) *DecryptionShare) {
+func (p *ThresholdPlayer) SetMisbehaviour(f func(*ShareX) *ShareX) {
 	p.misbehave = f
 }
 
@@ -65,39 +66,42 @@ func (p *ThresholdPlayer) InstrumentPairerCache(reg *obs.Registry) {
 }
 
 // Share returns the player's decryption share of the ciphertext component
-// u for id, with its proof; a revoked identity is refused with ErrRevoked
-// and one the player holds no share for with ErrUnknownIdentity.
+// whose abscissa is u for id, with its proof, as the player holds them: G
+// and W2 in u's ring (ShareX; the recombiner resolves them with y_U). A
+// revoked identity is refused with ErrRevoked and one the player holds no
+// share for with ErrUnknownIdentity.
 //
-// What is checked on u: non-nil and not the identity — IBESEM.Token's
-// contract, for its reason. u is only ever the evaluation point of a pairing
+// What is checked on u: that it is not the zero EvalX — its decoder
+// (wire.UnmarshalPairingX) has already refused O, (0, 0) and an x whose
+// x³ + x is not a square. u is only ever the evaluation point of a pairing
 // that walks the player's own share, and the proof is made of powers of that
-// pairing's value and a multiple of the share, so for u = U_q + T with T of
+// pairing's value and a multiple of the share, so for U = U_q + T with T of
 // cofactor order the answer is, bit for bit, a share and a valid proof for
 // U_q (DESIGN §7). A key share outside G1 is refused on its first request
 // (curve.ErrNotInSubgroup) and never walked.
-func (p *ThresholdPlayer) Share(id string, u curve.EvalArg) (*DecryptionShare, error) {
+func (p *ThresholdPlayer) Share(id string, u curve.EvalX) (*ShareX, error) {
 	return p.share(nil, id, u)
 }
 
 // share is Share with the proof nonce drawn from rng (nil: crypto/rand).
-func (p *ThresholdPlayer) share(rng io.Reader, id string, u curve.EvalArg) (*DecryptionShare, error) {
+func (p *ThresholdPlayer) share(rng io.Reader, id string, u curve.EvalX) (*ShareX, error) {
 	key, err := p.half(id)
 	if err != nil {
 		return nil, err
 	}
-	if u == nil || u.IsInfinity() {
+	if u.IsInfinity() {
 		return nil, fmt.Errorf("core: ciphertext point U is not a valid pairing argument")
 	}
-	g, entry, err := p.pairers.pair(p.params.Public.Pairing, id, key.D, u)
+	g, entry, err := p.pairers.pairX(p.params.Public.Pairing, id, key.D, u)
 	if err != nil {
 		return nil, fmt.Errorf("core: player %d: %w", p.index, err)
 	}
-	ds, err := p.params.proveShare(rng, key, g, entry)
+	sx, err := p.params.proveShare(rng, key, g, u, entry)
 	if err != nil {
 		return nil, err
 	}
 	if p.misbehave != nil {
-		ds = p.misbehave(ds)
+		sx = p.misbehave(sx)
 	}
-	return ds, nil
+	return sx, nil
 }

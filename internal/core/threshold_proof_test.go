@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"flag"
+	"math/big"
 	mrand "math/rand"
 	"os"
 	"sync"
@@ -20,11 +21,13 @@ import (
 )
 
 // update rewrites testdata/share_proof.json from the code under test. The
-// committed file was re-recorded deliberately in PR 20, when the commitment
-// became R = r·d_IDi (it was R = r·P since PR 12): W1, W2, V and E changed,
-// G and every width did not — TestShareProofGolden holds the new file to
-// that against the old one's G digests and widths. Leave it alone unless
-// proofs are meant to change again.
+// committed file was re-recorded deliberately twice: when the commitment
+// became R = r·d_IDi (it was R = r·P), which changed W1, W2, V and E, and
+// when the challenge came to hash the player's x-only transcript (x_U, and
+// G and W2 in U's ring), which changed E and with it V. G and every width
+// never changed — TestShareProofGolden holds the file to that against the
+// first record's G digests and widths. Leave it alone unless proofs are
+// meant to change again.
 var update = flag.Bool("update", false, "rewrite testdata/share_proof.json")
 
 // proofFixture is a deterministic (3, 5) system, identity, ciphertext point
@@ -85,10 +88,13 @@ func proofBytes(ds *DecryptionShare) map[string]string {
 
 // referenceProof is Section 3.2 with the commitment R = r·d_IDi, on the slow
 // generic primitives only: five plain pairings, the affine double-and-add
-// ladder and the affine group law.
+// ladder and the affine group law, and math/big for the x-only forms.
 //
 //	R ← r·d_IDi,  g = ê(U, d_IDi),  W1 = ê(P, R),  W2 = ê(U, R),
-//	e = H(g, ê(P_pub^(i), Q_ID), W1, W2),  V = R + e·d_IDi
+//	e = H(x_U, g_x, ê(P_pub^(i), Q_ID), W1, W2_x),  V = R + e·d_IDi
+//
+// where a_x is a = X + b·i in U's ring, X + (b/y_U)·j: what the player,
+// who reads U's abscissa alone, holds.
 func referenceProof(t *testing.T, f *proofFixture) *DecryptionShare {
 	t.Helper()
 	pp := f.pp
@@ -114,11 +120,20 @@ func referenceProof(t *testing.T, f *proofFixture) *DecryptionShare {
 	w2 := pair(f.u, R)
 	pub := pair(f.params.VerificationKeys[f.share.Index-1], qid)
 
-	h := sha256.New()
-	h.Write([]byte("THIBE-PROOF"))
-	for _, x := range []*pairing.GT{g, pub, w1, w2} {
-		h.Write(x.Bytes())
+	p, size := pp.P(), pp.Curve().CoordinateSize()
+	yInv := new(big.Int).ModInverse(f.u.Y(), p)
+	ring := func(a *pairing.GT) []byte {
+		el := a.Element()
+		b := new(big.Int).Mul(el.Im(), yInv)
+		return append(el.Re().FillBytes(make([]byte, size)), b.Mod(b, p).FillBytes(make([]byte, size))...)
 	}
+	h := sha256.New()
+	h.Write([]byte("THIBE-PROOF-X"))
+	h.Write(f.u.X().FillBytes(make([]byte, size)))
+	h.Write(ring(g))
+	h.Write(pub.Bytes())
+	h.Write(w1.Bytes())
+	h.Write(ring(w2))
 	e := mathx.BytesToIntMod(h.Sum(nil), pp.Q())
 	v := R.Add(curvetest.ScalarMulBinary(f.share.D, e))
 	return &DecryptionShare{Index: f.share.Index, G: g, Proof: &ShareProof{W1: w1, W2: w2, E: e, V: curve.EvalPointOf(v)}}
@@ -159,7 +174,10 @@ func TestShareProofMatchesReference(t *testing.T) {
 // commitment, so pair against it here. For the commitment R = V − e·d_IDi a
 // proof implies, W1 = cᵢ^r must be ê(P, R) and W2 = G^r must be ê(U, R) —
 // from the cacheless call and from a ThresholdPlayer, whose G is replayed
-// from the cached program (second request: a hit).
+// from the cached program (second request: a hit), each answering U's
+// abscissa and resolved with y_U. The resolved G is ComputeShare's
+// ê(U, d_IDi), and the proof verifies, for U and for −U: the player's answer
+// is the same bytes for both, and each resolves it with its own y.
 func TestShareProofCommitmentPowers(t *testing.T) {
 	for _, name := range []string{"toy", "fast", "paper"} {
 		f := newProofFixture(t, name)
@@ -171,31 +189,39 @@ func TestShareProofCommitmentPowers(t *testing.T) {
 		if err := player.Install(f.share); err != nil {
 			t.Fatal(err)
 		}
-		cacheless := func() (*DecryptionShare, error) { return f.params.ComputeShareWithProof(nil, f.share, f.u) }
-		served := func() (*DecryptionShare, error) { return player.Share(f.id, f.u) }
-		provers := []struct {
-			name  string
-			prove func() (*DecryptionShare, error)
-		}{{"cacheless", cacheless}, {"player miss", served}, {"player hit", served}}
-		wantG, err := pp.Pair(f.u, f.share.D)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, pr := range provers {
-			prover := pr.name
-			ds, err := pr.prove()
+		for _, u := range []*curve.Point{f.u, f.u.Neg()} {
+			cacheless := func() (*DecryptionShare, error) { return f.params.ComputeShareWithProof(nil, f.share, u) }
+			served := func() (*DecryptionShare, error) { return shareFor(player, f.id, u) }
+			provers := []struct {
+				name  string
+				prove func() (*DecryptionShare, error)
+			}{{"cacheless", cacheless}, {"player miss", served}, {"player hit", served}}
+			want, err := f.params.ComputeShare(f.share, u)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(ds.G.Bytes(), wantG.Bytes()) {
-				t.Errorf("%s/%s: G ≠ ê(U, d)", name, prover)
-			}
-			R := curvetest.Open(t, pp.Curve(), ds.Proof.V).Add(f.share.D.ScalarMul(ds.Proof.E).Neg())
-			if w1, err := pp.Pair(pp.Generator(), R); err != nil || !bytes.Equal(w1.Bytes(), ds.Proof.W1.Bytes()) {
-				t.Errorf("%s/%s: W1 ≠ ê(P, R) (%v)", name, prover, err)
-			}
-			if w2, err := pp.Pair(f.u, R); err != nil || !bytes.Equal(w2.Bytes(), ds.Proof.W2.Bytes()) {
-				t.Errorf("%s/%s: W2 ≠ ê(U, R) (%v)", name, prover, err)
+			for _, pr := range provers {
+				prover := pr.name
+				if u != f.u {
+					prover += ", −U"
+				}
+				ds, err := pr.prove()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(ds.G.Bytes(), want.G.Bytes()) {
+					t.Errorf("%s/%s: resolved G ≠ ComputeShare's ê(U, d)", name, prover)
+				}
+				R := curvetest.Open(t, pp.Curve(), ds.Proof.V).Add(f.share.D.ScalarMul(ds.Proof.E).Neg())
+				if w1, err := pp.Pair(pp.Generator(), R); err != nil || !bytes.Equal(w1.Bytes(), ds.Proof.W1.Bytes()) {
+					t.Errorf("%s/%s: W1 ≠ ê(P, R) (%v)", name, prover, err)
+				}
+				if w2, err := pp.Pair(u, R); err != nil || !bytes.Equal(w2.Bytes(), ds.Proof.W2.Bytes()) {
+					t.Errorf("%s/%s: W2 ≠ ê(U, R) (%v)", name, prover, err)
+				}
+				if err := f.params.VerifyShareProof(f.id, u, ds); err != nil {
+					t.Errorf("%s/%s: %v", name, prover, err)
+				}
 			}
 		}
 		if st := player.pairers.Stats(); st.Hits < 1 {
@@ -218,7 +244,7 @@ func TestShareProofNoncesDistinct(t *testing.T) {
 	}
 	seenV, seenW1 := make(map[string]bool), make(map[string]bool)
 	for i := 0; i < 64; i++ {
-		ds, err := player.Share(f.id, f.u)
+		ds, err := shareFor(player, f.id, f.u)
 		if err != nil {
 			t.Fatal(err)
 		}

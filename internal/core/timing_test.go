@@ -134,10 +134,11 @@ func shareTimingIndependentOfNonce(t *testing.T, pp *pairing.Params, perClass in
 		t.Fatal(err)
 	}
 	src := &nonceSource{buf: make([]byte, (new(big.Int).Sub(q, big.NewInt(1)).BitLen()+7)/8)}
-	timed := func(r *big.Int) (*DecryptionShare, time.Duration) {
+	ux := curve.EvalXOf(u)
+	timed := func(r *big.Int) (*ShareX, time.Duration) {
 		src.set(r)
 		t0 := time.Now()
-		ds, err := player.share(src, id, u)
+		ds, err := player.share(src, id, ux)
 		d := time.Since(t0)
 		if err != nil {
 			t.Fatal(err)
@@ -157,14 +158,14 @@ func shareTimingIndependentOfNonce(t *testing.T, pp *pairing.Params, perClass in
 				r := new(big.Int).SetBit(new(big.Int), low, 1)
 				r.SetBit(r.SetBit(r.SetBit(r, i, 1), j, 1), l, 1)
 				ds, _ := timed(r)
-				k := new(big.Int).Add(r, ds.Proof.E)
+				k := new(big.Int).Add(r, ds.E)
 				if w := nafWeight(k.Mod(k, q)); w < best {
 					fixed, best = r, w
 				}
 			}
 		}
 	}
-	if ds, _ := timed(fixed); pkg.Params().VerifyShareProof(id, u, ds) != nil {
+	if ds, _ := timed(fixed); pkg.Params().VerifyShareProof(id, u, ResolveShare(ds, u)) != nil {
 		t.Fatal("a share made with an injected nonce does not verify")
 	}
 
@@ -538,9 +539,10 @@ func TestWarmShareAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ux := curve.EvalXOf(u)
 	var shareErr error
 	allocs := testing.AllocsPerRun(50, func() {
-		if _, err := player.Share(id, u); err != nil {
+		if _, err := player.Share(id, ux); err != nil {
 			shareErr = err
 		}
 	})

@@ -165,17 +165,40 @@ func (c *Curve) rhs(z, x []uint64) {
 // solveY sets y to the principal square root (x³ + x)^((p+1)/4) — the root
 // mathx.SqrtModP returns for p ≡ 3 (mod 4); enrolled keys depend on the two
 // being bit-identical — and reports whether there is one, i.e. whether x is
-// the abscissa of a curve point: a is a residue iff (a^((p+1)/4))² = a.
-//
-//cryptolint:vartime (the exponent (p+1)/4 is public and x is a candidate abscissa off the wire or out of a hash; the verdict is the API)
+// the abscissa of a curve point. It is solveYEach for one abscissa.
 func (c *Curve) solveY(y, x []uint64) bool {
+	var ok [1]bool
+	c.solveYEach([][]uint64{y}, [][]uint64{x}, ok[:])
+	return ok[0]
+}
+
+// solveYEach sets ys[i] to the principal square root of xs[i]³ + xs[i] and
+// ok[i] to whether it is one — a is a residue iff (a^((p+1)/4))² = a — with
+// the roots taken together (fp.Field.ExpEach: on the lane engine up to
+// eight for the price of one and a half). ys[i] must not alias xs[i].
+//
+//cryptolint:vartime (the exponent (p+1)/4 is public and each x is a candidate abscissa off the wire or out of a hash; the verdict is the API)
+func (c *Curve) solveYEach(ys, xs [][]uint64, ok []bool) {
 	F := c.fld
-	var ab, cb [fp.MaxLimbs]uint64
-	a, chk := ab[:F.Limbs()], cb[:F.Limbs()]
-	c.rhs(a, x)
-	F.Exp(y, a, c.sqrtExp)
-	F.Square(chk, y)
-	return F.Equal(chk, a)
+	n := F.Limbs()
+	squareRoots.Add(uint64(len(xs)))
+	var ab [fp.MaxExpLanes][fp.MaxLimbs]uint64
+	var asb [fp.MaxExpLanes][]uint64
+	var cb [fp.MaxLimbs]uint64
+	chk := cb[:n]
+	for i := 0; i < len(xs); i += fp.MaxExpLanes {
+		j := min(i+fp.MaxExpLanes, len(xs))
+		for m, x := range xs[i:j] {
+			asb[m] = ab[m][:n]
+			c.rhs(asb[m], x)
+		}
+		as := asb[:j-i]
+		F.ExpEach(ys[i:j], as, c.sqrtExp)
+		for m, y := range ys[i:j] {
+			F.Square(chk, y)
+			ok[i+m] = F.Equal(chk, as[m])
+		}
+	}
 }
 
 // IsInfinity reports whether the point is the identity. A nil *Point is the
@@ -382,6 +405,7 @@ var (
 	hashToPointCalls atomic.Uint64 // try-and-increment hashes (HashToPoint and HashToPointUncleared alike)
 	cofactorClears   atomic.Uint64 // [c]· ladders: HashToPoint, RandomG1
 	subgroupChecks   atomic.Uint64 // [q]· ladders: InSubgroup verdicts not served from a point's memo
+	squareRoots      atomic.Uint64 // (p+1)/4 roots: decoded abscissas, hashed candidates that are squares, random points
 )
 
 // HashToPointCalls returns the number of hash-to-curve evaluations so far.
@@ -393,6 +417,10 @@ func CofactorClears() uint64 { return cofactorClears.Load() }
 // SubgroupChecks returns the number of [q]· subgroup ladders run so far; a
 // verdict memoized on its point does not count.
 func SubgroupChecks() uint64 { return subgroupChecks.Load() }
+
+// SquareRoots returns the number of square roots taken so far, one per
+// abscissa whether or not several were taken in one walk.
+func SquareRoots() uint64 { return squareRoots.Load() }
 
 // HashToPointUncleared is HashToPoint without the final cofactor
 // multiplication: it returns the raw try-and-increment point T ∈ E(F_p)
@@ -473,42 +501,80 @@ func (pt *Point) Marshal() []byte {
 // Unmarshal parses a compressed point produced by Marshal straight into
 // limbs, solving the curve equation for y and picking the root of the tagged
 // parity. It accepts exactly the encodings Marshal writes: an accepted input
-// re-marshals to the same bytes.
-//
-//cryptolint:vartime (branches on the encoding's tag, range and residuosity: a decoder's verdicts about bytes it was handed)
+// re-marshals to the same bytes. It is UnmarshalEach for one encoding.
 func (c *Curve) Unmarshal(data []byte) (*Point, error) {
+	var pts [1]*Point
+	var errs [1]error
+	c.UnmarshalEach(pts[:], errs[:], data)
+	return pts[0], errs[0]
+}
+
+// UnmarshalEach parses each data[i] as Unmarshal does into pts[i], with
+// the verdict Unmarshal gives it in errs[i] (pts[i] nil on an error), and
+// takes the square roots of all the abscissas that reach one together
+// (solveYEach): a recombiner decoding a round's proof points pays one walk
+// of (p+1)/4 on the lane engine for up to eight of them. No verdict reads
+// another encoding.
+//
+//cryptolint:vartime (branches on each encoding's tag, range and residuosity: a decoder's verdicts about bytes it was handed)
+func (c *Curve) UnmarshalEach(pts []*Point, errs []error, data ...[]byte) {
 	size := c.CoordinateSize()
-	if len(data) != 1+size {
-		return nil, fmt.Errorf("curve: compressed point must be %d bytes, got %d", 1+size, len(data))
-	}
-	switch data[0] {
-	case 0:
-		for _, b := range data[1:] {
-			if b != 0 {
-				return nil, fmt.Errorf("curve: malformed infinity encoding")
+	F := c.fld
+	var xb, yb [fp.MaxExpLanes][]uint64
+	var atb [fp.MaxExpLanes]int
+	xs, ys, at := xb[:0], yb[:0], atb[:0]
+	for i, d := range data {
+		pts[i], errs[i] = nil, nil
+		if len(d) != 1+size {
+			errs[i] = fmt.Errorf("curve: compressed point must be %d bytes, got %d", 1+size, len(d))
+			continue
+		}
+		switch d[0] {
+		case 0:
+			for _, b := range d[1:] {
+				if b != 0 {
+					errs[i] = fmt.Errorf("curve: malformed infinity encoding")
+					break
+				}
 			}
+			if errs[i] == nil {
+				pts[i] = c.Infinity()
+			}
+		case 2, 3:
+			pt := c.newPoint()
+			if F.SetBytes(pt.x, d[1:]) != nil {
+				errs[i] = fmt.Errorf("curve: x-coordinate out of range")
+				continue
+			}
+			pts[i] = pt
+			xs, ys, at = append(xs, pt.x), append(ys, pt.y), append(at, i)
+		default:
+			errs[i] = fmt.Errorf("curve: unknown compression tag 0x%02x", d[0]) //cryptolint:public (the format tag byte, not coordinate material)
 		}
-		return c.Infinity(), nil
-	case 2, 3:
-		F := c.fld
-		pt := c.newPoint()
-		if F.SetBytes(pt.x, data[1:]) != nil {
-			return nil, fmt.Errorf("curve: x-coordinate out of range")
-		}
-		if !c.solveY(pt.y, pt.x) {
-			return nil, ErrNotOnCurve
-		}
-		if F.Parity(pt.y) != uint(data[0]-2) {
+	}
+	if len(xs) == 0 {
+		return
+	}
+	var okb [fp.MaxExpLanes]bool
+	ok := okb[:]
+	if len(xs) > len(okb) {
+		ok = make([]bool, len(xs))
+	}
+	c.solveYEach(ys, xs, ok[:len(xs)])
+	for k, i := range at {
+		pt := pts[i]
+		switch {
+		case !ok[k]:
+			pts[i], errs[i] = nil, ErrNotOnCurve
+		case F.Parity(pt.y) != uint(data[i][0]-2):
 			// p − y has the other parity for every root but y = 0 (the
 			// 2-torsion point (0, 0)), which Marshal writes with tag 2 only.
 			if F.IsZero(pt.y) {
-				return nil, fmt.Errorf("curve: non-canonical sign tag for y = 0")
+				pts[i], errs[i] = nil, fmt.Errorf("curve: non-canonical sign tag for y = 0")
+				continue
 			}
 			F.Neg(pt.y, pt.y)
 		}
-		return pt, nil
-	default:
-		return nil, fmt.Errorf("curve: unknown compression tag 0x%02x", data[0]) //cryptolint:public (the format tag byte, not coordinate material)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"crypto/rand"
 	"errors"
 	"math/big"
+	mrand "math/rand"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -369,5 +370,79 @@ func TestCoordinateCopies(t *testing.T) {
 	Q, _ := c.Unmarshal(buf.Bytes())
 	if !P.Equal(Q) {
 		t.Fatal("marshal/unmarshal through buffer failed")
+	}
+}
+
+// TestUnmarshalEachMatchesUnmarshal: decoding many encodings in one call
+// gives each the verdict, and the point, that Unmarshal gives it alone —
+// whatever sits beside it in the batch (at paper size two or more share one
+// walk of the square-root exponent on the lane engine, eight to a walk) —
+// over random points under both tags, O, (0, 0) under either tag, non-square
+// x³ + x, x ≥ p, wrong lengths, a malformed O and unknown tags, mixed at
+// random in batches of 1 to 19; and it counts one square root per abscissa
+// that reached one.
+func TestUnmarshalEachMatchesUnmarshal(t *testing.T) {
+	for name, c := range map[string]*curve.Curve{"toy": toyCurve(t), "paper": paperCurve(t)} {
+		size := 1 + c.CoordinateSize()
+		enc := func(tag byte, x *big.Int) []byte {
+			b := make([]byte, size)
+			b[0] = tag
+			x.FillBytes(b[1:])
+			return b
+		}
+		nonSquare := big.NewInt(1)
+		for {
+			s := new(big.Int).Exp(nonSquare, big.NewInt(3), c.P())
+			if big.Jacobi(s.Add(s, nonSquare).Mod(s, c.P()), c.P()) == -1 {
+				break
+			}
+			nonSquare.Add(nonSquare, big.NewInt(1))
+		}
+		var pool [][]byte
+		for range 24 {
+			P, err := c.RandomPoint(rand.Reader)
+			if err != nil {
+				t.Fatal(err)
+			}
+			other := P.Marshal()
+			other[0] ^= 1
+			pool = append(pool, P.Marshal(), other)
+		}
+		malformedO := make([]byte, size)
+		malformedO[size-1] = 1
+		pool = append(pool,
+			c.Infinity().Marshal(), malformedO,
+			enc(2, new(big.Int)), enc(3, new(big.Int)),
+			enc(2, nonSquare), enc(3, nonSquare),
+			enc(2, c.P()), enc(3, new(big.Int).Sub(c.P(), big.NewInt(1))),
+			enc(7, big.NewInt(5)), pool[0][:size-1], append(bytes.Clone(pool[0]), 0), nil)
+		for n := 1; n < 20; n++ {
+			data := make([][]byte, n)
+			roots := uint64(0)
+			for i := range data {
+				data[i] = pool[mrand.Intn(len(pool))]
+				if len(data[i]) == size && (data[i][0] == 2 || data[i][0] == 3) && new(big.Int).SetBytes(data[i][1:]).Cmp(c.P()) < 0 {
+					roots++
+				}
+			}
+			pts, errs := make([]*curve.Point, n), make([]error, n)
+			before := curve.SquareRoots()
+			c.UnmarshalEach(pts, errs, data...)
+			if got := curve.SquareRoots() - before; got != roots {
+				t.Errorf("%s: %d encodings counted %d square roots, want %d", name, n, got, roots)
+			}
+			for i, d := range data {
+				want, wantErr := c.Unmarshal(d)
+				if (errs[i] == nil) != (wantErr == nil) || (wantErr != nil && errs[i].Error() != wantErr.Error()) {
+					t.Fatalf("%s: encoding %d of %d (%x): err = %v, Unmarshal alone: %v", name, i, n, d, errs[i], wantErr)
+				}
+				if wantErr == nil && !bytes.Equal(pts[i].Marshal(), want.Marshal()) {
+					t.Fatalf("%s: encoding %d of %d (%x) decodes to %x, Unmarshal alone to %x", name, i, n, d, pts[i].Marshal(), want.Marshal())
+				}
+				if wantErr != nil && pts[i] != nil {
+					t.Fatalf("%s: encoding %d of %d refused with a point beside the error", name, i, n)
+				}
+			}
+		}
 	}
 }

@@ -118,3 +118,32 @@ func (c *Curve) UnmarshalX(data []byte) (EvalX, error) {
 	}
 	return e, nil
 }
+
+// EvalXOf narrows pt to its abscissa as an x-only evaluation point, s being
+// y² — the EvalX that UnmarshalX gives for pt's encoding, less the Legendre
+// symbol, since pt is on the curve. O and the 2-torsion point (0, 0), which
+// UnmarshalX refuses, give the zero EvalX, whose x-only pairing is 1, as
+// ê(P, (0, 0)) is for P in G1. x is pt's own storage.
+func EvalXOf(pt *Point) EvalX {
+	if pt.IsInfinity() {
+		return EvalX{}
+	}
+	F := pt.curve.fld
+	if F.IsZero(pt.x) {
+		return EvalX{}
+	}
+	e := EvalX{x: pt.x, s: F.NewElt()}
+	F.Square(e.s, pt.y)
+	return e
+}
+
+// AbscissaBytes returns e's x-coordinate at the width Marshal writes it,
+// without a tag byte: everything an x-only pairing's answer depends on, and
+// so what a transcript of one binds. The zero EvalX gives zeros.
+func (c *Curve) AbscissaBytes(e EvalX) []byte {
+	out := make([]byte, c.CoordinateSize())
+	if e.x != nil {
+		c.fld.FillBytes(out, e.x)
+	}
+	return out
+}

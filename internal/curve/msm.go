@@ -322,8 +322,8 @@ func recordMSM(points, windows, windowBits int, d time.Duration) {
 }
 
 // RegisterMSMMetrics exports the MSM counters, the kernel latency histogram
-// and the hash-to-curve, cofactor-clearing and subgroup-check counters
-// through reg. Idempotent — the registry deduplicates series — so every
+// and the hash-to-curve, cofactor-clearing, subgroup-check and square-root
+// counters through reg. Idempotent — the registry deduplicates series — so every
 // instrumented component may call it without coordination.
 func RegisterMSMMetrics(reg *obs.Registry) {
 	reg.CounterFunc("curve_msm_calls_total", "MSM kernel invocations (interleaved ladder or Pippenger)",
@@ -341,4 +341,6 @@ func RegisterMSMMetrics(reg *obs.Registry) {
 		cofactorClears.Load)
 	reg.CounterFunc("curve_subgroup_checks_total", "[q]· subgroup-membership ladders run (memoized verdicts do not count)",
 		subgroupChecks.Load)
+	reg.CounterFunc("curve_square_roots_total", "(p+1)/4 square roots taken (point decodes, hashes onto the curve, random points; several in one walk count one each)",
+		squareRoots.Load)
 }

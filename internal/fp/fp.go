@@ -574,6 +574,32 @@ func (f *Field) Exp(z, x []uint64, e *big.Int) {
 	copy(z, r)
 }
 
+// MaxExpLanes is how many bases share one walk of ExpEach's exponent on
+// the lane engine: one a lane.
+const MaxExpLanes = 8
+
+// ExpEach sets zs[i] = xs[i]^e for every i, for one public exponent e:
+// each the element Exp gives. At 8 limbs on the lane engine every
+// MaxExpLanes bases, when there are two or more, walk e once together
+// (expLanes: Exp's sliding window with every product a lane product of all
+// the bases, ≈ 1.4 scalar products whatever their number); a lone base,
+// and every base on the scalar kernels or at another width, runs Exp, which
+// costs less than the walk alone. zs[i] may alias xs[i].
+//
+//cryptolint:hotpath
+func (f *Field) ExpEach(zs, xs [][]uint64, e *big.Int) {
+	if f.n == 8 && useLanes && len(xs) > 1 && e.Sign() > 0 { //cryptolint:public (the kernel, the batch size and the public exponent)
+		for i := 0; i < len(xs); i += MaxExpLanes {
+			j := min(i+MaxExpLanes, len(xs))
+			f.expLanes(zs[i:j], xs[i:j], e)
+		}
+		return
+	}
+	for i, x := range xs {
+		f.Exp(zs[i], x, e)
+	}
+}
+
 // --- wide (2n-limb) accumulation: the F_p² lazy-reduction layer ---
 
 // Lazy reports whether the modulus leaves the two spare top bits that make

@@ -161,6 +161,15 @@ func checkFieldOps(t *testing.T, ff *fuzzField, a, b *big.Int) {
 	// Exp against big.Int.Exp, using b as the exponent.
 	f.Exp(z, x, b)
 	check("Exp", new(big.Int).Exp(a, b, p))
+	// ExpEach with x and y in two lanes each (one walk on the lane engine),
+	// against big.Int.Exp likewise.
+	each := [][]uint64{f.NewElt(), f.NewElt(), f.NewElt(), f.NewElt()}
+	f.ExpEach(each, [][]uint64{x, y, x, y}, b)
+	for i, base := range []*big.Int{a, b, a, b} {
+		if got, want := f.ToBig(each[i]), new(big.Int).Exp(base, b, p); got.Cmp(want) != 0 {
+			t.Fatalf("[%s] ExpEach base %d: %v^%v = %v, want %v", ff.name, i, base, b, got, want)
+		}
+	}
 
 	// F_p² tower: (a+bi)(b+ai) and (a+bi)².
 	zi := f.NewElt()

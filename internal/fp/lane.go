@@ -262,6 +262,66 @@ func (f *Field) WalkJ(X, Y, Z, a, b, x, s []uint64, steps int) bool {
 	return true
 }
 
+// expLanes is ExpEach on the lane engine for up to eight bases and e > 0,
+// base l in lane l: Exp's sliding window, the table of odd powers and every
+// squaring and product of the walk one lane product for all the bases. The
+// windows fall where e's bits put them, the same for every lane, so the
+// kernel is laneMul8 alone and the walk branches on e only. Lanes without
+// a base carry zeros.
+//
+//cryptolint:hotpath
+func (f *Field) expLanes(zs, xs [][]uint64, e *big.Int) {
+	lf := f.lanes
+	var odd [1 << (expWindow - 1)]laneVec // odd[k] = x^(2k+1), lane by lane
+	var r, sq laneVec
+	var t [8]uint64
+	var v [laneLimbs]uint64
+	for l, x := range xs {
+		f.Mul(t[:], x, lf.toLane[:])
+		radix52(&v, t[:])
+		odd[0].set(l, &v)
+	}
+	laneMul8(&sq, &odd[0], &odd[0], lf)
+	for k := 1; k < len(odd); k++ {
+		laneMul8(&odd[k], &odd[k-1], &sq, lf)
+	}
+	// The top bit of e is set: the walk starts from its first window's
+	// power instead of squaring 1.
+	started := false
+	for i := e.BitLen() - 1; i >= 0; {
+		if e.Bit(i) == 0 {
+			laneMul8(&r, &r, &r, lf)
+			i--
+			continue
+		}
+		j := max(i-expWindow+1, 0)
+		for e.Bit(j) == 0 {
+			j++
+		}
+		w := uint(0)
+		for k := i; k >= j; k-- {
+			if started {
+				laneMul8(&r, &r, &r, lf)
+			}
+			w = w<<1 | e.Bit(k)
+		}
+		if started {
+			laneMul8(&r, &r, &odd[w>>1], lf)
+		} else {
+			r, started = odd[w>>1], true
+		}
+		i = j - 1
+	}
+	// ·2^512 (lf.one) takes lane form back to Montgomery form for R = 2^512.
+	for l := range 8 {
+		sq.set(l, &lf.one)
+	}
+	laneMul8(&r, &r, &sq, lf)
+	for l := range xs {
+		f.fromLane(zs[l], &r, l)
+	}
+}
+
 // lucasLanes is LucasLadders on the lane engine, for k's words in kw:
 // ladder m in lanes 2m and 2m + 1. A nil vk1 skips the V_(k+1) outputs. The
 // inputs are read before anything is written, so vk may alias v1.

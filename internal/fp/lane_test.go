@@ -292,6 +292,18 @@ func BenchmarkLanes(b *testing.B) {
 			f.WalkJ(X, Y, Z, za, zb, x, s, 160)
 		}
 	})
+	root := new(big.Int).Rsh(new(big.Int).Add(p, big.NewInt(1)), 2)
+	for _, n := range []int{1, 3, 8} {
+		zs, xs := make([][]uint64, n), make([][]uint64, n)
+		for i := range xs {
+			zs[i], xs[i] = f.NewElt(), randElt(f, rng)
+		}
+		b.Run(fmt.Sprintf("root%d/lanes", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				f.ExpEach(zs, xs, root)
+			}
+		})
+	}
 	e := new(big.Int).Rsh(p, 160)
 	vk, vk1, v1 := make([][]uint64, MaxLadders), make([][]uint64, MaxLadders), make([][]uint64, MaxLadders)
 	for m := range v1 {
@@ -482,6 +494,60 @@ func testLucasLadders(t *testing.T) {
 				for m := range v {
 					if !f.Equal(v[m], want[m]) {
 						t.Fatalf("%s: LucasDoublings value %d of %d, d = %d, differs from d squarings", name, m, n, d)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestExpEachMatchesExp holds ExpEach to Exp, element for element, at the
+// four 8-limb moduli and a 2-limb one, on every kernel: 1 to 9 bases per
+// call (one walk, a full one, and a full one plus a lone base), the
+// exponent the square root uses, (p+1)/4, a random one and 1, and bases
+// among 0, 1, p − 1, a non-residue and random values, repeated so that
+// equal bases sit in different lanes.
+func TestExpEachMatchesExp(t *testing.T) {
+	eachKernel(t, testExpEach)
+}
+
+func testExpEach(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	for _, name := range []string{"paper-8limb", "lazy-8limb", "spare2-8limb", "max-8limb", "toy-2limb"} {
+		f, p := mustField(t, name)
+		mont := func(v *big.Int) []uint64 {
+			z := f.NewElt()
+			m := new(big.Int).Lsh(v, uint(64*f.Limbs()))
+			limbsFromBig(z, m.Mod(m, p))
+			return z
+		}
+		nonResidue := big.NewInt(2)
+		for big.Jacobi(nonResidue, p) != -1 {
+			nonResidue.Add(nonResidue, big.NewInt(1))
+		}
+		pool := []*big.Int{big.NewInt(0), big.NewInt(1), new(big.Int).Sub(p, big.NewInt(1)), nonResidue}
+		sqrtExp := new(big.Int).Rsh(new(big.Int).Add(p, big.NewInt(1)), 2)
+		for _, e := range []*big.Int{sqrtExp, new(big.Int).Rand(rng, p), big.NewInt(1)} {
+			for n := 1; n <= MaxExpLanes+1; n++ {
+				xs, zs, want := make([][]uint64, n), make([][]uint64, n), make([][]uint64, n)
+				for i := range xs {
+					v := new(big.Int).Rand(rng, p)
+					if k := rng.Intn(2 * len(pool)); k < len(pool) {
+						v = pool[k]
+					}
+					xs[i], zs[i], want[i] = mont(v), f.NewElt(), f.NewElt()
+					f.Exp(want[i], xs[i], e)
+				}
+				f.ExpEach(zs, xs, e)
+				for i := range xs {
+					if !f.Equal(zs[i], want[i]) {
+						t.Fatalf("%s: base %d of %d, e = %x: ExpEach differs from Exp", name, i, n, e)
+					}
+				}
+				f.ExpEach(xs, xs, e) // in place
+				for i := range xs {
+					if !f.Equal(xs[i], want[i]) {
+						t.Fatalf("%s: base %d of %d in place: ExpEach differs from Exp", name, i, n)
 					}
 				}
 			}

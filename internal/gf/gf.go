@@ -385,14 +385,23 @@ func (e *Element) SquareUnitary(x *Element) *Element {
 }
 
 // IsUnitary reports whether e has norm a² + b² = 1 — the precondition of
-// SquareUnitary, and of taking Conjugate for the inverse.
-func (e *Element) IsUnitary() bool {
+// SquareUnitary, and of taking Conjugate for the inverse. It is IsUnitaryJ
+// in F_p² itself.
+func (e *Element) IsUnitary() bool { return e.IsUnitaryJ(nil) }
+
+// IsUnitaryJ reports whether e = a + b·j has norm a² + s·b² = 1 in
+// F_p[j]/(j² + s) (see SquareJ; nil s is 1, F_p²) — the trace ladder's
+// precondition there, as norm 1 is in F_p².
+func (e *Element) IsUnitaryJ(s []uint64) bool {
 	f := e.f
 	var t1, t2 [fp.MaxLimbs]uint64
 	n := f.fp.Limbs()
 	aa, bb := t1[:n], t2[:n]
 	f.fp.Square(aa, e.a)
 	f.fp.Square(bb, e.b)
+	if s != nil {
+		f.fp.Mul(bb, bb, s)
+	}
 	f.fp.Add(aa, aa, bb)
 	return f.fp.IsOne(aa)
 }
@@ -453,9 +462,22 @@ func (e *Element) Exp(x *Element, k *big.Int) (*Element, error) {
 // part. On the norm-1 group Im(e) = 0 only for e = ±1, whose powers have no
 // imaginary part to recover. A caller that raises one element to many
 // exponents computes it once.
-func (e *Element) ImInverse(z []uint64) {
-	if err := e.f.fp.Inv(z, e.b); err != nil {
-		e.f.fp.SetZero(z)
+func (e *Element) ImInverse(z []uint64) { e.ImInverseJ(z, nil) }
+
+// ImInverseJ is ImInverse for e = a + b·j in F_p[j]/(j² + s) (nil s is 1,
+// F_p²): z = 1/(b·s), or 0 where b = 0 — what ExpUnitaries divides by to
+// recover a power's j-coordinate, since through j ↦ y·i it divides by the
+// imaginary part b·y and the j-coordinate is that quotient over y again.
+func (e *Element) ImInverseJ(z []uint64, s []uint64) {
+	F := e.f.fp
+	var tb [fp.MaxLimbs]uint64
+	t := tb[:F.Limbs()]
+	F.Set(t, e.b)
+	if s != nil {
+		F.Mul(t, t, s)
+	}
+	if err := F.Inv(z, t); err != nil {
+		F.SetZero(z)
 	}
 }
 

@@ -1,7 +1,10 @@
 package pairing
 
 import (
+	"math/big"
+
 	"repro/internal/curve"
+	"repro/internal/fp"
 	"repro/internal/gf"
 )
 
@@ -22,28 +25,90 @@ import (
 // GTX is a pairing value computed from the evaluation point's abscissa
 // alone (PairX): (X, Y) with ê(P, Q) = X + (Y·y_Q)·i for the y_Q of the
 // party that holds Q, and ê(P, Q)⁻¹ with −y_Q. It is not a GT element
-// before it is resolved, and offers nothing but its bytes, which the holder
-// of y_Q resolves (ResolveX).
-type GTX struct{ v *gf.Element }
+// before it is resolved (Resolve), and offers nothing else but its bytes
+// and its powers (ExpSecretX).
+type GTX struct {
+	v  *gf.Element
+	pp *Params
+}
 
 // Bytes returns X‖Y at the width of GT.Bytes.
 func (g GTX) Bytes() []byte { return g.v.Bytes() }
 
+// Resolve returns X + (Y·y_q)·i, which is ê(P, q) when g is PairX(P, x(q)).
+// An O q leaves g as it is, the 1 PairX answers for the zero EvalX. The
+// result's GT membership is not checked.
+func (g GTX) Resolve(q curve.EvalArg) *GT { return g.pp.resolve(g.v.Copy(), q) }
+
+// resolve maps v from q's ring onto F_p² in place, as Resolve describes.
+func (pp *Params) resolve(v *gf.Element, q curve.EvalArg) *GT {
+	if q != nil && !q.IsInfinity() {
+		_, y := q.Mont()
+		v.FromJ(v, y)
+	}
+	return &GT{v: v, pp: pp}
+}
+
 // ResolveX parses the bytes of a GTX — X‖Y as GT.Bytes lays them out, both
-// coordinates canonical — and resolves them with q's y: X + (Y·y_q)·i, which
-// is ê(P, q) when the bytes are PairX(P, x(q))'s. An O q leaves them as they
-// are, the 1 PairX answers for the zero EvalX. The result's GT membership is
-// not checked; wire.UnmarshalGTX checks it, for bytes from a peer.
+// coordinates canonical — and resolves them with q's y (GTX.Resolve); a nil
+// q leaves them as they are. wire.UnmarshalGTX checks the result's GT
+// membership, for bytes from a peer.
 func (pp *Params) ResolveX(data []byte, q curve.EvalArg) (*GT, error) {
 	v, err := pp.field.ElementFromBytes(data)
 	if err != nil {
 		return nil, err
 	}
-	if q != nil && !q.IsInfinity() {
+	return pp.resolve(v, q), nil
+}
+
+// UnresolveX returns the x-only forms of gs for q: X + (b/y_q)·j for each
+// g = X + b·i, the GTX whose Resolve(q) is g — what a party that paired
+// against q's abscissa holds, computed by one that holds q. One
+// constant-time inversion of y_q serves them all. A q whose abscissa no
+// x-only pairing reads — O, or (0, 0) with y = 0, for which
+// curve.EvalXOf gives the zero EvalX — leaves gs as they are, as Resolve
+// leaves the 1 PairX answers there.
+func (pp *Params) UnresolveX(q curve.EvalArg, gs ...*GT) []GTX {
+	out := make([]GTX, len(gs))
+	F := pp.field.Fp()
+	inv := F.NewElt()
+	invertible := q != nil && !q.IsInfinity()
+	if invertible {
 		_, y := q.Mont()
-		v.FromJ(v, y)
+		invertible = F.Inv(inv, y) == nil
 	}
-	return &GT{v: v, pp: pp}, nil
+	for i, g := range gs {
+		v := g.v.Copy()
+		if invertible {
+			v.FromJ(v, inv)
+		}
+		out[i] = GTX{v: v, pp: pp}
+	}
+	return out
+}
+
+// ExpSecretX returns b^k and g^k for one exponent k that must stay secret,
+// as ExpSecretEach does for GT bases: b a GT value prepared by SecretBase,
+// g a value of the ring of q (PairX against q's abscissa). The trace ladder
+// reads only traces, so the two rings share its one call; g's power is
+// recovered with 1/(Y·s) in place of 1/Im (gf.Element.ImInverseJ). g must
+// have norm 1 in its ring, X² + s·Y² = 1, as every PairX value has;
+// another is refused (ErrNotUnitary).
+func (pp *Params) ExpSecretX(k *big.Int, b *SecretBase, g GTX, q curve.EvalX) (*GT, GTX, error) {
+	_, s := q.XS() // nil for the zero EvalX, whose PairX value is 1 in F_p²
+	if !g.v.IsUnitaryJ(s) {
+		return nil, GTX{}, ErrNotUnitary
+	}
+	n := pp.field.Fp().Limbs()
+	var invG [fp.MaxLimbs]uint64
+	g.v.ImInverseJ(invG[:n], s)
+	q1 := pp.q
+	if k.Sign() < 0 || k.BitLen() > q1.BitLen() {
+		k = new(big.Int).Mod(k, q1) //cryptolint:public (as in ExpSecretEach: an exponent outside the ladder's contract is brought into it by math/big)
+	}
+	w1, w2 := new(gf.Element), new(gf.Element)
+	pp.field.ExpUnitaries([]*gf.Element{w1, w2}, []*gf.Element{b.g.v, g.v}, [][]uint64{b.invIm[:n], invG[:n]}, k, q1.BitLen())
+	return &GT{v: w1, pp: pp}, GTX{v: w2, pp: pp}, nil
 }
 
 // PairX computes ê(P, Q) from Q's abscissa by a Miller loop on
@@ -52,11 +117,11 @@ func (pp *Params) ResolveX(data []byte, q curve.EvalArg) (*GT, error) {
 // ê(P, O) are 1.
 func (pp *Params) PairX(p1 *curve.Point, q curve.EvalX) (GTX, error) {
 	if p1.IsInfinity() || q.IsInfinity() {
-		return GTX{pp.field.One()}, nil
+		return GTX{v: pp.field.One(), pp: pp}, nil
 	}
 	x, s := q.XS()
 	live := []livePair{{mv: newMillerVars(pp.field.Fp(), p1), xQ: x}}
-	return GTX{pp.finalExp(pp.millerProduct(live, s), s)}, nil
+	return GTX{v: pp.finalExp(pp.millerProduct(live, s), s), pp: pp}, nil
 }
 
 // PairX computes ê(P, Q) for the fixed P from Q's abscissa by replaying the
@@ -68,12 +133,12 @@ func (pp *Params) PairX(p1 *curve.Point, q curve.EvalX) (GTX, error) {
 func (fp *FixedPair) PairX(q curve.EvalX) (GTX, error) {
 	pp := fp.pp
 	if q.IsInfinity() {
-		return GTX{pp.field.One()}, nil
+		return GTX{v: pp.field.One(), pp: pp}, nil
 	}
 	x, s := q.XS()
 	f := pp.field.One()
 	if f.ReplayJ(fp.kinds, fp.lines, x, s) {
-		return GTX{pp.finalExp(f, s)}, nil
+		return GTX{v: pp.finalExp(f, s), pp: pp}, nil
 	}
 	w, line := len(x), fp.lines
 	for _, k := range fp.kinds {
@@ -85,5 +150,5 @@ func (fp *FixedPair) PairX(q curve.EvalX) (GTX, error) {
 			line = line[2*w:]
 		}
 	}
-	return GTX{pp.finalExp(f, s)}, nil
+	return GTX{v: pp.finalExp(f, s), pp: pp}, nil
 }

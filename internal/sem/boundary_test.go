@@ -150,8 +150,10 @@ func TestSubgroupCheckRelaxedOnlyForEvaluationPoints(t *testing.T) {
 			t.Errorf("%s: ibe_token((0,0)): err = %v, want a wire.ErrProtocol bad request", name, err)
 		}
 
-		// threshold_share: the share of the G1 projection with a proof for
-		// it, decoded as the recombiner would.
+		// threshold_share: the share of the G1 projection, decoded as the
+		// recombiner would. Its proof is bound to the abscissa the player
+		// was asked about: it verifies for U_q when U_q was sent, and a U_q
+		// + T cannot pass its proof off as one for U_q.
 		qid, err := bf.HashIdentityArg(pp, testID)
 		if err != nil {
 			t.Fatal(err)
@@ -179,7 +181,7 @@ func TestSubgroupCheckRelaxedOnlyForEvaluationPoints(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for what, proj := range map[string]*curve.Point{"U_q": uq, "U_q + T": uq, "cofactor-order point": nil, "(0,0)": nil} {
+		for what, proj := range map[string]*curve.Point{"U_q": uq, "U_q + T": uq, "cofactor-order point": nil} {
 			pt := outside[what]
 			if pt == nil {
 				pt = uq
@@ -194,8 +196,12 @@ func TestSubgroupCheckRelaxedOnlyForEvaluationPoints(t *testing.T) {
 			if !bytes.Equal(ds.G.Bytes(), wantShare.Bytes()) {
 				t.Errorf("%s: threshold_share(%s): G ≠ ê(U_q, d_IDi)", name, what)
 			}
-			if err := tpkg.Params().VerifyShareProofFor(qid, proj, ds); err != nil {
-				t.Errorf("%s: threshold_share(%s): proof does not verify for U_q: %v", name, what, err)
+			err := tpkg.Params().VerifyShareProofFor(qid, proj, ds)
+			if what == "U_q" && err != nil {
+				t.Errorf("%s: threshold_share(U_q): proof does not verify: %v", name, err)
+			}
+			if what != "U_q" && !errors.Is(err, core.ErrProofInvalid) {
+				t.Errorf("%s: threshold_share(%s): proof verifies for U_q: %v", name, what, err)
 			}
 		}
 
@@ -212,8 +218,9 @@ func TestSubgroupCheckRelaxedOnlyForEvaluationPoints(t *testing.T) {
 			}
 		}
 
-		// ibe_token's decoder takes no root: it refuses an x whose x³ + x is
-		// not a square by its Legendre symbol, and (0, 0) under either tag.
+		// Neither op's decoder takes a root: each refuses an x whose x³ + x
+		// is not a square by its Legendre symbol, and (0, 0) under either
+		// tag.
 		size := 1 + c.CoordinateSize()
 		x := big.NewInt(1)
 		for {
@@ -231,9 +238,11 @@ func TestSubgroupCheckRelaxedOnlyForEvaluationPoints(t *testing.T) {
 		over := make([]byte, size)
 		over[0] = 3
 		c.P().FillBytes(over[1:])
-		for what, enc := range map[string][]byte{"non-residue x³ + x": nonResidue, "x = 0, tag 3": zero3, "x = p": over} {
-			if _, err := call(opIBEToken, enc); !errors.Is(err, wire.ErrProtocol) || statusFor(err) != statusBadRequest {
-				t.Errorf("%s: ibe_token(%s): err = %v, want a wire.ErrProtocol bad request", name, what, err)
+		for what, enc := range map[string][]byte{"non-residue x³ + x": nonResidue, "x = 0, tag 3": zero3, "x = p": over, "(0,0)": two.Marshal()} {
+			for opByte, opName := range map[byte]Op{opIBEToken: OpIBEToken, opThresholdShare: OpThresholdShare} {
+				if _, err := call(opByte, enc); !errors.Is(err, wire.ErrProtocol) || statusFor(err) != statusBadRequest {
+					t.Errorf("%s: %s(%s): err = %v, want a wire.ErrProtocol bad request", name, opName, what, err)
+				}
 			}
 		}
 

@@ -142,34 +142,71 @@ func revoked(raw []byte) (bool, error) {
 // empty payload the caller has no use for.
 func ignore[X any](X, []byte) (struct{}, error) { return struct{}{}, nil }
 
+// ShareReply is a threshold player's answer as the client has checked it —
+// G and W2 resolved with U's y, G, W1 and W2 each in GT (the three ladders
+// in one call, wire.UnmarshalGTEach), the challenge E below q — with its
+// proof's V still the player's encoding. V is decoded beside other replies'
+// (DecodeShares): a recombiner takes a round's square roots in one call.
+// Every element comes from a possibly-misbehaving player, so all of it is
+// checked before it enters verification arithmetic.
+type ShareReply struct {
+	Share *core.DecryptionShare // Proof.V is set by DecodeShares
+	V     []byte
+}
+
 // share validates a threshold player's answer to the U it was asked about,
-// whatever U: G, W1 and W2 must be in GT — each checked on its own, the three
-// ladders in one call (wire.UnmarshalGTEach) — and the challenge E below q. Every
-// element comes from a possibly-misbehaving player, so all of it is checked
-// before it enters verification arithmetic. A proof's V is decoded as what it is to the
-// verifier, the evaluation point of one pairing (wire.UnmarshalPairingArg:
-// canonical, on the curve, not O — no [q]· ladder): a cofactor component
-// in it changes nothing the proof check sees, and a V with no order-q part
-// fails that check like any other wrong V (core.VerifyShareProofs,
-// DESIGN §7).
-func (o *ops) share(_ *curve.Point, raw []byte) (*core.DecryptionShare, error) {
+// whatever U, up to its V (ShareReply). G and W2 are x-only values of U's
+// ring, X‖Y, which only the holder of U can resolve: the player read U's
+// abscissa alone (DESIGN §7 "The share from U's abscissa").
+func (o *ops) share(u *curve.Point, raw []byte) (*ShareReply, error) {
 	gt, point, scalar := shareWidths(o.pp)
 	if size := 3*gt + point + scalar; len(raw) != size {
 		return nil, fmt.Errorf("%w: threshold share is %d bytes, want %d", ErrProtocol, len(raw), size)
 	}
 	var gs [3]*pairing.GT
-	if err := wire.UnmarshalGTEach(o.pp, gs[:], raw[:gt], raw[gt:2*gt], raw[2*gt:3*gt]); err != nil {
-		return nil, err
-	}
-	v, err := wire.UnmarshalPairingArg(o.pp.Curve(), raw[3*gt:3*gt+point])
-	if err != nil {
+	if err := wire.UnmarshalGTEach(o.pp, gs[:], []curve.EvalArg{u, nil, u}, raw[:gt], raw[gt:2*gt], raw[2*gt:3*gt]); err != nil {
 		return nil, err
 	}
 	e, err := wire.UnmarshalScalar(raw[3*gt+point:], o.pp.Q())
 	if err != nil {
 		return nil, err
 	}
-	return &core.DecryptionShare{G: gs[0], Proof: &core.ShareProof{W1: gs[1], W2: gs[2], E: e, V: v}}, nil
+	return &ShareReply{
+		Share: &core.DecryptionShare{G: gs[0], Proof: &core.ShareProof{W1: gs[1], W2: gs[2], E: e}},
+		V:     raw[3*gt : 3*gt+point],
+	}, nil
+}
+
+// DecodeShares completes replies by decoding every proof point V in one
+// call, as what it is to the verifier: the evaluation point of one pairing
+// (wire.UnmarshalPairingArgs: canonical, on the curve, not O — no [q]·
+// ladder), each with its own verdict. A cofactor component in V changes
+// nothing the proof check sees, and a V with no order-q part fails that
+// check like any other wrong V (core.VerifyShareProofs, DESIGN §7).
+// shares[i] is replies[i]'s share with its V, or nil with errs[i] the
+// decoder's refusal; a nil reply stays nil with a nil error.
+func DecodeShares(c *curve.Curve, replies []*ShareReply) (shares []*core.DecryptionShare, errs []error) {
+	raws := make([][]byte, 0, len(replies))
+	for _, r := range replies {
+		if r != nil {
+			raws = append(raws, r.V)
+		}
+	}
+	vs, verrs := make([]curve.EvalPoint, len(raws)), make([]error, len(raws))
+	wire.UnmarshalPairingArgs(c, vs, verrs, raws...)
+	shares, errs = make([]*core.DecryptionShare, len(replies)), make([]error, len(replies))
+	k := 0
+	for i, r := range replies {
+		if r == nil {
+			continue
+		}
+		if errs[i] = verrs[k]; errs[i] == nil {
+			r.Share.Proof.V = vs[k]
+			shares[i] = r.Share
+		}
+		k++
+	}
+	return shares, errs
 }
 
 // Ping checks liveness.
@@ -256,7 +293,8 @@ func (o *ops) GMHalfDecrypt(id string, cs []*big.Int) ([]*big.Int, error) {
 }
 
 // ThresholdShare requests a threshold-IBE player's decryption share
-// ê(U, d_IDi) with its robustness proof (paper §3.2). The share's Index is
+// ê(U, d_IDi) with its robustness proof (paper §3.2), validated and
+// resolved with U's y (ShareReply, DecodeShares). The share's Index is
 // left zero: the wire carries none, and the caller stamps the player it
 // dialed before verifying — so a player cannot pass off another's share.
 func (o *ops) ThresholdShare(id string, u *curve.Point) (*core.DecryptionShare, error) {
@@ -267,12 +305,19 @@ func (o *ops) ThresholdShare(id string, u *curve.Point) (*core.DecryptionShare, 
 	if err != nil {
 		return nil, err
 	}
-	return call(o, opThresholdShare, id, payload, func(raw []byte) (*core.DecryptionShare, error) { return o.share(u, raw) })
+	reply, err := call(o, opThresholdShare, id, payload, func(raw []byte) (*ShareReply, error) { return o.share(u, raw) })
+	if err != nil {
+		return nil, err
+	}
+	shares, errs := DecodeShares(o.pp.Curve(), []*ShareReply{reply})
+	return shares[0], errs[0]
 }
 
 // ThresholdShareBatch requests one player's shares for k (id, U) pairs —
-// the batch counterpart of ThresholdShare.
-func (o *ops) ThresholdShareBatch(ids []string, us []*curve.Point) (shares []*core.DecryptionShare, errs []error, err error) {
+// the batch counterpart of ThresholdShare — and returns them checked up to
+// their proof points, for the caller to decode with other players' in one
+// call (DecodeShares).
+func (o *ops) ThresholdShareBatch(ids []string, us []*curve.Point) (replies []*ShareReply, errs []error, err error) {
 	if o.pp == nil {
 		return nil, nil, errNoPairing
 	}

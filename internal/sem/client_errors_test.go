@@ -214,7 +214,7 @@ type pointOps interface {
 	GDHHalfSign(id string, h *curve.Point) (*curve.Point, error)
 	GDHHalfSignBatch(ids []string, hs []*curve.Point) ([]*curve.Point, []error, error)
 	ThresholdShare(id string, u *curve.Point) (*core.DecryptionShare, error)
-	ThresholdShareBatch(ids []string, us []*curve.Point) ([]*core.DecryptionShare, []error, error)
+	ThresholdShareBatch(ids []string, us []*curve.Point) ([]*ShareReply, []error, error)
 	RegisterIBE(id string, d *curve.Point) error
 	RegisterIBEBatch(ids []string, ds []*curve.Point) ([]error, error)
 }

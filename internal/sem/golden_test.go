@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/bf"
 	"repro/internal/core"
+	"repro/internal/curve/curvetest"
 	"repro/internal/mathx"
 	"repro/internal/mrsa"
 	"repro/internal/pairing"
@@ -125,11 +126,14 @@ func goldenPlayer(tb testing.TB, pp *pairing.Params, reg *core.Registry) *core.T
 	if err != nil {
 		tb.Fatal(err)
 	}
-	fixed, err := pkg.Params().ComputeShareWithProof(mrand.New(mrand.NewSource(42)), ks, u)
+	ds, err := pkg.Params().ComputeShareWithProof(mrand.New(mrand.NewSource(42)), ks, u)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	player.SetMisbehaviour(func(*core.DecryptionShare) *core.DecryptionShare { return fixed })
+	// The player's answer is the share in U's ring, as it computed it.
+	xs := pp.UnresolveX(u, ds.G, ds.Proof.W2)
+	fixed := &core.ShareX{Index: ds.Index, G: xs[0], W1: ds.Proof.W1, W2: xs[1], E: ds.Proof.E, V: curvetest.Open(tb, pp.Curve(), ds.Proof.V)}
+	player.SetMisbehaviour(func(*core.ShareX) *core.ShareX { return fixed })
 	return player
 }
 
@@ -394,21 +398,27 @@ func TestGoldenFrames(t *testing.T) {
 	}
 }
 
-// The two threshold_share responses as recorded before PR 20, when a proof
-// committed with R = r·P. PR 20 commits with R = r·d_IDi and re-recorded
-// exactly these two records, on purpose.
+// The two threshold_share responses as recorded at protocol version 3,
+// when a player decoded U's root and answered G and W2 as GT elements under
+// a challenge over them. Version 4 answers them in U's ring and re-recorded
+// exactly these two records, and the hello bytes, on purpose.
 const (
-	parentThresholdShareResp      = "00000061100001000000005960b92f3364e323961d8ecee5689ab0f1a3b99c18ad6ae52950500297f4d37dbe349ed8e40471c81564ab5b93ad9a32aa2f3c016f12c938a241eb71a23c5ff6e292f7ef9b77eaaaa403b7d0d0e443f7200449d26c34dcb0ff2f"
-	parentThresholdShareBatchResp = "00000109100003000000005960b92f3364e323961d8ecee5689ab0f1a3b99c18ad6ae52950500297f4d37dbe349ed8e40471c81564ab5b93ad9a32aa2f3c016f12c938a241eb71a23c5ff6e292f7ef9b77eaaaa403b7d0d0e443f7200449d26c34dcb0ff2f0300000045776972653a2070726f746f636f6c206572726f723a2063757276653a20636f6d7072657373656420706f696e74206d7573742062652031332062797465732c20676f742033000000005960b92f3364e323961d8ecee5689ab0f1a3b99c18ad6ae52950500297f4d37dbe349ed8e40471c81564ab5b93ad9a32aa2f3c016f12c938a241eb71a23c5ff6e292f7ef9b77eaaaa403b7d0d0e443f7200449d26c34dcb0ff2f"
+	parentThresholdShareResp      = "00000061100001000000005960b92f3364e323961d8ecee5689ab0f1a3b99c18ad6ae5298ae40dcb7b3ebf06da7d4717851e471c7e1b09a459d6aef43c0790b171fa868ecd37cac2c66d4f17cc5ee7f50f6fd20a038ac74da50d40a026dcb2f482e82f7599"
+	parentThresholdShareBatchResp = "00000109100003000000005960b92f3364e323961d8ecee5689ab0f1a3b99c18ad6ae5298ae40dcb7b3ebf06da7d4717851e471c7e1b09a459d6aef43c0790b171fa868ecd37cac2c66d4f17cc5ee7f50f6fd20a038ac74da50d40a026dcb2f482e82f75990300000045776972653a2070726f746f636f6c206572726f723a2063757276653a20636f6d7072657373656420706f696e74206d7573742062652031332062797465732c20676f742033000000005960b92f3364e323961d8ecee5689ab0f1a3b99c18ad6ae5298ae40dcb7b3ebf06da7d4717851e471c7e1b09a459d6aef43c0790b171fa868ecd37cac2c66d4f17cc5ee7f50f6fd20a038ac74da50d40a026dcb2f482e82f7599"
 )
 
 // TestThresholdShareFramesRerecordedInShapeOnly holds the re-recorded
 // threshold_share frames to the ones they replaced: the same lengths, the
-// same framing, the same share value G, and nothing different but the
-// W1‖W2‖V‖E of the one fixed share both frames carry — swap the new proof
-// bytes for the old and the old frames come back, byte for byte.
+// same framing, the same W1, a G and a W2 that resolve with the script's
+// y_U to the old ones byte for byte, and a new V‖E (the challenge now hashes
+// the player's x-only transcript) — swap the one fixed share both frames
+// carry for the old and the old frames come back, byte for byte.
 func TestThresholdShareFramesRerecordedInShapeOnly(t *testing.T) {
 	pp, err := pairing.Toy()
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, err := pp.Curve().HashToPoint("golden", []byte("U")) // goldenPlayer's U
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,20 +433,34 @@ func TestThresholdShareFramesRerecordedInShapeOnly(t *testing.T) {
 	if len(single) != header+3*gt+point+scalar || len(single) != len(old) {
 		t.Fatalf("threshold_share response is %d bytes, was %d", len(single), len(old))
 	}
-	if !bytes.Equal(single[:header+gt], old[:header+gt]) {
-		t.Error("threshold_share: framing or G differs from the record it replaced")
+	if !bytes.Equal(single[:header], old[:header]) {
+		t.Error("threshold_share: framing differs from the record it replaced")
 	}
-	newProof, oldProof := single[header+gt:], old[header+gt:]
-	if bytes.Equal(newProof, oldProof) {
-		t.Error("threshold_share: the proof bytes did not change; why was it re-recorded?")
+	part := func(b []byte, i int) []byte { return b[header+i*gt : header+(i+1)*gt] }
+	for i, name := range []string{"G", "W1", "W2"} {
+		resolveWith := u
+		if name == "W1" {
+			resolveWith = nil // a GT element already
+		}
+		g, err := pp.ResolveX(part(single, i), resolveWith)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(g.Bytes(), part(old, i)) {
+			t.Errorf("threshold_share: %s does not resolve to the one it replaced", name)
+		}
 	}
+	if bytes.Equal(single[header+3*gt:], old[header+3*gt:]) {
+		t.Error("threshold_share: V‖E did not change; the challenge binds the x-only transcript now")
+	}
+	newShare, oldShare := single[header:], old[header:]
 	for name, parent := range map[string]string{"threshold_share": parentThresholdShareResp, "threshold_share_batch_mixed": parentThresholdShareBatchResp} {
 		old, err := hex.DecodeString(parent)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := bytes.ReplaceAll(golden[name].resp, newProof, oldProof); !bytes.Equal(got, old) {
-			t.Errorf("%s: differs from the record it replaced outside W1‖W2‖V‖E", name)
+		if got := bytes.ReplaceAll(golden[name].resp, newShare, oldShare); !bytes.Equal(got, old) {
+			t.Errorf("%s: differs from the record it replaced outside the share", name)
 		}
 	}
 }

@@ -607,22 +607,25 @@ func (s *Server) thresholdShare(id string, payload []byte) ([]byte, error) {
 		return nil, unsupported("threshold backend not configured")
 	}
 	// As in ibeToken: U is only the evaluation point of ê(d_IDi, ·) — the
-	// proof is powers of that value and a multiple of the player's share.
-	u, err := wire.UnmarshalPairingArg(s.cfg.Pairing.Curve(), payload)
+	// proof is powers of that value and a multiple of the player's share —
+	// so the player reads its abscissa alone and answers G and W2 in U's
+	// ring, for the recombiner to resolve with its y (DESIGN §7 "The share
+	// from U's abscissa").
+	u, err := wire.UnmarshalPairingX(s.cfg.Pairing.Curve(), payload)
 	if err != nil {
 		return nil, err
 	}
-	ds, err := s.cfg.Threshold.Share(id, u)
+	sx, err := s.cfg.Threshold.Share(id, u)
 	if err != nil {
 		return nil, err
 	}
 	gt, point, scalar := shareWidths(s.cfg.Pairing)
 	out := make([]byte, 0, 3*gt+point+scalar)
-	out = append(out, ds.G.Bytes()...)        //cryptolint:public (sanctioned wire serialization edge; the share goes to the recombiner by design)
-	out = append(out, ds.Proof.W1.Bytes()...) //cryptolint:public (the NIZK proof is public by construction)
-	out = append(out, ds.Proof.W2.Bytes()...) //cryptolint:public (the NIZK proof is public by construction)
-	out = append(out, ds.Proof.V.Marshal()...)
-	return append(out, ds.Proof.E.FillBytes(make([]byte, scalar))...), nil //cryptolint:public (the NIZK proof is public by construction)
+	out = append(out, sx.G.Bytes()...)  //cryptolint:public (sanctioned wire serialization edge; the share goes to the recombiner by design)
+	out = append(out, sx.W1.Bytes()...) //cryptolint:public (the NIZK proof is public by construction)
+	out = append(out, sx.W2.Bytes()...) //cryptolint:public (the NIZK proof is public by construction)
+	out = append(out, sx.V.Marshal()...)
+	return append(out, sx.E.FillBytes(make([]byte, scalar))...), nil //cryptolint:public (the NIZK proof is public by construction)
 }
 
 func (s *Server) rsaDecrypt(id string, payload []byte) ([]byte, error) {

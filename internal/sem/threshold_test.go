@@ -158,7 +158,7 @@ func TestThresholdShareOp(t *testing.T) {
 	}
 	for name, client := range map[string]interface {
 		ThresholdShare(string, *curve.Point) (*core.DecryptionShare, error)
-		ThresholdShareBatch([]string, []*curve.Point) ([]*core.DecryptionShare, []error, error)
+		ThresholdShareBatch([]string, []*curve.Point) ([]*ShareReply, []error, error)
 	}{"pool": pool, "sharded": sharded} {
 		ds, err := client.ThresholdShare(testID, f.u)
 		if err != nil {
@@ -168,12 +168,16 @@ func TestThresholdShareOp(t *testing.T) {
 		if _, err := client.ThresholdShare("nobody@example.com", f.u); !errors.Is(err, core.ErrUnknownIdentity) || !errors.Is(err, ErrRemote) {
 			t.Fatalf("%s: unknown identity: %v", name, err)
 		}
-		shares, errs, err := client.ThresholdShareBatch([]string{testID, "nobody@example.com", testID}, []*curve.Point{f.u, f.u, f.u})
+		replies, errs, err := client.ThresholdShareBatch([]string{testID, "nobody@example.com", testID}, []*curve.Point{f.u, f.u, f.u})
 		if err != nil {
 			t.Fatalf("%s: batch: %v", name, err)
 		}
-		if errs[0] != nil || errs[2] != nil || !errors.Is(errs[1], core.ErrUnknownIdentity) || shares[1] != nil {
+		if errs[0] != nil || errs[2] != nil || !errors.Is(errs[1], core.ErrUnknownIdentity) || replies[1] != nil {
 			t.Fatalf("%s: batch errs = %v", name, errs)
+		}
+		shares, errs := DecodeShares(f.pp.Curve(), replies)
+		if errs[0] != nil || errs[1] != nil || errs[2] != nil || shares[1] != nil {
+			t.Fatalf("%s: DecodeShares errs = %v", name, errs)
 		}
 		verify(shares[0])
 		verify(shares[2])
@@ -248,5 +252,53 @@ func TestThresholdShareValidatesEveryElement(t *testing.T) {
 		if !errors.Is(err, ErrProtocol) {
 			t.Errorf("%s: err = %v, want ErrProtocol", name, err)
 		}
+	}
+}
+
+// TestServingThresholdShareTakesNoSquareRoot: a player reads U's abscissa
+// alone (wire.UnmarshalPairingX), so answering threshold_share — a first
+// request, which builds the identity's program, and a warm one — moves the
+// process's square-root count not at all, and the player's /metrics says so
+// as curve_square_roots_total beside curve_subgroup_checks_total. The
+// answer is the request's raw bytes; decoding its V is the recombiner's
+// root, not the player's.
+func TestServingThresholdShareTakesNoSquareRoot(t *testing.T) {
+	f := newThresholdFixture(t)
+	conn, _, _ := rawConn(t, f.addr, wire.V2Version)
+	var enc wire.FrameEncoder
+	var dec wire.FrameDecoder
+	exported := func() string {
+		t.Helper()
+		var sb strings.Builder
+		if err := f.metrics.WritePrometheus(&sb); err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(sb.String(), "\n") {
+			if strings.HasPrefix(line, "curve_square_roots_total ") {
+				return line
+			}
+		}
+		t.Fatalf("no curve_square_roots_total series on /metrics:\n%s", sb.String())
+		return ""
+	}
+	before, roots := exported(), curve.SquareRoots()
+	for _, when := range []string{"first", "warm"} {
+		frame, err := enc.EncodeRequest(opThresholdShare, []wire.ReqItem{{ID: []byte(testID), Payload: f.u.Marshal()}}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(frame); err != nil {
+			t.Fatal(err)
+		}
+		_, items, _, err := dec.ReadResponse(conn, 0, 0)
+		if err != nil || len(items) != 1 || items[0].Status != statusOK {
+			t.Fatalf("%s share: items %+v, err %v", when, items, err)
+		}
+		if n := curve.SquareRoots() - roots; n != 0 {
+			t.Fatalf("serving a %s threshold_share took %d square roots, want 0", when, n)
+		}
+	}
+	if after := exported(); after != before {
+		t.Fatalf("curve_square_roots_total moved from %q to %q while serving shares", before, after)
 	}
 }

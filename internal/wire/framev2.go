@@ -48,10 +48,12 @@ import (
 
 // V2Version is the protocol version negotiated by the v2 preamble. Version
 // 3 answers ibe_token with the x-only token X‖Y the client resolves with its
-// own y_U (version 2's answer was the GT element itself): the same widths,
-// other bytes, so a client and a server of different versions part at the
-// handshake rather than at the token check.
-const V2Version = 3
+// own y_U (version 2's answer was the GT element itself); version 4 answers
+// threshold_share the same way, G and W2 in U's ring under a challenge that
+// hashes them so (version 3's were GT elements). The same widths, other
+// bytes, so a client and a server of different versions part at the
+// handshake rather than at the token or proof check.
+const V2Version = 4
 
 // v2Magic opens every v2 connection preamble and acknowledgement.
 var v2Magic = [4]byte{'S', 'E', 'M', '2'}

@@ -57,19 +57,41 @@ func UnmarshalG1(c *curve.Curve, data []byte) (*curve.Point, error) {
 // does NOT check order-q subgroup membership, the [q]· ladder that dominates
 // UnmarshalG1: the reduced pairing's second argument lives in E/qE, so a
 // cofactor component buys the peer nothing (DESIGN §7). The result is a
-// curve.EvalPoint, which only a pairing's second argument, IBESEM.Token,
-// ThresholdPlayer.Share and Curve.EvalSum accept; any other use of the point
-// needs UnmarshalG1. It still takes the square root for y; a pairing that
-// will be answered to the holder of y needs only UnmarshalPairingX.
+// curve.EvalPoint, which only a pairing's second argument, IBESEM.Token
+// and Curve.EvalSum accept; any other use of the point needs UnmarshalG1.
+// It still takes the square root for y; a pairing that will be answered to
+// the holder of y needs only UnmarshalPairingX. It is UnmarshalPairingArgs
+// for one encoding.
 func UnmarshalPairingArg(c *curve.Curve, data []byte) (curve.EvalPoint, error) {
-	pt, err := c.Unmarshal(data)
-	if err != nil {
-		return curve.EvalPoint{}, fmt.Errorf("%w: %v", ErrProtocol, err)
+	var vs [1]curve.EvalPoint
+	var errs [1]error
+	UnmarshalPairingArgs(c, vs[:], errs[:], data)
+	return vs[0], errs[0]
+}
+
+// UnmarshalPairingArgs decodes each data[i] as UnmarshalPairingArg does into
+// vs[i], with that verdict in errs[i], and takes the square roots of all of
+// them together (curve.Curve.UnmarshalEach): a recombiner's round of proof
+// points V costs one walk of (p+1)/4 on the lane engine. No verdict reads
+// another encoding.
+func UnmarshalPairingArgs(c *curve.Curve, vs []curve.EvalPoint, errs []error, data ...[]byte) {
+	var pb [8]*curve.Point
+	pts := pb[:]
+	if len(data) > len(pb) {
+		pts = make([]*curve.Point, len(data))
 	}
-	if pt.IsInfinity() {
-		return curve.EvalPoint{}, fmt.Errorf("%w: point at infinity", ErrProtocol)
+	c.UnmarshalEach(pts, errs, data...)
+	for i, pt := range pts[:len(data)] {
+		vs[i] = curve.EvalPoint{}
+		switch {
+		case errs[i] != nil:
+			errs[i] = fmt.Errorf("%w: %v", ErrProtocol, errs[i])
+		case pt.IsInfinity():
+			errs[i] = fmt.Errorf("%w: point at infinity", ErrProtocol)
+		default:
+			vs[i] = curve.EvalPointOf(pt)
+		}
 	}
-	return curve.EvalPointOf(pt), nil
 }
 
 // UnmarshalPairingX decodes a compressed curve point received from an
@@ -145,16 +167,22 @@ func UnmarshalGT(pp *pairing.Params, data []byte) (*pairing.GT, error) {
 }
 
 // UnmarshalGTEach decodes GT elements received together from an untrusted
-// peer — a threshold share's G, W1 and W2 — into gs, each as UnmarshalGT
-// decodes it, with the order-q checks of the elements before the first
-// undecodable one run together (pairing.Params.InGTEach: each element's own
-// verdict, their ladders sharing calls). The error is the one UnmarshalGT
-// gives for the first element, in order, that it refuses.
-func UnmarshalGTEach(pp *pairing.Params, gs []*pairing.GT, data ...[]byte) error {
+// peer — a threshold share's G, W1 and W2 — into gs: data[i] as UnmarshalGT
+// decodes it where us is nil or us[i] is, and otherwise as UnmarshalGTX
+// does with us[i] (an x-only value resolved by that point's y). The order-q
+// checks of the elements before the first undecodable one run together
+// (pairing.Params.InGTEach: each element's own verdict, their ladders
+// sharing calls). The error is the one UnmarshalGT gives for the first
+// element, in order, that it refuses.
+func UnmarshalGTEach(pp *pairing.Params, gs []*pairing.GT, us []curve.EvalArg, data ...[]byte) error {
 	bad := len(data) // the first element that does not decode
 	var derr error
 	for i, raw := range data {
-		if gs[i], derr = pp.GTFromBytes(raw); derr != nil {
+		var u curve.EvalArg
+		if us != nil {
+			u = us[i]
+		}
+		if gs[i], derr = pp.ResolveX(raw, u); derr != nil {
 			bad = i
 			break
 		}

@@ -242,7 +242,7 @@ func TestUnmarshalGTEach(t *testing.T) {
 			"malformed":   {0xFF},
 		}
 		gs := make([]*pairing.GT, 3)
-		if err := UnmarshalGTEach(pp, gs, members...); err != nil {
+		if err := UnmarshalGTEach(pp, gs, nil, members...); err != nil {
 			t.Fatalf("members refused: %v", err)
 		}
 		for i, g := range gs {
@@ -255,7 +255,7 @@ func TestUnmarshalGTEach(t *testing.T) {
 			for at := range members {
 				data := append([][]byte(nil), members...)
 				data[at] = raw
-				if err := UnmarshalGTEach(pp, gs, data...); err == nil || err.Error() != want.Error() {
+				if err := UnmarshalGTEach(pp, gs, nil, data...); err == nil || err.Error() != want.Error() {
 					t.Fatalf("%s at %d: %v, want %v", name, at, err, want)
 				}
 			}
@@ -266,16 +266,85 @@ func TestUnmarshalGTEach(t *testing.T) {
 		negG.Neg(negG)
 		negG2 := g.Mul(g).Element()
 		negG2.Neg(negG2)
-		if err := UnmarshalGTEach(pp, gs, negG.Bytes(), negG2.Bytes(), members[2]); err == nil {
+		if err := UnmarshalGTEach(pp, gs, nil, negG.Bytes(), negG2.Bytes(), members[2]); err == nil {
 			t.Fatal("−g and −g² were accepted: the elements were checked as their product")
 		}
 		_, outside := UnmarshalGT(pp, bad["-1"])
-		if err := UnmarshalGTEach(pp, gs, members[0], bad["-1"], bad["malformed"]); err == nil || err.Error() != outside.Error() {
+		if err := UnmarshalGTEach(pp, gs, nil, members[0], bad["-1"], bad["malformed"]); err == nil || err.Error() != outside.Error() {
 			t.Fatalf("a non-member before a malformed element: %v, want %v", err, outside)
 		}
 		_, malformed := UnmarshalGT(pp, bad["malformed"])
-		if err := UnmarshalGTEach(pp, gs, members[0], bad["malformed"], bad["-1"]); err == nil || err.Error() != malformed.Error() {
+		if err := UnmarshalGTEach(pp, gs, nil, members[0], bad["malformed"], bad["-1"]); err == nil || err.Error() != malformed.Error() {
 			t.Fatalf("a malformed element before a non-member: %v, want %v", err, malformed)
+		}
+		// A share as a player sends it: G and W2 x-only, paired against U's
+		// abscissa, W1 a GT element. Each resolves as UnmarshalGTX resolves
+		// it alone, and the same bytes resolved with −U give the inverses.
+		u, err := pp.Curve().RandomG1(rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ux, err := pp.Curve().UnmarshalX(u.Marshal())
+		if err != nil {
+			t.Fatal(err)
+		}
+		gx, err := pp.PairX(pp.Generator(), ux)
+		if err != nil {
+			t.Fatal(err)
+		}
+		share := [][]byte{gx.Bytes(), g.Bytes(), gx.Bytes()}
+		for _, pt := range []*curve.Point{u, u.Neg()} {
+			if err := UnmarshalGTEach(pp, gs, []curve.EvalArg{pt, nil, pt}, share...); err != nil {
+				t.Fatalf("an x-only share refused: %v", err)
+			}
+			want, err := pp.Pair(pp.Generator(), pt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if alone, err := UnmarshalGTX(pp, share[0], pt); err != nil || !gs[0].Equal(alone) || !gs[2].Equal(want) || !gs[1].Equal(g) {
+				t.Fatalf("x-only share resolved to other elements than one by one (%v)", err)
+			}
+		}
+	}
+}
+
+// TestUnmarshalPairingArgsMatchOneByOne: decoding a round's points in one
+// call gives each the point or the error UnmarshalPairingArg gives it alone,
+// O and non-points beside valid points included, at the toy size and at the
+// paper size, where the roots share one walk on the lane engine.
+func TestUnmarshalPairingArgsMatchOneByOne(t *testing.T) {
+	for _, params := range []func() (*pairing.Params, error){pairing.Toy, pairing.Paper} {
+		pp, err := params()
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := pp.Curve()
+		var data [][]byte
+		for range 5 {
+			pt, err := c.RandomPoint(rand.Reader)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data = append(data, pt.Marshal())
+		}
+		offCurve := bytes.Clone(data[0])
+		for {
+			offCurve[len(offCurve)-1]++
+			if _, err := c.Unmarshal(offCurve); errors.Is(err, curve.ErrNotOnCurve) {
+				break
+			}
+		}
+		data = append(data[:2], append([][]byte{c.Infinity().Marshal(), offCurve, {2}}, data[2:]...)...)
+		vs, errs := make([]curve.EvalPoint, len(data)), make([]error, len(data))
+		UnmarshalPairingArgs(c, vs, errs, data...)
+		for i, d := range data {
+			want, wantErr := UnmarshalPairingArg(c, d)
+			if (errs[i] == nil) != (wantErr == nil) || (wantErr != nil && (errs[i].Error() != wantErr.Error() || !errors.Is(errs[i], ErrProtocol))) {
+				t.Fatalf("%s: encoding %d: err = %v, alone %v", pp.Name(), i, errs[i], wantErr)
+			}
+			if !bytes.Equal(vs[i].Marshal(), want.Marshal()) {
+				t.Fatalf("%s: encoding %d decodes to %x, alone to %x", pp.Name(), i, vs[i].Marshal(), want.Marshal())
+			}
 		}
 	}
 }
