@@ -300,10 +300,15 @@ func (r *Recombiner) DecryptBatch(id string, cs []*bf.BasicCiphertext) (msgs [][
 	if r.closed.Load() {
 		return nil, nil, sem.ErrClientClosed
 	}
-	// A malformed body costs no player a round.
+	// A malformed body costs no player a round, and neither does a U whose
+	// abscissa no player reads: O, or (0, 0), which has no ring to pair in
+	// (curve.EvalXOf). Neither is in G1.
 	for j, c := range cs {
 		if err := r.params.Public.CheckBasic(c); err != nil {
 			return nil, nil, fmt.Errorf("cluster: ciphertext %d: %w", j, err)
+		}
+		if curve.EvalXOf(c.U).IsInfinity() {
+			return nil, nil, fmt.Errorf("%w (ciphertext %d)", ErrBadCiphertext, j)
 		}
 	}
 	r.met.decrypts.Add(uint64(len(cs)))
@@ -437,24 +442,25 @@ func (r *Recombiner) fetchRound(ask []int, ids []string, us []*curve.Point) (col
 	wg.Wait()
 	r.met.quorumWait.Observe(time.Since(start))
 
-	var round []*sem.ShareReply
+	round := make([]*sem.ShareReply, 0, len(ask)*len(us))
 	for _, i := range ask {
 		round = append(round, replies[i]...)
 	}
-	shares, errs := sem.DecodeShares(r.params.Public.Pairing.Curve(), round)
+	errs := sem.DecodeShares(r.params.Public.Pairing.Curve(), round)
 	for _, i := range ask {
 		if replies[i] == nil {
 			continue
 		}
-		col, colErrs := shares[:len(us)], errs[:len(us)]
-		shares, errs = shares[len(us):], errs[len(us):]
+		colErrs := errs[:len(us)]
+		errs = errs[len(us):]
 		if errors.Join(colErrs...) != nil {
 			continue
 		}
-		for _, share := range col {
-			share.Index = i + 1
+		columns[i] = make([]*core.DecryptionShare, len(us))
+		for j, reply := range replies[i] {
+			reply.Share.Index = i + 1
+			columns[i][j] = reply.Share
 		}
-		columns[i] = col
 	}
 	return columns, refusals
 }

@@ -644,6 +644,32 @@ func TestBadCiphertextIsNobodysLie(t *testing.T) {
 	}
 }
 
+// TestNoAbscissaAsksNoPlayer: a ciphertext whose U is O or (0, 0) — no
+// point of G1, and no abscissa a player reads — is ErrBadCiphertext before
+// any player is asked, so nobody is rejected or demoted over it.
+func TestNoAbscissaAsksNoPlayer(t *testing.T) {
+	d := deploy(t)
+	r := d.recombiner(t)
+	_, cs := encryptBatch(t, d, 1)
+	c := d.params.Public.Pairing.Curve()
+	two, err := c.NewPoint(new(big.Int), new(big.Int))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, u := range map[string]*curve.Point{"O": c.Infinity(), "(0, 0)": two} {
+		bad := &bf.BasicCiphertext{U: u, V: cs[0].V}
+		out, rejected, err := r.DecryptBatch(ident, []*bf.BasicCiphertext{cs[0], bad})
+		if !errors.Is(err, ErrBadCiphertext) || !strings.Contains(err.Error(), "ciphertext 1") || out != nil || rejected != nil {
+			t.Fatalf("U = %s: plaintexts %v, rejected %v, err %v; want ErrBadCiphertext naming ciphertext 1", name, out, rejected, err)
+		}
+	}
+	for i := 1; i <= nn; i++ {
+		if n := d.served(i); n != 0 {
+			t.Fatalf("player %d served %d requests", i, n)
+		}
+	}
+}
+
 func TestClusterPing(t *testing.T) {
 	d := deploy(t)
 	if resp := exchange(t, d.addrs[2], opPing, wire.ReqItem{}); resp[0].Status != statusOK {

@@ -70,19 +70,22 @@ func (pp *Params) ResolveX(data []byte, q curve.EvalArg) (*GT, error) {
 // leaves the 1 PairX answers there.
 func (pp *Params) UnresolveX(q curve.EvalArg, gs ...*GT) []GTX {
 	out := make([]GTX, len(gs))
+	vs := make([]gf.Element, len(gs))
 	F := pp.field.Fp()
-	inv := F.NewElt()
+	var ib [fp.MaxLimbs]uint64
+	inv := ib[:F.Limbs()]
 	invertible := q != nil && !q.IsInfinity()
 	if invertible {
 		_, y := q.Mont()
 		invertible = F.Inv(inv, y) == nil
 	}
 	for i, g := range gs {
-		v := g.v.Copy()
 		if invertible {
-			v.FromJ(v, inv)
+			vs[i].FromJ(g.v, inv)
+		} else {
+			vs[i].Set(g.v)
 		}
-		out[i] = GTX{v: v, pp: pp}
+		out[i] = GTX{v: &vs[i], pp: pp}
 	}
 	return out
 }

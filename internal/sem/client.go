@@ -182,19 +182,26 @@ func (o *ops) share(u *curve.Point, raw []byte) (*ShareReply, error) {
 // (wire.UnmarshalPairingArgs: canonical, on the curve, not O — no [q]·
 // ladder), each with its own verdict. A cofactor component in V changes
 // nothing the proof check sees, and a V with no order-q part fails that
-// check like any other wrong V (core.VerifyShareProofs, DESIGN §7).
-// shares[i] is replies[i]'s share with its V, or nil with errs[i] the
-// decoder's refusal; a nil reply stays nil with a nil error.
-func DecodeShares(c *curve.Curve, replies []*ShareReply) (shares []*core.DecryptionShare, errs []error) {
-	raws := make([][]byte, 0, len(replies))
+// check like any other wrong V (core.VerifyShareProofs, DESIGN §7). It sets
+// each decoded V in its reply's Share and returns the decoder's refusal of
+// replies[i] in errs[i]; a nil reply is skipped, with a nil error.
+func DecodeShares(c *curve.Curve, replies []*ShareReply) (errs []error) {
+	const inline = 8 // a round's V's at any t the cluster runs
+	var rb [inline][]byte
+	var vb [inline]curve.EvalPoint
+	var eb [inline]error
+	raws := rb[:0]
 	for _, r := range replies {
 		if r != nil {
 			raws = append(raws, r.V)
 		}
 	}
-	vs, verrs := make([]curve.EvalPoint, len(raws)), make([]error, len(raws))
+	vs, verrs := vb[:], eb[:]
+	if len(raws) > inline {
+		vs, verrs = make([]curve.EvalPoint, len(raws)), make([]error, len(raws))
+	}
 	wire.UnmarshalPairingArgs(c, vs, verrs, raws...)
-	shares, errs = make([]*core.DecryptionShare, len(replies)), make([]error, len(replies))
+	errs = make([]error, len(replies))
 	k := 0
 	for i, r := range replies {
 		if r == nil {
@@ -202,11 +209,10 @@ func DecodeShares(c *curve.Curve, replies []*ShareReply) (shares []*core.Decrypt
 		}
 		if errs[i] = verrs[k]; errs[i] == nil {
 			r.Share.Proof.V = vs[k]
-			shares[i] = r.Share
 		}
 		k++
 	}
-	return shares, errs
+	return errs
 }
 
 // Ping checks liveness.
@@ -309,8 +315,10 @@ func (o *ops) ThresholdShare(id string, u *curve.Point) (*core.DecryptionShare, 
 	if err != nil {
 		return nil, err
 	}
-	shares, errs := DecodeShares(o.pp.Curve(), []*ShareReply{reply})
-	return shares[0], errs[0]
+	if err := DecodeShares(o.pp.Curve(), []*ShareReply{reply})[0]; err != nil {
+		return nil, err
+	}
+	return reply.Share, nil
 }
 
 // ThresholdShareBatch requests one player's shares for k (id, U) pairs —

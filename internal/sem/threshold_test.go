@@ -175,12 +175,11 @@ func TestThresholdShareOp(t *testing.T) {
 		if errs[0] != nil || errs[2] != nil || !errors.Is(errs[1], core.ErrUnknownIdentity) || replies[1] != nil {
 			t.Fatalf("%s: batch errs = %v", name, errs)
 		}
-		shares, errs := DecodeShares(f.pp.Curve(), replies)
-		if errs[0] != nil || errs[1] != nil || errs[2] != nil || shares[1] != nil {
+		if errs := DecodeShares(f.pp.Curve(), replies); errs[0] != nil || errs[1] != nil || errs[2] != nil {
 			t.Fatalf("%s: DecodeShares errs = %v", name, errs)
 		}
-		verify(shares[0])
-		verify(shares[2])
+		verify(replies[0].Share)
+		verify(replies[2].Share)
 	}
 }
 
