@@ -216,6 +216,18 @@ func (g ratioGate) name() string { return g.Num + " ÷ " + g.Den }
 // against one, 1.17–1.32 intact (16 quick runs on the IFMA host) and
 // 2.97–3.02 with the roots back on one Field.Exp each (4). On the scalar
 // kernels three roots are three exponentiations by design, ≈ 3 either way.
+// The twenty-ninth is the seventh re-derived where one-call F_p² products
+// are the wrong unit, against the x-only replay instead: since a player
+// answers from U's abscissa, its warm share (that replay, one ladder for W1
+// and W2 in U's ring, V off the comb) reads 1.81–2.50 intact on the lanes
+// (22 quick runs on the IFMA host) and 3.04–3.59 with W1 and W2 on a 4-bit
+// fixed window (10 runs; 3.36–4.17 with the window's F_p² products taken in
+// the ring too), where the seventh read 643–814 against 1 084–1 417 and its
+// bound, 1 200, split the mutant; on the Go kernels 1.69–1.78 against
+// 2.05–2.20 (8 runs each), where the seventh read 1 044–1 094 against
+// 1 217–1 361 under 1 250. On MULX the seventh still separates them
+// (1 142–1 274 intact against 1 462–1 621, bound 1 400), and this one does
+// not (1.29–1.97 against 2.16–2.25), so it has no bound there.
 var kernelRatioGates = []ratioGate{
 	{Num: "fp.mul.go", Den: "fp.mul.generic", Max: every(0.70), Rounds: 64, Burst: 2048},
 	{Num: "fp.square.go", Den: "fp.mul.go", Max: every(0.92), Rounds: 64, Burst: 2048},
@@ -245,6 +257,7 @@ var kernelRatioGates = []ratioGate{
 	{Num: "gtexp.secret.x4", Den: "gtexp.secret.x1", Max: kernelBound{IFMA: 2.0}, Rounds: 32, Burst: 8},
 	{Num: "gdh.sign.mediated", Den: "hash.to-g1", Max: every(4.2), Rounds: 16, Burst: 2},
 	{Num: "wire.pairing-arg.x3", Den: "wire.pairing-arg", Max: kernelBound{IFMA: 2.0}, Rounds: 32, Burst: 4},
+	{Num: "thibe.player-share", Den: "pair.fixed.x", Max: kernelBound{Go: 1.9, IFMA: 2.75}, Rounds: 24, Burst: 4},
 }
 
 // CompareBaselines checks a freshly measured report against a committed
