@@ -149,7 +149,11 @@ func (g ratioGate) name() string { return g.Num + " ÷ " + g.Den }
 // lost a tooth or fell back to the window ladder reads 0.7–1.1). The
 // thirteenth guards the field's one inverse, the constant-time safegcd, in
 // multiplications: ≈ 100 measured, where the math/big GCD it replaced read
-// ≈ 89 and the Fermat ladder before that ≈ 720 in the same bursts. The last
+// ≈ 89 and the Fermat ladder before that ≈ 720 in the same bursts. It is
+// timed in 128 rounds of 16 inverses against 2 048 products, bursts of about
+// equal length, where 32 rounds of 64 against 64 read 123 and 127 in two of
+// eight quick runs once: 93–114 in 34 quick runs on the IFMA host, the
+// Fermat inverse 720–731 (three). The last
 // two guard the assembly kernels above mul8, so they are asm-only like the
 // third, and count in the Go kernel's multiplications: mul8 itself times
 // up to a seventh fast in the odd run (the third gate then reads 0.42–0.50
@@ -241,7 +245,7 @@ var kernelRatioGates = []ratioGate{
 	{Num: "fp.exp", Den: "fp.square", Max: every(850), Rounds: 16, Burst: 256},
 	{Num: "ibe.token.scan", Den: "pair.x", Max: every(1.05), Rounds: 12, Burst: 16},
 	{Num: "scalarmul.secret-comb", Den: "scalarmul.variable-wnaf", Max: every(0.55), Rounds: 32, Burst: 8},
-	{Num: "fp.inv", Den: "fp.mul", Max: every(120), Rounds: 32, Burst: 64},
+	{Num: "fp.inv", Den: "fp.mul", Max: every(120), Rounds: 128, Burst: 16, DenBurst: 2048},
 	{Num: "gf.mul", Den: "fp.mul.go", Max: asm(2.55), Rounds: 64, Burst: 1024},
 	{Num: "gt.ingt", Den: "fp.mul.go", Max: asm(170), Rounds: 32, Burst: 16},
 	{Num: "pair.fixed.precompute", Den: "gf.mul", Max: kernelBound{Go: 785, ADX: 950, IFMA: 950}, Rounds: 128, Burst: 1, DenBurst: 1024},
