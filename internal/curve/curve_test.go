@@ -379,8 +379,9 @@ func TestCoordinateCopies(t *testing.T) {
 // walk of the square-root exponent on the lane engine, eight to a walk) —
 // over random points under both tags, O, (0, 0) under either tag, non-square
 // x³ + x, x ≥ p, wrong lengths, a malformed O and unknown tags, mixed at
-// random in batches of 1 to 19; and it counts one square root per abscissa
-// that reached one.
+// random in batches of 1 to 19, and a non-square in each position of a
+// batch of 17 points; and it counts one square root per abscissa that
+// reached one.
 func TestUnmarshalEachMatchesUnmarshal(t *testing.T) {
 	for name, c := range map[string]*curve.Curve{"toy": toyCurve(t), "paper": paperCurve(t)} {
 		size := 1 + c.CoordinateSize()
@@ -416,12 +417,29 @@ func TestUnmarshalEachMatchesUnmarshal(t *testing.T) {
 			enc(2, nonSquare), enc(3, nonSquare),
 			enc(2, c.P()), enc(3, new(big.Int).Sub(c.P(), big.NewInt(1))),
 			enc(7, big.NewInt(5)), pool[0][:size-1], append(bytes.Clone(pool[0]), 0), nil)
+		var batches [][][]byte
 		for n := 1; n < 20; n++ {
 			data := make([][]byte, n)
-			roots := uint64(0)
 			for i := range data {
 				data[i] = pool[mrand.Intn(len(pool))]
-				if len(data[i]) == size && (data[i][0] == 2 || data[i][0] == 3) && new(big.Int).SetBytes(data[i][1:]).Cmp(c.P()) < 0 {
+			}
+			batches = append(batches, data)
+		}
+		// Every position of a batch that spans three walks holds the one
+		// non-square in turn, among points.
+		for k := range 17 {
+			data := make([][]byte, 17)
+			for i := range data {
+				data[i] = pool[2*i]
+			}
+			data[k] = enc(2, nonSquare)
+			batches = append(batches, data)
+		}
+		for _, data := range batches {
+			n := len(data)
+			roots := uint64(0)
+			for _, d := range data {
+				if len(d) == size && (d[0] == 2 || d[0] == 3) && new(big.Int).SetBytes(d[1:]).Cmp(c.P()) < 0 {
 					roots++
 				}
 			}
