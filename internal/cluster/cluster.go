@@ -416,7 +416,7 @@ func playerOrder(r *Recombiner) []int {
 // verification key and fails.
 func (r *Recombiner) fetchRound(ask []int, ids []string, us []*curve.Point) (columns [][]*core.DecryptionShare, refusals []error) {
 	columns, refusals = make([][]*core.DecryptionShare, r.params.N), make([]error, r.params.N)
-	replies := make([][]*sem.ShareReply, r.params.N)
+	replies := make([][]sem.ShareReply, r.params.N)
 	start := time.Now()
 	var wg sync.WaitGroup
 	for _, i := range ask {
@@ -442,25 +442,26 @@ func (r *Recombiner) fetchRound(ask []int, ids []string, us []*curve.Point) (col
 	wg.Wait()
 	r.met.quorumWait.Observe(time.Since(start))
 
-	round := make([]*sem.ShareReply, 0, len(ask)*len(us))
+	round := make([]sem.ShareReply, 0, len(ask)*len(us))
 	for _, i := range ask {
 		round = append(round, replies[i]...)
 	}
 	errs := sem.DecodeShares(r.params.Public.Pairing.Curve(), round)
+	shares := make([]*core.DecryptionShare, len(round))
 	for _, i := range ask {
 		if replies[i] == nil {
 			continue
 		}
-		colErrs := errs[:len(us)]
-		errs = errs[len(us):]
+		col, colErrs := shares[:len(us):len(us)], errs[:len(us)]
+		shares, errs = shares[len(us):], errs[len(us):]
 		if errors.Join(colErrs...) != nil {
 			continue
 		}
-		columns[i] = make([]*core.DecryptionShare, len(us))
 		for j, reply := range replies[i] {
 			reply.Share.Index = i + 1
-			columns[i][j] = reply.Share
+			col[j] = reply.Share
 		}
+		columns[i] = col
 	}
 	return columns, refusals
 }

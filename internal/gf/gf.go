@@ -152,6 +152,18 @@ func (f *Field) setCoord(dst []uint64, v *big.Int) {
 	}
 }
 
+// NewElements returns n zero elements of f whose coordinates share one
+// slab: two allocations for any n, where n separate elements take 2n.
+func (f *Field) NewElements(n int) []Element {
+	k := f.fp.Limbs()
+	es, slab := make([]Element, n), make([]uint64, 2*k*n)
+	for i := range es {
+		ab := slab[2*k*i : 2*k*(i+1)]
+		es[i] = Element{f: f, a: ab[:k:k], b: ab[k:]}
+	}
+	return es
+}
+
 // SetMont loads the Montgomery-form F_p coordinates (re, im) into e. This
 // is the zero-conversion entry point for limb-level producers such as the
 // pairing line evaluator; the slices are copied, not retained.

@@ -70,7 +70,7 @@ func (pp *Params) ResolveX(data []byte, q curve.EvalArg) (*GT, error) {
 // leaves the 1 PairX answers there.
 func (pp *Params) UnresolveX(q curve.EvalArg, gs ...*GT) []GTX {
 	out := make([]GTX, len(gs))
-	vs := make([]gf.Element, len(gs))
+	vs := pp.field.NewElements(len(gs))
 	F := pp.field.Fp()
 	var ib [fp.MaxLimbs]uint64
 	inv := ib[:F.Limbs()]

@@ -158,20 +158,20 @@ type ShareReply struct {
 // whatever U, up to its V (ShareReply). G and W2 are x-only values of U's
 // ring, X‖Y, which only the holder of U can resolve: the player read U's
 // abscissa alone (DESIGN §7 "The share from U's abscissa").
-func (o *ops) share(u *curve.Point, raw []byte) (*ShareReply, error) {
+func (o *ops) share(u *curve.Point, raw []byte) (ShareReply, error) {
 	gt, point, scalar := shareWidths(o.pp)
 	if size := 3*gt + point + scalar; len(raw) != size {
-		return nil, fmt.Errorf("%w: threshold share is %d bytes, want %d", ErrProtocol, len(raw), size)
+		return ShareReply{}, fmt.Errorf("%w: threshold share is %d bytes, want %d", ErrProtocol, len(raw), size)
 	}
 	var gs [3]*pairing.GT
 	if err := wire.UnmarshalGTEach(o.pp, gs[:], []curve.EvalArg{u, nil, u}, raw[:gt], raw[gt:2*gt], raw[2*gt:3*gt]); err != nil {
-		return nil, err
+		return ShareReply{}, err
 	}
 	e, err := wire.UnmarshalScalar(raw[3*gt+point:], o.pp.Q())
 	if err != nil {
-		return nil, err
+		return ShareReply{}, err
 	}
-	return &ShareReply{
+	return ShareReply{
 		Share: &core.DecryptionShare{G: gs[0], Proof: &core.ShareProof{W1: gs[1], W2: gs[2], E: e}},
 		V:     raw[3*gt : 3*gt+point],
 	}, nil
@@ -184,15 +184,16 @@ func (o *ops) share(u *curve.Point, raw []byte) (*ShareReply, error) {
 // nothing the proof check sees, and a V with no order-q part fails that
 // check like any other wrong V (core.VerifyShareProofs, DESIGN §7). It sets
 // each decoded V in its reply's Share and returns the decoder's refusal of
-// replies[i] in errs[i]; a nil reply is skipped, with a nil error.
-func DecodeShares(c *curve.Curve, replies []*ShareReply) (errs []error) {
+// replies[i] in errs[i]; a reply without a Share (a failed item) is
+// skipped, with a nil error.
+func DecodeShares(c *curve.Curve, replies []ShareReply) (errs []error) {
 	const inline = 8 // a round's V's at any t the cluster runs
 	var rb [inline][]byte
 	var vb [inline]curve.EvalPoint
 	var eb [inline]error
 	raws := rb[:0]
 	for _, r := range replies {
-		if r != nil {
+		if r.Share != nil {
 			raws = append(raws, r.V)
 		}
 	}
@@ -204,7 +205,7 @@ func DecodeShares(c *curve.Curve, replies []*ShareReply) (errs []error) {
 	errs = make([]error, len(replies))
 	k := 0
 	for i, r := range replies {
-		if r == nil {
+		if r.Share == nil {
 			continue
 		}
 		if errs[i] = verrs[k]; errs[i] == nil {
@@ -311,11 +312,11 @@ func (o *ops) ThresholdShare(id string, u *curve.Point) (*core.DecryptionShare, 
 	if err != nil {
 		return nil, err
 	}
-	reply, err := call(o, opThresholdShare, id, payload, func(raw []byte) (*ShareReply, error) { return o.share(u, raw) })
+	reply, err := call(o, opThresholdShare, id, payload, func(raw []byte) (ShareReply, error) { return o.share(u, raw) })
 	if err != nil {
 		return nil, err
 	}
-	if err := DecodeShares(o.pp.Curve(), []*ShareReply{reply})[0]; err != nil {
+	if err := DecodeShares(o.pp.Curve(), []ShareReply{reply})[0]; err != nil {
 		return nil, err
 	}
 	return reply.Share, nil
@@ -325,7 +326,7 @@ func (o *ops) ThresholdShare(id string, u *curve.Point) (*core.DecryptionShare, 
 // the batch counterpart of ThresholdShare — and returns them checked up to
 // their proof points, for the caller to decode with other players' in one
 // call (DecodeShares).
-func (o *ops) ThresholdShareBatch(ids []string, us []*curve.Point) (replies []*ShareReply, errs []error, err error) {
+func (o *ops) ThresholdShareBatch(ids []string, us []*curve.Point) (replies []ShareReply, errs []error, err error) {
 	if o.pp == nil {
 		return nil, nil, errNoPairing
 	}

@@ -174,9 +174,9 @@ func TestBatchFormsRefuseOneLyingSlot(t *testing.T) {
 		{"RSA half not below n", big.NewInt(5).Bytes(), pub.N.Bytes(),
 			func(c *Pool) ([]bool, []error, error) { return answered(c.RSAHalfDecryptBatch(pub, ids, cts)) }},
 		{"share with W1 outside GT", honestShare, tamperedW1,
-			func(c *Pool) ([]bool, []error, error) { return answered(c.ThresholdShareBatch(ids, us)) }},
+			func(c *Pool) ([]bool, []error, error) { return answeredShares(c.ThresholdShareBatch(ids, us)) }},
 		{"share one byte short", honestShare, honestShare[:len(honestShare)-1],
-			func(c *Pool) ([]bool, []error, error) { return answered(c.ThresholdShareBatch(ids, us)) }},
+			func(c *Pool) ([]bool, []error, error) { return answeredShares(c.ThresholdShareBatch(ids, us)) }},
 	} {
 		c := answering(t, pp, func(slot int) []byte {
 			if slot == 1 {
@@ -206,6 +206,16 @@ func answered[T comparable](results []T, errs []error, err error) ([]bool, []err
 	return got, errs, err
 }
 
+// answeredShares is answered for threshold share replies: a slot came back
+// with a result when its reply carries a share.
+func answeredShares(replies []ShareReply, errs []error, err error) ([]bool, []error, error) {
+	got := make([]bool, len(replies))
+	for i, r := range replies {
+		got[i] = r.Share != nil
+	}
+	return got, errs, err
+}
+
 // pointOps is every client op that sends a point, as *Pool and
 // *ShardedClient both offer it.
 type pointOps interface {
@@ -214,7 +224,7 @@ type pointOps interface {
 	GDHHalfSign(id string, h *curve.Point) (*curve.Point, error)
 	GDHHalfSignBatch(ids []string, hs []*curve.Point) ([]*curve.Point, []error, error)
 	ThresholdShare(id string, u *curve.Point) (*core.DecryptionShare, error)
-	ThresholdShareBatch(ids []string, us []*curve.Point) ([]*ShareReply, []error, error)
+	ThresholdShareBatch(ids []string, us []*curve.Point) ([]ShareReply, []error, error)
 	RegisterIBE(id string, d *curve.Point) error
 	RegisterIBEBatch(ids []string, ds []*curve.Point) ([]error, error)
 }

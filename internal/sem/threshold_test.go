@@ -158,7 +158,7 @@ func TestThresholdShareOp(t *testing.T) {
 	}
 	for name, client := range map[string]interface {
 		ThresholdShare(string, *curve.Point) (*core.DecryptionShare, error)
-		ThresholdShareBatch([]string, []*curve.Point) ([]*ShareReply, []error, error)
+		ThresholdShareBatch([]string, []*curve.Point) ([]ShareReply, []error, error)
 	}{"pool": pool, "sharded": sharded} {
 		ds, err := client.ThresholdShare(testID, f.u)
 		if err != nil {
@@ -172,7 +172,7 @@ func TestThresholdShareOp(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: batch: %v", name, err)
 		}
-		if errs[0] != nil || errs[2] != nil || !errors.Is(errs[1], core.ErrUnknownIdentity) || replies[1] != nil {
+		if errs[0] != nil || errs[2] != nil || !errors.Is(errs[1], core.ErrUnknownIdentity) || replies[1].Share != nil {
 			t.Fatalf("%s: batch errs = %v", name, errs)
 		}
 		if errs := DecodeShares(f.pp.Curve(), replies); errs[0] != nil || errs[1] != nil || errs[2] != nil {
