@@ -588,7 +588,7 @@ const MaxExpLanes = 8
 //
 //cryptolint:hotpath
 func (f *Field) ExpEach(zs, xs [][]uint64, e *big.Int) {
-	if f.n == 8 && useLanes && len(xs) > 1 && e.Sign() > 0 { //cryptolint:public (the kernel, the batch size and the public exponent)
+	if f.n == 8 && useLanes && len(xs) > 1 && e.Sign() > 0 {
 		for i := 0; i < len(xs); i += MaxExpLanes {
 			j := min(i+MaxExpLanes, len(xs))
 			f.expLanes(zs[i:j], xs[i:j], e)

@@ -339,9 +339,7 @@ func (b *SecretBase) GT() *GT { return b.g }
 // base's does. The bases must belong to pp.
 func (pp *Params) ExpSecretEach(k *big.Int, bs ...*SecretBase) []*GT {
 	q := pp.q
-	if k.Sign() < 0 || k.BitLen() > q.BitLen() {
-		k = new(big.Int).Mod(k, q) //cryptolint:public (an exponent outside the ladder's contract — every in-repo caller's is in [0, 2^|q|) — is brought into it by math/big, which tells a timer no more than that)
-	}
+	k = pp.secretExponent(k)
 	n := pp.field.Fp().Limbs()
 	out := make([]*GT, len(bs))
 	var es, xs [fp.MaxLadders]*gf.Element
@@ -355,6 +353,15 @@ func (pp *Params) ExpSecretEach(k *big.Int, bs ...*SecretBase) []*GT {
 		pp.field.ExpUnitaries(es[:c], xs[:c], invs[:c], k, q.BitLen())
 	}
 	return out
+}
+
+// secretExponent returns k in the secret ladder's contract, [0, 2^|q|): k
+// itself, which every in-repo caller's is, or else k reduced modulo q.
+func (pp *Params) secretExponent(k *big.Int) *big.Int {
+	if k.Sign() < 0 || k.BitLen() > pp.q.BitLen() {
+		return new(big.Int).Mod(k, pp.q) //cryptolint:public (an exponent outside the ladder's contract is brought into it by math/big, which tells a timer no more than that)
+	}
+	return k
 }
 
 // Bytes returns the canonical fixed-width serialization of g.

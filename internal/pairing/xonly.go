@@ -105,12 +105,8 @@ func (pp *Params) ExpSecretX(k *big.Int, b *SecretBase, g GTX, q curve.EvalX) (*
 	n := pp.field.Fp().Limbs()
 	var invG [fp.MaxLimbs]uint64
 	g.v.ImInverseJ(invG[:n], s)
-	q1 := pp.q
-	if k.Sign() < 0 || k.BitLen() > q1.BitLen() {
-		k = new(big.Int).Mod(k, q1) //cryptolint:public (as in ExpSecretEach: an exponent outside the ladder's contract is brought into it by math/big)
-	}
 	w1, w2 := new(gf.Element), new(gf.Element)
-	pp.field.ExpUnitaries([]*gf.Element{w1, w2}, []*gf.Element{b.g.v, g.v}, [][]uint64{b.invIm[:n], invG[:n]}, k, q1.BitLen())
+	pp.field.ExpUnitaries([]*gf.Element{w1, w2}, []*gf.Element{b.g.v, g.v}, [][]uint64{b.invIm[:n], invG[:n]}, pp.secretExponent(k), pp.q.BitLen())
 	return &GT{v: w1, pp: pp}, GTX{v: w2, pp: pp}, nil
 }
 
