@@ -734,8 +734,8 @@ func Baseline(pp *pairing.Params, minIters int, minDuration time.Duration) (*Bas
 // baseline entries: one loopback daemon serving the mediated-IBE token op
 // for a single enrolled identity, and one connected client.
 type baselineSEM struct {
-	server *sem.Server
-	client *sem.Pool
+	servers loopback
+	client  *sem.Pool
 }
 
 func newBaselineSEM(pp *pairing.Params, id string) (*baselineSEM, error) {
@@ -754,22 +754,21 @@ func newBaselineSEM(pp *pairing.Params, id string) (*baselineSEM, error) {
 	if err != nil {
 		return nil, err
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	b := &baselineSEM{}
+	addr, err := b.servers.serve(srv)
+	if err == nil {
+		b.client, err = sem.Dial(addr, pp, 10*time.Second)
+	}
 	if err != nil {
+		_ = b.servers.close()
 		return nil, err
 	}
-	go func() { _ = srv.Serve(ln) }()
-	client, err := sem.Dial(ln.Addr().String(), pp, 10*time.Second)
-	if err != nil {
-		_ = srv.Close()
-		return nil, err
-	}
-	return &baselineSEM{server: srv, client: client}, nil
+	return b, nil
 }
 
 func (b *baselineSEM) close() {
 	_ = b.client.Close()
-	_ = b.server.Close()
+	_ = b.servers.close()
 }
 
 // baselineCluster is the live (t, n) cluster behind the cluster.decrypt.*
@@ -777,7 +776,7 @@ func (b *baselineSEM) close() {
 // player 2's address is one nobody listens on.
 type baselineCluster struct {
 	params                  *core.ThresholdParams
-	players                 []*cluster.PlayerServer
+	players                 loopback
 	addrs, addrsPlayer2Down []string
 }
 
@@ -796,13 +795,11 @@ func newBaselineCluster(params *core.ThresholdParams, shares []*core.KeyShare) (
 		if err := p.Install(ks); err != nil {
 			return nil, err
 		}
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		addr, err := b.players.serve(p)
 		if err != nil {
 			return nil, err
 		}
-		go func() { _ = p.Serve(ln) }()
-		b.players = append(b.players, p)
-		b.addrs = append(b.addrs, ln.Addr().String())
+		b.addrs = append(b.addrs, addr)
 	}
 	dead, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -827,11 +824,7 @@ func (b *baselineCluster) decrypt(addrs []string, id string, ct *bf.BasicCiphert
 	return err
 }
 
-func (b *baselineCluster) close() {
-	for _, p := range b.players {
-		_ = p.Close()
-	}
-}
+func (b *baselineCluster) close() { _ = b.players.close() }
 
 // JSON renders the report with stable formatting for committing to the repo.
 func (r *BaselineReport) JSON() ([]byte, error) {

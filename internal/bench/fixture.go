@@ -3,7 +3,6 @@ package bench
 import (
 	"crypto/rand"
 	"fmt"
-	"net"
 	"time"
 
 	"repro/internal/core"
@@ -41,8 +40,8 @@ type World struct {
 
 	Registry *core.Registry
 
-	server *sem.Server
-	addr   string
+	servers loopback
+	addr    string
 }
 
 // WorldConfig selects the parameter sizes of a World.
@@ -122,13 +121,9 @@ func NewWorld(cfg WorldConfig) (*World, error) {
 		if err != nil {
 			return nil, err
 		}
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
+		if w.addr, err = w.servers.serve(srv); err != nil {
 			return nil, fmt.Errorf("listen: %w", err)
 		}
-		go func() { _ = srv.Serve(ln) }()
-		w.server = srv
-		w.addr = ln.Addr().String()
 	}
 	return w, nil
 }
@@ -146,8 +141,5 @@ func (w *World) Dial() (*sem.Pool, error) {
 
 // Close shuts the SEM daemon down.
 func (w *World) Close() error {
-	if w.server == nil {
-		return nil
-	}
-	return w.server.Close()
+	return w.servers.close()
 }

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"crypto/rand"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -36,7 +37,7 @@ type servingFleet struct {
 	pp      *pairing.Params
 	ids     []string
 	addrs   []string
-	servers []*sem.Server
+	servers loopback
 }
 
 func newServingFleet(nShards, nIDs int) (*servingFleet, error) {
@@ -75,22 +76,42 @@ func newServingFleet(nShards, nIDs int) (*servingFleet, error) {
 			f.Close()
 			return nil, err
 		}
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		addr, err := f.servers.serve(srv)
 		if err != nil {
 			f.Close()
 			return nil, err
 		}
-		go func() { _ = srv.Serve(ln) }()
-		f.servers = append(f.servers, srv)
-		f.addrs = append(f.addrs, ln.Addr().String())
+		f.addrs = append(f.addrs, addr)
 	}
 	return f, nil
 }
 
-func (f *servingFleet) Close() {
-	for _, s := range f.servers {
-		_ = s.Close()
+func (f *servingFleet) Close() { _ = f.servers.close() }
+
+// loopback is servers on loopback TCP listeners, closed together: the
+// transport every serving and baseline entry times.
+type loopback []interface{ Close() error }
+
+// serve starts s on a fresh loopback listener and returns its address.
+func (l *loopback) serve(s interface {
+	Serve(net.Listener) error
+	Close() error
+}) (string, error) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return "", err
 	}
+	*l = append(*l, s)
+	go func() { _ = s.Serve(ln) }()
+	return ln.Addr().String(), nil
+}
+
+func (l loopback) close() error {
+	var errs []error
+	for _, s := range l {
+		errs = append(errs, s.Close())
+	}
+	return errors.Join(errs...)
 }
 
 // closedLoop drives op from servingConcurrency workers for the window and

@@ -145,6 +145,10 @@ type Recombiner struct {
 	// failedAt[i-1] is when player i was last rejected (UnixNano; 0 = never).
 	// For timeout afterwards the player is asked only in a second round.
 	failedAt []atomic.Int64
+
+	// dial, when set, replaces the pools' TCP dial (sem.PoolConfig.Dial):
+	// the tests run a cluster on an in-memory network.
+	dial func(addr string, timeout time.Duration) (net.Conn, error)
 }
 
 // playerConns is the pool size per player. One multiplexed connection
@@ -219,7 +223,7 @@ func (r *Recombiner) Instrument(reg *obs.Registry) {
 		}
 		if addr != "" { //cryptolint:public (the player's network address, not key material)
 			r.pools[i] = sem.NewPool(addr, r.params.Public.Pairing, sem.PoolConfig{
-				Size: playerConns, DialTimeout: r.timeout, OpTimeout: r.timeout, Metrics: reg,
+				Size: playerConns, DialTimeout: r.timeout, OpTimeout: r.timeout, Dial: r.dial, Metrics: reg,
 			})
 		}
 	}

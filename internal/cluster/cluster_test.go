@@ -10,7 +10,6 @@ import (
 	"net"
 	"slices"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -18,6 +17,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/curve"
 	"repro/internal/curve/curvetest"
+	"repro/internal/memnet"
 	"repro/internal/obs"
 	"repro/internal/pairing"
 	"repro/internal/sem"
@@ -31,16 +31,15 @@ const (
 	ident  = "cluster@example.com"
 )
 
-// deployment spins up a full (t, n) cluster on loopback listeners.
+// deployment is a full (t, n) cluster on an in-memory network: player i
+// serves under addrs[i-1], and a recombiner dials from "recombiner".
 type deployment struct {
 	params  *core.ThresholdParams
+	net     *memnet.Network
 	players []*PlayerServer
 	addrs   []string
 	keys    []*core.KeyShare // keys[i-1] is player i's share of ident's key
 	regs    []*obs.Registry  // regs[i-1] holds player i's sem_* series
-
-	mu      sync.Mutex
-	stopped map[*PlayerServer]bool // closed by the test: a later Serve is refused, rightly
 }
 
 func deploy(t *testing.T) *deployment {
@@ -52,68 +51,52 @@ func deploy(t *testing.T) *deployment {
 	return deployOn(t, pp)
 }
 
-// deployOn is deploy over the parameter set pp.
+// deployOn is deploy over the parameter set pp. A player whose Serve fails
+// unasked is reported when the test ends.
 func deployOn(t *testing.T, pp *pairing.Params) *deployment {
 	t.Helper()
 	pkg, err := core.SetupThreshold(rand.Reader, pp, msgLen, tt, nn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	params := pkg.Params()
-	d := &deployment{params: params, addrs: make([]string, nn), stopped: map[*PlayerServer]bool{}}
-	for i := 1; i <= nn; i++ {
-		srv, err := NewPlayerServer(params, i)
-		if err != nil {
-			t.Fatal(err)
+	d := &deployment{
+		params: pkg.Params(), net: memnet.New(),
+		players: make([]*PlayerServer, nn), regs: make([]*obs.Registry, nn),
+	}
+	t.Cleanup(func() {
+		if err := d.net.Close(); err != nil {
+			t.Error(err)
 		}
+	})
+	for i := 1; i <= nn; i++ {
 		ks, err := pkg.ExtractShare(ident, i)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := srv.Install(ks); err != nil {
-			t.Fatal(err)
-		}
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		reg := obs.NewRegistry()
-		srv.Instrument(reg)
-		d.serve(t, i, srv, ln)
-		d.players = append(d.players, srv)
 		d.keys = append(d.keys, ks)
-		d.regs = append(d.regs, reg)
-		d.addrs[i-1] = ln.Addr().String()
+		d.addrs = append(d.addrs, fmt.Sprintf("player-%d", i))
+		d.start(t, i)
 	}
-	t.Cleanup(func() {
-		for _, p := range d.players {
-			d.stop(p)
-		}
-	})
 	return d
 }
 
-// serve runs player i on ln. A player that cannot start is reported, not
-// waited out: its Serve closes ln, so every dial fails at once. A player the
-// test closed before its Serve ran is refused as closed, which is no failure.
-func (d *deployment) serve(t *testing.T, i int, p *PlayerServer, ln net.Listener) {
-	go func() {
-		err := p.Serve(ln)
-		d.mu.Lock()
-		stopped := d.stopped[p]
-		d.mu.Unlock()
-		if err != nil && !stopped {
-			t.Errorf("player %d: Serve: %v", i, err)
-		}
-	}()
-}
-
-// stop closes p, marking it closed on purpose.
-func (d *deployment) stop(p *PlayerServer) {
-	d.mu.Lock()
-	d.stopped[p] = true
-	d.mu.Unlock()
-	_ = p.Close()
+// start serves player i from a fresh server holding its key share, with
+// fresh serving counters, under its name: a restart reuses it.
+func (d *deployment) start(t *testing.T, i int) {
+	t.Helper()
+	p, err := NewPlayerServer(d.params, i)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Install(d.keys[i-1]); err != nil {
+		t.Fatal(err)
+	}
+	d.regs[i-1] = obs.NewRegistry()
+	p.Instrument(d.regs[i-1])
+	if err := d.net.Serve(d.addrs[i-1], p); err != nil {
+		t.Fatal(err)
+	}
+	d.players[i-1] = p
 }
 
 func (d *deployment) recombiner(t *testing.T) *Recombiner {
@@ -127,8 +110,17 @@ func (d *deployment) recombinerWithTimeout(t *testing.T, timeout time.Duration) 
 	if err != nil {
 		t.Fatal(err)
 	}
+	r.dial = d.net.Dialer("recombiner")
+	r.Instrument(nil)
 	t.Cleanup(func() { _ = r.Close() })
 	return r
+}
+
+// pool is a client of player i, closed with the test.
+func (d *deployment) pool(t *testing.T, i int) *sem.Pool {
+	p := sem.NewPool(d.addrs[i-1], d.params.Public.Pairing, sem.PoolConfig{Size: 1, Dial: d.net.Dialer("client")})
+	t.Cleanup(func() { _ = p.Close() })
+	return p
 }
 
 // startAt pins the rotation: the next decryption prefers players first,
@@ -147,8 +139,8 @@ func (d *deployment) served(i int) uint64 {
 	return d.regs[i-1].Counter("sem_requests_total", "", obs.Label{Key: "op", Value: "threshold_share"}).Value()
 }
 
-// crash stops player i's server; its address refuses connections.
-func (d *deployment) crash(i int) { d.stop(d.players[i-1]) }
+// crash stops player i's server; its name refuses connections.
+func (d *deployment) crash(i int) { d.net.Crash(d.addrs[i-1]) }
 
 // lieAlways makes player i answer every request with a share value that is
 // not ê(U, d_IDi) — its W2 = G^r, which resolves into GT as G does — under
@@ -159,59 +151,6 @@ func (d *deployment) lieAlways(i int) {
 		lie.G = sx.W2
 		return &lie
 	})
-}
-
-// hang replaces player i with a listener that accepts, shakes hands, reads
-// every request and answers none. Call before building the recombiner.
-func (d *deployment) hang(t *testing.T, i int) {
-	t.Helper()
-	d.crash(i)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = ln.Close() })
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func() {
-				defer func() { _ = conn.Close() }()
-				hello := make([]byte, 5)
-				if _, err := io.ReadFull(conn, hello); err != nil {
-					return
-				}
-				if err := wire.WriteV2Ack(conn, wire.V2Version, sem.DefaultMaxBatch, sem.DefaultMaxFrame); err != nil {
-					return
-				}
-				_, _ = io.Copy(io.Discard, conn)
-			}()
-		}
-	}()
-	d.addrs[i-1] = ln.Addr().String()
-}
-
-// restart brings a crashed player i back on its old address with the same
-// key share (and fresh serving counters).
-func (d *deployment) restart(t *testing.T, i int) {
-	t.Helper()
-	reborn, err := NewPlayerServer(d.params, i)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := reborn.Install(d.keys[i-1]); err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", d.addrs[i-1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.regs[i-1] = obs.NewRegistry()
-	reborn.Instrument(d.regs[i-1])
-	d.serve(t, i, reborn, ln)
-	d.players[i-1] = reborn // closed with the deployment
 }
 
 // TestPlayerThatCannotStartClosesListener: a player whose server cannot be
@@ -449,12 +388,7 @@ func TestClusterUnknownIdentity(t *testing.T) {
 		t.Fatalf("refusals mixed with a transport failure: %v, want plain ErrNotEnoughShares", err)
 	}
 	// Asked directly, a player names the reason with the typed sentinel.
-	player, err := sem.Dial(d.addrs[0], d.params.Public.Pairing, 2*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = player.Close() }()
-	if _, err := player.ThresholdShare("ghost@example.com", c.U); !errors.Is(err, ErrUnknownIdentity) {
+	if _, err := d.pool(t, 1).ThresholdShare("ghost@example.com", c.U); !errors.Is(err, ErrUnknownIdentity) {
 		t.Fatalf("share for an unknown identity: %v, want ErrUnknownIdentity", err)
 	}
 }
@@ -474,14 +408,8 @@ func TestClusterRevokedEverywhere(t *testing.T) {
 	}
 	each := func(op func(*sem.Pool) error) {
 		t.Helper()
-		for _, addr := range d.addrs {
-			player, err := sem.Dial(addr, d.params.Public.Pairing, 2*time.Second)
-			if err != nil {
-				t.Fatal(err)
-			}
-			err = op(player)
-			_ = player.Close()
-			if err != nil {
+		for i := 1; i <= nn; i++ {
+			if err := op(d.pool(t, i)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -558,11 +486,11 @@ const (
 	statusUnsupported = 4
 )
 
-// exchange opens a raw connection to a player, completes the handshake and
+// exchange opens a raw connection to player i, completes the handshake and
 // trades one request frame for its response items.
-func exchange(t *testing.T, addr string, op byte, items ...wire.ReqItem) []wire.RespItem {
+func (d *deployment) exchange(t *testing.T, i int, op byte, items ...wire.ReqItem) []wire.RespItem {
 	t.Helper()
-	conn, err := net.Dial("tcp", addr)
+	conn, err := d.net.Dialer("client")(d.addrs[i-1], time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -595,7 +523,7 @@ func exchange(t *testing.T, addr string, op byte, items ...wire.ReqItem) []wire.
 
 func TestClusterRejectsMalformedPoint(t *testing.T) {
 	d := deploy(t)
-	resp := exchange(t, d.addrs[0], opThresholdShare, wire.ReqItem{ID: []byte(ident), Payload: []byte{1, 2}})
+	resp := d.exchange(t, 1, opThresholdShare, wire.ReqItem{ID: []byte(ident), Payload: []byte{1, 2}})
 	if resp[0].Status != statusBadRequest {
 		t.Fatalf("malformed point answered with status %d: %s", resp[0].Status, resp[0].Data)
 	}
@@ -672,15 +600,15 @@ func TestNoAbscissaAsksNoPlayer(t *testing.T) {
 
 func TestClusterPing(t *testing.T) {
 	d := deploy(t)
-	if resp := exchange(t, d.addrs[2], opPing, wire.ReqItem{}); resp[0].Status != statusOK {
+	if resp := d.exchange(t, 3, opPing, wire.ReqItem{}); resp[0].Status != statusOK {
 		t.Fatalf("ping answered with status %d: %s", resp[0].Status, resp[0].Data)
 	}
 	// An op byte nobody serves is refused, and so is one whose backend a
 	// player does not have.
-	if resp := exchange(t, d.addrs[2], 200, wire.ReqItem{}); resp[0].Status != statusBadRequest {
+	if resp := d.exchange(t, 3, 200, wire.ReqItem{}); resp[0].Status != statusBadRequest {
 		t.Fatalf("unknown op answered with status %d: %s", resp[0].Status, resp[0].Data)
 	}
-	if resp := exchange(t, d.addrs[2], opIBEToken, wire.ReqItem{ID: []byte(ident)}); resp[0].Status != statusUnsupported {
+	if resp := d.exchange(t, 3, opIBEToken, wire.ReqItem{ID: []byte(ident)}); resp[0].Status != statusUnsupported {
 		t.Fatalf("ibe_token on a player answered with status %d: %s", resp[0].Status, resp[0].Data)
 	}
 }
@@ -879,7 +807,7 @@ func TestClusterSharesOpPartialMalformed(t *testing.T) {
 	d := deploy(t)
 	_, cs := encryptBatch(t, d, 2)
 	item := func(u []byte) wire.ReqItem { return wire.ReqItem{ID: []byte(ident), Payload: u} }
-	resp := exchange(t, d.addrs[0], opThresholdShare, item(cs[0].U.Marshal()), item([]byte{1, 2}), item(cs[1].U.Marshal()))
+	resp := d.exchange(t, 1, opThresholdShare, item(cs[0].U.Marshal()), item([]byte{1, 2}), item(cs[1].U.Marshal()))
 	if resp[0].Status != statusOK || resp[2].Status != statusOK {
 		t.Fatalf("valid slots failed: %d %q, %d %q", resp[0].Status, resp[0].Data, resp[2].Status, resp[2].Data)
 	}
@@ -937,7 +865,7 @@ func TestRecombinerConnPool(t *testing.T) {
 	// Restart player 3 on its address: its pooled connection is dead, and
 	// the next decryption that asks it must reach the new server by itself.
 	d.crash(3)
-	d.restart(t, 3)
+	d.start(t, 3)
 	before := poolCounter(reg, "sempool_dials_total")
 	decrypt("after player 3 restarted")
 	if poolCounter(reg, "sempool_dials_total") == before {
@@ -955,7 +883,7 @@ func TestRecombinerConnPool(t *testing.T) {
 		t.Fatalf("a player rejected within the last timeout was asked again (fetches %d → %d, escalations %d → %d)",
 			asked, r.fetched(3), escalated, r.met.escalations.Value())
 	}
-	d.restart(t, 3)
+	d.start(t, 3)
 	r.failedAt[2].Add(-int64(r.timeout)) // timeout has passed since the rejection
 	decrypt("player 3 back, demotion expired")
 	if r.fetched(3) != asked+1 {
@@ -990,10 +918,16 @@ func TestClusterToleratesHungPlayer(t *testing.T) {
 		t.Run(leg.name, func(t *testing.T) {
 			t.Parallel() // the legs wait rather than compute
 			d := deploy(t)
-			for _, i := range leg.hung {
-				d.hang(t, i)
-			}
 			r := d.recombinerWithTimeout(t, timeout)
+			for _, i := range leg.hung {
+				// Connected, then every byte player i sends r is held: a
+				// request waits out the timeout, and the pool's replay on a
+				// fresh connection waits out the handshake.
+				if err := r.pools[i-1].Ping(); err != nil {
+					t.Fatal(err)
+				}
+				d.net.Hold(d.addrs[i-1], "recombiner")
+			}
 			r.startAt(leg.first)
 			c, _ := d.params.Public.EncryptBasic(rand.Reader, ident, msg)
 			start := time.Now()
@@ -1097,12 +1031,11 @@ func TestWarmDecryptionRunsNoClearingAndNoSubgroupLadder(t *testing.T) {
 	counted("escalated by a crash", []int{2}, nn-1)
 }
 
-// offCurveV puts a proxy in front of player i that forwards every frame
-// both ways and rewrites the proof point V of each threshold_share answer
-// to an encoding that is no curve point: an x whose x³ + x is not a square.
-// Call before building the recombiner.
-func (d *deployment) offCurveV(t *testing.T, i int) {
-	t.Helper()
+// offCurveV relays the recombiner's connections to player i frame by
+// frame and rewrites the proof point V of each threshold_share answer to an
+// encoding that is no curve point: an x whose x³ + x is not a square. Call
+// before the recombiner's first decryption.
+func (d *deployment) offCurveV(i int) {
 	pp := d.params.Public.Pairing
 	c := pp.Curve()
 	x := big.NewInt(1)
@@ -1117,72 +1050,51 @@ func (d *deployment) offCurveV(t *testing.T, i int) {
 	bad := make([]byte, point)
 	bad[0] = 2
 	x.FillBytes(bad[1:])
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = ln.Close() })
-	real := d.addrs[i-1]
-	go func() {
+	d.net.Intercept("recombiner", d.addrs[i-1], func(conn, up net.Conn) {
+		hello := make([]byte, 5)
+		if _, err := io.ReadFull(conn, hello); err != nil {
+			return
+		}
+		if _, err := up.Write(hello); err != nil {
+			return
+		}
+		version, maxBatch, maxFrame, err := wire.ReadV2Ack(up)
+		if err != nil || wire.WriteV2Ack(conn, version, maxBatch, maxFrame) != nil {
+			return
+		}
+		var enc wire.FrameEncoder
+		var dec wire.FrameDecoder
 		for {
-			conn, err := ln.Accept()
+			op, items, _, err := dec.ReadRequest(conn, 0, 0)
 			if err != nil {
 				return
 			}
-			go func() {
-				defer func() { _ = conn.Close() }()
-				up, err := net.Dial("tcp", real)
-				if err != nil {
-					return
+			frame, err := enc.EncodeRequest(op, items, 0)
+			if err != nil {
+				return
+			}
+			if _, err := up.Write(frame); err != nil {
+				return
+			}
+			op, resp, _, err := dec.ReadResponse(up, 0, 0)
+			if err != nil {
+				return
+			}
+			for k := range resp {
+				if op == opThresholdShare && resp[k].Status == statusOK {
+					data := bytes.Clone(resp[k].Data)
+					copy(data[3*gt:], bad)
+					resp[k].Data = data
 				}
-				defer func() { _ = up.Close() }()
-				hello := make([]byte, 5)
-				if _, err := io.ReadFull(conn, hello); err != nil {
-					return
-				}
-				if _, err := up.Write(hello); err != nil {
-					return
-				}
-				version, maxBatch, maxFrame, err := wire.ReadV2Ack(up)
-				if err != nil || wire.WriteV2Ack(conn, version, maxBatch, maxFrame) != nil {
-					return
-				}
-				var enc wire.FrameEncoder
-				var dec wire.FrameDecoder
-				for {
-					op, items, _, err := dec.ReadRequest(conn, 0, 0)
-					if err != nil {
-						return
-					}
-					frame, err := enc.EncodeRequest(op, items, 0)
-					if err != nil {
-						return
-					}
-					if _, err := up.Write(frame); err != nil {
-						return
-					}
-					op, resp, _, err := dec.ReadResponse(up, 0, 0)
-					if err != nil {
-						return
-					}
-					for k := range resp {
-						if op == opThresholdShare && resp[k].Status == statusOK {
-							data := bytes.Clone(resp[k].Data)
-							copy(data[3*gt:], bad)
-							resp[k].Data = data
-						}
-					}
-					if frame, err = enc.EncodeResponse(op, resp, 0); err != nil {
-						return
-					}
-					if _, err := conn.Write(frame); err != nil {
-						return
-					}
-				}
-			}()
+			}
+			if frame, err = enc.EncodeResponse(op, resp, 0); err != nil {
+				return
+			}
+			if _, err := conn.Write(frame); err != nil {
+				return
+			}
 		}
-	}()
-	d.addrs[i-1] = ln.Addr().String()
+	})
 }
 
 // TestOffCurveVRejectsOnlyItsPlayer: a round's proof points are decoded in
@@ -1198,7 +1110,7 @@ func TestOffCurveVRejectsOnlyItsPlayer(t *testing.T) {
 				t.Fatal(err)
 			}
 			d := deployOn(t, pp)
-			d.offCurveV(t, 2)
+			d.offCurveV(2)
 			r := d.recombiner(t)
 			r.startAt(1)
 			msg := bytes.Repeat([]byte{0x2c}, msgLen)

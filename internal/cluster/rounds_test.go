@@ -127,8 +127,7 @@ func TestFaultTable(t *testing.T) {
 		for mask := 0; mask < 1<<nn; mask++ {
 			faulty := subset(mask)
 			t.Run(fmt.Sprintf("%s%v", fault.name, faulty), func(t *testing.T) {
-				// Not parallel: a crashed player's port may be handed to a
-				// listener of another deployment running beside this one.
+				t.Parallel() // each deployment has a network of its own
 				d := deploy(t)
 				for _, i := range faulty {
 					fault.apply(d, i)
@@ -178,10 +177,14 @@ func TestFaultTableHungPlayers(t *testing.T) {
 		t.Run(fmt.Sprintf("hung%v", leg.hung), func(t *testing.T) {
 			t.Parallel() // the legs wait rather than compute
 			d := deploy(t)
-			for _, i := range leg.hung {
-				d.hang(t, i)
-			}
 			r := d.recombinerWithTimeout(t, timeout)
+			for _, i := range leg.hung {
+				// Connected, then never answered (TestClusterToleratesHungPlayer).
+				if err := r.pools[i-1].Ping(); err != nil {
+					t.Fatal(err)
+				}
+				d.net.Hold(d.addrs[i-1], "recombiner")
+			}
 			r.startAt(leg.first)
 			start := time.Now()
 			rounds, _ := checkDecryption(t, d, r, leg.hung, false)

@@ -7,7 +7,6 @@ import (
 	"math/big"
 	"net"
 	"testing"
-	"time"
 
 	"repro/internal/bf"
 	"repro/internal/core"
@@ -78,11 +77,7 @@ func TestSubgroupCheckRelaxedOnlyForEvaluationPoints(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		srv, err := NewServer(Config{Registry: reg, IBE: ibe, GDH: gdh, Threshold: player, Pairing: pp, AllowRegister: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { _ = srv.Close() })
+		srv, addr := serveTCP(t, Config{Registry: reg, IBE: ibe, GDH: gdh, Threshold: player, Pairing: pp, AllowRegister: true})
 		call := func(op byte, payload []byte) ([]byte, error) {
 			return opTable[op].handle(srv, testID, payload)
 		}
@@ -158,16 +153,7 @@ func TestSubgroupCheckRelaxedOnlyForEvaluationPoints(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		go func() { _ = srv.Serve(ln) }()
-		cl, err := Dial(ln.Addr().String(), pp, 2*time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { _ = cl.Close() })
+		cl := dialTCP(t, addr, pp)
 		share := func(pt *curve.Point) *core.DecryptionShare {
 			t.Helper()
 			ds, err := cl.ThresholdShare(testID, pt)
@@ -290,12 +276,7 @@ func TestSubgroupCheckRelaxedOnlyForEvaluationPoints(t *testing.T) {
 					return resp
 				})
 			})
-			cl, err := Dial(addr, pp, 2*time.Second)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { _ = cl.Close() })
-			return cl
+			return dialTCP(t, addr, pp)
 		}
 		for what, pt := range outside {
 			if _, err := answered(pt.Marshal(), honestV.Marshal()).GDHHalfSign(testID, uq); !errors.Is(err, ErrProtocol) {

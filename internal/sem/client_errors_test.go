@@ -9,7 +9,6 @@ import (
 	"net"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/curve"
@@ -104,12 +103,7 @@ func answering(t *testing.T, pp *pairing.Params, answer func(slot int) []byte) *
 			return resp
 		})
 	})
-	c, err := Dial(addr, pp, 2*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = c.Close() })
-	return c
+	return dialTCP(t, addr, pp)
 }
 
 // TestStatusRefusesMalformedAnswers: a status answer is one byte, 0 or 1.
@@ -244,11 +238,7 @@ func TestPointOpsRefuseNilAndO(t *testing.T) {
 			return make([]wire.RespItem, len(items))
 		})
 	})
-	pool, err := Dial(addr, pp, 2*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = pool.Close() })
+	pool := dialTCP(t, addr, pp)
 	sharded, err := NewShardedClient([]string{addr}, pp, ShardedConfig{})
 	if err != nil {
 		t.Fatal(err)

@@ -143,17 +143,8 @@ func goldenPlayer(tb testing.TB, pp *pairing.Params, reg *core.Registry) *core.T
 func goldenServers(t *testing.T, pp *pairing.Params) map[string]string {
 	t.Helper()
 	serve := func(cfg Config) string {
-		srv, err := NewServer(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		go func() { _ = srv.Serve(ln) }()
-		t.Cleanup(func() { _ = srv.Close() })
-		return ln.Addr().String()
+		_, addr := serveTCP(t, cfg)
+		return addr
 	}
 	return map[string]string{
 		"full":  serve(goldenFullConfig(t, pp)),

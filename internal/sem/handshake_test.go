@@ -22,7 +22,7 @@ import (
 func TestNonSEM2OpenerClosed(t *testing.T) {
 	var mu sync.Mutex
 	var logged []string
-	srv, err := NewServer(Config{
+	_, addr := serveTCP(t, Config{
 		Registry: core.NewRegistry(),
 		Logf: func(format string, args ...any) {
 			mu.Lock()
@@ -30,16 +30,6 @@ func TestNonSEM2OpenerClosed(t *testing.T) {
 			logged = append(logged, format)
 		},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() { _ = srv.Serve(ln) }()
-	defer func() { _ = srv.Close() }()
-	addr := ln.Addr().String()
 
 	for _, opener := range [][]byte{
 		append([]byte{0, 0, 0, 13}, `{"op":"ping"}`...), // a v1 JSON frame
@@ -75,12 +65,7 @@ func TestNonSEM2OpenerClosed(t *testing.T) {
 		t.Fatalf("want one log line per refused connection, got %d: %q", n, logged)
 	}
 
-	client, err := Dial(addr, nil, 2*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = client.Close() }()
-	if err := client.Ping(); err != nil {
+	if err := dialTCP(t, addr, nil).Ping(); err != nil {
 		t.Fatalf("listener stopped serving after refusing strangers: %v", err)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"io"
 	"net"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -25,27 +24,8 @@ func metricsFixture(t *testing.T, cfg Config) (*Server, *Pool, *obs.Registry) {
 		cfg.Registry = core.NewRegistry()
 	}
 	cfg.Metrics = reg
-	srv, err := NewServer(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() { defer wg.Done(); _ = srv.Serve(ln) }()
-	client, err := Dial(ln.Addr().String(), nil, 2*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		_ = client.Close()
-		_ = srv.Close()
-		wg.Wait()
-	})
-	return srv, client, reg
+	srv, addr := serveTCP(t, cfg)
+	return srv, dialTCP(t, addr, nil), reg
 }
 
 func TestServerMetricsExported(t *testing.T) {

@@ -60,6 +60,9 @@ type PoolConfig struct {
 	// write), so a hung or glacial SEM fails the call instead of stalling
 	// the caller forever. 0 selects 30s; negative disables.
 	OpTimeout time.Duration
+	// Dial opens a connection to addr within timeout; nil dials TCP. Tests
+	// set it to run the pool over an in-memory network (internal/memnet).
+	Dial func(addr string, timeout time.Duration) (net.Conn, error)
 	// HealthInterval is the background ping cadence keeping idle
 	// connections alive (SEM servers close idle peers after IOTimeout) and
 	// detecting dead ones early. 0 selects 15s; negative disables.
@@ -183,7 +186,12 @@ func NewPool(addr string, pp *pairing.Params, cfg PoolConfig) *Pool {
 // RSA/admin operations will be used. timeout covers the connection
 // attempt; the per-operation deadline is PoolConfig's default 30s.
 func Dial(addr string, pp *pairing.Params, timeout time.Duration) (*Pool, error) {
-	p := NewPool(addr, pp, PoolConfig{Size: 1, DialTimeout: timeout})
+	return dial(addr, pp, PoolConfig{Size: 1, DialTimeout: timeout})
+}
+
+// dial is NewPool with its first connection established before it returns.
+func dial(addr string, pp *pairing.Params, cfg PoolConfig) (*Pool, error) {
+	p := NewPool(addr, pp, cfg)
 	if _, err := p.get(); err != nil {
 		_ = p.Close()
 		return nil, err
@@ -376,7 +384,13 @@ type muxConn struct {
 
 // dialMux dials and negotiates one connection and starts its loops.
 func dialMux(p *Pool) (*muxConn, error) {
-	conn, err := net.DialTimeout("tcp", p.addr, p.cfg.DialTimeout)
+	var conn net.Conn
+	var err error
+	if p.cfg.Dial != nil {
+		conn, err = p.cfg.Dial(p.addr, p.cfg.DialTimeout)
+	} else {
+		conn, err = net.DialTimeout("tcp", p.addr, p.cfg.DialTimeout)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("dial SEM pool: %w", err)
 	}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"strings"
 	"sync"
@@ -18,77 +17,16 @@ import (
 	"repro/internal/wire"
 )
 
-// killableProxy forwards TCP connections to a backend and can sever every
-// live connection on demand — the harness for eviction, re-dial and
-// failover tests.
-type killableProxy struct {
-	t  *testing.T
-	ln net.Listener
-
-	mu    sync.Mutex
-	conns []net.Conn
-	down  bool
-	wg    sync.WaitGroup
-}
-
-func newKillableProxy(t *testing.T, backend string) *killableProxy {
+// poolFleet is a one-shard fleet with one identity enrolled, and a pool of
+// cfg to it, closed with the test.
+func poolFleet(t *testing.T, cfg PoolConfig) (*fleet, *Pool, string) {
 	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := &killableProxy{t: t, ln: ln}
-	p.wg.Add(1)
-	go func() {
-		defer p.wg.Done()
-		for {
-			c, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			p.mu.Lock()
-			if p.down {
-				p.mu.Unlock()
-				_ = c.Close()
-				continue
-			}
-			b, err := net.Dial("tcp", backend)
-			if err != nil {
-				p.mu.Unlock()
-				_ = c.Close()
-				continue
-			}
-			p.conns = append(p.conns, c, b)
-			p.mu.Unlock()
-			go func() { _, _ = io.Copy(b, c); _ = b.Close() }()
-			go func() { _, _ = io.Copy(c, b); _ = c.Close() }()
-		}
-	}()
-	t.Cleanup(func() {
-		_ = ln.Close()
-		p.killAll()
-		p.wg.Wait()
-	})
-	return p
-}
-
-func (p *killableProxy) addr() string { return p.ln.Addr().String() }
-
-// killAll severs every live proxied connection (new dials still succeed).
-func (p *killableProxy) killAll() {
-	p.mu.Lock()
-	for _, c := range p.conns {
-		_ = c.Close()
-	}
-	p.conns = p.conns[:0]
-	p.mu.Unlock()
-}
-
-// setDown makes the proxy refuse new connections.
-func (p *killableProxy) setDown(down bool) {
-	p.mu.Lock()
-	p.down = down
-	p.mu.Unlock()
+	fl := newFleet(t, 1, fleetConfig{})
+	cfg.Dial = fl.net.Dialer("client")
+	pool := NewPool(fl.addrs[0], fl.pp, cfg)
+	t.Cleanup(func() { _ = pool.Close() })
+	ids, _ := fl.enrollIBE(pool, 1)
+	return fl, pool, ids[0]
 }
 
 func TestPoolOpsEndToEnd(t *testing.T) {
@@ -203,19 +141,15 @@ func TestPoolCoalescing(t *testing.T) {
 // checks the pool evicts it, re-dials, and completes the next op — with
 // the in-call retry making the kill invisible to the caller.
 func TestPoolEvictionAndRedial(t *testing.T) {
-	f := newFixture(t)
-	proxy := newKillableProxy(t, f.addr)
-	pool := NewPool(proxy.addr(), f.pp, PoolConfig{Size: 1})
-	defer pool.Close()
-
-	u := f.pp.Generator()
-	if _, err := pool.IBEToken(testID, u); err != nil {
+	fl, pool, id := poolFleet(t, PoolConfig{Size: 1})
+	u := fl.pp.Generator()
+	if _, err := pool.IBEToken(id, u); err != nil {
 		t.Fatal(err)
 	}
-	proxy.killAll()
+	fl.sever(fl.addrs[0])
 	// The next op may land on the dead conn; the pool must absorb that via
 	// eviction + retry on a fresh dial.
-	if _, err := pool.IBEToken(testID, u); err != nil {
+	if _, err := pool.IBEToken(id, u); err != nil {
 		t.Fatalf("op after connection kill: %v", err)
 	}
 	if ev := pool.met.evictions.Value(); ev < 1 {
@@ -229,26 +163,21 @@ func TestPoolEvictionAndRedial(t *testing.T) {
 // TestPoolBackendDown checks error classification when the fleet is truly
 // unreachable: a transport error, never ErrRemote, never ErrClientClosed.
 func TestPoolBackendDown(t *testing.T) {
-	f := newFixture(t)
-	proxy := newKillableProxy(t, f.addr)
-	pool := NewPool(proxy.addr(), f.pp, PoolConfig{Size: 1})
-	defer pool.Close()
-
+	fl, pool, id := poolFleet(t, PoolConfig{Size: 1})
 	if err := pool.Ping(); err != nil {
 		t.Fatal(err)
 	}
-	proxy.setDown(true)
-	proxy.killAll()
-	_, err := pool.IBEToken(testID, f.pp.Generator())
+	fl.net.Partition("client", fl.addrs[0])
+	_, err := pool.IBEToken(id, fl.pp.Generator())
 	if err == nil {
 		t.Fatal("op against downed backend succeeded")
 	}
 	if errors.Is(err, ErrRemote) || errors.Is(err, ErrClientClosed) {
 		t.Fatalf("downed-backend error misclassified: %v", err)
 	}
-	// Recovery: proxy back up, next op succeeds.
-	proxy.setDown(false)
-	if _, err := pool.IBEToken(testID, f.pp.Generator()); err != nil {
+	// Recovery: the shard reachable again, next op succeeds.
+	fl.net.Heal("client", fl.addrs[0])
+	if _, err := pool.IBEToken(id, fl.pp.Generator()); err != nil {
 		t.Fatalf("op after backend recovery: %v", err)
 	}
 }
@@ -280,15 +209,11 @@ func TestPoolClosed(t *testing.T) {
 // re-dial racing under -race. Ops may fail (the backend is being shot),
 // but failures must never be misclassified as remote errors.
 func TestPoolChurnRace(t *testing.T) {
-	f := newFixture(t)
-	proxy := newKillableProxy(t, f.addr)
-	pool := NewPool(proxy.addr(), f.pp, PoolConfig{Size: 3, OpTimeout: 2 * time.Second})
-	defer pool.Close()
-
+	fl, pool, id := poolFleet(t, PoolConfig{Size: 3, OpTimeout: 2 * time.Second})
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	var ok, failed atomic.Int64
-	u := f.pp.Generator()
+	u := fl.pp.Generator()
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -299,7 +224,7 @@ func TestPoolChurnRace(t *testing.T) {
 					return
 				default:
 				}
-				_, err := pool.IBEToken(testID, u)
+				_, err := pool.IBEToken(id, u)
 				switch {
 				case err == nil:
 					ok.Add(1)
@@ -318,7 +243,7 @@ loop:
 	for {
 		select {
 		case <-killer.C:
-			proxy.killAll()
+			fl.sever(fl.addrs[0])
 		case <-deadline:
 			break loop
 		}

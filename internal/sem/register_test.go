@@ -6,10 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
-	"net"
-	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/curve"
@@ -132,31 +129,12 @@ func TestRegisterDisabledByDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewServer(Config{
+	_, addr := serveTCP(t, Config{
 		Registry: reg,
 		IBE:      core.NewIBESEM(pkg.Public(), reg),
 		Pairing:  pp,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() { defer wg.Done(); _ = srv.Serve(ln) }()
-	client, err := Dial(ln.Addr().String(), pp, 2*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		_ = client.Close()
-		_ = srv.Close()
-		wg.Wait()
-	})
-	err = client.RegisterIBE("x@y", pp.Generator())
+	err = dialTCP(t, addr, pp).RegisterIBE("x@y", pp.Generator())
 	if !errors.Is(err, ErrRemote) {
 		t.Fatalf("register on locked-down server err = %v, want ErrRemote", err)
 	}

@@ -91,8 +91,13 @@ func (o *ops) ReplSnapshot(chunk *repl.SnapshotChunk) error {
 // because a follower skips redelivered records and refuses an
 // out-of-sequence snapshot chunk, which restarts the transfer.
 func ReplDialer(timeout time.Duration) func(addr string) (repl.Peer, error) {
+	return replDialer(PoolConfig{Size: 1, DialTimeout: timeout})
+}
+
+// replDialer is ReplDialer over pools of cfg.
+func replDialer(cfg PoolConfig) func(addr string) (repl.Peer, error) {
 	return func(addr string) (repl.Peer, error) {
-		p, err := Dial(addr, nil, timeout)
+		p, err := dial(addr, nil, cfg)
 		if err != nil {
 			return nil, err
 		}

@@ -1,7 +1,6 @@
 package sem
 
 import (
-	"crypto/rand"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -14,65 +13,9 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/pairing"
 	"repro/internal/repl"
 	"repro/internal/shard"
 )
-
-// replNode is one journal-backed SEM daemon with its follower wired in,
-// optionally carrying a replication leader.
-type replNode struct {
-	journal  *core.Journal
-	follower *repl.Follower
-	server   *Server
-	addr     string
-}
-
-func newReplNode(t *testing.T, pp *pairing.Params, leader *repl.Leader, j *core.Journal) *replNode {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return newReplNodeOn(t, pp, leader, j, ln)
-}
-
-// newReplNodeOn serves a replication node on a pre-bound listener, so a
-// test can know the fleet's addresses (and hence the ring's leader
-// designation) before deciding which daemon actually runs the leader.
-func newReplNodeOn(t *testing.T, pp *pairing.Params, leader *repl.Leader, j *core.Journal, ln net.Listener) *replNode {
-	t.Helper()
-	f := repl.NewFollower(j)
-	// A minimal IBE backend so revocation refusal is observable over the
-	// wire (the SEM checks the registry before the key lookup, so no
-	// enrollment is needed).
-	pkg, err := core.NewMediatedPKG(rand.Reader, pp, msgLen)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := NewServer(Config{
-		Registry: j.Registry(),
-		IBE:      core.NewIBESEM(pkg.Public(), j.Registry()),
-		Journal:  j,
-		Repl:     f,
-		Leader:   leader,
-		Pairing:  pp,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		_ = srv.Serve(ln)
-	}()
-	t.Cleanup(func() {
-		_ = srv.Close()
-		wg.Wait()
-	})
-	return &replNode{journal: j, follower: f, server: srv, addr: ln.Addr().String()}
-}
 
 func tmpJournal(t *testing.T) *core.Journal {
 	t.Helper()
@@ -84,22 +27,25 @@ func tmpJournal(t *testing.T) *core.Journal {
 	return j
 }
 
+// waitFor polls cond for up to 10 s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s never happened", what)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 // TestReplOpsOverTheWire drives the three repl.* ops through a real
 // server and client: status reflects applied appends, records land in the
 // follower's journal, and the typed refusals (stale epoch, sequence gap)
 // survive the protocol round trip as errors.Is-able sentinels.
 func TestReplOpsOverTheWire(t *testing.T) {
-	pp, err := pairing.Toy()
-	if err != nil {
-		t.Fatal(err)
-	}
-	node := newReplNode(t, pp, nil, tmpJournal(t))
-	c, err := Dial(node.addr, pp, 2*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
+	fl := newFleet(t, 1, fleetConfig{journaled: true})
+	c := fl.client(fl.addrs[0])
 	if epoch, seq, err := c.ReplStatus(); err != nil || epoch != 0 || seq != 0 {
 		t.Fatalf("fresh status = %d/%d, %v", epoch, seq, err)
 	}
@@ -115,13 +61,13 @@ func TestReplOpsOverTheWire(t *testing.T) {
 	if epoch, seq, err := c.ReplStatus(); err != nil || epoch != 2 || seq != 3 {
 		t.Fatalf("status after append = %d/%d, %v; want 2/3", epoch, seq, err)
 	}
-	reg := node.journal.Registry()
+	reg := fl.journals[fl.addrs[0]].Registry()
 	if reg.IsRevoked("a@x") || !reg.IsRevoked("b@x") {
 		t.Fatal("appended records not applied")
 	}
 
 	// Stale sender: the wire must hand back something errors.Is-able.
-	err = c.ReplAppend(1, []core.ReplRecord{{Seq: 4, Epoch: 1, Op: "revoke", ID: "z@x", When: when}})
+	err := c.ReplAppend(1, []core.ReplRecord{{Seq: 4, Epoch: 1, Op: "revoke", ID: "z@x", When: when}})
 	if !errors.Is(err, repl.ErrStaleEpoch) {
 		t.Fatalf("stale append error = %v, want repl.ErrStaleEpoch", err)
 	}
@@ -181,36 +127,13 @@ func TestReplOpsRequireJournal(t *testing.T) {
 }
 
 // TestReplLeaderOverSockets is the tentpole end-to-end at package level,
-// over real TCP: a leader daemon replicates Revokes (issued by an ordinary
-// client against the leader) to a follower daemon; the follower then
-// refuses the revoked identity like the paper demands.
+// over the SEM protocol between two daemons: a leader daemon replicates
+// Revokes (issued by an ordinary client against the leader) to a follower
+// daemon; the follower then refuses the revoked identity like the paper
+// demands.
 func TestReplLeaderOverSockets(t *testing.T) {
-	pp, err := pairing.Toy()
-	if err != nil {
-		t.Fatal(err)
-	}
-	followerNode := newReplNode(t, pp, nil, tmpJournal(t))
-
-	leaderJournal := tmpJournal(t)
-	leader, err := repl.NewLeader(repl.LeaderConfig{
-		Journal:       leaderJournal,
-		Epoch:         1,
-		Peers:         []string{followerNode.addr},
-		Dial:          ReplDialer(2 * time.Second),
-		RetryInterval: 20 * time.Millisecond,
-		Logf:          t.Logf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer leader.Close()
-	leaderNode := newReplNode(t, pp, leader, leaderJournal)
-
-	c, err := Dial(leaderNode.addr, pp, 2*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	fl := newFleet(t, 2, fleetConfig{leader: "shard-1"})
+	c := fl.client("shard-1")
 	for i := 0; i < 10; i++ {
 		if err := c.Revoke(fmt.Sprintf("id%02d@x", i), "e2e"); err != nil {
 			t.Fatal(err)
@@ -219,31 +142,62 @@ func TestReplLeaderOverSockets(t *testing.T) {
 	if err := c.Unrevoke("id00@x"); err != nil {
 		t.Fatal(err)
 	}
-
-	deadline := time.Now().Add(10 * time.Second)
-	for followerNode.journal.LastSeq() < 11 {
-		if time.Now().After(deadline) {
-			t.Fatalf("follower stuck at seq %d, want 11", followerNode.journal.LastSeq())
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	freg := followerNode.journal.Registry()
+	follower := fl.journals["shard-2"]
+	waitFor(t, "the follower reaching seq 11", func() bool { return follower.LastSeq() >= 11 })
+	freg := follower.Registry()
 	if freg.IsRevoked("id00@x") || !freg.IsRevoked("id09@x") {
 		t.Fatal("follower state diverged from leader")
 	}
 	// The follower itself now refuses the revoked identity.
-	fc, err := Dial(followerNode.addr, pp, 2*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fc.Close()
-	u := pp.Generator()
-	if _, err := fc.IBEToken("id09@x", u); !errors.Is(err, core.ErrRevoked) {
+	fc := fl.client("shard-2")
+	if _, err := fc.IBEToken("id09@x", fl.pp.Generator()); !errors.Is(err, core.ErrRevoked) {
 		t.Fatalf("follower served revoked identity: %v", err)
 	}
 	// And it refuses to take direct mutations now that it follows a leader.
 	if err := fc.Revoke("direct@x", "forbidden"); !errors.Is(err, repl.ErrNotLeader) {
 		t.Fatalf("direct revoke on the follower = %v, want repl.ErrNotLeader", err)
+	}
+}
+
+// TestAckedRevokeServedByPartitionedFollower reproduces the violation of
+// invariant I1 (DESIGN §7 row 2) that the loopback benchmark shows only as
+// a share of stale serves. With the leader→follower link partitioned,
+// ShardedClient.Revoke is acknowledged: the leader's journal is durable, and
+// the follower's not_leader refusal of the hint is not counted as lost. The
+// follower then serves a token for the revoked identity, and refuses only
+// once the link heals and it converges. This asserts today's behaviour;
+// ROADMAP item 2(a)'s lease and synchronous ack invert the middle
+// assertion.
+func TestAckedRevokeServedByPartitionedFollower(t *testing.T) {
+	ring, err := shard.New(shardNames(2), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	leader, follower := ring.Leader(), "shard-1"
+	if leader == follower {
+		follower = "shard-2"
+	}
+	fl := newFleet(t, 2, fleetConfig{leader: leader})
+	waitFor(t, "the follower adopting epoch 1", func() bool { return fl.journals[follower].Epoch() == 1 })
+	sc := fl.sharded(ShardedConfig{Replicas: 2})
+	ids, _ := fl.enrollIBE(sc, 1)
+	fc, u := fl.client(follower), fl.pp.Generator()
+	if _, err := fc.IBEToken(ids[0], u); err != nil {
+		t.Fatal(err)
+	}
+
+	fl.net.Partition(leader, follower)
+	if err := sc.Revoke(ids[0], "partitioned"); err != nil {
+		t.Fatalf("Revoke across a leader→follower partition: %v, want an acknowledgement", err)
+	}
+	if _, err := fc.IBEToken(ids[0], u); err != nil {
+		t.Fatalf("the follower refused an acknowledged revoke across the partition (%v): I1 holds, invert this test", err)
+	}
+
+	fl.net.Heal(leader, follower)
+	waitFor(t, "the follower applying the revoke", func() bool { return fl.journals[follower].Registry().IsRevoked(ids[0]) })
+	if _, err := fc.IBEToken(ids[0], u); !errors.Is(err, core.ErrRevoked) {
+		t.Fatalf("the converged follower: %v, want ErrRevoked", err)
 	}
 }
 
@@ -253,12 +207,8 @@ func TestReplLeaderOverSockets(t *testing.T) {
 // dead non-leader shard must not fail the call (that is the catch-up
 // path's job now). A dead leader, by contrast, is a hard error.
 func TestShardedRevokeRoutesThroughLeader(t *testing.T) {
-	fl := newFleet(t, 3)
-	sc, err := NewShardedClient(fl.addrs, fl.pp, ShardedConfig{Replicas: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sc.Close()
+	fl := newFleet(t, 3, fleetConfig{})
+	sc := fl.sharded(ShardedConfig{Replicas: 2})
 	ids, _ := fl.enrollIBE(sc, 8)
 
 	if err := sc.Revoke(ids[0], "via leader"); err != nil {
@@ -266,12 +216,7 @@ func TestShardedRevokeRoutesThroughLeader(t *testing.T) {
 	}
 	// The hint broadcast is synchronous: every shard sees it immediately.
 	for _, addr := range fl.addrs {
-		c, err := Dial(addr, fl.pp, 2*time.Second)
-		if err != nil {
-			t.Fatal(err)
-		}
-		entries, err := c.ListRevoked()
-		_ = c.Close()
+		entries, err := fl.client(addr).ListRevoked()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -296,9 +241,7 @@ func TestShardedRevokeRoutesThroughLeader(t *testing.T) {
 			break
 		}
 	}
-	vp := fl.proxyFor(victim)
-	vp.setDown(true)
-	vp.killAll()
+	fl.net.Partition("client", victim)
 	if err := sc.Revoke(ids[1], "non-leader down"); err != nil {
 		t.Fatalf("Revoke with a non-leader shard down: %v", err)
 	}
@@ -308,9 +251,7 @@ func TestShardedRevokeRoutesThroughLeader(t *testing.T) {
 
 	// Kill the leader: the authoritative write path is gone, so the
 	// mutation must fail loudly rather than degrade to best-effort.
-	lp := fl.proxyFor(leader)
-	lp.setDown(true)
-	lp.killAll()
+	fl.net.Partition("client", leader)
 	if err := sc.Revoke(ids[2], "leader down"); err == nil {
 		t.Fatal("Revoke succeeded with the leader shard dead")
 	}
@@ -324,82 +265,33 @@ func TestShardedRevokeRoutesThroughLeader(t *testing.T) {
 // daemon actually leading, and land the mutation there — authoritative
 // writes keep working instead of failing until an operator restart.
 func TestShardedRevokeFollowsLeaderDrift(t *testing.T) {
-	pp, err := pairing.Toy()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Bind listeners first so the ring designation over the final address
-	// set is known before choosing which daemon actually leads.
 	const n = 3
-	lns := make([]net.Listener, n)
-	addrs := make([]string, n)
-	for i := range lns {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		lns[i] = ln
-		addrs[i] = ln.Addr().String()
-	}
-	ring, err := shard.New(addrs, 0)
+	names := shardNames(n)
+	ring, err := shard.New(names, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	designated := ring.Leader()
 	// Deliberately run the real leader on a shard the ring does NOT
 	// designate — the post-rebalance drift scenario.
-	actual := ""
-	var peers []string
-	for _, a := range addrs {
-		if a != designated && actual == "" {
-			actual = a
-		}
+	actual := names[0]
+	if actual == designated {
+		actual = names[1]
 	}
-	for _, a := range addrs {
+	fl := newFleet(t, n, fleetConfig{leader: actual})
+	var peers []string
+	for _, a := range names {
 		if a != actual {
 			peers = append(peers, a)
 		}
 	}
-	journals := make(map[string]*core.Journal, n)
-	for _, a := range addrs {
-		journals[a] = tmpJournal(t)
-	}
-	leader, err := repl.NewLeader(repl.LeaderConfig{
-		Journal:       journals[actual],
-		Epoch:         1,
-		Peers:         peers,
-		Dial:          ReplDialer(2 * time.Second),
-		RetryInterval: 20 * time.Millisecond,
-		Logf:          t.Logf,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer leader.Close()
-	for i, a := range addrs {
-		var l *repl.Leader
-		if a == actual {
-			l = leader
-		}
-		newReplNodeOn(t, pp, l, journals[a], lns[i])
-	}
 	// Wait for the leader to arm every follower's fence: the designated
 	// shard only refuses direct mutations once it has adopted epoch 1.
-	deadline := time.Now().Add(10 * time.Second)
 	for _, a := range peers {
-		for journals[a].Epoch() < 1 {
-			if time.Now().After(deadline) {
-				t.Fatalf("follower %s never adopted the leader epoch", a)
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
+		waitFor(t, a+" adopting the leader epoch", func() bool { return fl.journals[a].Epoch() >= 1 })
 	}
 
-	sc, err := NewShardedClient(addrs, pp, ShardedConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sc.Close()
+	sc := fl.sharded(ShardedConfig{})
 	if got := sc.LeaderAddr(); got != designated {
 		t.Fatalf("ring designation = %s, want %s", got, designated)
 	}
@@ -407,17 +299,12 @@ func TestShardedRevokeFollowsLeaderDrift(t *testing.T) {
 		t.Fatalf("Revoke with drifted leader designation: %v", err)
 	}
 	// The mutation must have landed authoritatively on the actual leader…
-	if !journals[actual].Registry().IsRevoked("drift@x") {
+	if !fl.journals[actual].Registry().IsRevoked("drift@x") {
 		t.Fatal("mutation missing from the actual leader")
 	}
 	// …and replicate to every follower, including the ring-designated one.
 	for _, a := range peers {
-		for !journals[a].Registry().IsRevoked("drift@x") {
-			if time.Now().After(deadline) {
-				t.Fatalf("follower %s never converged", a)
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
+		waitFor(t, a+" converging", func() bool { return fl.journals[a].Registry().IsRevoked("drift@x") })
 	}
 	if err := sc.Unrevoke("drift@x"); err != nil {
 		t.Fatalf("Unrevoke with drifted leader designation: %v", err)
@@ -427,12 +314,8 @@ func TestShardedRevokeFollowsLeaderDrift(t *testing.T) {
 // TestRingLeaderStability: the ring's leader designation is a pure
 // function of the node set — same fleet, any listing order, same leader.
 func TestRingLeaderStability(t *testing.T) {
-	fl := newFleet(t, 3)
-	sc, err := NewShardedClient(fl.addrs, fl.pp, ShardedConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sc.Close()
+	fl := newFleet(t, 3, fleetConfig{})
+	sc := fl.sharded(ShardedConfig{})
 	leader := sc.LeaderAddr()
 	found := false
 	for _, a := range fl.addrs {
@@ -455,78 +338,41 @@ func TestRingLeaderStability(t *testing.T) {
 	}
 }
 
-// lossyProxy forwards SEM connections to a backend one frame at a time and,
-// when armed, loses a response: a request frame carrying the armed op byte
-// (the first one after skip others) reaches the backend and is answered,
-// but the answer is swallowed and the connection severed — the server
-// applied the request, the client never learns. That is the failure a replayed replication call must
-// survive.
-type lossyProxy struct {
-	ln      net.Listener
-	backend string
-	wg      sync.WaitGroup
-
+// lossy relays SEM connections one frame at a time and, when armed, loses
+// a response: a request frame carrying the armed op byte (the first one
+// after skip others) reaches the server and is answered, but the answer is
+// swallowed and the connection severed — the server applied the request,
+// the client never learns. That is the failure a replayed replication call
+// must survive.
+type lossy struct {
 	mu      sync.Mutex
 	dropOp  byte // 0 = disarmed
 	skip    int
 	dropped int
 }
 
-func newLossyProxy(t *testing.T, backend string) *lossyProxy {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := &lossyProxy{ln: ln, backend: backend}
-	p.wg.Add(1)
-	go func() {
-		defer p.wg.Done()
-		for {
-			c, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			p.wg.Add(1)
-			go func() {
-				defer p.wg.Done()
-				p.relay(c)
-			}()
-		}
-	}()
-	t.Cleanup(func() {
-		_ = ln.Close()
-		p.wg.Wait()
-	})
-	return p
+// lose relays origin's connections to name through a lossy relay.
+func (fl *fleet) lose(origin, name string) *lossy {
+	l := &lossy{}
+	fl.net.Intercept(origin, name, l.relay)
+	return l
 }
 
-func (p *lossyProxy) addr() string { return p.ln.Addr().String() }
-
-// dropAfter arms the proxy to lose the response to an op frame, letting
+// dropAfter arms the relay to lose the response to an op frame, letting
 // skip of them through first.
-func (p *lossyProxy) dropAfter(skip int, op byte) {
+func (p *lossy) dropAfter(skip int, op byte) {
 	p.mu.Lock()
 	p.dropOp, p.skip = op, skip
 	p.mu.Unlock()
 }
 
-func (p *lossyProxy) drops() int {
+func (p *lossy) drops() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.dropped
 }
 
-func (p *lossyProxy) relay(client net.Conn) {
-	defer func() { _ = client.Close() }()
-	server, err := net.Dial("tcp", p.backend)
-	if err != nil {
-		return
-	}
-	defer func() { _ = server.Close() }()
-	deadline := time.Now().Add(30 * time.Second)
-	_ = client.SetDeadline(deadline)
-	_ = server.SetDeadline(deadline)
+func (p *lossy) relay(client, server net.Conn) {
 	// Handshake: 5-byte preamble up, 11-byte ack down.
 	if _, err := io.CopyN(server, client, 5); err != nil {
 		return
@@ -583,13 +429,10 @@ func (p *lossyProxy) relay(client net.Conn) {
 // refused with a typed server answer — never applied twice — and the
 // transfer must complete when restarted from chunk 0.
 func TestReplPeerSurvivesLostResponses(t *testing.T) {
-	pp, err := pairing.Toy()
-	if err != nil {
-		t.Fatal(err)
-	}
-	node := newReplNode(t, pp, nil, tmpJournal(t))
-	proxy := newLossyProxy(t, node.addr)
-	peer, err := ReplDialer(2 * time.Second)(proxy.addr())
+	fl := newFleet(t, 1, fleetConfig{journaled: true})
+	node := fl.journals[fl.addrs[0]]
+	relay := fl.lose("leader", fl.addrs[0])
+	peer, err := replDialer(fl.poolConfig("leader"))(fl.addrs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -602,12 +445,12 @@ func TestReplPeerSurvivesLostResponses(t *testing.T) {
 		{Seq: 1, Epoch: 1, Op: "revoke", ID: "a@x", Reason: "one", When: when},
 		{Seq: 2, Epoch: 1, Op: "revoke", ID: "b@x", Reason: "two", When: when},
 	}
-	proxy.dropAfter(0, opReplAppend)
+	relay.dropAfter(0, opReplAppend)
 	if err := peer.ReplAppend(1, recs); err != nil {
 		t.Fatalf("append whose first answer was lost: %v", err)
 	}
-	if proxy.drops() != 1 || pool.met.retries.Value() != 1 {
-		t.Fatalf("drops=%d retries=%d, want the append delivered twice", proxy.drops(), pool.met.retries.Value())
+	if relay.drops() != 1 || pool.met.retries.Value() != 1 {
+		t.Fatalf("drops=%d retries=%d, want the append delivered twice", relay.drops(), pool.met.retries.Value())
 	}
 	if epoch, seq, err := peer.ReplStatus(); err != nil || epoch != 1 || seq != 2 {
 		t.Fatalf("status after redelivered append = %d/%d, %v; want 1/2 (records applied once)", epoch, seq, err)
@@ -623,12 +466,12 @@ func TestReplPeerSurvivesLostResponses(t *testing.T) {
 	if err := peer.ReplSnapshot(chunk(0)); err != nil {
 		t.Fatal(err)
 	}
-	proxy.dropAfter(0, opReplSnapshot)
+	relay.dropAfter(0, opReplSnapshot)
 	err = peer.ReplSnapshot(chunk(1))
 	if !errors.Is(err, ErrRemote) {
 		t.Fatalf("redelivered chunk: %v, want the follower's typed refusal", err)
 	}
-	if node.journal.Registry().IsRevoked("s0@x") || node.journal.Epoch() != 1 {
+	if node.Registry().IsRevoked("s0@x") || node.Epoch() != 1 {
 		t.Fatal("a broken transfer must install nothing")
 	}
 	// The refusal dropped the pending assembly; the leader's answer is to
@@ -641,7 +484,7 @@ func TestReplPeerSurvivesLostResponses(t *testing.T) {
 	if epoch, seq, err := peer.ReplStatus(); err != nil || epoch != 2 || seq != 40 {
 		t.Fatalf("status after restarted snapshot = %d/%d, %v; want 2/40", epoch, seq, err)
 	}
-	reg := node.journal.Registry()
+	reg := node.Registry()
 	if !reg.IsRevoked("s0@x") || !reg.IsRevoked("s1@x") || !reg.IsRevoked("s2@x") || reg.IsRevoked("a@x") {
 		t.Fatal("snapshot state not installed wholesale")
 	}
@@ -651,59 +494,33 @@ func TestReplPeerSurvivesLostResponses(t *testing.T) {
 // end: a real Leader streaming to a follower whose answers get lost
 // mid-snapshot and mid-append must log the refusal, restart, and converge.
 func TestReplLeaderConvergesThroughLostResponses(t *testing.T) {
-	pp, err := pairing.Toy()
-	if err != nil {
-		t.Fatal(err)
-	}
-	followerNode := newReplNode(t, pp, nil, tmpJournal(t))
-	proxy := newLossyProxy(t, followerNode.addr)
-
-	// Pre-load the leader's journal so first contact needs a three-chunk
-	// snapshot, and lose the answer to its second chunk.
-	leaderJournal := tmpJournal(t)
-	for i := 0; i < 6; i++ {
-		if err := leaderJournal.Revoke(fmt.Sprintf("pre%d@x", i), "preloaded"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	proxy.dropAfter(1, opReplSnapshot)
+	var relay *lossy
 	var mu sync.Mutex
 	var logs []string
-	leader, err := repl.NewLeader(repl.LeaderConfig{
-		Journal:       leaderJournal,
-		Epoch:         1,
-		Peers:         []string{proxy.addr()},
-		Dial:          ReplDialer(2 * time.Second),
-		RetryInterval: 10 * time.Millisecond,
-		SnapshotBatch: 2,
-		Logf: func(format string, args ...any) {
+	fl := newFleet(t, 2, fleetConfig{leader: "shard-1", tune: func(fl *fleet, lc *repl.LeaderConfig) {
+		// Pre-load the leader's journal so first contact needs a three-chunk
+		// snapshot, and lose the answer to its second chunk.
+		for i := 0; i < 6; i++ {
+			if err := lc.Journal.Revoke(fmt.Sprintf("pre%d@x", i), "preloaded"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		relay = fl.lose("shard-1", "shard-2")
+		relay.dropAfter(1, opReplSnapshot)
+		lc.RetryInterval, lc.SnapshotBatch = 10*time.Millisecond, 2
+		lc.Logf = func(format string, args ...any) {
+			t.Logf(format, args...)
 			mu.Lock()
 			logs = append(logs, fmt.Sprintf(format, args...))
 			mu.Unlock()
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = leader.Close() }()
-
-	waitFor := func(what string, cond func() bool) {
-		t.Helper()
-		deadline := time.Now().Add(10 * time.Second)
-		for !cond() {
-			if time.Now().After(deadline) {
-				mu.Lock()
-				defer mu.Unlock()
-				t.Fatalf("%s never happened; leader log: %q", what, logs)
-			}
-			time.Sleep(5 * time.Millisecond)
 		}
-	}
-	waitFor("snapshot convergence", func() bool {
-		return followerNode.journal.LastSeq() == leaderJournal.LastSeq() && followerNode.journal.Epoch() == 1
+	}})
+	leader, leaderJournal, followerJournal := fl.leader, fl.journals["shard-1"], fl.journals["shard-2"]
+	waitFor(t, "snapshot convergence", func() bool {
+		return followerJournal.LastSeq() == leaderJournal.LastSeq() && followerJournal.Epoch() == 1
 	})
-	if proxy.drops() != 1 {
-		t.Fatalf("drops = %d, want one snapshot chunk's answer lost", proxy.drops())
+	if relay.drops() != 1 {
+		t.Fatalf("drops = %d, want one snapshot chunk's answer lost", relay.drops())
 	}
 	mu.Lock()
 	refused := false
@@ -719,21 +536,22 @@ func TestReplLeaderConvergesThroughLostResponses(t *testing.T) {
 
 	// Now lose an append's answer: the replayed batch is skipped, not
 	// re-applied, and nothing gaps.
-	proxy.dropAfter(0, opReplAppend)
+	relay.dropAfter(0, opReplAppend)
 	for i := 0; i < 3; i++ {
 		if err := leader.Revoke(fmt.Sprintf("live%d@x", i), "streamed"); err != nil {
 			t.Fatal(err)
 		}
 	}
-	waitFor("append convergence", func() bool { return followerNode.journal.LastSeq() == leaderJournal.LastSeq() })
-	if proxy.drops() != 2 {
-		t.Fatalf("drops = %d, want an append's answer lost too", proxy.drops())
-	}
+	// The follower applies the append before the relay reads the answer it
+	// then loses, so the drop is waited for with the convergence.
+	waitFor(t, "append convergence with an append's answer lost", func() bool {
+		return followerJournal.LastSeq() == leaderJournal.LastSeq() && relay.drops() == 2
+	})
 	if leader.Deposed() {
 		t.Fatal("lost responses deposed the leader")
 	}
 	want := leaderJournal.Registry().Entries()
-	got := followerNode.journal.Registry()
+	got := followerJournal.Registry()
 	if len(want) != 9 || len(got.Entries()) != len(want) {
 		t.Fatalf("follower holds %d revocations, leader %d (want 9)", len(got.Entries()), len(want))
 	}

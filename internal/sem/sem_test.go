@@ -5,10 +5,8 @@ import (
 	"crypto/rand"
 	"errors"
 	"math/big"
-	"net"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -95,7 +93,7 @@ func newFixture(t *testing.T) *fixture {
 	}
 	gmSEM.Register(testID, gmSEMHalf)
 
-	srv, err := NewServer(Config{
+	srv, addr := serveTCP(t, Config{
 		Registry:      reg,
 		IBE:           ibeSEM,
 		GDH:           gdhSEM,
@@ -104,34 +102,12 @@ func newFixture(t *testing.T) *fixture {
 		Pairing:       pp,
 		AllowRegister: true,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		_ = srv.Serve(ln)
-	}()
-	client, err := Dial(ln.Addr().String(), pp, 2*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() {
-		_ = client.Close()
-		_ = srv.Close()
-		wg.Wait()
-	})
 	return &fixture{
 		t:       t,
 		pp:      pp,
-		addr:    ln.Addr().String(),
+		addr:    addr,
 		server:  srv,
-		client:  client,
+		client:  dialTCP(t, addr, pp),
 		reg:     reg,
 		pkg:     pkg,
 		ibeUser: ibeUser,
@@ -377,23 +353,8 @@ func TestServerConfigValidation(t *testing.T) {
 
 func TestUnsupportedBackend(t *testing.T) {
 	// A server with only the registry configured refuses crypto ops.
-	reg := core.NewRegistry()
-	srv, err := NewServer(Config{Registry: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() { _ = srv.Serve(ln) }()
-	defer srv.Close()
-
-	client, err := Dial(ln.Addr().String(), nil, 2*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
+	_, addr := serveTCP(t, Config{Registry: core.NewRegistry()})
+	client := dialTCP(t, addr, nil)
 	ibpkg, err := mrsa.FixedTestPKG()
 	if err != nil {
 		t.Fatal(err)

@@ -17,6 +17,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/curve"
 	"repro/internal/mrsa"
+	"repro/internal/pairing"
 	"repro/internal/wire"
 )
 
@@ -292,11 +293,16 @@ func TestV2OversizeFrameGetsTypedRefusal(t *testing.T) {
 // returns its address.
 func newFixtureWithLimits(t *testing.T, maxFrame, maxBatch int) (*Server, string) {
 	t.Helper()
-	srv, err := NewServer(Config{
-		Registry: core.NewRegistry(),
-		MaxFrame: maxFrame,
-		MaxBatch: maxBatch,
-	})
+	return serveTCP(t, Config{Registry: core.NewRegistry(), MaxFrame: maxFrame, MaxBatch: maxBatch})
+}
+
+// serveTCP builds a server of cfg and serves it on a loopback TCP listener
+// until the test ends. The wire-level tests read what a kernel socket
+// carries, and the single-server fixtures they share run here too; fleets
+// run on memnet (newFleet).
+func serveTCP(t testing.TB, cfg Config) (*Server, string) {
+	t.Helper()
+	srv, err := NewServer(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,9 +310,21 @@ func newFixtureWithLimits(t *testing.T, maxFrame, maxBatch int) (*Server, string
 	if err != nil {
 		t.Fatal(err)
 	}
-	go func() { _ = srv.Serve(ln) }()
-	t.Cleanup(func() { _ = srv.Close() })
+	done := make(chan struct{})
+	go func() { defer close(done); _ = srv.Serve(ln) }()
+	t.Cleanup(func() { _ = srv.Close(); <-done })
 	return srv, ln.Addr().String()
+}
+
+// dialTCP is Dial with a 2 s timeout, closed with the test.
+func dialTCP(t testing.TB, addr string, pp *pairing.Params) *Pool {
+	t.Helper()
+	c, err := Dial(addr, pp, 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = c.Close() })
+	return c
 }
 
 // fakeSEM is a loopback listener speaking just enough of the protocol for
@@ -389,12 +407,7 @@ func TestListRevokedPartialEntries(t *testing.T) {
 			return []wire.RespItem{{Status: statusOK, Data: payload}}
 		})
 	})
-	c, err := Dial(addr, nil, 2*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = c.Close() }()
-	entries, err := c.ListRevoked()
+	entries, err := dialTCP(t, addr, nil).ListRevoked()
 	if !errors.Is(err, ErrPartialList) {
 		t.Fatalf("want ErrPartialList, got %v", err)
 	}

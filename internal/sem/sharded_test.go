@@ -5,7 +5,6 @@ import (
 	"crypto/rand"
 	"errors"
 	"fmt"
-	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -13,23 +12,50 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/curve"
+	"repro/internal/memnet"
 	"repro/internal/obs"
 	"repro/internal/pairing"
+	"repro/internal/repl"
 )
 
-// fleet is a multi-shard SEM fixture: n independent servers sharing one
-// PKG's system parameters, each reachable only through its own
-// killableProxy so tests can sever individual shards.
+// fleet is n SEM shards on one in-memory network, named shard-1 …
+// shard-n, sharing one PKG's system parameters. Each serves IBE and GDH
+// with registration allowed, on a registry of its own: a journal's, with a
+// replication follower wired in, on a journaled fleet. Clients dial from
+// "client", and a replication leader from its shard's name. It is the one
+// fleet builder of this package's tests: the wire-level tests and the
+// single-server fixtures run on loopback TCP (serveTCP).
 type fleet struct {
-	t       *testing.T
-	pp      *pairing.Params
-	pkg     *core.MediatedPKG
-	ta      *core.GDHAuthority
-	proxies []*killableProxy
-	addrs   []string // proxy addresses, what clients route on
+	t        *testing.T
+	pp       *pairing.Params
+	pkg      *core.MediatedPKG
+	ta       *core.GDHAuthority
+	net      *memnet.Network
+	addrs    []string
+	journals map[string]*core.Journal // by shard, on a journaled fleet
+	leader   *repl.Leader
 }
 
-func newFleet(t *testing.T, n int) *fleet {
+// fleetConfig shapes a fleet; the zero value is plain shards.
+type fleetConfig struct {
+	journaled bool
+	// leader, when set, names the shard whose journal leads replication to
+	// every other shard at epoch 1; it implies journaled.
+	leader string
+	// tune, when set, adjusts the leader's configuration before it starts.
+	tune func(fl *fleet, lc *repl.LeaderConfig)
+}
+
+// shardNames lists the names of an n-shard fleet.
+func shardNames(n int) []string {
+	names := make([]string, n)
+	for i := range names {
+		names[i] = fmt.Sprintf("shard-%d", i+1)
+	}
+	return names
+}
+
+func newFleet(t *testing.T, n int, cfg fleetConfig) *fleet {
 	t.Helper()
 	pp, err := pairing.Toy()
 	if err != nil {
@@ -39,54 +65,104 @@ func newFleet(t *testing.T, n int) *fleet {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fl := &fleet{t: t, pp: pp, pkg: pkg, ta: core.NewGDHAuthority(pp)}
-	for i := 0; i < n; i++ {
-		reg := core.NewRegistry()
-		srv, err := NewServer(Config{
-			Registry:      reg,
-			IBE:           core.NewIBESEM(pkg.Public(), reg),
-			GDH:           core.NewGDHSEM(pp, reg),
-			Pairing:       pp,
-			AllowRegister: true,
-		})
-		if err != nil {
-			t.Fatal(err)
+	fl := &fleet{t: t, pp: pp, pkg: pkg, ta: core.NewGDHAuthority(pp), net: memnet.New(), addrs: shardNames(n), journals: map[string]*core.Journal{}}
+	for _, name := range fl.addrs {
+		if cfg.journaled || cfg.leader != "" {
+			fl.journals[name] = tmpJournal(t)
 		}
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_ = srv.Serve(ln)
-		}()
-		t.Cleanup(func() {
-			_ = srv.Close()
-			wg.Wait()
-		})
-		proxy := newKillableProxy(t, ln.Addr().String())
-		fl.proxies = append(fl.proxies, proxy)
-		fl.addrs = append(fl.addrs, proxy.addr())
 	}
+	t.Cleanup(func() {
+		if err := fl.net.Close(); err != nil {
+			t.Error(err)
+		}
+	})
+	var peers []string
+	for _, name := range fl.addrs {
+		if name != cfg.leader {
+			fl.serve(name, nil)
+			peers = append(peers, name)
+		}
+	}
+	if cfg.leader == "" {
+		return fl
+	}
+	lc := repl.LeaderConfig{
+		Journal:       fl.journals[cfg.leader],
+		Epoch:         1,
+		Peers:         peers,
+		Dial:          replDialer(fl.poolConfig(cfg.leader)),
+		RetryInterval: 20 * time.Millisecond,
+		Logf:          t.Logf,
+	}
+	if cfg.tune != nil {
+		cfg.tune(fl, &lc)
+	}
+	if fl.leader, err = repl.NewLeader(lc); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = fl.leader.Close() })
+	fl.serve(cfg.leader, fl.leader)
 	return fl
 }
 
-// proxyFor finds the proxy fronting a shard address.
-func (fl *fleet) proxyFor(addr string) *killableProxy {
-	for i, a := range fl.addrs {
-		if a == addr {
-			return fl.proxies[i]
-		}
+// serve starts shard name's server; leader, when set, leads from its
+// journal.
+func (fl *fleet) serve(name string, leader *repl.Leader) {
+	cfg := Config{Registry: core.NewRegistry(), Pairing: fl.pp, AllowRegister: true, Leader: leader}
+	if j := fl.journals[name]; j != nil {
+		cfg.Registry, cfg.Journal, cfg.Repl = j.Registry(), j, repl.NewFollower(j)
 	}
-	fl.t.Fatalf("no proxy for %s", addr)
-	return nil
+	cfg.IBE, cfg.GDH = core.NewIBESEM(fl.pkg.Public(), cfg.Registry), core.NewGDHSEM(fl.pp, cfg.Registry)
+	srv, err := NewServer(cfg)
+	if err != nil {
+		fl.t.Fatal(err)
+	}
+	if err := fl.net.Serve(name, srv); err != nil {
+		fl.t.Fatal(err)
+	}
 }
 
-// enrollIBE split-extracts n identities and enrolls the SEM halves across
-// the fleet through the sharded client (replica broadcast included).
-func (fl *fleet) enrollIBE(sc *ShardedClient, n int) ([]string, []*core.UserKeyHalf) {
+// poolConfig is Dial's one-connection pool on the fleet's network, dialing
+// from origin.
+func (fl *fleet) poolConfig(origin string) PoolConfig {
+	return PoolConfig{Size: 1, DialTimeout: 2 * time.Second, Dial: fl.net.Dialer(origin)}
+}
+
+// client is a client of shard addr, closed with the test.
+func (fl *fleet) client(addr string) *Pool {
+	fl.t.Helper()
+	p, err := dial(addr, fl.pp, fl.poolConfig("client"))
+	if err != nil {
+		fl.t.Fatal(err)
+	}
+	fl.t.Cleanup(func() { _ = p.Close() })
+	return p
+}
+
+// sharded is a ShardedClient over the fleet, closed with the test.
+func (fl *fleet) sharded(cfg ShardedConfig) *ShardedClient {
+	fl.t.Helper()
+	cfg.Pool.Dial = fl.net.Dialer("client")
+	sc, err := NewShardedClient(fl.addrs, fl.pp, cfg)
+	if err != nil {
+		fl.t.Fatal(err)
+	}
+	fl.t.Cleanup(func() { _ = sc.Close() })
+	return sc
+}
+
+// sever cuts the clients' live connections to shard addr; new dials
+// succeed.
+func (fl *fleet) sever(addr string) {
+	fl.net.Partition("client", addr)
+	fl.net.Heal("client", addr)
+}
+
+// enrollIBE split-extracts n identities and enrolls the SEM halves through
+// c: a sharded client broadcasts them to each identity's replica set.
+func (fl *fleet) enrollIBE(c interface {
+	RegisterIBEBatch([]string, []*curve.Point) ([]error, error)
+}, n int) ([]string, []*core.UserKeyHalf) {
 	fl.t.Helper()
 	ids := make([]string, n)
 	users := make([]*core.UserKeyHalf, n)
@@ -100,7 +176,7 @@ func (fl *fleet) enrollIBE(sc *ShardedClient, n int) ([]string, []*core.UserKeyH
 		users[i] = user
 		ds[i] = semHalf.D
 	}
-	errs, err := sc.RegisterIBEBatch(ids, ds)
+	errs, err := c.RegisterIBEBatch(ids, ds)
 	if err != nil {
 		fl.t.Fatalf("bulk enroll: %v", err)
 	}
@@ -113,13 +189,9 @@ func (fl *fleet) enrollIBE(sc *ShardedClient, n int) ([]string, []*core.UserKeyH
 }
 
 func TestShardedRoutingAndOps(t *testing.T) {
-	fl := newFleet(t, 3)
+	fl := newFleet(t, 3, fleetConfig{})
 	reg := obs.NewRegistry()
-	sc, err := NewShardedClient(fl.addrs, fl.pp, ShardedConfig{Replicas: 2, Metrics: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sc.Close()
+	sc := fl.sharded(ShardedConfig{Replicas: 2, Metrics: reg})
 	if err := sc.Ping(); err != nil {
 		t.Fatal(err)
 	}
@@ -183,12 +255,8 @@ func TestShardedRoutingAndOps(t *testing.T) {
 }
 
 func TestShardedGDHSigning(t *testing.T) {
-	fl := newFleet(t, 2)
-	sc, err := NewShardedClient(fl.addrs, fl.pp, ShardedConfig{Replicas: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sc.Close()
+	fl := newFleet(t, 2, fleetConfig{})
+	sc := fl.sharded(ShardedConfig{Replicas: 2})
 
 	id := "signer@shards.example"
 	user, semHalf, err := fl.ta.Keygen(rand.Reader, id)
@@ -213,13 +281,9 @@ func TestShardedGDHSigning(t *testing.T) {
 // each identity's next ring replica, which holds the key half because
 // enrollment broadcast to the whole replica set.
 func TestShardedFailoverMidBatch(t *testing.T) {
-	fl := newFleet(t, 3)
+	fl := newFleet(t, 3, fleetConfig{})
 	reg := obs.NewRegistry()
-	sc, err := NewShardedClient(fl.addrs, fl.pp, ShardedConfig{Replicas: 2, Metrics: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sc.Close()
+	sc := fl.sharded(ShardedConfig{Replicas: 2, Metrics: reg})
 	ids, _ := fl.enrollIBE(sc, 24)
 
 	// Kill the shard owning the most identities.
@@ -230,9 +294,7 @@ func TestShardedFailoverMidBatch(t *testing.T) {
 			victim = addr
 		}
 	}
-	proxy := fl.proxyFor(victim)
-	proxy.setDown(true)
-	proxy.killAll()
+	fl.net.Partition("client", victim)
 
 	us := make([]*curve.Point, len(ids))
 	for i := range us {
@@ -261,9 +323,7 @@ func TestShardedFailoverMidBatch(t *testing.T) {
 			break
 		}
 	}
-	p2 := fl.proxyFor(second)
-	p2.setDown(true)
-	p2.killAll()
+	fl.net.Partition("client", second)
 	tokens, errs, err = sc.TokenBatch(ids, us)
 	if tokens == nil {
 		t.Fatalf("batch voided entirely: %v", err)
@@ -301,12 +361,8 @@ func TestShardedFailoverMidBatch(t *testing.T) {
 // under failover: revocation broadcasts to every shard, so a revoked
 // identity stays revoked even when its primary dies and a replica serves it.
 func TestShardedRevocationSurvivesFailover(t *testing.T) {
-	fl := newFleet(t, 3)
-	sc, err := NewShardedClient(fl.addrs, fl.pp, ShardedConfig{Replicas: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sc.Close()
+	fl := newFleet(t, 3, fleetConfig{})
+	sc := fl.sharded(ShardedConfig{Replicas: 2})
 	ids, _ := fl.enrollIBE(sc, 4)
 	id := ids[0]
 	u := fl.pp.Generator()
@@ -320,9 +376,7 @@ func TestShardedRevocationSurvivesFailover(t *testing.T) {
 
 	// Primary dies; the replica must also refuse.
 	primary := sc.Ring().Lookup(id)
-	proxy := fl.proxyFor(primary)
-	proxy.setDown(true)
-	proxy.killAll()
+	fl.net.Partition("client", primary)
 	if _, err := sc.IBEToken(id, u); !errors.Is(err, core.ErrRevoked) {
 		t.Fatalf("token after primary death = %v, want ErrRevoked via replica", err)
 	}
@@ -334,11 +388,8 @@ func TestShardedRevocationSurvivesFailover(t *testing.T) {
 }
 
 func TestShardedClientClosed(t *testing.T) {
-	fl := newFleet(t, 2)
-	sc, err := NewShardedClient(fl.addrs, fl.pp, ShardedConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	fl := newFleet(t, 2, fleetConfig{})
+	sc := fl.sharded(ShardedConfig{})
 	if err := sc.Ping(); err != nil {
 		t.Fatal(err)
 	}
@@ -363,12 +414,8 @@ func TestShardedClientClosed(t *testing.T) {
 // repeatedly severed — the sharded layer's failover plus the pool's
 // re-dial must keep every op succeeding.
 func TestShardedPoolChurn(t *testing.T) {
-	fl := newFleet(t, 3)
-	sc, err := NewShardedClient(fl.addrs, fl.pp, ShardedConfig{Replicas: 2, Pool: PoolConfig{Size: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sc.Close()
+	fl := newFleet(t, 3, fleetConfig{})
+	sc := fl.sharded(ShardedConfig{Replicas: 2, Pool: PoolConfig{Size: 2}})
 	ids, _ := fl.enrollIBE(sc, 8)
 	u := fl.pp.Generator()
 
@@ -384,7 +431,7 @@ func TestShardedPoolChurn(t *testing.T) {
 			case <-stop:
 				return
 			case <-tick.C:
-				fl.proxies[0].killAll()
+				fl.sever(fl.addrs[0])
 			}
 		}
 	}()

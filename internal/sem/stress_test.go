@@ -5,8 +5,6 @@ import (
 	"crypto/rand"
 	"errors"
 	"fmt"
-	"net"
-	"sync"
 	"testing"
 	"time"
 
@@ -39,37 +37,8 @@ func newIBEOnlyFixture(t *testing.T, workers int) *ibeOnlyFixture {
 		t.Fatal(err)
 	}
 	ibe := core.NewIBESEM(pkg.Public(), reg)
-	srv, err := NewServer(Config{
-		Registry: reg,
-		IBE:      ibe,
-		Pairing:  pp,
-		Workers:  workers,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		_ = srv.Serve(ln)
-	}()
-	t.Cleanup(func() {
-		_ = srv.Close()
-		wg.Wait()
-	})
-	return &ibeOnlyFixture{
-		pp:     pp,
-		reg:    reg,
-		pkg:    pkg,
-		ibe:    ibe,
-		server: srv,
-		addr:   ln.Addr().String(),
-	}
+	srv, addr := serveTCP(t, Config{Registry: reg, IBE: ibe, Pairing: pp, Workers: workers})
+	return &ibeOnlyFixture{pp: pp, reg: reg, pkg: pkg, ibe: ibe, server: srv, addr: addr}
 }
 
 // enrollID splits an identity key and registers the SEM half, returning the

@@ -52,21 +52,12 @@ func newThresholdFixture(t *testing.T) *thresholdFixture {
 		t.Fatal(err)
 	}
 	metrics := obs.NewRegistry()
-	srv, err := NewServer(Config{Registry: player.Registry(), Threshold: player, Pairing: pp, Metrics: metrics})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go func() { _ = srv.Serve(ln) }()
-	t.Cleanup(func() { _ = srv.Close() })
+	srv, addr := serveTCP(t, Config{Registry: player.Registry(), Threshold: player, Pairing: pp, Metrics: metrics})
 	u, err := pp.Curve().RandomG1(rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &thresholdFixture{pp: pp, params: pkg.Params(), srv: srv, addr: ln.Addr().String(), u: u, metrics: metrics}
+	return &thresholdFixture{pp: pp, params: pkg.Params(), srv: srv, addr: addr, u: u, metrics: metrics}
 }
 
 // TestThresholdRevokeOverTheWire: the revoke and unrevoke ops a player
