@@ -6,8 +6,8 @@
 //	benchtab -exp all            # everything at paper parameters
 //	benchtab -exp t3 -quick      # one experiment, reduced iterations
 //	benchtab -exp f1             # revocation sweep (simulated clock)
-//	benchtab -baseline B.json    # snapshot primitive-op timings
-//	benchtab -check B.json       # re-measure and fail on >15% regression or a broken ratio gate
+//	benchtab -baseline B.json    # snapshot the primitives' and the serving entries' timings
+//	benchtab -check B.json       # re-measure; fail on >15% regression, a broken ratio gate or a stale snapshot
 package main
 
 import (
@@ -16,9 +16,7 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"regexp"
 	"runtime"
-	"slices"
 	"strings"
 	"time"
 
@@ -40,48 +38,24 @@ func run(args []string, out io.Writer) error {
 		exp       = fs.String("exp", "all", "experiment: t1,t2,t3,t4,f1,f2,f3,ext or all (comma-separated)")
 		params    = fs.String("params", "paper", "pairing parameter set: toy, fast, paper or paper_dense")
 		quick     = fs.Bool("quick", false, "reduced iterations/sweeps for a fast pass")
-		baseline  = fs.String("baseline", "", "write a primitive-op baseline snapshot (JSON) to this file ('-' for stdout) and exit")
-		check     = fs.String("check", "", "re-measure the primitives and exit non-zero if any entry regressed vs this committed snapshot")
+		baseline  = fs.String("baseline", "", "write a baseline snapshot (JSON) of the primitives and the serving entries to this file ('-' for stdout) and exit")
+		check     = fs.String("check", "", "re-measure the baseline and exit non-zero if any entry regressed vs this committed snapshot, or it is stale")
 		tolerance = fs.Float64("tolerance", 15, "allowed per-entry slowdown (percent) for -check")
-		filter    = fs.String("filter", "", "regexp restricting which entries -baseline writes and -check compares")
-		serving   = fs.Bool("serving", false, "also measure the serving-layer transport entries (sem.token.*, cluster.token.*; -check infers this from the snapshot)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	var filterRe *regexp.Regexp
-	if *filter != "" {
-		var err error
-		if filterRe, err = regexp.Compile(*filter); err != nil {
-			return fmt.Errorf("-filter: %w", err)
-		}
 	}
 	pp, err := pairing.ByName(*params)
 	if err != nil {
 		return err
 	}
 	if *check != "" {
-		return runCheck(pp, *check, *tolerance, *quick, *serving, filterRe, out)
+		return runCheck(pp, *check, *tolerance, *quick, out)
 	}
 	if *baseline != "" {
-		iters, dur := 10, 200*time.Millisecond
-		if *quick {
-			iters, dur = 3, 20*time.Millisecond
-		}
-		report, err := bench.Baseline(pp, iters, dur)
+		report, _, err := measureBaseline(pp, *quick)
 		if err != nil {
 			return fmt.Errorf("baseline: %w", err)
-		}
-		if *serving {
-			extra, err := bench.ServingEntries(servingWindow(*quick))
-			if err != nil {
-				return fmt.Errorf("baseline: %w", err)
-			}
-			report.Entries = append(report.Entries, extra...)
-		}
-		filterEntries(report, filterRe)
-		if len(report.Entries) == 0 {
-			return fmt.Errorf("baseline: -filter %q matched no entries", *filter)
 		}
 		body, err := report.JSON()
 		if err != nil {
@@ -96,69 +70,39 @@ func run(args []string, out io.Writer) error {
 	return runExperiments(pp, *params, *exp, *quick, out)
 }
 
-// servingWindow is the per-entry measurement window for the serving-layer
-// transports (they need longer windows than primitive ops: each sample is
-// a full networked round trip at 32-way concurrency).
-func servingWindow(quick bool) time.Duration {
+// measureBaseline times the primitives at pp and the serving entries
+// (bench.ServingEntries, on a toy-parameter fleet whatever pp is) into one
+// report, and returns the serving entries apart as well. They need longer
+// windows than a primitive: each sample is a networked round trip at 32-way
+// concurrency.
+func measureBaseline(pp *pairing.Params, quick bool) (*bench.BaselineReport, []bench.BaselineEntry, error) {
+	iters, dur, window := 10, 200*time.Millisecond, time.Second
 	if quick {
-		return 150 * time.Millisecond
+		iters, dur, window = 3, 20*time.Millisecond, 150*time.Millisecond
 	}
-	return 1 * time.Second
+	report, err := bench.Baseline(pp, iters, dur)
+	if err != nil {
+		return nil, nil, err
+	}
+	serving, err := bench.ServingEntries(window)
+	if err != nil {
+		return nil, nil, err
+	}
+	report.Entries = append(report.Entries, serving...)
+	return report, serving, nil
 }
 
-// filterEntries drops report entries and ratios not matching re (nil keeps
-// all).
-func filterEntries(report *bench.BaselineReport, re *regexp.Regexp) {
-	if re == nil {
-		return
-	}
-	report.Entries = slices.DeleteFunc(report.Entries, func(e bench.BaselineEntry) bool { return !re.MatchString(e.Name) })
-	report.Ratios = slices.DeleteFunc(report.Ratios, func(r bench.BaselineRatio) bool { return !re.MatchString(r.Name) })
-}
-
-// servingPrefixed reports whether any entry belongs to the serving-layer
-// transport set (the ".c32" closed-loop entries), which -check must then
-// re-measure. The plain sem.token.single/batch64 microbenches are part of
-// the ordinary primitive baseline and do not trigger a fleet spin-up.
-func servingPrefixed(entries []bench.BaselineEntry) bool {
-	for _, e := range entries {
-		if !strings.HasSuffix(e.Name, ".c32") {
-			continue
-		}
-		if strings.HasPrefix(e.Name, "sem.token.") || strings.HasPrefix(e.Name, "cluster.token.") {
-			return true
-		}
-	}
-	return false
-}
-
-// runCheck re-measures the primitive baseline and compares it against a
-// committed snapshot; a regression beyond the tolerance is a hard error so
-// CI fails the build. -quick trades statistical weight for speed (use a
-// generous tolerance with it: short timings are noisy). A -filter regexp
-// restricts the comparison to matching snapshot entries, letting one
-// snapshot file gate microbenches and serving-layer entries separately;
-// serving-layer entries in the (filtered) snapshot are re-measured
-// automatically. The same-run ratios of the fresh measurement (the
-// paper-size gates: fp.mul.go ÷ fp.mul.generic ≤ 0.70, fp.square.go ÷
-// fp.mul.go ≤ 0.92, fp.mul ÷ fp.mul.go ≤ 0.85, thibe.verify-batch5 ÷
-// thibe.verify-single5 ≤ 0.65 (0.87 on the lanes), msm.5 ÷
-// scalarmul.variable-wnaf ≤ 3.8, gtexp.multi4x5 ÷ gtexp.square-multiply ≤
-// 12, wire.pairing-arg ÷ wire.g1 ≤ 0.50, gt.ingt ÷
-// gtexp.square-multiply ≤ 0.45, cluster.decrypt.honest ÷
-// cluster.decrypt.escalated ≤ 0.90, hash.to-g1.arg ÷ hash.to-g1 ≤ 0.55,
-// fp.exp ÷ fp.square ≤ 850, ibe.token.scan ÷ pair.x ≤ 1.05,
-// scalarmul.secret-comb ÷ scalarmul.variable-wnaf ≤ 0.55, fp.inv ÷ fp.mul ≤
-// 120, on the assembly gf.mul ÷ fp.mul.go ≤ 2.55 and gt.ingt ÷ fp.mul.go
-// ≤ 170, then the gates counted in F_p² products, whose bounds are per field
-// kernel, and the rest of bench.kernelRatioGates, which has the reasons)
-// are held to their bounds whatever the tolerance and whatever the snapshot
-// records; -filter selects them by gate name. A gate that does not apply to
-// the run — an assembly-only one such as fp.mul ÷ fp.mul.go where the
-// assembly kernel is not selected, a lanes-only one such as pair ÷ gf.mul
-// where the lane engine is not — is printed as n/a and not counted among
-// those that hold.
-func runCheck(pp *pairing.Params, path string, tolerance float64, quick, serving bool, filterRe *regexp.Regexp, out io.Writer) error {
+// runCheck re-measures the baseline and compares it against a committed
+// snapshot; a regression beyond the tolerance, or a snapshot that does not
+// hold exactly the entries the baseline measures, is a hard error so CI
+// fails the build. -quick trades statistical weight for speed (use a
+// generous tolerance with it: short timings are noisy). The fresh run's
+// ratio gates (bench.kernelRatioGates, DESIGN §5a) are held to their bounds
+// whatever the tolerance and whatever the snapshot records, and each is
+// printed with its reading and its bound under the run's field kernel, or as
+// n/a where it does not apply there; an n/a gate is not counted among those
+// that hold.
+func runCheck(pp *pairing.Params, path string, tolerance float64, quick bool, out io.Writer) error {
 	body, err := os.ReadFile(path)
 	if err != nil {
 		return fmt.Errorf("check: %w", err)
@@ -167,37 +111,43 @@ func runCheck(pp *pairing.Params, path string, tolerance float64, quick, serving
 	if err := json.Unmarshal(body, &ref); err != nil {
 		return fmt.Errorf("check: parse %s: %w", path, err)
 	}
-	filterEntries(&ref, filterRe)
-	if len(ref.Entries) == 0 {
-		return fmt.Errorf("check: -filter matched no entries of %s", path)
+	if ref.Params != pp.Name() {
+		// Refused before measuring: entries at other parameters compare
+		// with nothing.
+		return fmt.Errorf("check: %s holds %q entries, -params is %q", path, ref.Params, pp.Name())
 	}
-	iters, dur := 10, 200*time.Millisecond
-	if quick {
-		iters, dur = 3, 20*time.Millisecond
-	}
-	fresh, err := bench.Baseline(pp, iters, dur)
+	fresh, serving, err := measureBaseline(pp, quick)
 	if err != nil {
 		return fmt.Errorf("check: %w", err)
 	}
-	if serving || servingPrefixed(ref.Entries) {
-		extra, err := bench.ServingEntries(servingWindow(quick))
-		if err != nil {
-			return fmt.Errorf("check: %w", err)
-		}
-		fresh.Entries = append(fresh.Entries, extra...)
-	}
-	filterEntries(fresh, filterRe)
 	regs, err := bench.CompareBaselines(&ref, fresh, tolerance)
 	if err != nil {
 		return fmt.Errorf("check: %w", err)
 	}
-	held := 0
-	for _, r := range fresh.Ratios {
-		if r.NA {
-			fmt.Fprintf(out, "benchtab check: %s n/a (fp kernel %q)\n", r.Name, fresh.FpKernel)
-			continue
+	fmt.Fprintf(out, "benchtab check: %d entries compared with %s, %d of them serving, on a toy fleet:", len(fresh.Entries), path, len(serving))
+	for _, e := range serving {
+		fmt.Fprintf(out, " %s", e.Name)
+	}
+	fmt.Fprintln(out)
+	broken := map[string]bool{}
+	for _, r := range regs {
+		if r.Metric == "ratio" {
+			broken[r.Name] = true
 		}
-		held++
+	}
+	held := 0
+	for i, r := range fresh.Ratios {
+		verdict := "≤"
+		switch {
+		case r.NA:
+			fmt.Fprintf(out, "benchtab check: gate %d %s n/a (fp kernel %q)\n", i+1, r.Name, fresh.FpKernel)
+			continue
+		case broken[r.Name]:
+			verdict = ">"
+		default:
+			held++
+		}
+		fmt.Fprintf(out, "benchtab check: gate %d %s %g %s %g\n", i+1, r.Name, r.Value, verdict, bench.RatioBound(r.Name, fresh.FpKernel))
 	}
 	if len(regs) == 0 {
 		fmt.Fprintf(out, "benchtab check: all entries within %.0f%% of %s", tolerance, path)

@@ -3,10 +3,11 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
-	"regexp"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/bench"
@@ -41,21 +42,48 @@ func TestBenchtabF2Quick(t *testing.T) {
 	}
 }
 
-// writeSnapshot measures a quick toy-parameter baseline, rescales every
-// entry by factor, and writes it to a temp file — a synthetic "committed"
-// reference for the -check path.
-func writeSnapshot(t *testing.T, factor float64) string {
+// toyBaseline is one quick toy-parameter baseline, written by -baseline to
+// a file and measured once for every test that needs a reference: each
+// measurement also loads both cores with the serving entries' 32 callers.
+var toyBaseline struct {
+	once sync.Once
+	body []byte
+	err  error
+}
+
+func toySnapshot(t *testing.T) bench.BaselineReport {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := run([]string{"-baseline", "-", "-params", "toy", "-quick"}, &buf); err != nil {
-		t.Fatal(err)
+	toyBaseline.once.Do(func() {
+		path := filepath.Join(t.TempDir(), "baseline.json")
+		if toyBaseline.err = run([]string{"-baseline", path, "-params", "toy", "-quick"}, io.Discard); toyBaseline.err == nil {
+			toyBaseline.body, toyBaseline.err = os.ReadFile(path)
+		}
+	})
+	if toyBaseline.err != nil {
+		t.Fatal(toyBaseline.err)
 	}
 	var report bench.BaselineReport
-	if err := json.Unmarshal(buf.Bytes(), &report); err != nil {
+	if err := json.Unmarshal(toyBaseline.body, &report); err != nil {
 		t.Fatal(err)
 	}
-	for i := range report.Entries {
+	return report
+}
+
+// writeSnapshot rescales every entry of the toy baseline, its time and its
+// allocations, by factor and writes it to a temp file — a synthetic
+// "committed" reference for the -check path. (journal.append.group16's
+// allocations move with how its writers happen to coalesce, by up to a
+// fifth between two runs of one test binary, so an unscaled column would
+// make a generous reference fail the allocation gate.)
+func writeSnapshot(t *testing.T, factor float64) string {
+	t.Helper()
+	report := toySnapshot(t)
+	for i, e := range report.Entries {
 		report.Entries[i].NsPerOp *= factor
+		if e.AllocsPerOp != nil {
+			a := *e.AllocsPerOp * factor
+			report.Entries[i].AllocsPerOp = &a
+		}
 	}
 	body, err := report.JSON()
 	if err != nil {
@@ -126,143 +154,71 @@ func TestBenchtabUnknownExperimentIsNoop(t *testing.T) {
 	}
 }
 
-// TestBenchtabFilter covers the -filter regexp: a doctored snapshot whose
-// pair.* entries regressed catastrophically must fail an unfiltered check
-// but pass when the filter excludes them — and a filter matching nothing
-// is an error, not a silent pass.
-func TestBenchtabFilter(t *testing.T) {
-	path := writeSnapshot(t, 1)
-	var report bench.BaselineReport
-	body, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(body, &report); err != nil {
-		t.Fatal(err)
-	}
-	poisoned, kept := 0, ""
-	for i := range report.Entries {
-		if strings.HasPrefix(report.Entries[i].Name, "pair.") {
-			report.Entries[i].NsPerOp /= 1000 // impossible reference → guaranteed regression
-			poisoned++
-		} else if kept == "" {
-			report.Entries[i].NsPerOp *= 1000 // generous → cannot regress
-			kept = report.Entries[i].Name
-		}
-	}
-	if poisoned == 0 || kept == "" {
-		t.Fatalf("snapshot shape unexpected: %d pair entries, kept=%q", poisoned, kept)
-	}
-	body, err = report.JSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, body, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	var out bytes.Buffer
-	if err := run([]string{"-check", path, "-params", "toy", "-quick"}, &out); err == nil {
-		t.Fatalf("poisoned snapshot passed unfiltered:\n%s", out.String())
-	}
-	out.Reset()
-	if err := run([]string{"-check", path, "-params", "toy", "-quick", "-filter", "^" + regexp.QuoteMeta(kept) + "$"}, &out); err != nil {
-		t.Fatalf("filtered check failed: %v\n%s", err, out.String())
-	}
-	out.Reset()
-	if err := run([]string{"-check", path, "-params", "toy", "-quick", "-filter", "^no-such-entry$"}, &out); err == nil {
-		t.Fatal("filter matching nothing passed")
-	}
-	out.Reset()
-	if err := run([]string{"-check", path, "-params", "toy", "-quick", "-filter", "("}, &out); err == nil {
-		t.Fatal("invalid regexp accepted")
-	}
-}
-
-// TestBenchtabServingBaseline measures the serving-layer entries through
-// the -serving -filter path and then gates them with -check, exercising
-// the auto re-measure of sem.token.*/cluster.token.* snapshot entries.
+// TestBenchtabServingBaseline: a toy baseline holds the four serving-layer
+// entries beside the primitives, and -check against it passes — the serving
+// entries re-measured on the same machine moments later — and names them.
 func TestBenchtabServingBaseline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("serving fleet benchmark")
 	}
-	path := filepath.Join(t.TempDir(), "serving.json")
-	var out bytes.Buffer
-	if err := run([]string{"-baseline", path, "-params", "toy", "-quick", "-serving", "-filter", `^(cluster|sem)\.token\..*\.c32$`}, &out); err != nil {
-		t.Fatal(err)
-	}
-	body, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var report bench.BaselineReport
-	if err := json.Unmarshal(body, &report); err != nil {
-		t.Fatal(err)
-	}
 	names := map[string]bool{}
-	for _, e := range report.Entries {
+	for _, e := range toySnapshot(t).Entries {
 		names[e.Name] = true
 		if e.NsPerOp <= 0 || e.Iters <= 0 {
 			t.Fatalf("entry %s has no measurement: %+v", e.Name, e)
 		}
 	}
-	for _, want := range []string{"sem.token.conn.c32", "sem.token.pooled.c32", "cluster.token.shard1.c32", "cluster.token.shard4.c32"} {
+	serving := []string{"sem.token.conn.c32", "sem.token.pooled.c32", "cluster.token.shard1.c32", "cluster.token.shard4.c32"}
+	for _, want := range append([]string{"fp.mul", "pair"}, serving...) {
 		if !names[want] {
-			t.Fatalf("serving baseline missing %s (have %v)", want, names)
+			t.Fatalf("baseline missing %s (have %v)", want, names)
 		}
 	}
-	if len(names) != 4 {
-		t.Fatalf("filter leaked extra entries: %v", names)
-	}
 
-	// Gate against itself with a generous tolerance: same machine, moments
-	// later — must pass, via the serving auto re-measure.
-	out.Reset()
-	if err := run([]string{"-check", path, "-params", "toy", "-quick", "-tolerance", "400", "-filter", `^(cluster|sem)\.token\..*\.c32$`}, &out); err != nil {
-		t.Fatalf("serving self-check failed: %v\n%s", err, out.String())
+	var out bytes.Buffer
+	if err := run([]string{"-check", writeSnapshot(t, 1), "-params", "toy", "-quick", "-tolerance", "400"}, &out); err != nil {
+		t.Fatalf("self-check failed: %v\n%s", err, out.String())
+	}
+	for _, want := range serving {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("check output does not name the serving entry %s:\n%s", want, out.String())
+		}
 	}
 }
 
 // TestBenchtabPaperRatios covers the part of a baseline only an 8-limb
-// modulus has: the interleaved kernel ratios behind -check's ratio gates,
-// and -filter applying to them. Values are asserted for sanity only —
-// whether they meet the gates is -check's business, not a unit test's.
+// modulus has: the interleaved kernel ratios behind -check's ratio gates.
+// Values are asserted for sanity only — whether they meet the gates is
+// -check's business, not a unit test's.
 func TestBenchtabPaperRatios(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-size baseline")
 	}
 	var buf bytes.Buffer
-	if err := run([]string{"-baseline", "-", "-params", "paper", "-quick", "-filter", `^fp\.(mul|square)`}, &buf); err != nil {
+	if err := run([]string{"-baseline", "-", "-params", "paper", "-quick"}, &buf); err != nil {
 		t.Fatal(err)
 	}
 	var report bench.BaselineReport
 	if err := json.Unmarshal(buf.Bytes(), &report); err != nil {
 		t.Fatal(err)
 	}
-	if len(report.Entries) != 5 {
-		t.Fatalf("entries = %+v, want fp.mul, fp.mul.generic, fp.mul.go, fp.square, fp.square.go", report.Entries)
-	}
 	if report.FpKernel != fp.Kernel() {
 		t.Fatalf("fp_kernel = %q, want %q", report.FpKernel, fp.Kernel())
 	}
-	want := []string{"fp.mul.go ÷ fp.mul.generic", "fp.square.go ÷ fp.mul.go", "fp.mul ÷ fp.mul.go"}
-	if len(report.Ratios) != len(want) {
-		t.Fatalf("ratios = %+v, want %v", report.Ratios, want)
+	ratios := map[string]bench.BaselineRatio{}
+	for _, r := range report.Ratios {
+		ratios[r.Name] = r
 	}
-	for i, r := range report.Ratios {
+	for i, name := range []string{"fp.mul.go ÷ fp.mul.generic", "fp.square.go ÷ fp.mul.go", "fp.mul ÷ fp.mul.go"} {
+		r, ok := ratios[name]
 		// The assembly's gate is measured where the assembly runs and
 		// recorded as not applicable, with no value, where it does not.
-		if na := i == 2 && fp.Kernel() == "go"; r.NA != na {
-			t.Errorf("ratio %d = %+v, want na = %v under kernel %q", i, r, na, fp.Kernel())
+		if na := i == 2 && fp.Kernel() == "go"; !ok || r.NA != na {
+			t.Errorf("ratio %s = %+v (present %v), want na = %v under kernel %q", name, r, ok, na, fp.Kernel())
 		} else if na && r.Value != 0 {
-			t.Errorf("ratio %d = %+v carries a value with na set", i, r)
-		} else if r.Name != want[i] || !na && (r.Value <= 0 || r.Value > 2) {
-			t.Errorf("ratio %d = %+v, want %s in (0, 2]", i, r, want[i])
+			t.Errorf("ratio %+v carries a value with na set", r)
+		} else if !na && (r.Value <= 0 || r.Value > 2) {
+			t.Errorf("ratio %+v, want a value in (0, 2]", r)
 		}
-	}
-
-	filterEntries(&report, regexp.MustCompile(`^fp\.square`))
-	if len(report.Entries) != 2 || len(report.Ratios) != 1 || report.Ratios[0].Name != want[1] {
-		t.Fatalf("filter ^fp\\.square kept %+v / %+v", report.Entries, report.Ratios)
 	}
 }

@@ -31,14 +31,12 @@ import (
 	"log"
 	"math/big"
 	"os"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/bench"
 	"repro/internal/bls"
 	"repro/internal/core"
 	"repro/internal/curve"
@@ -123,7 +121,6 @@ func run(args []string, out io.Writer) error {
 		replicas  = fs.Int("replicas", 2, "ring replicas per identity (failover depth; clamped to the shard count)")
 		regBatch  = fs.Int("register-batch", 1024, "identities per enrollment batch frame")
 		jsonOut   = fs.Bool("json", false, "emit the report as JSON instead of a table")
-		benchFn   = fs.String("bench-json", "", "merge a bench baseline entry (semload.token.*) into this snapshot file")
 		debugAddr = fs.String("debug-addr", "", "HTTP debug listener (Prometheus /metrics with shard_ring_*/sempool_* series); empty disables")
 		printLead = fs.Bool("print-leader", false, "print the shard the ring designates as revocation leader for -shards, then exit (for scripting: start that daemon with -repl-leader)")
 		assertCnv = fs.Bool("assert-converged", false, "after the run, poll every shard's revocation list until they agree; exit non-zero on divergence")
@@ -207,11 +204,6 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	report := gen.report(addrs, *n, *poolSize, *replicas)
-	if *benchFn != "" {
-		if err := mergeBenchEntry(*benchFn, pp, report, len(addrs), *poolSize, *c); err != nil {
-			return err
-		}
-	}
 	if *jsonOut {
 		enc := json.NewEncoder(out)
 		enc.SetIndent("", "  ")
@@ -609,46 +601,4 @@ func (r *loadReport) table(out io.Writer) {
 			k, o.Count, o.RPS, o.P50Ms, o.P95Ms, o.P99Ms, o.RemoteErrors, o.TransportErrors) //cryptolint:public (aggregate throughput stats; the report is the tool's purpose)
 	}
 	fmt.Fprintf(out, "total    %10.1f req/s, %d transport errors\n", r.TotalRPS, r.TransportErrors)
-}
-
-// mergeBenchEntry folds the token-op closed-loop measurement into a bench
-// baseline snapshot (creating it if absent), alongside whatever benchtab
-// -baseline wrote. The entry name carries the shard count, pool size and
-// concurrency so snapshots from different topologies never collide.
-func mergeBenchEntry(path string, pp *pairing.Params, rep *loadReport, shards, pool, c int) error {
-	tok, ok := rep.Ops["token"]
-	if !ok || tok.Count == 0 {
-		return errors.New("-bench-json: no token ops measured (is token in -mix?)")
-	}
-	report := &bench.BaselineReport{
-		Params:    pp.Name(),
-		QBits:     pp.Q().BitLen(),
-		PBits:     pp.P().BitLen(),
-		GoVersion: runtime.Version(),
-		GOARCH:    runtime.GOARCH,
-	}
-	if body, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(body, report); err != nil {
-			return fmt.Errorf("-bench-json: parse %s: %w", path, err)
-		}
-		if report.Params != pp.Name() {
-			return fmt.Errorf("-bench-json: %s holds %s-parameter entries, fleet runs %s", path, report.Params, pp.Name())
-		}
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-	name := fmt.Sprintf("semload.token.shard%d.pool%d.c%d", shards, pool, c)
-	entry := bench.BaselineEntry{Name: name, NsPerOp: 1e9 / tok.RPS, Iters: int(tok.Count)}
-	kept := report.Entries[:0]
-	for _, e := range report.Entries {
-		if e.Name != name {
-			kept = append(kept, e)
-		}
-	}
-	report.Entries = append(kept, entry)
-	body, err := report.JSON()
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, body, 0o644)
 }

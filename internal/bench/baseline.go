@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math"
 	"math/big"
-	"net"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -74,27 +73,51 @@ type BaselineRatio struct {
 
 // measureRatio returns cost(num) ÷ cost(den) per call from rounds
 // alternating bursts, burst calls of num and denBurst of den (burst where
-// denBurst is zero).
+// denBurst is zero). Successive rounds run at stackPlacements depths
+// stackStep bytes apart (atDepth): a kernel with scratch on the stack can
+// read up to 11 % slow at a few stack placements (pair.fixed's lane replay
+// on the IFMA host), and the fastest burst of each side must not depend on
+// where the caller's frames happened to leave the stack.
 func measureRatio(num, den func() error, rounds, burst, denBurst int) (float64, error) {
 	if denBurst == 0 {
 		denBurst = burst
 	}
 	best := [2]time.Duration{math.MaxInt64, math.MaxInt64}
-	for r := 0; r < rounds; r++ {
-		for side, body := range [2]func() error{num, den} {
-			n := [2]int{burst, denBurst}[side]
-			t0 := time.Now()
-			for i := 0; i < n; i++ {
-				if err := body(); err != nil {
-					return 0, err
+	var err error
+	for r := 0; r < rounds && err == nil; r++ {
+		_ = atDepth(r%stackPlacements, func() {
+			for side, body := range [2]func() error{num, den} {
+				n := [2]int{burst, denBurst}[side]
+				t0 := time.Now()
+				for i := 0; i < n && err == nil; i++ {
+					err = body()
+				}
+				if d := time.Since(t0); d < best[side] {
+					best[side] = d
 				}
 			}
-			if d := time.Since(t0); d < best[side] {
-				best[side] = d
-			}
-		}
+		})
+	}
+	if err != nil {
+		return 0, err
 	}
 	return float64(best[0]) / float64(best[1]) * float64(denBurst) / float64(burst), nil
+}
+
+// stackPlacements depths stackStep bytes apart span one 4 KB page.
+const stackPlacements, stackStep = 8, 512
+
+// atDepth runs f depth frames of about stackStep bytes below its caller.
+// The byte it returns keeps each frame's array.
+//
+//go:noinline
+func atDepth(depth int, f func()) byte {
+	var frame [stackStep - 32]byte
+	if depth == 0 {
+		f()
+		return frame[0]
+	}
+	return atDepth(depth-1, f) + frame[depth]
 }
 
 // benchScalar derives a fixed sub-q scalar from a label. Bench inputs must
@@ -371,8 +394,7 @@ func Baseline(pp *pairing.Params, minIters int, minDuration time.Duration) (*Bas
 	// record append + fsync; the group16 variant drives 16 concurrent
 	// writers per op, so journal.append ÷ (journal.append.group16/16) is
 	// the committed group-commit coalescing factor. Timings are dominated
-	// by fsync and vary wildly across filesystems — these entries are
-	// informational and must stay outside any CI -check filter.
+	// by fsync and vary widely across filesystems.
 	journalDir, err := os.MkdirTemp("", "bench-journal-")
 	if err != nil {
 		return nil, err
@@ -773,7 +795,7 @@ func (b *baselineSEM) close() {
 
 // baselineCluster is the live (t, n) cluster behind the cluster.decrypt.*
 // entries: every player's server on loopback, and a second topology in which
-// player 2's address is one nobody listens on.
+// player 2's address is one no server can listen on.
 type baselineCluster struct {
 	params                  *core.ThresholdParams
 	players                 loopback
@@ -801,13 +823,10 @@ func newBaselineCluster(params *core.ThresholdParams, shares []*core.KeyShare) (
 		}
 		b.addrs = append(b.addrs, addr)
 	}
-	dead, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
+	// Port 0 is refused at once on a dial, and no listener can ever hold it.
 	b.addrsPlayer2Down = append([]string(nil), b.addrs...)
-	b.addrsPlayer2Down[1] = dead.Addr().String()
-	return b, dead.Close()
+	b.addrsPlayer2Down[1] = "127.0.0.1:0"
+	return b, nil
 }
 
 // decrypt is one decryption by a new recombiner over addrs, connections

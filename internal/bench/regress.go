@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"sort"
+	"strings"
 )
 
 // Regression describes one baseline entry that exceeded the allowed
@@ -264,11 +265,25 @@ var kernelRatioGates = []ratioGate{
 	{Num: "thibe.player-share", Den: "pair.fixed.x", Max: kernelBound{Go: 1.9, IFMA: 2.75}, Rounds: 24, Burst: 4},
 }
 
+// RatioBound returns the bound of the ratio gate named "num ÷ den" under
+// the field kernel, zero where the gate does not apply or no gate has that
+// name.
+func RatioBound(name, kernel string) float64 {
+	for _, g := range kernelRatioGates {
+		if g.name() == name {
+			return g.Max.under(kernel)
+		}
+	}
+	return 0
+}
+
 // CompareBaselines checks a freshly measured report against a committed
 // reference and returns the entries (by ascending name) whose ns/op grew by
-// more than tolerancePct percent. Only the intersection of entry names is
-// compared, so a reference from before a new primitive existed still guards
-// the old ones. The parameter sets must match — cross-parameter ratios are
+// more than tolerancePct percent. The two must measure the same entries: a
+// reference entry the fresh run does not measure, or a fresh entry the
+// reference has no value for, is an error naming them, because a snapshot
+// that has drifted from what the baseline measures gates less than it
+// appears to. The parameter sets must match — cross-parameter ratios are
 // meaningless — but Go version and GOARCH may differ (that is the point of
 // re-measuring). The ratio gates are judged on the fresh report alone: every
 // ratio it carries is held to its bound, whatever the tolerance and whatever
@@ -288,13 +303,14 @@ func CompareBaselines(ref, fresh *BaselineReport, tolerancePct float64) ([]Regre
 		}
 	}
 	var regs []Regression
-	common := 0
+	var unreferenced []string
 	for _, e := range fresh.Entries {
 		old, ok := refEnt[e.Name]
 		if !ok {
+			unreferenced = append(unreferenced, e.Name)
 			continue
 		}
-		common++
+		delete(refEnt, e.Name)
 		slowdown := (e.NsPerOp - old.NsPerOp) / old.NsPerOp * 100
 		if slowdown > tolerancePct {
 			regs = append(regs, Regression{Name: e.Name, Metric: "ns/op", RefNs: old.NsPerOp, FreshNs: e.NsPerOp, Percent: slowdown})
@@ -317,8 +333,15 @@ func CompareBaselines(ref, fresh *BaselineReport, tolerancePct float64) ([]Regre
 			regs = append(regs, Regression{Name: e.Name, Metric: "allocs/op", RefNs: refA, FreshNs: freshA, Percent: pct})
 		}
 	}
-	if common == 0 {
-		return nil, fmt.Errorf("bench: no common entries between reference and fresh report")
+	if len(refEnt) > 0 || len(unreferenced) > 0 {
+		var unmeasured []string
+		for name := range refEnt {
+			unmeasured = append(unmeasured, name)
+		}
+		sort.Strings(unmeasured)
+		sort.Strings(unreferenced)
+		return nil, fmt.Errorf("bench: stale reference: it holds entries the baseline does not measure [%s] and lacks entries it measures [%s]; re-record it with benchtab -baseline",
+			strings.Join(unmeasured, " "), strings.Join(unreferenced, " "))
 	}
 	for _, g := range kernelRatioGates {
 		max := g.Max.under(fresh.FpKernel)

@@ -19,7 +19,6 @@ func TestCompareBaselinesFlagsOnlyRealRegressions(t *testing.T) {
 		BaselineEntry{Name: "pair", NsPerOp: 1100},      // +10% — within tolerance
 		BaselineEntry{Name: "pair.fixed", NsPerOp: 900}, // +80% — regression
 		BaselineEntry{Name: "bf.encrypt", NsPerOp: 1500},
-		BaselineEntry{Name: "brand.new", NsPerOp: 1}, // not in ref — ignored
 	)
 	regs, err := CompareBaselines(ref, fresh, 15)
 	if err != nil {
@@ -62,7 +61,9 @@ func TestCompareBaselinesAllocGate(t *testing.T) {
 
 	// A large allocation growth over a nonzero reference is flagged too.
 	fresh2 := report("paper",
+		BaselineEntry{Name: "fp.mul", NsPerOp: 100, AllocsPerOp: fptr(0)},
 		BaselineEntry{Name: "pair", NsPerOp: 1000, AllocsPerOp: fptr(300)},
+		BaselineEntry{Name: "legacy", NsPerOp: 1000},
 	)
 	regs, err = CompareBaselines(ref, fresh2, 15)
 	if err != nil {
@@ -70,6 +71,32 @@ func TestCompareBaselinesAllocGate(t *testing.T) {
 	}
 	if len(regs) != 1 || regs[0].Metric != "allocs/op" {
 		t.Fatalf("regressions = %+v, want one allocs/op regression", regs)
+	}
+}
+
+// TestCompareBaselinesRefusesStaleReference: a reference that has drifted
+// from what the baseline measures is an error naming the entries, in
+// either direction, however fast the entries both sides have are.
+func TestCompareBaselinesRefusesStaleReference(t *testing.T) {
+	ref := report("paper",
+		BaselineEntry{Name: "pair", NsPerOp: 1000},
+		BaselineEntry{Name: "pair.fixed", NsPerOp: 500},
+	)
+	for _, tc := range []struct {
+		name, want string
+		fresh      *BaselineReport
+	}{
+		{"missing", "does not measure [pair.fixed]", report("paper", BaselineEntry{Name: "pair", NsPerOp: 1})},
+		{"extra", "lacks entries it measures [brand.new]", report("paper",
+			BaselineEntry{Name: "pair", NsPerOp: 1},
+			BaselineEntry{Name: "pair.fixed", NsPerOp: 1},
+			BaselineEntry{Name: "brand.new", NsPerOp: 1},
+		)},
+	} {
+		regs, err := CompareBaselines(ref, tc.fresh, 15)
+		if err == nil || !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), "re-record") {
+			t.Errorf("%s entry: regressions %+v, error %v; want a stale-reference error naming %q", tc.name, regs, err, tc.want)
+		}
 	}
 }
 
@@ -257,8 +284,9 @@ func TestCompareBaselinesRatioGates(t *testing.T) {
 		}
 	}
 
-	// A reference without ratios (older snapshot, hand-edited, recorded
-	// with a -filter) does not switch the gates off.
+	// A reference without ratios (an older or hand-edited snapshot, or one
+	// recorded at a width without field kernels) does not switch the gates
+	// off.
 	ref.Ratios = nil
 	if regs, _ := CompareBaselines(ref, with(1.0, 1.0), 400); len(regs) != 2 {
 		t.Fatalf("reference without ratios: regressions = %+v, want the two ratio gates", regs)

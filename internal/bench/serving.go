@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -114,61 +112,10 @@ func (l loopback) close() error {
 	return errors.Join(errs...)
 }
 
-// closedLoop drives op from servingConcurrency workers for the window and
-// returns (total ops, wall ns/op). Worker w cycles through the identity
-// set starting at a w-dependent offset so the per-identity pairing caches
-// see realistic mixed traffic.
-func (f *servingFleet) closedLoop(d time.Duration, op func(id string) error) (int64, float64, error) {
-	// Warm-up: dials, v2 negotiation and cache fills stay out of the window.
-	for i := 0; i < servingConcurrency; i++ {
-		if err := op(f.ids[i%len(f.ids)]); err != nil {
-			return 0, 0, err
-		}
-	}
-	var ops atomic.Int64
-	var firstErr atomic.Value
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for w := 0; w < servingConcurrency; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				if err := op(f.ids[i%len(f.ids)]); err != nil {
-					firstErr.CompareAndSwap(nil, err)
-					return
-				}
-				ops.Add(1)
-			}
-		}(w)
-	}
-	start := time.Now()
-	time.Sleep(d)
-	close(stop)
-	wg.Wait()
-	elapsed := time.Since(start)
-	if v := firstErr.Load(); v != nil {
-		return 0, 0, v.(error)
-	}
-	n := ops.Load()
-	if n == 0 {
-		return 0, 0, fmt.Errorf("bench: no serving ops completed in %v", d)
-	}
-	return n, float64(elapsed.Nanoseconds()) / float64(n), nil
-}
-
 // ServingEntries measures the serving-layer transports and returns
 // baseline entries (ns per token op at 32-way concurrency, wall-clock
 // aggregate). window is the per-entry measurement window.
 func ServingEntries(window time.Duration) ([]BaselineEntry, error) {
-	if window <= 0 {
-		window = 500 * time.Millisecond
-	}
 	fleet, err := newServingFleet(4, 64)
 	if err != nil {
 		return nil, err
@@ -177,12 +124,25 @@ func ServingEntries(window time.Duration) ([]BaselineEntry, error) {
 	u := fleet.pp.Generator()
 
 	var entries []BaselineEntry
+	// Worker w cycles through the identity set from a w-dependent offset, so
+	// the per-identity pairing caches see mixed traffic.
 	add := func(name string, op func(id string) error) error {
-		n, nsPerOp, err := fleet.closedLoop(window, op)
+		// Warm-up: dials, negotiation and cache fills stay out of the window.
+		for i := 0; i < servingConcurrency; i++ {
+			if err := op(fleet.ids[i%len(fleet.ids)]); err != nil {
+				return fmt.Errorf("%s: %w", name, err)
+			}
+		}
+		n, elapsed, err := closedLoop(servingConcurrency, window, func(w, i int) (int, error) {
+			return 1, op(fleet.ids[(w+i)%len(fleet.ids)])
+		})
+		if err == nil && n == 0 {
+			err = fmt.Errorf("no ops completed in %v", window)
+		}
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}
-		entries = append(entries, BaselineEntry{Name: name, NsPerOp: nsPerOp, Iters: int(n)})
+		entries = append(entries, BaselineEntry{Name: name, NsPerOp: float64(elapsed.Nanoseconds()) / float64(n), Iters: int(n)})
 		return nil
 	}
 

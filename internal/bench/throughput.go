@@ -147,42 +147,66 @@ func Throughput(w *World, cfg ThroughputConfig) (*Table, error) {
 // window and returns the aggregate request rate; opsPerCall is the number
 // of requests one body call serves (1 for single ops, k for k-batches).
 func (w *World) measure(body func(*sem.Pool) error, opsPerCall, nClients int, d time.Duration) (float64, error) {
-	var ops atomic.Int64
-	var firstErr atomic.Value
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for i := 0; i < nClients; i++ {
-		client, err := w.Dial()
+	clients := make([]*sem.Pool, 0, nClients)
+	defer func() {
+		for _, c := range clients {
+			_ = c.Close()
+		}
+	}()
+	for range nClients {
+		c, err := w.Dial()
 		if err != nil {
-			close(stop)
-			wg.Wait()
 			return 0, err
 		}
+		clients = append(clients, c)
+	}
+	n, elapsed, err := closedLoop(nClients, d, func(c, _ int) (int, error) {
+		return opsPerCall, body(clients[c])
+	})
+	if err != nil {
+		return 0, err
+	}
+	return float64(n) / elapsed.Seconds(), nil
+}
+
+// closedLoop runs n closed-loop workers for the window d: worker w calls
+// op(w, i) for i = 0, 1, … until the window closes or a call fails, and each
+// call returns the number of requests it served. It returns the requests
+// served and the wall time from the workers' start to the last one's return,
+// or the error of a worker that failed.
+func closedLoop(n int, d time.Duration, op func(w, i int) (int, error)) (int64, time.Duration, error) {
+	var served atomic.Int64
+	errs := make([]error, n)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	start := time.Now()
+	for w := range n {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			defer func() { _ = client.Close() }()
-			for {
+			for i := 0; ; i++ {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				if err := body(client); err != nil {
-					firstErr.CompareAndSwap(nil, err)
+				k, err := op(w, i)
+				if err != nil {
+					errs[w] = err
 					return
 				}
-				ops.Add(int64(opsPerCall))
+				served.Add(int64(k))
 			}
 		}()
 	}
-	start := time.Now()
 	time.Sleep(d)
 	close(stop)
 	wg.Wait()
 	elapsed := time.Since(start)
-	if v := firstErr.Load(); v != nil {
-		return 0, v.(error)
+	for _, err := range errs {
+		if err != nil {
+			return 0, 0, err
+		}
 	}
-	return float64(ops.Load()) / elapsed.Seconds(), nil
+	return served.Load(), elapsed, nil
 }
