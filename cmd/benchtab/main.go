@@ -49,25 +49,33 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
+	if *check == "" && *baseline == "" {
+		return runExperiments(pp, *params, *exp, *quick, out)
+	}
+	var ref *bench.BaselineReport
 	if *check != "" {
-		return runCheck(pp, *check, *tolerance, *quick, out)
+		if ref, err = readSnapshot(*check, pp); err != nil {
+			return fmt.Errorf("check: %w", err)
+		}
 	}
-	if *baseline != "" {
-		report, _, err := measureBaseline(pp, *quick)
-		if err != nil {
-			return fmt.Errorf("baseline: %w", err)
-		}
-		body, err := report.JSON()
-		if err != nil {
-			return err
-		}
-		if *baseline == "-" {
-			_, err = out.Write(body)
-			return err
-		}
-		return os.WriteFile(*baseline, body, 0o644)
+	// -baseline and -check measure from this one call, so a kernel that
+	// keeps scratch on the stack runs at the same placement in both.
+	fresh, serving, err := measureBaseline(pp, *quick)
+	if err != nil {
+		return fmt.Errorf("measure: %w", err)
 	}
-	return runExperiments(pp, *params, *exp, *quick, out)
+	if ref != nil {
+		return compare(ref, fresh, serving, *check, *tolerance, out)
+	}
+	body, err := fresh.JSON()
+	if err != nil {
+		return err
+	}
+	if *baseline == "-" {
+		_, err = out.Write(body)
+		return err
+	}
+	return os.WriteFile(*baseline, body, 0o644)
 }
 
 // measureBaseline times the primitives at pp and the serving entries
@@ -92,35 +100,35 @@ func measureBaseline(pp *pairing.Params, quick bool) (*bench.BaselineReport, []b
 	return report, serving, nil
 }
 
-// runCheck re-measures the baseline and compares it against a committed
-// snapshot; a regression beyond the tolerance, or a snapshot that does not
-// hold exactly the entries the baseline measures, is a hard error so CI
-// fails the build. -quick trades statistical weight for speed (use a
-// generous tolerance with it: short timings are noisy). The fresh run's
-// ratio gates (bench.kernelRatioGates, DESIGN §5a) are held to their bounds
-// whatever the tolerance and whatever the snapshot records, and each is
-// printed with its reading and its bound under the run's field kernel, or as
-// n/a where it does not apply there; an n/a gate is not counted among those
-// that hold.
-func runCheck(pp *pairing.Params, path string, tolerance float64, quick bool, out io.Writer) error {
+// readSnapshot reads a committed baseline snapshot for -check, refusing one
+// of other parameters before anything is measured: its entries compare with
+// nothing.
+func readSnapshot(path string, pp *pairing.Params) (*bench.BaselineReport, error) {
 	body, err := os.ReadFile(path)
 	if err != nil {
-		return fmt.Errorf("check: %w", err)
+		return nil, err
 	}
 	var ref bench.BaselineReport
 	if err := json.Unmarshal(body, &ref); err != nil {
-		return fmt.Errorf("check: parse %s: %w", path, err)
+		return nil, fmt.Errorf("parse %s: %w", path, err)
 	}
 	if ref.Params != pp.Name() {
-		// Refused before measuring: entries at other parameters compare
-		// with nothing.
-		return fmt.Errorf("check: %s holds %q entries, -params is %q", path, ref.Params, pp.Name())
+		return nil, fmt.Errorf("%s holds %q entries, -params is %q", path, ref.Params, pp.Name())
 	}
-	fresh, serving, err := measureBaseline(pp, quick)
-	if err != nil {
-		return fmt.Errorf("check: %w", err)
-	}
-	regs, err := bench.CompareBaselines(&ref, fresh, tolerance)
+	return &ref, nil
+}
+
+// compare compares a fresh baseline with the committed snapshot ref read from
+// path; a regression beyond the tolerance, or a snapshot that does not hold
+// exactly the entries the baseline measures, is a hard error so CI fails the
+// build. -quick trades statistical weight for speed (use a generous
+// tolerance with it: short timings are noisy). The fresh run's ratio gates
+// (bench.kernelRatioGates, DESIGN §5a) are held to their bounds whatever the
+// tolerance and whatever the snapshot records, and each is printed with its
+// reading and its bound under the run's field kernel, or as n/a where it
+// does not apply there; an n/a gate is not counted among those that hold.
+func compare(ref, fresh *bench.BaselineReport, serving []bench.BaselineEntry, path string, tolerance float64, out io.Writer) error {
+	regs, err := bench.CompareBaselines(ref, fresh, tolerance)
 	if err != nil {
 		return fmt.Errorf("check: %w", err)
 	}

@@ -73,51 +73,27 @@ type BaselineRatio struct {
 
 // measureRatio returns cost(num) ÷ cost(den) per call from rounds
 // alternating bursts, burst calls of num and denBurst of den (burst where
-// denBurst is zero). Successive rounds run at stackPlacements depths
-// stackStep bytes apart (atDepth): a kernel with scratch on the stack can
-// read up to 11 % slow at a few stack placements (pair.fixed's lane replay
-// on the IFMA host), and the fastest burst of each side must not depend on
-// where the caller's frames happened to leave the stack.
+// denBurst is zero).
 func measureRatio(num, den func() error, rounds, burst, denBurst int) (float64, error) {
 	if denBurst == 0 {
 		denBurst = burst
 	}
 	best := [2]time.Duration{math.MaxInt64, math.MaxInt64}
-	var err error
-	for r := 0; r < rounds && err == nil; r++ {
-		_ = atDepth(r%stackPlacements, func() {
-			for side, body := range [2]func() error{num, den} {
-				n := [2]int{burst, denBurst}[side]
-				t0 := time.Now()
-				for i := 0; i < n && err == nil; i++ {
-					err = body()
-				}
-				if d := time.Since(t0); d < best[side] {
-					best[side] = d
+	for r := 0; r < rounds; r++ {
+		for side, body := range [2]func() error{num, den} {
+			n := [2]int{burst, denBurst}[side]
+			t0 := time.Now()
+			for i := 0; i < n; i++ {
+				if err := body(); err != nil {
+					return 0, err
 				}
 			}
-		})
-	}
-	if err != nil {
-		return 0, err
+			if d := time.Since(t0); d < best[side] {
+				best[side] = d
+			}
+		}
 	}
 	return float64(best[0]) / float64(best[1]) * float64(denBurst) / float64(burst), nil
-}
-
-// stackPlacements depths stackStep bytes apart span one 4 KB page.
-const stackPlacements, stackStep = 8, 512
-
-// atDepth runs f depth frames of about stackStep bytes below its caller.
-// The byte it returns keeps each frame's array.
-//
-//go:noinline
-func atDepth(depth int, f func()) byte {
-	var frame [stackStep - 32]byte
-	if depth == 0 {
-		f()
-		return frame[0]
-	}
-	return atDepth(depth-1, f) + frame[depth]
 }
 
 // benchScalar derives a fixed sub-q scalar from a label. Bench inputs must
@@ -394,7 +370,8 @@ func Baseline(pp *pairing.Params, minIters int, minDuration time.Duration) (*Bas
 	// record append + fsync; the group16 variant drives 16 concurrent
 	// writers per op, so journal.append ÷ (journal.append.group16/16) is
 	// the committed group-commit coalescing factor. Timings are dominated
-	// by fsync and vary widely across filesystems.
+	// by fsync and vary widely across filesystems, so -check holds these
+	// two to their presence and allocations only (fsyncBound).
 	journalDir, err := os.MkdirTemp("", "bench-journal-")
 	if err != nil {
 		return nil, err

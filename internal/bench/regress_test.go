@@ -100,6 +100,40 @@ func TestCompareBaselinesRefusesStaleReference(t *testing.T) {
 	}
 }
 
+// TestCompareBaselinesFsyncBoundEntries: the journal entries' time is the
+// disk's, so a slower fsync is no regression; their allocations are still
+// gated, and a reference without them is still stale.
+func TestCompareBaselinesFsyncBoundEntries(t *testing.T) {
+	ref := report("paper",
+		BaselineEntry{Name: "pair", NsPerOp: 1000},
+		BaselineEntry{Name: "journal.append", NsPerOp: 100_000, AllocsPerOp: fptr(20)},
+		BaselineEntry{Name: "journal.append.group16", NsPerOp: 300_000, AllocsPerOp: fptr(300)},
+	)
+	slowDisk := report("paper",
+		BaselineEntry{Name: "pair", NsPerOp: 1000},
+		BaselineEntry{Name: "journal.append", NsPerOp: 10_000_000, AllocsPerOp: fptr(20)},
+		BaselineEntry{Name: "journal.append.group16", NsPerOp: 30_000_000, AllocsPerOp: fptr(300)},
+	)
+	if regs, err := CompareBaselines(ref, slowDisk, 15); err != nil || len(regs) != 0 {
+		t.Fatalf("fsync 100x slower: regressions %+v, error %v; want none", regs, err)
+	}
+
+	moreAllocs := report("paper",
+		BaselineEntry{Name: "pair", NsPerOp: 1000},
+		BaselineEntry{Name: "journal.append", NsPerOp: 100_000, AllocsPerOp: fptr(60)},
+		BaselineEntry{Name: "journal.append.group16", NsPerOp: 300_000, AllocsPerOp: fptr(300)},
+	)
+	regs, err := CompareBaselines(ref, moreAllocs, 15)
+	if err != nil || len(regs) != 1 || regs[0].Name != "journal.append" || regs[0].Metric != "allocs/op" {
+		t.Fatalf("journal.append allocations tripled: regressions %+v, error %v; want its allocs/op", regs, err)
+	}
+
+	ref.Entries = ref.Entries[:2]
+	if _, err := CompareBaselines(ref, slowDisk, 15); err == nil || !strings.Contains(err.Error(), "[journal.append.group16]") {
+		t.Fatalf("reference without journal.append.group16: error %v; want it named as stale", err)
+	}
+}
+
 func TestCompareBaselinesGenerousToleranceAcceptsAll(t *testing.T) {
 	ref := report("paper", BaselineEntry{Name: "pair", NsPerOp: 1000})
 	fresh := report("paper", BaselineEntry{Name: "pair", NsPerOp: 3000})
