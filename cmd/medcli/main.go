@@ -16,8 +16,9 @@
 //
 // Against a sharded fleet, pass -shards a:7300,b:7300,c:7300 instead of
 // -sem: ops route to the identity's shard on a consistent-hash ring with
-// replica failover, revocation broadcasts fleet-wide, and list unions
-// every shard's journal.
+// failover across two replicas, revocation goes through the fleet's
+// replication leader (semd -repl-leader), which answers once every shard
+// holds it, and list unions every shard's journal.
 //
 // Plaintexts for encrypt are limited to msgLen−1 bytes (one byte carries
 // the length inside the fixed-size IBE block).

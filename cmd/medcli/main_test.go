@@ -3,15 +3,19 @@ package main
 import (
 	"bytes"
 	"encoding/base64"
+	"fmt"
 	"net"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/keyfile"
+	"repro/internal/repl"
 	"repro/internal/sem"
+	"repro/internal/shard"
 )
 
 // cliWorld writes a deployment to disk and starts an in-process SEM daemon
@@ -231,24 +235,53 @@ func newShardedCLIWorld(t *testing.T, n int) *cliWorld {
 		t.Fatal(err)
 	}
 	w := &cliWorld{dir: dir}
-	var addrs []string
-	for i := 0; i < n; i++ {
-		reg := core.NewRegistry()
+	lns := make([]net.Listener, n)
+	addrs := make([]string, n)
+	for i := range lns {
+		if lns[i], err = net.Listen("tcp", "127.0.0.1:0"); err != nil {
+			t.Fatal(err)
+		}
+		addrs[i] = lns[i].Addr().String()
+	}
+	// Journaled shards, the ring-designated one leading replication to the
+	// rest, wired as semd wires -repl-leader: the fleet shape whose
+	// revocations reach every replica.
+	ring, err := shard.New(addrs, shard.DefaultVirtualNodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var peers []string
+	for _, a := range addrs {
+		if a != ring.Leader() {
+			peers = append(peers, a)
+		}
+	}
+	for i, ln := range lns {
+		j, err := core.OpenJournal(filepath.Join(dir, fmt.Sprintf("journal%d.jsonl", i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = j.Close() })
+		reg := j.Registry()
 		ibe, gdh, rsa, err := d.Store().BuildSEMs(d.System(), reg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv, err := sem.NewServer(sem.Config{Registry: reg, IBE: ibe, GDH: gdh, RSA: rsa, Pairing: pp})
-		if err != nil {
-			t.Fatal(err)
+		cfg := sem.Config{Registry: reg, IBE: ibe, GDH: gdh, RSA: rsa, Pairing: pp, Journal: j, Repl: repl.NewFollower(j)}
+		if addrs[i] == ring.Leader() {
+			leader, err := repl.NewLeader(repl.LeaderConfig{Journal: j, Epoch: 1, Peers: peers, Dial: sem.ReplDialer(5 * time.Second)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { _ = leader.Close() })
+			cfg.Leader = leader
 		}
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		srv, err := sem.NewServer(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		go func() { _ = srv.Serve(ln) }()
 		t.Cleanup(func() { _ = srv.Close() })
-		addrs = append(addrs, ln.Addr().String())
 	}
 	w.semAddr = strings.Join(addrs, ",")
 	return w
@@ -266,8 +299,9 @@ func (w *cliWorld) execSharded(t *testing.T, stdin string, args ...string) (stri
 }
 
 // TestCLISharded drives the user-facing flows through -shards routing:
-// mediated decryption routes to the owning shard, revocation broadcasts to
-// the whole fleet, and list unions the shards' journals.
+// mediated decryption routes to the owning shard, revocation goes through
+// the replication leader, which acknowledges it once every shard holds it,
+// and list unions the shards' journals.
 func TestCLISharded(t *testing.T) {
 	w := newShardedCLIWorld(t, 3)
 
@@ -298,7 +332,8 @@ func TestCLISharded(t *testing.T) {
 	}
 
 	// Revocation must bite on EVERY shard: decrypt routes by ring, so if
-	// the broadcast missed the owning shard the next decrypt would succeed.
+	// the owning shard lacked the acknowledged revoke the next decrypt
+	// would succeed.
 	if _, err := w.execSharded(t, "", "revoke", "-id", "bob@example.com", "-reason", "fleet test"); err != nil {
 		t.Fatal(err)
 	}

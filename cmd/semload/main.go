@@ -118,7 +118,7 @@ func run(args []string, out io.Writer) error {
 		ops       = fs.Int64("ops", 0, "stop after this many total ops even if -duration has not elapsed (0 = duration only)")
 		mixFlag   = fs.String("mix", "token=90,sign=8,revoke=2", "traffic mix as op=weight pairs (token, sign, revoke)")
 		poolSize  = fs.Int("pool", sem.DefaultPoolSize, "connections per shard pool")
-		replicas  = fs.Int("replicas", 2, "ring replicas per identity (failover depth; clamped to the shard count)")
+		replicas  = fs.Int("replicas", 2, "ring replicas per identity (failover depth; clamped to the shard count); revoke traffic on more than 1 needs a fleet with a replication leader")
 		regBatch  = fs.Int("register-batch", 1024, "identities per enrollment batch frame")
 		jsonOut   = fs.Bool("json", false, "emit the report as JSON instead of a table")
 		debugAddr = fs.String("debug-addr", "", "HTTP debug listener (Prometheus /metrics with shard_ring_*/sempool_* series); empty disables")

@@ -59,11 +59,14 @@ func startFleet(t *testing.T, n int) (shards, systemFn string) {
 	return strings.Join(addrs, ","), systemFn
 }
 
+// TestSemloadMixedTraffic runs the mix against standalone shards, a fleet
+// without a replication leader, so each identity is served by one replica
+// and its revokes go to that shard alone.
 func TestSemloadMixedTraffic(t *testing.T) {
 	shards, systemFn := startFleet(t, 3)
 	var out bytes.Buffer
 	err := run([]string{
-		"-shards", shards, "-system", systemFn,
+		"-shards", shards, "-system", systemFn, "-replicas", "1",
 		"-n", "120", "-c", "8", "-duration", "400ms",
 		"-mix", "token=16,sign=3,revoke=1",
 		"-register-batch", "50",

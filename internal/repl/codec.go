@@ -48,9 +48,8 @@ const (
 
 // Status is a daemon's replication position. Leader reports whether the
 // answering daemon is the fleet's active (not deposed) replication leader
-// — the probe signal ShardedClient uses to locate the real write path
-// when a ring rebalance has moved the leader designation away from the
-// daemon actually started with -repl-leader.
+// — the probe signal ShardedClient uses to locate the fleet's revocation
+// write path.
 type Status struct {
 	Epoch   uint64
 	LastSeq uint64

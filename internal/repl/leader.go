@@ -59,7 +59,8 @@ type LeaderConfig struct {
 // Leader owns the revocation write path for a fleet: every mutation goes
 // through its journal (which assigns the sequence number) and one
 // goroutine per follower streams the growing log outward, switching to
-// snapshot transfer when a follower is too far behind. If any follower
+// snapshot transfer when a follower is too far behind. A mutation returns
+// once every follower has acknowledged it (Revoke). If any follower
 // turns out to have adopted a higher epoch, the leader knows it has been
 // replaced: it stops replicating and refuses further mutations with
 // ErrStaleEpoch, so a deposed leader fails loudly instead of diverging.
@@ -79,11 +80,60 @@ type Leader struct {
 	reconnects *obs.Counter
 }
 
-// peerState is the per-follower replication cursor.
+// peerState is the per-follower replication cursor. Its replicator writes
+// acked and down; a mutation waiting for the follower reads them and waits
+// on moved.
 type peerState struct {
 	addr   string
 	notify chan struct{}
 	acked  atomic.Uint64 // highest seq the follower has durably applied
+
+	mu    sync.Mutex
+	down  error         // why the follower is known down; nil while connected or not yet tried
+	moved chan struct{} // closed when acked or down next changes; made by a waiter
+}
+
+// watch reports whether the follower has acknowledged seq (both results
+// nil) or is known down (down set). Otherwise it returns a channel closed
+// at the follower's next change.
+func (p *peerState) watch(seq uint64) (moved <-chan struct{}, down error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.acked.Load() >= seq {
+		return nil, nil
+	}
+	if p.down != nil {
+		return nil, p.down
+	}
+	if p.moved == nil {
+		p.moved = make(chan struct{})
+	}
+	return p.moved, nil
+}
+
+// advance records that the follower, connected, has durably applied
+// everything up to acked, and wakes its waiters.
+func (p *peerState) advance(acked uint64) {
+	p.mu.Lock()
+	p.acked.Store(acked)
+	p.down = nil
+	p.wakeLocked()
+	p.mu.Unlock()
+}
+
+// fail records that the follower is down and wakes its waiters.
+func (p *peerState) fail(down error) {
+	p.mu.Lock()
+	p.down = down
+	p.wakeLocked()
+	p.mu.Unlock()
+}
+
+func (p *peerState) wakeLocked() {
+	if p.moved != nil {
+		close(p.moved)
+		p.moved = nil
+	}
 }
 
 // NewLeader assigns the journal the configured epoch and starts one
@@ -170,29 +220,70 @@ func (l *Leader) Epoch() uint64 { return l.epoch }
 func (l *Leader) Deposed() bool { return l.deposed.Load() }
 
 // Revoke appends a revocation to the authoritative journal (durably, via
-// group commit) and wakes the replicators. A deposed leader refuses with
-// ErrStaleEpoch — the fleet has moved to a successor.
+// group commit) and returns once every follower has acknowledged it,
+// applied and durable. A follower known down, or one whose append fails
+// while the call waits, fails it with ErrNotReplicated; the record stays
+// journaled and streams on. A deposed leader refuses with ErrStaleEpoch —
+// the fleet has moved to a successor.
 func (l *Leader) Revoke(id, reason string) error {
 	if l.deposed.Load() {
-		return fmt.Errorf("%w: leader at epoch %d was replaced", ErrStaleEpoch, l.epoch)
+		return l.staleErr()
 	}
 	if err := l.j.Revoke(id, reason); err != nil {
 		return err
 	}
-	l.kick()
-	return nil
+	return l.replicate()
 }
 
-// Unrevoke appends a reinstatement and wakes the replicators.
+// Unrevoke appends a reinstatement and, like Revoke, returns once every
+// follower holds it.
 func (l *Leader) Unrevoke(id string) error {
 	if l.deposed.Load() {
-		return fmt.Errorf("%w: leader at epoch %d was replaced", ErrStaleEpoch, l.epoch)
+		return l.staleErr()
 	}
 	if err := l.j.Unrevoke(id); err != nil {
 		return err
 	}
+	return l.replicate()
+}
+
+func (l *Leader) staleErr() error {
+	return fmt.Errorf("%w: leader at epoch %d was replaced", ErrStaleEpoch, l.epoch)
+}
+
+// replicate wakes the replicators and waits until every follower has
+// acknowledged the journal's last seq, which covers the record the caller
+// just appended.
+func (l *Leader) replicate() error {
+	seq := l.j.LastSeq()
 	l.kick()
+	for _, p := range l.peers {
+		if err := l.await(p, seq); err != nil {
+			return err
+		}
+	}
 	return nil
+}
+
+// await waits, in the caller's goroutine, on the cursor p's replicator
+// advances until it reaches seq, and fails once p is known down.
+func (l *Leader) await(p *peerState, seq uint64) error {
+	for {
+		moved, down := p.watch(seq)
+		switch {
+		case moved == nil && down == nil:
+			return nil
+		case l.deposed.Load():
+			return l.staleErr()
+		case down != nil:
+			return fmt.Errorf("%w: follower %s: %v", ErrNotReplicated, p.addr, down)
+		}
+		select {
+		case <-moved:
+		case <-l.closed:
+			return fmt.Errorf("%w: follower %s: leader closed", ErrNotReplicated, p.addr)
+		}
+	}
 }
 
 // Journal returns the authoritative journal.
@@ -244,15 +335,20 @@ func (l *Leader) sleep(d time.Duration) bool {
 
 // depose marks the leader replaced. It keeps serving reads — the fleet's
 // registry state is still valid — but every replicator stops and further
-// mutations fail typed.
+// mutations fail typed, waiting ones included.
 func (l *Leader) depose(addr string, peerEpoch uint64) {
 	if l.deposed.CompareAndSwap(false, true) {
 		l.logf("repl: deposed — follower %s is at epoch %d, we are at %d", addr, peerEpoch, l.epoch)
+		for _, p := range l.peers {
+			p.fail(errors.New("leader deposed"))
+		}
 	}
 }
 
 // runPeer is the per-follower replicator: dial, sync position, stream,
-// reconnect on failure — forever, until Close or deposition.
+// reconnect on failure — forever, until Close or deposition. Between
+// connections the follower is known down, so a mutation waiting for it
+// fails at once.
 func (l *Leader) runPeer(p *peerState) {
 	defer l.wg.Done()
 	first := true
@@ -271,14 +367,18 @@ func (l *Leader) runPeer(p *peerState) {
 		first = false
 		peer, err := l.cfg.Dial(p.addr)
 		if err != nil {
-			l.logf("repl: dial follower %s: %v", p.addr, err)
-			if !l.sleep(l.cfg.RetryInterval) {
-				return
-			}
-			continue
+			err = fmt.Errorf("dial: %w", err)
+		} else {
+			err = l.servePeer(p, peer)
+			_ = peer.Close()
 		}
-		l.servePeer(p, peer)
-		_ = peer.Close()
+		if err != nil {
+			if errors.Is(err, ErrStaleEpoch) {
+				l.depose(p.addr, 0) // the follower heard a successor
+			}
+			p.fail(err)
+			l.logf("repl: follower %s: %v", p.addr, err)
+		}
 		if !l.sleep(l.cfg.RetryInterval) {
 			return
 		}
@@ -286,20 +386,19 @@ func (l *Leader) runPeer(p *peerState) {
 }
 
 // servePeer drives one connection until it breaks, the leader closes, or
-// deposition. It first learns the follower's position and checks that its
-// history can actually be extended by ours (log matching), then loops:
-// stream the tail suffix past the follower's ack, fall back to a
-// snapshot when the journal has compacted past it, idle on the notify
-// channel when caught up.
-func (l *Leader) servePeer(p *peerState, peer Peer) {
+// deposition, and returns why it broke (nil on close). It first learns the
+// follower's position and checks that its history can actually be
+// extended by ours (log matching), then loops: stream the tail suffix past
+// the follower's ack, fall back to a snapshot when the journal has
+// compacted past it, idle on the notify channel when caught up.
+func (l *Leader) servePeer(p *peerState, peer Peer) error {
 	epoch, lastSeq, err := peer.ReplStatus()
 	if err != nil {
-		l.logf("repl: status from follower %s: %v", p.addr, err)
-		return
+		return fmt.Errorf("status: %w", err)
 	}
 	if epoch > l.epoch {
 		l.depose(p.addr, epoch)
-		return
+		return fmt.Errorf("%w: follower at epoch %d", ErrStaleEpoch, epoch)
 	}
 	acked := lastSeq
 	if epoch < l.epoch || lastSeq > l.j.LastSeq() {
@@ -315,40 +414,26 @@ func (l *Leader) servePeer(p *peerState, peer Peer) {
 		// always a snapshot install: it replaces the follower's history
 		// wholesale and durably adopts our epoch, so the not_leader write
 		// fence is armed across restarts from the fleet's first moments.
-		seq, err := l.sendSnapshot(peer)
-		if err != nil {
-			if errors.Is(err, ErrStaleEpoch) {
-				l.depose(p.addr, 0)
-			} else {
-				l.logf("repl: resync snapshot to follower %s (epoch %d, seq %d): %v", p.addr, epoch, lastSeq, err)
-			}
-			return
+		if acked, err = l.sendSnapshot(peer); err != nil {
+			return fmt.Errorf("resync snapshot (follower at epoch %d, seq %d): %w", epoch, lastSeq, err)
 		}
-		acked = seq
 	}
-	p.acked.Store(acked)
+	p.advance(acked)
 	for {
 		select {
 		case <-l.closed:
-			return
+			return nil
 		default:
 		}
 		if l.deposed.Load() {
-			return
+			return errors.New("leader deposed")
 		}
 		recs, ok := l.j.TailSince(acked)
 		if !ok {
-			seq, err := l.sendSnapshot(peer)
-			if err != nil {
-				if errors.Is(err, ErrStaleEpoch) {
-					l.depose(p.addr, 0)
-				} else {
-					l.logf("repl: snapshot to follower %s: %v", p.addr, err)
-				}
-				return
+			if acked, err = l.sendSnapshot(peer); err != nil {
+				return fmt.Errorf("snapshot: %w", err)
 			}
-			acked = seq
-			p.acked.Store(acked)
+			p.advance(acked)
 			continue
 		}
 		if len(recs) == 0 {
@@ -359,7 +444,7 @@ func (l *Leader) servePeer(p *peerState, peer Peer) {
 			select {
 			case <-l.closed:
 				t.Stop()
-				return
+				return nil
 			case <-p.notify:
 			case <-t.C:
 			}
@@ -372,21 +457,13 @@ func (l *Leader) servePeer(p *peerState, peer Peer) {
 				n = appendBatch
 			}
 			if err := peer.ReplAppend(l.epoch, recs[:n]); err != nil {
-				switch {
-				case errors.Is(err, ErrStaleEpoch):
-					l.depose(p.addr, 0)
-				case errors.Is(err, ErrSeqGap):
-					// The follower moved (e.g. was wiped) under us; resync
-					// from its reported position on the next connection.
-					l.logf("repl: follower %s reports a gap, resyncing: %v", p.addr, err)
-				default:
-					l.logf("repl: append to follower %s: %v", p.addr, err)
-				}
-				return
+				// A gap means the follower moved (e.g. was wiped) under us;
+				// the next connection resyncs from its reported position.
+				return fmt.Errorf("append: %w", err)
 			}
 			l.appends.Inc()
 			acked = recs[n-1].Seq
-			p.acked.Store(acked)
+			p.advance(acked)
 			recs = recs[n:]
 		}
 	}

@@ -30,6 +30,10 @@
 //     over from a deposed leader's reign, a follower ahead of the leader)
 //     is resynced with a full snapshot install, never a suffix: seq
 //     numbers from different histories must not be compared.
+//   - Acknowledged means applied: Leader.Revoke/Unrevoke return only once
+//     every follower has acknowledged the append carrying the record,
+//     applied and durable, and otherwise fail with ErrNotReplicated naming
+//     the follower. No acknowledged revoke is missing from a follower.
 //   - A single write path: once a journal has adopted a leader epoch its
 //     daemon refuses direct revoke/unrevoke ops with ErrNotLeader, so a
 //     follower can never self-sequence a mutation that would fork its
@@ -74,10 +78,16 @@ var (
 	// ErrNotLeader is returned when a direct revocation mutation reaches a
 	// daemon that follows a replication leader (its journal has adopted an
 	// epoch > 0). A follower that self-sequenced the mutation would fork
-	// the journal numbering — and a racing fast-path hint could then shadow
-	// the leader's authoritative order forever — so the write is refused
-	// and the caller pointed at the leader.
+	// the journal numbering from the leader's, so the write is refused and
+	// the caller pointed at the leader.
 	ErrNotLeader = errors.New("repl: not the revocation leader")
+
+	// ErrNotReplicated is returned by Leader.Revoke/Unrevoke when a
+	// follower did not acknowledge the record: it is known down, or its
+	// append failed while the caller waited. The error names the follower.
+	// The record stays journaled at the leader and streams on once the
+	// follower is back; the caller may retry.
+	ErrNotReplicated = errors.New("repl: not replicated")
 )
 
 // SnapshotChunk is one slice of a full-state transfer, in the one form the

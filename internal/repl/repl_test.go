@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -178,7 +179,8 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 }
 
 // TestLeaderStreamsToFollowers: mutations issued on the leader reach both
-// followers in order, and AckedSeqs converges to the leader's LastSeq.
+// followers in order, and AckedSeqs stands at the leader's LastSeq as soon
+// as the last acknowledged call returns.
 func TestLeaderStreamsToFollowers(t *testing.T) {
 	f1, f2 := NewFollower(openJournal(t)), NewFollower(openJournal(t))
 	peers := map[string]*memPeer{"p1": {f: f1}, "p2": {f: f2}}
@@ -203,10 +205,9 @@ func TestLeaderStreamsToFollowers(t *testing.T) {
 	if err := l.Unrevoke("id00@x"); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "both followers to converge", func() bool {
-		acked := l.AckedSeqs()
-		return acked["p1"] == 21 && acked["p2"] == 21
-	})
+	if acked := l.AckedSeqs(); acked["p1"] != 21 || acked["p2"] != 21 {
+		t.Fatalf("acked seqs after the acknowledged calls = %v, want 21 for both", acked)
+	}
 	for _, f := range []*Follower{f1, f2} {
 		reg := f.Journal().Registry()
 		if reg.IsRevoked("id00@x") || !reg.IsRevoked("id19@x") {
@@ -247,9 +248,10 @@ func TestLeaderArmsFenceOnConnect(t *testing.T) {
 	}
 }
 
-// TestLeaderCatchUpAfterFollowerOutage is the tentpole's acceptance
-// scenario at package level: a follower down during a run of revocations
-// converges via suffix catch-up once it returns.
+// TestLeaderCatchUpAfterFollowerOutage: a follower down during a run of
+// revocations fails each of them with ErrNotReplicated — none is
+// acknowledged while the follower lacks it — and converges via suffix
+// catch-up once it returns, since the records stayed journaled.
 func TestLeaderCatchUpAfterFollowerOutage(t *testing.T) {
 	f := NewFollower(openJournal(t))
 	var down atomicBool
@@ -274,8 +276,8 @@ func TestLeaderCatchUpAfterFollowerOutage(t *testing.T) {
 
 	down.set(true)
 	for i := 0; i < 5; i++ {
-		if err := l.Revoke(fmt.Sprintf("during%d@x", i), "outage"); err != nil {
-			t.Fatal(err)
+		if err := l.Revoke(fmt.Sprintf("during%d@x", i), "outage"); !errors.Is(err, ErrNotReplicated) || !strings.Contains(err.Error(), "follower p") {
+			t.Fatalf("Revoke with the follower down = %v, want ErrNotReplicated naming p", err)
 		}
 	}
 	if _, seq := f.Status(); seq != 1 {
@@ -467,11 +469,14 @@ func TestLeaderDeposedByHigherEpoch(t *testing.T) {
 	if err := f.ApplyAppend(3, []core.ReplRecord{{Seq: 2, Epoch: 3, Op: "revoke", ID: "succ@x", When: time.Now().UTC()}}); err != nil {
 		t.Fatal(err)
 	}
-	// The old leader's next append is fenced; it must notice and stop.
-	if err := l.Revoke("b@x", "r"); err != nil {
-		t.Fatal(err) // accepted locally: deposition not yet observed
+	// The old leader's next append is fenced: the call waiting for it sees
+	// the deposition, and the leader stops.
+	if err := l.Revoke("b@x", "r"); !errors.Is(err, ErrStaleEpoch) {
+		t.Fatalf("Revoke whose append is fenced = %v, want ErrStaleEpoch", err)
 	}
-	waitFor(t, "deposition", func() bool { return l.Deposed() })
+	if !l.Deposed() {
+		t.Fatal("a fenced append did not depose the leader")
+	}
 	if err := l.Revoke("c@x", "r"); !errors.Is(err, ErrStaleEpoch) {
 		t.Fatalf("deposed Revoke error = %v, want ErrStaleEpoch", err)
 	}
@@ -481,6 +486,133 @@ func TestLeaderDeposedByHigherEpoch(t *testing.T) {
 	if f.Journal().Registry().IsRevoked("b@x") {
 		t.Error("deposed leader's append reached the follower")
 	}
+}
+
+// gatedPeer is a memPeer whose appends announce themselves on entered and
+// then wait for open: a follower as slow as the test wants.
+type gatedPeer struct {
+	memPeer
+	entered chan struct{}
+	release chan struct{}
+	once    sync.Once
+}
+
+func (p *gatedPeer) open() { p.once.Do(func() { close(p.release) }) }
+
+func (p *gatedPeer) ReplAppend(leaderEpoch uint64, recs []core.ReplRecord) error {
+	select {
+	case p.entered <- struct{}{}:
+	case <-p.release:
+	}
+	<-p.release
+	return p.memPeer.ReplAppend(leaderEpoch, recs)
+}
+
+// TestLeaderAckWaitsForFollowers pins what an acknowledged mutation means:
+// Revoke returns nil only once every follower has applied the append that
+// carries it, fails typed when a follower cannot take it, and never hangs
+// past Close.
+func TestLeaderAckWaitsForFollowers(t *testing.T) {
+	leader := func(t *testing.T, epoch uint64, peer Peer) *Leader {
+		t.Helper()
+		cfg := LeaderConfig{Journal: openJournal(t), Epoch: epoch, RetryInterval: 10 * time.Millisecond, Logf: t.Logf}
+		if peer != nil {
+			cfg.Peers, cfg.Dial = []string{"p"}, func(string) (Peer, error) { return peer, nil }
+		}
+		l, err := NewLeader(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { _ = l.Close() })
+		return l
+	}
+	// gated is a leader whose one follower is a gatedPeer, past first
+	// contact: a mutation from now on reaches the follower as an append.
+	gated := func(t *testing.T, epoch uint64) (*Leader, *gatedPeer) {
+		p := &gatedPeer{memPeer: memPeer{f: NewFollower(openJournal(t))}, entered: make(chan struct{}), release: make(chan struct{})}
+		l := leader(t, epoch, p)
+		t.Cleanup(p.open) // before Close, which waits for the replicator
+		waitFor(t, "first contact", func() bool { return p.f.Journal().Epoch() == epoch })
+		return l, p
+	}
+	// revoke runs l.Revoke in the background once its append reached p.
+	revoke := func(l *Leader, p *gatedPeer) <-chan error {
+		done := make(chan error, 1)
+		go func() { done <- l.Revoke("a@x", "r") }()
+		<-p.entered
+		return done
+	}
+
+	t.Run("no peers", func(t *testing.T) {
+		l := leader(t, 1, nil)
+		if err := l.Revoke("a@x", "r"); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Unrevoke("a@x"); err != nil {
+			t.Fatal(err)
+		}
+	})
+
+	t.Run("slow peer", func(t *testing.T) {
+		l, p := gated(t, 1)
+		done := revoke(l, p)
+		select {
+		case err := <-done:
+			t.Fatalf("Revoke returned %v while the follower's append was still running", err)
+		default:
+		}
+		p.open()
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+		if !p.f.Journal().Registry().IsRevoked("a@x") {
+			t.Fatal("acknowledged revoke missing at the follower")
+		}
+	})
+
+	t.Run("failing peer", func(t *testing.T) {
+		var down atomicBool
+		p := &memPeer{f: NewFollower(openJournal(t)), down: down.get}
+		l := leader(t, 1, p)
+		if err := l.Revoke("a@x", "r"); err != nil {
+			t.Fatal(err)
+		}
+		down.set(true)
+		err := l.Revoke("b@x", "r")
+		if !errors.Is(err, ErrNotReplicated) || !strings.Contains(err.Error(), "follower p") {
+			t.Fatalf("Revoke with a failing follower = %v, want ErrNotReplicated naming p", err)
+		}
+		if !l.Journal().Registry().IsRevoked("b@x") {
+			t.Fatal("the failed revoke must stay journaled at the leader")
+		}
+	})
+
+	t.Run("close releases", func(t *testing.T) {
+		l, p := gated(t, 1)
+		done := revoke(l, p)
+		closed := make(chan struct{})
+		go func() { _ = l.Close(); close(closed) }()
+		if err := <-done; !errors.Is(err, ErrNotReplicated) {
+			t.Fatalf("Revoke waiting through Close = %v, want ErrNotReplicated", err)
+		}
+		p.open() // Close waits for the replicator's append
+		<-closed
+	})
+
+	t.Run("deposed", func(t *testing.T) {
+		l, p := gated(t, 2)
+		if err := p.f.ApplyAppend(3, nil); err != nil { // a successor speaks
+			t.Fatal(err)
+		}
+		done := revoke(l, p)
+		p.open()
+		if err := <-done; !errors.Is(err, ErrStaleEpoch) {
+			t.Fatalf("Revoke whose append a successor fenced = %v, want ErrStaleEpoch", err)
+		}
+		if err := l.Unrevoke("a@x"); !errors.Is(err, ErrStaleEpoch) {
+			t.Fatalf("deposed Unrevoke = %v, want ErrStaleEpoch", err)
+		}
+	})
 }
 
 // TestNewLeaderEpochRegress: starting a leader below the journal's known

@@ -117,8 +117,9 @@ const (
 	statusStaleEpoch
 	statusSeqGap
 	statusNotLeader
+	statusNotReplicated
 
-	numStatuses = int(statusNotLeader) + 1
+	numStatuses = int(statusNotReplicated) + 1
 )
 
 // statusTable describes each failure class once, for both ends: code is the
@@ -138,6 +139,7 @@ var statusTable = [numStatuses]struct {
 	statusStaleEpoch:      {"stale_epoch", repl.ErrStaleEpoch},
 	statusSeqGap:          {"seq_gap", repl.ErrSeqGap},
 	statusNotLeader:       {"not_leader", repl.ErrNotLeader},
+	statusNotReplicated:   {"not_replicated", repl.ErrNotReplicated},
 }
 
 // statusErr pins a handler error to a failure class no sentinel identifies.

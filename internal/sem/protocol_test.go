@@ -138,6 +138,7 @@ func TestOpAndStatusTables(t *testing.T) {
 		{internal(repl.ErrStaleEpoch), statusStaleEpoch}, // a sentinel outranks the path's class
 		{repl.ErrSeqGap, statusSeqGap},
 		{repl.ErrNotLeader, statusNotLeader},
+		{internal(repl.ErrNotReplicated), statusNotReplicated},
 	} {
 		got := statusFor(tc.err)
 		if got != tc.want {

@@ -85,17 +85,21 @@ func (o *ops) ReplSnapshot(chunk *repl.SnapshotChunk) error {
 
 // ReplDialer returns the peer dialer a repl.Leader uses to reach its
 // followers over the SEM protocol: one eagerly dialed connection per
-// follower (a *Pool is a repl.Peer). timeout covers the connection
-// attempt; replication ops run under the pool's default op deadline, and a
-// call whose connection dies is replayed once on a fresh one — safe,
-// because a follower skips redelivered records and refuses an
-// out-of-sequence snapshot chunk, which restarts the transfer.
+// follower (a *Pool is a repl.Peer). timeout bounds the connection attempt
+// and each replication op, so a follower that stops answering fails the
+// mutations waiting for it instead of holding them: within timeout for the
+// call, and once more for its replay. A call whose connection dies is
+// replayed once on a fresh one — safe, because a follower skips
+// redelivered records and refuses an out-of-sequence snapshot chunk,
+// which restarts the transfer.
 func ReplDialer(timeout time.Duration) func(addr string) (repl.Peer, error) {
-	return replDialer(PoolConfig{Size: 1, DialTimeout: timeout})
+	return replDialer(PoolConfig{DialTimeout: timeout})
 }
 
-// replDialer is ReplDialer over pools of cfg.
+// replDialer is ReplDialer over one-connection pools of cfg, whose
+// DialTimeout also bounds each op.
 func replDialer(cfg PoolConfig) func(addr string) (repl.Peer, error) {
+	cfg.Size, cfg.OpTimeout = 1, cfg.DialTimeout
 	return func(addr string) (repl.Peer, error) {
 		p, err := dial(addr, nil, cfg)
 		if err != nil {

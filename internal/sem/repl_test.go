@@ -126,11 +126,11 @@ func TestReplOpsRequireJournal(t *testing.T) {
 	}
 }
 
-// TestReplLeaderOverSockets is the tentpole end-to-end at package level,
+// TestReplLeaderOverSockets is replication end to end at package level,
 // over the SEM protocol between two daemons: a leader daemon replicates
 // Revokes (issued by an ordinary client against the leader) to a follower
-// daemon; the follower then refuses the revoked identity like the paper
-// demands.
+// daemon, and acknowledges each only once the follower holds it; the
+// follower then refuses the revoked identity like the paper demands.
 func TestReplLeaderOverSockets(t *testing.T) {
 	fl := newFleet(t, 2, fleetConfig{leader: "shard-1"})
 	c := fl.client("shard-1")
@@ -143,7 +143,9 @@ func TestReplLeaderOverSockets(t *testing.T) {
 		t.Fatal(err)
 	}
 	follower := fl.journals["shard-2"]
-	waitFor(t, "the follower reaching seq 11", func() bool { return follower.LastSeq() >= 11 })
+	if seq := follower.LastSeq(); seq != 11 {
+		t.Fatalf("the follower stands at seq %d when the acknowledged calls return, want 11", seq)
+	}
 	freg := follower.Registry()
 	if freg.IsRevoked("id00@x") || !freg.IsRevoked("id09@x") {
 		t.Fatal("follower state diverged from leader")
@@ -159,62 +161,152 @@ func TestReplLeaderOverSockets(t *testing.T) {
 	}
 }
 
-// TestAckedRevokeServedByPartitionedFollower reproduces the violation of
-// invariant I1 (DESIGN §7 row 2) that the loopback benchmark shows only as
-// a share of stale serves. With the leader→follower link partitioned,
-// ShardedClient.Revoke is acknowledged: the leader's journal is durable, and
-// the follower's not_leader refusal of the hint is not counted as lost. The
-// follower then serves a token for the revoked identity, and refuses only
-// once the link heals and it converges. This asserts today's behaviour;
-// ROADMAP item 2(a)'s lease and synchronous ack invert the middle
-// assertion.
-func TestAckedRevokeServedByPartitionedFollower(t *testing.T) {
-	ring, err := shard.New(shardNames(2), 0)
+// ringLeader is the shard the ring designates as revocation leader in an
+// n-shard fleet.
+func ringLeader(t *testing.T, n int) string {
+	t.Helper()
+	ring, err := shard.New(shardNames(n), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	leader, follower := ring.Leader(), "shard-1"
+	return ring.Leader()
+}
+
+// TestRevokeFailsAcrossLeaderFollowerPartition checks invariant I1 (DESIGN
+// §7 row 2) where a fleet breaks it most easily: a follower cut off from its
+// leader but not from clients. The leader acknowledges a revoke only once every
+// follower holds it (ROADMAP item 30), so across the partition
+// ShardedClient.Revoke fails with repl.ErrNotReplicated naming the
+// follower, and the follower, still serving, never serves an acknowledged
+// revoke. The record stays journaled and streams on after Heal. A held
+// link (the follower stops answering) fails the revoke within the peer's
+// timeout too, not never. ROADMAP item 2(a)'s lease is what will let such
+// a revoke succeed once the follower has stopped serving.
+func TestRevokeFailsAcrossLeaderFollowerPartition(t *testing.T) {
+	const peerTimeout = 250 * time.Millisecond
+	leader, follower := ringLeader(t, 2), "shard-1"
 	if leader == follower {
 		follower = "shard-2"
 	}
-	fl := newFleet(t, 2, fleetConfig{leader: leader})
+	fl := newFleet(t, 2, fleetConfig{leader: leader, tune: func(fl *fleet, lc *repl.LeaderConfig) {
+		lc.Dial = replDialer(PoolConfig{DialTimeout: peerTimeout, Dial: fl.net.Dialer(leader)})
+	}})
 	waitFor(t, "the follower adopting epoch 1", func() bool { return fl.journals[follower].Epoch() == 1 })
 	sc := fl.sharded(ShardedConfig{Replicas: 2})
-	ids, _ := fl.enrollIBE(sc, 1)
+	ids, _ := fl.enrollIBE(sc, 2)
 	fc, u := fl.client(follower), fl.pp.Generator()
-	if _, err := fc.IBEToken(ids[0], u); err != nil {
-		t.Fatal(err)
+	for _, id := range ids {
+		if _, err := fc.IBEToken(id, u); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// notReplicated checks a revoke's failure and that the follower, still
+	// serving, serves the identity: nothing was acknowledged.
+	notReplicated := func(id string, err error) {
+		t.Helper()
+		if !errors.Is(err, repl.ErrNotReplicated) || !strings.Contains(err.Error(), follower) {
+			t.Fatalf("Revoke the follower cannot take = %v, want repl.ErrNotReplicated naming %s", err, follower)
+		}
+		if _, err := fc.IBEToken(id, u); err != nil {
+			t.Fatalf("the follower before the record reached it: %v, want a token", err)
+		}
+	}
+	converged := func(id string) {
+		t.Helper()
+		waitFor(t, "the follower applying the journaled revoke", func() bool { return fl.journals[follower].Registry().IsRevoked(id) })
+		if _, err := fc.IBEToken(id, u); !errors.Is(err, core.ErrRevoked) {
+			t.Fatalf("the converged follower: %v, want ErrRevoked", err)
+		}
 	}
 
 	fl.net.Partition(leader, follower)
-	if err := sc.Revoke(ids[0], "partitioned"); err != nil {
-		t.Fatalf("Revoke across a leader→follower partition: %v, want an acknowledgement", err)
+	notReplicated(ids[0], sc.Revoke(ids[0], "partitioned"))
+	fl.net.Heal(leader, follower)
+	converged(ids[0])
+
+	// A held link fails the append by its deadline: the call's, then the
+	// handshake of its replay on a fresh connection.
+	fl.net.Hold(leader, follower)
+	start := time.Now()
+	err := sc.Revoke(ids[1], "held")
+	if took := time.Since(start); took > 2*peerTimeout+time.Second {
+		t.Fatalf("Revoke across a held link took %v, want it to fail within the peer timeout (%v) of the call and of its replay", took, peerTimeout)
 	}
-	if _, err := fc.IBEToken(ids[0], u); err != nil {
-		t.Fatalf("the follower refused an acknowledged revoke across the partition (%v): I1 holds, invert this test", err)
+	notReplicated(ids[1], err)
+	fl.net.Release(leader, follower)
+	converged(ids[1])
+}
+
+// TestUnreplicatedFleetLosesNoAckedRevoke: a fleet without a replication
+// leader has no way to deliver a revoke to a replica that misses it, so it
+// must not acknowledge one that some replica never got. With Replicas: 2
+// and one of the identity's replicas cut off from the client during the
+// revoke, Revoke fails with ErrNoLeader: a client that fanned the revoke
+// out best-effort would return nil while that replica went on issuing
+// tokens after Heal, forever. With Replicas: 1 the revoke goes to the
+// identity's one shard and bites.
+func TestUnreplicatedFleetLosesNoAckedRevoke(t *testing.T) {
+	fl := newFleet(t, 3, fleetConfig{})
+	sc := fl.sharded(ShardedConfig{Replicas: 2})
+	ids, _ := fl.enrollIBE(sc, 8)
+	u := fl.pp.Generator()
+	// An identity with a replica other than the ring's leader shard, and
+	// that replica: the one a revoke must not leave behind.
+	var id, cut string
+	var reps []string
+	for _, cand := range ids {
+		reps = sc.replicasFor(nil, cand)
+		for _, r := range reps {
+			if r != sc.LeaderAddr() {
+				id, cut = cand, r
+			}
+		}
+		if cut != "" {
+			break
+		}
+	}
+	if cut == "" {
+		t.Fatal("every identity's replicas are the ring's leader shard")
 	}
 
-	fl.net.Heal(leader, follower)
-	waitFor(t, "the follower applying the revoke", func() bool { return fl.journals[follower].Registry().IsRevoked(ids[0]) })
-	if _, err := fc.IBEToken(ids[0], u); !errors.Is(err, core.ErrRevoked) {
-		t.Fatalf("the converged follower: %v, want ErrRevoked", err)
+	fl.net.Partition("client", cut)
+	err := sc.Revoke(id, "one replica unreachable")
+	fl.net.Heal("client", cut)
+	if err == nil {
+		for _, r := range reps {
+			if _, err := fl.client(r).IBEToken(id, u); !errors.Is(err, core.ErrRevoked) {
+				t.Fatalf("replica %s after an acknowledged revoke: %v, want ErrRevoked", r, err)
+			}
+		}
+	}
+	if !errors.Is(err, ErrNoLeader) {
+		t.Fatalf("Revoke on a two-replica fleet without a leader = %v, want ErrNoLeader", err)
+	}
+
+	one := fl.sharded(ShardedConfig{Replicas: 1})
+	if err := one.Revoke(id, "one replica"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := one.IBEToken(id, u); !errors.Is(err, core.ErrRevoked) {
+		t.Fatalf("token after an acknowledged revoke on a one-replica fleet: %v, want ErrRevoked", err)
 	}
 }
 
-// TestShardedRevokeRoutesThroughLeader pins the new ShardedClient write
-// path: the mutation must land on the ring's leader shard, the hint
-// broadcast must reach the healthy rest of the fleet synchronously, and a
-// dead non-leader shard must not fail the call (that is the catch-up
-// path's job now). A dead leader, by contrast, is a hard error.
+// TestShardedRevokeRoutesThroughLeader pins the ShardedClient write path
+// on a replicated fleet: the mutation lands on the leader, which answers
+// once every shard holds it. A dead follower fails the call with the typed
+// error that names it (the record stays journaled and streams on when the
+// shard returns); a dead leader fails it too.
 func TestShardedRevokeRoutesThroughLeader(t *testing.T) {
-	fl := newFleet(t, 3, fleetConfig{})
+	leader := ringLeader(t, 3)
+	fl := newFleet(t, 3, fleetConfig{leader: leader})
 	sc := fl.sharded(ShardedConfig{Replicas: 2})
 	ids, _ := fl.enrollIBE(sc, 8)
 
 	if err := sc.Revoke(ids[0], "via leader"); err != nil {
 		t.Fatal(err)
 	}
-	// The hint broadcast is synchronous: every shard sees it immediately.
+	// Acknowledged means applied: every shard holds it now.
 	for _, addr := range fl.addrs {
 		entries, err := fl.client(addr).ListRevoked()
 		if err != nil {
@@ -231,9 +323,6 @@ func TestShardedRevokeRoutesThroughLeader(t *testing.T) {
 		}
 	}
 
-	leader := sc.LeaderAddr()
-	// Kill a non-leader shard: Revoke must still succeed (the hint is
-	// best-effort; in a replicated fleet catch-up finishes the job).
 	var victim string
 	for _, a := range fl.addrs {
 		if a != leader {
@@ -241,29 +330,32 @@ func TestShardedRevokeRoutesThroughLeader(t *testing.T) {
 			break
 		}
 	}
-	fl.net.Partition("client", victim)
-	if err := sc.Revoke(ids[1], "non-leader down"); err != nil {
-		t.Fatalf("Revoke with a non-leader shard down: %v", err)
-	}
-	if err := sc.Unrevoke(ids[1]); err != nil {
-		t.Fatalf("Unrevoke with a non-leader shard down: %v", err)
+	fl.net.Crash(victim)
+	for name, err := range map[string]error{
+		"Revoke":   sc.Revoke(ids[1], "non-leader down"),
+		"Unrevoke": sc.Unrevoke(ids[1]),
+	} {
+		if !errors.Is(err, repl.ErrNotReplicated) || !strings.Contains(err.Error(), victim) {
+			t.Fatalf("%s with shard %s down = %v, want repl.ErrNotReplicated naming it", name, victim, err)
+		}
 	}
 
-	// Kill the leader: the authoritative write path is gone, so the
-	// mutation must fail loudly rather than degrade to best-effort.
+	// Kill the leader: the authoritative write path is gone, and no other
+	// shard leads, so the mutation must fail loudly rather than degrade to
+	// best-effort.
 	fl.net.Partition("client", leader)
-	if err := sc.Revoke(ids[2], "leader down"); err == nil {
-		t.Fatal("Revoke succeeded with the leader shard dead")
+	if err := sc.Revoke(ids[2], "leader down"); !errors.Is(err, ErrNoLeader) {
+		t.Fatalf("Revoke with the leader shard unreachable = %v, want ErrNoLeader", err)
 	}
 }
 
-// TestShardedRevokeFollowsLeaderDrift pins the rebalance-hazard recovery:
-// when the ring's leader designation points at a daemon running as a
-// follower (the fleet list changed after the daemons were started with a
-// fixed -repl-leader), the designated shard refuses the mutation with
-// not_leader. The ShardedClient must then probe repl.status, find the
-// daemon actually leading, and land the mutation there — authoritative
-// writes keep working instead of failing until an operator restart.
+// TestShardedRevokeFollowsLeaderDrift pins the rebalance hazard: the
+// ring's leader designation points at a daemon running as a follower (the
+// fleet list changed after the daemons were started with a fixed
+// -repl-leader). The ShardedClient resolves the leader by repl.status, not
+// by the ring, so it lands the mutation on the daemon actually leading —
+// authoritative writes keep working instead of failing until an operator
+// restart — and every follower holds it when the call returns.
 func TestShardedRevokeFollowsLeaderDrift(t *testing.T) {
 	const n = 3
 	names := shardNames(n)
@@ -279,17 +371,6 @@ func TestShardedRevokeFollowsLeaderDrift(t *testing.T) {
 		actual = names[1]
 	}
 	fl := newFleet(t, n, fleetConfig{leader: actual})
-	var peers []string
-	for _, a := range names {
-		if a != actual {
-			peers = append(peers, a)
-		}
-	}
-	// Wait for the leader to arm every follower's fence: the designated
-	// shard only refuses direct mutations once it has adopted epoch 1.
-	for _, a := range peers {
-		waitFor(t, a+" adopting the leader epoch", func() bool { return fl.journals[a].Epoch() >= 1 })
-	}
 
 	sc := fl.sharded(ShardedConfig{})
 	if got := sc.LeaderAddr(); got != designated {
@@ -302,9 +383,11 @@ func TestShardedRevokeFollowsLeaderDrift(t *testing.T) {
 	if !fl.journals[actual].Registry().IsRevoked("drift@x") {
 		t.Fatal("mutation missing from the actual leader")
 	}
-	// …and replicate to every follower, including the ring-designated one.
-	for _, a := range peers {
-		waitFor(t, a+" converging", func() bool { return fl.journals[a].Registry().IsRevoked("drift@x") })
+	// …and be held by every follower, the ring-designated one included.
+	for _, a := range names {
+		if !fl.journals[a].Registry().IsRevoked("drift@x") {
+			t.Fatalf("%s lacks the acknowledged mutation", a)
+		}
 	}
 	if err := sc.Unrevoke("drift@x"); err != nil {
 		t.Fatalf("Unrevoke with drifted leader designation: %v", err)

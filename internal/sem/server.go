@@ -671,7 +671,8 @@ func (s *Server) gmDecrypt(id string, payload []byte) ([]byte, error) {
 
 // revoke disables id; the item's payload is the reason. On a replication
 // leader the mutation goes through the Leader so it is sequenced, made
-// durable and streamed to the fleet in one motion.
+// durable and streamed to the fleet in one motion, and answered once every
+// follower holds it (a not_replicated failure names one that does not).
 func (s *Server) revoke(id string, reason []byte) ([]byte, error) {
 	switch {
 	case s.cfg.Leader != nil:
@@ -706,9 +707,9 @@ func (s *Server) unrevoke(id string, _ []byte) ([]byte, error) {
 // refuseIfFollower fences direct revocation mutations on a replication
 // follower. A journal that has adopted a leader epoch (> 0) is driven
 // solely by the leader's ordered stream; if this daemon self-sequenced a
-// direct mutation, its numbering would fork from the leader's and a racing
-// fast-path hint could shadow the authoritative order forever. The caller
-// gets a typed not_leader refusal pointing at the real write path. A
+// direct mutation, its numbering would fork from the leader's, and the
+// leader could acknowledge a history this follower does not hold. The
+// caller gets a typed not_leader refusal pointing at the real write path. A
 // standalone journaled daemon (epoch 0, never spoken to by a leader) keeps
 // accepting direct mutations. Returns nil when the mutation may proceed.
 func (s *Server) refuseIfFollower() error {

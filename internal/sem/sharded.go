@@ -3,6 +3,7 @@ package sem
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/core"
@@ -24,10 +25,13 @@ import (
 // the all-shard Ping/ListRevoked.
 //
 // Replica failover assumes the identity's key half is enrolled on every
-// replica (the register ops do exactly that), and that revocations reach
-// every shard (Revoke/Unrevoke broadcast). Transport errors trigger
-// failover; errors the server answered (ErrRemote) never do — a revoked
-// identity stays revoked on the next replica too.
+// replica (the register ops do exactly that), and that every replica holds
+// each acknowledged revocation: a fleet with a replication leader
+// acknowledges one only once every follower applied it, and a fleet
+// without one may serve each identity from one replica only (ErrNoLeader).
+// Transport errors trigger failover; errors the server answered
+// (ErrRemote) never do — a revoked identity stays revoked on the next
+// replica too.
 type ShardedClient struct {
 	ops
 	ring  *shard.Ring
@@ -36,14 +40,25 @@ type ShardedClient struct {
 	reps  int
 	met   *shardedMetrics
 
+	// The fleet's revocation leader, resolved by the first mutation.
+	leaderMu sync.Mutex
+	leader   string //cryptolint:public (shard address; deployment metadata)
+	resolved bool
+
 	closed atomic.Bool
 }
+
+// ErrNoLeader is returned by Revoke/Unrevoke on a fleet that serves each
+// identity from more than one replica but has no replication leader: no
+// shard could acknowledge a mutation that every replica holds.
+var ErrNoLeader = errors.New("sem: no revocation leader in a fleet with more than one replica per identity")
 
 // ShardedConfig tunes a ShardedClient.
 type ShardedConfig struct {
 	// Replicas is how many ring replicas serve each identity (primary
 	// first); ops fail over down this list on transport errors. ≤ 0
-	// selects 1 (no failover).
+	// selects 1 (no failover). Above 1, Revoke/Unrevoke need a fleet with
+	// a replication leader (ErrNoLeader).
 	Replicas int
 	// Pool tunes every per-shard pool. Pool.Metrics is overridden by
 	// Metrics below.
@@ -57,8 +72,6 @@ type ShardedConfig struct {
 type shardedMetrics struct {
 	failovers    *obs.Counter
 	shardBatches *obs.Counter
-	broadcasts   *obs.Counter
-	hintFailures *obs.Counter
 	leaderProbes *obs.Counter
 }
 
@@ -69,9 +82,7 @@ func newShardedMetrics(reg *obs.Registry) *shardedMetrics {
 	return &shardedMetrics{
 		failovers:    reg.Counter("shardclient_failovers_total", "per-identity ops retried on the next ring replica after a transport failure"),
 		shardBatches: reg.Counter("shardclient_shard_batches_total", "per-shard sub-batches dispatched by sharded batch splitting"),
-		broadcasts:   reg.Counter("shardclient_broadcasts_total", "fleet-wide broadcast ops (revoke/unrevoke)"),
-		hintFailures: reg.Counter("shardclient_hint_failures_total", "best-effort revocation hints that failed (replication still carries the mutation)"),
-		leaderProbes: reg.Counter("shardclient_leader_probes_total", "repl.status probes issued to locate the actual leader after the ring-designated shard refused a mutation"),
+		leaderProbes: reg.Counter("shardclient_leader_probes_total", "repl.status probes issued to locate the fleet's revocation leader"),
 	}
 }
 
@@ -322,8 +333,8 @@ func (sc *ShardedClient) Ping() error {
 }
 
 // ListRevoked unions the revocation lists of every shard, deduplicated by
-// identity (revocations broadcast fleet-wide, so healthy shards agree; the
-// union covers shards that missed a broadcast while partitioned). Every
+// identity (a replicated fleet's shards agree on every acknowledged
+// revocation; without a leader each shard holds its own identities'). Every
 // shard must answer — an unreachable shard fails the query, since its
 // entries could be missing from the union. Partial-list parse errors are
 // tolerated per shard and surface once alongside the merged entries.
@@ -363,19 +374,15 @@ func (sc *ShardedClient) ListRevoked() ([]core.RevocationEntry, error) {
 // revocation write path — where cmd/semd's -repl-leader should run. Note
 // the rebalance hazard documented on shard.Ring.Leader: after the fleet
 // list changes, this designation can differ from the daemon actually
-// running as leader. Mutations recover via repl.status probing
-// (leaderMutate); operators should realign -repl-leader at the next
-// restart.
+// running as leader. Mutations do not depend on it: they go to the daemon
+// that reports itself leader (leaderMutate).
 func (sc *ShardedClient) LeaderAddr() string { return sc.ring.Leader() }
 
-// probeLeader asks every shard except skip for its replication status and
-// returns the first daemon reporting itself as the fleet's active leader,
-// or "" when none does.
-func (sc *ShardedClient) probeLeader(skip string) string {
+// probeLeader asks every shard for its replication status and returns the
+// first daemon reporting itself as the fleet's active leader, or "" when
+// none does.
+func (sc *ShardedClient) probeLeader() string {
 	for _, addr := range sc.addrs {
-		if addr == skip { //cryptolint:public (skip-the-refuser comparison on shard addresses; deployment metadata)
-			continue
-		}
 		sc.met.leaderProbes.Inc()
 		raw, err := sc.pools[addr].one(opReplStatus, "", nil)
 		if err != nil {
@@ -390,49 +397,50 @@ func (sc *ShardedClient) probeLeader(skip string) string {
 	return ""
 }
 
-// leaderMutate performs a revocation mutation (Revoke/Unrevoke) fleet-wide.
-// The mutation lands authoritatively on the fleet's leader shard
-// (shard.Ring.Leader — in a replicated fleet that daemon sequences it,
-// makes it durable and streams it to every follower; the call fails if the
-// leader does), then fans to the remaining shards as a synchronous
-// best-effort hint so even non-replicated fleets converge before the call
-// returns. A hint miss — a shard down at that moment — is counted, not
-// fatal: the leader owns the truth and catch-up replication delivers the
-// mutation when the shard returns. When the
-// ring-designated shard refuses with not_leader — a rebalance moved the
-// designation onto a daemon running as a follower (see shard.Ring.Leader)
-// — the fleet is probed for the daemon actually leading and the mutation
-// retried there, so authoritative writes survive fleet-list drift instead
-// of failing until an operator restart.
+// resolveLeader returns the fleet's revocation leader ("" for none): the
+// cached answer, or with refresh or on first use a fresh probe, in which
+// case probed is true.
+func (sc *ShardedClient) resolveLeader(refresh bool) (leader string, probed bool) {
+	sc.leaderMu.Lock()
+	defer sc.leaderMu.Unlock()
+	if sc.resolved && !refresh {
+		return sc.leader, false
+	}
+	sc.leader, sc.resolved = sc.probeLeader(), true
+	return sc.leader, true
+}
+
+// leaderMutate performs a revocation mutation (Revoke/Unrevoke). In a
+// fleet with a replication leader it goes to the leader, which answers
+// once every follower holds it; in a fleet without one it goes to the
+// identity's one replica like any other op, and with more than one replica
+// per identity it fails with ErrNoLeader. The leader is resolved once and
+// cached; a cached answer that fails — not_leader, no leader, or a
+// transport failure — is resolved afresh and the mutation retried once.
 func (sc *ShardedClient) leaderMutate(op byte, id string, payload []byte) error {
-	leader := sc.ring.Leader()
-	_, err := sc.pools[leader].one(op, id, payload) //cryptolint:public (leader routing on shard addresses; deployment metadata)
-	if err != nil && errors.Is(err, repl.ErrNotLeader) {
-		if actual := sc.probeLeader(leader); actual != "" {
-			if _, perr := sc.pools[actual].one(op, id, payload); perr == nil {
-				leader, err = actual, nil
-			} else {
-				err = perr
-			}
-		}
+	leader, probed := sc.resolveLeader(false)
+	err := sc.mutateAt(leader, op, id, payload)
+	if probed || err == nil || errors.Is(err, ErrClientClosed) {
+		return err
 	}
-	if err != nil {
-		return fmt.Errorf("sem: leader shard %s: %w", leader, err) //cryptolint:public (shard address in an operator-facing error; deployment metadata)
+	if errors.Is(err, ErrRemote) && !errors.Is(err, repl.ErrNotLeader) {
+		return err // the leader answered: not_replicated, a journal failure
 	}
-	sc.met.broadcasts.Inc()
-	parallel.Fan(len(sc.addrs), func(i int) {
-		addr := sc.addrs[i]
-		if addr == leader { //cryptolint:public (skip-the-leader comparison on shard addresses; deployment metadata)
-			return
+	leader, _ = sc.resolveLeader(true)
+	return sc.mutateAt(leader, op, id, payload)
+}
+
+// mutateAt sends a mutation to leader, or without one to id's shard.
+func (sc *ShardedClient) mutateAt(leader string, op byte, id string, payload []byte) error {
+	addr := leader
+	if addr == "" { //cryptolint:public (no-leader test on a shard address; deployment metadata)
+		if sc.reps > 1 {
+			return ErrNoLeader
 		}
-		if _, err := sc.pools[addr].one(op, id, payload); err != nil {
-			// A replicated follower refuses direct mutations by design
-			// (repl.ErrNotLeader) — the leader's stream is already carrying
-			// this record there, so that refusal is not a lost hint.
-			if !errors.Is(err, repl.ErrNotLeader) {
-				sc.met.hintFailures.Inc()
-			}
-		}
-	})
+		addr = sc.ring.Lookup(id)
+	}
+	if _, err := sc.pools[addr].one(op, id, payload); err != nil { //cryptolint:public (leader routing on shard addresses; deployment metadata)
+		return fmt.Errorf("sem: shard %s: %w", addr, err) //cryptolint:public (shard address in an operator-facing error; deployment metadata)
+	}
 	return nil
 }

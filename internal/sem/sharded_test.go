@@ -358,10 +358,11 @@ func TestShardedFailoverMidBatch(t *testing.T) {
 }
 
 // TestShardedRevocationSurvivesFailover checks the paper's central claim
-// under failover: revocation broadcasts to every shard, so a revoked
-// identity stays revoked even when its primary dies and a replica serves it.
+// under failover: on a replicated fleet an acknowledged revoke is held by
+// every shard, so a revoked identity stays revoked even when its primary
+// dies and a replica serves it.
 func TestShardedRevocationSurvivesFailover(t *testing.T) {
-	fl := newFleet(t, 3, fleetConfig{})
+	fl := newFleet(t, 3, fleetConfig{leader: ringLeader(t, 3)})
 	sc := fl.sharded(ShardedConfig{Replicas: 2})
 	ids, _ := fl.enrollIBE(sc, 4)
 	id := ids[0]

@@ -216,12 +216,12 @@ const leaderToken = "\x00repl-leader\x00"
 // REBALANCE HAZARD: the designation is a pure function of the node *set*,
 // while the daemon actually running as leader is fixed at startup by
 // -repl-leader. Adding or removing any shard can silently move the token's
-// arc onto a daemon running as a follower — from that moment the ring
-// points authoritative revocation writes at a shard that refuses them with
-// not_leader. sem.ShardedClient recovers by probing repl.status for the
-// daemon whose status reports leadership, so mutations keep landing, but
-// the designation stays wrong until the operator restarts the fleet with
-// -repl-leader on the newly designated shard (and a bumped -repl-epoch).
+// arc onto a daemon running as a follower. sem.ShardedClient does not
+// write through the designation — it resolves the leader by probing
+// repl.status for the daemon whose status reports leadership — so
+// mutations keep landing, but the designation stays wrong until the
+// operator restarts the fleet with -repl-leader on the newly designated
+// shard (and a bumped -repl-epoch).
 func (r *Ring) Leader() string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
